@@ -40,7 +40,8 @@ type ClientOptions struct {
 	// DialTimeout bounds establishing a connection; <= 0 means
 	// DefaultDialTimeout.
 	DialTimeout time.Duration
-	// OpTimeout is the per-attempt round-trip deadline; <= 0 means
+	// OpTimeout bounds, per attempt, the write of an exchange's requests
+	// and then the wait for each of its replies; <= 0 means
 	// DefaultOpTimeout.
 	OpTimeout time.Duration
 	// Retries is how many extra attempts an op gets after a transport
@@ -69,11 +70,12 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// pconn is one pooled connection with its buffered endpoints.
+// pconn is one pooled connection with its buffered endpoints. Replies are
+// parsed in place by the connection's RespReader.
 type pconn struct {
-	c net.Conn
-	r *bufio.Reader
-	w *bufio.Writer
+	c  net.Conn
+	w  *bufio.Writer
+	rr *proto.RespReader
 }
 
 // Client is a connection-pooled Memcached-text-protocol client for one peer.
@@ -175,9 +177,9 @@ func (c *Client) get() (*pconn, error) {
 	c.live[conn] = struct{}{}
 	c.connMu.Unlock()
 	return &pconn{
-		c: conn,
-		r: bufio.NewReaderSize(conn, 1<<14),
-		w: bufio.NewWriterSize(conn, 1<<14),
+		c:  conn,
+		w:  bufio.NewWriterSize(conn, 1<<14),
+		rr: proto.NewRespReader(bufio.NewReaderSize(conn, 1<<14)),
 	}, nil
 }
 
@@ -204,15 +206,15 @@ func (c *Client) put(pc *pconn) {
 	}
 }
 
-// roundTrip sends one request and reads one response on a single
-// connection. Transport failures close the connection and are retriable;
-// a parsed response (even an error response) is final.
-func (c *Client) roundTrip(req []byte) (*proto.Response, error) {
+// send writes req — one or more requests rendered back to back — to a pooled
+// (or fresh) connection under the op deadline and flushes it. The connection
+// comes back holding the replies; a failure closes it.
+func (c *Client) send(req []byte) (*pconn, error) {
 	pc, err := c.get()
 	if err != nil {
 		return nil, err
 	}
-	pc.c.SetDeadline(time.Now().Add(c.opts.OpTimeout))
+	pc.c.SetWriteDeadline(time.Now().Add(c.opts.OpTimeout))
 	if _, err := pc.w.Write(req); err != nil {
 		c.drop(pc)
 		return nil, err
@@ -221,13 +223,29 @@ func (c *Client) roundTrip(req []byte) (*proto.Response, error) {
 		c.drop(pc)
 		return nil, err
 	}
-	resp, err := proto.ReadResponse(pc.r)
-	if err != nil {
-		c.drop(pc)
-		return nil, err
+	return pc, nil
+}
+
+// recv reads the n replies owed on pc in order, handing each to fn, and
+// returns the connection to the pool. The op deadline is re-armed before each
+// reply: the peer serves a pipelined exchange serially (read-through fetches
+// included), so the deadline bounds one reply, as it does for a lone request,
+// not the sum of them. A transport failure closes the connection; got reports
+// how many replies fn saw before it. A parsed reply (even an error reply) is
+// a success.
+func (c *Client) recv(pc *pconn, n int, fn func(i int, r *proto.Resp)) (got int, err error) {
+	for got < n {
+		pc.c.SetReadDeadline(time.Now().Add(c.opts.OpTimeout))
+		r, err := pc.rr.Next()
+		if err != nil {
+			c.drop(pc)
+			return got, err
+		}
+		fn(got, r)
+		got++
 	}
 	c.put(pc)
-	return resp, nil
+	return got, nil
 }
 
 // SetDegraded flips load-amplification avoidance: while degraded, the
@@ -247,144 +265,206 @@ func (c *Client) retryBudget() int {
 	return c.opts.Retries
 }
 
-// attempt runs roundTrip with the configured bounded retries. Each retry
+// attempt completes one exchange whose first send has already been made
+// (pc, err are its outcome), with the configured bounded retries. Each retry
 // uses a fresh connection (the failed one was closed), which also flushes
-// stale pooled connections that the peer idled out.
-func (c *Client) attempt(req []byte) (resp *proto.Response, err error) {
+// stale pooled connections that the peer idled out. Only an attempt that
+// failed before its first reply is retried: once the peer has answered a
+// prefix it has executed it, and replaying those requests would apply their
+// writes twice behind replies the caller already holds.
+func (c *Client) attempt(pc *pconn, err error, req []byte, n int, fn func(i int, r *proto.Resp)) error {
 	budget := c.retryBudget()
 	for try := 0; ; try++ {
-		resp, err = c.roundTrip(req)
-		if err == nil || try >= budget || c.closed.Load() {
-			return resp, err
+		got := 0
+		if err == nil {
+			got, err = c.recv(pc, n, fn)
+		}
+		if err == nil || got > 0 || try >= budget || c.closed.Load() {
+			return err
 		}
 		c.retries.Add(1)
+		pc, err = c.send(req)
 	}
 }
 
-// Do sends one pre-rendered request (see proto.AppendCommand) and returns
-// the peer's response. It consults the circuit breaker, applies bounded
-// retries, and records per-peer latency. Responses with error status are
-// successful round-trips; only transport failures trip the breaker.
-func (c *Client) Do(req []byte) (*proto.Response, error) {
-	if c.closed.Load() {
-		return nil, ErrClientClosed
+// Exchange is one pipelined round trip with the peer, split in two so a
+// caller with requests for several peers can write to all of them before it
+// waits on any: Start puts the requests on the wire, Finish reads the
+// replies. Every Start must be followed by exactly one Finish (the circuit
+// breaker's half-open probe is settled there). An Exchange is used by one
+// goroutine.
+type Exchange struct {
+	c     *Client
+	req   []byte
+	n     int
+	start time.Time
+
+	// pc, err are the first send's outcome; refused marks an exchange the
+	// breaker (or a closed client) turned away before any attempt.
+	pc      *pconn
+	err     error
+	refused bool
+
+	// hedge > 0 races attempts in their own goroutines, which report on res.
+	hedge time.Duration
+	res   chan hedgeResult
+}
+
+// hedgeResult is one racing attempt's outcome: its replies, deep-copied
+// because the attempt's connection moves on once it returns.
+type hedgeResult struct {
+	replies []*proto.Resp
+	err     error
+	hedged  bool
+}
+
+// Start sends req — n requests rendered back to back (see
+// proto.AppendCommand), each owed exactly one reply — on one connection. It
+// consults the circuit breaker first. hedge > 0 arms a hedged duplicate: if
+// the first attempt has not answered in full within hedge of Start, a second
+// identical exchange races it on another connection and the first complete
+// set of replies wins. Only idempotent requests (GETs) may be hedged; the
+// loser is discarded when it lands. req must stay untouched until Finish
+// returns.
+func (c *Client) Start(req []byte, n int, hedge time.Duration) Exchange {
+	x := Exchange{c: c, req: req, n: n}
+	switch {
+	case c.closed.Load():
+		x.err, x.refused = ErrClientClosed, true
+		return x
+	case !c.br.allow():
+		c.fastFails.Add(uint64(n))
+		x.err, x.refused = ErrPeerDown, true
+		return x
 	}
-	if !c.br.allow() {
-		c.fastFails.Add(1)
-		return nil, ErrPeerDown
+	c.requests.Add(uint64(n))
+	x.start = time.Now()
+	if hedge > 0 {
+		// The losing attempt may still be writing req to its connection
+		// after the winner has returned, so the race owns a private copy.
+		x.req = append([]byte(nil), req...)
+		x.hedge = hedge
+		x.res = make(chan hedgeResult, 2) // one send per racer
+		go x.race(false)
+		return x
 	}
-	c.requests.Add(1)
-	start := time.Now()
-	resp, err := c.attempt(req)
-	c.lat.Observe(time.Since(start).Seconds())
+	x.pc, x.err = c.send(req)
+	return x
+}
+
+// Finish reads the exchange's n replies and hands them to fn in request
+// order on the calling goroutine; each *proto.Resp is valid only during its
+// call. The exchange succeeds or fails as a whole: on error the caller must
+// discard whatever fn saw (a prefix of replies from an attempt that then
+// broke). Error replies are successful exchanges; only transport failures
+// are errors, and only they trip the breaker.
+func (x *Exchange) Finish(fn func(i int, r *proto.Resp)) error {
+	c := x.c
+	if x.refused {
+		return x.err
+	}
+	var err error
+	if x.res != nil {
+		err = x.awaitRace(fn)
+	} else {
+		err = c.attempt(x.pc, x.err, x.req, x.n, fn)
+	}
+	c.lat.Observe(time.Since(x.start).Seconds())
 	if err != nil {
-		c.errs.Add(1)
+		c.errs.Add(uint64(x.n))
 		c.br.failure()
-		return nil, err
+		return err
 	}
 	c.br.success()
-	return resp, nil
+	return nil
 }
 
-// Get retrieves one key (gets semantics — the CAS token rides along — when
-// withCAS). hedge > 0 arms a hedged duplicate: if the first attempt has not
-// answered within hedge, a second identical request races it on another
-// connection and the first response wins. GETs are idempotent, so the loser
-// is simply discarded when it lands.
-func (c *Client) Get(key string, withCAS bool, hedge time.Duration) (*proto.Response, error) {
-	verb := "get"
-	if withCAS {
-		verb = "gets"
-	}
-	if hedge <= 0 {
-		// Non-hedged requests finish before Get returns, so the rendered
-		// request can live in a pooled buffer. The hedged path below must
-		// not: the losing attempt's goroutine may still be writing req to
-		// its connection after the winner has returned, so recycling the
-		// buffer would hand its bytes to an unrelated request mid-write.
-		reqBuf := bufpool.Get(0)
-		b := append((*reqBuf)[:0], verb...)
-		b = append(b, ' ')
-		b = append(b, key...)
-		*reqBuf = append(b, '\r', '\n')
-		resp, err := c.Do(*reqBuf)
-		bufpool.Put(reqBuf)
-		return resp, err
-	}
-	req := append(append(append([]byte(verb), ' '), key...), '\r', '\n')
-	if c.closed.Load() {
-		return nil, ErrClientClosed
-	}
-	if !c.br.allow() {
-		c.fastFails.Add(1)
-		return nil, ErrPeerDown
-	}
-	c.requests.Add(1)
-	start := time.Now()
-	resp, err := c.hedged(req, hedge)
-	c.lat.Observe(time.Since(start).Seconds())
-	if err != nil {
-		c.errs.Add(1)
-		c.br.failure()
-		return nil, err
-	}
-	c.br.success()
-	return resp, nil
+// race runs one full attempt (send, replies, retries) and reports it.
+func (x *Exchange) race(hedged bool) {
+	res := hedgeResult{replies: make([]*proto.Resp, 0, x.n), hedged: hedged}
+	pc, err := x.c.send(x.req)
+	res.err = x.c.attempt(pc, err, x.req, x.n, func(_ int, r *proto.Resp) {
+		res.replies = append(res.replies, r.Clone())
+	})
+	x.res <- res
 }
 
-// hedged races the primary attempt against a duplicate fired after the
-// hedge delay. The first success wins; both failing returns the last error.
-func (c *Client) hedged(req []byte, hedge time.Duration) (*proto.Response, error) {
-	type result struct {
-		resp   *proto.Response
-		err    error
-		hedged bool
-	}
-	ch := make(chan result, 2)
-	run := func(hedged bool) {
-		resp, err := c.attempt(req)
-		ch <- result{resp, err, hedged}
-	}
-	go run(false)
-	t := time.NewTimer(hedge)
+// awaitRace waits for the primary attempt, firing the duplicate once the
+// hedge delay has passed since Start. The first success wins; both failing
+// returns the last error.
+func (x *Exchange) awaitRace(fn func(i int, r *proto.Resp)) error {
+	t := time.NewTimer(x.hedge - time.Since(x.start))
 	defer t.Stop()
 	launched := 1
 	for {
 		select {
-		case r := <-ch:
+		case r := <-x.res:
 			if r.err == nil {
 				if r.hedged {
-					c.hedgeWins.Add(1)
+					x.c.hedgeWins.Add(1)
 				}
-				return r.resp, nil
+				for i, resp := range r.replies {
+					fn(i, resp)
+				}
+				return nil
 			}
 			launched--
 			if launched == 0 {
 				// Every launched attempt failed.
-				return nil, r.err
+				return r.err
 			}
 		case <-t.C:
 			if launched == 1 {
-				c.hedges.Add(1)
+				x.c.hedges.Add(1)
 				launched++
-				go run(true)
+				go x.race(true)
 			}
 		}
 	}
 }
 
+// Do sends one pre-rendered request (see proto.AppendCommand) and returns
+// the peer's response: the one-request exchange, for callers that keep the
+// reply.
+func (c *Client) Do(req []byte) (*proto.Response, error) {
+	return c.one(req, 0)
+}
+
+// Get retrieves one key (gets semantics — the CAS token rides along — when
+// withCAS), hedged after hedge when hedge > 0 (see Start).
+func (c *Client) Get(key string, withCAS bool, hedge time.Duration) (*proto.Response, error) {
+	verb := "get "
+	if withCAS {
+		verb = "gets "
+	}
+	reqBuf := bufpool.Get(0)
+	defer bufpool.Put(reqBuf)
+	*reqBuf = append(append(append((*reqBuf)[:0], verb...), key...), '\r', '\n')
+	return c.one(*reqBuf, hedge)
+}
+
+// one runs a one-request exchange and copies the reply out.
+func (c *Client) one(req []byte, hedge time.Duration) (*proto.Response, error) {
+	var resp *proto.Response
+	x := c.Start(req, 1, hedge)
+	err := x.Finish(func(_ int, r *proto.Resp) { resp = r.Response() })
+	return resp, err
+}
+
 // ClientStats is a point-in-time snapshot of one peer client's counters.
 type ClientStats struct {
-	// Requests counts ops admitted past the breaker.
+	// Requests counts requests admitted past the breaker (each command of
+	// a pipelined exchange counts).
 	Requests uint64 `json:"requests"`
-	// Errors counts ops that failed at transport level after retries.
+	// Errors counts requests that failed at transport level after retries.
 	Errors uint64 `json:"errors"`
-	// Retries counts per-attempt transport retries.
+	// Retries counts per-attempt transport retries (one per exchange
+	// re-sent).
 	Retries uint64 `json:"retries"`
 	// Dials counts new connections established.
 	Dials uint64 `json:"dials"`
-	// FastFails counts ops rejected by the open breaker without touching
-	// the wire.
+	// FastFails counts requests rejected by the open breaker without
+	// touching the wire.
 	FastFails uint64 `json:"fast_fails"`
 	// BreakerOpens counts how many times the circuit opened.
 	BreakerOpens uint64 `json:"breaker_opens"`
@@ -394,8 +474,8 @@ type ClientStats struct {
 	// answered before the primary.
 	Hedges    uint64 `json:"hedges"`
 	HedgeWins uint64 `json:"hedge_wins"`
-	// Latency is the per-op round-trip histogram (hedged ops observe the
-	// winning attempt's latency).
+	// Latency is the per-exchange round-trip histogram, Start to Finish
+	// (hedged exchanges observe the winning attempt's latency).
 	Latency obs.HistSnapshot `json:"latency"`
 }
 

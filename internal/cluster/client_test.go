@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,6 +28,10 @@ type fakePeer struct {
 	// dropNext closes the connection (instead of answering) for the next
 	// N requests — a transient fault.
 	dropNext atomic.Int32
+	// dropAfter > 0 makes the peer answer that many more requests, then
+	// close the connection on the next — a fault in the middle of a
+	// pipelined exchange.
+	dropAfter atomic.Int32
 	// shedAll makes the peer answer every request with the overload shed
 	// reply instead of serving it.
 	shedAll  atomic.Bool
@@ -87,6 +92,9 @@ func (p *fakePeer) handle(conn net.Conn) {
 		}
 		if n := p.dropNext.Load(); n > 0 && p.dropNext.CompareAndSwap(n, n-1) {
 			return
+		}
+		if n := p.dropAfter.Load(); n > 0 && p.dropAfter.CompareAndSwap(n, n-1) && n == 1 {
+			p.dropNext.Store(1)
 		}
 		var out []byte
 		if p.shedAll.Load() {
@@ -186,6 +194,124 @@ func TestClientDoSetDelete(t *testing.T) {
 	resp, err = c.Do(proto.AppendCommand(nil, &proto.Command{Name: "delete", Keys: []string{"k"}}))
 	if err != nil || resp.Status != "DELETED" {
 		t.Fatalf("delete = (%+v, %v)", resp, err)
+	}
+}
+
+// TestExchangePipelinesReplies: n requests go out in one write on one
+// connection and their replies come back in request order, error replies
+// included; counters are per request.
+func TestExchangePipelinesReplies(t *testing.T) {
+	peer := newFakePeer(t)
+	peer.set("k", []byte("hello"))
+	c := NewClient(peer.addr(), ClientOptions{})
+	defer c.Close()
+	req := []byte("get k\r\n")
+	req = proto.AppendCommand(req, &proto.Command{Name: "set", Keys: []string{"k"}, Data: []byte("bye")})
+	req = append(req, "gets k absent\r\ntouch k 1\r\n"...)
+	var got []string
+	x := c.Start(req, 4, 0)
+	err := x.Finish(func(i int, r *proto.Resp) {
+		if i != len(got) {
+			t.Errorf("reply %d delivered at position %d", i, len(got))
+		}
+		got = append(got, string(proto.AppendResp(nil, r, true)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"VALUE k 0 5 0\r\nhello\r\nEND\r\n",
+		"STORED\r\n",
+		"VALUE k 0 3 7\r\nbye\r\nEND\r\n",
+		"ERROR\r\n",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replies = %q, want %q", got, want)
+	}
+	st := c.Stats()
+	if st.Requests != 4 || st.Dials != 1 || st.Latency.Count != 1 {
+		t.Errorf("requests = %d, dials = %d, latency samples = %d, want 4, 1, 1", st.Requests, st.Dials, st.Latency.Count)
+	}
+}
+
+// TestExchangeFailsWholeAfterPartialReplies: once the peer has answered
+// part of an exchange it has executed that part, so a connection lost
+// mid-replies fails the exchange without replaying its writes.
+func TestExchangeFailsWholeAfterPartialReplies(t *testing.T) {
+	peer := newFakePeer(t)
+	c := NewClient(peer.addr(), ClientOptions{Retries: 2})
+	defer c.Close()
+	var req []byte
+	for _, k := range []string{"a", "b", "c"} {
+		req = proto.AppendCommand(req, &proto.Command{Name: "set", Keys: []string{k}, Data: []byte("v")})
+	}
+	peer.dropAfter.Store(1)
+	x := c.Start(req, 3, 0)
+	seen := 0
+	if err := x.Finish(func(int, *proto.Resp) { seen++ }); err == nil {
+		t.Fatal("exchange cut after its first reply succeeded")
+	}
+	if seen != 1 {
+		t.Errorf("callback saw %d replies before the cut, want 1", seen)
+	}
+	if st := c.Stats(); st.Retries != 0 || st.Errors != 3 {
+		t.Errorf("retries = %d, errors = %d, want 0 (no replay of answered writes) and 3 (per request)", st.Retries, st.Errors)
+	}
+	if n := peer.requests.Load(); n != 2 {
+		t.Errorf("peer saw %d requests, want 2 (one answered, one cut)", n)
+	}
+}
+
+// TestExchangeDeadlineBoundsEachReply: the peer serves a pipelined exchange
+// serially, so the op deadline bounds the wait for one reply, as it does for
+// a lone request — an exchange whose replies together take longer than
+// OpTimeout, each well inside it, succeeds.
+func TestExchangeDeadlineBoundsEachReply(t *testing.T) {
+	peer := newFakePeer(t)
+	peer.set("k", []byte("v"))
+	c := NewClient(peer.addr(), ClientOptions{OpTimeout: 200 * time.Millisecond, Retries: -1})
+	defer c.Close()
+	peer.delay.Store(int64(60 * time.Millisecond))
+	const n = 6 // 360 ms of service in all
+	var req []byte
+	for i := 0; i < n; i++ {
+		req = append(req, "get k\r\n"...)
+	}
+	x := c.Start(req, n, 0)
+	seen := 0
+	if err := x.Finish(func(int, *proto.Resp) { seen++ }); err != nil || seen != n {
+		t.Fatalf("exchange saw %d of %d replies, err = %v", seen, n, err)
+	}
+	// One reply slower than the deadline still fails the exchange.
+	peer.delay.Store(int64(400 * time.Millisecond))
+	x = c.Start(req[:len("get k\r\n")], 1, 0)
+	if err := x.Finish(func(int, *proto.Resp) {}); err == nil {
+		t.Fatal("a reply slower than OpTimeout did not fail the exchange")
+	}
+}
+
+// TestExchangeHedgedDeliversInOrder: a hedged multi-GET exchange against a
+// slow peer fires one duplicate and still delivers every reply, in order,
+// on the caller's goroutine.
+func TestExchangeHedgedDeliversInOrder(t *testing.T) {
+	peer := newFakePeer(t)
+	peer.set("a", []byte("1"))
+	peer.set("b", []byte("2"))
+	c := NewClient(peer.addr(), ClientOptions{})
+	defer c.Close()
+	peer.delay.Store(int64(30 * time.Millisecond))
+	req := []byte("get a\r\nget b\r\nget absent\r\n")
+	x := c.Start(req, 3, 5*time.Millisecond)
+	var got []string
+	if err := x.Finish(func(_ int, r *proto.Resp) { got = append(got, string(proto.AppendResp(nil, r, false))) }); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"VALUE a 0 1\r\n1\r\nEND\r\n", "VALUE b 0 1\r\n2\r\nEND\r\n", "END\r\n"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replies = %q, want %q", got, want)
+	}
+	if h := c.Stats().Hedges; h != 1 {
+		t.Errorf("hedges = %d, want 1", h)
 	}
 }
 

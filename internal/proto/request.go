@@ -4,8 +4,8 @@ import "strconv"
 
 // Client-side request rendering: the inverse of ReadCommand, used by the
 // cluster peer client and the forwarding path to re-emit a parsed command on
-// another connection. Responses have a matching encoder, AppendResponse, so
-// a node can relay a peer's reply verbatim.
+// another connection. Responses have a matching encoder, AppendResp, so a
+// node can relay a peer's reply verbatim.
 
 // AppendCommand renders cmd to its wire form, appending to dst. NoReply is
 // honored for the commands that accept it; Data supplies storage commands'
@@ -69,27 +69,48 @@ func appendNoReply(dst []byte, noreply bool) []byte {
 	return dst
 }
 
-// AppendResponse renders resp back to its wire form, appending to dst —
-// what a relaying node emits to its own client after ReadResponse parsed
-// the owner's reply. withCAS controls whether VALUE blocks carry their CAS
-// token (a gets relay keeps it; a get relay must not add one).
-func AppendResponse(dst []byte, resp *Response, withCAS bool) []byte {
-	for _, v := range resp.Values {
-		if withCAS {
-			dst = AppendValueCAS(dst, v.Key, v.Flags, v.Data, v.CAS)
-		} else {
-			dst = AppendValue(dst, v.Key, v.Flags, v.Data)
-		}
+// AppendRValue renders one VALUE block of a parsed reply. withCAS controls
+// whether the block carries its CAS token (a gets relay keeps it; a get relay
+// must not add one).
+func AppendRValue(dst []byte, v *RValue, withCAS bool) []byte {
+	dst = append(dst, "VALUE "...)
+	dst = append(dst, v.Key...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, uint64(v.Flags), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(len(v.Data)), 10)
+	if withCAS {
+		dst = append(dst, ' ')
+		dst = strconv.AppendUint(dst, v.CAS, 10)
 	}
-	for _, st := range resp.Stats {
-		dst = AppendLine(dst, "STAT "+st[0]+" "+st[1])
+	dst = append(dst, '\r', '\n')
+	dst = append(dst, v.Data...)
+	return append(dst, '\r', '\n')
+}
+
+// AppendResp renders r back to its wire form, appending to dst — what a
+// relaying node emits to its own client after RespReader parsed the owner's
+// reply. It copies out of r, so dst stays valid after the reader's next Next.
+func AppendResp(dst []byte, r *Resp, withCAS bool) []byte {
+	for i := range r.Values {
+		dst = AppendRValue(dst, &r.Values[i], withCAS)
 	}
-	switch resp.Status {
-	case "NUMBER":
-		return AppendLine(dst, strconv.FormatUint(resp.Number, 10))
-	case "CLIENT_ERROR", "SERVER_ERROR", "VERSION":
-		return AppendLine(dst, resp.Status+" "+resp.Message)
+	for _, st := range r.Stats {
+		dst = append(dst, "STAT "...)
+		dst = append(dst, st[0]...)
+		dst = append(dst, ' ')
+		dst = append(dst, st[1]...)
+		dst = append(dst, '\r', '\n')
+	}
+	switch r.Status {
+	case StatusNumber:
+		return AppendNumberLine(dst, r.Number)
+	case StatusClientError, StatusServerError, StatusVersion:
+		dst = append(dst, r.Status.String()...)
+		dst = append(dst, ' ')
+		dst = append(dst, r.Msg...)
+		return append(dst, '\r', '\n')
 	default:
-		return AppendLine(dst, resp.Status)
+		return AppendLine(dst, r.Status.String())
 	}
 }

@@ -49,57 +49,65 @@ func TestAppendCommandRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendResponseRoundTrip checks AppendResponse against ReadResponse.
-func TestAppendResponseRoundTrip(t *testing.T) {
-	resps := []*Response{
-		{Status: "END"},
-		{Status: "END", Values: []Value{{Key: "k", Flags: 2, Data: []byte("abc")}}},
-		{Status: "END", Values: []Value{
-			{Key: "a", Flags: 0, Data: []byte("1")},
-			{Key: "b", Flags: 9, Data: []byte("22")},
-		}},
-		{Status: "STORED"},
-		{Status: "NOT_FOUND"},
-		{Status: "NUMBER", Number: 41},
-		{Status: "SERVER_ERROR", Message: "backend unavailable"},
-		{Status: "VERSION", Message: "pamakv/1.0"},
-		{Status: "END", Stats: [][2]string{{"cmd_get", "10"}, {"policy", "pama"}}},
+// TestAppendRespRelaysVerbatim: a reply parsed by RespReader and rendered by
+// AppendResp is the bytes the owner sent, for every reply shape a relay sees;
+// Response agrees with the reference parser on the same bytes, and a Clone
+// survives the reader moving on.
+func TestAppendRespRelaysVerbatim(t *testing.T) {
+	wires := []string{
+		"END\r\n",
+		"VALUE k 2 3\r\nabc\r\nEND\r\n",
+		"VALUE a 0 1\r\n1\r\nVALUE b 9 2\r\n22\r\nEND\r\n",
+		"STORED\r\n",
+		"NOT_FOUND\r\n",
+		"41\r\n",
+		"SERVER_ERROR backend unavailable\r\n",
+		"SERVER_ERROR " + ShedMsg + "\r\n",
+		"VERSION pamakv/1.0\r\n",
+		"STAT cmd_get 10\r\nSTAT policy pama\r\nEND\r\n",
 	}
-	for _, want := range resps {
-		wire := AppendResponse(nil, want, false)
-		got, err := ReadResponse(bufio.NewReader(bytes.NewReader(wire)))
+	var all string
+	for _, w := range wires {
+		all += w
+	}
+	rr := NewRespReader(bufio.NewReader(bytes.NewReader([]byte(all))))
+	var clones []*Resp
+	for _, wire := range wires {
+		r, err := rr.Next()
 		if err != nil {
-			t.Fatalf("%s: re-parse of %q: %v", want.Status, wire, err)
+			t.Fatalf("parse of %q: %v", wire, err)
 		}
-		if got.Status != want.Status || got.Message != want.Message || got.Number != want.Number {
-			t.Errorf("%s: round trip = %+v, want %+v", want.Status, got, want)
+		if got := AppendResp(nil, r, false); string(got) != wire {
+			t.Errorf("relay of %q = %q", wire, got)
 		}
-		if len(got.Values) != len(want.Values) || len(got.Stats) != len(want.Stats) {
-			t.Fatalf("%s: block counts %d/%d, want %d/%d",
-				want.Status, len(got.Values), len(got.Stats), len(want.Values), len(want.Stats))
+		want, err := ReadResponse(bufio.NewReader(bytes.NewReader([]byte(wire))))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.Values {
-			if got.Values[i].Key != want.Values[i].Key ||
-				got.Values[i].Flags != want.Values[i].Flags ||
-				!bytes.Equal(got.Values[i].Data, want.Values[i].Data) {
-				t.Errorf("%s: value %d = %+v, want %+v", want.Status, i, got.Values[i], want.Values[i])
-			}
+		if got := r.Response(); !reflect.DeepEqual(got, want) {
+			t.Errorf("Response of %q = %+v, reference %+v", wire, got, want)
+		}
+		clones = append(clones, r.Clone())
+	}
+	for i, c := range clones {
+		if got := AppendResp(nil, c, false); string(got) != wires[i] {
+			t.Errorf("clone %d rendered %q after the reader moved on, want %q", i, got, wires[i])
 		}
 	}
 }
 
-// TestAppendResponseCAS checks the CAS token survives a gets relay and is
+// TestAppendRespCAS checks the CAS token survives a gets relay and is
 // stripped from a get relay.
-func TestAppendResponseCAS(t *testing.T) {
-	resp := &Response{Status: "END", Values: []Value{{Key: "k", Flags: 1, CAS: 99, Data: []byte("v")}}}
-	withCAS := AppendResponse(nil, resp, true)
-	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(withCAS)))
-	if err != nil || got.Values[0].CAS != 99 {
-		t.Fatalf("gets relay: CAS = %d (err %v), want 99", got.Values[0].CAS, err)
+func TestAppendRespCAS(t *testing.T) {
+	const wire = "VALUE k 1 1 99\r\nv\r\nEND\r\n"
+	r, err := NewRespReader(bufio.NewReader(bytes.NewReader([]byte(wire)))).Next()
+	if err != nil {
+		t.Fatal(err)
 	}
-	without := AppendResponse(nil, resp, false)
-	got, err = ReadResponse(bufio.NewReader(bytes.NewReader(without)))
-	if err != nil || got.Values[0].CAS != 0 {
-		t.Fatalf("get relay: CAS = %d (err %v), want 0", got.Values[0].CAS, err)
+	if got := AppendResp(nil, r, true); string(got) != wire {
+		t.Fatalf("gets relay = %q, want %q", got, wire)
+	}
+	if got := AppendResp(nil, r, false); string(got) != "VALUE k 1 1\r\nv\r\nEND\r\n" {
+		t.Fatalf("get relay = %q, want the block without its token", got)
 	}
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 )
@@ -144,6 +145,37 @@ type Resp struct {
 // AppendShed) rather than a genuine server fault.
 func (r *Resp) IsShed() bool {
 	return r.Status == StatusServerError && string(r.Msg) == ShedMsg
+}
+
+// Clone returns a deep copy of r that outlives the reader's next Next call.
+func (r *Resp) Clone() *Resp {
+	c := &Resp{Status: r.Status, Number: r.Number, Msg: bytes.Clone(r.Msg)}
+	if len(r.Values) > 0 {
+		c.Values = make([]RValue, len(r.Values))
+		for i, v := range r.Values {
+			c.Values[i] = RValue{Key: bytes.Clone(v.Key), Flags: v.Flags, CAS: v.CAS, Data: bytes.Clone(v.Data)}
+		}
+	}
+	if len(r.Stats) > 0 {
+		c.Stats = make([][2][]byte, len(r.Stats))
+		for i, st := range r.Stats {
+			c.Stats[i] = [2][]byte{bytes.Clone(st[0]), bytes.Clone(st[1])}
+		}
+	}
+	return c
+}
+
+// Response converts r to the allocating reference representation, for
+// callers that keep a reply (control traffic, tests) rather than relay it.
+func (r *Resp) Response() *Response {
+	out := &Response{Status: r.Status.String(), Message: string(r.Msg), Number: r.Number}
+	for _, v := range r.Values {
+		out.Values = append(out.Values, Value{Key: string(v.Key), Flags: v.Flags, CAS: v.CAS, Data: bytes.Clone(v.Data)})
+	}
+	for _, st := range r.Stats {
+		out.Stats = append(out.Stats, [2]string{string(st[0]), string(st[1])})
+	}
+	return out
 }
 
 // NewRespReader returns a RespReader reading from r.

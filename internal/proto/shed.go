@@ -13,9 +13,3 @@ const ShedMsg = "busy (shed)"
 func AppendShed(dst []byte) []byte {
 	return append(dst, "SERVER_ERROR "+ShedMsg+"\r\n"...)
 }
-
-// IsShedResponse reports whether a parsed response is a deliberate overload
-// shed rather than a genuine server fault.
-func IsShedResponse(r *Response) bool {
-	return r != nil && r.Status == "SERVER_ERROR" && r.Message == ShedMsg
-}

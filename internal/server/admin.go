@@ -396,6 +396,8 @@ func (a *Admin) writeClusterMetrics(p *obs.PromWriter, ss Stats) {
 	p.Counter("pamakv_cluster_peer_hits_total", "Forwarded GETs the owner answered with a value.", ss.PeerHits)
 	p.Counter("pamakv_cluster_peer_errors_total", "Forwards failed at transport level.", ss.PeerErrors)
 	p.Counter("pamakv_cluster_fallbacks_total", "Failed GET forwards degraded to a local backend fetch.", ss.PeerFallbacks)
+	p.Counter("pamakv_cluster_exchanges_total", "Pipelined peer exchanges (one per owner per batch).", ss.PeerExchanges)
+	p.Counter("pamakv_cluster_exchanged_commands_total", "Forwards carried across peer exchanges.", ss.PeerExchangedCmds)
 	if hc, ok := a.srv.HotCacheStats(); ok {
 		p.Counter("pamakv_hot_cache_hits_total", "Remote-owned GETs served from the hot-item mini-cache.", hc.Hits)
 		p.Counter("pamakv_hot_cache_misses_total", "Hot-cache lookups that fell through to the owner.", hc.Misses)
@@ -616,6 +618,8 @@ type ClusterStatsz struct {
 	PeerErrors    uint64                 `json:"peer_errors"`
 	PeerFallbacks uint64                 `json:"peer_fallbacks"`
 	HotHits       uint64                 `json:"hot_hits"`
+	Exchanges     uint64                 `json:"exchanges"`
+	ExchangedCmds uint64                 `json:"exchanged_cmds"`
 	HotCache      *cluster.HotCacheStats `json:"hot_cache,omitempty"`
 	Peers         map[string]PeerStatsz  `json:"peers"`
 }
@@ -719,6 +723,8 @@ func (a *Admin) statsz() Statsz {
 			PeerErrors:    ss.PeerErrors,
 			PeerFallbacks: ss.PeerFallbacks,
 			HotHits:       ss.HotHits,
+			Exchanges:     ss.PeerExchanges,
+			ExchangedCmds: ss.PeerExchangedCmds,
 			Peers:         make(map[string]PeerStatsz),
 		}
 		if hc, ok := a.srv.HotCacheStats(); ok {

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
 
 	"pamakv/internal/cache"
+	"pamakv/internal/cluster"
 	"pamakv/internal/core"
 	"pamakv/internal/kv"
 	"pamakv/internal/proto"
@@ -187,4 +189,70 @@ func BenchmarkServerSetFill(b *testing.B) {
 		}
 		readBatch()
 	}
+}
+
+// BenchmarkClusterForwardPipelined measures the peer hop the way the
+// cluster_forward workload drives it: two in-process nodes, all traffic to
+// one, 16-deep batches of 90 % GET / 10 % SET over Zipf-popular keys about
+// half of which the other node owns (hot cache at its defaults, so the head
+// is served locally and the tail takes the hop). ns/op and allocs/op are
+// per command and cover both nodes; exchanges/batch is how many peer round
+// trips a batch cost (one per forwarded command before the two-phase batch).
+func BenchmarkClusterForwardPipelined(b *testing.B) {
+	const depth, nkeys, nbatches = 16, 1 << 14, 1024
+	nodes := startCluster(b, 2, cluster.Config{VNodes: 64}, nil)
+	conn, err := net.Dial("tcp", nodes[0].addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReaderSize(conn, 1<<16)
+	readReplies := func(n int) {
+		for n > 0 {
+			line, err := r.ReadSlice('\n')
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bytes.HasPrefix(line, []byte("END")) || bytes.HasPrefix(line, []byte("STORED")) {
+				n--
+			}
+		}
+	}
+	body := strings.Repeat("v", 100)
+	set := func(key string) string { return fmt.Sprintf("set %s 0 0 %d\r\n%s\r\n", key, len(body), body) }
+	for i := 0; i < nkeys; i += depth {
+		var req string
+		for j := i; j < i+depth; j++ {
+			req += set(fmt.Sprintf("key%d", j))
+		}
+		if _, err := conn.Write([]byte(req)); err != nil {
+			b.Fatal(err)
+		}
+		readReplies(depth)
+	}
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.01, 1, nkeys-1)
+	batches := make([][]byte, nbatches)
+	for i := range batches {
+		for j := 0; j < depth; j++ {
+			key := fmt.Sprintf("key%d", zipf.Uint64())
+			if rng.Intn(10) == 0 {
+				batches[i] = append(batches[i], set(key)...)
+			} else {
+				batches[i] = append(batches[i], "get "+key+"\r\n"...)
+			}
+		}
+	}
+	before := nodes[0].srv.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += depth {
+		if _, err := conn.Write(batches[i/depth%nbatches]); err != nil {
+			b.Fatal(err)
+		}
+		readReplies(depth)
+	}
+	b.StopTimer()
+	after := nodes[0].srv.Stats()
+	b.ReportMetric(float64(after.PeerExchanges-before.PeerExchanges)/float64(after.Batches-before.Batches), "exchanges/batch")
 }

@@ -33,10 +33,32 @@ type cnode struct {
 	addr  string
 }
 
+// newClusterEngine builds the small value-storing PAMA engine every cluster
+// test node serves from.
+func newClusterEngine(t testing.TB) *cache.Cache {
+	t.Helper()
+	c, err := cache.New(cache.Config{
+		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
+		CacheBytes:  1 << 22,
+		StoreValues: true,
+		WindowLen:   10_000,
+	}, core.New(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // startCluster boots n servers on loopback listeners that all know each
 // other. customize (optional) edits each node's Options after the cluster
 // wiring is in place (the Cluster field is already set).
-func startCluster(t *testing.T, n int, ccfg cluster.Config, customize func(i int, o *Options)) []*cnode {
+func startCluster(t testing.TB, n int, ccfg cluster.Config, customize func(i int, o *Options)) []*cnode {
+	t.Helper()
+	return startClusterOn(t, n, ccfg, customize, newClusterEngine)
+}
+
+// startClusterOn is startCluster with each node's engine built by engine.
+func startClusterOn(t testing.TB, n int, ccfg cluster.Config, customize func(i int, o *Options), engine func(testing.TB) *cache.Cache) []*cnode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -57,20 +79,11 @@ func startCluster(t *testing.T, n int, ccfg cluster.Config, customize func(i int
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cache.New(cache.Config{
-			Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
-			CacheBytes:  1 << 22,
-			StoreValues: true,
-			WindowLen:   10_000,
-		}, core.New(core.DefaultConfig()))
-		if err != nil {
-			t.Fatal(err)
-		}
 		opts := Options{Cluster: p}
 		if customize != nil {
 			customize(i, &opts)
 		}
-		srv := New(c, opts)
+		srv := New(engine(t), opts)
 		go srv.Serve(lns[i])
 		nodes[i] = &cnode{srv: srv, peers: p, addr: addrs[i]}
 		t.Cleanup(func() { srv.Shutdown(); p.Close() })
@@ -79,7 +92,7 @@ func startCluster(t *testing.T, n int, ccfg cluster.Config, customize func(i int
 }
 
 // ownerIndex returns which node owns key.
-func ownerIndex(t *testing.T, nodes []*cnode, key string) int {
+func ownerIndex(t testing.TB, nodes []*cnode, key string) int {
 	t.Helper()
 	owner := nodes[0].peers.Owner(key)
 	for i, n := range nodes {
@@ -419,16 +432,7 @@ func TestClusterFallbackToLocalBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cache.New(cache.Config{
-		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
-		CacheBytes:  1 << 22,
-		StoreValues: true,
-		WindowLen:   10_000,
-	}, core.New(core.DefaultConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(c, Options{Cluster: p, Backend: store})
+	srv := New(newClusterEngine(t), Options{Cluster: p, Backend: store})
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Shutdown(); p.Close() })
 	nodes := []*cnode{{srv: srv, peers: p, addr: ln.Addr().String()}, {peers: p, addr: deadAddr}}
@@ -459,6 +463,11 @@ func TestClusterAdminExposure(t *testing.T) {
 		t.Fatalf("set -> %q", got)
 	}
 	getValue(t, cl, key)
+	cl.send(t, "stats\r\n")
+	if stats := readUntil(t, cl, "END\r\n"); !strings.Contains(stats, "STAT peer_exchanges 2\r\n") ||
+		!strings.Contains(stats, "STAT peer_exchanged_commands 2\r\n") {
+		t.Errorf("stats missing the exchange counters: %q", stats)
+	}
 
 	admin := NewAdmin(nodes[0].srv, 0)
 	rec := httptest.NewRecorder()
@@ -467,6 +476,8 @@ func TestClusterAdminExposure(t *testing.T) {
 	for _, want := range []string{
 		"pamakv_cluster_forwards_total",
 		"pamakv_cluster_peer_hits_total",
+		"pamakv_cluster_exchanges_total 2",
+		"pamakv_cluster_exchanged_commands_total 2",
 		`pamakv_peer_requests_total{peer="` + nodes[1].addr + `"}`,
 		`pamakv_peer_breaker_open{peer="` + nodes[1].addr + `"} 0`,
 		`pamakv_peer_request_seconds_count{peer="` + nodes[1].addr + `"}`,
@@ -485,6 +496,8 @@ func TestClusterAdminExposure(t *testing.T) {
 		`"self": "` + nodes[0].addr + `"`,
 		`"` + nodes[1].addr + `"`,
 		`"hot_cache"`,
+		`"exchanges": 2`,
+		`"PeerExchangedCmds": 2`,
 	} {
 		if !strings.Contains(sbody, want) {
 			t.Errorf("/statsz missing %q", want)

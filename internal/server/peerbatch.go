@@ -1,0 +1,387 @@
+package server
+
+import (
+	"bytes"
+	"time"
+
+	"pamakv/internal/cluster"
+	"pamakv/internal/overload"
+	"pamakv/internal/proto"
+)
+
+// The peer tier's half of the pipelined batch. While a connection's batch is
+// parsed, a command (or one key of a get) owned by a remote peer is not
+// executed inline: it is rendered into its owner's pending request buffer and
+// leaves a hole at its position in the response. When the parse loop ends,
+// every owner gets one pipelined exchange — all its requests in one write,
+// all its replies in one in-order read, written to every owner before any
+// reply is read — and the replies are spliced into the holes before the
+// batch's single flush. An N-deep burst with k remote commands costs at most
+// one round trip per owner instead of k.
+//
+// An exchange is written whole before its first reply is read, so its
+// requests must fit the socket buffers: an owner that has seen only part of
+// it may already be blocked flushing large replies nobody reads yet, and
+// would never take the rest. Past maxExchangeBytes of pending requests an
+// owner's exchange takes no more; the batch's exchanges so far are completed
+// on the spot and the parse goes on with fresh ones. A request larger than
+// the bound therefore travels alone — one write, one reply, as before.
+//
+// Ordering: replies leave in request order, and commands for one key keep
+// their order (a key has one owner, and an owner's requests ride one
+// connection in order). Local commands run before the batch's remote ones;
+// nothing can observe that, because no key is both local and remote.
+
+// maxExchangeBytes bounds the requests pending in one exchange, well under
+// what a peer connection's socket buffers take without the owner reading.
+const maxExchangeBytes = 32 << 10
+
+// Kinds of deferred command.
+const (
+	deferGet = iota
+	deferGets
+	deferWrite
+)
+
+// span is a half-open byte interval of a buffer that may still grow.
+type span struct{ off, end int }
+
+// deferredCmd is one forwarded command, or one remote key of a get, awaiting
+// its owner's reply.
+type deferredCmd struct {
+	ex      int  // index of its exchange in connScratch.exchanges
+	pos     int  // hole: offset in connScratch.out where the reply belongs
+	key     span // the key, inside the exchange's rendered requests
+	kind    uint8
+	noreply bool
+
+	// Filled from the owner's reply: the bytes this node's client is owed
+	// (in connScratch.rep), and for a GET hit where the value lies in them.
+	reply, val span
+	flags      uint32
+	hit, shed  bool
+}
+
+// peerExchange is a batch's traffic for one owner.
+type peerExchange struct {
+	owner string
+	cl    *cluster.Client
+	req   []byte // the pending requests, rendered back to back
+	cmds  []int  // their indexes in connScratch.deferred, in request order
+	// hedge is the smallest hedge delay among the exchange's keys (0 =
+	// none asked for one); an exchange carrying a write is never hedged.
+	hedge time.Duration
+	write bool
+	x     cluster.Exchange
+	err   error
+}
+
+// exchangeFor returns the index of the batch's exchange with owner that has
+// room for need more request bytes, opening it on first use, or -1 when the
+// owner has no client (it left the membership between routing and here). If
+// the owner's exchange is full, everything queued so far is completed first:
+// out, the batch's response up to here, comes back with its holes filled.
+func (s *Server) exchangeFor(sc *connScratch, out []byte, owner string, need int) (int, []byte) {
+	for i := range sc.exchanges {
+		if ex := &sc.exchanges[i]; ex.owner == owner {
+			if len(ex.req)+need <= maxExchangeBytes {
+				return i, out
+			}
+			sc.out = out
+			s.completeDeferred(sc)
+			out = sc.out
+			break
+		}
+	}
+	cl := s.peers.ClientFor(owner)
+	if cl == nil {
+		return -1, out
+	}
+	n := len(sc.exchanges)
+	if n < cap(sc.exchanges) {
+		sc.exchanges = sc.exchanges[:n+1]
+	} else {
+		sc.exchanges = append(sc.exchanges, peerExchange{})
+	}
+	ex := &sc.exchanges[n]
+	*ex = peerExchange{owner: owner, cl: cl, req: ex.req[:0], cmds: ex.cmds[:0]}
+	return n, out
+}
+
+// push queues d, whose request was just rendered into exchange e.
+func (sc *connScratch) push(e int, d deferredCmd) {
+	d.ex = e
+	sc.exchanges[e].cmds = append(sc.exchanges[e].cmds, len(sc.deferred))
+	sc.deferred = append(sc.deferred, d)
+}
+
+// deferWrite queues a mutating command for the key's owning peer, to be
+// relayed verbatim and answered with the owner's reply. The local hot-cache
+// copy (if any) is dropped now and again when the reply is spliced, so this
+// node never serves a value it knows changed.
+func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, owner string) []byte {
+	s.st.peerForwards.Add(1)
+	if s.hot != nil {
+		s.hot.Invalidate(cmd.Keys[0])
+	}
+	e, out := s.exchangeFor(sc, out, owner, len(cmd.Keys[0])+len(cmd.Data))
+	if e < 0 {
+		s.st.peerErrors.Add(1)
+		if cmd.NoReply {
+			return out
+		}
+		s.st.serverErrors.Add(1)
+		return proto.AppendLine(out, "SERVER_ERROR no client for peer "+owner)
+	}
+	// Forward without noreply so the owner's outcome is observable here,
+	// then honor the client's noreply on the relay side.
+	fwd := *cmd
+	fwd.NoReply = false
+	ex := &sc.exchanges[e]
+	koff := len(ex.req) + len(cmd.Name) + 1 // every write renders as "<verb> <key>..."
+	ex.req = proto.AppendCommand(ex.req, &fwd)
+	ex.write = true
+	sc.push(e, deferredCmd{pos: len(out), key: span{koff, koff + len(cmd.Keys[0])}, kind: deferWrite, noreply: cmd.NoReply})
+	return out
+}
+
+// deferGet serves one GET key owned by a remote peer: from the hot cache
+// (plain GETs only) inline, otherwise queued for the owner.
+func (s *Server) deferGet(sc *connScratch, out []byte, key, owner string, withCAS bool) []byte {
+	if !withCAS && s.hot != nil {
+		if val, flags, ok := s.hot.Get(key); ok {
+			s.st.hotHits.Add(1)
+			return proto.AppendValue(out, key, flags, val)
+		}
+	}
+	e, out := s.exchangeFor(sc, out, owner, len(key))
+	if e < 0 {
+		s.st.peerErrors.Add(1)
+		return out
+	}
+	s.st.peerForwards.Add(1)
+	ex := &sc.exchanges[e]
+	if s.opts.Backend != nil {
+		if d := s.peers.HedgeDelay(s.opts.Backend.PenaltyOf(key)); d > 0 && (ex.hedge == 0 || d < ex.hedge) {
+			ex.hedge = d
+		}
+	}
+	verb, kind := "get ", uint8(deferGet)
+	if withCAS {
+		verb, kind = "gets ", deferGets
+	}
+	koff := len(ex.req) + len(verb)
+	ex.req = append(append(append(ex.req, verb...), key...), '\r', '\n')
+	sc.push(e, deferredCmd{pos: len(out), key: span{koff, koff + len(key)}, kind: kind})
+	return out
+}
+
+// completeDeferred runs the exchanges queued so far and fills sc.out's holes
+// with their replies, in place.
+func (s *Server) completeDeferred(sc *connScratch) {
+	if d := &sc.deferred[0]; len(sc.deferred) == 1 && d.kind != deferWrite {
+		s.flightGet(sc, d)
+	} else {
+		// Every owner's requests are on the wire before any reply is
+		// awaited, so the owners serve this batch concurrently.
+		for i := range sc.exchanges {
+			ex := &sc.exchanges[i]
+			ex.x = s.startExchange(ex)
+		}
+		for i := range sc.exchanges {
+			ex := &sc.exchanges[i]
+			ex.err = ex.x.Finish(func(j int, r *proto.Resp) {
+				sc.record(ex, &sc.deferred[ex.cmds[j]], r)
+			})
+		}
+	}
+	// Settle the commands in request order, then open the holes back to
+	// front: each stretch of inline output moves once, to its final place.
+	grow := 0
+	for i := range sc.deferred {
+		d := &sc.deferred[i]
+		s.settle(sc, d)
+		grow += d.reply.end - d.reply.off
+	}
+	end := len(sc.out)
+	sc.out = append(sc.out, make([]byte, grow)...)
+	w := len(sc.out)
+	for i := len(sc.deferred) - 1; i >= 0; i-- {
+		d := &sc.deferred[i]
+		w -= end - d.pos
+		copy(sc.out[w:], sc.out[d.pos:end])
+		end = d.pos
+		w -= d.reply.end - d.reply.off
+		copy(sc.out[w:], sc.rep[d.reply.off:d.reply.end])
+	}
+	sc.deferred, sc.exchanges, sc.rep = sc.deferred[:0], sc.exchanges[:0], sc.rep[:0]
+}
+
+// startExchange puts one owner's pending requests on the wire.
+func (s *Server) startExchange(ex *peerExchange) cluster.Exchange {
+	s.st.peerExchanges.Add(1)
+	s.st.peerExchangedCmds.Add(uint64(len(ex.cmds)))
+	hedge := ex.hedge
+	if ex.write {
+		hedge = 0
+	}
+	return ex.cl.Start(ex.req, len(ex.cmds), hedge)
+}
+
+// record keeps what d needs of the owner's reply r, which dies with the
+// next reply read: the bytes owed to this node's client, rendered into
+// sc.rep. Side effects wait for splice — the exchange may yet fail.
+func (sc *connScratch) record(ex *peerExchange, d *deferredCmd, r *proto.Resp) {
+	d.shed = r.IsShed()
+	switch {
+	case d.kind == deferWrite:
+		// The owner's reply relays verbatim, a shed included: the client
+		// sees the same signal a local shed would send.
+		if !d.noreply {
+			off := len(sc.rep)
+			sc.rep = proto.AppendResp(sc.rep, r, false)
+			d.reply = span{off, len(sc.rep)}
+		}
+	case !d.shed:
+		key := ex.req[d.key.off:d.key.end]
+		for i := range r.Values {
+			if v := &r.Values[i]; bytes.Equal(v.Key, key) {
+				sc.recordValue(d, v)
+				break
+			}
+		}
+	}
+}
+
+// recordValue renders a GET hit's VALUE block into sc.rep.
+func (sc *connScratch) recordValue(d *deferredCmd, v *proto.RValue) {
+	off := len(sc.rep)
+	sc.rep = proto.AppendRValue(sc.rep, v, d.kind == deferGets)
+	end := len(sc.rep)
+	d.reply = span{off, end}
+	d.val = span{end - 2 - len(v.Data), end - 2}
+	d.flags, d.hit = v.Flags, true
+}
+
+// peerValue is one peer GET outcome shared across a singleflight.
+type peerValue struct {
+	val   []byte
+	flags uint32
+	cas   uint64
+	hit   bool
+	// shed marks a deliberate overload refusal from the owner — served as
+	// a miss, never retried against the local backend.
+	shed bool
+}
+
+// flightGet completes a batch whose only deferred command is one GET key
+// through the singleflight: N connections racing the same remote miss put
+// one request on the wire. Only a lone GET may wait on another connection's
+// flight — a batch with more to exchange would stall its other commands
+// (and, across connections, could wait in a cycle).
+func (s *Server) flightGet(sc *connScratch, d *deferredCmd) {
+	ex := &sc.exchanges[d.ex]
+	key := ex.req[d.key.off:d.key.end]
+	v, err, _ := s.flight[d.kind].Do(string(key), func() (any, error) {
+		var pv peerValue
+		x := s.startExchange(ex)
+		err := x.Finish(func(_ int, r *proto.Resp) {
+			pv.shed = r.IsShed()
+			for i := range r.Values {
+				if rv := &r.Values[i]; bytes.Equal(rv.Key, key) {
+					pv = peerValue{val: bytes.Clone(rv.Data), flags: rv.Flags, cas: rv.CAS, hit: true}
+					break
+				}
+			}
+		})
+		return pv, err
+	})
+	if ex.err = err; err != nil {
+		return
+	}
+	pv := v.(peerValue)
+	d.shed = pv.shed
+	if pv.hit {
+		sc.recordValue(d, &proto.RValue{Key: key, Flags: pv.flags, CAS: pv.cas, Data: pv.val})
+	}
+}
+
+// settle applies d's side effects — counters, hot-cache invalidation and
+// backfill — and leaves in d.reply the bytes of sc.rep its client is owed
+// (none for a miss or a noreply write). When its exchange failed at transport
+// level (breaker open, or an error after the peer client's retries and
+// hedging) that is the degraded outcome.
+func (s *Server) settle(sc *connScratch, d *deferredCmd) {
+	ex := &sc.exchanges[d.ex]
+	key := ex.req[d.key.off:d.key.end]
+	if d.kind == deferWrite {
+		if ex.err != nil {
+			// A write must not silently apply to a non-authoritative copy.
+			s.st.peerErrors.Add(1)
+			d.reply = span{}
+			if !d.noreply {
+				s.st.serverErrors.Add(1)
+				off := len(sc.rep)
+				sc.rep = proto.AppendLine(sc.rep, "SERVER_ERROR peer "+ex.owner+" unavailable")
+				d.reply = span{off, len(sc.rep)}
+			}
+			return
+		}
+		if s.hot != nil {
+			// Again, now that the owner has applied the write: a GET on
+			// another connection may have read the old value from the
+			// owner and backfilled it after the invalidation at queue time.
+			s.hot.Invalidate(string(key))
+		}
+		if d.shed {
+			s.st.peerSheds.Add(1)
+		}
+		return
+	}
+	backfill := d.kind == deferGet && s.hot != nil && s.overloadTier() < overload.TierStrained
+	if ex.err != nil {
+		s.st.peerErrors.Add(1)
+		d.reply = span{}
+		if s.opts.Backend == nil {
+			return
+		}
+		// Peer unreachable: regenerate locally rather than miss (the value
+		// is correct, only the single-owner fill discipline is bent, and
+		// the owner still never learns a wrong copy). The reply carries CAS
+		// 0 for gets — a degraded token must not win a cas race against the
+		// owner's copy.
+		skey := string(key)
+		_, _, body, ferr := s.fetchBackend(skey)
+		if ferr != nil {
+			return
+		}
+		s.st.peerFallbacks.Add(1)
+		off := len(sc.rep)
+		if d.kind == deferGets {
+			sc.rep = proto.AppendValueCAS(sc.rep, skey, 0, body, 0)
+		} else {
+			sc.rep = proto.AppendValue(sc.rep, skey, 0, body)
+			if backfill {
+				s.hot.Put(skey, 0, body)
+			}
+		}
+		d.reply = span{off, len(sc.rep)}
+		return
+	}
+	switch {
+	case d.shed:
+		// The owner refused under overload. Treat it as a miss and do NOT
+		// regenerate from the local backend — that would amplify exactly
+		// the load the owner just shed.
+		s.st.peerSheds.Add(1)
+	case d.hit:
+		s.st.peerHits.Add(1)
+		if backfill {
+			// Hot-cache backfill stops under pressure: copying bytes into
+			// the mini-cache is work the strained node can skip. The hot
+			// cache retains the key, hence the copy.
+			s.hot.Put(string(key), d.flags, sc.rep[d.val.off:d.val.end])
+		}
+	}
+	// Neither: an authoritative miss from the owner.
+}

@@ -6,7 +6,10 @@
 //
 //   - Pipelining: a connection's already-buffered requests are parsed and
 //     dispatched as one batch and answered with a single flush, instead of
-//     strict request-reply lockstep (one write syscall per burst).
+//     strict request-reply lockstep (one write syscall per burst). In
+//     cluster mode the batch is two-phase: commands owned by a remote peer
+//     are queued while the batch is parsed and travel in one pipelined
+//     exchange per owner before the flush (see peerbatch.go).
 //   - Deadlines: per-connection read (idle) and write (flush) deadlines
 //     bound how long a stalled peer can pin a goroutine.
 //   - Backpressure: MaxConns caps concurrent connections; the accept loop
@@ -40,7 +43,6 @@ import (
 	"time"
 
 	"pamakv/internal/backend"
-	"pamakv/internal/bufpool"
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
 	"pamakv/internal/membership"
@@ -120,6 +122,13 @@ type connScratch struct {
 	out  []byte    // response batch buffer
 	val  []byte    // engine value copy target (Get/GetWithCAS/GetStale)
 	lats []pending // per-batch latency records, preallocated at MaxPipeline
+
+	// Cluster mode only (see peerbatch.go): the batch's commands awaiting a
+	// remote owner, the one exchange per owner that carries them, and the
+	// owners' replies rendered for this connection's client.
+	deferred  []deferredCmd
+	exchanges []peerExchange
+	rep       []byte
 }
 
 // capScratch releases oversized buffers after a flush.
@@ -129,6 +138,15 @@ func (sc *connScratch) capScratch() {
 	}
 	if cap(sc.val) > maxRetainedScratch {
 		sc.val = nil
+	}
+	if cap(sc.rep) > maxRetainedScratch {
+		sc.rep = nil
+	}
+	all := sc.exchanges[:cap(sc.exchanges)]
+	for i := range all {
+		if cap(all[i].req) > maxRetainedScratch {
+			all[i].req = nil
+		}
 	}
 }
 
@@ -286,6 +304,11 @@ type Stats struct {
 	// HotHits counts GETs of remote-owned keys answered from the local
 	// hot-item mini-cache without touching the owner.
 	HotHits uint64
+	// PeerExchanges counts pipelined peer exchanges (one write, one
+	// in-order read of replies, per owner per batch); PeerExchangedCmds
+	// the forwards they carried (PeerExchangedCmds/PeerExchanges = mean
+	// forwards per exchange, the peer-side twin of BatchedCmds/Batches).
+	PeerExchanges, PeerExchangedCmds uint64
 }
 
 // nstats is Stats with atomic fields, updated lock-free on the hot path.
@@ -309,6 +332,8 @@ type nstats struct {
 	peerErrors           atomic.Uint64
 	peerFallbacks        atomic.Uint64
 	hotHits              atomic.Uint64
+	peerExchanges        atomic.Uint64
+	peerExchangedCmds    atomic.Uint64
 }
 
 // Server serves the cache over TCP. Construct with New.
@@ -337,9 +362,10 @@ type Server struct {
 	peers *cluster.Peers
 	hot   *cluster.HotCache
 	mem   *membership.Manager
-	// flight dedupes concurrent peer fetches for one key (the
-	// backend-fetch path dedupes inside backend.FetchSharedErr).
-	flight singleflight.Group
+	// flight dedupes concurrent lone peer GETs of one key (the
+	// backend-fetch path dedupes inside backend.FetchSharedErr); get and
+	// gets fly separately — their replies differ in shape.
+	flight [2]singleflight.Group
 
 	// ctrl is the overload admission controller (nil when disabled). Its
 	// tier transitions also drive the peers' degraded mode.
@@ -516,6 +542,9 @@ func (s *Server) Stats() Stats {
 		PeerErrors:      s.st.peerErrors.Load(),
 		PeerFallbacks:   s.st.peerFallbacks.Load(),
 		HotHits:         s.st.hotHits.Load(),
+
+		PeerExchanges:     s.st.peerExchanges.Load(),
+		PeerExchangedCmds: s.st.peerExchangedCmds.Load(),
 	}
 }
 
@@ -716,6 +745,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.st.batches.Add(1)
 		s.st.batchedCmds.Add(uint64(batch))
+		if len(sc.deferred) > 0 {
+			s.completeDeferred(sc)
+		}
 		if !s.flush(conn, w, sc.out) {
 			return
 		}
@@ -912,7 +944,7 @@ func (s *Server) dispatch(sc *connScratch, out []byte, cmd *proto.Command) []byt
 			// copy exists cluster-wide. (GETs route per key inside
 			// doGet — a multi-key get may span owners.)
 			if owner := s.peers.Owner(cmd.Keys[0]); owner != "" && owner != s.peers.Self() {
-				return s.forward(out, cmd, owner)
+				return s.deferWrite(sc, out, cmd, owner)
 			}
 		}
 	}
@@ -1009,159 +1041,6 @@ func (s *Server) doMembership(out []byte, cmd *proto.Command) []byte {
 	}
 }
 
-// forward relays a mutating command verbatim to the key's owning peer and
-// echoes the owner's reply. The local hot-cache copy (if any) is dropped
-// first, so this node never serves a value it just knows changed. A failed
-// forward (breaker open, transport error after retries) is a SERVER_ERROR:
-// a write must not silently apply to a non-authoritative copy.
-func (s *Server) forward(out []byte, cmd *proto.Command, owner string) []byte {
-	s.st.peerForwards.Add(1)
-	if s.hot != nil {
-		s.hot.Invalidate(cmd.Keys[0])
-	}
-	cl := s.peers.ClientFor(owner)
-	if cl == nil {
-		s.st.peerErrors.Add(1)
-		if cmd.NoReply {
-			return out
-		}
-		s.st.serverErrors.Add(1)
-		return proto.AppendLine(out, "SERVER_ERROR no client for peer "+owner)
-	}
-	// Forward without noreply so the owner's outcome is observable here,
-	// then honor the client's noreply on the relay side. The rendered
-	// request rides a pooled buffer: Do is synchronous, so the buffer can
-	// return to the pool as soon as it answers.
-	fwd := *cmd
-	fwd.NoReply = false
-	reqBuf := bufpool.Get(0)
-	*reqBuf = proto.AppendCommand((*reqBuf)[:0], &fwd)
-	resp, err := cl.Do(*reqBuf)
-	bufpool.Put(reqBuf)
-	if err != nil {
-		s.st.peerErrors.Add(1)
-		if cmd.NoReply {
-			return out
-		}
-		s.st.serverErrors.Add(1)
-		return proto.AppendLine(out, "SERVER_ERROR peer "+owner+" unavailable")
-	}
-	if proto.IsShedResponse(resp) {
-		// The owner refused under overload; the shed relays verbatim so
-		// the client sees the same signal a local shed would send.
-		s.st.peerSheds.Add(1)
-	}
-	if cmd.NoReply {
-		return out
-	}
-	return proto.AppendResponse(out, resp, cmd.Name == "gets")
-}
-
-// peerValue is one peer GET outcome shared across a singleflight.
-type peerValue struct {
-	val   []byte
-	flags uint32
-	cas   uint64
-	hit   bool
-	// shed marks a deliberate overload refusal from the owner — served as
-	// a miss, never retried against the local backend.
-	shed bool
-}
-
-// peerGet serves one GET key owned by a remote peer: hot cache (plain GETs
-// only), then a singleflight-deduped, penalty-hedged peer read, then — if
-// the peer is unreachable — a local backend fetch as a degraded fallback
-// (the value is correct, only the single-owner fill discipline is bent, and
-// the owner still never learns a wrong copy).
-func (s *Server) peerGet(out []byte, key, owner string, withCAS bool) []byte {
-	if !withCAS && s.hot != nil {
-		if val, flags, ok := s.hot.Get(key); ok {
-			s.st.hotHits.Add(1)
-			return proto.AppendValue(out, key, flags, val)
-		}
-	}
-	cl := s.peers.ClientFor(owner)
-	if cl == nil {
-		s.st.peerErrors.Add(1)
-		return out
-	}
-	s.st.peerForwards.Add(1)
-	// Dedupe concurrent reads of one remote key: N goroutines racing the
-	// same miss put one request on the wire. gets and get fly separately
-	// (different response shape).
-	fkey := "g:" + key
-	if withCAS {
-		fkey = "G:" + key
-	}
-	var hedge time.Duration
-	if s.opts.Backend != nil {
-		hedge = s.peers.HedgeDelay(s.opts.Backend.PenaltyOf(key))
-	}
-	v, err, _ := s.flight.Do(fkey, func() (any, error) {
-		resp, err := cl.Get(key, withCAS, hedge)
-		if err != nil {
-			return nil, err
-		}
-		var pv peerValue
-		if proto.IsShedResponse(resp) {
-			pv.shed = true
-			return pv, nil
-		}
-		for _, val := range resp.Values {
-			if val.Key == key {
-				pv = peerValue{val: val.Data, flags: val.Flags, cas: val.CAS, hit: true}
-				break
-			}
-		}
-		return pv, nil
-	})
-	if err == nil {
-		pv := v.(peerValue)
-		if pv.shed {
-			// The owner refused under overload. Treat it as a miss and
-			// do NOT regenerate from the local backend — that would
-			// amplify exactly the load the owner just shed.
-			s.st.peerSheds.Add(1)
-			return out
-		}
-		if !pv.hit {
-			// Authoritative miss from the owner.
-			return out
-		}
-		s.st.peerHits.Add(1)
-		if withCAS {
-			return proto.AppendValueCAS(out, key, pv.flags, pv.val, pv.cas)
-		}
-		if s.hot != nil && s.overloadTier() < overload.TierStrained {
-			// Hot-cache backfill stops under pressure: copying bytes
-			// into the mini-cache is work the strained node can skip.
-			// The hot cache retains the key, so the parser-owned key
-			// must be cloned.
-			s.hot.Put(strings.Clone(key), pv.flags, pv.val)
-		}
-		return proto.AppendValue(out, key, pv.flags, pv.val)
-	}
-	s.st.peerErrors.Add(1)
-	if s.opts.Backend == nil {
-		return out
-	}
-	// Peer unreachable: regenerate locally rather than miss. The reply
-	// carries CAS 0 for gets — a degraded token must not win a cas race
-	// against the owner's copy.
-	_, _, body, ferr := s.fetchBackend(key)
-	if ferr != nil {
-		return out
-	}
-	s.st.peerFallbacks.Add(1)
-	if withCAS {
-		return proto.AppendValueCAS(out, key, 0, body, 0)
-	}
-	if s.hot != nil && s.overloadTier() < overload.TierStrained {
-		s.hot.Put(strings.Clone(key), 0, body)
-	}
-	return proto.AppendValue(out, key, 0, body)
-}
-
 // fetchOnce runs one backend fetch attempt under FetchTimeout. All attempts
 // go through the backend's per-key singleflight, so concurrent misses of
 // one key — across connections and retry chains — collapse onto a single
@@ -1228,7 +1107,7 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 	for _, key := range cmd.Keys {
 		if s.peers != nil {
 			if owner := s.peers.Owner(key); owner != "" && owner != s.peers.Self() {
-				out = s.peerGet(out, key, owner, withCAS)
+				out = s.deferGet(sc, out, key, owner, withCAS)
 				continue
 			}
 		}
@@ -1492,6 +1371,8 @@ func (s *Server) doStats(out []byte) []byte {
 		out = proto.AppendStat(out, "peer_errors", ss.PeerErrors)
 		out = proto.AppendStat(out, "peer_fallbacks", ss.PeerFallbacks)
 		out = proto.AppendStat(out, "hot_hits", ss.HotHits)
+		out = proto.AppendStat(out, "peer_exchanges", ss.PeerExchanges)
+		out = proto.AppendStat(out, "peer_exchanged_commands", ss.PeerExchangedCmds)
 	}
 	for cl, n := range s.c.SnapshotSlabs() {
 		if n > 0 {
