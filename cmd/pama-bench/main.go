@@ -11,8 +11,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,13 +20,12 @@ import (
 	"pamakv/internal/kv"
 	"pamakv/internal/metrics"
 	"pamakv/internal/plot"
-	"pamakv/internal/server"
 	"pamakv/internal/sim"
 	"pamakv/internal/workload"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1,3,4,5,6,7,8,9,10, 'holes' (memory-holes ablation), 'tenants' (multi-tenant arbitration vs static partitions), 'churn' (cold rebalance vs penalty-ordered warm handoff on a node add), 'scaling' (GET-hit throughput vs GOMAXPROCS on the batched read path) or 'all'")
+	fig := flag.String("fig", "all", "figure to regenerate: 1,3,4,5,6,7,8,9,10, 'holes' (memory-holes ablation), 'tenants' (multi-tenant arbitration vs static partitions), 'churn' (cold rebalance vs penalty-ordered warm handoff on a node add) or 'all'")
 	scale := flag.Float64("scale", 1.0, "request-count scale relative to the 1:100-scaled defaults")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation runs")
 	doPlot := flag.Bool("plot", false, "render ASCII charts instead of raw TSV series")
@@ -45,7 +42,7 @@ func run(fig string, scale float64, workers int, doPlot bool) error {
 	if fig == "all" {
 		// "tenants" is not a matrix figure (it compares N partitioned runs
 		// against one arbitrated run), so it rides alongside AllFigureIDs.
-		ids = append(append([]string{"1"}, sim.AllFigureIDs()...), "tenants", "churn", "scaling")
+		ids = append(append([]string{"1"}, sim.AllFigureIDs()...), "tenants", "churn")
 	}
 	done := map[string]bool{}
 	for _, id := range ids {
@@ -62,10 +59,6 @@ func run(fig string, scale float64, workers int, doPlot bool) error {
 			}
 		case "churn":
 			if err := figureChurn(scale); err != nil {
-				return err
-			}
-		case "scaling":
-			if err := figureScaling(scale); err != nil {
 				return err
 			}
 		case "6":
@@ -137,51 +130,6 @@ func figureChurn(scale float64) error {
 		return err
 	}
 	fmt.Printf("# figure churn wall time: %s\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// figureScaling measures served GET-hit throughput against GOMAXPROCS on an
-// 8-shard engine with the batched read path (live TCP, pipelined clients —
-// not a simulation), prints the sweep as TSV, and writes the committed
-// artifacts results/fig_scaling.tsv and results/BENCH_scaling.json. scale
-// stretches or shrinks the per-point measurement interval.
-func figureScaling(scale float64) error {
-	fmt.Printf("## Figure scaling: GET-hit throughput vs GOMAXPROCS, 8 shards, batched read path (scale %.2f, host cores %d)\n",
-		scale, runtime.NumCPU())
-	start := time.Now()
-	opts := server.ScalingOptions{
-		Warmup:  time.Duration(250 * scale * float64(time.Millisecond)),
-		Measure: time.Duration(scale * float64(time.Second)),
-	}
-	// GOMAXPROCS above the physical core count is legal; on small hosts the
-	// tail points simply go flat, and the host core count in the header says
-	// how far the sweep is meaningful.
-	rep, err := server.RunScalingSweep([]int{1, 2, 4, 8}, opts)
-	if err != nil {
-		return err
-	}
-	if err := server.WriteScalingTSV(os.Stdout, rep); err != nil {
-		return err
-	}
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	var tsv bytes.Buffer
-	if err := server.WriteScalingTSV(&tsv, rep); err != nil {
-		return err
-	}
-	if err := os.WriteFile("results/fig_scaling.tsv", tsv.Bytes(), 0o644); err != nil {
-		return err
-	}
-	doc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("results/BENCH_scaling.json", append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("# wrote results/fig_scaling.tsv and results/BENCH_scaling.json\n")
-	fmt.Printf("# figure scaling wall time: %s\n\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

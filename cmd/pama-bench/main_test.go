@@ -22,7 +22,9 @@ func TestRunFig6AliasesFig5(t *testing.T) {
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if err := run("42", 1, 1, false); err == nil {
-		t.Fatal("unknown figure accepted")
+	for _, id := range []string{"42", "scaling"} {
+		if err := run(id, 1, 1, false); err == nil {
+			t.Fatalf("unknown figure %q accepted", id)
+		}
 	}
 }

@@ -22,12 +22,11 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"sort"
 	"strconv"
@@ -35,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"pamakv/internal/client"
 	"pamakv/internal/cluster"
 	"pamakv/internal/kv"
 	"pamakv/internal/metrics"
@@ -123,15 +123,6 @@ func run(w io.Writer, addr, wl string, n uint64, conns int, keys uint64, valueBy
 	if len(addrs) == 0 {
 		return fmt.Errorf("no server address")
 	}
-	// More than one target: shard keys client-side with the same ring the
-	// cluster tier uses, so every request lands on its owner directly.
-	var sel cluster.Selector
-	if len(addrs) > 1 {
-		var err error
-		if sel, err = cluster.NewSelector("ring", addrs, vnodes); err != nil {
-			return err
-		}
-	}
 	cfg, err := workload.ByName(wl)
 	if err != nil {
 		return err
@@ -153,7 +144,7 @@ func run(w io.Writer, addr, wl string, n uint64, conns int, keys uint64, valueBy
 			c := cfg
 			c.Seed = cfg.Seed + uint64(i)*1e9
 			stats[i] = &connStats{lat: metrics.NewHistogram(1e-6, 6)}
-			errs[i] = drive(addrs, sel, c, perConn, valueBytes, storm, stormBurst, tenants, stats[i])
+			errs[i] = drive(addrs, vnodes, c, perConn, valueBytes, storm, stormBurst, tenants, stats[i])
 		}(i)
 	}
 	wg.Wait()
@@ -211,54 +202,38 @@ func run(w io.Writer, addr, wl string, n uint64, conns int, keys uint64, valueBy
 	return nil
 }
 
-// target is one server's connection within a driver stream. Responses come
-// through proto.RespReader — the same pipelined zero-allocation reader
-// internal/client uses — so the load generator exercises the exact parse
-// path it benchmarks instead of a private hand-rolled scanner.
-type target struct {
-	conn net.Conn
-	rr   *proto.RespReader
-	w    *bufio.Writer
+// answered reports whether err is something the server said — success, a
+// miss, a shed, any other reply — rather than a transport failure, which
+// ends the driver's run.
+func answered(err error) bool {
+	var re *client.ReplyError
+	return err == nil || errors.Is(err, client.ErrCacheMiss) || errors.Is(err, client.ErrServerBusy) ||
+		errors.As(err, &re)
 }
 
-// drive runs one driver's request stream. With a selector, each key's
-// request goes down the connection to its owning member (one lazily dialed
-// connection per member); otherwise everything goes to addrs[0]. In storm
-// mode every request becomes a GET, issued in pipelined bursts with no miss
-// refills — raw read pressure, the way a stampede actually arrives.
-func drive(addrs []string, sel cluster.Selector, cfg workload.Config, n uint64, valueBytes int, storm bool, stormBurst int, tenants []string, st *connStats) error {
+// drive runs one driver's request stream over its own client (one pooled
+// connection per member, so -conns is the connection count per server). With
+// several addresses each key's request goes to its owning member; otherwise
+// everything goes to addrs[0]. In storm mode every request becomes a GET,
+// issued in pipelined bursts with no miss refills — raw read pressure, the
+// way a stampede actually arrives.
+func drive(addrs []string, vnodes int, cfg workload.Config, n uint64, valueBytes int, storm bool, stormBurst int, tenants []string, st *connStats) error {
 	gen, err := workload.New(cfg)
 	if err != nil {
 		return err
 	}
-	targets := make(map[string]*target, len(addrs))
-	defer func() {
-		for _, tg := range targets {
-			tg.conn.Close()
-		}
-	}()
-	targetFor := func(key string) (*target, error) {
-		addr := addrs[0]
-		if sel != nil {
-			addr = sel.Owner(key)
-		}
-		if tg, ok := targets[addr]; ok {
-			return tg, nil
-		}
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		tg := &target{
-			conn: conn,
-			rr:   proto.NewRespReader(bufio.NewReaderSize(conn, 1<<16)),
-			w:    bufio.NewWriterSize(conn, 1<<16),
-		}
-		targets[addr] = tg
-		return tg, nil
+	c, err := client.New(client.Config{
+		Addrs:    addrs,
+		VNodes:   vnodes,
+		PoolSize: 1,
+		Retries:  -1, // a load generator reports failures, it does not paper over them
+	})
+	if err != nil {
+		return err
 	}
+	defer c.Close()
 
-	valueOf := func(size int) string {
+	valueOf := func(size int) []byte {
 		if valueBytes > 0 {
 			size = valueBytes
 		}
@@ -268,7 +243,7 @@ func drive(addrs []string, sel cluster.Selector, cfg workload.Config, n uint64, 
 		if size < 1 {
 			size = 1
 		}
-		return strings.Repeat("v", size)
+		return bytes.Repeat([]byte("v"), size)
 	}
 	// In tenant mode each request carries a tenant prefix drawn round-robin
 	// from the weighted schedule; each tenant therefore sees the same key
@@ -287,110 +262,86 @@ func drive(addrs []string, sel cluster.Selector, cfg workload.Config, n uint64, 
 		return fmt.Sprintf("%s/lg:%d", curTag, id)
 	}
 
-	doSet := func(tg *target, key, val string) error {
+	doSet := func(key string, val []byte) error {
 		start := time.Now()
-		fmt.Fprintf(tg.w, "set %s 0 0 %d\r\n%s\r\n", key, len(val), val)
-		if err := tg.w.Flush(); err != nil {
-			return err
-		}
-		resp, err := tg.rr.Next()
-		if err != nil {
+		err := c.Set(key, 0, 0, val)
+		if !answered(err) {
 			return err
 		}
 		st.lat.Add(time.Since(start).Seconds())
 		st.sets++
+		var re *client.ReplyError
 		switch {
-		case resp.IsShed():
+		case errors.Is(err, client.ErrServerBusy):
 			st.sheds++
-		case resp.Status == proto.StatusStored, resp.Status == proto.StatusServerError:
-			// STORED is success; a non-shed SERVER_ERROR (admission refusal,
-			// allocation failure) is an overload outcome, not a protocol error.
-		default:
+		case errors.As(err, &re) && re.Status != proto.StatusServerError:
+			// A non-shed SERVER_ERROR (admission refusal, allocation
+			// failure) is an overload outcome, not a protocol error.
 			st.errs++
 		}
 		return nil
 	}
-	// readGetResp consumes one GET response: a VALUE block terminated by END,
-	// or a single shed/error line.
-	readGetResp := func(tg *target) (hit, shed bool, err error) {
-		resp, err := tg.rr.Next()
-		if err != nil {
-			return false, false, err
-		}
+	// countGet books one answered GET: a hit, a miss, a shed, or — any other
+	// reply — a protocol error.
+	countGet := func(err error) (hit bool) {
+		st.gets++
 		switch {
-		case resp.IsShed():
-			return false, true, nil
-		case resp.Status == proto.StatusEnd:
-			return len(resp.Values) > 0, false, nil
-		default:
+		case err == nil:
+			st.hits++
+			return true
+		case errors.Is(err, client.ErrServerBusy):
+			st.sheds++
+		case !errors.Is(err, client.ErrCacheMiss):
 			st.errs++
-			return false, false, nil
 		}
+		return false
 	}
-	doGet := func(tg *target, key string, size int) error {
+	doGet := func(key string, size int) error {
 		start := time.Now()
-		fmt.Fprintf(tg.w, "get %s\r\n", key)
-		if err := tg.w.Flush(); err != nil {
-			return err
-		}
-		hit, shed, err := readGetResp(tg)
-		if err != nil {
+		_, err := c.Get(key)
+		if !answered(err) {
 			return err
 		}
 		st.lat.Add(time.Since(start).Seconds())
-		st.gets++
+		hit := countGet(err)
 		if curTag != "" {
 			st.tenGets[curTag]++
 			if hit {
 				st.tenHits[curTag]++
 			}
 		}
-		switch {
-		case shed:
-			st.sheds++
-		case hit:
-			st.hits++
-		case !storm:
-			// Client refill, as a real cache client would. Storm mode
-			// never refills — a stampede does not politely repopulate
-			// the cache it is crushing.
-			return doSet(tg, key, valueOf(size))
+		if errors.Is(err, client.ErrCacheMiss) {
+			// Client refill, as a real cache client would.
+			return doSet(key, valueOf(size))
 		}
-		return nil
-	}
-	// doBurst issues a pipelined burst of GETs with one flush and drains
-	// every response; the recorded latency is the whole burst round-trip.
-	doBurst := func(tg *target, burst []string) error {
-		start := time.Now()
-		for _, k := range burst {
-			fmt.Fprintf(tg.w, "get %s\r\n", k)
-		}
-		if err := tg.w.Flush(); err != nil {
-			return err
-		}
-		for range burst {
-			hit, shed, err := readGetResp(tg)
-			if err != nil {
-				return err
-			}
-			st.gets++
-			switch {
-			case shed:
-				st.sheds++
-			case hit:
-				st.hits++
-			}
-		}
-		st.lat.Add(time.Since(start).Seconds())
 		return nil
 	}
 
 	stream := &trace.Limit{S: gen, N: n}
 	if storm {
+		// Storm mode never refills — a stampede does not politely
+		// repopulate the cache it is crushing. A burst is one pipelined
+		// batch, split by owner on a cluster; the recorded latency is the
+		// whole burst's round trip.
 		if stormBurst < 1 {
 			stormBurst = 1
 		}
-		bursts := make(map[*target][]string)
+		p := c.Pipeline()
+		doBurst := func() error {
+			start := time.Now()
+			results, err := p.Exec()
+			if err != nil {
+				return err
+			}
+			for _, r := range results {
+				if !answered(r.Err) {
+					return r.Err
+				}
+				countGet(r.Err)
+			}
+			st.lat.Add(time.Since(start).Seconds())
+			return nil
+		}
 		for {
 			req, err := stream.Next()
 			if errors.Is(err, io.EOF) {
@@ -399,25 +350,15 @@ func drive(addrs []string, sel cluster.Selector, cfg workload.Config, n uint64, 
 			if err != nil {
 				return err
 			}
-			key := keyOf(req.Key)
-			tg, err := targetFor(key)
-			if err != nil {
-				return err
-			}
-			bursts[tg] = append(bursts[tg], key)
-			if len(bursts[tg]) >= stormBurst {
-				if err := doBurst(tg, bursts[tg]); err != nil {
+			p.Get(keyOf(req.Key))
+			if p.Len() >= stormBurst {
+				if err := doBurst(); err != nil {
 					return err
 				}
-				bursts[tg] = bursts[tg][:0]
 			}
 		}
-		for tg, b := range bursts {
-			if len(b) > 0 {
-				if err := doBurst(tg, b); err != nil {
-					return err
-				}
-			}
+		if p.Len() > 0 {
+			return doBurst()
 		}
 		return nil
 	}
@@ -430,24 +371,18 @@ func drive(addrs []string, sel cluster.Selector, cfg workload.Config, n uint64, 
 			return err
 		}
 		key := keyOf(req.Key)
-		tg, err := targetFor(key)
-		if err != nil {
-			return err
-		}
 		switch req.Op {
 		case kv.Get:
-			if err := doGet(tg, key, int(req.Size)); err != nil {
-				return err
-			}
+			err = doGet(key, int(req.Size))
 		case kv.Set:
-			if err := doSet(tg, key, valueOf(int(req.Size))); err != nil {
-				return err
-			}
+			err = doSet(key, valueOf(int(req.Size)))
 		case kv.Delete:
-			fmt.Fprintf(tg.w, "delete %s noreply\r\n", key)
-			if err := tg.w.Flush(); err != nil {
-				return err
+			if err = c.Delete(key); answered(err) {
+				err = nil
 			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 }

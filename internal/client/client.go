@@ -1,8 +1,13 @@
 // Package client is the first-class Go client for pamakv (and any other
-// Memcached-text-protocol server): connection pooling with health-checked
-// idle reaping, request pipelining over the zero-allocation proto.RespReader,
-// optional client-side sharding over the cluster tier's Selector, and
-// penalty-derived hedged reads.
+// Memcached-text-protocol server): a typed command/result API, optional
+// client-side sharding over the cluster tier's Selector, a tenant key prefix,
+// and penalty-derived hedged reads.
+//
+// The package owns no sockets. Every member is reached through one
+// cluster.Client — the same transport pama-server nodes use towards each
+// other — which dials, pools, deadlines, retries, circuit-breaks and hedges;
+// this package renders commands, routes them to their owner and turns replies
+// into results.
 //
 // The client speaks the same wire protocol the server's fuzzed parsers
 // implement, so anything pama-server accepts is reachable from here: get,
@@ -27,38 +32,29 @@
 //
 // # Pipelining
 //
-// Pipeline batches many operations into one write per connection and reads
-// the responses back in order — see Client.Pipeline. The pipelined read path
-// is allocation-free in steady state; the alloc gate in allocs_test.go pins
-// it.
+// Pipeline batches many operations into one exchange per owning server and
+// reads the responses back in order — see Client.Pipeline. The pipelined read
+// path is allocation-free in steady state; the alloc gate in allocs_test.go
+// pins it.
 package client
 
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"pamakv/internal/bufpool"
 	"pamakv/internal/cluster"
 	"pamakv/internal/proto"
 	"pamakv/internal/tenant"
 )
 
-// Defaults for Config fields left zero.
-const (
-	DefaultPoolSize         = 4
-	DefaultDialTimeout      = 500 * time.Millisecond
-	DefaultOpTimeout        = 3 * time.Second
-	DefaultRetries          = 1
-	DefaultIdleTimeout      = 90 * time.Second
-	DefaultHealthCheckAfter = time.Second
-)
-
 // Sentinel errors. Response-level conditions (miss, not stored, CAS
-// conflict) are sentinels so callers can errors.Is them; transport failures
-// surface as the underlying net error.
+// conflict) are sentinels so callers can errors.Is them; any other reply is
+// a *ReplyError; transport failures surface as the transport's error (a net
+// error, or cluster.ErrPeerDown while a member's circuit breaker is open).
 var (
 	// ErrCacheMiss reports a get/gets on an absent key, or a delete/touch/
 	// incr/decr/cas whose key vanished.
@@ -79,10 +75,25 @@ var (
 	ErrValueTooLarge = errors.New("client: value exceeds protocol maximum")
 )
 
-// ServerError is a SERVER_ERROR response other than an overload shed.
-type ServerError struct{ Msg string }
+// ReplyError is a reply no sentinel covers: a SERVER_ERROR other than an
+// overload shed, a CLIENT_ERROR (the server rejected the request), or a
+// status the command cannot produce. The exchange itself succeeded and the
+// connection is intact, which is what sets it apart from a transport failure.
+type ReplyError struct {
+	Status proto.Status
+	Msg    string
+}
 
-func (e *ServerError) Error() string { return "client: server error: " + e.Msg }
+func (e *ReplyError) Error() string {
+	switch e.Status {
+	case proto.StatusServerError:
+		return "client: server error: " + e.Msg
+	case proto.StatusClientError:
+		return "client: server rejected request: " + e.Msg
+	default:
+		return fmt.Sprintf("client: unexpected response %v", e.Status)
+	}
+}
 
 // Config tunes a Client. The zero value of every field selects a sensible
 // default; only Addrs is required.
@@ -99,30 +110,29 @@ type Config struct {
 	// client-side routing to agree with server-side ownership.
 	VNodes int
 	// PoolSize caps idle pooled connections per server; <= 0 means
-	// DefaultPoolSize. In-flight connections are unbounded (each concurrent
-	// operation holds at most one).
+	// cluster.DefaultPoolSize. In-flight connections are unbounded (each
+	// concurrent operation holds at most one).
 	PoolSize int
 	// DialTimeout bounds establishing a connection; <= 0 means
-	// DefaultDialTimeout.
+	// cluster.DefaultDialTimeout.
 	DialTimeout time.Duration
-	// OpTimeout is the per-attempt deadline covering write + server-side
-	// service + read (a whole batch, for pipelines); <= 0 means
-	// DefaultOpTimeout.
+	// OpTimeout bounds, per attempt, the write of an exchange's requests
+	// and then the wait for each reply: one reply of a pipelined batch, not
+	// the batch as a whole (the server answers a batch serially, so a long
+	// batch of healthy replies must not time out). <= 0 means
+	// cluster.DefaultOpTimeout.
 	OpTimeout time.Duration
-	// Retries is how many extra attempts a single operation gets after a
-	// transport failure, each on a fresh connection; 0 means
-	// DefaultRetries, < 0 means none. Pipelines never auto-retry: a
-	// mid-batch transport failure leaves the outcome of unacknowledged
-	// writes unknown, so the batch's remaining results carry the error and
-	// the caller decides.
+	// Retries is how many extra attempts an exchange — a single operation,
+	// or one server's share of a pipeline — gets after a transport failure,
+	// each on a fresh connection; 0 means cluster.DefaultRetries, < 0 means
+	// none. Only an exchange that received no reply at all is retried (the
+	// usual cause is a pooled socket the server idled out), so a write may
+	// be applied twice only when its first attempt reached the server and
+	// the connection died before any answer — the exposure a lone set has
+	// always had, now shared by the writes of a batch. Once a server has
+	// answered part of a batch nothing is replayed: the unanswered
+	// operations carry the error and the caller decides.
 	Retries int
-	// IdleTimeout is how long a pooled connection may sit idle before the
-	// reaper closes it; 0 means DefaultIdleTimeout, < 0 disables reaping.
-	IdleTimeout time.Duration
-	// HealthCheckAfter is the idle age beyond which an acquired connection
-	// is liveness-probed before reuse; 0 means DefaultHealthCheckAfter,
-	// < 0 disables probing.
-	HealthCheckAfter time.Duration
 	// Hedge maps a key's miss penalty to its hedge delay. The zero value
 	// never hedges; DefaultHedgePolicy hedges expensive keys early. Only
 	// consulted when PenaltyOf is set.
@@ -137,35 +147,6 @@ type Config struct {
 	Tenant string
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = DefaultPoolSize
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = DefaultOpTimeout
-	}
-	switch {
-	case cfg.Retries == 0:
-		cfg.Retries = DefaultRetries
-	case cfg.Retries < 0:
-		cfg.Retries = 0
-	}
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = DefaultIdleTimeout
-	}
-	if cfg.HealthCheckAfter == 0 {
-		cfg.HealthCheckAfter = DefaultHealthCheckAfter
-	} else if cfg.HealthCheckAfter < 0 {
-		// Never probe: no idle connection is older than a deadline that
-		// far out.
-		cfg.HealthCheckAfter = 1<<62 - 1
-	}
-	return cfg
-}
-
 // Item is one cache entry as the client sees it. Value is owned by the
 // caller (single-key reads copy out of the connection's parse arena).
 type Item struct {
@@ -176,18 +157,17 @@ type Item struct {
 	CAS uint64
 }
 
-// Client is a pooled, optionally sharded pamakv/Memcached client. It is
-// safe for concurrent use by any number of goroutines.
+// Client is an optionally sharded pamakv/Memcached client. It is safe for
+// concurrent use by any number of goroutines.
 type Client struct {
-	cfg   Config
-	pools []*pool
+	cfg Config
+	// peers holds one transport per member, in the selector's member order.
+	peers []*cluster.Client
 	index map[string]int
 	// sel routes keys to members; nil for a single-address client.
 	sel cluster.Selector
 
-	closed    atomic.Bool
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
+	closed atomic.Bool
 }
 
 // New builds a client for the given servers. No connection is dialed until
@@ -204,7 +184,6 @@ func New(cfg Config) (*Client, error) {
 			return nil, fmt.Errorf("client: bad tenant name %q: %w", cfg.Tenant, err)
 		}
 	}
-	cfg = cfg.withDefaults()
 	c := &Client{cfg: cfg}
 	members := cfg.Addrs
 	if len(cfg.Addrs) > 1 {
@@ -213,43 +192,49 @@ func New(cfg Config) (*Client, error) {
 			return nil, err
 		}
 		c.sel = sel
-		// The selector normalizes (sorts, dedupes) the member list; pools
+		// The selector normalizes (sorts, dedupes) the member list; peers
 		// must index the same view it routes over.
 		members = sel.Members()
 	}
-	c.pools = make([]*pool, len(members))
+	opts := cluster.ClientOptions{
+		PoolSize:    cfg.PoolSize,
+		DialTimeout: cfg.DialTimeout,
+		OpTimeout:   cfg.OpTimeout,
+		Retries:     cfg.Retries,
+	}
+	c.peers = make([]*cluster.Client, len(members))
 	c.index = make(map[string]int, len(members))
 	for i, addr := range members {
-		c.pools[i] = newPool(addr, &c.cfg)
+		c.peers[i] = cluster.NewClient(addr, opts)
 		c.index[addr] = i
 	}
 	return c, nil
 }
 
-// Close closes every pooled connection and stops the idle reapers.
-// In-flight operations finish on their own connections (closed on return);
-// subsequent operations fail with ErrClientClosed.
+// Close closes every connection, pooled and in flight, immediately:
+// in-flight operations fail with a transport error, subsequent ones with
+// ErrClientClosed.
 func (c *Client) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	for _, p := range c.pools {
-		p.close()
+	for _, p := range c.peers {
+		p.Close()
 	}
 }
 
 // Addrs returns the (normalized) member list the client routes over.
 func (c *Client) Addrs() []string {
-	addrs := make([]string, len(c.pools))
-	for i, p := range c.pools {
-		addrs[i] = p.addr
+	addrs := make([]string, len(c.peers))
+	for i, p := range c.peers {
+		addrs[i] = p.Addr()
 	}
 	return addrs
 }
 
 // qual applies the configured tenant namespace to a key. It runs before
-// CheckKey and before pool routing, so validation and sharding both see the
-// key the server will see.
+// CheckKey and before routing, so validation and sharding both see the key
+// the server will see.
 func (c *Client) qual(key string) string {
 	if c.cfg.Tenant == "" {
 		return key
@@ -257,359 +242,154 @@ func (c *Client) qual(key string) string {
 	return c.cfg.Tenant + string(tenant.Separator) + key
 }
 
-// poolFor routes a key to its owning server's pool.
-func (c *Client) poolFor(key string) *pool {
+// owner returns the index in peers of the member that owns key.
+func (c *Client) owner(key string) int {
 	if c.sel == nil {
-		return c.pools[0]
+		return 0
 	}
-	return c.pools[c.index[c.sel.Owner(key)]]
+	return c.index[c.sel.Owner(key)]
 }
 
-// isFinal reports whether an error from reading a response is a protocol
-// verdict (malformed or over-long response — the stream is gone, retrying
-// on a fresh connection would resend a request the server may have already
-// applied for no better answer) rather than a transport failure.
-func isFinal(err error) bool {
-	var ce *proto.ClientError
-	return errors.As(err, &ce) || errors.Is(err, proto.ErrLineTooLong)
-}
-
-// once runs one request/response exchange on one pooled connection. final
-// reports whether the outcome is authoritative: a parsed response (err is
-// then handle's verdict) or a protocol violation. Transport failures close
-// the connection and return final == false.
-func (c *Client) once(p *pool, req []byte, handle func(*proto.Resp) error) (final bool, err error) {
-	cn, err := p.get()
-	if err != nil {
-		return errors.Is(err, ErrClientClosed), err
-	}
-	cn.nc.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
-	if _, err := cn.bw.Write(req); err != nil {
-		cn.nc.Close()
-		return false, err
-	}
-	if err := cn.bw.Flush(); err != nil {
-		cn.nc.Close()
-		return false, err
-	}
-	resp, err := cn.rr.Next()
-	if err != nil {
-		cn.nc.Close()
-		return isFinal(err), err
-	}
-	// handle runs while the connection is held: resp's views die at the
-	// next rr.Next, so anything kept must be copied inside handle.
-	herr := handle(resp)
-	p.put(cn)
-	return true, herr
-}
-
-// do runs once with the configured transport-retry budget, each retry on a
-// fresh connection (the failed one was closed, which also flushes stale
-// pooled connections the server idled out).
-func (c *Client) do(p *pool, req []byte, handle func(*proto.Resp) error) error {
-	if c.closed.Load() {
+// transportErr translates a failed exchange's error into this package's
+// vocabulary: a transport closed under the operation is a closed client.
+func transportErr(err error) error {
+	if errors.Is(err, cluster.ErrClientClosed) {
 		return ErrClientClosed
 	}
-	for try := 0; ; try++ {
-		final, err := c.once(p, req, handle)
-		if final || err == nil || try >= c.cfg.Retries {
-			return err
-		}
-	}
+	return err
 }
 
-// respErr maps an unexpected terminal status to a client error. Shed
-// responses map to ErrServerBusy so backoff logic can single out overload.
-func respErr(r *proto.Resp) error {
-	if r.IsShed() {
-		return ErrServerBusy
+// roundTrip runs one request as a one-reply exchange with p. handle sees the
+// reply while it is still valid (its views die when roundTrip returns) and
+// gives the operation's verdict.
+func roundTrip(p *cluster.Client, req []byte, hedge time.Duration, handle func(*proto.Resp) error) error {
+	var verdict error
+	x := p.Start(req, 1, hedge)
+	if err := x.Finish(func(_ int, r *proto.Resp) { verdict = handle(r) }); err != nil {
+		return transportErr(err)
 	}
-	switch r.Status {
-	case proto.StatusServerError:
-		return &ServerError{Msg: string(r.Msg)}
-	case proto.StatusClientError:
-		return fmt.Errorf("client: server rejected request: %s", r.Msg)
-	default:
-		return fmt.Errorf("client: unexpected response %v", r.Status)
+	return verdict
+}
+
+// do runs one keyed operation against its owner. keep, when non-nil, sees a
+// reply that replyErr accepted, for the operations that return data.
+func (c *Client) do(o op, keep func(*proto.Resp)) error {
+	o.key = c.qual(o.key)
+	if err := o.check(); err != nil {
+		return err
 	}
+	var hedge time.Duration
+	if (o.code == opGet || o.code == opGets) && c.cfg.PenaltyOf != nil {
+		hedge = c.cfg.Hedge.DelayFor(c.cfg.PenaltyOf(o.key))
+	}
+	req := bufpool.Get(0)
+	defer bufpool.Put(req)
+	*req = appendOp((*req)[:0], &o)
+	return roundTrip(c.peers[c.owner(o.key)], *req, hedge, func(r *proto.Resp) error {
+		if err := replyErr(o.code, r); err != nil {
+			return err
+		}
+		if keep != nil {
+			keep(r)
+		}
+		return nil
+	})
 }
 
 // Get retrieves key. A present key returns its Item (Value owned by the
 // caller); an absent one returns ErrCacheMiss. When Config.PenaltyOf is
 // set, expensive keys hedge per Config.Hedge.
-func (c *Client) Get(key string) (Item, error) { return c.get(key, false) }
+func (c *Client) Get(key string) (Item, error) { return c.get(opGet, key) }
 
 // Gets is Get with the CAS token populated for a later CompareAndSwap.
-func (c *Client) Gets(key string) (Item, error) { return c.get(key, true) }
+func (c *Client) Gets(key string) (Item, error) { return c.get(opGets, key) }
 
-func (c *Client) get(key string, withCAS bool) (Item, error) {
-	key = c.qual(key)
-	if err := proto.CheckKey(key); err != nil {
-		return Item{}, err
-	}
-	verb := "get"
-	if withCAS {
-		verb = "gets"
-	}
-	req := make([]byte, 0, len(verb)+len(key)+3)
-	req = append(req, verb...)
-	req = append(req, ' ')
-	req = append(req, key...)
-	req = append(req, '\r', '\n')
-	p := c.poolFor(key)
-	if c.cfg.PenaltyOf != nil {
-		if delay := c.cfg.Hedge.DelayFor(c.cfg.PenaltyOf(key)); delay > 0 {
-			return c.hedgedGet(p, key, req, delay)
-		}
-	}
+func (c *Client) get(code opcode, key string) (Item, error) {
 	var it Item
-	err := c.do(p, req, func(r *proto.Resp) error {
-		return readItem(&it, key, r)
+	err := c.do(op{code: code, key: key}, func(r *proto.Resp) {
+		v := r.Values[0]
+		it = Item{Key: c.qual(key), Value: append([]byte(nil), v.Data...), Flags: v.Flags, CAS: v.CAS}
 	})
 	return it, err
-}
-
-// readItem extracts a single-key get/gets response into it, copying the
-// value out of the connection's arena.
-func readItem(it *Item, key string, r *proto.Resp) error {
-	if r.Status != proto.StatusEnd {
-		return respErr(r)
-	}
-	if len(r.Values) == 0 {
-		return ErrCacheMiss
-	}
-	v := r.Values[0]
-	*it = Item{
-		Key:   key,
-		Value: append([]byte(nil), v.Data...),
-		Flags: v.Flags,
-		CAS:   v.CAS,
-	}
-	return nil
-}
-
-// hedgedGet races the primary attempt against a duplicate fired after the
-// hedge delay. The first authoritative response (hit, miss, or error reply)
-// wins; GETs are idempotent, so the loser is discarded when it lands.
-func (c *Client) hedgedGet(p *pool, key string, req []byte, delay time.Duration) (Item, error) {
-	type result struct {
-		it     Item
-		err    error
-		final  bool
-		hedged bool
-	}
-	ch := make(chan result, 2)
-	run := func(hedged bool) {
-		var it Item
-		final, err := c.once(p, req, func(r *proto.Resp) error {
-			return readItem(&it, key, r)
-		})
-		ch <- result{it, err, final, hedged}
-	}
-	go run(false)
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	launched := 1
-	var lastErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.final || r.err == nil {
-				if r.hedged {
-					c.hedgeWins.Add(1)
-				}
-				return r.it, r.err
-			}
-			lastErr = r.err
-			launched--
-			if launched == 0 {
-				return Item{}, lastErr
-			}
-		case <-t.C:
-			if launched == 1 {
-				c.hedges.Add(1)
-				launched++
-				go run(true)
-			}
-		}
-	}
 }
 
 // Set unconditionally stores value under key. exptime follows Memcached
 // semantics: 0 never expires, <= 30 days is relative seconds, larger is an
 // absolute unix time.
 func (c *Client) Set(key string, flags uint32, exptime int64, value []byte) error {
-	return c.store("set", key, flags, exptime, 0, value)
+	return c.do(op{code: opSet, key: key, flags: flags, exptime: exptime, value: value}, nil)
 }
 
 // Add stores value only if key is absent; ErrNotStored otherwise.
 func (c *Client) Add(key string, flags uint32, exptime int64, value []byte) error {
-	return c.store("add", key, flags, exptime, 0, value)
+	return c.do(op{code: opAdd, key: key, flags: flags, exptime: exptime, value: value}, nil)
 }
 
 // Replace stores value only if key is present; ErrNotStored otherwise.
 func (c *Client) Replace(key string, flags uint32, exptime int64, value []byte) error {
-	return c.store("replace", key, flags, exptime, 0, value)
+	return c.do(op{code: opReplace, key: key, flags: flags, exptime: exptime, value: value}, nil)
 }
 
 // Append concatenates value after the present value; ErrNotStored if absent.
 func (c *Client) Append(key string, value []byte) error {
-	return c.store("append", key, 0, 0, 0, value)
+	return c.do(op{code: opAppend, key: key, value: value}, nil)
 }
 
 // Prepend concatenates value before the present value; ErrNotStored if
 // absent.
 func (c *Client) Prepend(key string, value []byte) error {
-	return c.store("prepend", key, 0, 0, 0, value)
+	return c.do(op{code: opPrepend, key: key, value: value}, nil)
 }
 
 // CompareAndSwap stores value only if the item's CAS token still equals cas
 // (from a prior Gets). ErrCASConflict means a racing writer got there first;
 // ErrCacheMiss means the item vanished.
 func (c *Client) CompareAndSwap(key string, flags uint32, exptime int64, value []byte, cas uint64) error {
-	return c.store("cas", key, flags, exptime, cas, value)
-}
-
-func (c *Client) store(verb, key string, flags uint32, exptime int64, cas uint64, value []byte) error {
-	key = c.qual(key)
-	if err := proto.CheckKey(key); err != nil {
-		return err
-	}
-	if len(value) > proto.MaxDataLen {
-		return ErrValueTooLarge
-	}
-	req := appendStore(nil, verb, key, flags, exptime, cas, value)
-	return c.do(c.poolFor(key), req, func(r *proto.Resp) error {
-		switch r.Status {
-		case proto.StatusStored:
-			return nil
-		case proto.StatusNotStored:
-			return ErrNotStored
-		case proto.StatusExists:
-			return ErrCASConflict
-		case proto.StatusNotFound:
-			return ErrCacheMiss
-		default:
-			return respErr(r)
-		}
-	})
-}
-
-// appendStore renders a storage command; shared by the single-op and
-// pipelined paths.
-func appendStore(dst []byte, verb, key string, flags uint32, exptime int64, cas uint64, value []byte) []byte {
-	dst = append(dst, verb...)
-	dst = append(dst, ' ')
-	dst = append(dst, key...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, uint64(flags), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, exptime, 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(len(value)), 10)
-	if verb == "cas" {
-		dst = append(dst, ' ')
-		dst = strconv.AppendUint(dst, cas, 10)
-	}
-	dst = append(dst, '\r', '\n')
-	dst = append(dst, value...)
-	return append(dst, '\r', '\n')
+	return c.do(op{code: opCAS, key: key, flags: flags, exptime: exptime, value: value, num: cas}, nil)
 }
 
 // Delete removes key; ErrCacheMiss if it was absent.
 func (c *Client) Delete(key string) error {
-	key = c.qual(key)
-	if err := proto.CheckKey(key); err != nil {
-		return err
-	}
-	req := appendKeyed(nil, "delete", key)
-	return c.do(c.poolFor(key), req, func(r *proto.Resp) error {
-		switch r.Status {
-		case proto.StatusDeleted:
-			return nil
-		case proto.StatusNotFound:
-			return ErrCacheMiss
-		default:
-			return respErr(r)
-		}
-	})
+	return c.do(op{code: opDelete, key: key}, nil)
 }
 
 // Incr atomically adds delta to the numeric value at key, returning the new
 // value; ErrCacheMiss if absent. The value wraps at 2^64.
-func (c *Client) Incr(key string, delta uint64) (uint64, error) { return c.delta("incr", key, delta) }
+func (c *Client) Incr(key string, delta uint64) (uint64, error) { return c.delta(opIncr, key, delta) }
 
 // Decr atomically subtracts delta, clamping at zero; ErrCacheMiss if absent.
-func (c *Client) Decr(key string, delta uint64) (uint64, error) { return c.delta("decr", key, delta) }
+func (c *Client) Decr(key string, delta uint64) (uint64, error) { return c.delta(opDecr, key, delta) }
 
-func (c *Client) delta(verb, key string, delta uint64) (uint64, error) {
-	key = c.qual(key)
-	if err := proto.CheckKey(key); err != nil {
-		return 0, err
-	}
-	req := append([]byte(verb), ' ')
-	req = append(req, key...)
-	req = append(req, ' ')
-	req = strconv.AppendUint(req, delta, 10)
-	req = append(req, '\r', '\n')
+func (c *Client) delta(code opcode, key string, delta uint64) (uint64, error) {
 	var out uint64
-	err := c.do(c.poolFor(key), req, func(r *proto.Resp) error {
-		switch r.Status {
-		case proto.StatusNumber:
-			out = r.Number
-			return nil
-		case proto.StatusNotFound:
-			return ErrCacheMiss
-		default:
-			return respErr(r)
-		}
-	})
+	err := c.do(op{code: code, key: key, num: delta}, func(r *proto.Resp) { out = r.Number })
 	return out, err
 }
 
 // Touch rearms key's expiry without reading it; ErrCacheMiss if absent.
 func (c *Client) Touch(key string, exptime int64) error {
-	key = c.qual(key)
-	if err := proto.CheckKey(key); err != nil {
-		return err
-	}
-	req := append([]byte("touch "), key...)
-	req = append(req, ' ')
-	req = strconv.AppendInt(req, exptime, 10)
-	req = append(req, '\r', '\n')
-	return c.do(c.poolFor(key), req, func(r *proto.Resp) error {
-		switch r.Status {
-		case proto.StatusTouched:
-			return nil
-		case proto.StatusNotFound:
-			return ErrCacheMiss
-		default:
-			return respErr(r)
-		}
-	})
+	return c.do(op{code: opTouch, key: key, exptime: exptime}, nil)
 }
 
-// appendKeyed renders "<verb> <key>\r\n".
-func appendKeyed(dst []byte, verb, key string) []byte {
-	dst = append(dst, verb...)
-	dst = append(dst, ' ')
-	dst = append(dst, key...)
-	return append(dst, '\r', '\n')
+// admin runs one unkeyed command against member p; keep, when non-nil, sees
+// a reply whose status is want.
+func admin(p *cluster.Client, cmd string, want proto.Status, keep func(*proto.Resp)) error {
+	return roundTrip(p, []byte(cmd), 0, func(r *proto.Resp) error {
+		if r.Status != want {
+			return respErr(r)
+		}
+		if keep != nil {
+			keep(r)
+		}
+		return nil
+	})
 }
 
 // FlushAll invalidates every item on every member. The first failure stops
 // the broadcast.
 func (c *Client) FlushAll() error {
-	req := []byte("flush_all\r\n")
-	for _, p := range c.pools {
-		err := c.do(p, req, func(r *proto.Resp) error {
-			if r.Status != proto.StatusOK {
-				return respErr(r)
-			}
-			return nil
-		})
-		if err != nil {
+	for _, p := range c.peers {
+		if err := admin(p, "flush_all\r\n", proto.StatusOK, nil); err != nil {
 			return err
 		}
 	}
@@ -619,50 +399,33 @@ func (c *Client) FlushAll() error {
 // Version returns the first member's version string.
 func (c *Client) Version() (string, error) {
 	var v string
-	err := c.do(c.pools[0], []byte("version\r\n"), func(r *proto.Resp) error {
-		if r.Status != proto.StatusVersion {
-			return respErr(r)
-		}
-		v = string(r.Msg)
-		return nil
-	})
+	err := admin(c.peers[0], "version\r\n", proto.StatusVersion, func(r *proto.Resp) { v = string(r.Msg) })
 	return v, err
 }
 
 // ServerStats returns each member's stats, keyed by address then stat name.
 func (c *Client) ServerStats() (map[string]map[string]string, error) {
-	out := make(map[string]map[string]string, len(c.pools))
-	req := []byte("stats\r\n")
-	for _, p := range c.pools {
+	out := make(map[string]map[string]string, len(c.peers))
+	for _, p := range c.peers {
 		m := make(map[string]string)
-		err := c.do(p, req, func(r *proto.Resp) error {
-			if r.Status != proto.StatusEnd {
-				return respErr(r)
-			}
+		err := admin(p, "stats\r\n", proto.StatusEnd, func(r *proto.Resp) {
 			for _, st := range r.Stats {
 				m[string(st[0])] = string(st[1])
 			}
-			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		out[p.addr] = m
+		out[p.Addr()] = m
 	}
 	return out, nil
 }
 
-// Stats is a point-in-time snapshot of the client's internal counters,
-// aggregated across member pools.
+// Stats is a point-in-time snapshot of the transport's counters, summed
+// across members.
 type Stats struct {
-	// Dials counts connections established; Reaps idle connections the
-	// reaper closed; HealthFails stale pooled connections that failed the
-	// liveness probe on acquire.
-	Dials       uint64 `json:"dials"`
-	Reaps       uint64 `json:"reaps"`
-	HealthFails uint64 `json:"health_fails"`
-	// Idle is the current pooled-connection count.
-	Idle int `json:"idle"`
+	// Dials counts connections established.
+	Dials uint64 `json:"dials"`
 	// Hedges counts hedged duplicates fired; HedgeWins the subset that
 	// answered before the primary.
 	Hedges    uint64 `json:"hedges"`
@@ -672,13 +435,11 @@ type Stats struct {
 // Stats snapshots the client's counters.
 func (c *Client) Stats() Stats {
 	var s Stats
-	for _, p := range c.pools {
-		s.Dials += p.dials.Load()
-		s.Reaps += p.reaps.Load()
-		s.HealthFails += p.healthFails.Load()
-		s.Idle += p.idleCount()
+	for _, p := range c.peers {
+		ps := p.Stats()
+		s.Dials += ps.Dials
+		s.Hedges += ps.Hedges
+		s.HedgeWins += ps.HedgeWins
 	}
-	s.Hedges = c.hedges.Load()
-	s.HedgeWins = c.hedgeWins.Load()
 	return s
 }

@@ -1,51 +1,17 @@
 package client
 
 import (
-	"strconv"
-	"time"
-
+	"pamakv/internal/cluster"
 	"pamakv/internal/proto"
 )
 
-// opcode identifies a queued pipeline operation.
-type opcode uint8
-
-const (
-	opGet opcode = iota
-	opGets
-	opSet
-	opAdd
-	opReplace
-	opAppend
-	opPrepend
-	opCAS
-	opDelete
-	opIncr
-	opDecr
-	opTouch
-)
-
-var opVerbs = [...]string{
-	opGet: "get", opGets: "gets", opSet: "set", opAdd: "add",
-	opReplace: "replace", opAppend: "append", opPrepend: "prepend",
-	opCAS: "cas", opDelete: "delete", opIncr: "incr", opDecr: "decr",
-	opTouch: "touch",
-}
-
-// pop is one queued operation. value aliases the caller's slice until Exec
-// renders it; num doubles as the CAS token and the incr/decr delta.
-type pop struct {
-	code    opcode
-	key     string
-	value   []byte
-	flags   uint32
-	exptime int64
-	num     uint64
-}
+// maxRetainedReq caps the per-owner request render buffer a pipeline keeps
+// across batches; a one-off giant batch must not pin its buffer forever.
+const maxRetainedReq = 1 << 18
 
 // rmeta is one operation's outcome before materialization: arena intervals
-// instead of slices, because the arena may still grow while later batches
-// read.
+// instead of slices, because the arena may still grow while later owners
+// reply.
 type rmeta struct {
 	valOff, valEnd int
 	flags          uint32
@@ -59,10 +25,13 @@ type rmeta struct {
 //
 // Value is a view into the pipeline's reusable arena: valid until the next
 // Exec (or Reset) on the same pipeline, never beyond. Copy it to keep it.
-// Err carries the same sentinels the single-op methods return (ErrCacheMiss
-// for a get miss, ErrNotStored, ErrCASConflict, ErrServerBusy, ...); a
-// transport failure mid-batch sets it on every operation the failure left
-// unanswered.
+// Err carries the same errors the single-op methods return (ErrCacheMiss
+// for a get miss, ErrNotStored, ErrCASConflict, ErrServerBusy, ...). Results
+// are per operation: a shed or rejected operation fails alone; when a
+// server's connection breaks after it answered k of its operations, those k
+// keep their replies and each of the rest carries the transport error; an
+// open circuit breaker fails its member's operations, and no others, with
+// cluster.ErrPeerDown.
 type Result struct {
 	Value  []byte
 	Flags  uint32
@@ -71,86 +40,91 @@ type Result struct {
 	Err    error
 }
 
-// Pipeline batches operations into one request write per owning server and
-// reads the responses back in order — N round-trip latencies collapse into
-// one. Queue operations with the typed methods, then Exec.
+// Pipeline batches operations into one exchange per owning server — N
+// round-trip latencies collapse into one, and a sharded batch costs its
+// slowest owner, not the sum of them. Queue operations with the typed
+// methods, then Exec.
 //
 // A Pipeline is reusable (Exec clears the queue) but not safe for
-// concurrent use; pool one per worker goroutine. In steady state Exec
+// concurrent use; keep one per worker goroutine. In steady state Exec
 // performs zero heap allocations for GET hits — results live in a reusable
-// arena, the render buffer rides the pooled connection.
+// arena, requests are rendered into buffers the pipeline keeps.
 type Pipeline struct {
 	c       *Client
-	ops     []pop
+	ops     []op
 	meta    []rmeta
 	results []Result
 	arena   []byte
-	// batches[pi] lists op indexes owned by pool pi (multi-node only).
-	batches [][]int32
+	// owners[i] is member i's share of the batch being executed.
+	owners []ownerBatch
+}
+
+// ownerBatch is one member's share of a batch: which ops it owns, their
+// rendered requests, and the exchange carrying them.
+type ownerBatch struct {
+	idxs []int32
+	req  []byte
+	x    cluster.Exchange
 }
 
 // Pipeline returns an empty pipeline bound to the client.
 func (c *Client) Pipeline() *Pipeline {
-	p := &Pipeline{c: c}
-	if c.sel != nil {
-		p.batches = make([][]int32, len(c.pools))
-	}
-	return p
+	return &Pipeline{c: c, owners: make([]ownerBatch, len(c.peers))}
 }
 
 // Get queues a retrieval; the Result carries Value+Flags on a hit,
 // ErrCacheMiss on a miss.
-func (p *Pipeline) Get(key string) { p.push(pop{code: opGet, key: key}) }
+func (p *Pipeline) Get(key string) { p.push(op{code: opGet, key: key}) }
 
 // Gets queues a retrieval with the CAS token.
-func (p *Pipeline) Gets(key string) { p.push(pop{code: opGets, key: key}) }
+func (p *Pipeline) Gets(key string) { p.push(op{code: opGets, key: key}) }
 
 // Set queues an unconditional store. value must stay untouched until Exec.
 func (p *Pipeline) Set(key string, flags uint32, exptime int64, value []byte) {
-	p.push(pop{code: opSet, key: key, flags: flags, exptime: exptime, value: value})
+	p.push(op{code: opSet, key: key, flags: flags, exptime: exptime, value: value})
 }
 
 // Add queues a store-if-absent.
 func (p *Pipeline) Add(key string, flags uint32, exptime int64, value []byte) {
-	p.push(pop{code: opAdd, key: key, flags: flags, exptime: exptime, value: value})
+	p.push(op{code: opAdd, key: key, flags: flags, exptime: exptime, value: value})
 }
 
 // Replace queues a store-if-present.
 func (p *Pipeline) Replace(key string, flags uint32, exptime int64, value []byte) {
-	p.push(pop{code: opReplace, key: key, flags: flags, exptime: exptime, value: value})
+	p.push(op{code: opReplace, key: key, flags: flags, exptime: exptime, value: value})
 }
 
 // Append queues a right-concatenation onto a present value.
 func (p *Pipeline) Append(key string, value []byte) {
-	p.push(pop{code: opAppend, key: key, value: value})
+	p.push(op{code: opAppend, key: key, value: value})
 }
 
 // Prepend queues a left-concatenation onto a present value.
 func (p *Pipeline) Prepend(key string, value []byte) {
-	p.push(pop{code: opPrepend, key: key, value: value})
+	p.push(op{code: opPrepend, key: key, value: value})
 }
 
 // CAS queues a compare-and-swap against the token from a prior Gets.
 func (p *Pipeline) CAS(key string, flags uint32, exptime int64, value []byte, cas uint64) {
-	p.push(pop{code: opCAS, key: key, flags: flags, exptime: exptime, value: value, num: cas})
+	p.push(op{code: opCAS, key: key, flags: flags, exptime: exptime, value: value, num: cas})
 }
 
 // Delete queues a removal.
-func (p *Pipeline) Delete(key string) { p.push(pop{code: opDelete, key: key}) }
+func (p *Pipeline) Delete(key string) { p.push(op{code: opDelete, key: key}) }
 
 // Incr queues an atomic add; the Result carries the new value in Number.
 func (p *Pipeline) Incr(key string, delta uint64) {
-	p.push(pop{code: opIncr, key: key, num: delta})
+	p.push(op{code: opIncr, key: key, num: delta})
 }
 
 // Decr queues an atomic subtract (clamped at zero).
 func (p *Pipeline) Decr(key string, delta uint64) {
-	p.push(pop{code: opDecr, key: key, num: delta})
+	p.push(op{code: opDecr, key: key, num: delta})
 }
 
 // Touch queues an expiry rearm.
 func (p *Pipeline) Touch(key string, exptime int64) {
-	p.push(pop{code: opTouch, key: key, exptime: exptime})
+	p.push(op{code: opTouch, key: key, exptime: exptime})
 }
 
 // Len returns the number of queued operations.
@@ -159,20 +133,23 @@ func (p *Pipeline) Len() int { return len(p.ops) }
 // Reset drops queued operations and invalidates previous Results.
 func (p *Pipeline) Reset() { p.ops = p.ops[:0] }
 
-func (p *Pipeline) push(op pop) {
-	op.key = p.c.qual(op.key)
-	p.ops = append(p.ops, op)
+func (p *Pipeline) push(o op) {
+	o.key = p.c.qual(o.key)
+	p.ops = append(p.ops, o)
 }
 
-// Exec flushes the queue: operations are grouped by owning server, each
-// group is rendered into one write on one pooled connection, and responses
-// are read back in order. The returned slice has one Result per queued
-// operation, in queue order; it and every Value in it are valid only until
-// the next Exec or Reset.
+// Exec flushes the queue: operations are grouped by owning server, every
+// owner's group is sent as one exchange before any reply is awaited, and the
+// replies are then read back owner by owner, in order. The returned slice has
+// one Result per queued operation, in queue order; it and every Value in it
+// are valid only until the next Exec or Reset.
 //
-// The returned error is reserved for whole-pipeline failures (closed
-// client); per-operation outcomes — including transport failures — land in
-// the Results so one dead server cannot mask the other batches' answers.
+// The returned error is reserved for the one whole-pipeline failure, a closed
+// client (ErrClientClosed); every other outcome — transport failures and
+// breaker fast-fails included — lands in the Results (see Result), so one
+// dead server cannot mask the other owners' answers. Config.OpTimeout and
+// Config.Retries apply to each owner's exchange as they do to a single
+// operation.
 func (p *Pipeline) Exec() ([]Result, error) {
 	if p.c.closed.Load() {
 		return nil, ErrClientClosed
@@ -186,39 +163,47 @@ func (p *Pipeline) Exec() ([]Result, error) {
 		p.meta = make([]rmeta, n)
 	}
 	p.meta = p.meta[:n]
-	for i := range p.meta {
-		p.meta[i] = rmeta{}
+	for i := range p.owners {
+		b := &p.owners[i]
+		b.idxs, b.req = b.idxs[:0], b.req[:0]
 	}
-	// Keys are validated before anything is rendered: one malformed key
-	// must fail its own operation, not desynchronize a whole connection.
+	// An op is checked before it is rendered: one malformed key must fail
+	// its own operation, not desynchronize a whole connection.
 	for i := range p.ops {
-		op := &p.ops[i]
-		if err := proto.CheckKey(op.key); err != nil {
-			p.meta[i].err = err
-		} else if len(op.value) > proto.MaxDataLen {
-			p.meta[i].err = ErrValueTooLarge
+		o := &p.ops[i]
+		p.meta[i] = rmeta{err: o.check()}
+		if p.meta[i].err != nil {
+			continue
+		}
+		b := &p.owners[p.c.owner(o.key)]
+		b.idxs = append(b.idxs, int32(i))
+		b.req = appendOp(b.req, o)
+	}
+	for i := range p.owners {
+		if b := &p.owners[i]; len(b.idxs) > 0 {
+			b.x = p.c.peers[i].Start(b.req, len(b.idxs), 0)
 		}
 	}
-	if p.c.sel == nil {
-		p.runBatch(p.c.pools[0], nil)
-	} else {
-		for pi := range p.batches {
-			p.batches[pi] = p.batches[pi][:0]
+	for i := range p.owners {
+		b := &p.owners[i]
+		if len(b.idxs) == 0 {
+			continue
 		}
-		for i := range p.ops {
-			if p.meta[i].err != nil {
-				continue
-			}
-			pi := p.c.index[p.c.sel.Owner(p.ops[i].key)]
-			p.batches[pi] = append(p.batches[pi], int32(i))
+		// An unhedged exchange shows replies from one attempt only, so the
+		// got replies seen before a failure stand and the rest take the error.
+		got := 0
+		err := b.x.Finish(func(k int, r *proto.Resp) {
+			p.record(int(b.idxs[k]), r)
+			got = k + 1
+		})
+		for _, oi := range b.idxs[got:] {
+			p.meta[oi].err = transportErr(err)
 		}
-		for pi, idxs := range p.batches {
-			if len(idxs) > 0 {
-				p.runBatch(p.c.pools[pi], idxs)
-			}
+		if cap(b.req) > maxRetainedReq {
+			b.req = nil
 		}
 	}
-	// Materialize arena views only now: every batch has read, the arena
+	// Materialize arena views only now: every owner has replied, the arena
 	// has stopped growing, the intervals cannot dangle.
 	if cap(p.results) < n {
 		p.results = make([]Result, n)
@@ -236,100 +221,17 @@ func (p *Pipeline) Exec() ([]Result, error) {
 	return p.results, nil
 }
 
-// runBatch sends one server's operations on one pooled connection and reads
-// the responses in order. idxs lists the op indexes in the batch; nil means
-// every op (the single-server fast path). A transport failure closes the
-// connection and stamps the error on every operation it left unanswered —
-// an unacknowledged write's outcome is unknown, and only the caller knows
-// whether re-issuing it is safe.
-func (p *Pipeline) runBatch(pl *pool, idxs []int32) {
-	n := len(idxs)
-	if idxs == nil {
-		n = len(p.ops)
-	}
-	opAt := func(k int) int {
-		if idxs == nil {
-			return k
-		}
-		return int(idxs[k])
-	}
-	cn, err := pl.get()
-	if err != nil {
-		p.failFrom(idxs, 0, err)
-		return
-	}
-	cn.nc.SetDeadline(time.Now().Add(p.c.cfg.OpTimeout))
-	cn.req = cn.req[:0]
-	rendered := 0
-	for k := 0; k < n; k++ {
-		i := opAt(k)
-		if p.meta[i].err != nil && idxs == nil {
-			continue // invalid op skipped on the fast path
-		}
-		cn.req = appendPop(cn.req, &p.ops[i])
-		rendered++
-	}
-	if rendered == 0 {
-		pl.put(cn)
-		return
-	}
-	if _, err := cn.bw.Write(cn.req); err == nil {
-		err = cn.bw.Flush()
-	}
-	if err != nil {
-		cn.nc.Close()
-		p.failFrom(idxs, 0, err)
-		return
-	}
-	for k := 0; k < n; k++ {
-		i := opAt(k)
-		if p.meta[i].err != nil && idxs == nil {
-			continue
-		}
-		resp, err := cn.rr.Next()
-		if err != nil {
-			cn.nc.Close()
-			p.failFrom(idxs, k, err)
-			return
-		}
-		p.record(i, resp)
-	}
-	pl.put(cn)
-}
-
-// failFrom stamps err on batch positions from >= k whose ops have no
-// verdict yet.
-func (p *Pipeline) failFrom(idxs []int32, k int, err error) {
-	if idxs == nil {
-		for i := k; i < len(p.ops); i++ {
-			if p.meta[i].err == nil {
-				p.meta[i].err = err
-			}
-		}
-		return
-	}
-	for _, i := range idxs[k:] {
-		if p.meta[i].err == nil {
-			p.meta[i].err = err
-		}
-	}
-}
-
-// record maps one response onto one operation's meta, copying any value
-// bytes into the pipeline arena (the response's views die at the next
-// rr.Next on the same connection).
+// record maps one reply onto one operation's meta, copying any value bytes
+// into the pipeline arena (the reply's views die at the next reply on the
+// same connection).
 func (p *Pipeline) record(i int, r *proto.Resp) {
 	m := &p.meta[i]
-	switch p.ops[i].code {
+	code := p.ops[i].code
+	if m.err = replyErr(code, r); m.err != nil {
+		return
+	}
+	switch code {
 	case opGet, opGets:
-		if r.Status != proto.StatusEnd {
-			m.err = respErr(r)
-			return
-		}
-		if len(r.Values) == 0 {
-			m.err = ErrCacheMiss
-			return
-		}
 		v := r.Values[0]
 		m.valOff = len(p.arena)
 		p.arena = append(p.arena, v.Data...)
@@ -337,65 +239,7 @@ func (p *Pipeline) record(i int, r *proto.Resp) {
 		m.hasVal = true
 		m.flags = v.Flags
 		m.cas = v.CAS
-	case opSet, opAdd, opReplace, opAppend, opPrepend, opCAS:
-		switch r.Status {
-		case proto.StatusStored:
-		case proto.StatusNotStored:
-			m.err = ErrNotStored
-		case proto.StatusExists:
-			m.err = ErrCASConflict
-		case proto.StatusNotFound:
-			m.err = ErrCacheMiss
-		default:
-			m.err = respErr(r)
-		}
-	case opDelete:
-		switch r.Status {
-		case proto.StatusDeleted:
-		case proto.StatusNotFound:
-			m.err = ErrCacheMiss
-		default:
-			m.err = respErr(r)
-		}
 	case opIncr, opDecr:
-		switch r.Status {
-		case proto.StatusNumber:
-			m.number = r.Number
-		case proto.StatusNotFound:
-			m.err = ErrCacheMiss
-		default:
-			m.err = respErr(r)
-		}
-	case opTouch:
-		switch r.Status {
-		case proto.StatusTouched:
-		case proto.StatusNotFound:
-			m.err = ErrCacheMiss
-		default:
-			m.err = respErr(r)
-		}
-	}
-}
-
-// appendPop renders one queued operation to its wire form.
-func appendPop(dst []byte, op *pop) []byte {
-	switch op.code {
-	case opGet, opGets, opDelete:
-		return appendKeyed(dst, opVerbs[op.code], op.key)
-	case opSet, opAdd, opReplace, opAppend, opPrepend, opCAS:
-		return appendStore(dst, opVerbs[op.code], op.key, op.flags, op.exptime, op.num, op.value)
-	case opIncr, opDecr:
-		dst = append(dst, opVerbs[op.code]...)
-		dst = append(dst, ' ')
-		dst = append(dst, op.key...)
-		dst = append(dst, ' ')
-		dst = strconv.AppendUint(dst, op.num, 10)
-		return append(dst, '\r', '\n')
-	default: // opTouch
-		dst = append(dst, "touch "...)
-		dst = append(dst, op.key...)
-		dst = append(dst, ' ')
-		dst = strconv.AppendInt(dst, op.exptime, 10)
-		return append(dst, '\r', '\n')
+		m.number = r.Number
 	}
 }

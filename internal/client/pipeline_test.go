@@ -35,18 +35,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // pipelined mixed ops, bounces the server mid-test (same engine, same
 // address), and then verifies every acknowledged write is still readable:
 // errors during the bounce are expected, silently lost acks are not. Run
-// under -race this also exercises the pool's concurrency.
+// under -race this also exercises the shared transport's concurrency.
 func TestPoolRestartNoLostWrites(t *testing.T) {
 	engine := newCache(t)
 	addr, stop := startServerOn(t, "127.0.0.1:0", engine, server.Options{})
 
 	base := runtime.NumGoroutine()
 	c := newClient(t, client.Config{
-		Addrs:            []string{addr},
-		PoolSize:         8,
-		HealthCheckAfter: time.Nanosecond, // always probe idle conns
-		IdleTimeout:      time.Second,
-		Retries:          -1, // pipeline path never retries anyway; keep singles strict too
+		Addrs:    []string{addr},
+		PoolSize: 8,
+		Retries:  -1, // strict: a batch the bounce cut is reported, never replayed
 	})
 
 	const (
@@ -127,13 +125,8 @@ func TestPoolRestartNoLostWrites(t *testing.T) {
 		t.Fatal("no writes acknowledged; test proved nothing")
 	}
 
-	// Pool size converged: idle connections never exceed PoolSize.
-	if idle := c.Stats().Idle; idle > 8 {
-		t.Fatalf("idle pool %d exceeds PoolSize", idle)
-	}
-
-	// No goroutine leaks: closing the clients tears down reapers and leaves
-	// us at (or below) the pre-client baseline.
+	// No goroutine leaks: closing the clients leaves us at (or below) the
+	// pre-client baseline.
 	c.Close()
 	verify.Close()
 	waitFor(t, "goroutines to drain", func() bool {
@@ -142,109 +135,23 @@ func TestPoolRestartNoLostWrites(t *testing.T) {
 	})
 }
 
-// TestPoolHealthCheckRecovers kills every pooled connection by bouncing the
-// server and checks the acquire-time liveness probe discards the corpses
-// instead of handing them out.
-func TestPoolHealthCheckRecovers(t *testing.T) {
-	engine := newCache(t)
-	addr, stop := startServerOn(t, "127.0.0.1:0", engine, server.Options{})
-	c := newClient(t, client.Config{
-		Addrs:            []string{addr},
-		HealthCheckAfter: time.Nanosecond,
-	})
-	if err := c.Set("k", 0, 0, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	_, _ = startServerOn(t, addr, engine, server.Options{})
-	// The pooled connection is dead; the probe must detect it and dial
-	// fresh, making the op succeed without surfacing the stale socket.
-	waitFor(t, "op to succeed after bounce", func() bool {
-		_, err := c.Get("k")
-		return err == nil
-	})
-	if c.Stats().HealthFails == 0 {
-		t.Fatal("no health-check failures recorded; dead conns were not probed out")
-	}
-}
-
-// TestPoolIdleReaping checks a burst's worth of pooled connections decays
-// back to zero once traffic stops.
-func TestPoolIdleReaping(t *testing.T) {
-	addr := startServer(t, server.Options{})
-	c := newClient(t, client.Config{
-		Addrs:       []string{addr},
-		PoolSize:    8,
-		IdleTimeout: 50 * time.Millisecond,
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := c.Set(fmt.Sprintf("burst%d", i), 0, 0, []byte("v")); err != nil {
-				t.Errorf("set: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if idle := c.Stats().Idle; idle == 0 {
-		t.Fatal("burst left no idle connections; pool is not pooling")
-	}
-	waitFor(t, "idle pool to be reaped", func() bool {
-		s := c.Stats()
-		return s.Idle == 0 && s.Reaps > 0
-	})
-}
-
 // shedEvery starts a fake server that answers storage commands with STORED
 // except every nth op, which it sheds with SERVER_ERROR busy (shed) — the
 // overload controller's mid-pipeline refusal, scripted deterministically.
 func shedEvery(t *testing.T, n int) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(nc net.Conn) {
-				defer nc.Close()
-				p := proto.NewParser(bufio.NewReaderSize(nc, 1<<14))
-				ops := 0
-				var out []byte
-				for {
-					cmd, err := p.ReadCommand()
-					if err != nil {
-						return
-					}
-					ops++
-					out = out[:0]
-					switch cmd.Name {
-					case "set":
-						if ops%n == 0 {
-							out = proto.AppendShed(out)
-						} else {
-							out = proto.AppendLine(out, "STORED")
-						}
-					case "get":
-						out = proto.AppendEnd(out)
-					default:
-						out = proto.AppendLine(out, "ERROR")
-					}
-					if _, err := nc.Write(out); err != nil {
-						return
-					}
-				}
-			}(nc)
+	var ops atomic.Int32
+	return scriptedServer(t, func(cmd *proto.Command) []byte {
+		switch {
+		case cmd.Name == "get":
+			return proto.AppendEnd(nil)
+		case cmd.Name != "set":
+			return proto.AppendLine(nil, "ERROR")
+		case int(ops.Add(1))%n == 0:
+			return proto.AppendShed(nil)
 		}
-	}()
-	return ln.Addr().String()
+		return proto.AppendLine(nil, "STORED")
+	})
 }
 
 // TestPipelineShedMidBatch scripts an overloaded server that sheds every
@@ -338,5 +245,165 @@ func TestHedgedGetWinsOnStall(t *testing.T) {
 	s := c.Stats()
 	if s.Hedges == 0 || s.HedgeWins == 0 {
 		t.Fatalf("hedge counters: %+v", s)
+	}
+}
+
+// scriptedServer starts a fake server that hands every parsed command to
+// reply and writes back what it returns; a nil reply closes the connection.
+func scriptedServer(t *testing.T, reply func(cmd *proto.Command) []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(nc net.Conn) {
+				defer nc.Close()
+				p := proto.NewParser(bufio.NewReaderSize(nc, 1<<14))
+				for {
+					cmd, err := p.ReadCommand()
+					if err != nil {
+						return
+					}
+					out := reply(cmd)
+					if out == nil {
+						return
+					}
+					if _, err := nc.Write(out); err != nil {
+						return
+					}
+				}
+			}(nc)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// keysByOwner returns, for each member of a ring over addrs, n keys it owns.
+func keysByOwner(t *testing.T, addrs []string, n int) map[string][]string {
+	t.Helper()
+	sel, err := cluster.NewSelector("ring", addrs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]string)
+	for i := 0; len(out[addrs[0]]) < n || len(out[addrs[1]]) < n; i++ {
+		k := fmt.Sprintf("key%d", i)
+		if o := sel.Owner(k); len(out[o]) < n {
+			out[o] = append(out[o], k)
+		}
+	}
+	return out
+}
+
+// TestShardedExecOverlapsOwners: a two-owner batch is on both wires before
+// either reply is awaited. Each fake owner withholds its answer until the
+// other has received its request, so an Exec that finishes one owner before
+// it starts the next can only time that owner out.
+func TestShardedExecOverlapsOwners(t *testing.T) {
+	var received [2]chan struct{}
+	var once [2]sync.Once
+	var addrs [2]string
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done) })
+	for i := range addrs {
+		received[i] = make(chan struct{})
+		addrs[i] = scriptedServer(t, func(*proto.Command) []byte {
+			once[i].Do(func() { close(received[i]) })
+			select {
+			case <-received[1-i]:
+			case <-done:
+			}
+			return proto.AppendEnd(nil)
+		})
+	}
+	c := newClient(t, client.Config{Addrs: addrs[:], OpTimeout: 500 * time.Millisecond, Retries: -1})
+	p := c.Pipeline()
+	for _, keys := range keysByOwner(t, addrs[:], 1) {
+		p.Get(keys[0])
+	}
+	results, err := p.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if !errors.Is(r.Err, client.ErrCacheMiss) {
+			t.Errorf("op %d: %v, want a miss answered while the other owner's request was in flight", i, r.Err)
+		}
+	}
+}
+
+// TestPipelineBrokenConnectionKeepsPrefix: a server that answers two
+// operations of a batch and then drops the connection leaves those two with
+// their replies and the rest with the transport error; nothing is replayed,
+// and Exec itself does not fail.
+func TestPipelineBrokenConnectionKeepsPrefix(t *testing.T) {
+	var sets atomic.Int32
+	addr := scriptedServer(t, func(cmd *proto.Command) []byte {
+		if sets.Add(1) > 2 {
+			return nil
+		}
+		return proto.AppendLine(nil, "STORED")
+	})
+	c := newClient(t, client.Config{Addrs: []string{addr}, Retries: 2})
+	p := c.Pipeline()
+	const n = 5
+	for i := 0; i < n; i++ {
+		p.Set(fmt.Sprintf("k%d", i), 0, 0, []byte("v"))
+	}
+	results, err := p.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if answered := i < 2; answered != (r.Err == nil) {
+			t.Errorf("op %d: err = %v, want answered = %v", i, r.Err, answered)
+		}
+	}
+	if got := sets.Load(); got != 3 {
+		t.Errorf("server saw %d commands, want 3 (two answered, one cut, none replayed)", got)
+	}
+}
+
+// TestPipelineBreakerFailsOnlyItsMember: once a dead member's circuit is
+// open its operations fail fast with cluster.ErrPeerDown, in their own
+// slots; the live member's operations in the same batches keep succeeding
+// and Exec never returns an error.
+func TestPipelineBreakerFailsOnlyItsMember(t *testing.T) {
+	live := startServer(t, server.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	addrs := []string{live, dead}
+	c := newClient(t, client.Config{Addrs: addrs, Retries: -1})
+	keys := keysByOwner(t, addrs, 2)
+	p := c.Pipeline()
+	fastFailed := false
+	for round := 0; round <= cluster.DefaultBreakerThreshold && !fastFailed; round++ {
+		for _, k := range append(keys[live], keys[dead]...) {
+			p.Set(k, 0, 0, []byte("v"))
+		}
+		results, err := p.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if onLive := i < len(keys[live]); onLive != (r.Err == nil) {
+				t.Fatalf("round %d op %d: err = %v, want success = %v", round, i, r.Err, onLive)
+			}
+		}
+		fastFailed = errors.Is(results[len(results)-1].Err, cluster.ErrPeerDown)
+	}
+	if !fastFailed {
+		t.Fatal("the dead member's circuit never opened")
 	}
 }

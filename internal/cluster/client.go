@@ -345,7 +345,7 @@ func (c *Client) Start(req []byte, n int, hedge time.Duration) Exchange {
 		x.req = append([]byte(nil), req...)
 		x.hedge = hedge
 		x.res = make(chan hedgeResult, 2) // one send per racer
-		go x.race(false)
+		go c.race(x.req, n, x.res, false)
 		return x
 	}
 	x.pc, x.err = c.send(req)
@@ -354,10 +354,12 @@ func (c *Client) Start(req []byte, n int, hedge time.Duration) Exchange {
 
 // Finish reads the exchange's n replies and hands them to fn in request
 // order on the calling goroutine; each *proto.Resp is valid only during its
-// call. The exchange succeeds or fails as a whole: on error the caller must
-// discard whatever fn saw (a prefix of replies from an attempt that then
-// broke). Error replies are successful exchanges; only transport failures
-// are errors, and only they trip the breaker.
+// call. On error fn has seen a prefix of the replies (possibly none), all
+// from the single attempt that got that far — an attempt is only retried
+// while it has shown fn nothing — so the peer has executed those requests: a
+// caller reporting per request may keep them and fail the rest, a relay may
+// discard them and fail the lot. Error replies are successful exchanges;
+// only transport failures are errors, and only they trip the breaker.
 func (x *Exchange) Finish(fn func(i int, r *proto.Resp)) error {
 	c := x.c
 	if x.refused {
@@ -379,14 +381,17 @@ func (x *Exchange) Finish(fn func(i int, r *proto.Resp)) error {
 	return nil
 }
 
-// race runs one full attempt (send, replies, retries) and reports it.
-func (x *Exchange) race(hedged bool) {
-	res := hedgeResult{replies: make([]*proto.Resp, 0, x.n), hedged: hedged}
-	pc, err := x.c.send(x.req)
-	res.err = x.c.attempt(pc, err, x.req, x.n, func(_ int, r *proto.Resp) {
+// race runs one full attempt (send, replies, retries) of a hedged exchange and
+// reports it on out. It takes the exchange's fields, not the Exchange: a
+// goroutine holding the Exchange would move every one, hedged or not, to the
+// heap.
+func (c *Client) race(req []byte, n int, out chan<- hedgeResult, hedged bool) {
+	res := hedgeResult{replies: make([]*proto.Resp, 0, n), hedged: hedged}
+	pc, err := c.send(req)
+	res.err = c.attempt(pc, err, req, n, func(_ int, r *proto.Resp) {
 		res.replies = append(res.replies, r.Clone())
 	})
-	x.res <- res
+	out <- res
 }
 
 // awaitRace waits for the primary attempt, firing the duplicate once the
@@ -417,7 +422,7 @@ func (x *Exchange) awaitRace(fn func(i int, r *proto.Resp)) error {
 			if launched == 1 {
 				x.c.hedges.Add(1)
 				launched++
-				go x.race(true)
+				go x.c.race(x.req, x.n, x.res, true)
 			}
 		}
 	}

@@ -23,6 +23,9 @@ type fakePeer struct {
 
 	// delay is slept before answering each request.
 	delay atomic.Int64 // nanoseconds
+	// firstConnDelay is slept, on top of delay, before each answer on the
+	// first connection accepted — one stalled socket beside healthy ones.
+	firstConnDelay atomic.Int64 // nanoseconds
 	// dropAll makes the peer close every connection on arrival.
 	dropAll atomic.Bool
 	// dropNext closes the connection (instead of answering) for the next
@@ -65,16 +68,16 @@ func (p *fakePeer) serve() {
 		if err != nil {
 			return
 		}
-		p.conns.Add(1)
+		first := p.conns.Add(1) == 1
 		if p.dropAll.Load() {
 			conn.Close()
 			continue
 		}
-		go p.handle(conn)
+		go p.handle(conn, first)
 	}
 }
 
-func (p *fakePeer) handle(conn net.Conn) {
+func (p *fakePeer) handle(conn net.Conn, first bool) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
@@ -85,6 +88,9 @@ func (p *fakePeer) handle(conn net.Conn) {
 		}
 		p.requests.Add(1)
 		if d := p.delay.Load(); d > 0 {
+			time.Sleep(time.Duration(d))
+		}
+		if d := p.firstConnDelay.Load(); first && d > 0 {
 			time.Sleep(time.Duration(d))
 		}
 		if p.dropAll.Load() {
@@ -163,6 +169,48 @@ func TestClientGetAndPoolReuse(t *testing.T) {
 	resp, err := c.Get("absent", false, 0)
 	if err != nil || len(resp.Values) != 0 || resp.Status != "END" {
 		t.Fatalf("miss = (%+v, %v), want clean END", resp, err)
+	}
+}
+
+// TestClientPoolBoundsConnections: a burst wider than the pool dials what it
+// needs, and once it is over no more than PoolSize connections stay open —
+// the overflow is closed, not leaked — and later requests reuse those.
+func TestClientPoolBoundsConnections(t *testing.T) {
+	peer := newFakePeer(t)
+	peer.set("k", []byte("v"))
+	const poolSize, burst = 2, 8
+	c := NewClient(peer.addr(), ClientOptions{PoolSize: poolSize})
+	defer c.Close()
+	peer.delay.Store(int64(20 * time.Millisecond)) // keep the burst's requests in flight together
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Get("k", false, 0); err != nil {
+				t.Errorf("burst get: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	peer.delay.Store(0)
+	c.connMu.Lock()
+	open := len(c.live)
+	c.connMu.Unlock()
+	if open > poolSize {
+		t.Errorf("%d connections open after the burst, want <= PoolSize %d", open, poolSize)
+	}
+	dials := c.Stats().Dials
+	if dials <= poolSize {
+		t.Fatalf("burst of %d dialed %d connections; it never outgrew the pool", burst, dials)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Get("k", false, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := c.Stats().Dials; d != dials {
+		t.Errorf("sequential gets after the burst dialed %d more connections", d-dials)
 	}
 }
 
@@ -408,6 +456,28 @@ func TestClientHedgedGetWins(t *testing.T) {
 	}
 	if c.Stats().Hedges != 1 {
 		t.Errorf("fast Get hedged: hedges = %d, want still 1", c.Stats().Hedges)
+	}
+}
+
+// TestClientHedgeWinsOnStalledPrimary: the primary's connection stalls, the
+// duplicate on a second connection answers, and the exchange returns long
+// before the primary would have.
+func TestClientHedgeWinsOnStalledPrimary(t *testing.T) {
+	peer := newFakePeer(t)
+	peer.set("k", []byte("v"))
+	c := NewClient(peer.addr(), ClientOptions{})
+	defer c.Close()
+	peer.firstConnDelay.Store(int64(500 * time.Millisecond))
+	start := time.Now()
+	resp, err := c.Get("k", false, 5*time.Millisecond)
+	if err != nil || len(resp.Values) != 1 {
+		t.Fatalf("hedged Get = (%+v, %v)", resp, err)
+	}
+	if e := time.Since(start); e > 400*time.Millisecond {
+		t.Errorf("hedge did not rescue the stalled primary (took %v)", e)
+	}
+	if st := c.Stats(); st.Hedges != 1 || st.HedgeWins != 1 {
+		t.Errorf("hedges = %d, hedge wins = %d, want 1 and 1", st.Hedges, st.HedgeWins)
 	}
 }
 

@@ -53,12 +53,10 @@
 package membership
 
 import (
-	"bufio"
 	"crypto/subtle"
 	"errors"
 	"fmt"
 	"log"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -622,18 +620,12 @@ func (m *Manager) send(addr string, req []byte) (*proto.Response, error) {
 	return dialDo(addr, req, 2*time.Second)
 }
 
-// dialDo runs one request/response round trip on a fresh connection.
+// dialDo runs one request/response round trip with a node outside the member
+// list, on a throw-away transport: one connection, one attempt.
 func dialDo(addr string, req []byte, timeout time.Duration) (*proto.Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := conn.Write(req); err != nil {
-		return nil, err
-	}
-	return proto.ReadResponse(bufio.NewReader(conn))
+	cl := cluster.NewClient(addr, cluster.ClientOptions{DialTimeout: timeout, OpTimeout: timeout, Retries: -1})
+	defer cl.Close()
+	return cl.Do(req)
 }
 
 // syncFrom pulls addr's view and applies it if it supersedes the local
