@@ -47,14 +47,84 @@ func TestEngineGetHitAllocs(t *testing.T) {
 	}
 }
 
-// liveServer boots a value-storing engine behind a real TCP listener and
-// returns a connected client socket. Options{} disables read/write deadlines
-// so the measurement sees only the serving path, not timer churn.
-func liveServer(t *testing.T) (*server.Server, net.Conn) {
+// evictBodies are the value lengths the evicting store workloads cycle
+// through; with a short key and the server's per-item overhead they land in
+// four different slab classes (128 B, 512 B, 2 KiB, 4 KiB slots).
+var evictBodies = [...]int{40, 300, 1200, 3000}
+
+// evictingEngine returns a small value-storing engine under PAMA that is
+// already full, with a key set so much larger than it (about ten times) that
+// a SET of keys[i], cycling i, always finds its key long evicted: every store
+// is an insert that evicts, spread over four classes. body(i) is the value
+// to store under keys[i].
+func evictingEngine(tb testing.TB) (c *cache.Cache, keys []string, body func(i int) []byte) {
+	tb.Helper()
+	c, err := cache.New(cache.Config{
+		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
+		CacheBytes:  2 << 20,
+		StoreValues: true,
+	}, core.New(core.DefaultConfig()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var bodies [len(evictBodies)][]byte
+	for i, n := range evictBodies {
+		bodies[i] = []byte(strings.Repeat("e", n))
+	}
+	body = func(i int) []byte { return bodies[i%len(bodies)] }
+	keys = make([]string, 1<<14)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%05d", i)
+	}
+	// Two passes: the first fills the cache, the second lets the free stacks,
+	// the ghost regions and the item pool reach their steady size.
+	for pass := 0; pass < 2; pass++ {
+		for i, k := range keys {
+			if err := c.Set(k, len(k)+len(body(i))+56, 0.01, 0, body(i)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return c, keys, body
+}
+
+// TestEngineSetEvictAllocs pins the store path of a full value-storing
+// engine at zero allocations per SET: the evicted item's slot buffer is the
+// one the new value lands in, so neither the value nor the item is new
+// memory. (AllocsPerRun divides as integers: the slots re-carved by an
+// occasional slab migration between classes average out below one.)
+func TestEngineSetEvictAllocs(t *testing.T) {
+	c, keys, body := evictingEngine(t)
+	evicted := c.Stats().Evictions
+	var i int
+	const runs = 5000
+	allocs := testing.AllocsPerRun(runs, func() {
+		k := keys[i%len(keys)]
+		if err := c.Set(k, len(k)+len(body(i))+56, 0.01, 0, body(i)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if got := c.Stats().Evictions - evicted; got < runs {
+		t.Fatalf("%d SETs evicted only %d items: the cache is not full", runs, got)
+	}
+	if allocs != 0 {
+		t.Fatalf("evicting SET allocates %.1f objects per request, want 0", allocs)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// liveServer boots a value-storing engine of cacheBytes behind a real TCP
+// listener and returns the engine and a connected client socket. Options{} disables
+// read/write deadlines so the measurement sees only the serving path, not
+// timer churn.
+func liveServer(t *testing.T, cacheBytes int64) (*cache.Cache, net.Conn) {
 	t.Helper()
 	c, err := cache.New(cache.Config{
 		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
-		CacheBytes:  1 << 24,
+		CacheBytes:  cacheBytes,
 		StoreValues: true,
 		WindowLen:   1 << 40,
 	}, core.New(core.DefaultConfig()))
@@ -73,7 +143,7 @@ func liveServer(t *testing.T) (*server.Server, net.Conn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return srv, conn
+	return c, conn
 }
 
 // TestServedPipelinedGetHitAllocs is the tentpole's end-to-end gate: a
@@ -84,7 +154,7 @@ func liveServer(t *testing.T) (*server.Server, net.Conn) {
 // is the server's budget.
 func TestServedPipelinedGetHitAllocs(t *testing.T) {
 	const depth = 64
-	_, conn := liveServer(t)
+	_, conn := liveServer(t, 1<<24)
 	body := strings.Repeat("v", 100)
 
 	// Preload over the wire so the whole path under test is the public one.
@@ -128,12 +198,23 @@ func TestServedPipelinedGetHitAllocs(t *testing.T) {
 	}
 }
 
+// servedSetBudget is the allocation budget of one served SET: the key clone,
+// with slack for the runtime's own background allocations. Under the race
+// detector the pooled parse buffers are randomly dropped, which the budget
+// has to absorb (the pre-slot-buffer guard sat at 2.5 everywhere).
+func servedSetBudget() float64 {
+	if raceEnabled {
+		return 2.5
+	}
+	return 1.1
+}
+
 // TestServedPipelinedSetAllocs gates the store path end to end: overwrite
 // SETs of resident keys ride pooled parse buffers and reuse the slab slot, so
 // the only per-request allocation left is the key clone handed to the engine.
 func TestServedPipelinedSetAllocs(t *testing.T) {
 	const depth = 64
-	_, conn := liveServer(t)
+	_, conn := liveServer(t, 1<<24)
 	body := strings.Repeat("w", 100)
 
 	var req []byte
@@ -160,7 +241,55 @@ func TestServedPipelinedSetAllocs(t *testing.T) {
 		t.Fatalf("reply tail %q", resp[len(resp)-16:])
 	}
 	perOp := allocs / depth
-	if perOp > 2.5 {
+	if perOp > servedSetBudget() {
 		t.Fatalf("pipelined overwrite SET allocates %.2f objects per request end to end, want ~1 (key clone)", perOp)
+	}
+}
+
+// TestServedPipelinedSetEvictAllocs is the same gate with the cache full:
+// every SET inserts a key that was evicted long ago, into one of four slab
+// classes, and evicts to do so. The slot the victim gives back is the slot
+// the new value lands in, so the budget is still the key clone alone.
+func TestServedPipelinedSetEvictAllocs(t *testing.T) {
+	const depth = 64
+	const nkeys = 1 << 13 // ~9 MiB of items against a 1 MiB cache
+	eng, conn := liveServer(t, 1<<20)
+
+	batches := make([][]byte, nkeys/depth)
+	for b := range batches {
+		for j := 0; j < depth; j++ {
+			i := b*depth + j
+			n := evictBodies[i%len(evictBodies)]
+			batches[b] = append(batches[b], fmt.Sprintf("set key%05d 0 0 %d\r\n%s\r\n", i, n, strings.Repeat("e", n))...)
+		}
+	}
+	resp := make([]byte, depth*len("STORED\r\n"))
+	var next int
+	send := func() {
+		if _, err := conn.Write(batches[next%len(batches)]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, resp); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	// Two passes over the key space fill the cache and settle the free
+	// stacks, ghost regions and connection scratch.
+	for next < 2*len(batches) {
+		send()
+	}
+	evicted := eng.Stats().Evictions
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, send)
+	if !strings.HasSuffix(string(resp), "STORED\r\n") {
+		t.Fatalf("reply tail %q", resp[len(resp)-16:])
+	}
+	if got := eng.Stats().Evictions - evicted; got < runs*depth {
+		t.Fatalf("%d SETs evicted only %d items: the cache is not full", runs*depth, got)
+	}
+	perOp := allocs / depth
+	if perOp > servedSetBudget() {
+		t.Fatalf("pipelined evicting SET allocates %.2f objects per request end to end, want ~1 (key clone)", perOp)
 	}
 }

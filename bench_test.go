@@ -131,6 +131,20 @@ func BenchmarkEngineSetChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSetEvict measures a value-storing SET into a full cache:
+// every store inserts a long-evicted key into one of four slab classes and
+// evicts to make room (the configuration TestEngineSetEvictAllocs pins at 0
+// allocs/op). BenchmarkEngineSetChurn above is its metadata-only twin.
+func BenchmarkEngineSetEvict(b *testing.B) {
+	c, keys, body := evictingEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		c.Set(k, len(k)+len(body(i))+56, 0.01, 0, body(i))
+	}
+}
+
 // BenchmarkEngineMixed measures a 90/10 get/set mix over a working set
 // larger than the cache.
 func BenchmarkEngineMixed(b *testing.B) {

@@ -65,8 +65,8 @@ func runLive(w io.Writer, addr string, interval time.Duration, samples int) erro
 	prevT := time.Now()
 	fmt.Fprintf(w, "# %s  policy=%s  items=%d  shards' slabs=%v\n",
 		url, prev.Policy, prev.Items, prev.Slabs)
-	fmt.Fprintf(w, "%10s %10s %8s %8s %10s %12s %12s\n",
-		"gets/s", "sets/s", "hit%", "evic/s", "items", "p99get(ms)", "migrations")
+	fmt.Fprintf(w, "%10s %10s %8s %8s %10s %12s %12s %6s\n",
+		"gets/s", "sets/s", "hit%", "evic/s", "items", "p99get(ms)", "migrations", "gc")
 
 	for n := 0; samples <= 0 || n < samples; n++ {
 		time.Sleep(interval)
@@ -101,9 +101,12 @@ func runLive(w io.Writer, addr string, interval time.Duration, samples int) erro
 		if lat, ok := cur.Latencies["get"]; ok {
 			p99 = lat.P99 * 1e3 // cumulative, not windowed: quantiles need buckets
 		}
-		fmt.Fprintf(w, "%10.0f %10.0f %8s %8.0f %10d %12.3f %12d\n",
+		// gc is the server's collector cycles this window: a store path that
+		// recycles its value slots keeps it near zero under any SET rate.
+		fmt.Fprintf(w, "%10.0f %10.0f %8s %8.0f %10d %12.3f %12d %6d\n",
 			float64(dGets)/dt, float64(dSets)/dt, hitCell, float64(dEvic)/dt,
-			cur.Items, p99, cur.Engine.SlabMigrations)
+			cur.Items, p99, cur.Engine.SlabMigrations,
+			cur.Runtime.GCCycles-prev.Runtime.GCCycles)
 		writeTenantRows(w, prev, cur, dt)
 		writeMemberRows(w, prev, cur, dt)
 		prev, prevT = cur, now

@@ -56,7 +56,8 @@ func stubStatsz(t *testing.T) *httptest.Server {
 				Evictions:      10 * n,
 				SlabMigrations: n,
 			},
-			Slabs: []int{3, 2, 1},
+			Slabs:   []int{3, 2, 1},
+			Runtime: server.RuntimeStatsz{GCCycles: 3 * n},
 			Latencies: map[string]server.LatencySummary{
 				"get": {Count: 1000 * n, Mean: 0.0001, P50: 0.0001, P95: 0.0005, P99: 0.002},
 			},
@@ -85,8 +86,8 @@ func TestRunLiveRendersDeltas(t *testing.T) {
 	}
 	for _, row := range lines[2:] {
 		f := strings.Fields(row)
-		if len(f) != 7 {
-			t.Fatalf("row %q has %d columns, want 7", row, len(f))
+		if len(f) != 8 {
+			t.Fatalf("row %q has %d columns, want 8", row, len(f))
 		}
 		// Each window advances hits by 750 of 1000 gets: hit% is exact
 		// regardless of wall-clock jitter in the rates.
@@ -96,6 +97,10 @@ func TestRunLiveRendersDeltas(t *testing.T) {
 		// p99 is rendered in milliseconds: 0.002 s -> 2.000.
 		if f[5] != "2.000" {
 			t.Errorf("p99 column = %q, want 2.000", f[5])
+		}
+		// GC cycles are a per-window delta, not the cumulative count.
+		if f[7] != "3" {
+			t.Errorf("gc column = %q, want 3", f[7])
 		}
 	}
 }

@@ -11,6 +11,7 @@
 package backend
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -260,11 +261,15 @@ func Synthesize(keyHash uint64, size int) []byte {
 	}
 	v := make([]byte, size)
 	x := keyHash
-	for i := 0; i < size; i += 8 {
+	i := 0
+	for ; i+8 <= size; i += 8 {
 		x = kv.Mix64(x)
-		for j := 0; j < 8 && i+j < size; j++ {
-			v[i+j] = byte(x >> (8 * uint(j)))
-		}
+		binary.LittleEndian.PutUint64(v[i:], x)
+	}
+	if i < size {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], kv.Mix64(x))
+		copy(v[i:], tail[:])
 	}
 	return v
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pamakv/internal/kv"
 	"pamakv/internal/penalty"
 )
 
@@ -82,6 +83,30 @@ func TestSynthesizeShapes(t *testing.T) {
 	}
 	if len(a) != 33 {
 		t.Fatalf("length %d, want 33", len(a))
+	}
+}
+
+// TestSynthesizeMatchesByteLoop pins the word-at-a-time generator byte for
+// byte against the loop it replaced: bodies are part of the wire contract
+// (the benchmark byte-checks read-through replies).
+func TestSynthesizeMatchesByteLoop(t *testing.T) {
+	byteLoop := func(keyHash uint64, size int) []byte {
+		v := make([]byte, size)
+		x := keyHash
+		for i := 0; i < size; i += 8 {
+			x = kv.Mix64(x)
+			for j := 0; j < 8 && i+j < size; j++ {
+				v[i+j] = byte(x >> (8 * uint(j)))
+			}
+		}
+		return v
+	}
+	for _, h := range []uint64{0, 1, 0xdeadbeefcafef00d} {
+		for size := 0; size <= 40; size++ {
+			if got, want := Synthesize(h, size), byteLoop(h, size); !bytes.Equal(got, want) {
+				t.Fatalf("hash %#x size %d: got %x, want %x", h, size, got, want)
+			}
+		}
 	}
 }
 

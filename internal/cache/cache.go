@@ -163,7 +163,10 @@ type subclass struct {
 
 type class struct {
 	spc  int // slots per slab
+	slot int // slot size in bytes
 	subs []subclass
+	// vfree is the free stack of released value slots (see values.go).
+	vfree [][]byte
 }
 
 // Cache is the engine. All methods are safe for concurrent use; the engine
@@ -292,6 +295,7 @@ func buildClasses(g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind, with
 	for ci := range classes {
 		cl := &classes[ci]
 		cl.spc = g.SlotsPerSlab(ci)
+		cl.slot = g.SlotSize(ci)
 		cl.subs = make([]subclass, nsub)
 		for si := range cl.subs {
 			s := &cl.subs[si]
@@ -481,10 +485,10 @@ func (c *Cache) SetTTL(key string, size int, pen float64, flags uint32, expireAt
 	c.casCounter++
 	it.CAS = c.casCounter
 	if c.cfg.StoreValues {
-		it.Value = append(it.Value[:0], value...)
+		c.storeValue(it, cl, value)
 	}
 	it.Gen = c.gen
-	c.holes[cl] += int64(c.geom.SlotSize(cl) - size)
+	c.holes[cl] += int64(c.classes[cl].slot - size)
 	c.index.Put(it)
 	s := &c.classes[cl].subs[sub]
 	s.list.PushFront(it)
@@ -630,6 +634,7 @@ func (c *Cache) MigrateSlab(fromClass, fromSub, toClass int) error {
 	if err := c.slabs.MoveSlab(fromClass, toClass); err != nil {
 		return err
 	}
+	c.trimValues(fromClass)
 	c.moves[fromClass][toClass]++
 	return nil
 }
@@ -760,6 +765,9 @@ func (c *Cache) CheckInvariants() error {
 				ci, c.holes[ci], holes)
 		}
 		total += n
+	}
+	if err := c.checkValuesLocked(); err != nil {
+		return err
 	}
 	budget := c.slabs.TotalSlabs()
 	if o := c.old; o != nil {
@@ -938,8 +946,9 @@ func (c *Cache) largestSub(class int) int {
 	return best
 }
 
-// pushGhost turns an evicted item into a ghost entry (key + penalty only),
-// or releases it when ghost regions are disabled.
+// pushGhost turns an evicted item into a ghost entry (key + penalty only;
+// its value slot goes back to the class), or releases it when ghost regions
+// are disabled.
 func (c *Cache) pushGhost(it *kv.Item) {
 	s := &c.classes[it.Class].subs[it.Sub]
 	if s.gcap == 0 {
@@ -947,7 +956,7 @@ func (c *Cache) pushGhost(it *kv.Item) {
 		return
 	}
 	it.Ghost = true
-	it.Value = nil
+	c.releaseValue(it)
 	if old := c.gindex.Put(it); old != nil {
 		// A stale ghost with the same key: drop the old entry.
 		s2 := &c.classes[old.Class].subs[old.Sub]
@@ -1003,9 +1012,15 @@ func (c *Cache) acquire() *kv.Item {
 	return &kv.Item{}
 }
 
-// release returns a detached item to the pool.
-func (c *Cache) release(it *kv.Item) { c.releaseRaw(it) }
+// release returns a detached resident item to the pool and its value slot to
+// the class's free stack.
+func (c *Cache) release(it *kv.Item) {
+	c.releaseValue(it)
+	c.releaseRaw(it)
+}
 
+// releaseRaw pools an item that holds no slot: a ghost, or a stale-buffer
+// entry whose private copy is simply dropped.
 func (c *Cache) releaseRaw(it *kv.Item) {
 	if len(c.pool) >= 8192 {
 		return

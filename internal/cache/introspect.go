@@ -100,6 +100,10 @@ type Introspection struct {
 	// BytesHoles is per-class internal fragmentation — bytes of slot
 	// capacity occupied by residents but unused (the memory-holes gauge).
 	BytesHoles []int64 `json:"bytes_holes"`
+	// FreeValueBuffers is, per class, how many released value slots are
+	// stacked for reuse (values.go): never more than the class's free
+	// slots, all zero in metadata-only mode.
+	FreeValueBuffers []int `json:"free_value_buffers"`
 
 	// ReslabActive reports a live geometry transition in progress;
 	// ReslabOldItems counts residents still awaiting migration out of the
@@ -127,22 +131,23 @@ func (c *Cache) Introspect() Introspection {
 	nc := c.geom.NumClasses
 	ns := len(c.classes[0].subs)
 	in := Introspection{
-		Policy:         c.policy.Name(),
-		Classes:        nc,
-		Subclasses:     ns,
-		SlotSizes:      make([]int, nc),
-		SubclassBounds: append([]float64(nil), c.bounds...),
-		Slabs:          c.slabs.Snapshot(),
-		FreeSlabs:      c.slabs.FreeSlabs(),
-		TotalSlabs:     c.slabs.TotalSlabs(),
-		UsedSlots:      make([]int, nc),
-		SubLens:        make([][]int, nc),
-		SubHits:        make([][]uint64, nc),
-		SubMisses:      make([][]uint64, nc),
-		SlabMoves:      make([][]uint64, nc),
-		BytesHoles:     append([]int64(nil), c.holes...),
-		Items:          c.index.Len(),
-		Stats:          c.stats,
+		Policy:           c.policy.Name(),
+		Classes:          nc,
+		Subclasses:       ns,
+		SlotSizes:        make([]int, nc),
+		SubclassBounds:   append([]float64(nil), c.bounds...),
+		Slabs:            c.slabs.Snapshot(),
+		FreeSlabs:        c.slabs.FreeSlabs(),
+		TotalSlabs:       c.slabs.TotalSlabs(),
+		UsedSlots:        make([]int, nc),
+		FreeValueBuffers: make([]int, nc),
+		SubLens:          make([][]int, nc),
+		SubHits:          make([][]uint64, nc),
+		SubMisses:        make([][]uint64, nc),
+		SlabMoves:        make([][]uint64, nc),
+		BytesHoles:       append([]int64(nil), c.holes...),
+		Items:            c.index.Len(),
+		Stats:            c.stats,
 	}
 	in.Stats.SlabMigrations = c.slabs.Migrations
 	if c.old != nil {
@@ -153,6 +158,7 @@ func (c *Cache) Introspect() Introspection {
 	for ci := 0; ci < nc; ci++ {
 		in.SlotSizes[ci] = c.geom.SlotSize(ci)
 		in.UsedSlots[ci] = c.slabs.Used(ci)
+		in.FreeValueBuffers[ci] = len(c.classes[ci].vfree)
 		in.SubLens[ci] = make([]int, ns)
 		for si := 0; si < ns; si++ {
 			in.SubLens[ci][si] = c.classes[ci].subs[si].list.Len()
@@ -191,6 +197,7 @@ func (in *Introspection) Merge(other Introspection) {
 	}
 	addInts(in.Slabs, other.Slabs)
 	addInts(in.UsedSlots, other.UsedSlots)
+	addInts(in.FreeValueBuffers, other.FreeValueBuffers)
 	for i := range other.BytesHoles {
 		if i < len(in.BytesHoles) {
 			in.BytesHoles[i] += other.BytesHoles[i]

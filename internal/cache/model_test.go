@@ -195,9 +195,10 @@ func (m *oracleModel) delete(key string) bool {
 	return true
 }
 
-// TestOracleFullCommandSet is the seeded oracle run. Rerun a failure with
-// PAMA_MODEL_SEED=<logged seed>.
-func TestOracleFullCommandSet(t *testing.T) {
+// modelSeed returns the seed of a seeded model run: PAMA_MODEL_SEED when set
+// (to replay a failure), the clock otherwise. The seed is logged either way.
+func modelSeed(t *testing.T) int64 {
+	t.Helper()
 	seed := time.Now().UnixNano()
 	if s := os.Getenv("PAMA_MODEL_SEED"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
@@ -206,8 +207,14 @@ func TestOracleFullCommandSet(t *testing.T) {
 		}
 		seed = v
 	}
-	t.Logf("oracle seed %d (rerun with PAMA_MODEL_SEED=%d)", seed, seed)
-	rng := rand.New(rand.NewSource(seed))
+	t.Logf("model seed %d (rerun with PAMA_MODEL_SEED=%d)", seed, seed)
+	return seed
+}
+
+// TestOracleFullCommandSet is the seeded oracle run. Rerun a failure with
+// PAMA_MODEL_SEED=<logged seed>.
+func TestOracleFullCommandSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(modelSeed(t)))
 	for round := 0; round < 6; round++ {
 		oracleRound(t, rng.Int63())
 	}

@@ -93,6 +93,9 @@ func (c *Cache) GetWithCAS(key string, buf []byte) (val []byte, flags uint32, ca
 // token returned by GetWithCAS. Returns ErrNotStored (add/replace) or
 // ErrCASMismatch when the precondition fails.
 func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
+	if mode == ModeSet {
+		return c.SetTTL(key, size, pen, flags, expireAt, value)
+	}
 	c.mu.Lock()
 	present, tok := c.peekLocked(key)
 	switch mode {

@@ -206,6 +206,9 @@ func (c *Cache) beginReslabLocked(target kv.Geometry) error {
 			// the quiesced policy will not make. Drop them.
 			s.tr = nil
 		}
+		// Its free value slots are sized for the outgoing geometry: retire
+		// them with the era (see values.go).
+		c.classes[ci].vfree = nil
 	}
 
 	c.old = &oldEra{
@@ -296,9 +299,9 @@ func (c *Cache) reslabStepLocked(maxItems int) (migrated int, done bool) {
 }
 
 // reslabPlaceLocked re-slots one migrating item into the target era,
-// reporting success. On success the item keeps its identity (key, value,
-// CAS, penalty, expiry) and lands at the LRU end of its new stack — within
-// one donor stack MRU items migrate first, so relative recency among
+// reporting success. On success the item keeps its identity (key, value
+// bytes, CAS, penalty, expiry) and lands at the LRU end of its new stack —
+// within one donor stack MRU items migrate first, so relative recency among
 // migrated items is preserved at the eviction tail.
 func (c *Cache) reslabPlaceLocked(it *kv.Item) bool {
 	cl := c.geom.ClassFor(it.Size)
@@ -319,6 +322,10 @@ func (c *Cache) reslabPlaceLocked(it *kv.Item) bool {
 	_ = c.slabs.UseSlot(cl)
 	it.Class = cl
 	it.Gen = c.gen
+	if it.Value != nil {
+		// The value leaves its outgoing-era slot for one of its new class.
+		c.storeValue(it, cl, it.Value)
+	}
 	c.holes[cl] += int64(c.geom.SlotSize(cl) - it.Size)
 	c.classes[cl].subs[it.Sub].list.PushBack(it)
 	c.stats.ReslabMoved++

@@ -33,7 +33,9 @@ func (c *Cache) pushStaleLocked(it *kv.Item) {
 	e.Key = it.Key
 	e.Hash = it.Hash
 	e.Flags = it.Flags
-	e.Value = append(e.Value[:0], it.Value...)
+	// A private copy, charged to the stale budget: the dying item's slot goes
+	// back to its class.
+	e.Value = append([]byte(nil), it.Value...)
 	if old := c.staleIdx.Put(e); old != nil {
 		c.staleLst.Remove(old)
 		c.staleSize -= staleCost(old)

@@ -145,6 +145,7 @@ func (c *Cache) DonateSlab() error {
 		if err := c.slabs.ReleaseSlab(cl); err != nil {
 			return err
 		}
+		c.trimValues(cl)
 		if tv, isValuer := c.policy.(TenantValuer); isValuer {
 			tv.NoteDonated(cl, sub)
 		}

@@ -49,6 +49,10 @@ type Item struct {
 	// Hash caches the 64-bit hash of Key used by the index and the Bloom
 	// filters; it is computed once at insertion.
 	Hash uint64
+	// HNext is the intrusive hash-chain link (owned by package hashtable).
+	// It sits beside Key and Hash so a chain step that rejects an item
+	// (hash or key mismatch) reads one cache line, not two.
+	HNext *Item
 	// Size is the item's footprint in bytes charged against its slot: key
 	// length + value length + per-item metadata overhead.
 	Size int
@@ -57,7 +61,9 @@ type Item struct {
 	// segment an access lands in.
 	Penalty float64
 	// Value holds the item bytes when the cache stores values; nil in
-	// metadata-only (simulation) mode.
+	// metadata-only (simulation) mode. The buffer belongs to the engine's
+	// per-class slot stacks (package cache), not to the item: the engine
+	// detaches it before the item is pooled.
 	Value []byte
 	// Flags carries opaque client flags (Memcached protocol compatibility).
 	Flags uint32
@@ -93,19 +99,10 @@ type Item struct {
 
 	// Prev and Next are the intrusive LRU links (owned by package lru).
 	Prev, Next *Item
-	// HNext is the intrusive hash-chain link (owned by package hashtable).
-	HNext *Item
 }
 
-// Reset clears an item for reuse from a free pool, keeping only the backing
-// Value capacity.
-func (it *Item) Reset() {
-	v := it.Value
-	*it = Item{}
-	if v != nil {
-		it.Value = v[:0]
-	}
-}
+// Reset clears an item for reuse from a free pool.
+func (it *Item) Reset() { *it = Item{} }
 
 // Geometry describes the slab-class layout. In the default (power-of-two)
 // law, class i holds items of size at most Base << i; when Slots is set it

@@ -78,6 +78,34 @@ func TestHistBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestObserveNEqualsRepeatedObserve: ObserveN(v, n) must leave the histogram
+// exactly where n calls of Observe(v) would — same bucket, same count — and
+// the same sum up to the rounding of one multiplication against n additions.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	one, many := NewHist(1e-6, 7), NewHist(1e-6, 7)
+	for _, tc := range []struct {
+		v float64
+		n uint64
+	}{{3.7e-5, 32}, {0, 3}, {1e-6, 1}, {2.5e-3, 64}, {99, 2}, {5e-4, 0}} {
+		many.ObserveN(tc.v, tc.n)
+		for i := uint64(0); i < tc.n; i++ {
+			one.Observe(tc.v)
+		}
+	}
+	a, b := one.Snapshot(), many.Snapshot()
+	if a.Count != b.Count || a.Count != 102 {
+		t.Fatalf("counts %d vs %d, want 102", a.Count, b.Count)
+	}
+	for i := range a.Buckets {
+		if a.Buckets[i] != b.Buckets[i] {
+			t.Errorf("bucket %d: %d observed one by one, %d by ObserveN", i, a.Buckets[i], b.Buckets[i])
+		}
+	}
+	if !(math.Abs(a.Sum-b.Sum) <= 1e-12*a.Sum) {
+		t.Errorf("sums %v vs %v", a.Sum, b.Sum)
+	}
+}
+
 func TestHistMatchesMetricsHistogram(t *testing.T) {
 	// obs.Hist and metrics.Histogram share one bucket scheme; identical
 	// inputs must yield identical counts, means, and quantile bounds.

@@ -24,6 +24,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -245,7 +246,13 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("pamakv_batched_commands_total", "Requests served across batches.", ss.BatchedCmds)
 	p.Counter("pamakv_stale_serves_total", "GETs degraded to a stale value.", ss.StaleServes)
 
-	p.Header("pamakv_request_seconds", "Request latency from parse to flush, by command family.", "histogram")
+	rt := readRuntime()
+	p.Counter("pamakv_go_gc_cycles_total", "Completed Go garbage-collection cycles.", rt.GCCycles)
+	p.Header("pamakv_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter")
+	p.Value("pamakv_go_gc_pause_seconds_total", "", rt.GCPauseSeconds)
+	p.Gauge("pamakv_go_heap_alloc_bytes", "Bytes of live and not-yet-swept Go heap objects.", float64(rt.HeapAllocBytes))
+
+	p.Header("pamakv_request_seconds", "Request latency from batch arrival to flush, by command family.", "histogram")
 	for fam, snap := range a.srv.Latencies() {
 		p.Histogram("pamakv_request_seconds", `cmd="`+fam+`"`, snap)
 	}
@@ -474,6 +481,12 @@ func (a *Admin) writeIntrospection(p *obs.PromWriter, in cache.Introspection) {
 		}
 	}
 	p.Gauge("pamakv_holes_bytes_total", "Internal fragmentation across all classes.", float64(holesTotal))
+	p.Header("pamakv_free_value_buffers", "Released value slots stacked for reuse per size class (at most the class's free slots).", "gauge")
+	for cl, n := range in.FreeValueBuffers {
+		if n != 0 {
+			p.Value("pamakv_free_value_buffers", `class="`+strconv.Itoa(cl)+`"`, float64(n))
+		}
+	}
 	p.Counter("pamakv_reslabs_total", "Live geometry transitions begun.", in.Stats.Reslabs)
 	p.Counter("pamakv_reslab_moved_total", "Items migrated across geometry transitions.", in.Stats.ReslabMoved)
 	reslabActive := 0.0
@@ -624,6 +637,24 @@ type ClusterStatsz struct {
 	Peers         map[string]PeerStatsz  `json:"peers"`
 }
 
+// RuntimeStatsz is the Go-runtime section of /statsz: whether the collector
+// is at work on the serving path is answerable from two polls of these.
+type RuntimeStatsz struct {
+	GCCycles       uint64  `json:"gc_cycles"`
+	GCPauseSeconds float64 `json:"gc_pause_seconds_total"`
+	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
+}
+
+func readRuntime() RuntimeStatsz {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return RuntimeStatsz{
+		GCCycles:       uint64(ms.NumGC),
+		GCPauseSeconds: float64(ms.PauseTotalNs) / 1e9,
+		HeapAllocBytes: ms.HeapAlloc,
+	}
+}
+
 // Statsz is the /statsz document: everything the in-band `stats` command
 // reports plus the structures it cannot carry (matrices, histograms). All
 // numbers are finite — "no traffic" ratios are omitted, never NaN, because
@@ -636,6 +667,7 @@ type Statsz struct {
 	Server   Stats       `json:"server"`
 	Slabs    []int       `json:"slabs"`
 
+	Runtime       RuntimeStatsz             `json:"runtime"`
 	Latencies     map[string]LatencySummary `json:"latencies"`
 	Backend       *BackendStatsz            `json:"backend,omitempty"`
 	Overload      *OverloadStatsz           `json:"overload,omitempty"`
@@ -658,11 +690,12 @@ type Statsz struct {
 func (a *Admin) statsz() Statsz {
 	st := a.srv.c.Stats()
 	doc := Statsz{
-		Policy: a.srv.c.PolicyName(),
-		Items:  a.srv.c.Items(),
-		Engine: st,
-		Server: a.srv.Stats(),
-		Slabs:  a.srv.c.SnapshotSlabs(),
+		Policy:  a.srv.c.PolicyName(),
+		Items:   a.srv.c.Items(),
+		Engine:  st,
+		Server:  a.srv.Stats(),
+		Slabs:   a.srv.c.SnapshotSlabs(),
+		Runtime: readRuntime(),
 	}
 	if st.Gets > 0 {
 		hr := float64(st.Hits) / float64(st.Gets)

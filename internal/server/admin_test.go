@@ -184,10 +184,19 @@ func TestAdminEndToEnd(t *testing.T) {
 			`pamakv_slabs{class="0"}`,
 			`pamakv_request_seconds_count{cmd="get"}`,
 			`pamakv_request_seconds_bucket{cmd="get",le="+Inf"}`,
+			`pamakv_go_gc_cycles_total`,
+			`pamakv_go_gc_pause_seconds_total`,
 		} {
 			if _, ok := samples[want]; !ok {
 				t.Errorf("missing sample %s", want)
 			}
+		}
+		if samples["pamakv_go_heap_alloc_bytes"] <= 0 {
+			t.Errorf("pamakv_go_heap_alloc_bytes = %v", samples["pamakv_go_heap_alloc_bytes"])
+		}
+		// The deleted key0 (80 bytes: class 1) left its slot on the stack.
+		if got := samples[`pamakv_free_value_buffers{class="1"}`]; got != 1 {
+			t.Errorf(`pamakv_free_value_buffers{class="1"} = %v, want 1`, got)
 		}
 		var subHits float64
 		for name, v := range samples {
@@ -263,6 +272,15 @@ func TestAdminEndToEnd(t *testing.T) {
 		}
 		if subHits != doc.Engine.Hits {
 			t.Errorf("introspection sum(SubHits) = %d, want %d", subHits, doc.Engine.Hits)
+		}
+		if len(in.FreeValueBuffers) != in.Classes || in.FreeValueBuffers[1] != 1 {
+			t.Errorf("free_value_buffers = %v, want one slot stacked in class 1 of %d", in.FreeValueBuffers, in.Classes)
+		}
+		if doc.Runtime.HeapAllocBytes == 0 {
+			t.Errorf("runtime section empty: %+v", doc.Runtime)
+		}
+		if !strings.Contains(body, `"gc_cycles"`) || !strings.Contains(body, `"gc_pause_seconds_total"`) {
+			t.Errorf("runtime keys missing from /statsz")
 		}
 		if doc.Latencies["get"].Count != doc.Engine.Gets {
 			t.Errorf("latency get count = %d, want %d", doc.Latencies["get"].Count, doc.Engine.Gets)

@@ -106,22 +106,14 @@ const (
 	maxRetainedScratch = 64 << 10
 )
 
-// pending records one pipelined request awaiting its batch flush: latency
-// is observed once the shared flush lands.
-type pending struct {
-	fam   uint8
-	start time.Time
-}
-
 // connScratch is a connection's reusable serving state. Together with the
 // proto.Parser it makes the request→response path allocation-free in steady
 // state: the response accumulates in out, engine values are copied into
 // val, and both buffers live for the connection (capacity-capped after each
 // flush).
 type connScratch struct {
-	out  []byte    // response batch buffer
-	val  []byte    // engine value copy target (Get/GetWithCAS/GetStale)
-	lats []pending // per-batch latency records, preallocated at MaxPipeline
+	out []byte // response batch buffer
+	val []byte // engine value copy target (Get/GetWithCAS/GetStale)
 
 	// Cluster mode only (see peerbatch.go): the batch's commands awaiting a
 	// remote owner, the one exchange per owner that carries them, and the
@@ -372,8 +364,9 @@ type Server struct {
 	ctrl *overload.Controller
 
 	// lat holds one request-latency histogram per command family, measured
-	// from command parse to response flush (the client-visible interval
-	// minus the wire). Buckets span [1µs, 10s) on a log scale.
+	// from the arrival of the command's batch to the batch's response flush
+	// (the client-visible interval minus the wire). Buckets span [1µs, 10s)
+	// on a log scale.
 	lat [numFams]*obs.Hist
 }
 
@@ -559,9 +552,10 @@ func (s *Server) HotCacheStats() (st cluster.HotCacheStats, ok bool) {
 
 // Latencies snapshots the per-family request-latency histograms, keyed by
 // family name ("get", "set", "delete", "delta", "other"). Latency is
-// measured from command parse to response flush; pipelined requests in one
-// batch share a flush, so each carries its queueing delay behind its batch
-// mates — the client's view.
+// measured from batch arrival to response flush: pipelined requests in one
+// batch were all in the read buffer when the first of them parsed and share
+// one flush, so each carries its queueing delay behind its batch mates — the
+// client's view. The clock is read twice per batch, not per command.
 func (s *Server) Latencies() map[string]obs.HistSnapshot {
 	m := make(map[string]obs.HistSnapshot, numFams)
 	for i, h := range s.lat {
@@ -695,10 +689,7 @@ func (s *Server) handle(conn net.Conn) {
 	// connection's life (capacity-capped after each flush).
 	p := proto.NewParser(r)
 	defer p.Close()
-	sc := &connScratch{
-		out:  make([]byte, 0, initialScratch),
-		lats: make([]pending, 0, maxBatch),
-	}
+	sc := &connScratch{out: make([]byte, 0, initialScratch)}
 	for {
 		// Block for the next request under the idle deadline.
 		if s.opts.ReadTimeout > 0 {
@@ -716,7 +707,12 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			continue
 		}
-		sc.lats = append(sc.lats[:0], pending{famOf(cmd.Name), time.Now()})
+		// One clock stamp for the whole batch: every command served below was
+		// already in the read buffer when the first one parsed, so the batch's
+		// arrival is each command's arrival as its client saw it.
+		arrived := time.Now()
+		var served [numFams]uint64
+		served[famOf(cmd.Name)]++
 		sc.out = s.serve(sc, sc.out[:0], cmd)
 		quit := cmd.Name == "quit"
 		batch := 1
@@ -738,7 +734,7 @@ func (s *Server) handle(conn net.Conn) {
 				batchErr = err
 				break
 			}
-			sc.lats = append(sc.lats, pending{famOf(cmd.Name), time.Now()})
+			served[famOf(cmd.Name)]++
 			sc.out = s.serve(sc, sc.out, cmd)
 			batch++
 			quit = cmd.Name == "quit"
@@ -754,9 +750,9 @@ func (s *Server) handle(conn net.Conn) {
 		sc.capScratch()
 		// The flush is the moment the whole batch became visible to the
 		// client; observe every request against it.
-		now := time.Now()
-		for _, pd := range sc.lats {
-			s.lat[pd.fam].Observe(now.Sub(pd.start).Seconds())
+		took := time.Since(arrived).Seconds()
+		for fam, n := range served {
+			s.lat[fam].ObserveN(took, n)
 		}
 		if quit {
 			return
@@ -1204,9 +1200,12 @@ func (s *Server) doDelta(out []byte, cmd *proto.Command) []byte {
 
 func (s *Server) doSet(out []byte, cmd *proto.Command) []byte {
 	// The engine retains the stored key; the parsed key aliases the
-	// connection's parser scratch, so the fill path clones it — the O(1)
-	// allocation a SET is budgeted (the value itself is copied from the
-	// pooled data buffer into the item's reused slot).
+	// connection's parser scratch, so the fill path clones it — the one
+	// allocation a SET is budgeted. The value is copied from the pooled data
+	// buffer into a slot buffer of the item's slab class: the slot the
+	// overwritten or evicted item just gave back, taken off the class's free
+	// stack (cache/values.go), so storing into a full cache allocates no
+	// value memory.
 	key := strings.Clone(cmd.Keys[0])
 	pen := penalty.DefaultUnknown
 	if s.opts.Backend != nil {

@@ -106,6 +106,54 @@ func TestSetGetDelete(t *testing.T) {
 	}
 }
 
+// TestBatchLatencyCountsPerFamily: the clock is read per batch, not per
+// command, but every served command is still one observation in its family's
+// histogram — and a command that failed to parse is none.
+func TestBatchLatencyCountsPerFamily(t *testing.T) {
+	srv, addr := startServer(t, Options{})
+	cl := dial(t, addr)
+	var batch strings.Builder
+	replies := 0
+	add := func(n int, cmd string) {
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&batch, cmd, i)
+		}
+		replies += n
+	}
+	add(5, "set k%d 0 0 1\r\n7\r\n")
+	add(1, "set k%d 0 0 notanumber\r\n") // recoverable CLIENT_ERROR mid-batch
+	add(3, "incr k%d 2\r\n")
+	add(1, "bogus%d\r\n") // and another
+	add(2, "delete k%d\r\n")
+	batch.WriteString("version\r\n")
+	replies++
+	cl.send(t, batch.String())
+	for i := 0; i < replies; i++ {
+		cl.line(t)
+	}
+	// GETs go last so their multi-line replies are easy to drain.
+	cl.send(t, strings.Repeat("get k4\r\n", 7))
+	for i := 0; i < 7*3; i++ {
+		cl.line(t)
+	}
+	// A reply is written before its batch is observed; one more round trip
+	// on the same connection orders this read after the observation.
+	cl.send(t, "version\r\n")
+	cl.line(t)
+	want := map[string]uint64{"set": 5, "delta": 3, "delete": 2, "get": 7, "other": 2}
+	for fam, snap := range srv.Latencies() {
+		if snap.Count != want[fam] {
+			t.Errorf("family %q observed %d requests, want %d", fam, snap.Count, want[fam])
+		}
+		if snap.Count > 0 && !(snap.Sum > 0) {
+			t.Errorf("family %q has %d observations summing to %v", fam, snap.Count, snap.Sum)
+		}
+	}
+	if st := srv.Stats(); st.ClientErrors != 2 {
+		t.Errorf("ClientErrors = %d, want 2", st.ClientErrors)
+	}
+}
+
 func TestMultiKeyGet(t *testing.T) {
 	_, addr := startServer(t, Options{})
 	cl := dial(t, addr)

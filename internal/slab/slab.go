@@ -2,13 +2,18 @@
 // a fixed budget of equally sized slabs, each owned by at most one size
 // class and carved into equal slots sized for that class's items.
 //
-// The manager is deliberately *logical*: it tracks ownership and occupancy
-// and enforces every capacity invariant (a class can never hold more items
-// than slabs*slotsPerSlab; slabs move between classes only when the donor
-// has a slab's worth of free slots), while item bytes live on the Go heap
-// owned by kv.Item. The allocation *policy* — which the paper studies — sees
-// exactly the same world it would see over a pointer-bumping arena. See
-// DESIGN.md §5.
+// The manager is the accounting: it tracks ownership and occupancy and
+// enforces every capacity invariant (a class can never hold more items than
+// slabs*slotsPerSlab; slabs move between classes only when the donor has a
+// slab's worth of free slots). The memory it accounts for is held by package
+// cache as slot buffers — one buffer of exactly the class's slot size per
+// stored value, recycled through a per-class free stack that is never longer
+// than FreeSlots reports, trimmed when a slab leaves the class and dropped
+// whole when a live re-slab retires the geometry (cache/values.go). So the
+// bytes a value-storing cache holds are bounded by what this manager says it
+// owns, holes included, and the allocation *policy* — which the paper
+// studies — sees the same world it would see over a pointer-bumping arena.
+// Metadata-only simulators run the accounting alone. See DESIGN.md §5.
 package slab
 
 import (
@@ -32,6 +37,15 @@ type Manager struct {
 type classState struct {
 	slabs int // slabs owned
 	used  int // occupied slots
+	spc   int // slots per slab, fixed by the geometry
+}
+
+func newClasses(geom kv.Geometry) []classState {
+	cs := make([]classState, geom.NumClasses)
+	for c := range cs {
+		cs[c].spc = geom.SlotsPerSlab(c)
+	}
+	return cs
 }
 
 // NewManager creates a manager for a cache of cacheBytes bytes under the
@@ -51,7 +65,7 @@ func NewManager(geom kv.Geometry, cacheBytes int64) (*Manager, error) {
 		geom:       geom,
 		totalSlabs: n,
 		freeSlabs:  n,
-		classes:    make([]classState, geom.NumClasses),
+		classes:    newClasses(geom),
 	}, nil
 }
 
@@ -63,7 +77,7 @@ func NewEmpty(geom kv.Geometry) (*Manager, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
-	return &Manager{geom: geom, classes: make([]classState, geom.NumClasses)}, nil
+	return &Manager{geom: geom, classes: newClasses(geom)}, nil
 }
 
 // GrowBudget adds n slabs to the budget and the free pool (the receiving
@@ -108,11 +122,15 @@ func (m *Manager) Used(c int) int { return m.classes[c].used }
 
 // Capacity returns the total slots of class c (slabs * slots per slab).
 func (m *Manager) Capacity(c int) int {
-	return m.classes[c].slabs * m.geom.SlotsPerSlab(c)
+	cs := &m.classes[c]
+	return cs.slabs * cs.spc
 }
 
 // FreeSlots returns the unoccupied slots in class c.
-func (m *Manager) FreeSlots(c int) int { return m.Capacity(c) - m.classes[c].used }
+func (m *Manager) FreeSlots(c int) int {
+	cs := &m.classes[c]
+	return cs.slabs*cs.spc - cs.used
+}
 
 // AllocSlab assigns one free slab to class c. It fails when the free pool is
 // empty.
@@ -132,7 +150,7 @@ func (m *Manager) ReleaseSlab(c int) error {
 	if cs.slabs == 0 {
 		return fmt.Errorf("slab: class %d owns no slabs", c)
 	}
-	if cs.used > (cs.slabs-1)*m.geom.SlotsPerSlab(c) {
+	if cs.used > (cs.slabs-1)*cs.spc {
 		return fmt.Errorf("slab: class %d has %d used slots, cannot drop below %d slabs",
 			c, cs.used, cs.slabs)
 	}
@@ -164,10 +182,11 @@ func (m *Manager) MoveSlab(from, to int) error {
 // UseSlot marks one slot of class c occupied; it fails when the class is
 // full (callers must have allocated a slab or evicted first).
 func (m *Manager) UseSlot(c int) error {
-	if m.FreeSlots(c) <= 0 {
+	cs := &m.classes[c]
+	if cs.used >= cs.slabs*cs.spc {
 		return fmt.Errorf("slab: class %d is full (%d slots)", c, m.Capacity(c))
 	}
-	m.classes[c].used++
+	cs.used++
 	return nil
 }
 
@@ -195,7 +214,7 @@ func (m *Manager) CheckInvariants() error {
 	sum := m.freeSlabs
 	for c, cs := range m.classes {
 		sum += cs.slabs
-		if cs.used < 0 || cs.used > cs.slabs*m.geom.SlotsPerSlab(c) {
+		if cs.used < 0 || cs.used > cs.slabs*cs.spc {
 			return fmt.Errorf("slab: class %d used %d outside [0,%d]", c, cs.used, m.Capacity(c))
 		}
 	}
