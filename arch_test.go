@@ -10,16 +10,11 @@ import (
 	"testing"
 )
 
-// TestOneWireClient keeps the module at one transport: outside tests, only
-// internal/cluster/client.go opens a connection to a pamakv server. The
-// other two entries talk to foreign servers (pama-iperf's memcached and redis
-// drivers) or are self-contained demos. benchmark/ is a module of its own
-// whose generator is deliberately independent of internal/.
-func TestOneWireClient(t *testing.T) {
-	mayDial := func(path string) bool {
-		return path == "internal/cluster/client.go" || path == "cmd/pama-iperf/drivers.go" ||
-			strings.HasPrefix(path, "examples/")
-	}
+// eachSourceFile parses every non-test Go file of the root module
+// (benchmark/ is a module of its own) and hands it to fn with its
+// slash-separated path.
+func eachSourceFile(t *testing.T, fn func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -32,12 +27,34 @@ func TestOneWireClient(t *testing.T) {
 			return nil
 		}
 		path = filepath.ToSlash(path)
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || mayDial(path) {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		fn(path, fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneWireClient keeps the module at one transport: outside tests, only
+// internal/cluster/client.go opens a connection to a pamakv server. The
+// other two entries talk to foreign servers (pama-iperf's memcached and redis
+// drivers) or are self-contained demos. benchmark/ is a module of its own
+// whose generator is deliberately independent of internal/.
+func TestOneWireClient(t *testing.T) {
+	mayDial := func(path string) bool {
+		return path == "internal/cluster/client.go" || path == "cmd/pama-iperf/drivers.go" ||
+			strings.HasPrefix(path, "examples/")
+	}
+	eachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+		if mayDial(path) {
+			return
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -50,9 +67,32 @@ func TestOneWireClient(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestOneKeyRouter keeps the module at one engine set: outside tests only
+// the engine (internal/cache) and the group that routes keys to engines
+// (internal/shard) implement the store surface — GetWithCAS stands for it,
+// every server.Store has one — so a key takes one hop from the socket to
+// its engine, and tenants are a route of that group, not a third store. And
+// pama-server, which builds the group on one path, never needs to ask its
+// store what it is.
+func TestOneKeyRouter(t *testing.T) {
+	eachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+		dir := path[:strings.LastIndex(path, "/")+1]
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && n.Name.Name == "GetWithCAS" && dir != "internal/cache/" && dir != "internal/shard/" {
+					t.Errorf("%s: a third store implementation — route keys with shard.NewRouted instead",
+						fset.Position(n.Pos()))
+				}
+			case *ast.TypeAssertExpr:
+				if path == "cmd/pama-server/main.go" {
+					t.Errorf("%s: type assertion — the store is a *shard.Group on every path", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	})
 }

@@ -27,7 +27,7 @@ import (
 	"sync"
 	"time"
 
-	"pamakv/internal/metrics"
+	"pamakv/internal/obs"
 )
 
 // csvHeader is the one schema every protocol emits.
@@ -192,13 +192,13 @@ func runCase(cfg config, mk factory, op string, valueBytes, keyspace int) (row, 
 	}
 
 	type workerOut struct {
-		hist       *metrics.Histogram
 		ops        uint64
 		gets, hits uint64
 		errs       uint64
 		err        error
 	}
 	outs := make([]workerOut, cfg.clients)
+	lat := obs.NewHist(1e-6, 7) // every worker observes into it
 	perWorker := cfg.requests / cfg.clients
 	if perWorker == 0 {
 		perWorker = 1
@@ -210,7 +210,6 @@ func runCase(cfg config, mk factory, op string, valueBytes, keyspace int) (row, 
 		go func(wi int) {
 			defer wg.Done()
 			out := &outs[wi]
-			out.hist = metrics.NewHistogram(1e-6, 7)
 			b, err := mk()
 			if err != nil {
 				out.err = err
@@ -225,7 +224,7 @@ func runCase(cfg config, mk factory, op string, valueBytes, keyspace int) (row, 
 					key := benchKey(rng.Intn(keyspace))
 					t0 := time.Now()
 					err := b.Set(key, value)
-					out.hist.Add(time.Since(t0).Seconds())
+					lat.Observe(time.Since(t0).Seconds())
 					out.ops++
 					done++
 					if err != nil {
@@ -235,7 +234,7 @@ func runCase(cfg config, mk factory, op string, valueBytes, keyspace int) (row, 
 					key := benchKey(rng.Intn(keyspace))
 					t0 := time.Now()
 					hit, err := b.Get(key)
-					out.hist.Add(time.Since(t0).Seconds())
+					lat.Observe(time.Since(t0).Seconds())
 					out.ops++
 					out.gets++
 					done++
@@ -256,7 +255,7 @@ func runCase(cfg config, mk factory, op string, valueBytes, keyspace int) (row, 
 					}
 					t0 := time.Now()
 					hits, err := b.GetBatch(batch)
-					out.hist.Add(time.Since(t0).Seconds())
+					lat.Observe(time.Since(t0).Seconds())
 					out.ops += uint64(n)
 					out.gets += uint64(n)
 					done += n
@@ -271,14 +270,11 @@ func runCase(cfg config, mk factory, op string, valueBytes, keyspace int) (row, 
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	total := metrics.NewHistogram(1e-6, 7)
+	total := lat.Snapshot()
 	var ops, gets, hits, errs uint64
 	for i := range outs {
 		if outs[i].err != nil {
 			return row{}, outs[i].err
-		}
-		if err := total.Merge(outs[i].hist); err != nil {
-			return row{}, err
 		}
 		ops += outs[i].ops
 		gets += outs[i].gets

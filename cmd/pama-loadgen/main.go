@@ -37,7 +37,7 @@ import (
 	"pamakv/internal/client"
 	"pamakv/internal/cluster"
 	"pamakv/internal/kv"
-	"pamakv/internal/metrics"
+	"pamakv/internal/obs"
 	"pamakv/internal/proto"
 	"pamakv/internal/trace"
 	"pamakv/internal/workload"
@@ -71,7 +71,7 @@ type connStats struct {
 	gets, hits, sets uint64
 	sheds            uint64
 	errs             uint64
-	lat              *metrics.Histogram
+	lat              *obs.Hist // shared by every connection
 	// tenGets/tenHits break GETs down by tenant tag (tenant mode only).
 	tenGets, tenHits map[string]uint64
 }
@@ -133,6 +133,7 @@ func run(w io.Writer, addr, wl string, n uint64, conns int, keys uint64, valueBy
 		perConn = 1
 	}
 
+	lat := obs.NewHist(1e-6, 6)
 	stats := make([]*connStats, conns)
 	errs := make([]error, conns)
 	var wg sync.WaitGroup
@@ -143,14 +144,14 @@ func run(w io.Writer, addr, wl string, n uint64, conns int, keys uint64, valueBy
 			defer wg.Done()
 			c := cfg
 			c.Seed = cfg.Seed + uint64(i)*1e9
-			stats[i] = &connStats{lat: metrics.NewHistogram(1e-6, 6)}
+			stats[i] = &connStats{lat: lat}
 			errs[i] = drive(addrs, vnodes, c, perConn, valueBytes, storm, stormBurst, tenants, stats[i])
 		}(i)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	total := &connStats{lat: metrics.NewHistogram(1e-6, 6)}
+	total := &connStats{}
 	total.tenGets, total.tenHits = map[string]uint64{}, map[string]uint64{}
 	for i, s := range stats {
 		if errs[i] != nil {
@@ -161,7 +162,6 @@ func run(w io.Writer, addr, wl string, n uint64, conns int, keys uint64, valueBy
 		total.sets += s.sets
 		total.sheds += s.sheds
 		total.errs += s.errs
-		total.lat.Merge(s.lat)
 		for t, g := range s.tenGets {
 			total.tenGets[t] += g
 			total.tenHits[t] += s.tenHits[t]
@@ -197,8 +197,9 @@ func run(w io.Writer, addr, wl string, n uint64, conns int, keys uint64, valueBy
 			fmt.Fprintf(w, "tenant %s: gets=%d hit-ratio=%.4f\n", t, total.tenGets[t], hr)
 		}
 	}
+	ls := lat.Snapshot()
 	fmt.Fprintf(w, "client latency: p50<=%.1fus p99<=%.1fus mean=%.1fus\n",
-		1e6*total.lat.Quantile(0.50), 1e6*total.lat.Quantile(0.99), 1e6*total.lat.Mean())
+		1e6*ls.Quantile(0.50), 1e6*ls.Quantile(0.99), 1e6*ls.Mean())
 	return nil
 }
 
@@ -268,7 +269,7 @@ func drive(addrs []string, vnodes int, cfg workload.Config, n uint64, valueBytes
 		if !answered(err) {
 			return err
 		}
-		st.lat.Add(time.Since(start).Seconds())
+		st.lat.Observe(time.Since(start).Seconds())
 		st.sets++
 		var re *client.ReplyError
 		switch {
@@ -302,7 +303,7 @@ func drive(addrs []string, vnodes int, cfg workload.Config, n uint64, valueBytes
 		if !answered(err) {
 			return err
 		}
-		st.lat.Add(time.Since(start).Seconds())
+		st.lat.Observe(time.Since(start).Seconds())
 		hit := countGet(err)
 		if curTag != "" {
 			st.tenGets[curTag]++
@@ -339,7 +340,7 @@ func drive(addrs []string, vnodes int, cfg workload.Config, n uint64, valueBytes
 				}
 				countGet(r.Err)
 			}
-			st.lat.Add(time.Since(start).Seconds())
+			st.lat.Observe(time.Since(start).Seconds())
 			return nil
 		}
 		for {

@@ -255,22 +255,12 @@ func TestLoadgenTenantTagging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := make([]tenant.Store, reg.Len())
-	members := make([]tenant.Member, reg.Len())
-	for id := 0; id < reg.Len(); id++ {
-		c, err := cache.New(cache.Config{
-			CacheBytes:  16 << 20,
-			StoreValues: true,
-			WindowLen:   50_000,
-			Tenant:      int32(id),
-		}, core.New(core.DefaultConfig()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[id] = c
-		members[id] = tenant.Member{ID: id, Cfg: reg.Config(id), Engines: []*cache.Cache{c}}
-	}
-	router, err := tenant.NewRouter(reg, stores, members)
+	// 48 MiB over gold:3, bronze:1, default:1, two shards per tenant.
+	router, members, err := tenant.NewGroup(reg, cache.Config{
+		CacheBytes:  48 << 20,
+		StoreValues: true,
+		WindowLen:   50_000,
+	}, 2, func() cache.Policy { return core.New(core.DefaultConfig()) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +288,11 @@ func TestLoadgenTenantTagging(t *testing.T) {
 		t.Fatalf("tenant run had protocol errors:\n%s", out)
 	}
 	var gold, bronze int
-	for _, sn := range router.TenantSnapshots() {
+	arb, err := tenant.NewArbiter(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sn := range arb.Snapshots() {
 		switch sn.Name {
 		case "gold":
 			gold = sn.Items
@@ -311,5 +305,8 @@ func TestLoadgenTenantTagging(t *testing.T) {
 	}
 	if gold <= bronze {
 		t.Fatalf("3:1 weighting left gold (%d items) no larger than bronze (%d)", gold, bronze)
+	}
+	if err := tenant.CheckIsolation(members); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"pamakv/internal/cache"
 	"pamakv/internal/kv"
 	"pamakv/internal/metrics"
+	"pamakv/internal/obs"
 	"pamakv/internal/penalty"
 	"pamakv/internal/sim"
 	"pamakv/internal/trace"
@@ -87,7 +88,7 @@ func run(tracePath, policyKind string, cacheMiB int64, window uint64, penaltySou
 	var series metrics.Series
 	series.Name = policyKind
 	var gets uint64
-	hist := metrics.NewHistogram(0.0001, 6)
+	hist := obs.NewHist(0.0001, 6)
 
 	fmt.Printf("# replaying %s under %s, cache %d MiB\n", tracePath, policyKind, cacheMiB)
 	fmt.Println("gets\thit_ratio\tavg_service_s")
@@ -120,7 +121,7 @@ func run(tracePath, policyKind string, cacheMiB int64, window uint64, penaltySou
 				}
 			}
 			win.Add(hit, svc)
-			hist.Add(svc)
+			hist.Observe(svc)
 			gets++
 			if gets%window == 0 {
 				fmt.Printf("%d\t%.4f\t%.6f\n", gets, win.HitRatio(), win.AvgService())
@@ -145,6 +146,6 @@ func run(tracePath, policyKind string, cacheMiB int64, window uint64, penaltySou
 	fmt.Printf("# totals: gets=%d hits=%d misses=%d evictions=%d ghost_hits=%d\n",
 		st.Gets, st.Hits, st.Misses, st.Evictions, st.GhostHits)
 	fmt.Printf("# mean hit ratio %.4f, mean service %.6fs, service %s\n",
-		series.MeanHitRatio(), series.MeanAvgService(), hist.Summary())
+		series.MeanHitRatio(), series.MeanAvgService(), hist.Snapshot().Summary())
 	return nil
 }

@@ -38,7 +38,6 @@ import (
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
 	"pamakv/internal/geom"
-	"pamakv/internal/kv"
 	"pamakv/internal/membership"
 	"pamakv/internal/overload"
 	"pamakv/internal/penalty"
@@ -59,7 +58,6 @@ type options struct {
 	penaltyScale float64
 	shards       int
 	shardsSet    bool // -shards given explicitly (vs. the NumCPU default)
-	accessBuffer int
 	snapshot     string
 
 	adminAddr      string
@@ -110,13 +108,18 @@ type options struct {
 	memSecret     string
 }
 
+// accessBuffer is every engine's deferred-access ring capacity (see
+// cache.Config.AccessBuffer): GET hits are recorded in the ring and applied
+// to the LRU and the policy in batches.
+const accessBuffer = 256
+
 // normalize resolves the soft flag defaults before validation. -shards
-// defaults to the core count, but -snapshot and -tenants require a single
-// engine; when the operator did not ask for sharding explicitly the default
-// quietly yields rather than tripping validate. An explicit -shards N>1 with
-// either flag still fails loudly — that conflict is the operator's to resolve.
+// defaults to the core count, but -snapshot requires a single engine; when
+// the operator did not ask for sharding explicitly the default quietly yields
+// rather than tripping validate. An explicit -shards N>1 with -snapshot still
+// fails loudly — that conflict is the operator's to resolve.
 func normalize(o options) options {
-	if !o.shardsSet && (o.snapshot != "" || o.tenants != "") {
+	if !o.shardsSet && o.snapshot != "" {
 		o.shards = 1
 	}
 	return o
@@ -130,8 +133,6 @@ func validate(o options) error {
 	switch {
 	case o.snapshot != "" && o.shards > 1:
 		return fmt.Errorf("-snapshot requires a single shard")
-	case o.tenants != "" && o.shards > 1:
-		return fmt.Errorf("-tenants and -shards are mutually exclusive (each tenant owns one engine)")
 	case o.tenants != "" && o.snapshot != "":
 		return fmt.Errorf("-snapshot is not supported with -tenants")
 	case o.tenants != "" && inCluster:
@@ -161,8 +162,7 @@ func main() {
 	flag.BoolVar(&o.adaptiveGeom, "adaptive-geometry", false, "learn slab-class boundaries online from observed sizes and re-slab live")
 	flag.BoolVar(&o.readthrough, "readthrough", false, "serve GET misses from a simulated back end")
 	flag.Float64Var(&o.penaltyScale, "penalty-scale", 0.02, "fraction of the simulated penalty slept in real time (read-through mode)")
-	flag.IntVar(&o.shards, "shards", runtime.NumCPU(), "hash shards (rounded up to a power of two; defaults to the core count)")
-	flag.IntVar(&o.accessBuffer, "access-buffer", 256, "per-engine deferred-access ring capacity for batched GET-hit maintenance (0 = immediate mode)")
+	flag.IntVar(&o.shards, "shards", runtime.NumCPU(), "hash shards, per tenant with -tenants (rounded up to a power of two; defaults to the core count)")
 	flag.StringVar(&o.snapshot, "snapshot", "", "snapshot file: loaded at startup if present, saved at shutdown (single-shard only)")
 	flag.StringVar(&o.adminAddr, "admin-addr", "", "HTTP observability listener (/metrics, /statsz, /series, /debug/pprof); empty disables")
 	flag.DurationVar(&o.adminSeriesInt, "admin-series-interval", 5*time.Second, "sampling window of the admin /series recorder (0 disables the series)")
@@ -236,7 +236,7 @@ func run(o options) error {
 		CacheBytes:   o.cacheMiB << 20,
 		StoreValues:  true,
 		WindowLen:    100_000,
-		AccessBuffer: o.accessBuffer,
+		AccessBuffer: accessBuffer,
 	}
 	if o.adaptiveGeom {
 		cfg.Adaptive = &geom.Config{} // Normalize picks the defaults
@@ -245,108 +245,64 @@ func run(o options) error {
 		cfg.StaleValues = true
 		cfg.StaleBytes = o.staleMiB << 20
 	}
+	factory := func() cache.Policy {
+		p, _ := (sim.PolicySpec{Kind: o.policyKind}).Build()
+		return p
+	}
+	// One path builds the store: a group of engines behind one route. A
+	// tenant is a range of shards, a single engine a one-shard group.
 	var reg *tenant.Registry
-	var arb *tenant.Arbiter
-	var c server.Store
-	var engines []*cache.Cache // non-group engines, for maintainer lifecycle
+	var g *shard.Group
 	if o.tenants != "" {
-		var specs []tenant.Config
-		var err error
-		if strings.HasPrefix(o.tenants, "@") {
-			specs, err = tenant.ParseSpecFile(o.tenants[1:])
-		} else {
-			specs, err = tenant.ParseSpecs(o.tenants)
-		}
+		specs, err := tenant.ParseSpecs(o.tenants)
 		if err != nil {
 			return err
 		}
 		if reg, err = tenant.NewRegistry(specs); err != nil {
 			return err
 		}
-		shares, err := tenantShares(reg, o.cacheMiB<<20)
+		var members []tenant.Member
+		if g, members, err = tenant.NewGroup(reg, cfg, o.shards, factory); err != nil {
+			return err
+		}
+		arb, err := tenant.NewArbiter(members)
 		if err != nil {
 			return err
 		}
-		stores := make([]tenant.Store, reg.Len())
-		members := make([]tenant.Member, reg.Len())
-		for id := 0; id < reg.Len(); id++ {
-			tcfg := cfg
-			tcfg.CacheBytes = shares[id]
-			tcfg.Tenant = int32(id)
-			if cfg.Adaptive != nil {
-				a := *cfg.Adaptive
-				tcfg.Adaptive = &a
-			}
-			pol, _ := (sim.PolicySpec{Kind: o.policyKind}).Build()
-			eng, err := cache.New(tcfg, pol)
-			if err != nil {
-				return fmt.Errorf("tenant %s: %w", reg.Config(id).Name, err)
-			}
-			stores[id] = eng
-			engines = append(engines, eng)
-			members[id] = tenant.Member{ID: id, Cfg: reg.Config(id), Engines: []*cache.Cache{eng}}
-			log.Printf("pama-server: tenant %s: %d MiB (reserve %d MiB, weight %g, slo %d)",
-				reg.Config(id).Name, shares[id]>>20, reg.Config(id).ReservedBytes>>20,
-				reg.Config(id).Weight, reg.Config(id).SLOClass)
+		reg.SetArbiter(arb)
+		for id, ms := range arb.Stats().Members {
+			// Fewer shards than -shards: the tenant's share could not
+			// give every shard a slab.
+			log.Printf("pama-server: tenant %s: %d slabs over %d shard(s) (reserve %d slabs, weight %g, slo %d)",
+				ms.Name, ms.Slabs, len(members[id].Engines), ms.ReserveSlabs, ms.Weight, ms.SLOClass)
 		}
-		router, err := tenant.NewRouter(reg, stores, members)
-		if err != nil {
-			return err
-		}
-		if arb, err = tenant.NewArbiter(members); err != nil {
-			return err
-		}
-		router.SetArbiter(arb)
 		if o.arbiterInterval > 0 {
 			arb.Start(o.arbiterInterval)
 			defer arb.Stop()
 		}
-		c = router
-	} else if o.shards > 1 {
-		g, err := shard.New(cfg, o.shards, func() cache.Policy {
-			p, _ := (sim.PolicySpec{Kind: o.policyKind}).Build()
-			return p
-		})
-		if err != nil {
-			return err
-		}
-		c = g
 	} else {
-		pol, _ := (sim.PolicySpec{Kind: o.policyKind}).Build()
-		eng, err := cache.New(cfg, pol)
-		if err != nil {
+		var err error
+		if g, err = shard.New(cfg, o.shards, factory); err != nil {
 			return err
 		}
-		engines = append(engines, eng)
-		c = eng
 	}
-	if o.accessBuffer > 0 {
-		// The background maintainer keeps the coarse expiry clock fresh and
-		// drains idle rings; stopping it applies any remaining deferred
-		// accesses before the snapshot save in the shutdown goroutine runs
-		// (SaveSnapshot drains again on its own, so the order is belt and
-		// braces).
-		if g, ok := c.(*shard.Group); ok {
-			g.StartMaintainers(0)
-			defer g.StopMaintainers()
-		} else {
-			for _, e := range engines {
-				e.StartMaintainer(0)
-				defer e.StopMaintainer()
-			}
-		}
-	}
+	// The background maintainers keep the coarse expiry clock fresh and
+	// drain idle rings; stopping them applies any remaining deferred
+	// accesses before the snapshot save in the shutdown goroutine runs
+	// (SaveSnapshot drains again on its own, so the order is belt and
+	// braces).
+	g.StartMaintainers(0)
+	defer g.StopMaintainers()
 	if o.snapshot != "" {
-		if eng, ok := c.(*cache.Cache); ok {
-			loaded, err := eng.LoadSnapshotFile(o.snapshot)
-			if err != nil {
-				// A corrupt or truncated snapshot is refused outright:
-				// better to start cold than to serve a partial data set.
-				return fmt.Errorf("loading snapshot: %w", err)
-			}
-			if loaded {
-				log.Printf("pama-server: restored %d items from %s", eng.Items(), o.snapshot)
-			}
+		eng := g.Engines()[0] // validate: -snapshot means one shard
+		loaded, err := eng.LoadSnapshotFile(o.snapshot)
+		if err != nil {
+			// A corrupt or truncated snapshot is refused outright:
+			// better to start cold than to serve a partial data set.
+			return fmt.Errorf("loading snapshot: %w", err)
+		}
+		if loaded {
+			log.Printf("pama-server: restored %d items from %s", eng.Items(), o.snapshot)
 		}
 	}
 	opts := server.Options{
@@ -455,7 +411,7 @@ func run(o options) error {
 				o.probeInterval, o.evictAfter, o.handoffRate)
 		}
 	}
-	srv := server.New(c, opts)
+	srv := server.New(g, opts)
 	if mgr != nil {
 		mgr.Start()
 		if o.join != "" {
@@ -503,57 +459,19 @@ func run(o options) error {
 		st := srv.Stats()
 		log.Printf("pama-server: drained (%d conns served, %d forced closes)", st.Conns, st.ForcedCloses)
 		if o.snapshot != "" {
-			if eng, ok := c.(*cache.Cache); ok {
-				if err := eng.SaveSnapshotFile(o.snapshot); err != nil {
-					log.Printf("pama-server: snapshot save failed: %v", err)
-				} else {
-					log.Printf("pama-server: snapshot saved to %s", o.snapshot)
-				}
+			if err := g.Engines()[0].SaveSnapshotFile(o.snapshot); err != nil {
+				log.Printf("pama-server: snapshot save failed: %v", err)
+			} else {
+				log.Printf("pama-server: snapshot saved to %s", o.snapshot)
 			}
 		}
 	}()
 
 	log.Printf("pama-server: %s policy, %d MiB, %d shard(s), access-buffer %d, listening on %s (readthrough=%v, max-conns=%d)",
-		o.policyKind, o.cacheMiB, o.shards, o.accessBuffer, o.addr, o.readthrough, o.maxConns)
+		o.policyKind, o.cacheMiB, o.shards, accessBuffer, o.addr, o.readthrough, o.maxConns)
 	err := srv.ListenAndServe(o.addr)
 	if draining.Load() {
 		<-shutdownDone
 	}
 	return err
-}
-
-// tenantShares splits the total cache budget across the registry: every
-// tenant gets its reserve (at least one slab — an engine cannot run on
-// zero), and the remainder is divided by weight. Rounding residue goes to
-// the last tenant (the auto-appended default) so the shares sum exactly to
-// the configured total.
-func tenantShares(reg *tenant.Registry, total int64) ([]int64, error) {
-	slabSize := int64(kv.DefaultGeometry().SlabSize)
-	n := reg.Len()
-	floors := make([]int64, n)
-	var sumW float64
-	var sumFloor int64
-	for i := 0; i < n; i++ {
-		c := reg.Config(i)
-		floors[i] = c.ReservedBytes
-		if floors[i] < slabSize {
-			floors[i] = slabSize
-		}
-		sumFloor += floors[i]
-		sumW += c.Weight
-	}
-	if sumFloor > total {
-		return nil, fmt.Errorf("tenant reserves need %d MiB but -cache grants %d MiB",
-			(sumFloor+(1<<20)-1)>>20, total>>20)
-	}
-	rem := total - sumFloor
-	shares := make([]int64, n)
-	var given int64
-	for i := 0; i < n; i++ {
-		extra := int64(float64(rem) * reg.Config(i).Weight / sumW)
-		shares[i] = floors[i] + extra
-		given += extra
-	}
-	shares[n-1] += rem - given
-	return shares, nil
 }

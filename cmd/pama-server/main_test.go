@@ -35,7 +35,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"shards alone", func(o *options) { o.shards = 4 }, ""},
 		{"snapshot single shard", func(o *options) { o.snapshot = "/tmp/x" }, ""},
 		{"snapshot multi shard", func(o *options) { o.snapshot = "/tmp/x"; o.shards = 2 }, "-snapshot"},
-		{"tenants with shards", func(o *options) { o.tenants = "web:8:1"; o.shards = 2 }, "-tenants"},
+		{"tenants with shards", func(o *options) { o.tenants = "web:8:1"; o.shards = 2 }, ""},
 		{"tenants with snapshot", func(o *options) { o.tenants = "web:8:1"; o.snapshot = "/tmp/x" }, "-snapshot"},
 		{"tenants with peers", func(o *options) { o.tenants = "web:8:1"; o.peers = "a:1,b:2" }, "-tenants"},
 		{"tenants with join", func(o *options) { o.tenants = "web:8:1"; o.join = "a:1" }, "-tenants"},
@@ -70,9 +70,9 @@ func TestValidateFlagCombinations(t *testing.T) {
 }
 
 // TestNormalizeShardsDefault covers the soft -shards default: NumCPU-many
-// shards unless the operator asked otherwise, yielding to single-engine
-// features (-snapshot, -tenants) when the count came from the default, and
-// standing firm (so validate can refuse) when it was explicit.
+// shards unless the operator asked otherwise, yielding to -snapshot (one
+// engine) when the count came from the default, and standing firm (so
+// validate can refuse) when it was explicit. Tenants take shards as they are.
 func TestNormalizeShardsDefault(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -82,10 +82,10 @@ func TestNormalizeShardsDefault(t *testing.T) {
 	}{
 		{"default alone keeps core count", func(o *options) { o.shards = 8 }, 8, false},
 		{"default yields to snapshot", func(o *options) { o.shards = 8; o.snapshot = "/tmp/x" }, 1, false},
-		{"default yields to tenants", func(o *options) { o.shards = 8; o.tenants = "web:8:1" }, 1, false},
+		{"default survives tenants", func(o *options) { o.shards = 8; o.tenants = "web:8:1" }, 8, false},
 		{"explicit survives", func(o *options) { o.shards = 8; o.shardsSet = true }, 8, false},
 		{"explicit conflicts with snapshot", func(o *options) { o.shards = 8; o.shardsSet = true; o.snapshot = "/tmp/x" }, 8, true},
-		{"explicit conflicts with tenants", func(o *options) { o.shards = 8; o.shardsSet = true; o.tenants = "web:8:1" }, 8, true},
+		{"explicit accepted with tenants", func(o *options) { o.shards = 8; o.shardsSet = true; o.tenants = "web:8:1" }, 8, false},
 		{"explicit single shard with snapshot", func(o *options) { o.shards = 1; o.shardsSet = true; o.snapshot = "/tmp/x" }, 1, false},
 	}
 	for _, tc := range cases {
@@ -132,46 +132,64 @@ func TestRunRejectsBadAddr(t *testing.T) {
 
 // TestRunServesTraffic boots the real binary path (run blocks in
 // ListenAndServe, so it runs in a goroutine) on an ephemeral port, then
-// talks protocol to it. Shutdown is exercised via the listener teardown at
-// process exit; the goroutine is intentionally left serving.
+// talks protocol to it: a hash-sharded store, and tenants that are each a
+// range of shards. Shutdown is exercised via the listener teardown at process
+// exit; the goroutines are intentionally left serving.
 func TestRunServesTraffic(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close() // free the port for run; a tiny race window is acceptable in tests
-	o := testOpts(addr, "pama", 2)
-	o.accessBuffer = 64 // serve through the batched read path
-	errc := make(chan error, 1)
-	go func() { errc <- run(o) }()
+	for _, tc := range []struct {
+		name   string
+		mutate func(o *options)
+		keys   []string
+	}{
+		{"two shards", func(o *options) {}, []string{"k"}},
+		{"tenants over two shards each", func(o *options) {
+			o.tenants, o.cacheMiB = "gold:4:3:0,bronze:2:1:2", 32
+		}, []string{"gold/k", "bronze/k", "k", "nobody/k"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			ln.Close() // free the port for run; a tiny race window is acceptable in tests
+			o := testOpts(addr, "pama", 2)
+			tc.mutate(&o)
+			errc := make(chan error, 1)
+			go func() { errc <- run(o) }()
 
-	var conn net.Conn
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		conn, err = net.Dial("tcp", addr)
-		if err == nil {
-			break
-		}
-		select {
-		case e := <-errc:
-			t.Fatalf("server exited early: %v", e)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	conn.Write([]byte("set k 0 0 5\r\nhello\r\nget k\r\n"))
-	line, _ := r.ReadString('\n')
-	if !strings.HasPrefix(line, "STORED") {
-		t.Fatalf("set -> %q", line)
-	}
-	line, _ = r.ReadString('\n')
-	if !strings.HasPrefix(line, "VALUE k 0 5") {
-		t.Fatalf("get -> %q", line)
+			var conn net.Conn
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				conn, err = net.Dial("tcp", addr)
+				if err == nil {
+					break
+				}
+				select {
+				case e := <-errc:
+					t.Fatalf("server exited early: %v", e)
+				default:
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("server never came up: %v", err)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			for _, k := range tc.keys {
+				conn.Write([]byte("set " + k + " 0 0 5\r\nhello\r\nget " + k + "\r\n"))
+				line, _ := r.ReadString('\n')
+				if !strings.HasPrefix(line, "STORED") {
+					t.Fatalf("set %s -> %q", k, line)
+				}
+				line, _ = r.ReadString('\n')
+				if !strings.HasPrefix(line, "VALUE "+k+" 0 5") {
+					t.Fatalf("get %s -> %q", k, line)
+				}
+				r.ReadString('\n') // hello
+				r.ReadString('\n') // END
+			}
+		})
 	}
 }

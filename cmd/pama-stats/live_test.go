@@ -14,6 +14,7 @@ import (
 	"pamakv/internal/core"
 	"pamakv/internal/kv"
 	"pamakv/internal/membership"
+	"pamakv/internal/obs"
 	"pamakv/internal/server"
 	"pamakv/internal/tenant"
 )
@@ -58,7 +59,7 @@ func stubStatsz(t *testing.T) *httptest.Server {
 			},
 			Slabs:   []int{3, 2, 1},
 			Runtime: server.RuntimeStatsz{GCCycles: 3 * n},
-			Latencies: map[string]server.LatencySummary{
+			Latencies: map[string]obs.Summary{
 				"get": {Count: 1000 * n, Mean: 0.0001, P50: 0.0001, P95: 0.0005, P99: 0.002},
 			},
 		}
@@ -219,8 +220,10 @@ func TestRunLiveTenantRows(t *testing.T) {
 			Policy: "pama",
 			Engine: cache.Stats{Gets: 1000 * n, Hits: 500 * n},
 			Tenants: []tenant.Snapshot{
-				{Name: "gold", Gets: 800 * n, Hits: 600 * n, Items: 42, Slabs: 6, ReserveSlabs: 2, SlabsIn: n},
-				{Name: "bronze", Gets: 200 * n, Hits: 20 * n, Items: 7, Slabs: 2, ReserveSlabs: 1, SlabsOut: n},
+				{MemberStats: tenant.MemberStats{Name: "gold", Slabs: 6, ReserveSlabs: 2, SlabsIn: n},
+					Gets: 800 * n, Hits: 600 * n, Items: 42},
+				{MemberStats: tenant.MemberStats{Name: "bronze", Slabs: 2, ReserveSlabs: 1, SlabsOut: n},
+					Gets: 200 * n, Hits: 20 * n, Items: 7},
 			},
 		}
 		json.NewEncoder(w).Encode(doc)

@@ -27,8 +27,8 @@ import (
 	"time"
 
 	"pamakv/internal/kv"
-	"pamakv/internal/metrics"
 	"pamakv/internal/mrc"
+	"pamakv/internal/obs"
 	"pamakv/internal/penalty"
 	"pamakv/internal/trace"
 	"pamakv/internal/workload"
@@ -73,7 +73,7 @@ func run(w io.Writer, tracePath string, topN, depth int, fit bool) error {
 	keyCount := map[uint64]uint64{}
 	classReqs := make([]uint64, geom.NumClasses)
 	classBytes := make([]uint64, geom.NumClasses)
-	penHist := metrics.NewHistogram(0.001, 4)
+	penHist := obs.NewHist(0.001, 4)
 	var sizeSum, sizeMax uint64
 	// Reuse distances in bytes-approximating buckets: one shared tracker
 	// over item counts scaled by mean size would be wrong per class, so
@@ -102,7 +102,7 @@ func run(w io.Writer, tracePath string, topN, depth int, fit bool) error {
 		}
 		key := kv.KeyString(r.Key)
 		h := kv.HashString(key)
-		penHist.Add(model.Of(h, size))
+		penHist.Observe(model.Of(h, size))
 		if r.Op != kv.Delete {
 			reuse.Access(key, h)
 		}
@@ -152,7 +152,7 @@ func run(w io.Writer, tracePath string, topN, depth int, fit bool) error {
 	}
 	fmt.Fprintf(w, "single-access keys: %d (%.3f of keys)\n", single, frac(uint64(single), uint64(len(hot))))
 
-	fmt.Fprintf(w, "\nmodel-implied miss penalties: %s\n", penHist.Summary())
+	fmt.Fprintf(w, "\nmodel-implied miss penalties: %s\n", penHist.Snapshot().Summary())
 
 	fmt.Fprintln(w, "\nreuse-distance profile (cumulative hit ratio by working-set depth):")
 	curve := reuse.HitCurve()

@@ -420,6 +420,12 @@ func (c *Cache) Set(key string, size int, pen float64, flags uint32, value []byt
 func (c *Cache) SetTTL(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.setLocked(key, size, pen, flags, expireAt, value)
+}
+
+// setLocked is the store itself. Caller holds c.mu, so a conditional store
+// (SetMode) checks its precondition and stores in one critical section.
+func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	c.drainLocked()
 	c.tick()
 	c.stats.Sets++

@@ -89,43 +89,25 @@ func (c *Cache) GetWithCAS(key string, buf []byte) (val []byte, flags uint32, ca
 	return buf, it.Flags, it.CAS, true
 }
 
-// SetMode stores key under a precondition. For ModeCAS, cas must be the
-// token returned by GetWithCAS. Returns ErrNotStored (add/replace) or
-// ErrCASMismatch when the precondition fails.
+// SetMode stores key under a precondition, checked and stored under one
+// lock: of two racing conditional stores exactly one sees the other's
+// result. For ModeCAS, cas must be the token returned by GetWithCAS. Returns
+// ErrNotStored (add/replace) or ErrCASMismatch when the precondition fails.
 func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
-	if mode == ModeSet {
-		return c.SetTTL(key, size, pen, flags, expireAt, value)
-	}
 	c.mu.Lock()
-	present, tok := c.peekLocked(key)
-	switch mode {
-	case ModeAdd:
-		if present {
-			c.mu.Unlock()
+	defer c.mu.Unlock()
+	if mode != ModeSet {
+		present, tok := c.peekLocked(key)
+		switch {
+		case mode == ModeAdd && present:
 			return fmt.Errorf("%w: key exists", ErrNotStored)
-		}
-	case ModeReplace:
-		if !present {
-			c.mu.Unlock()
+		case mode != ModeAdd && !present:
 			return fmt.Errorf("%w: key absent", ErrNotStored)
-		}
-	case ModeCAS:
-		if !present {
-			c.mu.Unlock()
-			return fmt.Errorf("%w: key absent", ErrNotStored)
-		}
-		if tok != cas {
-			c.mu.Unlock()
+		case mode == ModeCAS && tok != cas:
 			return ErrCASMismatch
 		}
 	}
-	c.mu.Unlock()
-	// The precondition check and the store are two critical sections; a
-	// concurrent writer could race between them, exactly as in Memcached,
-	// where the item can change between the cas check and the swap only
-	// if the server applied another write first — the token comparison
-	// above is the linearization point for correctness of the reply.
-	return c.SetTTL(key, size, pen, flags, expireAt, value)
+	return c.setLocked(key, size, pen, flags, expireAt, value)
 }
 
 // peekLocked reports presence and CAS token without touching LRU state.

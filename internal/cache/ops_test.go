@@ -3,6 +3,9 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -104,6 +107,54 @@ func TestSetModeCAS(t *testing.T) {
 	// The winning cas bumped the token; replaying the old token fails.
 	if err := c.SetMode("k", ModeCAS, cas, 10, 0.01, 0, 0, []byte("v3")); !errors.Is(err, ErrCASMismatch) {
 		t.Fatalf("replayed cas: %v", err)
+	}
+}
+
+// TestSetModeCASIsAtomic increments one counter key from several goroutines
+// through GetWithCAS + SetMode(ModeCAS). Every store the engine acknowledges
+// must be in the final value, and an add racing them must never replace it.
+func TestSetModeCASIsAtomic(t *testing.T) {
+	c := newOpsCache(t)
+	c.Set("n", 10, 0.01, 0, []byte("0"))
+	const workers, rounds = 8, 5000
+	var wins atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < rounds; i++ {
+				val, _, cas, hit := c.GetWithCAS("n", buf[:0])
+				if !hit {
+					t.Error("counter key vanished")
+					return
+				}
+				buf = val
+				n, err := strconv.ParseUint(string(val), 10, 64)
+				if err != nil {
+					t.Errorf("counter holds %q", val)
+					return
+				}
+				next := strconv.AppendUint(nil, n+1, 10)
+				switch err := c.SetMode("n", ModeCAS, cas, 10, 0.01, 0, 0, next); {
+				case err == nil:
+					wins.Add(1)
+				case !errors.Is(err, ErrCASMismatch):
+					t.Errorf("cas: %v", err)
+					return
+				}
+				if err := c.SetMode("n", ModeAdd, 0, 10, 0.01, 0, 0, []byte("0")); !errors.Is(err, ErrNotStored) {
+					t.Errorf("add over a resident key: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	val, _, _, _ := c.GetWithCAS("n", nil)
+	if final, _ := strconv.ParseUint(string(val), 10, 64); final != wins.Load() {
+		t.Fatalf("counter = %d after %d acknowledged CAS stores", final, wins.Load())
 	}
 }
 

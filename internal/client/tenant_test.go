@@ -10,12 +10,13 @@ import (
 	"pamakv/internal/core"
 	"pamakv/internal/kv"
 	"pamakv/internal/server"
+	"pamakv/internal/shard"
 	"pamakv/internal/tenant"
 )
 
-// startTenantServer runs an in-process server over a two-tenant router and
-// returns its address.
-func startTenantServer(t *testing.T) (string, *tenant.Router) {
+// startTenantServer runs an in-process server over a two-tenant group (two
+// shards per tenant) and returns its address, the group and its members.
+func startTenantServer(t *testing.T) (string, *shard.Group, []tenant.Member) {
 	t.Helper()
 	reg, err := tenant.NewRegistry([]tenant.Config{
 		{Name: "alpha"},
@@ -24,23 +25,12 @@ func startTenantServer(t *testing.T) (string, *tenant.Router) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := make([]tenant.Store, reg.Len())
-	members := make([]tenant.Member, reg.Len())
-	for id := 0; id < reg.Len(); id++ {
-		eng, err := cache.New(cache.Config{
-			Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
-			CacheBytes:  1 << 22,
-			StoreValues: true,
-			WindowLen:   10_000,
-			Tenant:      int32(id),
-		}, core.New(core.DefaultConfig()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[id] = eng
-		members[id] = tenant.Member{ID: id, Cfg: reg.Config(id), Engines: []*cache.Cache{eng}}
-	}
-	router, err := tenant.NewRouter(reg, stores, members)
+	router, members, err := tenant.NewGroup(reg, cache.Config{
+		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
+		CacheBytes:  3 << 22,
+		StoreValues: true,
+		WindowLen:   10_000,
+	}, 2, func() cache.Policy { return core.New(core.DefaultConfig()) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +41,14 @@ func startTenantServer(t *testing.T) (string, *tenant.Router) {
 	srv := server.New(router, server.Options{Tenants: reg})
 	go srv.Serve(ln)
 	t.Cleanup(srv.Shutdown)
-	return ln.Addr().String(), router
+	return ln.Addr().String(), router, members
 }
 
 // TestTenantClientIsolation drives two tenant-scoped clients and one plain
 // client at the same bare key and checks that each lands in (and only in)
 // its own partition.
 func TestTenantClientIsolation(t *testing.T) {
-	addr, router := startTenantServer(t)
+	addr, router, members := startTenantServer(t)
 
 	newc := func(ten string) *client.Client {
 		c, err := client.New(client.Config{Addrs: []string{addr}, Tenant: ten})
@@ -125,7 +115,11 @@ func TestTenantClientIsolation(t *testing.T) {
 	}
 
 	// The per-tenant snapshots attribute items where the clients put them.
-	for _, sn := range router.TenantSnapshots() {
+	arb, err := tenant.NewArbiter(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sn := range arb.Snapshots() {
 		switch sn.Name {
 		case "beta":
 			if sn.Items != 2 {
@@ -138,6 +132,9 @@ func TestTenantClientIsolation(t *testing.T) {
 		}
 	}
 	if err := router.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tenant.CheckIsolation(members); err != nil {
 		t.Fatal(err)
 	}
 }

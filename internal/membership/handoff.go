@@ -17,7 +17,8 @@
 // its local copy; a transport error or any other reply — the target
 // shedding the add under overload, refusing it outright — means the value
 // never landed, so the sender keeps its copy (harmless: routing no longer
-// points here) and counts the miss toward Stats().Handoff.Errors.
+// points here), counts the miss toward Stats().Handoff.Errors, and offers
+// the key again on the run's next pass (see runHandoff).
 package membership
 
 import (
@@ -115,7 +116,12 @@ func tierOf(fn func() int) int {
 	return fn()
 }
 
-// runHandoff executes one penalty-ordered streaming run.
+// runHandoff executes one streaming run: penalty-ordered passes over the
+// residents until one finds nothing left to move. A single pass strands the
+// keys that land here after its scan — a write that passed the owner check
+// just before cutover, a key whose add the target shed — and nothing would
+// ever plan them again. A pass that moves nothing ends the run, so keys the
+// target keeps refusing cannot spin it.
 func (m *Manager) runHandoff(ho *handoff) {
 	defer m.wg.Done()
 	m.mu.Lock()
@@ -123,20 +129,46 @@ func (m *Manager) runHandoff(ho *handoff) {
 	m.mu.Unlock()
 	peers := m.cfg.Peers
 	start := time.Now()
-
-	plan := Plan(src, func(key string) (string, bool) {
+	route := func(key string) (string, bool) {
 		o := peers.Owner(key)
 		return o, o != "" && o != m.self
-	})
-	m.hoPlanned.Add(uint64(len(plan)))
+	}
+
+	plan := Plan(src, route)
 	if len(plan) == 0 {
 		return
 	}
+	m.hoActive.Store(true) // before the count: who sees the run counted sees it active or done
 	m.hoRuns.Add(1)
-	m.hoActive.Store(true)
 	defer m.hoActive.Store(false)
 	m.logf("membership: epoch %d handoff: streaming %d keys", ho.epoch, len(plan))
 
+	planned, sent := 0, 0
+	for len(plan) > 0 {
+		planned += len(plan)
+		m.hoPlanned.Add(uint64(len(plan)))
+		n, aborted := m.streamPass(ho, src, tier, plan)
+		sent += n
+		if aborted {
+			m.hoAborts.Add(1)
+			m.logf("membership: epoch %d handoff aborted after %d/%d keys", ho.epoch, sent, planned)
+			return
+		}
+		if n == 0 {
+			break
+		}
+		plan = Plan(src, route)
+	}
+	m.hoDur.Observe(time.Since(start).Seconds())
+	m.logf("membership: epoch %d handoff done: %d/%d keys in %s",
+		ho.epoch, sent, planned, time.Since(start).Round(time.Millisecond))
+}
+
+// streamPass sends one plan's keys to their new owners, paced and yielding
+// under local overload, and reports how many the owners took and whether a
+// newer view aborted the run.
+func (m *Manager) streamPass(ho *handoff, src Source, tier func() int, plan []HandoffKey) (sent int, aborted bool) {
+	peers := m.cfg.Peers
 	rate := m.cfg.HandoffRate
 	if rate <= 0 {
 		rate = DefaultHandoffRate
@@ -145,13 +177,10 @@ func (m *Manager) runHandoff(ho *handoff) {
 	pause := time.Duration(batch) * (time.Second / time.Duration(rate))
 	vbuf := make([]byte, 0, 16<<10)
 	req := make([]byte, 0, 4<<10)
-	sent := 0
 	for _, hk := range plan {
 		select {
 		case <-ho.abort:
-			m.hoAborts.Add(1)
-			m.logf("membership: epoch %d handoff aborted after %d/%d keys", ho.epoch, sent, len(plan))
-			return
+			return sent, true
 		default:
 		}
 		// Yield under local pressure: pause outright at critical, crawl
@@ -159,8 +188,7 @@ func (m *Manager) runHandoff(ho *handoff) {
 		for tierOf(tier) >= overload.TierCritical {
 			select {
 			case <-ho.abort:
-				m.hoAborts.Add(1)
-				return
+				return sent, true
 			case <-time.After(25 * time.Millisecond):
 			}
 		}
@@ -206,14 +234,10 @@ func (m *Manager) runHandoff(ho *handoff) {
 		if sent%batch == 0 {
 			select {
 			case <-ho.abort:
-				m.hoAborts.Add(1)
-				m.logf("membership: epoch %d handoff aborted after %d/%d keys", ho.epoch, sent, len(plan))
-				return
+				return sent, true
 			case <-time.After(pause):
 			}
 		}
 	}
-	m.hoDur.Observe(time.Since(start).Seconds())
-	m.logf("membership: epoch %d handoff done: %d/%d keys in %s",
-		ho.epoch, sent, len(plan), time.Since(start).Round(time.Millisecond))
+	return sent, false
 }

@@ -1,6 +1,6 @@
 // Package metrics collects the windowed statistics the paper reports: hit
 // ratio and average GET service time per window of served GETs, plus slab
-// allocation snapshots, totals, and log-scale latency histograms.
+// allocation snapshots and totals. Latency histograms live in package obs.
 //
 // A Window accumulates; a Series records one row per closed window. The
 // figure emitters in internal/sim and cmd/pama-bench print Series as TSV.
@@ -216,85 +216,6 @@ func WriteSlabTSV(w io.Writer, s *Series, numClasses int) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// Histogram is a logarithmic histogram over positive values (decade buckets
-// subdivided 8x), used for penalty and service-time distributions.
-type Histogram struct {
-	min     float64
-	buckets []uint64
-	count   uint64
-	sum     float64
-}
-
-// NewHistogram covers [min, min*10^decades).
-func NewHistogram(min float64, decades int) *Histogram {
-	return &Histogram{min: min, buckets: make([]uint64, decades*8+1)}
-}
-
-// Add records a value; values below min land in bucket 0, values above the
-// range in the last bucket.
-func (h *Histogram) Add(v float64) {
-	h.count++
-	h.sum += v
-	i := 0
-	if v > h.min {
-		i = int(math.Log10(v/h.min)*8) + 1
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-	}
-	h.buckets[i]++
-}
-
-// Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the arithmetic mean of recorded values (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile returns an upper bound for the q-quantile (0<=q<=1) from bucket
-// edges.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.count))
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum > target {
-			if i == 0 {
-				return h.min
-			}
-			return h.min * math.Pow(10, float64(i)/8)
-		}
-	}
-	return h.min * math.Pow(10, float64(len(h.buckets)-1)/8)
-}
-
-// Summary formats count/mean/p50/p99 on one line.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.4fs p50<=%.4fs p99<=%.4fs",
-		h.count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
-}
-
-// Merge folds other into h; both must share min and decade span.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other.min != h.min || len(other.buckets) != len(h.buckets) {
-		return fmt.Errorf("metrics: merging incompatible histograms")
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
 	return nil
 }
 

@@ -132,67 +132,6 @@ func TestWriteSlabTSV(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(0.001, 4) // 1ms .. 10s
-	for i := 0; i < 90; i++ {
-		h.Add(0.002)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(1.5)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if q := h.Quantile(0.5); q > 0.01 {
-		t.Fatalf("p50 = %v, want ~2ms bound", q)
-	}
-	if q := h.Quantile(0.95); q < 1.0 {
-		t.Fatalf("p95 = %v, want >=1s", q)
-	}
-	if m := h.Mean(); math.Abs(m-(90*0.002+10*1.5)/100) > 1e-9 {
-		t.Fatalf("Mean = %v", m)
-	}
-}
-
-func TestHistogramEdges(t *testing.T) {
-	h := NewHistogram(0.001, 2)
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram should report 0")
-	}
-	h.Add(1e-9) // below min -> bucket 0
-	h.Add(1e9)  // above range -> clamped last bucket
-	if h.Count() != 2 {
-		t.Fatal("count")
-	}
-	if q := h.Quantile(0.0); q != 0.001 {
-		t.Fatalf("Quantile(0) = %v, want min", q)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(0.001, 2), NewHistogram(0.001, 2)
-	a.Add(0.01)
-	b.Add(0.02)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 2 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	c := NewHistogram(0.01, 2)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("incompatible merge accepted")
-	}
-}
-
-func TestHistogramSummary(t *testing.T) {
-	h := NewHistogram(0.001, 2)
-	h.Add(0.01)
-	if s := h.Summary(); !strings.Contains(s, "n=1") {
-		t.Fatalf("Summary = %q", s)
-	}
-}
-
 func TestSortedNames(t *testing.T) {
 	m := map[string]int{"b": 1, "a": 2, "c": 3}
 	got := SortedNames(m)

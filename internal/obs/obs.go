@@ -3,15 +3,16 @@
 // histograms that hot paths update without allocating, plus snapshot types
 // that merge across shards and subtract into deltas for windowed reporting.
 //
-// The histogram reuses the bucket scheme of metrics.Histogram (decade
-// buckets subdivided 8x over [min, min*10^decades)), so quantiles computed
-// from a live server and from the offline simulator are directly comparable.
-// Writers race freely: Observe is a few atomic adds; readers take a
-// Snapshot, which is consistent enough for monitoring (bucket counts, count,
-// and sum are each atomically read, but not as one transaction).
+// One histogram serves the live server, the load generators and the offline
+// simulator (decade buckets subdivided 8x over [min, min*10^decades)), so
+// their quantiles are directly comparable. Writers race freely: Observe is a
+// few atomic adds; readers take a Snapshot, which is consistent enough for
+// monitoring (bucket counts, count, and sum are each atomically read, but not
+// as one transaction).
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -35,8 +36,7 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // Hist is a concurrency-safe logarithmic histogram over positive values:
-// decade buckets subdivided 8x, the same layout as metrics.Histogram.
-// Observe performs no allocation.
+// decade buckets subdivided 8x. Observe performs no allocation.
 type Hist struct {
 	min     float64
 	buckets []atomic.Uint64
@@ -52,7 +52,7 @@ func NewHist(min float64, decades int) *Hist {
 	return &Hist{min: min, buckets: make([]atomic.Uint64, decades*8+1)}
 }
 
-// bucketOf returns the bucket index for v (shared with metrics.Histogram).
+// bucketOf returns the bucket index for v.
 func (h *Hist) bucketOf(v float64) int {
 	if !(v > h.min) { // also catches NaN
 		return 0
@@ -104,12 +104,54 @@ func (h *Hist) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is an immutable copy of a Hist, the unit of merging (across
-// shards) and subtraction (into per-window deltas).
+// shards) and subtraction (into per-window deltas). In JSON it is its
+// Summary; the full curve rides on /metrics (PromWriter.Histogram), so a
+// decoded snapshot keeps Count and Mean and has no quantiles.
 type HistSnapshot struct {
-	Min     float64  `json:"min"`
-	Buckets []uint64 `json:"buckets"`
-	Count   uint64   `json:"count"`
-	Sum     float64  `json:"sum"`
+	Min     float64
+	Buckets []uint64
+	Count   uint64
+	Sum     float64
+}
+
+// Summary is a histogram reduced to the points reports print and /statsz
+// carries: all finite, zero when the histogram is empty.
+type Summary struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean_seconds"`
+	P50   float64 `json:"p50_seconds"`
+	P95   float64 `json:"p95_seconds"`
+	P99   float64 `json:"p99_seconds"`
+}
+
+// Summary reduces the snapshot.
+func (s HistSnapshot) Summary() Summary {
+	return Summary{
+		Count: s.Count,
+		Mean:  s.Mean(),
+		P50:   s.Quantile(0.50),
+		P95:   s.Quantile(0.95),
+		P99:   s.Quantile(0.99),
+	}
+}
+
+// MarshalJSON renders the snapshot as its Summary.
+func (s HistSnapshot) MarshalJSON() ([]byte, error) { return json.Marshal(s.Summary()) }
+
+// UnmarshalJSON reads a Summary back: the count and the mean survive the
+// trip, the buckets do not (Quantile of the result is 0).
+func (s *HistSnapshot) UnmarshalJSON(b []byte) error {
+	var sum Summary
+	if err := json.Unmarshal(b, &sum); err != nil {
+		return err
+	}
+	*s = HistSnapshot{Count: sum.Count, Sum: sum.Mean * float64(sum.Count)}
+	return nil
+}
+
+// String formats count/mean/p50/p99 on one line.
+func (s Summary) String() string {
+	return fmt.Sprintf("n=%d mean=%.4fs p50<=%.4fs p99<=%.4fs", s.Count, s.Mean, s.P50, s.P99)
 }
 
 // UpperBound returns the inclusive upper edge of bucket i: Min for the
@@ -131,7 +173,7 @@ func (s HistSnapshot) Mean() float64 {
 }
 
 // Quantile returns an upper bound for the q-quantile from bucket edges
-// (0 when empty), mirroring metrics.Histogram.Quantile.
+// (0 when empty).
 func (s HistSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0

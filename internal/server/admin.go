@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,14 +50,6 @@ type introspector interface{ Introspect() cache.Introspection }
 // shards'). Immediate-mode stores report Enabled=false and the section is
 // omitted.
 type accessBufStatser interface{ AccessBufStats() cache.AccessBufStats }
-
-// tenantStatser is optionally implemented by multi-tenant stores
-// (*tenant.Router): per-tenant accounting rows and the arbiter snapshot.
-// Single-tenant stores simply lack the section.
-type tenantStatser interface {
-	TenantSnapshots() []tenant.Snapshot
-	ArbiterStats() *tenant.ArbiterStats
-}
 
 // Admin serves the observability endpoints for one Server. Construct with
 // NewAdmin; it does not listen until Serve or ListenAndServe.
@@ -273,8 +264,8 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if a.srv.peers != nil {
 		a.writeClusterMetrics(p, ss)
 	}
-	if ts, ok := a.srv.c.(tenantStatser); ok {
-		a.writeTenantMetrics(p, ts)
+	if arb := a.srv.opts.Tenants.Arbiter(); arb != nil {
+		a.writeTenantMetrics(p, arb)
 	}
 	if m := a.srv.mem; m != nil {
 		a.writeMembershipMetrics(p, m.Stats())
@@ -287,63 +278,56 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // own counters and its tenant-to-tenant move matrix. Slab moves are the
 // observable core of the scheme — pamakv_tenant_slabs_{in,out}_total and the
 // matrix prove memory is actually flowing toward the needier tenant.
-func (a *Admin) writeTenantMetrics(p *obs.PromWriter, ts tenantStatser) {
-	snaps := ts.TenantSnapshots()
-	gauge := func(name, help string, get func(tenant.Snapshot) float64) {
-		p.Header(name, help, "gauge")
+func (a *Admin) writeTenantMetrics(p *obs.PromWriter, arb *tenant.Arbiter) {
+	snaps := arb.Snapshots()
+	series := func(typ, name, help string, get func(tenant.Snapshot) float64) {
+		p.Header(name, help, typ)
 		for _, s := range snaps {
 			p.Value(name, `tenant="`+s.Name+`"`, get(s))
 		}
 	}
-	counter := func(name, help string, get func(tenant.Snapshot) float64) {
-		p.Header(name, help, "counter")
-		for _, s := range snaps {
-			p.Value(name, `tenant="`+s.Name+`"`, get(s))
-		}
-	}
-	gauge("pamakv_tenant_slabs", "Slabs currently budgeted to the tenant.",
+	series("gauge", "pamakv_tenant_slabs", "Slabs currently budgeted to the tenant.",
 		func(s tenant.Snapshot) float64 { return float64(s.Slabs) })
-	gauge("pamakv_tenant_reserve_slabs", "Slab floor the arbiter never breaches.",
+	series("gauge", "pamakv_tenant_reserve_slabs", "Slab floor the arbiter never breaches.",
 		func(s tenant.Snapshot) float64 { return float64(s.ReserveSlabs) })
-	gauge("pamakv_tenant_free_slabs", "Tenant slabs not yet granted to a class.",
+	series("gauge", "pamakv_tenant_free_slabs", "Tenant slabs not yet granted to a class.",
 		func(s tenant.Snapshot) float64 { return float64(s.FreeSlabs) })
-	gauge("pamakv_tenant_items", "Resident items owned by the tenant.",
+	series("gauge", "pamakv_tenant_items", "Resident items owned by the tenant.",
 		func(s tenant.Snapshot) float64 { return float64(s.Items) })
-	gauge("pamakv_tenant_used_bytes", "Slot bytes occupied by the tenant's items.",
+	series("gauge", "pamakv_tenant_used_bytes", "Slot bytes occupied by the tenant's items.",
 		func(s tenant.Snapshot) float64 { return float64(s.UsedBytes) })
-	gauge("pamakv_tenant_reserved_bytes", "Configured memory reserve.",
+	series("gauge", "pamakv_tenant_reserved_bytes", "Configured memory reserve.",
 		func(s tenant.Snapshot) float64 { return float64(s.ReservedBytes) })
-	gauge("pamakv_tenant_weight", "Arbitration weight.",
+	series("gauge", "pamakv_tenant_weight", "Arbitration weight.",
 		func(s tenant.Snapshot) float64 { return s.Weight })
-	gauge("pamakv_tenant_slo_class", "Overload SLO class (0 = most protected).",
+	series("gauge", "pamakv_tenant_slo_class", "Overload SLO class (0 = most protected).",
 		func(s tenant.Snapshot) float64 { return float64(s.SLOClass) })
-	counter("pamakv_tenant_gets_total", "GETs routed to the tenant.",
+	series("counter", "pamakv_tenant_gets_total", "GETs routed to the tenant.",
 		func(s tenant.Snapshot) float64 { return float64(s.Gets) })
-	counter("pamakv_tenant_hits_total", "GET hits in the tenant's engines.",
+	series("counter", "pamakv_tenant_hits_total", "GET hits in the tenant's engines.",
 		func(s tenant.Snapshot) float64 { return float64(s.Hits) })
-	counter("pamakv_tenant_misses_total", "GET misses in the tenant's engines.",
+	series("counter", "pamakv_tenant_misses_total", "GET misses in the tenant's engines.",
 		func(s tenant.Snapshot) float64 { return float64(s.Misses) })
-	counter("pamakv_tenant_evictions_total", "Items evicted from the tenant's engines.",
+	series("counter", "pamakv_tenant_evictions_total", "Items evicted from the tenant's engines.",
 		func(s tenant.Snapshot) float64 { return float64(s.Evictions) })
-	counter("pamakv_tenant_slabs_in_total", "Slabs received from other tenants by arbitration.",
+	series("counter", "pamakv_tenant_slabs_in_total", "Slabs received from other tenants by arbitration.",
 		func(s tenant.Snapshot) float64 { return float64(s.SlabsIn) })
-	counter("pamakv_tenant_slabs_out_total", "Slabs donated to other tenants by arbitration.",
+	series("counter", "pamakv_tenant_slabs_out_total", "Slabs donated to other tenants by arbitration.",
 		func(s tenant.Snapshot) float64 { return float64(s.SlabsOut) })
-	gauge("pamakv_tenant_incoming_value", "Marginal penalty saved per window were the tenant granted one slab (last arbiter step).",
+	series("gauge", "pamakv_tenant_incoming_value", "Marginal penalty saved per window were the tenant granted one slab (last arbiter step).",
 		func(s tenant.Snapshot) float64 { return s.Incoming })
-	gauge("pamakv_tenant_outgoing_value", "Marginal penalty paid per window giving one slab up (last arbiter step).",
+	series("gauge", "pamakv_tenant_outgoing_value", "Marginal penalty paid per window giving one slab up (last arbiter step).",
 		func(s tenant.Snapshot) float64 { return s.Outgoing })
 
-	if ast := ts.ArbiterStats(); ast != nil {
-		p.Counter("pamakv_tenant_arbiter_steps_total", "Arbitration rounds run.", ast.Steps)
-		p.Counter("pamakv_tenant_arbiter_moves_total", "Slabs moved between tenants.", ast.Moves)
-		p.Header("pamakv_tenant_slab_moves_total", "Slabs moved by donor and receiver tenant.", "counter")
-		for d, row := range ast.Matrix {
-			for r, n := range row {
-				if n != 0 && d < len(ast.Members) && r < len(ast.Members) {
-					p.Value("pamakv_tenant_slab_moves_total",
-						`donor="`+ast.Members[d].Name+`",receiver="`+ast.Members[r].Name+`"`, float64(n))
-				}
+	ast := arb.Stats()
+	p.Counter("pamakv_tenant_arbiter_steps_total", "Arbitration rounds run.", ast.Steps)
+	p.Counter("pamakv_tenant_arbiter_moves_total", "Slabs moved between tenants.", ast.Moves)
+	p.Header("pamakv_tenant_slab_moves_total", "Slabs moved by donor and receiver tenant.", "counter")
+	for d, row := range ast.Matrix {
+		for r, n := range row {
+			if n != 0 && d < len(ast.Members) && r < len(ast.Members) {
+				p.Value("pamakv_tenant_slab_moves_total",
+					`donor="`+ast.Members[d].Name+`",receiver="`+ast.Members[r].Name+`"`, float64(n))
 			}
 		}
 	}
@@ -368,12 +352,7 @@ func (a *Admin) writeOverloadMetrics(p *obs.PromWriter, os overload.Stats, ss St
 	p.Counter("pamakv_shed_fetches_total", "Backend fetches suppressed by the overload tier.", ss.FetchSheds)
 	p.Counter("pamakv_peer_sheds_total", "Forwards the owning peer refused with a shed reply.", ss.PeerSheds)
 	p.Header("pamakv_overload_sheds_total", "Sheds by reason.", "counter")
-	reasons := make([]string, 0, len(os.ShedByReason))
-	for r := range os.ShedByReason {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
+	for _, r := range metrics.SortedNames(os.ShedByReason) {
 		p.Value("pamakv_overload_sheds_total", `reason="`+r+`"`, float64(os.ShedByReason[r]))
 	}
 	p.Header("pamakv_overload_sheds_by_sub_total", "Sheds by penalty subclass.", "counter")
@@ -414,11 +393,7 @@ func (a *Admin) writeClusterMetrics(p *obs.PromWriter, ss Stats) {
 	}
 
 	snaps := a.srv.peers.Snapshots()
-	addrs := make([]string, 0, len(snaps))
-	for addr := range snaps {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
+	addrs := metrics.SortedNames(snaps)
 
 	counter := func(name, help string, get func(cluster.ClientStats) uint64) {
 		p.Header(name, help, "counter")
@@ -553,88 +528,39 @@ func subLabels(cl, sub int) string {
 	return `class="` + strconv.Itoa(cl) + `",sub="` + strconv.Itoa(sub) + `"`
 }
 
-// LatencySummary is the JSON rendering of one latency histogram: count plus
-// derived points, all finite (zero when the histogram is empty).
-type LatencySummary struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean_seconds"`
-	P50   float64 `json:"p50_seconds"`
-	P95   float64 `json:"p95_seconds"`
-	P99   float64 `json:"p99_seconds"`
-}
-
-func summarize(s obs.HistSnapshot) LatencySummary {
-	return LatencySummary{
-		Count: s.Count,
-		Mean:  s.Mean(),
-		P50:   s.Quantile(0.50),
-		P95:   s.Quantile(0.95),
-		P99:   s.Quantile(0.99),
-	}
-}
-
 // BackendStatsz is the backend section of /statsz.
 type BackendStatsz struct {
-	Fetches             uint64         `json:"fetches"`
-	TotalPenaltySeconds float64        `json:"total_penalty_seconds"`
-	InjectedErrors      uint64         `json:"injected_errors"`
-	InjectedSpikes      uint64         `json:"injected_spikes"`
-	FetchLatency        LatencySummary `json:"fetch_latency"`
-}
-
-// PeerStatsz is one remote peer's section of /statsz: the raw counters plus
-// a summarized latency view (the full histogram rides on /metrics).
-type PeerStatsz struct {
-	Requests     uint64         `json:"requests"`
-	Errors       uint64         `json:"errors"`
-	Retries      uint64         `json:"retries"`
-	Dials        uint64         `json:"dials"`
-	FastFails    uint64         `json:"fast_fails"`
-	BreakerOpens uint64         `json:"breaker_opens"`
-	BreakerOpen  bool           `json:"breaker_open"`
-	Hedges       uint64         `json:"hedges"`
-	HedgeWins    uint64         `json:"hedge_wins"`
-	Latency      LatencySummary `json:"latency"`
+	Fetches             uint64           `json:"fetches"`
+	TotalPenaltySeconds float64          `json:"total_penalty_seconds"`
+	InjectedErrors      uint64           `json:"injected_errors"`
+	InjectedSpikes      uint64           `json:"injected_spikes"`
+	FetchLatency        obs.HistSnapshot `json:"fetch_latency"`
 }
 
 // OverloadStatsz is the overload section of /statsz: the controller's
-// snapshot flattened next to the server-side shed counters, with the
-// histograms summarized (the full curves ride on /metrics).
+// snapshot next to the server-side shed counters. Histograms appear as
+// their obs.Summary here, as everywhere in /statsz (the full curves ride on
+// /metrics).
 type OverloadStatsz struct {
-	Tier           int               `json:"tier"`
-	Limit          int               `json:"limit"`
-	MaxInflight    int               `json:"max_inflight"`
-	Inflight       int               `json:"inflight"`
-	Queued         int               `json:"queued"`
-	PeakInflight   int               `json:"peak_inflight"`
-	Admitted       uint64            `json:"admitted"`
-	QueuedTotal    uint64            `json:"queued_total"`
-	ShedTotal      uint64            `json:"shed_total"`
-	ShedByReason   map[string]uint64 `json:"shed_by_reason"`
-	ShedBySub      [5]uint64         `json:"shed_by_sub"`
-	ShedBySLO      [4]uint64         `json:"shed_by_slo"`
-	LimitIncreases uint64            `json:"limit_increases"`
-	LimitDecreases uint64            `json:"limit_decreases"`
-	Sheds          uint64            `json:"sheds"`
-	FetchSheds     uint64            `json:"shed_fetches"`
-	PeerSheds      uint64            `json:"peer_sheds"`
-	Sojourn        LatencySummary    `json:"sojourn"`
-	Service        LatencySummary    `json:"service"`
+	overload.Stats
+	Sheds      uint64 `json:"sheds"`
+	FetchSheds uint64 `json:"shed_fetches"`
+	PeerSheds  uint64 `json:"peer_sheds"`
 }
 
 // ClusterStatsz is the cluster section of /statsz.
 type ClusterStatsz struct {
-	Self          string                 `json:"self"`
-	Members       []string               `json:"members"`
-	Forwards      uint64                 `json:"forwards"`
-	PeerHits      uint64                 `json:"peer_hits"`
-	PeerErrors    uint64                 `json:"peer_errors"`
-	PeerFallbacks uint64                 `json:"peer_fallbacks"`
-	HotHits       uint64                 `json:"hot_hits"`
-	Exchanges     uint64                 `json:"exchanges"`
-	ExchangedCmds uint64                 `json:"exchanged_cmds"`
-	HotCache      *cluster.HotCacheStats `json:"hot_cache,omitempty"`
-	Peers         map[string]PeerStatsz  `json:"peers"`
+	Self          string                         `json:"self"`
+	Members       []string                       `json:"members"`
+	Forwards      uint64                         `json:"forwards"`
+	PeerHits      uint64                         `json:"peer_hits"`
+	PeerErrors    uint64                         `json:"peer_errors"`
+	PeerFallbacks uint64                         `json:"peer_fallbacks"`
+	HotHits       uint64                         `json:"hot_hits"`
+	Exchanges     uint64                         `json:"exchanges"`
+	ExchangedCmds uint64                         `json:"exchanged_cmds"`
+	HotCache      *cluster.HotCacheStats         `json:"hot_cache,omitempty"`
+	Peers         map[string]cluster.ClientStats `json:"peers"`
 }
 
 // RuntimeStatsz is the Go-runtime section of /statsz: whether the collector
@@ -667,16 +593,17 @@ type Statsz struct {
 	Server   Stats       `json:"server"`
 	Slabs    []int       `json:"slabs"`
 
-	Runtime       RuntimeStatsz             `json:"runtime"`
-	Latencies     map[string]LatencySummary `json:"latencies"`
-	Backend       *BackendStatsz            `json:"backend,omitempty"`
-	Overload      *OverloadStatsz           `json:"overload,omitempty"`
-	Cluster       *ClusterStatsz            `json:"cluster,omitempty"`
-	Membership    *membership.Stats         `json:"membership,omitempty"`
-	Introspection *cache.Introspection      `json:"introspection,omitempty"`
+	Runtime       RuntimeStatsz          `json:"runtime"`
+	Latencies     map[string]obs.Summary `json:"latencies"`
+	Backend       *BackendStatsz         `json:"backend,omitempty"`
+	Overload      *OverloadStatsz        `json:"overload,omitempty"`
+	Cluster       *ClusterStatsz         `json:"cluster,omitempty"`
+	Membership    *membership.Stats      `json:"membership,omitempty"`
+	Introspection *cache.Introspection   `json:"introspection,omitempty"`
 
-	// Tenants and Arbiter appear when the store is a tenant.Router: one
-	// accounting row per tenant and the arbiter's counters and move matrix.
+	// Tenants and Arbiter appear on a multi-tenant server (Options.Tenants
+	// with an arbiter): one accounting row per tenant and the arbiter's
+	// counters and move matrix.
 	Tenants []tenant.Snapshot    `json:"tenants,omitempty"`
 	Arbiter *tenant.ArbiterStats `json:"arbiter,omitempty"`
 
@@ -708,9 +635,9 @@ func (a *Admin) statsz() Statsz {
 			doc.AccessBuf = &abs
 		}
 	}
-	doc.Latencies = make(map[string]LatencySummary, numFams)
+	doc.Latencies = make(map[string]obs.Summary, numFams)
 	for fam, snap := range a.srv.Latencies() {
-		doc.Latencies[fam] = summarize(snap)
+		doc.Latencies[fam] = snap.Summary()
 	}
 	if b := a.srv.opts.Backend; b != nil {
 		doc.Backend = &BackendStatsz{
@@ -718,36 +645,19 @@ func (a *Admin) statsz() Statsz {
 			TotalPenaltySeconds: b.TotalPenalty(),
 			InjectedErrors:      b.InjectedErrors(),
 			InjectedSpikes:      b.InjectedSpikes(),
-			FetchLatency:        summarize(b.FetchLatency()),
+			FetchLatency:        b.FetchLatency(),
 		}
 	}
+	ss := doc.Server
 	if c := a.srv.ctrl; c != nil {
-		os := c.Stats()
-		ss := doc.Server
 		doc.Overload = &OverloadStatsz{
-			Tier:           os.Tier,
-			Limit:          os.Limit,
-			MaxInflight:    os.MaxInflight,
-			Inflight:       os.Inflight,
-			Queued:         os.Queued,
-			PeakInflight:   os.PeakInflight,
-			Admitted:       os.Admitted,
-			QueuedTotal:    os.QueuedTotal,
-			ShedTotal:      os.ShedTotal,
-			ShedByReason:   os.ShedByReason,
-			ShedBySub:      os.ShedBySub,
-			ShedBySLO:      os.ShedBySLO,
-			LimitIncreases: os.LimitIncreases,
-			LimitDecreases: os.LimitDecreases,
-			Sheds:          ss.Sheds,
-			FetchSheds:     ss.FetchSheds,
-			PeerSheds:      ss.PeerSheds,
-			Sojourn:        summarize(os.Sojourn),
-			Service:        summarize(os.Service),
+			Stats:      c.Stats(),
+			Sheds:      ss.Sheds,
+			FetchSheds: ss.FetchSheds,
+			PeerSheds:  ss.PeerSheds,
 		}
 	}
 	if ps := a.srv.peers; ps != nil {
-		ss := doc.Server
 		cs := &ClusterStatsz{
 			Self:          ps.Self(),
 			Members:       ps.Members(),
@@ -758,24 +668,10 @@ func (a *Admin) statsz() Statsz {
 			HotHits:       ss.HotHits,
 			Exchanges:     ss.PeerExchanges,
 			ExchangedCmds: ss.PeerExchangedCmds,
-			Peers:         make(map[string]PeerStatsz),
+			Peers:         ps.Snapshots(),
 		}
 		if hc, ok := a.srv.HotCacheStats(); ok {
 			cs.HotCache = &hc
-		}
-		for addr, st := range ps.Snapshots() {
-			cs.Peers[addr] = PeerStatsz{
-				Requests:     st.Requests,
-				Errors:       st.Errors,
-				Retries:      st.Retries,
-				Dials:        st.Dials,
-				FastFails:    st.FastFails,
-				BreakerOpens: st.BreakerOpens,
-				BreakerOpen:  st.BreakerOpen,
-				Hedges:       st.Hedges,
-				HedgeWins:    st.HedgeWins,
-				Latency:      summarize(st.Latency),
-			}
 		}
 		doc.Cluster = cs
 	}
@@ -787,9 +683,10 @@ func (a *Admin) statsz() Statsz {
 		snap := in.Introspect()
 		doc.Introspection = &snap
 	}
-	if ts, ok := a.srv.c.(tenantStatser); ok {
-		doc.Tenants = ts.TenantSnapshots()
-		doc.Arbiter = ts.ArbiterStats()
+	if arb := a.srv.opts.Tenants.Arbiter(); arb != nil {
+		doc.Tenants = arb.Snapshots()
+		ast := arb.Stats()
+		doc.Arbiter = &ast
 	}
 	return doc
 }

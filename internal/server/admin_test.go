@@ -4,13 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"pamakv/internal/backend"
+	"pamakv/internal/cache"
+	"pamakv/internal/core"
+	"pamakv/internal/membership"
+	"pamakv/internal/overload"
+	"pamakv/internal/penalty"
+	"pamakv/internal/tenant"
 )
 
 // readStats runs the in-band `stats` command and returns its key/value map.
@@ -405,4 +415,164 @@ func TestAdminStatszEmptyServer(t *testing.T) {
 	if doc.Latencies["get"].Count != 0 {
 		t.Errorf("latency count = %d on an idle server", doc.Latencies["get"].Count)
 	}
+}
+
+// TestStatszFieldNames pins the /statsz fields others read by name — the
+// benchmark's frozen list (benchmark/README.md), pama-stats -live, the CI
+// python snippets — and the sections whose structs /statsz embeds from their
+// own packages, with each field's JSON kind. "*" stands for any one key of
+// an object, a number for an array index.
+func TestStatszFieldNames(t *testing.T) {
+	var typed Statsz // the last document, decoded the way pama-stats -live does
+	statsz := func(srv *Server) any {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		NewAdmin(srv, 0).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/statsz", nil))
+		var doc any
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		typed = Statsz{}
+		if err := json.Unmarshal(rec.Body.Bytes(), &typed); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	summary := func(prefix string) map[string]string {
+		return map[string]string{prefix + ".count": "number", prefix + ".mean_seconds": "number",
+			prefix + ".p50_seconds": "number", prefix + ".p95_seconds": "number", prefix + ".p99_seconds": "number"}
+	}
+	check := func(doc any, groups ...map[string]string) {
+		t.Helper()
+		for _, g := range groups {
+			for path, kind := range g {
+				cur := doc
+				for _, part := range strings.Split(path, ".") {
+					switch v := cur.(type) {
+					case map[string]any:
+						if part == "*" {
+							for k := range v {
+								part = k
+							}
+						}
+						cur = v[part]
+					case []any:
+						if i, err := strconv.Atoi(part); err == nil && i < len(v) {
+							cur = v[i]
+						} else {
+							cur = nil
+						}
+					default:
+						cur = nil
+					}
+				}
+				got := "missing"
+				switch cur.(type) {
+				case float64:
+					got = "number"
+				case string:
+					got = "string"
+				case bool:
+					got = "bool"
+				case []any:
+					got = "array"
+				case map[string]any:
+					got = "object"
+				}
+				if got != kind {
+					t.Errorf("/statsz %s is %s, want %s", path, got, kind)
+				}
+			}
+		}
+	}
+
+	// A read-through server under admission control.
+	store := backend.New(penalty.Uniform(0.001), func(uint64) int { return 10 })
+	srv, addr := startServer(t, Options{Backend: store, Overload: &overload.Config{MaxInflight: 8}})
+	cl := dial(t, addr)
+	cl.send(t, "set k 0 0 1\r\nx\r\nget k\r\nget fill\r\n")
+	readUntil(t, cl, "END\r\nVALUE fill 0 10\r\n")
+	readUntil(t, cl, "END\r\n")
+	check(statsz(srv), map[string]string{
+		"policy": "string", "items": "number", "slabs": "array", "hit_ratio": "number",
+		"engine.Gets": "number", "engine.Hits": "number", "engine.Misses": "number", "engine.Sets": "number",
+		"engine.Evictions": "number", "engine.GhostHits": "number", "engine.SlabMigrations": "number",
+		"engine.WindowRollovers": "number",
+		"server.Batches":         "number", "server.BatchedCmds": "number", "server.ClientErrors": "number",
+		"server.ServerErrors": "number", "server.IOErrors": "number", "server.PeerForwards": "number",
+		"server.PeerErrors": "number", "server.HotHits": "number",
+		"runtime.gc_cycles": "number", "runtime.gc_pause_seconds_total": "number", "runtime.heap_alloc_bytes": "number",
+		"introspection.bytes_holes": "array", "introspection.slot_sizes": "array",
+		"backend.fetches": "number", "backend.total_penalty_seconds": "number",
+		"backend.injected_errors": "number", "backend.injected_spikes": "number",
+		"overload.tier": "number", "overload.limit": "number", "overload.max_inflight": "number",
+		"overload.inflight": "number", "overload.queued": "number", "overload.peak_inflight": "number",
+		"overload.admitted": "number", "overload.queued_total": "number", "overload.shed_total": "number",
+		"overload.shed_by_reason": "object", "overload.shed_by_sub": "array", "overload.shed_by_slo": "array",
+		"overload.limit_increases": "number", "overload.limit_decreases": "number",
+		"overload.sheds": "number", "overload.shed_fetches": "number", "overload.peer_sheds": "number",
+	}, summary("latencies.get"), summary("latencies.set"), summary("backend.fetch_latency"),
+		summary("overload.sojourn"), summary("overload.service"))
+	// A histogram decoded from its summary keeps the count and the mean.
+	sent := store.FetchLatency()
+	if got := typed.Backend.FetchLatency; sent.Count == 0 || got.Count != sent.Count ||
+		math.Abs(got.Mean()-sent.Mean()) > 1e-9*sent.Mean() {
+		t.Errorf("fetch_latency decodes to n=%d mean=%g, sent n=%d mean=%g", got.Count, got.Mean(), sent.Count, sent.Mean())
+	}
+	if got := typed.Overload.Service; got.Count == 0 || got.Mean() <= 0 {
+		t.Errorf("overload.service decodes to n=%d mean=%g", got.Count, got.Mean())
+	}
+
+	// A cluster member with runtime membership.
+	nodes := startChurnCluster(t, 2, membership.Config{ProbeInterval: -1})
+	ncl := dial(t, nodes[0].addr)
+	for i := 0; i < 8; i++ { // some of these forward to the peer
+		ncl.send(t, fmt.Sprintf("set fwd%d 0 0 1\r\nx\r\n", i))
+		ncl.line(t)
+	}
+	check(statsz(nodes[0].srv), map[string]string{
+		"cluster.self": "string", "cluster.members": "array", "cluster.forwards": "number",
+		"cluster.peer_hits": "number", "cluster.peer_errors": "number", "cluster.peer_fallbacks": "number",
+		"cluster.hot_hits": "number", "cluster.exchanges": "number", "cluster.exchanged_cmds": "number",
+		"cluster.peers.*.requests": "number", "cluster.peers.*.errors": "number",
+		"cluster.peers.*.retries": "number", "cluster.peers.*.dials": "number",
+		"cluster.peers.*.fast_fails": "number", "cluster.peers.*.breaker_opens": "number",
+		"cluster.peers.*.breaker_open": "bool", "cluster.peers.*.hedges": "number",
+		"cluster.peers.*.hedge_wins": "number",
+		"membership.epoch":           "number", "membership.draining": "bool", "membership.members.0.addr": "string",
+		"membership.members.0.state": "string",
+		"membership.handoff.active":  "bool", "membership.handoff.keys_sent": "number",
+		"membership.handoff.runs": "number", "membership.handoff.errors": "number",
+	}, summary("cluster.peers.*.latency"), summary("membership.probe_latency"),
+		summary("membership.handoff.duration_seconds"))
+
+	// A two-tenant server on the batched read path.
+	reg, err := tenant.NewRegistry([]tenant.Config{{Name: "gold", ReservedBytes: 2 << 20}, {Name: "bronze"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, members, err := tenant.NewGroup(reg, cache.Config{CacheBytes: 12 << 20, StoreValues: true, AccessBuffer: 64},
+		2, func() cache.Policy { return core.New(core.DefaultConfig()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	arb, err := tenant.NewArbiter(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.SetArbiter(arb)
+	g.Set("gold/k", 100, 0.01, 0, []byte("v"))
+	g.Get("gold/k", 0, 0, nil)
+	arb.Step()
+	check(statsz(New(g, Options{Tenants: reg})), map[string]string{
+		"access_buf.drains": "number", "access_buf.drained": "number", "access_buf.full_drains": "number",
+		"access_buf.lock_wait_ns": "number", "access_buf.stale_refs": "number",
+		"tenants.0.name": "string", "tenants.0.slo_class": "number", "tenants.0.weight": "number",
+		"tenants.0.reserved_bytes": "number", "tenants.0.reserve_slabs": "number", "tenants.0.slabs": "number",
+		"tenants.0.free_slabs": "number", "tenants.0.items": "number", "tenants.0.used_bytes": "number",
+		"tenants.0.gets": "number", "tenants.0.hits": "number", "tenants.0.misses": "number",
+		"tenants.0.evictions": "number", "tenants.0.slabs_in": "number", "tenants.0.slabs_out": "number",
+		"tenants.0.incoming": "number", "tenants.0.outgoing": "number", "tenants.2.name": "string",
+		"arbiter.steps": "number", "arbiter.moves": "number", "arbiter.members": "array", "arbiter.matrix": "array",
+	})
 }

@@ -423,6 +423,13 @@ func TestChurnGracefulDrain(t *testing.T) {
 	}
 	mgrs := []*membership.Manager{nodes[0].mgr, nodes[1].mgr}
 	waitConverged(t, mgrs, 2, 5*time.Second)
+	// The drain's run starts on its own goroutine: wait until it is counted
+	// before waiting for it to end.
+	for deadline := time.Now().Add(5 * time.Second); nodes[2].mgr.Stats().Handoff.Runs == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("drain's handoff run never started")
+		}
+	}
 	waitHandoffDrained(t, []*membership.Manager{nodes[2].mgr}, 10*time.Second)
 	close(stop)
 	wg.Wait()

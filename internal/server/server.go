@@ -146,8 +146,9 @@ func (sc *connScratch) capScratch() {
 // Options.FetchTimeout.
 var ErrFetchTimeout = errors.New("server: backend fetch timed out")
 
-// Store is the cache surface the server drives: satisfied by both
-// *cache.Cache (one engine) and *shard.Group (hash-sharded engines).
+// Store is the cache surface the server drives: satisfied by *cache.Cache
+// (one engine) and *shard.Group (engines behind one route: by hash, or by
+// tenant and then hash).
 type Store interface {
 	Get(key string, sizeHint int, penHint float64, buf []byte) ([]byte, uint32, bool)
 	GetWithCAS(key string, buf []byte) ([]byte, uint32, uint64, bool)
@@ -218,8 +219,9 @@ type Options struct {
 	// each key's namespace prefix resolves its tenant, the tenant's SLO
 	// class demotes the request's effective penalty subclass at admission
 	// (best-effort tenants shed before premium ones), and per-tenant
-	// accounting appears in /statsz and the metrics endpoint when the
-	// store is a tenant.Router. Nil serves single-tenant.
+	// accounting appears in /statsz and the metrics endpoint once the
+	// registry names its arbiter (Registry.SetArbiter). The store routes
+	// by the same registry (tenant.NewGroup). Nil serves single-tenant.
 	Tenants *tenant.Registry
 
 	// Cluster enables the peer tier: keys this node does not own are

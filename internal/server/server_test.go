@@ -137,9 +137,13 @@ func TestBatchLatencyCountsPerFamily(t *testing.T) {
 		cl.line(t)
 	}
 	// A reply is written before its batch is observed; one more round trip
-	// on the same connection orders this read after the observation.
+	// on the same connection orders this read after the observations above,
+	// and its own (the second "other") is waited for.
 	cl.send(t, "version\r\n")
 	cl.line(t)
+	for deadline := time.Now().Add(2 * time.Second); srv.Latencies()["other"].Count < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	want := map[string]uint64{"set": 5, "delta": 3, "delete": 2, "get": 7, "other": 2}
 	for fam, snap := range srv.Latencies() {
 		if snap.Count != want[fam] {
@@ -434,6 +438,83 @@ func TestAppendPrependProtocol(t *testing.T) {
 	cl.send(t, fmt.Sprintf("cas k 0 0 1 %d\r\nZ\r\n", cas))
 	if got := cl.line(t); got != "EXISTS" {
 		t.Fatalf("stale cas after append -> %q", got)
+	}
+}
+
+// TestConcurrentAppendKeepsEveryFragment appends distinct fragments to one
+// key from several connections at once: the final value must hold every
+// fragment the server answered STORED for exactly once, and nothing else.
+func TestConcurrentAppendKeepsEveryFragment(t *testing.T) {
+	_, addr := startServer(t, Options{})
+	cl := dial(t, addr)
+	cl.send(t, "set log 0 0 0\r\n\r\n")
+	if got := cl.line(t); got != "STORED" {
+		t.Fatalf("set -> %q", got)
+	}
+	var mu sync.Mutex
+	stored := map[string]bool{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			// Bursts of ten keep every connection's batch loop inside
+			// doConcat at the same time.
+			for i := 0; i < 100; i += 10 {
+				var burst []string
+				var req strings.Builder
+				for j := i; j < i+10; j++ {
+					frag := fmt.Sprintf("%d.%03d;", g, j)
+					burst = append(burst, frag)
+					fmt.Fprintf(&req, "append log 0 0 %d\r\n%s\r\n", len(frag), frag)
+				}
+				if _, err := conn.Write([]byte(req.String())); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, frag := range burst {
+					l, err := r.ReadString('\n')
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					// Eight straight CAS losses answer SERVER_ERROR concat
+					// contention; such a fragment was not stored.
+					if strings.HasPrefix(l, "STORED") {
+						mu.Lock()
+						stored[frag] = true
+						mu.Unlock()
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	cl.send(t, "get log\r\n")
+	cl.line(t) // VALUE
+	body := cl.line(t)
+	cl.line(t) // END
+	frags := strings.SplitAfter(body, ";")
+	frags = frags[:len(frags)-1] // the empty tail after the last separator
+	seen := map[string]bool{}
+	for _, f := range frags {
+		if !stored[f] {
+			t.Errorf("value holds %q, which was never answered STORED", f)
+		}
+		if seen[f] {
+			t.Errorf("fragment %q appears twice", f)
+		}
+		seen[f] = true
+	}
+	if len(seen) != len(stored) {
+		t.Fatalf("%d of %d STORED fragments survive in the value", len(seen), len(stored))
 	}
 }
 

@@ -1,9 +1,13 @@
-// Package shard partitions a cache across N independent engines by key
-// hash, the standard recipe for scaling a mutex-guarded cache across cores
-// (and the moral equivalent of running N Memcached instances behind a
-// consistent router). Each shard gets an equal slice of the memory budget
-// and its own policy instance, so allocation decisions stay local to the
-// keys a shard owns — the same isolation a multi-instance deployment has.
+// Package shard holds the engine set: N independent cache engines and the one
+// rule that routes a key to its engine. Routing by key hash is the standard
+// recipe for scaling a mutex-guarded cache across cores (the moral equivalent
+// of running N Memcached instances behind a consistent router): each shard
+// gets an equal slice of the memory budget and its own policy instance, so
+// allocation decisions stay local to the keys a shard owns — the same
+// isolation a multi-instance deployment has. A group can instead be built
+// over engines and a route supplied by the caller (package tenant: a range of
+// engines per tenant); every keyed operation and every fan-in exists once,
+// here.
 package shard
 
 import (
@@ -19,15 +23,19 @@ import (
 // and cannot be shared between engines).
 type PolicyFactory func() cache.Policy
 
-// Group is a hash-sharded set of caches.
+// Group is a set of engines and the one rule that routes a key to its
+// engine: by key hash across all of them, or by the route it was built with.
 type Group struct {
 	shards []*cache.Cache
 	mask   uint64
+	route  func(key string) int // nil: hash across all shards
 }
 
 // New builds a group of n shards (rounded up to a power of two, min 1),
-// splitting cfg.CacheBytes evenly. Each shard must still hold at least one
-// slab.
+// splitting cfg.CacheBytes in whole slabs: every shard gets an equal count
+// and the first few one more when the count does not divide, so the group
+// holds every slab the budget pays for. Each shard must still hold at least
+// one slab.
 func New(cfg cache.Config, n int, factory PolicyFactory) (*Group, error) {
 	if factory == nil {
 		return nil, errors.New("shard: nil policy factory")
@@ -36,12 +44,19 @@ func New(cfg cache.Config, n int, factory PolicyFactory) (*Group, error) {
 	for shards < n {
 		shards <<= 1
 	}
-	per := cfg.CacheBytes / int64(shards)
+	if cfg.Geometry.IsZero() {
+		cfg.Geometry = kv.DefaultGeometry()
+	}
+	slabSize := int64(cfg.Geometry.SlabSize)
+	slabs := cfg.CacheBytes / slabSize
 	perStale := cfg.StaleBytes / int64(shards)
 	g := &Group{mask: uint64(shards - 1)}
 	for i := 0; i < shards; i++ {
 		scfg := cfg
-		scfg.CacheBytes = per
+		scfg.CacheBytes = slabs / int64(shards) * slabSize
+		if int64(i) < slabs%int64(shards) {
+			scfg.CacheBytes += slabSize
+		}
 		scfg.StaleBytes = perStale
 		c, err := cache.New(scfg, factory())
 		if err != nil {
@@ -52,13 +67,30 @@ func New(cfg cache.Config, n int, factory PolicyFactory) (*Group, error) {
 	return g, nil
 }
 
+// NewRouted groups engines built elsewhere behind route, which returns the
+// index in engines of the one serving a key (tenant.NewGroup: registry
+// prefix, then hash inside the tenant's range).
+func NewRouted(engines []*cache.Cache, route func(key string) int) *Group {
+	return &Group{shards: engines, route: route}
+}
+
 // Shards returns the shard count.
 func (g *Group) Shards() int { return len(g.shards) }
 
-// pick routes a key to its shard. The shard selector uses the high hash
+// Engines returns the group's engines in routing order, for what works on
+// one engine at a time: the tenant arbiter, a single-engine snapshot.
+func (g *Group) Engines() []*cache.Cache { return g.shards }
+
+// pick routes a key to its shard. The hash selector uses the high hash
 // bits so it stays independent of the bucket selector inside each shard's
 // index (which uses the low bits).
 func (g *Group) pick(key string) *cache.Cache {
+	if g.route != nil {
+		return g.shards[g.route(key)]
+	}
+	if g.mask == 0 {
+		return g.shards[0]
+	}
 	return g.shards[(kv.HashString(key)>>48)&g.mask]
 }
 
@@ -221,9 +253,6 @@ func (g *Group) StopMaintainers() {
 		s.StopMaintainer()
 	}
 }
-
-// Interface note: Group implements server.Store (checked in the server
-// package's tests to avoid an import cycle here).
 
 // CheckInvariants validates every shard.
 func (g *Group) CheckInvariants() error {

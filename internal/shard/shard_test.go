@@ -36,6 +36,24 @@ func TestNewRoundsToPowerOfTwo(t *testing.T) {
 	}
 }
 
+// TestNewKeepsEverySlab: a budget that does not divide by the shard count
+// is split in whole slabs, none rounded away.
+func TestNewKeepsEverySlab(t *testing.T) {
+	cfg := testCfg()
+	cfg.CacheBytes = 10*4096 + 100
+	g, err := New(cfg, 4, pamaFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, e := range g.Engines() {
+		got = append(got, e.SlabBudget())
+	}
+	if fmt.Sprint(got) != "[3 3 2 2]" {
+		t.Fatalf("slab budgets %v, want [3 3 2 2]", got)
+	}
+}
+
 func TestNewRejects(t *testing.T) {
 	if _, err := New(testCfg(), 2, nil); err == nil {
 		t.Fatal("nil factory accepted")

@@ -378,13 +378,9 @@ func WriteSummary(w io.Writer, res []*Result) error {
 		if r == nil {
 			continue
 		}
-		p99 := 0.0
-		if r.ServiceHist != nil {
-			p99 = r.ServiceHist.Quantile(0.99)
-		}
 		if _, err := fmt.Fprintf(w, "%s\t%.4f\t%.5f\t%.5f\t%.4f\t%d\t%d\n",
 			r.Spec.Name, r.Series.MeanHitRatio(), r.Series.MeanAvgService(),
-			r.Series.TailMeanAvgService(0.25), p99, r.Stats.Evictions, r.Stats.SlabMigrations); err != nil {
+			r.Series.TailMeanAvgService(0.25), r.ServiceHist.Quantile(0.99), r.Stats.Evictions, r.Stats.SlabMigrations); err != nil {
 			return err
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"pamakv/internal/geom"
 	"pamakv/internal/kv"
 	"pamakv/internal/metrics"
+	"pamakv/internal/obs"
 	"pamakv/internal/penalty"
 	"pamakv/internal/policy"
 	"pamakv/internal/trace"
@@ -216,7 +217,7 @@ type Result struct {
 	// Decisions is non-nil for pama/pre-pama runs.
 	Decisions *core.Decisions
 	// ServiceHist is the log-histogram of GET service times.
-	ServiceHist *metrics.Histogram
+	ServiceHist obs.HistSnapshot
 	// MissPenalty is the summed miss penalty of every GET miss — the
 	// penalty-weighted miss cost the cost-aware baselines optimize.
 	MissPenalty float64
@@ -263,7 +264,7 @@ func Run(spec Spec) (*Result, error) {
 	res := &Result{Spec: spec}
 	res.Series.Name = spec.Name
 	res.SlabSeries.Name = spec.Name
-	res.ServiceHist = metrics.NewHistogram(0.0001, 6)
+	svcHist := obs.NewHist(0.0001, 6)
 	start := time.Now()
 
 	model := spec.Workload.Penalty
@@ -326,7 +327,7 @@ func Run(spec Spec) (*Result, error) {
 					}
 				}
 				win.Add(hit, svc)
-				res.ServiceHist.Add(svc)
+				svcHist.Observe(svc)
 				gets++
 				if gets%spec.MetricsWindow == 0 {
 					snapshot()
@@ -358,6 +359,7 @@ func Run(spec Spec) (*Result, error) {
 		res.SlotSizes = in.SlotSizes
 	}
 	res.Stats = c.Stats()
+	res.ServiceHist = svcHist.Snapshot()
 	if p, ok := pol.(*core.PAMA); ok {
 		d := p.Decisions()
 		res.Decisions = &d

@@ -98,7 +98,7 @@ func TestRunProducesSeries(t *testing.T) {
 	if res.Decisions == nil {
 		t.Fatal("pama run should report decisions")
 	}
-	if res.ServiceHist.Count() == 0 {
+	if res.ServiceHist.Count == 0 {
 		t.Fatal("service histogram empty")
 	}
 	if len(res.SlabSeries.Points) == 0 || res.SlabSeries.Points[0].Slabs == nil {

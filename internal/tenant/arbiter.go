@@ -194,10 +194,12 @@ type MemberStats struct {
 	SLOClass     int     `json:"slo_class"`
 	ReserveSlabs int     `json:"reserve_slabs"`
 	Slabs        int     `json:"slabs"`
-	Incoming     float64 `json:"incoming"`
-	Outgoing     float64 `json:"outgoing"`
-	SlabsIn      uint64  `json:"slabs_in"`
-	SlabsOut     uint64  `json:"slabs_out"`
+	// Incoming and Outgoing are the tenant's marginal slab values at the
+	// last arbitration step (zero before the first).
+	Incoming float64 `json:"incoming"`
+	Outgoing float64 `json:"outgoing"`
+	SlabsIn  uint64  `json:"slabs_in"`
+	SlabsOut uint64  `json:"slabs_out"`
 }
 
 // ArbiterStats is a consistent snapshot of the arbiter's counters.

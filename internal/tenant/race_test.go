@@ -21,30 +21,15 @@ import (
 // transfers may dip it by at most the one slab in flight), and the isolation
 // audit finds no stray items. Run with -race.
 func TestConcurrentArbitrationRaceClean(t *testing.T) {
-	reg, err := NewRegistry([]Config{
+	reg, router, members := newTestGroup(t, []Config{
 		{Name: "hot", Weight: 2},
 		{Name: "bulk", ReservedBytes: 2 << 20, SLOClass: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := make([]*cache.Cache, reg.Len())
-	stores := make([]Store, reg.Len())
-	members := make([]Member, reg.Len())
-	for id := 0; id < reg.Len(); id++ {
-		engines[id] = newTestEngine(t, 8<<20, int32(id))
-		stores[id] = engines[id]
-		members[id] = Member{ID: id, Cfg: reg.Config(id), Engines: []*cache.Cache{engines[id]}}
-	}
-	router, err := NewRouter(reg, stores, members)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 24<<20, 1)
+	engines := router.Engines() // one per tenant, in id order
 	arb, err := NewArbiter(members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	router.SetArbiter(arb)
 
 	total := 0
 	for _, e := range engines {
@@ -107,29 +92,39 @@ func TestConcurrentArbitrationRaceClean(t *testing.T) {
 
 	// The sampler audits mid-flight state: floors hold at every instant,
 	// and the combined budget never strays beyond the one in-flight slab.
+	// The engines are read one after the other, so a sum counts only when a
+	// second reading finds every budget unchanged: the arbiter steps every
+	// millisecond, and a sampler descheduled between two engines would
+	// otherwise add budgets from before one move to budgets from after the
+	// next.
 	sampleErr := make(chan error, 1)
+	fail := func(err error) {
+		select {
+		case sampleErr <- err:
+		default:
+		}
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		first, again := make([]int, len(engines)), make([]int, len(engines))
 		for !stop.Load() {
-			sum := 0
+			sum, stable := 0, true
 			for id, e := range engines {
-				b := e.SlabBudget()
-				sum += b
-				if b < arb.ReserveSlabs(id) {
-					select {
-					case sampleErr <- fmt.Errorf("tenant %s budget %d below floor %d",
-						reg.Config(id).Name, b, arb.ReserveSlabs(id)):
-					default:
-					}
+				first[id] = e.SlabBudget()
+				sum += first[id]
+				if first[id] < arb.ReserveSlabs(id) {
+					fail(fmt.Errorf("tenant %s budget %d below floor %d",
+						reg.Config(id).Name, first[id], arb.ReserveSlabs(id)))
 					return
 				}
 			}
-			if sum < total-1 || sum > total {
-				select {
-				case sampleErr <- fmt.Errorf("combined budget %d, want %d or %d", sum, total-1, total):
-				default:
-				}
+			for id, e := range engines {
+				again[id] = e.SlabBudget()
+				stable = stable && again[id] == first[id]
+			}
+			if stable && (sum < total-1 || sum > total) {
+				fail(fmt.Errorf("combined budget %d, want %d or %d", sum, total-1, total))
 				return
 			}
 			time.Sleep(200 * time.Microsecond)
@@ -158,6 +153,9 @@ func TestConcurrentArbitrationRaceClean(t *testing.T) {
 		t.Fatalf("final combined budget %d != %d", sum, total)
 	}
 	if err := router.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckIsolation(members); err != nil {
 		t.Fatal(err)
 	}
 	if st := arb.Stats(); st.Moves == 0 {

@@ -12,7 +12,9 @@
 // outgoing-slab values (penalty lost per window giving one up), weighted by
 // the tenants' configured shares, never letting a donor breach its reserve.
 //
-// See DESIGN.md §13 for the model, the arbiter math, and its invariants.
+// See DESIGN.md §13 for the model, the arbiter math, and its invariants, and
+// §16 for how a tenant's engines are a range of the server's one shard.Group
+// (NewGroup).
 package tenant
 
 import (
@@ -62,6 +64,7 @@ type Registry struct {
 	cfgs      []Config
 	byName    map[string]int
 	defaultID int
+	arb       *Arbiter // set once, before serving; see SetArbiter
 }
 
 // NewRegistry validates the configs and builds a registry. A "default"
@@ -111,6 +114,21 @@ func checkName(name string) error {
 		}
 	}
 	return nil
+}
+
+// SetArbiter names the arbiter that balances this registry's tenants, so
+// that whoever holds the registry (the server's admin endpoints, through
+// Options.Tenants) can report per-tenant accounting (Arbiter.Snapshots).
+// Call it before the registry is shared.
+func (r *Registry) SetArbiter(a *Arbiter) { r.arb = a }
+
+// Arbiter returns the arbiter given to SetArbiter; nil without one, and on
+// a nil registry (a single-tenant server's Options.Tenants).
+func (r *Registry) Arbiter() *Arbiter {
+	if r == nil {
+		return nil
+	}
+	return r.arb
 }
 
 // Len returns the number of tenants, default included.
@@ -170,7 +188,12 @@ func Split(key string) (prefix, rest string, ok bool) {
 // name[:reservedMiB[:weight[:sloClass]]] entries, e.g.
 //
 //	billing:64:2:0,search:32:1:1,batch:8:1:2
+//
+// or @path, a file of them (ParseSpecFile).
 func ParseSpecs(s string) ([]Config, error) {
+	if strings.HasPrefix(s, "@") {
+		return ParseSpecFile(s[1:])
+	}
 	var cfgs []Config
 	for _, field := range strings.Split(s, ",") {
 		field = strings.TrimSpace(field)

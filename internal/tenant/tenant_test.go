@@ -152,7 +152,7 @@ func TestParseSpecFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfgs, err := ParseSpecFile(path)
+	cfgs, err := ParseSpecs("@" + path) // the -tenants flag's file form
 	if err != nil {
 		t.Fatal(err)
 	}
