@@ -89,8 +89,9 @@ func evictingEngine(tb testing.TB) (c *cache.Cache, keys []string, body func(i i
 }
 
 // TestEngineSetEvictAllocs pins the store path of a full value-storing
-// engine at zero allocations per SET: the evicted item's slot buffer is the
-// one the new value lands in, so neither the value nor the item is new
+// engine at one allocation per inserting SET — the engine's own copy of the
+// key, which the caller no longer makes: the evicted item's slot buffer is
+// the one the new value lands in, so neither the value nor the item is new
 // memory. (AllocsPerRun divides as integers: the slots re-carved by an
 // occasional slab migration between classes average out below one.)
 func TestEngineSetEvictAllocs(t *testing.T) {
@@ -108,8 +109,54 @@ func TestEngineSetEvictAllocs(t *testing.T) {
 	if got := c.Stats().Evictions - evicted; got < runs {
 		t.Fatalf("%d SETs evicted only %d items: the cache is not full", runs, got)
 	}
+	if allocs != 1 {
+		t.Fatalf("evicting SET allocates %.1f objects per request, want 1 (the engine's copy of the inserted key)", allocs)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineSetOverwriteAllocs pins a store to a resident key of the same
+// class at zero allocations: the engine keeps the item, its slot and its
+// index entry, and copies a key only when it inserts one.
+func TestEngineSetOverwriteAllocs(t *testing.T) {
+	c, err := cache.New(cache.Config{
+		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
+		CacheBytes:  2 << 20,
+		StoreValues: true,
+	}, core.New(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// keys[i] always takes a value of about evictBodies[i%4] bytes: a few
+	// bytes shorter from one round to the next, never another class.
+	keys := make([]string, 1<<8)
+	bytes := []byte(strings.Repeat("o", evictBodies[len(evictBodies)-1]))
+	set := func(i int) {
+		k := keys[i%len(keys)]
+		v := bytes[:evictBodies[i%len(evictBodies)]-i/len(keys)%7]
+		if err := c.Set(k, len(k)+len(v)+56, 0.01, 0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%05d", i)
+		set(i)
+	}
+	before := c.Stats()
+	i := len(keys)
+	const runs = 5000
+	allocs := testing.AllocsPerRun(runs, func() {
+		set(i)
+		i++
+	})
+	after := c.Stats()
+	if got := after.Overwrites - before.Overwrites; got != after.Sets-before.Sets || got < runs {
+		t.Fatalf("%d of %d SETs overwrote in place, want all", got, after.Sets-before.Sets)
+	}
 	if allocs != 0 {
-		t.Fatalf("evicting SET allocates %.1f objects per request, want 0", allocs)
+		t.Fatalf("overwriting SET allocates %.1f objects per request, want 0", allocs)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -198,58 +245,89 @@ func TestServedPipelinedGetHitAllocs(t *testing.T) {
 	}
 }
 
-// servedSetBudget is the allocation budget of one served SET: the key clone,
-// with slack for the runtime's own background allocations. Under the race
+// servedBudget is the allocation budget of one served store: want, with
+// slack for the runtime's own background allocations. Under the race
 // detector the pooled parse buffers are randomly dropped, which the budget
 // has to absorb (the pre-slot-buffer guard sat at 2.5 everywhere).
-func servedSetBudget() float64 {
+func servedBudget(want float64) float64 {
 	if raceEnabled {
 		return 2.5
 	}
-	return 1.1
+	return want + 0.1
 }
 
-// TestServedPipelinedSetAllocs gates the store path end to end: overwrite
-// SETs of resident keys ride pooled parse buffers and reuse the slab slot, so
-// the only per-request allocation left is the key clone handed to the engine.
-func TestServedPipelinedSetAllocs(t *testing.T) {
-	const depth = 64
-	_, conn := liveServer(t, 1<<24)
-	body := strings.Repeat("w", 100)
-
-	var req []byte
-	for i := 0; i < depth; i++ {
-		req = append(req, fmt.Sprintf("set key%03d 0 0 %d\r\n%s\r\n", i, len(body), body)...)
-	}
-	resp := make([]byte, depth*len("STORED\r\n"))
-	// First batch both preloads the keys and warms the connection scratch.
-	if _, err := conn.Write(req); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(conn, resp); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+// servedBatchAllocs sends req, a pipelined batch of depth stores that each
+// draw reply, over and over and returns the allocations per store, process
+// wide. The first batch, sent before counting, may draw other replies: it
+// warms the connection scratch and lets a test preload its keys.
+func servedBatchAllocs(t *testing.T, conn net.Conn, req []byte, depth int, reply string) float64 {
+	t.Helper()
+	resp := make([]byte, depth*len(reply))
+	send := func() {
 		if _, err := conn.Write(req); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := io.ReadFull(conn, resp); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if !strings.HasSuffix(string(resp), "STORED\r\n") {
-		t.Fatalf("reply tail %q", resp[len(resp)-16:])
 	}
-	perOp := allocs / depth
-	if perOp > servedSetBudget() {
-		t.Fatalf("pipelined overwrite SET allocates %.2f objects per request end to end, want ~1 (key clone)", perOp)
+	send()
+	allocs := testing.AllocsPerRun(100, send)
+	if string(resp) != strings.Repeat(reply, depth) {
+		t.Fatalf("batch reply %q, want %d times %q", resp, depth, reply)
+	}
+	return allocs / float64(depth)
+}
+
+// TestServedPipelinedSetOverwriteAllocs gates the store path end to end:
+// overwrite SETs of resident keys ride pooled parse buffers, pass the parsed
+// key to the engine as it is and are overwritten in place, so nothing is
+// allocated per request.
+func TestServedPipelinedSetOverwriteAllocs(t *testing.T) {
+	const depth = 64
+	eng, conn := liveServer(t, 1<<24)
+	body := strings.Repeat("w", 100)
+	var req []byte
+	for i := 0; i < depth; i++ {
+		req = append(req, fmt.Sprintf("set key%03d 0 0 %d\r\n%s\r\n", i, len(body), body)...)
+	}
+	perOp := servedBatchAllocs(t, conn, req, depth, "STORED\r\n")
+	if st := eng.Stats(); st.Overwrites != st.Sets-depth {
+		t.Fatalf("%d of %d SETs overwrote in place, want all but the first %d", st.Overwrites, st.Sets, depth)
+	}
+	if perOp > servedBudget(0) {
+		t.Fatalf("pipelined overwrite SET allocates %.2f objects per request end to end, want 0", perOp)
+	}
+}
+
+// TestServedPipelinedAddResidentAllocs: an add that finds its key resident
+// stores nothing, so it allocates nothing — the key is copied by the engine,
+// and only when it inserts an item.
+func TestServedPipelinedAddResidentAllocs(t *testing.T) {
+	const depth = 64
+	eng, conn := liveServer(t, 1<<24)
+	var fill, req []byte
+	for i := 0; i < depth; i++ {
+		fill = append(fill, fmt.Sprintf("set key%03d 0 0 1\r\nx\r\n", i)...)
+		req = append(req, fmt.Sprintf("add key%03d 0 0 3\r\nnew\r\n", i)...)
+	}
+	if got := servedBatchAllocs(t, conn, fill, depth, "STORED\r\n"); got > servedBudget(0) {
+		t.Fatalf("preload allocates %.2f objects per request, want 0", got)
+	}
+	sets := eng.Stats().Sets
+	perOp := servedBatchAllocs(t, conn, req, depth, "NOT_STORED\r\n")
+	if got := eng.Stats().Sets; got != sets {
+		t.Fatalf("failing adds stored %d items", got-sets)
+	}
+	if perOp > servedBudget(0) {
+		t.Fatalf("pipelined add of a resident key allocates %.2f objects per request end to end, want 0", perOp)
 	}
 }
 
 // TestServedPipelinedSetEvictAllocs is the same gate with the cache full:
 // every SET inserts a key that was evicted long ago, into one of four slab
 // classes, and evicts to do so. The slot the victim gives back is the slot
-// the new value lands in, so the budget is still the key clone alone.
+// the new value lands in, so the budget is the engine's copy of the key alone.
 func TestServedPipelinedSetEvictAllocs(t *testing.T) {
 	const depth = 64
 	const nkeys = 1 << 13 // ~9 MiB of items against a 1 MiB cache
@@ -289,7 +367,7 @@ func TestServedPipelinedSetEvictAllocs(t *testing.T) {
 		t.Fatalf("%d SETs evicted only %d items: the cache is not full", runs*depth, got)
 	}
 	perOp := allocs / depth
-	if perOp > servedSetBudget() {
-		t.Fatalf("pipelined evicting SET allocates %.2f objects per request end to end, want ~1 (key clone)", perOp)
+	if perOp > servedBudget(1) {
+		t.Fatalf("pipelined evicting SET allocates %.2f objects per request end to end, want ~1 (the engine's copy of the inserted key)", perOp)
 	}
 }

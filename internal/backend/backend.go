@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pamakv/internal/bufpool"
 	"pamakv/internal/kv"
 	"pamakv/internal/obs"
 	"pamakv/internal/penalty"
@@ -164,9 +165,9 @@ func (s *Store) FetchErr(key string, fill bool) (size int, pen float64, value []
 
 // sharedResult carries one fetch's outcome across a singleflight.
 type sharedResult struct {
-	size  int
-	pen   float64
-	value []byte
+	size int
+	pen  float64
+	body *[]byte // a bufpool buffer; nil when the leader did not fill
 }
 
 // FetchSharedErr is FetchErr behind a per-key singleflight: while a fetch
@@ -180,25 +181,38 @@ type sharedResult struct {
 // Sequential calls (no overlap) each fetch: deduplication is concurrency
 // control, not caching.
 //
-// The shared value slice is handed to every waiter: callers must treat it
-// as immutable (the serving path copies it into the engine and the response
-// buffer).
-func (s *Store) FetchSharedErr(key string, fill bool) (size int, pen float64, value []byte, err error) {
+// The body is synthesized into a bufpool buffer. A caller nobody joined gets
+// that buffer back as owned and may bufpool.Put it once it has copied the
+// bytes out (the serving path: into the engine and the response). A shared
+// flight returns owned nil: the waiters hold one slice, immutable, the
+// collector's.
+func (s *Store) FetchSharedErr(key string, fill bool) (size int, pen float64, value []byte, owned *[]byte, err error) {
 	v, err, shared := s.flight.Do(key, func() (any, error) {
-		size, pen, value, err := s.FetchErr(key, fill)
+		size, pen, _, err := s.FetchErr(key, false)
 		if err != nil {
 			return nil, err
 		}
-		return sharedResult{size: size, pen: pen, value: value}, nil
+		r := sharedResult{size: size, pen: pen}
+		if fill {
+			r.body = bufpool.Get(max(size, 0))
+			synthesizeInto(*r.body, kv.HashString(key))
+		}
+		return r, nil
 	})
 	if shared {
 		s.sfShared.Add(1)
 	}
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, nil, err
 	}
 	r := v.(sharedResult)
-	return r.size, r.pen, r.value, nil
+	if r.body == nil {
+		return r.size, r.pen, nil, nil, nil
+	}
+	if !shared {
+		owned = r.body
+	}
+	return r.size, r.pen, *r.body, owned, nil
 }
 
 // SharedFetches returns how many FetchSharedErr calls coalesced with at
@@ -260,16 +274,21 @@ func Synthesize(keyHash uint64, size int) []byte {
 		return []byte{}
 	}
 	v := make([]byte, size)
+	synthesizeInto(v, keyHash)
+	return v
+}
+
+// synthesizeInto fills v with the body Synthesize(keyHash, len(v)) returns.
+func synthesizeInto(v []byte, keyHash uint64) {
 	x := keyHash
 	i := 0
-	for ; i+8 <= size; i += 8 {
+	for ; i+8 <= len(v); i += 8 {
 		x = kv.Mix64(x)
 		binary.LittleEndian.PutUint64(v[i:], x)
 	}
-	if i < size {
+	if i < len(v) {
 		var tail [8]byte
 		binary.LittleEndian.PutUint64(tail[:], kv.Mix64(x))
 		copy(v[i:], tail[:])
 	}
-	return v
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"pamakv/internal/bufpool"
+	"pamakv/internal/kv"
 	"pamakv/internal/penalty"
 )
 
@@ -21,6 +23,7 @@ func TestFetchSharedCollapsesConcurrentMisses(t *testing.T) {
 	var ready, wg sync.WaitGroup
 	start := make(chan struct{})
 	values := make([][]byte, callers)
+	owned := make([]*[]byte, callers)
 	errs := make([]error, callers)
 	ready.Add(callers)
 	wg.Add(callers)
@@ -29,7 +32,7 @@ func TestFetchSharedCollapsesConcurrentMisses(t *testing.T) {
 			defer wg.Done()
 			ready.Done()
 			<-start
-			_, _, values[i], errs[i] = s.FetchSharedErr("hot-key", true)
+			_, _, values[i], owned[i], errs[i] = s.FetchSharedErr("hot-key", true)
 		}(i)
 	}
 	ready.Wait()
@@ -42,12 +45,15 @@ func TestFetchSharedCollapsesConcurrentMisses(t *testing.T) {
 	if got := s.SharedFetches(); got != callers {
 		t.Fatalf("SharedFetches = %d, want %d", got, callers)
 	}
-	for i := 1; i < callers; i++ {
+	for i := 0; i < callers; i++ {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
 		if !bytes.Equal(values[i], values[0]) {
 			t.Fatalf("caller %d received a different value", i)
+		}
+		if owned[i] != nil {
+			t.Fatalf("caller %d was handed ownership of a body %d callers share", i, callers)
 		}
 	}
 }
@@ -56,10 +62,19 @@ func TestFetchSharedCollapsesConcurrentMisses(t *testing.T) {
 // control, not caching — non-overlapping calls each hit the backend.
 func TestFetchSharedSequentialFetchesEachTime(t *testing.T) {
 	s := New(penalty.Uniform(0.01), nil)
+	want := Synthesize(kv.HashString("k"), 100)
 	for i := 0; i < 3; i++ {
-		if _, _, _, err := s.FetchSharedErr("k", true); err != nil {
+		// An unshared fetch owns its pooled body: handing it back must not
+		// disturb what the next fetch of the key returns.
+		_, _, body, owned, err := s.FetchSharedErr("k", true)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if owned == nil || !bytes.Equal(body, want) || !bytes.Equal(*owned, want) {
+			t.Fatalf("fetch %d: owned %v, body %x", i, owned != nil, body)
+		}
+		clear(body)
+		bufpool.Put(owned)
 	}
 	if got := s.Fetches(); got != 3 {
 		t.Fatalf("3 sequential fetches cost %d backend calls, want 3", got)
@@ -86,7 +101,7 @@ func TestFetchSharedSharesFailures(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, _, _, errs[i] = s.FetchSharedErr("k", true)
+			_, _, _, _, errs[i] = s.FetchSharedErr("k", true)
 		}(i)
 	}
 	close(start)

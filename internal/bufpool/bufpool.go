@@ -64,14 +64,16 @@ func Get(n int) *[]byte {
 
 // Put returns b to the pool serving its capacity. A buffer that grew past
 // its tier is filed under the largest tier it still covers; buffers smaller
-// than the smallest tier (or nil) are dropped for the GC. After Put the
-// buffer belongs to the pool: the caller must not retain any view of it.
+// than the smallest tier or larger than the largest (or nil) are dropped for
+// the GC: a multi-megabyte buffer recycled through the top tier would never
+// leave the heap. After Put the buffer belongs to the pool: the caller must
+// not retain any view of it.
 func Put(b *[]byte) {
 	if b == nil {
 		return
 	}
 	c := cap(*b)
-	if c < tierSize(0) {
+	if c < tierSize(0) || c > tierSize(numTiers-1) {
 		return
 	}
 	t := numTiers - 1

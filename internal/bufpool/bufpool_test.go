@@ -52,6 +52,15 @@ func TestPutDropsTinyAndNil(t *testing.T) {
 	Put(nil) // must not panic
 	small := make([]byte, 10)
 	Put(&small) // below the smallest tier: dropped, must not panic
+	// Beyond the largest tier: dropped too, or the top tier would hand
+	// multi-megabyte buffers round forever.
+	huge := make([]byte, 0, 3<<20)
+	Put(&huge)
+	for i := 0; i < 4; i++ {
+		if got := Get(1 << 20); cap(*got) > tierSize(numTiers-1) {
+			t.Fatalf("Get(1 MiB) returned a pooled buffer of capacity %d", cap(*got))
+		}
+	}
 }
 
 // TestRoundTripAllocs pins the warm-pool Get/Put cycle at zero allocations:

@@ -181,7 +181,6 @@ func (c *Cache) drainLocked() {
 	if c.rings == nil {
 		return
 	}
-	c.refreshNowLocked()
 	n := 0
 	for _, r := range c.rings {
 		n += r.Drain(c.applyAccessLocked)
@@ -262,25 +261,15 @@ func (c *Cache) AccessBufStats() AccessBufStats {
 	}
 }
 
-// ---- Coarse expiry clock ----
-
-// refreshNowLocked re-reads the wall clock into the coarse cache; called
-// once per drain so TTL checks on the read path stay syscall-free between
-// drains. Engines with an injected Config.Now never populate the cache.
-func (c *Cache) refreshNowLocked() {
-	if c.cfg.Now != nil {
-		return
-	}
-	c.nowCache.Store(time.Now().Unix())
-}
-
 // ---- Background maintainer ----
 
 // StartMaintainer launches the engine's background maintainer goroutine: it
 // refreshes the coarse expiry clock and drains idle rings every interval
 // (default 10ms), so deferred state is applied even when traffic stops
-// below the ring-fill threshold. Idempotent while running; pair with
-// StopMaintainer.
+// below the ring-fill threshold. The maintainer alone owns the coarse clock
+// (nowCache): warm from here until StopMaintainer, never touched by a drain,
+// and never set on an engine with an injected Config.Now. Idempotent while
+// running; pair with StopMaintainer.
 func (c *Cache) StartMaintainer(interval time.Duration) {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
@@ -337,7 +326,5 @@ func (c *Cache) StopMaintainer() {
 		c.drainLocked()
 		c.mu.Unlock()
 	}
-	// Reset after the final drain (which refreshes the cache as a side
-	// effect); the next drain or maintainer re-warms it.
 	c.nowCache.Store(0)
 }

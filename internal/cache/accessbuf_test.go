@@ -375,6 +375,49 @@ func TestCoarseExpiryClock(t *testing.T) {
 	}
 }
 
+// TestCoarseClockBelongsToMaintainer: drains never write the coarse clock.
+// Without a maintainer it stays cold under SET-only traffic (every SET
+// drains), so no timestamp is left behind to freeze TTL checks on the GET
+// fast path, which never drains; with one, it advances with no drain at all.
+func TestCoarseClockBelongsToMaintainer(t *testing.T) {
+	c := newBatchedCache(t, 8, 64, &nullPolicy{})
+	wall := time.Now().Unix()
+	if err := c.SetTTL("dead", 100, 1.0, 0, wall-1, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Get("live", 0, 0, nil) // a miss: nothing is left in the rings
+	for i := 0; i < 200; i++ {
+		if err := c.Set("live", 100, 1.0, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		c.Get("live", 0, 0, nil) // a record for the next SET's drain
+	}
+	if st := c.AccessBufStats(); st.Drains < 100 {
+		t.Fatalf("SET traffic drained %d times, want one per SET", st.Drains)
+	}
+	if got := c.nowCache.Load(); got != 0 {
+		t.Fatalf("a drain left %d in the coarse clock of an engine with no maintainer", got)
+	}
+	if _, _, hit := c.Get("dead", 0, 0, nil); hit {
+		t.Fatal("expired item served by an engine with no maintainer")
+	}
+
+	drains := c.AccessBufStats().Drains
+	c.StartMaintainer(time.Millisecond)
+	defer c.StopMaintainer()
+	c.nowCache.Store(1) // a second long gone
+	deadline := time.Now().Add(2 * time.Second)
+	for c.nowCache.Load() < wall {
+		if time.Now().After(deadline) {
+			t.Fatal("maintainer never advanced the coarse clock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := c.AccessBufStats().Drains; got != drains {
+		t.Fatalf("the clock advanced through %d drains, want none", got-drains)
+	}
+}
+
 // TestConcurrentBatchedTraffic is the -race regression for the deferred
 // counters: concurrent getters on the fast path, a writer churning keys, a
 // maintainer, and reporting readers (Stats/Introspect/AccessBufStats) all

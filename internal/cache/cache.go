@@ -16,6 +16,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,8 +95,11 @@ type Config struct {
 
 // Stats are engine-level counters; all monotonically increasing.
 type Stats struct {
-	Gets, Hits, Misses   uint64
-	Sets, Deletes        uint64
+	Gets, Hits, Misses uint64
+	Sets, Deletes      uint64
+	// Overwrites counts the Sets that replaced a resident item in place
+	// (same item, slot and index entry); Sets − Overwrites inserted one.
+	Overwrites           uint64
 	Evictions, GhostHits uint64
 	Expired              uint64
 	// StaleGets counts degraded reads served by GetStale.
@@ -227,9 +231,9 @@ type Cache struct {
 	// accessState is the lock-amortized read path (accessbuf.go): the MPSC
 	// access rings, the drain counters, and the background maintainer.
 	accessState
-	// nowCache is the coarse expiry clock in unix seconds: refreshed by
-	// drains and the maintainer, read lock-free by expired(). 0 means cold
-	// (fall back to a wall-clock read per check).
+	// nowCache is the coarse expiry clock in unix seconds: owned by the
+	// maintainer (accessbuf.go), read lock-free by expired(). 0 means no
+	// maintainer is running (fall back to a wall-clock read per check).
 	nowCache atomic.Int64
 }
 
@@ -412,6 +416,11 @@ func (c *Cache) Get(key string, sizeHint int, penHint float64, buf []byte) (val 
 // Set inserts or replaces key with the given logical size, miss penalty,
 // client flags, and (when StoreValues) value bytes. The item never expires;
 // use SetTTL for expiring items.
+//
+// The callee copies what it retains; the caller may reuse key and value when
+// the call returns. With StoreValues the engine copies the key when, and only
+// when, the store inserts a new item; a metadata-only engine keeps the key
+// string it is handed (simulators own their keys).
 func (c *Cache) Set(key string, size int, pen float64, flags uint32, value []byte) error {
 	return c.SetTTL(key, size, pen, flags, 0, value)
 }
@@ -425,6 +434,13 @@ func (c *Cache) SetTTL(key string, size int, pen float64, flags uint32, expireAt
 
 // setLocked is the store itself. Caller holds c.mu, so a conditional store
 // (SetMode) checks its precondition and stores in one critical section.
+//
+// It finds the key once and changes only what the store changes. A key is
+// never resident and ghosted (or stale-buffered) at once, so a resident find
+// probes nothing else; a resident item of the current era and the same class,
+// holding a slot-sized buffer, is overwritten in place — same item, index
+// entry and slot — while stack, tracker and policy see the remove-then-insert
+// of the full path, which every other store takes (DESIGN.md §5).
 func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	c.drainLocked()
 	c.tick()
@@ -437,18 +453,76 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 	sub := c.subclassFor(pen)
 	h := kv.HashString(key)
 
-	// A refill supersedes any ghost memory or stale copy of the key.
-	if g := c.gindex.Get(h, key); g != nil {
-		c.dropGhost(g)
+	it := c.index.Get(h, key)
+	if it != nil && it.Class == cl && it.Gen == c.gen &&
+		(!c.cfg.StoreValues || cap(it.Value) == c.classes[cl].slot) {
+		s := &c.classes[cl].subs[it.Sub]
+		if s.tr != nil {
+			s.tr.Remove(it)
+		}
+		s.list.Remove(it)
+		c.holes[cl] -= int64(c.classes[cl].slot - it.Size)
+		c.polOnRemove(it)
+		c.stats.Overwrites++
+		if c.cfg.StoreValues {
+			it.Value = append(it.Value[:0], value...)
+		}
+	} else {
+		if it != nil {
+			// The old incarnation lives in another class or era: free it.
+			c.unlinkResident(it)
+			c.release(it)
+		} else {
+			// A refill supersedes any ghost memory or stale copy of the key.
+			if g := c.gindex.Get(h, key); g != nil {
+				c.dropGhost(g)
+			}
+			c.dropStaleLocked(h, key)
+		}
+		if err := c.takeSlotLocked(cl, sub); err != nil {
+			return err
+		}
+		it = c.acquire()
+		it.Key, it.Hash = key, h
+		it.Tenant = c.cfg.Tenant
+		it.Class = cl
+		it.Gen = c.gen
+		if c.cfg.StoreValues {
+			// The one copy of a request's key: the caller may reuse its bytes.
+			it.Key = strings.Clone(key)
+			c.storeValue(it, cl, value)
+		}
+		c.index.Insert(it)
 	}
-	c.dropStaleLocked(h, key)
-	// Replace semantics: free the old incarnation first (it may live in a
-	// different class if the size changed).
-	if old := c.index.Get(h, key); old != nil {
-		c.unlinkResident(old)
-		c.release(old)
+	it.Size = size
+	it.Penalty = pen
+	it.Flags = flags
+	it.Sub = sub
+	it.LastAccess = c.clock
+	it.ExpireAt = expireAt
+	c.casCounter++
+	it.CAS = c.casCounter
+	c.holes[cl] += int64(c.classes[cl].slot - size)
+	s := &c.classes[cl].subs[sub]
+	s.list.PushFront(it)
+	if s.tr != nil {
+		s.tr.Insert(it)
 	}
+	c.polOnInsert(it)
+	if c.learner != nil {
+		c.learner.Observe(size)
+		if c.old == nil {
+			if g, ok := c.learner.Propose(c.geom); ok {
+				_ = c.beginReslabLocked(g)
+			}
+		}
+	}
+	return nil
+}
 
+// takeSlotLocked occupies one slot of class cl for an item of subclass sub,
+// growing the class, asking the policy for room or evicting as needed.
+func (c *Cache) takeSlotLocked(cl, sub int) error {
 	if c.slabs.FreeSlots(cl) == 0 {
 		if c.slabs.FreeSlabs() > 0 {
 			// Growth phase: grant a free slab, as Memcached does.
@@ -473,44 +547,8 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 		}
 		c.stats.FallbackEvicts++
 	}
-	if err := c.slabs.UseSlot(cl); err != nil {
-		// Unreachable: a slot was just guaranteed.
-		return err
-	}
-	it := c.acquire()
-	it.Key = key
-	it.Hash = h
-	it.Size = size
-	it.Penalty = pen
-	it.Flags = flags
-	it.Tenant = c.cfg.Tenant
-	it.Class = cl
-	it.Sub = sub
-	it.LastAccess = c.clock
-	it.ExpireAt = expireAt
-	c.casCounter++
-	it.CAS = c.casCounter
-	if c.cfg.StoreValues {
-		c.storeValue(it, cl, value)
-	}
-	it.Gen = c.gen
-	c.holes[cl] += int64(c.classes[cl].slot - size)
-	c.index.Put(it)
-	s := &c.classes[cl].subs[sub]
-	s.list.PushFront(it)
-	if s.tr != nil {
-		s.tr.Insert(it)
-	}
-	c.polOnInsert(it)
-	if c.learner != nil {
-		c.learner.Observe(size)
-		if c.old == nil {
-			if g, ok := c.learner.Propose(c.geom); ok {
-				_ = c.beginReslabLocked(g)
-			}
-		}
-	}
-	return nil
+	// A slot was just guaranteed.
+	return c.slabs.UseSlot(cl)
 }
 
 // Delete removes key if resident (and forgets any ghost memory of it). It
@@ -550,7 +588,7 @@ func (c *Cache) Flush() {
 				if s.tr != nil {
 					s.tr.Remove(it)
 				}
-				c.index.Delete(it.Hash, it.Key)
+				c.index.Remove(it)
 				_ = c.slabs.FreeSlot(ci)
 				c.polOnRemove(it)
 				c.release(it)
@@ -558,7 +596,7 @@ func (c *Cache) Flush() {
 			if s.gcap > 0 {
 				for g := s.ghost.PopFront(); g != nil; g = s.ghost.PopFront() {
 					s.gring.Remove(g)
-					c.gindex.Delete(g.Hash, g.Key)
+					c.gindex.Remove(g)
 					c.releaseRaw(g)
 				}
 			}
@@ -573,7 +611,7 @@ func (c *Cache) Flush() {
 			for si := range o.classes[ci].subs {
 				s := &o.classes[ci].subs[si]
 				for it := s.list.PopFront(); it != nil; it = s.list.PopFront() {
-					c.index.Delete(it.Hash, it.Key)
+					c.index.Remove(it)
 					_ = o.mgr.FreeSlot(ci)
 					c.release(it)
 				}
@@ -814,6 +852,22 @@ func (c *Cache) CheckInvariants() error {
 	if total != c.index.Len() {
 		return fmt.Errorf("cache: lists hold %d items, index holds %d", total, c.index.Len())
 	}
+	// setLocked and pushGhost rely on it: no key is resident and ghosted, or
+	// resident and stale-buffered, at once.
+	var err error
+	shadowed := func(e *kv.Item) bool {
+		if c.index.Get(e.Hash, e.Key) != nil {
+			err = fmt.Errorf("cache: %q is resident and also a ghost or stale entry", e.Key)
+		}
+		return err == nil
+	}
+	c.gindex.Range(shadowed)
+	if c.staleIdx != nil {
+		c.staleIdx.Range(shadowed)
+	}
+	if err != nil {
+		return err
+	}
 	if c.staleIdx != nil {
 		if c.staleLst.Len() != c.staleIdx.Len() {
 			return fmt.Errorf("cache: stale list holds %d entries, stale index holds %d",
@@ -831,10 +885,10 @@ func (c *Cache) CheckInvariants() error {
 
 // expired reports whether it carries a TTL that has passed. An injected
 // Config.Now always wins (test clocks); otherwise the coarse cached second
-// (refreshed by drains and the maintainer) keeps the wall-clock read off
-// the per-item path, falling back to a live read only while the cache is
-// cold. Staleness is bounded by the drain/maintainer cadence — well under
-// the protocol's one-second TTL granularity.
+// (refreshed by the maintainer) keeps the wall-clock read off the per-item
+// path; an engine without a maintainer reads the wall clock per TTL'd item.
+// Staleness is bounded by the maintainer's interval — well under the
+// protocol's one-second TTL granularity.
 func (c *Cache) expired(it *kv.Item) bool {
 	if it.ExpireAt == 0 {
 		return false
@@ -895,7 +949,7 @@ func (c *Cache) unlinkResident(it *kv.Item) {
 		s.tr.Remove(it)
 	}
 	s.list.Remove(it)
-	c.index.Delete(it.Hash, it.Key)
+	c.index.Remove(it)
 	_ = e.mgr.FreeSlot(it.Class)
 	e.holes[it.Class] -= int64(e.geom.SlotSize(it.Class) - it.Size)
 	c.polOnRemove(it)
@@ -926,7 +980,7 @@ func (c *Cache) evictResidentLocked(it *kv.Item, s *subclass) {
 		s.tr.Remove(it)
 	}
 	s.list.Remove(it)
-	c.index.Delete(it.Hash, it.Key)
+	c.index.Remove(it)
 	_ = c.slabs.FreeSlot(it.Class)
 	c.holes[it.Class] -= int64(c.geom.SlotSize(it.Class) - it.Size)
 	c.stats.Evictions++
@@ -963,13 +1017,8 @@ func (c *Cache) pushGhost(it *kv.Item) {
 	}
 	it.Ghost = true
 	c.releaseValue(it)
-	if old := c.gindex.Put(it); old != nil {
-		// A stale ghost with the same key: drop the old entry.
-		s2 := &c.classes[old.Class].subs[old.Sub]
-		s2.gring.Remove(old)
-		s2.ghost.Remove(old)
-		c.releaseRaw(old)
-	}
+	// It was resident until now, so its key has no ghost entry to replace.
+	c.gindex.Insert(it)
 	s.ghost.PushFront(it)
 	if s.gring.Full() {
 		s.gring.Reset()
@@ -984,7 +1033,7 @@ func (c *Cache) pushGhost(it *kv.Item) {
 	for s.ghost.Len() > s.gcap {
 		oldest := s.ghost.PopBack()
 		s.gring.Remove(oldest)
-		c.gindex.Delete(oldest.Hash, oldest.Key)
+		c.gindex.Remove(oldest)
 		c.releaseRaw(oldest)
 	}
 }
@@ -1005,7 +1054,7 @@ func (c *Cache) dropGhost(g *kv.Item) {
 	s := &c.classes[g.Class].subs[g.Sub]
 	s.gring.Remove(g)
 	s.ghost.Remove(g)
-	c.gindex.Delete(g.Hash, g.Key)
+	c.gindex.Remove(g)
 	c.releaseRaw(g)
 }
 

@@ -227,6 +227,7 @@ func addStats(a, b Stats) Stats {
 		Hits:            a.Hits + b.Hits,
 		Misses:          a.Misses + b.Misses,
 		Sets:            a.Sets + b.Sets,
+		Overwrites:      a.Overwrites + b.Overwrites,
 		Deletes:         a.Deletes + b.Deletes,
 		Evictions:       a.Evictions + b.Evictions,
 		GhostHits:       a.GhostHits + b.GhostHits,

@@ -20,6 +20,12 @@ var (
 	ErrNotNumeric = errors.New("cache: value is not a number")
 )
 
+// The two ways a precondition fails, built once: a refusal allocates nothing.
+var (
+	errKeyExists = fmt.Errorf("%w: key exists", ErrNotStored)
+	errKeyAbsent = fmt.Errorf("%w: key absent", ErrNotStored)
+)
+
 // SetMode selects the precondition of a conditional store.
 type SetMode int
 
@@ -93,6 +99,7 @@ func (c *Cache) GetWithCAS(key string, buf []byte) (val []byte, flags uint32, ca
 // lock: of two racing conditional stores exactly one sees the other's
 // result. For ModeCAS, cas must be the token returned by GetWithCAS. Returns
 // ErrNotStored (add/replace) or ErrCASMismatch when the precondition fails.
+// As for Set, the callee copies what it retains (nothing, when it refuses).
 func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -100,9 +107,9 @@ func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen floa
 		present, tok := c.peekLocked(key)
 		switch {
 		case mode == ModeAdd && present:
-			return fmt.Errorf("%w: key exists", ErrNotStored)
+			return errKeyExists
 		case mode != ModeAdd && !present:
-			return fmt.Errorf("%w: key absent", ErrNotStored)
+			return errKeyAbsent
 		case mode == ModeCAS && tok != cas:
 			return ErrCASMismatch
 		}

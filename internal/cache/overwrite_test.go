@@ -1,0 +1,609 @@
+package cache
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"pamakv/internal/accessbuf"
+	"pamakv/internal/kv"
+)
+
+// TestOverwriteInPlaceModel is the seeded model run for the store path's one
+// rule (setLocked): a full four-class, two-subclass cache under eviction
+// pressure takes overwrites that keep the class, change it, change the
+// penalty subclass, set and clear a TTL, under-state their size (a regrown
+// buffer), add/replace/cas hits and misses, incr on an overwritten value,
+// deletes, evict → ghost → re-SET, and two live re-slabs whose outgoing-era
+// items must take the full path.
+//
+// The exact leg runs alone on the immediate read path against a map plus
+// per-stack LRU order (the oracle of TestOracleFullCommandSet, one stack per
+// class and subclass): which stores overwrite in place and keep their item,
+// every hit's value, CAS token and tracked segment, every miss, every
+// eviction victim and the order of every stack. While a re-slab drains, the
+// order is the migration's to decide: the model checks values only and
+// re-reads the stacks when the transition ends. The concurrent leg replays
+// the same operations on the batched read path with two readers hammering
+// the self-describing keys; there evictions cannot be predicted, so a miss
+// is believed, and a hit must still carry the last bytes stored under its
+// key — never torn, never another key's. Rerun a failure with
+// PAMA_MODEL_SEED=<logged seed>.
+func TestOverwriteInPlaceModel(t *testing.T) {
+	seed := modelSeed(t)
+	t.Run("exact", func(t *testing.T) { runOverwriteModel(t, seed, false) })
+	t.Run("concurrent", func(t *testing.T) { runOverwriteModel(t, seed, true) })
+}
+
+const (
+	owKeys     = 320 // "k<i>": several times what the cache holds
+	owOverhead = 8   // size charged beyond the value
+	owNseg     = 3
+)
+
+type owEntry struct {
+	value    []byte
+	cas      uint64
+	size     int
+	pen      float64
+	expireAt int64
+	class    int // exact mode: the stack the key is on
+	sub      int
+}
+
+type owModel struct {
+	t   *testing.T
+	c   *Cache
+	pol *nullPolicy
+	now *atomic.Int64
+	op  int
+	ent map[string]*owEntry
+	// exact is off on the concurrent leg and while a re-slab drains: a miss
+	// of a key the model holds is then believed, not reported.
+	exact  bool
+	stacks [][][]string // [class][sub], MRU first
+	slabs  []int
+	free   int
+	// oldEraStores counts the stores that found their key resident in the
+	// outgoing era of a re-slab: the ones that must not be taken in place.
+	oldEraStores int
+}
+
+func (m *owModel) fatalf(format string, args ...any) {
+	m.t.Helper()
+	m.t.Fatalf("op %d: "+format, append([]any{m.op}, args...)...)
+}
+
+func (m *owModel) live(e *owEntry) bool {
+	return e != nil && (e.expireAt == 0 || e.expireAt > m.now.Load())
+}
+
+func (m *owModel) unstack(key string, e *owEntry) {
+	s := m.stacks[e.class][e.sub]
+	for i, k := range s {
+		if k == key {
+			m.stacks[e.class][e.sub] = append(s[:i], s[i+1:]...)
+			return
+		}
+	}
+	m.fatalf("model lost %q from stack (%d,%d)", key, e.class, e.sub)
+}
+
+// forget drops key from the model.
+func (m *owModel) forget(key string) {
+	if e := m.ent[key]; e != nil {
+		if m.exact {
+			m.unstack(key, e)
+		}
+		delete(m.ent, key)
+	}
+}
+
+// peek returns the resident item of key, its CAS token and its geometry
+// generation, without touching any engine state.
+func (m *owModel) peek(key string) (it *kv.Item, cas uint64, gen uint32) {
+	m.c.mu.Lock()
+	defer m.c.mu.Unlock()
+	if it = m.c.index.Get(kv.HashString(key), key); it != nil {
+		return it, it.CAS, it.Gen
+	}
+	return nil, 0, 0
+}
+
+// resync re-reads the stacks and the slab ownership from the engine (the end
+// of a re-slab) and drops what the transition evicted.
+func (m *owModel) resync() {
+	c := m.c
+	c.mu.Lock()
+	nsub := len(c.classes[0].subs)
+	m.stacks = make([][][]string, len(c.classes))
+	m.slabs = make([]int, len(c.classes))
+	resident := map[string]bool{}
+	for ci := range c.classes {
+		m.stacks[ci] = make([][]string, nsub)
+		m.slabs[ci] = c.slabs.Slabs(ci)
+		for si := range c.classes[ci].subs {
+			var keys []string
+			c.classes[ci].subs[si].list.AscendFromBack(func(it *kv.Item) bool {
+				keys = append([]string{it.Key}, keys...)
+				e := m.ent[it.Key]
+				if e == nil {
+					m.t.Errorf("op %d: %q is resident after the re-slab and unknown to the model", m.op, it.Key)
+					return true
+				}
+				e.class, e.sub = ci, si
+				resident[it.Key] = true
+				return true
+			})
+			m.stacks[ci][si] = keys
+		}
+	}
+	m.free = c.slabs.FreeSlabs()
+	c.mu.Unlock()
+	for key := range m.ent {
+		if !resident[key] {
+			delete(m.ent, key)
+		}
+	}
+	m.exact = true
+}
+
+// verify compares every stack's order with the engine's.
+func (m *owModel) verify() {
+	c := m.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for ci := range c.classes {
+		if got := c.slabs.Slabs(ci); got != m.slabs[ci] {
+			m.fatalf("class %d owns %d slabs, model says %d", ci, got, m.slabs[ci])
+		}
+		for si := range c.classes[ci].subs {
+			want := m.stacks[ci][si]
+			i := len(want)
+			c.classes[ci].subs[si].list.AscendFromBack(func(it *kv.Item) bool {
+				i--
+				if i < 0 || want[i] != it.Key {
+					m.fatalf("stack (%d,%d): engine holds %q at %d from the top, model %v", ci, si, it.Key, i, want)
+				}
+				return true
+			})
+			if i != 0 {
+				m.fatalf("stack (%d,%d): engine holds %d items fewer than the model's %v", ci, si, i, want)
+			}
+		}
+	}
+}
+
+// store applies one store to the engine and the model. mode and tok are
+// SetMode's; the model decides what the engine must answer.
+func (m *owModel) store(key string, mode SetMode, tok uint64, size int, pen float64, expireAt int64, value []byte) {
+	m.t.Helper()
+	c := m.c
+	e := m.ent[key]
+	var want error
+	switch {
+	case mode == ModeAdd && m.live(e):
+		want = ErrNotStored
+	case (mode == ModeReplace || mode == ModeCAS) && !m.live(e):
+		want = ErrNotStored
+	case mode == ModeCAS && tok != e.cas:
+		want = ErrCASMismatch
+	}
+	before, beforeCAS, beforeGen := m.peek(key)
+	if before != nil && beforeGen != c.gen {
+		m.oldEraStores++
+	}
+	st0 := c.Stats()
+	err := c.SetMode(key, mode, tok, size, pen, 0, expireAt, value)
+	st1 := c.Stats()
+	overwrote := st1.Overwrites - st0.Overwrites
+
+	refused := errors.Is(err, ErrNotStored) || errors.Is(err, ErrCASMismatch)
+	if want != nil || refused {
+		// Off the exact leg a key the model holds may have been evicted
+		// unseen: then an add stores and a replace or cas finds nothing.
+		evicted := !m.exact && m.live(e) && refused == (mode != ModeAdd) && !errors.Is(err, ErrCASMismatch)
+		switch {
+		case evicted:
+			m.forget(key)
+			e = nil
+		case !errors.Is(err, want):
+			m.fatalf("store mode %d of %q -> %v, want %v (model entry %+v)", mode, key, err, want, e)
+		}
+		if refused {
+			if st1.Sets != st0.Sets || overwrote != 0 {
+				m.fatalf("refused store of %q counted as one", key)
+			}
+			return
+		}
+	}
+
+	cl := c.geom.ClassFor(size)
+	sub := c.subclassFor(pen)
+	if m.exact {
+		// Predict the path and the room-making exactly.
+		inPlace := e != nil && e.class == cl && len(e.value) <= c.geom.SlotSize(cl)
+		if got := overwrote == 1; got != inPlace {
+			m.fatalf("set %q (class %d -> %d): overwrote in place %v, model says %v", key, classOf(e), cl, got, inPlace)
+		}
+		if e != nil {
+			m.unstack(key, e)
+			delete(m.ent, key)
+		}
+		used := 0
+		for _, s := range m.stacks[cl] {
+			used += len(s)
+		}
+		noSpace := false
+		if used == m.slabs[cl]*c.classes[cl].spc {
+			switch {
+			case m.free > 0:
+				m.free--
+				m.slabs[cl]++
+			default:
+				best, bestN := -1, 0
+				for si, s := range m.stacks[cl] {
+					if len(s) > bestN {
+						best, bestN = si, len(s)
+					}
+				}
+				if best < 0 {
+					noSpace = true
+					break
+				}
+				s := m.stacks[cl][best]
+				delete(m.ent, s[len(s)-1])
+				m.stacks[cl][best] = s[:len(s)-1]
+			}
+		}
+		if noSpace != errors.Is(err, ErrNoSpace) || (err != nil && !noSpace) {
+			m.fatalf("set %q into class %d -> %v, model predicts no-space %v", key, cl, err, noSpace)
+		}
+		if noSpace {
+			return
+		}
+		m.stacks[cl][sub] = append([]string{key}, m.stacks[cl][sub]...)
+	} else {
+		switch {
+		case errors.Is(err, ErrNoSpace):
+			delete(m.ent, key) // the old incarnation was freed first
+			return
+		case err != nil:
+			m.fatalf("set %q: %v", key, err)
+		}
+	}
+	after, cas, gen := m.peek(key)
+	if after == nil && !m.exact {
+		delete(m.ent, key) // a reader's GET already reaped it (expired on arrival) or its tick migrated it out
+		return
+	}
+	if after == nil {
+		m.fatalf("stored %q is not resident", key)
+	}
+	if gen != c.gen {
+		m.fatalf("store of %q left it in the outgoing era (in place %v)", key, overwrote == 1)
+	}
+	if cas <= beforeCAS || (e != nil && cas <= e.cas) {
+		m.fatalf("store of %q moved its CAS token %d -> %d", key, beforeCAS, cas)
+	}
+	if overwrote == 1 && after != before {
+		m.fatalf("in-place store of %q changed its item", key)
+	}
+	m.ent[key] = &owEntry{value: value, cas: cas, size: size, pen: pen, expireAt: expireAt, class: cl, sub: sub}
+}
+
+func classOf(e *owEntry) int {
+	if e == nil {
+		return -1
+	}
+	return e.class
+}
+
+// read applies one GET (or gets) to the engine and the model.
+func (m *owModel) read(key string, withCAS bool) {
+	m.t.Helper()
+	c := m.c
+	e := m.ent[key]
+	nhits := 0
+	if m.exact { // otherwise the readers' drains append to it too
+		nhits = len(m.pol.hits)
+	}
+	var val []byte
+	var cas uint64
+	var hit bool
+	if withCAS {
+		val, _, cas, hit = c.GetWithCAS(key, nil)
+	} else {
+		val, _, hit = c.Get(key, 0, 0, nil)
+	}
+	switch {
+	case hit && !m.live(e):
+		m.fatalf("get %q hit %x, model holds %+v", key, val, e)
+	case hit:
+		if !bytes.Equal(val, e.value) || (withCAS && cas != e.cas) {
+			m.fatalf("get %q -> %x cas %d, last stored %x cas %d", key, val, cas, e.value, e.cas)
+		}
+		if m.exact {
+			s := m.stacks[e.class][e.sub]
+			pos := 0
+			for pos < len(s) && s[len(s)-1-pos] != key {
+				pos++
+			}
+			seg := pos / c.classes[e.class].spc
+			if seg >= owNseg {
+				seg = -1
+			}
+			if len(m.pol.hits) != nhits+1 || m.pol.hits[nhits] != seg {
+				m.fatalf("hit of %q at %d from the bottom of (%d,%d): policy saw segments %v, want %d",
+					key, pos, e.class, e.sub, m.pol.hits[nhits:], seg)
+			}
+			m.unstack(key, e)
+			m.stacks[e.class][e.sub] = append([]string{key}, m.stacks[e.class][e.sub]...)
+		}
+	case m.live(e) && m.exact:
+		m.fatalf("get %q missed, model holds %x", key, e.value)
+	default:
+		m.forget(key) // expired and reaped by this get, or evicted unseen
+	}
+}
+
+func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
+	rng := rand.New(rand.NewSource(seed))
+	var now atomic.Int64
+	now.Store(1_000_000)
+	pol := &nullPolicy{bounds: []float64{0.1, 10}, nseg: owNseg, gseg: 2}
+	cfg := Config{
+		Geometry:    smallGeom(), // 4 KiB slabs, slots 64/128/256/512
+		CacheBytes:  10 * 4096,
+		StoreValues: true,
+		WindowLen:   997,
+		Now:         now.Load,
+	}
+	if concurrent {
+		cfg.AccessBuffer = 64
+	}
+	c, err := New(cfg, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.stepItems = 2 // a re-slab drains over a hundred operations, not three
+	m := &owModel{t: t, c: c, pol: pol, now: &now, ent: map[string]*owEntry{}}
+	if !concurrent {
+		m.resync() // empty stacks, every slab free
+	}
+
+	if concurrent {
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		var bad atomic.Value
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				rr := rand.New(rand.NewSource(seed + int64(r) + 1))
+				var buf []byte
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					id := rr.Intn(owKeys)
+					key := "k" + strconv.Itoa(id)
+					var hit bool
+					if rr.Intn(2) == 0 {
+						buf, _, hit = c.Get(key, 0, 0, buf[:0])
+					} else {
+						buf, _, _, hit = c.GetWithCAS(key, buf[:0])
+					}
+					if hit && (!selfValueIntact(buf) || binary.LittleEndian.Uint64(buf)&0xfff != uint64(id)) {
+						bad.Store(fmt.Sprintf("reader got a torn or foreign value under %q: %x", key, buf))
+						return
+					}
+				}
+			}(r)
+		}
+		defer func() {
+			close(stop)
+			readers.Wait()
+			if msg := bad.Load(); msg != nil {
+				t.Fatal(msg)
+			}
+		}()
+	}
+
+	// valueIn returns a self-describing value of key id whose charged size
+	// falls in class cl of the current geometry.
+	valueIn := func(id, cl int) []byte {
+		lo := 8
+		if cl > 0 {
+			lo = max(lo, c.geom.SlotSize(cl-1)+1-owOverhead)
+		}
+		hi := c.geom.SlotSize(cl) - owOverhead
+		return selfValue(rng.Uint64()<<12|uint64(id), lo+rng.Intn(hi-lo+1))
+	}
+	pens := [...]float64{0.01, 1} // subclass 0 and 1
+	ttl := func() int64 {
+		if rng.Intn(8) == 0 {
+			return now.Load() + int64(rng.Intn(5)) // +0: expired on arrival
+		}
+		return 0 // an overwrite clears whatever TTL the key had
+	}
+	reslabs := []kv.Geometry{
+		mustTable(t, 4096, []int{48, 96, 200, 512}),
+		mustTable(t, 4096, []int{64, 160, 320, 512}),
+	}
+
+	const ops = 12000
+	for m.op = 0; m.op < ops; m.op++ {
+		if !concurrent && !m.exact && !c.ReslabActive() {
+			m.resync()
+		}
+		if rng.Intn(30) == 0 {
+			now.Add(int64(1 + rng.Intn(3)))
+		}
+		if m.op == ops/3 || m.op == 2*ops/3 {
+			if err := c.BeginReslab(reslabs[0]); err != nil {
+				t.Fatalf("op %d: re-slab: %v", m.op, err)
+			}
+			reslabs = reslabs[1:]
+			m.exact = false
+		}
+		id := rng.Intn(owKeys)
+		if rng.Intn(3) == 0 {
+			id = rng.Intn(owKeys / 8) // a hot eighth: most stores find their key resident
+		}
+		key := "k" + strconv.Itoa(id)
+		e := m.ent[key]
+		// A key lives in its home class and subclass until an operation
+		// below moves it.
+		cl, pen := id%c.geom.NumClasses, pens[id/4%2]
+		if e != nil {
+			pen = e.pen
+			if now := c.geom.ClassFor(e.size); now >= 0 {
+				cl = now
+			}
+		}
+		size := func(v []byte) int { return len(v) + owOverhead }
+		switch r := rng.Intn(24); {
+		case r < 7: // store in the class the key is in: in place when resident
+			v := valueIn(id, cl)
+			m.store(key, ModeSet, 0, size(v), pen, ttl(), v)
+		case r < 9: // store into another class
+			v := valueIn(id, (cl+1+rng.Intn(c.geom.NumClasses-1))%c.geom.NumClasses)
+			m.store(key, ModeSet, 0, size(v), pen, ttl(), v)
+		case r < 11: // same class, the other penalty subclass
+			v := valueIn(id, cl)
+			m.store(key, ModeSet, 0, size(v), pens[0]+pens[1]-pen, ttl(), v)
+		case r < 12: // a size that under-states the value: the buffer regrows
+			if cl == c.geom.NumClasses-1 {
+				continue
+			}
+			v := valueIn(id, cl+1)
+			m.store(key, ModeSet, 0, c.geom.SlotSize(cl), pen, 0, v)
+		case r < 13: // add: stores only over a dead or absent key
+			v := valueIn(id, cl)
+			m.store(key, ModeAdd, 0, size(v), pen, ttl(), v)
+		case r < 14: // replace: stores only over a live key
+			v := valueIn(id, cl)
+			m.store(key, ModeReplace, 0, size(v), pen, ttl(), v)
+		case r < 16: // cas with the right token, or one off
+			var tok uint64
+			if e != nil {
+				tok = e.cas + uint64(rng.Intn(2))
+			}
+			v := valueIn(id, cl)
+			m.store(key, ModeCAS, tok, size(v), pen, ttl(), v)
+		case r < 17: // incr on a value an overwrite left behind
+			nkey := "n" + strconv.Itoa(rng.Intn(8))
+			v := []byte(strconv.Itoa(rng.Intn(1_000_000)))
+			m.store(nkey, ModeSet, 0, size(v), 0.01, 0, v)
+			if ne := m.ent[nkey]; ne != nil {
+				cur, _ := strconv.ParseUint(string(ne.value), 10, 64)
+				next, err := c.Delta(nkey, 7, false)
+				if err != nil || next != cur+7 {
+					m.fatalf("incr %q after a store of %d -> %d, %v", nkey, cur, next, err)
+				}
+				ne.value = []byte(strconv.FormatUint(next, 10)) // in place: no LRU move, no new token
+			}
+		case r < 18: // delete
+			got := c.Delete(key)
+			if want := e != nil; got != want && (m.exact || got) {
+				m.fatalf("delete %q -> %v, model holds %+v", key, got, e)
+			}
+			m.forget(key)
+		case r < 19 && rng.Intn(6) == 0: // reap whatever expired
+			c.ReapExpired(0)
+			for k, e := range m.ent {
+				if !m.live(e) {
+					m.forget(k)
+				}
+			}
+		default:
+			m.read(key, rng.Intn(2) == 0)
+		}
+		if m.exact {
+			m.verify()
+		}
+		if m.op%101 == 0 || (!m.exact && !concurrent) {
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", m.op, err)
+			}
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for key := range m.ent {
+		m.read(key, true)
+	}
+	st := c.Stats()
+	if st.Overwrites < ops/8 || st.Overwrites > st.Sets/10*9 || st.Evictions == 0 || st.GhostHits == 0 ||
+		st.Expired == 0 || st.Reslabs != 2 || st.ReslabMoved == 0 || m.oldEraStores == 0 {
+		t.Fatalf("run did not exercise every store path: %+v, %d stores met an outgoing-era item", st, m.oldEraStores)
+	}
+}
+
+// TestOverwriteInvalidatesDeferredAccess: a GET's deferred access record
+// taken before an in-place overwrite describes the value that was replaced.
+// The overwrite keeps the item but issues a new CAS token, so the drain
+// counts the record as stale and applies nothing.
+func TestOverwriteInvalidatesDeferredAccess(t *testing.T) {
+	pol := &nullPolicy{nseg: 2}
+	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 4 * 4096, StoreValues: true, AccessBuffer: 16}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b"} {
+		if err := c.Set(k, 40, 0.01, 0, []byte("one")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := kv.HashString("a")
+	c.mu.Lock()
+	it := c.index.Get(h, "a")
+	rec := accessbuf.Record{It: it, CAS: it.CAS, Pen: it.Penalty} // what a GET hit of "a" records
+	c.mu.Unlock()
+	if err := c.Set("a", 41, 0.01, 0, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	c.record(h, rec) // ... published after the overwrite went by
+	before := c.AccessBufStats()
+	if before.StaleRefs != 1 || before.Drained != 1 || len(pol.hits) != 0 {
+		t.Fatalf("stale refs %d of %d drained, policy hits %v; want the one record skipped", before.StaleRefs, before.Drained, pol.hits)
+	}
+	c.mu.Lock()
+	same, cas := c.index.Get(h, "a") == it, it.CAS
+	c.mu.Unlock()
+	if !same || cas <= rec.CAS || c.Stats().Overwrites != 1 {
+		t.Fatalf("overwrite kept its item %v, token %d -> %d, overwrites %d", same, rec.CAS, cas, c.Stats().Overwrites)
+	}
+}
+
+// TestCheckInvariantsCatchesResidentGhost: the store path probes the ghost
+// index only when the resident probe misses, and an eviction inserts its
+// ghost without looking for one to replace; both lean on a key never being
+// resident and ghosted at once, so CheckInvariants has to notice when it is.
+func TestCheckInvariantsCatchesResidentGhost(t *testing.T) {
+	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 2 * 4096}, &nullPolicy{gseg: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set("k", 40, 0.01, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.gindex.Insert(&kv.Item{Key: "k", Hash: kv.HashString("k"), Ghost: true})
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "resident and also a ghost") {
+		t.Fatalf("CheckInvariants = %v, want the resident-and-ghost report", err)
+	}
+}

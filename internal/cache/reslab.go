@@ -189,7 +189,7 @@ func (c *Cache) beginReslabLocked(target kv.Geometry) error {
 			}
 			for g := s.ghost.PopFront(); g != nil; g = s.ghost.PopFront() {
 				s.gring.Remove(g)
-				c.gindex.Delete(g.Hash, g.Key)
+				c.gindex.Remove(g)
 				c.releaseRaw(g)
 			}
 			s.gcap = 0
@@ -275,7 +275,7 @@ func (c *Cache) reslabStepLocked(maxItems int) (migrated int, done bool) {
 		migrated++
 		if c.expired(it) {
 			c.pushStaleLocked(it)
-			c.index.Delete(it.Hash, it.Key)
+			c.index.Remove(it)
 			c.stats.Expired++
 			c.release(it)
 			continue
@@ -285,7 +285,7 @@ func (c *Cache) reslabStepLocked(maxItems int) (migrated int, done bool) {
 			// honestly rather than stall the transition. No ghost entry —
 			// ghosts describe target-era stacks this item never joined.
 			c.pushStaleLocked(it)
-			c.index.Delete(it.Hash, it.Key)
+			c.index.Remove(it)
 			c.stats.Evictions++
 			c.release(it)
 		}
@@ -387,7 +387,7 @@ func (c *Cache) reclaimOldForSpaceLocked() {
 		_ = o.mgr.FreeSlot(it.Class)
 		o.items--
 		c.pushStaleLocked(it)
-		c.index.Delete(it.Hash, it.Key)
+		c.index.Remove(it)
 		c.stats.Evictions++
 		c.stats.FallbackEvicts++
 		c.release(it)

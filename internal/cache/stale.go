@@ -48,7 +48,7 @@ func (c *Cache) pushStaleLocked(it *kv.Item) {
 		if oldest == nil {
 			break
 		}
-		c.staleIdx.Delete(oldest.Hash, oldest.Key)
+		c.staleIdx.Remove(oldest)
 		c.staleSize -= staleCost(oldest)
 		c.releaseRaw(oldest)
 	}
@@ -74,7 +74,7 @@ func (c *Cache) flushStaleLocked() {
 		return
 	}
 	for e := c.staleLst.PopFront(); e != nil; e = c.staleLst.PopFront() {
-		c.staleIdx.Delete(e.Hash, e.Key)
+		c.staleIdx.Remove(e)
 		c.releaseRaw(e)
 	}
 	c.staleSize = 0

@@ -49,16 +49,36 @@ func (t *Table) Put(it *kv.Item) *kv.Item {
 		t.insert(it)
 		return old
 	}
+	t.Insert(it)
+	return nil
+}
+
+// Insert adds it, whose key the caller has just probed absent (Get returned
+// nil): Put without the walk that looks for an item to replace.
+func (t *Table) Insert(it *kv.Item) {
 	if t.n >= 2*len(t.buckets) {
 		t.grow()
 	}
 	t.insert(it)
-	return nil
 }
 
 // Delete removes and returns the item with the given key, or nil.
 func (t *Table) Delete(hash uint64, key string) *kv.Item {
 	return t.remove(hash, key)
+}
+
+// Remove unlinks it, an item the caller holds by pointer: Delete comparing
+// pointers instead of hashes and keys. It reports whether it was stored.
+func (t *Table) Remove(it *kv.Item) bool {
+	for p := &t.buckets[it.Hash&t.mask]; *p != nil; p = &(*p).HNext {
+		if *p == it {
+			*p = it.HNext
+			it.HNext = nil
+			t.n--
+			return true
+		}
+	}
+	return false
 }
 
 // Range calls fn for every stored item until fn returns false. The table

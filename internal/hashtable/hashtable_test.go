@@ -94,6 +94,77 @@ func TestCollidingHashesDistinctKeys(t *testing.T) {
 	}
 }
 
+// TestInsertGrows: Insert of keys probed absent is Put without the replace
+// walk — the table still grows while it inserts and loses nothing.
+func TestInsertGrows(t *testing.T) {
+	tb := New(4)
+	start := tb.Buckets()
+	const n = 3000
+	items := make([]*kv.Item, n)
+	for i := range items {
+		items[i] = item(fmt.Sprintf("key-%d", i))
+		if tb.Get(items[i].Hash, items[i].Key) != nil {
+			t.Fatalf("key %d present before its insert", i)
+		}
+		tb.Insert(items[i])
+		if tb.Len() != i+1 {
+			t.Fatalf("Len = %d after %d inserts", tb.Len(), i+1)
+		}
+	}
+	if tb.Buckets() < n/2 || tb.Buckets() == start {
+		t.Fatalf("table did not grow: %d buckets for %d items", tb.Buckets(), n)
+	}
+	for _, it := range items {
+		if tb.Get(it.Hash, it.Key) != it {
+			t.Fatalf("lost %q across growth", it.Key)
+		}
+	}
+}
+
+// TestRemoveByPointer removes the head, the middle and the tail of one chain
+// by pointer, then an item that is not stored.
+func TestRemoveByPointer(t *testing.T) {
+	for _, order := range [][]int{{2, 1, 0}, {1, 0, 2}, {0, 2, 1}, {0, 1, 2}} {
+		tb := New(4)
+		// Three distinct keys with one hash share a chain: c is its head
+		// (inserted last), a its tail.
+		chain := []*kv.Item{{Key: "a", Hash: 7}, {Key: "b", Hash: 7}, {Key: "c", Hash: 7}}
+		other := item("other")
+		tb.Insert(other)
+		for _, it := range chain {
+			tb.Insert(it)
+		}
+		left := map[*kv.Item]bool{chain[0]: true, chain[1]: true, chain[2]: true}
+		for _, i := range order {
+			if !tb.Remove(chain[i]) {
+				t.Fatalf("order %v: Remove(%q) found nothing", order, chain[i].Key)
+			}
+			delete(left, chain[i])
+			if chain[i].HNext != nil {
+				t.Fatalf("order %v: removed %q still links into the chain", order, chain[i].Key)
+			}
+			if tb.Remove(chain[i]) {
+				t.Fatalf("order %v: second Remove(%q) succeeded", order, chain[i].Key)
+			}
+			for _, it := range chain {
+				if got := tb.Get(7, it.Key); (got == it) != left[it] {
+					t.Fatalf("order %v after removing %q: Get(%q) = %v, stored %v", order, chain[i].Key, it.Key, got != nil, left[it])
+				}
+			}
+			if tb.Len() != len(left)+1 || tb.Get(other.Hash, "other") != other {
+				t.Fatalf("order %v: Len = %d with %d of the chain left", order, tb.Len(), len(left))
+			}
+		}
+	}
+	// An equal key is not the same item.
+	tb := New(4)
+	a1, a2 := item("a"), item("a")
+	tb.Insert(a1)
+	if tb.Remove(a2) || tb.Get(a1.Hash, "a") != a1 || tb.Len() != 1 {
+		t.Fatal("Remove matched an item by key, not by pointer")
+	}
+}
+
 func TestRangeVisitsAll(t *testing.T) {
 	tb := New(4)
 	want := map[string]bool{}
@@ -138,7 +209,7 @@ func TestAgainstMapModel(t *testing.T) {
 		for op := 0; op < 1000; op++ {
 			k := keyOf()
 			h := kv.HashString(k)
-			switch rng.Intn(3) {
+			switch rng.Intn(5) {
 			case 0:
 				it := item(k)
 				old := tb.Put(it)
@@ -146,6 +217,18 @@ func TestAgainstMapModel(t *testing.T) {
 					return false
 				}
 				model[k] = it
+			case 3: // Insert after a probe that found nothing
+				if tb.Get(h, k) == nil {
+					model[k] = item(k)
+					tb.Insert(model[k])
+				}
+			case 4: // Remove by pointer
+				if it := model[k]; it != nil {
+					if !tb.Remove(it) {
+						return false
+					}
+					delete(model, k)
+				}
 			case 1:
 				if tb.Get(h, k) != model[k] {
 					return false

@@ -196,6 +196,7 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("pamakv_hits_total", "GET requests answered from cache.", st.Hits)
 	p.Counter("pamakv_misses_total", "GET requests not resident.", st.Misses)
 	p.Counter("pamakv_sets_total", "Store operations accepted.", st.Sets)
+	p.Counter("pamakv_overwrites_total", "Stores that replaced a resident item in place (sets minus these inserted one).", st.Overwrites)
 	p.Counter("pamakv_deletes_total", "Delete operations.", st.Deletes)
 	p.Counter("pamakv_evictions_total", "Items evicted to make room.", st.Evictions)
 	p.Counter("pamakv_ghost_hits_total", "Misses whose key was in a ghost region.", st.GhostHits)

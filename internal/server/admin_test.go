@@ -192,6 +192,7 @@ func TestAdminEndToEnd(t *testing.T) {
 		}
 		for _, want := range []string{
 			`pamakv_slabs{class="0"}`,
+			`pamakv_overwrites_total`,
 			`pamakv_request_seconds_count{cmd="get"}`,
 			`pamakv_request_seconds_bucket{cmd="get",le="+Inf"}`,
 			`pamakv_go_gc_cycles_total`,
@@ -496,7 +497,7 @@ func TestStatszFieldNames(t *testing.T) {
 	check(statsz(srv), map[string]string{
 		"policy": "string", "items": "number", "slabs": "array", "hit_ratio": "number",
 		"engine.Gets": "number", "engine.Hits": "number", "engine.Misses": "number", "engine.Sets": "number",
-		"engine.Evictions": "number", "engine.GhostHits": "number", "engine.SlabMigrations": "number",
+		"engine.Overwrites": "number", "engine.Evictions": "number", "engine.GhostHits": "number", "engine.SlabMigrations": "number",
 		"engine.WindowRollovers": "number",
 		"server.Batches":         "number", "server.BatchedCmds": "number", "server.ClientErrors": "number",
 		"server.ServerErrors": "number", "server.IOErrors": "number", "server.PeerForwards": "number",

@@ -704,3 +704,66 @@ func TestServerStressShardBacked(t *testing.T) {
 		t.Fatalf("no pipelining observed: %+v", st)
 	}
 }
+
+// TestLargeRepliesRecycleBuffers drives the reply path's pooled buffers from
+// several connections at once: read-through GETs of values from 100 B to
+// 300 KiB against a cache a fraction of their total, so response buffers
+// grow out of the pool and go back to it after the flush, and unshared
+// backend bodies go back once rendered. Every reply must carry exactly its
+// key's bytes — a buffer handed back while something still read it, or two
+// users of one buffer, shows up as a wrong body (and under -race as a race).
+func TestLargeRepliesRecycleBuffers(t *testing.T) {
+	sizer := func(h uint64) int {
+		if h%3 == 0 {
+			return 70<<10 + int(h>>8%(230<<10)) // above maxRetainedScratch
+		}
+		return 100 + int(h>>8%2000)
+	}
+	store := backend.New(penalty.Uniform(0.001), sizer)
+	_, addr := startServerCfg(t, cache.Config{CacheBytes: 4 << 20, StoreValues: true, WindowLen: 10_000},
+		Options{Backend: store})
+	const conns, gets, keys = 4, 150, 60
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			r := bufio.NewReaderSize(conn, 1<<16)
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < gets; i++ {
+				// Two keys per request: the second value lands behind the
+				// first in one response buffer.
+				k1, k2 := fmt.Sprintf("big%03d", rng.Intn(keys)), fmt.Sprintf("big%03d", rng.Intn(keys))
+				if _, err := fmt.Fprintf(conn, "get %s %s\r\n", k1, k2); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, k := range []string{k1, k2} {
+					h := kv.HashString(k)
+					want := backend.Synthesize(h, sizer(h))
+					head, err := r.ReadString('\n')
+					if err != nil || head != fmt.Sprintf("VALUE %s 0 %d\r\n", k, len(want)) {
+						t.Errorf("conn %d get %d: header %q, %v", c, i, head, err)
+						return
+					}
+					got := make([]byte, len(want)+2)
+					if _, err := io.ReadFull(r, got); err != nil || string(got[:len(want)]) != string(want) {
+						t.Errorf("conn %d get %d: key %s came back with another body (%v)", c, i, k, err)
+						return
+					}
+				}
+				if end, err := r.ReadString('\n'); err != nil || end != "END\r\n" {
+					t.Errorf("conn %d get %d: end %q, %v", c, i, end, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"time"
 
+	"pamakv/internal/bufpool"
 	"pamakv/internal/cluster"
 	"pamakv/internal/overload"
 	"pamakv/internal/proto"
@@ -351,10 +352,11 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 		// 0 for gets — a degraded token must not win a cas race against the
 		// owner's copy.
 		skey := string(key)
-		_, _, body, ferr := s.fetchBackend(skey)
+		_, _, body, owned, ferr := s.fetchBackend(skey)
 		if ferr != nil {
 			return
 		}
+		defer bufpool.Put(owned) // the reply and the hot cache copy body
 		s.st.peerFallbacks.Add(1)
 		off := len(sc.rep)
 		if d.kind == deferGets {

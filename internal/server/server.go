@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"pamakv/internal/backend"
+	"pamakv/internal/bufpool"
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
 	"pamakv/internal/membership"
@@ -100,17 +101,21 @@ const (
 // Per-connection scratch sizing. Buffers start small and grow to the
 // workload; after each flush any buffer that outgrew maxRetainedScratch is
 // released, so one 1 MiB value does not pin a megabyte on every idle
-// connection for the rest of its life.
+// connection for the rest of its life. valueFraming bounds the bytes a VALUE
+// reply adds around its key and body.
 const (
 	initialScratch     = 4 << 10
 	maxRetainedScratch = 64 << 10
+	valueFraming       = 64
 )
 
 // connScratch is a connection's reusable serving state. Together with the
 // proto.Parser it makes the request→response path allocation-free in steady
 // state: the response accumulates in out, engine values are copied into
 // val, and both buffers live for the connection (capacity-capped after each
-// flush).
+// flush). out lives in bufpool buffers: it grows by trading up to a larger
+// one, and an oversized out goes back to the pool, where the next large
+// reply on any connection finds it.
 type connScratch struct {
 	out []byte // response batch buffer
 	val []byte // engine value copy target (Get/GetWithCAS/GetStale)
@@ -123,12 +128,24 @@ type connScratch struct {
 	rep       []byte
 }
 
+// rehouse moves out into a pooled buffer of capacity n or more and gives the
+// buffer it was in to the pool. (Boxing a slice for the pool costs 24 bytes;
+// it happens when a reply outgrows out, not per request.)
+func rehouse(out []byte, n int) []byte {
+	moved := append((*bufpool.Get(n))[:0], out...)
+	bufpool.Put(&out)
+	return moved
+}
+
 // capScratch releases oversized buffers after a flush.
 func (sc *connScratch) capScratch() {
 	if cap(sc.out) > maxRetainedScratch {
-		sc.out = make([]byte, 0, initialScratch)
+		sc.out = rehouse(sc.out[:0], initialScratch)
 	}
 	if cap(sc.val) > maxRetainedScratch {
+		// Dropped, not pooled: the engine grows val by appending (Store hands
+		// it a buffer, not a size), so nothing would take out of the pool
+		// what every large hit put in.
 		sc.val = nil
 	}
 	if cap(sc.rep) > maxRetainedScratch {
@@ -148,7 +165,9 @@ var ErrFetchTimeout = errors.New("server: backend fetch timed out")
 
 // Store is the cache surface the server drives: satisfied by *cache.Cache
 // (one engine) and *shard.Group (engines behind one route: by hash, or by
-// tenant and then hash).
+// tenant and then hash). The callee copies what it retains: the keys it is
+// handed alias parser scratch, the values pooled buffers, both reused when
+// the call returns.
 type Store interface {
 	Get(key string, sizeHint int, penHint float64, buf []byte) ([]byte, uint32, bool)
 	GetWithCAS(key string, buf []byte) ([]byte, uint32, uint64, bool)
@@ -680,7 +699,6 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 	r := bufio.NewReaderSize(conn, 1<<16)
-	w := bufio.NewWriterSize(conn, 1<<16)
 	maxBatch := s.opts.MaxPipeline
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxPipeline
@@ -691,7 +709,8 @@ func (s *Server) handle(conn net.Conn) {
 	// connection's life (capacity-capped after each flush).
 	p := proto.NewParser(r)
 	defer p.Close()
-	sc := &connScratch{out: make([]byte, 0, initialScratch)}
+	sc := &connScratch{out: rehouse(nil, initialScratch)}
+	defer func() { out := sc.out; bufpool.Put(&out) }() // the connection's last buffer goes back too
 	for {
 		// Block for the next request under the idle deadline.
 		if s.opts.ReadTimeout > 0 {
@@ -699,12 +718,12 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		cmd, err := p.ReadCommand()
 		if err != nil {
-			if fatal := s.readError(conn, w, err); fatal {
+			if fatal := s.readError(conn, err); fatal {
 				return
 			}
 			// Recoverable protocol error: reply and keep serving.
 			sc.out = proto.AppendLine(sc.out[:0], "CLIENT_ERROR "+clientMsg(err))
-			if !s.flush(conn, w, sc.out) {
+			if !s.flush(conn, sc.out) {
 				return
 			}
 			continue
@@ -746,7 +765,7 @@ func (s *Server) handle(conn net.Conn) {
 		if len(sc.deferred) > 0 {
 			s.completeDeferred(sc)
 		}
-		if !s.flush(conn, w, sc.out) {
+		if !s.flush(conn, sc.out) {
 			return
 		}
 		sc.capScratch()
@@ -760,11 +779,11 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		if batchErr != nil {
-			if fatal := s.readError(conn, w, batchErr); fatal {
+			if fatal := s.readError(conn, batchErr); fatal {
 				return
 			}
 			sc.out = proto.AppendLine(sc.out[:0], "CLIENT_ERROR "+clientMsg(batchErr))
-			if !s.flush(conn, w, sc.out) {
+			if !s.flush(conn, sc.out) {
 				return
 			}
 		}
@@ -774,20 +793,16 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// flush writes and flushes out under the write deadline, reporting whether
-// the connection is still usable. Empty output flushes whatever the writer
-// buffered earlier (a no-op when none).
-func (s *Server) flush(conn net.Conn, w *bufio.Writer, out []byte) bool {
+// flush writes out, a finished response batch, to the connection under the
+// write deadline, reporting whether the connection is still usable.
+func (s *Server) flush(conn net.Conn, out []byte) bool {
+	if len(out) == 0 {
+		return true
+	}
 	if s.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 	}
-	if len(out) > 0 {
-		if _, err := w.Write(out); err != nil {
-			s.st.ioErrors.Add(1)
-			return false
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := conn.Write(out); err != nil {
 		s.st.ioErrors.Add(1)
 		return false
 	}
@@ -797,7 +812,7 @@ func (s *Server) flush(conn net.Conn, w *bufio.Writer, out []byte) bool {
 // readError classifies a ReadCommand failure, updates counters, and reports
 // whether the connection must close. A false return means the error was a
 // recoverable client mistake: the caller replies CLIENT_ERROR and continues.
-func (s *Server) readError(conn net.Conn, w *bufio.Writer, err error) (fatal bool) {
+func (s *Server) readError(conn net.Conn, err error) (fatal bool) {
 	var ce *proto.ClientError
 	switch {
 	case s.draining():
@@ -814,7 +829,7 @@ func (s *Server) readError(conn net.Conn, w *bufio.Writer, err error) (fatal boo
 		// Framing is unrecoverable; tell the client whose fault it
 		// was, then close.
 		s.st.clientErrors.Add(1)
-		s.flush(conn, w, []byte("CLIENT_ERROR line too long\r\n"))
+		s.flush(conn, []byte("CLIENT_ERROR line too long\r\n"))
 		return true
 	case errors.As(err, &ce):
 		s.st.clientErrors.Add(1)
@@ -931,8 +946,8 @@ func (s *Server) serve(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 
 // dispatch routes one parsed command. cmd and everything it references obey
 // the proto.Parser ownership rules: keys and data alias per-connection
-// scratch, so any path that retains a key beyond this call (engine insert,
-// hot-cache fill) clones it first.
+// scratch, so whatever retains a key beyond this call copies it: the engine
+// when it inserts an item, the hot-cache fill before it stores one.
 func (s *Server) dispatch(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 	if s.peers != nil {
 		switch cmd.Name {
@@ -1045,47 +1060,50 @@ func (s *Server) doMembership(out []byte, cmd *proto.Command) []byte {
 // backend call. On timeout the fetch goroutine is abandoned (it completes
 // and its result is discarded); the backend simulates a database, so there
 // is no external resource to cancel.
-func (s *Server) fetchOnce(key string) (size int, pen float64, body []byte, err error) {
+func (s *Server) fetchOnce(key string) (size int, pen float64, body []byte, owned *[]byte, err error) {
 	b := s.opts.Backend
 	if s.opts.FetchTimeout <= 0 {
 		return b.FetchSharedErr(key, true)
 	}
 	type result struct {
-		size int
-		pen  float64
-		body []byte
-		err  error
+		size  int
+		pen   float64
+		body  []byte
+		owned *[]byte
+		err   error
 	}
 	ch := make(chan result, 1)
 	go func() {
 		var r result
-		r.size, r.pen, r.body, r.err = b.FetchSharedErr(key, true)
+		r.size, r.pen, r.body, r.owned, r.err = b.FetchSharedErr(key, true)
 		ch <- r
 	}()
 	t := time.NewTimer(s.opts.FetchTimeout)
 	defer t.Stop()
 	select {
 	case r := <-ch:
-		return r.size, r.pen, r.body, r.err
+		return r.size, r.pen, r.body, r.owned, r.err
 	case <-t.C:
 		s.st.backendTimeouts.Add(1)
-		return 0, 0, nil, ErrFetchTimeout
+		return 0, 0, nil, nil, ErrFetchTimeout
 	}
 }
 
 // fetchBackend runs a bounded retry-with-backoff chain of fetch attempts.
 // While the overload tier is shedding, the retry budget halves: retries
-// amplify backend load exactly when there is least capacity to spare.
-func (s *Server) fetchBackend(key string) (size int, pen float64, body []byte, err error) {
+// amplify backend load exactly when there is least capacity to spare. A
+// non-nil owned is the pooled buffer body lives in, this caller's alone: it
+// goes back with bufpool.Put once body has been copied where it is going.
+func (s *Server) fetchBackend(key string) (size int, pen float64, body []byte, owned *[]byte, err error) {
 	backoff := s.opts.FetchBackoff
 	retries := s.opts.FetchRetries
 	if s.overloadTier() >= overload.TierShedding {
 		retries /= 2
 	}
 	for attempt := 0; ; attempt++ {
-		size, pen, body, err = s.fetchOnce(key)
+		size, pen, body, owned, err = s.fetchOnce(key)
 		if err == nil {
-			return size, pen, body, nil
+			return size, pen, body, owned, nil
 		}
 		if attempt >= retries || s.draining() {
 			break
@@ -1097,7 +1115,7 @@ func (s *Server) fetchBackend(key string) (size int, pen float64, body []byte, e
 		}
 	}
 	s.st.backendFailures.Add(1)
-	return 0, 0, nil, err
+	return 0, 0, nil, nil, err
 }
 
 func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command) []byte {
@@ -1141,14 +1159,15 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 				continue
 			}
 		}
+		var fetched *[]byte
 		if !hit && s.opts.Backend != nil {
-			size, pen, body, ferr := s.fetchBackend(key)
+			size, pen, body, owned, ferr := s.fetchBackend(key)
+			fetched = owned
 			switch {
 			case ferr == nil:
-				// The engine retains the key of an inserted item, and
-				// cmd's keys alias parser scratch — clone for the fill.
-				skey := strings.Clone(key)
-				if err := s.c.Set(skey, size+len(skey)+itemOverhead, pen, 0, body); err == nil {
+				// key aliases parser scratch; the engine copies it if the
+				// fill inserts an item.
+				if err := s.c.Set(key, size+len(key)+itemOverhead, pen, 0, body); err == nil {
 					val, flags, hit = body, 0, true
 					if withCAS {
 						_, _, cas, _ = s.c.GetWithCAS(key, nil)
@@ -1172,11 +1191,17 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 			}
 		}
 		if hit {
+			if need := len(key) + len(val) + valueFraming; cap(out)-len(out) < need {
+				out = rehouse(out, max(len(out)+need, 2*cap(out))) // amortized, like append
+			}
 			if withCAS {
 				out = proto.AppendValueCAS(out, key, flags, val, cas)
 			} else {
 				out = proto.AppendValue(out, key, flags, val)
 			}
+		}
+		if fetched != nil {
+			bufpool.Put(fetched) // the engine and the reply hold their own copies
 		}
 	}
 	return proto.AppendEnd(out)
@@ -1201,14 +1226,14 @@ func (s *Server) doDelta(out []byte, cmd *proto.Command) []byte {
 }
 
 func (s *Server) doSet(out []byte, cmd *proto.Command) []byte {
-	// The engine retains the stored key; the parsed key aliases the
-	// connection's parser scratch, so the fill path clones it — the one
-	// allocation a SET is budgeted. The value is copied from the pooled data
-	// buffer into a slot buffer of the item's slab class: the slot the
-	// overwritten or evicted item just gave back, taken off the class's free
-	// stack (cache/values.go), so storing into a full cache allocates no
-	// value memory.
-	key := strings.Clone(cmd.Keys[0])
+	// The parsed key aliases the connection's parser scratch and the data a
+	// pooled buffer; both go to the engine as they are: the callee copies what
+	// it keeps. A store that inserts an item pays one allocation, the engine's
+	// copy of the key; an overwrite of a resident key in its class and a
+	// refused add/replace/cas allocate nothing. The value lands in a slot
+	// buffer of its slab class: the item's own on an overwrite, else the one
+	// an evicted item just gave back (cache/values.go).
+	key := cmd.Keys[0]
 	pen := penalty.DefaultUnknown
 	if s.opts.Backend != nil {
 		pen = s.opts.Backend.Penalty(key, len(cmd.Data))
@@ -1256,7 +1281,7 @@ const concatRetries = 8
 // One deliberate divergence: the rewritten item's expiry resets to "never",
 // because the engine does not expose the resident deadline for re-arming.
 func (s *Server) doConcat(sc *connScratch, out []byte, cmd *proto.Command) []byte {
-	key := strings.Clone(cmd.Keys[0])
+	key := cmd.Keys[0]
 	for try := 0; try < concatRetries; try++ {
 		val, flags, cas, hit := s.c.GetWithCAS(key, sc.val[:0])
 		sc.val = val[:0]
@@ -1335,6 +1360,7 @@ func (s *Server) doStats(out []byte) []byte {
 	out = proto.AppendStat(out, "get_hits", st.Hits)
 	out = proto.AppendStat(out, "get_misses", st.Misses)
 	out = proto.AppendStat(out, "cmd_set", st.Sets)
+	out = proto.AppendStat(out, "overwrites", st.Overwrites)
 	out = proto.AppendStat(out, "cmd_delete", st.Deletes)
 	out = proto.AppendStat(out, "evictions", st.Evictions)
 	out = proto.AppendStat(out, "ghost_hits", st.GhostHits)

@@ -207,7 +207,8 @@ func TestClientErrorKeepsConnection(t *testing.T) {
 func TestStats(t *testing.T) {
 	_, addr := startServer(t, Options{})
 	cl := dial(t, addr)
-	cl.send(t, "set k 0 0 1\r\nx\r\n")
+	cl.send(t, "set k 0 0 1\r\nx\r\nset k 0 0 1\r\ny\r\n")
+	cl.line(t)
 	cl.line(t)
 	cl.send(t, "get k\r\nget nope\r\nstats\r\n")
 	stats := map[string]string{}
@@ -224,7 +225,7 @@ func TestStats(t *testing.T) {
 			stats[parts[0]] = parts[1]
 		}
 	}
-	if stats["get_hits"] != "1" || stats["get_misses"] != "1" || stats["cmd_set"] != "1" {
+	if stats["get_hits"] != "1" || stats["get_misses"] != "1" || stats["cmd_set"] != "2" || stats["overwrites"] != "1" {
 		t.Fatalf("stats = %v", stats)
 	}
 	if stats["policy"] != "pama" {
