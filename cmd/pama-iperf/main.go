@@ -13,7 +13,8 @@
 //
 // Latency quantiles are per round trip: with -pipeline > 1 a round trip
 // carries that many GETs, which is exactly how the competing servers are
-// benchmarked too.
+// benchmarked too. Only answered operations are counted and timed; the ones
+// that failed are the errors column, and any of them makes the exit status 1.
 package main
 
 import (
@@ -137,7 +138,8 @@ func parseIntList(s string) ([]int, error) {
 }
 
 // run executes every (value size, keyspace, op) combination and writes the
-// CSV to w. Factored from main for the tests.
+// CSV to w; after the last row it reports failed operations as an error.
+// Factored from main for the tests.
 func run(w io.Writer, cfg config) error {
 	if cfg.label == "" {
 		cfg.label = cfg.protocol
@@ -154,6 +156,7 @@ func run(w io.Writer, cfg config) error {
 			return err
 		}
 	}
+	var failed uint64
 	for _, vs := range cfg.valueSizes {
 		for _, ks := range cfg.keyspaces {
 			for _, op := range cfg.ops {
@@ -164,10 +167,38 @@ func run(w io.Writer, cfg config) error {
 				if _, err := fmt.Fprintln(w, r.csv()); err != nil {
 					return err
 				}
+				failed += r.errors
 			}
 		}
 	}
+	if failed > 0 {
+		return fmt.Errorf("%d operations failed (errors column)", failed)
+	}
 	return nil
+}
+
+// workerOut is one worker's tally.
+type workerOut struct {
+	ops        uint64
+	gets, hits uint64
+	errs       uint64
+	err        error
+}
+
+// record accounts one round trip of n operations that took d: answered, they
+// count as throughput and the round trip is timed; failed, they count as
+// errors only — a dead server must not read as a fast one.
+func (o *workerOut) record(lat *obs.Hist, d time.Duration, n int, get bool, hits int, err error) {
+	if err != nil {
+		o.errs += uint64(n)
+		return
+	}
+	lat.Observe(d.Seconds())
+	o.ops += uint64(n)
+	if get {
+		o.gets += uint64(n)
+		o.hits += uint64(hits)
+	}
 }
 
 // runCase benchmarks one (op, value size, keyspace) cell: cfg.clients
@@ -191,12 +222,6 @@ func runCase(cfg config, mk factory, op string, valueBytes, keyspace int) (row, 
 		}
 	}
 
-	type workerOut struct {
-		ops        uint64
-		gets, hits uint64
-		errs       uint64
-		err        error
-	}
 	outs := make([]workerOut, cfg.clients)
 	lat := obs.NewHist(1e-6, 7) // every worker observes into it
 	perWorker := cfg.requests / cfg.clients
@@ -224,26 +249,18 @@ func runCase(cfg config, mk factory, op string, valueBytes, keyspace int) (row, 
 					key := benchKey(rng.Intn(keyspace))
 					t0 := time.Now()
 					err := b.Set(key, value)
-					lat.Observe(time.Since(t0).Seconds())
-					out.ops++
+					out.record(lat, time.Since(t0), 1, false, 0, err)
 					done++
-					if err != nil {
-						out.errs++
-					}
 				case cfg.pipeline == 1:
 					key := benchKey(rng.Intn(keyspace))
 					t0 := time.Now()
 					hit, err := b.Get(key)
-					lat.Observe(time.Since(t0).Seconds())
-					out.ops++
-					out.gets++
-					done++
-					switch {
-					case err != nil:
-						out.errs++
-					case hit:
-						out.hits++
+					hits := 0
+					if hit {
+						hits = 1
 					}
+					out.record(lat, time.Since(t0), 1, true, hits, err)
+					done++
 				default:
 					n := cfg.pipeline
 					if left := perWorker - done; n > left {
@@ -255,14 +272,8 @@ func runCase(cfg config, mk factory, op string, valueBytes, keyspace int) (row, 
 					}
 					t0 := time.Now()
 					hits, err := b.GetBatch(batch)
-					lat.Observe(time.Since(t0).Seconds())
-					out.ops += uint64(n)
-					out.gets += uint64(n)
+					out.record(lat, time.Since(t0), n, true, hits, err)
 					done += n
-					if err != nil {
-						out.errs++
-					}
-					out.hits += uint64(hits)
 				}
 			}
 		}(wi)

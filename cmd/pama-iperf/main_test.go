@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pamakv/internal/cache"
 	"pamakv/internal/core"
@@ -259,6 +260,65 @@ func TestIperfNoHeader(t *testing.T) {
 	}
 	if lines := strings.Split(out, "\n"); len(lines) != 1 {
 		t.Fatalf("want exactly one row, got %d:\n%s", len(lines), out)
+	}
+}
+
+// TestIperfFailedOperationsAreNotThroughput: a server that answers N stores
+// and then goes away. The row must count the N answered operations only — the
+// rest are the errors column — and run must report the failure after printing
+// it. The server holds its last connection open for a fixed pause before it
+// closes, so the phase lasts at least that long and the N answered stores bound
+// ops_per_sec from above; counting the failed ones (the old behaviour) would
+// put it an order of magnitude over the bound.
+func TestIperfFailedOperationsAreNotThroughput(t *testing.T) {
+	const answered, requested, pause = 100, 2000, 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		defer ln.Close() // later dials are refused, not left waiting
+		r := bufio.NewReader(nc)
+		for i := 0; i < answered; i++ {
+			for lines := 0; lines < 2; lines++ { // command line, data block
+				if _, err := r.ReadString('\n'); err != nil {
+					return
+				}
+			}
+			if _, err := io.WriteString(nc, "STORED\r\n"); err != nil {
+				return
+			}
+		}
+		time.Sleep(pause)
+	}()
+
+	cfg := testConfig("memc-txt", ln.Addr().String())
+	cfg.ops = []string{"set"}
+	cfg.clients = 1
+	cfg.requests = requested
+	cfg.valueSizes = []int{64}
+	var sb strings.Builder
+	err = run(&sb, cfg)
+	if err == nil || !strings.Contains(err.Error(), "operations failed") {
+		t.Fatalf("run = %v, want the failed-operations error", err)
+	}
+	_, rows := parseCSV(t, sb.String())
+	if len(rows) != 1 {
+		t.Fatalf("want the row printed before the error, got:\n%s", sb.String())
+	}
+	if got := rows[0][11]; got != strconv.Itoa(requested-answered) {
+		t.Fatalf("errors column %s, want %d", got, requested-answered)
+	}
+	ops, err := strconv.ParseFloat(rows[0][6], 64)
+	if err != nil || ops <= 0 || ops > answered/pause.Seconds() {
+		t.Fatalf("ops_per_sec %q, want within (0, %.0f]: only %d operations were answered over at least %v",
+			rows[0][6], answered/pause.Seconds(), answered, pause)
 	}
 }
 

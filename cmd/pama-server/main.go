@@ -37,7 +37,6 @@ import (
 	"pamakv/internal/backend"
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
-	"pamakv/internal/geom"
 	"pamakv/internal/membership"
 	"pamakv/internal/overload"
 	"pamakv/internal/penalty"
@@ -53,7 +52,6 @@ type options struct {
 	addr         string
 	cacheMiB     int64
 	policyKind   string
-	adaptiveGeom bool
 	readthrough  bool
 	penaltyScale float64
 	shards       int
@@ -159,7 +157,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:11211", "listen address")
 	flag.Int64Var(&o.cacheMiB, "cache", 256, "cache size in MiB")
 	flag.StringVar(&o.policyKind, "policy", "pama", "policy: memcached, psa, pama, pre-pama, twemcache, facebook-age, mrc-hit, mrc-time, lama-hit, lama-time, camp, size-aware")
-	flag.BoolVar(&o.adaptiveGeom, "adaptive-geometry", false, "learn slab-class boundaries online from observed sizes and re-slab live")
 	flag.BoolVar(&o.readthrough, "readthrough", false, "serve GET misses from a simulated back end")
 	flag.Float64Var(&o.penaltyScale, "penalty-scale", 0.02, "fraction of the simulated penalty slept in real time (read-through mode)")
 	flag.IntVar(&o.shards, "shards", runtime.NumCPU(), "hash shards, per tenant with -tenants (rounded up to a power of two; defaults to the core count)")
@@ -237,9 +234,6 @@ func run(o options) error {
 		StoreValues:  true,
 		WindowLen:    100_000,
 		AccessBuffer: accessBuffer,
-	}
-	if o.adaptiveGeom {
-		cfg.Adaptive = &geom.Config{} // Normalize picks the defaults
 	}
 	if o.serveStale {
 		cfg.StaleValues = true
@@ -467,8 +461,8 @@ func run(o options) error {
 		}
 	}()
 
-	log.Printf("pama-server: %s policy, %d MiB, %d shard(s), access-buffer %d, listening on %s (readthrough=%v, max-conns=%d)",
-		o.policyKind, o.cacheMiB, o.shards, accessBuffer, o.addr, o.readthrough, o.maxConns)
+	log.Printf("pama-server: %s policy, %d MiB, %d shard(s), listening on %s (readthrough=%v, max-conns=%d)",
+		o.policyKind, o.cacheMiB, o.shards, o.addr, o.readthrough, o.maxConns)
 	err := srv.ListenAndServe(o.addr)
 	if draining.Load() {
 		<-shutdownDone

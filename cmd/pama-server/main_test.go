@@ -2,7 +2,10 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -131,20 +134,42 @@ func TestRunRejectsBadAddr(t *testing.T) {
 }
 
 // TestRunServesTraffic boots the real binary path (run blocks in
-// ListenAndServe, so it runs in a goroutine) on an ephemeral port, then
-// talks protocol to it: a hash-sharded store, and tenants that are each a
-// range of shards. Shutdown is exercised via the listener teardown at process
-// exit; the goroutines are intentionally left serving.
+// ListenAndServe, so it runs in a goroutine) on an ephemeral port in every
+// mode run can build a store or a fetch path for, and serves each real load:
+// one connection pipelining 90 000 SETs and GETs of seven value sizes (seven
+// slab classes) over a key space four times the 4 MiB cache, so every row
+// fills its stacks, evicts and migrates slabs. Every reply must be one the
+// command calls for, run must still be serving afterwards, and the in-band
+// stats must add up — run hands out no engine handle. Shutdown is exercised
+// via the listener teardown at process exit; the goroutines are intentionally
+// left serving.
 func TestRunServesTraffic(t *testing.T) {
+	// In read-through mode fills carry the back end's penalties, so a class's
+	// items spread over the five penalty subclasses; with fewer slabs than
+	// classes in use PAMA then finds no single stack that can free a slab, and
+	// the engine refuses stores into the classes left without one.
+	const noSpace = "SERVER_ERROR cache: no space available for class "
 	for _, tc := range []struct {
 		name   string
 		mutate func(o *options)
-		keys   []string
+		// prefixes are the tenant prefixes keys are spread over.
+		prefixes []string
+		// refusal is the one SERVER_ERROR the mode may answer a command with
+		// ("" = none); nonzero names stats the mode must have moved.
+		refusal string
+		nonzero []string
 	}{
-		{"two shards", func(o *options) {}, []string{"k"}},
+		{"two shards", func(o *options) {}, []string{""}, "", nil},
 		{"tenants over two shards each", func(o *options) {
-			o.tenants, o.cacheMiB = "gold:4:3:0,bronze:2:1:2", 32
-		}, []string{"gold/k", "bronze/k", "k", "nobody/k"}},
+			o.tenants = "gold:1:3:0,bronze:1:1:2"
+		}, []string{"gold/", "bronze/", "", "nobody/"}, "", nil},
+		{"readthrough", func(o *options) { o.readthrough, o.shards = true, 1 }, []string{""}, noSpace, nil},
+		{"readthrough serving stale under faults", func(o *options) {
+			o.readthrough, o.shards = true, 1
+			o.serveStale, o.staleMiB, o.faultErrRate, o.faultSeed = true, 1, 0.2, 1
+		}, []string{""}, noSpace, []string{"backend_failures", "stale_serves"}},
+		{"overload control", func(o *options) { o.overloadOn = true }, []string{""},
+			"SERVER_ERROR busy (shed)", []string{"overload_admitted"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -154,6 +179,7 @@ func TestRunServesTraffic(t *testing.T) {
 			addr := ln.Addr().String()
 			ln.Close() // free the port for run; a tiny race window is acceptable in tests
 			o := testOpts(addr, "pama", 2)
+			o.cacheMiB = 4
 			tc.mutate(&o)
 			errc := make(chan error, 1)
 			go func() { errc <- run(o) }()
@@ -176,19 +202,91 @@ func TestRunServesTraffic(t *testing.T) {
 				time.Sleep(20 * time.Millisecond)
 			}
 			defer conn.Close()
-			r := bufio.NewReader(conn)
-			for _, k := range tc.keys {
-				conn.Write([]byte("set " + k + " 0 0 5\r\nhello\r\nget " + k + "\r\n"))
-				line, _ := r.ReadString('\n')
-				if !strings.HasPrefix(line, "STORED") {
-					t.Fatalf("set %s -> %q", k, line)
+			conn.SetDeadline(time.Now().Add(30 * time.Second))
+
+			// The load: op i is a SET (three in four) or a GET of a
+			// pseudo-random key id; a key's value size follows from its id, so
+			// a GET hit can be checked against it.
+			const ops, keys = 90_000, 19_000 // mean value ~880 B: ~16 MiB of keys
+			sizes := [...]int{40, 100, 200, 400, 800, 1600, 3000}
+			op := func(i int) (set bool, key string, size int) {
+				x := uint32(i) * 2654435761
+				id := int(x>>8) % keys
+				return x&3 != 0, tc.prefixes[id%len(tc.prefixes)] + "k" + strconv.Itoa(id), sizes[id%len(sizes)]
+			}
+			go func() { // the writer; the test goroutine reads, so neither side's buffers can wedge
+				w := bufio.NewWriterSize(conn, 64<<10)
+				body := bytes.Repeat([]byte("v"), sizes[len(sizes)-1])
+				for i := 0; i < ops; i++ {
+					if set, key, size := op(i); set {
+						fmt.Fprintf(w, "set %s 0 0 %d\r\n%s\r\n", key, size, body[:size])
+					} else {
+						fmt.Fprintf(w, "get %s\r\n", key)
+					}
 				}
-				line, _ = r.ReadString('\n')
-				if !strings.HasPrefix(line, "VALUE "+k+" 0 5") {
-					t.Fatalf("get %s -> %q", k, line)
+				w.WriteString("stats\r\n")
+				w.Flush() // an error here shows up as the reader's
+			}()
+			r := bufio.NewReaderSize(conn, 64<<10)
+			line := func(i int) string {
+				l, err := r.ReadString('\n')
+				if err != nil {
+					t.Fatalf("op %d: %v", i, err)
 				}
-				r.ReadString('\n') // hello
-				r.ReadString('\n') // END
+				return strings.TrimRight(l, "\r\n")
+			}
+			sets, stored := 0, 0
+			for i := 0; i < ops; i++ {
+				set, key, size := op(i)
+				if set {
+					sets++
+				}
+				l := line(i)
+				switch {
+				case tc.refusal != "" && strings.HasPrefix(l, tc.refusal):
+				case set && l == "STORED":
+					stored++
+				case !set && l == "END":
+				case !set && strings.HasPrefix(l, "VALUE "+key+" 0 "):
+					n, err := strconv.Atoi(l[len("VALUE "+key+" 0 "):])
+					if err != nil || (n != size && !o.readthrough) { // a fill is sized by the back end
+						t.Fatalf("op %d: get %s -> %q, want %d bytes", i, key, l, size)
+					}
+					if _, err := r.Discard(n + 2); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+					if l = line(i); l != "END" {
+						t.Fatalf("op %d: get %s ends %q", i, key, l)
+					}
+				default:
+					t.Fatalf("op %d (set=%v %s, %d bytes) -> %q", i, set, key, size, l)
+				}
+			}
+			stat := map[string]int{}
+			for l := line(ops); l != "END"; l = line(ops) {
+				if f := strings.Fields(l); len(f) == 3 && f[0] == "STAT" {
+					stat[f[1]], _ = strconv.Atoi(f[2])
+				}
+			}
+			if stored*2 < sets {
+				t.Fatalf("only %d of %d stores were taken", stored, sets)
+			}
+			for _, name := range append([]string{"evictions", "curr_items", "cmd_get"}, tc.nonzero...) {
+				if stat[name] == 0 {
+					t.Errorf("stats: %s is 0", name)
+				}
+			}
+			if stat["get_hits"]+stat["get_misses"] != stat["cmd_get"] || stat["client_errors"] != 0 ||
+				(tc.refusal == "" && stat["server_errors"] != 0) {
+				t.Errorf("stats do not add up")
+			}
+			if t.Failed() {
+				t.Fatalf("stats: %v", stat)
+			}
+			select {
+			case e := <-errc:
+				t.Fatalf("server exited under load: %v", e)
+			default:
 			}
 		})
 	}

@@ -17,20 +17,16 @@ package cache
 // Safety at the seams:
 //
 //   - Stale references. A drained record's item pointer may have been
-//     deleted, evicted (into a ghost entry or the pool), replaced, expired,
-//     or re-slabbed since the access. Every record carries the item's CAS
-//     token — an incarnation id issued from the engine's monotonic
-//     casCounter, zeroed by Item.Reset on release — so the drain skips any
-//     record whose item is a ghost or whose token no longer matches. A
-//     pooled item reused for a new key carries a strictly newer token, so
-//     ABA through the item pool is impossible.
+//     deleted, evicted (into a ghost entry or the pool), replaced or expired
+//     since the access. Every record carries the item's CAS token — an
+//     incarnation id issued from the engine's monotonic casCounter, zeroed
+//     by Item.Reset on release — so the drain skips any record whose item
+//     is a ghost or whose token no longer matches. A pooled item reused for
+//     a new key carries a strictly newer token, so ABA through the item pool
+//     is impossible.
 //   - Window rollovers. Deferred policy hits are flushed inside tick()
 //     immediately before Policy.OnWindow, so batched hits are attributed to
 //     the same window they would reach in immediate mode at drain time.
-//   - Re-slab transitions. beginReslabLocked drains first, and records
-//     published during a transition drain through the era-aware
-//     touchResident; policy hits are suppressed exactly as on the immediate
-//     path (the policy is quiesced).
 //   - Reporting. Every read of deferred counters (winReqs/winMiss,
 //     subHits/subMiss, Stats, Introspect, ArbiterValues, snapshots) drains
 //     first, so reports never run behind the rings.
@@ -197,9 +193,9 @@ func (c *Cache) drainLocked() {
 }
 
 // applyAccessLocked replays one deferred access as the immediate path would
-// have run it: advance the access clock (which may pump a re-slab step or
-// roll the window), then — if the item is still the same incarnation —
-// touch recency/segment state and attribute the hit.
+// have run it: advance the access clock (which may roll the window), then —
+// if the item is still the same incarnation — touch recency/segment state and
+// attribute the hit.
 func (c *Cache) applyAccessLocked(rec accessbuf.Record) {
 	c.tick()
 	it := rec.It
@@ -207,13 +203,11 @@ func (c *Cache) applyAccessLocked(rec accessbuf.Record) {
 		c.abStaleRefs++
 		return
 	}
-	seg, acl := c.touchResident(it)
+	seg := c.touchResident(it)
 	it.LastAccess = c.clock
-	c.winReqs[acl]++
-	c.subHits[acl][it.Sub]++
-	if c.old == nil {
-		c.pendingHits = append(c.pendingHits, BatchHit{It: it, Seg: seg})
-	}
+	c.winReqs[it.Class]++
+	c.subHits[it.Class][it.Sub]++
+	c.pendingHits = append(c.pendingHits, BatchHit{It: it, Seg: seg})
 }
 
 // flushPolicyHitsLocked hands accumulated hits to the policy — one

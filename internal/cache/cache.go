@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"pamakv/internal/accessbuf"
-	"pamakv/internal/geom"
 	"pamakv/internal/hashtable"
 	"pamakv/internal/kv"
 	"pamakv/internal/lru"
@@ -77,10 +76,6 @@ type Config struct {
 	// StaleBytes bounds the stale buffer (keys + values + overhead);
 	// 0 with StaleValues on defaults to 1 MiB.
 	StaleBytes int64
-	// Adaptive, when non-nil, turns on the online slab-geometry learner
-	// (package geom): the engine feeds it item sizes and applies proposed
-	// slot tables through a live re-slab transition (see reslab.go).
-	Adaptive *geom.Config
 	// Tenant is the id stamped on every item this engine stores (0 =
 	// default tenant). Under multi-tenant serving each tenant owns its own
 	// engine(s); the tag lets audits prove isolation (see tenant.go).
@@ -114,10 +109,6 @@ type Stats struct {
 	// to and received from other tenants via the arbiter (tenant.go).
 	SlabDonations uint64
 	SlabReceipts  uint64
-	// Reslabs counts live geometry transitions started; ReslabMoved counts
-	// items re-slotted from the outgoing into the target geometry.
-	Reslabs     uint64
-	ReslabMoved uint64
 }
 
 // Policy is an allocation scheme plugged into the engine. Implementations
@@ -155,6 +146,15 @@ type Policy interface {
 	// OnWindow fires every WindowLen accesses, before per-window
 	// counters reset.
 	OnWindow()
+}
+
+// RemovalObserver is optionally implemented by policies that mirror
+// resident items in their own structures (policy.CAMP). OnRemove fires,
+// with the engine lock held, when a resident item leaves the cache by any
+// path that is not an eviction already reported through OnEvict: explicit
+// delete, TTL expiry, replacement by a new store, or flush.
+type RemovalObserver interface {
+	OnRemove(it *kv.Item)
 }
 
 type subclass struct {
@@ -204,24 +204,10 @@ type Cache struct {
 	// casCounter issues unique CAS tokens; incremented per store.
 	casCounter uint64
 
-	// holes[cl] is the current era's internal fragmentation: bytes of slot
-	// capacity occupied by resident items but unused (slot size − item
-	// size, summed). The "memory holes" the adaptive geometry attacks.
+	// holes[cl] is class cl's internal fragmentation: bytes of slot capacity
+	// occupied by resident items but unused (slot size − item size, summed).
+	// The "memory holes" a solved slot table (package geom) shrinks.
 	holes []int64
-	// totalBudget pins the slab budget from New; during a re-slab
-	// transition it is split between the two eras' managers but their sum
-	// never changes.
-	totalBudget int
-	// gen is the geometry generation; items with Gen != gen while old is
-	// non-nil still live in the outgoing era (see reslab.go).
-	gen uint32
-	// old is the outgoing era of a live re-slab transition; nil when no
-	// transition is active.
-	old *oldEra
-	// learner proposes better slot tables from observed sizes (nil when
-	// Config.Adaptive is off); stepItems bounds migration work per op.
-	learner   *geom.Learner
-	stepItems int
 
 	// Stale buffer (see stale.go); staleIdx nil when disabled.
 	staleIdx  *hashtable.Table
@@ -271,19 +257,11 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 	if nsub == 0 {
 		nsub = 1
 	}
-	c.classes = buildClasses(c.geom, nsub, pol.Segments(), pol.GhostSegments(), cfg.Tracker, true)
+	c.classes = buildClasses(c.geom, nsub, pol.Segments(), pol.GhostSegments(), cfg.Tracker)
 	c.resetAttribution(nsub)
 	c.holes = make([]int64, c.geom.NumClasses)
-	c.totalBudget = mgr.TotalSlabs()
 	if cfg.StaleValues {
 		c.staleIdx = hashtable.New(1 << 8)
-	}
-	if cfg.Adaptive != nil {
-		acfg := cfg.Adaptive.Normalize()
-		c.learner = geom.NewLearner(acfg, c.geom.MaxItemSize())
-		c.stepItems = acfg.StepItems
-	} else {
-		c.stepItems = 64
 	}
 	c.initAccessBuf(cfg.AccessBuffer)
 	pol.Attach(c)
@@ -291,10 +269,7 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 }
 
 // buildClasses constructs the per-class subclass stacks for a geometry.
-// withTrackers=false defers segment trackers (a re-slab transition's target
-// era runs tracker-less until finishReslabLocked rebuilds them, because the
-// exact tracker's rank order only stays valid for MRU-end insertions).
-func buildClasses(g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind, withTrackers bool) []class {
+func buildClasses(g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind) []class {
 	classes := make([]class, g.NumClasses)
 	for ci := range classes {
 		cl := &classes[ci]
@@ -303,7 +278,7 @@ func buildClasses(g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind, with
 		cl.subs = make([]subclass, nsub)
 		for si := range cl.subs {
 			s := &cl.subs[si]
-			if nseg > 0 && withTrackers {
+			if nseg > 0 {
 				switch tracker {
 				case TrackerBloom:
 					s.tr = segment.NewBloom(&s.list, cl.spc, nseg)
@@ -320,8 +295,8 @@ func buildClasses(g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind, with
 	return classes
 }
 
-// resetAttribution (re)allocates the window counters and attribution
-// matrices for the current geometry's dimensions.
+// resetAttribution allocates the window counters and attribution matrices
+// for the geometry's dimensions.
 func (c *Cache) resetAttribution(nsub int) {
 	nc := c.geom.NumClasses
 	c.winReqs = make([]uint64, nc)
@@ -379,12 +354,12 @@ func (c *Cache) Get(key string, sizeHint int, penHint float64, buf []byte) (val 
 		c.stats.Expired++
 	}
 	if it := c.index.Get(h, key); it != nil {
-		seg, acl := c.touchResident(it)
+		seg := c.touchResident(it)
 		it.LastAccess = c.clock
-		c.winReqs[acl]++
+		c.winReqs[it.Class]++
 		c.stats.Hits++
-		c.subHits[acl][it.Sub]++
-		c.polOnHit(it, seg)
+		c.subHits[it.Class][it.Sub]++
+		c.policy.OnHit(it, seg)
 		if c.cfg.StoreValues {
 			buf = append(buf, it.Value...)
 		}
@@ -409,7 +384,7 @@ func (c *Cache) Get(key string, sizeHint int, penHint float64, buf []byte) (val 
 			c.subMiss[clHint][subHint]++
 		}
 	}
-	c.polOnMiss(clHint, subHint, g, gseg)
+	c.policy.OnMiss(clHint, subHint, g, gseg)
 	return buf, 0, false
 }
 
@@ -437,8 +412,8 @@ func (c *Cache) SetTTL(key string, size int, pen float64, flags uint32, expireAt
 //
 // It finds the key once and changes only what the store changes. A key is
 // never resident and ghosted (or stale-buffered) at once, so a resident find
-// probes nothing else; a resident item of the current era and the same class,
-// holding a slot-sized buffer, is overwritten in place — same item, index
+// probes nothing else; a resident item of the same class, holding a
+// slot-sized buffer, is overwritten in place — same item, index
 // entry and slot — while stack, tracker and policy see the remove-then-insert
 // of the full path, which every other store takes (DESIGN.md §5).
 func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
@@ -454,7 +429,7 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 	h := kv.HashString(key)
 
 	it := c.index.Get(h, key)
-	if it != nil && it.Class == cl && it.Gen == c.gen &&
+	if it != nil && it.Class == cl &&
 		(!c.cfg.StoreValues || cap(it.Value) == c.classes[cl].slot) {
 		s := &c.classes[cl].subs[it.Sub]
 		if s.tr != nil {
@@ -469,7 +444,7 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 		}
 	} else {
 		if it != nil {
-			// The old incarnation lives in another class or era: free it.
+			// The old incarnation lives in another class: free it.
 			c.unlinkResident(it)
 			c.release(it)
 		} else {
@@ -486,7 +461,6 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 		it.Key, it.Hash = key, h
 		it.Tenant = c.cfg.Tenant
 		it.Class = cl
-		it.Gen = c.gen
 		if c.cfg.StoreValues {
 			// The one copy of a request's key: the caller may reuse its bytes.
 			it.Key = strings.Clone(key)
@@ -508,15 +482,7 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 	if s.tr != nil {
 		s.tr.Insert(it)
 	}
-	c.polOnInsert(it)
-	if c.learner != nil {
-		c.learner.Observe(size)
-		if c.old == nil {
-			if g, ok := c.learner.Propose(c.geom); ok {
-				_ = c.beginReslabLocked(g)
-			}
-		}
-	}
+	c.policy.OnInsert(it)
 	return nil
 }
 
@@ -527,13 +493,6 @@ func (c *Cache) takeSlotLocked(cl, sub int) error {
 		if c.slabs.FreeSlabs() > 0 {
 			// Growth phase: grant a free slab, as Memcached does.
 			_ = c.slabs.AllocSlab(cl)
-		} else if c.old != nil {
-			// Mid-transition the policy is quiesced; free budget by
-			// draining the outgoing era instead.
-			c.reclaimOldForSpaceLocked()
-			if c.slabs.FreeSlabs() > 0 {
-				_ = c.slabs.AllocSlab(cl)
-			}
 		} else {
 			c.policy.MakeRoom(cl, sub)
 		}
@@ -603,24 +562,6 @@ func (c *Cache) Flush() {
 		}
 		c.holes[ci] = 0
 	}
-	if c.old != nil {
-		// A flush ends any transition instantly: drop the outgoing era's
-		// items too, then hand its whole budget over and finish.
-		o := c.old
-		for ci := range o.classes {
-			for si := range o.classes[ci].subs {
-				s := &o.classes[ci].subs[si]
-				for it := s.list.PopFront(); it != nil; it = s.list.PopFront() {
-					c.index.Remove(it)
-					_ = o.mgr.FreeSlot(ci)
-					c.release(it)
-				}
-			}
-			o.holes[ci] = 0
-		}
-		o.items = 0
-		c.finishReslabLocked()
-	}
 	c.flushStaleLocked()
 }
 
@@ -653,6 +594,25 @@ func (c *Cache) EvictBottom(class, sub int) bool {
 // class, reporting success.
 func (c *Cache) EvictOneInClass(class int) bool {
 	return c.evictOneInClassLocked(class)
+}
+
+// EvictKey evicts the resident item holding key with full eviction
+// bookkeeping (stale push, stats, OnEvict, ghost entry), reporting whether
+// an item was evicted.
+func (c *Cache) EvictKey(key string) bool {
+	it := c.index.Get(kv.HashString(key), key)
+	if it == nil {
+		return false
+	}
+	c.evictResidentLocked(it, &c.classes[it.Class].subs[it.Sub])
+	return true
+}
+
+// RangeItems iterates all resident items without the engine lock (policy
+// hooks hold it; audits run at a quiescent point). The callback must not
+// mutate engine state and must not retain items.
+func (c *Cache) RangeItems(fn func(it *kv.Item) bool) {
+	c.index.Range(fn)
 }
 
 // MigrateSlab evicts the candidate segment of (fromClass, fromSub) — and,
@@ -772,6 +732,18 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
+// HolesTotal returns the bytes lost to holes over all classes (Introspect
+// carries the per-class gauge).
+func (c *Cache) HolesTotal() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var t int64
+	for _, h := range c.holes {
+		t += h
+	}
+	return t
+}
+
 // Items returns the resident item count.
 func (c *Cache) Items() int {
 	c.mu.Lock()
@@ -812,42 +784,6 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if err := c.checkValuesLocked(); err != nil {
 		return err
-	}
-	budget := c.slabs.TotalSlabs()
-	if o := c.old; o != nil {
-		if err := o.mgr.CheckInvariants(); err != nil {
-			return err
-		}
-		budget += o.mgr.TotalSlabs()
-		oldTotal := 0
-		for ci := range o.classes {
-			n := 0
-			var holes int64
-			for si := range o.classes[ci].subs {
-				l := &o.classes[ci].subs[si].list
-				n += l.Len()
-				l.AscendFromBack(func(it *kv.Item) bool {
-					holes += int64(o.geom.SlotSize(ci) - it.Size)
-					return true
-				})
-			}
-			if n != o.mgr.Used(ci) {
-				return fmt.Errorf("cache: old-era class %d lists hold %d items, slab accounting says %d",
-					ci, n, o.mgr.Used(ci))
-			}
-			if holes != o.holes[ci] {
-				return fmt.Errorf("cache: old-era class %d holes gauge %d, lists say %d",
-					ci, o.holes[ci], holes)
-			}
-			oldTotal += n
-		}
-		if oldTotal != o.items {
-			return fmt.Errorf("cache: old era holds %d items, counter says %d", oldTotal, o.items)
-		}
-		total += oldTotal
-	}
-	if budget != c.totalBudget {
-		return fmt.Errorf("cache: era budgets sum to %d slabs, cache owns %d", budget, c.totalBudget)
 	}
 	if total != c.index.Len() {
 		return fmt.Errorf("cache: lists hold %d items, index holds %d", total, c.index.Len())
@@ -911,21 +847,14 @@ func (c *Cache) subclassFor(pen float64) int {
 
 func (c *Cache) tick() {
 	c.clock++
-	if c.old != nil {
-		// Pump the live re-slab transition: a bounded slice of migration
-		// work per operation, Redis-rehash style.
-		c.reslabStepLocked(c.stepItems)
-	}
 	c.winTick++
 	if c.winTick >= c.cfg.WindowLen {
 		c.stats.WindowRollovers++
-		if c.old == nil {
-			// Deferred hits must reach the policy before the window closes,
-			// or a drain straddling a rollover would attribute them to the
-			// wrong window.
-			c.flushPolicyHitsLocked()
-			c.policy.OnWindow()
-		}
+		// Deferred hits must reach the policy before the window closes, or a
+		// drain straddling a rollover would attribute them to the wrong
+		// window.
+		c.flushPolicyHitsLocked()
+		c.policy.OnWindow()
 		for ci := range c.classes {
 			for si := range c.classes[ci].subs {
 				if tr := c.classes[ci].subs[si].tr; tr != nil {
@@ -939,26 +868,35 @@ func (c *Cache) tick() {
 	}
 }
 
+// touchResident moves a hit item to its stack's MRU end and returns the
+// tracked segment it was found in (-1 when untracked).
+func (c *Cache) touchResident(it *kv.Item) int {
+	s := &c.classes[it.Class].subs[it.Sub]
+	if s.tr != nil {
+		return s.tr.Touch(it)
+	}
+	s.list.MoveToFront(it)
+	return -1
+}
+
 // unlinkResident detaches a resident item from list, tracker, index, and
-// slot accounting, without ghost bookkeeping. It handles items in either
-// era of a live re-slab transition and notifies a RemovalObserver policy.
+// slot accounting, without ghost bookkeeping, and notifies a RemovalObserver
+// policy.
 func (c *Cache) unlinkResident(it *kv.Item) {
-	e := c.eraFor(it)
-	s := &e.classes[it.Class].subs[it.Sub]
+	s := &c.classes[it.Class].subs[it.Sub]
 	if s.tr != nil {
 		s.tr.Remove(it)
 	}
 	s.list.Remove(it)
 	c.index.Remove(it)
-	_ = e.mgr.FreeSlot(it.Class)
-	e.holes[it.Class] -= int64(e.geom.SlotSize(it.Class) - it.Size)
+	_ = c.slabs.FreeSlot(it.Class)
+	c.holes[it.Class] -= int64(c.classes[it.Class].slot - it.Size)
 	c.polOnRemove(it)
-	if e.old {
-		c.old.items--
-		if c.old.items == 0 {
-			c.harvestOldLocked()
-			c.finishReslabLocked()
-		}
+}
+
+func (c *Cache) polOnRemove(it *kv.Item) {
+	if ro, ok := c.policy.(RemovalObserver); ok {
+		ro.OnRemove(it)
 	}
 }
 
@@ -972,8 +910,8 @@ func (c *Cache) evictBottomLocked(class, sub int) *kv.Item {
 	return it
 }
 
-// evictResidentLocked performs full eviction bookkeeping for a current-era
-// resident: stale push, unlink, stats, policy notification, ghost entry.
+// evictResidentLocked performs full eviction bookkeeping for a resident:
+// stale push, unlink, stats, policy notification, ghost entry.
 func (c *Cache) evictResidentLocked(it *kv.Item, s *subclass) {
 	c.pushStaleLocked(it)
 	if s.tr != nil {
@@ -984,7 +922,7 @@ func (c *Cache) evictResidentLocked(it *kv.Item, s *subclass) {
 	_ = c.slabs.FreeSlot(it.Class)
 	c.holes[it.Class] -= int64(c.geom.SlotSize(it.Class) - it.Size)
 	c.stats.Evictions++
-	c.polOnEvict(it)
+	c.policy.OnEvict(it)
 	c.pushGhost(it)
 }
 

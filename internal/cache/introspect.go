@@ -105,12 +105,6 @@ type Introspection struct {
 	// slots, all zero in metadata-only mode.
 	FreeValueBuffers []int `json:"free_value_buffers"`
 
-	// ReslabActive reports a live geometry transition in progress;
-	// ReslabOldItems counts residents still awaiting migration out of the
-	// outgoing era (0 when inactive).
-	ReslabActive   bool `json:"reslab_active,omitempty"`
-	ReslabOldItems int  `json:"reslab_old_items,omitempty"`
-
 	// Items is the resident item count; Stats the engine counters.
 	Items int   `json:"items"`
 	Stats Stats `json:"stats"`
@@ -150,11 +144,6 @@ func (c *Cache) Introspect() Introspection {
 		Stats:            c.stats,
 	}
 	in.Stats.SlabMigrations = c.slabs.Migrations
-	if c.old != nil {
-		in.ReslabActive = true
-		in.ReslabOldItems = c.old.items
-		in.Stats.SlabMigrations += c.old.mgr.Migrations
-	}
 	for ci := 0; ci < nc; ci++ {
 		in.SlotSizes[ci] = c.geom.SlotSize(ci)
 		in.UsedSlots[ci] = c.slabs.Used(ci)
@@ -203,8 +192,6 @@ func (in *Introspection) Merge(other Introspection) {
 			in.BytesHoles[i] += other.BytesHoles[i]
 		}
 	}
-	in.ReslabActive = in.ReslabActive || other.ReslabActive
-	in.ReslabOldItems += other.ReslabOldItems
 	for ci := range other.SubLens {
 		if ci >= len(in.SubLens) {
 			break
@@ -240,8 +227,6 @@ func addStats(a, b Stats) Stats {
 		SlabMigrations:  a.SlabMigrations + b.SlabMigrations,
 		SlabDonations:   a.SlabDonations + b.SlabDonations,
 		SlabReceipts:    a.SlabReceipts + b.SlabReceipts,
-		Reslabs:         a.Reslabs + b.Reslabs,
-		ReslabMoved:     a.ReslabMoved + b.ReslabMoved,
 	}
 }
 

@@ -80,15 +80,15 @@ func (c *Cache) GetWithCAS(key string, buf []byte) (val []byte, flags uint32, ca
 			c.stats.GhostHits++
 			gseg = c.ghostSeg(g)
 		}
-		c.polOnMiss(-1, -1, g, gseg)
+		c.policy.OnMiss(-1, -1, g, gseg)
 		return buf, 0, 0, false
 	}
-	seg, acl := c.touchResident(it)
+	seg := c.touchResident(it)
 	it.LastAccess = c.clock
-	c.winReqs[acl]++
+	c.winReqs[it.Class]++
 	c.stats.Hits++
-	c.subHits[acl][it.Sub]++
-	c.polOnHit(it, seg)
+	c.subHits[it.Class][it.Sub]++
+	c.policy.OnHit(it, seg)
 	if c.cfg.StoreValues {
 		buf = append(buf, it.Value...)
 	}

@@ -21,16 +21,13 @@ import (
 // pressure takes overwrites that keep the class, change it, change the
 // penalty subclass, set and clear a TTL, under-state their size (a regrown
 // buffer), add/replace/cas hits and misses, incr on an overwritten value,
-// deletes, evict → ghost → re-SET, and two live re-slabs whose outgoing-era
-// items must take the full path.
+// deletes and evict → ghost → re-SET.
 //
 // The exact leg runs alone on the immediate read path against a map plus
 // per-stack LRU order (the oracle of TestOracleFullCommandSet, one stack per
 // class and subclass): which stores overwrite in place and keep their item,
 // every hit's value, CAS token and tracked segment, every miss, every
-// eviction victim and the order of every stack. While a re-slab drains, the
-// order is the migration's to decide: the model checks values only and
-// re-reads the stacks when the transition ends. The concurrent leg replays
+// eviction victim and the order of every stack. The concurrent leg replays
 // the same operations on the batched read path with two readers hammering
 // the self-describing keys; there evictions cannot be predicted, so a miss
 // is believed, and a hit must still carry the last bytes stored under its
@@ -65,15 +62,12 @@ type owModel struct {
 	now *atomic.Int64
 	op  int
 	ent map[string]*owEntry
-	// exact is off on the concurrent leg and while a re-slab drains: a miss
-	// of a key the model holds is then believed, not reported.
+	// exact is off on the concurrent leg: a miss of a key the model holds is
+	// then believed, not reported.
 	exact  bool
 	stacks [][][]string // [class][sub], MRU first
 	slabs  []int
 	free   int
-	// oldEraStores counts the stores that found their key resident in the
-	// outgoing era of a re-slab: the ones that must not be taken in place.
-	oldEraStores int
 }
 
 func (m *owModel) fatalf(format string, args ...any) {
@@ -106,52 +100,27 @@ func (m *owModel) forget(key string) {
 	}
 }
 
-// peek returns the resident item of key, its CAS token and its geometry
-// generation, without touching any engine state.
-func (m *owModel) peek(key string) (it *kv.Item, cas uint64, gen uint32) {
+// peek returns the resident item of key and its CAS token, without touching
+// any engine state.
+func (m *owModel) peek(key string) (it *kv.Item, cas uint64) {
 	m.c.mu.Lock()
 	defer m.c.mu.Unlock()
 	if it = m.c.index.Get(kv.HashString(key), key); it != nil {
-		return it, it.CAS, it.Gen
+		return it, it.CAS
 	}
-	return nil, 0, 0
+	return nil, 0
 }
 
-// resync re-reads the stacks and the slab ownership from the engine (the end
-// of a re-slab) and drops what the transition evicted.
-func (m *owModel) resync() {
+// startExact begins the exact leg on the empty engine: empty stacks, every
+// slab free.
+func (m *owModel) startExact() {
 	c := m.c
-	c.mu.Lock()
-	nsub := len(c.classes[0].subs)
 	m.stacks = make([][][]string, len(c.classes))
+	for ci := range m.stacks {
+		m.stacks[ci] = make([][]string, len(c.classes[ci].subs))
+	}
 	m.slabs = make([]int, len(c.classes))
-	resident := map[string]bool{}
-	for ci := range c.classes {
-		m.stacks[ci] = make([][]string, nsub)
-		m.slabs[ci] = c.slabs.Slabs(ci)
-		for si := range c.classes[ci].subs {
-			var keys []string
-			c.classes[ci].subs[si].list.AscendFromBack(func(it *kv.Item) bool {
-				keys = append([]string{it.Key}, keys...)
-				e := m.ent[it.Key]
-				if e == nil {
-					m.t.Errorf("op %d: %q is resident after the re-slab and unknown to the model", m.op, it.Key)
-					return true
-				}
-				e.class, e.sub = ci, si
-				resident[it.Key] = true
-				return true
-			})
-			m.stacks[ci][si] = keys
-		}
-	}
-	m.free = c.slabs.FreeSlabs()
-	c.mu.Unlock()
-	for key := range m.ent {
-		if !resident[key] {
-			delete(m.ent, key)
-		}
-	}
+	m.free = c.FreeSlabs()
 	m.exact = true
 }
 
@@ -196,10 +165,7 @@ func (m *owModel) store(key string, mode SetMode, tok uint64, size int, pen floa
 	case mode == ModeCAS && tok != e.cas:
 		want = ErrCASMismatch
 	}
-	before, beforeCAS, beforeGen := m.peek(key)
-	if before != nil && beforeGen != c.gen {
-		m.oldEraStores++
-	}
+	before, beforeCAS := m.peek(key)
 	st0 := c.Stats()
 	err := c.SetMode(key, mode, tok, size, pen, 0, expireAt, value)
 	st1 := c.Stats()
@@ -279,16 +245,13 @@ func (m *owModel) store(key string, mode SetMode, tok uint64, size int, pen floa
 			m.fatalf("set %q: %v", key, err)
 		}
 	}
-	after, cas, gen := m.peek(key)
+	after, cas := m.peek(key)
 	if after == nil && !m.exact {
-		delete(m.ent, key) // a reader's GET already reaped it (expired on arrival) or its tick migrated it out
+		delete(m.ent, key) // a reader's GET already reaped it (expired on arrival)
 		return
 	}
 	if after == nil {
 		m.fatalf("stored %q is not resident", key)
-	}
-	if gen != c.gen {
-		m.fatalf("store of %q left it in the outgoing era (in place %v)", key, overwrote == 1)
 	}
 	if cas <= beforeCAS || (e != nil && cas <= e.cas) {
 		m.fatalf("store of %q moved its CAS token %d -> %d", key, beforeCAS, cas)
@@ -373,10 +336,9 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.stepItems = 2 // a re-slab drains over a hundred operations, not three
 	m := &owModel{t: t, c: c, pol: pol, now: &now, ent: map[string]*owEntry{}}
 	if !concurrent {
-		m.resync() // empty stacks, every slab free
+		m.startExact()
 	}
 
 	if concurrent {
@@ -420,7 +382,7 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 	}
 
 	// valueIn returns a self-describing value of key id whose charged size
-	// falls in class cl of the current geometry.
+	// falls in class cl.
 	valueIn := func(id, cl int) []byte {
 		lo := 8
 		if cl > 0 {
@@ -436,25 +398,11 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 		}
 		return 0 // an overwrite clears whatever TTL the key had
 	}
-	reslabs := []kv.Geometry{
-		mustTable(t, 4096, []int{48, 96, 200, 512}),
-		mustTable(t, 4096, []int{64, 160, 320, 512}),
-	}
 
 	const ops = 12000
 	for m.op = 0; m.op < ops; m.op++ {
-		if !concurrent && !m.exact && !c.ReslabActive() {
-			m.resync()
-		}
 		if rng.Intn(30) == 0 {
 			now.Add(int64(1 + rng.Intn(3)))
-		}
-		if m.op == ops/3 || m.op == 2*ops/3 {
-			if err := c.BeginReslab(reslabs[0]); err != nil {
-				t.Fatalf("op %d: re-slab: %v", m.op, err)
-			}
-			reslabs = reslabs[1:]
-			m.exact = false
 		}
 		id := rng.Intn(owKeys)
 		if rng.Intn(3) == 0 {
@@ -532,7 +480,7 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 		if m.exact {
 			m.verify()
 		}
-		if m.op%101 == 0 || (!m.exact && !concurrent) {
+		if m.op%101 == 0 {
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("op %d: %v", m.op, err)
 			}
@@ -546,8 +494,8 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 	}
 	st := c.Stats()
 	if st.Overwrites < ops/8 || st.Overwrites > st.Sets/10*9 || st.Evictions == 0 || st.GhostHits == 0 ||
-		st.Expired == 0 || st.Reslabs != 2 || st.ReslabMoved == 0 || m.oldEraStores == 0 {
-		t.Fatalf("run did not exercise every store path: %+v, %d stores met an outgoing-era item", st, m.oldEraStores)
+		st.Expired == 0 {
+		t.Fatalf("run did not exercise every store path: %+v", st)
 	}
 }
 

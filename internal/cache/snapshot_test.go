@@ -2,9 +2,12 @@ package cache
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
+
+	"pamakv/internal/kv"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -168,5 +171,44 @@ func TestSnapshotEmptyCache(t *testing.T) {
 	}
 	if dst.Items() != 0 {
 		t.Fatal("phantom items from empty snapshot")
+	}
+}
+
+// TestLoadSnapshotGoldenBytes pins the file format: these bytes were written
+// by SaveSnapshot at PR 19's commit (three items over three classes, one with
+// a TTL), and every later engine must restore key, size, flags, deadline,
+// penalty and value from them unchanged.
+func TestLoadSnapshotGoldenBytes(t *testing.T) {
+	const fixture = "50414d41534e5031" + "0300000000000000" +
+		"0500000000000000616c706861" + "1500000000000000" + "0700000000000000" + "0000000000000000" + "7b14ae47e17a943f" + "0b00000000000000" + "66697273742d76616c7565" +
+		"050000000000000067616d6d61" + "4600000000000000" + "0100000000000000" + "0000000000000000" + "000000000000e03f" + "0500000000000000" + "7468697264" +
+		"040000000000000062657461" + "c800000000000000" + "0000000000000000" + "005786f400000000" + "0000000000002140" + "0600000000000000" + "7365636f6e64"
+	raw, err := hex.DecodeString(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(Config{Geometry: smallGeom(), CacheBytes: 4 * 4096, StoreValues: true, Now: func() int64 { return 1_700_000_000 }},
+		&nullPolicy{bounds: []float64{0.01, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.LoadSnapshot(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []kv.Item{
+		{Key: "alpha", Size: 21, Flags: 7, Penalty: 0.02, Value: []byte("first-value")},
+		{Key: "beta", Size: 200, ExpireAt: 4102444800, Penalty: 8.5, Value: []byte("second")},
+		{Key: "gamma", Size: 70, Flags: 1, Penalty: 0.5, Value: []byte("third")},
+	} {
+		dst.mu.Lock()
+		it := dst.index.Get(kv.HashString(want.Key), want.Key)
+		dst.mu.Unlock()
+		if it == nil || it.Size != want.Size || it.Flags != want.Flags || it.ExpireAt != want.ExpireAt ||
+			it.Penalty != want.Penalty || !bytes.Equal(it.Value, want.Value) {
+			t.Fatalf("%s restored as %+v, want %+v", want.Key, it, want)
+		}
+	}
+	if err := dst.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

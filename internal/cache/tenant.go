@@ -52,9 +52,8 @@ func (c *Cache) ArbiterValues() (incoming, outgoing float64, canDonate bool) {
 		// A free slab costs nothing to give away.
 		outgoing, canDonate = 0, true
 	}
-	if c.old != nil || c.totalBudget <= 1 {
-		// Mid-re-slab the budget is split across two eras; and the last
-		// slab keeps the engine servable.
+	if c.slabs.TotalSlabs() <= 1 {
+		// The last slab keeps the engine servable.
 		canDonate = false
 	}
 	return incoming, outgoing, canDonate
@@ -116,15 +115,12 @@ func (c *Cache) donationVictimLocked() (class, sub int, ok bool) {
 // grant it to another tenant: it frees a slab (evicting the donation
 // victim's candidate region if none is free, exactly as MigrateSlab drains
 // a donor class) and shrinks the budget by one. The engine keeps at least
-// one slab, and donation is refused mid-re-slab.
+// one slab.
 func (c *Cache) DonateSlab() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.drainLocked()
-	if c.old != nil {
-		return fmt.Errorf("cache: slab donation refused during re-slab transition")
-	}
-	if c.totalBudget <= 1 {
+	if c.slabs.TotalSlabs() <= 1 {
 		return fmt.Errorf("cache: cannot donate the last slab")
 	}
 	if c.slabs.FreeSlabs() == 0 {
@@ -153,7 +149,6 @@ func (c *Cache) DonateSlab() error {
 	if err := c.slabs.ShrinkBudget(1); err != nil {
 		return err
 	}
-	c.totalBudget--
 	c.stats.SlabDonations++
 	return nil
 }
@@ -165,6 +160,5 @@ func (c *Cache) ReceiveSlab() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_ = c.slabs.GrowBudget(1)
-	c.totalBudget++
 	c.stats.SlabReceipts++
 }

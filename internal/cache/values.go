@@ -23,18 +23,15 @@ import (
 //     trimmed back under the new FreeSlots; the dropped buffers are the
 //     departing slab's bytes, returned to the Go heap for the receiving class
 //     to re-carve at its own slot size.
-//   - A live re-slab retires the whole era: its stacks are dropped at
-//     beginReslabLocked, outgoing-era values are never stacked, and an item
-//     migrating into the target era is copied into a slot of its new class.
 //
 // storeValue and releaseValue are the only two places a value buffer changes
 // hands; besides them only Delta (in-place rewrite) and the stale buffer's
 // private copy (stale.go) write Item.Value.
 
-// storeValue copies value into an empty slot of class cl in the current era
-// and hands the slot to it: the top of the class's free stack, or a newly
-// carved slot while the class is still growing into its slabs. The caller
-// has already taken the slot in the slab accounting.
+// storeValue copies value into an empty slot of class cl and hands the slot
+// to it: the top of the class's free stack, or a newly carved slot while the
+// class is still growing into its slabs. The caller has already taken the
+// slot in the slab accounting.
 func (c *Cache) storeValue(it *kv.Item, cl int, value []byte) {
 	k := &c.classes[cl]
 	var v []byte
@@ -50,18 +47,14 @@ func (c *Cache) storeValue(it *kv.Item, cl int, value []byte) {
 
 // releaseValue detaches it's value and returns the slot to its class's free
 // stack. The caller has already freed the item's slot in the slab accounting.
-// Buffers that are not a current-era slot are left to the collector: values
-// of the outgoing era during a re-slab, and any buffer an oversized append
-// regrew.
+// A buffer an oversized append regrew is not a slot and is left to the
+// collector.
 func (c *Cache) releaseValue(it *kv.Item) {
 	v := it.Value
 	if v == nil {
 		return
 	}
 	it.Value = nil
-	if it.Gen != c.gen {
-		return
-	}
 	k := &c.classes[it.Class]
 	if cap(v) == k.slot && len(k.vfree) < c.slabs.FreeSlots(it.Class) {
 		k.vfree = append(k.vfree, v[:0])

@@ -38,8 +38,7 @@ func selfValueIntact(v []byte) bool {
 // TestValueSlotsNeverAlias is the seeded model run for the slot stacks: every
 // way a value slot can be recycled — evict → ghost → refill, replace, delete,
 // expiry, incr's in-place rewrite, append/prepend through cas, the
-// serve-stale copy, slab migration between classes, and two live re-slabs —
-// runs against a model of the last bytes stored under each key, while
+// serve-stale copy and slab migration between classes — runs against a model of the last bytes stored under each key, while
 // concurrent readers verify that no value they are handed is torn. A slot
 // shared by two items, or recycled while still referenced, shows up as a byte
 // mismatch; CheckInvariants adds the structural check (no slot both stacked
@@ -146,22 +145,12 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 			t.Fatalf("op %d: stale get %q = %x, last stored %x", op, key, got, want)
 		}
 	}
-	reslabs := []kv.Geometry{
-		mustTable(t, 4096, []int{48, 96, 200, 512}),
-		mustTable(t, 4096, []int{64, 160, 320, 512}),
-	}
 	var sawStack bool
 
 	const ops = 12000
 	for op := 0; op < ops; op++ {
 		if rng.Intn(25) == 0 {
 			now.Add(int64(1 + rng.Intn(3)))
-		}
-		if op == ops/3 || op == 2*ops/3 {
-			if err := c.BeginReslab(reslabs[0]); err != nil && !errors.Is(err, ErrReslabActive) {
-				t.Fatalf("op %d: re-slab: %v", op, err)
-			}
-			reslabs = reslabs[1:]
 		}
 		// The size mix drifts from small to large values and back, so
 		// demand (and slabs) move across all four classes.
@@ -251,7 +240,7 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.Evictions == 0 || st.Expired == 0 || st.SlabMigrations == 0 || st.Reslabs != 2 || st.ReslabMoved == 0 || !sawStack {
+	if st.Evictions == 0 || st.Expired == 0 || st.SlabMigrations == 0 || !sawStack {
 		t.Fatalf("run did not exercise every recycle path: %+v, stacks seen %v", st, sawStack)
 	}
 }
@@ -304,8 +293,7 @@ func TestCheckInvariantsCatchesStackViolations(t *testing.T) {
 }
 
 // TestSlotStackFollowsSlabAccounting pins the ownership rule: a class's stack
-// fills as its items leave, is trimmed when a slab leaves the class, and is
-// dropped whole when a re-slab retires the era.
+// fills as its items leave and is trimmed when a slab leaves the class.
 func TestSlotStackFollowsSlabAccounting(t *testing.T) {
 	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 2 * 4096, StoreValues: true}, &nullPolicy{})
 	if err != nil {
@@ -332,30 +320,6 @@ func TestSlotStackFollowsSlabAccounting(t *testing.T) {
 	}
 	if got := stacked(); got[0] != 5 || got[2] != 0 {
 		t.Fatalf("after a slab left class 0 the stacks hold %v, want 5 in class 0 and none in class 2", got)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.BeginReslab(mustTable(t, 4096, []int{96, 200, 512})); err != nil {
-		t.Fatal(err)
-	}
-	for cl, n := range stacked() {
-		if n != 0 {
-			t.Fatalf("class %d still stacks %d slots of the retired era", cl, n)
-		}
-	}
-	for c.ReslabActive() {
-		c.ReslabStep(64)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Migrated values sit in slots of their new class: releasing one stacks
-	// a 96-byte buffer, where an item that had kept its old 64-byte slot
-	// would have nothing of the new era to give back.
-	c.Delete("k" + strconv.Itoa(2*spc-1))
-	if got := stacked()[0]; got != 1 {
-		t.Fatalf("class 0 of the new era stacks %d slots after a delete, want 1", got)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

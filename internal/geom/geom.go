@@ -8,11 +8,9 @@
 // fragmentation, always keeping the largest slot big enough for every
 // observed item.
 //
-// The Learner wraps histogram + solver into the online loop the cache
-// engine drives: Observe on every store, Propose on a cadence; a proposal
-// is only made when the predicted waste reduction clears a hysteresis
-// threshold, so geometries do not flap. Nothing here locks — the cache
-// calls it under its own engine lock.
+// The result is a static table for cache.Config.Geometry: the engine never
+// changes geometry while it runs (DESIGN.md §12 says why). Nothing here
+// locks.
 package geom
 
 import (
@@ -98,18 +96,6 @@ func (h *Histogram) Observe(size int) {
 	h.total++
 	if size > h.maxObs {
 		h.maxObs = size
-	}
-}
-
-// Decay halves every bucket, aging out stale history so the histogram
-// tracks the current size mix. MaxObserved is kept: a slot table must keep
-// fitting items the cache may still hold.
-func (h *Histogram) Decay() {
-	h.total = 0
-	for i := range h.counts {
-		h.counts[i] /= 2
-		h.sums[i] /= 2
-		h.total += h.counts[i]
 	}
 }
 

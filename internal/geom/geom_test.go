@@ -147,61 +147,6 @@ func TestSolveMoreClassesNeverWorse(t *testing.T) {
 	}
 }
 
-func TestDecayHalves(t *testing.T) {
-	h := NewHistogram(1024)
-	for i := 0; i < 100; i++ {
-		h.Observe(100)
-	}
-	h.Decay()
-	if h.Total() != 50 {
-		t.Fatalf("Total after decay = %d, want 50", h.Total())
-	}
-	if h.MaxObserved() != 100 {
-		t.Fatal("Decay must keep MaxObserved")
-	}
-}
-
-func TestLearnerProposalCadenceAndGain(t *testing.T) {
-	cfg := Config{MinSamples: 100, Every: 200, MinGain: 0.10}
-	cur := kv.DefaultGeometry()
-	l := NewLearner(cfg, cur.MaxItemSize())
-
-	// Not enough observations yet: no proposal.
-	for i := 0; i < 150; i++ {
-		l.Observe(100)
-	}
-	if _, ok := l.Propose(cur); ok {
-		t.Fatal("proposed before Every observations")
-	}
-	for i := 0; i < 200; i++ {
-		l.Observe(100)
-	}
-	g, ok := l.Propose(cur)
-	if !ok {
-		t.Fatal("expected a proposal: all-100-byte items waste 28 B each under power-of-two")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.MaxItemSize() != cur.MaxItemSize() {
-		t.Fatalf("proposal changed MaxItemSize to %d", g.MaxItemSize())
-	}
-	// Immediately after, the cadence gate is closed again.
-	if _, ok := l.Propose(cur); ok {
-		t.Fatal("cadence did not reset after proposal")
-	}
-
-	// When the current geometry is already the learned one, a fresh learner
-	// over the same data must not flap back.
-	l2 := NewLearner(cfg, cur.MaxItemSize())
-	for i := 0; i < 300; i++ {
-		l2.Observe(100)
-	}
-	if g2, ok := l2.Propose(g); ok {
-		t.Fatalf("flapped from learned geometry to %+v", g2)
-	}
-}
-
 // mustFit asserts the geometry fits every size in the list.
 func mustFit(t *testing.T, g kv.Geometry, sizes []int) {
 	t.Helper()

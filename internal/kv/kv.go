@@ -88,11 +88,6 @@ type Item struct {
 	// (Segments() == 0) may repurpose it as per-item scratch (policy.CAMP
 	// stores its insertion-time clock here).
 	Seq uint64
-	// Gen is the cache geometry generation the item was slotted under;
-	// during a live re-slab transition it distinguishes items still in the
-	// outgoing era from items already in the target era. Owned by package
-	// cache.
-	Gen uint32
 	// CAS is the compare-and-set token, changed on every store of the
 	// key (Memcached cas semantics).
 	CAS uint64

@@ -14,9 +14,7 @@ package policy
 //
 // The policy mirrors resident items in its own queue structure, fed by the
 // engine's OnInsert/OnHit/OnEvict hooks plus the RemovalObserver hook for
-// non-eviction removals (delete, expiry, replace, flush); Attach rebuilds
-// the mirror from the engine index, which makes it safe to re-attach after
-// a live re-slab transition.
+// non-eviction removals (delete, expiry, replace, flush).
 
 import (
 	"math"
@@ -98,8 +96,7 @@ func (*CAMP) Segments() int { return 0 }
 // GhostSegments implements cache.Policy: no ghost regions.
 func (*CAMP) GhostSegments() int { return 0 }
 
-// Attach implements cache.Policy, rebuilding the mirror from the engine
-// index (empty at construction; populated after a re-slab re-attach).
+// Attach implements cache.Policy.
 func (p *CAMP) Attach(c *cache.Cache) {
 	p.c = c
 	if p.Precision == 0 {
@@ -107,10 +104,6 @@ func (p *CAMP) Attach(c *cache.Cache) {
 	}
 	p.entries = make(map[string]*campEntry)
 	p.queues = make(map[uint64]*campQueue)
-	c.RangeItems(func(it *kv.Item) bool {
-		p.insert(it)
-		return true
-	})
 }
 
 // RoundRatio rounds r to the policy's precision: the paper's bounded-queues

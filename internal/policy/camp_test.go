@@ -298,54 +298,6 @@ func TestCAMPMirrorAcrossRemovals(t *testing.T) {
 	}
 }
 
-// TestCAMPSurvivesReslab runs CAMP through a live geometry transition: the
-// policy is quiesced during the move and re-attached at the end, rebuilding
-// its mirror from the engine index. Afterwards evictions must still work.
-func TestCAMPSurvivesReslab(t *testing.T) {
-	pol := NewCAMP()
-	g, err := kv.NewTableGeometry(4096, []int{128, 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cache.New(cache.Config{Geometry: g, CacheBytes: 8 * 4096, WindowLen: 1 << 50}, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		if err := c.Set(fmt.Sprintf("k%d", i), 100, float64(1+i%5), 0, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	target, err := kv.NewTableGeometry(4096, []int{128, 256, 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.BeginReslab(target); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; c.ReslabActive(); i++ {
-		if i > 1000 {
-			t.Fatal("transition did not converge")
-		}
-		c.ReslabStep(16)
-	}
-	if got := len(pol.entries); got != 60 {
-		t.Fatalf("rebuilt mirror has %d entries, want 60", got)
-	}
-	// Press until evictions happen; CAMP must drive them without fallback.
-	for i := 0; i < 400; i++ {
-		if err := c.Set(fmt.Sprintf("p%d", i), 100, 1, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("no evictions under pressure after reslab")
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSizeAwareMigratesFromLowUtilityClass: a cold large class should
 // donate before a small class, even when the small class was filled first.
 func TestSizeAwareMigratesFromLowUtilityClass(t *testing.T) {

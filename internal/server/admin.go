@@ -463,13 +463,6 @@ func (a *Admin) writeIntrospection(p *obs.PromWriter, in cache.Introspection) {
 			p.Value("pamakv_free_value_buffers", `class="`+strconv.Itoa(cl)+`"`, float64(n))
 		}
 	}
-	p.Counter("pamakv_reslabs_total", "Live geometry transitions begun.", in.Stats.Reslabs)
-	p.Counter("pamakv_reslab_moved_total", "Items migrated across geometry transitions.", in.Stats.ReslabMoved)
-	reslabActive := 0.0
-	if in.ReslabActive {
-		reslabActive = 1
-	}
-	p.Gauge("pamakv_reslab_active", "1 while a geometry transition is draining the outgoing era.", reslabActive)
 
 	p.Header("pamakv_subclass_items", "Resident items per (class, penalty subclass) LRU stack.", "gauge")
 	for cl, row := range in.SubLens {

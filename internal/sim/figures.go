@@ -102,7 +102,7 @@ func FigureByID(id string, scale float64) (*Figure, error) {
 	case "10":
 		return figure10(scale), nil
 	case "holes":
-		return figureHoles(scale), nil
+		return figureHoles(scale)
 	default:
 		return nil, fmt.Errorf("sim: unknown figure %q (have 3,4,5,6,7,8,9,10,holes)", id)
 	}
@@ -277,39 +277,64 @@ func figure10(scale float64) *Figure {
 	return f
 }
 
-// HolesAdaptiveConfig is the learner tuning the memory-holes ablation (and
-// its CI gate) uses: proposal cadence short enough to converge within a
-// scaled run, default gain hysteresis.
-func HolesAdaptiveConfig() *geom.Config {
-	return &geom.Config{MinSamples: 8192, Every: 16384, StepItems: 128}
+// holesLearnSamples is how many leading requests of the trace the
+// memory-holes ablation learns its slot table from.
+const holesLearnSamples = 8192
+
+// learnedGeometry solves a slot table for wl (package geom) from the sizes
+// of its first holesLearnSamples requests, keeping base's class count, slab
+// size and largest slot.
+func learnedGeometry(wl workload.Config, base kv.Geometry) (kv.Geometry, error) {
+	gen, err := workload.New(wl)
+	if err != nil {
+		return kv.Geometry{}, err
+	}
+	h := geom.NewHistogram(base.MaxItemSize())
+	for i := 0; i < holesLearnSamples; i++ {
+		r, err := gen.Next()
+		if err != nil {
+			return kv.Geometry{}, err
+		}
+		h.Observe(int(r.Size))
+	}
+	return h.Solve(base.NumClasses, base.SlabSize, base.MaxItemSize())
 }
 
 // figureHoles is the repository's memory-holes ablation: the same
-// mixed-size trace through identical caches, one on the static power-of-two
-// geometry and one with the online boundary learner re-slabbing live. The
-// rendered table is results/fig_holes.tsv.
-func figureHoles(scale float64) *Figure {
+// mixed-size trace through identical caches on the static power-of-two
+// geometry and on a slot table solved from the head of the trace, under
+// memcached's policy (po2, learned) and under PAMA (pama, pama-learned).
+// The rendered table is results/fig_holes.tsv.
+func figureHoles(scale float64) (*Figure, error) {
 	reqs := scaled(2_000_000, scale)
 	wl := workload.MixedSize()
 	cacheBytes := int64(32) << 20
-	f := &Figure{
-		ID:    "holes",
-		Title: "Memory holes: power-of-two vs learned slab geometry (MIXED workload)",
+	learned, err := learnedGeometry(wl, kv.DefaultGeometry())
+	if err != nil {
+		return nil, err
 	}
-	s := baseSpec(wl, cacheBytes, reqs, "memcached")
-	s.Name = "po2"
-	f.Specs = append(f.Specs, s)
-	a := baseSpec(wl, cacheBytes, reqs, "memcached")
-	a.Name = "learned"
-	a.Adaptive = HolesAdaptiveConfig()
-	f.Specs = append(f.Specs, a)
-	// The ablation under the paper's policy, not just static geometry:
-	// PAMA's subclass stacks fragment slabs differently, so the holes
-	// accounting is reported for it too (ROADMAP follow-on to PR 7).
-	p := baseSpec(wl, cacheBytes, reqs, "pama")
-	f.Specs = append(f.Specs, p)
-	f.Render = RenderHoles
-	return f
+	f := &Figure{
+		ID:     "holes",
+		Title:  "Memory holes: power-of-two vs learned slab geometry (MIXED workload)",
+		Render: RenderHoles,
+	}
+	for _, run := range []struct {
+		name, kind string
+		geometry   kv.Geometry
+	}{
+		{"po2", "memcached", kv.Geometry{}},
+		{"learned", "memcached", learned},
+		// PAMA's subclass stacks fragment slabs differently, and its service
+		// time is the paper's metric: the same pair under the paper's policy.
+		{"pama", "pama", kv.Geometry{}},
+		{"pama-learned", "pama", learned},
+	} {
+		s := baseSpec(wl, cacheBytes, reqs, run.kind)
+		s.Name = run.name
+		s.Geometry = run.geometry
+		f.Specs = append(f.Specs, s)
+	}
+	return f, nil
 }
 
 // RenderHoles writes the memory-holes comparison: one summary row per run
@@ -317,7 +342,7 @@ func figureHoles(scale float64) *Figure {
 // the fragmentation win is shown at equal service quality), then each
 // run's final slot table with per-class holes.
 func RenderHoles(w io.Writer, res []*Result) error {
-	fmt.Fprintln(w, "name\tmean_hit\titems\tholes_bytes\tholes_per_item\treslabs\treslab_moved\tmiss_penalty_s")
+	fmt.Fprintln(w, "name\tmean_hit\titems\tholes_bytes\tholes_per_item\tmean_service_s\tmiss_penalty_s")
 	for _, r := range res {
 		if r == nil {
 			continue
@@ -326,9 +351,9 @@ func RenderHoles(w io.Writer, res []*Result) error {
 		if r.Items > 0 {
 			perItem = float64(r.HolesBytes) / float64(r.Items)
 		}
-		if _, err := fmt.Fprintf(w, "%s\t%.4f\t%d\t%d\t%.1f\t%d\t%d\t%.1f\n",
+		if _, err := fmt.Fprintf(w, "%s\t%.4f\t%d\t%d\t%.1f\t%.6f\t%.1f\n",
 			r.Spec.Name, r.Series.MeanHitRatio(), r.Items, r.HolesBytes, perItem,
-			r.Stats.Reslabs, r.Stats.ReslabMoved, r.MissPenalty); err != nil {
+			r.Series.MeanAvgService(), r.MissPenalty); err != nil {
 			return err
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"pamakv/internal/cache"
 	"pamakv/internal/core"
 	"pamakv/internal/gds"
-	"pamakv/internal/geom"
 	"pamakv/internal/kv"
 	"pamakv/internal/metrics"
 	"pamakv/internal/obs"
@@ -165,9 +164,6 @@ type Spec struct {
 	Policy PolicySpec
 	// Tracker selects segment tracking (PAMA only).
 	Tracker cache.TrackerKind
-	// Adaptive enables the online slab-geometry learner (nil = static
-	// geometry). Ignored by the gdsf engine.
-	Adaptive *geom.Config
 	// Burst optionally injects the cold flood.
 	Burst *BurstSpec
 	// SampleSubClass records per-subclass slab shares of this class in
@@ -227,8 +223,7 @@ type Result struct {
 	BytesHoles []int64
 	HolesBytes int64
 	Items      int
-	// SlotSizes is the final slot table — under Adaptive this is the
-	// learned geometry, not the configured one.
+	// SlotSizes is the slot table the run used.
 	SlotSizes []int
 	Elapsed   time.Duration
 }
@@ -253,7 +248,6 @@ func Run(spec Spec) (*Result, error) {
 			CacheBytes: spec.CacheBytes,
 			WindowLen:  spec.EngineWindow,
 			Tracker:    spec.Tracker,
-			Adaptive:   spec.Adaptive,
 		}, pol)
 		if err != nil {
 			return nil, err
@@ -347,11 +341,6 @@ func Run(spec Spec) (*Result, error) {
 		snapshot()
 	}
 	if eng, ok := c.(*cache.Cache); ok {
-		// Converge any in-flight geometry transition so the final holes
-		// and invariants describe the learned steady state.
-		for eng.ReslabActive() {
-			eng.ReslabStep(4096)
-		}
 		in := eng.Introspect()
 		res.BytesHoles = in.BytesHoles
 		res.HolesBytes = eng.HolesTotal()

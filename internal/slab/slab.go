@@ -40,14 +40,6 @@ type classState struct {
 	spc   int // slots per slab, fixed by the geometry
 }
 
-func newClasses(geom kv.Geometry) []classState {
-	cs := make([]classState, geom.NumClasses)
-	for c := range cs {
-		cs[c].spc = geom.SlotsPerSlab(c)
-	}
-	return cs
-}
-
 // NewManager creates a manager for a cache of cacheBytes bytes under the
 // given geometry. The slab budget is cacheBytes/SlabSize, rounded down; it
 // must be at least one slab.
@@ -61,23 +53,16 @@ func NewManager(geom kv.Geometry, cacheBytes int64) (*Manager, error) {
 			"slab: cache of %d bytes holds no %d-byte slab; raise the cache size to at least one slab (%d bytes) or shrink Geometry.SlabSize",
 			cacheBytes, geom.SlabSize, geom.SlabSize)
 	}
+	classes := make([]classState, geom.NumClasses)
+	for c := range classes {
+		classes[c].spc = geom.SlotsPerSlab(c)
+	}
 	return &Manager{
 		geom:       geom,
 		totalSlabs: n,
 		freeSlabs:  n,
-		classes:    newClasses(geom),
+		classes:    classes,
 	}, nil
-}
-
-// NewEmpty creates a manager with a zero slab budget. It is the starting
-// state of the incoming era during a live re-slab transition: the outgoing
-// manager hands slabs over one at a time via ShrinkBudget/GrowBudget so the
-// combined budget stays constant.
-func NewEmpty(geom kv.Geometry) (*Manager, error) {
-	if err := geom.Validate(); err != nil {
-		return nil, err
-	}
-	return &Manager{geom: geom, classes: newClasses(geom)}, nil
 }
 
 // GrowBudget adds n slabs to the budget and the free pool (the receiving

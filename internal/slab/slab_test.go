@@ -75,14 +75,13 @@ func TestNewManagerBoundaryCapacities(t *testing.T) {
 }
 
 func TestBudgetTransfer(t *testing.T) {
-	g := testGeom()
 	donor := mustManager(t, 4)
-	recv, err := NewEmpty(g)
-	if err != nil {
+	recv := mustManager(t, 1)
+	if err := recv.ShrinkBudget(1); err != nil {
 		t.Fatal(err)
 	}
 	if recv.TotalSlabs() != 0 || recv.FreeSlabs() != 0 {
-		t.Fatalf("NewEmpty: total=%d free=%d", recv.TotalSlabs(), recv.FreeSlabs())
+		t.Fatalf("emptied manager: total=%d free=%d", recv.TotalSlabs(), recv.FreeSlabs())
 	}
 	if err := recv.AllocSlab(0); err == nil {
 		t.Fatal("empty manager allocated a slab")

@@ -33,7 +33,6 @@ import (
 	"pamakv/internal/cluster"
 	"pamakv/internal/core"
 	"pamakv/internal/gds"
-	"pamakv/internal/geom"
 	"pamakv/internal/kv"
 	"pamakv/internal/overload"
 	"pamakv/internal/penalty"
@@ -141,15 +140,11 @@ func NewCAMP() *policy.CAMP { return policy.NewCAMP() }
 func NewSizeAware() *policy.SizeAware { return policy.NewSizeAware() }
 
 // NewTableGeometry builds a geometry from an explicit strictly increasing
-// slot-size table, e.g. one produced by the adaptive boundary learner.
+// slot-size table, e.g. one solved from a size histogram (internal/geom's
+// Histogram.Solve, which -fig holes uses).
 func NewTableGeometry(slabSize int, slots []int) (Geometry, error) {
 	return kv.NewTableGeometry(slabSize, slots)
 }
-
-// AdaptiveConfig tunes the online slab-geometry learner; assign one to
-// Config.Adaptive to let the cache learn slot boundaries from observed
-// sizes and re-slab live. The zero value selects the defaults.
-type AdaptiveConfig = geom.Config
 
 // MRCObjective selects what the MRC/LAMA allocators optimize.
 type MRCObjective = policy.MRCObjective
