@@ -204,24 +204,43 @@ func TestRunServesTraffic(t *testing.T) {
 			defer conn.Close()
 			conn.SetDeadline(time.Now().Add(30 * time.Second))
 
-			// The load: op i is a SET (three in four) or a GET of a
+			// The load: op i is a store (three in four: a SET, or one time in
+			// four an append of nothing, which reads the key as gets does and
+			// stores it back by cas) or a read (get and gets by turns) of a
 			// pseudo-random key id; a key's value size follows from its id, so
-			// a GET hit can be checked against it.
+			// a hit can be checked against it.
 			const ops, keys = 90_000, 19_000 // mean value ~880 B: ~16 MiB of keys
+			const (
+				opSet = iota
+				opAppend
+				opGet
+				opGets
+			)
 			sizes := [...]int{40, 100, 200, 400, 800, 1600, 3000}
-			op := func(i int) (set bool, key string, size int) {
+			op := func(i int) (kind int, key string, size int) {
 				x := uint32(i) * 2654435761
 				id := int(x>>8) % keys
-				return x&3 != 0, tc.prefixes[id%len(tc.prefixes)] + "k" + strconv.Itoa(id), sizes[id%len(sizes)]
+				switch {
+				case x&3 == 0:
+					kind = opGet + int(x>>2&1)
+				case x>>3&3 == 0:
+					kind = opAppend
+				}
+				return kind, tc.prefixes[id%len(tc.prefixes)] + "k" + strconv.Itoa(id), sizes[id%len(sizes)]
 			}
 			go func() { // the writer; the test goroutine reads, so neither side's buffers can wedge
 				w := bufio.NewWriterSize(conn, 64<<10)
 				body := bytes.Repeat([]byte("v"), sizes[len(sizes)-1])
 				for i := 0; i < ops; i++ {
-					if set, key, size := op(i); set {
+					switch kind, key, size := op(i); kind {
+					case opSet:
 						fmt.Fprintf(w, "set %s 0 0 %d\r\n%s\r\n", key, size, body[:size])
-					} else {
+					case opAppend:
+						fmt.Fprintf(w, "append %s 0 0 0\r\n\r\n", key)
+					case opGet:
 						fmt.Fprintf(w, "get %s\r\n", key)
+					case opGets:
+						fmt.Fprintf(w, "gets %s\r\n", key)
 					}
 				}
 				w.WriteString("stats\r\n")
@@ -237,29 +256,32 @@ func TestRunServesTraffic(t *testing.T) {
 			}
 			sets, stored := 0, 0
 			for i := 0; i < ops; i++ {
-				set, key, size := op(i)
-				if set {
+				kind, key, size := op(i)
+				if kind == opSet {
 					sets++
 				}
+				read := kind >= opGet
 				l := line(i)
 				switch {
 				case tc.refusal != "" && strings.HasPrefix(l, tc.refusal):
-				case set && l == "STORED":
+				case kind == opSet && l == "STORED":
 					stored++
-				case !set && l == "END":
-				case !set && strings.HasPrefix(l, "VALUE "+key+" 0 "):
-					n, err := strconv.Atoi(l[len("VALUE "+key+" 0 "):])
-					if err != nil || (n != size && !o.readthrough) { // a fill is sized by the back end
-						t.Fatalf("op %d: get %s -> %q, want %d bytes", i, key, l, size)
+				case kind == opAppend && (l == "STORED" || l == "NOT_STORED"):
+				case read && l == "END":
+				case read && strings.HasPrefix(l, "VALUE "+key+" 0 "):
+					f := strings.Fields(l[len("VALUE "+key+" 0 "):]) // the size; after it a gets has the token
+					n, err := strconv.Atoi(f[0])
+					if err != nil || len(f) != 1+kind-opGet || (n != size && !o.readthrough) { // a fill is sized by the back end
+						t.Fatalf("op %d: kind %d of %s -> %q, want %d bytes", i, kind, key, l, size)
 					}
 					if _, err := r.Discard(n + 2); err != nil {
 						t.Fatalf("op %d: %v", i, err)
 					}
 					if l = line(i); l != "END" {
-						t.Fatalf("op %d: get %s ends %q", i, key, l)
+						t.Fatalf("op %d: read of %s ends %q", i, key, l)
 					}
 				default:
-					t.Fatalf("op %d (set=%v %s, %d bytes) -> %q", i, set, key, size, l)
+					t.Fatalf("op %d (kind %d of %s, %d bytes) -> %q", i, kind, key, size, l)
 				}
 			}
 			stat := map[string]int{}

@@ -63,46 +63,26 @@ type BatchRecorder interface {
 // AccessBufStats reports the deferred-access machinery's counters (zero
 // value with Enabled=false when Config.AccessBuffer is 0).
 type AccessBufStats struct {
-	// Enabled reports batched mode; Rings and RingCap give the layout.
+	// Enabled reports batched mode; Rings and RingCap give the layout (of
+	// the largest engine, when a group's are summed).
 	Enabled bool `json:"enabled"`
-	Rings   int  `json:"rings"`
-	RingCap int  `json:"ring_cap"`
+	Rings   int  `json:"rings" merge:"max"`
+	RingCap int  `json:"ring_cap" merge:"max"`
 	// Depth is the instantaneous number of buffered records.
-	Depth int `json:"depth"`
+	Depth int `json:"depth" prom:"pamakv_accessbuf_depth" help:"Deferred access records currently buffered in the MPSC rings."`
 	// Drains counts drain passes that applied at least one record; Drained
 	// the records applied; MaxBatch the largest single pass.
-	Drains   uint64 `json:"drains"`
-	Drained  uint64 `json:"drained"`
-	MaxBatch uint64 `json:"max_batch"`
+	Drains   uint64 `json:"drains" prom:"pamakv_accessbuf_drains_total" help:"Batched drain passes that applied at least one record."`
+	Drained  uint64 `json:"drained" prom:"pamakv_accessbuf_drained_records_total" help:"Deferred access records applied under the engine lock."`
+	MaxBatch uint64 `json:"max_batch" merge:"max" prom:"pamakv_accessbuf_max_batch" help:"Largest single drain pass (records per lock acquisition)."`
 	// FullDrains counts drains forced by a producer finding its ring full —
 	// the only time the read path waits for the engine lock; LockWaitNs is
 	// the total wait it paid there.
-	FullDrains uint64 `json:"full_drains"`
-	LockWaitNs uint64 `json:"lock_wait_ns"`
+	FullDrains uint64 `json:"full_drains" prom:"pamakv_accessbuf_full_drains_total" help:"Drains forced by a producer finding its ring full."`
+	LockWaitNs uint64 `json:"lock_wait_ns" prom:"pamakv_accessbuf_lock_wait_ns_total" help:"Lock wait paid by the read path on full-ring drains."`
 	// StaleRefs counts drained records skipped because the item was freed,
 	// replaced, or ghosted between access and drain.
-	StaleRefs uint64 `json:"stale_refs"`
-}
-
-// MergeAccessBufStats folds src into dst (shard fan-in): counters sum,
-// layout fields take the max so a mixed group still reports sensibly.
-func MergeAccessBufStats(dst *AccessBufStats, src AccessBufStats) {
-	dst.Enabled = dst.Enabled || src.Enabled
-	if src.Rings > dst.Rings {
-		dst.Rings = src.Rings
-	}
-	if src.RingCap > dst.RingCap {
-		dst.RingCap = src.RingCap
-	}
-	dst.Depth += src.Depth
-	dst.Drains += src.Drains
-	dst.Drained += src.Drained
-	if src.MaxBatch > dst.MaxBatch {
-		dst.MaxBatch = src.MaxBatch
-	}
-	dst.FullDrains += src.FullDrains
-	dst.LockWaitNs += src.LockWaitNs
-	dst.StaleRefs += src.StaleRefs
+	StaleRefs uint64 `json:"stale_refs" prom:"pamakv_accessbuf_stale_refs_total" help:"Drained records skipped by the incarnation check."`
 }
 
 // accessState is the engine-side half of the machinery; embedded in Cache.

@@ -88,27 +88,38 @@ type Config struct {
 	AccessBuffer int
 }
 
-// Stats are engine-level counters; all monotonically increasing.
+// Stats are engine-level counters; all monotonically increasing. The tags
+// are each counter's one declaration (see package obs): /metrics, the in-band
+// `stats` reply and the shard fan-in are derived from them.
 type Stats struct {
-	Gets, Hits, Misses uint64
-	Sets, Deletes      uint64
+	Gets   uint64 `prom:"pamakv_gets_total" help:"GET requests served by the engine." stat:"cmd_get"`
+	Hits   uint64 `prom:"pamakv_hits_total" help:"GET requests answered from cache." stat:"get_hits"`
+	Misses uint64 `prom:"pamakv_misses_total" help:"GET requests not resident." stat:"get_misses"`
+	Sets   uint64 `prom:"pamakv_sets_total" help:"Store operations accepted." stat:"cmd_set"`
 	// Overwrites counts the Sets that replaced a resident item in place
 	// (same item, slot and index entry); Sets − Overwrites inserted one.
-	Overwrites           uint64
-	Evictions, GhostHits uint64
-	Expired              uint64
+	Overwrites uint64 `prom:"pamakv_overwrites_total" help:"Stores that replaced a resident item in place (sets minus these inserted one)."`
+	Deletes    uint64 `prom:"pamakv_deletes_total" help:"Delete operations." stat:"cmd_delete"`
+	Evictions  uint64 `prom:"pamakv_evictions_total" help:"Items evicted to make room."`
+	GhostHits  uint64 `prom:"pamakv_ghost_hits_total" help:"Misses whose key was in a ghost region."`
+	Expired    uint64 `prom:"pamakv_expired_total" help:"Items removed by TTL expiry."`
 	// StaleGets counts degraded reads served by GetStale.
-	StaleGets         uint64
-	TooLarge, NoSpace uint64
-	FallbackEvicts    uint64
-	WindowRollovers   uint64
+	StaleGets uint64 `prom:"pamakv_stale_gets_total" help:"Reads answered from the stale buffer."`
+	TooLarge  uint64 `prom:"pamakv_too_large_total" help:"Stores refused because no slab class holds the item."`
+	// NoSpace counts stores refused because the item's class owned no slab
+	// and the policy could free none.
+	NoSpace uint64 `prom:"pamakv_no_space_total" help:"Stores refused because the item's class owns no slab and none could be freed."`
+	// FallbackEvicts counts the stores that made room by evicting within
+	// their class after the policy produced no slot.
+	FallbackEvicts  uint64 `prom:"pamakv_fallback_evictions_total" help:"Stores that made room by an in-class eviction after the policy freed no slot."`
+	WindowRollovers uint64 `prom:"pamakv_window_rollovers_total" help:"Value windows closed (one per WindowLen accesses)."`
 	// SlabMigrations counts cross-class slab moves, whatever policy
 	// performed them.
-	SlabMigrations uint64
+	SlabMigrations uint64 `prom:"pamakv_slab_migrations_total" help:"Cross-class slab moves."`
 	// SlabDonations and SlabReceipts count budget slabs this engine gave
 	// to and received from other tenants via the arbiter (tenant.go).
-	SlabDonations uint64
-	SlabReceipts  uint64
+	SlabDonations uint64 `prom:"pamakv_slab_donations_total" help:"Budget slabs given to other tenants by the arbiter."`
+	SlabReceipts  uint64 `prom:"pamakv_slab_receipts_total" help:"Budget slabs received from other tenants by the arbiter."`
 }
 
 // Policy is an allocation scheme plugged into the engine. Implementations
@@ -318,54 +329,50 @@ func (c *Cache) resetAttribution(nsub int) {
 // attribution. When StoreValues is on and the key hits, the value is
 // appended to buf.
 func (c *Cache) Get(key string, sizeHint int, penHint float64, buf []byte) (val []byte, flags uint32, hit bool) {
+	val, flags, _, hit = c.lookup(key, sizeHint, penHint, buf)
+	return val, flags, hit
+}
+
+// GetWithCAS is Get returning the item's CAS token as well. The token
+// changes on every store of the key.
+func (c *Cache) GetWithCAS(key string, buf []byte) (val []byte, flags uint32, cas uint64, hit bool) {
+	return c.lookup(key, 0, 0, buf)
+}
+
+// lookup is the engine's one read. A live hit is served under a short
+// critical section — counters, value copy — and leaves one access record: with
+// rings it is published after unlock (producers never touch a ring while
+// holding the lock) and its policy maintenance waits for a drain; without, it
+// is applied on the spot by the code a drain runs. Anything else (absent,
+// expired) drains first, so attribution keeps the order of the accesses that
+// preceded it, and is accounted as a miss.
+func (c *Cache) lookup(key string, sizeHint int, penHint float64, buf []byte) (val []byte, flags uint32, cas uint64, hit bool) {
 	h := kv.HashString(key)
 	c.mu.Lock()
-	if c.rings != nil {
-		// Batched read path: a live hit is served under this short critical
-		// section and its policy maintenance deferred into an access ring
-		// (published after unlock — producers never touch rings while
-		// holding the lock). Misses and expired finds fall through to the
-		// immediate path below, draining first so attribution ordering
-		// matches the accesses that preceded them.
-		if it := c.index.Get(h, key); it != nil && !c.expired(it) {
-			c.stats.Gets++
-			c.stats.Hits++
-			if c.cfg.StoreValues {
-				buf = append(buf, it.Value...)
-			}
-			flags = it.Flags
-			rec := accessbuf.Record{It: it, CAS: it.CAS, Pen: it.Penalty}
-			c.mu.Unlock()
-			c.record(h, rec)
-			return buf, flags, true
-		}
-		c.drainLocked()
-	}
-	defer c.mu.Unlock()
-	c.tick()
-	c.stats.Gets++
-	if it := c.index.Get(h, key); it != nil && c.expired(it) {
-		// Lazy expiry, as in Memcached: the GET that finds a stale
-		// item reaps it and proceeds as a miss (no ghost entry — the
-		// value is dead, not a victim of space pressure).
-		c.pushStaleLocked(it)
-		c.unlinkResident(it)
-		c.release(it)
-		c.stats.Expired++
-	}
-	if it := c.index.Get(h, key); it != nil {
-		seg := c.touchResident(it)
-		it.LastAccess = c.clock
-		c.winReqs[it.Class]++
+	if it := c.index.Get(h, key); it != nil && !c.expired(it) {
+		c.stats.Gets++
 		c.stats.Hits++
-		c.subHits[it.Class][it.Sub]++
-		c.policy.OnHit(it, seg)
 		if c.cfg.StoreValues {
 			buf = append(buf, it.Value...)
 		}
-		return buf, it.Flags, true
+		flags, cas = it.Flags, it.CAS
+		rec := accessbuf.Record{It: it, CAS: it.CAS, Pen: it.Penalty}
+		if c.rings == nil {
+			c.applyAccessLocked(rec)
+			c.flushPolicyHitsLocked()
+			c.mu.Unlock()
+		} else {
+			c.mu.Unlock()
+			c.record(h, rec)
+		}
+		return buf, flags, cas, true
 	}
+	defer c.mu.Unlock()
+	c.drainLocked()
+	c.tick()
+	c.stats.Gets++
 	c.stats.Misses++
+	c.liveLocked(h, key) // lazy expiry: the read that finds a dead item reaps it
 	var g *kv.Item
 	gseg := -1
 	clHint, subHint := -1, -1
@@ -385,7 +392,24 @@ func (c *Cache) Get(key string, sizeHint int, penHint float64, buf []byte) (val 
 		}
 	}
 	c.policy.OnMiss(clHint, subHint, g, gseg)
-	return buf, 0, false
+	return buf, 0, 0, false
+}
+
+// liveLocked returns the resident, unexpired item holding key, or nil. An
+// expired find is reaped on the way, as in Memcached: into the stale buffer,
+// no ghost entry — the value is dead, not a victim of space pressure. Every
+// keyed operation finds its item here, so all agree on what is present.
+// Caller holds c.mu.
+func (c *Cache) liveLocked(h uint64, key string) *kv.Item {
+	it := c.index.Get(h, key)
+	if it != nil && c.expired(it) {
+		c.pushStaleLocked(it)
+		c.unlinkResident(it)
+		c.release(it)
+		c.stats.Expired++
+		return nil
+	}
+	return it
 }
 
 // Set inserts or replaces key with the given logical size, miss penalty,
@@ -522,8 +546,8 @@ func (c *Cache) Delete(key string) bool {
 	if g := c.gindex.Get(h, key); g != nil {
 		c.dropGhost(g)
 	}
-	c.dropStaleLocked(h, key)
-	it := c.index.Get(h, key)
+	it := c.liveLocked(h, key)
+	c.dropStaleLocked(h, key) // after the lookup: reaping an expired item leaves a stale copy
 	if it == nil {
 		return false
 	}

@@ -7,51 +7,31 @@ package cache
 // trajectories. The live admin endpoints (/metrics, /statsz) and the shard
 // group's merged view are both built on it.
 
+import "pamakv/internal/obs"
+
 // PolicyDecisions are the reallocation-decision counters a policy exposes
 // for introspection: how often it migrated, replaced in place because the
 // cheapest candidate was local (paper scenario 2), or declined because the
 // incoming value could not pay for the donor's loss (scenario 1).
 type PolicyDecisions struct {
 	// Migrations counts cross-class slab moves the policy performed.
-	Migrations uint64 `json:"migrations"`
+	Migrations uint64 `json:"migrations" prom:"pamakv_policy_migrations_total" help:"Slab migrations the policy performed."`
 	// SameClass counts in-place replacements chosen because the cheapest
 	// candidate slab was already in the requesting class.
-	SameClass uint64 `json:"same_class"`
+	SameClass uint64 `json:"same_class" prom:"pamakv_policy_same_class_total" help:"Replacements kept in-class (cheapest candidate was local)."`
 	// NotWorthIt counts migrations declined on price (incoming value <=
 	// cheapest outgoing value).
-	NotWorthIt uint64 `json:"not_worth_it"`
+	NotWorthIt uint64 `json:"not_worth_it" prom:"pamakv_policy_not_worth_it_total" help:"Migrations declined on price (incoming <= outgoing value)."`
 	// Forced counts migrations forced because the requesting class owned
 	// no slabs at all.
-	Forced uint64 `json:"forced"`
+	Forced uint64 `json:"forced" prom:"pamakv_policy_forced_total" help:"Migrations forced by an empty class."`
 	// EvictsBySub histograms evictions by penalty subclass (nil for
 	// single-stack policies).
-	EvictsBySub []uint64 `json:"evicts_by_sub,omitempty"`
+	EvictsBySub []uint64 `json:"evicts_by_sub,omitempty" prom:"pamakv_policy_evictions_total" help:"Evictions by penalty subclass." label:"sub"`
 	// EvictedPenaltyBySub sums the miss penalties of evicted items per
 	// subclass — the cost the policy chose to pay.
-	EvictedPenaltyBySub []float64 `json:"evicted_penalty_by_sub,omitempty"`
+	EvictedPenaltyBySub []float64 `json:"evicted_penalty_by_sub,omitempty" prom:"pamakv_policy_evicted_penalty_seconds_total" help:"Summed miss penalty of evicted items by subclass." label:"sub"`
 }
-
-// merge folds other into d element-wise (shard fan-in).
-func (d *PolicyDecisions) merge(other PolicyDecisions) {
-	d.Migrations += other.Migrations
-	d.SameClass += other.SameClass
-	d.NotWorthIt += other.NotWorthIt
-	d.Forced += other.Forced
-	for i := range other.EvictsBySub {
-		if i < len(d.EvictsBySub) {
-			d.EvictsBySub[i] += other.EvictsBySub[i]
-		}
-	}
-	for i := range other.EvictedPenaltyBySub {
-		if i < len(d.EvictedPenaltyBySub) {
-			d.EvictedPenaltyBySub[i] += other.EvictedPenaltyBySub[i]
-		}
-	}
-}
-
-// MergeDecisions combines per-shard decision snapshots into one (exported
-// for the shard group; element-wise sums).
-func MergeDecisions(dst *PolicyDecisions, src PolicyDecisions) { dst.merge(src) }
 
 // DecisionReporter is optionally implemented by policies that track their
 // reallocation decisions (PAMA does; the baselines report move counts).
@@ -67,43 +47,42 @@ type Introspection struct {
 	// Policy names the attached allocation policy.
 	Policy string `json:"policy"`
 	// Classes and Subclasses give the matrix dimensions below.
-	Classes    int `json:"classes"`
-	Subclasses int `json:"subclasses"`
+	Classes    int `json:"classes" merge:"keep"`
+	Subclasses int `json:"subclasses" merge:"keep"`
 	// SlotSizes is the item-size ceiling of each class, in bytes.
-	SlotSizes []int `json:"slot_sizes"`
+	SlotSizes []int `json:"slot_sizes" merge:"keep"`
 	// SubclassBounds are the penalty edges dividing subclasses, in seconds
 	// (nil for single-subclass policies).
-	SubclassBounds []float64 `json:"subclass_bounds,omitempty"`
+	SubclassBounds []float64 `json:"subclass_bounds,omitempty" merge:"keep"`
 
 	// Slabs is the per-class slab allocation (the paper's Fig. 3 series);
 	// FreeSlabs and TotalSlabs complete the budget.
-	Slabs      []int `json:"slabs"`
-	FreeSlabs  int   `json:"free_slabs"`
-	TotalSlabs int   `json:"total_slabs"`
+	Slabs      []int `json:"slabs" prom:"pamakv_slabs" help:"Slabs owned per size class." label:"class"`
+	FreeSlabs  int   `json:"free_slabs" prom:"pamakv_free_slabs" help:"Slabs not yet granted to any class."`
+	TotalSlabs int   `json:"total_slabs" prom:"pamakv_total_slabs" help:"Slab budget."`
 	// UsedSlots is per-class slot occupancy.
-	UsedSlots []int `json:"used_slots"`
+	UsedSlots []int `json:"used_slots" prom:"pamakv_used_slots" help:"Occupied slots per size class." label:"class"`
+	// BytesHoles is per-class internal fragmentation — bytes of slot
+	// capacity occupied by residents but unused (the memory-holes gauge).
+	BytesHoles []int64 `json:"bytes_holes" prom:"pamakv_holes_bytes,sparse" help:"Internal fragmentation per size class: slot bytes occupied by residents but unused." label:"class"`
+	// FreeValueBuffers is, per class, how many released value slots are
+	// stacked for reuse (values.go): never more than the class's free
+	// slots, all zero in metadata-only mode.
+	FreeValueBuffers []int `json:"free_value_buffers" prom:"pamakv_free_value_buffers,sparse" help:"Released value slots stacked for reuse per size class (at most the class's free slots)." label:"class"`
 
 	// SubLens[class][sub] is each subclass LRU stack's resident depth
 	// (Fig. 4's per-subclass allocation, in items).
-	SubLens [][]int `json:"subclass_lens"`
+	SubLens [][]int `json:"subclass_lens" prom:"pamakv_subclass_items,sparse" help:"Resident items per (class, penalty subclass) LRU stack." label:"class,sub"`
 	// SubHits and SubMisses attribute GET hits and misses to the
 	// (class, penalty-band) they landed in. Misses are only attributed
 	// when the engine can locate the would-be home (ghost hit or size
 	// hint), so the matrix undercounts cold misses by design.
-	SubHits   [][]uint64 `json:"subclass_hits"`
-	SubMisses [][]uint64 `json:"subclass_misses"`
+	SubHits   [][]uint64 `json:"subclass_hits" prom:"pamakv_subclass_hits_total,sparse" help:"GET hits by (class, penalty subclass)." label:"class,sub"`
+	SubMisses [][]uint64 `json:"subclass_misses" prom:"pamakv_subclass_misses_total,sparse" help:"Attributed GET misses by would-be (class, penalty subclass)." label:"class,sub"`
 
 	// SlabMoves[src][dst] counts cross-class slab migrations by donor and
 	// receiver class, whatever policy performed them.
-	SlabMoves [][]uint64 `json:"slab_moves"`
-
-	// BytesHoles is per-class internal fragmentation — bytes of slot
-	// capacity occupied by residents but unused (the memory-holes gauge).
-	BytesHoles []int64 `json:"bytes_holes"`
-	// FreeValueBuffers is, per class, how many released value slots are
-	// stacked for reuse (values.go): never more than the class's free
-	// slots, all zero in metadata-only mode.
-	FreeValueBuffers []int `json:"free_value_buffers"`
+	SlabMoves [][]uint64 `json:"slab_moves" prom:"pamakv_slab_moves_total,sparse" help:"Cross-class slab moves by donor and receiver class." label:"src,dst"`
 
 	// Items is the resident item count; Stats the engine counters.
 	Items int   `json:"items"`
@@ -166,69 +145,4 @@ func (c *Cache) Introspect() Introspection {
 // Merge folds another engine's snapshot into this one (the shard group's
 // fan-in). Both snapshots must come from engines with identical geometry
 // and policy; mismatched shapes are merged where they overlap.
-func (in *Introspection) Merge(other Introspection) {
-	in.FreeSlabs += other.FreeSlabs
-	in.TotalSlabs += other.TotalSlabs
-	in.Items += other.Items
-	addInts := func(dst, src []int) {
-		for i := range src {
-			if i < len(dst) {
-				dst[i] += src[i]
-			}
-		}
-	}
-	addU64 := func(dst, src []uint64) {
-		for i := range src {
-			if i < len(dst) {
-				dst[i] += src[i]
-			}
-		}
-	}
-	addInts(in.Slabs, other.Slabs)
-	addInts(in.UsedSlots, other.UsedSlots)
-	addInts(in.FreeValueBuffers, other.FreeValueBuffers)
-	for i := range other.BytesHoles {
-		if i < len(in.BytesHoles) {
-			in.BytesHoles[i] += other.BytesHoles[i]
-		}
-	}
-	for ci := range other.SubLens {
-		if ci >= len(in.SubLens) {
-			break
-		}
-		addInts(in.SubLens[ci], other.SubLens[ci])
-		addU64(in.SubHits[ci], other.SubHits[ci])
-		addU64(in.SubMisses[ci], other.SubMisses[ci])
-		addU64(in.SlabMoves[ci], other.SlabMoves[ci])
-	}
-	in.Stats = addStats(in.Stats, other.Stats)
-	if in.Decisions != nil && other.Decisions != nil {
-		in.Decisions.merge(*other.Decisions)
-	}
-}
-
-// addStats sums two engine counter sets field by field.
-func addStats(a, b Stats) Stats {
-	return Stats{
-		Gets:            a.Gets + b.Gets,
-		Hits:            a.Hits + b.Hits,
-		Misses:          a.Misses + b.Misses,
-		Sets:            a.Sets + b.Sets,
-		Overwrites:      a.Overwrites + b.Overwrites,
-		Deletes:         a.Deletes + b.Deletes,
-		Evictions:       a.Evictions + b.Evictions,
-		GhostHits:       a.GhostHits + b.GhostHits,
-		Expired:         a.Expired + b.Expired,
-		StaleGets:       a.StaleGets + b.StaleGets,
-		TooLarge:        a.TooLarge + b.TooLarge,
-		NoSpace:         a.NoSpace + b.NoSpace,
-		FallbackEvicts:  a.FallbackEvicts + b.FallbackEvicts,
-		WindowRollovers: a.WindowRollovers + b.WindowRollovers,
-		SlabMigrations:  a.SlabMigrations + b.SlabMigrations,
-		SlabDonations:   a.SlabDonations + b.SlabDonations,
-		SlabReceipts:    a.SlabReceipts + b.SlabReceipts,
-	}
-}
-
-// AddStats sums engine counter sets (exported for the shard group).
-func AddStats(a, b Stats) Stats { return addStats(a, b) }
+func (in *Introspection) Merge(other Introspection) { obs.Sum(in, other) }

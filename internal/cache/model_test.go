@@ -319,8 +319,11 @@ func oracleRound(t *testing.T, seed int64) {
 				model.store(key, v, 0, 0, capacity)
 				model.entries[key].cas = learnCAS(key)
 				recordHistory(key, v)
-			} else if err == nil {
-				t.Fatalf("seed %d op %d: replace of absent key succeeded", seed, op)
+			} else {
+				if err == nil {
+					t.Fatalf("seed %d op %d: replace of absent key succeeded", seed, op)
+				}
+				model.delete(key) // a dead find is reaped
 			}
 		case 5: // cas with the correct token
 			e, present := model.entries[key]
@@ -340,6 +343,7 @@ func oracleRound(t *testing.T, seed int64) {
 			switch {
 			case !present || expiredNow(e):
 				want = ErrNotStored
+				model.delete(key) // a dead find is reaped
 			default:
 				want = ErrCASMismatch
 			}
@@ -351,9 +355,11 @@ func oracleRound(t *testing.T, seed int64) {
 			if !errorsIs(err, want) {
 				t.Fatalf("seed %d op %d: bad-cas -> %v, want %v", seed, op, err, want)
 			}
-		case 7: // delete (true even for expired-but-unreaped items)
+		case 7: // delete: an expired item is not there to be deleted
 			got := c.Delete(key)
-			if want := model.delete(key); got != want {
+			e, present := model.entries[key]
+			model.delete(key)
+			if want := present && !expiredNow(e); got != want {
 				t.Fatalf("seed %d op %d: delete -> %v, want %v", seed, op, got, want)
 			}
 		case 8: // touch
@@ -366,6 +372,8 @@ func oracleRound(t *testing.T, seed int64) {
 			}
 			if want {
 				e.expireAt = exp // no LRU move
+			} else {
+				model.delete(key) // a dead find is reaped
 			}
 		case 9: // incr/decr
 			decr := rng.Intn(2) == 0
@@ -377,6 +385,7 @@ func oracleRound(t *testing.T, seed int64) {
 				if !errorsIs(err, ErrNotStored) {
 					t.Fatalf("seed %d op %d: delta on dead key -> %v", seed, op, err)
 				}
+				model.delete(key) // a dead find is reaped
 			default:
 				cur, perr := strconv.ParseUint(e.value, 10, 64)
 				if perr != nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 
-	"pamakv/internal/accessbuf"
 	"pamakv/internal/kv"
 )
 
@@ -40,61 +39,6 @@ const (
 	ModeCAS
 )
 
-// GetWithCAS is Get returning the item's CAS token as well. The token
-// changes on every store of the key.
-func (c *Cache) GetWithCAS(key string, buf []byte) (val []byte, flags uint32, cas uint64, hit bool) {
-	h := kv.HashString(key)
-	c.mu.Lock()
-	if c.rings != nil {
-		// Batched read path; mirrors Get (see cache.go and accessbuf.go).
-		if it := c.index.Get(h, key); it != nil && !c.expired(it) {
-			c.stats.Gets++
-			c.stats.Hits++
-			if c.cfg.StoreValues {
-				buf = append(buf, it.Value...)
-			}
-			flags, cas = it.Flags, it.CAS
-			rec := accessbuf.Record{It: it, CAS: it.CAS, Pen: it.Penalty}
-			c.mu.Unlock()
-			c.record(h, rec)
-			return buf, flags, cas, true
-		}
-		c.drainLocked()
-	}
-	defer c.mu.Unlock()
-	c.tick()
-	c.stats.Gets++
-	it := c.index.Get(h, key)
-	if it != nil && c.expired(it) {
-		c.pushStaleLocked(it)
-		c.unlinkResident(it)
-		c.release(it)
-		c.stats.Expired++
-		it = nil
-	}
-	if it == nil {
-		c.stats.Misses++
-		var g *kv.Item
-		gseg := -1
-		if g = c.gindex.Get(h, key); g != nil {
-			c.stats.GhostHits++
-			gseg = c.ghostSeg(g)
-		}
-		c.policy.OnMiss(-1, -1, g, gseg)
-		return buf, 0, 0, false
-	}
-	seg := c.touchResident(it)
-	it.LastAccess = c.clock
-	c.winReqs[it.Class]++
-	c.stats.Hits++
-	c.subHits[it.Class][it.Sub]++
-	c.policy.OnHit(it, seg)
-	if c.cfg.StoreValues {
-		buf = append(buf, it.Value...)
-	}
-	return buf, it.Flags, it.CAS, true
-}
-
 // SetMode stores key under a precondition, checked and stored under one
 // lock: of two racing conditional stores exactly one sees the other's
 // result. For ModeCAS, cas must be the token returned by GetWithCAS. Returns
@@ -104,28 +48,18 @@ func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen floa
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if mode != ModeSet {
-		present, tok := c.peekLocked(key)
+		c.drainLocked() // the lookup may reap: deferred accesses go first, as before any removal
+		it := c.liveLocked(kv.HashString(key), key)
 		switch {
-		case mode == ModeAdd && present:
+		case mode == ModeAdd && it != nil:
 			return errKeyExists
-		case mode != ModeAdd && !present:
+		case mode != ModeAdd && it == nil:
 			return errKeyAbsent
-		case mode == ModeCAS && tok != cas:
+		case mode == ModeCAS && it.CAS != cas:
 			return ErrCASMismatch
 		}
 	}
 	return c.setLocked(key, size, pen, flags, expireAt, value)
-}
-
-// peekLocked reports presence and CAS token without touching LRU state.
-// Caller holds c.mu.
-func (c *Cache) peekLocked(key string) (bool, uint64) {
-	h := kv.HashString(key)
-	it := c.index.Get(h, key)
-	if it == nil || c.expired(it) {
-		return false, 0
-	}
-	return true, it.CAS
 }
 
 // Touch updates the expiry deadline of a resident item without disturbing
@@ -135,9 +69,8 @@ func (c *Cache) Touch(key string, expireAt int64) bool {
 	defer c.mu.Unlock()
 	c.drainLocked()
 	c.tick()
-	h := kv.HashString(key)
-	it := c.index.Get(h, key)
-	if it == nil || c.expired(it) {
+	it := c.liveLocked(kv.HashString(key), key)
+	if it == nil {
 		return false
 	}
 	it.ExpireAt = expireAt
@@ -219,9 +152,8 @@ func (c *Cache) Delta(key string, delta uint64, decr bool) (uint64, error) {
 	defer c.mu.Unlock()
 	c.drainLocked()
 	c.tick()
-	h := kv.HashString(key)
-	it := c.index.Get(h, key)
-	if it == nil || c.expired(it) {
+	it := c.liveLocked(kv.HashString(key), key)
+	if it == nil {
 		return 0, ErrNotStored
 	}
 	cur, ok := parseUintValue(it.Value)

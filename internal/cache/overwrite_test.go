@@ -170,6 +170,15 @@ func (m *owModel) store(key string, mode SetMode, tok uint64, size int, pen floa
 	err := c.SetMode(key, mode, tok, size, pen, 0, expireAt, value)
 	st1 := c.Stats()
 	overwrote := st1.Overwrites - st0.Overwrites
+	if mode != ModeSet && e != nil && !m.live(e) {
+		// A conditional store looks its key up by the liveness rule: the dead
+		// item is reaped before the condition is judged.
+		if m.exact && before != nil && st1.Expired != st0.Expired+1 { // off the exact leg a reader may reap it first
+			m.fatalf("conditional store over expired %q reaped %d items", key, st1.Expired-st0.Expired)
+		}
+		m.forget(key)
+		e = nil
+	}
 
 	refused := errors.Is(err, ErrNotStored) || errors.Is(err, ErrCASMismatch)
 	if want != nil || refused {
@@ -463,7 +472,7 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 			}
 		case r < 18: // delete
 			got := c.Delete(key)
-			if want := e != nil; got != want && (m.exact || got) {
+			if want := m.live(e); got != want && (m.exact || got) {
 				m.fatalf("delete %q -> %v, model holds %+v", key, got, e)
 			}
 			m.forget(key)

@@ -460,28 +460,28 @@ func (c *Client) one(req []byte, hedge time.Duration) (*proto.Response, error) {
 type ClientStats struct {
 	// Requests counts requests admitted past the breaker (each command of
 	// a pipelined exchange counts).
-	Requests uint64 `json:"requests"`
+	Requests uint64 `json:"requests" prom:"pamakv_peer_requests_total" help:"Ops admitted past the peer's circuit breaker."`
 	// Errors counts requests that failed at transport level after retries.
-	Errors uint64 `json:"errors"`
+	Errors uint64 `json:"errors" prom:"pamakv_peer_errors_total" help:"Ops failed at transport level after retries."`
 	// Retries counts per-attempt transport retries (one per exchange
 	// re-sent).
-	Retries uint64 `json:"retries"`
+	Retries uint64 `json:"retries" prom:"pamakv_peer_retries_total" help:"Per-attempt transport retries."`
 	// Dials counts new connections established.
-	Dials uint64 `json:"dials"`
+	Dials uint64 `json:"dials" prom:"pamakv_peer_dials_total" help:"Connections established to the peer."`
 	// FastFails counts requests rejected by the open breaker without
 	// touching the wire.
-	FastFails uint64 `json:"fast_fails"`
+	FastFails uint64 `json:"fast_fails" prom:"pamakv_peer_fast_fails_total" help:"Ops rejected by the open breaker without touching the wire."`
 	// BreakerOpens counts how many times the circuit opened.
-	BreakerOpens uint64 `json:"breaker_opens"`
-	// BreakerOpen reports whether the circuit is rejecting right now.
-	BreakerOpen bool `json:"breaker_open"`
+	BreakerOpens uint64 `json:"breaker_opens" prom:"pamakv_peer_breaker_opens_total" help:"Times the peer's circuit opened."`
 	// Hedges counts hedged duplicates fired; HedgeWins the subset that
 	// answered before the primary.
-	Hedges    uint64 `json:"hedges"`
-	HedgeWins uint64 `json:"hedge_wins"`
+	Hedges    uint64 `json:"hedges" prom:"pamakv_peer_hedges_total" help:"Hedged duplicate reads fired."`
+	HedgeWins uint64 `json:"hedge_wins" prom:"pamakv_peer_hedge_wins_total" help:"Hedged duplicates that answered before the primary."`
+	// BreakerOpen reports whether the circuit is rejecting right now.
+	BreakerOpen bool `json:"breaker_open" prom:"pamakv_peer_breaker_open" help:"Whether the peer's circuit is rejecting right now."`
 	// Latency is the per-exchange round-trip histogram, Start to Finish
 	// (hedged exchanges observe the winning attempt's latency).
-	Latency obs.HistSnapshot `json:"latency"`
+	Latency obs.HistSnapshot `json:"latency" prom:"pamakv_peer_request_seconds" help:"Peer round-trip latency (hedged ops observe the winner)."`
 }
 
 // Stats snapshots the client's counters.

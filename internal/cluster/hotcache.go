@@ -130,11 +130,11 @@ func (h *HotCache) removeLocked(e *list.Element) {
 
 // HotCacheStats is a point-in-time snapshot of the hot cache.
 type HotCacheStats struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Evicts uint64 `json:"evicts"`
-	Bytes  int64  `json:"bytes"`
-	Items  int    `json:"items"`
+	Hits   uint64 `json:"hits" prom:"pamakv_hot_cache_hits_total" help:"Remote-owned GETs served from the hot-item mini-cache."`
+	Misses uint64 `json:"misses" prom:"pamakv_hot_cache_misses_total" help:"Hot-cache lookups that fell through to the owner."`
+	Evicts uint64 `json:"evicts" prom:"pamakv_hot_cache_evictions_total" help:"Hot-cache entries evicted past the byte budget."`
+	Bytes  int64  `json:"bytes" prom:"pamakv_hot_cache_bytes" help:"Bytes resident in the hot-item mini-cache."`
+	Items  int    `json:"items" prom:"pamakv_hot_cache_items" help:"Entries resident in the hot-item mini-cache."`
 }
 
 // Stats snapshots the cache's counters and occupancy.

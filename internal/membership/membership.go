@@ -817,32 +817,32 @@ type MemberStatus struct {
 
 // HandoffStats aggregates warm-handoff progress counters.
 type HandoffStats struct {
-	Active      bool             `json:"active"`
-	Runs        uint64           `json:"runs"`
-	KeysPlanned uint64           `json:"keys_planned"`
-	KeysSent    uint64           `json:"keys_sent"`
-	BytesSent   uint64           `json:"bytes_sent"`
-	Errors      uint64           `json:"errors"`
-	Aborts      uint64           `json:"aborts"`
-	Duration    obs.HistSnapshot `json:"duration_seconds"`
+	Active      bool             `json:"active" prom:"pamakv_handoff_active" help:"Whether a warm handoff is streaming now."`
+	Runs        uint64           `json:"runs" prom:"pamakv_handoff_runs_total" help:"Warm-handoff runs started."`
+	KeysPlanned uint64           `json:"keys_planned" prom:"pamakv_handoff_keys_planned_total" help:"Keys scheduled for streaming."`
+	KeysSent    uint64           `json:"keys_sent" prom:"pamakv_handoff_keys_total" help:"Keys streamed to their new owner."`
+	BytesSent   uint64           `json:"bytes_sent" prom:"pamakv_handoff_bytes_total" help:"Value bytes streamed to new owners."`
+	Errors      uint64           `json:"errors" prom:"pamakv_handoff_errors_total" help:"Keys whose stream attempt failed."`
+	Aborts      uint64           `json:"aborts" prom:"pamakv_handoff_aborts_total" help:"Handoff runs aborted by a newer view."`
+	Duration    obs.HistSnapshot `json:"duration_seconds" prom:"pamakv_handoff_seconds" help:"Wall-clock duration of completed handoff runs."`
 }
 
 // Stats is a point-in-time snapshot of the membership state machine.
 type Stats struct {
 	Self     string         `json:"self"`
-	Epoch    uint64         `json:"epoch"`
-	Draining bool           `json:"draining"`
+	Epoch    uint64         `json:"epoch" prom:"pamakv_member_epoch" help:"Current membership epoch."`
+	Draining bool           `json:"draining" prom:"pamakv_member_draining" help:"Whether this node is outside the ring, draining."`
 	Members  []MemberStatus `json:"members"`
 
-	Applies       uint64 `json:"applies"`
-	Refusals      uint64 `json:"refusals"`
-	Joins         uint64 `json:"joins"`
-	Suspects      uint64 `json:"suspects"`
-	Evictions     uint64 `json:"evictions"`
-	Probes        uint64 `json:"probes"`
-	ProbeFailures uint64 `json:"probe_failures"`
+	Applies       uint64 `json:"applies" prom:"pamakv_member_applies_total" help:"Views applied (epoch advanced)."`
+	Refusals      uint64 `json:"refusals" prom:"pamakv_member_refusals_total" help:"Stale or conflicting views refused."`
+	Joins         uint64 `json:"joins" prom:"pamakv_member_joins_total" help:"Join proposals originated here."`
+	Suspects      uint64 `json:"suspects" prom:"pamakv_member_suspects_total" help:"Alive-to-suspect transitions observed."`
+	Evictions     uint64 `json:"evictions" prom:"pamakv_member_evictions_total" help:"Auto-evictions proposed by this node."`
+	Probes        uint64 `json:"probes" prom:"pamakv_member_probes_total" help:"Health probes sent."`
+	ProbeFailures uint64 `json:"probe_failures" prom:"pamakv_member_probe_failures_total" help:"Health probes failed."`
 
-	ProbeLatency obs.HistSnapshot `json:"probe_latency"`
+	ProbeLatency obs.HistSnapshot `json:"probe_latency" prom:"pamakv_member_probe_seconds" help:"Health-probe round-trip latency."`
 	Handoff      HandoffStats     `json:"handoff"`
 }
 

@@ -717,35 +717,35 @@ func (c *Controller) Close() {
 type Stats struct {
 	// Limit is the adaptive concurrency limit; MaxInflight the hard
 	// ceiling it lives under.
-	Limit       int `json:"limit"`
-	MaxInflight int `json:"max_inflight"`
+	Limit       int `json:"limit" prom:"pamakv_overload_limit" help:"Adaptive concurrency limit."`
+	MaxInflight int `json:"max_inflight" prom:"pamakv_overload_max_inflight" help:"Hard in-flight ceiling." stat:"-"`
 	// Inflight and Queued are the current occupancy; PeakInflight is the
 	// admitted-concurrency high-water mark (never exceeds MaxInflight).
-	Inflight     int `json:"inflight"`
-	Queued       int `json:"queued"`
-	PeakInflight int `json:"peak_inflight"`
+	Inflight     int `json:"inflight" prom:"pamakv_overload_inflight" help:"Requests admitted and in flight."`
+	Queued       int `json:"queued" prom:"pamakv_overload_queued" help:"Requests waiting for admission."`
+	PeakInflight int `json:"peak_inflight" prom:"pamakv_overload_peak_inflight" help:"High-water mark of admitted concurrency."`
 	// Tier is the current pressure tier (0 normal … 3 critical).
-	Tier int `json:"tier"`
+	Tier int `json:"tier" prom:"pamakv_overload_tier" help:"Pressure tier (0 normal .. 3 critical)."`
 	// Admitted counts requests admitted (directly or from the queue);
 	// QueuedTotal counts requests that waited in the queue at all.
-	Admitted    uint64 `json:"admitted"`
-	QueuedTotal uint64 `json:"queued_total"`
+	Admitted    uint64 `json:"admitted" prom:"pamakv_overload_admitted_total" help:"Requests admitted past the controller."`
+	QueuedTotal uint64 `json:"queued_total" prom:"pamakv_overload_queued_total" help:"Requests that waited in the admission queue." stat:"-"`
+	// LimitIncreases and LimitDecreases count AIMD steps.
+	LimitIncreases uint64 `json:"limit_increases" prom:"pamakv_overload_limit_increases_total" help:"AIMD limit raises." stat:"-"`
+	LimitDecreases uint64 `json:"limit_decreases" prom:"pamakv_overload_limit_decreases_total" help:"AIMD limit cuts." stat:"-"`
 	// ShedByReason counts sheds keyed by Reason string; ShedBySub by the
 	// request's penalty subclass; ShedBySLO by the requesting tenant's SLO
 	// class (all index 0 without multi-tenant serving).
-	ShedByReason map[string]uint64 `json:"shed_by_reason"`
-	ShedBySub    [numSubs]uint64   `json:"shed_by_sub"`
-	ShedBySLO    [numSLO]uint64    `json:"shed_by_slo"`
+	ShedByReason map[string]uint64 `json:"shed_by_reason" prom:"pamakv_overload_sheds_total" help:"Sheds by reason." label:"reason"`
+	ShedBySub    [numSubs]uint64   `json:"shed_by_sub" prom:"pamakv_overload_sheds_by_sub_total,sparse" help:"Sheds by penalty subclass." label:"sub"`
+	ShedBySLO    [numSLO]uint64    `json:"shed_by_slo" prom:"pamakv_overload_sheds_by_slo_total,sparse" help:"Sheds by the requesting tenant's SLO class." label:"slo"`
 	// ShedTotal sums ShedByReason.
 	ShedTotal uint64 `json:"shed_total"`
-	// LimitIncreases and LimitDecreases count AIMD steps.
-	LimitIncreases uint64 `json:"limit_increases"`
-	LimitDecreases uint64 `json:"limit_decreases"`
 	// Sojourn is the queueing-delay histogram of queued requests
 	// (admitted and shed alike); Service the observed service latencies
 	// feeding the limiter.
-	Sojourn obs.HistSnapshot `json:"sojourn"`
-	Service obs.HistSnapshot `json:"service"`
+	Sojourn obs.HistSnapshot `json:"sojourn" prom:"pamakv_overload_sojourn_seconds" help:"Admission-queue waiting time."`
+	Service obs.HistSnapshot `json:"service" prom:"pamakv_overload_service_seconds" help:"Observed service latency feeding the limiter."`
 }
 
 // Stats snapshots the controller.

@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -184,351 +183,107 @@ func (a *Admin) sampleLoop() {
 	}
 }
 
-// handleMetrics renders the Prometheus exposition. Matrix cells with zero
-// counts are skipped (a classes×classes move matrix is mostly zeros; an
-// absent sample and a zero counter read the same to Prometheus rate()).
+// handleMetrics renders the Prometheus exposition: the order of the sections
+// and the values that are no struct's field. Every series' name, HELP and
+// type come from the tags of the stats struct that carries it (package obs),
+// the same structs /statsz marshals.
 func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewPromWriter(w)
+	doc := a.statsz()
 
-	st := a.srv.c.Stats()
-	p.Counter("pamakv_gets_total", "GET requests served by the engine.", st.Gets)
-	p.Counter("pamakv_hits_total", "GET requests answered from cache.", st.Hits)
-	p.Counter("pamakv_misses_total", "GET requests not resident.", st.Misses)
-	p.Counter("pamakv_sets_total", "Store operations accepted.", st.Sets)
-	p.Counter("pamakv_overwrites_total", "Stores that replaced a resident item in place (sets minus these inserted one).", st.Overwrites)
-	p.Counter("pamakv_deletes_total", "Delete operations.", st.Deletes)
-	p.Counter("pamakv_evictions_total", "Items evicted to make room.", st.Evictions)
-	p.Counter("pamakv_ghost_hits_total", "Misses whose key was in a ghost region.", st.GhostHits)
-	p.Counter("pamakv_expired_total", "Items removed by TTL expiry.", st.Expired)
-	p.Counter("pamakv_stale_gets_total", "Reads answered from the stale buffer.", st.StaleGets)
-	p.Counter("pamakv_slab_migrations_total", "Cross-class slab moves.", st.SlabMigrations)
-	p.Gauge("pamakv_items", "Resident items.", float64(a.srv.c.Items()))
-
-	if ab, ok := a.srv.c.(accessBufStatser); ok {
-		if abs := ab.AccessBufStats(); abs.Enabled {
-			p.Gauge("pamakv_accessbuf_depth", "Deferred access records currently buffered in the MPSC rings.", float64(abs.Depth))
-			p.Gauge("pamakv_accessbuf_ring_capacity", "Per-ring record capacity times rings per engine.", float64(abs.Rings*abs.RingCap))
-			p.Counter("pamakv_accessbuf_drains_total", "Batched drain passes that applied at least one record.", abs.Drains)
-			p.Counter("pamakv_accessbuf_drained_records_total", "Deferred access records applied under the engine lock.", abs.Drained)
-			p.Gauge("pamakv_accessbuf_max_batch", "Largest single drain pass (records per lock acquisition).", float64(abs.MaxBatch))
-			p.Counter("pamakv_accessbuf_full_drains_total", "Drains forced by a producer finding its ring full.", abs.FullDrains)
-			p.Counter("pamakv_accessbuf_lock_wait_ns_total", "Lock wait paid by the read path on full-ring drains.", abs.LockWaitNs)
-			p.Counter("pamakv_accessbuf_stale_refs_total", "Drained records skipped by the incarnation check.", abs.StaleRefs)
+	p.Struct(doc.Engine)
+	p.Gauge("pamakv_items", "Resident items.", float64(doc.Items))
+	if ab := doc.AccessBuf; ab != nil {
+		p.Struct(*ab)
+		p.Gauge("pamakv_accessbuf_ring_capacity", "Per-ring record capacity times rings per engine.", float64(ab.Rings*ab.RingCap))
+	}
+	// The allocation state behind the paper's Fig. 3 (slabs per class) and
+	// Fig. 4 (items per penalty subclass), the attribution and slab-move
+	// matrices — zero cells left out: a classes×classes matrix is mostly
+	// zeros, and an absent sample reads as 0 to rate() — and the policy's
+	// decision counters.
+	if in := doc.Introspection; in != nil {
+		p.Struct(*in)
+		var holes int64
+		for _, n := range in.BytesHoles {
+			holes += n
+		}
+		p.Gauge("pamakv_holes_bytes_total", "Internal fragmentation across all classes.", float64(holes))
+		if in.Decisions != nil {
+			p.Struct(*in.Decisions)
 		}
 	}
-
-	if in, ok := a.srv.c.(introspector); ok {
-		a.writeIntrospection(p, in.Introspect())
-	} else {
-		p.Header("pamakv_slabs", "Slabs owned per size class.", "gauge")
-		for cl, n := range a.srv.c.SnapshotSlabs() {
-			p.Value("pamakv_slabs", `class="`+strconv.Itoa(cl)+`"`, float64(n))
+	p.Struct(doc.Server.ConnStats)
+	p.Struct(doc.Runtime)
+	const requestSeconds = "pamakv_request_seconds"
+	p.Header(requestSeconds, "Request latency from batch arrival to flush, by command family.", "histogram")
+	for i, h := range a.srv.lat {
+		p.Histogram(requestSeconds, `cmd="`+famNames[i]+`"`, h.Snapshot())
+	}
+	if doc.Backend != nil {
+		p.Struct(*doc.Backend)
+		p.Struct(doc.Server.FetchStats)
+	}
+	if doc.Overload != nil {
+		p.Struct(doc.Overload.Stats)
+		p.Struct(doc.Server.ShedStats)
+	}
+	if c := doc.Cluster; c != nil {
+		p.Struct(doc.Server.PeerStats)
+		if c.HotCache != nil {
+			p.Struct(*c.HotCache)
+		}
+		// One labelled series per remote peer, in address order so scrapes
+		// diff cleanly.
+		addrs := metrics.SortedNames(c.Peers)
+		peers := make([]cluster.ClientStats, len(addrs))
+		for i, addr := range addrs {
+			peers[i] = c.Peers[addr]
+		}
+		p.Rows("peer", addrs, peers)
+	}
+	// Slab moves between tenants are the observable core of arbitration:
+	// the in/out counters and the donor→receiver matrix show memory flowing
+	// toward the needier tenant.
+	if arb := doc.Arbiter; arb != nil {
+		names := make([]string, len(doc.Tenants))
+		for i, t := range doc.Tenants {
+			names[i] = t.Name
+		}
+		p.Rows("tenant", names, doc.Tenants)
+		p.Struct(*arb)
+		const slabMoves = "pamakv_tenant_slab_moves_total"
+		p.Header(slabMoves, "Slabs moved by donor and receiver tenant.", "counter")
+		for d, row := range arb.Matrix {
+			for r, n := range row {
+				if n != 0 {
+					p.Value(slabMoves, `donor="`+arb.Members[d].Name+`",receiver="`+arb.Members[r].Name+`"`, float64(n))
+				}
+			}
 		}
 	}
-
-	ss := a.srv.Stats()
-	p.Counter("pamakv_connections_total", "Connections ever accepted.", ss.Conns)
-	p.Gauge("pamakv_connections", "Connections open now.", float64(ss.CurrConns))
-	p.Counter("pamakv_client_errors_total", "Malformed requests.", ss.ClientErrors)
-	p.Counter("pamakv_server_errors_total", "SERVER_ERROR replies.", ss.ServerErrors)
-	p.Counter("pamakv_io_errors_total", "Socket failures.", ss.IOErrors)
-	p.Counter("pamakv_idle_timeouts_total", "Connections closed by the idle deadline.", ss.IdleTimeouts)
-	p.Counter("pamakv_response_batches_total", "Pipelined response flushes.", ss.Batches)
-	p.Counter("pamakv_batched_commands_total", "Requests served across batches.", ss.BatchedCmds)
-	p.Counter("pamakv_stale_serves_total", "GETs degraded to a stale value.", ss.StaleServes)
-
-	rt := readRuntime()
-	p.Counter("pamakv_go_gc_cycles_total", "Completed Go garbage-collection cycles.", rt.GCCycles)
-	p.Header("pamakv_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter")
-	p.Value("pamakv_go_gc_pause_seconds_total", "", rt.GCPauseSeconds)
-	p.Gauge("pamakv_go_heap_alloc_bytes", "Bytes of live and not-yet-swept Go heap objects.", float64(rt.HeapAllocBytes))
-
-	p.Header("pamakv_request_seconds", "Request latency from batch arrival to flush, by command family.", "histogram")
-	for fam, snap := range a.srv.Latencies() {
-		p.Histogram("pamakv_request_seconds", `cmd="`+fam+`"`, snap)
-	}
-
-	if b := a.srv.opts.Backend; b != nil {
-		p.Counter("pamakv_backend_fetches_total", "Backend fetches (read-through misses).", b.Fetches())
-		p.Counter("pamakv_backend_retries_total", "Backend fetch re-attempts.", ss.BackendRetries)
-		p.Counter("pamakv_backend_timeouts_total", "Backend attempts cut by FetchTimeout.", ss.BackendTimeouts)
-		p.Counter("pamakv_backend_failures_total", "Fetch chains that exhausted retries.", ss.BackendFailures)
-		p.Header("pamakv_backend_fetch_seconds", "Wall-clock backend fetch latency.", "histogram")
-		p.Histogram("pamakv_backend_fetch_seconds", "", b.FetchLatency())
-		p.Gauge("pamakv_backend_penalty_seconds_total", "Accumulated simulated miss penalty.", b.TotalPenalty())
-	}
-
-	if c := a.srv.ctrl; c != nil {
-		a.writeOverloadMetrics(p, c.Stats(), ss)
-	}
-	if a.srv.peers != nil {
-		a.writeClusterMetrics(p, ss)
-	}
-	if arb := a.srv.opts.Tenants.Arbiter(); arb != nil {
-		a.writeTenantMetrics(p, arb)
-	}
-	if m := a.srv.mem; m != nil {
-		a.writeMembershipMetrics(p, m.Stats())
+	if ms := doc.Membership; ms != nil {
+		p.Struct(*ms)
+		p.Gauge("pamakv_members", "Members in the current view.", float64(len(ms.Members)))
+		const memberState = "pamakv_member_state"
+		p.Header(memberState, "Per-member health: 0 self, 1 alive, 2 suspect.", "gauge")
+		state := map[string]float64{membership.StateAlive: 1, membership.StateSuspect: 2}
+		for _, m := range ms.Members {
+			p.Value(memberState, `member="`+m.Addr+`"`, state[m.State])
+		}
+		p.Struct(ms.Handoff)
 	}
 	_ = p.Err() // the peer hung up; nothing to do
 }
 
-// writeTenantMetrics renders the multi-tenant accounting: one labelled series
-// per tenant for occupancy, traffic, and arbitration flow, plus the arbiter's
-// own counters and its tenant-to-tenant move matrix. Slab moves are the
-// observable core of the scheme — pamakv_tenant_slabs_{in,out}_total and the
-// matrix prove memory is actually flowing toward the needier tenant.
-func (a *Admin) writeTenantMetrics(p *obs.PromWriter, arb *tenant.Arbiter) {
-	snaps := arb.Snapshots()
-	series := func(typ, name, help string, get func(tenant.Snapshot) float64) {
-		p.Header(name, help, typ)
-		for _, s := range snaps {
-			p.Value(name, `tenant="`+s.Name+`"`, get(s))
-		}
-	}
-	series("gauge", "pamakv_tenant_slabs", "Slabs currently budgeted to the tenant.",
-		func(s tenant.Snapshot) float64 { return float64(s.Slabs) })
-	series("gauge", "pamakv_tenant_reserve_slabs", "Slab floor the arbiter never breaches.",
-		func(s tenant.Snapshot) float64 { return float64(s.ReserveSlabs) })
-	series("gauge", "pamakv_tenant_free_slabs", "Tenant slabs not yet granted to a class.",
-		func(s tenant.Snapshot) float64 { return float64(s.FreeSlabs) })
-	series("gauge", "pamakv_tenant_items", "Resident items owned by the tenant.",
-		func(s tenant.Snapshot) float64 { return float64(s.Items) })
-	series("gauge", "pamakv_tenant_used_bytes", "Slot bytes occupied by the tenant's items.",
-		func(s tenant.Snapshot) float64 { return float64(s.UsedBytes) })
-	series("gauge", "pamakv_tenant_reserved_bytes", "Configured memory reserve.",
-		func(s tenant.Snapshot) float64 { return float64(s.ReservedBytes) })
-	series("gauge", "pamakv_tenant_weight", "Arbitration weight.",
-		func(s tenant.Snapshot) float64 { return s.Weight })
-	series("gauge", "pamakv_tenant_slo_class", "Overload SLO class (0 = most protected).",
-		func(s tenant.Snapshot) float64 { return float64(s.SLOClass) })
-	series("counter", "pamakv_tenant_gets_total", "GETs routed to the tenant.",
-		func(s tenant.Snapshot) float64 { return float64(s.Gets) })
-	series("counter", "pamakv_tenant_hits_total", "GET hits in the tenant's engines.",
-		func(s tenant.Snapshot) float64 { return float64(s.Hits) })
-	series("counter", "pamakv_tenant_misses_total", "GET misses in the tenant's engines.",
-		func(s tenant.Snapshot) float64 { return float64(s.Misses) })
-	series("counter", "pamakv_tenant_evictions_total", "Items evicted from the tenant's engines.",
-		func(s tenant.Snapshot) float64 { return float64(s.Evictions) })
-	series("counter", "pamakv_tenant_slabs_in_total", "Slabs received from other tenants by arbitration.",
-		func(s tenant.Snapshot) float64 { return float64(s.SlabsIn) })
-	series("counter", "pamakv_tenant_slabs_out_total", "Slabs donated to other tenants by arbitration.",
-		func(s tenant.Snapshot) float64 { return float64(s.SlabsOut) })
-	series("gauge", "pamakv_tenant_incoming_value", "Marginal penalty saved per window were the tenant granted one slab (last arbiter step).",
-		func(s tenant.Snapshot) float64 { return s.Incoming })
-	series("gauge", "pamakv_tenant_outgoing_value", "Marginal penalty paid per window giving one slab up (last arbiter step).",
-		func(s tenant.Snapshot) float64 { return s.Outgoing })
-
-	ast := arb.Stats()
-	p.Counter("pamakv_tenant_arbiter_steps_total", "Arbitration rounds run.", ast.Steps)
-	p.Counter("pamakv_tenant_arbiter_moves_total", "Slabs moved between tenants.", ast.Moves)
-	p.Header("pamakv_tenant_slab_moves_total", "Slabs moved by donor and receiver tenant.", "counter")
-	for d, row := range ast.Matrix {
-		for r, n := range row {
-			if n != 0 && d < len(ast.Members) && r < len(ast.Members) {
-				p.Value("pamakv_tenant_slab_moves_total",
-					`donor="`+ast.Members[d].Name+`",receiver="`+ast.Members[r].Name+`"`, float64(n))
-			}
-		}
-	}
-}
-
-// writeOverloadMetrics renders the admission controller: the adaptive limit
-// under its hard ceiling, live occupancy, the pressure tier, shed counters by
-// reason and by penalty subclass, and the queue-sojourn and service-latency
-// histograms the limiter steers on.
-func (a *Admin) writeOverloadMetrics(p *obs.PromWriter, os overload.Stats, ss Stats) {
-	p.Gauge("pamakv_overload_limit", "Adaptive concurrency limit.", float64(os.Limit))
-	p.Gauge("pamakv_overload_max_inflight", "Hard in-flight ceiling.", float64(os.MaxInflight))
-	p.Gauge("pamakv_overload_inflight", "Requests admitted and in flight.", float64(os.Inflight))
-	p.Gauge("pamakv_overload_queued", "Requests waiting for admission.", float64(os.Queued))
-	p.Gauge("pamakv_overload_peak_inflight", "High-water mark of admitted concurrency.", float64(os.PeakInflight))
-	p.Gauge("pamakv_overload_tier", "Pressure tier (0 normal .. 3 critical).", float64(os.Tier))
-	p.Counter("pamakv_overload_admitted_total", "Requests admitted past the controller.", os.Admitted)
-	p.Counter("pamakv_overload_queued_total", "Requests that waited in the admission queue.", os.QueuedTotal)
-	p.Counter("pamakv_overload_limit_increases_total", "AIMD limit raises.", os.LimitIncreases)
-	p.Counter("pamakv_overload_limit_decreases_total", "AIMD limit cuts.", os.LimitDecreases)
-	p.Counter("pamakv_sheds_total", "Requests refused at admission with a shed reply.", ss.Sheds)
-	p.Counter("pamakv_shed_fetches_total", "Backend fetches suppressed by the overload tier.", ss.FetchSheds)
-	p.Counter("pamakv_peer_sheds_total", "Forwards the owning peer refused with a shed reply.", ss.PeerSheds)
-	p.Header("pamakv_overload_sheds_total", "Sheds by reason.", "counter")
-	for _, r := range metrics.SortedNames(os.ShedByReason) {
-		p.Value("pamakv_overload_sheds_total", `reason="`+r+`"`, float64(os.ShedByReason[r]))
-	}
-	p.Header("pamakv_overload_sheds_by_sub_total", "Sheds by penalty subclass.", "counter")
-	for sub, n := range os.ShedBySub {
-		if n != 0 {
-			p.Value("pamakv_overload_sheds_by_sub_total", `sub="`+strconv.Itoa(sub)+`"`, float64(n))
-		}
-	}
-	p.Header("pamakv_overload_sheds_by_slo_total", "Sheds by the requesting tenant's SLO class.", "counter")
-	for slo, n := range os.ShedBySLO {
-		if n != 0 {
-			p.Value("pamakv_overload_sheds_by_slo_total", `slo="`+strconv.Itoa(slo)+`"`, float64(n))
-		}
-	}
-	p.Header("pamakv_overload_sojourn_seconds", "Admission-queue waiting time.", "histogram")
-	p.Histogram("pamakv_overload_sojourn_seconds", "", os.Sojourn)
-	p.Header("pamakv_overload_service_seconds", "Observed service latency feeding the limiter.", "histogram")
-	p.Histogram("pamakv_overload_service_seconds", "", os.Service)
-}
-
-// writeClusterMetrics renders the cluster tier: forwarding outcomes, the
-// hot-item mini-cache, and a labelled series per remote peer (requests,
-// failure modes, hedging, breaker state, round-trip latency). Peers are
-// emitted in sorted address order so scrapes diff cleanly.
-func (a *Admin) writeClusterMetrics(p *obs.PromWriter, ss Stats) {
-	p.Counter("pamakv_cluster_forwards_total", "Requests relayed to an owning peer.", ss.PeerForwards)
-	p.Counter("pamakv_cluster_peer_hits_total", "Forwarded GETs the owner answered with a value.", ss.PeerHits)
-	p.Counter("pamakv_cluster_peer_errors_total", "Forwards failed at transport level.", ss.PeerErrors)
-	p.Counter("pamakv_cluster_fallbacks_total", "Failed GET forwards degraded to a local backend fetch.", ss.PeerFallbacks)
-	p.Counter("pamakv_cluster_exchanges_total", "Pipelined peer exchanges (one per owner per batch).", ss.PeerExchanges)
-	p.Counter("pamakv_cluster_exchanged_commands_total", "Forwards carried across peer exchanges.", ss.PeerExchangedCmds)
-	if hc, ok := a.srv.HotCacheStats(); ok {
-		p.Counter("pamakv_hot_cache_hits_total", "Remote-owned GETs served from the hot-item mini-cache.", hc.Hits)
-		p.Counter("pamakv_hot_cache_misses_total", "Hot-cache lookups that fell through to the owner.", hc.Misses)
-		p.Counter("pamakv_hot_cache_evictions_total", "Hot-cache entries evicted past the byte budget.", hc.Evicts)
-		p.Gauge("pamakv_hot_cache_bytes", "Bytes resident in the hot-item mini-cache.", float64(hc.Bytes))
-		p.Gauge("pamakv_hot_cache_items", "Entries resident in the hot-item mini-cache.", float64(hc.Items))
-	}
-
-	snaps := a.srv.peers.Snapshots()
-	addrs := metrics.SortedNames(snaps)
-
-	counter := func(name, help string, get func(cluster.ClientStats) uint64) {
-		p.Header(name, help, "counter")
-		for _, addr := range addrs {
-			p.Value(name, `peer="`+addr+`"`, float64(get(snaps[addr])))
-		}
-	}
-	counter("pamakv_peer_requests_total", "Ops admitted past the peer's circuit breaker.",
-		func(s cluster.ClientStats) uint64 { return s.Requests })
-	counter("pamakv_peer_errors_total", "Ops failed at transport level after retries.",
-		func(s cluster.ClientStats) uint64 { return s.Errors })
-	counter("pamakv_peer_retries_total", "Per-attempt transport retries.",
-		func(s cluster.ClientStats) uint64 { return s.Retries })
-	counter("pamakv_peer_dials_total", "Connections established to the peer.",
-		func(s cluster.ClientStats) uint64 { return s.Dials })
-	counter("pamakv_peer_fast_fails_total", "Ops rejected by the open breaker without touching the wire.",
-		func(s cluster.ClientStats) uint64 { return s.FastFails })
-	counter("pamakv_peer_breaker_opens_total", "Times the peer's circuit opened.",
-		func(s cluster.ClientStats) uint64 { return s.BreakerOpens })
-	counter("pamakv_peer_hedges_total", "Hedged duplicate reads fired.",
-		func(s cluster.ClientStats) uint64 { return s.Hedges })
-	counter("pamakv_peer_hedge_wins_total", "Hedged duplicates that answered before the primary.",
-		func(s cluster.ClientStats) uint64 { return s.HedgeWins })
-	p.Header("pamakv_peer_breaker_open", "Whether the peer's circuit is rejecting right now.", "gauge")
-	for _, addr := range addrs {
-		v := 0.0
-		if snaps[addr].BreakerOpen {
-			v = 1.0
-		}
-		p.Value("pamakv_peer_breaker_open", `peer="`+addr+`"`, v)
-	}
-	p.Header("pamakv_peer_request_seconds", "Peer round-trip latency (hedged ops observe the winner).", "histogram")
-	for _, addr := range addrs {
-		p.Histogram("pamakv_peer_request_seconds", `peer="`+addr+`"`, snaps[addr].Latency)
-	}
-}
-
-// writeIntrospection renders the engine's allocation state: the per-class
-// slab series behind the paper's Fig. 3, per-subclass stack depths (Fig. 4),
-// penalty-band hit/miss attribution, the src→dst move matrix, and the
-// policy's decision counters.
-func (a *Admin) writeIntrospection(p *obs.PromWriter, in cache.Introspection) {
-	p.Header("pamakv_slabs", "Slabs owned per size class.", "gauge")
-	for cl, n := range in.Slabs {
-		p.Value("pamakv_slabs", `class="`+strconv.Itoa(cl)+`"`, float64(n))
-	}
-	p.Gauge("pamakv_free_slabs", "Slabs not yet granted to any class.", float64(in.FreeSlabs))
-	p.Gauge("pamakv_total_slabs", "Slab budget.", float64(in.TotalSlabs))
-	p.Header("pamakv_used_slots", "Occupied slots per size class.", "gauge")
-	for cl, n := range in.UsedSlots {
-		p.Value("pamakv_used_slots", `class="`+strconv.Itoa(cl)+`"`, float64(n))
-	}
-
-	p.Header("pamakv_holes_bytes", "Internal fragmentation per size class: slot bytes occupied by residents but unused.", "gauge")
-	var holesTotal int64
-	for cl, n := range in.BytesHoles {
-		holesTotal += n
-		if n != 0 {
-			p.Value("pamakv_holes_bytes", `class="`+strconv.Itoa(cl)+`"`, float64(n))
-		}
-	}
-	p.Gauge("pamakv_holes_bytes_total", "Internal fragmentation across all classes.", float64(holesTotal))
-	p.Header("pamakv_free_value_buffers", "Released value slots stacked for reuse per size class (at most the class's free slots).", "gauge")
-	for cl, n := range in.FreeValueBuffers {
-		if n != 0 {
-			p.Value("pamakv_free_value_buffers", `class="`+strconv.Itoa(cl)+`"`, float64(n))
-		}
-	}
-
-	p.Header("pamakv_subclass_items", "Resident items per (class, penalty subclass) LRU stack.", "gauge")
-	for cl, row := range in.SubLens {
-		for sub, n := range row {
-			if n != 0 {
-				p.Value("pamakv_subclass_items", subLabels(cl, sub), float64(n))
-			}
-		}
-	}
-	p.Header("pamakv_subclass_hits_total", "GET hits by (class, penalty subclass).", "counter")
-	for cl, row := range in.SubHits {
-		for sub, n := range row {
-			if n != 0 {
-				p.Value("pamakv_subclass_hits_total", subLabels(cl, sub), float64(n))
-			}
-		}
-	}
-	p.Header("pamakv_subclass_misses_total", "Attributed GET misses by would-be (class, penalty subclass).", "counter")
-	for cl, row := range in.SubMisses {
-		for sub, n := range row {
-			if n != 0 {
-				p.Value("pamakv_subclass_misses_total", subLabels(cl, sub), float64(n))
-			}
-		}
-	}
-	p.Header("pamakv_slab_moves_total", "Cross-class slab moves by donor and receiver class.", "counter")
-	for src, row := range in.SlabMoves {
-		for dst, n := range row {
-			if n != 0 {
-				p.Value("pamakv_slab_moves_total",
-					`src="`+strconv.Itoa(src)+`",dst="`+strconv.Itoa(dst)+`"`, float64(n))
-			}
-		}
-	}
-
-	if d := in.Decisions; d != nil {
-		p.Counter("pamakv_policy_migrations_total", "Slab migrations the policy performed.", d.Migrations)
-		p.Counter("pamakv_policy_same_class_total", "Replacements kept in-class (cheapest candidate was local).", d.SameClass)
-		p.Counter("pamakv_policy_not_worth_it_total", "Migrations declined on price (incoming <= outgoing value).", d.NotWorthIt)
-		p.Counter("pamakv_policy_forced_total", "Migrations forced by an empty class.", d.Forced)
-		if len(d.EvictsBySub) > 0 {
-			p.Header("pamakv_policy_evictions_total", "Evictions by penalty subclass.", "counter")
-			for sub, n := range d.EvictsBySub {
-				p.Value("pamakv_policy_evictions_total", `sub="`+strconv.Itoa(sub)+`"`, float64(n))
-			}
-		}
-		if len(d.EvictedPenaltyBySub) > 0 {
-			p.Header("pamakv_policy_evicted_penalty_seconds_total", "Summed miss penalty of evicted items by subclass.", "counter")
-			for sub, v := range d.EvictedPenaltyBySub {
-				p.Value("pamakv_policy_evicted_penalty_seconds_total", `sub="`+strconv.Itoa(sub)+`"`, v)
-			}
-		}
-	}
-}
-
-func subLabels(cl, sub int) string {
-	return `class="` + strconv.Itoa(cl) + `",sub="` + strconv.Itoa(sub) + `"`
-}
-
 // BackendStatsz is the backend section of /statsz.
 type BackendStatsz struct {
-	Fetches             uint64           `json:"fetches"`
-	TotalPenaltySeconds float64          `json:"total_penalty_seconds"`
+	Fetches             uint64           `json:"fetches" prom:"pamakv_backend_fetches_total" help:"Backend fetches (read-through misses)."`
+	FetchLatency        obs.HistSnapshot `json:"fetch_latency" prom:"pamakv_backend_fetch_seconds" help:"Wall-clock backend fetch latency."`
+	TotalPenaltySeconds float64          `json:"total_penalty_seconds" prom:"pamakv_backend_penalty_seconds_total" help:"Accumulated simulated miss penalty."`
 	InjectedErrors      uint64           `json:"injected_errors"`
 	InjectedSpikes      uint64           `json:"injected_spikes"`
-	FetchLatency        obs.HistSnapshot `json:"fetch_latency"`
 }
 
 // OverloadStatsz is the overload section of /statsz: the controller's
@@ -560,9 +315,9 @@ type ClusterStatsz struct {
 // RuntimeStatsz is the Go-runtime section of /statsz: whether the collector
 // is at work on the serving path is answerable from two polls of these.
 type RuntimeStatsz struct {
-	GCCycles       uint64  `json:"gc_cycles"`
-	GCPauseSeconds float64 `json:"gc_pause_seconds_total"`
-	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
+	GCCycles       uint64  `json:"gc_cycles" prom:"pamakv_go_gc_cycles_total" help:"Completed Go garbage-collection cycles."`
+	GCPauseSeconds float64 `json:"gc_pause_seconds_total" prom:"pamakv_go_gc_pause_seconds_total" help:"Cumulative stop-the-world GC pause time."`
+	HeapAllocBytes uint64  `json:"heap_alloc_bytes" prom:"pamakv_go_heap_alloc_bytes" help:"Bytes of live and not-yet-swept Go heap objects."`
 }
 
 func readRuntime() RuntimeStatsz {
@@ -771,53 +526,4 @@ func (a *Admin) handleMembershipDrain(w http.ResponseWriter, r *http.Request) {
 	a.membershipMutation(w, r, func(m *membership.Manager) error {
 		return m.Drain()
 	})
-}
-
-// writeMembershipMetrics renders the membership state machine for Prom
-// scrapes: the epoch and per-member health gauges plus probe, apply, and
-// warm-handoff progress counters (the dip diagnostics: handoff seconds and
-// bytes tell you how long the post-change warmth gap lasted).
-func (a *Admin) writeMembershipMetrics(p *obs.PromWriter, ms membership.Stats) {
-	p.Gauge("pamakv_member_epoch", "Current membership epoch.", float64(ms.Epoch))
-	p.Gauge("pamakv_members", "Members in the current view.", float64(len(ms.Members)))
-	draining := 0.0
-	if ms.Draining {
-		draining = 1.0
-	}
-	p.Gauge("pamakv_member_draining", "Whether this node is outside the ring, draining.", draining)
-	p.Header("pamakv_member_state", "Per-member health: 0 self, 1 alive, 2 suspect.", "gauge")
-	for _, m := range ms.Members {
-		v := 0.0
-		switch m.State {
-		case membership.StateAlive:
-			v = 1.0
-		case membership.StateSuspect:
-			v = 2.0
-		}
-		p.Value("pamakv_member_state", `member="`+m.Addr+`"`, v)
-	}
-	p.Counter("pamakv_member_applies_total", "Views applied (epoch advanced).", ms.Applies)
-	p.Counter("pamakv_member_refusals_total", "Stale or conflicting views refused.", ms.Refusals)
-	p.Counter("pamakv_member_joins_total", "Join proposals originated here.", ms.Joins)
-	p.Counter("pamakv_member_suspects_total", "Alive-to-suspect transitions observed.", ms.Suspects)
-	p.Counter("pamakv_member_evictions_total", "Auto-evictions proposed by this node.", ms.Evictions)
-	p.Counter("pamakv_member_probes_total", "Health probes sent.", ms.Probes)
-	p.Counter("pamakv_member_probe_failures_total", "Health probes failed.", ms.ProbeFailures)
-	p.Header("pamakv_member_probe_seconds", "Health-probe round-trip latency.", "histogram")
-	p.Histogram("pamakv_member_probe_seconds", "", ms.ProbeLatency)
-
-	h := ms.Handoff
-	active := 0.0
-	if h.Active {
-		active = 1.0
-	}
-	p.Gauge("pamakv_handoff_active", "Whether a warm handoff is streaming now.", active)
-	p.Counter("pamakv_handoff_runs_total", "Warm-handoff runs started.", h.Runs)
-	p.Counter("pamakv_handoff_keys_planned_total", "Keys scheduled for streaming.", h.KeysPlanned)
-	p.Counter("pamakv_handoff_keys_total", "Keys streamed to their new owner.", h.KeysSent)
-	p.Counter("pamakv_handoff_bytes_total", "Value bytes streamed to new owners.", h.BytesSent)
-	p.Counter("pamakv_handoff_errors_total", "Keys whose stream attempt failed.", h.Errors)
-	p.Counter("pamakv_handoff_aborts_total", "Handoff runs aborted by a newer view.", h.Aborts)
-	p.Header("pamakv_handoff_seconds", "Wall-clock duration of completed handoff runs.", "histogram")
-	p.Histogram("pamakv_handoff_seconds", "", h.Duration)
 }

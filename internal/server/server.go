@@ -268,60 +268,90 @@ type Options struct {
 
 // Stats are server-level counters — connections and serving-path health, as
 // opposed to the engine-level cache.Stats. All monotonic except CurrConns.
+// The four groups are shown where their subsystem runs (see admin.go); in
+// JSON they are one flat object. The tags are each counter's one declaration
+// (package obs).
 type Stats struct {
+	ConnStats
+	FetchStats
+	ShedStats
+	PeerStats
+}
+
+// ConnStats count connections and the serving loop.
+type ConnStats struct {
 	// Conns counts connections ever accepted; CurrConns is the number
 	// open now.
-	Conns, CurrConns uint64
+	Conns     uint64 `prom:"pamakv_connections_total" help:"Connections ever accepted." stat:"total_connections"`
+	CurrConns uint64 `prom:"pamakv_connections" help:"Connections open now." stat:"curr_connections"`
 	// ClientErrors counts malformed requests (the client's fault:
 	// protocol errors, oversized lines, bad operands).
-	ClientErrors uint64
+	ClientErrors uint64 `prom:"pamakv_client_errors_total" help:"Malformed requests."`
 	// ServerErrors counts SERVER_ERROR replies (the server's fault: the
 	// engine rejected an operation it should have handled).
-	ServerErrors uint64
+	ServerErrors uint64 `prom:"pamakv_server_errors_total" help:"SERVER_ERROR replies."`
 	// IOErrors counts socket read/write failures other than clean EOF
 	// and idle timeouts.
-	IOErrors uint64
+	IOErrors uint64 `prom:"pamakv_io_errors_total" help:"Socket failures."`
 	// IdleTimeouts counts connections closed by ReadTimeout.
-	IdleTimeouts uint64
+	IdleTimeouts uint64 `prom:"pamakv_idle_timeouts_total" help:"Connections closed by the idle deadline."`
 	// ForcedCloses counts connections killed because they outlived the
 	// shutdown drain window.
-	ForcedCloses uint64
+	ForcedCloses uint64 `prom:"pamakv_forced_closes_total" help:"Connections killed because they outlived the shutdown drain window."`
 	// Batches counts response flushes; BatchedCmds counts requests
 	// served across them (BatchedCmds/Batches = mean pipeline depth).
-	Batches, BatchedCmds uint64
-	// BackendRetries counts backend fetch re-attempts; BackendTimeouts
-	// counts attempts cut by FetchTimeout; BackendFailures counts fetch
-	// chains that exhausted their retries.
-	BackendRetries, BackendTimeouts, BackendFailures uint64
+	Batches     uint64 `prom:"pamakv_response_batches_total" help:"Pipelined response flushes."`
+	BatchedCmds uint64 `prom:"pamakv_batched_commands_total" help:"Requests served across batches."`
 	// StaleServes counts GETs answered from the stale buffer, after a
 	// backend failure or preemptively under overload pressure.
-	StaleServes uint64
+	StaleServes uint64 `prom:"pamakv_stale_serves_total" help:"GETs degraded to a stale value."`
+}
+
+// FetchStats count the read-through fetch chain: BackendRetries the
+// re-attempts, BackendTimeouts the attempts cut by FetchTimeout,
+// BackendFailures the chains that exhausted their retries.
+type FetchStats struct {
+	BackendRetries  uint64 `prom:"pamakv_backend_retries_total" help:"Backend fetch re-attempts."`
+	BackendTimeouts uint64 `prom:"pamakv_backend_timeouts_total" help:"Backend attempts cut by FetchTimeout."`
+	BackendFailures uint64 `prom:"pamakv_backend_failures_total" help:"Fetch chains that exhausted retries."`
+}
+
+// ShedStats count what admission control refused.
+type ShedStats struct {
 	// Sheds counts requests refused at admission with SERVER_ERROR busy
 	// (shed) by the overload controller.
-	Sheds uint64
+	Sheds uint64 `prom:"pamakv_sheds_total" help:"Requests refused at admission with a shed reply."`
 	// FetchSheds counts GET misses whose backend fetch was suppressed by
 	// the overload tier (the miss was served as a miss instead of paying
 	// the fetch).
-	FetchSheds uint64
+	FetchSheds uint64 `prom:"pamakv_shed_fetches_total" help:"Backend fetches suppressed by the overload tier."`
 	// PeerSheds counts forwarded requests the owning peer refused with a
 	// shed reply (served as a miss / relayed verbatim, never retried
 	// against the backend).
-	PeerSheds uint64
+	PeerSheds uint64 `prom:"pamakv_peer_sheds_total" help:"Forwards the owning peer refused with a shed reply."`
+}
+
+// PeerStats count the cluster tier's forwarding.
+type PeerStats struct {
 	// PeerForwards counts requests relayed to an owning peer (cluster
 	// mode); PeerHits the forwarded GETs the peer answered with a value.
-	PeerForwards, PeerHits uint64
+	PeerForwards uint64 `prom:"pamakv_cluster_forwards_total" help:"Requests relayed to an owning peer." stat:"peer_forwards"`
+	PeerHits     uint64 `prom:"pamakv_cluster_peer_hits_total" help:"Forwarded GETs the owner answered with a value." stat:"peer_hits"`
 	// PeerErrors counts forwards that failed at transport level (after
 	// the peer client's retries and hedging); PeerFallbacks the subset
 	// of failed GET forwards that degraded to a local backend fetch.
-	PeerErrors, PeerFallbacks uint64
+	PeerErrors    uint64 `prom:"pamakv_cluster_peer_errors_total" help:"Forwards failed at transport level." stat:"peer_errors"`
+	PeerFallbacks uint64 `prom:"pamakv_cluster_fallbacks_total" help:"Failed GET forwards degraded to a local backend fetch." stat:"peer_fallbacks"`
 	// HotHits counts GETs of remote-owned keys answered from the local
-	// hot-item mini-cache without touching the owner.
-	HotHits uint64
+	// hot-item mini-cache without touching the owner (/metrics has it as
+	// the hot cache's own hit counter).
+	HotHits uint64 `stat:"hot_hits"`
 	// PeerExchanges counts pipelined peer exchanges (one write, one
 	// in-order read of replies, per owner per batch); PeerExchangedCmds
 	// the forwards they carried (PeerExchangedCmds/PeerExchanges = mean
 	// forwards per exchange, the peer-side twin of BatchedCmds/Batches).
-	PeerExchanges, PeerExchangedCmds uint64
+	PeerExchanges     uint64 `prom:"pamakv_cluster_exchanges_total" help:"Pipelined peer exchanges (one per owner per batch)." stat:"peer_exchanges"`
+	PeerExchangedCmds uint64 `prom:"pamakv_cluster_exchanged_commands_total" help:"Forwards carried across peer exchanges." stat:"peer_exchanged_commands"`
 }
 
 // nstats is Stats with atomic fields, updated lock-free on the hot path.
@@ -535,30 +565,37 @@ func (s *Server) Addr() string {
 // Stats returns a copy of the server-level counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Conns:           s.st.conns.Load(),
-		CurrConns:       s.st.currConns.Load(),
-		ClientErrors:    s.st.clientErrors.Load(),
-		ServerErrors:    s.st.serverErrors.Load(),
-		IOErrors:        s.st.ioErrors.Load(),
-		IdleTimeouts:    s.st.idleTimeouts.Load(),
-		ForcedCloses:    s.st.forcedCloses.Load(),
-		Batches:         s.st.batches.Load(),
-		BatchedCmds:     s.st.batchedCmds.Load(),
-		BackendRetries:  s.st.backendRetries.Load(),
-		BackendTimeouts: s.st.backendTimeouts.Load(),
-		BackendFailures: s.st.backendFailures.Load(),
-		StaleServes:     s.st.staleServes.Load(),
-		Sheds:           s.st.sheds.Load(),
-		FetchSheds:      s.st.fetchSheds.Load(),
-		PeerSheds:       s.st.peerSheds.Load(),
-		PeerForwards:    s.st.peerForwards.Load(),
-		PeerHits:        s.st.peerHits.Load(),
-		PeerErrors:      s.st.peerErrors.Load(),
-		PeerFallbacks:   s.st.peerFallbacks.Load(),
-		HotHits:         s.st.hotHits.Load(),
-
-		PeerExchanges:     s.st.peerExchanges.Load(),
-		PeerExchangedCmds: s.st.peerExchangedCmds.Load(),
+		ConnStats: ConnStats{
+			Conns:        s.st.conns.Load(),
+			CurrConns:    s.st.currConns.Load(),
+			ClientErrors: s.st.clientErrors.Load(),
+			ServerErrors: s.st.serverErrors.Load(),
+			IOErrors:     s.st.ioErrors.Load(),
+			IdleTimeouts: s.st.idleTimeouts.Load(),
+			ForcedCloses: s.st.forcedCloses.Load(),
+			Batches:      s.st.batches.Load(),
+			BatchedCmds:  s.st.batchedCmds.Load(),
+			StaleServes:  s.st.staleServes.Load(),
+		},
+		FetchStats: FetchStats{
+			BackendRetries:  s.st.backendRetries.Load(),
+			BackendTimeouts: s.st.backendTimeouts.Load(),
+			BackendFailures: s.st.backendFailures.Load(),
+		},
+		ShedStats: ShedStats{
+			Sheds:      s.st.sheds.Load(),
+			FetchSheds: s.st.fetchSheds.Load(),
+			PeerSheds:  s.st.peerSheds.Load(),
+		},
+		PeerStats: PeerStats{
+			PeerForwards:      s.st.peerForwards.Load(),
+			PeerHits:          s.st.peerHits.Load(),
+			PeerErrors:        s.st.peerErrors.Load(),
+			PeerFallbacks:     s.st.peerFallbacks.Load(),
+			HotHits:           s.st.hotHits.Load(),
+			PeerExchanges:     s.st.peerExchanges.Load(),
+			PeerExchangedCmds: s.st.peerExchangedCmds.Load(),
+		},
 	}
 }
 
@@ -1354,52 +1391,22 @@ func expireAt(exptime int64) int64 {
 	}
 }
 
+// doStats answers the in-band `stats` command: the engine's counters, then
+// the server's, each group where its subsystem runs, under the STAT names
+// their struct tags give them.
 func (s *Server) doStats(out []byte) []byte {
-	st := s.c.Stats()
-	out = proto.AppendStat(out, "cmd_get", st.Gets)
-	out = proto.AppendStat(out, "get_hits", st.Hits)
-	out = proto.AppendStat(out, "get_misses", st.Misses)
-	out = proto.AppendStat(out, "cmd_set", st.Sets)
-	out = proto.AppendStat(out, "overwrites", st.Overwrites)
-	out = proto.AppendStat(out, "cmd_delete", st.Deletes)
-	out = proto.AppendStat(out, "evictions", st.Evictions)
-	out = proto.AppendStat(out, "ghost_hits", st.GhostHits)
-	out = proto.AppendStat(out, "stale_gets", st.StaleGets)
+	out = obs.AppendStats(out, s.c.Stats())
 	out = proto.AppendStat(out, "curr_items", s.c.Items())
 	out = proto.AppendStat(out, "policy", s.c.PolicyName())
 	ss := s.Stats()
-	out = proto.AppendStat(out, "curr_connections", ss.CurrConns)
-	out = proto.AppendStat(out, "total_connections", ss.Conns)
-	out = proto.AppendStat(out, "client_errors", ss.ClientErrors)
-	out = proto.AppendStat(out, "server_errors", ss.ServerErrors)
-	out = proto.AppendStat(out, "io_errors", ss.IOErrors)
-	out = proto.AppendStat(out, "idle_timeouts", ss.IdleTimeouts)
-	out = proto.AppendStat(out, "response_batches", ss.Batches)
-	out = proto.AppendStat(out, "batched_commands", ss.BatchedCmds)
-	out = proto.AppendStat(out, "backend_retries", ss.BackendRetries)
-	out = proto.AppendStat(out, "backend_timeouts", ss.BackendTimeouts)
-	out = proto.AppendStat(out, "backend_failures", ss.BackendFailures)
-	out = proto.AppendStat(out, "stale_serves", ss.StaleServes)
+	out = obs.AppendStats(out, ss.ConnStats)
+	out = obs.AppendStats(out, ss.FetchStats)
 	if s.ctrl != nil {
-		os := s.ctrl.Stats()
-		out = proto.AppendStat(out, "overload_tier", os.Tier)
-		out = proto.AppendStat(out, "overload_limit", os.Limit)
-		out = proto.AppendStat(out, "overload_inflight", os.Inflight)
-		out = proto.AppendStat(out, "overload_queued", os.Queued)
-		out = proto.AppendStat(out, "overload_peak_inflight", os.PeakInflight)
-		out = proto.AppendStat(out, "overload_admitted", os.Admitted)
-		out = proto.AppendStat(out, "sheds", ss.Sheds)
-		out = proto.AppendStat(out, "shed_fetches", ss.FetchSheds)
-		out = proto.AppendStat(out, "peer_sheds", ss.PeerSheds)
+		out = obs.AppendStats(out, s.ctrl.Stats())
+		out = obs.AppendStats(out, ss.ShedStats)
 	}
 	if s.peers != nil {
-		out = proto.AppendStat(out, "peer_forwards", ss.PeerForwards)
-		out = proto.AppendStat(out, "peer_hits", ss.PeerHits)
-		out = proto.AppendStat(out, "peer_errors", ss.PeerErrors)
-		out = proto.AppendStat(out, "peer_fallbacks", ss.PeerFallbacks)
-		out = proto.AppendStat(out, "hot_hits", ss.HotHits)
-		out = proto.AppendStat(out, "peer_exchanges", ss.PeerExchanges)
-		out = proto.AppendStat(out, "peer_exchanged_commands", ss.PeerExchangedCmds)
+		out = obs.AppendStats(out, ss.PeerStats)
 	}
 	for cl, n := range s.c.SnapshotSlabs() {
 		if n > 0 {

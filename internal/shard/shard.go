@@ -17,6 +17,7 @@ import (
 
 	"pamakv/internal/cache"
 	"pamakv/internal/kv"
+	"pamakv/internal/obs"
 )
 
 // PolicyFactory builds one policy instance per shard (policies are stateful
@@ -194,7 +195,7 @@ func (g *Group) Items() int {
 func (g *Group) Stats() cache.Stats {
 	var t cache.Stats
 	for _, s := range g.shards {
-		t = cache.AddStats(t, s.Stats())
+		obs.Sum(&t, s.Stats())
 	}
 	return t
 }
@@ -233,7 +234,7 @@ func (g *Group) PolicyName() string { return g.shards[0].PolicyName() }
 func (g *Group) AccessBufStats() cache.AccessBufStats {
 	var t cache.AccessBufStats
 	for _, s := range g.shards {
-		cache.MergeAccessBufStats(&t, s.AccessBufStats())
+		obs.Sum(&t, s.AccessBufStats())
 	}
 	return t
 }

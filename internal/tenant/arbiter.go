@@ -190,22 +190,22 @@ func (a *Arbiter) Stop() {
 // MemberStats is one tenant's arbitration state.
 type MemberStats struct {
 	Name         string  `json:"name"`
-	Weight       float64 `json:"weight"`
-	SLOClass     int     `json:"slo_class"`
-	ReserveSlabs int     `json:"reserve_slabs"`
-	Slabs        int     `json:"slabs"`
+	Weight       float64 `json:"weight" prom:"pamakv_tenant_weight" help:"Arbitration weight."`
+	SLOClass     int     `json:"slo_class" prom:"pamakv_tenant_slo_class" help:"Overload SLO class (0 = most protected)."`
+	ReserveSlabs int     `json:"reserve_slabs" prom:"pamakv_tenant_reserve_slabs" help:"Slab floor the arbiter never breaches."`
+	Slabs        int     `json:"slabs" prom:"pamakv_tenant_slabs" help:"Slabs currently budgeted to the tenant."`
 	// Incoming and Outgoing are the tenant's marginal slab values at the
 	// last arbitration step (zero before the first).
-	Incoming float64 `json:"incoming"`
-	Outgoing float64 `json:"outgoing"`
-	SlabsIn  uint64  `json:"slabs_in"`
-	SlabsOut uint64  `json:"slabs_out"`
+	Incoming float64 `json:"incoming" prom:"pamakv_tenant_incoming_value" help:"Marginal penalty saved per window were the tenant granted one slab (last arbiter step)."`
+	Outgoing float64 `json:"outgoing" prom:"pamakv_tenant_outgoing_value" help:"Marginal penalty paid per window giving one slab up (last arbiter step)."`
+	SlabsIn  uint64  `json:"slabs_in" prom:"pamakv_tenant_slabs_in_total" help:"Slabs received from other tenants by arbitration."`
+	SlabsOut uint64  `json:"slabs_out" prom:"pamakv_tenant_slabs_out_total" help:"Slabs donated to other tenants by arbitration."`
 }
 
 // ArbiterStats is a consistent snapshot of the arbiter's counters.
 type ArbiterStats struct {
-	Steps   uint64        `json:"steps"`
-	Moves   uint64        `json:"moves"`
+	Steps   uint64        `json:"steps" prom:"pamakv_tenant_arbiter_steps_total" help:"Arbitration rounds run."`
+	Moves   uint64        `json:"moves" prom:"pamakv_tenant_arbiter_moves_total" help:"Slabs moved between tenants."`
 	Members []MemberStats `json:"members"`
 	// Matrix[d][r] counts slabs moved from tenant d to tenant r.
 	Matrix [][]uint64 `json:"matrix"`

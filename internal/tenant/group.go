@@ -120,14 +120,14 @@ func CheckIsolation(members []Member) error {
 // its arbitration state plus what its engines hold and have served.
 type Snapshot struct {
 	MemberStats
-	ReservedBytes int64  `json:"reserved_bytes"`
-	FreeSlabs     int    `json:"free_slabs"`
-	Items         int    `json:"items"`
-	UsedBytes     int64  `json:"used_bytes"`
-	Gets          uint64 `json:"gets"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
+	ReservedBytes int64  `json:"reserved_bytes" prom:"pamakv_tenant_reserved_bytes" help:"Configured memory reserve."`
+	FreeSlabs     int    `json:"free_slabs" prom:"pamakv_tenant_free_slabs" help:"Tenant slabs not yet granted to a class."`
+	Items         int    `json:"items" prom:"pamakv_tenant_items" help:"Resident items owned by the tenant."`
+	UsedBytes     int64  `json:"used_bytes" prom:"pamakv_tenant_used_bytes" help:"Slot bytes occupied by the tenant's items."`
+	Gets          uint64 `json:"gets" prom:"pamakv_tenant_gets_total" help:"GETs routed to the tenant."`
+	Hits          uint64 `json:"hits" prom:"pamakv_tenant_hits_total" help:"GET hits in the tenant's engines."`
+	Misses        uint64 `json:"misses" prom:"pamakv_tenant_misses_total" help:"GET misses in the tenant's engines."`
+	Evictions     uint64 `json:"evictions" prom:"pamakv_tenant_evictions_total" help:"Items evicted from the tenant's engines."`
 	// SubHits and SubMisses fold the per-class attribution down to
 	// penalty subclasses; EvictedPenaltyBySub is the penalty the tenant's
 	// policy chose to pay, per subclass.
