@@ -44,8 +44,9 @@ func eachSourceFile(t *testing.T, fn func(path string, fset *token.FileSet, f *a
 
 // TestOneWireClient keeps the module at one transport: outside tests, only
 // internal/cluster/client.go opens a connection to a pamakv server. The
-// other two entries talk to foreign servers (pama-iperf's memcached and redis
-// drivers) or are self-contained demos. benchmark/ is a module of its own
+// other two entries are the load generator's hand-rolled baseline drivers
+// (pama-iperf's memc-txt and redis protocols, measured beside the client
+// under test) or are self-contained demos. benchmark/ is a module of its own
 // whose generator is deliberately independent of internal/.
 func TestOneWireClient(t *testing.T) {
 	mayDial := func(path string) bool {

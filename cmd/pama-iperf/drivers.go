@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pamakv/internal/client"
+	"pamakv/internal/proto"
 )
 
 // driverFactory maps -protocol to a per-worker Benchmarker constructor.
@@ -19,7 +20,7 @@ import (
 //   - memc-txt: a deliberately minimal hand-rolled Memcached text client on
 //     one connection — the neutral baseline every text-protocol server
 //     (pamakv included) can be driven through.
-//   - redis: a minimal RESP2 client (SET/GET/pipelined GET).
+//   - redis: a minimal RESP2 client (SET/GET/DEL/pipelined GET).
 func driverFactory(cfg config) (factory, error) {
 	switch cfg.protocol {
 	case "pamakv":
@@ -63,39 +64,38 @@ func newPamaBench(cfg config) (*pamaBench, error) {
 
 func (b *pamaBench) Set(key string, value []byte) error { return b.c.Set(key, 0, 0, value) }
 
-func (b *pamaBench) Get(key string) (bool, error) {
+func (b *pamaBench) Get(key string) error {
 	_, err := b.c.Get(key)
-	if errors.Is(err, client.ErrCacheMiss) {
-		return false, nil
-	}
-	return err == nil, err
+	return err
 }
 
-func (b *pamaBench) GetBatch(keys []string) (int, error) {
+func (b *pamaBench) Delete(key string) error { return b.c.Delete(key) }
+
+func (b *pamaBench) GetBatch(keys []string, errs []error) {
 	for _, k := range keys {
 		b.p.Get(k)
 	}
 	results, err := b.p.Exec()
-	if err != nil {
-		return 0, err
-	}
-	hits := 0
-	var firstErr error
-	for _, r := range results {
-		switch {
-		case r.Err == nil:
-			hits++
-		case errors.Is(r.Err, client.ErrCacheMiss):
-		case firstErr == nil:
-			firstErr = r.Err
+	for i := range errs {
+		errs[i] = err // only a closed client fails the batch as a whole
+		if err == nil {
+			errs[i] = results[i].Err
 		}
 	}
-	return hits, firstErr
 }
 
 func (b *pamaBench) Close() error {
 	b.c.Close()
 	return nil
+}
+
+// lineErr maps an error reply line onto the Benchmarker vocabulary: the shed
+// line is client.ErrServerBusy, any other line a failed operation.
+func lineErr(l string) error {
+	if l == "SERVER_ERROR "+proto.ShedMsg {
+		return client.ErrServerBusy
+	}
+	return errors.New(l)
 }
 
 // memcText is the baseline text-protocol driver: one connection, one bufio
@@ -123,6 +123,21 @@ func (m *memcText) line() (string, error) {
 	return strings.TrimRight(s, "\r\n"), nil
 }
 
+// status reads a one-line reply to a store or delete: ok is success and
+// NOT_FOUND a miss.
+func (m *memcText) status(ok string) error {
+	l, err := m.line()
+	switch {
+	case err != nil:
+		return err
+	case l == ok:
+		return nil
+	case l == "NOT_FOUND":
+		return client.ErrCacheMiss
+	}
+	return lineErr(l)
+}
+
 func (m *memcText) Set(key string, value []byte) error {
 	fmt.Fprintf(m.w, "set %s 0 0 %d\r\n", key, len(value))
 	m.w.Write(value)
@@ -130,79 +145,75 @@ func (m *memcText) Set(key string, value []byte) error {
 	if err := m.w.Flush(); err != nil {
 		return err
 	}
-	l, err := m.line()
-	if err != nil {
+	return m.status("STORED")
+}
+
+func (m *memcText) Delete(key string) error {
+	fmt.Fprintf(m.w, "delete %s\r\n", key)
+	if err := m.w.Flush(); err != nil {
 		return err
 	}
-	if l != "STORED" {
-		return fmt.Errorf("set: %s", l)
-	}
-	return nil
+	return m.status("DELETED")
 }
 
-func (m *memcText) Get(key string) (bool, error) {
-	fmt.Fprintf(m.w, "get %s\r\n", key)
-	if err := m.w.Flush(); err != nil {
-		return false, err
-	}
-	return m.readGet()
+func (m *memcText) Get(key string) error {
+	var errs [1]error
+	m.GetBatch([]string{key}, errs[:])
+	return errs[0]
 }
 
-// readGet consumes one get response: zero or one VALUE block, then END.
-func (m *memcText) readGet() (bool, error) {
-	hit := false
+// readGet consumes one get response: a VALUE block then END (reply nil), a
+// bare END (client.ErrCacheMiss) or an error line, which has no END after it.
+// err reports a connection that can no longer be read in step.
+func (m *memcText) readGet() (reply, err error) {
+	reply = client.ErrCacheMiss
 	for {
 		l, err := m.line()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		switch {
 		case l == "END":
-			return hit, nil
+			return reply, nil
 		case strings.HasPrefix(l, "VALUE "):
 			f := strings.Fields(l)
 			if len(f) < 4 {
-				return false, fmt.Errorf("bad VALUE line %q", l)
+				return nil, fmt.Errorf("bad VALUE line %q", l)
 			}
 			n, err := strconv.Atoi(f[3])
 			if err != nil {
-				return false, fmt.Errorf("bad VALUE length %q", l)
+				return nil, fmt.Errorf("bad VALUE length %q", l)
 			}
 			if _, err := m.r.Discard(n + 2); err != nil {
-				return false, err
+				return nil, err
 			}
-			hit = true
+			reply = nil
 		default:
-			return false, fmt.Errorf("get: %s", l)
+			return lineErr(l), nil
 		}
 	}
 }
 
-func (m *memcText) GetBatch(keys []string) (int, error) {
+func (m *memcText) GetBatch(keys []string, errs []error) {
 	for _, k := range keys {
 		m.w.WriteString("get ")
 		m.w.WriteString(k)
 		m.w.WriteString("\r\n")
 	}
-	if err := m.w.Flush(); err != nil {
-		return 0, err
-	}
-	hits := 0
-	for range keys {
-		hit, err := m.readGet()
+	err := m.w.Flush()
+	for i := range errs {
+		if err == nil {
+			errs[i], err = m.readGet()
+		}
 		if err != nil {
-			return hits, err
-		}
-		if hit {
-			hits++
+			errs[i] = err
 		}
 	}
-	return hits, nil
 }
 
 func (m *memcText) Close() error { return m.nc.Close() }
 
-// respBench is a minimal RESP2 client: inline-free, bulk-string SET/GET,
+// respBench is a minimal RESP2 client: inline-free, bulk-string SET/GET/DEL,
 // pipelined multi-GET. Enough protocol to benchmark redis and
 // redis-compatible servers without pulling in a dependency.
 type respBench struct {
@@ -236,73 +247,78 @@ func (b *respBench) line() (string, error) {
 	return strings.TrimRight(s, "\r\n"), nil
 }
 
-// readReply consumes one RESP reply, reporting whether it was a non-null
-// value.
-func (b *respBench) readReply() (bool, error) {
+// readReply consumes one RESP reply: a value, status or non-zero count
+// (reply nil), a null bulk or a zero count (client.ErrCacheMiss) or an error
+// reply. err reports a connection that can no longer be read in step.
+func (b *respBench) readReply() (reply, err error) {
 	l, err := b.line()
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if l == "" {
-		return false, fmt.Errorf("empty RESP line")
+		return nil, fmt.Errorf("empty RESP line")
 	}
 	switch l[0] {
-	case '+', ':':
-		return true, nil
+	case '+':
+		return nil, nil
+	case ':':
+		if l == ":0" {
+			return client.ErrCacheMiss, nil
+		}
+		return nil, nil
 	case '-':
-		return false, fmt.Errorf("redis: %s", l[1:])
+		return fmt.Errorf("redis: %s", l[1:]), nil
 	case '$':
 		n, err := strconv.Atoi(l[1:])
 		if err != nil {
-			return false, fmt.Errorf("bad bulk length %q", l)
+			return nil, fmt.Errorf("bad bulk length %q", l)
 		}
 		if n < 0 {
-			return false, nil // null bulk: a miss
+			return client.ErrCacheMiss, nil
 		}
 		if _, err := b.r.Discard(n + 2); err != nil {
-			return false, err
+			return nil, err
 		}
-		return true, nil
+		return nil, nil
 	default:
-		return false, fmt.Errorf("unexpected RESP reply %q", l)
+		return nil, fmt.Errorf("unexpected RESP reply %q", l)
 	}
 }
 
-func (b *respBench) Set(key string, value []byte) error {
-	b.writeCmd([]byte("SET"), []byte(key), value)
+// do sends one command and waits for its reply.
+func (b *respBench) do(args ...[]byte) error {
+	b.writeCmd(args...)
 	if err := b.w.Flush(); err != nil {
 		return err
 	}
-	_, err := b.readReply()
-	return err
-}
-
-func (b *respBench) Get(key string) (bool, error) {
-	b.writeCmd([]byte("GET"), []byte(key))
-	if err := b.w.Flush(); err != nil {
-		return false, err
+	reply, err := b.readReply()
+	if err != nil {
+		return err
 	}
-	return b.readReply()
+	return reply
 }
 
-func (b *respBench) GetBatch(keys []string) (int, error) {
+func (b *respBench) Set(key string, value []byte) error {
+	return b.do([]byte("SET"), []byte(key), value)
+}
+
+func (b *respBench) Get(key string) error { return b.do([]byte("GET"), []byte(key)) }
+
+func (b *respBench) Delete(key string) error { return b.do([]byte("DEL"), []byte(key)) }
+
+func (b *respBench) GetBatch(keys []string, errs []error) {
 	for _, k := range keys {
 		b.writeCmd([]byte("GET"), []byte(k))
 	}
-	if err := b.w.Flush(); err != nil {
-		return 0, err
-	}
-	hits := 0
-	for range keys {
-		hit, err := b.readReply()
+	err := b.w.Flush()
+	for i := range errs {
+		if err == nil {
+			errs[i], err = b.readReply()
+		}
 		if err != nil {
-			return hits, err
-		}
-		if hit {
-			hits++
+			errs[i] = err
 		}
 	}
-	return hits, nil
 }
 
 func (b *respBench) Close() error { return b.nc.Close() }

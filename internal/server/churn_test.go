@@ -158,7 +158,7 @@ func readPass(t *testing.T, cl *client, keys []string) (hits, misses int, lats [
 // ackTracker records, per key, the last acknowledged write sequence and
 // the highest sequence ever sent. A read is consistent iff its sequence
 // is within [lastAcked, maxSent]: nothing acked may be lost, and nothing
-// never-written may appear.
+// never-written may appear. Each key must have a single writer.
 type ackTracker struct {
 	mu    sync.Mutex
 	acked map[string]int
@@ -296,11 +296,16 @@ func TestChurnJoinWarmHandoffGate(t *testing.T) {
 	steadyP99 := p99(steadyLats)
 
 	// Storm: writers and readers through different nodes for the whole
-	// join window.
+	// join window. Each key has one writer: two writers' sequences for one
+	// key interleave, and the ack window needs a key's sequences to grow.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	stormWriter(t, nodes[0].addr, keys, acks, stop, &wg)
-	stormWriter(t, nodes[2].addr, keys, acks, stop, &wg)
+	var halves [2][]string
+	for i, k := range keys {
+		halves[i%2] = append(halves[i%2], k)
+	}
+	stormWriter(t, nodes[0].addr, halves[0], acks, stop, &wg)
+	stormWriter(t, nodes[2].addr, halves[1], acks, stop, &wg)
 	stormReader(t, nodes[1].addr, keys, stop, &wg)
 
 	// The 4th node joins through the seed while the storm runs.
