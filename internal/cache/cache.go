@@ -784,6 +784,14 @@ func (c *Cache) CheckInvariants() error {
 	if err := c.slabs.CheckInvariants(); err != nil {
 		return err
 	}
+	for _, idx := range []*hashtable.Table{c.index, c.gindex, c.staleIdx} {
+		if idx == nil {
+			continue
+		}
+		if err := idx.CheckInvariants(); err != nil {
+			return err
+		}
+	}
 	total := 0
 	for ci := range c.classes {
 		n := 0

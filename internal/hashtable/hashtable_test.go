@@ -3,6 +3,7 @@ package hashtable
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,31 @@ import (
 
 func item(key string) *kv.Item {
 	return &kv.Item{Key: key, Hash: kv.HashString(key)}
+}
+
+// tinyHash keeps 3 bits of a key's hash and sets every bit above them, so
+// any table sees at most 8 home slots, all at its end: runs collide, and
+// once they outgrow the last slots they wrap to slot 0.
+func tinyHash(key string) uint64 { return ^(kv.HashString(key) & 7) }
+
+// forced returns an item whose hash is h, whatever its key.
+func forced(key string, h uint64) *kv.Item { return &kv.Item{Key: key, Hash: h} }
+
+func check(t *testing.T, tb *Table) {
+	t.Helper()
+	if err := tb.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// slotOf returns the slot index holding it, or -1.
+func slotOf(tb *Table, it *kv.Item) int {
+	for i, s := range tb.slots {
+		if s.it == it {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestGetMissing(t *testing.T) {
@@ -38,6 +64,7 @@ func TestPutGetDelete(t *testing.T) {
 	if tb.Delete(a.Hash, "a") != nil {
 		t.Fatal("second Delete should return nil")
 	}
+	check(t, tb)
 }
 
 func TestPutReplaces(t *testing.T) {
@@ -53,6 +80,7 @@ func TestPutReplaces(t *testing.T) {
 	if got := tb.Get(a2.Hash, "a"); got != a2 {
 		t.Fatal("Get should return the replacement")
 	}
+	check(t, tb)
 }
 
 func TestGrowthPreservesItems(t *testing.T) {
@@ -64,9 +92,10 @@ func TestGrowthPreservesItems(t *testing.T) {
 	if tb.Len() != n {
 		t.Fatalf("Len = %d, want %d", tb.Len(), n)
 	}
-	if tb.Buckets() < n/2 {
-		t.Fatalf("table did not grow: %d buckets for %d items", tb.Buckets(), n)
+	if len(tb.slots) < 2*n {
+		t.Fatalf("table did not grow: %d slots for %d items", len(tb.slots), n)
 	}
+	check(t, tb)
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key-%d", i)
 		if got := tb.Get(kv.HashString(k), k); got == nil || got.Key != k {
@@ -76,11 +105,11 @@ func TestGrowthPreservesItems(t *testing.T) {
 }
 
 func TestCollidingHashesDistinctKeys(t *testing.T) {
-	// Force two different keys into the same chain with identical Hash
-	// values: the table must distinguish them by key comparison.
+	// Two different keys with identical hashes: the table must distinguish
+	// them by key comparison.
 	tb := New(4)
-	a := &kv.Item{Key: "a", Hash: 12345}
-	b := &kv.Item{Key: "b", Hash: 12345}
+	a := forced("a", 12345)
+	b := forced("b", 12345)
 	tb.Put(a)
 	tb.Put(b)
 	if tb.Get(12345, "a") != a || tb.Get(12345, "b") != b {
@@ -92,13 +121,14 @@ func TestCollidingHashesDistinctKeys(t *testing.T) {
 	if tb.Get(12345, "b") != b {
 		t.Fatal("deleting one collider removed the other")
 	}
+	check(t, tb)
 }
 
 // TestInsertGrows: Insert of keys probed absent is Put without the replace
-// walk — the table still grows while it inserts and loses nothing.
+// probe — the table still grows while it inserts and loses nothing.
 func TestInsertGrows(t *testing.T) {
 	tb := New(4)
-	start := tb.Buckets()
+	start := len(tb.slots)
 	const n = 3000
 	items := make([]*kv.Item, n)
 	for i := range items {
@@ -111,9 +141,10 @@ func TestInsertGrows(t *testing.T) {
 			t.Fatalf("Len = %d after %d inserts", tb.Len(), i+1)
 		}
 	}
-	if tb.Buckets() < n/2 || tb.Buckets() == start {
-		t.Fatalf("table did not grow: %d buckets for %d items", tb.Buckets(), n)
+	if len(tb.slots) < 2*n || len(tb.slots) == start {
+		t.Fatalf("table did not grow: %d slots for %d items", len(tb.slots), n)
 	}
+	check(t, tb)
 	for _, it := range items {
 		if tb.Get(it.Hash, it.Key) != it {
 			t.Fatalf("lost %q across growth", it.Key)
@@ -121,43 +152,85 @@ func TestInsertGrows(t *testing.T) {
 	}
 }
 
-// TestRemoveByPointer removes the head, the middle and the tail of one chain
-// by pointer, then an item that is not stored.
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for pos := 0; pos <= len(p); pos++ {
+			q := append(append(append([]int{}, p[:pos]...), n-1), p[pos:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestRemoveByPointer removes every member of one probe run by pointer, in
+// every order: the run starts at the last slot of a 16-slot table and wraps
+// to slot 0, so its first, middle and last members sit on both sides of the
+// wrap. Then an item whose home lies after the hole stays put, and an item
+// that is not stored is not found.
 func TestRemoveByPointer(t *testing.T) {
-	for _, order := range [][]int{{2, 1, 0}, {1, 0, 2}, {0, 2, 1}, {0, 1, 2}} {
+	for _, order := range permutations(4) {
 		tb := New(4)
-		// Three distinct keys with one hash share a chain: c is its head
-		// (inserted last), a its tail.
-		chain := []*kv.Item{{Key: "a", Hash: 7}, {Key: "b", Hash: 7}, {Key: "c", Hash: 7}}
-		other := item("other")
+		if len(tb.slots) != 16 {
+			t.Fatalf("New(4) has %d slots, the test assumes 16", len(tb.slots))
+		}
+		// Homes 14, 14, 15, 0 fill slots 14, 15, 0, 1: one run across the wrap.
+		run := []*kv.Item{forced("a", 14), forced("b", 14), forced("c", 15), forced("d", 0)}
+		other := forced("other", 5)
 		tb.Insert(other)
-		for _, it := range chain {
+		for _, it := range run {
 			tb.Insert(it)
 		}
-		left := map[*kv.Item]bool{chain[0]: true, chain[1]: true, chain[2]: true}
+		for i, want := range []int{14, 15, 0, 1} {
+			if got := slotOf(tb, run[i]); got != want {
+				t.Fatalf("%q in slot %d, want %d", run[i].Key, got, want)
+			}
+		}
+		check(t, tb)
+		left := map[*kv.Item]bool{run[0]: true, run[1]: true, run[2]: true, run[3]: true}
 		for _, i := range order {
-			if !tb.Remove(chain[i]) {
-				t.Fatalf("order %v: Remove(%q) found nothing", order, chain[i].Key)
+			if !tb.Remove(run[i]) {
+				t.Fatalf("order %v: Remove(%q) found nothing", order, run[i].Key)
 			}
-			delete(left, chain[i])
-			if chain[i].HNext != nil {
-				t.Fatalf("order %v: removed %q still links into the chain", order, chain[i].Key)
+			delete(left, run[i])
+			check(t, tb)
+			if tb.Remove(run[i]) {
+				t.Fatalf("order %v: second Remove(%q) succeeded", order, run[i].Key)
 			}
-			if tb.Remove(chain[i]) {
-				t.Fatalf("order %v: second Remove(%q) succeeded", order, chain[i].Key)
-			}
-			for _, it := range chain {
-				if got := tb.Get(7, it.Key); (got == it) != left[it] {
-					t.Fatalf("order %v after removing %q: Get(%q) = %v, stored %v", order, chain[i].Key, it.Key, got != nil, left[it])
+			for _, it := range run {
+				if got := tb.Get(it.Hash, it.Key); (got == it) != left[it] {
+					t.Fatalf("order %v after removing %q: Get(%q) = %v, stored %v", order, run[i].Key, it.Key, got != nil, left[it])
 				}
 			}
-			if tb.Len() != len(left)+1 || tb.Get(other.Hash, "other") != other {
-				t.Fatalf("order %v: Len = %d with %d of the chain left", order, tb.Len(), len(left))
+			if tb.Len() != len(left)+1 || tb.Get(other.Hash, "other") != other || slotOf(tb, other) != 5 {
+				t.Fatalf("order %v: Len = %d with %d of the run left", order, tb.Len(), len(left))
 			}
 		}
 	}
-	// An equal key is not the same item.
+
+	// Homes 14, 14, 0, 0 fill slots 14, 15, 0, 1. Removing the item in slot
+	// 15 leaves a hole before slot 0, the home of the two items after it:
+	// moving either into slot 15 would put it before its home, out of reach.
 	tb := New(4)
+	a, b, e, f := forced("a", 14), forced("b", 14), forced("e", 0), forced("f", 0)
+	for _, it := range []*kv.Item{a, b, e, f} {
+		tb.Insert(it)
+	}
+	if !tb.Remove(b) {
+		t.Fatal("Remove(b) found nothing")
+	}
+	check(t, tb)
+	if slotOf(tb, a) != 14 || slotOf(tb, e) != 0 || slotOf(tb, f) != 1 || tb.slots[15].it != nil {
+		t.Fatalf("a, e, f in slots %d, %d, %d; want 14, 0, 1 with 15 empty",
+			slotOf(tb, a), slotOf(tb, e), slotOf(tb, f))
+	}
+
+	// An equal key is not the same item.
+	tb = New(4)
 	a1, a2 := item("a"), item("a")
 	tb.Insert(a1)
 	if tb.Remove(a2) || tb.Get(a1.Hash, "a") != a1 || tb.Len() != 1 {
@@ -199,56 +272,189 @@ func TestRangeEarlyStop(t *testing.T) {
 }
 
 // TestAgainstMapModel mirrors random operations in a builtin map and checks
-// full agreement, including Len.
+// full agreement, including Len and the table's invariants: once with the
+// full hash, once with tinyHash so every operation collides.
 func TestAgainstMapModel(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tb := New(4)
-		model := map[string]*kv.Item{}
-		keyOf := func() string { return fmt.Sprintf("k%d", rng.Intn(200)) }
-		for op := 0; op < 1000; op++ {
-			k := keyOf()
-			h := kv.HashString(k)
-			switch rng.Intn(5) {
-			case 0:
-				it := item(k)
-				old := tb.Put(it)
-				if (old != nil) != (model[k] != nil) || (old != nil && old != model[k]) {
-					return false
-				}
-				model[k] = it
-			case 3: // Insert after a probe that found nothing
-				if tb.Get(h, k) == nil {
-					model[k] = item(k)
-					tb.Insert(model[k])
-				}
-			case 4: // Remove by pointer
-				if it := model[k]; it != nil {
-					if !tb.Remove(it) {
+	for name, hash := range map[string]func(string) uint64{"full": kv.HashString, "3-bit": tinyHash} {
+		t.Run(name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				tb := New(4)
+				model := map[string]*kv.Item{}
+				for op := 0; op < 1000; op++ {
+					k := fmt.Sprintf("k%d", rng.Intn(200))
+					h := hash(k)
+					switch rng.Intn(5) {
+					case 0:
+						it := forced(k, h)
+						if old := tb.Put(it); old != model[k] {
+							return false
+						}
+						model[k] = it
+					case 1:
+						if tb.Get(h, k) != model[k] {
+							return false
+						}
+					case 2:
+						if tb.Delete(h, k) != model[k] {
+							return false
+						}
+						delete(model, k)
+					case 3: // Insert after a probe that found nothing
+						if tb.Get(h, k) == nil {
+							model[k] = forced(k, h)
+							tb.Insert(model[k])
+						}
+					case 4: // Remove by pointer
+						if it := model[k]; it != nil {
+							if !tb.Remove(it) {
+								return false
+							}
+							delete(model, k)
+						}
+					}
+					if tb.Len() != len(model) || tb.CheckInvariants() != nil {
 						return false
 					}
-					delete(model, k)
 				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCheckInvariantsCatches breaks each rule CheckInvariants states and
+// expects a report.
+func TestCheckInvariantsCatches(t *testing.T) {
+	build := func() *Table {
+		tb := New(4)
+		for _, it := range []*kv.Item{forced("a", 14), forced("b", 14), forced("c", 15)} {
+			tb.Insert(it)
+		}
+		return tb
+	}
+	for name, breakIt := range map[string]func(tb *Table){
+		"count":   func(tb *Table) { tb.n++ },
+		"cut off": func(tb *Table) { tb.slots[15] = slot{}; tb.n-- },
+		"hash":    func(tb *Table) { tb.slots[0].hash = 3 },
+		"load": func(tb *Table) {
+			*tb = Table{slots: make([]slot, 4), mask: 3, n: 3}
+			for i, it := range []*kv.Item{forced("x", 0), forced("y", 1), forced("z", 2)} {
+				tb.slots[i] = slot{it.Hash, it}
+			}
+		},
+	} {
+		tb := build()
+		check(t, tb)
+		breakIt(tb)
+		if tb.CheckInvariants() == nil {
+			t.Errorf("%s: CheckInvariants found nothing wrong", name)
+		}
+	}
+}
+
+// TestChurnAtConstantLenAllocs: 1 M Insert/Remove pairs at a constant Len of
+// 10 k neither grow the table (no tombstones accumulate) nor allocate.
+func TestChurnAtConstantLenAllocs(t *testing.T) {
+	const live, pool, pairs = 10_000, 20_000, 1_000_000
+	items := make([]*kv.Item, pool)
+	for i := range items {
+		items[i] = item(kv.KeyString(uint64(i)))
+	}
+	tb := New(4)
+	for _, it := range items[:live] {
+		tb.Insert(it)
+	}
+	slots := len(tb.slots)
+	next := 0 // items[next : next+live) (mod pool) are stored
+	allocs := testing.AllocsPerRun(1, func() {
+		for k := 0; k < pairs; k++ {
+			if !tb.Remove(items[next]) {
+				t.Fatalf("pair %d: Remove found nothing", k)
+			}
+			tb.Insert(items[(next+live)%pool])
+			next = (next + 1) % pool
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per %d pairs, want 0", allocs, pairs)
+	}
+	if len(tb.slots) != slots || tb.Len() != live {
+		t.Fatalf("after churn: %d slots (was %d), Len %d (want %d)", len(tb.slots), slots, tb.Len(), live)
+	}
+	check(t, tb)
+}
+
+// FuzzTable decodes byte pairs into Put/Insert/Get/Delete/Remove over at most
+// 64 keys hashed by tinyHash, so runs collide and wrap, and compares every
+// answer with a map model, checking the invariants after each operation.
+func FuzzTable(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 3, 2, 4, 1, 2, 3})
+	var fill []byte
+	for k := byte(0); k < 64; k++ {
+		fill = append(fill, 1, k)
+	}
+	for k := byte(0); k < 64; k += 3 {
+		fill = append(fill, 4, k, 2, k+1)
+	}
+	f.Add(fill)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		tb := New(4)
+		model := map[string]*kv.Item{}
+		for p := 0; p+1 < len(ops); p += 2 {
+			k := fmt.Sprintf("k%d", ops[p+1]%64)
+			h := tinyHash(k)
+			switch ops[p] % 5 {
+			case 0:
+				it := forced(k, h)
+				if old := tb.Put(it); old != model[k] {
+					t.Fatalf("op %d: Put(%q) replaced %p, model %p", p/2, k, old, model[k])
+				}
+				model[k] = it
 			case 1:
-				if tb.Get(h, k) != model[k] {
-					return false
+				if model[k] == nil {
+					model[k] = forced(k, h)
+					tb.Insert(model[k])
 				}
 			case 2:
-				old := tb.Delete(h, k)
-				if old != model[k] {
-					return false
+				if got := tb.Get(h, k); got != model[k] {
+					t.Fatalf("op %d: Get(%q) = %p, model %p", p/2, k, got, model[k])
+				}
+			case 3:
+				if got := tb.Delete(h, k); got != model[k] {
+					t.Fatalf("op %d: Delete(%q) = %p, model %p", p/2, k, got, model[k])
+				}
+				delete(model, k)
+			case 4:
+				it := model[k]
+				if it == nil {
+					it = forced(k, h) // never stored: Remove must not find it
+				}
+				if got := tb.Remove(it); got != (model[k] != nil) {
+					t.Fatalf("op %d: Remove(%q) = %v, model holds it: %v", p/2, k, got, model[k] != nil)
 				}
 				delete(model, k)
 			}
 			if tb.Len() != len(model) {
-				return false
+				t.Fatalf("op %d: Len %d, model %d", p/2, tb.Len(), len(model))
 			}
+			check(t, tb)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
+		seen := 0
+		tb.Range(func(it *kv.Item) bool {
+			if model[it.Key] != it {
+				t.Fatalf("Range visited %q, not the model's item", it.Key)
+			}
+			seen++
+			return true
+		})
+		if seen != len(model) {
+			t.Fatalf("Range visited %d items, model holds %d", seen, len(model))
+		}
+	})
 }
 
 func BenchmarkTableGet(b *testing.B) {
@@ -269,3 +475,50 @@ func BenchmarkTableGet(b *testing.B) {
 		}
 	}
 }
+
+// scatteredSink keeps the filler allocations of the scattered benchmarks
+// alive, so the items stay spread over the heap.
+var scatteredSink [][]byte
+
+// benchScattered stores 100 k items, each allocated between filler heap
+// allocations of 200–1 000 B as a server's items are, then looks up either
+// those keys (hit) or 100 k absent ones (miss) in a random permutation. The
+// probe keys and hashes sit in arrays read in order, so only the table and
+// the items it returns are touched at random.
+func benchScattered(b *testing.B, hit bool) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(1))
+	tb := New(4)
+	scatteredSink = make([][]byte, n)
+	for i := 0; i < n; i++ {
+		scatteredSink[i] = make([]byte, 200+rng.Intn(801))
+		tb.Insert(item(kv.KeyString(uint64(i))))
+	}
+	base := 0
+	if !hit {
+		base = n
+	}
+	perm := rng.Perm(n)
+	var sb strings.Builder
+	for _, j := range perm {
+		sb.WriteString(kv.KeyString(uint64(base + j)))
+	}
+	all := sb.String()
+	keys := make([]string, n)
+	hashes := make([]uint64, n)
+	for p := range perm {
+		keys[p] = all[8*p : 8*p+8]
+		hashes[p] = kv.HashString(keys[p])
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := i % n
+		if (tb.Get(hashes[p], keys[p]) != nil) != hit {
+			b.Fatalf("lookup %d: hit = %v", p, !hit)
+		}
+	}
+}
+
+func BenchmarkTableGetScatteredHit(b *testing.B)  { benchScattered(b, true) }
+func BenchmarkTableGetScatteredMiss(b *testing.B) { benchScattered(b, false) }

@@ -2,12 +2,12 @@
 // engine and its substrates, together with the slab-class size geometry used
 // by Memcached-style allocators.
 //
-// Items carry intrusive links for the LRU lists (package lru) and the hash
-// index (package hashtable) so that a resident item costs exactly one
-// allocation and every list/index operation is pointer surgery, never a map
-// rehash or a container allocation. The fields are exported because the
-// sibling internal packages splice them directly; outside code never sees a
-// *kv.Item.
+// Items carry the intrusive links of the LRU lists (package lru), and the
+// hash index (package hashtable) stores *Item in its own slot array, so a
+// resident item costs exactly one allocation and every list operation is
+// pointer surgery, never a container allocation. The fields are exported
+// because the sibling internal packages splice them directly; outside code
+// never sees a *kv.Item.
 package kv
 
 import "fmt"
@@ -39,20 +39,18 @@ func (o Op) String() string {
 }
 
 // Item is one cached object: key, logical size, last observed miss penalty,
-// and the intrusive hooks that place it in exactly one LRU stack and one hash
-// chain. Ghost entries (evicted items remembered for incoming-value
-// estimation) reuse the same struct with Ghost set and Value nil.
+// and the intrusive hooks that place it in exactly one LRU stack. Ghost
+// entries (evicted items remembered for incoming-value estimation) reuse the
+// same struct with Ghost set and Value nil.
 type Item struct {
 	// Key is the full key string. For simulator-generated workloads it is
 	// the 8-byte big-endian encoding of a numeric key id.
 	Key string
 	// Hash caches the 64-bit hash of Key used by the index and the Bloom
-	// filters; it is computed once at insertion.
+	// filters; it is computed once at insertion and must not change while
+	// the item is indexed (the index keeps a copy in the item's slot and
+	// finds the slot again from it).
 	Hash uint64
-	// HNext is the intrusive hash-chain link (owned by package hashtable).
-	// It sits beside Key and Hash so a chain step that rejects an item
-	// (hash or key mismatch) reads one cache line, not two.
-	HNext *Item
 	// Size is the item's footprint in bytes charged against its slot: key
 	// length + value length + per-item metadata overhead.
 	Size int
