@@ -6,8 +6,11 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"pamakv/internal/cache"
 )
 
 // eachSourceFile parses every non-test Go file of the root module
@@ -65,6 +68,45 @@ func TestOneWireClient(t *testing.T) {
 			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "net" && strings.HasPrefix(sel.Sel.Name, "Dial") {
 				t.Errorf("%s: net.%s — connections to a server are cluster.Client's job (internal/cluster/client.go)",
 					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
+// TestOneReadPath keeps the engine at one read path: every GET hit is applied
+// under the engine lock, so outside tests nothing may import the access rings
+// (internal/accessbuf survives only for the benchmark module), set the
+// deprecated cache.Config.AccessBuffer, or implement or call the method of the
+// deprecated cache.BatchRecorder. The two names are read off the frozen
+// declarations themselves.
+func TestOneReadPath(t *testing.T) {
+	field, _ := reflect.TypeOf(cache.Config{}).FieldByName("AccessBuffer")
+	method := reflect.TypeOf((*cache.BatchRecorder)(nil)).Elem().Method(0)
+	banned := map[string]bool{field.Name: true, method.Name: true}
+	eachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+		if strings.HasPrefix(path, "internal/accessbuf/") {
+			return
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"pamakv/internal/accessbuf"` {
+				t.Errorf("%s: imports the access rings — GET hits are applied under the engine lock",
+					fset.Position(imp.Pos()))
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var name *ast.Ident
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				name = n.Sel
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					name = n.Name
+				}
+			}
+			if name != nil && banned[name.Name] {
+				t.Errorf("%s: %s — the deferred read path is gone; hits reach Policy.OnHit",
+					fset.Position(name.Pos()), name.Name)
 			}
 			return true
 		})

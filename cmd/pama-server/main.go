@@ -106,11 +106,6 @@ type options struct {
 	memSecret     string
 }
 
-// accessBuffer is every engine's deferred-access ring capacity (see
-// cache.Config.AccessBuffer): GET hits are recorded in the ring and applied
-// to the LRU and the policy in batches.
-const accessBuffer = 256
-
 // normalize resolves the soft flag defaults before validation. -shards
 // defaults to the core count, but -snapshot requires a single engine; when
 // the operator did not ask for sharding explicitly the default quietly yields
@@ -230,10 +225,9 @@ func run(o options) error {
 		return fmt.Errorf("policy %q is a simulator-only engine, not a slab policy", o.policyKind)
 	}
 	cfg := cache.Config{
-		CacheBytes:   o.cacheMiB << 20,
-		StoreValues:  true,
-		WindowLen:    100_000,
-		AccessBuffer: accessBuffer,
+		CacheBytes:  o.cacheMiB << 20,
+		StoreValues: true,
+		WindowLen:   100_000,
 	}
 	if o.serveStale {
 		cfg.StaleValues = true
@@ -280,11 +274,8 @@ func run(o options) error {
 			return err
 		}
 	}
-	// The background maintainers keep the coarse expiry clock fresh and
-	// drain idle rings; stopping them applies any remaining deferred
-	// accesses before the snapshot save in the shutdown goroutine runs
-	// (SaveSnapshot drains again on its own, so the order is belt and
-	// braces).
+	// The background maintainers keep every engine's coarse expiry clock
+	// fresh, so a GET of an item with a TTL reads no wall clock.
 	g.StartMaintainers(0)
 	defer g.StopMaintainers()
 	if o.snapshot != "" {

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pamakv/internal/accessbuf"
 	"pamakv/internal/hashtable"
 	"pamakv/internal/kv"
 	"pamakv/internal/lru"
@@ -80,11 +79,11 @@ type Config struct {
 	// default tenant). Under multi-tenant serving each tenant owns its own
 	// engine(s); the tag lets audits prove isolation (see tenant.go).
 	Tenant int32
-	// AccessBuffer, when > 0, turns on the lock-amortized read path: GET
-	// hits record into lock-free access rings of this capacity (rounded up
-	// to a power of two) and policy maintenance is applied in batches under
-	// one lock acquisition (see accessbuf.go). 0 keeps the immediate path,
-	// where every access applies its maintenance inline.
+	// AccessBuffer is ignored: every GET hit applies its maintenance under
+	// the engine lock (DESIGN.md §15).
+	//
+	// Deprecated: the field outlives the access rings it sized only because
+	// the benchmark module's traced run still sets it.
 	AccessBuffer int
 }
 
@@ -168,6 +167,23 @@ type RemovalObserver interface {
 	OnRemove(it *kv.Item)
 }
 
+// BatchHit was one deferred GET hit: the item and its tracked segment.
+//
+// Deprecated: the engine reports every hit through Policy.OnHit. The type
+// remains because the benchmark module's traced run still names it.
+type BatchHit struct {
+	It  *kv.Item
+	Seg int
+}
+
+// BatchRecorder was the batched form of Policy.OnHit.
+//
+// Deprecated: the engine never calls it. The interface remains because the
+// benchmark module's traced run still names it.
+type BatchRecorder interface {
+	RecordBatch(hits []BatchHit)
+}
+
 type subclass struct {
 	list  lru.List
 	tr    segment.Tracker
@@ -225,12 +241,10 @@ type Cache struct {
 	staleLst  lru.List
 	staleSize int64
 
-	// accessState is the lock-amortized read path (accessbuf.go): the MPSC
-	// access rings, the drain counters, and the background maintainer.
-	accessState
-	// nowCache is the coarse expiry clock in unix seconds: owned by the
-	// maintainer (accessbuf.go), read lock-free by expired(). 0 means no
-	// maintainer is running (fall back to a wall-clock read per check).
+	// maint is the background maintainer and nowCache the coarse expiry
+	// clock in unix seconds it owns (clock.go), read lock-free by expired().
+	// 0 means no maintainer is running (a wall-clock read per check).
+	maint    maintainer
 	nowCache atomic.Int64
 }
 
@@ -274,7 +288,6 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 	if cfg.StaleValues {
 		c.staleIdx = hashtable.New(1 << 8)
 	}
-	c.initAccessBuf(cfg.AccessBuffer)
 	pol.Attach(c)
 	return c, nil
 }
@@ -339,38 +352,30 @@ func (c *Cache) GetWithCAS(key string, buf []byte) (val []byte, flags uint32, ca
 	return c.lookup(key, 0, 0, buf)
 }
 
-// lookup is the engine's one read. A live hit is served under a short
-// critical section — counters, value copy — and leaves one access record: with
-// rings it is published after unlock (producers never touch a ring while
-// holding the lock) and its policy maintenance waits for a drain; without, it
-// is applied on the spot by the code a drain runs. Anything else (absent,
-// expired) drains first, so attribution keeps the order of the accesses that
-// preceded it, and is accounted as a miss.
+// lookup is the engine's one read, applied whole under the engine lock. The
+// access first advances the clock (a window it closes is closed before the
+// key is looked up). A live hit then copies the value, moves the item to the
+// MRU end of its stack, is attributed to its class and subclass and reaches
+// the policy with the bottom segment it was found in. Anything else (absent,
+// expired) is accounted as a miss.
 func (c *Cache) lookup(key string, sizeHint int, penHint float64, buf []byte) (val []byte, flags uint32, cas uint64, hit bool) {
 	h := kv.HashString(key)
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tick()
+	c.stats.Gets++
 	if it := c.index.Get(h, key); it != nil && !c.expired(it) {
-		c.stats.Gets++
 		c.stats.Hits++
 		if c.cfg.StoreValues {
 			buf = append(buf, it.Value...)
 		}
-		flags, cas = it.Flags, it.CAS
-		rec := accessbuf.Record{It: it, CAS: it.CAS, Pen: it.Penalty}
-		if c.rings == nil {
-			c.applyAccessLocked(rec)
-			c.flushPolicyHitsLocked()
-			c.mu.Unlock()
-		} else {
-			c.mu.Unlock()
-			c.record(h, rec)
-		}
-		return buf, flags, cas, true
+		seg := c.touchResident(it)
+		it.LastAccess = c.clock
+		c.winReqs[it.Class]++
+		c.subHits[it.Class][it.Sub]++
+		c.policy.OnHit(it, seg)
+		return buf, it.Flags, it.CAS, true
 	}
-	defer c.mu.Unlock()
-	c.drainLocked()
-	c.tick()
-	c.stats.Gets++
 	c.stats.Misses++
 	c.liveLocked(h, key) // lazy expiry: the read that finds a dead item reaps it
 	var g *kv.Item
@@ -441,7 +446,6 @@ func (c *Cache) SetTTL(key string, size int, pen float64, flags uint32, expireAt
 // entry and slot — while stack, tracker and policy see the remove-then-insert
 // of the full path, which every other store takes (DESIGN.md §5).
 func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
-	c.drainLocked()
 	c.tick()
 	c.stats.Sets++
 	cl := c.geom.ClassFor(size)
@@ -539,7 +543,6 @@ func (c *Cache) takeSlotLocked(cl, sub int) error {
 func (c *Cache) Delete(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	c.tick()
 	c.stats.Deletes++
 	h := kv.HashString(key)
@@ -562,7 +565,6 @@ func (c *Cache) Delete(key string) bool {
 func (c *Cache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	for ci := range c.classes {
 		cl := &c.classes[ci]
 		for si := range cl.subs {
@@ -738,7 +740,6 @@ func (c *Cache) SnapshotSlabs() []int {
 func (c *Cache) SnapshotSubSlabs(cl int) []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	out := make([]float64, len(c.classes[cl].subs))
 	for i := range c.classes[cl].subs {
 		out[i] = float64(c.classes[cl].subs[i].list.Len()) / float64(c.classes[cl].spc)
@@ -750,7 +751,6 @@ func (c *Cache) SnapshotSubSlabs(cl int) []float64 {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	st := c.stats
 	st.SlabMigrations = c.slabs.Migrations
 	return st
@@ -780,7 +780,6 @@ func (c *Cache) Items() int {
 func (c *Cache) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	if err := c.slabs.CheckInvariants(); err != nil {
 		return err
 	}
@@ -882,10 +881,6 @@ func (c *Cache) tick() {
 	c.winTick++
 	if c.winTick >= c.cfg.WindowLen {
 		c.stats.WindowRollovers++
-		// Deferred hits must reach the policy before the window closes, or a
-		// drain straddling a rollover would attribute them to the wrong
-		// window.
-		c.flushPolicyHitsLocked()
 		c.policy.OnWindow()
 		for ci := range c.classes {
 			for si := range c.classes[ci].subs {

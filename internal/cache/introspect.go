@@ -98,9 +98,6 @@ type Introspection struct {
 func (c *Cache) Introspect() Introspection {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Apply deferred accesses so the attribution matrices and window
-	// counters reflect every access that returned before this call.
-	c.drainLocked()
 	nc := c.geom.NumClasses
 	ns := len(c.classes[0].subs)
 	in := Introspection{

@@ -48,7 +48,6 @@ func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen floa
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if mode != ModeSet {
-		c.drainLocked() // the lookup may reap: deferred accesses go first, as before any removal
 		it := c.liveLocked(kv.HashString(key), key)
 		switch {
 		case mode == ModeAdd && it != nil:
@@ -67,7 +66,6 @@ func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen floa
 func (c *Cache) Touch(key string, expireAt int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	c.tick()
 	it := c.liveLocked(kv.HashString(key), key)
 	if it == nil {
@@ -84,7 +82,6 @@ func (c *Cache) Touch(key string, expireAt int64) bool {
 func (c *Cache) ReapExpired(max int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	var victims []*kv.Item
 	c.index.Range(func(it *kv.Item) bool {
 		if c.expired(it) {
@@ -127,7 +124,6 @@ func (c *Cache) ScanKeys(fn func(key string, pen float64, size int, expireAt int
 		expireAt int64
 	}
 	c.mu.Lock()
-	c.drainLocked()
 	snap := make([]entry, 0, 1024)
 	c.index.Range(func(it *kv.Item) bool {
 		if !c.expired(it) {
@@ -150,7 +146,6 @@ func (c *Cache) ScanKeys(fn func(key string, pen float64, size int, expireAt int
 func (c *Cache) Delta(key string, delta uint64, decr bool) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	c.tick()
 	it := c.liveLocked(kv.HashString(key), key)
 	if it == nil {

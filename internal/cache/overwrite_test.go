@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"pamakv/internal/accessbuf"
 	"pamakv/internal/kv"
 )
 
@@ -23,13 +22,12 @@ import (
 // buffer), add/replace/cas hits and misses, incr on an overwritten value,
 // deletes and evict → ghost → re-SET.
 //
-// The exact leg runs alone on the immediate read path against a map plus
-// per-stack LRU order (the oracle of TestOracleFullCommandSet, one stack per
-// class and subclass): which stores overwrite in place and keep their item,
-// every hit's value, CAS token and tracked segment, every miss, every
-// eviction victim and the order of every stack. The concurrent leg replays
-// the same operations on the batched read path with two readers hammering
-// the self-describing keys; there evictions cannot be predicted, so a miss
+// The exact leg runs alone against a map plus per-stack LRU order (the
+// oracle of TestOracleFullCommandSet, one stack per class and subclass):
+// which stores overwrite in place and keep their item, every hit's value, CAS
+// token and tracked segment, every miss, every eviction victim and the order
+// of every stack. The concurrent leg replays the same operations with two
+// readers hammering the self-describing keys; there evictions cannot be predicted, so a miss
 // is believed, and a hit must still carry the last bytes stored under its
 // key — never torn, never another key's. Rerun a failure with
 // PAMA_MODEL_SEED=<logged seed>.
@@ -284,7 +282,7 @@ func (m *owModel) read(key string, withCAS bool) {
 	c := m.c
 	e := m.ent[key]
 	nhits := 0
-	if m.exact { // otherwise the readers' drains append to it too
+	if m.exact { // otherwise the readers' hits append to it too
 		nhits = len(m.pol.hits)
 	}
 	var val []byte
@@ -331,17 +329,13 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 	var now atomic.Int64
 	now.Store(1_000_000)
 	pol := &nullPolicy{bounds: []float64{0.1, 10}, nseg: owNseg, gseg: 2}
-	cfg := Config{
+	c, err := New(Config{
 		Geometry:    smallGeom(), // 4 KiB slabs, slots 64/128/256/512
 		CacheBytes:  10 * 4096,
 		StoreValues: true,
 		WindowLen:   997,
 		Now:         now.Load,
-	}
-	if concurrent {
-		cfg.AccessBuffer = 64
-	}
-	c, err := New(cfg, pol)
+	}, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,42 +499,6 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 	if st.Overwrites < ops/8 || st.Overwrites > st.Sets/10*9 || st.Evictions == 0 || st.GhostHits == 0 ||
 		st.Expired == 0 {
 		t.Fatalf("run did not exercise every store path: %+v", st)
-	}
-}
-
-// TestOverwriteInvalidatesDeferredAccess: a GET's deferred access record
-// taken before an in-place overwrite describes the value that was replaced.
-// The overwrite keeps the item but issues a new CAS token, so the drain
-// counts the record as stale and applies nothing.
-func TestOverwriteInvalidatesDeferredAccess(t *testing.T) {
-	pol := &nullPolicy{nseg: 2}
-	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 4 * 4096, StoreValues: true, AccessBuffer: 16}, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"a", "b"} {
-		if err := c.Set(k, 40, 0.01, 0, []byte("one")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := kv.HashString("a")
-	c.mu.Lock()
-	it := c.index.Get(h, "a")
-	rec := accessbuf.Record{It: it, CAS: it.CAS, Pen: it.Penalty} // what a GET hit of "a" records
-	c.mu.Unlock()
-	if err := c.Set("a", 41, 0.01, 0, []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	c.record(h, rec) // ... published after the overwrite went by
-	before := c.AccessBufStats()
-	if before.StaleRefs != 1 || before.Drained != 1 || len(pol.hits) != 0 {
-		t.Fatalf("stale refs %d of %d drained, policy hits %v; want the one record skipped", before.StaleRefs, before.Drained, pol.hits)
-	}
-	c.mu.Lock()
-	same, cas := c.index.Get(h, "a") == it, it.CAS
-	c.mu.Unlock()
-	if !same || cas <= rec.CAS || c.Stats().Overwrites != 1 {
-		t.Fatalf("overwrite kept its item %v, token %d -> %d, overwrites %d", same, rec.CAS, cas, c.Stats().Overwrites)
 	}
 }
 

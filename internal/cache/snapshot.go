@@ -24,9 +24,6 @@ var snapMagic = [8]byte{'P', 'A', 'M', 'A', 'S', 'N', 'P', '1'}
 func (c *Cache) SaveSnapshot(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Deferred recency touches change LRU order; apply them so the saved
-	// stack order matches what the immediate path would have persisted.
-	c.drainLocked()
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(snapMagic[:]); err != nil {
 		return fmt.Errorf("cache: writing snapshot header: %w", err)

@@ -39,7 +39,6 @@ type TenantValuer interface {
 func (c *Cache) ArbiterValues() (incoming, outgoing float64, canDonate bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	if tv, ok := c.policy.(TenantValuer); ok {
 		incoming = tv.BestIncoming()
 		if _, _, v, vok := tv.CheapestOutgoing(); vok {
@@ -119,7 +118,6 @@ func (c *Cache) donationVictimLocked() (class, sub int, ok bool) {
 func (c *Cache) DonateSlab() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	if c.slabs.TotalSlabs() <= 1 {
 		return fmt.Errorf("cache: cannot donate the last slab")
 	}

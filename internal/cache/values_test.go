@@ -66,20 +66,19 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 		}
 	}
 	c, err := New(Config{
-		Geometry:     smallGeom(), // 4 KiB slabs, slots 64/128/256/512
-		CacheBytes:   8 * 4096,
-		StoreValues:  true,
-		StaleValues:  true,
-		StaleBytes:   8 << 10,
-		WindowLen:    997,
-		AccessBuffer: 64,
-		Now:          now.Load,
+		Geometry:    smallGeom(), // 4 KiB slabs, slots 64/128/256/512
+		CacheBytes:  8 * 4096,
+		StoreValues: true,
+		StaleValues: true,
+		StaleBytes:  8 << 10,
+		WindowLen:   997,
+		Now:         now.Load,
 	}, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Readers hammer the self-describing key family through both read paths.
+	// Readers hammer the self-describing key family through get and gets.
 	const selfKeys = 160
 	stop := make(chan struct{})
 	var readers sync.WaitGroup

@@ -162,18 +162,6 @@ func (p *PAMA) OnHit(it *kv.Item, seg int) {
 	}
 }
 
-// RecordBatch implements cache.BatchRecorder: deferred hits accrue exactly
-// as OnHit would per entry — value accumulation is order-independent within
-// a window, so the batched mirror stays oracle-exact.
-func (p *PAMA) RecordBatch(hits []cache.BatchHit) {
-	for i := range hits {
-		if seg := hits[i].Seg; seg >= 0 && seg < p.nseg {
-			it := hits[i].It
-			p.out[it.Class][it.Sub][seg] += p.weight(it.Penalty)
-		}
-	}
-}
-
 // OnMiss implements cache.Policy: ghost-region hits accrue incoming value.
 func (p *PAMA) OnMiss(class, sub int, ghost *kv.Item, ghostSeg int) {
 	if ghost != nil && ghostSeg >= 0 && ghostSeg < p.nseg {

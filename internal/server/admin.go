@@ -44,12 +44,6 @@ import (
 // per-subclass and slab-move detail.
 type introspector interface{ Introspect() cache.Introspection }
 
-// accessBufStatser is optionally implemented by stores running the
-// lock-amortized read path (*cache.Cache, and *shard.Group merging its
-// shards'). Immediate-mode stores report Enabled=false and the section is
-// omitted.
-type accessBufStatser interface{ AccessBufStats() cache.AccessBufStats }
-
 // Admin serves the observability endpoints for one Server. Construct with
 // NewAdmin; it does not listen until Serve or ListenAndServe.
 type Admin struct {
@@ -194,10 +188,6 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	p.Struct(doc.Engine)
 	p.Gauge("pamakv_items", "Resident items.", float64(doc.Items))
-	if ab := doc.AccessBuf; ab != nil {
-		p.Struct(*ab)
-		p.Gauge("pamakv_accessbuf_ring_capacity", "Per-ring record capacity times rings per engine.", float64(ab.Rings*ab.RingCap))
-	}
 	// The allocation state behind the paper's Fig. 3 (slabs per class) and
 	// Fig. 4 (items per penalty subclass), the attribution and slab-move
 	// matrices — zero cells left out: a classes×classes matrix is mostly
@@ -355,11 +345,6 @@ type Statsz struct {
 	// counters and move matrix.
 	Tenants []tenant.Snapshot    `json:"tenants,omitempty"`
 	Arbiter *tenant.ArbiterStats `json:"arbiter,omitempty"`
-
-	// AccessBuf appears when the store runs the lock-amortized read path:
-	// ring depth, drain batching, and staleness counters (see
-	// cache.AccessBufStats).
-	AccessBuf *cache.AccessBufStats `json:"access_buf,omitempty"`
 }
 
 // statsz assembles the document (shared by the HTTP handler and tests).
@@ -377,11 +362,6 @@ func (a *Admin) statsz() Statsz {
 		hr := float64(st.Hits) / float64(st.Gets)
 		if !math.IsNaN(hr) {
 			doc.HitRatio = &hr
-		}
-	}
-	if ab, ok := a.srv.c.(accessBufStatser); ok {
-		if abs := ab.AccessBufStats(); abs.Enabled {
-			doc.AccessBuf = &abs
 		}
 	}
 	doc.Latencies = make(map[string]obs.Summary, numFams)

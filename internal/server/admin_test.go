@@ -547,12 +547,12 @@ func TestStatszFieldNames(t *testing.T) {
 	}, summary("cluster.peers.*.latency"), summary("membership.probe_latency"),
 		summary("membership.handoff.duration_seconds"))
 
-	// A two-tenant server on the batched read path.
+	// A two-tenant server.
 	reg, err := tenant.NewRegistry([]tenant.Config{{Name: "gold", ReservedBytes: 2 << 20}, {Name: "bronze"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, members, err := tenant.NewGroup(reg, cache.Config{CacheBytes: 12 << 20, StoreValues: true, AccessBuffer: 64},
+	g, members, err := tenant.NewGroup(reg, cache.Config{CacheBytes: 12 << 20, StoreValues: true},
 		2, func() cache.Policy { return core.New(core.DefaultConfig()) })
 	if err != nil {
 		t.Fatal(err)
@@ -566,8 +566,6 @@ func TestStatszFieldNames(t *testing.T) {
 	g.Get("gold/k", 0, 0, nil)
 	arb.Step()
 	check(statsz(New(g, Options{Tenants: reg})), map[string]string{
-		"access_buf.drains": "number", "access_buf.drained": "number", "access_buf.full_drains": "number",
-		"access_buf.lock_wait_ns": "number", "access_buf.stale_refs": "number",
 		"tenants.0.name": "string", "tenants.0.slo_class": "number", "tenants.0.weight": "number",
 		"tenants.0.reserved_bytes": "number", "tenants.0.reserve_slabs": "number", "tenants.0.slabs": "number",
 		"tenants.0.free_slabs": "number", "tenants.0.items": "number", "tenants.0.used_bytes": "number",

@@ -16,22 +16,14 @@ import (
 	"pamakv/internal/proto"
 )
 
-// benchServer builds a value-storing PAMA engine preloaded with n keys, on
-// the immediate read path.
+// benchServer builds a value-storing PAMA engine preloaded with n keys.
 func benchServer(tb testing.TB, n int) (*Server, []string) {
-	return benchServerBatched(tb, n, 0)
-}
-
-// benchServerBatched is benchServer with the deferred-access read path on
-// (access rings of ringCap records) when ringCap > 0.
-func benchServerBatched(tb testing.TB, n, ringCap int) (*Server, []string) {
 	tb.Helper()
 	c, err := cache.New(cache.Config{
-		Geometry:     kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
-		CacheBytes:   1 << 24,
-		StoreValues:  true,
-		WindowLen:    1 << 40,
-		AccessBuffer: ringCap,
+		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
+		CacheBytes:  1 << 24,
+		StoreValues: true,
+		WindowLen:   1 << 40,
 	}, core.New(core.DefaultConfig()))
 	if err != nil {
 		tb.Fatal(err)
@@ -64,30 +56,6 @@ func TestServedGetAllocations(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(sc.out), "VALUE ") {
 		t.Fatalf("dispatch output %q", sc.out)
-	}
-}
-
-// TestServedGetAllocationsBatched holds the zero-allocation GET-hit gate in
-// batched mode: the fast path's ring publish, the inline ring-full drains it
-// forces along the way (5000 runs overflow the rings several times), and the
-// policy batch hand-off must all stay allocation-free, same as the immediate
-// path pinned by TestServedGetAllocations.
-func TestServedGetAllocationsBatched(t *testing.T) {
-	srv, keys := benchServerBatched(t, 4, 64)
-	cmd := &proto.Command{Name: "get", Keys: keys[:1]}
-	sc := &connScratch{out: make([]byte, 0, 4096)}
-	allocs := testing.AllocsPerRun(5000, func() {
-		sc.out = srv.dispatch(sc, sc.out[:0], cmd)
-	})
-	if allocs > 0.5 {
-		t.Fatalf("batched served GET allocates %.2f objects per request, want 0", allocs)
-	}
-	if !strings.HasPrefix(string(sc.out), "VALUE ") {
-		t.Fatalf("dispatch output %q", sc.out)
-	}
-	abs := srv.c.(*cache.Cache).AccessBufStats()
-	if !abs.Enabled || abs.Drained == 0 {
-		t.Fatalf("batched path not exercised: %+v", abs)
 	}
 }
 

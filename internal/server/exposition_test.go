@@ -6,8 +6,7 @@ package server
 // fixtures that between them switch every optional section on:
 //
 //	node     one member of a two-node cluster with runtime membership,
-//	         read-through, serve-stale, admission control, the hot cache and
-//	         the access ring
+//	         read-through, serve-stale, admission control and the hot cache
 //	tenants  a two-tenant group (two engines per tenant) under an arbiter
 //
 // Both are driven by a fixed single-connection script, so every counter that
@@ -109,7 +108,7 @@ func nodeExposition(t *testing.T) exposition {
 	}
 	eng, err := cache.New(cache.Config{
 		Geometry: expositionGeometry, CacheBytes: 1 << 20, StoreValues: true, StaleValues: true,
-		WindowLen: 1000, AccessBuffer: 64,
+		WindowLen: 1000,
 	}, core.New(core.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +153,7 @@ func nodeExposition(t *testing.T) exposition {
 	storeBurst(t, cl, local[1200:1300], 5000)
 	storeBurst(t, cl, local[1300:1400], 40)
 	var cmds []string
-	for _, k := range local[1180:1200] { // hits, by way of the access ring
+	for _, k := range local[1180:1200] { // hits
 		cmds = append(cmds, "get "+k+"\r\n")
 	}
 	for _, k := range local[180:230] { // around the eviction frontier: ghost hits, filled from the back end
@@ -214,7 +213,7 @@ func tenantsExposition(t *testing.T) exposition {
 		t.Fatal(err)
 	}
 	g, members, err := tenant.NewGroup(reg, cache.Config{
-		Geometry: expositionGeometry, CacheBytes: 3 << 20, StoreValues: true, WindowLen: 1000, AccessBuffer: 64,
+		Geometry: expositionGeometry, CacheBytes: 3 << 20, StoreValues: true, WindowLen: 1000,
 	}, 2, func() cache.Policy { return core.New(core.DefaultConfig()) })
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +270,7 @@ var (
 // and so is pinned by name and labels only.
 func volatileValue(name string) bool {
 	return strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_sum") ||
-		strings.HasPrefix(name, "pamakv_go_") || name == "pamakv_accessbuf_lock_wait_ns_total"
+		strings.HasPrefix(name, "pamakv_go_")
 }
 
 // maskMetrics reduces a /metrics body to what must not change: every HELP

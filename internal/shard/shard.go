@@ -229,26 +229,15 @@ func (g *Group) SnapshotSlabs() []int {
 // PolicyName returns the shards' policy name (identical across shards).
 func (g *Group) PolicyName() string { return g.shards[0].PolicyName() }
 
-// AccessBufStats merges the shards' deferred-access counters (zero value
-// with Enabled=false when the engines run in immediate mode).
-func (g *Group) AccessBufStats() cache.AccessBufStats {
-	var t cache.AccessBufStats
-	for _, s := range g.shards {
-		obs.Sum(&t, s.AccessBufStats())
-	}
-	return t
-}
-
-// StartMaintainers launches every shard's background maintainer (coarse
-// expiry clock refresh + idle-ring drains); pair with StopMaintainers.
+// StartMaintainers launches every shard's background maintainer, which keeps
+// its coarse expiry clock fresh; pair with StopMaintainers.
 func (g *Group) StartMaintainers(interval time.Duration) {
 	for _, s := range g.shards {
 		s.StartMaintainer(interval)
 	}
 }
 
-// StopMaintainers stops every shard's maintainer and applies any remaining
-// deferred accesses.
+// StopMaintainers stops every shard's maintainer.
 func (g *Group) StopMaintainers() {
 	for _, s := range g.shards {
 		s.StopMaintainer()
