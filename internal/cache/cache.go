@@ -383,7 +383,7 @@ func (c *Cache) lookup(key string, sizeHint int, penHint float64, buf []byte) (v
 	clHint, subHint := -1, -1
 	if g = c.gindex.Get(h, key); g != nil {
 		c.stats.GhostHits++
-		clHint, subHint = g.Class, g.Sub
+		clHint, subHint = int(g.Class), int(g.Sub)
 		gseg = c.ghostSeg(g)
 	} else if sizeHint > 0 {
 		clHint = c.geom.ClassFor(sizeHint)
@@ -457,14 +457,14 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 	h := kv.HashString(key)
 
 	it := c.index.Get(h, key)
-	if it != nil && it.Class == cl &&
+	if it != nil && int(it.Class) == cl &&
 		(!c.cfg.StoreValues || cap(it.Value) == c.classes[cl].slot) {
 		s := &c.classes[cl].subs[it.Sub]
 		if s.tr != nil {
 			s.tr.Remove(it)
 		}
 		s.list.Remove(it)
-		c.holes[cl] -= int64(c.classes[cl].slot - it.Size)
+		c.holes[cl] -= int64(c.classes[cl].slot - int(it.Size))
 		c.polOnRemove(it)
 		c.stats.Overwrites++
 		if c.cfg.StoreValues {
@@ -488,7 +488,7 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 		it = c.acquire()
 		it.Key, it.Hash = key, h
 		it.Tenant = c.cfg.Tenant
-		it.Class = cl
+		it.Class = int32(cl)
 		if c.cfg.StoreValues {
 			// The one copy of a request's key: the caller may reuse its bytes.
 			it.Key = strings.Clone(key)
@@ -496,10 +496,10 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 		}
 		c.index.Insert(it)
 	}
-	it.Size = size
+	it.Size = int32(size)
 	it.Penalty = pen
 	it.Flags = flags
-	it.Sub = sub
+	it.Sub = int32(sub)
 	it.LastAccess = c.clock
 	it.ExpireAt = expireAt
 	c.casCounter++
@@ -799,7 +799,7 @@ func (c *Cache) CheckInvariants() error {
 			l := &c.classes[ci].subs[si].list
 			n += l.Len()
 			l.AscendFromBack(func(it *kv.Item) bool {
-				holes += int64(c.geom.SlotSize(ci) - it.Size)
+				holes += int64(c.geom.SlotSize(ci) - int(it.Size))
 				return true
 			})
 		}
@@ -916,8 +916,8 @@ func (c *Cache) unlinkResident(it *kv.Item) {
 	}
 	s.list.Remove(it)
 	c.index.Remove(it)
-	_ = c.slabs.FreeSlot(it.Class)
-	c.holes[it.Class] -= int64(c.classes[it.Class].slot - it.Size)
+	_ = c.slabs.FreeSlot(int(it.Class))
+	c.holes[it.Class] -= int64(c.classes[it.Class].slot - int(it.Size))
 	c.polOnRemove(it)
 }
 
@@ -946,8 +946,8 @@ func (c *Cache) evictResidentLocked(it *kv.Item, s *subclass) {
 	}
 	s.list.Remove(it)
 	c.index.Remove(it)
-	_ = c.slabs.FreeSlot(it.Class)
-	c.holes[it.Class] -= int64(c.geom.SlotSize(it.Class) - it.Size)
+	_ = c.slabs.FreeSlot(int(it.Class))
+	c.holes[it.Class] -= int64(c.geom.SlotSize(int(it.Class)) - int(it.Size))
 	c.stats.Evictions++
 	c.policy.OnEvict(it)
 	c.pushGhost(it)

@@ -127,7 +127,7 @@ func (c *Cache) ScanKeys(fn func(key string, pen float64, size int, expireAt int
 	snap := make([]entry, 0, 1024)
 	c.index.Range(func(it *kv.Item) bool {
 		if !c.expired(it) {
-			snap = append(snap, entry{it.Key, it.Penalty, it.Size, it.ExpireAt})
+			snap = append(snap, entry{it.Key, it.Penalty, int(it.Size), it.ExpireAt})
 		}
 		return true
 	})

@@ -56,7 +56,7 @@ func (c *Cache) releaseValue(it *kv.Item) {
 	}
 	it.Value = nil
 	k := &c.classes[it.Class]
-	if cap(v) == k.slot && len(k.vfree) < c.slabs.FreeSlots(it.Class) {
+	if cap(v) == k.slot && len(k.vfree) < c.slabs.FreeSlots(int(it.Class)) {
 		k.vfree = append(k.vfree, v[:0])
 	}
 }

@@ -10,7 +10,10 @@
 // never sees a *kv.Item.
 package kv
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Op identifies a request operation in traces and workloads.
 type Op uint8
@@ -42,6 +45,13 @@ func (o Op) String() string {
 // and the intrusive hooks that place it in exactly one LRU stack. Ghost
 // entries (evicted items remembered for incoming-value estimation) reuse the
 // same struct with Ghost set and Value nil.
+//
+// The struct is exactly 128 bytes, so the allocator's 128-byte size class,
+// whose objects are 64-byte aligned, gives every item one adjacent pair of
+// cache lines instead of a span over three. The first line holds what an
+// index probe compares (Key, Hash) and what a hit tests next; the second holds
+// the value and the links. A field added here fails the root layout test
+// (TestItemLayout), not a benchmark.
 type Item struct {
 	// Key is the full key string. For simulator-generated workloads it is
 	// the 8-byte big-endian encoding of a numeric key id.
@@ -52,17 +62,11 @@ type Item struct {
 	// finds the slot again from it).
 	Hash uint64
 	// Size is the item's footprint in bytes charged against its slot: key
-	// length + value length + per-item metadata overhead.
-	Size int
-	// Penalty is the most recently observed miss penalty for this key, in
-	// seconds. It selects the penalty subclass under PAMA and prices the
-	// segment an access lands in.
-	Penalty float64
-	// Value holds the item bytes when the cache stores values; nil in
-	// metadata-only (simulation) mode. The buffer belongs to the engine's
-	// per-class slot stacks (package cache), not to the item: the engine
-	// detaches it before the item is pooled.
-	Value []byte
+	// length + value length + per-item metadata overhead. A slot is never
+	// larger than a slab, and Geometry.Validate caps a slab at 32 bits.
+	Size int32
+	// Class and Sub locate the LRU stack holding the item.
+	Class, Sub int32
 	// Flags carries opaque client flags (Memcached protocol compatibility).
 	Flags uint32
 	// Tenant is the id of the tenant that owns the item (0 = default
@@ -70,17 +74,24 @@ type Item struct {
 	// it to audit that a tenant's engine only ever holds that tenant's
 	// items.
 	Tenant int32
-
-	// Class and Sub locate the LRU stack holding the item.
-	Class, Sub int
 	// Ghost marks an entry in a ghost region rather than a resident item.
 	Ghost bool
-	// LastAccess is the cache access-clock value of the latest touch.
-	LastAccess uint64
 	// ExpireAt is the unix-seconds expiry deadline; 0 means no expiry.
 	// Expiry is lazy: the engine reaps an expired item when a GET finds
 	// it, as Memcached does.
 	ExpireAt int64
+	// LastAccess is the cache access-clock value of the latest touch.
+	LastAccess uint64
+
+	// Value holds the item bytes when the cache stores values; nil in
+	// metadata-only (simulation) mode. The buffer belongs to the engine's
+	// per-class slot stacks (package cache), not to the item: the engine
+	// detaches it before the item is pooled.
+	Value []byte
+	// Penalty is the most recently observed miss penalty for this key, in
+	// seconds. It selects the penalty subclass under PAMA and prices the
+	// segment an access lands in.
+	Penalty float64
 	// Seq is the rank-ring sequence assigned by the segment tracker; it is
 	// owned by package rank. Policies that disable segment tracking
 	// (Segments() == 0) may repurpose it as per-item scratch (policy.CAMP
@@ -170,6 +181,8 @@ func (g Geometry) Validate() error {
 	switch {
 	case g.SlabSize <= 0:
 		return fmt.Errorf("kv: slab size %d must be positive", g.SlabSize)
+	case g.SlabSize > math.MaxInt32:
+		return fmt.Errorf("kv: slab size %d exceeds an item's 32-bit size", g.SlabSize)
 	case g.NumClasses <= 0:
 		return fmt.Errorf("kv: class count %d must be positive", g.NumClasses)
 	}

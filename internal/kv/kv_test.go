@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -16,11 +17,14 @@ func TestDefaultGeometryValid(t *testing.T) {
 }
 
 func TestGeometryValidateRejects(t *testing.T) {
+	over := math.MaxInt32
+	over++ // an item's size is 32 bits (where int is, this wraps negative)
 	cases := []Geometry{
 		{SlabSize: 0, Base: 64, NumClasses: 4},
 		{SlabSize: 1 << 20, Base: 0, NumClasses: 4},
 		{SlabSize: 1 << 20, Base: 64, NumClasses: 0},
 		{SlabSize: 1 << 10, Base: 64, NumClasses: 6}, // largest slot 2 KiB > 1 KiB slab
+		{SlabSize: over, Base: 64, NumClasses: 4},
 	}
 	for i, g := range cases {
 		if err := g.Validate(); err == nil {

@@ -142,7 +142,7 @@ func (p *CAMP) insert(it *kv.Item) {
 	}
 	r := p.ratio(it)
 	p.seq++
-	e := &campEntry{key: it.Key, class: it.Class, prio: p.l + r, seq: p.seq}
+	e := &campEntry{key: it.Key, class: int(it.Class), prio: p.l + r, seq: p.seq}
 	// Seq is free when segment tracking is off; the insertion clock there
 	// makes mirror state visible to tests and debuggers.
 	it.Seq = e.seq
@@ -175,7 +175,7 @@ func (p *CAMP) OnHit(it *kv.Item, _ int) {
 	e.prio = p.l + r
 	p.seq++
 	e.seq = p.seq
-	e.class = it.Class
+	e.class = int(it.Class)
 	p.queueFor(r).pushHead(e)
 }
 

@@ -31,6 +31,7 @@ import (
 
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
+	"pamakv/internal/hugepage"
 	"pamakv/internal/membership"
 	"pamakv/internal/metrics"
 	"pamakv/internal/obs"
@@ -303,20 +304,23 @@ type ClusterStatsz struct {
 }
 
 // RuntimeStatsz is the Go-runtime section of /statsz: whether the collector
-// is at work on the serving path is answerable from two polls of these.
+// is at work on the serving path is answerable from two polls of these, and
+// whether the heap is on huge pages from one.
 type RuntimeStatsz struct {
-	GCCycles       uint64  `json:"gc_cycles" prom:"pamakv_go_gc_cycles_total" help:"Completed Go garbage-collection cycles."`
-	GCPauseSeconds float64 `json:"gc_pause_seconds_total" prom:"pamakv_go_gc_pause_seconds_total" help:"Cumulative stop-the-world GC pause time."`
-	HeapAllocBytes uint64  `json:"heap_alloc_bytes" prom:"pamakv_go_heap_alloc_bytes" help:"Bytes of live and not-yet-swept Go heap objects."`
+	GCCycles          uint64  `json:"gc_cycles" prom:"pamakv_go_gc_cycles_total" help:"Completed Go garbage-collection cycles."`
+	GCPauseSeconds    float64 `json:"gc_pause_seconds_total" prom:"pamakv_go_gc_pause_seconds_total" help:"Cumulative stop-the-world GC pause time."`
+	HeapAllocBytes    uint64  `json:"heap_alloc_bytes" prom:"pamakv_go_heap_alloc_bytes" help:"Bytes of live and not-yet-swept Go heap objects."`
+	AnonHugePageBytes uint64  `json:"anon_hugepage_bytes" prom:"pamakv_process_anon_hugepage_bytes" help:"Anonymous memory of the process mapped by transparent huge pages (0 off Linux)."`
 }
 
 func readRuntime() RuntimeStatsz {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return RuntimeStatsz{
-		GCCycles:       uint64(ms.NumGC),
-		GCPauseSeconds: float64(ms.PauseTotalNs) / 1e9,
-		HeapAllocBytes: ms.HeapAlloc,
+		GCCycles:          uint64(ms.NumGC),
+		GCPauseSeconds:    float64(ms.PauseTotalNs) / 1e9,
+		HeapAllocBytes:    ms.HeapAlloc,
+		AnonHugePageBytes: hugepage.AnonBytes(),
 	}
 }
 

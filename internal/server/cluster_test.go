@@ -410,13 +410,26 @@ func TestClusterSingleflightCollapsesPeerReads(t *testing.T) {
 // TestClusterFallbackToLocalBackend: when the owner is unreachable, a GET
 // degrades to a local backend fetch instead of a miss.
 func TestClusterFallbackToLocalBackend(t *testing.T) {
-	// A member that is already gone: reserve a port, then close it.
+	// A member that is gone: its port stays held for the whole test, so a
+	// parallel test's listener cannot take it and answer, and every
+	// connection to it is closed as soon as it is accepted.
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadAddr := dead.Addr().String()
-	dead.Close()
+	refused := make(chan struct{})
+	go func() {
+		defer close(refused)
+		for {
+			c, err := dead.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	t.Cleanup(func() { dead.Close(); <-refused })
 
 	store := backend.New(penalty.Uniform(0.001), nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

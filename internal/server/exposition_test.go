@@ -266,11 +266,11 @@ var (
 	sampleLine   = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (\S+)$`)
 )
 
-// volatileValue reports whether a sample measures time or the Go runtime,
-// and so is pinned by name and labels only.
+// volatileValue reports whether a sample measures time, the Go runtime or
+// the process, and so is pinned by name and labels only.
 func volatileValue(name string) bool {
 	return strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_sum") ||
-		strings.HasPrefix(name, "pamakv_go_")
+		strings.HasPrefix(name, "pamakv_go_") || strings.HasPrefix(name, "pamakv_process_")
 }
 
 // maskMetrics reduces a /metrics body to what must not change: every HELP
