@@ -119,6 +119,10 @@ type Stats struct {
 	// to and received from other tenants via the arbiter (tenant.go).
 	SlabDonations uint64 `prom:"pamakv_slab_donations_total" help:"Budget slabs given to other tenants by the arbiter."`
 	SlabReceipts  uint64 `prom:"pamakv_slab_receipts_total" help:"Budget slabs received from other tenants by the arbiter."`
+	// Prefetched counts the keys Prefetch loaded ahead of serving a burst;
+	// PrefetchResident the ones whose probe found an item (prefetch.go).
+	Prefetched       uint64 `prom:"pamakv_prefetch_keys_total" help:"Keys whose memory was loaded ahead of serving a pipelined burst."`
+	PrefetchResident uint64 `prom:"pamakv_prefetch_resident_total" help:"Prefetched keys whose index probe found an item of their hash."`
 }
 
 // Policy is an allocation scheme plugged into the engine. Implementations
@@ -246,6 +250,10 @@ type Cache struct {
 	// 0 means no maintainer is running (a wall-clock read per check).
 	maint    maintainer
 	nowCache atomic.Int64
+
+	// prefetchSink accumulates what Prefetch loads, so the compiler keeps
+	// the loads; nothing reads it.
+	prefetchSink uint64
 }
 
 // New builds an engine bound to the given policy.
@@ -357,14 +365,16 @@ func (c *Cache) GetWithCAS(key string, buf []byte) (val []byte, flags uint32, ca
 // key is looked up). A live hit then copies the value, moves the item to the
 // MRU end of its stack, is attributed to its class and subclass and reaches
 // the policy with the bottom segment it was found in. Anything else (absent,
-// expired) is accounted as a miss.
+// expired) is accounted as a miss; the one probe that finds an expired item
+// also reaps it.
 func (c *Cache) lookup(key string, sizeHint int, penHint float64, buf []byte) (val []byte, flags uint32, cas uint64, hit bool) {
 	h := kv.HashString(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick()
 	c.stats.Gets++
-	if it := c.index.Get(h, key); it != nil && !c.expired(it) {
+	it := c.index.Get(h, key)
+	if it != nil && !c.expired(it) {
 		c.stats.Hits++
 		if c.cfg.StoreValues {
 			buf = append(buf, it.Value...)
@@ -377,7 +387,9 @@ func (c *Cache) lookup(key string, sizeHint int, penHint float64, buf []byte) (v
 		return buf, it.Flags, it.CAS, true
 	}
 	c.stats.Misses++
-	c.liveLocked(h, key) // lazy expiry: the read that finds a dead item reaps it
+	if it != nil {
+		c.reapLocked(it) // lazy expiry: the read that finds a dead item reaps it
+	}
 	var g *kv.Item
 	gseg := -1
 	clHint, subHint := -1, -1
@@ -408,13 +420,18 @@ func (c *Cache) lookup(key string, sizeHint int, penHint float64, buf []byte) (v
 func (c *Cache) liveLocked(h uint64, key string) *kv.Item {
 	it := c.index.Get(h, key)
 	if it != nil && c.expired(it) {
-		c.pushStaleLocked(it)
-		c.unlinkResident(it)
-		c.release(it)
-		c.stats.Expired++
+		c.reapLocked(it)
 		return nil
 	}
 	return it
+}
+
+// reapLocked removes it, a resident found expired. Caller holds c.mu.
+func (c *Cache) reapLocked(it *kv.Item) {
+	c.pushStaleLocked(it)
+	c.unlinkResident(it)
+	c.release(it)
+	c.stats.Expired++
 }
 
 // Set inserts or replaces key with the given logical size, miss penalty,

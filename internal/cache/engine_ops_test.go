@@ -277,8 +277,8 @@ var fuzzKeys = func() []string {
 
 // FuzzEngineOps decodes a byte string into operations over sixteen keys on a
 // four-slab engine — small enough that a few dozen bytes reach eviction, ghost
-// hits, expiry and slab migration — under PAMA and PSA. Nothing may panic and
-// the accounting must hold at the end.
+// hits, expiry and slab migration — under PAMA and PSA, with prefetches of the
+// keys in between. Nothing may panic and the accounting must hold at the end.
 func FuzzEngineOps(f *testing.F) {
 	// Fill a class to twice its capacity, then read every key back as gets:
 	// the sequence that killed the server.
@@ -319,7 +319,7 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 		if arg%5 == 0 {
 			ttl = now + int64(arg%3)
 		}
-		switch ops[0] % 13 {
+		switch ops[0] % 14 {
 		case 0:
 			c.Get(key, 0, 0, nil)
 		case 1:
@@ -348,6 +348,8 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 			c.ReapExpired(arg % 4)
 		case 12:
 			now += int64(arg % 4)
+		case 13:
+			c.Prefetch(fuzzKeys[arg%16:]) // read-only: the next operations must not notice
 		}
 	}
 	if err := c.CheckInvariants(); err != nil {

@@ -93,10 +93,7 @@ func (c *Cache) ReapExpired(max int) int {
 		return true
 	})
 	for _, it := range victims {
-		c.pushStaleLocked(it)
-		c.unlinkResident(it)
-		c.release(it)
-		c.stats.Expired++
+		c.reapLocked(it)
 	}
 	return len(victims)
 }

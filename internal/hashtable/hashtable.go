@@ -51,6 +51,18 @@ func (t *Table) Get(hash uint64, key string) *kv.Item {
 	return nil
 }
 
+// Peek returns the first item of hash's probe run whose stored hash equals
+// hash, or nil, without comparing keys: it reads the slot array only. The
+// item may hold another key of the same hash; a prefetch wants the memory a
+// Get of hash is about to touch, not an answer.
+func (t *Table) Peek(hash uint64) *kv.Item {
+	for i := hash & t.mask; ; i = (i + 1) & t.mask {
+		if s := &t.slots[i]; s.it == nil || s.hash == hash {
+			return s.it
+		}
+	}
+}
+
 // Put inserts it, replacing and returning any existing item with the same
 // key (nil if none). it.Hash must already be set.
 func (t *Table) Put(it *kv.Item) *kv.Item {

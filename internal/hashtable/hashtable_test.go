@@ -238,6 +238,59 @@ func TestRemoveByPointer(t *testing.T) {
 	}
 }
 
+// TestPeek: Peek returns the first item of a probe run whose stored hash
+// matches, comparing no key. Homes 14, 14, 15, 14 fill slots 14, 15, 0, 1 of
+// a 16-slot table: one run across the wrap, with hash 14 on both sides of it.
+func TestPeek(t *testing.T) {
+	tb := New(4)
+	if len(tb.slots) != 16 {
+		t.Fatalf("New(4) has %d slots, the test assumes 16", len(tb.slots))
+	}
+	a, b, c, d := forced("a", 14), forced("b", 30), forced("c", 15), forced("d", 14)
+	for _, it := range []*kv.Item{a, b, c, d} {
+		tb.Insert(it)
+	}
+	check(t, tb)
+	if got := slotOf(tb, d); got != 1 {
+		t.Fatalf("d in slot %d, want 1 (past the wrap)", got)
+	}
+	cases := []struct {
+		hash uint64
+		want *kv.Item
+		why  string
+	}{
+		{14, a, "two items share hash 14: the first of the run, whatever its key"},
+		{30, b, "home 14, found past an item of another hash"},
+		{15, c, "found across the wrap from its home's neighbour"},
+		{46, nil, "home 14, the run holds no item of this hash: nil at the empty slot 2"},
+		{0, nil, "home 0 is inside the run; no item hashes to 0"},
+		{5, nil, "empty home slot"},
+	}
+	for _, tc := range cases {
+		if got := tb.Peek(tc.hash); got != tc.want {
+			t.Errorf("Peek(%d) = %v, want %v: %s", tc.hash, got, tc.want, tc.why)
+		}
+	}
+	// Once a leaves, Peek(14) finds d: backward shift moved the run up.
+	tb.Remove(a)
+	check(t, tb)
+	if got := tb.Peek(14); got != d {
+		t.Fatalf("after removing a, Peek(14) = %v, want d", got)
+	}
+	// Peek agrees with Get for every key of a spread-out table.
+	tb = New(4)
+	for i := 0; i < 500; i++ {
+		tb.Insert(item(fmt.Sprintf("key-%d", i)))
+	}
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		h := kv.HashString(k)
+		if got, want := tb.Peek(h), tb.Get(h, k); got != want {
+			t.Fatalf("Peek(%q) = %v, Get = %v", k, got, want)
+		}
+	}
+}
+
 func TestRangeVisitsAll(t *testing.T) {
 	tb := New(4)
 	want := map[string]bool{}
@@ -442,6 +495,21 @@ func FuzzTable(f *testing.F) {
 				t.Fatalf("op %d: Len %d, model %d", p/2, tb.Len(), len(model))
 			}
 			check(t, tb)
+			// Peek of a key no other stored key shares its hash with is
+			// Get; with colliders it is one of the stored items of that hash.
+			others := 0
+			for key, it := range model {
+				if it.Hash == h && key != k {
+					others++
+				}
+			}
+			got := tb.Peek(h)
+			if others == 0 && got != tb.Get(h, k) {
+				t.Fatalf("op %d: Peek(%#x) = %v, Get(%q) = %v", p/2, h, got, k, tb.Get(h, k))
+			}
+			if others > 0 && (got == nil || got.Hash != h || model[got.Key] != got) {
+				t.Fatalf("op %d: Peek(%#x) = %v, not one of the model's items of that hash", p/2, h, got)
+			}
 		}
 		seen := 0
 		tb.Range(func(it *kv.Item) bool {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -114,16 +115,36 @@ func classifyErr(err error) errKind {
 // same error class or a field-for-field identical Command. A ClientError
 // leaves both parsers resynchronized at the same stream offset (both consume
 // exactly the offending frame), so the comparison continues past it.
+//
+// The in-place parser runs in chunks, as the server drives it: bit i of cuts
+// ends a chunk after step i. Before each chunk is released, every command
+// parsed in it is compared again, so a command that the rest of its chunk
+// overwrote (keys, data, fields) fails here.
 func FuzzParseRequest(f *testing.F) {
-	for _, s := range requestSeeds {
-		f.Add([]byte(s))
+	for i, s := range requestSeeds {
+		f.Add([]byte(s), uint64(i)*0x9e3779b97f4a7c15) // assorted cut patterns
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
 		r1 := bufio.NewReaderSize(bytes.NewReader(data), 4096)
 		r2 := bufio.NewReaderSize(bytes.NewReader(data), 4096)
 		p := NewParser(r2)
 		defer p.Close()
+		var refs, chunk []*Command
+		recheck := func() {
+			for j, c := range chunk {
+				if msg := commandDiff(refs[j], c); msg != "" {
+					t.Fatalf("command %d of its chunk changed before the chunk was released: %s", j, msg)
+				}
+			}
+			refs, chunk = refs[:0], chunk[:0]
+		}
+		p.BeginChunk()
 		for i := 0; i < 64; i++ {
+			if i > 0 && cuts&(1<<(i-1)) != 0 {
+				recheck()
+				p.ReleaseChunk()
+				p.BeginChunk()
+			}
 			c1, err1 := ReadCommand(r1)
 			c2, err2 := p.ReadCommand()
 			k1, k2 := classifyErr(err1), classifyErr(err2)
@@ -134,26 +155,15 @@ func FuzzParseRequest(f *testing.F) {
 			case errClient:
 				continue // both resynchronized identically
 			case errEOF, errTooLong:
+				recheck()
 				return // framing is gone; servers close the connection here
 			case errOther:
 				t.Fatalf("step %d: unexpected error class: %v", i, err1)
 			}
-			if c1.Name != c2.Name || c1.Flags != c2.Flags || c1.Exptime != c2.Exptime ||
-				c1.Bytes != c2.Bytes || c1.CasID != c2.CasID || c1.Delta != c2.Delta ||
-				c1.NoReply != c2.NoReply {
-				t.Fatalf("step %d: commands disagree:\nreference %+v\nin-place  %+v", i, c1, c2)
+			if msg := commandDiff(c1, c2); msg != "" {
+				t.Fatalf("step %d: %s", i, msg)
 			}
-			if len(c1.Keys) != len(c2.Keys) {
-				t.Fatalf("step %d: key counts disagree: %v vs %v", i, c1.Keys, c2.Keys)
-			}
-			for j := range c1.Keys {
-				if c1.Keys[j] != c2.Keys[j] {
-					t.Fatalf("step %d: key %d disagrees: %q vs %q", i, j, c1.Keys[j], c2.Keys[j])
-				}
-			}
-			if !bytes.Equal(c1.Data, c2.Data) {
-				t.Fatalf("step %d: data disagrees: %q vs %q", i, c1.Data, c2.Data)
-			}
+			refs, chunk = append(refs, c1), append(chunk, c2)
 			// Shared invariants, checked once (the parsers already agree).
 			if c1.Name == "" {
 				t.Fatal("parsed command with empty name")
@@ -170,7 +180,30 @@ func FuzzParseRequest(f *testing.F) {
 				t.Fatalf("data length %d disagrees with bytes operand %d", len(c1.Data), c1.Bytes)
 			}
 		}
+		recheck()
 	})
+}
+
+// commandDiff describes how the in-place parser's c2 differs from the
+// reference parser's c1, field for field, or returns "".
+func commandDiff(c1, c2 *Command) string {
+	if c1.Name != c2.Name || c1.Flags != c2.Flags || c1.Exptime != c2.Exptime ||
+		c1.Bytes != c2.Bytes || c1.CasID != c2.CasID || c1.Delta != c2.Delta ||
+		c1.NoReply != c2.NoReply {
+		return fmt.Sprintf("commands disagree:\nreference %+v\nin-place  %+v", c1, c2)
+	}
+	if len(c1.Keys) != len(c2.Keys) {
+		return fmt.Sprintf("key counts disagree: %v vs %v", c1.Keys, c2.Keys)
+	}
+	for j := range c1.Keys {
+		if c1.Keys[j] != c2.Keys[j] {
+			return fmt.Sprintf("key %d disagrees: %q vs %q", j, c1.Keys[j], c2.Keys[j])
+		}
+	}
+	if !bytes.Equal(c1.Data, c2.Data) {
+		return fmt.Sprintf("data disagrees: %q vs %q", c1.Data, c2.Data)
+	}
+	return ""
 }
 
 // responseSeeds covers every reply shape, bad lengths, and truncated frames.
@@ -212,8 +245,8 @@ var clientRespSeeds = []string{
 	// Pipelined mixed traffic: the steady-state shape RespReader serves.
 	"VALUE k 0 5\r\nhello\r\nEND\r\nSTORED\r\nEND\r\n17\r\nDELETED\r\n",
 	"END\r\nEND\r\nEND\r\n",
-	"VALUE k 0 3\r\nab",    // truncated mid-data
-	"VALUE k 0 3\r\nabc\r", // truncated mid-terminator
+	"VALUE k 0 3\r\nab",                               // truncated mid-data
+	"VALUE k 0 3\r\nabc\r",                            // truncated mid-terminator
 	"VALUE k 0 1048577\r\n" + strings.Repeat("x", 64), // oversized block
 	// END as data bytes, interleaved with END terminators: framing must
 	// come from declared lengths, never from scanning for the word.

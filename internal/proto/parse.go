@@ -26,13 +26,15 @@ import (
 //
 //   - The returned *Command and everything it references (Name excepted —
 //     verbs are canonical package-level constants) are valid only until the
-//     next ReadCommand or Close call.
+//     next ReadCommand or Close call; inside a chunk (BeginChunk), until
+//     ReleaseChunk or Close.
 //   - Keys alias the parser's internal key buffer. A caller that stores a
 //     key beyond the current request (cache insert, hot-cache fill) must
 //     clone it first (strings.Clone); passing one to a map lookup, hash, or
 //     comparison is safe.
 //   - Data aliases a pooled buffer. Callers must copy the bytes they keep;
-//     the buffer returns to the pool on the next ReadCommand.
+//     the buffer returns to the pool on the next ReadCommand (inside a
+//     chunk: on ReleaseChunk).
 //
 // ReadCommand (the package function) remains the allocating reference
 // implementation; the fuzz harness drives both over identical streams and
@@ -40,38 +42,79 @@ import (
 type Parser struct {
 	r *bufio.Reader
 
-	cmd  Command
-	keys []string // backing for cmd.Keys, reused across commands
+	// cmds backs the returned Commands: cmds[0] outside a chunk, one per
+	// command of an open chunk (n of them parsed so far).
+	cmds  []Command
+	n     int
+	chunk bool
+
+	keys []string // backing for the Commands' Keys, reused across chunks
 	toks [][]byte // token views into the current line, reused
 
-	// keybuf holds the current command's key bytes; Keys are unsafe
-	// strings over it. Reset (not freed) per command — it is bounded by
-	// MaxLineLen, so retaining it costs at most a few KiB per connection.
+	// keybuf holds the key bytes of the current command (of every command
+	// of an open chunk); Keys are unsafe strings over it. Reset (not freed)
+	// per command or chunk, and dropped on release once it outgrows
+	// maxRetainedKeys.
 	keybuf []byte
 
 	// linebuf is the spill buffer for lines straddling the bufio buffer
 	// (only reachable with readers smaller than MaxLineLen).
 	linebuf []byte
 
-	// data is the pooled buffer holding the current command's data block,
-	// nil when the command has none. Returned to the pool on the next
-	// ReadCommand or Close.
-	data *[]byte
+	// data holds the pooled buffers of the data blocks the parser owns: the
+	// current command's outside a chunk, every command's of an open chunk.
+	// held counts their data bytes.
+	data []*[]byte
+	held int
 }
 
+// maxRetainedKeys caps the key buffer a released parser keeps for the next
+// command or chunk.
+const maxRetainedKeys = 64 << 10
+
 // NewParser returns a Parser reading from r.
-func NewParser(r *bufio.Reader) *Parser { return &Parser{r: r} }
+func NewParser(r *bufio.Reader) *Parser { return &Parser{r: r, cmds: make([]Command, 1)} }
 
-// Close releases the parser's pooled resources. The last returned Command
-// is invalid afterwards.
-func (p *Parser) Close() { p.releaseData() }
+// Close releases the parser's pooled resources and ends any open chunk.
+// Every returned Command is invalid afterwards.
+func (p *Parser) Close() { p.ReleaseChunk() }
 
-func (p *Parser) releaseData() {
-	if p.data != nil {
-		bufpool.Put(p.data)
-		p.data = nil
+// BeginChunk opens a chunk: until ReleaseChunk, every Command ReadCommand
+// returns stays valid, with its keys and data block, while later ones are
+// parsed. A server parses a pipelined burst ahead this way, looks at all of
+// its keys, then serves the commands in order.
+func (p *Parser) BeginChunk() {
+	p.release()
+	p.chunk = true
+}
+
+// ReleaseChunk ends the open chunk (if any) and gives every data buffer it
+// held back to the pool. The chunk's Commands are invalid afterwards.
+func (p *Parser) ReleaseChunk() {
+	p.release()
+	p.chunk = false
+}
+
+// ChunkData returns the data-block bytes the parser holds: those of every
+// command of the open chunk.
+func (p *Parser) ChunkData() int { return p.held }
+
+// release returns the held data buffers to the pool and resets the command,
+// key and data state for the next command (or chunk).
+func (p *Parser) release() {
+	for i, d := range p.data {
+		bufpool.Put(d)
+		p.data[i] = nil
 	}
-	p.cmd.Data = nil
+	p.data = p.data[:0]
+	p.held = 0
+	p.n = 0
+	p.keys = p.keys[:0]
+	p.keybuf = p.keybuf[:0]
+	if cap(p.keybuf) > maxRetainedKeys {
+		// The key views over it go too, or they would pin it.
+		p.keybuf, p.keys = nil, nil
+	}
 }
 
 // Canonical verbs: matching a wire token against this vocabulary both
@@ -111,40 +154,57 @@ var noreplyToken = []byte("noreply")
 // verbatim on a cleanly closed connection. See the Parser doc for the
 // lifetime of the returned Command.
 func (p *Parser) ReadCommand() (*Command, error) {
-	p.releaseData()
-	cmd := &p.cmd
+	if !p.chunk {
+		p.release()
+	}
+	if p.n == len(p.cmds) {
+		// A chunk outgrew the commands parsed so far. The ones already
+		// returned stay where they are, in the old array.
+		p.cmds = append(p.cmds, Command{})
+		p.cmds = p.cmds[:cap(p.cmds)]
+	}
+	cmd := &p.cmds[p.n]
 	*cmd = Command{}
-	p.keys = p.keys[:0]
-	p.keybuf = p.keybuf[:0]
+	if err := p.parse(cmd); err != nil {
+		return nil, err
+	}
+	if p.chunk {
+		p.n++
+	}
+	return cmd, nil
+}
 
+// parse reads one command into cmd, appending its keys to p.keys.
+func (p *Parser) parse(cmd *Command) error {
+	k0 := len(p.keys)
 	line, err := p.readLine()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.toks = splitTokens(line, p.toks[:0])
 	if len(p.toks) == 0 {
-		return nil, clientErrf("empty command")
+		return clientErrf("empty command")
 	}
 	name, known := internVerb(p.toks[0])
 	if !known {
-		return nil, clientErrf("unknown command %q", p.toks[0])
+		return clientErrf("unknown command %q", p.toks[0])
 	}
 	cmd.Name = name
 	args := p.toks[1:]
 	switch name {
 	case "get", "gets":
 		if len(args) == 0 {
-			return nil, clientErrf("get requires at least one key")
+			return clientErrf("get requires at least one key")
 		}
 		for _, k := range args {
 			if err := checkKey(k); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for _, k := range args {
 			p.keys = append(p.keys, p.internKey(k))
 		}
-		cmd.Keys = p.keys
+		cmd.Keys = p.keys[k0:]
 	case "set", "add", "replace", "append", "prepend", "cas":
 		want := 4
 		if name == "cas" {
@@ -155,109 +215,112 @@ func (p *Parser) ReadCommand() (*Command, error) {
 			if name == "cas" {
 				extra = " <cas>"
 			}
-			return nil, clientErrf("%s requires <key> <flags> <exptime> <bytes>%s [noreply]", name, extra)
+			return clientErrf("%s requires <key> <flags> <exptime> <bytes>%s [noreply]", name, extra)
 		}
 		if err := checkKey(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		p.keys = append(p.keys, p.internKey(args[0]))
-		cmd.Keys = p.keys
+		cmd.Keys = p.keys[k0:]
 		flags, ok := parseUintB(args[1], 32)
 		if !ok {
-			return nil, clientErrf("bad flags %q", args[1])
+			return clientErrf("bad flags %q", args[1])
 		}
 		cmd.Flags = uint32(flags)
 		exp, ok := parseIntB(args[2])
 		if !ok {
-			return nil, clientErrf("bad exptime %q", args[2])
+			return clientErrf("bad exptime %q", args[2])
 		}
 		cmd.Exptime = exp
 		n, ok := parseIntB(args[3])
 		if !ok || n < 0 || n > MaxDataLen {
-			return nil, clientErrf("bad bytes %q", args[3])
+			return clientErrf("bad bytes %q", args[3])
 		}
 		cmd.Bytes = int(n)
 		if name == "cas" {
 			id, ok := parseUintB(args[4], 64)
 			if !ok {
-				return nil, clientErrf("bad cas token %q", args[4])
+				return clientErrf("bad cas token %q", args[4])
 			}
 			cmd.CasID = id
 		}
 		cmd.NoReply = len(args) == want+1
 		// Past this point the line (and p.toks) is dead: readData refills
 		// the bufio buffer. Everything line-derived was extracted above.
-		if err := p.readData(int(n)); err != nil {
-			return nil, err
+		if err := p.readData(cmd, int(n)); err != nil {
+			return err
 		}
 	case "delete":
 		if len(args) != 1 && !(len(args) == 2 && bytes.Equal(args[1], noreplyToken)) {
-			return nil, clientErrf("delete requires <key> [noreply]")
+			return clientErrf("delete requires <key> [noreply]")
 		}
 		if err := checkKey(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		p.keys = append(p.keys, p.internKey(args[0]))
-		cmd.Keys = p.keys
+		cmd.Keys = p.keys[k0:]
 		cmd.NoReply = len(args) == 2
 	case "incr", "decr":
 		if len(args) != 2 && !(len(args) == 3 && bytes.Equal(args[2], noreplyToken)) {
-			return nil, clientErrf("%s requires <key> <delta> [noreply]", name)
+			return clientErrf("%s requires <key> <delta> [noreply]", name)
 		}
 		if err := checkKey(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		p.keys = append(p.keys, p.internKey(args[0]))
-		cmd.Keys = p.keys
+		cmd.Keys = p.keys[k0:]
 		d, ok := parseUintB(args[1], 64)
 		if !ok {
-			return nil, clientErrf("bad delta %q", args[1])
+			return clientErrf("bad delta %q", args[1])
 		}
 		cmd.Delta = d
 		cmd.NoReply = len(args) == 3
 	case "touch":
 		if len(args) != 2 && !(len(args) == 3 && bytes.Equal(args[2], noreplyToken)) {
-			return nil, clientErrf("touch requires <key> <exptime> [noreply]")
+			return clientErrf("touch requires <key> <exptime> [noreply]")
 		}
 		if err := checkKey(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		p.keys = append(p.keys, p.internKey(args[0]))
-		cmd.Keys = p.keys
+		cmd.Keys = p.keys[k0:]
 		exp, ok := parseIntB(args[1])
 		if !ok {
-			return nil, clientErrf("bad exptime %q", args[1])
+			return clientErrf("bad exptime %q", args[1])
 		}
 		cmd.Exptime = exp
 		cmd.NoReply = len(args) == 3
 	default:
 		// stats, flush_all, version, quit: no operands used.
 	}
-	return cmd, nil
+	return nil
 }
 
 // internKey copies tok into the parser's key buffer and returns a string
-// view over the copy (valid until the next ReadCommand). The copy is
-// mandatory even for line-only commands: the token aliases the bufio
-// buffer, which the next read overwrites.
+// view over the copy (valid until the next ReadCommand, or the end of the
+// chunk). The copy is mandatory even for line-only commands: the token
+// aliases the bufio buffer, which the next read overwrites. When the buffer
+// grows, the keys already returned keep the old array alive.
 func (p *Parser) internKey(tok []byte) string {
 	off := len(p.keybuf)
 	p.keybuf = append(p.keybuf, tok...)
 	return unsafe.String(unsafe.SliceData(p.keybuf[off:]), len(tok))
 }
 
-// readData consumes an n-byte data block plus its CRLF terminator into a
+// readData consumes cmd's n-byte data block plus its CRLF terminator into a
 // pooled buffer owned by the parser.
-func (p *Parser) readData(n int) error {
-	p.data = bufpool.Get(n + 2)
-	buf := *p.data
+func (p *Parser) readData(cmd *Command, n int) error {
+	d := bufpool.Get(n + 2)
+	p.data = append(p.data, d)
+	p.held += n
+	buf := *d
 	if _, err := io.ReadFull(p.r, buf); err != nil {
 		return &ClientError{Msg: fmt.Sprintf("short data block: %v", err), Err: err}
 	}
 	if buf[n] != '\r' || buf[n+1] != '\n' {
 		return clientErrf("data block not terminated by CRLF")
 	}
-	p.cmd.Data = buf[:n]
+	cmd.Data = buf[:n]
 	return nil
 }
 

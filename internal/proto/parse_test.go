@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -278,5 +279,96 @@ func TestParserSetAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("SETs allocate %.2f objects per 50-command run, want ~0 (pool refills only)", allocs)
+	}
+}
+
+// TestParserChunkKeepsCommands: inside a chunk every command parsed so far
+// keeps its keys, data and fields while later ones are parsed — here across
+// growth of the key buffer (hundreds of keys) and of the command array.
+func TestParserChunkKeepsCommands(t *testing.T) {
+	var stream strings.Builder
+	var want []string
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("key-%03d-%s", i, strings.Repeat("x", i))
+		if i%3 == 0 {
+			fmt.Fprintf(&stream, "set %s %d 0 %d\r\n%s\r\n", k, i, len(k), k)
+		} else {
+			fmt.Fprintf(&stream, "get %s %s\r\n", k, k)
+		}
+		want = append(want, k)
+	}
+	p := newTestParser(stream.String())
+	defer p.Close()
+	p.BeginChunk()
+	var cmds []*Command
+	for range want {
+		cmd, err := p.ReadCommand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmds = append(cmds, cmd)
+	}
+	held := 0
+	for i, c := range cmds {
+		k := want[i]
+		switch {
+		case c.Keys[0] != k:
+			t.Fatalf("command %d: key %q, want %q", i, c.Keys[0], k)
+		case i%3 == 0 && (c.Name != "set" || string(c.Data) != k || c.Flags != uint32(i)):
+			t.Fatalf("command %d: %s flags %d data %q", i, c.Name, c.Flags, c.Data)
+		case i%3 != 0 && (c.Name != "get" || len(c.Keys) != 2 || c.Keys[1] != k):
+			t.Fatalf("command %d: %s %q", i, c.Name, c.Keys)
+		}
+		held += len(c.Data)
+	}
+	if p.ChunkData() != held {
+		t.Fatalf("ChunkData = %d, the chunk's data blocks hold %d bytes", p.ChunkData(), held)
+	}
+}
+
+// TestParserChunkReleasesBuffers: a chunk holds the pooled buffer of every
+// data block parsed in it, and ReleaseChunk and Close hand every one back
+// (bufpool.Put empties the buffer it takes, which is what is checked here).
+// Outside a chunk the parser holds one buffer at a time, as before.
+func TestParserChunkReleasesBuffers(t *testing.T) {
+	var stream strings.Builder
+	for _, n := range []int{10, 100, 1000, 5000, 1, 300} {
+		fmt.Fprintf(&stream, "set k%d 0 0 %d\r\n%s\r\nget k%d\r\n", n, n, strings.Repeat("v", n), n)
+	}
+	for _, end := range []string{"ReleaseChunk", "Close"} {
+		p := newTestParser(stream.String())
+		p.BeginChunk()
+		for i := 0; i < 12; i++ {
+			if _, err := p.ReadCommand(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := append([]*[]byte(nil), p.data...)
+		if len(held) != 6 || p.ChunkData() != 10+100+1000+5000+1+300 {
+			t.Fatalf("chunk holds %d buffers, %d bytes; want 6 and %d", len(held), p.ChunkData(), 6411)
+		}
+		if end == "Close" {
+			p.Close()
+		} else {
+			p.ReleaseChunk()
+		}
+		for i, b := range held {
+			if len(*b) != 0 {
+				t.Fatalf("%s: buffer %d (%d bytes) was not given back to the pool", end, i, len(*b))
+			}
+		}
+		if len(p.data) != 0 || p.ChunkData() != 0 {
+			t.Fatalf("%s: parser still holds %d buffers, %d bytes", end, len(p.data), p.ChunkData())
+		}
+	}
+	p := newTestParser(stream.String())
+	defer p.Close()
+	for i := 0; i < 12; i++ {
+		if _, err := p.ReadCommand(); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.data) > 1 {
+			t.Fatalf("outside a chunk, command %d left %d buffers held", i, len(p.data))
+		}
 	}
 }

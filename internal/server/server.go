@@ -120,12 +120,25 @@ type connScratch struct {
 	out []byte // response batch buffer
 	val []byte // engine value copy target (Get/GetWithCAS/GetStale)
 
+	// chunk is the part of the batch parsed but not yet served, and keys
+	// its commands' keys, handed to Store.Prefetch before it is served.
+	chunk []chunkEntry
+	keys  []string
+
 	// Cluster mode only (see peerbatch.go): the batch's commands awaiting a
 	// remote owner, the one exchange per owner that carries them, and the
 	// owners' replies rendered for this connection's client.
 	deferred  []deferredCmd
 	exchanges []peerExchange
 	rep       []byte
+}
+
+// chunkEntry is one request of a chunk: a parsed command, valid until the
+// parser releases the chunk, or the CLIENT_ERROR message that answers a
+// malformed one in its place.
+type chunkEntry struct {
+	cmd *proto.Command // nil for a malformed request
+	msg string
 }
 
 // rehouse moves out into a pooled buffer of capacity n or more and gives the
@@ -182,6 +195,9 @@ type Store interface {
 	Items() int
 	SnapshotSlabs() []int
 	PolicyName() string
+	// Prefetch loads the memory the keys' coming operations will read and
+	// changes nothing else (cache.Prefetch).
+	Prefetch(keys []string)
 }
 
 // Options configure a Server.
@@ -753,8 +769,10 @@ func (s *Server) handle(conn net.Conn) {
 		if s.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 		}
+		p.BeginChunk()
 		cmd, err := p.ReadCommand()
 		if err != nil {
+			p.ReleaseChunk()
 			if fatal := s.readError(conn, err); fatal {
 				return
 			}
@@ -770,32 +788,28 @@ func (s *Server) handle(conn net.Conn) {
 		// arrival is each command's arrival as its client saw it.
 		arrived := time.Now()
 		var served [numFams]uint64
-		served[famOf(cmd.Name)]++
-		sc.out = s.serve(sc, sc.out[:0], cmd)
-		quit := cmd.Name == "quit"
+		sc.out = sc.out[:0]
+		sc.chunk = append(sc.chunk[:0], chunkEntry{cmd: cmd})
 		batch := 1
 
-		// Pipelining: serve every request the client already sent
-		// before paying for a flush, so an N-deep burst costs one
-		// write syscall. Bounded by maxBatch to cap response
-		// buffering.
+		// Pipelining: serve every request the client already sent before
+		// paying for a flush, so an N-deep burst costs one write syscall.
+		// Bounded by maxBatch to cap response buffering. The batch is
+		// parsed ahead in chunks, each served whole before the next is
+		// parsed: the chunk's keys are prefetched, then its commands run in
+		// arrival order.
+		var quit bool
 		var batchErr error
-		for !quit && batch < maxBatch && r.Buffered() > 0 {
-			cmd, err = p.ReadCommand()
-			if err != nil {
-				var ce *proto.ClientError
-				if errors.As(err, &ce) && !errors.Is(err, os.ErrDeadlineExceeded) {
-					s.st.clientErrors.Add(1)
-					sc.out = proto.AppendLine(sc.out, "CLIENT_ERROR "+ce.Msg)
-					continue
-				}
-				batchErr = err
+		for {
+			var n int
+			n, quit, batchErr = parseAhead(p, r, sc, maxBatch-batch)
+			batch += n
+			s.serveChunk(sc, &served)
+			p.ReleaseChunk()
+			if quit || batchErr != nil || batch >= maxBatch || r.Buffered() == 0 {
 				break
 			}
-			served[famOf(cmd.Name)]++
-			sc.out = s.serve(sc, sc.out, cmd)
-			batch++
-			quit = cmd.Name == "quit"
+			p.BeginChunk()
 		}
 		s.st.batches.Add(1)
 		s.st.batchedCmds.Add(uint64(batch))
@@ -828,6 +842,62 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// parseAhead appends to sc.chunk the requests the client has already sent:
+// while the read buffer holds more, up to budget commands, until a quit, and
+// until the chunk holds maxRetainedScratch bytes of data blocks (a chunk's
+// buffers stay out of the pool until it is served). A malformed request
+// becomes an entry of its own; any other read error ends the parse and is
+// returned. It reports how many commands it parsed and whether the chunk
+// ends in a quit.
+func parseAhead(p *proto.Parser, r *bufio.Reader, sc *connScratch, budget int) (n int, quit bool, err error) {
+	if k := len(sc.chunk); k > 0 && sc.chunk[k-1].cmd != nil {
+		quit = sc.chunk[k-1].cmd.Name == "quit"
+	}
+	for !quit && n < budget && r.Buffered() > 0 && p.ChunkData() < maxRetainedScratch {
+		cmd, rerr := p.ReadCommand()
+		if rerr != nil {
+			var ce *proto.ClientError
+			if errors.As(rerr, &ce) && !errors.Is(rerr, os.ErrDeadlineExceeded) {
+				sc.chunk = append(sc.chunk, chunkEntry{msg: ce.Msg})
+				continue
+			}
+			return n, false, rerr
+		}
+		sc.chunk = append(sc.chunk, chunkEntry{cmd: cmd})
+		n++
+		quit = cmd.Name == "quit"
+	}
+	return n, quit, nil
+}
+
+// serveChunk prefetches the keys of sc.chunk, when it holds two or more (a
+// lone key has nothing to overlap with), then serves its requests into sc.out
+// in arrival order, each through serve as if it had arrived alone, counting
+// every command in its latency family.
+func (s *Server) serveChunk(sc *connScratch, served *[numFams]uint64) {
+	keys := sc.keys[:0]
+	for _, e := range sc.chunk {
+		if e.cmd != nil {
+			keys = append(keys, e.cmd.Keys...)
+		}
+	}
+	if len(keys) >= 2 {
+		s.c.Prefetch(keys)
+	}
+	clear(keys) // they alias the parser's key buffer; do not pin it
+	sc.keys = keys[:0]
+	for _, e := range sc.chunk {
+		if e.cmd == nil {
+			s.st.clientErrors.Add(1)
+			sc.out = proto.AppendLine(append(sc.out, "CLIENT_ERROR "...), e.msg)
+			continue
+		}
+		served[famOf(e.cmd.Name)]++
+		sc.out = s.serve(sc, sc.out, e.cmd)
+	}
+	sc.chunk = sc.chunk[:0]
 }
 
 // flush writes out, a finished response batch, to the connection under the

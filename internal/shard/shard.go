@@ -95,6 +95,45 @@ func (g *Group) pick(key string) *cache.Cache {
 	return g.shards[(kv.HashString(key)>>48)&g.mask]
 }
 
+// Prefetch loads, ahead of serving them, the memory the keys' operations will
+// read (cache.Prefetch). Each key is hashed once, routed by the bits pick
+// uses (or by the group's route), and every shard gets all of its hashes in
+// one PrefetchHashes call per window of keys, so it takes its lock once.
+func (g *Group) Prefetch(keys []string) {
+	var hs, mine [cache.PrefetchWindow]uint64
+	var at [cache.PrefetchWindow]int
+	for len(keys) > 0 {
+		w := keys[:min(len(keys), len(hs))]
+		keys = keys[len(w):]
+		for i, k := range w {
+			hs[i] = kv.HashString(k)
+			at[i] = int((hs[i] >> 48) & g.mask)
+			if g.route != nil {
+				at[i] = g.route(k)
+			}
+		}
+		var done uint64 // bit i: key i handed to its shard
+		for i := range w {
+			if done&(1<<i) != 0 {
+				continue
+			}
+			n := 0
+			for j := i; j < len(w); j++ {
+				if done&(1<<j) == 0 && at[j] == at[i] {
+					mine[n] = hs[j]
+					n++
+					done |= 1 << j
+				}
+			}
+			g.shards[at[i]].PrefetchHashes(mine[:n])
+		}
+	}
+}
+
+// A prefetch window must fit Prefetch's one-word set of keys handed out; this
+// fails to compile otherwise.
+const _ uint64 = 1 << (cache.PrefetchWindow - 1)
+
 // Get routes to the owning shard.
 func (g *Group) Get(key string, sizeHint int, penHint float64, buf []byte) ([]byte, uint32, bool) {
 	return g.pick(key).Get(key, sizeHint, penHint, buf)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -135,5 +136,62 @@ func TestConcurrentFlushAndWrites(t *testing.T) {
 	wg.Wait()
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentPrefetch races Prefetch against stores that evict on every
+// call and reads of the same keys on one group. It exists to run under
+// -race: a prefetch that read engine state outside the engine lock, or wrote
+// any, shows up here. Every shard must have been handed keys, and the values
+// read back must be the ones stored.
+func TestConcurrentPrefetch(t *testing.T) {
+	g, err := New(testCfg(), 4, pamaFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 2000 // several times what 16 slabs of small items hold
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			batch := make([]string, 0, 80)
+			for i := 0; i < 3000; i++ {
+				k := key(rng.Intn(keys))
+				switch {
+				case w < 2: // prefetchers: windows of up to 80 keys, so some span two
+					batch = batch[:0]
+					for n := rng.Intn(80); n >= 0; n-- {
+						batch = append(batch, key(rng.Intn(keys)))
+					}
+					g.Prefetch(batch)
+				case rng.Intn(4) > 0:
+					v := []byte("val:" + k + ":" + strings.Repeat("x", rng.Intn(200)))
+					if err := g.Set(k, len(v)+len(k), 0.01, 0, v); err != nil {
+						t.Errorf("set %q: %v", k, err)
+						return
+					}
+				default:
+					if val, _, hit := g.Get(k, 0, 0, nil); hit && !strings.HasPrefix(string(val), "val:"+k+":") {
+						t.Errorf("get %q -> %.40q", k, val)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range g.Engines() {
+		if st := e.Stats(); st.Prefetched == 0 || st.Evictions == 0 {
+			t.Fatalf("shard %d: %d keys prefetched, %d evictions: the race was not run", i, st.Prefetched, st.Evictions)
+		}
+	}
+	if st := g.Stats(); st.PrefetchResident == 0 || st.PrefetchResident > st.Prefetched {
+		t.Fatalf("group prefetch counters: %d resident of %d", st.PrefetchResident, st.Prefetched)
 	}
 }
