@@ -56,11 +56,8 @@ type options struct {
 	readthrough  bool
 	penaltyScale float64
 	shards       int
-	shardsSet    bool // -shards given explicitly (vs. the NumCPU default)
 	snapshot     string
-
-	adminAddr      string
-	adminSeriesInt time.Duration
+	adminAddr    string
 
 	tenants         string
 	arbiterInterval time.Duration
@@ -86,37 +83,13 @@ type options struct {
 	faultSpikeSleep time.Duration
 	faultSeed       uint64
 
-	peers        string
-	self         string
-	clusterHash  string
-	vnodes       int
-	hotCacheMiB  int64
-	hotCacheTTL  time.Duration
-	peerPool     int
-	peerRetries  int
-	peerOpTO     time.Duration
-	hedgeEnabled bool
+	peers string
+	self  string
 
 	join          string
 	membershipOn  bool
 	probeInterval time.Duration
-	evictAfter    int
-	evictCooldown time.Duration
-	handoffRate   int
-	joinTimeout   time.Duration
 	memSecret     string
-}
-
-// normalize resolves the soft flag defaults before validation. -shards
-// defaults to the core count, but -snapshot requires a single engine; when
-// the operator did not ask for sharding explicitly the default quietly yields
-// rather than tripping validate. An explicit -shards N>1 with -snapshot still
-// fails loudly — that conflict is the operator's to resolve.
-func normalize(o options) options {
-	if !o.shardsSet && o.snapshot != "" {
-		o.shards = 1
-	}
-	return o
 }
 
 // validate rejects flag combinations with undefined behavior before any
@@ -125,10 +98,6 @@ func normalize(o options) options {
 func validate(o options) error {
 	inCluster := o.peers != "" || o.join != "" || o.membershipOn
 	switch {
-	case o.snapshot != "" && o.shards > 1:
-		return fmt.Errorf("-snapshot requires a single shard")
-	case o.tenants != "" && o.snapshot != "":
-		return fmt.Errorf("-snapshot is not supported with -tenants")
 	case o.tenants != "" && inCluster:
 		// The ring hashes raw keys while tenants route by prefix; every
 		// node would need an identical registry and per-tenant budgets
@@ -148,69 +117,56 @@ func validate(o options) error {
 	return nil
 }
 
+// registerFlags registers every pama-server flag on fs, bound to the
+// returned options: main parses os.Args with it, tests a real argv.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:11211", "listen address")
+	fs.Int64Var(&o.cacheMiB, "cache", 256, "cache size in MiB")
+	fs.StringVar(&o.policyKind, "policy", "pama", "policy: memcached, psa, pama, pre-pama, twemcache, facebook-age, mrc-hit, mrc-time, lama-hit, lama-time, camp, size-aware")
+	fs.BoolVar(&o.readthrough, "readthrough", false, "serve GET misses from a simulated back end")
+	fs.Float64Var(&o.penaltyScale, "penalty-scale", 0.02, "fraction of the simulated penalty slept in real time (read-through mode)")
+	fs.IntVar(&o.shards, "shards", runtime.NumCPU(), "hash shards, per tenant with -tenants (rounded up to a power of two; defaults to the core count)")
+	fs.StringVar(&o.snapshot, "snapshot", "", "snapshot file: loaded at startup if present, saved at shutdown (restores into any -shards or -tenants layout)")
+	fs.StringVar(&o.adminAddr, "admin-addr", "", "HTTP observability listener (/metrics, /statsz, /series, /debug/pprof); empty disables")
+	fs.StringVar(&o.tenants, "tenants", "", `multi-tenant mode: comma-separated specs "name[:reservedMiB[:weight[:sloClass]]]", or @path to a spec file; keys route by "tenant/" prefix`)
+	fs.DurationVar(&o.arbiterInterval, "arbiter-interval", 2*time.Second, "period of the tenant slab arbiter (with -tenants; 0 freezes the initial split)")
+
+	fs.DurationVar(&o.readTimeout, "read-timeout", 5*time.Minute, "per-connection idle deadline (0 = none)")
+	fs.DurationVar(&o.writeTimeout, "write-timeout", 30*time.Second, "per-flush write deadline (0 = none)")
+	fs.IntVar(&o.maxConns, "max-conns", 1024, "max concurrent connections; excess dials wait in the kernel backlog (0 = unlimited)")
+	fs.IntVar(&o.maxPipeline, "max-pipeline", server.DefaultMaxPipeline, "max pipelined requests served per response flush")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", server.DefaultDrainTimeout, "graceful-shutdown drain window before force-closing connections")
+
+	fs.DurationVar(&o.fetchTimeout, "fetch-timeout", 0, "per-attempt backend fetch deadline in read-through mode (0 = none)")
+	fs.IntVar(&o.fetchRetries, "fetch-retries", 0, "extra attempts for a failed backend fetch")
+	fs.DurationVar(&o.fetchBackoff, "fetch-backoff", 2*time.Millisecond, "sleep before the first fetch retry; doubles per retry")
+	fs.BoolVar(&o.serveStale, "serve-stale", false, "serve recently evicted/expired values when the backend fails (read-through mode)")
+	fs.Int64Var(&o.staleMiB, "stale-buffer", 1, "serve-stale buffer budget in MiB")
+
+	fs.BoolVar(&o.overloadOn, "overload", false, "penalty-aware admission control: adaptive concurrency limit, bounded queue, load shedding by penalty subclass")
+	fs.DurationVar(&o.targetP99, "target-p99", overload.DefaultTarget, "p99 service-latency target the adaptive concurrency limit steers toward (with -overload)")
+	fs.IntVar(&o.maxInflight, "max-inflight", overload.DefaultMaxInflight, "hard ceiling on concurrently admitted requests (with -overload)")
+
+	fs.Float64Var(&o.faultErrRate, "fault-err-rate", 0, "inject backend fetch failures at this rate [0,1] (read-through mode)")
+	fs.Float64Var(&o.faultSpikeRate, "fault-spike-rate", 0, "inject backend latency spikes at this rate [0,1]")
+	fs.DurationVar(&o.faultSpikeSleep, "fault-spike-sleep", 50*time.Millisecond, "extra latency per injected spike")
+	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "deterministic seed for fault injection draws")
+
+	fs.StringVar(&o.peers, "peers", "", "comma-separated cluster member list (enables cluster mode; must include -self)")
+	fs.StringVar(&o.self, "self", "", "this node's address as it appears in -peers (defaults to -addr)")
+
+	fs.StringVar(&o.join, "join", "", "join a live cluster via this seed member's data address (runtime membership; mutually exclusive with -peers)")
+	fs.BoolVar(&o.membershipOn, "membership", false, "enable runtime membership (health probes, auto-eviction, warm handoff) on a static -peers cluster; implied by -join")
+	fs.DurationVar(&o.probeInterval, "probe-interval", membership.DefaultProbeInterval, "health-probe cadence for runtime membership (<0 disables probing)")
+	fs.StringVar(&o.memSecret, "membership-secret", "", "shared token gating the mutating membership control keys (apply/join); must match on every member — see the membership trust model")
+	return o
+}
+
 func main() {
-	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:11211", "listen address")
-	flag.Int64Var(&o.cacheMiB, "cache", 256, "cache size in MiB")
-	flag.StringVar(&o.policyKind, "policy", "pama", "policy: memcached, psa, pama, pre-pama, twemcache, facebook-age, mrc-hit, mrc-time, lama-hit, lama-time, camp, size-aware")
-	flag.BoolVar(&o.readthrough, "readthrough", false, "serve GET misses from a simulated back end")
-	flag.Float64Var(&o.penaltyScale, "penalty-scale", 0.02, "fraction of the simulated penalty slept in real time (read-through mode)")
-	flag.IntVar(&o.shards, "shards", runtime.NumCPU(), "hash shards, per tenant with -tenants (rounded up to a power of two; defaults to the core count)")
-	flag.StringVar(&o.snapshot, "snapshot", "", "snapshot file: loaded at startup if present, saved at shutdown (single-shard only)")
-	flag.StringVar(&o.adminAddr, "admin-addr", "", "HTTP observability listener (/metrics, /statsz, /series, /debug/pprof); empty disables")
-	flag.DurationVar(&o.adminSeriesInt, "admin-series-interval", 5*time.Second, "sampling window of the admin /series recorder (0 disables the series)")
-	flag.StringVar(&o.tenants, "tenants", "", `multi-tenant mode: comma-separated specs "name[:reservedMiB[:weight[:sloClass]]]", or @path to a spec file; keys route by "tenant/" prefix`)
-	flag.DurationVar(&o.arbiterInterval, "arbiter-interval", 2*time.Second, "period of the tenant slab arbiter (with -tenants; 0 freezes the initial split)")
-
-	flag.DurationVar(&o.readTimeout, "read-timeout", 5*time.Minute, "per-connection idle deadline (0 = none)")
-	flag.DurationVar(&o.writeTimeout, "write-timeout", 30*time.Second, "per-flush write deadline (0 = none)")
-	flag.IntVar(&o.maxConns, "max-conns", 1024, "max concurrent connections; excess dials wait in the kernel backlog (0 = unlimited)")
-	flag.IntVar(&o.maxPipeline, "max-pipeline", server.DefaultMaxPipeline, "max pipelined requests served per response flush")
-	flag.DurationVar(&o.drainTimeout, "drain-timeout", server.DefaultDrainTimeout, "graceful-shutdown drain window before force-closing connections")
-
-	flag.DurationVar(&o.fetchTimeout, "fetch-timeout", 0, "per-attempt backend fetch deadline in read-through mode (0 = none)")
-	flag.IntVar(&o.fetchRetries, "fetch-retries", 0, "extra attempts for a failed backend fetch")
-	flag.DurationVar(&o.fetchBackoff, "fetch-backoff", 2*time.Millisecond, "sleep before the first fetch retry; doubles per retry")
-	flag.BoolVar(&o.serveStale, "serve-stale", false, "serve recently evicted/expired values when the backend fails (read-through mode)")
-	flag.Int64Var(&o.staleMiB, "stale-buffer", 1, "serve-stale buffer budget in MiB")
-
-	flag.BoolVar(&o.overloadOn, "overload", false, "penalty-aware admission control: adaptive concurrency limit, bounded queue, load shedding by penalty subclass")
-	flag.DurationVar(&o.targetP99, "target-p99", overload.DefaultTarget, "p99 service-latency target the adaptive concurrency limit steers toward (with -overload)")
-	flag.IntVar(&o.maxInflight, "max-inflight", overload.DefaultMaxInflight, "hard ceiling on concurrently admitted requests (with -overload)")
-
-	flag.Float64Var(&o.faultErrRate, "fault-err-rate", 0, "inject backend fetch failures at this rate [0,1] (read-through mode)")
-	flag.Float64Var(&o.faultSpikeRate, "fault-spike-rate", 0, "inject backend latency spikes at this rate [0,1]")
-	flag.DurationVar(&o.faultSpikeSleep, "fault-spike-sleep", 50*time.Millisecond, "extra latency per injected spike")
-	flag.Uint64Var(&o.faultSeed, "fault-seed", 1, "deterministic seed for fault injection draws")
-
-	flag.StringVar(&o.peers, "peers", "", "comma-separated cluster member list (enables cluster mode; must include -self)")
-	flag.StringVar(&o.self, "self", "", "this node's address as it appears in -peers (defaults to -addr)")
-	flag.StringVar(&o.clusterHash, "cluster-hash", "ring", "owner selection scheme: ring or rendezvous")
-	flag.IntVar(&o.vnodes, "vnodes", cluster.DefaultVNodes, "virtual nodes per member on the consistent-hash ring")
-	flag.Int64Var(&o.hotCacheMiB, "hot-cache", 4, "non-owner hot-item mini-cache budget in MiB (0 disables)")
-	flag.DurationVar(&o.hotCacheTTL, "hot-cache-ttl", cluster.DefaultHotCacheTTL, "max staleness of a hot-cached forwarded copy")
-	flag.IntVar(&o.peerPool, "peer-pool", cluster.DefaultPoolSize, "idle pooled connections per peer")
-	flag.IntVar(&o.peerRetries, "peer-retries", cluster.DefaultRetries, "extra attempts for a failed peer request (-1 disables)")
-	flag.DurationVar(&o.peerOpTO, "peer-timeout", cluster.DefaultOpTimeout, "per-attempt peer round-trip deadline")
-	flag.BoolVar(&o.hedgeEnabled, "hedge", true, "hedge peer GETs of expensive keys (penalty-aware duplicate reads)")
-
-	flag.StringVar(&o.join, "join", "", "join a live cluster via this seed member's data address (runtime membership; mutually exclusive with -peers)")
-	flag.BoolVar(&o.membershipOn, "membership", false, "enable runtime membership (health probes, auto-eviction, warm handoff) on a static -peers cluster; implied by -join")
-	flag.DurationVar(&o.probeInterval, "probe-interval", membership.DefaultProbeInterval, "health-probe cadence for runtime membership (<0 disables probing)")
-	flag.IntVar(&o.evictAfter, "evict-after", membership.DefaultEvictAfter, "consecutive failed probes before a member is auto-evicted")
-	flag.DurationVar(&o.evictCooldown, "evict-cooldown", membership.DefaultEvictCooldown, "minimum gap between auto-evictions proposed by this node")
-	flag.IntVar(&o.handoffRate, "handoff-rate", membership.DefaultHandoffRate, "warm-handoff streaming rate in keys/sec (-1 = cold rebalance, no handoff)")
-	flag.DurationVar(&o.joinTimeout, "join-timeout", 30*time.Second, "how long -join retries reaching the seed")
-	flag.StringVar(&o.memSecret, "membership-secret", "", "shared token gating the mutating membership control keys (apply/join); must match on every member — see the membership trust model")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			o.shardsSet = true
-		}
-	})
-	o = normalize(o)
-
-	if err := run(o); err != nil {
+	if err := run(*o); err != nil {
 		fmt.Fprintln(os.Stderr, "pama-server:", err)
 		os.Exit(1)
 	}
@@ -287,15 +243,14 @@ func run(o options) error {
 	g.StartMaintainers(0)
 	defer g.StopMaintainers()
 	if o.snapshot != "" {
-		eng := g.Engines()[0] // validate: -snapshot means one shard
-		loaded, err := eng.LoadSnapshotFile(o.snapshot)
+		loaded, err := g.LoadSnapshotFile(o.snapshot)
 		if err != nil {
 			// A corrupt or truncated snapshot is refused outright:
 			// better to start cold than to serve a partial data set.
 			return fmt.Errorf("loading snapshot: %w", err)
 		}
 		if loaded {
-			log.Printf("pama-server: restored %d items from %s", eng.Items(), o.snapshot)
+			log.Printf("pama-server: restored %d items from %s", g.Items(), o.snapshot)
 		}
 	}
 	opts := server.Options{
@@ -355,44 +310,26 @@ func run(o options) error {
 				}
 			}
 		}
-		hedge := cluster.HedgePolicy{}
-		if o.hedgeEnabled {
-			hedge = cluster.DefaultHedgePolicy()
-		}
+		// Every setting left out runs on its library default: the ring with
+		// DefaultVNodes, the peer pools' size, retries and timeouts, and the
+		// server's hot cache of forwarded reads (4 MiB, 1 s).
 		var err error
 		peers, err = cluster.New(cluster.Config{
 			Self:    self,
 			Members: members,
-			Hash:    o.clusterHash,
-			VNodes:  o.vnodes,
-			Client: cluster.ClientOptions{
-				PoolSize:  o.peerPool,
-				Retries:   o.peerRetries,
-				OpTimeout: o.peerOpTO,
-			},
-			Hedge: hedge,
+			Hedge:   cluster.DefaultHedgePolicy(),
 		})
 		if err != nil {
 			return err
 		}
 		defer peers.Close()
 		opts.Cluster = peers
-		opts.HotCacheTTL = o.hotCacheTTL
-		if o.hotCacheMiB <= 0 {
-			opts.HotCacheBytes = -1
-		} else {
-			opts.HotCacheBytes = o.hotCacheMiB << 20
-		}
-		log.Printf("pama-server: cluster mode, %d members, self=%s, %s hashing",
-			len(members), self, o.clusterHash)
+		log.Printf("pama-server: cluster mode, %d members, self=%s", len(members), self)
 		if o.membershipOn || o.join != "" {
 			mgr, err = membership.New(membership.Config{
 				Self:          self,
 				Peers:         peers,
 				ProbeInterval: o.probeInterval,
-				EvictAfter:    o.evictAfter,
-				EvictCooldown: o.evictCooldown,
-				HandoffRate:   o.handoffRate,
 				Secret:        o.memSecret,
 				Logger:        log.New(os.Stderr, "pama-server: ", log.LstdFlags),
 			})
@@ -400,8 +337,7 @@ func run(o options) error {
 				return err
 			}
 			opts.Membership = mgr
-			log.Printf("pama-server: runtime membership on (probe %v, evict after %d, handoff %d keys/s)",
-				o.probeInterval, o.evictAfter, o.handoffRate)
+			log.Printf("pama-server: runtime membership on (probe %v)", o.probeInterval)
 		}
 	}
 	srv := server.New(g, opts)
@@ -409,7 +345,7 @@ func run(o options) error {
 		mgr.Start()
 		if o.join != "" {
 			go func() {
-				if err := mgr.JoinCluster(o.join, o.joinTimeout); err != nil {
+				if err := mgr.JoinCluster(o.join, 30*time.Second); err != nil {
 					log.Printf("pama-server: %v", err)
 					return
 				}
@@ -421,7 +357,7 @@ func run(o options) error {
 
 	var admin *server.Admin
 	if o.adminAddr != "" {
-		admin = server.NewAdmin(srv, o.adminSeriesInt)
+		admin = server.NewAdmin(srv, 5*time.Second) // one /series window per 5 s
 		go func() {
 			if err := admin.ListenAndServe(o.adminAddr); err != nil {
 				log.Printf("pama-server: admin listener: %v", err)
@@ -452,7 +388,7 @@ func run(o options) error {
 		st := srv.Stats()
 		log.Printf("pama-server: drained (%d conns served, %d forced closes)", st.Conns, st.ForcedCloses)
 		if o.snapshot != "" {
-			if err := g.Engines()[0].SaveSnapshotFile(o.snapshot); err != nil {
+			if err := g.SaveSnapshotFile(o.snapshot); err != nil {
 				log.Printf("pama-server: snapshot save failed: %v", err)
 			} else {
 				log.Printf("pama-server: snapshot saved to %s", o.snapshot)
@@ -461,7 +397,7 @@ func run(o options) error {
 	}()
 
 	log.Printf("pama-server: %s policy, %d MiB, %d shard(s), listening on %s (readthrough=%v, max-conns=%d)",
-		o.policyKind, o.cacheMiB, o.shards, o.addr, o.readthrough, o.maxConns)
+		o.policyKind, o.cacheMiB, g.Shards(), o.addr, o.readthrough, o.maxConns)
 	err := srv.ListenAndServe(o.addr)
 	if draining.Load() {
 		<-shutdownDone

@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"flag"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,9 +39,9 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"tenants alone", func(o *options) { o.tenants = "web:8:1" }, ""},
 		{"shards alone", func(o *options) { o.shards = 4 }, ""},
 		{"snapshot single shard", func(o *options) { o.snapshot = "/tmp/x" }, ""},
-		{"snapshot multi shard", func(o *options) { o.snapshot = "/tmp/x"; o.shards = 2 }, "-snapshot"},
+		{"snapshot multi shard", func(o *options) { o.snapshot = "/tmp/x"; o.shards = 2 }, ""},
 		{"tenants with shards", func(o *options) { o.tenants = "web:8:1"; o.shards = 2 }, ""},
-		{"tenants with snapshot", func(o *options) { o.tenants = "web:8:1"; o.snapshot = "/tmp/x" }, "-snapshot"},
+		{"tenants with snapshot", func(o *options) { o.tenants = "web:8:1"; o.snapshot = "/tmp/x" }, ""},
 		{"tenants with peers", func(o *options) { o.tenants = "web:8:1"; o.peers = "a:1,b:2" }, "-tenants"},
 		{"tenants with join", func(o *options) { o.tenants = "web:8:1"; o.join = "a:1" }, "-tenants"},
 		{"tenants with membership only", func(o *options) { o.tenants = "web:8:1"; o.membershipOn = true }, "-tenants"},
@@ -72,37 +74,67 @@ func TestValidateFlagCombinations(t *testing.T) {
 	}
 }
 
-// TestNormalizeShardsDefault covers the soft -shards default: NumCPU-many
-// shards unless the operator asked otherwise, yielding to -snapshot (one
-// engine) when the count came from the default, and standing firm (so
-// validate can refuse) when it was explicit. Tenants take shards as they are.
+// parseArgs parses argv with pama-server's own flag set.
+func parseArgs(t *testing.T, args ...string) options {
+	t.Helper()
+	fs := flag.NewFlagSet("pama-server", flag.ContinueOnError)
+	o := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return *o
+}
+
+// TestNormalizeShardsDefault covers the -shards default as parsed from a real
+// argv: the core count unless the operator asks otherwise, whatever else is
+// set — -snapshot restores into any layout, so it no longer moves the default
+// — and every row is a valid combination.
 func TestNormalizeShardsDefault(t *testing.T) {
+	cpus := runtime.NumCPU()
 	cases := []struct {
 		name       string
-		mutate     func(o *options)
+		args       []string
 		wantShards int
-		wantErr    bool // from validate(normalize(o))
 	}{
-		{"default alone keeps core count", func(o *options) { o.shards = 8 }, 8, false},
-		{"default yields to snapshot", func(o *options) { o.shards = 8; o.snapshot = "/tmp/x" }, 1, false},
-		{"default survives tenants", func(o *options) { o.shards = 8; o.tenants = "web:8:1" }, 8, false},
-		{"explicit survives", func(o *options) { o.shards = 8; o.shardsSet = true }, 8, false},
-		{"explicit conflicts with snapshot", func(o *options) { o.shards = 8; o.shardsSet = true; o.snapshot = "/tmp/x" }, 8, true},
-		{"explicit accepted with tenants", func(o *options) { o.shards = 8; o.shardsSet = true; o.tenants = "web:8:1" }, 8, false},
-		{"explicit single shard with snapshot", func(o *options) { o.shards = 1; o.shardsSet = true; o.snapshot = "/tmp/x" }, 1, false},
+		{"default alone keeps core count", nil, cpus},
+		{"default kept with snapshot", []string{"-snapshot", "/tmp/x"}, cpus},
+		{"default survives tenants", []string{"-tenants", "web:8:1"}, cpus},
+		{"explicit survives", []string{"-shards", "8"}, 8},
+		{"explicit accepted with snapshot", []string{"-shards", "8", "-snapshot", "/tmp/x"}, 8},
+		{"explicit accepted with tenants", []string{"-shards", "8", "-tenants", "web:8:1"}, 8},
+		{"explicit single shard with snapshot", []string{"-shards", "1", "-snapshot", "/tmp/x"}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := testOpts("127.0.0.1:0", "pama", 1)
-			tc.mutate(&o)
-			o = normalize(o)
+			o := parseArgs(t, tc.args...)
 			if o.shards != tc.wantShards {
-				t.Fatalf("normalize left shards = %d, want %d", o.shards, tc.wantShards)
+				t.Fatalf("-shards parsed as %d, want %d", o.shards, tc.wantShards)
 			}
-			if err := validate(o); (err != nil) != tc.wantErr {
-				t.Fatalf("validate after normalize: err = %v, wantErr %v", err, tc.wantErr)
+			if err := validate(o); err != nil {
+				t.Fatalf("valid combination refused: %v", err)
 			}
 		})
+	}
+}
+
+// TestFlagNames pins pama-server's flag set, so a flag added or removed shows
+// up here as a visible diff.
+func TestFlagNames(t *testing.T) {
+	fs := flag.NewFlagSet("pama-server", flag.ContinueOnError)
+	registerFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // in lexical order
+	want := []string{
+		"addr", "admin-addr", "arbiter-interval", "cache", "drain-timeout",
+		"fault-err-rate", "fault-seed", "fault-spike-rate", "fault-spike-sleep",
+		"fetch-backoff", "fetch-retries", "fetch-timeout", "join",
+		"max-conns", "max-inflight", "max-pipeline", "membership", "membership-secret",
+		"overload", "peers", "penalty-scale", "policy", "probe-interval",
+		"read-timeout", "readthrough", "self", "serve-stale", "shards", "snapshot",
+		"stale-buffer", "target-p99", "tenants", "write-timeout",
+	}
+	if len(want) != 33 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("flags:\n got %d %v\nwant %d %v", len(got), got, len(want), want)
 	}
 }
 

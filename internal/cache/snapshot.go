@@ -11,19 +11,43 @@ import (
 	"pamakv/internal/kv"
 )
 
-// Snapshot format: magic, then one record per resident item in recency
-// order (least recently used first), so replaying the records through the
-// normal Set path rebuilds both contents and LRU ordering. Ghost regions
-// and window statistics are deliberately not persisted — they are
-// short-horizon signals that a restarted cache re-learns within a window.
+// Snapshot format: magic, the record count, then one record per resident
+// item in recency order (least recently used first), so replaying the
+// records through the normal Set path rebuilds both contents and LRU
+// ordering. Ghost regions and window statistics are deliberately not
+// persisted — they are short-horizon signals that a restarted cache
+// re-learns within a window — so nothing in a file ties it to the engine,
+// or the number of engines, that wrote it.
 var snapMagic = [8]byte{'P', 'A', 'M', 'A', 'S', 'N', 'P', '1'}
 
+// StoreFunc is where ReadSnapshot hands each record: (*Cache).SetTTL's
+// signature, so an engine or a group that routes by key can take them.
+type StoreFunc func(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error
+
 // SaveSnapshot writes every resident item to w, least recently used first.
-// The cache stays locked for the duration; callers snapshot at quiet
+func (c *Cache) SaveSnapshot(w io.Writer) error { return WriteSnapshot(w, []*Cache{c}) }
+
+// LoadSnapshot replays a snapshot through the normal store path. It is
+// meant for a freshly constructed cache; loading into a non-empty cache
+// merges (snapshot items become most recent). Items that no longer fit
+// (smaller cache than at save time) fall out through ordinary eviction.
+func (c *Cache) LoadSnapshot(r io.Reader) error {
+	return ReadSnapshot(r, c.geom.MaxItemSize(), c.SetTTL)
+}
+
+// WriteSnapshot writes the resident items of engines under one header: the
+// magic, their total count, then each engine's records in engine order,
+// least recently used first within each stack. Every engine stays locked
+// for the duration, taken in index order (nothing else holds two engine
+// locks at once, so the order cannot deadlock); callers snapshot at quiet
 // moments (shutdown) or accept the pause.
-func (c *Cache) SaveSnapshot(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func WriteSnapshot(w io.Writer, engines []*Cache) error {
+	var n uint64
+	for _, c := range engines {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		n += uint64(c.index.Len())
+	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(snapMagic[:]); err != nil {
 		return fmt.Errorf("cache: writing snapshot header: %w", err)
@@ -34,7 +58,6 @@ func (c *Cache) SaveSnapshot(w io.Writer) error {
 		_, err := bw.Write(scratch[:])
 		return err
 	}
-	n := uint64(c.index.Len())
 	if err := writeU64(n); err != nil {
 		return err
 	}
@@ -65,26 +88,27 @@ func (c *Cache) SaveSnapshot(w io.Writer) error {
 	}
 	// LRU-first within each stack; stacks are interleaved class by class,
 	// which preserves the ordering that matters (within-stack recency).
-	for ci := range c.classes {
-		for si := range c.classes[ci].subs {
-			var err error
-			c.classes[ci].subs[si].list.AscendFromBack(func(it *kv.Item) bool {
-				err = write(it)
-				return err == nil
-			})
-			if err != nil {
-				return fmt.Errorf("cache: writing snapshot record: %w", err)
+	for _, c := range engines {
+		for ci := range c.classes {
+			for si := range c.classes[ci].subs {
+				var err error
+				c.classes[ci].subs[si].list.AscendFromBack(func(it *kv.Item) bool {
+					err = write(it)
+					return err == nil
+				})
+				if err != nil {
+					return fmt.Errorf("cache: writing snapshot record: %w", err)
+				}
 			}
 		}
 	}
 	return bw.Flush()
 }
 
-// LoadSnapshot replays a snapshot through the normal store path. It is
-// meant for a freshly constructed cache; loading into a non-empty cache
-// merges (snapshot items become most recent). Items that no longer fit
-// (smaller cache than at save time) fall out through ordinary eviction.
-func (c *Cache) LoadSnapshot(r io.Reader) error {
+// ReadSnapshot replays a snapshot's records through store in file order. A
+// value longer than maxValue marks the file as corrupt; a record the store
+// refuses for space or size is skipped, as an eviction would have.
+func ReadSnapshot(r io.Reader, maxValue int, store StoreFunc) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var got [8]byte
 	if _, err := io.ReadFull(br, got[:]); err != nil {
@@ -120,27 +144,14 @@ func (c *Cache) LoadSnapshot(r io.Reader) error {
 		if _, err := io.ReadFull(br, keyBuf); err != nil {
 			return fmt.Errorf("cache: truncated snapshot key: %w", err)
 		}
-		size, err := readU64()
-		if err != nil {
-			return err
+		var f [5]uint64 // size, flags, deadline, penalty bits, value length
+		for j := range f {
+			if f[j], err = readU64(); err != nil {
+				return fmt.Errorf("cache: truncated snapshot at record %d: %w", i, err)
+			}
 		}
-		flags, err := readU64()
-		if err != nil {
-			return err
-		}
-		expire, err := readU64()
-		if err != nil {
-			return err
-		}
-		penBits, err := readU64()
-		if err != nil {
-			return err
-		}
-		vlen, err := readU64()
-		if err != nil {
-			return err
-		}
-		if vlen > uint64(c.geom.MaxItemSize()) {
+		size, flags, expire, penBits, vlen := f[0], f[1], f[2], f[3], f[4]
+		if vlen > uint64(maxValue) {
 			return fmt.Errorf("cache: implausible value length %d in snapshot", vlen)
 		}
 		if uint64(cap(valBuf)) < vlen {
@@ -150,7 +161,7 @@ func (c *Cache) LoadSnapshot(r io.Reader) error {
 		if _, err := io.ReadFull(br, valBuf); err != nil {
 			return fmt.Errorf("cache: truncated snapshot value: %w", err)
 		}
-		err = c.SetTTL(string(keyBuf), int(size), floatBinary(penBits), uint32(flags), int64(expire), valBuf)
+		err = store(string(keyBuf), int(size), floatBinary(penBits), uint32(flags), int64(expire), valBuf)
 		if err != nil && !errors.Is(err, ErrNoSpace) && !errors.Is(err, ErrTooLarge) {
 			return err
 		}

@@ -6,13 +6,24 @@ import (
 	"path/filepath"
 )
 
-// SaveSnapshotFile writes the snapshot crash-safely: the bytes go to a
-// temporary file in the same directory, are fsynced, and only then renamed
-// over path (with a best-effort directory sync so the rename itself survives
-// a crash). A reader of path therefore sees either the previous complete
-// snapshot or the new complete snapshot, never a torn write — a process
-// killed mid-save leaves at worst an orphaned temp file.
-func (c *Cache) SaveSnapshotFile(path string) (err error) {
+// SaveSnapshotFile writes this engine's snapshot crash-safely
+// (WriteSnapshotFile).
+func (c *Cache) SaveSnapshotFile(path string) error { return WriteSnapshotFile(path, []*Cache{c}) }
+
+// LoadSnapshotFile restores a snapshot file into this engine
+// (ReadSnapshotFile).
+func (c *Cache) LoadSnapshotFile(path string) (loaded bool, err error) {
+	return ReadSnapshotFile(path, c.geom.MaxItemSize(), c.SetTTL)
+}
+
+// WriteSnapshotFile writes the engines' snapshot (WriteSnapshot)
+// crash-safely: the bytes go to a temporary file in the same directory, are
+// fsynced, and only then renamed over path (with a best-effort directory sync
+// so the rename itself survives a crash). A reader of path therefore sees
+// either the previous complete snapshot or the new complete snapshot, never a
+// torn write — a process killed mid-save leaves at worst an orphaned temp
+// file.
+func WriteSnapshotFile(path string, engines []*Cache) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -24,7 +35,7 @@ func (c *Cache) SaveSnapshotFile(path string) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if err = c.SaveSnapshot(tmp); err != nil {
+	if err = WriteSnapshot(tmp, engines); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {
@@ -45,11 +56,11 @@ func (c *Cache) SaveSnapshotFile(path string) (err error) {
 	return nil
 }
 
-// LoadSnapshotFile restores a snapshot saved by SaveSnapshotFile. A missing
-// file is a clean cold start (loaded=false, nil error); a present but
-// corrupt or truncated snapshot is an error — the cache refuses to serve a
-// silently partial data set.
-func (c *Cache) LoadSnapshotFile(path string) (loaded bool, err error) {
+// ReadSnapshotFile replays a snapshot saved by WriteSnapshotFile through
+// store (ReadSnapshot). A missing file is a clean cold start (loaded=false,
+// nil error); a present but corrupt or truncated snapshot is an error — the
+// cache refuses to serve a silently partial data set.
+func ReadSnapshotFile(path string, maxValue int, store StoreFunc) (loaded bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return false, nil
@@ -58,7 +69,7 @@ func (c *Cache) LoadSnapshotFile(path string) (loaded bool, err error) {
 		return false, err
 	}
 	defer f.Close()
-	if err := c.LoadSnapshot(f); err != nil {
+	if err := ReadSnapshot(f, maxValue, store); err != nil {
 		return false, err
 	}
 	return true, nil

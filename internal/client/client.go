@@ -102,12 +102,14 @@ type Config struct {
 	// mean client-side sharding over a cluster.Selector.
 	Addrs []string
 	// Shard selects the sharding function for multi-address clients:
-	// "ring" (default) or "rendezvous", matching pama-server's own
-	// -cluster-selector.
+	// "ring" (default) or "rendezvous". pama-server always builds the ring,
+	// so only the ring agrees with a server cluster's ownership; rendezvous
+	// routing agrees with no server.
 	Shard string
 	// VNodes is the ring's virtual-node count; <= 0 means
-	// cluster.DefaultVNodes. Must match the server cluster's setting for
-	// client-side routing to agree with server-side ownership.
+	// cluster.DefaultVNodes, which is what pama-server uses. Must match the
+	// server cluster's setting for client-side routing to agree with
+	// server-side ownership.
 	VNodes int
 	// PoolSize caps idle pooled connections per server; <= 0 means
 	// cluster.DefaultPoolSize. In-flight connections are unbounded (each

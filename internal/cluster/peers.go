@@ -14,7 +14,7 @@ type Config struct {
 	// Members is the full member list, Self included.
 	Members []string
 	// Hash selects the owner-selection scheme: "ring" (default) or
-	// "rendezvous".
+	// "rendezvous". pama-server always builds "ring".
 	Hash string
 	// VNodes is the ring's virtual-node count per member (ring only);
 	// <= 0 means DefaultVNodes.

@@ -437,9 +437,8 @@ type Server struct {
 	lat [numFams]*obs.Hist
 }
 
-// reaper is implemented by stores that support proactive expiry
-// (*cache.Cache does; a shard group reaps per shard through Flush-like
-// fan-out when it adopts the method).
+// reaper is implemented by stores that support proactive expiry: an engine,
+// and a shard group, which reaps shard by shard.
 type reaper interface{ ReapExpired(max int) int }
 
 // New returns a Server for the given store (a single engine or a shard

@@ -79,8 +79,24 @@ func NewRouted(engines []*cache.Cache, route func(key string) int) *Group {
 func (g *Group) Shards() int { return len(g.shards) }
 
 // Engines returns the group's engines in routing order, for what works on
-// one engine at a time: the tenant arbiter, a single-engine snapshot.
+// one engine at a time: the tenant arbiter and its accounting.
 func (g *Group) Engines() []*cache.Cache { return g.shards }
+
+// SaveSnapshotFile writes every engine's items into one crash-safe snapshot
+// file (cache.WriteSnapshotFile), engine by engine in routing order.
+func (g *Group) SaveSnapshotFile(path string) error {
+	return cache.WriteSnapshotFile(path, g.shards)
+}
+
+// LoadSnapshotFile replays a snapshot file through the group's own route
+// (cache.ReadSnapshotFile), so a file saved by any layout — other shard
+// counts, tenants or none — restores into this one. In the saving layout
+// every engine gets back its own records in their saved order, so LRU order
+// is exact; in another, per-stack recency holds approximately, and items
+// that no longer fit fall out through ordinary eviction.
+func (g *Group) LoadSnapshotFile(path string) (loaded bool, err error) {
+	return cache.ReadSnapshotFile(path, g.shards[0].Geometry().MaxItemSize(), g.SetTTL)
+}
 
 // pick routes a key to its shard. The hash selector uses the high hash
 // bits so it stays independent of the bucket selector inside each shard's
