@@ -51,8 +51,6 @@ type pamaBench struct {
 func newPamaBench(cfg config) (*pamaBench, error) {
 	c, err := client.New(client.Config{
 		Addrs:    cfg.addrs,
-		Shard:    cfg.shard,
-		VNodes:   cfg.vnodes,
 		PoolSize: 1,
 		Retries:  -1, // a benchmark reports failures, it does not paper over them
 	})

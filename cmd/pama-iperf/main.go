@@ -82,8 +82,6 @@ type config struct {
 	protocol string
 	label    string
 	addrs    []string
-	shard    string
-	vnodes   int
 
 	ops        []string // phases, in order: set, get, mixed, workload
 	clients    int
@@ -106,8 +104,6 @@ func main() {
 	flag.StringVar(&cfg.protocol, "protocol", "pamakv", "backend protocol: pamakv, memc-txt, or redis")
 	flag.StringVar(&cfg.label, "label", "", "CSV label column (defaults to the protocol)")
 	flag.StringVar(&addrs, "addrs", "127.0.0.1:11211", "server address, or comma-separated members (pamakv protocol shards client-side)")
-	flag.StringVar(&cfg.shard, "shard", "ring", "sharding selector for multi-address pamakv: ring or rendezvous")
-	flag.IntVar(&cfg.vnodes, "vnodes", 0, "virtual nodes per ring member (0 = default; match the servers')")
 	flag.StringVar(&ops, "ops", "set,get", "benchmark phases, comma-separated: set, get, mixed, workload")
 	flag.IntVar(&cfg.clients, "clients", 8, "concurrent client connections")
 	flag.IntVar(&cfg.requests, "requests", 100_000, "requests per phase (split across clients)")

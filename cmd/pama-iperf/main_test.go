@@ -255,7 +255,6 @@ func TestIperfShardedPamakv(t *testing.T) {
 	addr2, _ := startTestServer(t)
 	cfg := testConfig("pamakv", "")
 	cfg.addrs = []string{addr1, addr2}
-	cfg.shard = "ring"
 	cfg.valueSizes = []int{64}
 	var sb strings.Builder
 	if err := run(&sb, cfg); err != nil {
@@ -565,15 +564,14 @@ func TestIperfWorkloadSizes(t *testing.T) {
 }
 
 // TestIperfShardsAcrossCluster: several -addrs shard keys client-side with the
-// ring the servers use, so every request lands on its owner and the cluster
-// never forwards.
+// ring the servers build by default, so every request lands on its owner and
+// the cluster never forwards.
 func TestIperfShardsAcrossCluster(t *testing.T) {
-	const vnodes = 64
 	lns := []net.Listener{listen(t), listen(t)}
 	addrs := []string{lns[0].Addr().String(), lns[1].Addr().String()}
 	srvs := make([]*server.Server, 2)
 	for i := range srvs {
-		p, err := cluster.New(cluster.Config{Self: addrs[i], Members: addrs, VNodes: vnodes})
+		p, err := cluster.New(cluster.Config{Self: addrs[i], Members: addrs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -582,7 +580,7 @@ func TestIperfShardsAcrossCluster(t *testing.T) {
 		serve(t, lns[i], srvs[i])
 	}
 	cfg := testConfig("pamakv", "")
-	cfg.addrs, cfg.vnodes = addrs, vnodes
+	cfg.addrs = addrs
 	cfg.ops, cfg.clients, cfg.pipeline, cfg.keyspaces = []string{"workload"}, 2, 1, []int{2048}
 	runRows(t, cfg)
 	for i, srv := range srvs {

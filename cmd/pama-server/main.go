@@ -17,6 +17,10 @@
 //	pama-server -addr :11311 -peers :11211,:11311,:11411 -self :11311
 //	pama-server -addr :11411 -peers :11211,:11311,:11411 -self :11411
 //
+// With -tenants as well, every node runs the same spec: the ring picks a
+// key's owner by the whole key, tenant prefix included, and the owner routes
+// it into its tenant's engines, whose arbiter balances that node's budget.
+//
 // Try it with a plain TCP client:
 //
 //	printf 'set k 0 0 5\r\nhello\r\nget k\r\nquit\r\n' | nc localhost 11211
@@ -96,15 +100,7 @@ type options struct {
 // resource is built. Kept as a pure function of options so the rules are
 // table-testable.
 func validate(o options) error {
-	inCluster := o.peers != "" || o.join != "" || o.membershipOn
 	switch {
-	case o.tenants != "" && inCluster:
-		// The ring hashes raw keys while tenants route by prefix; every
-		// node would need an identical registry and per-tenant budgets
-		// would fight the ring's key placement. Until tenants span
-		// nodes (see ROADMAP), the combination is refused rather than
-		// left undefined.
-		return fmt.Errorf("-tenants cannot be combined with cluster mode (-peers/-join): tenant routing and ring ownership would fight over key placement")
 	case o.join != "" && o.peers != "":
 		return fmt.Errorf("-join and -peers are mutually exclusive: -join learns the member list from the seed, -peers states it")
 	case o.membershipOn && o.peers == "" && o.join == "":

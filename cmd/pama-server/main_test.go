@@ -42,9 +42,9 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"snapshot multi shard", func(o *options) { o.snapshot = "/tmp/x"; o.shards = 2 }, ""},
 		{"tenants with shards", func(o *options) { o.tenants = "web:8:1"; o.shards = 2 }, ""},
 		{"tenants with snapshot", func(o *options) { o.tenants = "web:8:1"; o.snapshot = "/tmp/x" }, ""},
-		{"tenants with peers", func(o *options) { o.tenants = "web:8:1"; o.peers = "a:1,b:2" }, "-tenants"},
-		{"tenants with join", func(o *options) { o.tenants = "web:8:1"; o.join = "a:1" }, "-tenants"},
-		{"tenants with membership only", func(o *options) { o.tenants = "web:8:1"; o.membershipOn = true }, "-tenants"},
+		{"tenants with peers", func(o *options) { o.tenants = "web:8:1"; o.peers = "a:1,b:2" }, ""},
+		{"tenants with join", func(o *options) { o.tenants = "web:8:1"; o.join = "a:1" }, ""},
+		{"tenants with membership only", func(o *options) { o.tenants = "web:8:1"; o.membershipOn = true }, "-membership"},
 		{"join with peers", func(o *options) { o.join = "a:1"; o.peers = "a:1,b:2" }, "-join"},
 		{"membership without cluster", func(o *options) { o.membershipOn = true }, "-membership"},
 		{"secret with membership", func(o *options) { o.peers = "a:1,b:2"; o.membershipOn = true; o.memSecret = "tok" }, ""},
@@ -138,18 +138,102 @@ func TestFlagNames(t *testing.T) {
 	}
 }
 
-// TestRunRejectsTenantsWithCluster drives the satellite end to end: the
-// full run() path must refuse the combination before binding anything.
-func TestRunRejectsTenantsWithCluster(t *testing.T) {
-	o := testOpts("127.0.0.1:0", "pama", 1)
-	o.tenants = "web:8:1"
-	o.peers = "127.0.0.1:11311,127.0.0.1:11312"
-	err := run(o)
-	if err == nil {
-		t.Fatal("-tenants with -peers accepted")
+// freeAddr returns a loopback address whose port was free a moment ago; run
+// binds it itself (a tiny race window is acceptable in tests).
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "-tenants") || !strings.Contains(err.Error(), "cluster") {
-		t.Fatalf("error %q does not explain the refusal", err)
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// startRun runs o in a goroutine (run blocks in ListenAndServe; the server
+// is left serving) and returns a connection to it once it accepts one, and
+// the channel run's error arrives on should it return.
+func startRun(t *testing.T, o options) (net.Conn, <-chan error) {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- run(o) }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		conn, err := net.Dial("tcp", o.addr)
+		if err == nil {
+			t.Cleanup(func() { conn.Close() })
+			return conn, errc
+		}
+		select {
+		case e := <-errc:
+			t.Fatalf("server exited early: %v", e)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never came up: %v", err)
+		}
+	}
+}
+
+// TestRunRejectsTenantsWithCluster (named for the refusal it replaced) boots
+// two run() nodes with the same -tenants spec and -peers list: keys of both
+// tenants written through one node read back through the other, and each key
+// is resident on one node only, its ring owner.
+func TestRunRejectsTenantsWithCluster(t *testing.T) {
+	addrs := []string{freeAddr(t), freeAddr(t)}
+	conns := make([]*bufio.ReadWriter, len(addrs))
+	for i, addr := range addrs {
+		o := testOpts(addr, "pama", 1)
+		o.tenants = "gold:1:3:0"
+		o.peers = strings.Join(addrs, ",")
+		conn, _ := startRun(t, o)
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		conns[i] = bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn))
+	}
+	roundTrip := func(rw *bufio.ReadWriter, req, end string) string {
+		t.Helper()
+		rw.WriteString(req)
+		if err := rw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var reply strings.Builder
+		for !strings.HasSuffix(reply.String(), end) {
+			l, err := rw.ReadString('\n')
+			if err != nil {
+				t.Fatalf("%q: %v after %q", req, err, reply.String())
+			}
+			reply.WriteString(l)
+		}
+		return reply.String()
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if i%2 == 0 {
+			key = "gold/" + key
+		}
+		if got := roundTrip(conns[0], fmt.Sprintf("set %s 0 0 %d\r\n%s\r\n", key, len(key), key), "\r\n"); got != "STORED\r\n" {
+			t.Fatalf("set %s via node 0 -> %q", key, got)
+		}
+		if got, want := roundTrip(conns[1], "get "+key+"\r\n", "END\r\n"), fmt.Sprintf("VALUE %s 0 %d\r\n%s\r\nEND\r\n", key, len(key), key); got != want {
+			t.Fatalf("get %s via node 1 -> %q, want %q", key, got, want)
+		}
+	}
+	items := 0
+	for i, rw := range conns {
+		stats := roundTrip(rw, "stats\r\n", "END\r\n")
+		var held int
+		for _, l := range strings.Split(stats, "\r\n") {
+			if f := strings.Fields(l); len(f) == 3 && f[1] == "curr_items" {
+				held, _ = strconv.Atoi(f[2])
+			}
+		}
+		if held == 0 || held == n {
+			t.Errorf("node %d holds %d of %d keys: the ring should split them", i, held, n)
+		}
+		items += held
+	}
+	if items != n {
+		t.Fatalf("nodes hold %d items between them, want each of the %d keys once", items, n)
 	}
 }
 
@@ -204,36 +288,10 @@ func TestRunServesTraffic(t *testing.T) {
 			"SERVER_ERROR busy (shed)", []string{"overload_admitted"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			addr := ln.Addr().String()
-			ln.Close() // free the port for run; a tiny race window is acceptable in tests
-			o := testOpts(addr, "pama", 2)
+			o := testOpts(freeAddr(t), "pama", 2)
 			o.cacheMiB = 4
 			tc.mutate(&o)
-			errc := make(chan error, 1)
-			go func() { errc <- run(o) }()
-
-			var conn net.Conn
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				conn, err = net.Dial("tcp", addr)
-				if err == nil {
-					break
-				}
-				select {
-				case e := <-errc:
-					t.Fatalf("server exited early: %v", e)
-				default:
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("server never came up: %v", err)
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-			defer conn.Close()
+			conn, errc := startRun(t, o)
 			conn.SetDeadline(time.Now().Add(30 * time.Second))
 
 			// The load: op i is a store (three in four: a SET, or one time in

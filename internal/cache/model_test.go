@@ -137,7 +137,7 @@ func TestOpsAgainstMapModel(t *testing.T) {
 // do-nothing policy), so its behavior — including which key an over-capacity
 // store evicts — is exactly predictable from a map plus an access-order
 // list. The oracle drives Set/Add/Replace/CAS/Get/Gets/Delete/Delta/Touch/
-// Flush/ReapExpired with a controllable clock and checks full agreement.
+// Flush with a controllable clock and checks full agreement.
 
 // oracleEntry mirrors one resident item.
 type oracleEntry struct {
@@ -431,16 +431,6 @@ func oracleRound(t *testing.T, seed int64) {
 			} else if ok && !history[key][string(val)] {
 				t.Fatalf("seed %d op %d: GetStale served never-stored bytes %q for %q",
 					seed, op, val, key)
-			}
-		case 12: // proactive reap
-			if rng.Intn(4) != 0 {
-				continue
-			}
-			c.ReapExpired(0)
-			for k, e := range model.entries {
-				if expiredNow(e) {
-					model.delete(k)
-				}
 			}
 		case 13: // flush (rare)
 			if rng.Intn(8) != 0 {

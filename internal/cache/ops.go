@@ -75,29 +75,6 @@ func (c *Cache) Touch(key string, expireAt int64) bool {
 	return true
 }
 
-// ReapExpired proactively removes up to max expired items (Memcached's
-// lazy expiry only reaps items that GETs stumble on; a periodic reap keeps
-// slots of never-again-touched expired items from lingering). It returns
-// the number of items removed. max <= 0 scans everything.
-func (c *Cache) ReapExpired(max int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var victims []*kv.Item
-	c.index.Range(func(it *kv.Item) bool {
-		if c.expired(it) {
-			victims = append(victims, it)
-			if max > 0 && len(victims) >= max {
-				return false
-			}
-		}
-		return true
-	})
-	for _, it := range victims {
-		c.reapLocked(it)
-	}
-	return len(victims)
-}
-
 // ScanKeys reports every live (non-expired) resident item's key, miss
 // penalty, size, and absolute expiry to fn; fn returning false stops the
 // walk. Unlike RangeItems (a policy-facing primitive that assumes the

@@ -209,48 +209,6 @@ func TestDeltaIncrDecr(t *testing.T) {
 	}
 }
 
-func TestReapExpired(t *testing.T) {
-	now := int64(1000)
-	c, err := New(Config{
-		Geometry:    smallGeom(),
-		CacheBytes:  4 * 4096,
-		StoreValues: true,
-		WindowLen:   1 << 50,
-		Now:         func() int64 { return now },
-	}, &nullPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		exp := int64(0)
-		if i%2 == 0 {
-			exp = 1500 // half the items expire at t=1500
-		}
-		c.SetTTL(kvKey(i), 50, 0.01, 0, exp, nil)
-	}
-	if n := c.ReapExpired(0); n != 0 {
-		t.Fatalf("reaped %d before expiry", n)
-	}
-	now = 2000
-	if n := c.ReapExpired(3); n != 3 {
-		t.Fatalf("bounded reap removed %d, want 3", n)
-	}
-	if n := c.ReapExpired(0); n != 7 {
-		t.Fatalf("full reap removed %d, want remaining 7", n)
-	}
-	if c.Items() != 10 {
-		t.Fatalf("items = %d, want the 10 immortal ones", c.Items())
-	}
-	if c.Stats().Expired != 10 {
-		t.Fatalf("Expired = %d", c.Stats().Expired)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func kvKey(i int) string { return string(rune('a'+i/26)) + string(rune('a'+i%26)) }
-
 func TestDeltaWraps(t *testing.T) {
 	c := newOpsCache(t)
 	c.Set("n", 20, 0.01, 0, []byte("18446744073709551615")) // 2^64-1

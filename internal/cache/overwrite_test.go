@@ -470,13 +470,6 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 				m.fatalf("delete %q -> %v, model holds %+v", key, got, e)
 			}
 			m.forget(key)
-		case r < 19 && rng.Intn(6) == 0: // reap whatever expired
-			c.ReapExpired(0)
-			for k, e := range m.ent {
-				if !m.live(e) {
-					m.forget(k)
-				}
-			}
 		default:
 			m.read(key, rng.Intn(2) == 0)
 		}

@@ -96,7 +96,8 @@ func twinOp(e *opsEngine, code int, key string, arg int) string {
 		v, f, ok := e.GetStale(key, nil)
 		return fmt.Sprintf("stale %q %d %v", v, f, ok)
 	case 10:
-		return fmt.Sprint(e.ReapExpired(arg % 4))
+		v, f, hit := e.Get(key, size, pen, nil) // a replayer's get: the miss is attributed by hint
+		return fmt.Sprintf("get %q %d %v", v, f, hit)
 	default:
 		e.now += int64(arg % 3)
 		return "tick"

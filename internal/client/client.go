@@ -1,6 +1,6 @@
 // Package client is the first-class Go client for pamakv (and any other
 // Memcached-text-protocol server): a typed command/result API, optional
-// client-side sharding over the cluster tier's Selector, a tenant key prefix,
+// client-side sharding over the cluster tier's ring, a tenant key prefix,
 // and penalty-derived hedged reads.
 //
 // The package owns no sockets. Every member is reached through one
@@ -17,10 +17,10 @@
 // # Sharding
 //
 // With one address the client is a plain single-server client. With several
-// it builds a cluster.Selector ("ring" by default, "rendezvous" on request)
-// over the member list and routes every key to its owner — the same
-// ownership function pama-server nodes compute, so a sharded client sends
-// each key straight to the node that would otherwise have to forward it.
+// it builds the ring pama-server nodes build (cluster.NewRing with
+// cluster.DefaultVNodes) over the member list and routes every key, tenant
+// prefix included, to its owner — so a sharded client sends each key
+// straight to the node that would otherwise have to forward it.
 //
 // # Hedged reads
 //
@@ -99,18 +99,8 @@ func (e *ReplyError) Error() string {
 // default; only Addrs is required.
 type Config struct {
 	// Addrs is the server list. One address means a plain client; several
-	// mean client-side sharding over a cluster.Selector.
+	// mean client-side sharding over the servers' ring.
 	Addrs []string
-	// Shard selects the sharding function for multi-address clients:
-	// "ring" (default) or "rendezvous". pama-server always builds the ring,
-	// so only the ring agrees with a server cluster's ownership; rendezvous
-	// routing agrees with no server.
-	Shard string
-	// VNodes is the ring's virtual-node count; <= 0 means
-	// cluster.DefaultVNodes, which is what pama-server uses. Must match the
-	// server cluster's setting for client-side routing to agree with
-	// server-side ownership.
-	VNodes int
 	// PoolSize caps idle pooled connections per server; <= 0 means
 	// cluster.DefaultPoolSize. In-flight connections are unbounded (each
 	// concurrent operation holds at most one).
@@ -163,11 +153,11 @@ type Item struct {
 // concurrent use by any number of goroutines.
 type Client struct {
 	cfg Config
-	// peers holds one transport per member, in the selector's member order.
+	// peers holds one transport per member, in the ring's member order.
 	peers []*cluster.Client
 	index map[string]int
-	// sel routes keys to members; nil for a single-address client.
-	sel cluster.Selector
+	// ring routes keys to members; nil for a single-address client.
+	ring *cluster.Ring
 
 	closed atomic.Bool
 }
@@ -189,14 +179,10 @@ func New(cfg Config) (*Client, error) {
 	c := &Client{cfg: cfg}
 	members := cfg.Addrs
 	if len(cfg.Addrs) > 1 {
-		sel, err := cluster.NewSelector(cfg.Shard, cfg.Addrs, cfg.VNodes)
-		if err != nil {
-			return nil, err
-		}
-		c.sel = sel
-		// The selector normalizes (sorts, dedupes) the member list; peers
-		// must index the same view it routes over.
-		members = sel.Members()
+		c.ring = cluster.NewRing(cfg.Addrs, cluster.DefaultVNodes)
+		// The ring normalizes (sorts, dedupes) the member list; peers must
+		// index the same view it routes over.
+		members = c.ring.Members()
 	}
 	opts := cluster.ClientOptions{
 		PoolSize:    cfg.PoolSize,
@@ -246,10 +232,10 @@ func (c *Client) qual(key string) string {
 
 // owner returns the index in peers of the member that owns key.
 func (c *Client) owner(key string) int {
-	if c.sel == nil {
+	if c.ring == nil {
 		return 0
 	}
-	return c.index[c.sel.Owner(key)]
+	return c.index[c.ring.Owner(key)]
 }
 
 // transportErr translates a failed exchange's error into this package's

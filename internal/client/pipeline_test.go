@@ -288,14 +288,11 @@ func scriptedServer(t *testing.T, reply func(cmd *proto.Command) []byte) string 
 // keysByOwner returns, for each member of a ring over addrs, n keys it owns.
 func keysByOwner(t *testing.T, addrs []string, n int) map[string][]string {
 	t.Helper()
-	sel, err := cluster.NewSelector("ring", addrs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ring := cluster.NewRing(addrs, cluster.DefaultVNodes)
 	out := make(map[string][]string)
 	for i := 0; len(out[addrs[0]]) < n || len(out[addrs[1]]) < n; i++ {
 		k := fmt.Sprintf("key%d", i)
-		if o := sel.Owner(k); len(out[o]) < n {
+		if o := ring.Owner(k); len(out[o]) < n {
 			out[o] = append(out[o], k)
 		}
 	}

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,10 +81,11 @@ func (p *fakePeer) serve() {
 
 func (p *fakePeer) handle(conn net.Conn, first bool) {
 	defer conn.Close()
-	r := bufio.NewReader(conn)
+	r := proto.NewParser(bufio.NewReader(conn))
+	defer r.Close()
 	w := bufio.NewWriter(conn)
 	for {
-		cmd, err := proto.ReadCommand(r)
+		cmd, err := r.ReadCommand()
 		if err != nil {
 			return
 		}
@@ -128,7 +131,7 @@ func (p *fakePeer) handle(conn net.Conn, first bool) {
 			p.mu.Unlock()
 			out = proto.AppendEnd(out)
 		case "set":
-			p.set(cmd.Keys[0], cmd.Data)
+			p.set(strings.Clone(cmd.Keys[0]), bytes.Clone(cmd.Data))
 			out = proto.AppendLine(out, "STORED")
 		case "delete":
 			p.mu.Lock()

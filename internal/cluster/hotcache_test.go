@@ -161,8 +161,18 @@ func TestPeersConfigValidation(t *testing.T) {
 	if _, err := New(Config{Self: "x:9", Members: []string{"a:1"}}); err == nil {
 		t.Fatal("Self outside Members accepted")
 	}
-	if _, err := New(Config{Self: "a:1", Members: []string{"a:1"}, Hash: "nope"}); err == nil {
-		t.Fatal("unknown hash kind accepted")
+	// The ring is the only owner function.
+	for _, hash := range []string{"", "ring"} {
+		p, err := New(Config{Self: "a:1", Members: []string{"a:1"}, Hash: hash})
+		if err != nil {
+			t.Fatalf("Hash %q refused: %v", hash, err)
+		}
+		p.Close()
+	}
+	for _, hash := range []string{"rendezvous", "nope"} {
+		if _, err := New(Config{Self: "a:1", Members: []string{"a:1"}, Hash: hash}); err == nil {
+			t.Fatalf("Hash %q accepted", hash)
+		}
 	}
 }
 

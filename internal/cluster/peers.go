@@ -13,11 +13,11 @@ type Config struct {
 	Self string
 	// Members is the full member list, Self included.
 	Members []string
-	// Hash selects the owner-selection scheme: "ring" (default) or
-	// "rendezvous". pama-server always builds "ring".
+	// Hash names the owner function. The ring is the only one: "" and
+	// "ring" select it, and New refuses anything else.
 	Hash string
-	// VNodes is the ring's virtual-node count per member (ring only);
-	// <= 0 means DefaultVNodes.
+	// VNodes is the ring's virtual-node count per member; <= 0 means
+	// DefaultVNodes, which is what pama-server and a sharding client build.
 	VNodes int
 	// Client tunes the per-peer connection pools.
 	Client ClientOptions
@@ -27,9 +27,9 @@ type Config struct {
 	Hedge HedgePolicy
 }
 
-// Peers is one node's routing table: the owner selector plus a pooled
-// client per remote member. Safe for concurrent use; SetMembers may be
-// called while requests are in flight.
+// Peers is one node's routing table: the ring plus a pooled client per
+// remote member. Safe for concurrent use; SetMembers may be called while
+// requests are in flight.
 type Peers struct {
 	self  string
 	cfg   Config
@@ -41,7 +41,7 @@ type Peers struct {
 	degraded atomic.Bool
 
 	mu      sync.RWMutex
-	sel     Selector
+	ring    *Ring
 	clients map[string]*Client
 }
 
@@ -63,15 +63,14 @@ func New(cfg Config) (*Peers, error) {
 	if !found {
 		return nil, fmt.Errorf("cluster: self %q not in members %v", cfg.Self, members)
 	}
-	sel, err := NewSelector(cfg.Hash, members, cfg.VNodes)
-	if err != nil {
-		return nil, err
+	if cfg.Hash != "" && cfg.Hash != "ring" {
+		return nil, fmt.Errorf("cluster: unknown owner function %q (the ring is the only one)", cfg.Hash)
 	}
 	p := &Peers{
 		self:    cfg.Self,
 		cfg:     cfg,
 		hedge:   cfg.Hedge,
-		sel:     sel,
+		ring:    NewRing(members, cfg.VNodes),
 		clients: make(map[string]*Client, len(members)),
 	}
 	for _, m := range members {
@@ -89,7 +88,7 @@ func (p *Peers) Self() string { return p.self }
 func (p *Peers) Owner(key string) string {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.sel.Owner(key)
+	return p.ring.Owner(key)
 }
 
 // IsOwner reports whether this node owns key.
@@ -107,7 +106,7 @@ func (p *Peers) ClientFor(addr string) *Client {
 func (p *Peers) Members() []string {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.sel.Members()
+	return p.ring.Members()
 }
 
 // HedgeDelay returns the hedge delay for a key with the given miss penalty,
@@ -136,7 +135,7 @@ func (p *Peers) SetDegraded(d bool) {
 func (p *Peers) Degraded() bool { return p.degraded.Load() }
 
 // SetMembers rebuilds the routing table for a new member list. The
-// selector is swapped atomically: keys whose arc changed hands route to
+// ring is swapped atomically: keys whose arc changed hands route to
 // their new owner on the next request. Clients of departed members are
 // closed promptly (pooled and in-flight connections torn down, breaker
 // state discarded); surviving clients keep their pools; a re-added member
@@ -152,16 +151,13 @@ func (p *Peers) SetMembers(members []string) error {
 	if len(ms) == 0 {
 		return fmt.Errorf("cluster: empty member list")
 	}
-	sel, err := NewSelector(p.cfg.Hash, ms, p.cfg.VNodes)
-	if err != nil {
-		return err
-	}
+	ring := NewRing(ms, p.cfg.VNodes)
 	keep := make(map[string]struct{}, len(ms))
 	for _, m := range ms {
 		keep[m] = struct{}{}
 	}
 	p.mu.Lock()
-	p.sel = sel
+	p.ring = ring
 	var closing []*Client
 	for addr, c := range p.clients {
 		if _, ok := keep[addr]; !ok {

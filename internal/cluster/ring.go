@@ -1,28 +1,23 @@
 // Package cluster turns a set of pama-server processes into one cache tier.
 //
-// Ownership: every key has exactly one owning node, chosen by a hash-based
-// Selector over the member list. The owner is the only node that fills the
-// key from the backend; every other node forwards to the owner, so one
-// logical cache line exists per key cluster-wide (plus short-lived copies in
-// non-owner hot caches). This is the distributed analogue of the paper's
+// Ownership: every key has exactly one owning node, chosen by a
+// consistent-hash Ring over the member list. The owner is the only node that
+// fills the key from the backend; every other node forwards to the owner, so
+// one logical cache line exists per key cluster-wide (plus short-lived copies
+// in non-owner hot caches). This is the distributed analogue of the paper's
 // penalty pricing: a forwarded peer read costs ~100µs, a backend recompute
 // costs 1ms–5s, so the tier inserts a cheap level between "local RAM" and
 // "recompute".
 //
-// Two selectors share one interface:
-//
-//   - Ring: consistent hashing with virtual nodes. Membership change moves
-//     only the keys whose arc changed hands (~K/N of them), which is what
-//     keeps a node kill from flushing the whole tier.
-//   - Rendezvous: highest-random-weight hashing. No vnode tuning and
-//     perfect minimal disruption, at O(N) per lookup — fine for small N.
-//
-// Both are deterministic functions of the member list, so every node (and
-// the load generator) computes identical ownership without coordination.
+// The ring places DefaultVNodes virtual nodes per member. A membership change
+// moves only the keys whose arc changed hands (~K/N of them), which is what
+// keeps a node kill from flushing the whole tier. The ring is a
+// deterministic function of the member list, so every node (and a sharding
+// client) computes identical ownership without coordination. It hashes the
+// whole key, tenant prefix included: tenants route inside the owner.
 package cluster
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -33,28 +28,6 @@ import (
 // built with vnodes <= 0. 128 keeps the keys-per-node imbalance under ~10%
 // for small clusters (see TestRingBalance) while the ring stays a few KiB.
 const DefaultVNodes = 128
-
-// Selector picks the owning member for a key. Implementations are immutable
-// and safe for concurrent use; membership changes build a new Selector.
-type Selector interface {
-	// Owner returns the member owning key, or "" for an empty member list.
-	Owner(key string) string
-	// Members returns the member list (sorted, deduplicated).
-	Members() []string
-}
-
-// NewSelector builds the named selector kind: "ring" (or "") for consistent
-// hashing with vnodes virtual nodes, "rendezvous" for HRW hashing.
-func NewSelector(kind string, members []string, vnodes int) (Selector, error) {
-	switch kind {
-	case "", "ring":
-		return NewRing(members, vnodes), nil
-	case "rendezvous":
-		return NewRendezvous(members), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown selector %q (want ring or rendezvous)", kind)
-	}
-}
 
 // normalize sorts and dedupes a member list, dropping empty entries.
 func normalize(members []string) []string {
@@ -81,7 +54,8 @@ type point struct {
 	node int32
 }
 
-// Ring is a consistent-hash ring with virtual nodes.
+// Ring is a consistent-hash ring with virtual nodes. It is immutable and
+// safe for concurrent use; a membership change builds a new Ring.
 type Ring struct {
 	members []string
 	points  []point // sorted by hash
@@ -152,38 +126,3 @@ func (r *Ring) Owner(key string) string {
 
 // Members returns the ring's member list.
 func (r *Ring) Members() []string { return r.members }
-
-// Rendezvous selects owners by highest-random-weight hashing: the owner of
-// key is the member maximizing mix(hash(member) ^ hash(key)).
-type Rendezvous struct {
-	members []string
-	hashes  []uint64 // precomputed per-member hash
-}
-
-// NewRendezvous builds an HRW selector over members.
-func NewRendezvous(members []string) *Rendezvous {
-	ms := normalize(members)
-	r := &Rendezvous{members: ms, hashes: make([]uint64, len(ms))}
-	for i, m := range ms {
-		r.hashes[i] = kv.HashString(m)
-	}
-	return r
-}
-
-// Owner returns the highest-weight member for key.
-func (r *Rendezvous) Owner(key string) string {
-	if len(r.members) == 0 {
-		return ""
-	}
-	kh := kv.HashString(key)
-	best, bestW := 0, uint64(0)
-	for i, mh := range r.hashes {
-		if w := kv.Mix64(mh ^ kh); w > bestW || (w == bestW && i < best) {
-			best, bestW = i, w
-		}
-	}
-	return r.members[best]
-}
-
-// Members returns the selector's member list.
-func (r *Rendezvous) Members() []string { return r.members }

@@ -16,13 +16,26 @@ func keys(n int) []string {
 func TestRingDeterministicAcrossNodes(t *testing.T) {
 	members := []string{"c:3", "a:1", "b:2"}
 	// Two rings built from differently ordered member lists must agree on
-	// every owner — each node builds its own ring locally.
+	// every owner — each node builds its own ring locally. Duplicates and
+	// empty entries are dropped, so they change nothing either.
 	r1 := NewRing(members, 128)
-	r2 := NewRing([]string{"b:2", "c:3", "a:1"}, 128)
+	r2 := NewRing([]string{"b:2", "", "c:3", "a:1", "b:2"}, 128)
+	if got := r2.Members(); len(got) != 3 {
+		t.Fatalf("Members = %v, want 3 entries", got)
+	}
 	for _, k := range keys(10_000) {
 		if r1.Owner(k) != r2.Owner(k) {
 			t.Fatalf("rings from permuted member lists disagree on %q: %s vs %s",
 				k, r1.Owner(k), r2.Owner(k))
+		}
+	}
+	if o := NewRing(nil, 16).Owner("k"); o != "" {
+		t.Fatalf("empty ring Owner = %q, want \"\"", o)
+	}
+	solo := NewRing([]string{"only:1"}, 8)
+	for _, k := range keys(100) {
+		if solo.Owner(k) != "only:1" {
+			t.Fatal("single-member ring missed a key")
 		}
 	}
 }
@@ -87,96 +100,12 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 }
 
-func TestRendezvousMinimalDisruption(t *testing.T) {
-	before := NewRendezvous([]string{"a:1", "b:2", "c:3"})
-	after := NewRendezvous([]string{"a:1", "b:2"})
-	for _, k := range keys(20_000) {
-		if ob := before.Owner(k); ob != "c:3" && ob != after.Owner(k) {
-			t.Fatalf("key %q moved from surviving owner %s to %s", k, ob, after.Owner(k))
-		}
-	}
-}
-
-func TestRendezvousBalance(t *testing.T) {
-	members := []string{"a:1", "b:2", "c:3", "d:4"}
-	r := NewRendezvous(members)
-	counts := make(map[string]int)
-	const n = 100_000
-	for _, k := range keys(n) {
-		counts[r.Owner(k)]++
-	}
-	mean := float64(n) / float64(len(members))
-	for m, c := range counts {
-		dev := (float64(c) - mean) / mean
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > 0.05 { // HRW balances tighter than a vnode ring
-			t.Errorf("member %s owns %d keys, %.1f%% from mean (want < 5%%)", m, c, 100*dev)
-		}
-	}
-}
-
-func TestSelectorKinds(t *testing.T) {
-	members := []string{"a:1", "b:2"}
-	for _, kind := range []string{"", "ring", "rendezvous"} {
-		s, err := NewSelector(kind, members, 0)
-		if err != nil {
-			t.Fatalf("NewSelector(%q): %v", kind, err)
-		}
-		if got := s.Owner("k"); got != "a:1" && got != "b:2" {
-			t.Fatalf("NewSelector(%q).Owner = %q", kind, got)
-		}
-		if got := len(s.Members()); got != 2 {
-			t.Fatalf("NewSelector(%q).Members len = %d", kind, got)
-		}
-	}
-	if _, err := NewSelector("bogus", members, 0); err == nil {
-		t.Fatal("NewSelector(bogus) succeeded, want error")
-	}
-}
-
-func TestSelectorEdgeCases(t *testing.T) {
-	if o := NewRing(nil, 16).Owner("k"); o != "" {
-		t.Fatalf("empty ring Owner = %q, want \"\"", o)
-	}
-	if o := NewRendezvous(nil).Owner("k"); o != "" {
-		t.Fatalf("empty rendezvous Owner = %q, want \"\"", o)
-	}
-	// Duplicates and empty entries are dropped.
-	r := NewRing([]string{"a:1", "", "a:1", "b:2"}, 8)
-	if got := r.Members(); len(got) != 2 {
-		t.Fatalf("Members = %v, want 2 entries", got)
-	}
-	// A single member owns everything.
-	solo := NewRing([]string{"only:1"}, 8)
-	for _, k := range keys(100) {
-		if solo.Owner(k) != "only:1" {
-			t.Fatal("single-member ring missed a key")
-		}
-	}
-}
-
 func BenchmarkRingOwner(b *testing.B) {
 	members := make([]string, 8)
 	for i := range members {
 		members[i] = fmt.Sprintf("10.0.0.%d:11211", i+1)
 	}
 	r := NewRing(members, 128)
-	ks := keys(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Owner(ks[i&1023])
-	}
-}
-
-func BenchmarkRendezvousOwner(b *testing.B) {
-	members := make([]string, 8)
-	for i := range members {
-		members[i] = fmt.Sprintf("10.0.0.%d:11211", i+1)
-	}
-	r := NewRendezvous(members)
 	ks := keys(1024)
 	b.ReportAllocs()
 	b.ResetTimer()

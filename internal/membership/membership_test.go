@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,10 +83,11 @@ func (n *fakeNode) serve() {
 
 func (n *fakeNode) handle(conn net.Conn) {
 	defer conn.Close()
-	r := bufio.NewReader(conn)
+	r := proto.NewParser(bufio.NewReader(conn))
+	defer r.Close()
 	w := bufio.NewWriter(conn)
 	for {
-		cmd, err := proto.ReadCommand(r)
+		cmd, err := r.ReadCommand()
 		if err != nil {
 			return
 		}
@@ -116,7 +118,7 @@ func (n *fakeNode) handle(conn net.Conn) {
 				out = proto.AppendLine(out, "NOT_STORED")
 				break
 			}
-			n.data[cmd.Keys[0]] = append([]byte(nil), cmd.Data...)
+			n.data[strings.Clone(cmd.Keys[0])] = append([]byte(nil), cmd.Data...)
 			n.mu.Unlock()
 			out = proto.AppendLine(out, "STORED")
 		case "get", "gets":

@@ -36,8 +36,8 @@ import (
 //     the buffer returns to the pool on the next ReadCommand (inside a
 //     chunk: on ReleaseChunk).
 //
-// ReadCommand (the package function) remains the allocating reference
-// implementation; the fuzz harness drives both over identical streams and
+// The allocating reference parser (ReadCommand in reference_test.go) is the
+// executable spec; the fuzz harness drives both over identical streams and
 // requires agreement on every input.
 type Parser struct {
 	r *bufio.Reader

@@ -7,13 +7,9 @@
 package proto
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
-	"strings"
 )
 
 // Limits mirror Memcached's.
@@ -74,137 +70,6 @@ func clientErrf(format string, args ...any) error {
 	return &ClientError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// ReadCommand parses the next command from r, including set's data block.
-// io.EOF is returned verbatim on a cleanly closed connection.
-//
-// This is the allocating reference parser: every token becomes its own
-// string and every data block a fresh slice, so callers own everything the
-// Command references. The serving path uses Parser, which tokenizes in
-// place over the reader's buffer; the fuzz harness drives both over
-// identical streams and requires agreement on every input, keeping this
-// implementation the executable spec of the protocol.
-func ReadCommand(r *bufio.Reader) (*Command, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return nil, err
-	}
-	fields := fieldsSpace(string(line))
-	if len(fields) == 0 {
-		return nil, clientErrf("empty command")
-	}
-	cmd := &Command{Name: strings.ToLower(fields[0])}
-	args := fields[1:]
-	switch cmd.Name {
-	case "get", "gets":
-		if len(args) == 0 {
-			return nil, clientErrf("get requires at least one key")
-		}
-		for _, k := range args {
-			if err := checkKey(k); err != nil {
-				return nil, err
-			}
-		}
-		cmd.Keys = args
-	case "set", "add", "replace", "append", "prepend", "cas":
-		// Storage commands share the grammar; cas carries one extra
-		// token operand before the optional noreply.
-		want := 4
-		if cmd.Name == "cas" {
-			want = 5
-		}
-		if len(args) != want && !(len(args) == want+1 && args[want] == "noreply") {
-			return nil, clientErrf("%s requires <key> <flags> <exptime> <bytes>%s [noreply]",
-				cmd.Name, map[bool]string{true: " <cas>", false: ""}[cmd.Name == "cas"])
-		}
-		if err := checkKey(args[0]); err != nil {
-			return nil, err
-		}
-		cmd.Keys = args[:1]
-		flags, err := strconv.ParseUint(args[1], 10, 32)
-		if err != nil {
-			return nil, clientErrf("bad flags %q", args[1])
-		}
-		cmd.Flags = uint32(flags)
-		exp, err := strconv.ParseInt(args[2], 10, 64)
-		if err != nil {
-			return nil, clientErrf("bad exptime %q", args[2])
-		}
-		cmd.Exptime = exp
-		n, err := strconv.Atoi(args[3])
-		if err != nil || n < 0 || n > MaxDataLen {
-			return nil, clientErrf("bad bytes %q", args[3])
-		}
-		cmd.Bytes = n
-		if cmd.Name == "cas" {
-			id, err := strconv.ParseUint(args[4], 10, 64)
-			if err != nil {
-				return nil, clientErrf("bad cas token %q", args[4])
-			}
-			cmd.CasID = id
-		}
-		cmd.NoReply = len(args) == want+1
-		data, err := readData(r, n)
-		if err != nil {
-			return nil, err
-		}
-		cmd.Data = data
-	case "delete":
-		if len(args) != 1 && !(len(args) == 2 && args[1] == "noreply") {
-			return nil, clientErrf("delete requires <key> [noreply]")
-		}
-		if err := checkKey(args[0]); err != nil {
-			return nil, err
-		}
-		cmd.Keys = args[:1]
-		cmd.NoReply = len(args) == 2
-	case "incr", "decr":
-		if len(args) != 2 && !(len(args) == 3 && args[2] == "noreply") {
-			return nil, clientErrf("%s requires <key> <delta> [noreply]", cmd.Name)
-		}
-		if err := checkKey(args[0]); err != nil {
-			return nil, err
-		}
-		cmd.Keys = args[:1]
-		d, err := strconv.ParseUint(args[1], 10, 64)
-		if err != nil {
-			return nil, clientErrf("bad delta %q", args[1])
-		}
-		cmd.Delta = d
-		cmd.NoReply = len(args) == 3
-	case "touch":
-		if len(args) != 2 && !(len(args) == 3 && args[2] == "noreply") {
-			return nil, clientErrf("touch requires <key> <exptime> [noreply]")
-		}
-		if err := checkKey(args[0]); err != nil {
-			return nil, err
-		}
-		cmd.Keys = args[:1]
-		exp, err := strconv.ParseInt(args[1], 10, 64)
-		if err != nil {
-			return nil, clientErrf("bad exptime %q", args[1])
-		}
-		cmd.Exptime = exp
-		cmd.NoReply = len(args) == 3
-	case "stats", "flush_all", "version", "quit":
-		// No operands used.
-	default:
-		return nil, clientErrf("unknown command %q", cmd.Name)
-	}
-	return cmd, nil
-}
-
-// readData consumes an n-byte data block plus its CRLF terminator.
-func readData(r *bufio.Reader, n int) ([]byte, error) {
-	data := make([]byte, n+2)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, &ClientError{Msg: fmt.Sprintf("short data block: %v", err), Err: err}
-	}
-	if !bytes.HasSuffix(data, []byte("\r\n")) {
-		return nil, clientErrf("data block not terminated by CRLF")
-	}
-	return data[:n], nil
-}
-
 // CheckKey validates a key against the protocol's constraints — non-empty,
 // at most MaxKeyLen bytes, no space or control bytes. Clients call it before
 // rendering a request: a key with an embedded space or newline would not
@@ -239,55 +104,6 @@ func checkKey[T ~string | ~[]byte](k T) error {
 		}
 	}
 	return nil
-}
-
-// fieldsSpace splits s on runs of ASCII spaces — the protocol's only token
-// separator. Unlike strings.Fields, a tab (or any other whitespace byte) is
-// part of its token and will fail verb or key validation, matching the
-// in-place tokenizer byte for byte so the two parsers agree on every input.
-func fieldsSpace(s string) []string {
-	var out []string
-	for i := 0; i < len(s); {
-		if s[i] == ' ' {
-			i++
-			continue
-		}
-		j := i
-		for j < len(s) && s[j] != ' ' {
-			j++
-		}
-		out = append(out, s[i:j])
-		i = j
-	}
-	return out
-}
-
-// readLine reads one CRLF- (or LF-) terminated line without the terminator,
-// rejecting lines longer than MaxLineLen with ErrLineTooLong.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		line = append(line, chunk...)
-		if err == bufio.ErrBufferFull {
-			if len(line) > MaxLineLen {
-				return nil, ErrLineTooLong
-			}
-			continue
-		}
-		if err != nil {
-			if err == io.EOF && len(line) == 0 {
-				return nil, io.EOF
-			}
-			return nil, err
-		}
-		break
-	}
-	if len(line) > MaxLineLen+2 { // +2 allows the CRLF terminator itself
-		return nil, ErrLineTooLong
-	}
-	line = bytes.TrimRight(line, "\r\n")
-	return line, nil
 }
 
 // Response rendering helpers. All append to dst and return it.

@@ -2,10 +2,10 @@ package proto
 
 import "strconv"
 
-// Client-side request rendering: the inverse of ReadCommand, used by the
-// cluster peer client and the forwarding path to re-emit a parsed command on
-// another connection. Responses have a matching encoder, AppendResp, so a
-// node can relay a peer's reply verbatim.
+// Client-side request rendering: the inverse of Parser.ReadCommand, used by
+// the cluster peer client and the forwarding path to re-emit a parsed
+// command on another connection. Responses have a matching encoder,
+// AppendResp, so a node can relay a peer's reply verbatim.
 
 // AppendCommand renders cmd to its wire form, appending to dst. NoReply is
 // honored for the commands that accept it; Data supplies storage commands'

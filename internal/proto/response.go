@@ -1,11 +1,5 @@
 package proto
 
-import (
-	"bufio"
-	"strconv"
-	"strings"
-)
-
 // maxResponseBlocks bounds VALUE/STAT accumulation in one response, so a
 // misbehaving server cannot make a client allocate without bound.
 const maxResponseBlocks = 1 << 16
@@ -35,92 +29,4 @@ type Response struct {
 	Values []Value
 	// Stats collects STAT name/value pairs of a stats reply.
 	Stats [][2]string
-}
-
-// ReadResponse parses one complete response from r: a single status line
-// (STORED, DELETED, a number, ...), or a block response (VALUE/STAT lines
-// terminated by END). Malformed input yields a *ClientError; a line-length
-// violation yields ErrLineTooLong. io.EOF is returned verbatim on a cleanly
-// closed connection.
-func ReadResponse(r *bufio.Reader) (*Response, error) {
-	resp := &Response{}
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return nil, err
-		}
-		fields := fieldsSpace(string(line))
-		if len(fields) == 0 {
-			return nil, clientErrf("empty response line")
-		}
-		switch fields[0] {
-		case "VALUE":
-			if len(resp.Values) >= maxResponseBlocks {
-				return nil, clientErrf("response exceeds %d VALUE blocks", maxResponseBlocks)
-			}
-			v, err := parseValueBlock(r, fields[1:])
-			if err != nil {
-				return nil, err
-			}
-			resp.Values = append(resp.Values, v)
-		case "STAT":
-			if len(resp.Stats) >= maxResponseBlocks {
-				return nil, clientErrf("response exceeds %d STAT lines", maxResponseBlocks)
-			}
-			if len(fields) < 3 {
-				return nil, clientErrf("STAT line needs a name and a value")
-			}
-			resp.Stats = append(resp.Stats, [2]string{fields[1], strings.Join(fields[2:], " ")})
-		case "END":
-			resp.Status = "END"
-			return resp, nil
-		case "STORED", "NOT_STORED", "EXISTS", "NOT_FOUND", "DELETED", "TOUCHED", "OK", "ERROR":
-			resp.Status = fields[0]
-			return resp, nil
-		case "CLIENT_ERROR", "SERVER_ERROR", "VERSION":
-			resp.Status = fields[0]
-			resp.Message = strings.Join(fields[1:], " ")
-			return resp, nil
-		default:
-			if n, err := strconv.ParseUint(fields[0], 10, 64); err == nil && len(fields) == 1 {
-				resp.Status = "NUMBER"
-				resp.Number = n
-				return resp, nil
-			}
-			return nil, clientErrf("unparseable response line %q", line)
-		}
-	}
-}
-
-// parseValueBlock parses the operands of a VALUE line ("<key> <flags>
-// <bytes> [<cas>]") and consumes the data block.
-func parseValueBlock(r *bufio.Reader, args []string) (Value, error) {
-	if len(args) != 3 && len(args) != 4 {
-		return Value{}, clientErrf("VALUE line needs <key> <flags> <bytes> [<cas>]")
-	}
-	if err := checkKey(args[0]); err != nil {
-		return Value{}, err
-	}
-	flags, err := strconv.ParseUint(args[1], 10, 32)
-	if err != nil {
-		return Value{}, clientErrf("bad flags %q", args[1])
-	}
-	n, err := strconv.Atoi(args[2])
-	if err != nil || n < 0 || n > MaxDataLen {
-		return Value{}, clientErrf("bad bytes %q", args[2])
-	}
-	v := Value{Key: args[0], Flags: uint32(flags)}
-	if len(args) == 4 {
-		cas, err := strconv.ParseUint(args[3], 10, 64)
-		if err != nil {
-			return Value{}, clientErrf("bad cas token %q", args[3])
-		}
-		v.CAS = cas
-	}
-	data, err := readData(r, n)
-	if err != nil {
-		return Value{}, err
-	}
-	v.Data = data
-	return v, nil
 }

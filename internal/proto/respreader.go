@@ -23,9 +23,9 @@ import (
 //   - A caller that keeps a value beyond the current response (cache fill,
 //     result set) must copy the bytes first.
 //
-// ReadResponse remains the allocating reference implementation; the
-// FuzzClientReadResponse harness drives both over identical streams and
-// requires agreement on every input.
+// The allocating reference parser (ReadResponse in reference_test.go) is the
+// executable spec; the FuzzClientReadResponse harness drives both over
+// identical streams and requires agreement on every input.
 type RespReader struct {
 	r *bufio.Reader
 

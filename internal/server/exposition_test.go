@@ -65,7 +65,24 @@ func capture(t *testing.T, srv *Server, cl *client) exposition {
 		return rec.Body.String()
 	}
 	cl.send(t, "stats\r\n")
-	return exposition{stats: readUntil(t, cl, "END\r\n"), metrics: get("/metrics"), statsz: get("/statsz")}
+	stats := readUntil(t, cl, "END\r\n")
+	// A batch's latency is observed once its reply is flushed, so the reply
+	// can arrive first: wait until every command the server batched is in a
+	// latency histogram before reading the surfaces that count them.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var observed uint64
+		for _, h := range srv.Latencies() {
+			observed += h.Count
+		}
+		batched := srv.Stats().BatchedCmds
+		if observed == batched {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("latency histograms hold %d of %d batched commands", observed, batched)
+		}
+	}
+	return exposition{stats: stats, metrics: get("/metrics"), statsz: get("/statsz")}
 }
 
 // storeBurst sends n stores of size-byte values to keys[0:n] in one write and

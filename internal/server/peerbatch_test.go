@@ -226,9 +226,10 @@ func TestBatchLargeValuesDoNotStall(t *testing.T) {
 		tc.SetReadBuffer(256 << 10)
 		tc.SetWriteBuffer(256 << 10)
 		r := bufio.NewReaderSize(conn, 1<<16)
+		p := proto.NewParser(r)
 		var out []byte
 		for n := 1; ; n++ {
-			cmd, err := proto.ReadCommand(r)
+			cmd, err := p.ReadCommand()
 			if err != nil {
 				return
 			}
@@ -334,7 +335,7 @@ func TestBatchWritesEveryOwnerBeforeReading(t *testing.T) {
 	owner := func(me int) func(net.Conn) {
 		arrived[me] = make(chan struct{})
 		return func(conn net.Conn) {
-			cmd, err := proto.ReadCommand(bufio.NewReader(conn))
+			cmd, err := proto.NewParser(bufio.NewReader(conn)).ReadCommand()
 			if err != nil {
 				return
 			}
@@ -374,7 +375,7 @@ func TestBatchOwnerDiesMidExchange(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			nodes := startWithFakeOwners(t, Options{Backend: tc.backend, HotCacheBytes: -1}, func(conn net.Conn) {
 				// Take the first request off the wire, then die.
-				proto.ReadCommand(bufio.NewReader(conn))
+				proto.NewParser(bufio.NewReader(conn)).ReadCommand()
 			})
 			local, remote := keyOwnedBy(t, nodes, 0, "l"), keyOwnedBy(t, nodes, 1, "r")
 			cl := dial(t, nodes[0].addr)
@@ -420,9 +421,9 @@ func TestBatchOwnerDiesMidExchange(t *testing.T) {
 func TestBatchRelaysShedVerbatim(t *testing.T) {
 	store := backend.New(penalty.Uniform(0.001), nil)
 	nodes := startWithFakeOwners(t, Options{Backend: store}, func(conn net.Conn) {
-		r := bufio.NewReader(conn)
+		r := proto.NewParser(bufio.NewReader(conn))
 		for {
-			if _, err := proto.ReadCommand(r); err != nil {
+			if _, err := r.ReadCommand(); err != nil {
 				return
 			}
 			if _, err := conn.Write(proto.AppendShed(nil)); err != nil {
@@ -490,9 +491,9 @@ func TestForwardedWriteInvalidatesHotCacheAfterReply(t *testing.T) {
 	answerGet, answerSet := make(chan struct{}), make(chan struct{})
 	var gets atomic.Int32
 	nodes := startWithFakeOwners(t, Options{HotCacheTTL: time.Minute}, func(conn net.Conn) {
-		r := bufio.NewReader(conn)
+		r := proto.NewParser(bufio.NewReader(conn))
 		for {
-			cmd, err := proto.ReadCommand(r)
+			cmd, err := r.ReadCommand()
 			if err != nil {
 				return
 			}

@@ -206,9 +206,6 @@ type Options struct {
 	Backend *backend.Store
 	// Logger receives connection-level errors; nil disables logging.
 	Logger *log.Logger
-	// ReapInterval runs a background expiry crawler this often (the
-	// engine's expiry is otherwise lazy); 0 disables it.
-	ReapInterval time.Duration
 
 	// ReadTimeout is the idle deadline: the longest the server waits for
 	// the next request (or the rest of a partially sent one) before
@@ -405,7 +402,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-	reapC  chan struct{}
 
 	// doneC closes when Shutdown begins; handlers treat it as the drain
 	// signal.
@@ -436,10 +432,6 @@ type Server struct {
 	// on a log scale.
 	lat [numFams]*obs.Hist
 }
-
-// reaper is implemented by stores that support proactive expiry: an engine,
-// and a shard group, which reaps shard by shard.
-type reaper interface{ ReapExpired(max int) int }
 
 // New returns a Server for the given store (a single engine or a shard
 // group), which should have been built with StoreValues: true; without it
@@ -518,13 +510,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		return errors.New("server: already shut down")
 	}
 	s.ln = ln
-	if s.opts.ReapInterval > 0 && s.reapC == nil {
-		if r, ok := s.c.(reaper); ok {
-			s.reapC = make(chan struct{})
-			s.wg.Add(1)
-			go s.reapLoop(r)
-		}
-	}
 	s.mu.Unlock()
 	for {
 		if s.sem != nil {
@@ -663,10 +648,6 @@ func (s *Server) Shutdown() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	if s.reapC != nil {
-		close(s.reapC)
-		s.reapC = nil
-	}
 	conns := make([]net.Conn, 0, len(s.conns))
 	for conn := range s.conns {
 		conns = append(conns, conn)
@@ -709,26 +690,6 @@ func (s *Server) Shutdown() {
 		}
 		s.mu.Unlock()
 		<-done
-	}
-}
-
-// reapLoop periodically sweeps expired items until Shutdown.
-func (s *Server) reapLoop(r reaper) {
-	defer s.wg.Done()
-	t := time.NewTicker(s.opts.ReapInterval)
-	defer t.Stop()
-	s.mu.Lock()
-	done := s.reapC
-	s.mu.Unlock()
-	for {
-		select {
-		case <-done:
-			return
-		case <-t.C:
-			if n := r.ReapExpired(4096); n > 0 {
-				s.logf("server: reaped %d expired items", n)
-			}
-		}
 	}
 }
 

@@ -678,43 +678,6 @@ func TestListenAndServeBadAddr(t *testing.T) {
 	}
 }
 
-func TestBackgroundReaper(t *testing.T) {
-	now := time.Now().Unix()
-	c, err := cache.New(cache.Config{
-		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
-		CacheBytes:  1 << 21,
-		StoreValues: true,
-		WindowLen:   1 << 50,
-		Now:         func() int64 { return now + 10_000 }, // everything with a TTL is stale
-	}, core.New(core.DefaultConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(c, Options{ReapInterval: 5 * time.Millisecond})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(srv.Shutdown)
-	// Insert items whose deadline is already past the engine clock.
-	for i := 0; i < 10; i++ {
-		if err := c.SetTTL(fmt.Sprintf("k%d", i), 64, 0.01, 0, now+60, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for c.Items() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("reaper never swept: %d items left", c.Items())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c.Stats().Expired != 10 {
-		t.Fatalf("Expired = %d, want 10", c.Stats().Expired)
-	}
-}
-
 func TestShutdownUnblocksServe(t *testing.T) {
 	srv, addr := startServer(t, Options{})
 	cl := dial(t, addr)

@@ -194,23 +194,6 @@ func (g *Group) Delta(key string, delta uint64, decr bool) (uint64, error) {
 // Contains routes to the owning shard.
 func (g *Group) Contains(key string) bool { return g.pick(key).Contains(key) }
 
-// ReapExpired sweeps expired items across shards, up to max in total
-// (max <= 0 sweeps everything).
-func (g *Group) ReapExpired(max int) int {
-	n := 0
-	for _, s := range g.shards {
-		budget := 0
-		if max > 0 {
-			budget = max - n
-			if budget <= 0 {
-				break
-			}
-		}
-		n += s.ReapExpired(budget)
-	}
-	return n
-}
-
 // ScanKeys walks live resident items shard by shard (each shard snapshots
 // under its own engine lock and runs fn outside it — see cache.ScanKeys).
 // fn returning false stops the scan.

@@ -274,11 +274,8 @@ type (
 	// pooled client per remote member (ServerOptions.Cluster).
 	ClusterPeers = cluster.Peers
 	// ClusterConfig describes a node's view of the cluster (self, member
-	// list, hashing scheme, client tuning, hedge policy).
+	// list, client tuning, hedge policy).
 	ClusterConfig = cluster.Config
-	// ClusterSelector maps keys to owning members ("ring" with virtual
-	// nodes, or "rendezvous").
-	ClusterSelector = cluster.Selector
 	// ClusterClientOptions tune one peer's connection pool, timeouts,
 	// retries, and circuit breaker.
 	ClusterClientOptions = cluster.ClientOptions
@@ -299,13 +296,6 @@ const DefaultVNodes = cluster.DefaultVNodes
 
 // NewClusterPeers validates cfg and builds a node's routing table.
 func NewClusterPeers(cfg ClusterConfig) (*ClusterPeers, error) { return cluster.New(cfg) }
-
-// NewClusterSelector builds an owner selector over members: kind "ring"
-// (consistent hashing with vnodes virtual nodes, "" and 0 for defaults) or
-// "rendezvous".
-func NewClusterSelector(kind string, members []string, vnodes int) (ClusterSelector, error) {
-	return cluster.NewSelector(kind, members, vnodes)
-}
 
 // DefaultHedgePolicy returns the penalty-aware hedge schedule: cheap keys
 // never hedge; expensive keys hedge after a few milliseconds.
