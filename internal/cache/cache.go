@@ -25,7 +25,6 @@ import (
 	"pamakv/internal/kv"
 	"pamakv/internal/lru"
 	"pamakv/internal/penalty"
-	"pamakv/internal/rank"
 	"pamakv/internal/segment"
 	"pamakv/internal/slab"
 )
@@ -43,7 +42,8 @@ var (
 type TrackerKind int
 
 const (
-	// TrackerExact uses the order-statistics ring (ground truth).
+	// TrackerExact tags each item with its segment and keeps one boundary
+	// pointer per segment (ground truth, O(m) per access).
 	TrackerExact TrackerKind = iota
 	// TrackerBloom uses the paper's per-segment Bloom filters.
 	TrackerBloom
@@ -191,8 +191,8 @@ type BatchRecorder interface {
 type subclass struct {
 	list  lru.List
 	tr    segment.Tracker
-	ghost lru.List
-	gring *rank.Ring
+	ghost lru.List       // oldest first: gtr's segment 0 receives evictions
+	gtr   *segment.Exact // ghost segments, in each ghost's Seq
 	gcap  int
 }
 
@@ -320,7 +320,7 @@ func buildClasses(g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind) []cl
 			}
 			if gseg > 0 {
 				s.gcap = gseg * cl.spc
-				s.gring = rank.New(256)
+				s.gtr = segment.NewExact(&s.ghost, cl.spc, gseg)
 			}
 		}
 	}
@@ -396,7 +396,7 @@ func (c *Cache) lookup(key string, sizeHint int, penHint float64, buf []byte) (v
 	if g = c.gindex.Get(h, key); g != nil {
 		c.stats.GhostHits++
 		clHint, subHint = int(g.Class), int(g.Sub)
-		gseg = c.ghostSeg(g)
+		gseg = int(g.Seq)
 	} else if sizeHint > 0 {
 		clHint = c.geom.ClassFor(sizeHint)
 		subHint = c.subclassFor(penHint)
@@ -586,24 +586,14 @@ func (c *Cache) Flush() {
 		cl := &c.classes[ci]
 		for si := range cl.subs {
 			s := &cl.subs[si]
-			for it := s.list.PopFront(); it != nil; it = s.list.PopFront() {
-				if s.tr != nil {
-					s.tr.Remove(it)
-				}
-				c.index.Remove(it)
-				_ = c.slabs.FreeSlot(ci)
-				c.polOnRemove(it)
+			for it := s.list.Front(); it != nil; it = s.list.Front() {
+				c.unlinkResident(it)
 				c.release(it)
 			}
-			if s.gcap > 0 {
-				for g := s.ghost.PopFront(); g != nil; g = s.ghost.PopFront() {
-					s.gring.Remove(g)
-					c.gindex.Remove(g)
-					c.releaseRaw(g)
-				}
+			for g := s.ghost.Front(); g != nil; g = s.ghost.Front() {
+				c.dropGhost(g)
 			}
 		}
-		c.holes[ci] = 0
 	}
 	c.flushStaleLocked()
 }
@@ -813,12 +803,15 @@ func (c *Cache) CheckInvariants() error {
 		n := 0
 		var holes int64
 		for si := range c.classes[ci].subs {
-			l := &c.classes[ci].subs[si].list
-			n += l.Len()
-			l.AscendFromBack(func(it *kv.Item) bool {
+			s := &c.classes[ci].subs[si]
+			n += s.list.Len()
+			s.list.AscendFromBack(func(it *kv.Item) bool {
 				holes += int64(c.geom.SlotSize(ci) - int(it.Size))
 				return true
 			})
+			if err := s.checkTrackers(); err != nil {
+				return fmt.Errorf("cache: class %d subclass %d: %w", ci, si, err)
+			}
 		}
 		if n != c.slabs.Used(ci) {
 			return fmt.Errorf("cache: class %d lists hold %d items, slab accounting says %d",
@@ -866,6 +859,22 @@ func (c *Cache) CheckInvariants() error {
 }
 
 // ---- Internals ----
+
+// checkTrackers audits the exact trackers of a resident stack and its ghost
+// region against walks of their lists.
+func (s *subclass) checkTrackers() error {
+	if ex, ok := s.tr.(*segment.Exact); ok {
+		if err := ex.Check(); err != nil {
+			return fmt.Errorf("stack: %w", err)
+		}
+	}
+	if s.gtr != nil {
+		if err := s.gtr.Check(); err != nil {
+			return fmt.Errorf("ghost region: %w", err)
+		}
+	}
+	return nil
+}
 
 // expired reports whether it carries a TTL that has passed. An injected
 // Config.Now always wins (test clocks); otherwise the coarse cached second
@@ -1001,40 +1010,17 @@ func (c *Cache) pushGhost(it *kv.Item) {
 	c.releaseValue(it)
 	// It was resident until now, so its key has no ghost entry to replace.
 	c.gindex.Insert(it)
-	s.ghost.PushFront(it)
-	if s.gring.Full() {
-		s.gring.Reset()
-		s.ghost.AscendFromBack(func(x *kv.Item) bool {
-			if x != it {
-				s.gring.Insert(x)
-			}
-			return true
-		})
-	}
-	s.gring.Insert(it)
+	s.ghost.PushBack(it)
+	s.gtr.InsertBottom(it)
 	for s.ghost.Len() > s.gcap {
-		oldest := s.ghost.PopBack()
-		s.gring.Remove(oldest)
-		c.gindex.Remove(oldest)
-		c.releaseRaw(oldest)
+		c.dropGhost(s.ghost.Front())
 	}
-}
-
-// ghostSeg returns the ghost-region segment of g: 0 is the receiving
-// segment (most recent evictions).
-func (c *Cache) ghostSeg(g *kv.Item) int {
-	s := &c.classes[g.Class].subs[g.Sub]
-	if s.gring == nil {
-		return -1
-	}
-	posFromFront := s.ghost.Len() - 1 - s.gring.Rank(g)
-	return posFromFront / c.classes[g.Class].spc
 }
 
 // dropGhost removes a ghost entry entirely.
 func (c *Cache) dropGhost(g *kv.Item) {
 	s := &c.classes[g.Class].subs[g.Sub]
-	s.gring.Remove(g)
+	s.gtr.Remove(g)
 	s.ghost.Remove(g)
 	c.gindex.Remove(g)
 	c.releaseRaw(g)

@@ -278,7 +278,8 @@ var fuzzKeys = func() []string {
 // FuzzEngineOps decodes a byte string into operations over sixteen keys on a
 // four-slab engine — small enough that a few dozen bytes reach eviction, ghost
 // hits, expiry and slab migration — under PAMA and PSA, with prefetches of the
-// keys in between. Nothing may panic and the accounting must hold at the end.
+// keys in between. Nothing may panic, and the accounting, segment tags and
+// boundaries included, must hold after every operation.
 func FuzzEngineOps(f *testing.F) {
 	// Fill a class to twice its capacity, then read every key back as gets:
 	// the sequence that killed the server.
@@ -349,8 +350,8 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 		case 13:
 			c.Prefetch(fuzzKeys[arg%16:]) // read-only: the next operations must not notice
 		}
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatalf("%s: %v", kind, err)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s after op %d: %v", kind, ops[0]%14, err)
+		}
 	}
 }

@@ -110,6 +110,9 @@ func TestOpsAgainstMapModel(t *testing.T) {
 					return false
 				}
 			}
+			if op%100 == 99 && c.CheckInvariants() != nil {
+				return false
+			}
 		}
 		// Final agreement sweep.
 		for key, m := range model {

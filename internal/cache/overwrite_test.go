@@ -476,7 +476,7 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 		if m.exact {
 			m.verify()
 		}
-		if m.op%101 == 0 {
+		if m.exact || m.op%101 == 0 { // every op, but sparsely while readers race
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("op %d: %v", m.op, err)
 			}

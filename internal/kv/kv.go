@@ -92,10 +92,12 @@ type Item struct {
 	// seconds. It selects the penalty subclass under PAMA and prices the
 	// segment an access lands in.
 	Penalty float64
-	// Seq is the rank-ring sequence assigned by the segment tracker; it is
-	// owned by package rank. Policies that disable segment tracking
-	// (Segments() == 0) may repurpose it as per-item scratch (policy.CAMP
-	// stores its insertion-time clock here).
+	// Seq is the item's segment tag, owned by segment.Exact on resident
+	// stacks and ghost regions alike: 0..nseg-1 inside the tracked bottom
+	// region, nseg above it. A policy may repurpose it as per-item scratch
+	// only when both its Segments() and GhostSegments() are 0 (policy.CAMP
+	// stores its insertion-time clock here). Package mrc's shadow items,
+	// which never enter an engine, carry its rank ring's sequence here.
 	Seq uint64
 	// CAS is the compare-and-set token, changed on every store of the
 	// key (Memcached cas semantics).

@@ -2,10 +2,9 @@
 // LRU stack at the top and leave from arbitrary positions, it answers "how
 // far is this item from the bottom of the stack?" in O(log n).
 //
-// PAMA's exact segment tracker uses it to decide, on every access, which
-// slab-sized segment (candidate, 1st reference, 2nd reference, ...) the item
-// occupied — the ground truth against which the paper's Bloom-filter
-// approximation is ablated.
+// Package mrc's shadow stacks use it to measure each re-access's exact
+// stack distance. They are the whole budget deep, where a segment tracker's
+// boundary pointers (package segment) would cost O(depth) per access.
 //
 // Implementation: every insertion at the MRU end is assigned a monotonically
 // increasing sequence number; stack order equals sequence order because a

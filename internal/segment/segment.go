@@ -10,8 +10,8 @@
 //
 // Two implementations share the Tracker interface:
 //
-//   - Exact maintains an order-statistics ring (package rank) and computes
-//     the item's true stack position on every access — O(log n), zero error.
+//   - Exact tags each item with its segment and keeps one boundary pointer
+//     per segment — O(nseg) per access, zero error. Ghost regions run it too.
 //   - Bloom implements the paper's scheme: one Bloom filter per segment plus
 //     a removal filter, rebuilt from a stack scan at every window rollover —
 //     O(1) per access with bounded staleness and false-positive error.
@@ -20,23 +20,24 @@
 package segment
 
 import (
+	"fmt"
+
 	"pamakv/internal/bloom"
 	"pamakv/internal/kv"
 	"pamakv/internal/lru"
-	"pamakv/internal/rank"
 )
 
 // Tracker attributes accesses on one LRU stack to bottom segments. The
 // tracker owns the stack's LRU motion: Insert is called after the item has
-// been pushed onto the list's MRU end, Remove before/after the item leaves
-// the list, and Touch moves the item to the MRU end itself, so the tracker's
+// been pushed onto the list's MRU end, Remove while the item is still on the
+// list, and Touch moves the item to the MRU end itself, so the tracker's
 // internal order can never drift from the list order.
 type Tracker interface {
 	// Insert registers a brand-new item that the caller has just pushed
 	// onto the list's MRU end.
 	Insert(it *kv.Item)
-	// Remove unregisters an item leaving the stack (eviction, delete,
-	// migration), from any position.
+	// Remove unregisters an item about to leave the stack (eviction,
+	// delete, migration), from any position, while it is still on the list.
 	Remove(it *kv.Item)
 	// Touch handles an access: it reports the segment the item occupied
 	// (0 = candidate, 1..nseg-1 = reference, -1 = above the region) and
@@ -48,48 +49,74 @@ type Tracker interface {
 	Segments() int
 }
 
-// Exact is the ground-truth tracker.
+// Exact is the ground-truth tracker. The item p places from the list's back
+// carries min(p/segSize, nseg) in its Seq; top[k] is segment k's topmost
+// item once the segment holds segSize items, nil before.
 type Exact struct {
 	list    *lru.List
-	ring    *rank.Ring
+	top     []*kv.Item
 	segSize int
 	nseg    int
 }
 
 // NewExact tracks nseg segments of segSize items at the bottom of list.
 func NewExact(list *lru.List, segSize, nseg int) *Exact {
-	return &Exact{list: list, ring: rank.New(256), segSize: segSize, nseg: nseg}
+	return &Exact{list: list, top: make([]*kv.Item, nseg), segSize: segSize, nseg: nseg}
 }
 
-// Insert implements Tracker. The item must already be on the list's MRU
-// end: when the sequence window is exhausted the tracker rebuilds itself
-// from the list, which must therefore include the item.
+// Insert implements Tracker: the item, now the list's front, is tagged by
+// its position and becomes its segment's boundary if it completes it.
 func (e *Exact) Insert(it *kv.Item) {
-	if e.ring.Full() {
-		e.compact() // picks it up from the list's front
+	if e.top[e.nseg-1] != nil { // the region is full: the front is above it
+		it.Seq = uint64(e.nseg)
 		return
 	}
-	e.ring.Insert(it)
+	pos := e.list.Len() - 1
+	k := pos / e.segSize
+	it.Seq = uint64(k)
+	if pos%e.segSize == e.segSize-1 {
+		e.top[k] = it
+	}
 }
 
-// Remove implements Tracker.
-func (e *Exact) Remove(it *kv.Item) { e.ring.Remove(it) }
-
-// Touch implements Tracker.
-func (e *Exact) Touch(it *kv.Item) int {
-	pos := e.ring.Rank(it)
-	e.ring.Remove(it)
-	e.list.MoveToFront(it)
-	if e.ring.Full() {
-		e.compact() // re-registers it from its new front position
-	} else {
-		e.ring.Insert(it)
+// InsertBottom registers an item just pushed onto the list's back (a ghost
+// FIFO, oldest first): each full segment's topmost item crosses upward.
+func (e *Exact) InsertBottom(it *kv.Item) {
+	k := 0
+	for ; k < e.nseg && e.top[k] != nil; k++ {
+		e.top[k].Seq = uint64(k + 1)
+		e.top[k] = e.top[k].Next
 	}
-	seg := pos / e.segSize
-	if seg >= e.nseg {
+	it.Seq = 0
+	if k < e.nseg && e.list.Len() == (k+1)*e.segSize {
+		e.top[k] = e.list.Front() // the push completed segment k
+	}
+}
+
+// Remove implements Tracker: each full segment from the item's own upward
+// takes the item above its boundary as its new boundary, re-tagged.
+func (e *Exact) Remove(it *kv.Item) {
+	for k := int(it.Seq); k < e.nseg && e.top[k] != nil; k++ {
+		t := e.top[k].Prev
+		e.top[k] = t
+		if t != nil {
+			t.Seq = uint64(k)
+		}
+	}
+}
+
+// Touch implements Tracker. An item above the region passes only items
+// above it, so it just moves.
+func (e *Exact) Touch(it *kv.Item) int {
+	k := int(it.Seq)
+	if k == e.nseg {
+		e.list.MoveToFront(it)
 		return -1
 	}
-	return seg
+	e.Remove(it)
+	e.list.MoveToFront(it)
+	e.Insert(it)
+	return k
 }
 
 // Rollover implements Tracker (no-op: Exact is always current).
@@ -98,12 +125,29 @@ func (e *Exact) Rollover() {}
 // Segments implements Tracker.
 func (e *Exact) Segments() int { return e.nseg }
 
-func (e *Exact) compact() {
-	e.ring.Reset()
-	e.list.AscendFromBack(func(x *kv.Item) bool {
-		e.ring.Insert(x)
-		return true
+// Check audits the tracker against a walk of its list from the back: every
+// item's tag is min(position/segSize, nseg), and each boundary is its
+// segment's topmost item, nil while the segment is not full.
+func (e *Exact) Check() error {
+	pos := 0
+	var err error
+	e.list.AscendFromBack(func(it *kv.Item) bool {
+		k := min(pos/e.segSize, e.nseg)
+		switch {
+		case it.Seq != uint64(k):
+			err = fmt.Errorf("segment: item %q at position %d tagged %d, want %d", it.Key, pos, it.Seq, k)
+		case k < e.nseg && pos%e.segSize == e.segSize-1 && e.top[k] != it:
+			err = fmt.Errorf("segment: boundary of segment %d is not its topmost item %q", k, it.Key)
+		}
+		pos++
+		return err == nil
 	})
+	for k := pos / e.segSize; err == nil && k < e.nseg; k++ {
+		if e.top[k] != nil {
+			err = fmt.Errorf("segment: segment %d holds fewer than %d items but has a boundary", k, e.segSize)
+		}
+	}
+	return err
 }
 
 // Bloom is the paper's approximate tracker.

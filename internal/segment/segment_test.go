@@ -94,6 +94,9 @@ func TestExactRemoveShifts(t *testing.T) {
 	}
 }
 
+// TestExactCompactionKeepsOrder: after thousands of touches over a stack
+// several segments deep, every tag and boundary still matches a walk of the
+// list.
 func TestExactCompactionKeepsOrder(t *testing.T) {
 	s := newStack(exactMk, 8, 2)
 	var items []*kv.Item
@@ -103,45 +106,140 @@ func TestExactCompactionKeepsOrder(t *testing.T) {
 		s.insert(it)
 	}
 	rng := rand.New(rand.NewSource(3))
-	// Force many compactions with 3000 touches over a 256-window ring.
 	for i := 0; i < 3000; i++ {
 		s.tr.Touch(items[rng.Intn(len(items))])
 	}
-	// Verify final segments against true list order.
-	pos := 0
-	s.list.AscendFromBack(func(it *kv.Item) bool {
-		want := pos / 8
-		if want >= 2 {
-			want = -1
-		}
-		// Touch changes the stack; instead verify via a fresh Exact
-		// built from the same list.
-		pos++
-		return true
-	})
-	fresh := NewExact(&s.list, 8, 2)
-	fresh.compact()
-	pos = 0
-	ok := true
-	s.list.AscendFromBack(func(it *kv.Item) bool {
-		want := pos / 8
-		if want >= 2 {
-			want = -1
-		}
-		got := fresh.ring.Rank(it) / 8
-		if got >= 2 {
-			got = -1
-		}
-		if got != want {
-			ok = false
-			return false
-		}
-		pos++
-		return true
-	})
-	if !ok {
-		t.Fatal("ring order diverged from list order after compactions")
+	if err := s.tr.(*Exact).Check(); err != nil {
+		t.Fatal(err)
 	}
+	for pos, it := range walk(&s.list) {
+		if got, want := segOf(s.tr.(*Exact), it), naiveSeg(pos, 8, 2); got != want {
+			t.Fatalf("item at %d from the bottom in segment %d, want %d", pos, got, want)
+		}
+	}
+}
+
+// walk returns the list bottom first.
+func walk(l *lru.List) []*kv.Item {
+	var out []*kv.Item
+	l.AscendFromBack(func(it *kv.Item) bool {
+		out = append(out, it)
+		return true
+	})
+	return out
+}
+
+// naiveSeg is the segment of the item pos places from the bottom, -1 above
+// the region.
+func naiveSeg(pos, segSize, nseg int) int {
+	if k := pos / segSize; k < nseg {
+		return k
+	}
+	return -1
+}
+
+// segOf reads an item's tag as Touch would report it.
+func segOf(e *Exact, it *kv.Item) int {
+	if k := int(it.Seq); k < e.nseg {
+		return k
+	}
+	return -1
+}
+
+// TestExactInsertBottom: a list kept oldest-first, as a ghost FIFO is. The
+// newest entry, at the back, is segment 0, and each push moves every older
+// entry up one position.
+func TestExactInsertBottom(t *testing.T) {
+	var l lru.List
+	e := NewExact(&l, 3, 2)
+	var items []*kv.Item
+	for i := 0; i < 8; i++ {
+		it := item(uint64(i))
+		items = append(items, it)
+		l.PushBack(it)
+		e.InsertBottom(it)
+		if err := e.Check(); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	// Newest first: items[7..5] segment 0, items[4..2] segment 1, the rest above.
+	wants := []int{-1, -1, 1, 1, 1, 0, 0, 0}
+	for i, it := range items {
+		if got := segOf(e, it); got != wants[i] {
+			t.Fatalf("items[%d] in segment %d, want %d", i, got, wants[i])
+		}
+	}
+}
+
+// FuzzExact decodes bytes into Insert, InsertBottom, Touch and Remove over
+// one list and compares every item's segment with a walk of the list after
+// every operation. The first two bytes pick the shape, segSize 1 and nseg 1
+// included.
+func FuzzExact(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 3, 0})
+	f.Add([]byte{3, 2, 0, 1, 0, 1, 1, 2, 1, 3, 2, 5, 3, 0, 3, 7, 2, 2, 0, 9})
+	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 3, 3, 0, 3, 0, 2, 1, 0, 4, 2, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 {
+			return
+		}
+		segSize, nseg := 1+int(ops[0]%4), 1+int(ops[1]%4)
+		var l lru.List
+		e := NewExact(&l, segSize, nseg)
+		var on []*kv.Item // items on the list, in no particular order
+		next := uint64(0)
+		for ops = ops[2:]; len(ops) >= 2; ops = ops[2:] {
+			op, arg := ops[0]%4, int(ops[1])
+			if op >= 2 && len(on) == 0 {
+				op -= 2 // nothing to touch or remove: insert instead
+			}
+			switch op {
+			case 0:
+				it := item(next)
+				next++
+				l.PushFront(it)
+				e.Insert(it)
+				on = append(on, it)
+			case 1:
+				it := item(next)
+				next++
+				l.PushBack(it)
+				e.InsertBottom(it)
+				on = append(on, it)
+			case 2:
+				it := on[arg%len(on)]
+				want := naiveSeg(indexOf(walk(&l), it), segSize, nseg)
+				if got := e.Touch(it); got != want {
+					t.Fatalf("Touch reported segment %d, a walk says %d", got, want)
+				}
+				if l.Front() != it {
+					t.Fatal("Touch did not move the item to the front")
+				}
+			case 3:
+				i := arg % len(on)
+				e.Remove(on[i])
+				l.Remove(on[i])
+				on = append(on[:i], on[i+1:]...)
+			}
+			for pos, it := range walk(&l) {
+				if got, want := segOf(e, it), naiveSeg(pos, segSize, nseg); got != want {
+					t.Fatalf("item at %d from the bottom in segment %d, a walk says %d", pos, got, want)
+				}
+			}
+			if err := e.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+func indexOf(items []*kv.Item, it *kv.Item) int {
+	for i, x := range items {
+		if x == it {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestBloomFreshSnapshotEmpty(t *testing.T) {

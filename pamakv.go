@@ -86,8 +86,8 @@ type (
 
 // Tracker kinds.
 const (
-	// TrackerExact computes segment attribution exactly (order-statistics
-	// ring).
+	// TrackerExact computes segment attribution exactly (a segment tag on
+	// every item, one boundary pointer per segment).
 	TrackerExact = cache.TrackerExact
 	// TrackerBloom uses the paper's per-segment Bloom filters.
 	TrackerBloom = cache.TrackerBloom
