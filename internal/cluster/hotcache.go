@@ -1,10 +1,12 @@
 package cluster
 
 import (
-	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pamakv/internal/kv"
 )
 
 // HotCache defaults: a few MiB catches the hot head of a Zipf workload
@@ -23,27 +25,55 @@ const (
 // argument). Entries are advisory — a hit may be up to TTL stale relative
 // to the owner — so the cache is consulted only for plain GETs, never for
 // gets/cas.
+//
+// The entries live in one slice, linked into the LRU list by index, and
+// the index maps a key's 64-bit hash to its entry: after warm-up neither a
+// lookup nor a store allocates. A hit compares the key with the entry's
+// own copy, so a hash collision is a miss, and a Put of the colliding key
+// replaces the entry.
 type HotCache struct {
 	maxBytes int64
 	ttl      time.Duration
-	// now is stubbed by tests.
-	now func() time.Time
+	// now reads the clock deadlines are set on, in nanoseconds; stubbed
+	// by tests.
+	now func() int64
 
 	mu    sync.Mutex
-	ll    *list.List // front = most recent
-	items map[string]*list.Element
-	bytes int64
+	index map[uint64]int32 // kv.HashString(key) → slot in ents
+	ents  []hotEntry
+	// head and tail are the most and least recently used entries, free
+	// the first free slot (chained through next); noSlot when there is none.
+	head, tail, free int32
+	items            int
+	bytes            int64
 
 	hits, misses, evicts atomic.Uint64
 }
 
-// hotEntry is one cached value with its expiry deadline.
+// noSlot ends the LRU and free lists.
+const noSlot = -1
+
+// clockBase anchors monoNanos. time.Since of a time carrying a monotonic
+// reading reads only the monotonic clock, half the cost of time.Now.
+var clockBase = time.Now()
+
+func monoNanos() int64 { return int64(time.Since(clockBase)) }
+
+// hotEntry is one cached value with its expiry deadline. buf holds the key
+// and then the value; a later Put into the slot reuses it.
 type hotEntry struct {
-	key      string
-	flags    uint32
-	val      []byte
-	deadline time.Time
+	buf        []byte
+	klen       int32
+	flags      uint32
+	hash       uint64
+	deadline   int64 // on the now clock
+	prev, next int32
 }
+
+// hotSlack is how far a slot's buffer may exceed twice what it holds
+// before a Put gives it a fitting one, so a slot that once held a large
+// value does not pin it under small ones.
+const hotSlack = 64
 
 // NewHotCache builds a hot cache with the given byte budget and TTL
 // (defaults apply for values <= 0).
@@ -57,55 +87,77 @@ func NewHotCache(maxBytes int64, ttl time.Duration) *HotCache {
 	return &HotCache{
 		maxBytes: maxBytes,
 		ttl:      ttl,
-		now:      time.Now,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		now:      monoNanos,
+		index:    make(map[uint64]int32),
+		head:     noSlot,
+		tail:     noSlot,
+		free:     noSlot,
 	}
 }
 
-// Get returns the cached value for key if present and fresh.
-func (h *HotCache) Get(key string) (val []byte, flags uint32, ok bool) {
+// Get appends key's value to dst if it is cached and fresh, and returns
+// the extended buffer (dst itself on a miss).
+func (h *HotCache) Get(key string, dst []byte) (val []byte, flags uint32, ok bool) {
+	hash := kv.HashString(key)
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	e, found := h.items[key]
+	i, found := h.index[hash]
+	if found {
+		e := &h.ents[i]
+		switch {
+		case string(e.buf[:e.klen]) != key:
+			found = false
+		case h.now() > e.deadline:
+			h.removeLocked(i)
+			found = false
+		default:
+			h.unlinkLocked(i)
+			h.pushFrontLocked(i)
+			dst, flags = append(dst, e.buf[e.klen:]...), e.flags
+		}
+	}
+	h.mu.Unlock()
 	if !found {
 		h.misses.Add(1)
-		return nil, 0, false
+		return dst, 0, false
 	}
-	ent := e.Value.(*hotEntry)
-	if h.now().After(ent.deadline) {
-		h.removeLocked(e)
-		h.misses.Add(1)
-		return nil, 0, false
-	}
-	h.ll.MoveToFront(e)
 	h.hits.Add(1)
-	return ent.val, ent.flags, true
+	return dst, flags, true
 }
 
 // Put caches val under key for the TTL, evicting LRU entries past the byte
-// budget. Values larger than the whole budget are not cached. The value is
-// copied; callers may reuse their buffer.
+// budget. A value whose key and value together exceed the whole budget is
+// not cached, and drops the key's older copy. The value is copied; callers
+// may reuse their buffer.
 func (h *HotCache) Put(key string, flags uint32, val []byte) {
-	cost := int64(len(key) + len(val))
-	if cost > h.maxBytes {
-		return
-	}
-	cp := append([]byte(nil), val...)
+	hash := kv.HashString(key)
+	n := len(key) + len(val)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if e, ok := h.items[key]; ok {
-		h.removeLocked(e)
-	}
-	ent := &hotEntry{key: key, flags: flags, val: cp, deadline: h.now().Add(h.ttl)}
-	h.items[key] = h.ll.PushFront(ent)
-	h.bytes += cost
-	for h.bytes > h.maxBytes {
-		back := h.ll.Back()
-		if back == nil {
-			break
+	i, found := h.index[hash]
+	if int64(n) > h.maxBytes {
+		if found && string(h.ents[i].buf[:h.ents[i].klen]) == key {
+			h.removeLocked(i)
 		}
-		h.removeLocked(back)
+		return
+	}
+	if found {
+		h.unlinkLocked(i)
+		h.bytes -= int64(len(h.ents[i].buf))
+	} else {
+		i = h.allocLocked()
+		h.index[hash] = i
+		h.items++
+	}
+	e := &h.ents[i]
+	if c := cap(e.buf); c < n || c > 2*n+hotSlack {
+		e.buf = slices.Grow([]byte(nil), n)
+	}
+	e.buf = append(append(e.buf[:0], key...), val...)
+	e.klen, e.flags, e.hash, e.deadline = int32(len(key)), flags, hash, h.now()+int64(h.ttl)
+	h.pushFrontLocked(i)
+	h.bytes += int64(n)
+	for h.bytes > h.maxBytes {
+		h.removeLocked(h.tail)
 		h.evicts.Add(1)
 	}
 }
@@ -114,18 +166,58 @@ func (h *HotCache) Put(key string, flags uint32, val []byte) {
 // through this node, so the local copy never outlives what this node knows
 // changed).
 func (h *HotCache) Invalidate(key string) {
+	hash := kv.HashString(key)
 	h.mu.Lock()
-	if e, ok := h.items[key]; ok {
-		h.removeLocked(e)
+	if i, ok := h.index[hash]; ok && string(h.ents[i].buf[:h.ents[i].klen]) == key {
+		h.removeLocked(i)
 	}
 	h.mu.Unlock()
 }
 
-func (h *HotCache) removeLocked(e *list.Element) {
-	ent := e.Value.(*hotEntry)
-	h.ll.Remove(e)
-	delete(h.items, ent.key)
-	h.bytes -= int64(len(ent.key) + len(ent.val))
+// allocLocked returns a slot off the free list, or a new one.
+func (h *HotCache) allocLocked() int32 {
+	if i := h.free; i != noSlot {
+		h.free = h.ents[i].next
+		return i
+	}
+	h.ents = append(h.ents, hotEntry{})
+	return int32(len(h.ents) - 1)
+}
+
+// removeLocked drops entry i and puts its slot, buffer kept, on the free
+// list.
+func (h *HotCache) removeLocked(i int32) {
+	e := &h.ents[i]
+	h.unlinkLocked(i)
+	delete(h.index, e.hash)
+	h.items--
+	h.bytes -= int64(len(e.buf))
+	e.next, h.free = h.free, i
+}
+
+func (h *HotCache) unlinkLocked(i int32) {
+	e := &h.ents[i]
+	if e.prev != noSlot {
+		h.ents[e.prev].next = e.next
+	} else {
+		h.head = e.next
+	}
+	if e.next != noSlot {
+		h.ents[e.next].prev = e.prev
+	} else {
+		h.tail = e.prev
+	}
+}
+
+func (h *HotCache) pushFrontLocked(i int32) {
+	e := &h.ents[i]
+	e.prev, e.next = noSlot, h.head
+	if h.head != noSlot {
+		h.ents[h.head].prev = i
+	} else {
+		h.tail = i
+	}
+	h.head = i
 }
 
 // HotCacheStats is a point-in-time snapshot of the hot cache.
@@ -140,7 +232,7 @@ type HotCacheStats struct {
 // Stats snapshots the cache's counters and occupancy.
 func (h *HotCache) Stats() HotCacheStats {
 	h.mu.Lock()
-	bytes, items := h.bytes, h.ll.Len()
+	bytes, items := h.bytes, h.items
 	h.mu.Unlock()
 	return HotCacheStats{
 		Hits:   h.hits.Load(),

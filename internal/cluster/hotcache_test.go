@@ -1,23 +1,30 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"pamakv/internal/kv"
 )
 
 func TestHotCacheBasic(t *testing.T) {
 	h := NewHotCache(1<<20, time.Minute)
-	if _, _, ok := h.Get("k"); ok {
+	if _, _, ok := h.Get("k", nil); ok {
 		t.Fatal("empty cache hit")
 	}
 	h.Put("k", 7, []byte("value"))
-	v, flags, ok := h.Get("k")
+	v, flags, ok := h.Get("k", nil)
 	if !ok || string(v) != "value" || flags != 7 {
 		t.Fatalf("Get = (%q, %d, %v)", v, flags, ok)
 	}
 	h.Invalidate("k")
-	if _, _, ok := h.Get("k"); ok {
+	if _, _, ok := h.Get("k", nil); ok {
 		t.Fatal("hit after Invalidate")
 	}
 	st := h.Stats()
@@ -28,14 +35,14 @@ func TestHotCacheBasic(t *testing.T) {
 
 func TestHotCacheTTL(t *testing.T) {
 	h := NewHotCache(1<<20, 50*time.Millisecond)
-	now := time.Unix(5000, 0)
-	h.now = func() time.Time { return now }
+	now := int64(5000 * time.Second)
+	h.now = func() int64 { return now }
 	h.Put("k", 0, []byte("v"))
-	if _, _, ok := h.Get("k"); !ok {
+	if _, _, ok := h.Get("k", nil); !ok {
 		t.Fatal("fresh entry missed")
 	}
-	now = now.Add(time.Second)
-	if _, _, ok := h.Get("k"); ok {
+	now += int64(time.Second)
+	if _, _, ok := h.Get("k", nil); ok {
 		t.Fatal("expired entry hit")
 	}
 	if st := h.Stats(); st.Items != 0 || st.Bytes != 0 {
@@ -58,15 +65,15 @@ func TestHotCacheEvictsLRUUnderBudget(t *testing.T) {
 		t.Fatal("no evictions despite 2x overcommit")
 	}
 	// The most recent entry survives; the oldest is gone.
-	if _, _, ok := h.Get("k7"); !ok {
+	if _, _, ok := h.Get("k7", nil); !ok {
 		t.Error("most recent entry evicted")
 	}
-	if _, _, ok := h.Get("k0"); ok {
+	if _, _, ok := h.Get("k0", nil); ok {
 		t.Error("oldest entry survived 2x overcommit")
 	}
 	// Oversized values are refused outright.
 	h.Put("huge", 0, make([]byte, 1024))
-	if _, _, ok := h.Get("huge"); ok {
+	if _, _, ok := h.Get("huge", nil); ok {
 		t.Error("value above the whole budget was cached")
 	}
 }
@@ -76,7 +83,7 @@ func TestHotCacheValueIsCopied(t *testing.T) {
 	buf := []byte("abc")
 	h.Put("k", 0, buf)
 	buf[0] = 'X'
-	if v, _, _ := h.Get("k"); string(v) != "abc" {
+	if v, _, _ := h.Get("k", nil); string(v) != "abc" {
 		t.Fatalf("cached value aliased the caller's buffer: %q", v)
 	}
 }
@@ -194,5 +201,172 @@ func TestPeersSnapshots(t *testing.T) {
 	st := snaps[peer.addr()]
 	if st.Requests != 1 || st.Latency.Count != 1 {
 		t.Fatalf("peer stats %+v", st)
+	}
+}
+
+// TestHotCacheRefusedPutDropsStaleCopy: a value too large to cache still
+// supersedes the copy this node holds, so the next Get must go to the owner.
+func TestHotCacheRefusedPutDropsStaleCopy(t *testing.T) {
+	h := NewHotCache(64, time.Minute)
+	h.Put("k", 0, []byte("old"))
+	h.Put("k", 0, make([]byte, 100))
+	if v, _, ok := h.Get("k", nil); ok {
+		t.Fatalf("served %q after a refused Put of a newer value", v)
+	}
+	if st := h.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("stale entry retained: %+v", st)
+	}
+}
+
+// TestHotCacheHashCollisionIsAMiss: two keys meeting in the index do not
+// share a value.
+func TestHotCacheHashCollisionIsAMiss(t *testing.T) {
+	h := NewHotCache(1<<20, time.Minute)
+	h.Put("a", 0, []byte("A"))
+	h.index[kv.HashString("b")] = h.index[kv.HashString("a")]
+	if v, _, ok := h.Get("b", nil); ok {
+		t.Fatalf("Get(b) returned a's value %q", v)
+	}
+	h.Invalidate("b")
+	if v, _, ok := h.Get("a", nil); !ok || string(v) != "A" {
+		t.Fatalf("Invalidate(b) touched a: (%q, %v)", v, ok)
+	}
+}
+
+// TestHotCacheMatchesReference replays seeded streams of Get, Put,
+// Invalidate, oversized Put and clock advances into HotCache and the
+// list-based reference on one fake clock, and requires the same answer and
+// the same Stats after every operation. The one divergence is the fix for
+// refused Puts: the reference keeps the key's older copy, so the stream
+// invalidates it there.
+func TestHotCacheMatchesReference(t *testing.T) {
+	const (
+		streams = 20
+		ops     = 20_000
+		nkeys   = 48
+		ttl     = 100 * time.Millisecond
+	)
+	for seed := int64(1); seed <= streams; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		budget := int64(200 + rng.Intn(1200))
+		now := time.Unix(1000, 0)
+		h, ref := NewHotCache(budget, ttl), newRefHotCache(budget, ttl)
+		h.now = func() int64 { return now.UnixNano() }
+		ref.now = func() time.Time { return now }
+		var dst []byte
+		for op := 0; op < ops; op++ {
+			key := "k" + strconv.Itoa(rng.Intn(nkeys))
+			switch r := rng.Intn(100); {
+			case r < 45:
+				var v []byte
+				var f uint32
+				var ok bool
+				dst, f, ok = h.Get(key, dst[:0])
+				if ok {
+					v = dst
+				}
+				rv, rf, rok := ref.Get(key)
+				if ok != rok || f != rf || !bytes.Equal(v, rv) {
+					t.Fatalf("seed %d op %d: Get(%s) = (%q, %d, %v), reference (%q, %d, %v)", seed, op, key, v, f, ok, rv, rf, rok)
+				}
+			case r < 80:
+				val := bytes.Repeat([]byte{byte('a' + op%26)}, rng.Intn(int(budget)/4))
+				flags := uint32(rng.Intn(4))
+				h.Put(key, flags, val)
+				ref.Put(key, flags, val)
+			case r < 85:
+				val := make([]byte, int(budget)-len(key)+1+rng.Intn(64))
+				h.Put(key, 0, val)
+				ref.Put(key, 0, val)
+				ref.Invalidate(key)
+			case r < 93:
+				h.Invalidate(key)
+				ref.Invalidate(key)
+			default:
+				now = now.Add(time.Duration(rng.Int63n(int64(ttl) / 2)))
+			}
+			if st, rst := h.Stats(), ref.Stats(); st != rst {
+				t.Fatalf("seed %d op %d: Stats %+v, reference %+v", seed, op, st, rst)
+			}
+		}
+	}
+}
+
+// TestHotCacheAllocs: once every slot has its buffer, storing and reading
+// same-size values allocates nothing.
+func TestHotCacheAllocs(t *testing.T) {
+	h := NewHotCache(1<<20, time.Minute)
+	ks := keys(64)
+	val := make([]byte, 100)
+	for _, k := range ks {
+		h.Put(k, 0, val)
+	}
+	dst := make([]byte, 0, 128)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		k := ks[i%len(ks)]
+		h.Put(k, 1, val)
+		dst, _, _ = h.Get(k, dst[:0])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Put+Get made %v allocations, want 0", allocs)
+	}
+}
+
+// TestHotCacheConcurrent: under concurrent Puts, Gets and Invalidates past
+// the byte budget, every value a Get returns is the bytes some Put wrote
+// for that key. Run it with -race.
+func TestHotCacheConcurrent(t *testing.T) {
+	const (
+		workers = 4
+		ops     = 5000
+		nkeys   = 32
+	)
+	// value renders version v of key k; its length varies with v, so slots
+	// are reused across sizes.
+	value := func(k string, v int) []byte {
+		b := []byte(k + "=" + strconv.Itoa(v) + ";")
+		return append(b, bytes.Repeat([]byte{byte('a' + v%26)}, v%40)...)
+	}
+	h := NewHotCache(1500, time.Minute)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < ops; i++ {
+				k := "k" + strconv.Itoa(rng.Intn(nkeys))
+				if rng.Intn(10) == 0 {
+					h.Invalidate(k)
+					continue
+				}
+				h.Put(k, 0, value(k, rng.Intn(1000)))
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			var dst []byte
+			for i := 0; i < ops; i++ {
+				k := "k" + strconv.Itoa(rng.Intn(nkeys))
+				var ok bool
+				if dst, _, ok = h.Get(k, dst[:0]); !ok {
+					continue
+				}
+				head, _, found := strings.Cut(string(dst), ";")
+				name, ver, _ := strings.Cut(head, "=")
+				v, err := strconv.Atoi(ver)
+				if !found || name != k || err != nil || !bytes.Equal(dst, value(k, v)) {
+					t.Errorf("Get(%s) = %q: not a value any Put wrote for it", k, dst)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := h.Stats(); st.Bytes > 1500 || st.Items > nkeys {
+		t.Fatalf("after the storm: %+v", st)
 	}
 }

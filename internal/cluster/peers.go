@@ -40,8 +40,10 @@ type Peers struct {
 	// overloaded node does not amplify its load onto the cluster.
 	degraded atomic.Bool
 
-	mu      sync.RWMutex
-	ring    *Ring
+	// ring is read without a lock on every key; SetMembers swaps it.
+	ring atomic.Pointer[Ring]
+
+	mu      sync.RWMutex // guards clients
 	clients map[string]*Client
 }
 
@@ -70,9 +72,9 @@ func New(cfg Config) (*Peers, error) {
 		self:    cfg.Self,
 		cfg:     cfg,
 		hedge:   cfg.Hedge,
-		ring:    NewRing(members, cfg.VNodes),
 		clients: make(map[string]*Client, len(members)),
 	}
+	p.ring.Store(NewRing(members, cfg.VNodes))
 	for _, m := range members {
 		if m != cfg.Self {
 			p.clients[m] = NewClient(m, cfg.Client)
@@ -85,11 +87,7 @@ func New(cfg Config) (*Peers, error) {
 func (p *Peers) Self() string { return p.self }
 
 // Owner returns the member owning key under the current membership.
-func (p *Peers) Owner(key string) string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.ring.Owner(key)
-}
+func (p *Peers) Owner(key string) string { return p.ring.Load().Owner(key) }
 
 // IsOwner reports whether this node owns key.
 func (p *Peers) IsOwner(key string) bool { return p.Owner(key) == p.self }
@@ -103,11 +101,7 @@ func (p *Peers) ClientFor(addr string) *Client {
 }
 
 // Members returns the current member list.
-func (p *Peers) Members() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.ring.Members()
-}
+func (p *Peers) Members() []string { return p.ring.Load().Members() }
 
 // HedgeDelay returns the hedge delay for a key with the given miss penalty,
 // or 0 (no hedge) while the node is degraded — a shedding node must not fire
@@ -157,7 +151,6 @@ func (p *Peers) SetMembers(members []string) error {
 		keep[m] = struct{}{}
 	}
 	p.mu.Lock()
-	p.ring = ring
 	var closing []*Client
 	for addr, c := range p.clients {
 		if _, ok := keep[addr]; !ok {
@@ -174,6 +167,10 @@ func (p *Peers) SetMembers(members []string) error {
 			}
 		}
 	}
+	// Published after the clients map has every new member, so a request
+	// routed by the new ring finds its owner's client; under p.mu, so
+	// concurrent calls leave ring and clients from the same list.
+	p.ring.Store(ring)
 	p.mu.Unlock()
 	for _, c := range closing {
 		c.Close()

@@ -18,6 +18,7 @@
 package cluster
 
 import (
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -59,7 +60,17 @@ type point struct {
 type Ring struct {
 	members []string
 	points  []point // sorted by hash
+	// first is the successor table: bucket b covers the hashes whose top
+	// bits are b, and first[b] is the index of the first point at or after
+	// the bucket's start (len(points) past the last point).
+	first []uint32
+	shift uint // 64 - log2(len(first))
 }
+
+// bucketsPerPoint sizes the successor table: at 4 buckets per point a
+// successor search is one load and a forward scan that rarely takes a
+// step, for 4 bytes a bucket.
+const bucketsPerPoint = 4
 
 // NewRing builds a ring over members with vnodes virtual nodes each
 // (DefaultVNodes when vnodes <= 0). The construction is deterministic:
@@ -86,7 +97,35 @@ func NewRing(members []string, vnodes int) *Ring {
 		// is still a pure function of the member list.
 		return r.points[a].node < r.points[b].node
 	})
+	if len(r.points) > 0 {
+		lg := uint(bits.Len(uint(len(r.points)*bucketsPerPoint - 1)))
+		r.shift = 64 - lg
+		r.first = make([]uint32, 1<<lg)
+		i := 0
+		for b := range r.first {
+			start := uint64(b) << r.shift
+			for i < len(r.points) && r.points[i].hash < start {
+				i++
+			}
+			r.first[b] = uint32(i)
+		}
+	}
 	return r
+}
+
+// successor returns the index of the first point at or after h, wrapping to
+// 0 past the last point. Every point before first[h's bucket] lies below
+// the bucket's start, hence below h; the scan stops at the bucket's end at
+// the latest.
+func (r *Ring) successor(h uint64) int {
+	i := int(r.first[h>>r.shift])
+	for i < len(r.points) && r.points[i].hash < h {
+		i++
+	}
+	if i == len(r.points) {
+		i = 0 // wrap: the ring is circular
+	}
+	return i
 }
 
 // ringProbes is the probe count of multi-probe consistent hashing: each key
@@ -112,10 +151,7 @@ func (r *Ring) Owner(key string) string {
 	for p := 0; p < ringProbes; p++ {
 		// Splitmix64 probe sequence: deterministic per key.
 		ph := kv.Mix64(h + uint64(p)*0x9e3779b97f4a7c15)
-		i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= ph })
-		if i == len(r.points) {
-			i = 0 // wrap: the ring is circular
-		}
+		i := r.successor(ph)
 		// Clockwise distance; uint64 wraparound handles the wrapped case.
 		if d := r.points[i].hash - ph; d < bestDist {
 			bestDist, best = d, r.points[i].node

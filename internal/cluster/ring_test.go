@@ -2,7 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"strconv"
 	"testing"
+	"time"
+
+	"pamakv/internal/kv"
 )
 
 func keys(n int) []string {
@@ -100,6 +106,108 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 }
 
+// ownerByBinarySearch is Ring.Owner as it was before the successor table:
+// every probe's successor found by a binary search over the points. The
+// reference the table is held to, point for point.
+func ownerByBinarySearch(r *Ring, key string) string {
+	if len(r.points) == 0 {
+		return ""
+	}
+	h := kv.HashString(key)
+	var best int32
+	bestDist := ^uint64(0)
+	for p := 0; p < ringProbes; p++ {
+		ph := kv.Mix64(h + uint64(p)*0x9e3779b97f4a7c15)
+		i := successorByBinarySearch(r, ph)
+		if d := r.points[i].hash - ph; d < bestDist {
+			bestDist, best = d, r.points[i].node
+		}
+	}
+	return r.members[best]
+}
+
+func successorByBinarySearch(r *Ring, h uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return i
+}
+
+func ringShape(nodes, vnodes int) *Ring {
+	members := make([]string, nodes)
+	for i := range members {
+		members[i] = fmt.Sprintf("10.0.0.%d:11211", i+1)
+	}
+	return NewRing(members, vnodes)
+}
+
+// checkSuccessors compares the table's successor with the binary search at
+// the positions where an off-by-one shows: on every point, one either side
+// of it, on every bucket boundary and at both ends of the hash space.
+func checkSuccessors(t testing.TB, r *Ring) {
+	t.Helper()
+	probe := func(h uint64) {
+		if got, want := r.successor(h), successorByBinarySearch(r, h); got != want {
+			t.Fatalf("%d points: successor(%#x) = %d, binary search says %d", len(r.points), h, got, want)
+		}
+	}
+	for _, p := range r.points {
+		probe(p.hash - 1)
+		probe(p.hash)
+		probe(p.hash + 1)
+	}
+	for b := range r.first {
+		start := uint64(b) << r.shift
+		probe(start - 1)
+		probe(start)
+	}
+	probe(0)
+	probe(math.MaxUint64)
+}
+
+// TestRingOwnerMatchesReference: over 1.05 M keys and 15 ring shapes, the
+// successor table gives every key the owner the binary search gives it.
+func TestRingOwnerMatchesReference(t *testing.T) {
+	const perShape = 70_000
+	key := make([]byte, 0, 32)
+	for _, nodes := range []int{1, 2, 3, 5, 8} {
+		for _, vnodes := range []int{1, 7, 128} {
+			r := ringShape(nodes, vnodes)
+			checkSuccessors(t, r)
+			for i := 0; i < perShape; i++ {
+				key = strconv.AppendInt(append(key[:0], "key:"...), int64(i), 10)
+				k := string(key)
+				if got, want := r.Owner(k), ownerByBinarySearch(r, k); got != want {
+					t.Fatalf("%d members x %d vnodes: Owner(%q) = %s, reference %s", nodes, vnodes, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRingOwner draws the ring's shape, a key and a raw probe position from
+// the input.
+func FuzzRingOwner(f *testing.F) {
+	f.Add(uint8(2), uint16(128), "key:1", uint64(0))
+	f.Add(uint8(1), uint16(1), "", uint64(math.MaxUint64))
+	f.Add(uint8(8), uint16(7), "gold/k", uint64(1)<<63)
+	f.Fuzz(func(t *testing.T, nodes uint8, vnodes uint16, key string, h uint64) {
+		r := ringShape(1+int(nodes%9), 1+int(vnodes%512))
+		if got, want := r.Owner(key), ownerByBinarySearch(r, key); got != want {
+			t.Fatalf("Owner(%q) = %s, reference %s", key, got, want)
+		}
+		if got, want := r.successor(h), successorByBinarySearch(r, h); got != want {
+			t.Fatalf("successor(%#x) = %d, binary search says %d", h, got, want)
+		}
+		// The probe pinned to a point: the case a strict comparison gets wrong.
+		p := r.points[int(h%uint64(len(r.points)))].hash
+		if got, want := r.successor(p), successorByBinarySearch(r, p); got != want {
+			t.Fatalf("successor(point %#x) = %d, binary search says %d", p, got, want)
+		}
+	})
+}
+
 func BenchmarkRingOwner(b *testing.B) {
 	members := make([]string, 8)
 	for i := range members {
@@ -111,6 +219,23 @@ func BenchmarkRingOwner(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.Owner(ks[i&1023])
+	}
+}
+
+// BenchmarkHotCacheGet is the other per-key cost of a non-owner: a hot-cache
+// hit on a 100-byte value, copied into a reused buffer.
+func BenchmarkHotCacheGet(b *testing.B) {
+	h := NewHotCache(DefaultHotCacheBytes, time.Minute)
+	ks := keys(1024)
+	val := make([]byte, 100)
+	for _, k := range ks {
+		h.Put(k, 0, val)
+	}
+	var dst []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _, _ = h.Get(ks[i&1023], dst[:0])
 	}
 }
 

@@ -150,7 +150,9 @@ func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, own
 // (plain GETs only) inline, otherwise queued for the owner.
 func (s *Server) deferGet(sc *connScratch, out []byte, key, owner string, withCAS bool) []byte {
 	if !withCAS && s.hot != nil {
-		if val, flags, ok := s.hot.Get(key); ok {
+		val, flags, ok := s.hot.Get(key, sc.val[:0])
+		sc.val = val[:0]
+		if ok {
 			s.st.hotHits.Add(1)
 			return proto.AppendValue(out, key, flags, val)
 		}
@@ -380,8 +382,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 		s.st.peerHits.Add(1)
 		if backfill {
 			// Hot-cache backfill stops under pressure: copying bytes into
-			// the mini-cache is work the strained node can skip. The hot
-			// cache retains the key, hence the copy.
+			// the mini-cache is work the strained node can skip.
 			s.hot.Put(string(key), d.flags, sc.rep[d.val.off:d.val.end])
 		}
 	}

@@ -541,9 +541,9 @@ func TestForwardedWriteInvalidatesHotCacheAfterReply(t *testing.T) {
 
 // TestForwardedGetAllocations pins the relay side of a forwarded GET in a
 // pipelined batch at (amortized) zero allocations: replies are parsed in
-// place, rendered straight into connection scratch, and no key is cloned
-// unless the hot cache retains it (disabled here; its fill allocates by
-// design). The count covers both in-process nodes and the client loop.
+// place and rendered straight into connection scratch. The hot cache is
+// off, so every GET takes the hop. The count covers both in-process nodes
+// and the client loop.
 func TestForwardedGetAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
