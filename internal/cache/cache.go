@@ -146,9 +146,13 @@ type Policy interface {
 	GhostSegments() int
 	// Attach hands the policy its engine; called once by New.
 	Attach(c *Cache)
-	// MakeRoom must try to produce >= 1 free slot in class via the
-	// engine's reallocation primitives. Called with memory exhausted
-	// (no free slabs). sub is the subclass of the incoming item.
+	// MakeRoom may free a slot in class through the engine's reallocation
+	// primitives — migrate a slab in, or evict within the class. Called
+	// with memory exhausted (no free slabs); sub is the subclass of the
+	// incoming item. It may return without freeing a slot: the engine then
+	// evicts the bottom of the class's most populated stack and counts it
+	// in Stats.FallbackEvicts, and refuses the store (Stats.NoSpace) only
+	// when the class still owns no slab.
 	MakeRoom(class, sub int)
 	// OnHit reports a GET hit and the bottom segment it landed in
 	// (-1 when above the tracked region or tracking is off).
@@ -645,12 +649,6 @@ func (c *Cache) EvictBottom(class, sub int) bool {
 	return c.evictBottomLocked(class, sub) != nil
 }
 
-// EvictOneInClass evicts one item from the most populated subclass of the
-// class, reporting success.
-func (c *Cache) EvictOneInClass(class int) bool {
-	return c.evictOneInClassLocked(class)
-}
-
 // EvictKey evicts the resident item holding key with full eviction
 // bookkeeping (stale push, stats, OnEvict, ghost entry), reporting whether
 // an item was evicted.
@@ -670,26 +668,17 @@ func (c *Cache) RangeItems(fn func(it *kv.Item) bool) {
 	c.index.Range(fn)
 }
 
-// MigrateSlab evicts the candidate segment of (fromClass, fromSub) — and,
-// if that stack runs dry, bottoms of the class's other stacks — until the
-// donor class has one slab's worth of free slots, then moves the slab to
-// toClass. This is the paper's "discard the virtual slab's items in their
-// physical slabs, compact, and hand over an empty slab": with values stored,
-// compact empties one of the donor's pages and toClass re-carves it.
+// MigrateSlab drains a slab out of (fromClass, fromSub) (drainSlabLocked),
+// then moves it to toClass. This is the paper's "discard the virtual slab's
+// items in their physical slabs, compact, and hand over an empty slab": with
+// values stored, compact empties one of the donor's pages and toClass
+// re-carves it.
 func (c *Cache) MigrateSlab(fromClass, fromSub, toClass int) error {
 	if fromClass == toClass {
 		return fmt.Errorf("cache: migrate within class %d", fromClass)
 	}
-	spc := c.classes[fromClass].spc
-	sub := fromSub
-	for c.slabs.FreeSlots(fromClass) < spc {
-		if c.evictBottomLocked(fromClass, sub) == nil {
-			next := c.largestSub(fromClass)
-			if next < 0 {
-				return fmt.Errorf("cache: class %d cannot free a slab", fromClass)
-			}
-			sub = next
-		}
+	if err := c.drainSlabLocked(fromClass, fromSub); err != nil {
+		return err
 	}
 	if err := c.slabs.MoveSlab(fromClass, toClass); err != nil {
 		return err
@@ -698,6 +687,22 @@ func (c *Cache) MigrateSlab(fromClass, fromSub, toClass int) error {
 		c.carve(toClass, c.compact(fromClass))
 	}
 	c.moves[fromClass][toClass]++
+	return nil
+}
+
+// drainSlabLocked evicts the candidate segment of (cl, sub) — and, once that
+// stack runs dry, the bottoms of the class's most populated stack — until
+// class cl holds one slab's worth of free slots. Every slab that leaves a
+// class, to another class (MigrateSlab) or another tenant (DonateSlab), is
+// drained here.
+func (c *Cache) drainSlabLocked(cl, sub int) error {
+	for spc := c.classes[cl].spc; c.slabs.FreeSlots(cl) < spc; {
+		if c.evictBottomLocked(cl, sub) == nil {
+			if sub = c.largestSub(cl); sub < 0 {
+				return fmt.Errorf("cache: class %d cannot free a slab", cl)
+			}
+		}
+	}
 	return nil
 }
 

@@ -399,7 +399,8 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			pol := &nullPolicy{bounds: []float64{0.01, 0.1, 5}, nseg: 3, gseg: 3}
 			pol.makeRoom = func(class, sub int) {
-				// Randomly migrate or evict.
+				// Randomly migrate, or leave the in-class eviction to the
+				// engine's fallback.
 				if rng.Intn(2) == 0 {
 					for d := 0; d < 4; d++ {
 						if d != class && pol.c.Slabs(d) > 0 {
@@ -408,7 +409,6 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 						}
 					}
 				}
-				pol.c.EvictOneInClass(class)
 			}
 			c, err := New(Config{
 				Geometry:   smallGeom(),

@@ -19,7 +19,7 @@ import (
 type TenantValuer interface {
 	// CheapestOutgoing returns the cheapest candidate slab the cache could
 	// give up — its (class, subclass) and the expected penalty lost per
-	// window — or ok=false when no class can free a slab while keeping one.
+	// window — or ok=false when no class owns a slab.
 	CheapestOutgoing() (class, sub int, v float64, ok bool)
 	// BestIncoming returns the largest expected penalty saved per window
 	// were the cache granted one more slab, over all (class, subclass).
@@ -111,10 +111,9 @@ func (c *Cache) donationVictimLocked() (class, sub int, ok bool) {
 }
 
 // DonateSlab removes one slab from this engine's budget so the arbiter can
-// grant it to another tenant: it frees a slab (evicting the donation
-// victim's candidate region if none is free, exactly as MigrateSlab drains
-// a donor class) and shrinks the budget by one. The engine keeps at least
-// one slab.
+// grant it to another tenant: it frees a slab (draining the donation
+// victim's, as MigrateSlab does, if none is free) and shrinks the budget by
+// one. The engine keeps at least one slab.
 func (c *Cache) DonateSlab() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -126,15 +125,8 @@ func (c *Cache) DonateSlab() error {
 		if !ok {
 			return fmt.Errorf("cache: no class can free a slab")
 		}
-		spc := c.classes[cl].spc
-		for c.slabs.FreeSlots(cl) < spc {
-			if c.evictBottomLocked(cl, sub) == nil {
-				next := c.largestSub(cl)
-				if next < 0 {
-					return fmt.Errorf("cache: class %d cannot free a slab", cl)
-				}
-				sub = next
-			}
+		if err := c.drainSlabLocked(cl, sub); err != nil {
+			return err
 		}
 		if err := c.slabs.ReleaseSlab(cl); err != nil {
 			return err

@@ -243,18 +243,54 @@ func (p *PAMA) Decisions() Decisions {
 	return d
 }
 
-// findVictim returns the cheapest candidate slab among donor classes owning
-// more than minSlabs slabs (the requesting class is always eligible: its
-// "donation" is an in-place replacement). A class sitting on a full slab's
-// worth of free slots donates at zero cost. A subclass is only a candidate
-// when its own candidate segment (plus the class's free slots) covers one
-// slab — otherwise the donation would spill evictions into sibling
-// subclasses whose items were never priced into the candidate's value.
-func (p *PAMA) findVictim(class, minSlabs int) (bestC, bestS int, bestVal float64) {
+// findVictim returns the cheapest candidate slab a donor class could give
+// up, trying four tiers in order and answering from the first that has one:
+//
+//  1. single-subclass candidates of donors that keep a slab;
+//  2. single-subclass candidates of any donor;
+//  3. whole-class candidates of donors that keep a slab;
+//  4. whole-class candidates of any donor.
+//
+// Donors keep a slab when they own at least two, so no class is starved into
+// unservability while another could pay (every production rebalancer has
+// this guard). The requesting class is always eligible: its "donation" is an
+// in-place replacement. A class sitting on a full slab's worth of free slots
+// donates at zero cost. A subclass is a single-subclass candidate only when
+// its own candidate segment (plus the class's free slots) covers one slab,
+// so the donation spills no evictions into sibling subclasses whose items
+// were never priced into its value. When no stack of any class covers a
+// slab, a whole class is priced as the sum of its subclasses' outgoing
+// values and drained from its largest stack. bestC < 0 only when no class
+// owns a slab.
+func (p *PAMA) findVictim(class int) (bestC, bestS int, bestVal float64) {
+	for _, whole := range [2]bool{false, true} {
+		for _, keep := range [2]bool{true, false} {
+			if bestC, bestS, bestVal = p.cheapestDonor(class, keep, whole); bestC >= 0 {
+				return bestC, bestS, bestVal
+			}
+		}
+	}
+	return bestC, bestS, bestVal
+}
+
+// cheapestDonor is one tier of findVictim: the cheapest single-subclass (or,
+// with whole, whole-class) candidate among the classes owning a slab — with
+// keep, only those keeping one after the donation.
+func (p *PAMA) cheapestDonor(class int, keep, whole bool) (bestC, bestS int, bestVal float64) {
 	c := p.c
 	bestC, bestS, bestVal = -1, -1, math.Inf(1)
 	for d := 0; d < c.NumClasses(); d++ {
-		if c.Slabs(d) == 0 || (d != class && c.Slabs(d) <= minSlabs) {
+		if c.Slabs(d) == 0 || (keep && d != class && c.Slabs(d) < 2) {
+			continue
+		}
+		if whole {
+			var sum float64
+			for s := 0; s < c.NumSubclasses(); s++ {
+				sum += p.OutgoingValue(d, s)
+			}
+			if sum < bestVal {
+				bestC, bestS, bestVal = d, p.largestSub(d), sum
+			}
 			continue
 		}
 		need := c.SlotsPerSlab(d) - c.FreeSlots(d)
@@ -281,87 +317,59 @@ func (p *PAMA) findVictim(class, minSlabs int) (bestC, bestS int, bestVal float6
 // the new candidate, inheriting its history (the reason reference segments
 // exist, paper §III).
 func (p *PAMA) shiftOut(class, sub int) {
-	shift := func(a []float64) {
-		copy(a, a[1:])
-		a[len(a)-1] = 0
-	}
-	shift(p.out[class][sub])
-	shift(p.outPrev[class][sub])
+	shiftDown(p.out[class][sub])
+	shiftDown(p.outPrev[class][sub])
 }
 
 // shiftIn slides (class, sub)'s incoming accumulators one segment down
 // after the subclass received a slab: the receiving segment's demand is now
 // servable, and the next ghost segment moves up.
 func (p *PAMA) shiftIn(class, sub int) {
-	shift := func(a []float64) {
-		copy(a, a[1:])
-		a[len(a)-1] = 0
-	}
-	shift(p.in[class][sub])
-	shift(p.inPrev[class][sub])
+	shiftDown(p.in[class][sub])
+	shiftDown(p.inPrev[class][sub])
+}
+
+func shiftDown(a []float64) {
+	copy(a, a[1:])
+	a[len(a)-1] = 0
 }
 
 // migrate performs the slab move with value-history maintenance.
 func (p *PAMA) migrate(fromC, fromS, toC, toS int) bool {
-	if err := p.c.MigrateSlab(fromC, maxInt(fromS, 0), toC); err != nil {
+	if err := p.c.MigrateSlab(fromC, fromS, toC); err != nil {
 		return false
 	}
 	p.dec.Migrations++
 	p.dec.SrcByClass[fromC]++
 	p.dec.DstByClass[toC]++
-	if fromS >= 0 {
-		p.shiftOut(fromC, fromS)
-	}
+	p.shiftOut(fromC, fromS)
 	p.shiftIn(toC, toS)
 	return true
 }
 
 // MakeRoom implements cache.Policy.
 func (p *PAMA) MakeRoom(class, sub int) {
-	c := p.c
-	// Donors keep at least one slab so no class is starved into
-	// unservability (every production rebalancer has this guard); when no
-	// two-slab donor exists the guard relaxes.
-	bestC, bestS, bestVal := p.findVictim(class, 1)
-	if bestC < 0 {
-		bestC, bestS, bestVal = p.findVictim(class, 0)
-	}
-	if bestC < 0 {
-		// No class owns a slab — nothing PAMA can do; the engine will
-		// fail the SET.
-		return
-	}
-
-	if c.Slabs(class) == 0 {
-		// The requesting class cannot replace in place; it must
-		// receive a slab no matter the price.
-		if bestC == class {
-			// Unreachable (class owns no slabs), defensive.
-			return
-		}
+	bestC, bestS, bestVal := p.findVictim(class)
+	switch {
+	case bestC < 0:
+		// No class owns a slab: the engine refuses the store.
+	case p.c.Slabs(class) == 0:
+		// The requesting class cannot replace in place; it must receive a
+		// slab no matter the price (bestC is another class: it owns one).
 		if p.migrate(bestC, bestS, class, sub) {
 			p.dec.Forced++
 		}
-		return
-	}
-
-	if bestC == class {
+	case bestC == class:
 		// Paper scenario 2: cheapest candidate is local — replace one
 		// item, no cross-class migration.
 		p.dec.SameClass++
 		p.evictWithin(class)
-		return
-	}
-
-	if p.IncomingValue(class, sub) <= bestVal {
+	case p.IncomingValue(class, sub) <= bestVal:
 		// Paper scenario 1: the grant would be worth less than the
 		// donor's loss — keep allocations, replace in place.
 		p.dec.NotWorthIt++
 		p.evictWithin(class)
-		return
-	}
-
-	if !p.migrate(bestC, bestS, class, sub) {
+	case !p.migrate(bestC, bestS, class, sub):
 		p.evictWithin(class)
 	}
 }
@@ -385,8 +393,8 @@ func (p *PAMA) evictWithin(class int) {
 	c.EvictBottom(class, bestS)
 }
 
-// largestSub returns the most populated subclass of class (fallback donor
-// stack when the class donates pure free space).
+// largestSub returns the most populated subclass of class: the stack a
+// donor draining its free space, or a whole-class donor, starts from.
 func (p *PAMA) largestSub(class int) int {
 	best, bestN := 0, -1
 	for s := 0; s < p.c.NumSubclasses(); s++ {
@@ -397,53 +405,18 @@ func (p *PAMA) largestSub(class int) int {
 	return best
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ---- Cross-tenant arbitration (cache.TenantValuer) ----
 // The tenant arbiter prices slabs across engines with the same accumulators
 // MakeRoom uses within one engine: a tenant's marginal gain is its best
 // incoming-slab value, its marginal loss the cheapest candidate slab it
 // could give up. Called with the engine lock held, like every hook.
 
-// CheapestOutgoing implements cache.TenantValuer: the cheapest candidate
-// slab over every class that can spare one. Like MakeRoom, it prefers
-// donors keeping at least one slab and relaxes to any class when no class
-// owns two — small tenants must still be priceable, or they could never
-// fund a starving neighbor.
+// CheapestOutgoing implements cache.TenantValuer: the candidate slab
+// MakeRoom would take for a class that owns none — small tenants must be
+// priceable too, or they could never fund a starving neighbor.
 func (p *PAMA) CheapestOutgoing() (class, sub int, v float64, ok bool) {
-	bestC, bestS, bestVal := p.findVictim(-1, 1)
-	if bestC < 0 {
-		bestC, bestS, bestVal = p.findVictim(-1, 0)
-	}
-	if bestC < 0 {
-		// No single subclass covers a slab's worth: a donation would
-		// drain bottoms across the class's subclasses (DonateSlab's
-		// fallback loop), so price it as the sum of the class's
-		// subclass outgoing values and pick the cheapest class.
-		c := p.c
-		bestVal = math.Inf(1)
-		for d := 0; d < c.NumClasses(); d++ {
-			if c.Slabs(d) == 0 {
-				continue
-			}
-			var sum float64
-			for s := 0; s < c.NumSubclasses(); s++ {
-				sum += p.OutgoingValue(d, s)
-			}
-			if sum < bestVal {
-				bestC, bestS, bestVal = d, p.largestSub(d), sum
-			}
-		}
-	}
-	if bestC < 0 {
-		return 0, 0, 0, false
-	}
-	return bestC, maxInt(bestS, 0), bestVal, true
+	class, sub, v = p.findVictim(-1)
+	return class, sub, v, class >= 0
 }
 
 // BestIncoming implements cache.TenantValuer: the largest incoming-slab
@@ -465,9 +438,7 @@ func (p *PAMA) BestIncoming() float64 {
 func (p *PAMA) NoteDonated(class, sub int) {
 	p.dec.Migrations++
 	p.dec.SrcByClass[class]++
-	if sub >= 0 {
-		p.shiftOut(class, sub)
-	}
+	p.shiftOut(class, sub)
 }
 
 var (

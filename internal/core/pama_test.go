@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"pamakv/internal/cache"
@@ -232,5 +233,53 @@ func TestDecisionsCopied(t *testing.T) {
 	d.Migrations = 99
 	if p.Decisions().Migrations == 99 {
 		t.Fatal("Decisions returned a reference")
+	}
+}
+
+// TestEveryClassGetsASlab: four classes fill an 8-slab engine, each class's
+// items spread over all five penalty subclasses, so no single stack anywhere
+// covers a slab. Stores into four more classes must still find a donor — a
+// whole class, priced as the sum of its subclasses — instead of being
+// refused.
+func TestEveryClassGetsASlab(t *testing.T) {
+	p := New(DefaultConfig())
+	g := kv.DefaultGeometry()
+	c, err := cache.New(cache.Config{Geometry: g, CacheBytes: 8 * int64(g.SlabSize), WindowLen: 4096}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pens := []float64{0.0005, 0.005, 0.05, 0.5, 2} // one per subclass
+	const first = 6                                // classes 6..13: 256 down to 2 slots per slab
+	for cl := first; cl < first+4; cl++ {
+		for i := 0; i < 2*g.SlotsPerSlab(cl); i++ {
+			if err := c.Set(fmt.Sprintf("fill%d-%d", cl, i), g.SlotSize(cl), pens[i%len(pens)], 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if c.FreeSlabs() != 0 {
+		t.Fatalf("fill left %d free slabs", c.FreeSlabs())
+	}
+	rng := rand.New(rand.NewSource(1))
+	stored := map[int]bool{}
+	for i := 0; i < 40_000; i++ {
+		cl := first + rng.Intn(8)
+		stored[cl] = true
+		key := fmt.Sprintf("k%d-%d", cl, rng.Intn(2000))
+		c.Set(key, g.SlotSize(cl)/2+rng.Intn(g.SlotSize(cl)/2), pens[rng.Intn(len(pens))], 0, nil)
+		if i%7 == 0 {
+			c.Get(key, 0, 0, nil)
+		}
+	}
+	if n := c.Stats().NoSpace; n != 0 {
+		t.Fatalf("%d stores refused", n)
+	}
+	for cl := range stored {
+		if c.Slabs(cl) == 0 {
+			t.Errorf("class %d was stored to but owns no slab: %v", cl, c.SnapshotSlabs())
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -236,7 +236,6 @@ func (p *CAMP) MakeRoom(class, _ int) {
 	for guard := 0; guard < 4; guard++ {
 		key, vclass, ok := p.Victim()
 		if !ok {
-			c.EvictOneInClass(class)
 			return
 		}
 		if vclass == class {
@@ -270,7 +269,6 @@ func (p *CAMP) MakeRoom(class, _ int) {
 			}
 		}
 	}
-	c.EvictOneInClass(class)
 }
 
 // ReportDecisions implements cache.DecisionReporter.

@@ -106,10 +106,9 @@ func (l *LAMA) OnInsert(it *kv.Item) {
 // OnEvict implements cache.Policy.
 func (l *LAMA) OnEvict(*kv.Item) {}
 
-// MakeRoom implements cache.Policy: between solves, replace within class.
-func (l *LAMA) MakeRoom(class, _ int) {
-	l.c.EvictOneInClass(class)
-}
+// MakeRoom implements cache.Policy: between solves, the engine replaces
+// within the class.
+func (l *LAMA) MakeRoom(int, int) {}
 
 // OnWindow implements cache.Policy: every SolveEvery windows, waterfill the
 // hit curves and migrate toward the solution.

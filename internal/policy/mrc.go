@@ -163,9 +163,7 @@ func (m *MRC) reset() {
 }
 
 // MakeRoom implements cache.Policy: reallocation is periodic; in between,
-// replace within the class.
-func (m *MRC) MakeRoom(class, _ int) {
-	m.c.EvictOneInClass(class)
-}
+// the engine replaces within the class.
+func (m *MRC) MakeRoom(int, int) {}
 
 var _ cache.Policy = (*MRC)(nil)

@@ -39,6 +39,11 @@ func (b *base) OnInsert(*kv.Item)              {}
 func (b *base) OnEvict(*kv.Item)               {}
 func (b *base) OnWindow()                      {}
 
+// MakeRoom implements cache.Policy: nothing to do between reallocations —
+// the engine replaces within the class (and, like the original Memcached,
+// refuses a store into a class that owns no slab).
+func (b *base) MakeRoom(int, int) {}
+
 // Static is original Memcached: no reallocation, per-class LRU replacement.
 type Static struct{ base }
 
@@ -47,13 +52,6 @@ func NewStatic() *Static { return &Static{} }
 
 // Name implements cache.Policy.
 func (*Static) Name() string { return "memcached" }
-
-// MakeRoom implements cache.Policy: replace within the class; if the class
-// owns nothing, the SET fails — the original Memcached returns an
-// out-of-memory error in that situation.
-func (s *Static) MakeRoom(class, _ int) {
-	s.c.EvictOneInClass(class)
-}
 
 // PSA is periodic slab allocation.
 type PSA struct {
@@ -136,12 +134,6 @@ func (p *PSA) OnMiss(class, _ int, _ *kv.Item, _ int) {
 	}
 }
 
-// MakeRoom implements cache.Policy: relocation is periodic, so the
-// in-between misses replace within the class.
-func (p *PSA) MakeRoom(class, _ int) {
-	p.c.EvictOneInClass(class)
-}
-
 // ReportDecisions implements cache.DecisionReporter.
 func (p *PSA) ReportDecisions() cache.PolicyDecisions {
 	return cache.PolicyDecisions{Migrations: p.Relocations}
@@ -175,15 +167,12 @@ func (t *Twemcache) MakeRoom(class, _ int) {
 		}
 	}
 	if len(donors) == 0 {
-		c.EvictOneInClass(class)
 		return
 	}
 	t.state = kv.Mix64(t.state + 0x9e3779b97f4a7c15)
 	donor := donors[t.state%uint64(len(donors))]
 	if err := c.MigrateSlab(donor, 0, class); err == nil {
 		t.Reassignments++
-	} else {
-		c.EvictOneInClass(class)
 	}
 }
 
@@ -204,12 +193,6 @@ func NewFacebookAge() *FacebookAge { return &FacebookAge{} }
 
 // Name implements cache.Policy.
 func (*FacebookAge) Name() string { return "facebook-age" }
-
-// MakeRoom implements cache.Policy: rebalancing is a background activity;
-// the miss itself replaces within its class.
-func (f *FacebookAge) MakeRoom(class, _ int) {
-	f.c.EvictOneInClass(class)
-}
 
 // OnWindow implements cache.Policy: equalize LRU tail ages.
 func (f *FacebookAge) OnWindow() {

@@ -125,14 +125,11 @@ func (p *SizeAware) MakeRoom(class, _ int) {
 		}
 	}
 	if best < 0 || best == class {
-		c.EvictOneInClass(class)
 		return
 	}
-	if err := c.MigrateSlab(best, 0, class); err != nil {
-		c.EvictOneInClass(class)
-		return
+	if err := c.MigrateSlab(best, 0, class); err == nil {
+		p.Migrations++
 	}
-	p.Migrations++
 }
 
 // ReportDecisions implements cache.DecisionReporter.
