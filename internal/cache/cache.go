@@ -237,13 +237,16 @@ type Cache struct {
 	winMiss []uint64
 
 	stats Stats
-	// subHits/subMiss attribute GETs to (class, penalty subclass) and
-	// moves counts slab migrations by [src][dst] class — the introspection
-	// matrices behind Introspect (see introspect.go).
-	subHits [][]uint64
-	subMiss [][]uint64
-	moves   [][]uint64
-	pool    []*kv.Item
+	// subHits/subMiss attribute GETs to (class, penalty subclass), moves
+	// counts slab migrations by [src][dst] class, and evicts/evictPen count
+	// evictions and their summed penalty by subclass — the introspection
+	// counters behind Introspect (see introspect.go).
+	subHits  [][]uint64
+	subMiss  [][]uint64
+	moves    [][]uint64
+	evicts   []uint64
+	evictPen []float64
+	pool     []*kv.Item
 	// casCounter issues unique CAS tokens; incremented per store.
 	casCounter uint64
 
@@ -351,6 +354,8 @@ func (c *Cache) resetAttribution(nsub int) {
 	c.subHits = make([][]uint64, nc)
 	c.subMiss = make([][]uint64, nc)
 	c.moves = make([][]uint64, nc)
+	c.evicts = make([]uint64, nsub)
+	c.evictPen = make([]float64, nsub)
 	for ci := range c.subHits {
 		c.subHits[ci] = make([]uint64, nsub)
 		c.subMiss[ci] = make([]uint64, nsub)
@@ -859,6 +864,14 @@ func (c *Cache) CheckInvariants() error {
 	if total != c.index.Len() {
 		return fmt.Errorf("cache: lists hold %d items, index holds %d", total, c.index.Len())
 	}
+	var evicts uint64
+	for _, n := range c.evicts {
+		evicts += n
+	}
+	if evicts != c.stats.Evictions {
+		return fmt.Errorf("cache: evictions by subclass sum to %d, Stats.Evictions is %d",
+			evicts, c.stats.Evictions)
+	}
 	// setLocked and pushGhost rely on it: no key is resident and ghosted, or
 	// resident and stale-buffered, at once.
 	var err error
@@ -994,7 +1007,8 @@ func (c *Cache) evictBottomLocked(class, sub int) *kv.Item {
 }
 
 // evictResidentLocked performs full eviction bookkeeping for a resident:
-// stale push, unlink, stats, policy notification, ghost entry.
+// stale push, unlink, stats, policy notification, ghost entry. It is the one
+// place an item is evicted, so its counts hold for every policy.
 func (c *Cache) evictResidentLocked(it *kv.Item, s *subclass) {
 	c.pushStaleLocked(it)
 	if s.tr != nil {
@@ -1005,6 +1019,8 @@ func (c *Cache) evictResidentLocked(it *kv.Item, s *subclass) {
 	_ = c.slabs.FreeSlot(int(it.Class))
 	c.holes[it.Class] -= int64(c.geom.SlotSize(int(it.Class)) - int(it.Size))
 	c.stats.Evictions++
+	c.evicts[it.Sub]++
+	c.evictPen[it.Sub] += it.Penalty
 	c.policy.OnEvict(it)
 	c.pushGhost(it)
 }

@@ -3,19 +3,21 @@ package cache
 // This file is the engine's introspection surface: one consistent snapshot
 // of everything the paper's figures are drawn from — per-class slab counts
 // (Fig. 3), per-subclass stack depths (Fig. 4), penalty-band hit/miss
-// attribution, and the src→dst slab-move matrix behind the allocation
-// trajectories. The live admin endpoints (/metrics, /statsz) and the shard
-// group's merged view are both built on it.
+// attribution, the src→dst slab-move matrix behind the allocation
+// trajectories, and evictions with their penalty by subclass. The live admin
+// endpoints (/metrics, /statsz) and the shard group's merged view are both
+// built on it.
 
 import "pamakv/internal/obs"
 
-// PolicyDecisions are the reallocation-decision counters a policy exposes
-// for introspection: how often it migrated, replaced in place because the
-// cheapest candidate was local (paper scenario 2), or declined because the
-// incoming value could not pay for the donor's loss (scenario 1).
+// PolicyDecisions are the reallocation decisions a policy reports for
+// introspection: how often it replaced in place because the cheapest
+// candidate was local (paper scenario 2), declined because the incoming
+// value could not pay for the donor's loss (scenario 1), or had to migrate
+// into a class owning no slab. The slab moves and evictions that carry the
+// decisions out are the engine's to count (Introspection.SlabMoves,
+// EvictsBySub).
 type PolicyDecisions struct {
-	// Migrations counts cross-class slab moves the policy performed.
-	Migrations uint64 `json:"migrations" prom:"pamakv_policy_migrations_total" help:"Slab migrations the policy performed."`
 	// SameClass counts in-place replacements chosen because the cheapest
 	// candidate slab was already in the requesting class.
 	SameClass uint64 `json:"same_class" prom:"pamakv_policy_same_class_total" help:"Replacements kept in-class (cheapest candidate was local)."`
@@ -25,18 +27,11 @@ type PolicyDecisions struct {
 	// Forced counts migrations forced because the requesting class owned
 	// no slabs at all.
 	Forced uint64 `json:"forced" prom:"pamakv_policy_forced_total" help:"Migrations forced by an empty class."`
-	// EvictsBySub histograms evictions by penalty subclass (nil for
-	// single-stack policies).
-	EvictsBySub []uint64 `json:"evicts_by_sub,omitempty" prom:"pamakv_policy_evictions_total" help:"Evictions by penalty subclass." label:"sub"`
-	// EvictedPenaltyBySub sums the miss penalties of evicted items per
-	// subclass — the cost the policy chose to pay.
-	EvictedPenaltyBySub []float64 `json:"evicted_penalty_by_sub,omitempty" prom:"pamakv_policy_evicted_penalty_seconds_total" help:"Summed miss penalty of evicted items by subclass." label:"sub"`
 }
 
 // DecisionReporter is optionally implemented by policies that track their
-// reallocation decisions (PAMA does; the baselines report move counts).
-// ReportDecisions is called with the engine lock held and must not call
-// back into the engine.
+// reallocation decisions (PAMA). ReportDecisions is called with the engine
+// lock held and must not call back into the engine.
 type DecisionReporter interface {
 	ReportDecisions() PolicyDecisions
 }
@@ -85,6 +80,11 @@ type Introspection struct {
 	// SlabMoves[src][dst] counts cross-class slab migrations by donor and
 	// receiver class, whatever policy performed them.
 	SlabMoves [][]uint64 `json:"slab_moves" prom:"pamakv_slab_moves_total,sparse" help:"Cross-class slab moves by donor and receiver class." label:"src,dst"`
+	// EvictsBySub counts evictions by penalty subclass and
+	// EvictedPenaltyBySub sums the miss penalties of the evicted items —
+	// the cost the policy chose to pay — whatever policy evicted them.
+	EvictsBySub         []uint64  `json:"evicts_by_sub" prom:"pamakv_policy_evictions_total" help:"Evictions by penalty subclass." label:"sub"`
+	EvictedPenaltyBySub []float64 `json:"evicted_penalty_by_sub" prom:"pamakv_policy_evicted_penalty_seconds_total" help:"Summed miss penalty of evicted items by subclass." label:"sub"`
 
 	// Items is the resident item count; Stats the engine counters.
 	Items int   `json:"items"`
@@ -122,6 +122,8 @@ func (c *Cache) Introspect() Introspection {
 		Stats:            c.stats,
 	}
 	in.Stats.SlabMigrations = c.slabs.Migrations
+	in.EvictsBySub = append([]uint64(nil), c.evicts...)
+	in.EvictedPenaltyBySub = append([]float64(nil), c.evictPen...)
 	if c.arena != nil {
 		in.ValueSlabBytes = int64(c.arena.mapped()) * int64(c.geom.SlabSize)
 	}

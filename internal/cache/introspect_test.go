@@ -124,25 +124,20 @@ func TestIntrospectSlabMoveMatrix(t *testing.T) {
 }
 
 func TestIntrospectReportsPolicyDecisions(t *testing.T) {
-	pol := &reportingPolicy{dec: PolicyDecisions{
-		Migrations:          7,
-		SameClass:           3,
-		EvictsBySub:         []uint64{1, 2},
-		EvictedPenaltyBySub: []float64{0.5, 1.5},
-	}}
+	pol := &reportingPolicy{dec: PolicyDecisions{SameClass: 3, NotWorthIt: 7}}
 	c := newTestCache(t, 4, pol)
 	in := c.Introspect()
 	if in.Decisions == nil {
 		t.Fatal("Decisions = nil for reporting policy")
 	}
-	if in.Decisions.Migrations != 7 || in.Decisions.SameClass != 3 {
+	if in.Decisions.NotWorthIt != 7 || in.Decisions.SameClass != 3 {
 		t.Errorf("Decisions = %+v", *in.Decisions)
 	}
 }
 
 func TestIntrospectionMerge(t *testing.T) {
 	build := func(keys ...string) *Cache {
-		c := newTestCache(t, 8, &reportingPolicy{dec: PolicyDecisions{Migrations: 2, EvictsBySub: []uint64{4}}})
+		c := newTestCache(t, 8, &reportingPolicy{dec: PolicyDecisions{SameClass: 2, Forced: 1}})
 		for _, k := range keys {
 			if err := c.Set(k, 10, 0, 0, nil); err != nil {
 				t.Fatal(err)
@@ -171,8 +166,8 @@ func TestIntrospectionMerge(t *testing.T) {
 	if in.Slabs[0] != a.Slabs(0)+b.Slabs(0) {
 		t.Errorf("merged Slabs[0] = %d, want %d", in.Slabs[0], a.Slabs(0)+b.Slabs(0))
 	}
-	if in.Decisions == nil || in.Decisions.Migrations != 4 || in.Decisions.EvictsBySub[0] != 8 {
-		t.Errorf("merged Decisions = %+v, want Migrations=4 EvictsBySub=[8]", in.Decisions)
+	if in.Decisions == nil || in.Decisions.SameClass != 4 || in.Decisions.Forced != 2 {
+		t.Errorf("merged Decisions = %+v, want SameClass=4 Forced=2", in.Decisions)
 	}
 	// Merged totals must still reconcile.
 	if got := fmt.Sprint(in.TotalSlabs); got != fmt.Sprint(a.TotalSlabsBudget()+b.TotalSlabsBudget()) {

@@ -56,29 +56,6 @@ func DefaultConfig() Config {
 // PrePAMAConfig returns the pre-PAMA reference scheme.
 func PrePAMAConfig() Config { return Config{M: 2, PenaltyAware: false} }
 
-// Decisions counts PAMA's reallocation outcomes (diagnostics and tests).
-type Decisions struct {
-	// Migrations counts cross-class slab moves.
-	Migrations uint64
-	// SameClass counts times the cheapest candidate was already in the
-	// requesting class (in-place replacement, paper scenario 2).
-	SameClass uint64
-	// NotWorthIt counts times the incoming value could not beat the
-	// cheapest outgoing value (paper scenario 1).
-	NotWorthIt uint64
-	// Forced counts migrations forced because the requesting class owned
-	// no slabs at all.
-	Forced uint64
-	// SrcByClass and DstByClass histogram migration donors and
-	// receivers by class (allocated at Attach).
-	SrcByClass, DstByClass []uint64
-	// EvictsBySub histograms evictions by subclass, summed over classes
-	// (allocated at Attach).
-	EvictsBySub []uint64
-	// EvictedPenalty sums the penalties of evicted items per subclass.
-	EvictedPenalty []float64
-}
-
 // PAMA implements cache.Policy.
 type PAMA struct {
 	cfg Config
@@ -91,7 +68,9 @@ type PAMA struct {
 	out, outPrev [][][]float64
 	in, inPrev   [][][]float64
 
-	dec Decisions
+	// dec counts MakeRoom's decisions; the engine counts the slab moves
+	// and evictions that carry them out.
+	dec cache.PolicyDecisions
 }
 
 // New returns a PAMA policy with the given configuration.
@@ -139,10 +118,6 @@ func (p *PAMA) Attach(c *cache.Cache) {
 	}
 	p.out, p.outPrev = alloc(), alloc()
 	p.in, p.inPrev = alloc(), alloc()
-	p.dec.SrcByClass = make([]uint64, nc)
-	p.dec.DstByClass = make([]uint64, nc)
-	p.dec.EvictsBySub = make([]uint64, ns)
-	p.dec.EvictedPenalty = make([]float64, ns)
 }
 
 // weight is the value contribution of one request: its miss penalty under
@@ -173,10 +148,7 @@ func (p *PAMA) OnMiss(class, sub int, ghost *kv.Item, ghostSeg int) {
 func (p *PAMA) OnInsert(*kv.Item) {}
 
 // OnEvict implements cache.Policy.
-func (p *PAMA) OnEvict(it *kv.Item) {
-	p.dec.EvictsBySub[it.Sub]++
-	p.dec.EvictedPenalty[it.Sub] += it.Penalty
-}
+func (p *PAMA) OnEvict(*kv.Item) {}
 
 // OnWindow implements cache.Policy: the finished window becomes the
 // prediction baseline and accumulation restarts (values always blend the
@@ -222,26 +194,7 @@ func (p *PAMA) IncomingValue(class, sub int) float64 {
 
 // ReportDecisions implements cache.DecisionReporter for the engine's
 // introspection surface (called with the engine lock held).
-func (p *PAMA) ReportDecisions() cache.PolicyDecisions {
-	return cache.PolicyDecisions{
-		Migrations:          p.dec.Migrations,
-		SameClass:           p.dec.SameClass,
-		NotWorthIt:          p.dec.NotWorthIt,
-		Forced:              p.dec.Forced,
-		EvictsBySub:         append([]uint64(nil), p.dec.EvictsBySub...),
-		EvictedPenaltyBySub: append([]float64(nil), p.dec.EvictedPenalty...),
-	}
-}
-
-// Decisions returns a copy of the decision counters.
-func (p *PAMA) Decisions() Decisions {
-	d := p.dec
-	d.SrcByClass = append([]uint64(nil), p.dec.SrcByClass...)
-	d.DstByClass = append([]uint64(nil), p.dec.DstByClass...)
-	d.EvictsBySub = append([]uint64(nil), p.dec.EvictsBySub...)
-	d.EvictedPenalty = append([]float64(nil), p.dec.EvictedPenalty...)
-	return d
-}
+func (p *PAMA) ReportDecisions() cache.PolicyDecisions { return p.dec }
 
 // findVictim returns the cheapest candidate slab a donor class could give
 // up, trying four tiers in order and answering from the first that has one:
@@ -339,9 +292,6 @@ func (p *PAMA) migrate(fromC, fromS, toC, toS int) bool {
 	if err := p.c.MigrateSlab(fromC, fromS, toC); err != nil {
 		return false
 	}
-	p.dec.Migrations++
-	p.dec.SrcByClass[fromC]++
-	p.dec.DstByClass[toC]++
 	p.shiftOut(fromC, fromS)
 	p.shiftIn(toC, toS)
 	return true
@@ -435,11 +385,7 @@ func (p *PAMA) BestIncoming() float64 {
 
 // NoteDonated implements cache.TenantValuer: the donated slab's candidate
 // history rolls down exactly as after an internal migration.
-func (p *PAMA) NoteDonated(class, sub int) {
-	p.dec.Migrations++
-	p.dec.SrcByClass[class]++
-	p.shiftOut(class, sub)
-}
+func (p *PAMA) NoteDonated(class, sub int) { p.shiftOut(class, sub) }
 
 var (
 	_ cache.Policy           = (*PAMA)(nil)

@@ -26,7 +26,7 @@
 //     backfill), then cheap-penalty reads, then writes and everything but
 //     the expensive read subclasses.
 //
-// The controller is transport-agnostic: the server calls Acquire before
+// The controller is transport-agnostic: the server calls AcquireSLO before
 // dispatching a parsed request and the returned release func after, feeding
 // back the observed service latency.
 package overload
@@ -362,21 +362,19 @@ func priorityFor(op Op, sub int) int {
 	return 10 + 2*sub
 }
 
-// Acquire asks to admit one request of the given op kind and penalty
-// subclass. It returns admit=true with a release func (call it exactly once,
-// with the observed service latency), or admit=false with the shed reason.
-// Acquire may block up to SojournCutoff while the request queues.
-func (c *Controller) Acquire(op Op, sub int) (admit bool, reason Reason, release func(latency time.Duration)) {
-	return c.AcquireSLO(op, sub, 0)
-}
-
-// AcquireSLO is Acquire for multi-tenant serving: slo is the requesting
-// tenant's SLO class (0 = most protected). The shed policy and queue
-// priority act on the request's effective subclass, its penalty subclass
-// demoted by the SLO class — so under pressure a best-effort tenant's
-// expensive reads shed like a premium tenant's cheap ones, and tenant B's
-// cheap reads drop before tenant A's expensive ones. Shed attribution
-// keeps the true penalty subclass and additionally counts by SLO class.
+// AcquireSLO asks to admit one request of the given op kind and penalty
+// subclass from a tenant of SLO class slo (0 = most protected, and the only
+// class without multi-tenant serving). It returns admit=true with a release
+// func (call it exactly once, with the observed service latency), or
+// admit=false with the shed reason. It may block up to SojournCutoff while
+// the request queues.
+//
+// The shed policy and queue priority act on the request's effective
+// subclass, its penalty subclass demoted by the SLO class — so under
+// pressure a best-effort tenant's expensive reads shed like a premium
+// tenant's cheap ones, and tenant B's cheap reads drop before tenant A's
+// expensive ones. Shed attribution keeps the true penalty subclass and
+// additionally counts by SLO class.
 func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason, release func(latency time.Duration)) {
 	if sub < 0 {
 		sub = 0
@@ -449,7 +447,7 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 		w.ready <- false
 		c.shedBy[ReasonQueueFull].Add(1)
 		// The displaced waiter's subclass is unknown here; its shed is
-		// attributed when its Acquire observes the false send.
+		// attributed when its AcquireSLO observes the false send.
 	}
 	w := &waiter{
 		pri:   priorityFor(op, eff),
@@ -502,15 +500,12 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 	return true, ReasonNone, c.releaseFunc(sub)
 }
 
-// ShedFetch reports whether a backend fetch for a missed key of the given
-// penalty subclass should be suppressed at the current tier. TierShedding
-// suppresses cheap fetches — the miss costs the client less than the
-// capacity the fetch would burn — and TierCritical suppresses everything
-// below the protected subclasses.
-func (c *Controller) ShedFetch(sub int) bool { return c.ShedFetchSLO(sub, 0) }
-
-// ShedFetchSLO is ShedFetch with the key's tenant SLO class demoting its
-// effective subclass, mirroring AcquireSLO.
+// ShedFetchSLO reports whether a backend fetch for a missed key of the given
+// penalty subclass, from a tenant of SLO class slo, should be suppressed at
+// the current tier. The SLO class demotes the effective subclass, mirroring
+// AcquireSLO. TierShedding suppresses cheap fetches — the miss costs the
+// client less than the capacity the fetch would burn — and TierCritical
+// suppresses everything below the protected subclasses.
 func (c *Controller) ShedFetchSLO(sub, slo int) bool {
 	if eff := sub - clampSLO(slo); eff >= 0 {
 		sub = eff

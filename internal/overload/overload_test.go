@@ -31,7 +31,7 @@ func TestAcquireReleaseUnderLimit(t *testing.T) {
 	c := New(Config{MaxInflight: 8, InitialLimit: 8})
 	var rels []func(time.Duration)
 	for i := 0; i < 8; i++ {
-		ok, reason, rel := c.Acquire(OpRead, 2)
+		ok, reason, rel := c.AcquireSLO(OpRead, 2, 0)
 		if !ok {
 			t.Fatalf("acquire %d: shed (%v)", i, reason)
 		}
@@ -51,7 +51,7 @@ func TestAcquireReleaseUnderLimit(t *testing.T) {
 
 func TestReleaseIdempotent(t *testing.T) {
 	c := New(Config{MaxInflight: 4})
-	_, _, rel := c.Acquire(OpRead, 2)
+	_, _, rel := c.AcquireSLO(OpRead, 2, 0)
 	rel(time.Millisecond)
 	rel(time.Millisecond) // double release must not underflow
 	if st := c.Stats(); st.Inflight != 0 {
@@ -68,7 +68,7 @@ func TestHardCeilingNeverExceeded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ok, _, rel := c.Acquire(OpRead, 4)
+			ok, _, rel := c.AcquireSLO(OpRead, 4, 0)
 			if !ok {
 				return
 			}
@@ -95,13 +95,13 @@ func TestHardCeilingNeverExceeded(t *testing.T) {
 
 func TestQueueAdmitsWhenSlotFrees(t *testing.T) {
 	c := New(Config{MaxInflight: 1, InitialLimit: 1, MinLimit: 1, SojournCutoff: time.Second})
-	ok, _, rel := c.Acquire(OpRead, 2)
+	ok, _, rel := c.AcquireSLO(OpRead, 2, 0)
 	if !ok {
 		t.Fatal("first acquire shed")
 	}
 	got := make(chan bool)
 	go func() {
-		ok, _, rel2 := c.Acquire(OpRead, 2)
+		ok, _, rel2 := c.AcquireSLO(OpRead, 2, 0)
 		if ok {
 			rel2(time.Millisecond)
 		}
@@ -126,13 +126,13 @@ func TestQueueAdmitsWhenSlotFrees(t *testing.T) {
 
 func TestSojournCutoffSheds(t *testing.T) {
 	c := New(Config{MaxInflight: 1, InitialLimit: 1, MinLimit: 1, SojournCutoff: 10 * time.Millisecond})
-	ok, _, rel := c.Acquire(OpRead, 2)
+	ok, _, rel := c.AcquireSLO(OpRead, 2, 0)
 	if !ok {
 		t.Fatal("first acquire shed")
 	}
 	defer rel(time.Millisecond)
 	start := time.Now()
-	ok, reason, _ := c.Acquire(OpRead, 2)
+	ok, reason, _ := c.AcquireSLO(OpRead, 2, 0)
 	if ok {
 		t.Fatal("second acquire admitted while the slot was held")
 	}
@@ -150,12 +150,12 @@ func TestSojournCutoffSheds(t *testing.T) {
 
 func TestQueueFullDisplacesLowestPriority(t *testing.T) {
 	c := New(Config{MaxInflight: 1, InitialLimit: 1, MinLimit: 1, QueueLimit: 1, SojournCutoff: time.Second})
-	_, _, rel := c.Acquire(OpRead, 4)
+	_, _, rel := c.AcquireSLO(OpRead, 4, 0)
 	defer rel(time.Millisecond)
 
 	cheapDone := make(chan Reason, 1)
 	go func() {
-		ok, reason, rel2 := c.Acquire(OpRead, 0) // cheap read queues
+		ok, reason, rel2 := c.AcquireSLO(OpRead, 0, 0) // cheap read queues
 		if ok {
 			rel2(time.Millisecond)
 			reason = ReasonNone
@@ -174,7 +174,7 @@ func TestQueueFullDisplacesLowestPriority(t *testing.T) {
 	// cheap waiter, not be dropped.
 	expDone := make(chan bool, 1)
 	go func() {
-		ok, _, rel3 := c.Acquire(OpRead, 4)
+		ok, _, rel3 := c.AcquireSLO(OpRead, 4, 0)
 		if ok {
 			rel3(time.Millisecond)
 		}
@@ -190,8 +190,8 @@ func TestQueueFullDisplacesLowestPriority(t *testing.T) {
 
 	// And an equal-priority arrival against a full queue is itself shed
 	// without displacing the waiter already there.
-	_, _, rel4 := c.Acquire(OpRead, 4)
-	go c.Acquire(OpRead, 4) // fills the queue at high priority
+	_, _, rel4 := c.AcquireSLO(OpRead, 4, 0)
+	go c.AcquireSLO(OpRead, 4, 0) // fills the queue at high priority
 	deadline = time.Now().Add(time.Second)
 	for c.Stats().Queued == 0 {
 		if time.Now().After(deadline) {
@@ -199,7 +199,7 @@ func TestQueueFullDisplacesLowestPriority(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ok, reason, _ := c.Acquire(OpRead, 4)
+	ok, reason, _ := c.AcquireSLO(OpRead, 4, 0)
 	if ok || reason != ReasonQueueFull {
 		t.Fatalf("equal-priority arrival at full queue: ok=%v reason=%v, want shed queue_full", ok, reason)
 	}
@@ -217,41 +217,41 @@ func TestTierEscalationAndPolicySheds(t *testing.T) {
 		t.Fatalf("tier = %d at rest, want normal", c.Tier())
 	}
 	// Saturate the limit: tier 1.
-	_, _, rel1 := c.Acquire(OpRead, 4)
-	_, _, rel2 := c.Acquire(OpRead, 4)
+	_, _, rel1 := c.AcquireSLO(OpRead, 4, 0)
+	_, _, rel2 := c.AcquireSLO(OpRead, 4, 0)
 	if c.Tier() != TierStrained {
 		t.Fatalf("tier = %d at limit, want strained (1)", c.Tier())
 	}
 	// Fill the queue past 25%: tier 2. Queue 2 of 8 = 25%.
 	for i := 0; i < 2; i++ {
-		go c.Acquire(OpRead, 4)
+		go c.AcquireSLO(OpRead, 4, 0)
 	}
 	waitFor(t, func() bool { return c.Stats().Queued == 2 })
 	if c.Tier() != TierShedding {
 		t.Fatalf("tier = %d with queue at 25%%, want shedding (2)", c.Tier())
 	}
 	// At tier 2, a cheap read is shed outright; an expensive one queues.
-	ok, reason, _ := c.Acquire(OpRead, 1)
+	ok, reason, _ := c.AcquireSLO(OpRead, 1, 0)
 	if ok || reason != ReasonPolicy {
 		t.Fatalf("cheap read at tier 2: ok=%v reason=%v, want policy shed", ok, reason)
 	}
 	// A write still queues at tier 2.
-	go c.Acquire(OpWrite, 0)
+	go c.AcquireSLO(OpWrite, 0, 0)
 	waitFor(t, func() bool { return c.Stats().Queued == 3 })
 
 	// Fill to 75%: tier 3. Need queue >= 6.
 	for i := 0; i < 3; i++ {
-		go c.Acquire(OpRead, 4)
+		go c.AcquireSLO(OpRead, 4, 0)
 	}
 	waitFor(t, func() bool { return c.Stats().Queued == 6 })
 	if c.Tier() != TierCritical {
 		t.Fatalf("tier = %d with queue at 75%%, want critical (3)", c.Tier())
 	}
 	// At tier 3 writes and sub<3 reads are shed; sub 3-4 reads queue.
-	if ok, reason, _ := c.Acquire(OpWrite, 4); ok || reason != ReasonPolicy {
+	if ok, reason, _ := c.AcquireSLO(OpWrite, 4, 0); ok || reason != ReasonPolicy {
 		t.Fatalf("write at tier 3: ok=%v reason=%v, want policy shed", ok, reason)
 	}
-	if ok, reason, _ := c.Acquire(OpRead, 2); ok || reason != ReasonPolicy {
+	if ok, reason, _ := c.AcquireSLO(OpRead, 2, 0); ok || reason != ReasonPolicy {
 		t.Fatalf("sub-2 read at tier 3: ok=%v reason=%v, want policy shed", ok, reason)
 	}
 
@@ -268,8 +268,8 @@ func TestTierDecaysAfterHold(t *testing.T) {
 		QueueLimit: 8, TierHold: time.Second, Now: clk.Now,
 	})
 	// Saturate → tier 1, then go idle.
-	_, _, rel1 := c.Acquire(OpRead, 4)
-	_, _, rel2 := c.Acquire(OpRead, 4)
+	_, _, rel1 := c.AcquireSLO(OpRead, 4, 0)
+	_, _, rel2 := c.AcquireSLO(OpRead, 4, 0)
 	if c.Tier() != TierStrained {
 		t.Fatalf("tier = %d at limit, want 1", c.Tier())
 	}
@@ -281,7 +281,7 @@ func TestTierDecaysAfterHold(t *testing.T) {
 	}
 	clk.Advance(2 * time.Second)
 	// Any admission event past TierHold decays the tier.
-	_, _, rel3 := c.Acquire(OpRead, 0)
+	_, _, rel3 := c.AcquireSLO(OpRead, 0, 0)
 	rel3(time.Millisecond)
 	if c.Tier() != TierNormal {
 		t.Fatalf("tier = %d after hold elapsed, want 0", c.Tier())
@@ -310,7 +310,7 @@ func TestAIMDLimitFollowsLatency(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		var rels []func(time.Duration)
 		for i := 0; i < 16; i++ {
-			ok, _, rel := c.Acquire(OpRead, 4)
+			ok, _, rel := c.AcquireSLO(OpRead, 4, 0)
 			if !ok {
 				break
 			}
@@ -332,7 +332,7 @@ func TestAIMDLimitFollowsLatency(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		var rels []func(time.Duration)
 		for i := 0; i < c.Limit(); i++ {
-			ok, _, rel := c.Acquire(OpRead, 4)
+			ok, _, rel := c.AcquireSLO(OpRead, 4, 0)
 			if !ok {
 				break
 			}
@@ -357,11 +357,11 @@ func TestAIMDLimitFollowsLatency(t *testing.T) {
 
 func TestCloseShedsWaiters(t *testing.T) {
 	c := New(Config{MaxInflight: 1, InitialLimit: 1, MinLimit: 1, SojournCutoff: time.Hour})
-	_, _, rel := c.Acquire(OpRead, 2)
+	_, _, rel := c.AcquireSLO(OpRead, 2, 0)
 	defer rel(time.Millisecond)
 	done := make(chan Reason, 1)
 	go func() {
-		_, reason, _ := c.Acquire(OpRead, 2)
+		_, reason, _ := c.AcquireSLO(OpRead, 2, 0)
 		done <- reason
 	}()
 	waitFor(t, func() bool { return c.Stats().Queued == 1 })
@@ -369,7 +369,7 @@ func TestCloseShedsWaiters(t *testing.T) {
 	if reason := <-done; reason != ReasonClosed {
 		t.Fatalf("waiter reason = %v after Close, want closed", reason)
 	}
-	if ok, reason, _ := c.Acquire(OpRead, 2); ok || reason != ReasonClosed {
+	if ok, reason, _ := c.AcquireSLO(OpRead, 2, 0); ok || reason != ReasonClosed {
 		t.Fatalf("acquire after Close: ok=%v reason=%v", ok, reason)
 	}
 }
@@ -386,7 +386,7 @@ func TestOnTierChangeFires(t *testing.T) {
 			mu.Unlock()
 		},
 	})
-	_, _, rel := c.Acquire(OpRead, 4) // saturates → tier 1
+	_, _, rel := c.AcquireSLO(OpRead, 4, 0) // saturates → tier 1
 	waitFor(t, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -423,7 +423,7 @@ func TestConcurrentChurnRaceClean(t *testing.T) {
 				if g%4 == 0 {
 					op = OpWrite
 				}
-				ok, _, rel := c.Acquire(op, g%5)
+				ok, _, rel := c.AcquireSLO(op, g%5, 0)
 				if ok {
 					rel(time.Duration(g%3) * time.Millisecond)
 				}

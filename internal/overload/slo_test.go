@@ -20,10 +20,10 @@ func TestAcquireSLOCrossTenantOrdering(t *testing.T) {
 		Now: clk.Now,
 	})
 	// Saturate the limit, then fill the queue past 25%: tier 2.
-	_, _, rel1 := c.Acquire(OpRead, 4)
-	_, _, rel2 := c.Acquire(OpRead, 4)
+	_, _, rel1 := c.AcquireSLO(OpRead, 4, 0)
+	_, _, rel2 := c.AcquireSLO(OpRead, 4, 0)
 	for i := 0; i < 2; i++ {
-		go c.Acquire(OpRead, 4)
+		go c.AcquireSLO(OpRead, 4, 0)
 	}
 	waitFor(t, func() bool { return c.Stats().Queued == 2 })
 	if c.Tier() != TierShedding {
@@ -48,7 +48,7 @@ func TestAcquireSLOCrossTenantOrdering(t *testing.T) {
 
 	// Escalate to tier 3 (queue >= 75%).
 	for i := 0; i < 3; i++ {
-		go c.Acquire(OpRead, 4)
+		go c.AcquireSLO(OpRead, 4, 0)
 	}
 	waitFor(t, func() bool { return c.Stats().Queued == 6 })
 	if c.Tier() != TierCritical {

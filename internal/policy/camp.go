@@ -76,9 +76,6 @@ type CAMP struct {
 	seq     uint64
 	entries map[string]*campEntry
 	queues  map[uint64]*campQueue // keyed by Float64bits of the rounded ratio
-
-	// Migrations counts cross-class slab moves (tests/introspection).
-	Migrations uint64
 }
 
 // NewCAMP returns the policy with the default ratio precision.
@@ -264,21 +261,14 @@ func (p *CAMP) MakeRoom(class, _ int) {
 		}
 		if c.FreeSlots(vclass) >= spc && c.Slabs(vclass) > 0 {
 			if err := c.MigrateSlab(vclass, 0, class); err == nil {
-				p.Migrations++
 				return
 			}
 		}
 	}
 }
 
-// ReportDecisions implements cache.DecisionReporter.
-func (p *CAMP) ReportDecisions() cache.PolicyDecisions {
-	return cache.PolicyDecisions{Migrations: p.Migrations}
-}
-
 // Interface conformance checks.
 var (
-	_ cache.Policy           = (*CAMP)(nil)
-	_ cache.RemovalObserver  = (*CAMP)(nil)
-	_ cache.DecisionReporter = (*CAMP)(nil)
+	_ cache.Policy          = (*CAMP)(nil)
+	_ cache.RemovalObserver = (*CAMP)(nil)
 )

@@ -316,8 +316,8 @@ func TestSizeAwareMigratesFromLowUtilityClass(t *testing.T) {
 	if err := c.Set("mid", 100, 0.1, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if pol.Migrations != 1 {
-		t.Fatalf("migrations = %d, want 1", pol.Migrations)
+	if c.Stats().SlabMigrations != 1 {
+		t.Fatalf("migrations = %d, want 1", c.Stats().SlabMigrations)
 	}
 	if c.Slabs(3) != 2 || c.Slabs(0) != 1 || c.Slabs(1) != 1 {
 		t.Fatalf("wrong donor: slabs = %v", c.SnapshotSlabs())
@@ -345,8 +345,8 @@ func TestSizeAwareFrequencyOverridesSize(t *testing.T) {
 	if err := c.Set("mid", 100, 0.1, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if pol.Migrations != 1 {
-		t.Fatalf("migrations = %d, want 1", pol.Migrations)
+	if c.Stats().SlabMigrations != 1 {
+		t.Fatalf("migrations = %d, want 1", c.Stats().SlabMigrations)
 	}
 	if c.Slabs(0) != 1 || c.Slabs(3) != 2 {
 		t.Fatalf("hot large class should not donate: slabs = %v", c.SnapshotSlabs())
@@ -369,7 +369,7 @@ func TestSizeAwareEvictsInPlaceWithoutDonors(t *testing.T) {
 	if c.Stats().Evictions == 0 {
 		t.Fatal("no in-place evictions")
 	}
-	if pol.Migrations != 0 {
+	if c.Stats().SlabMigrations != 0 {
 		t.Fatal("single class cannot migrate")
 	}
 }

@@ -30,8 +30,6 @@ type LAMA struct {
 	SolveEvery int
 	// MaxMovesPerSolve bounds migration speed toward the solution.
 	MaxMovesPerSolve int
-	// Moves counts slab migrations performed (tests).
-	Moves uint64
 
 	trackers []*mrc.Tracker
 	sumPen   []float64
@@ -163,7 +161,6 @@ func (l *LAMA) OnWindow() {
 		if err := c.MigrateSlab(donor, 0, recv); err != nil {
 			break
 		}
-		l.Moves++
 	}
 	for cl := 0; cl < nc; cl++ {
 		l.trackers[cl].ResetWindow()

@@ -7,7 +7,7 @@ import (
 	"pamakv/internal/cache"
 )
 
-func newLAMACache(t *testing.T, slabs int, obj MRCObjective, window uint64) (*cache.Cache, *LAMA) {
+func newLAMACache(t *testing.T, slabs int, obj MRCObjective, window uint64) *cache.Cache {
 	t.Helper()
 	l := NewLAMA(obj)
 	l.SolveEvery = 1
@@ -19,7 +19,7 @@ func newLAMACache(t *testing.T, slabs int, obj MRCObjective, window uint64) (*ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, l
+	return c
 }
 
 func TestLAMAShapes(t *testing.T) {
@@ -33,7 +33,7 @@ func TestLAMAShapes(t *testing.T) {
 }
 
 func TestLAMAReallocatesByCurve(t *testing.T) {
-	c, l := newLAMACache(t, 3, ObjectiveMissRatio, 500)
+	c := newLAMACache(t, 3, ObjectiveMissRatio, 500)
 	// Class 0: two slabs, working set of 32 keys (needs half a slab) —
 	// its hit curve saturates at 1 slab.
 	fill(c, "small", 128, 50)
@@ -49,7 +49,7 @@ func TestLAMAReallocatesByCurve(t *testing.T) {
 			c.Set(kh, 100, 0.1, 0, nil)
 		}
 	}
-	if l.Moves == 0 {
+	if c.Stats().SlabMigrations == 0 {
 		t.Fatal("LAMA never migrated")
 	}
 	if c.Slabs(1) < 2 {
@@ -61,12 +61,12 @@ func TestLAMAReallocatesByCurve(t *testing.T) {
 }
 
 func TestLAMAQuietDuringGrowth(t *testing.T) {
-	c, l := newLAMACache(t, 8, ObjectiveMissRatio, 100)
+	c := newLAMACache(t, 8, ObjectiveMissRatio, 100)
 	fill(c, "a", 64, 50)
 	for i := 0; i < 1000; i++ {
 		c.Get(fmt.Sprintf("a%d", i%64), 0, 0, nil)
 	}
-	if l.Moves != 0 {
+	if c.Stats().SlabMigrations != 0 {
 		t.Fatal("LAMA moved slabs while free slabs remained")
 	}
 }
@@ -74,7 +74,7 @@ func TestLAMAQuietDuringGrowth(t *testing.T) {
 func TestLAMATimeObjectiveWeighting(t *testing.T) {
 	// Two classes with equally rising curves; expensive misses on class 2
 	// must attract the allocation under the time objective.
-	c, l := newLAMACache(t, 4, ObjectiveAvgTime, 600)
+	c := newLAMACache(t, 4, ObjectiveAvgTime, 600)
 	fill(c, "idle", 128, 50) // class 0: 2 slabs donor
 	for i := 0; i < 10000; i++ {
 		kc := fmt.Sprintf("cheap%d", i%64)
@@ -86,7 +86,7 @@ func TestLAMATimeObjectiveWeighting(t *testing.T) {
 			c.Set(kd, 200, 4.0, 0, nil)
 		}
 	}
-	if l.Moves == 0 {
+	if c.Stats().SlabMigrations == 0 {
 		t.Fatal("LAMA idle")
 	}
 	if c.Slabs(2) < 2 {

@@ -34,8 +34,6 @@ type MRC struct {
 	objective MRCObjective
 	// MaxMovesPerWindow bounds reallocation speed (hill-climb step).
 	MaxMovesPerWindow int
-	// Moves counts slab migrations performed (tests).
-	Moves uint64
 
 	gain, loss []float64 // marginal hit counts, current window
 	sumPen     []float64 // penalty sum of observed misses per class
@@ -145,7 +143,6 @@ func (m *MRC) OnWindow() {
 		if err := c.MigrateSlab(worst, 0, best); err != nil {
 			break
 		}
-		m.Moves++
 		// The moved slab satisfied (part of) the gain and removed the
 		// loss signal; damp both so one window's spike cannot drain a
 		// donor.

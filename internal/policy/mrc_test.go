@@ -7,7 +7,7 @@ import (
 	"pamakv/internal/cache"
 )
 
-func newMRCCache(t *testing.T, slabs int, obj MRCObjective, window uint64) (*cache.Cache, *MRC) {
+func newMRCCache(t *testing.T, slabs int, obj MRCObjective, window uint64) *cache.Cache {
 	t.Helper()
 	m := NewMRC(obj)
 	c, err := cache.New(cache.Config{
@@ -18,7 +18,7 @@ func newMRCCache(t *testing.T, slabs int, obj MRCObjective, window uint64) (*cac
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, m
+	return c
 }
 
 func TestMRCShapes(t *testing.T) {
@@ -32,7 +32,7 @@ func TestMRCShapes(t *testing.T) {
 }
 
 func TestMRCMovesTowardGain(t *testing.T) {
-	c, m := newMRCCache(t, 3, ObjectiveMissRatio, 400)
+	c := newMRCCache(t, 3, ObjectiveMissRatio, 400)
 	// Class 0: two slabs of items never touched again (no marginal loss).
 	fill(c, "cold", 128, 50)
 	// Class 1: one slab, under constant pressure with rereferenced
@@ -44,7 +44,7 @@ func TestMRCMovesTowardGain(t *testing.T) {
 			c.Set(k, 100, 0.1, 0, nil)
 		}
 	}
-	if m.Moves == 0 {
+	if c.Stats().SlabMigrations == 0 {
 		t.Fatal("MRC never reallocated")
 	}
 	if c.Slabs(1) < 2 {
@@ -59,18 +59,18 @@ func TestMRCMovesTowardGain(t *testing.T) {
 }
 
 func TestMRCQuietDuringGrowth(t *testing.T) {
-	c, m := newMRCCache(t, 8, ObjectiveMissRatio, 100)
+	c := newMRCCache(t, 8, ObjectiveMissRatio, 100)
 	fill(c, "a", 64, 50)
 	for i := 0; i < 500; i++ {
 		c.Get(fmt.Sprintf("a%d", i%64), 0, 0, nil)
 	}
-	if m.Moves != 0 {
+	if c.Stats().SlabMigrations != 0 {
 		t.Fatal("MRC moved slabs while free slabs remained")
 	}
 }
 
 func TestMRCDonorsKeepOneSlab(t *testing.T) {
-	c, m := newMRCCache(t, 2, ObjectiveMissRatio, 200)
+	c := newMRCCache(t, 2, ObjectiveMissRatio, 200)
 	fill(c, "cold", 64, 50) // class 0, one slab
 	fill(c, "hot", 32, 100) // class 1, one slab
 	for i := 0; i < 2000; i++ {
@@ -79,7 +79,7 @@ func TestMRCDonorsKeepOneSlab(t *testing.T) {
 			c.Set(k, 100, 0.1, 0, nil)
 		}
 	}
-	if m.Moves != 0 {
+	if c.Stats().SlabMigrations != 0 {
 		t.Fatal("MRC robbed a single-slab donor")
 	}
 	if c.Slabs(0) != 1 {
@@ -91,7 +91,7 @@ func TestMRCTimeObjectiveWeighsPenalty(t *testing.T) {
 	// Two classes with identical marginal hit counts; the time objective
 	// must prefer granting the slab to the class with expensive misses.
 	run := func(obj MRCObjective) []int {
-		c, _ := newMRCCache(&testing.T{}, 4, obj, 500)
+		c := newMRCCache(&testing.T{}, 4, obj, 500)
 		fill(c, "idle", 128, 50) // class 0: 2 slabs, zero traffic (donor)
 		// Class 1 (cheap) and class 2 (dear) both under pressure.
 		for i := 0; i < 32; i++ {

@@ -62,8 +62,6 @@ type PSA struct {
 
 	misses   uint64
 	prevReqs []uint64
-	// Relocations counts slab moves performed (tests).
-	Relocations uint64
 }
 
 // NewPSA returns PSA with the given relocation period.
@@ -129,22 +127,13 @@ func (p *PSA) OnMiss(class, _ int, _ *kv.Item, _ int) {
 	if donor < 0 {
 		return
 	}
-	if err := c.MigrateSlab(donor, 0, dest); err == nil {
-		p.Relocations++
-	}
-}
-
-// ReportDecisions implements cache.DecisionReporter.
-func (p *PSA) ReportDecisions() cache.PolicyDecisions {
-	return cache.PolicyDecisions{Migrations: p.Relocations}
+	_ = c.MigrateSlab(donor, 0, dest) // refused: the allocation stays as it is
 }
 
 // Twemcache is Twitter's random-donor policy.
 type Twemcache struct {
 	base
 	state uint64
-	// Reassignments counts slab moves (tests).
-	Reassignments uint64
 }
 
 // NewTwemcache returns the policy with a deterministic seed.
@@ -171,22 +160,11 @@ func (t *Twemcache) MakeRoom(class, _ int) {
 	}
 	t.state = kv.Mix64(t.state + 0x9e3779b97f4a7c15)
 	donor := donors[t.state%uint64(len(donors))]
-	if err := c.MigrateSlab(donor, 0, class); err == nil {
-		t.Reassignments++
-	}
-}
-
-// ReportDecisions implements cache.DecisionReporter.
-func (t *Twemcache) ReportDecisions() cache.PolicyDecisions {
-	return cache.PolicyDecisions{Migrations: t.Reassignments}
+	_ = c.MigrateSlab(donor, 0, class) // refused: the allocation stays as it is
 }
 
 // FacebookAge is Facebook's LRU-age balancer.
-type FacebookAge struct {
-	base
-	// Moves counts rebalance migrations (tests).
-	Moves uint64
-}
+type FacebookAge struct{ base }
 
 // NewFacebookAge returns the policy.
 func NewFacebookAge() *FacebookAge { return &FacebookAge{} }
@@ -228,15 +206,8 @@ func (f *FacebookAge) OnWindow() {
 	}
 	avgOthers := float64(sum-youngAge) / float64(n-1)
 	if float64(youngAge) < 0.8*avgOthers && c.Slabs(oldest) >= 2 {
-		if err := c.MigrateSlab(oldest, 0, youngest); err == nil {
-			f.Moves++
-		}
+		_ = c.MigrateSlab(oldest, 0, youngest) // refused: the allocation stays as it is
 	}
-}
-
-// ReportDecisions implements cache.DecisionReporter.
-func (f *FacebookAge) ReportDecisions() cache.PolicyDecisions {
-	return cache.PolicyDecisions{Migrations: f.Moves}
 }
 
 // Interface conformance checks.
@@ -245,8 +216,4 @@ var (
 	_ cache.Policy = (*PSA)(nil)
 	_ cache.Policy = (*Twemcache)(nil)
 	_ cache.Policy = (*FacebookAge)(nil)
-
-	_ cache.DecisionReporter = (*PSA)(nil)
-	_ cache.DecisionReporter = (*Twemcache)(nil)
-	_ cache.DecisionReporter = (*FacebookAge)(nil)
 )

@@ -73,7 +73,7 @@ func TestPSARelocatesTowardMissingClass(t *testing.T) {
 		c.Get(fmt.Sprintf("hot%d", i%32), 0, 0, nil)
 		c.Get(fmt.Sprintf("missing%d", i), 100, 0.1, nil)
 	}
-	if psa.Relocations == 0 {
+	if c.Stats().SlabMigrations == 0 {
 		t.Fatal("PSA never relocated")
 	}
 	if c.Slabs(1) <= 1 {
@@ -94,10 +94,9 @@ func TestPSAQuietDuringGrowth(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.Get(fmt.Sprintf("nope%d", i), 100, 0.1, nil)
 	}
-	if psa.Relocations != 0 {
+	if c.Stats().SlabMigrations != 0 {
 		t.Fatal("PSA relocated while free slabs remained")
 	}
-	_ = c
 }
 
 func TestPSADefaultPeriod(t *testing.T) {
@@ -116,8 +115,8 @@ func TestTwemcacheGrabsRandomDonor(t *testing.T) {
 	if err := c.Set("big", 512, 0.1, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if tw.Reassignments != 1 {
-		t.Fatalf("reassignments = %d, want 1", tw.Reassignments)
+	if c.Stats().SlabMigrations != 1 {
+		t.Fatalf("reassignments = %d, want 1", c.Stats().SlabMigrations)
 	}
 	if c.Slabs(3) != 1 {
 		t.Fatal("class 3 did not receive a slab")
@@ -131,7 +130,7 @@ func TestTwemcacheSoleClassEvictsInPlace(t *testing.T) {
 	tw := NewTwemcache(1)
 	c := newCache(t, 1, tw, 1<<30)
 	fill(c, "a", 65, 50)
-	if tw.Reassignments != 0 {
+	if c.Stats().SlabMigrations != 0 {
 		t.Fatal("no donor exists; should evict in place")
 	}
 	if c.Stats().Evictions != 1 {
@@ -170,7 +169,7 @@ func TestFacebookAgeRebalances(t *testing.T) {
 		c.Set(fmt.Sprintf("b%d", i%40), 100, 0.1, 0, nil)
 		c.Get(fmt.Sprintf("b%d", (i+20)%40), 0, 0, nil)
 	}
-	if fb.Moves == 0 {
+	if c.Stats().SlabMigrations == 0 {
 		t.Fatal("age balancer never moved a slab")
 	}
 	if c.Slabs(1) <= 1 {
@@ -188,7 +187,7 @@ func TestFacebookAgeIdleWithOneClass(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Get(fmt.Sprintf("a%d", i%64), 0, 0, nil)
 	}
-	if fb.Moves != 0 {
+	if c.Stats().SlabMigrations != 0 {
 		t.Fatal("single-class cache cannot rebalance")
 	}
 }

@@ -28,9 +28,6 @@ type SizeAware struct {
 	c      *cache.Cache
 	sketch [sketchRows][sketchWidth]uint16
 	obs    int
-
-	// Migrations counts cross-class slab moves (tests/introspection).
-	Migrations uint64
 }
 
 // NewSizeAware returns the policy.
@@ -127,18 +124,8 @@ func (p *SizeAware) MakeRoom(class, _ int) {
 	if best < 0 || best == class {
 		return
 	}
-	if err := c.MigrateSlab(best, 0, class); err == nil {
-		p.Migrations++
-	}
-}
-
-// ReportDecisions implements cache.DecisionReporter.
-func (p *SizeAware) ReportDecisions() cache.PolicyDecisions {
-	return cache.PolicyDecisions{Migrations: p.Migrations}
+	_ = c.MigrateSlab(best, 0, class) // refused: the allocation stays as it is
 }
 
 // Interface conformance checks.
-var (
-	_ cache.Policy           = (*SizeAware)(nil)
-	_ cache.DecisionReporter = (*SizeAware)(nil)
-)
+var _ cache.Policy = (*SizeAware)(nil)

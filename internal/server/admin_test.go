@@ -523,6 +523,7 @@ func TestStatszFieldNames(t *testing.T) {
 		"server.PeerErrors": "number", "server.HotHits": "number",
 		"runtime.gc_cycles": "number", "runtime.gc_pause_seconds_total": "number", "runtime.heap_alloc_bytes": "number",
 		"introspection.bytes_holes": "array", "introspection.slot_sizes": "array",
+		"introspection.evicts_by_sub": "array", "introspection.evicted_penalty_by_sub": "array",
 		"backend.fetches": "number", "backend.total_penalty_seconds": "number",
 		"backend.injected_errors": "number", "backend.injected_spikes": "number",
 		"overload.tier": "number", "overload.limit": "number", "overload.max_inflight": "number",
@@ -591,6 +592,7 @@ func TestStatszFieldNames(t *testing.T) {
 		"tenants.0.gets": "number", "tenants.0.hits": "number", "tenants.0.misses": "number",
 		"tenants.0.evictions": "number", "tenants.0.slabs_in": "number", "tenants.0.slabs_out": "number",
 		"tenants.0.incoming": "number", "tenants.0.outgoing": "number", "tenants.2.name": "string",
-		"arbiter.steps": "number", "arbiter.moves": "number", "arbiter.members": "array", "arbiter.matrix": "array",
+		"tenants.0.evicted_penalty_by_sub": "array", "arbiter.steps": "number", "arbiter.moves": "number",
+		"arbiter.members": "array", "arbiter.matrix": "array",
 	})
 }

@@ -208,7 +208,7 @@ func nodeExposition(t *testing.T) exposition {
 	// Hold every admission slot and send reads: all shed, none queued.
 	var release []func(time.Duration)
 	for i := 0; i < 4; i++ {
-		ok, _, rel := srv.Overload().Acquire(overload.OpRead, 4)
+		ok, _, rel := srv.Overload().AcquireSLO(overload.OpRead, 4, 0)
 		if !ok {
 			t.Fatal("could not take an admission slot")
 		}

@@ -287,12 +287,6 @@ func RunChurn(spec ChurnSpec) (*ChurnRun, error) {
 	return run, nil
 }
 
-// ignorableSet reports whether a fill error is an expected capacity
-// refusal rather than a bug.
-func ignorableSet(err error) bool {
-	return err == cache.ErrNoSpace || err == cache.ErrTooLarge
-}
-
 // ChurnRecoverFrac defines "recovered": the first post-event window
 // whose hit ratio is back within 1% of steady state.
 const ChurnRecoverFrac = 0.99

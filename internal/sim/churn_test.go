@@ -86,3 +86,22 @@ func TestRunChurnValidation(t *testing.T) {
 		t.Fatal("unknown churn mode accepted")
 	}
 }
+
+// TestRunChurnSkipsRefusedStores: keys too large for any slab class are
+// refused by the engine with a wrapped ErrTooLarge, which the churn
+// simulator skips exactly as Run and RunMulti do, instead of aborting.
+func TestRunChurnSkipsRefusedStores(t *testing.T) {
+	spec := ChurnSpecFor(ChurnCold, 0.01)
+	spec.WarmupWindows, spec.PostWindows = 2, 2
+	spec.WindowLen = 1_000
+	weights := make([]float64, 17)
+	weights[0], weights[16] = 1, 1 // band 16: 2–4 MiB, past the 1 MiB slab
+	spec.Workload.ClassWeights = weights
+	run, err := RunChurn(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Windows) != spec.WarmupWindows+spec.PostWindows {
+		t.Fatalf("%d windows, want %d", len(run.Windows), spec.WarmupWindows+spec.PostWindows)
+	}
+}

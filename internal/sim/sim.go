@@ -211,7 +211,11 @@ type Result struct {
 	SlabSeries metrics.Series
 	Stats      cache.Stats
 	// Decisions is non-nil for pama/pre-pama runs.
-	Decisions *core.Decisions
+	Decisions *cache.PolicyDecisions
+	// EvictsBySub and EvictedPenaltyBySub are the engine's evictions and
+	// their summed penalty by subclass (slab engines only; nil for gdsf).
+	EvictsBySub         []uint64
+	EvictedPenaltyBySub []float64
 	// ServiceHist is the log-histogram of GET service times.
 	ServiceHist obs.HistSnapshot
 	// MissPenalty is the summed miss penalty of every GET miss — the
@@ -315,8 +319,7 @@ func Run(spec Spec) (*Result, error) {
 					res.MissPenalty += pen
 					// GET-miss → backend fetch → SET refill,
 					// the pattern penalties are estimated from.
-					if err := c.Set(key, size, pen, 0, nil); err != nil &&
-						!errors.Is(err, cache.ErrNoSpace) && !errors.Is(err, cache.ErrTooLarge) {
+					if err := c.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
 						return nil, err
 					}
 				}
@@ -328,8 +331,7 @@ func Run(spec Spec) (*Result, error) {
 				}
 			case kv.Set:
 				pen := model.Of(kv.HashString(key), size)
-				if err := c.Set(key, size, pen, 0, nil); err != nil &&
-					!errors.Is(err, cache.ErrNoSpace) && !errors.Is(err, cache.ErrTooLarge) {
+				if err := c.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
 					return nil, err
 				}
 			case kv.Delete:
@@ -346,18 +348,23 @@ func Run(spec Spec) (*Result, error) {
 		res.HolesBytes = eng.HolesTotal()
 		res.Items = in.Items
 		res.SlotSizes = in.SlotSizes
+		res.Decisions = in.Decisions
+		res.EvictsBySub = in.EvictsBySub
+		res.EvictedPenaltyBySub = in.EvictedPenaltyBySub
 	}
 	res.Stats = c.Stats()
 	res.ServiceHist = svcHist.Snapshot()
-	if p, ok := pol.(*core.PAMA); ok {
-		d := p.Decisions()
-		res.Decisions = &d
-	}
 	res.Elapsed = time.Since(start)
 	if err := c.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("sim: post-run invariant violation: %w", err)
 	}
 	return res, nil
+}
+
+// ignorableSet reports whether a store error is an expected capacity
+// refusal (the engine wraps both with detail) rather than a bug.
+func ignorableSet(err error) bool {
+	return errors.Is(err, cache.ErrNoSpace) || errors.Is(err, cache.ErrTooLarge)
 }
 
 // RunMatrix executes specs concurrently on up to workers goroutines

@@ -69,8 +69,8 @@ func TestRunGDSFEngine(t *testing.T) {
 	if res.Series.MeanHitRatio() <= 0 {
 		t.Fatal("gdsf produced no hits")
 	}
-	if res.Decisions != nil {
-		t.Fatal("gdsf must not report PAMA decisions")
+	if res.Decisions != nil || res.EvictsBySub != nil {
+		t.Fatal("gdsf must not report PAMA decisions or slab-engine evictions")
 	}
 	if res.SlabSeries.Points[0].Slabs != nil {
 		t.Fatal("gdsf has no slab series")
@@ -97,6 +97,14 @@ func TestRunProducesSeries(t *testing.T) {
 	}
 	if res.Decisions == nil {
 		t.Fatal("pama run should report decisions")
+	}
+	var evicts uint64
+	for _, n := range res.EvictsBySub {
+		evicts += n
+	}
+	if len(res.EvictsBySub) != 5 || len(res.EvictedPenaltyBySub) != 5 || evicts != res.Stats.Evictions {
+		t.Fatalf("evictions by subclass %v (penalty %v) do not sum to %d",
+			res.EvictsBySub, res.EvictedPenaltyBySub, res.Stats.Evictions)
 	}
 	if res.ServiceHist.Count == 0 {
 		t.Fatal("service histogram empty")

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -228,15 +227,13 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 				m.res.Hits++
 			} else {
 				m.res.MissPenalty += pen
-				if err := m.eng.Set(key, size, pen, 0, nil); err != nil &&
-					!errors.Is(err, cache.ErrNoSpace) && !errors.Is(err, cache.ErrTooLarge) {
+				if err := m.eng.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
 					return nil, err
 				}
 			}
 		case kv.Set:
 			pen := m.model.Of(kv.HashString(key), size)
-			if err := m.eng.Set(key, size, pen, 0, nil); err != nil &&
-				!errors.Is(err, cache.ErrNoSpace) && !errors.Is(err, cache.ErrTooLarge) {
+			if err := m.eng.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
 				return nil, err
 			}
 		case kv.Delete:

@@ -130,7 +130,7 @@ type Snapshot struct {
 	Evictions     uint64 `json:"evictions" prom:"pamakv_tenant_evictions_total" help:"Items evicted from the tenant's engines."`
 	// SubHits and SubMisses fold the per-class attribution down to
 	// penalty subclasses; EvictedPenaltyBySub is the penalty the tenant's
-	// policy chose to pay, per subclass.
+	// evictions cost, per subclass.
 	SubHits             []uint64  `json:"subclass_hits,omitempty"`
 	SubMisses           []uint64  `json:"subclass_misses,omitempty"`
 	EvictedPenaltyBySub []float64 `json:"evicted_penalty_by_sub,omitempty"`
@@ -155,6 +155,8 @@ func (a *Arbiter) Snapshots() []Snapshot {
 			Hits:          in.Stats.Hits,
 			Misses:        in.Stats.Misses,
 			Evictions:     in.Stats.Evictions,
+
+			EvictedPenaltyBySub: in.EvictedPenaltyBySub,
 		}
 		for cl := 0; cl < in.Classes && cl < len(in.SlotSizes); cl++ {
 			snap.UsedBytes += int64(in.UsedSlots[cl]) * int64(in.SlotSizes[cl])
@@ -168,9 +170,6 @@ func (a *Arbiter) Snapshots() []Snapshot {
 					snap.SubMisses[sb] += in.SubMisses[cl][sb]
 				}
 			}
-		}
-		if in.Decisions != nil {
-			snap.EvictedPenaltyBySub = append([]float64(nil), in.Decisions.EvictedPenaltyBySub...)
 		}
 		out[id] = snap
 	}

@@ -259,6 +259,9 @@ func TestTenantSnapshots(t *testing.T) {
 	if a.SLOClass != 0 || a.ReservedBytes != 1<<20 || a.ReserveSlabs != 1 {
 		t.Fatalf("tenant a contract fields off: %+v", a)
 	}
+	if len(a.EvictedPenaltyBySub) == 0 {
+		t.Fatalf("tenant a has no evicted-penalty row: %+v", a)
+	}
 	if b := byName["b"]; b.Items != 1 || b.SLOClass != 2 {
 		t.Fatalf("tenant b snapshot off: %+v", b)
 	}

@@ -62,8 +62,6 @@ type (
 	TrackerKind = cache.TrackerKind
 	// PAMAConfig parameterizes the PAMA policy.
 	PAMAConfig = core.Config
-	// PAMADecisions reports PAMA's reallocation decision counters.
-	PAMADecisions = core.Decisions
 	// PenaltyModel generates deterministic per-key miss penalties.
 	PenaltyModel = penalty.Model
 	// WorkloadConfig parameterizes a synthetic workload generator.
@@ -216,11 +214,12 @@ type (
 
 	// Introspection is one consistent snapshot of the engine's allocation
 	// state — per-class slabs, per-subclass stack depths and hit/miss
-	// attribution, the src→dst slab-move matrix, and the policy's decision
-	// counters (Cache.Introspect, ShardGroup.Introspect).
+	// attribution, the src→dst slab-move matrix, evictions and their
+	// penalty by subclass, and the policy's decision counters
+	// (Cache.Introspect, ShardGroup.Introspect).
 	Introspection = cache.Introspection
-	// PolicyDecisions are the reallocation-decision counters a
-	// DecisionReporter policy exposes.
+	// PolicyDecisions are the reallocation decisions PAMA reports: in-class
+	// replacements, migrations declined on price, and forced migrations.
 	PolicyDecisions = cache.PolicyDecisions
 	// Admin serves the observability endpoints of a Server over HTTP:
 	// /metrics (Prometheus), /statsz (JSON), /series (windowed TSV),
