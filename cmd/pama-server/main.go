@@ -109,6 +109,8 @@ func validate(o options) error {
 		return fmt.Errorf("-membership-secret requires runtime membership (-membership or -join)")
 	case strings.ContainsAny(o.memSecret, " \t\r\n"):
 		return fmt.Errorf("-membership-secret must not contain whitespace (it rides the control-key wire format as one token)")
+	case o.serveStale && o.staleMiB < 1:
+		return fmt.Errorf("-stale-buffer %d is out of range: the serve-stale buffer needs at least 1 MiB", o.staleMiB)
 	}
 	return nil
 }
@@ -190,7 +192,6 @@ func run(o options) error {
 		WindowLen:   100_000,
 	}
 	if o.serveStale {
-		cfg.StaleValues = true
 		cfg.StaleBytes = o.staleMiB << 20
 	}
 	factory := func() cache.Policy {
@@ -260,7 +261,6 @@ func run(o options) error {
 		FetchTimeout: o.fetchTimeout,
 		FetchRetries: o.fetchRetries,
 		FetchBackoff: o.fetchBackoff,
-		ServeStale:   o.serveStale,
 	}
 	if o.readthrough {
 		wcfg := workload.ETC()
@@ -283,7 +283,6 @@ func run(o options) error {
 		opts.Overload = &overload.Config{
 			MaxInflight: o.maxInflight,
 			Target:      o.targetP99,
-			Quantile:    0.99,
 		}
 		log.Printf("pama-server: overload control on (target p99 %v, max inflight %d)", o.targetP99, o.maxInflight)
 	}

@@ -52,6 +52,8 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"secret without membership", func(o *options) { o.memSecret = "tok" }, "-membership-secret"},
 		{"secret on static peers", func(o *options) { o.peers = "a:1,b:2"; o.memSecret = "tok" }, "-membership-secret"},
 		{"secret with whitespace", func(o *options) { o.join = "a:1"; o.memSecret = "bad tok" }, "-membership-secret"},
+		{"serve-stale with a buffer", func(o *options) { o.serveStale = true; o.staleMiB = 1 }, ""},
+		{"serve-stale with no buffer", func(o *options) { o.serveStale = true; o.staleMiB = 0 }, "-stale-buffer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

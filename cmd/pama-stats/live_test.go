@@ -280,7 +280,7 @@ func TestRunLiveMemberRows(t *testing.T) {
 					{Addr: "127.0.0.1:11312", State: "alive"},
 					{Addr: "127.0.0.1:11313", State: "suspect", ProbeFails: 3},
 				},
-				Handoff: membership.HandoffStats{Active: true, KeysSent: 500 * n},
+				Handoff: membership.HandoffStats{Active: true, HandoffCounters: membership.HandoffCounters{KeysSent: 500 * n}},
 			},
 		}
 		json.NewEncoder(w).Encode(doc)

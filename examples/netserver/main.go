@@ -22,8 +22,7 @@ func main() {
 	c, err := pamakv.New(pamakv.Config{
 		CacheBytes:  32 << 20,
 		StoreValues: true,
-		StaleValues: true,      // retain evicted/expired bytes ...
-		StaleBytes:  256 << 10, // ... in a 256 KiB serve-stale buffer
+		StaleBytes:  256 << 10, // retain evicted/expired bytes in a 256 KiB serve-stale buffer
 	}, pamakv.NewPAMA(pamakv.DefaultPAMAConfig()))
 	if err != nil {
 		log.Fatal(err)
@@ -39,7 +38,6 @@ func main() {
 		FetchTimeout: 2 * time.Second,
 		FetchRetries: 2,
 		FetchBackoff: 5 * time.Millisecond,
-		ServeStale:   true,
 	})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -68,13 +68,10 @@ type Config struct {
 	// Now supplies wall-clock unix seconds for TTL expiry; nil uses
 	// time.Now. Only consulted for items stored with a TTL.
 	Now func() int64
-	// StaleValues retains the bytes of recently evicted or expired items
-	// in a bounded side buffer so a read-through server can serve them as
-	// a degraded response when its backend fails (GetStale). Requires
-	// StoreValues.
-	StaleValues bool
-	// StaleBytes bounds the stale buffer (keys + values + overhead);
-	// 0 with StaleValues on defaults to 1 MiB.
+	// StaleBytes > 0 retains the bytes of recently evicted or expired
+	// items in a side buffer of this many bytes (keys + values +
+	// overhead), so a read-through server can serve them as a degraded
+	// response when its backend fails (GetStale). Requires StoreValues.
 	StaleBytes int64
 	// Tenant is the id stamped on every item this engine stores (0 =
 	// default tenant). Under multi-tenant serving each tenant owns its own
@@ -282,11 +279,8 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 	if cfg.WindowLen == 0 {
 		cfg.WindowLen = 100_000
 	}
-	if cfg.StaleValues && !cfg.StoreValues {
-		return nil, errors.New("cache: StaleValues requires StoreValues")
-	}
-	if cfg.StaleValues && cfg.StaleBytes == 0 {
-		cfg.StaleBytes = 1 << 20
+	if cfg.StaleBytes > 0 && !cfg.StoreValues {
+		return nil, errors.New("cache: StaleBytes requires StoreValues")
 	}
 	mgr, err := slab.NewManager(cfg.Geometry, cfg.CacheBytes)
 	if err != nil {
@@ -311,7 +305,7 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 	if cfg.StoreValues {
 		c.arena = newArena(c.geom.SlabSize)
 	}
-	if cfg.StaleValues {
+	if cfg.StaleBytes > 0 {
 		c.staleIdx = hashtable.New(1 << 8)
 	}
 	pol.Attach(c)

@@ -48,7 +48,7 @@ func newOpsEngine(t testing.TB, kind string, accessBuffer int) *opsEngine {
 	}
 	e := &opsEngine{now: 1_000_000}
 	e.Cache, err = cache.New(cache.Config{
-		Geometry: opsGeometry, CacheBytes: 12 * 4096, StoreValues: true, StaleValues: true,
+		Geometry: opsGeometry, CacheBytes: 12 * 4096, StoreValues: true, StaleBytes: 1 << 20,
 		WindowLen: 300, AccessBuffer: accessBuffer, Now: func() int64 { return e.now },
 	}, pol)
 	if err != nil {
@@ -304,7 +304,7 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 	now := int64(1_000_000)
 	c, err := cache.New(cache.Config{
 		Geometry: kv.Geometry{SlabSize: 1024, Base: 64, NumClasses: 4}, CacheBytes: 4 * 1024,
-		StoreValues: true, StaleValues: true, WindowLen: 16, Now: func() int64 { return now },
+		StoreValues: true, StaleBytes: 1 << 20, WindowLen: 16, Now: func() int64 { return now },
 	}, pol)
 	if err != nil {
 		t.Fatal(err)

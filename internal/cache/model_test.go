@@ -236,7 +236,6 @@ func oracleRound(t *testing.T, seed int64) {
 		Geometry:    smallGeom(),
 		CacheBytes:  4096,
 		StoreValues: true,
-		StaleValues: true,
 		StaleBytes:  4096,
 		WindowLen:   997,
 		Now:         func() int64 { return now },

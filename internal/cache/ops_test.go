@@ -187,6 +187,32 @@ func TestTouch(t *testing.T) {
 	}
 }
 
+// TestGetStaleNeedsABuffer: serve-stale is the stale buffer. An engine
+// without one serves nothing, not even a resident item whose TTL passed;
+// one with a buffer serves it.
+func TestGetStaleNeedsABuffer(t *testing.T) {
+	now := int64(1000)
+	for _, staleBytes := range []int64{0, 1 << 16} {
+		c, err := New(Config{
+			Geometry:    smallGeom(),
+			CacheBytes:  4 * 4096,
+			StoreValues: true,
+			StaleBytes:  staleBytes,
+			WindowLen:   1 << 50,
+			Now:         func() int64 { return now },
+		}, &nullPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetTTL("k", 10, 0.01, 0, now+10, []byte("v"))
+		now += 20
+		val, _, ok := c.GetStale("k", nil)
+		if ok != (staleBytes > 0) || (ok && string(val) != "v") {
+			t.Errorf("StaleBytes %d: GetStale of an expired resident = %q, %v", staleBytes, val, ok)
+		}
+	}
+}
+
 func TestDeltaIncrDecr(t *testing.T) {
 	c := newOpsCache(t)
 	c.Set("n", 10, 0.01, 0, []byte("10"))

@@ -10,7 +10,7 @@ import (
 // recently valid value instead of erroring (serve-stale). It is independent
 // of the policy ghost regions: ghosts exist only for policies that request
 // them and deliberately drop value bytes; the stale buffer is a pure
-// reliability feature gated by Config.StaleValues.
+// reliability feature, on when Config.StaleBytes is positive.
 //
 // All methods are called with c.mu held unless noted.
 
@@ -80,27 +80,26 @@ func (c *Cache) flushStaleLocked() {
 	c.staleSize = 0
 }
 
-// GetStale serves a degraded read: the current value if the key is resident
-// (even when expired), else a retained copy from the stale buffer. It does
-// not touch LRU state, does not count as a Get, and never read-throughs —
-// it exists for the server's serve-stale-on-backend-failure mode. The
-// returned bool reports whether anything could be served.
+// GetStale serves a degraded read from an engine with a stale buffer: the
+// current value if the key is resident (even when expired), else a retained
+// copy from the buffer. Without a buffer it serves nothing. It does not
+// touch LRU state, does not count as a Get, and never read-throughs — it
+// exists for the server's serve-stale-on-backend-failure mode. The returned
+// bool reports whether anything could be served.
 func (c *Cache) GetStale(key string, buf []byte) (val []byte, flags uint32, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.cfg.StoreValues {
+	if c.staleIdx == nil { // set once by New
 		return buf, 0, false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	h := kv.HashString(key)
 	if it := c.index.Get(h, key); it != nil {
 		c.stats.StaleGets++
 		return append(buf, it.Value...), it.Flags, true
 	}
-	if c.staleIdx != nil {
-		if e := c.staleIdx.Get(h, key); e != nil {
-			c.stats.StaleGets++
-			return append(buf, e.Value...), e.Flags, true
-		}
+	if e := c.staleIdx.Get(h, key); e != nil {
+		c.stats.StaleGets++
+		return append(buf, e.Value...), e.Flags, true
 	}
 	return buf, 0, false
 }

@@ -76,7 +76,6 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 		Geometry:    smallGeom(), // 4 KiB slabs, slots 64/128/256/512
 		CacheBytes:  8 * 4096,
 		StoreValues: true,
-		StaleValues: true,
 		StaleBytes:  8 << 10,
 		WindowLen:   997,
 		Now:         now.Load,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -26,7 +27,8 @@ const (
 // breaker is a consecutive-failure circuit breaker. Closed it admits all
 // requests; Threshold consecutive failures open it; open it fails fast for
 // Cooldown, then admits exactly one half-open probe whose outcome closes or
-// re-opens the circuit.
+// re-opens the circuit. Every opening is counted in *opens, the owning
+// client's BreakerOpens.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -37,11 +39,11 @@ type breaker struct {
 	fails     int
 	openUntil time.Time
 	probing   bool // a half-open probe is in flight
-	opens     uint64
+	opens     *uint64
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
-	b := &breaker{threshold: cfg.Threshold, cooldown: cfg.Cooldown, now: time.Now}
+func newBreaker(cfg BreakerConfig, opens *uint64) *breaker {
+	b := &breaker{threshold: cfg.Threshold, cooldown: cfg.Cooldown, now: time.Now, opens: opens}
 	if b.threshold <= 0 {
 		b.threshold = DefaultBreakerThreshold
 	}
@@ -87,7 +89,7 @@ func (b *breaker) failure() {
 	if b.probing || b.fails >= b.threshold {
 		b.probing = false
 		if b.openUntil.IsZero() || !b.now().Before(b.openUntil) {
-			b.opens++
+			atomic.AddUint64(b.opens, 1)
 		}
 		b.openUntil = b.now().Add(b.cooldown)
 	}
@@ -98,11 +100,4 @@ func (b *breaker) open() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return !b.openUntil.IsZero() && b.now().Before(b.openUntil)
-}
-
-// openCount returns how many times the circuit has opened.
-func (b *breaker) openCount() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }

@@ -99,25 +99,23 @@ type Client struct {
 	connMu sync.Mutex
 	live   map[net.Conn]struct{}
 
-	requests  atomic.Uint64
-	errs      atomic.Uint64
-	retries   atomic.Uint64
-	fastFails atomic.Uint64
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
-	dials     atomic.Uint64
-	lat       *obs.Hist
+	// ctr is the live counter set, bumped with atomic.AddUint64 and
+	// loaded by Stats (obs.Load).
+	ctr *ClientCounters
+	lat *obs.Hist
 }
 
 // NewClient builds a pooled client for the peer at addr. No connection is
 // dialed until the first request.
 func NewClient(addr string, opts ClientOptions) *Client {
 	opts = opts.withDefaults()
+	ctr := new(ClientCounters)
 	return &Client{
 		addr: addr,
 		opts: opts,
 		idle: make(chan *pconn, opts.PoolSize),
-		br:   newBreaker(opts.Breaker),
+		br:   newBreaker(opts.Breaker, &ctr.BreakerOpens),
+		ctr:  ctr,
 		lat:  obs.NewHist(1e-6, 7),
 		live: make(map[net.Conn]struct{}),
 	}
@@ -167,7 +165,7 @@ func (c *Client) get() (*pconn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.dials.Add(1)
+	atomic.AddUint64(&c.ctr.Dials, 1)
 	c.connMu.Lock()
 	if c.closed.Load() {
 		c.connMu.Unlock()
@@ -282,7 +280,7 @@ func (c *Client) attempt(pc *pconn, err error, req []byte, n int, fn func(i int,
 		if err == nil || got > 0 || try >= budget || c.closed.Load() {
 			return err
 		}
-		c.retries.Add(1)
+		atomic.AddUint64(&c.ctr.Retries, 1)
 		pc, err = c.send(req)
 	}
 }
@@ -333,11 +331,11 @@ func (c *Client) Start(req []byte, n int, hedge time.Duration) Exchange {
 		x.err, x.refused = ErrClientClosed, true
 		return x
 	case !c.br.allow():
-		c.fastFails.Add(uint64(n))
+		atomic.AddUint64(&c.ctr.FastFails, uint64(n))
 		x.err, x.refused = ErrPeerDown, true
 		return x
 	}
-	c.requests.Add(uint64(n))
+	atomic.AddUint64(&c.ctr.Requests, uint64(n))
 	x.start = time.Now()
 	if hedge > 0 {
 		// The losing attempt may still be writing req to its connection
@@ -373,7 +371,7 @@ func (x *Exchange) Finish(fn func(i int, r *proto.Resp)) error {
 	}
 	c.lat.Observe(time.Since(x.start).Seconds())
 	if err != nil {
-		c.errs.Add(uint64(x.n))
+		atomic.AddUint64(&c.ctr.Errors, uint64(x.n))
 		c.br.failure()
 		return err
 	}
@@ -406,7 +404,7 @@ func (x *Exchange) awaitRace(fn func(i int, r *proto.Resp)) error {
 		case r := <-x.res:
 			if r.err == nil {
 				if r.hedged {
-					x.c.hedgeWins.Add(1)
+					atomic.AddUint64(&x.c.ctr.HedgeWins, 1)
 				}
 				for i, resp := range r.replies {
 					fn(i, resp)
@@ -420,7 +418,7 @@ func (x *Exchange) awaitRace(fn func(i int, r *proto.Resp)) error {
 			}
 		case <-t.C:
 			if launched == 1 {
-				x.c.hedges.Add(1)
+				atomic.AddUint64(&x.c.ctr.Hedges, 1)
 				launched++
 				go x.c.race(x.req, x.n, x.res, true)
 			}
@@ -456,8 +454,18 @@ func (c *Client) one(req []byte, hedge time.Duration) (*proto.Response, error) {
 	return resp, err
 }
 
-// ClientStats is a point-in-time snapshot of one peer client's counters.
+// ClientStats is a point-in-time snapshot of one peer client.
 type ClientStats struct {
+	ClientCounters
+	// BreakerOpen reports whether the circuit is rejecting right now.
+	BreakerOpen bool `json:"breaker_open" prom:"pamakv_peer_breaker_open" help:"Whether the peer's circuit is rejecting right now."`
+	// Latency is the per-exchange round-trip histogram, Start to Finish
+	// (hedged exchanges observe the winning attempt's latency).
+	Latency obs.HistSnapshot `json:"latency" prom:"pamakv_peer_request_seconds" help:"Peer round-trip latency (hedged ops observe the winner)."`
+}
+
+// ClientCounters are one peer client's monotonic counters.
+type ClientCounters struct {
 	// Requests counts requests admitted past the breaker (each command of
 	// a pipelined exchange counts).
 	Requests uint64 `json:"requests" prom:"pamakv_peer_requests_total" help:"Ops admitted past the peer's circuit breaker."`
@@ -477,26 +485,14 @@ type ClientStats struct {
 	// answered before the primary.
 	Hedges    uint64 `json:"hedges" prom:"pamakv_peer_hedges_total" help:"Hedged duplicate reads fired."`
 	HedgeWins uint64 `json:"hedge_wins" prom:"pamakv_peer_hedge_wins_total" help:"Hedged duplicates that answered before the primary."`
-	// BreakerOpen reports whether the circuit is rejecting right now.
-	BreakerOpen bool `json:"breaker_open" prom:"pamakv_peer_breaker_open" help:"Whether the peer's circuit is rejecting right now."`
-	// Latency is the per-exchange round-trip histogram, Start to Finish
-	// (hedged exchanges observe the winning attempt's latency).
-	Latency obs.HistSnapshot `json:"latency" prom:"pamakv_peer_request_seconds" help:"Peer round-trip latency (hedged ops observe the winner)."`
 }
 
 // Stats snapshots the client's counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{
-		Requests:     c.requests.Load(),
-		Errors:       c.errs.Load(),
-		Retries:      c.retries.Load(),
-		Dials:        c.dials.Load(),
-		FastFails:    c.fastFails.Load(),
-		BreakerOpens: c.br.openCount(),
-		BreakerOpen:  c.br.open(),
-		Hedges:       c.hedges.Load(),
-		HedgeWins:    c.hedgeWins.Load(),
-		Latency:      c.lat.Snapshot(),
+		ClientCounters: obs.Load(c.ctr),
+		BreakerOpen:    c.br.open(),
+		Latency:        c.lat.Snapshot(),
 	}
 }
 

@@ -513,7 +513,8 @@ func TestHedgePolicyDelays(t *testing.T) {
 }
 
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	b := newBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Minute})
+	var opens uint64
+	b := newBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Minute}, &opens)
 	now := time.Unix(1000, 0)
 	b.now = func() time.Time { return now }
 	b.failure()
@@ -540,7 +541,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	if !b.allow() || b.open() {
 		t.Fatal("breaker still open after a successful probe")
 	}
-	if b.openCount() != 2 {
-		t.Errorf("openCount = %d, want 2", b.openCount())
+	if opens != 2 {
+		t.Errorf("opens = %d, want 2", opens)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pamakv/internal/kv"
+	"pamakv/internal/obs"
 )
 
 // HotCache defaults: a few MiB catches the hot head of a Zipf workload
@@ -47,7 +48,9 @@ type HotCache struct {
 	items            int
 	bytes            int64
 
-	hits, misses, evicts atomic.Uint64
+	// ctr is the live counter set, bumped with atomic.AddUint64 and
+	// loaded by Stats (obs.Load).
+	ctr *HotCacheCounters
 }
 
 // noSlot ends the LRU and free lists.
@@ -92,6 +95,7 @@ func NewHotCache(maxBytes int64, ttl time.Duration) *HotCache {
 		head:     noSlot,
 		tail:     noSlot,
 		free:     noSlot,
+		ctr:      new(HotCacheCounters),
 	}
 }
 
@@ -117,10 +121,10 @@ func (h *HotCache) Get(key string, dst []byte) (val []byte, flags uint32, ok boo
 	}
 	h.mu.Unlock()
 	if !found {
-		h.misses.Add(1)
+		atomic.AddUint64(&h.ctr.Misses, 1)
 		return dst, 0, false
 	}
-	h.hits.Add(1)
+	atomic.AddUint64(&h.ctr.Hits, 1)
 	return dst, flags, true
 }
 
@@ -158,7 +162,7 @@ func (h *HotCache) Put(key string, flags uint32, val []byte) {
 	h.bytes += int64(n)
 	for h.bytes > h.maxBytes {
 		h.removeLocked(h.tail)
-		h.evicts.Add(1)
+		atomic.AddUint64(&h.ctr.Evicts, 1)
 	}
 }
 
@@ -222,11 +226,16 @@ func (h *HotCache) pushFrontLocked(i int32) {
 
 // HotCacheStats is a point-in-time snapshot of the hot cache.
 type HotCacheStats struct {
+	HotCacheCounters
+	Bytes int64 `json:"bytes" prom:"pamakv_hot_cache_bytes" help:"Bytes resident in the hot-item mini-cache."`
+	Items int   `json:"items" prom:"pamakv_hot_cache_items" help:"Entries resident in the hot-item mini-cache."`
+}
+
+// HotCacheCounters are the hot cache's monotonic counters.
+type HotCacheCounters struct {
 	Hits   uint64 `json:"hits" prom:"pamakv_hot_cache_hits_total" help:"Remote-owned GETs served from the hot-item mini-cache."`
 	Misses uint64 `json:"misses" prom:"pamakv_hot_cache_misses_total" help:"Hot-cache lookups that fell through to the owner."`
 	Evicts uint64 `json:"evicts" prom:"pamakv_hot_cache_evictions_total" help:"Hot-cache entries evicted past the byte budget."`
-	Bytes  int64  `json:"bytes" prom:"pamakv_hot_cache_bytes" help:"Bytes resident in the hot-item mini-cache."`
-	Items  int    `json:"items" prom:"pamakv_hot_cache_items" help:"Entries resident in the hot-item mini-cache."`
 }
 
 // Stats snapshots the cache's counters and occupancy.
@@ -234,11 +243,5 @@ func (h *HotCache) Stats() HotCacheStats {
 	h.mu.Lock()
 	bytes, items := h.bytes, h.items
 	h.mu.Unlock()
-	return HotCacheStats{
-		Hits:   h.hits.Load(),
-		Misses: h.misses.Load(),
-		Evicts: h.evicts.Load(),
-		Bytes:  bytes,
-		Items:  items,
-	}
+	return HotCacheStats{HotCacheCounters: obs.Load(h.ctr), Bytes: bytes, Items: items}
 }

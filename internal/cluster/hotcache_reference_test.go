@@ -110,10 +110,8 @@ func (h *refHotCache) Stats() HotCacheStats {
 	bytes, items := h.bytes, h.ll.Len()
 	h.mu.Unlock()
 	return HotCacheStats{
-		Hits:   h.hits.Load(),
-		Misses: h.misses.Load(),
-		Evicts: h.evicts.Load(),
-		Bytes:  bytes,
-		Items:  items,
+		HotCacheCounters: HotCacheCounters{Hits: h.hits.Load(), Misses: h.misses.Load(), Evicts: h.evicts.Load()},
+		Bytes:            bytes,
+		Items:            items,
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -30,6 +31,34 @@ func TestHotCacheBasic(t *testing.T) {
 	st := h.Stats()
 	if st.Hits != 1 || st.Misses != 2 || st.Items != 0 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestStatsPublishLiveCounters: the hot cache's and a peer client's Stats
+// publish their live counter sets, each counter once, under its json name
+// and in declaration order; the breaker counts its openings in the
+// client's set.
+func TestStatsPublishLiveCounters(t *testing.T) {
+	h := NewHotCache(1<<20, time.Minute)
+	*h.ctr = HotCacheCounters{1, 2, 3}
+	c := NewClient("127.0.0.1:1", ClientOptions{Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Minute}})
+	defer c.Close()
+	*c.ctr = ClientCounters{4, 5, 6, 7, 8, 9, 10, 11}
+	c.br.failure()
+	for _, tc := range []struct {
+		stats any
+		want  string
+	}{
+		{h.Stats(), `{"hits":1,"misses":2,"evicts":3,"bytes":0,"items":0}`},
+		{c.Stats(), `{"requests":4,"errors":5,"retries":6,"dials":7,"fast_fails":8,"breaker_opens":10,"hedges":10,"hedge_wins":11,"breaker_open":true,"latency":`},
+	} {
+		b, err := json.Marshal(tc.stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(b), tc.want) {
+			t.Errorf("Stats JSON = %s, want it to start %s", b, tc.want)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ package membership
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"pamakv/internal/overload"
@@ -139,18 +140,18 @@ func (m *Manager) runHandoff(ho *handoff) {
 		return
 	}
 	m.hoActive.Store(true) // before the count: who sees the run counted sees it active or done
-	m.hoRuns.Add(1)
+	atomic.AddUint64(&m.ctr.Handoff.Runs, 1)
 	defer m.hoActive.Store(false)
 	m.logf("membership: epoch %d handoff: streaming %d keys", ho.epoch, len(plan))
 
 	planned, sent := 0, 0
 	for len(plan) > 0 {
 		planned += len(plan)
-		m.hoPlanned.Add(uint64(len(plan)))
+		atomic.AddUint64(&m.ctr.Handoff.KeysPlanned, uint64(len(plan)))
 		n, aborted := m.streamPass(ho, src, tier, plan)
 		sent += n
 		if aborted {
-			m.hoAborts.Add(1)
+			atomic.AddUint64(&m.ctr.Handoff.Aborts, 1)
 			m.logf("membership: epoch %d handoff aborted after %d/%d keys", ho.epoch, sent, planned)
 			return
 		}
@@ -173,8 +174,7 @@ func (m *Manager) streamPass(ho *handoff, src Source, tier func() int, plan []Ha
 	if rate <= 0 {
 		rate = DefaultHandoffRate
 	}
-	batch := m.cfg.HandoffBatch
-	pause := time.Duration(batch) * (time.Second / time.Duration(rate))
+	pause := time.Duration(handoffBatch) * (time.Second / time.Duration(rate))
 	vbuf := make([]byte, 0, 16<<10)
 	req := make([]byte, 0, 4<<10)
 	for _, hk := range plan {
@@ -204,7 +204,7 @@ func (m *Manager) streamPass(ho *handoff, src Source, tier func() int, plan []Ha
 		}
 		cl := peers.ClientFor(hk.Target)
 		if cl == nil {
-			m.hoErrors.Add(1)
+			atomic.AddUint64(&m.ctr.Handoff.Errors, 1)
 			continue // target departed in a yet-newer view
 		}
 		req = proto.AppendCommand(req[:0], &proto.Command{
@@ -213,7 +213,7 @@ func (m *Manager) streamPass(ho *handoff, src Source, tier func() int, plan []Ha
 		})
 		resp, err := cl.Do(req)
 		if err != nil {
-			m.hoErrors.Add(1)
+			atomic.AddUint64(&m.ctr.Handoff.Errors, 1)
 			continue
 		}
 		if resp.Status != "STORED" && resp.Status != "NOT_STORED" {
@@ -222,16 +222,16 @@ func (m *Manager) streamPass(ho *handoff, src Source, tier func() int, plan []Ha
 			// key, so keep the local copy and count the miss (Do returns
 			// a nil error for any well-formed reply, so the status check
 			// is the only thing standing between a shed and a cold drop).
-			m.hoErrors.Add(1)
+			atomic.AddUint64(&m.ctr.Handoff.Errors, 1)
 			continue
 		}
 		// STORED or NOT_STORED: the new owner is authoritative either
 		// way; drop the local copy to restore one-cache-line-per-key.
-		m.hoKeys.Add(1)
-		m.hoBytes.Add(uint64(len(val)))
+		atomic.AddUint64(&m.ctr.Handoff.KeysSent, 1)
+		atomic.AddUint64(&m.ctr.Handoff.BytesSent, uint64(len(val)))
 		src.Delete(hk.Key)
 		sent++
-		if sent%batch == 0 {
+		if sent%handoffBatch == 0 {
 			select {
 			case <-ho.abort:
 				return sent, true

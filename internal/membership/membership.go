@@ -142,8 +142,10 @@ const (
 	DefaultEvictAfter    = 6
 	DefaultEvictCooldown = 10 * time.Second
 	DefaultHandoffRate   = 4096
-	DefaultHandoffBatch  = 32
 )
+
+// handoffBatch is how many keys a warm handoff sends between pacing sleeps.
+const handoffBatch = 32
 
 // Config configures a Manager.
 type Config struct {
@@ -176,8 +178,6 @@ type Config struct {
 	// changes become cold rebalances — the baseline fig_churn compares
 	// against).
 	HandoffRate int
-	// HandoffBatch is how many keys are sent between pacing sleeps.
-	HandoffBatch int
 
 	// Tier returns the local overload pressure tier (overload.Tier*);
 	// nil means always normal. Handoff yields under pressure: it slows
@@ -194,10 +194,6 @@ type Config struct {
 	// Probe overrides the health probe (tests inject failures); nil uses
 	// a TCP dial + "version" round trip.
 	Probe func(addr string) error
-
-	// OnApply, when set, runs after every successfully applied view
-	// (epoch already installed, routing already swapped).
-	OnApply func(epoch uint64, members []string)
 
 	// Logger receives membership transitions; nil disables logging.
 	Logger *log.Logger
@@ -221,9 +217,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HandoffRate == 0 {
 		c.HandoffRate = DefaultHandoffRate
-	}
-	if c.HandoffBatch <= 0 {
-		c.HandoffBatch = DefaultHandoffBatch
 	}
 	return c
 }
@@ -254,21 +247,10 @@ type Manager struct {
 	stopped bool
 	wg      sync.WaitGroup
 
-	applies   atomic.Uint64
-	refusals  atomic.Uint64
-	joins     atomic.Uint64
-	evictions atomic.Uint64
-	suspectsN atomic.Uint64
-	probes    atomic.Uint64
-	probeFail atomic.Uint64
-
-	hoRuns    atomic.Uint64
-	hoPlanned atomic.Uint64
-	hoKeys    atomic.Uint64
-	hoBytes   atomic.Uint64
-	hoErrors  atomic.Uint64
-	hoAborts  atomic.Uint64
-	hoActive  atomic.Bool
+	// ctr is the live counter set, bumped with atomic.AddUint64 and
+	// loaded by Stats (obs.Load).
+	ctr      *counters
+	hoActive atomic.Bool
 
 	probeLat *obs.Hist
 	hoDur    *obs.Hist
@@ -292,6 +274,7 @@ func New(cfg Config) (*Manager, error) {
 		health:   make(map[string]*memberHealth),
 		tier:     cfg.Tier,
 		stopC:    make(chan struct{}),
+		ctr:      new(counters),
 		probeLat: obs.NewHist(1e-6, 7),
 		hoDur:    obs.NewHist(1e-4, 7),
 	}
@@ -407,7 +390,7 @@ func (m *Manager) Apply(epoch uint64, members []string, origin string) error {
 	}
 	m.mu.Lock()
 	if epoch < m.epoch {
-		m.refusals.Add(1)
+		atomic.AddUint64(&m.ctr.Refusals, 1)
 		cur := m.epoch
 		m.mu.Unlock()
 		return fmt.Errorf("membership: epoch %d is stale (have %d)", epoch, cur)
@@ -418,7 +401,7 @@ func (m *Manager) Apply(epoch uint64, members []string, origin string) error {
 			return nil // idempotent echo
 		}
 		if !viewWins(epoch, members, m.members) {
-			m.refusals.Add(1)
+			atomic.AddUint64(&m.ctr.Refusals, 1)
 			cur := m.epoch
 			m.mu.Unlock()
 			return fmt.Errorf("membership: conflicting view at epoch %d loses tie-break (have %d members)", epoch, cur)
@@ -433,13 +416,10 @@ func (m *Manager) Apply(epoch uint64, members []string, origin string) error {
 	m.epoch = epoch
 	m.members = append([]string(nil), members...)
 	m.syncHealthLocked()
-	m.applies.Add(1)
+	atomic.AddUint64(&m.ctr.Applies, 1)
 	m.startHandoffLocked(epoch)
 	m.mu.Unlock()
 	m.logf("membership: applied epoch %d (%d members, from %s)", epoch, len(members), origin)
-	if m.cfg.OnApply != nil {
-		m.cfg.OnApply(epoch, members)
-	}
 	return nil
 }
 
@@ -488,7 +468,7 @@ func (m *Manager) Join(addr string) error {
 	}
 	next := append(append([]string(nil), m.members...), addr)
 	m.mu.Unlock()
-	m.joins.Add(1)
+	atomic.AddUint64(&m.ctr.Joins, 1)
 	return m.propose(next, "join "+addr)
 }
 
@@ -758,7 +738,7 @@ func (m *Manager) probeOnce() {
 		if !ok {
 			continue // departed while probing
 		}
-		m.probes.Add(1)
+		atomic.AddUint64(&m.ctr.Probes, 1)
 		if r.err == nil {
 			// Hysteresis: one good probe fully recovers a suspect.
 			if h.state == StateSuspect {
@@ -767,11 +747,11 @@ func (m *Manager) probeOnce() {
 			h.state, h.fails = StateAlive, 0
 			continue
 		}
-		m.probeFail.Add(1)
+		atomic.AddUint64(&m.ctr.ProbeFailures, 1)
 		h.fails++
 		if h.fails >= m.cfg.SuspectAfter && h.state != StateSuspect {
 			h.state = StateSuspect
-			m.suspectsN.Add(1)
+			atomic.AddUint64(&m.ctr.Suspects, 1)
 			m.logf("membership: %s suspect after %d failed probes", r.addr, h.fails)
 		}
 		if h.fails >= m.cfg.EvictAfter && evict == "" {
@@ -790,7 +770,7 @@ func (m *Manager) probeOnce() {
 	}
 	m.mu.Unlock()
 	if evict != "" {
-		m.evictions.Add(1)
+		atomic.AddUint64(&m.ctr.Evictions, 1)
 		m.logf("membership: evicting unresponsive member %s", evict)
 		if err := m.Remove(evict); err != nil {
 			m.logf("membership: eviction of %s failed: %v", evict, err)
@@ -817,14 +797,19 @@ type MemberStatus struct {
 
 // HandoffStats aggregates warm-handoff progress counters.
 type HandoffStats struct {
-	Active      bool             `json:"active" prom:"pamakv_handoff_active" help:"Whether a warm handoff is streaming now."`
-	Runs        uint64           `json:"runs" prom:"pamakv_handoff_runs_total" help:"Warm-handoff runs started."`
-	KeysPlanned uint64           `json:"keys_planned" prom:"pamakv_handoff_keys_planned_total" help:"Keys scheduled for streaming."`
-	KeysSent    uint64           `json:"keys_sent" prom:"pamakv_handoff_keys_total" help:"Keys streamed to their new owner."`
-	BytesSent   uint64           `json:"bytes_sent" prom:"pamakv_handoff_bytes_total" help:"Value bytes streamed to new owners."`
-	Errors      uint64           `json:"errors" prom:"pamakv_handoff_errors_total" help:"Keys whose stream attempt failed."`
-	Aborts      uint64           `json:"aborts" prom:"pamakv_handoff_aborts_total" help:"Handoff runs aborted by a newer view."`
-	Duration    obs.HistSnapshot `json:"duration_seconds" prom:"pamakv_handoff_seconds" help:"Wall-clock duration of completed handoff runs."`
+	Active bool `json:"active" prom:"pamakv_handoff_active" help:"Whether a warm handoff is streaming now."`
+	HandoffCounters
+	Duration obs.HistSnapshot `json:"duration_seconds" prom:"pamakv_handoff_seconds" help:"Wall-clock duration of completed handoff runs."`
+}
+
+// HandoffCounters are the warm handoff's monotonic counters.
+type HandoffCounters struct {
+	Runs        uint64 `json:"runs" prom:"pamakv_handoff_runs_total" help:"Warm-handoff runs started."`
+	KeysPlanned uint64 `json:"keys_planned" prom:"pamakv_handoff_keys_planned_total" help:"Keys scheduled for streaming."`
+	KeysSent    uint64 `json:"keys_sent" prom:"pamakv_handoff_keys_total" help:"Keys streamed to their new owner."`
+	BytesSent   uint64 `json:"bytes_sent" prom:"pamakv_handoff_bytes_total" help:"Value bytes streamed to new owners."`
+	Errors      uint64 `json:"errors" prom:"pamakv_handoff_errors_total" help:"Keys whose stream attempt failed."`
+	Aborts      uint64 `json:"aborts" prom:"pamakv_handoff_aborts_total" help:"Handoff runs aborted by a newer view."`
 }
 
 // Stats is a point-in-time snapshot of the membership state machine.
@@ -834,6 +819,14 @@ type Stats struct {
 	Draining bool           `json:"draining" prom:"pamakv_member_draining" help:"Whether this node is outside the ring, draining."`
 	Members  []MemberStatus `json:"members"`
 
+	Counters
+
+	ProbeLatency obs.HistSnapshot `json:"probe_latency" prom:"pamakv_member_probe_seconds" help:"Health-probe round-trip latency."`
+	Handoff      HandoffStats     `json:"handoff"`
+}
+
+// Counters are the state machine's monotonic counters.
+type Counters struct {
 	Applies       uint64 `json:"applies" prom:"pamakv_member_applies_total" help:"Views applied (epoch advanced)."`
 	Refusals      uint64 `json:"refusals" prom:"pamakv_member_refusals_total" help:"Stale or conflicting views refused."`
 	Joins         uint64 `json:"joins" prom:"pamakv_member_joins_total" help:"Join proposals originated here."`
@@ -841,9 +834,12 @@ type Stats struct {
 	Evictions     uint64 `json:"evictions" prom:"pamakv_member_evictions_total" help:"Auto-evictions proposed by this node."`
 	Probes        uint64 `json:"probes" prom:"pamakv_member_probes_total" help:"Health probes sent."`
 	ProbeFailures uint64 `json:"probe_failures" prom:"pamakv_member_probe_failures_total" help:"Health probes failed."`
+}
 
-	ProbeLatency obs.HistSnapshot `json:"probe_latency" prom:"pamakv_member_probe_seconds" help:"Health-probe round-trip latency."`
-	Handoff      HandoffStats     `json:"handoff"`
+// counters is a Manager's live counter set.
+type counters struct {
+	Counters
+	Handoff HandoffCounters
 }
 
 // Stats snapshots the manager.
@@ -864,28 +860,18 @@ func (m *Manager) Stats() Stats {
 	}
 	epoch := m.epoch
 	m.mu.Unlock()
+	ctr := obs.Load(m.ctr)
 	return Stats{
-		Self:          m.self,
-		Epoch:         epoch,
-		Draining:      !selfIn,
-		Members:       members,
-		Applies:       m.applies.Load(),
-		Refusals:      m.refusals.Load(),
-		Joins:         m.joins.Load(),
-		Suspects:      m.suspectsN.Load(),
-		Evictions:     m.evictions.Load(),
-		Probes:        m.probes.Load(),
-		ProbeFailures: m.probeFail.Load(),
-		ProbeLatency:  m.probeLat.Snapshot(),
+		Self:         m.self,
+		Epoch:        epoch,
+		Draining:     !selfIn,
+		Members:      members,
+		Counters:     ctr.Counters,
+		ProbeLatency: m.probeLat.Snapshot(),
 		Handoff: HandoffStats{
-			Active:      m.hoActive.Load(),
-			Runs:        m.hoRuns.Load(),
-			KeysPlanned: m.hoPlanned.Load(),
-			KeysSent:    m.hoKeys.Load(),
-			BytesSent:   m.hoBytes.Load(),
-			Errors:      m.hoErrors.Load(),
-			Aborts:      m.hoAborts.Load(),
-			Duration:    m.hoDur.Snapshot(),
+			Active:          m.hoActive.Load(),
+			HandoffCounters: ctr.Handoff,
+			Duration:        m.hoDur.Snapshot(),
 		},
 	}
 }

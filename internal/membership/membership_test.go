@@ -2,6 +2,7 @@ package membership
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -167,6 +168,26 @@ func newManager(t *testing.T, self string, members []string, cfg Config) (*Manag
 	}
 	t.Cleanup(m.Stop)
 	return m, p
+}
+
+// TestStatsPublishLiveCounters: Stats publishes the live counter set, each
+// counter once, under its json name and in declaration order.
+func TestStatsPublishLiveCounters(t *testing.T) {
+	self := "127.0.0.1:7101"
+	m, _ := newManager(t, self, []string{self}, Config{HandoffRate: -1})
+	*m.ctr = counters{Counters{1, 2, 3, 4, 5, 6, 7}, HandoffCounters{8, 9, 10, 11, 12, 13}}
+	b, err := json.Marshal(m.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`"applies":1,"refusals":2,"joins":3,"suspects":4,"evictions":5,"probes":6,"probe_failures":7,"probe_latency":`,
+		`"handoff":{"active":false,"runs":8,"keys_planned":9,"keys_sent":10,"bytes_sent":11,"errors":12,"aborts":13,"duration_seconds":`,
+	} {
+		if !strings.Contains(string(b), want) {
+			t.Errorf("Stats JSON lacks %s:\n%s", want, b)
+		}
+	}
 }
 
 func TestViewEncodeParseRoundTrip(t *testing.T) {

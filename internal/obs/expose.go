@@ -24,6 +24,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
+	"unsafe"
 )
 
 var histType = reflect.TypeOf(HistSnapshot{})
@@ -166,6 +168,35 @@ func sum(d, s reflect.Value, mode string) {
 		d.SetUint(fold(d.Uint(), s.Uint(), mode))
 	case d.CanFloat():
 		d.SetFloat(fold(d.Float(), s.Float(), mode))
+	}
+}
+
+// Load copies a live counter set, each counter read with one atomic load.
+// A live set is a struct of uint64s (in nested structs and arrays too, so
+// the snapshot structs can embed it) that the hot path bumps with
+// atomic.AddUint64; allocated on its own (new), every field is 64-bit
+// aligned on every platform. Any other kind of field panics.
+func Load[T any](live *T) T {
+	var out T
+	load(reflect.ValueOf(&out).Elem(), reflect.ValueOf(live).Elem())
+	return out
+}
+
+func load(d, s reflect.Value) {
+	switch s.Kind() {
+	case reflect.Struct:
+		for i := 0; i < s.NumField(); i++ {
+			load(d.Field(i), s.Field(i))
+		}
+	case reflect.Array:
+		for i := 0; i < s.Len(); i++ {
+			load(d.Index(i), s.Index(i))
+		}
+	case reflect.Uint64:
+		// Through the address, so unexported counters load too.
+		*(*uint64)(unsafe.Pointer(d.UnsafeAddr())) = atomic.LoadUint64((*uint64)(unsafe.Pointer(s.UnsafeAddr())))
+	default:
+		panic("obs: live counter set holds a " + s.Type().String())
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package obs provides the lock-free instrumentation primitives behind the
-// server's live observability surface: atomic counters and log-scale latency
-// histograms that hot paths update without allocating, plus snapshot types
-// that merge across shards and subtract into deltas for windowed reporting.
+// Package obs provides the instrumentation behind the server's live
+// observability surface: log-scale latency histograms that hot paths update
+// without allocating, snapshot types that merge across shards and subtract
+// into deltas for windowed reporting, and the tag-driven rendering of the
+// stats structs whose live counter sets the hot paths bump (expose.go).
 //
 // One histogram serves the live server, the load generators and the offline
 // simulator (decade buckets subdivided 8x over [min, min*10^decades)), so
@@ -22,18 +23,6 @@ import (
 
 	"pamakv/internal/metrics"
 )
-
-// Counter is a monotonic atomic counter. The zero value is ready to use.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // Hist is a concurrency-safe logarithmic histogram over positive values:
 // decade buckets subdivided 8x. Observe performs no allocation.

@@ -5,10 +5,21 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pamakv/internal/metrics"
 )
+
+// liveSet is a counter set as the subsystems declare one: uint64s, in
+// embedded structs and arrays too.
+type liveSet struct {
+	liveInner
+	Gets  uint64
+	BySub [3]uint64
+}
+
+type liveInner struct{ Conns uint64 }
 
 func TestCounterMergeAcrossShards(t *testing.T) {
 	// Shard-merge semantics: the group-level value is the sum of per-shard
@@ -25,20 +36,44 @@ func TestCounterMergeAcrossShards(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			counters := make([]Counter, len(tc.shards))
-			for i, adds := range tc.shards {
+			var total liveSet
+			for _, adds := range tc.shards {
+				shard := new(liveSet)
 				for _, n := range adds {
-					counters[i].Add(n)
+					atomic.AddUint64(&shard.Gets, n)
+					atomic.AddUint64(&shard.BySub[2], n)
 				}
+				Sum(&total, Load(shard))
 			}
-			var total uint64
-			for i := range counters {
-				total += counters[i].Load()
-			}
-			if total != tc.want {
-				t.Fatalf("merged counter = %d, want %d", total, tc.want)
+			if total.Gets != tc.want || total.BySub[2] != tc.want {
+				t.Fatalf("merged counters = %d, %d, want %d", total.Gets, total.BySub[2], tc.want)
 			}
 		})
+	}
+}
+
+func TestLoadCopiesEveryCounter(t *testing.T) {
+	type withPrivate struct {
+		liveSet
+		shed [2]uint64
+	}
+	live := &withPrivate{liveSet{liveInner{1}, 2, [3]uint64{3, 4, 5}}, [2]uint64{6, 7}}
+	if got := Load(live); got != *live {
+		t.Fatalf("Load = %+v, want %+v", got, *live)
+	}
+	for _, bad := range []func(){
+		func() { Load(&struct{ N int64 }{}) },
+		func() { Load(&struct{ M map[string]uint64 }{}) },
+		func() { Load(&struct{ H HistSnapshot }{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Load of a set with a non-uint64 field did not panic")
+				}
+			}()
+			bad()
+		}()
 	}
 }
 
@@ -257,25 +292,48 @@ func TestSnapshotMergeAcrossShards(t *testing.T) {
 }
 
 func TestConcurrentWriters(t *testing.T) {
-	// Race-detector test: many goroutines hammer one counter and one
-	// histogram; totals must balance exactly.
+	// Race-detector test: many goroutines hammer one live counter set and
+	// one histogram while a reader loads the set; totals must balance
+	// exactly, and no load may see a counter go backwards.
 	const workers, perWorker = 8, 5000
-	var c Counter
+	c := new(liveSet)
 	h := NewHist(1e-6, 7)
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var prev liveSet
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur := Load(c)
+			if cur.Gets < prev.Gets || cur.BySub[1] < prev.BySub[1] {
+				t.Errorf("counters went backwards: %+v after %+v", cur, prev)
+				return
+			}
+			prev = cur
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
+				atomic.AddUint64(&c.Gets, 1)
+				atomic.AddUint64(&c.BySub[1], 2)
 				h.Observe(float64(seed*perWorker+i) * 1e-6)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.Load() != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", c.Load(), workers*perWorker)
+	close(stop)
+	<-readerDone
+	if got := Load(c); got.Gets != workers*perWorker || got.BySub[1] != 2*workers*perWorker {
+		t.Fatalf("counters = %d, %d, want %d, %d", got.Gets, got.BySub[1], workers*perWorker, 2*workers*perWorker)
 	}
 	s := h.Snapshot()
 	if s.Count != workers*perWorker {

@@ -9,7 +9,7 @@
 // Three mechanisms compose:
 //
 //   - An adaptive concurrency limiter: the admitted-in-flight limit follows
-//     observed service latency by AIMD against a target quantile — latency
+//     observed service latency by AIMD against a p99 target — latency
 //     above target multiplies the limit down, headroom under a saturated
 //     limit adds to it — bounded above by a hard ceiling (MaxInflight) that
 //     is never exceeded, whatever the controller has learned.
@@ -112,19 +112,25 @@ const (
 	DefaultMaxInflight   = 256
 	DefaultMinLimit      = 4
 	DefaultTarget        = 25 * time.Millisecond
-	DefaultQuantile      = 0.95
 	DefaultAdjustEvery   = 100 * time.Millisecond
 	DefaultSojournCutoff = 50 * time.Millisecond
 	DefaultTierHold      = 500 * time.Millisecond
-	// DefaultCheapSub is the highest penalty subclass considered "cheap":
-	// subclasses 0 and 1 are misses of at most 10 ms — refusing them under
-	// pressure costs each client about what a queued request would have
-	// waited anyway.
-	DefaultCheapSub = 1
-	// DefaultCriticalSub is the lowest subclass still served at
+)
+
+// The limiter's quantile and the shed policy's subclass bands.
+const (
+	// quantile is the service-latency quantile the limiter compares with
+	// Target: Target is a p99 (pama-server's -target-p99).
+	quantile = 0.99
+	// cheapSub is the highest penalty subclass considered "cheap", shed at
+	// TierShedding: subclasses 0 and 1 are misses of at most 10 ms —
+	// refusing them under pressure costs each client about what a queued
+	// request would have waited anyway.
+	cheapSub = 1
+	// criticalSub is the lowest read subclass still served at
 	// TierCritical: subclasses 3 and 4 are 100 ms–5 s misses, the traffic
 	// whose loss the paper prices as disasters.
-	DefaultCriticalSub = 3
+	criticalSub = 3
 )
 
 // Config tunes a Controller. The zero value of every field selects its
@@ -139,10 +145,8 @@ type Config struct {
 	// InitialLimit seeds the adaptive limit; 0 means MaxInflight/4
 	// (clamped to [MinLimit, MaxInflight]).
 	InitialLimit int
-	// Target is the service-latency goal the limiter steers toward.
+	// Target is the p99 service latency the limiter steers toward.
 	Target time.Duration
-	// Quantile is the latency quantile compared against Target.
-	Quantile float64
 	// AdjustEvery is the limiter's adjustment period.
 	AdjustEvery time.Duration
 	// QueueLimit bounds the pending queue; 0 means MaxInflight (after
@@ -155,12 +159,6 @@ type Config struct {
 	// TierHold is the hysteresis window: a tier decays one level only
 	// after this long without renewed pressure at that tier.
 	TierHold time.Duration
-	// CheapSub is the highest penalty subclass shed as "cheap" at
-	// TierShedding.
-	CheapSub int
-	// CriticalSub is the lowest read subclass still served at
-	// TierCritical.
-	CriticalSub int
 	// OnTierChange, when set, is called (outside the controller's lock)
 	// whenever the effective tier changes. The server uses it to flip
 	// cluster degradation.
@@ -191,9 +189,6 @@ func (c Config) withDefaults() Config {
 	if c.Target <= 0 {
 		c.Target = DefaultTarget
 	}
-	if c.Quantile <= 0 || c.Quantile >= 1 {
-		c.Quantile = DefaultQuantile
-	}
 	if c.AdjustEvery <= 0 {
 		c.AdjustEvery = DefaultAdjustEvery
 	}
@@ -208,12 +203,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TierHold <= 0 {
 		c.TierHold = DefaultTierHold
-	}
-	if c.CheapSub <= 0 {
-		c.CheapSub = DefaultCheapSub
-	}
-	if c.CriticalSub <= 0 {
-		c.CriticalSub = DefaultCriticalSub
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -312,13 +301,17 @@ type Controller struct {
 	// or shed.
 	sojourn *obs.Hist
 
-	admitted  atomic.Uint64
-	queuedCum atomic.Uint64
-	shedBy    [numReasons]atomic.Uint64
-	shedBySub [numSubs]atomic.Uint64
-	shedBySLO [numSLO]atomic.Uint64
-	incs      atomic.Uint64
-	decs      atomic.Uint64
+	// ctr is the live counter set, bumped with atomic.AddUint64 and
+	// loaded by Stats (obs.Load).
+	ctr *counters
+}
+
+// counters is a Controller's live counter set. Sheds by reason stay an
+// array here: Stats publishes them as a map by reason name and their sum.
+type counters struct {
+	Counters
+	ShedCounters
+	shedBy [numReasons]uint64
 }
 
 // numSubs matches penalty.SubclassBounds; kept literal so the package does
@@ -335,6 +328,7 @@ func New(cfg Config) *Controller {
 	c := &Controller{
 		cfg:     cfg,
 		limit:   cfg.InitialLimit,
+		ctr:     new(counters),
 		lat:     obs.NewHist(1e-6, 7),
 		sojourn: obs.NewHist(1e-6, 7),
 	}
@@ -392,16 +386,16 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		c.shedBy[ReasonClosed].Add(1)
-		c.shedBySub[sub].Add(1)
-		c.shedBySLO[slo].Add(1)
+		atomic.AddUint64(&c.ctr.shedBy[ReasonClosed], 1)
+		atomic.AddUint64(&c.ctr.ShedBySub[sub], 1)
+		atomic.AddUint64(&c.ctr.ShedBySLO[slo], 1)
 		return false, ReasonClosed, nil
 	}
 	tier := c.tier
 	// TierCritical policy applies before the limit check: the queue is
 	// near collapse and even a momentarily free slot should go to
 	// protected traffic.
-	if tier >= TierCritical && (op == OpWrite || eff < c.cfg.CriticalSub) {
+	if tier >= TierCritical && (op == OpWrite || eff < criticalSub) {
 		c.shed(ReasonPolicy, sub, slo)
 		c.mu.Unlock()
 		c.notifyTier()
@@ -418,7 +412,7 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 	// are kept for traffic whose miss penalty is worth waiting for. An
 	// under-limit cheap read is still admitted above — it may be a
 	// nearly-free cache hit.
-	if tier >= TierShedding && op == OpRead && eff <= c.cfg.CheapSub {
+	if tier >= TierShedding && op == OpRead && eff <= cheapSub {
 		c.shed(ReasonPolicy, sub, slo)
 		c.mu.Unlock()
 		c.notifyTier()
@@ -445,7 +439,7 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 		w := c.queue[lo]
 		heap.Remove(&c.queue, lo)
 		w.ready <- false
-		c.shedBy[ReasonQueueFull].Add(1)
+		atomic.AddUint64(&c.ctr.shedBy[ReasonQueueFull], 1)
 		// The displaced waiter's subclass is unknown here; its shed is
 		// attributed when its AcquireSLO observes the false send.
 	}
@@ -457,7 +451,7 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 	}
 	c.seq++
 	heap.Push(&c.queue, w)
-	c.queuedCum.Add(1)
+	atomic.AddUint64(&c.ctr.QueuedTotal, 1)
 	c.recomputeTierLocked(now)
 	c.mu.Unlock()
 	c.notifyTier()
@@ -473,9 +467,9 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 			heap.Remove(&c.queue, w.index)
 			c.mu.Unlock()
 			c.sojourn.Observe(c.cfg.Now().Sub(w.enq).Seconds())
-			c.shedBy[ReasonSojourn].Add(1)
-			c.shedBySub[sub].Add(1)
-			c.shedBySLO[slo].Add(1)
+			atomic.AddUint64(&c.ctr.shedBy[ReasonSojourn], 1)
+			atomic.AddUint64(&c.ctr.ShedBySub[sub], 1)
+			atomic.AddUint64(&c.ctr.ShedBySLO[slo], 1)
 			return false, ReasonSojourn, nil
 		}
 		// Admitted or displaced in the race with the timer; the send
@@ -493,8 +487,8 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 		if closed {
 			reason = ReasonClosed
 		}
-		c.shedBySub[sub].Add(1)
-		c.shedBySLO[slo].Add(1)
+		atomic.AddUint64(&c.ctr.ShedBySub[sub], 1)
+		atomic.AddUint64(&c.ctr.ShedBySLO[slo], 1)
 		return false, reason, nil
 	}
 	return true, ReasonNone, c.releaseFunc(sub)
@@ -514,9 +508,9 @@ func (c *Controller) ShedFetchSLO(sub, slo int) bool {
 	}
 	switch t := c.Tier(); {
 	case t >= TierCritical:
-		return sub < c.cfg.CriticalSub
+		return sub < criticalSub
 	case t >= TierShedding:
-		return sub <= c.cfg.CheapSub
+		return sub <= cheapSub
 	default:
 		return false
 	}
@@ -534,9 +528,9 @@ func clampSLO(slo int) int {
 
 // shed counts one immediate shed under mu.
 func (c *Controller) shed(r Reason, sub, slo int) {
-	c.shedBy[r].Add(1)
-	c.shedBySub[sub].Add(1)
-	c.shedBySLO[slo].Add(1)
+	atomic.AddUint64(&c.ctr.shedBy[r], 1)
+	atomic.AddUint64(&c.ctr.ShedBySub[sub], 1)
+	atomic.AddUint64(&c.ctr.ShedBySLO[slo], 1)
 	c.recomputeTierLocked(c.cfg.Now())
 }
 
@@ -549,7 +543,7 @@ func (c *Controller) admit(now time.Time) {
 	if c.inflight >= c.limit {
 		c.saturated = true
 	}
-	c.admitted.Add(1)
+	atomic.AddUint64(&c.ctr.Admitted, 1)
 	c.recomputeTierLocked(now)
 }
 
@@ -583,7 +577,7 @@ func (c *Controller) release(latency time.Duration) {
 		if c.inflight >= c.limit {
 			c.saturated = true
 		}
-		c.admitted.Add(1)
+		atomic.AddUint64(&c.ctr.Admitted, 1)
 		w.ready <- true
 	}
 	c.recomputeTierLocked(now)
@@ -601,7 +595,7 @@ func (c *Controller) adjustLocked() {
 	if err != nil || delta.Count == 0 {
 		return
 	}
-	q := delta.Quantile(c.cfg.Quantile)
+	q := delta.Quantile(quantile)
 	target := c.cfg.Target.Seconds()
 	switch {
 	case q > target:
@@ -615,7 +609,7 @@ func (c *Controller) adjustLocked() {
 		}
 		if next != c.limit {
 			c.limit = next
-			c.decs.Add(1)
+			atomic.AddUint64(&c.ctr.LimitDecreases, 1)
 		}
 	case q < target*8/10 && c.saturated:
 		// Additive increase, only when the limit was binding.
@@ -629,7 +623,7 @@ func (c *Controller) adjustLocked() {
 		}
 		if next != c.limit {
 			c.limit = next
-			c.incs.Add(1)
+			atomic.AddUint64(&c.ctr.LimitIncreases, 1)
 		}
 	}
 	c.saturated = c.inflight >= c.limit
@@ -704,7 +698,7 @@ func (c *Controller) Close() {
 	c.mu.Unlock()
 	for _, w := range waiters {
 		w.ready <- false
-		c.shedBy[ReasonClosed].Add(1)
+		atomic.AddUint64(&c.ctr.shedBy[ReasonClosed], 1)
 	}
 }
 
@@ -721,19 +715,10 @@ type Stats struct {
 	PeakInflight int `json:"peak_inflight" prom:"pamakv_overload_peak_inflight" help:"High-water mark of admitted concurrency."`
 	// Tier is the current pressure tier (0 normal … 3 critical).
 	Tier int `json:"tier" prom:"pamakv_overload_tier" help:"Pressure tier (0 normal .. 3 critical)."`
-	// Admitted counts requests admitted (directly or from the queue);
-	// QueuedTotal counts requests that waited in the queue at all.
-	Admitted    uint64 `json:"admitted" prom:"pamakv_overload_admitted_total" help:"Requests admitted past the controller."`
-	QueuedTotal uint64 `json:"queued_total" prom:"pamakv_overload_queued_total" help:"Requests that waited in the admission queue." stat:"-"`
-	// LimitIncreases and LimitDecreases count AIMD steps.
-	LimitIncreases uint64 `json:"limit_increases" prom:"pamakv_overload_limit_increases_total" help:"AIMD limit raises." stat:"-"`
-	LimitDecreases uint64 `json:"limit_decreases" prom:"pamakv_overload_limit_decreases_total" help:"AIMD limit cuts." stat:"-"`
-	// ShedByReason counts sheds keyed by Reason string; ShedBySub by the
-	// request's penalty subclass; ShedBySLO by the requesting tenant's SLO
-	// class (all index 0 without multi-tenant serving).
+	Counters
+	// ShedByReason counts sheds keyed by Reason string.
 	ShedByReason map[string]uint64 `json:"shed_by_reason" prom:"pamakv_overload_sheds_total" help:"Sheds by reason." label:"reason"`
-	ShedBySub    [numSubs]uint64   `json:"shed_by_sub" prom:"pamakv_overload_sheds_by_sub_total,sparse" help:"Sheds by penalty subclass." label:"sub"`
-	ShedBySLO    [numSLO]uint64    `json:"shed_by_slo" prom:"pamakv_overload_sheds_by_slo_total,sparse" help:"Sheds by the requesting tenant's SLO class." label:"slo"`
+	ShedCounters
 	// ShedTotal sums ShedByReason.
 	ShedTotal uint64 `json:"shed_total"`
 	// Sojourn is the queueing-delay histogram of queued requests
@@ -741,6 +726,23 @@ type Stats struct {
 	// feeding the limiter.
 	Sojourn obs.HistSnapshot `json:"sojourn" prom:"pamakv_overload_sojourn_seconds" help:"Admission-queue waiting time."`
 	Service obs.HistSnapshot `json:"service" prom:"pamakv_overload_service_seconds" help:"Observed service latency feeding the limiter."`
+}
+
+// Counters are the controller's monotonic counters: Admitted counts
+// requests admitted (directly or from the queue), QueuedTotal requests that
+// waited in the queue at all, LimitIncreases and LimitDecreases AIMD steps.
+type Counters struct {
+	Admitted       uint64 `json:"admitted" prom:"pamakv_overload_admitted_total" help:"Requests admitted past the controller."`
+	QueuedTotal    uint64 `json:"queued_total" prom:"pamakv_overload_queued_total" help:"Requests that waited in the admission queue." stat:"-"`
+	LimitIncreases uint64 `json:"limit_increases" prom:"pamakv_overload_limit_increases_total" help:"AIMD limit raises." stat:"-"`
+	LimitDecreases uint64 `json:"limit_decreases" prom:"pamakv_overload_limit_decreases_total" help:"AIMD limit cuts." stat:"-"`
+}
+
+// ShedCounters count sheds by the request's penalty subclass and by the
+// requesting tenant's SLO class (all index 0 without multi-tenant serving).
+type ShedCounters struct {
+	ShedBySub [numSubs]uint64 `json:"shed_by_sub" prom:"pamakv_overload_sheds_by_sub_total,sparse" help:"Sheds by penalty subclass." label:"sub"`
+	ShedBySLO [numSLO]uint64  `json:"shed_by_slo" prom:"pamakv_overload_sheds_by_slo_total,sparse" help:"Sheds by the requesting tenant's SLO class." label:"slo"`
 }
 
 // Stats snapshots the controller.
@@ -755,24 +757,15 @@ func (c *Controller) Stats() Stats {
 		Tier:         c.tier,
 	}
 	c.mu.Unlock()
-	s.Admitted = c.admitted.Load()
-	s.QueuedTotal = c.queuedCum.Load()
+	ctr := obs.Load(c.ctr)
+	s.Counters, s.ShedCounters = ctr.Counters, ctr.ShedCounters
 	s.ShedByReason = make(map[string]uint64, int(numReasons))
 	for r := ReasonPolicy; r < numReasons; r++ {
-		n := c.shedBy[r].Load()
-		if n > 0 {
+		if n := ctr.shedBy[r]; n > 0 {
 			s.ShedByReason[r.String()] = n
+			s.ShedTotal += n
 		}
-		s.ShedTotal += n
 	}
-	for i := range s.ShedBySub {
-		s.ShedBySub[i] = c.shedBySub[i].Load()
-	}
-	for i := range s.ShedBySLO {
-		s.ShedBySLO[i] = c.shedBySLO[i].Load()
-	}
-	s.LimitIncreases = c.incs.Load()
-	s.LimitDecreases = c.decs.Load()
 	s.Sojourn = c.sojourn.Snapshot()
 	s.Service = c.lat.Snapshot()
 	return s

@@ -1,6 +1,8 @@
 package overload
 
 import (
+	"encoding/json"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,6 +48,27 @@ func TestAcquireReleaseUnderLimit(t *testing.T) {
 	}
 	if st := c.Stats(); st.Inflight != 0 {
 		t.Fatalf("inflight=%d after release, want 0", st.Inflight)
+	}
+}
+
+// TestStatsPublishLiveCounters: Stats publishes the live counter set, each
+// counter once, under its json name and in declaration order; the sheds by
+// reason become the map and its total.
+func TestStatsPublishLiveCounters(t *testing.T) {
+	c := New(Config{})
+	*c.ctr = counters{
+		Counters:     Counters{1, 2, 3, 4},
+		ShedCounters: ShedCounters{[numSubs]uint64{5, 6, 7, 8, 9}, [numSLO]uint64{10, 11, 12, 13}},
+		shedBy:       [numReasons]uint64{ReasonPolicy: 14, ReasonSojourn: 15},
+	}
+	b, err := json.Marshal(c.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `"admitted":1,"queued_total":2,"limit_increases":3,"limit_decreases":4,` +
+		`"shed_by_reason":{"policy":14,"sojourn":15},"shed_by_sub":[5,6,7,8,9],"shed_by_slo":[10,11,12,13],"shed_total":29,`
+	if !strings.Contains(string(b), want) {
+		t.Errorf("Stats JSON lacks %s:\n%s", want, b)
 	}
 }
 
@@ -352,6 +375,39 @@ func TestAIMDLimitFollowsLatency(t *testing.T) {
 	}
 	if st := c.Stats(); st.LimitIncreases == 0 {
 		t.Fatal("no increase steps recorded")
+	}
+}
+
+// TestLimiterSteersOnP99: Target is a p99. A window whose p95 is well under
+// the target but whose p99 is over it cuts the limit.
+func TestLimiterSteersOnP99(t *testing.T) {
+	clk := newStubClock()
+	c := New(Config{
+		MaxInflight: 128, InitialLimit: 100, MinLimit: 2,
+		Target: 10 * time.Millisecond, AdjustEvery: 100 * time.Millisecond,
+		Now: clk.Now,
+	})
+	var rels []func(time.Duration)
+	for i := 0; i < 100; i++ {
+		ok, _, rel := c.AcquireSLO(OpRead, 4, 0)
+		if !ok {
+			t.Fatalf("request %d refused under the limit", i)
+		}
+		rels = append(rels, rel)
+	}
+	// 97 fast, 3 slow: p95 is 1 ms, p99 is 50 ms.
+	for i, rel := range rels {
+		lat := time.Millisecond
+		if i >= 97 {
+			lat = 50 * time.Millisecond
+		}
+		rel(lat)
+	}
+	clk.Advance(150 * time.Millisecond)
+	_, _, rel := c.AcquireSLO(OpRead, 4, 0)
+	rel(time.Millisecond) // closes the window
+	if st := c.Stats(); st.Limit >= 100 || st.LimitDecreases != 1 {
+		t.Fatalf("limit = %d after %d cuts, want one cut below 100: a 50 ms p99 is over the 10 ms target", st.Limit, st.LimitDecreases)
 	}
 }
 

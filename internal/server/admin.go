@@ -217,7 +217,7 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.Struct(doc.Server.FetchStats)
 	}
 	if doc.Overload != nil {
-		p.Struct(doc.Overload.Stats)
+		p.Struct(*doc.Overload)
 		p.Struct(doc.Server.ShedStats)
 	}
 	if c := doc.Cluster; c != nil {
@@ -277,30 +277,14 @@ type BackendStatsz struct {
 	InjectedSpikes      uint64           `json:"injected_spikes"`
 }
 
-// OverloadStatsz is the overload section of /statsz: the controller's
-// snapshot next to the server-side shed counters. Histograms appear as
-// their obs.Summary here, as everywhere in /statsz (the full curves ride on
-// /metrics).
-type OverloadStatsz struct {
-	overload.Stats
-	Sheds      uint64 `json:"sheds"`
-	FetchSheds uint64 `json:"shed_fetches"`
-	PeerSheds  uint64 `json:"peer_sheds"`
-}
-
-// ClusterStatsz is the cluster section of /statsz.
+// ClusterStatsz is the cluster section of /statsz: the routing table, the
+// hot cache and the peer clients. The server's forwarding counters are in
+// the server section.
 type ClusterStatsz struct {
-	Self          string                         `json:"self"`
-	Members       []string                       `json:"members"`
-	Forwards      uint64                         `json:"forwards"`
-	PeerHits      uint64                         `json:"peer_hits"`
-	PeerErrors    uint64                         `json:"peer_errors"`
-	PeerFallbacks uint64                         `json:"peer_fallbacks"`
-	HotHits       uint64                         `json:"hot_hits"`
-	Exchanges     uint64                         `json:"exchanges"`
-	ExchangedCmds uint64                         `json:"exchanged_cmds"`
-	HotCache      *cluster.HotCacheStats         `json:"hot_cache,omitempty"`
-	Peers         map[string]cluster.ClientStats `json:"peers"`
+	Self     string                         `json:"self"`
+	Members  []string                       `json:"members"`
+	HotCache *cluster.HotCacheStats         `json:"hot_cache,omitempty"`
+	Peers    map[string]cluster.ClientStats `json:"peers"`
 }
 
 // RuntimeStatsz is the Go-runtime section of /statsz: whether the collector
@@ -341,7 +325,7 @@ type Statsz struct {
 	Runtime       RuntimeStatsz          `json:"runtime"`
 	Latencies     map[string]obs.Summary `json:"latencies"`
 	Backend       *BackendStatsz         `json:"backend,omitempty"`
-	Overload      *OverloadStatsz        `json:"overload,omitempty"`
+	Overload      *overload.Stats        `json:"overload,omitempty"`
 	Cluster       *ClusterStatsz         `json:"cluster,omitempty"`
 	Membership    *membership.Stats      `json:"membership,omitempty"`
 	Introspection *cache.Introspection   `json:"introspection,omitempty"`
@@ -383,28 +367,12 @@ func (a *Admin) statsz() Statsz {
 			FetchLatency:        b.FetchLatency(),
 		}
 	}
-	ss := doc.Server
 	if c := a.srv.ctrl; c != nil {
-		doc.Overload = &OverloadStatsz{
-			Stats:      c.Stats(),
-			Sheds:      ss.Sheds,
-			FetchSheds: ss.FetchSheds,
-			PeerSheds:  ss.PeerSheds,
-		}
+		ost := c.Stats()
+		doc.Overload = &ost
 	}
 	if ps := a.srv.peers; ps != nil {
-		cs := &ClusterStatsz{
-			Self:          ps.Self(),
-			Members:       ps.Members(),
-			Forwards:      ss.PeerForwards,
-			PeerHits:      ss.PeerHits,
-			PeerErrors:    ss.PeerErrors,
-			PeerFallbacks: ss.PeerFallbacks,
-			HotHits:       ss.HotHits,
-			Exchanges:     ss.PeerExchanges,
-			ExchangedCmds: ss.PeerExchangedCmds,
-			Peers:         ps.Snapshots(),
-		}
+		cs := &ClusterStatsz{Self: ps.Self(), Members: ps.Members(), Peers: ps.Snapshots()}
 		if hc, ok := a.srv.HotCacheStats(); ok {
 			cs.HotCache = &hc
 		}

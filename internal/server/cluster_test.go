@@ -509,7 +509,7 @@ func TestClusterAdminExposure(t *testing.T) {
 		`"self": "` + nodes[0].addr + `"`,
 		`"` + nodes[1].addr + `"`,
 		`"hot_cache"`,
-		`"exchanges": 2`,
+		`"PeerExchanges": 2`,
 		`"PeerExchangedCmds": 2`,
 	} {
 		if !strings.Contains(sbody, want) {

@@ -124,7 +124,7 @@ func nodeExposition(t *testing.T) exposition {
 		t.Fatal(err)
 	}
 	eng, err := cache.New(cache.Config{
-		Geometry: expositionGeometry, CacheBytes: 1 << 20, StoreValues: true, StaleValues: true,
+		Geometry: expositionGeometry, CacheBytes: 1 << 20, StoreValues: true, StaleBytes: 1 << 20,
 		WindowLen: 1000,
 	}, core.New(core.DefaultConfig()))
 	if err != nil {
@@ -139,7 +139,7 @@ func nodeExposition(t *testing.T) exposition {
 	store := backend.New(penalty.Model{Base: 0.0004, Slope: 1, Min: 0.0001, Max: penalty.Cap},
 		func(uint64) int { return 200 })
 	srv := New(eng, Options{
-		Backend: store, ServeStale: true, Cluster: p, Membership: mgr,
+		Backend: store, Cluster: p, Membership: mgr,
 		// Four slots, no queue, no adaptation: with the slots held, every
 		// request is shed at once for the same reason.
 		Overload: &overload.Config{MaxInflight: 4, MinLimit: 4, InitialLimit: 4, QueueLimit: -1,

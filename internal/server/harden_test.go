@@ -297,11 +297,9 @@ func TestBackendRetrySucceeds(t *testing.T) {
 func TestServeStale(t *testing.T) {
 	store := backend.New(penalty.Uniform(0.001), func(uint64) int { return 8 })
 	cfg := defaultCfg()
-	cfg.StaleValues = true
 	cfg.StaleBytes = 1 << 16
 	srv, addr := startServerCfg(t, cfg, Options{
-		Backend:    store,
-		ServeStale: true,
+		Backend: store,
 	})
 	cl := dial(t, addr)
 
@@ -351,6 +349,27 @@ func TestServeStale(t *testing.T) {
 	}
 }
 
+// TestNoStaleBufferServesMiss: serve-stale is the engine's stale buffer and
+// nothing else. A read-through server whose engine keeps none answers a GET
+// of an expired resident key as a miss when its backend fails.
+func TestNoStaleBufferServesMiss(t *testing.T) {
+	store := backend.New(penalty.Uniform(0.001), func(uint64) int { return 8 })
+	srv, addr := startServerCfg(t, defaultCfg(), Options{Backend: store})
+	cl := dial(t, addr)
+	cl.send(t, "set relic 7 -1 5\r\nbones\r\n")
+	if got := cl.line(t); got != "STORED" {
+		t.Fatalf("set -> %q", got)
+	}
+	store.SetFaults(&backend.Faults{ErrRate: 1.0, Seed: 7})
+	cl.send(t, "get relic\r\n")
+	if got := cl.line(t); got != "END" {
+		t.Fatalf("get of an expired key with the backend down -> %q, want a miss", got)
+	}
+	if st := srv.Stats(); st.StaleServes != 0 || st.BackendFailures != 1 {
+		t.Fatalf("StaleServes = %d, BackendFailures = %d, want 0 and 1", st.StaleServes, st.BackendFailures)
+	}
+}
+
 // TestFetchTimeout verifies a wedged-slow backend attempt is cut off by
 // FetchTimeout rather than pinning the connection.
 func TestFetchTimeout(t *testing.T) {
@@ -389,7 +408,6 @@ func TestFaultSuite(t *testing.T) {
 		Seed:       1,
 	})
 	cfg := defaultCfg()
-	cfg.StaleValues = true
 	cfg.StaleBytes = 1 << 18
 	srv, addr := startServerCfg(t, cfg, Options{
 		Backend:      store,
@@ -400,7 +418,6 @@ func TestFaultSuite(t *testing.T) {
 		FetchTimeout: 250 * time.Millisecond,
 		FetchRetries: 2,
 		FetchBackoff: time.Millisecond,
-		ServeStale:   true,
 		DrainTimeout: 10 * time.Second,
 	})
 

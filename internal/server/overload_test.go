@@ -131,7 +131,6 @@ func TestOverloadStorm(t *testing.T) {
 			InitialLimit:  maxInflight,
 			MinLimit:      4,
 			Target:        150 * time.Millisecond,
-			Quantile:      0.99,
 			QueueLimit:    16,
 			SojournCutoff: 250 * time.Millisecond,
 			TierHold:      200 * time.Millisecond,

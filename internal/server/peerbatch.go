@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"sync/atomic"
 	"time"
 
 	"pamakv/internal/bufpool"
@@ -121,17 +122,17 @@ func (sc *connScratch) push(e int, d deferredCmd) {
 // copy (if any) is dropped now and again when the reply is spliced, so this
 // node never serves a value it knows changed.
 func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, owner string) []byte {
-	s.st.peerForwards.Add(1)
+	atomic.AddUint64(&s.st.PeerForwards, 1)
 	if s.hot != nil {
 		s.hot.Invalidate(cmd.Keys[0])
 	}
 	e, out := s.exchangeFor(sc, out, owner, len(cmd.Keys[0])+len(cmd.Data))
 	if e < 0 {
-		s.st.peerErrors.Add(1)
+		atomic.AddUint64(&s.st.PeerErrors, 1)
 		if cmd.NoReply {
 			return out
 		}
-		s.st.serverErrors.Add(1)
+		atomic.AddUint64(&s.st.ServerErrors, 1)
 		return proto.AppendLine(out, "SERVER_ERROR no client for peer "+owner)
 	}
 	// Forward without noreply so the owner's outcome is observable here,
@@ -153,16 +154,16 @@ func (s *Server) deferGet(sc *connScratch, out []byte, key, owner string, withCA
 		val, flags, ok := s.hot.Get(key, sc.val[:0])
 		sc.val = val[:0]
 		if ok {
-			s.st.hotHits.Add(1)
+			atomic.AddUint64(&s.st.HotHits, 1)
 			return proto.AppendValue(out, key, flags, val)
 		}
 	}
 	e, out := s.exchangeFor(sc, out, owner, len(key))
 	if e < 0 {
-		s.st.peerErrors.Add(1)
+		atomic.AddUint64(&s.st.PeerErrors, 1)
 		return out
 	}
-	s.st.peerForwards.Add(1)
+	atomic.AddUint64(&s.st.PeerForwards, 1)
 	ex := &sc.exchanges[e]
 	if s.opts.Backend != nil {
 		if d := s.peers.HedgeDelay(s.opts.Backend.PenaltyOf(key)); d > 0 && (ex.hedge == 0 || d < ex.hedge) {
@@ -222,8 +223,8 @@ func (s *Server) completeDeferred(sc *connScratch) {
 
 // startExchange puts one owner's pending requests on the wire.
 func (s *Server) startExchange(ex *peerExchange) cluster.Exchange {
-	s.st.peerExchanges.Add(1)
-	s.st.peerExchangedCmds.Add(uint64(len(ex.cmds)))
+	atomic.AddUint64(&s.st.PeerExchanges, 1)
+	atomic.AddUint64(&s.st.PeerExchangedCmds, uint64(len(ex.cmds)))
 	hedge := ex.hedge
 	if ex.write {
 		hedge = 0
@@ -320,10 +321,10 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 	if d.kind == deferWrite {
 		if ex.err != nil {
 			// A write must not silently apply to a non-authoritative copy.
-			s.st.peerErrors.Add(1)
+			atomic.AddUint64(&s.st.PeerErrors, 1)
 			d.reply = span{}
 			if !d.noreply {
-				s.st.serverErrors.Add(1)
+				atomic.AddUint64(&s.st.ServerErrors, 1)
 				off := len(sc.rep)
 				sc.rep = proto.AppendLine(sc.rep, "SERVER_ERROR peer "+ex.owner+" unavailable")
 				d.reply = span{off, len(sc.rep)}
@@ -337,13 +338,13 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 			s.hot.Invalidate(string(key))
 		}
 		if d.shed {
-			s.st.peerSheds.Add(1)
+			atomic.AddUint64(&s.st.PeerSheds, 1)
 		}
 		return
 	}
 	backfill := d.kind == deferGet && s.hot != nil && s.overloadTier() < overload.TierStrained
 	if ex.err != nil {
-		s.st.peerErrors.Add(1)
+		atomic.AddUint64(&s.st.PeerErrors, 1)
 		d.reply = span{}
 		if s.opts.Backend == nil {
 			return
@@ -359,7 +360,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 			return
 		}
 		defer bufpool.Put(owned) // the reply and the hot cache copy body
-		s.st.peerFallbacks.Add(1)
+		atomic.AddUint64(&s.st.PeerFallbacks, 1)
 		off := len(sc.rep)
 		if d.kind == deferGets {
 			sc.rep = proto.AppendValueCAS(sc.rep, skey, 0, body, 0)
@@ -377,9 +378,9 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 		// The owner refused under overload. Treat it as a miss and do NOT
 		// regenerate from the local backend — that would amplify exactly
 		// the load the owner just shed.
-		s.st.peerSheds.Add(1)
+		atomic.AddUint64(&s.st.PeerSheds, 1)
 	case d.hit:
-		s.st.peerHits.Add(1)
+		atomic.AddUint64(&s.st.PeerHits, 1)
 		if backfill {
 			// Hot-cache backfill stops under pressure: copying bytes into
 			// the mini-cache is work the strained node can skip.

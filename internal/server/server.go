@@ -25,7 +25,7 @@
 // attached, and serves the value — the GET-miss → SET pattern the paper's
 // penalty estimation is built on, live on a socket. Backend fetches can be
 // bounded by a per-attempt timeout, retried with exponential backoff, and —
-// when the engine retains stale values (cache.Config.StaleValues) — degraded
+// when the engine keeps a stale buffer (cache.Config.StaleBytes) — degraded
 // to serve-stale instead of surfacing a miss when the backend stays down.
 package server
 
@@ -229,15 +229,12 @@ type Options struct {
 	// backend however long it takes.
 	FetchTimeout time.Duration
 	// FetchRetries is how many extra attempts a failed backend fetch
-	// gets before the GET degrades.
+	// gets before the GET degrades: to the store's stale copy when it
+	// keeps a stale buffer (GetStale), else to a miss.
 	FetchRetries int
 	// FetchBackoff is slept before the first retry and doubles per
 	// retry; 0 retries immediately.
 	FetchBackoff time.Duration
-	// ServeStale degrades a GET whose backend fetch failed to a
-	// recently evicted/expired value (requires the engine to be built
-	// with cache.Config.StaleValues) instead of reporting a miss.
-	ServeStale bool
 
 	// Overload enables penalty-aware admission control: each data command
 	// passes through an overload.Controller before dispatch, and under
@@ -283,7 +280,7 @@ type Options struct {
 // opposed to the engine-level cache.Stats. All monotonic except CurrConns.
 // The four groups are shown where their subsystem runs (see admin.go); in
 // JSON they are one flat object. The tags are each counter's one declaration
-// (package obs).
+// (package obs), and a Server's live counters are a Stats of its own.
 type Stats struct {
 	ConnStats
 	FetchStats
@@ -367,31 +364,6 @@ type PeerStats struct {
 	PeerExchangedCmds uint64 `prom:"pamakv_cluster_exchanged_commands_total" help:"Forwards carried across peer exchanges." stat:"peer_exchanged_commands"`
 }
 
-// nstats is Stats with atomic fields, updated lock-free on the hot path.
-type nstats struct {
-	conns, currConns     atomic.Uint64
-	clientErrors         atomic.Uint64
-	serverErrors         atomic.Uint64
-	ioErrors             atomic.Uint64
-	idleTimeouts         atomic.Uint64
-	forcedCloses         atomic.Uint64
-	batches, batchedCmds atomic.Uint64
-	backendRetries       atomic.Uint64
-	backendTimeouts      atomic.Uint64
-	backendFailures      atomic.Uint64
-	staleServes          atomic.Uint64
-	sheds                atomic.Uint64
-	fetchSheds           atomic.Uint64
-	peerSheds            atomic.Uint64
-	peerForwards         atomic.Uint64
-	peerHits             atomic.Uint64
-	peerErrors           atomic.Uint64
-	peerFallbacks        atomic.Uint64
-	hotHits              atomic.Uint64
-	peerExchanges        atomic.Uint64
-	peerExchangedCmds    atomic.Uint64
-}
-
 // Server serves the cache over TCP. Construct with New.
 type Server struct {
 	c    Store
@@ -409,7 +381,9 @@ type Server struct {
 	// sem is the MaxConns semaphore (nil = unlimited).
 	sem chan struct{}
 
-	st nstats
+	// st is the live counter set: the hot path bumps it with
+	// atomic.AddUint64, Stats loads it (obs.Load).
+	st *Stats
 
 	// peers is the cluster routing table (nil outside cluster mode); hot
 	// is the non-owner mini-cache of forwarded hits; mem is the runtime
@@ -437,7 +411,7 @@ type Server struct {
 // group), which should have been built with StoreValues: true; without it
 // GETs return empty bodies.
 func New(c Store, opts Options) *Server {
-	s := &Server{c: c, opts: opts, conns: make(map[net.Conn]struct{}), doneC: make(chan struct{})}
+	s := &Server{c: c, opts: opts, conns: make(map[net.Conn]struct{}), doneC: make(chan struct{}), st: new(Stats)}
 	if opts.MaxConns > 0 {
 		s.sem = make(chan struct{}, opts.MaxConns)
 	}
@@ -545,8 +519,8 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		s.st.conns.Add(1)
-		s.st.currConns.Add(1)
+		atomic.AddUint64(&s.st.Conns, 1)
+		atomic.AddUint64(&s.st.CurrConns, 1)
 		s.wg.Add(1)
 		go s.handle(conn)
 	}
@@ -563,41 +537,7 @@ func (s *Server) Addr() string {
 }
 
 // Stats returns a copy of the server-level counters.
-func (s *Server) Stats() Stats {
-	return Stats{
-		ConnStats: ConnStats{
-			Conns:        s.st.conns.Load(),
-			CurrConns:    s.st.currConns.Load(),
-			ClientErrors: s.st.clientErrors.Load(),
-			ServerErrors: s.st.serverErrors.Load(),
-			IOErrors:     s.st.ioErrors.Load(),
-			IdleTimeouts: s.st.idleTimeouts.Load(),
-			ForcedCloses: s.st.forcedCloses.Load(),
-			Batches:      s.st.batches.Load(),
-			BatchedCmds:  s.st.batchedCmds.Load(),
-			StaleServes:  s.st.staleServes.Load(),
-		},
-		FetchStats: FetchStats{
-			BackendRetries:  s.st.backendRetries.Load(),
-			BackendTimeouts: s.st.backendTimeouts.Load(),
-			BackendFailures: s.st.backendFailures.Load(),
-		},
-		ShedStats: ShedStats{
-			Sheds:      s.st.sheds.Load(),
-			FetchSheds: s.st.fetchSheds.Load(),
-			PeerSheds:  s.st.peerSheds.Load(),
-		},
-		PeerStats: PeerStats{
-			PeerForwards:      s.st.peerForwards.Load(),
-			PeerHits:          s.st.peerHits.Load(),
-			PeerErrors:        s.st.peerErrors.Load(),
-			PeerFallbacks:     s.st.peerFallbacks.Load(),
-			HotHits:           s.st.hotHits.Load(),
-			PeerExchanges:     s.st.peerExchanges.Load(),
-			PeerExchangedCmds: s.st.peerExchangedCmds.Load(),
-		},
-	}
-}
+func (s *Server) Stats() Stats { return obs.Load(s.st) }
 
 // HotCacheStats snapshots the hot-item mini-cache; ok is false outside
 // cluster mode (or when the hot cache is disabled).
@@ -686,7 +626,7 @@ func (s *Server) Shutdown() {
 		s.mu.Lock()
 		for conn := range s.conns {
 			conn.Close()
-			s.st.forcedCloses.Add(1)
+			atomic.AddUint64(&s.st.ForcedCloses, 1)
 		}
 		s.mu.Unlock()
 		<-done
@@ -706,7 +646,7 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
-		s.st.currConns.Add(^uint64(0))
+		atomic.AddUint64(&s.st.CurrConns, ^uint64(0))
 		if s.sem != nil {
 			<-s.sem
 		}
@@ -771,8 +711,8 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			p.BeginChunk()
 		}
-		s.st.batches.Add(1)
-		s.st.batchedCmds.Add(uint64(batch))
+		atomic.AddUint64(&s.st.Batches, 1)
+		atomic.AddUint64(&s.st.BatchedCmds, uint64(batch))
 		if len(sc.deferred) > 0 {
 			s.completeDeferred(sc)
 		}
@@ -850,7 +790,7 @@ func (s *Server) serveChunk(sc *connScratch, served *[numFams]uint64) {
 	sc.keys = keys[:0]
 	for _, e := range sc.chunk {
 		if e.cmd == nil {
-			s.st.clientErrors.Add(1)
+			atomic.AddUint64(&s.st.ClientErrors, 1)
 			sc.out = proto.AppendLine(append(sc.out, "CLIENT_ERROR "...), e.msg)
 			continue
 		}
@@ -870,7 +810,7 @@ func (s *Server) flush(conn net.Conn, out []byte) bool {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 	}
 	if _, err := conn.Write(out); err != nil {
-		s.st.ioErrors.Add(1)
+		atomic.AddUint64(&s.st.IOErrors, 1)
 		return false
 	}
 	return true
@@ -890,21 +830,21 @@ func (s *Server) readError(conn net.Conn, err error) (fatal bool) {
 		return true
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		// Idle or stalled past ReadTimeout.
-		s.st.idleTimeouts.Add(1)
+		atomic.AddUint64(&s.st.IdleTimeouts, 1)
 		return true
 	case errors.Is(err, proto.ErrLineTooLong):
 		// Framing is unrecoverable; tell the client whose fault it
 		// was, then close.
-		s.st.clientErrors.Add(1)
+		atomic.AddUint64(&s.st.ClientErrors, 1)
 		s.flush(conn, []byte("CLIENT_ERROR line too long\r\n"))
 		return true
 	case errors.As(err, &ce):
-		s.st.clientErrors.Add(1)
+		atomic.AddUint64(&s.st.ClientErrors, 1)
 		return false
 	case errors.Is(err, net.ErrClosed):
 		return true
 	default:
-		s.st.ioErrors.Add(1)
+		atomic.AddUint64(&s.st.IOErrors, 1)
 		s.logf("server: read from %v: %v", conn.RemoteAddr(), err)
 		return true
 	}
@@ -999,7 +939,7 @@ func (s *Server) serve(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 	op, sub, slo := s.classify(cmd)
 	ok, _, release := s.ctrl.AcquireSLO(op, sub, slo)
 	if !ok {
-		s.st.sheds.Add(1)
+		atomic.AddUint64(&s.st.Sheds, 1)
 		if cmd.NoReply {
 			return out
 		}
@@ -1065,7 +1005,7 @@ func (s *Server) dispatch(sc *connScratch, out []byte, cmd *proto.Command) []byt
 	case "quit":
 		return out
 	default:
-		s.st.clientErrors.Add(1)
+		atomic.AddUint64(&s.st.ClientErrors, 1)
 		return proto.AppendLine(out, "ERROR")
 	}
 }
@@ -1084,7 +1024,7 @@ func (s *Server) doMembership(out []byte, cmd *proto.Command) []byte {
 	}
 	m := s.mem
 	if m == nil {
-		s.st.serverErrors.Add(1)
+		atomic.AddUint64(&s.st.ServerErrors, 1)
 		return reply("SERVER_ERROR membership not enabled")
 	}
 	switch {
@@ -1116,7 +1056,7 @@ func (s *Server) doMembership(out []byte, cmd *proto.Command) []byte {
 		out = proto.AppendValue(out, membership.KeyView, 0, membership.EncodeView(epoch, members))
 		return proto.AppendLine(out, "END")
 	default:
-		s.st.clientErrors.Add(1)
+		atomic.AddUint64(&s.st.ClientErrors, 1)
 		return reply("CLIENT_ERROR unknown membership control key")
 	}
 }
@@ -1151,7 +1091,7 @@ func (s *Server) fetchOnce(key string) (size int, pen float64, body []byte, owne
 	case r := <-ch:
 		return r.size, r.pen, r.body, r.owned, r.err
 	case <-t.C:
-		s.st.backendTimeouts.Add(1)
+		atomic.AddUint64(&s.st.BackendTimeouts, 1)
 		return 0, 0, nil, nil, ErrFetchTimeout
 	}
 }
@@ -1175,13 +1115,13 @@ func (s *Server) fetchBackend(key string) (size int, pen float64, body []byte, o
 		if attempt >= retries || s.draining() {
 			break
 		}
-		s.st.backendRetries.Add(1)
+		atomic.AddUint64(&s.st.BackendRetries, 1)
 		if backoff > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
 	}
-	s.st.backendFailures.Add(1)
+	atomic.AddUint64(&s.st.BackendFailures, 1)
 	return 0, 0, nil, nil, err
 }
 
@@ -1209,12 +1149,12 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 		sc.val = val[:0]
 		if !hit && s.opts.Backend != nil {
 			tier := s.overloadTier()
-			if tier >= overload.TierStrained && s.opts.ServeStale {
+			if tier >= overload.TierStrained {
 				// Tier 1+: prefer a resident stale copy to paying a
 				// backend fetch at all — freshness is the first thing
 				// traded away under pressure.
 				if sval, sflags, ok := s.c.GetStale(key, sc.val[:0]); ok {
-					s.st.staleServes.Add(1)
+					atomic.AddUint64(&s.st.StaleServes, 1)
 					val, flags, cas, hit = sval, sflags, 0, true
 					sc.val = sval[:0]
 				}
@@ -1222,7 +1162,7 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 			if !hit && tier >= overload.TierShedding && s.ctrl.ShedFetchSLO(s.subclassOf(key), s.sloOf(key)) {
 				// Tier 2+: a cheap-penalty miss is not worth a backend
 				// fetch while the queue is filling; serve the miss.
-				s.st.fetchSheds.Add(1)
+				atomic.AddUint64(&s.st.FetchSheds, 1)
 				continue
 			}
 		}
@@ -1243,15 +1183,15 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 					// The fetch worked but the engine refused the
 					// refill (e.g. item larger than any class):
 					// still serve the value this once.
-					s.st.serverErrors.Add(1)
+					atomic.AddUint64(&s.st.ServerErrors, 1)
 					val, flags, hit = body, 0, true
 				}
-			case s.opts.ServeStale:
+			default:
 				// Backend down: degrade to the engine's retained
 				// stale copy, if any. The reply carries no CAS
 				// token (a stale value must not win a cas race).
 				if sval, sflags, ok := s.c.GetStale(key, sc.val[:0]); ok {
-					s.st.staleServes.Add(1)
+					atomic.AddUint64(&s.st.StaleServes, 1)
 					val, flags, cas, hit = sval, sflags, 0, true
 					sc.val = sval[:0]
 				}
@@ -1283,10 +1223,10 @@ func (s *Server) doDelta(out []byte, cmd *proto.Command) []byte {
 	case errors.Is(err, cache.ErrNotStored):
 		return proto.AppendLine(out, "NOT_FOUND")
 	case errors.Is(err, cache.ErrNotNumeric):
-		s.st.clientErrors.Add(1)
+		atomic.AddUint64(&s.st.ClientErrors, 1)
 		return proto.AppendLine(out, "CLIENT_ERROR cannot increment or decrement non-numeric value")
 	case err != nil:
-		s.st.serverErrors.Add(1)
+		atomic.AddUint64(&s.st.ServerErrors, 1)
 		return proto.AppendLine(out, fmt.Sprintf("SERVER_ERROR %v", err))
 	}
 	return proto.AppendNumberLine(out, next)
@@ -1329,7 +1269,7 @@ func (s *Server) doSet(out []byte, cmd *proto.Command) []byte {
 	case errors.Is(err, cache.ErrNotStored):
 		return proto.AppendLine(out, "NOT_STORED")
 	default:
-		s.st.serverErrors.Add(1)
+		atomic.AddUint64(&s.st.ServerErrors, 1)
 		return proto.AppendLine(out, fmt.Sprintf("SERVER_ERROR %v", err))
 	}
 }
@@ -1390,14 +1330,14 @@ func (s *Server) doConcat(sc *connScratch, out []byte, cmd *proto.Command) []byt
 			}
 			return proto.AppendLine(out, "NOT_STORED")
 		default:
-			s.st.serverErrors.Add(1)
+			atomic.AddUint64(&s.st.ServerErrors, 1)
 			if cmd.NoReply {
 				return out
 			}
 			return proto.AppendLine(out, fmt.Sprintf("SERVER_ERROR %v", err))
 		}
 	}
-	s.st.serverErrors.Add(1)
+	atomic.AddUint64(&s.st.ServerErrors, 1)
 	if cmd.NoReply {
 		return out
 	}

@@ -17,7 +17,6 @@ import (
 // group survives contention with coherent per-key values and invariants.
 func TestConcurrentMixedOps(t *testing.T) {
 	cfg := testCfg()
-	cfg.StaleValues = true
 	cfg.StaleBytes = 1 << 16
 	g, err := New(cfg, 4, pamaFactory)
 	if err != nil {

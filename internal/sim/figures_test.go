@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"pamakv/internal/kv"
 )
 
 func TestFigureByIDKnown(t *testing.T) {
@@ -38,8 +41,13 @@ func TestFigureScaleFloors(t *testing.T) {
 	}
 }
 
+// TestFigure3EndToEnd renders Fig 3 and gates its shape at half the
+// committed run's requests, past the point where PSA has drained the other
+// classes: memcached's allocation freezes once the cache is full, PSA ends
+// with class 0 holding more than 80 % of the slabs, and PAMA spreads them,
+// no class ending with half (results/fig3.tsv ends at 94.5 % and 14.5 %).
 func TestFigure3EndToEnd(t *testing.T) {
-	f, err := FigureByID("3", 0.002)
+	f, err := FigureByID("3", 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +68,48 @@ func TestFigure3EndToEnd(t *testing.T) {
 	if !strings.Contains(out, "class14") {
 		t.Fatal("slab TSV missing class columns")
 	}
+
+	for _, r := range res {
+		pts := r.SlabSeries.Points
+		total := int(r.Spec.CacheBytes) / kv.DefaultGeometry().SlabSize
+		last := pts[len(pts)-1].Slabs
+		switch r.Spec.Name {
+		case "memcached":
+			full := -1
+			for i, p := range pts {
+				if sum(p.Slabs) == total {
+					full = i
+					break
+				}
+			}
+			if full < 0 {
+				t.Fatalf("memcached never filled its %d slabs: last row %v", total, last)
+			}
+			for _, p := range pts[full:] {
+				if !slices.Equal(p.Slabs, pts[full].Slabs) {
+					t.Errorf("memcached's allocation moved after the cache filled at %d gets: %v, then %v at %d",
+						pts[full].GetsServed, pts[full].Slabs, p.Slabs, p.GetsServed)
+					break
+				}
+			}
+		case "psa":
+			if 5*last[0] <= 4*total {
+				t.Errorf("PSA's class 0 ends with %d of %d slabs, want more than 80%%", last[0], total)
+			}
+		case "pama":
+			if top := slices.Max(last); 2*top >= total {
+				t.Errorf("PAMA's largest class ends with %d of %d slabs, want less than half: %v", top, total, last)
+			}
+		}
+	}
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
 
 func TestFigure4EndToEnd(t *testing.T) {
