@@ -126,7 +126,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.penaltyScale, "penalty-scale", 0.02, "fraction of the simulated penalty slept in real time (read-through mode)")
 	fs.IntVar(&o.shards, "shards", runtime.NumCPU(), "hash shards, per tenant with -tenants (rounded up to a power of two; defaults to the core count)")
 	fs.StringVar(&o.snapshot, "snapshot", "", "snapshot file: loaded at startup if present, saved at shutdown (restores into any -shards or -tenants layout)")
-	fs.StringVar(&o.adminAddr, "admin-addr", "", "HTTP observability listener (/metrics, /statsz, /series, /debug/pprof); empty disables")
+	fs.StringVar(&o.adminAddr, "admin-addr", "", "HTTP observability listener (/metrics, /statsz, /debug/pprof); empty disables")
 	fs.StringVar(&o.tenants, "tenants", "", `multi-tenant mode: comma-separated specs "name[:reservedMiB[:weight[:sloClass]]]", or @path to a spec file; keys route by "tenant/" prefix`)
 	fs.DurationVar(&o.arbiterInterval, "arbiter-interval", 2*time.Second, "period of the tenant slab arbiter (with -tenants; 0 freezes the initial split)")
 
@@ -352,7 +352,7 @@ func run(o options) error {
 
 	var admin *server.Admin
 	if o.adminAddr != "" {
-		admin = server.NewAdmin(srv, 5*time.Second) // one /series window per 5 s
+		admin = server.NewAdmin(srv)
 		go func() {
 			if err := admin.ListenAndServe(o.adminAddr); err != nil {
 				log.Printf("pama-server: admin listener: %v", err)

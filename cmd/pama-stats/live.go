@@ -65,8 +65,8 @@ func runLive(w io.Writer, addr string, interval time.Duration, samples int) erro
 	prevT := time.Now()
 	fmt.Fprintf(w, "# %s  policy=%s  items=%d  shards' slabs=%v\n",
 		url, prev.Policy, prev.Items, prev.Slabs)
-	fmt.Fprintf(w, "%10s %10s %8s %8s %10s %12s %12s %6s\n",
-		"gets/s", "sets/s", "hit%", "evic/s", "items", "p99get(ms)", "migrations", "gc")
+	fmt.Fprintf(w, "%10s %10s %8s %8s %10s %12s %12s %6s %11s\n",
+		"gets/s", "sets/s", "hit%", "evic/s", "items", "p99get(ms)", "migrations", "gc", "pen(ms)/get")
 
 	for n := 0; samples <= 0 || n < samples; n++ {
 		time.Sleep(interval)
@@ -93,9 +93,14 @@ func runLive(w io.Writer, addr string, interval time.Duration, samples int) erro
 		dHits := cur.Engine.Hits - prev.Engine.Hits
 		dSets := cur.Engine.Sets - prev.Engine.Sets
 		dEvic := cur.Engine.Evictions - prev.Engine.Evictions
-		hitCell := "-" // no GET traffic this window: not 0%, just unknown
+		hitCell, penCell := "-", "-" // no GET traffic this window: not 0%, just unknown
 		if dGets > 0 {
 			hitCell = fmt.Sprintf("%.2f", 100*float64(dHits)/float64(dGets))
+			// The miss penalty paid per GET, the service time of Fig 6.
+			if cur.Backend != nil && prev.Backend != nil {
+				dPen := cur.Backend.TotalPenaltySeconds - prev.Backend.TotalPenaltySeconds
+				penCell = fmt.Sprintf("%.3f", 1e3*dPen/float64(dGets))
+			}
 		}
 		p99 := 0.0
 		if lat, ok := cur.Latencies["get"]; ok {
@@ -103,10 +108,10 @@ func runLive(w io.Writer, addr string, interval time.Duration, samples int) erro
 		}
 		// gc is the server's collector cycles this window: a store path that
 		// recycles its value slots keeps it near zero under any SET rate.
-		fmt.Fprintf(w, "%10.0f %10.0f %8s %8.0f %10d %12.3f %12d %6d\n",
+		fmt.Fprintf(w, "%10.0f %10.0f %8s %8.0f %10d %12.3f %12d %6d %11s\n",
 			float64(dGets)/dt, float64(dSets)/dt, hitCell, float64(dEvic)/dt,
 			cur.Items, p99, cur.Engine.SlabMigrations,
-			cur.Runtime.GCCycles-prev.Runtime.GCCycles)
+			cur.Runtime.GCCycles-prev.Runtime.GCCycles, penCell)
 		writeTenantRows(w, prev, cur, dt)
 		writeMemberRows(w, prev, cur, dt)
 		prev, prevT = cur, now

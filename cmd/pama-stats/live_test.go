@@ -59,6 +59,7 @@ func stubStatsz(t *testing.T) *httptest.Server {
 			},
 			Slabs:   []int{3, 2, 1},
 			Runtime: server.RuntimeStatsz{GCCycles: 3 * n},
+			Backend: &server.BackendStatsz{TotalPenaltySeconds: 0.5 * float64(n)},
 			Latencies: map[string]obs.Summary{
 				"get": {Count: 1000 * n, Mean: 0.0001, P50: 0.0001, P95: 0.0005, P99: 0.002},
 			},
@@ -87,8 +88,8 @@ func TestRunLiveRendersDeltas(t *testing.T) {
 	}
 	for _, row := range lines[2:] {
 		f := strings.Fields(row)
-		if len(f) != 8 {
-			t.Fatalf("row %q has %d columns, want 8", row, len(f))
+		if len(f) != 9 {
+			t.Fatalf("row %q has %d columns, want 9", row, len(f))
 		}
 		// Each window advances hits by 750 of 1000 gets: hit% is exact
 		// regardless of wall-clock jitter in the rates.
@@ -102,6 +103,10 @@ func TestRunLiveRendersDeltas(t *testing.T) {
 		// GC cycles are a per-window delta, not the cumulative count.
 		if f[7] != "3" {
 			t.Errorf("gc column = %q, want 3", f[7])
+		}
+		// 0.5 s of miss penalty over 1000 gets: 0.5 ms per GET.
+		if f[8] != "0.500" {
+			t.Errorf("penalty column = %q, want 0.500", f[8])
 		}
 	}
 }
@@ -122,8 +127,8 @@ func TestRunLiveNoTrafficWindow(t *testing.T) {
 		t.Fatalf("live output leaks NaN:\n%s", out)
 	}
 	rows := strings.Split(strings.TrimSpace(out), "\n")
-	if f := strings.Fields(rows[len(rows)-1]); f[2] != "-" {
-		t.Errorf("idle window hit%% = %q, want -", f[2])
+	if f := strings.Fields(rows[len(rows)-1]); f[2] != "-" || f[8] != "-" {
+		t.Errorf("idle window without a backend: hit%% %q, penalty %q, want - and -", f[2], f[8])
 	}
 }
 
@@ -192,7 +197,7 @@ func TestRunLiveAgainstRealAdmin(t *testing.T) {
 	// Full integration: a real engine behind a real admin handler.
 	eng := newLiveEngine(t)
 	srv := server.New(eng, server.Options{})
-	admin := server.NewAdmin(srv, 0)
+	admin := server.NewAdmin(srv)
 	ts := httptest.NewServer(admin.Handler())
 	t.Cleanup(ts.Close)
 

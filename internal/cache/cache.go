@@ -482,8 +482,8 @@ func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expir
 	return c.storeLocked(key, size, pen, flags, expireAt, value)
 }
 
-// storeLocked is setLocked without the access it counts: Delta re-stores a
-// value that outgrew its slot through it. A value longer than size is charged
+// storeLocked is setLocked without the access it counts: rewriteLocked
+// re-stores a value that outgrew its slot through it. A value longer than size is charged
 // its length, so it always fits its slot.
 func (c *Cache) storeLocked(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	if c.cfg.StoreValues {
@@ -632,15 +632,6 @@ func (c *Cache) Contains(key string) bool {
 
 // ---- Policy-facing primitives ----
 // These are called from Policy hooks, which run with c.mu held.
-
-// TakeFreeSlab grants a free slab to class cl, reporting success.
-func (c *Cache) TakeFreeSlab(cl int) bool {
-	if c.slabs.FreeSlabs() == 0 || c.slabs.AllocSlab(cl) != nil {
-		return false
-	}
-	c.grantPage(cl)
-	return true
-}
 
 // EvictBottom evicts the LRU item of (class, sub) into its ghost region,
 // reporting success.

@@ -155,6 +155,12 @@ func TestEveryCommandPolicyAndKeyState(t *testing.T) {
 			err := e.SetMode(key, cache.ModeCAS, tok, 100, 0.05, 0, 0, []byte("swapped"))
 			return wrong((err == nil) != live || (err != nil && !errors.Is(err, cache.ErrNotStored)), "%v", err)
 		}},
+		{"append", func(e *opsEngine, key string, live bool) string {
+			return concat(e, key, live, cache.ModeAppend)
+		}},
+		{"prepend", func(e *opsEngine, key string, live bool) string {
+			return concat(e, key, live, cache.ModePrepend)
+		}},
 		{"Touch", func(e *opsEngine, key string, live bool) string {
 			ok := e.Touch(key, e.now+100)
 			return wrong(ok != live, "%v", ok)
@@ -204,6 +210,23 @@ func TestEveryCommandPolicyAndKeyState(t *testing.T) {
 			})
 		}
 	}
+}
+
+// concat appends or prepends "++" to key under flags of its own, and reports
+// what is wrong: live, the value must have grown by it on its side with the
+// item's flags kept; not live, the store must be refused and create nothing.
+func concat(e *opsEngine, key string, live bool, mode cache.SetMode) string {
+	before, _, _ := e.Get(key, 0, 0, nil)
+	err := e.SetMode(key, mode, 0, 100, 0.05, 9, 0, []byte("++"))
+	after, flags, hit := e.Get(key, 0, 0, nil)
+	if !live {
+		return wrong(!errors.Is(err, cache.ErrNotStored) || hit, "%v, then hit=%v", err, hit)
+	}
+	want := string(before) + "++"
+	if mode == cache.ModePrepend {
+		want = "++" + string(before)
+	}
+	return wrong(err != nil || string(after) != want || flags != 0, "%v, then %d bytes (want %d) with flags %d", err, len(after), len(want), flags)
 }
 
 func wrong(bad bool, format string, args ...any) string {
@@ -292,6 +315,9 @@ func FuzzEngineOps(f *testing.F) {
 	}
 	f.Add(crash)
 	f.Add([]byte{2, 1, 10, 12, 0, 3, 0, 1, 0, 1, 1, 0, 7, 1, 0, 9, 1, 0})
+	// Grow one key through every class by appends and prepends, past the
+	// largest.
+	f.Add([]byte{2, 3, 20, 14, 3, 40, 15, 3, 90, 14, 3, 150, 15, 3, 250, 14, 3, 255})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, kind := range []string{"pama", "psa"} {
 			runFuzzOps(t, kind, ops)
@@ -320,7 +346,7 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 		if arg%5 == 0 {
 			ttl = now + int64(arg%3)
 		}
-		switch ops[0] % 14 {
+		switch ops[0] % 16 {
 		case 0, 11: // 11 is a second plain read, so the other op numbers keep their meaning
 			c.Get(key, 0, 0, nil)
 		case 1:
@@ -349,9 +375,13 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 			now += int64(arg % 4)
 		case 13:
 			c.Prefetch(fuzzKeys[arg%16:]) // read-only: the next operations must not notice
+		case 14:
+			c.SetMode(key, cache.ModeAppend, 0, size, pen, 0, ttl, val)
+		case 15:
+			c.SetMode(key, cache.ModePrepend, 0, size, pen, 0, ttl, val)
 		}
 		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("%s after op %d: %v", kind, ops[0]%14, err)
+			t.Fatalf("%s after op %d: %v", kind, ops[0]%16, err)
 		}
 	}
 }

@@ -100,6 +100,7 @@ func TestOpsAgainstMapModel(t *testing.T) {
 					return false
 				}
 				model[key].value = fmt.Sprintf("%d", n)
+				model[key].cas = c.CASOf(key, 0, []byte(model[key].value)) // incr issues a new token
 			default: // get
 				val, _, hit := c.Get(key, 0, 0, nil)
 				m, exists := model[key]
@@ -117,13 +118,7 @@ func TestOpsAgainstMapModel(t *testing.T) {
 		// Final agreement sweep.
 		for key, m := range model {
 			val, _, cas, hit := c.GetWithCAS(key, nil)
-			if !hit || string(val) != m.value {
-				return false
-			}
-			// Delta rewrites in place without changing CAS in this
-			// engine; the model tracks CAS only at store time, so just
-			// require a token exists.
-			if cas == 0 {
+			if !hit || string(val) != m.value || cas != m.cas {
 				return false
 			}
 		}
@@ -412,7 +407,12 @@ func oracleRound(t *testing.T, seed int64) {
 				if n != want {
 					t.Fatalf("seed %d op %d: delta -> %d, want %d", seed, op, n, want)
 				}
-				e.value = strconv.FormatUint(want, 10) // in place: no LRU move, no CAS bump
+				// In place: no LRU move, a new CAS token.
+				old := e.cas
+				e.value = strconv.FormatUint(want, 10)
+				if e.cas = c.CASOf(key, 0, []byte(e.value)); e.cas <= old {
+					t.Fatalf("seed %d op %d: delta kept or lost the CAS token %d -> %d", seed, op, old, e.cas)
+				}
 				recordHistory(key, e.value)
 			}
 		case 10: // numeric seed for future deltas

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -37,28 +38,62 @@ const (
 	ModeReplace
 	// ModeCAS stores only when the resident item's CAS token matches.
 	ModeCAS
+	// ModeAppend adds value after the resident item's value.
+	ModeAppend
+	// ModePrepend adds value before the resident item's value.
+	ModePrepend
 )
 
 // SetMode stores key under a precondition, checked and stored under one
 // lock: of two racing conditional stores exactly one sees the other's
 // result. For ModeCAS, cas must be the token returned by GetWithCAS. Returns
-// ErrNotStored (add/replace) or ErrCASMismatch when the precondition fails.
-// As for Set, the callee copies what it retains (nothing, when it refuses).
+// ErrNotStored (add/replace/append/prepend) or ErrCASMismatch when the
+// precondition fails. ModeAppend and ModePrepend rewrite the resident item,
+// as Memcached does: it keeps its flags, expiry and penalty, and size, pen,
+// flags and expireAt are ignored. As for Set, the callee copies what it
+// retains (nothing, when it refuses).
 func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if mode != ModeSet {
-		it := c.liveLocked(kv.HashString(key), key)
-		switch {
-		case mode == ModeAdd && it != nil:
-			return errKeyExists
-		case mode != ModeAdd && it == nil:
-			return errKeyAbsent
-		case mode == ModeCAS && it.CAS != cas:
-			return ErrCASMismatch
+	if mode == ModeSet {
+		return c.setLocked(key, size, pen, flags, expireAt, value)
+	}
+	it := c.liveLocked(kv.HashString(key), key)
+	switch {
+	case mode == ModeAdd && it != nil:
+		return errKeyExists
+	case mode != ModeAdd && it == nil:
+		return errKeyAbsent
+	case mode == ModeCAS && it.CAS != cas:
+		return ErrCASMismatch
+	case mode == ModeAppend || mode == ModePrepend:
+		c.tick()
+		c.stats.Sets++
+		head, tail := value, []byte(nil)
+		if mode == ModeAppend {
+			head, tail = nil, value
 		}
+		inPlace, err := c.rewriteLocked(it, key, head, it.Value, tail)
+		if inPlace {
+			c.stats.Overwrites++
+		}
+		return err
 	}
 	return c.setLocked(key, size, pen, flags, expireAt, value)
+}
+
+// CASOf returns the CAS token of key's live item when it holds exactly flags
+// and value, else 0. It counts nothing and leaves LRU order and the policy
+// alone: a read-through GETS takes the token of the item its fill stored
+// here, and a write that landed since makes it 0.
+func (c *Cache) CASOf(key string, flags uint32, value []byte) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	it := c.index.Get(kv.HashString(key), key)
+	if it == nil || c.expired(it) || it.Flags != flags || !bytes.Equal(it.Value, value) {
+		return 0
+	}
+	return it.CAS
 }
 
 // Touch updates the expiry deadline of a resident item without disturbing
@@ -116,9 +151,7 @@ func (c *Cache) ScanKeys(fn func(key string, pen float64, size int, expireAt int
 // Delta implements incr/decr: the resident value must be an ASCII unsigned
 // integer; it is adjusted by delta (clamped at zero for decrements, wrapping
 // per Memcached for increments) and rewritten. The item's size moves by the
-// change in digits: while it still fits the slot the digits are rewritten in
-// place, otherwise they are stored afresh, into a larger class. Requires
-// StoreValues.
+// change in digits (rewriteLocked). Requires StoreValues.
 func (c *Cache) Delta(key string, delta uint64, decr bool) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -142,18 +175,37 @@ func (c *Cache) Delta(key string, delta uint64, decr bool) (uint64, error) {
 		next = cur + delta // wraps at 2^64, as Memcached does
 	}
 	var digits [20]byte
-	v := strconv.AppendUint(digits[:0], next, 10)
-	size := int(it.Size) + len(v) - len(it.Value)
+	if _, err := c.rewriteLocked(it, key, strconv.AppendUint(digits[:0], next, 10), nil, nil); err != nil {
+		return 0, err
+	}
+	return next, nil
+}
+
+// rewriteLocked gives the live item it the value head + mid + tail, where mid
+// is nil or its current value, keeping its flags, expiry and penalty. The
+// item's size moves by the change in length: while it still fits the slot the
+// value is rewritten in place, otherwise it is stored afresh, into a larger
+// class. Either way the item gets a new CAS token. Caller holds c.mu.
+func (c *Cache) rewriteLocked(it *kv.Item, key string, head, mid, tail []byte) (inPlace bool, err error) {
+	n := len(head) + len(mid) + len(tail)
+	size := int(it.Size) + n - len(it.Value)
 	if size > c.classes[it.Class].slot {
-		if err := c.storeLocked(key, size, it.Penalty, it.Flags, it.ExpireAt, v); err != nil {
-			return 0, err
-		}
-		return next, nil
+		// Built apart: the store frees the old slot before it copies.
+		v := append(append(append(make([]byte, 0, n), head...), mid...), tail...)
+		return false, c.storeLocked(key, size, it.Penalty, it.Flags, it.ExpireAt, v)
+	}
+	if c.cfg.StoreValues {
+		v := it.Value[:n]
+		copy(v[len(head):], mid) // a shift within the slot when mid is the value
+		copy(v, head)
+		copy(v[len(head)+len(mid):], tail)
+		it.Value = v
 	}
 	c.holes[it.Class] -= int64(size - int(it.Size))
 	it.Size = int32(size)
-	it.Value = append(it.Value[:0], v...)
-	return next, nil
+	c.casCounter++
+	it.CAS = c.casCounter
+	return true, nil
 }
 
 // parseUintValue parses an ASCII unsigned decimal directly from the value

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"pamakv/internal/kv"
 )
 
 func newOpsCache(t *testing.T) *Cache {
@@ -232,6 +235,72 @@ func TestDeltaIncrDecr(t *testing.T) {
 	c.Set("s", 10, 0.01, 0, []byte("pears"))
 	if _, err := c.Delta("s", 1, false); !errors.Is(err, ErrNotNumeric) {
 		t.Fatalf("delta on text: %v", err)
+	}
+}
+
+// TestConcatKeepsFlagsAndExpiry: append and prepend rewrite the live item,
+// as Memcached does. Its flags and expiry survive, the operand's are ignored,
+// whether the value still fits its slot or moves to a larger class, and every
+// rewrite issues a new CAS token. The engine's clock is the test's.
+func TestConcatKeepsFlagsAndExpiry(t *testing.T) {
+	now := int64(1_000_000)
+	c, err := New(Config{
+		Geometry: smallGeom(), CacheBytes: 4 * 4096, StoreValues: true, WindowLen: 1 << 50,
+		Now: func() int64 { return now },
+	}, &nullPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var token uint64
+	check := func(step, want string, class int) {
+		t.Helper()
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		it := c.index.Get(kv.HashString("k"), "k")
+		if it == nil || string(it.Value) != want || it.Flags != 7 || it.ExpireAt != now+2 || int(it.Class) != class {
+			t.Fatalf("%s: k = %+v, want %q with flags 7, expiry %d, in class %d", step, it, want, now+2, class)
+		}
+		if it.CAS == token {
+			t.Fatalf("%s: CAS token %d not renewed", step, token)
+		}
+		token = it.CAS
+	}
+	concat := func(mode SetMode, v string) {
+		t.Helper()
+		if err := c.SetMode("k", mode, 0, 1000, 2, 99, 0, []byte(v)); err != nil {
+			t.Fatalf("concat %q: %v", v, err)
+		}
+	}
+	if err := c.SetTTL("k", 20, 0.01, 7, now+2, []byte("bar")); err != nil {
+		t.Fatal(err)
+	}
+	check("set", "bar", 0)
+	concat(ModeAppend, "baz")
+	check("append in place", "barbaz", 0)
+	concat(ModePrepend, "foo")
+	check("prepend in place", "foobarbaz", 0)
+	tail := strings.Repeat("t", 50) // 20+6+50 bytes outgrow the 64-byte slot
+	concat(ModeAppend, tail)
+	check("append into class 1", "foobarbaz"+tail, 1)
+	if used := c.UsedSlots(0); used != 0 {
+		t.Fatalf("class 0 still holds %d slots", used)
+	}
+	if st := c.Stats(); st.Sets != 4 || st.Overwrites != 2 || st.Gets != 0 {
+		t.Fatalf("a set and three concats (two in place) counted %+v", st)
+	}
+	concat(ModePrepend, "<")
+	check("prepend in class 1", "<foobarbaz"+tail, 1)
+
+	now += 3 // past the deadline the set gave
+	if _, _, hit := c.Get("k", 0, 0, nil); hit {
+		t.Fatal("append reset the expiry: k outlived its deadline")
+	}
+	if err := c.SetMode("k", ModeAppend, 0, 10, 0.01, 0, 0, []byte("x")); !errors.Is(err, ErrNotStored) {
+		t.Fatalf("append to an expired key: %v", err)
+	}
+	if c.Contains("k") {
+		t.Fatal("append created the key")
 	}
 }
 

@@ -463,11 +463,15 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 				if err != nil || next != cur+7 {
 					m.fatalf("incr %q after a store of %d -> %d, %v", nkey, cur, next, err)
 				}
-				// In place (the digits fit the slot): no LRU move, no new
+				// In place (the digits fit the slot): no LRU move, a new
 				// token, the size moved by the change in length.
 				nv := []byte(strconv.FormatUint(next, 10))
 				ne.size += len(nv) - len(ne.value)
 				ne.value = nv
+				old := ne.cas
+				if _, ne.cas = m.peek(nkey); ne.cas <= old {
+					m.fatalf("incr %q kept its CAS token %d", nkey, old)
+				}
 			}
 		case r < 18: // delete
 			got := c.Delete(key)

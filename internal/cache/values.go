@@ -21,9 +21,9 @@ import (
 //
 // Pages follow the slab accounting:
 //
-//   - A class granted a slab (growth, TakeFreeSlab) maps a page and stacks its
-//     slots on class.vfree, so len(vfree) is always slabs.FreeSlots(class): a
-//     store pops a slot, a release pushes one, both O(1).
+//   - A class granted a slab (growth) maps a page and stacks its slots on
+//     class.vfree, so len(vfree) is always slabs.FreeSlots(class): a store
+//     pops a slot, a release pushes one, both O(1).
 //   - A slab leaving a class (MigrateSlab, DonateSlab) is a page leaving it.
 //     Once the donor's evictions have freed a slab's worth of slots, compact
 //     takes the page with the fewest residents, copies their values into free
@@ -33,8 +33,8 @@ import (
 //     class, or, donated, unmapped.
 //
 // storeValue and releaseValue are the only places a slot changes hands;
-// besides them only compact and the in-place rewrites of setLocked and Delta
-// (within the slot) write Item.Value. The race detector cannot see these
+// besides them only compact and the in-place rewrites of setLocked and
+// rewriteLocked (within the slot) write Item.Value. The race detector cannot see these
 // pages, so its build poisons every slot a value leaves with 0xDB.
 
 // page is one slab of value memory and the slots its class carved from it.

@@ -18,10 +18,7 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync"
 	"sync/atomic"
-
-	"pamakv/internal/metrics"
 )
 
 // Hist is a concurrency-safe logarithmic histogram over positive values:
@@ -207,64 +204,6 @@ func (s HistSnapshot) Delta(prev HistSnapshot) (HistSnapshot, error) {
 		d.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
 	}
 	return d, nil
-}
-
-// Recorder turns cumulative (gets, hits, serviceSum) samples into the
-// paper-style windowed metrics.Series the simulator emits: each Sample call
-// closes one window whose hit ratio and mean service time are computed from
-// the deltas since the previous call. Empty windows (no GET traffic between
-// samples) record NaN, which the metrics emitters render as "-" — a live
-// server must distinguish "no traffic" from "0% hits".
-type Recorder struct {
-	mu       sync.Mutex
-	series   metrics.Series
-	started  bool
-	prevGets uint64
-	prevHits uint64
-	prevSvc  float64
-}
-
-// NewRecorder names the series (shown in TSV headers).
-func NewRecorder(name string) *Recorder {
-	r := &Recorder{}
-	r.series.Name = name
-	return r
-}
-
-// Sample closes a window at the current cumulative counters. The first call
-// only sets the baseline and records nothing. slabs, when non-nil, is
-// attached to the point as the per-class slab allocation snapshot.
-func (r *Recorder) Sample(gets, hits uint64, serviceSum float64, slabs []int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.started {
-		r.started = true
-		r.prevGets, r.prevHits, r.prevSvc = gets, hits, serviceSum
-		return
-	}
-	dG := gets - r.prevGets
-	p := metrics.Point{GetsServed: gets, HitRatio: math.NaN(), AvgService: math.NaN(), Slabs: slabs}
-	if dG > 0 {
-		p.HitRatio = float64(hits-r.prevHits) / float64(dG)
-		p.AvgService = (serviceSum - r.prevSvc) / float64(dG)
-	}
-	r.prevGets, r.prevHits, r.prevSvc = gets, hits, serviceSum
-	r.series.Append(p)
-}
-
-// Series returns a copy of the recorded series.
-func (r *Recorder) Series() *metrics.Series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cp := metrics.Series{Name: r.series.Name, Points: append([]metrics.Point(nil), r.series.Points...)}
-	return &cp
-}
-
-// Len returns the number of closed windows.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.series.Points)
 }
 
 // ---- Prometheus text exposition ----

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"pamakv/internal/metrics"
 )
 
 // liveSet is a counter set as the subsystems declare one: uint64s, in
@@ -345,45 +343,6 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	if bucketTotal != s.Count {
 		t.Fatalf("buckets sum to %d, count says %d", bucketTotal, s.Count)
-	}
-}
-
-func TestRecorderWindows(t *testing.T) {
-	r := NewRecorder("live")
-	r.Sample(0, 0, 0, nil) // baseline only
-	if r.Len() != 0 {
-		t.Fatalf("baseline sample recorded a point")
-	}
-	r.Sample(100, 80, 2.0, []int{3, 1})
-	r.Sample(100, 80, 2.0, nil) // empty window: no traffic
-	r.Sample(300, 130, 6.0, nil)
-	s := r.Series()
-	if len(s.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(s.Points))
-	}
-	p0, p1, p2 := s.Points[0], s.Points[1], s.Points[2]
-	if p0.HitRatio != 0.8 || math.Abs(p0.AvgService-0.02) > 1e-12 || p0.GetsServed != 100 {
-		t.Fatalf("window 0 = %+v", p0)
-	}
-	if len(p0.Slabs) != 2 {
-		t.Fatalf("window 0 slabs missing: %+v", p0)
-	}
-	if !math.IsNaN(p1.HitRatio) || !math.IsNaN(p1.AvgService) {
-		t.Fatalf("empty window must record NaN, got %+v", p1)
-	}
-	if math.Abs(p2.HitRatio-0.25) > 1e-12 || math.Abs(p2.AvgService-0.02) > 1e-12 {
-		t.Fatalf("window 2 = %+v", p2)
-	}
-	// The NaN window must flow through the TSV emitter as "-", not "NaN".
-	var sb strings.Builder
-	if err := metrics.WriteTSV(&sb, []*metrics.Series{s}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "NaN") {
-		t.Fatalf("TSV leaked NaN:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "-") {
-		t.Fatalf("TSV did not mark the empty window:\n%s", sb.String())
 	}
 }
 

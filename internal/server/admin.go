@@ -6,15 +6,13 @@ package server
 //
 //	/metrics       Prometheus text format 0.0.4
 //	/statsz        JSON superset of the in-band `stats` command
-//	/series        paper-style windowed TSV (hit ratio / service time per
-//	               sampling window, the live analogue of the simulator's
-//	               figure data)
 //	/healthz       liveness probe
 //	/debug/pprof/  the standard Go profiler endpoints
 //
 // Everything here is cold-path: snapshots are taken under the engine lock
 // exactly as the `stats` command takes them, and nothing is accumulated that
-// the serving path does not already maintain.
+// the serving path does not already maintain. Windows over time are the
+// poller's to cut: `pama-stats -live` takes deltas of /statsz.
 
 import (
 	"encoding/json"
@@ -48,33 +46,20 @@ type introspector interface{ Introspect() cache.Introspection }
 // Admin serves the observability endpoints for one Server. Construct with
 // NewAdmin; it does not listen until Serve or ListenAndServe.
 type Admin struct {
-	srv   *Server
-	rec   *obs.Recorder
-	every time.Duration
-	mux   *http.ServeMux
-	hs    *http.Server
+	srv *Server
+	mux *http.ServeMux
+	hs  *http.Server
 
-	mu      sync.Mutex
-	ln      net.Listener
-	stopC   chan struct{}
-	started bool
-	wg      sync.WaitGroup
+	mu sync.Mutex
+	ln net.Listener
 }
 
-// NewAdmin builds the admin surface for srv. sampleEvery > 0 runs a
-// background sampler that closes one /series window per interval; 0 disables
-// the series (the other endpoints are snapshot-on-demand and need no
-// sampler).
-func NewAdmin(srv *Server, sampleEvery time.Duration) *Admin {
-	a := &Admin{
-		srv:   srv,
-		rec:   obs.NewRecorder("live"),
-		every: sampleEvery,
-		mux:   http.NewServeMux(),
-	}
+// NewAdmin builds the admin surface for srv. Every endpoint is a snapshot
+// taken on demand.
+func NewAdmin(srv *Server) *Admin {
+	a := &Admin{srv: srv, mux: http.NewServeMux()}
 	a.mux.HandleFunc("/metrics", a.handleMetrics)
 	a.mux.HandleFunc("/statsz", a.handleStatsz)
-	a.mux.HandleFunc("/series", a.handleSeries)
 	a.mux.HandleFunc("/membershipz", a.handleMembershipz)
 	a.mux.HandleFunc("/membership/add", a.handleMembershipAdd)
 	a.mux.HandleFunc("/membership/remove", a.handleMembershipRemove)
@@ -112,12 +97,6 @@ func (a *Admin) ListenAndServe(addr string) error {
 func (a *Admin) Serve(ln net.Listener) error {
 	a.mu.Lock()
 	a.ln = ln
-	if a.every > 0 && !a.started {
-		a.started = true
-		a.stopC = make(chan struct{})
-		a.wg.Add(1)
-		go a.sampleLoop()
-	}
 	a.mu.Unlock()
 	err := a.hs.Serve(ln)
 	if errors.Is(err, http.ErrServerClosed) {
@@ -136,47 +115,8 @@ func (a *Admin) Addr() string {
 	return a.ln.Addr().String()
 }
 
-// Close stops the listener and the sampler. Safe to call more than once.
-func (a *Admin) Close() error {
-	a.mu.Lock()
-	if a.stopC != nil {
-		close(a.stopC)
-		a.stopC = nil
-	}
-	a.mu.Unlock()
-	err := a.hs.Close()
-	a.wg.Wait()
-	return err
-}
-
-// Sample closes one /series window immediately (the sampler does this on a
-// timer; tests and the stats poller may force it).
-func (a *Admin) Sample() {
-	st := a.srv.c.Stats()
-	svc := 0.0
-	if b := a.srv.opts.Backend; b != nil {
-		svc = b.TotalPenalty()
-	}
-	a.rec.Sample(st.Gets, st.Hits, svc, a.srv.c.SnapshotSlabs())
-}
-
-func (a *Admin) sampleLoop() {
-	defer a.wg.Done()
-	a.mu.Lock()
-	done := a.stopC
-	a.mu.Unlock()
-	t := time.NewTicker(a.every)
-	defer t.Stop()
-	a.Sample() // baseline, so the first tick closes a real window
-	for {
-		select {
-		case <-done:
-			return
-		case <-t.C:
-			a.Sample()
-		}
-	}
-}
+// Close stops the listener. Safe to call more than once.
+func (a *Admin) Close() error { return a.hs.Close() }
 
 // handleMetrics renders the Prometheus exposition: the order of the sections
 // and the values that are no struct's field. Every series' name, HELP and
@@ -401,11 +341,6 @@ func (a *Admin) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	if err := enc.Encode(a.statsz()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (a *Admin) handleSeries(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/tab-separated-values")
-	_ = metrics.WriteTSV(w, []*metrics.Series{a.rec.Series()})
 }
 
 // membership returns the node's membership manager, writing a 404 when

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"pamakv/internal/backend"
 	"pamakv/internal/cache"
@@ -68,7 +67,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (NaN|[
 // `stats` command.
 func TestAdminEndToEnd(t *testing.T) {
 	srv, addr := startServer(t, Options{})
-	admin := NewAdmin(srv, 0)
+	admin := NewAdmin(srv)
 	aln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -333,27 +332,6 @@ func TestAdminEndToEnd(t *testing.T) {
 		}
 	})
 
-	t.Run("series", func(t *testing.T) {
-		admin.Sample() // baseline
-		cl.send(t, "get key1\r\n")
-		cl.line(t)     // VALUE
-		cl.line(t)     // body
-		cl.line(t)     // END
-		admin.Sample() // closes a window containing one GET hit
-		body, _ := httpGet(t, base+"/series")
-		lines := strings.Split(strings.TrimSpace(body), "\n")
-		if len(lines) < 2 {
-			t.Fatalf("series has no data rows:\n%s", body)
-		}
-		row := lines[len(lines)-1]
-		if !strings.Contains(row, "1.0000") {
-			t.Errorf("window hit ratio row = %q, want 1.0000 (one hit, one get)", row)
-		}
-		if strings.Contains(body, "NaN") {
-			t.Errorf("series leaks NaN:\n%s", body)
-		}
-	})
-
 	t.Run("pprof", func(t *testing.T) {
 		body, _ := httpGet(t, base+"/debug/pprof/cmdline")
 		if len(body) == 0 {
@@ -379,41 +357,11 @@ func histSeriesKey(name string) string {
 	return strings.Join(keep, ",")
 }
 
-// TestAdminSamplerClosesWindows checks the background sampler fills /series
-// without manual Sample calls.
-func TestAdminSamplerClosesWindows(t *testing.T) {
-	srv, addr := startServer(t, Options{})
-	admin := NewAdmin(srv, 5*time.Millisecond)
-	aln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go admin.Serve(aln)
-	t.Cleanup(func() { admin.Close() })
-
-	cl := dial(t, addr)
-	cl.send(t, "set k 0 0 3\r\nabc\r\n")
-	if got := cl.line(t); got != "STORED" {
-		t.Fatalf("set: %q", got)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		body, _ := httpGet(t, "http://"+aln.Addr().String()+"/series")
-		if len(strings.Split(strings.TrimSpace(body), "\n")) >= 3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sampler closed no windows:\n%s", body)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestAdminStatszEmptyServer checks the no-traffic document: hit_ratio is
 // omitted (not NaN, not 0) and the JSON still decodes.
 func TestAdminStatszEmptyServer(t *testing.T) {
 	srv, _ := startServer(t, Options{})
-	admin := NewAdmin(srv, 0)
+	admin := NewAdmin(srv)
 	aln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +395,7 @@ func TestStatszFieldNames(t *testing.T) {
 	statsz := func(srv *Server) any {
 		t.Helper()
 		rec := httptest.NewRecorder()
-		NewAdmin(srv, 0).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/statsz", nil))
+		NewAdmin(srv).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/statsz", nil))
 		var doc any
 		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 			t.Fatal(err)

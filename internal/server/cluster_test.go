@@ -482,7 +482,7 @@ func TestClusterAdminExposure(t *testing.T) {
 		t.Errorf("stats missing the exchange counters: %q", stats)
 	}
 
-	admin := NewAdmin(nodes[0].srv, 0)
+	admin := NewAdmin(nodes[0].srv)
 	rec := httptest.NewRecorder()
 	admin.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()

@@ -55,7 +55,7 @@ var expositionGeometry = kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8}
 // capture reads the three surfaces of srv; cl is a connection to it.
 func capture(t *testing.T, srv *Server, cl *client) exposition {
 	t.Helper()
-	h := NewAdmin(srv, 0).Handler()
+	h := NewAdmin(srv).Handler()
 	get := func(path string) string {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

@@ -181,9 +181,16 @@ var ErrFetchTimeout = errors.New("server: backend fetch timed out")
 // tenant and then hash). The callee copies what it retains: the keys it is
 // handed alias parser scratch, the values pooled buffers, both reused when
 // the call returns.
+//
+// Every data command is one call: the stores (set, add, replace, cas, append,
+// prepend, the read-through fill) are SetMode, incr/decr Delta, touch Touch,
+// delete Delete. The server calls no Set; the method stays because the
+// benchmark module's traced store (benchmark/inproc.go) forwards it.
 type Store interface {
 	Get(key string, sizeHint int, penHint float64, buf []byte) ([]byte, uint32, bool)
 	GetWithCAS(key string, buf []byte) ([]byte, uint32, uint64, bool)
+	// CASOf is the token of the item a read-through fill stored (cache.CASOf).
+	CASOf(key string, flags uint32, value []byte) uint64
 	GetStale(key string, buf []byte) ([]byte, uint32, bool)
 	Set(key string, size int, pen float64, flags uint32, value []byte) error
 	SetMode(key string, mode cache.SetMode, cas uint64, size int, pen float64, flags uint32, expireAt int64, value []byte) error
@@ -971,10 +978,8 @@ func (s *Server) dispatch(sc *connScratch, out []byte, cmd *proto.Command) []byt
 	switch cmd.Name {
 	case "get", "gets":
 		return s.doGet(sc, out, cmd)
-	case "set", "add", "replace", "cas":
+	case "set", "add", "replace", "cas", "append", "prepend":
 		return s.doSet(out, cmd)
-	case "append", "prepend":
-		return s.doConcat(sc, out, cmd)
 	case "incr", "decr":
 		return s.doDelta(out, cmd)
 	case "touch":
@@ -1172,19 +1177,19 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 			fetched = owned
 			switch {
 			case ferr == nil:
-				// key aliases parser scratch; the engine copies it if the
-				// fill inserts an item.
-				if err := s.c.Set(key, size+len(key)+itemOverhead, pen, 0, body); err == nil {
-					val, flags, hit = body, 0, true
-					if withCAS {
-						_, _, cas, _ = s.c.GetWithCAS(key, nil)
-					}
-				} else {
-					// The fetch worked but the engine refused the
-					// refill (e.g. item larger than any class):
-					// still serve the value this once.
+				// The fill is an add: a write that landed during the
+				// fetch was acknowledged and stays. Either way the
+				// reply is the fetched value, with a token only when
+				// the fill stored it. key aliases parser scratch; the
+				// engine copies it if the fill inserts an item.
+				val, flags, hit = body, 0, true
+				err := s.c.SetMode(key, cache.ModeAdd, 0, size+len(key)+itemOverhead, pen, 0, 0, body)
+				switch {
+				case err == nil && withCAS:
+					cas = s.c.CASOf(key, 0, body)
+				case err != nil && !errors.Is(err, cache.ErrNotStored):
+					// e.g. an item larger than any class: served this once.
 					atomic.AddUint64(&s.st.ServerErrors, 1)
-					val, flags, hit = body, 0, true
 				}
 			default:
 				// Backend down: degrade to the engine's retained
@@ -1254,6 +1259,10 @@ func (s *Server) doSet(out []byte, cmd *proto.Command) []byte {
 		mode = cache.ModeReplace
 	case "cas":
 		mode = cache.ModeCAS
+	case "append":
+		mode = cache.ModeAppend
+	case "prepend":
+		mode = cache.ModePrepend
 	}
 	err := s.c.SetMode(key, mode, cmd.CasID, size, pen, cmd.Flags, expireAt(cmd.Exptime), cmd.Data)
 	if cmd.NoReply {
@@ -1272,76 +1281,6 @@ func (s *Server) doSet(out []byte, cmd *proto.Command) []byte {
 		atomic.AddUint64(&s.st.ServerErrors, 1)
 		return proto.AppendLine(out, fmt.Sprintf("SERVER_ERROR %v", err))
 	}
-}
-
-// concatRetries bounds the optimistic-concurrency loop in doConcat. Eight
-// consecutive CAS losses on one key means a hotter writer owns it; give up
-// rather than spin.
-const concatRetries = 8
-
-// doConcat implements append and prepend as a CAS loop over the engine's
-// existing primitives: read the resident value with its CAS token, build the
-// concatenation, and store it back with ModeCAS so a racing writer makes the
-// store miss and the loop re-reads. Memcached semantics are preserved where
-// the engine allows: a missing key answers NOT_STORED, flags are carried
-// over from the resident item, and the operands' flags/exptime are ignored.
-// One deliberate divergence: the rewritten item's expiry resets to "never",
-// because the engine does not expose the resident deadline for re-arming.
-func (s *Server) doConcat(sc *connScratch, out []byte, cmd *proto.Command) []byte {
-	key := cmd.Keys[0]
-	for try := 0; try < concatRetries; try++ {
-		val, flags, cas, hit := s.c.GetWithCAS(key, sc.val[:0])
-		sc.val = val[:0]
-		if !hit {
-			if cmd.NoReply {
-				return out
-			}
-			return proto.AppendLine(out, "NOT_STORED")
-		}
-		var combined []byte
-		if cmd.Name == "append" {
-			// val aliases sc.val's backing array; appending may grow it in
-			// place or reallocate — either way SetMode copies it out before
-			// the scratch is reused.
-			combined = append(val, cmd.Data...)
-		} else {
-			combined = make([]byte, 0, len(cmd.Data)+len(val))
-			combined = append(combined, cmd.Data...)
-			combined = append(combined, val...)
-		}
-		pen := penalty.DefaultUnknown
-		if s.opts.Backend != nil {
-			pen = s.opts.Backend.Penalty(key, len(combined))
-		}
-		size := len(key) + len(combined) + itemOverhead
-		err := s.c.SetMode(key, cache.ModeCAS, cas, size, pen, flags, 0, combined)
-		switch {
-		case err == nil:
-			if cmd.NoReply {
-				return out
-			}
-			return proto.AppendLine(out, "STORED")
-		case errors.Is(err, cache.ErrCASMismatch):
-			continue // racing writer; re-read and retry
-		case errors.Is(err, cache.ErrNotStored):
-			// The item vanished between the read and the store.
-			if cmd.NoReply {
-				return out
-			}
-			return proto.AppendLine(out, "NOT_STORED")
-		default:
-			atomic.AddUint64(&s.st.ServerErrors, 1)
-			if cmd.NoReply {
-				return out
-			}
-			return proto.AppendLine(out, fmt.Sprintf("SERVER_ERROR %v", err))
-		}
-	}
-	atomic.AddUint64(&s.st.ServerErrors, 1)
-	if cmd.NoReply {
-		return out
-	}
-	return proto.AppendLine(out, "SERVER_ERROR concat contention")
 }
 
 // expireAt converts Memcached exptime semantics to a unix deadline: 0 means

@@ -261,7 +261,7 @@ func TestValueTooLarge(t *testing.T) {
 
 func TestReadThroughBackend(t *testing.T) {
 	store := backend.New(penalty.Uniform(0.001), func(uint64) int { return 10 })
-	_, addr := startServer(t, Options{Backend: store})
+	srv, addr := startServer(t, Options{Backend: store})
 	cl := dial(t, addr)
 	cl.send(t, "get warmme\r\n")
 	if got := cl.line(t); !strings.HasPrefix(got, "VALUE warmme 0 10") {
@@ -282,6 +282,65 @@ func TestReadThroughBackend(t *testing.T) {
 	if store.Fetches() != 1 {
 		t.Fatalf("fetches after cached get = %d, want 1", store.Fetches())
 	}
+	// A gets that misses and fills is one engine read, a miss, and answers
+	// with the token of the item the fill stored.
+	before := srv.c.Stats()
+	cl.send(t, "gets k\r\n")
+	header := cl.line(t)
+	var flags, n int
+	var cas uint64
+	if _, err := fmt.Sscanf(header, "VALUE k %d %d %d", &flags, &n, &cas); err != nil || cas == 0 {
+		t.Fatalf("read-through gets -> %q", header)
+	}
+	cl.line(t) // body
+	cl.line(t) // END
+	if st := srv.c.Stats(); st.Gets-before.Gets != 1 || st.Hits != before.Hits || st.Misses-before.Misses != 1 {
+		t.Fatalf("one gets miss counted Gets +%d, Hits +%d, Misses +%d; want 1/0/1",
+			st.Gets-before.Gets, st.Hits-before.Hits, st.Misses-before.Misses)
+	}
+	cl.send(t, fmt.Sprintf("cas k 0 0 1 %d\r\nx\r\n", cas))
+	if got := cl.line(t); got != "STORED" {
+		t.Fatalf("cas with the fill's token -> %q", got)
+	}
+}
+
+// TestReadThroughFillKeepsConcurrentWrite holds a read-through fetch until a
+// set of the same key on another connection has been answered STORED. The
+// GET still answers with the value it fetched, but the fill must not replace
+// the acknowledged write: the next get returns the client's value.
+func TestReadThroughFillKeepsConcurrentWrite(t *testing.T) {
+	fetching, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	store := backend.New(penalty.Uniform(0.001), func(uint64) int {
+		once.Do(func() { close(fetching); <-release }) // the first fetch waits
+		return 10
+	})
+	_, addr := startServer(t, Options{Backend: store})
+	unblock := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unblock) // runs before the server's shutdown if the test stops early
+	reader, writer := dial(t, addr), dial(t, addr)
+	reader.send(t, "gets k\r\n")
+	<-fetching
+	writer.send(t, "set k 0 0 6\r\nclient\r\n")
+	if got := writer.line(t); got != "STORED" {
+		t.Fatalf("set during the fetch -> %q", got)
+	}
+	unblock()
+	if got := reader.line(t); got != "VALUE k 0 10 0" {
+		t.Errorf("gets overlapping a set -> %q, want the fetched value without a token", got)
+	}
+	reader.line(t) // body
+	if got := reader.line(t); got != "END" {
+		t.Fatalf("end -> %q", got)
+	}
+	writer.send(t, "get k\r\n")
+	if got := writer.line(t); got != "VALUE k 0 6" {
+		t.Fatalf("get after the fill -> %q", got)
+	}
+	if got := writer.line(t); got != "client" {
+		t.Fatalf("the fill replaced an acknowledged write: %q", got)
+	}
+	writer.line(t) // END
 }
 
 func TestExptimeSemantics(t *testing.T) {
@@ -443,8 +502,8 @@ func TestAppendPrependProtocol(t *testing.T) {
 }
 
 // TestConcurrentAppendKeepsEveryFragment appends distinct fragments to one
-// key from several connections at once: the final value must hold every
-// fragment the server answered STORED for exactly once, and nothing else.
+// key from several connections at once: every one of the 800 appends must be
+// answered STORED, and the final value must hold each fragment exactly once.
 func TestConcurrentAppendKeepsEveryFragment(t *testing.T) {
 	_, addr := startServer(t, Options{})
 	cl := dial(t, addr)
@@ -466,8 +525,8 @@ func TestConcurrentAppendKeepsEveryFragment(t *testing.T) {
 			}
 			defer conn.Close()
 			r := bufio.NewReader(conn)
-			// Bursts of ten keep every connection's batch loop inside
-			// doConcat at the same time.
+			// Bursts of ten keep every connection's batch loop
+			// appending at the same time.
 			for i := 0; i < 100; i += 10 {
 				var burst []string
 				var req strings.Builder
@@ -486,13 +545,13 @@ func TestConcurrentAppendKeepsEveryFragment(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					// Eight straight CAS losses answer SERVER_ERROR concat
-					// contention; such a fragment was not stored.
-					if strings.HasPrefix(l, "STORED") {
-						mu.Lock()
-						stored[frag] = true
-						mu.Unlock()
+					if l != "STORED\r\n" {
+						t.Errorf("append %q -> %q", frag, l)
+						continue
 					}
+					mu.Lock()
+					stored[frag] = true
+					mu.Unlock()
 				}
 			}
 		}(g)
@@ -514,8 +573,8 @@ func TestConcurrentAppendKeepsEveryFragment(t *testing.T) {
 		}
 		seen[f] = true
 	}
-	if len(seen) != len(stored) {
-		t.Fatalf("%d of %d STORED fragments survive in the value", len(seen), len(stored))
+	if len(seen) != len(stored) || len(stored) != 800 {
+		t.Fatalf("%d of %d STORED fragments survive in the value, of 800 appended", len(seen), len(stored))
 	}
 }
 

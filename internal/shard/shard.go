@@ -160,6 +160,11 @@ func (g *Group) GetWithCAS(key string, buf []byte) ([]byte, uint32, uint64, bool
 	return g.pick(key).GetWithCAS(key, buf)
 }
 
+// CASOf routes to the owning shard.
+func (g *Group) CASOf(key string, flags uint32, value []byte) uint64 {
+	return g.pick(key).CASOf(key, flags, value)
+}
+
 // Set routes to the owning shard.
 func (g *Group) Set(key string, size int, pen float64, flags uint32, value []byte) error {
 	return g.pick(key).Set(key, size, pen, flags, value)

@@ -104,6 +104,54 @@ func TestFigure3EndToEnd(t *testing.T) {
 	}
 }
 
+// TestFigure56Shape gates Fig 5/6's 128 MiB group at a quarter of the
+// committed run's requests: PAMA has the lowest mean and tail (last quarter)
+// service time, pre-PAMA the highest hit ratio, memcached the highest mean
+// service time. Below this scale PAMA's lead over pre-PAMA shrinks to noise.
+func TestFigure56Shape(t *testing.T) {
+	f, err := FigureByID("5", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunMatrix(f.Specs[:len(FigurePolicies)], 0) // memcached, psa, pre-pama, pama at 128 MiB
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := map[string]*Result{}
+	for _, r := range res {
+		by[strings.TrimSuffix(r.Spec.Name, "/128MiB")] = r
+		t.Logf("%s: hit %.4f, mean service %.5f s, tail %.5f s", r.Spec.Name,
+			r.Series.MeanHitRatio(), r.Series.MeanAvgService(), r.Series.TailMeanAvgService(0.25))
+	}
+	if len(by) != len(FigurePolicies) {
+		t.Fatalf("runs %v, want the 128 MiB group of %v", by, FigurePolicies)
+	}
+	best := func(metric func(*Result) float64, higher bool) string {
+		name := FigurePolicies[0]
+		for _, kind := range FigurePolicies[1:] {
+			if d := metric(by[kind]) - metric(by[name]); d != 0 && (d > 0) == higher {
+				name = kind
+			}
+		}
+		return name
+	}
+	mean := func(r *Result) float64 { return r.Series.MeanAvgService() }
+	tail := func(r *Result) float64 { return r.Series.TailMeanAvgService(0.25) }
+	hit := func(r *Result) float64 { return r.Series.MeanHitRatio() }
+	for _, c := range []struct {
+		what, got, want string
+	}{
+		{"lowest mean service time", best(mean, false), "pama"},
+		{"lowest tail service time", best(tail, false), "pama"},
+		{"highest hit ratio", best(hit, true), "pre-pama"},
+		{"highest mean service time", best(mean, true), "memcached"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %s, want %s", c.what, c.got, c.want)
+		}
+	}
+}
+
 func sum(xs []int) int {
 	n := 0
 	for _, x := range xs {

@@ -26,8 +26,6 @@
 package pamakv
 
 import (
-	"time"
-
 	"pamakv/internal/backend"
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
@@ -222,8 +220,7 @@ type (
 	// replacements, migrations declined on price, and forced migrations.
 	PolicyDecisions = cache.PolicyDecisions
 	// Admin serves the observability endpoints of a Server over HTTP:
-	// /metrics (Prometheus), /statsz (JSON), /series (windowed TSV),
-	// /healthz, and /debug/pprof.
+	// /metrics (Prometheus), /statsz (JSON), /healthz, and /debug/pprof.
 	Admin = server.Admin
 	// AdminStatsz is the /statsz document shape.
 	AdminStatsz = server.Statsz
@@ -244,11 +241,8 @@ func NewGDSF(capBytes int64, storeValues bool) (*GDSFCache, error) {
 // a protocol server.
 func NewServer(c ServerStore, opts ServerOptions) *Server { return server.New(c, opts) }
 
-// NewAdmin builds the observability listener for a Server; sampleEvery > 0
-// closes one /series window per interval.
-func NewAdmin(s *Server, sampleEvery time.Duration) *Admin {
-	return server.NewAdmin(s, sampleEvery)
-}
+// NewAdmin builds the observability listener for a Server.
+func NewAdmin(s *Server) *Admin { return server.NewAdmin(s) }
 
 // NewBackend returns an accounting-mode simulated back end: Fetch reports
 // each key's size, miss penalty, and synthesized value.
