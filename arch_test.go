@@ -139,3 +139,31 @@ func TestOneKeyRouter(t *testing.T) {
 		})
 	})
 }
+
+// TestOneRoutePerKey keeps internal/server at one route per key: outside
+// tests it hashes a key and resolves its owner only in the chunk router
+// (Server.routeChunk), which does both once per key against one view of the
+// ring. Every later step of serving the key (dispatch, the hot cache, the
+// peer exchange) reads the chunk's routes.
+func TestOneRoutePerKey(t *testing.T) {
+	routing := map[string]bool{"Owner": true, "OwnerHash": true, "HashString": true, "HashBytes": true}
+	eachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/server/") {
+			return
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "routeChunk" {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && routing[sel.Sel.Name] {
+						t.Errorf("%s: %s outside the chunk router — read the chunk's keyRoute instead",
+							fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	})
+}

@@ -358,7 +358,7 @@ func run(o options) error {
 				log.Printf("pama-server: admin listener: %v", err)
 			}
 		}()
-		log.Printf("pama-server: admin endpoints on http://%s/{metrics,statsz,series,healthz,debug/pprof}", o.adminAddr)
+		log.Printf("pama-server: admin endpoints on http://%s/{metrics,statsz,membershipz,membership/{add,remove,drain},healthz,debug/pprof}", o.adminAddr)
 	}
 
 	// Serve returns as soon as shutdown begins; the drain (and snapshot

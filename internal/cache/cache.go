@@ -363,26 +363,30 @@ func (c *Cache) resetAttribution(nsub int) {
 // (replayers know them; servers pass 0) and only affect per-class miss
 // attribution. When StoreValues is on and the key hits, the value is
 // appended to buf.
+//
+// Every keyed entry point has a form that takes the key's kv.HashString hash
+// as well (LookupHash, SetModeHash, ...), for a caller that already hashed
+// the key to route it (shard.Group); the string forms hash and call it.
 func (c *Cache) Get(key string, sizeHint int, penHint float64, buf []byte) (val []byte, flags uint32, hit bool) {
-	val, flags, _, hit = c.lookup(key, sizeHint, penHint, buf)
+	val, flags, _, hit = c.LookupHash(kv.HashString(key), key, sizeHint, penHint, buf)
 	return val, flags, hit
 }
 
 // GetWithCAS is Get returning the item's CAS token as well. The token
 // changes on every store of the key.
 func (c *Cache) GetWithCAS(key string, buf []byte) (val []byte, flags uint32, cas uint64, hit bool) {
-	return c.lookup(key, 0, 0, buf)
+	return c.LookupHash(kv.HashString(key), key, 0, 0, buf)
 }
 
-// lookup is the engine's one read, applied whole under the engine lock. The
-// access first advances the clock (a window it closes is closed before the
-// key is looked up). A live hit then copies the value, moves the item to the
+// LookupHash is the engine's one read, Get and GetWithCAS in one, for key
+// hashed to h. It is applied whole under the engine lock. The access first
+// advances the clock (a window it closes is closed before the key is looked
+// up). A live hit then copies the value, moves the item to the
 // MRU end of its stack, is attributed to its class and subclass and reaches
 // the policy with the bottom segment it was found in. Anything else (absent,
 // expired) is accounted as a miss; the one probe that finds an expired item
 // also reaps it.
-func (c *Cache) lookup(key string, sizeHint int, penHint float64, buf []byte) (val []byte, flags uint32, cas uint64, hit bool) {
-	h := kv.HashString(key)
+func (c *Cache) LookupHash(h uint64, key string, sizeHint int, penHint float64, buf []byte) (val []byte, flags uint32, cas uint64, hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick()
@@ -464,7 +468,7 @@ func (c *Cache) Set(key string, size int, pen float64, flags uint32, value []byt
 func (c *Cache) SetTTL(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.setLocked(key, size, pen, flags, expireAt, value)
+	return c.setLocked(kv.HashString(key), key, size, pen, flags, expireAt, value)
 }
 
 // setLocked is the store itself. Caller holds c.mu, so a conditional store
@@ -476,16 +480,16 @@ func (c *Cache) SetTTL(key string, size int, pen float64, flags uint32, expireAt
 // place — same item, index entry and slot — while stack, tracker and policy
 // see the remove-then-insert of the full path, which every other store takes
 // (DESIGN.md §5).
-func (c *Cache) setLocked(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
+func (c *Cache) setLocked(h uint64, key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	c.tick()
 	c.stats.Sets++
-	return c.storeLocked(key, size, pen, flags, expireAt, value)
+	return c.storeLocked(h, key, size, pen, flags, expireAt, value)
 }
 
 // storeLocked is setLocked without the access it counts: rewriteLocked
 // re-stores a value that outgrew its slot through it. A value longer than size is charged
 // its length, so it always fits its slot.
-func (c *Cache) storeLocked(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
+func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	if c.cfg.StoreValues {
 		size = max(size, len(value))
 	}
@@ -495,8 +499,6 @@ func (c *Cache) storeLocked(key string, size int, pen float64, flags uint32, exp
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, size)
 	}
 	sub := c.subclassFor(pen)
-	h := kv.HashString(key)
-
 	it := c.index.Get(h, key)
 	if it != nil && int(it.Class) == cl {
 		s := &c.classes[cl].subs[it.Sub]
@@ -581,12 +583,14 @@ func (c *Cache) takeSlotLocked(cl, sub int) error {
 
 // Delete removes key if resident (and forgets any ghost memory of it). It
 // reports whether a resident item was removed.
-func (c *Cache) Delete(key string) bool {
+func (c *Cache) Delete(key string) bool { return c.DeleteHash(kv.HashString(key), key) }
+
+// DeleteHash is Delete for key hashed to h.
+func (c *Cache) DeleteHash(h uint64, key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick()
 	c.stats.Deletes++
-	h := kv.HashString(key)
 	if g := c.gindex.Get(h, key); g != nil {
 		c.dropGhost(g)
 	}

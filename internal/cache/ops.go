@@ -53,12 +53,17 @@ const (
 // flags and expireAt are ignored. As for Set, the callee copies what it
 // retains (nothing, when it refuses).
 func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
+	return c.SetModeHash(kv.HashString(key), key, mode, cas, size, pen, flags, expireAt, value)
+}
+
+// SetModeHash is SetMode for key hashed to h.
+func (c *Cache) SetModeHash(h uint64, key string, mode SetMode, cas uint64, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if mode == ModeSet {
-		return c.setLocked(key, size, pen, flags, expireAt, value)
+		return c.setLocked(h, key, size, pen, flags, expireAt, value)
 	}
-	it := c.liveLocked(kv.HashString(key), key)
+	it := c.liveLocked(h, key)
 	switch {
 	case mode == ModeAdd && it != nil:
 		return errKeyExists
@@ -79,7 +84,7 @@ func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen floa
 		}
 		return err
 	}
-	return c.setLocked(key, size, pen, flags, expireAt, value)
+	return c.setLocked(h, key, size, pen, flags, expireAt, value)
 }
 
 // CASOf returns the CAS token of key's live item when it holds exactly flags
@@ -87,9 +92,14 @@ func (c *Cache) SetMode(key string, mode SetMode, cas uint64, size int, pen floa
 // alone: a read-through GETS takes the token of the item its fill stored
 // here, and a write that landed since makes it 0.
 func (c *Cache) CASOf(key string, flags uint32, value []byte) uint64 {
+	return c.CASOfHash(kv.HashString(key), key, flags, value)
+}
+
+// CASOfHash is CASOf for key hashed to h.
+func (c *Cache) CASOfHash(h uint64, key string, flags uint32, value []byte) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it := c.index.Get(kv.HashString(key), key)
+	it := c.index.Get(h, key)
 	if it == nil || c.expired(it) || it.Flags != flags || !bytes.Equal(it.Value, value) {
 		return 0
 	}
@@ -99,10 +109,15 @@ func (c *Cache) CASOf(key string, flags uint32, value []byte) uint64 {
 // Touch updates the expiry deadline of a resident item without disturbing
 // its LRU position, reporting whether the key was found.
 func (c *Cache) Touch(key string, expireAt int64) bool {
+	return c.TouchHash(kv.HashString(key), key, expireAt)
+}
+
+// TouchHash is Touch for key hashed to h.
+func (c *Cache) TouchHash(h uint64, key string, expireAt int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick()
-	it := c.liveLocked(kv.HashString(key), key)
+	it := c.liveLocked(h, key)
 	if it == nil {
 		return false
 	}
@@ -153,10 +168,15 @@ func (c *Cache) ScanKeys(fn func(key string, pen float64, size int, expireAt int
 // per Memcached for increments) and rewritten. The item's size moves by the
 // change in digits (rewriteLocked). Requires StoreValues.
 func (c *Cache) Delta(key string, delta uint64, decr bool) (uint64, error) {
+	return c.DeltaHash(kv.HashString(key), key, delta, decr)
+}
+
+// DeltaHash is Delta for key hashed to h.
+func (c *Cache) DeltaHash(h uint64, key string, delta uint64, decr bool) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick()
-	it := c.liveLocked(kv.HashString(key), key)
+	it := c.liveLocked(h, key)
 	if it == nil {
 		return 0, ErrNotStored
 	}
@@ -192,7 +212,7 @@ func (c *Cache) rewriteLocked(it *kv.Item, key string, head, mid, tail []byte) (
 	if size > c.classes[it.Class].slot {
 		// Built apart: the store frees the old slot before it copies.
 		v := append(append(append(make([]byte, 0, n), head...), mid...), tail...)
-		return false, c.storeLocked(key, size, it.Penalty, it.Flags, it.ExpireAt, v)
+		return false, c.storeLocked(it.Hash, key, size, it.Penalty, it.Flags, it.ExpireAt, v)
 	}
 	if c.cfg.StoreValues {
 		v := it.Value[:n]

@@ -87,12 +87,16 @@ func (c *Cache) flushStaleLocked() {
 // exists for the server's serve-stale-on-backend-failure mode. The returned
 // bool reports whether anything could be served.
 func (c *Cache) GetStale(key string, buf []byte) (val []byte, flags uint32, ok bool) {
+	return c.GetStaleHash(kv.HashString(key), key, buf)
+}
+
+// GetStaleHash is GetStale for key hashed to h.
+func (c *Cache) GetStaleHash(h uint64, key string, buf []byte) (val []byte, flags uint32, ok bool) {
 	if c.staleIdx == nil { // set once by New
 		return buf, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h := kv.HashString(key)
 	if it := c.index.Get(h, key); it != nil {
 		c.stats.StaleGets++
 		return append(buf, it.Value...), it.Flags, true

@@ -145,7 +145,7 @@ func TestSetMembersSingleNodeRing(t *testing.T) {
 		t.Fatalf("Members = %v, want [a:1]", got)
 	}
 	for _, k := range keys(200) {
-		if !p.IsOwner(k) {
+		if p.Owner(k) != p.Self() {
 			t.Fatalf("single-node ring does not own %q", k)
 		}
 	}

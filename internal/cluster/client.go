@@ -42,7 +42,9 @@ type ClientOptions struct {
 	DialTimeout time.Duration
 	// OpTimeout bounds, per attempt, the write of an exchange's requests
 	// and then the wait for each of its replies; <= 0 means
-	// DefaultOpTimeout.
+	// DefaultOpTimeout. A reply's deadline is re-armed only once a
+	// sixteenth of OpTimeout has passed since it was last armed, so each
+	// reply is bounded by between 15/16 and 1 × OpTimeout.
 	OpTimeout time.Duration
 	// Retries is how many extra attempts an op gets after a transport
 	// failure (a fresh connection each time); < 0 means none, 0 means
@@ -76,6 +78,9 @@ type pconn struct {
 	c  net.Conn
 	w  *bufio.Writer
 	rr *proto.RespReader
+	// readBy is the read deadline last armed on c, on the monoNanos clock
+	// (0: none yet).
+	readBy int64
 }
 
 // Client is a connection-pooled Memcached-text-protocol client for one peer.
@@ -225,15 +230,21 @@ func (c *Client) send(req []byte) (*pconn, error) {
 }
 
 // recv reads the n replies owed on pc in order, handing each to fn, and
-// returns the connection to the pool. The op deadline is re-armed before each
-// reply: the peer serves a pipelined exchange serially (read-through fetches
-// included), so the deadline bounds one reply, as it does for a lone request,
-// not the sum of them. A transport failure closes the connection; got reports
-// how many replies fn saw before it. A parsed reply (even an error reply) is
-// a success.
+// returns the connection to the pool. The op deadline bounds each reply: the
+// peer serves a pipelined exchange serially (read-through fetches included),
+// so the deadline bounds one reply, as it does for a lone request, not the
+// sum of them. Arming it costs more than reading a reply that is already
+// buffered, so it is re-armed only when less than 15/16 of OpTimeout is left
+// of it. A transport failure closes the connection; got reports how many
+// replies fn saw before it. A parsed reply (even an error reply) is a
+// success.
 func (c *Client) recv(pc *pconn, n int, fn func(i int, r *proto.Resp)) (got int, err error) {
+	rearm := int64(c.opts.OpTimeout - c.opts.OpTimeout/16)
 	for got < n {
-		pc.c.SetReadDeadline(time.Now().Add(c.opts.OpTimeout))
+		if now := monoNanos(); pc.readBy-now < rearm {
+			pc.c.SetReadDeadline(time.Now().Add(c.opts.OpTimeout))
+			pc.readBy = now + int64(c.opts.OpTimeout)
+		}
 		r, err := pc.rr.Next()
 		if err != nil {
 			c.drop(pc)

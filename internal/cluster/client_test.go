@@ -341,6 +341,73 @@ func TestExchangeDeadlineBoundsEachReply(t *testing.T) {
 	}
 }
 
+// TestExchangeDeadlineRearmsPerReply: the read deadline is re-armed only
+// once a sixteenth of OpTimeout has passed since it was last armed, and that
+// still bounds each reply, not the exchange: replies 0.75 × OpTimeout apart
+// both arrive, and a peer that stays silent fails the exchange within
+// OpTimeout, no sooner than 15/16 of it.
+func TestExchangeDeadlineRearmsPerReply(t *testing.T) {
+	const opTimeout = 400 * time.Millisecond
+	peer := newFakePeer(t)
+	peer.set("k", []byte("v"))
+	c := NewClient(peer.addr(), ClientOptions{OpTimeout: opTimeout, Retries: -1})
+	defer c.Close()
+	peer.delay.Store(int64(opTimeout * 3 / 4))
+	req := []byte("get k\r\nget k\r\n")
+	x := c.Start(req, 2, 0)
+	seen := 0
+	if err := x.Finish(func(int, *proto.Resp) { seen++ }); err != nil || seen != 2 {
+		t.Fatalf("replies 0.75 × OpTimeout apart: saw %d of 2, err = %v", seen, err)
+	}
+
+	// A silent peer: it reads the requests and never answers. The exchange
+	// before it leaves a freshly armed deadline on the pooled connection, so
+	// the silent one reads under a deadline it did not arm.
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	go func() {
+		conn, err := silent.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		for i := 0; ; i++ {
+			if _, err := r.ReadString('\n'); err != nil {
+				return
+			}
+			if i == 0 { // answer the first request only
+				conn.Write([]byte("END\r\n"))
+			}
+		}
+	}()
+	mute := NewClient(silent.Addr().String(), ClientOptions{OpTimeout: opTimeout, Retries: -1})
+	defer mute.Close()
+	x = mute.Start([]byte("get k\r\n"), 1, 0)
+	if err := x.Finish(func(int, *proto.Resp) {}); err != nil {
+		t.Fatalf("first exchange with the answering-once peer: %v", err)
+	}
+	start := time.Now()
+	x = mute.Start([]byte("get k\r\n"), 1, 0)
+	done := make(chan error, 1)
+	go func() { done <- x.Finish(func(int, *proto.Resp) {}) }()
+	select {
+	case err = <-done:
+	case <-time.After(5 * opTimeout):
+		t.Fatalf("an exchange with a silent peer still waits after 5 × %v", opTimeout)
+	}
+	took := time.Since(start)
+	if err == nil {
+		t.Fatal("an exchange with a silent peer succeeded")
+	}
+	if took < opTimeout*15/16-10*time.Millisecond || took > opTimeout+150*time.Millisecond {
+		t.Fatalf("silent peer failed the exchange after %v, want between 15/16 and 1 × %v", took, opTimeout)
+	}
+}
+
 // TestExchangeHedgedDeliversInOrder: a hedged multi-GET exchange against a
 // slow peer fires one duplicate and still delivers every reply, in order,
 // on the caller's goroutine.

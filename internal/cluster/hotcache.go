@@ -31,7 +31,11 @@ const (
 // the index maps a key's 64-bit hash to its entry: after warm-up neither a
 // lookup nor a store allocates. A hit compares the key with the entry's
 // own copy, so a hash collision is a miss, and a Put of the colliding key
-// replaces the entry.
+// replaces the entry. The index is an open-addressing table probed
+// linearly from the hash's low bits, at most three quarters full: a
+// lookup is one load of a slot, usually, where a Go map takes a call and
+// several dependent loads, and the burst prefetch can keep many of them in
+// flight at once.
 type HotCache struct {
 	maxBytes int64
 	ttl      time.Duration
@@ -40,13 +44,16 @@ type HotCache struct {
 	now func() int64
 
 	mu    sync.Mutex
-	index map[uint64]int32 // kv.HashString(key) → slot in ents
+	index []hotSlot // kv.HashString(key) → slot in ents; a power of two long
 	ents  []hotEntry
 	// head and tail are the most and least recently used entries, free
 	// the first free slot (chained through next); noSlot when there is none.
 	head, tail, free int32
 	items            int
 	bytes            int64
+
+	// sink keeps PrefetchHashes' loads: they are summed into it under mu.
+	sink int32
 
 	// ctr is the live counter set, bumped with atomic.AddUint64 and
 	// loaded by Stats (obs.Load).
@@ -55,6 +62,15 @@ type HotCache struct {
 
 // noSlot ends the LRU and free lists.
 const noSlot = -1
+
+// hotSlot is one slot of the index: a key's hash and its entry.
+type hotSlot struct {
+	hash uint64
+	ent  int32 // the entry's slot in ents + 1; 0 marks an empty slot
+}
+
+// minIndexSlots is the index's starting length.
+const minIndexSlots = 64
 
 // clockBase anchors monoNanos. time.Since of a time carrying a monotonic
 // reading reads only the monotonic clock, half the cost of time.Now.
@@ -91,7 +107,7 @@ func NewHotCache(maxBytes int64, ttl time.Duration) *HotCache {
 		maxBytes: maxBytes,
 		ttl:      ttl,
 		now:      monoNanos,
-		index:    make(map[uint64]int32),
+		index:    make([]hotSlot, minIndexSlots),
 		head:     noSlot,
 		tail:     noSlot,
 		free:     noSlot,
@@ -102,9 +118,13 @@ func NewHotCache(maxBytes int64, ttl time.Duration) *HotCache {
 // Get appends key's value to dst if it is cached and fresh, and returns
 // the extended buffer (dst itself on a miss).
 func (h *HotCache) Get(key string, dst []byte) (val []byte, flags uint32, ok bool) {
-	hash := kv.HashString(key)
+	return h.GetHash(kv.HashString(key), key, dst)
+}
+
+// GetHash is Get for a key already hashed with kv.HashString.
+func (h *HotCache) GetHash(hash uint64, key string, dst []byte) (val []byte, flags uint32, ok bool) {
 	h.mu.Lock()
-	i, found := h.index[hash]
+	i, found := h.findLocked(hash)
 	if found {
 		e := &h.ents[i]
 		switch {
@@ -133,11 +153,16 @@ func (h *HotCache) Get(key string, dst []byte) (val []byte, flags uint32, ok boo
 // not cached, and drops the key's older copy. The value is copied; callers
 // may reuse their buffer.
 func (h *HotCache) Put(key string, flags uint32, val []byte) {
-	hash := kv.HashString(key)
+	h.PutHash(kv.HashString(key), key, flags, val)
+}
+
+// PutHash is Put for a key already hashed with kv.HashString.
+func (h *HotCache) PutHash(hash uint64, key string, flags uint32, val []byte) {
 	n := len(key) + len(val)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i, found := h.index[hash]
+	s, found := h.slotLocked(hash)
+	i := h.index[s].ent - 1
 	if int64(n) > h.maxBytes {
 		if found && string(h.ents[i].buf[:h.ents[i].klen]) == key {
 			h.removeLocked(i)
@@ -149,8 +174,11 @@ func (h *HotCache) Put(key string, flags uint32, val []byte) {
 		h.bytes -= int64(len(h.ents[i].buf))
 	} else {
 		i = h.allocLocked()
-		h.index[hash] = i
+		h.index[s] = hotSlot{hash: hash, ent: i + 1}
 		h.items++
+		if h.items > len(h.index)/4*3 {
+			h.growLocked()
+		}
 	}
 	e := &h.ents[i]
 	if c := cap(e.buf); c < n || c > 2*n+hotSlack {
@@ -169,13 +197,111 @@ func (h *HotCache) Put(key string, flags uint32, val []byte) {
 // Invalidate drops key (called when a write or delete for the key passes
 // through this node, so the local copy never outlives what this node knows
 // changed).
-func (h *HotCache) Invalidate(key string) {
-	hash := kv.HashString(key)
+func (h *HotCache) Invalidate(key string) { h.InvalidateHash(kv.HashString(key), key) }
+
+// InvalidateHash is Invalidate for a key already hashed with kv.HashString.
+func (h *HotCache) InvalidateHash(hash uint64, key string) {
 	h.mu.Lock()
-	if i, ok := h.index[hash]; ok && string(h.ents[i].buf[:h.ents[i].klen]) == key {
+	if i, ok := h.findLocked(hash); ok && string(h.ents[i].buf[:h.ents[i].klen]) == key {
 		h.removeLocked(i)
 	}
 	h.mu.Unlock()
+}
+
+// slotLocked returns the index slot holding hash and true, or the empty slot
+// where it would go and false. The index always has an empty slot.
+func (h *HotCache) slotLocked(hash uint64) (int, bool) {
+	mask := len(h.index) - 1
+	for s := int(hash) & mask; ; s = (s + 1) & mask {
+		switch sl := &h.index[s]; {
+		case sl.ent == 0:
+			return s, false
+		case sl.hash == hash:
+			return s, true
+		}
+	}
+}
+
+// findLocked returns the entry hash maps to.
+func (h *HotCache) findLocked(hash uint64) (int32, bool) {
+	s, ok := h.slotLocked(hash)
+	return h.index[s].ent - 1, ok
+}
+
+// growLocked doubles the index.
+func (h *HotCache) growLocked() {
+	old := h.index
+	h.index = make([]hotSlot, 2*len(old))
+	for _, sl := range old {
+		if sl.ent != 0 {
+			s, _ := h.slotLocked(sl.hash)
+			h.index[s] = sl
+		}
+	}
+}
+
+// unindexLocked drops hash from the index. The slots after it in its probe
+// run move back into the hole where their own probe would reach it, so no
+// slot is left a tombstone and every lookup still ends at an empty slot.
+func (h *HotCache) unindexLocked(hash uint64) {
+	s, ok := h.slotLocked(hash)
+	if !ok {
+		return
+	}
+	mask := len(h.index) - 1
+	for j := (s + 1) & mask; h.index[j].ent != 0; j = (j + 1) & mask {
+		// The slot at j moves to the hole at s unless its probe starts
+		// after s: between s and j, cyclically.
+		if start := int(h.index[j].hash) & mask; (j-start)&mask >= (j-s)&mask {
+			h.index[s] = h.index[j]
+			s = j
+		}
+	}
+	h.index[s] = hotSlot{}
+}
+
+// hotPrefetchWindow is how many hashes PrefetchHashes loads per pass: the
+// slots it finds live on the stack.
+const hotPrefetchWindow = 64
+
+// PrefetchHashes loads the memory that GetHash of the hashed keys is about
+// to read: each hash's index slot, the entry it finds, the first byte of the
+// entry's key and its LRU neighbours. A server calls it with the remote GET
+// keys of a pipelined chunk before serving them, so their misses overlap
+// (DESIGN.md §10). It takes the lock once per window and makes three passes,
+// no load in a pass depending on another key's. It changes nothing a later
+// call can see: no LRU move, no expiry, no counter.
+func (h *HotCache) PrefetchHashes(hs []uint64) {
+	var at [hotPrefetchWindow]int32
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var sink int32
+	for len(hs) > 0 {
+		w := hs[:min(len(hs), len(at))]
+		hs = hs[len(w):]
+		n := 0
+		for _, hash := range w {
+			if i, ok := h.findLocked(hash); ok {
+				at[n] = i
+				n++
+			}
+		}
+		for _, i := range at[:n] {
+			if e := &h.ents[i]; e.klen > 0 {
+				sink += int32(e.buf[0])
+			}
+		}
+		for _, i := range at[:n] {
+			e := &h.ents[i]
+			if e.prev != noSlot {
+				sink += h.ents[e.prev].next
+			}
+			if e.next != noSlot {
+				sink += h.ents[e.next].prev
+			}
+		}
+	}
+	h.sink += sink
 }
 
 // allocLocked returns a slot off the free list, or a new one.
@@ -193,7 +319,7 @@ func (h *HotCache) allocLocked() int32 {
 func (h *HotCache) removeLocked(i int32) {
 	e := &h.ents[i]
 	h.unlinkLocked(i)
-	delete(h.index, e.hash)
+	h.unindexLocked(e.hash)
 	h.items--
 	h.bytes -= int64(len(e.buf))
 	e.next, h.free = h.free, i

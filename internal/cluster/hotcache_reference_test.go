@@ -105,6 +105,17 @@ func (h *refHotCache) removeLocked(e *list.Element) {
 	h.bytes -= int64(len(ent.key) + len(ent.val))
 }
 
+// lruOrder lists the cached keys from most to least recently used.
+func (h *refHotCache) lruOrder() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []string
+	for e := h.ll.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(*refHotEntry).key)
+	}
+	return out
+}
+
 func (h *refHotCache) Stats() HotCacheStats {
 	h.mu.Lock()
 	bytes, items := h.bytes, h.ll.Len()

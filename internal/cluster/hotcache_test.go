@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -144,7 +145,7 @@ func TestPeersRoutingAndMembership(t *testing.T) {
 		if p.Owner(k) != ring.Owner(k) {
 			t.Fatalf("Peers and Ring disagree on %q", k)
 		}
-		if p.IsOwner(k) {
+		if p.Owner(k) == p.Self() {
 			owned++
 		}
 	}
@@ -174,7 +175,7 @@ func TestPeersRoutingAndMembership(t *testing.T) {
 		t.Fatalf("SetMembers without self: %v", err)
 	}
 	for _, k := range keys(100) {
-		if p.IsOwner(k) {
+		if p.Owner(k) == p.Self() {
 			t.Fatalf("proxy-mode node still owns %q", k)
 		}
 		if o := p.Owner(k); o != "b:2" {
@@ -252,7 +253,9 @@ func TestHotCacheRefusedPutDropsStaleCopy(t *testing.T) {
 func TestHotCacheHashCollisionIsAMiss(t *testing.T) {
 	h := NewHotCache(1<<20, time.Minute)
 	h.Put("a", 0, []byte("A"))
-	h.index[kv.HashString("b")] = h.index[kv.HashString("a")]
+	sa, _ := h.slotLocked(kv.HashString("a"))
+	sb, _ := h.slotLocked(kv.HashString("b"))
+	h.index[sb] = hotSlot{hash: kv.HashString("b"), ent: h.index[sa].ent}
 	if v, _, ok := h.Get("b", nil); ok {
 		t.Fatalf("Get(b) returned a's value %q", v)
 	}
@@ -263,29 +266,41 @@ func TestHotCacheHashCollisionIsAMiss(t *testing.T) {
 }
 
 // TestHotCacheMatchesReference replays seeded streams of Get, Put,
-// Invalidate, oversized Put and clock advances into HotCache and the
-// list-based reference on one fake clock, and requires the same answer and
-// the same Stats after every operation. The one divergence is the fix for
-// refused Puts: the reference keeps the key's older copy, so the stream
+// Invalidate, oversized Put, PrefetchHashes and clock advances into HotCache
+// and the list-based reference on one fake clock, and requires the same
+// answer, the same Stats and the same LRU order after every operation. The
+// reference has no prefetch: a prefetch of resident, expired and absent keys
+// must change nothing a later call can see. The one divergence is the fix
+// for refused Puts: the reference keeps the key's older copy, so the stream
 // invalidates it there.
 func TestHotCacheMatchesReference(t *testing.T) {
 	const (
 		streams = 20
 		ops     = 20_000
-		nkeys   = 48
 		ttl     = 100 * time.Millisecond
 	)
 	for seed := int64(1); seed <= streams; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		budget := int64(200 + rng.Intn(1200))
+		nkeys, maxVal := 48, int(budget)/4
+		if seed%4 == 0 { // enough entries to grow the index a few times
+			nkeys, maxVal, budget = 600, 32, 20_000
+		}
 		now := time.Unix(1000, 0)
 		h, ref := NewHotCache(budget, ttl), newRefHotCache(budget, ttl)
 		h.now = func() int64 { return now.UnixNano() }
 		ref.now = func() time.Time { return now }
 		var dst []byte
+		var hs []uint64
 		for op := 0; op < ops; op++ {
 			key := "k" + strconv.Itoa(rng.Intn(nkeys))
 			switch r := rng.Intn(100); {
+			case r < 5:
+				hs = hs[:0]
+				for i := rng.Intn(2 * hotPrefetchWindow); i >= 0; i-- {
+					hs = append(hs, kv.HashString("k"+strconv.Itoa(rng.Intn(nkeys+8))))
+				}
+				h.PrefetchHashes(hs)
 			case r < 45:
 				var v []byte
 				var f uint32
@@ -299,7 +314,7 @@ func TestHotCacheMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d op %d: Get(%s) = (%q, %d, %v), reference (%q, %d, %v)", seed, op, key, v, f, ok, rv, rf, rok)
 				}
 			case r < 80:
-				val := bytes.Repeat([]byte{byte('a' + op%26)}, rng.Intn(int(budget)/4))
+				val := bytes.Repeat([]byte{byte('a' + op%26)}, rng.Intn(maxVal))
 				flags := uint32(rng.Intn(4))
 				h.Put(key, flags, val)
 				ref.Put(key, flags, val)
@@ -317,8 +332,48 @@ func TestHotCacheMatchesReference(t *testing.T) {
 			if st, rst := h.Stats(), ref.Stats(); st != rst {
 				t.Fatalf("seed %d op %d: Stats %+v, reference %+v", seed, op, st, rst)
 			}
+			if o, ro := h.lruOrder(), ref.lruOrder(); !slices.Equal(o, ro) {
+				t.Fatalf("seed %d op %d: LRU order %v, reference %v", seed, op, o, ro)
+			}
+			if err := h.checkIndex(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
 		}
 	}
+}
+
+// checkIndex verifies the index against the LRU list: it holds one slot per
+// entry, each entry's lookup ends at its own slot, and at least a quarter of
+// the slots are empty.
+func (h *HotCache) checkIndex() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	used := 0
+	for _, sl := range h.index {
+		if sl.ent != 0 {
+			used++
+		}
+	}
+	if used != h.items || used > len(h.index)/4*3 {
+		return fmt.Errorf("index holds %d of %d slots for %d entries", used, len(h.index), h.items)
+	}
+	for i := h.head; i != noSlot; i = h.ents[i].next {
+		if j, ok := h.findLocked(h.ents[i].hash); !ok || j != i {
+			return fmt.Errorf("entry %d (%q) is not found through the index", i, h.ents[i].buf[:h.ents[i].klen])
+		}
+	}
+	return nil
+}
+
+// lruOrder lists the cached keys from most to least recently used.
+func (h *HotCache) lruOrder() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []string
+	for i := h.head; i != noSlot; i = h.ents[i].next {
+		out = append(out, string(h.ents[i].buf[:h.ents[i].klen]))
+	}
+	return out
 }
 
 // TestHotCacheAllocs: once every slot has its buffer, storing and reading
@@ -343,9 +398,9 @@ func TestHotCacheAllocs(t *testing.T) {
 	}
 }
 
-// TestHotCacheConcurrent: under concurrent Puts, Gets and Invalidates past
-// the byte budget, every value a Get returns is the bytes some Put wrote
-// for that key. Run it with -race.
+// TestHotCacheConcurrent: under concurrent Puts, Gets, Invalidates and
+// prefetches past the byte budget, every value a Get returns is the bytes
+// some Put wrote for that key. Run it with -race.
 func TestHotCacheConcurrent(t *testing.T) {
 	const (
 		workers = 4
@@ -378,8 +433,15 @@ func TestHotCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			var dst []byte
+			var hs [4]uint64
 			for i := 0; i < ops; i++ {
 				k := "k" + strconv.Itoa(rng.Intn(nkeys))
+				if rng.Intn(4) == 0 {
+					for j := range hs {
+						hs[j] = kv.HashString("k" + strconv.Itoa(rng.Intn(nkeys)))
+					}
+					h.PrefetchHashes(hs[:])
+				}
 				var ok bool
 				if dst, _, ok = h.Get(k, dst[:0]); !ok {
 					continue

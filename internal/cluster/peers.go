@@ -89,8 +89,9 @@ func (p *Peers) Self() string { return p.self }
 // Owner returns the member owning key under the current membership.
 func (p *Peers) Owner(key string) string { return p.ring.Load().Owner(key) }
 
-// IsOwner reports whether this node owns key.
-func (p *Peers) IsOwner(key string) bool { return p.Owner(key) == p.self }
+// Ring returns the current membership's ring. A caller routing many keys
+// loads it once, so they all route against one view.
+func (p *Peers) Ring() *Ring { return p.ring.Load() }
 
 // ClientFor returns the pooled client for a remote member, or nil for self
 // and unknown members.

@@ -141,11 +141,15 @@ const ringProbes = 8
 // a key moves only if its winning vnode belonged to the removed member —
 // distances to surviving vnodes only shrink or stay equal (minimal
 // disruption, checked by TestRingMinimalDisruption).
-func (r *Ring) Owner(key string) string {
+func (r *Ring) Owner(key string) string { return r.OwnerHash(kv.HashString(key)) }
+
+// OwnerHash is Owner for a key already hashed with kv.HashString: a server
+// routing a pipelined chunk hashes each key once and resolves its owner from
+// the hash.
+func (r *Ring) OwnerHash(h uint64) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	h := kv.HashString(key)
 	var best int32
 	bestDist := ^uint64(0)
 	for p := 0; p < ringProbes; p++ {

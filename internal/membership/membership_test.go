@@ -350,7 +350,7 @@ func TestJoinRemoveDrain(t *testing.T) {
 		t.Fatalf("post-drain view = %v", members)
 	}
 	for _, k := range []string{"a", "b", "c"} {
-		if p.IsOwner(k) {
+		if p.Owner(k) == p.Self() {
 			t.Fatalf("draining node still owns %q", k)
 		}
 	}

@@ -49,7 +49,7 @@ func TestServedGetAllocations(t *testing.T) {
 	cmd := &proto.Command{Name: "get", Keys: keys[:1]}
 	sc := &connScratch{out: make([]byte, 0, 4096)}
 	allocs := testing.AllocsPerRun(5000, func() {
-		sc.out = srv.dispatch(sc, sc.out[:0], cmd)
+		sc.out = srv.dispatch(sc, sc.out[:0], cmd, nil)
 	})
 	if allocs > 0.5 {
 		t.Fatalf("served GET allocates %.2f objects per request, want 0", allocs)

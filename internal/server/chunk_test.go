@@ -8,11 +8,14 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pamakv/internal/cache"
+	"pamakv/internal/cluster"
 	"pamakv/internal/core"
+	"pamakv/internal/membership"
 	"pamakv/internal/proto"
 	"pamakv/internal/shard"
 )
@@ -199,4 +202,144 @@ func converse(t *testing.T, addr, burst string) []byte {
 		t.Fatal(err) // the server may close before it has read what follows the quit
 	}
 	return got
+}
+
+// prefetchRecorder is a Store that keeps a copy of every key handed to
+// Prefetch.
+type prefetchRecorder struct {
+	Store
+	mu   sync.Mutex
+	keys []string
+}
+
+func (r *prefetchRecorder) Prefetch(keys []string) {
+	r.mu.Lock()
+	for _, k := range keys {
+		r.keys = append(r.keys, string(append([]byte(nil), k...))) // k aliases parser scratch
+	}
+	r.mu.Unlock()
+	r.Store.Prefetch(keys)
+}
+
+// TestPrefetchTouchesOnlyOwnedKeys: in a two-node cluster, node A routes each
+// chunk once and hands Store.Prefetch only the keys it owns. Seeded bursts
+// mixing owned and remote keys, multi-key gets across both owners, gets,
+// writes (a remote set and a get of it in one burst included) and a
+// membership control key go to a parse-ahead node A and, in a second
+// cluster, to a MaxPipeline: 1 node A. Every key A's store is asked to
+// prefetch must be one A owns; the replies must be byte-identical, and so
+// must A's engine counters. The clusters' rings differ only in node B's
+// address, so the bursts use the keys whose owner is the same in both.
+func TestPrefetchTouchesOnlyOwnedKeys(t *testing.T) {
+	const self = "node-a"
+	type side struct {
+		srv   *Server
+		addr  string
+		ring  *cluster.Ring
+		store *prefetchRecorder
+		group *shard.Group
+	}
+	var sides [2]side
+	for i, maxPipeline := range []int{0, 1} {
+		// Node B serves what A forwards; it needs no cluster of its own.
+		bln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := New(newClusterEngine(t), Options{})
+		go b.Serve(bln)
+		t.Cleanup(b.Shutdown)
+		members := []string{self, bln.Addr().String()}
+		peers, err := cluster.New(cluster.Config{Self: self, Members: members})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := shard.New(defaultCfg(), 2, func() cache.Policy { return core.New(core.DefaultConfig()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &prefetchRecorder{Store: g}
+		a := New(rec, Options{MaxPipeline: maxPipeline, Cluster: peers, HotCacheTTL: time.Hour})
+		aln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go a.Serve(aln)
+		t.Cleanup(func() { a.Shutdown(); peers.Close() })
+		sides[i] = side{srv: a, addr: aln.Addr().String(), ring: cluster.NewRing(members, 0), store: rec, group: g}
+	}
+
+	var owned, remote []string
+	for i := 0; len(owned) < 12 || len(remote) < 12; i++ {
+		k := fmt.Sprintf("k%d", i)
+		o0, o1 := sides[0].ring.Owner(k) == self, sides[1].ring.Owner(k) == self
+		switch {
+		case o0 != o1:
+		case o0 && len(owned) < 12:
+			owned = append(owned, k)
+		case !o0 && len(remote) < 12:
+			remote = append(remote, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	key := func() string {
+		if rng.Intn(2) == 0 {
+			return owned[rng.Intn(len(owned))]
+		}
+		return remote[rng.Intn(len(remote))]
+	}
+	command := func() string {
+		switch rng.Intn(12) {
+		case 0, 1:
+			k, v := key(), strings.Repeat(string(rune('a'+rng.Intn(26))), 1+rng.Intn(200))
+			return fmt.Sprintf("set %s 0 0 %d\r\n%s\r\nget %s\r\n", k, len(v), v, k)
+		case 2:
+			return "get " + key() + " " + key() + " " + key() + " " + key() + "\r\n"
+		case 3, 4:
+			return "gets " + key() + " " + key() + "\r\n"
+		case 5:
+			return "delete " + key() + "\r\n"
+		case 6:
+			return fmt.Sprintf("incr %s 1\r\n", key())
+		case 7:
+			return "get " + membership.KeyView + "\r\n"
+		default:
+			return "get " + key() + "\r\n"
+		}
+	}
+	for b := 0; b < 30; b++ {
+		cmds := make([]string, 2+rng.Intn(40))
+		for i := range cmds {
+			cmds[i] = command()
+		}
+		burst := strings.Join(cmds, "") + "quit\r\n"
+		got, want := converse(t, sides[0].addr, burst), converse(t, sides[1].addr, burst)
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("burst %d: replies diverge at byte %d:\n parsed ahead %.80q\n one by one   %.80q\nburst %.300q",
+				b, i, got[i:], want[i:], burst)
+		}
+	}
+	if st := sides[0].srv.Stats(); st.PeerForwards == 0 || st.HotHits == 0 {
+		t.Fatalf("the bursts did not exercise the peer tier: %d forwards, %d hot-cache hits", st.PeerForwards, st.HotHits)
+	}
+	rec := sides[0].store
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.keys) == 0 {
+		t.Fatal("the bursts prefetched nothing")
+	}
+	for _, k := range rec.keys {
+		if o := sides[0].ring.Owner(k); o != self {
+			t.Fatalf("Store.Prefetch was handed %q, owned by %s", k, o)
+		}
+	}
+	sb, so := sides[0].group.Stats(), sides[1].group.Stats()
+	sb.Prefetched, sb.PrefetchResident = so.Prefetched, so.PrefetchResident
+	if sb != so {
+		t.Fatalf("node A's engine counters differ:\n parsed ahead %+v\n one by one   %+v", sb, so)
+	}
 }

@@ -154,7 +154,7 @@ func nodeExposition(t *testing.T) exposition {
 	var local, remote []string
 	for i := 0; len(local) < 1410 || len(remote) < 12; i++ {
 		k := fmt.Sprintf("k%06d", i) // one width: an item's size counts its key
-		if p.IsOwner(k) {
+		if p.Owner(k) == p.Self() {
 			local = append(local, k)
 		} else {
 			remote = append(remote, k)

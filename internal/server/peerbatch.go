@@ -51,9 +51,10 @@ type span struct{ off, end int }
 // deferredCmd is one forwarded command, or one remote key of a get, awaiting
 // its owner's reply.
 type deferredCmd struct {
-	ex      int  // index of its exchange in connScratch.exchanges
-	pos     int  // hole: offset in connScratch.out where the reply belongs
-	key     span // the key, inside the exchange's rendered requests
+	ex      int    // index of its exchange in connScratch.exchanges
+	pos     int    // hole: offset in connScratch.out where the reply belongs
+	key     span   // the key, inside the exchange's rendered requests
+	h       uint64 // its hash (keyRoute.h), which the hot cache takes
 	kind    uint8
 	noreply bool
 
@@ -121,19 +122,19 @@ func (sc *connScratch) push(e int, d deferredCmd) {
 // relayed verbatim and answered with the owner's reply. The local hot-cache
 // copy (if any) is dropped now and again when the reply is spliced, so this
 // node never serves a value it knows changed.
-func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, owner string) []byte {
+func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, r keyRoute) []byte {
 	atomic.AddUint64(&s.st.PeerForwards, 1)
 	if s.hot != nil {
-		s.hot.Invalidate(cmd.Keys[0])
+		s.hot.InvalidateHash(r.h, cmd.Keys[0])
 	}
-	e, out := s.exchangeFor(sc, out, owner, len(cmd.Keys[0])+len(cmd.Data))
+	e, out := s.exchangeFor(sc, out, r.owner, len(cmd.Keys[0])+len(cmd.Data))
 	if e < 0 {
 		atomic.AddUint64(&s.st.PeerErrors, 1)
 		if cmd.NoReply {
 			return out
 		}
 		atomic.AddUint64(&s.st.ServerErrors, 1)
-		return proto.AppendLine(out, "SERVER_ERROR no client for peer "+owner)
+		return proto.AppendLine(out, "SERVER_ERROR no client for peer "+r.owner)
 	}
 	// Forward without noreply so the owner's outcome is observable here,
 	// then honor the client's noreply on the relay side.
@@ -143,22 +144,22 @@ func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, own
 	koff := len(ex.req) + len(cmd.Name) + 1 // every write renders as "<verb> <key>..."
 	ex.req = proto.AppendCommand(ex.req, &fwd)
 	ex.write = true
-	sc.push(e, deferredCmd{pos: len(out), key: span{koff, koff + len(cmd.Keys[0])}, kind: deferWrite, noreply: cmd.NoReply})
+	sc.push(e, deferredCmd{pos: len(out), key: span{koff, koff + len(cmd.Keys[0])}, h: r.h, kind: deferWrite, noreply: cmd.NoReply})
 	return out
 }
 
-// deferGet serves one GET key owned by a remote peer: from the hot cache
-// (plain GETs only) inline, otherwise queued for the owner.
-func (s *Server) deferGet(sc *connScratch, out []byte, key, owner string, withCAS bool) []byte {
+// deferGet serves one GET key owned by a remote peer (r.owner): from the hot
+// cache (plain GETs only) inline, otherwise queued for the owner.
+func (s *Server) deferGet(sc *connScratch, out []byte, key string, r keyRoute, withCAS bool) []byte {
 	if !withCAS && s.hot != nil {
-		val, flags, ok := s.hot.Get(key, sc.val[:0])
+		val, flags, ok := s.hot.GetHash(r.h, key, sc.val[:0])
 		sc.val = val[:0]
 		if ok {
 			atomic.AddUint64(&s.st.HotHits, 1)
 			return proto.AppendValue(out, key, flags, val)
 		}
 	}
-	e, out := s.exchangeFor(sc, out, owner, len(key))
+	e, out := s.exchangeFor(sc, out, r.owner, len(key))
 	if e < 0 {
 		atomic.AddUint64(&s.st.PeerErrors, 1)
 		return out
@@ -176,7 +177,7 @@ func (s *Server) deferGet(sc *connScratch, out []byte, key, owner string, withCA
 	}
 	koff := len(ex.req) + len(verb)
 	ex.req = append(append(append(ex.req, verb...), key...), '\r', '\n')
-	sc.push(e, deferredCmd{pos: len(out), key: span{koff, koff + len(key)}, kind: kind})
+	sc.push(e, deferredCmd{pos: len(out), key: span{koff, koff + len(key)}, h: r.h, kind: kind})
 	return out
 }
 
@@ -335,7 +336,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 			// Again, now that the owner has applied the write: a GET on
 			// another connection may have read the old value from the
 			// owner and backfilled it after the invalidation at queue time.
-			s.hot.Invalidate(string(key))
+			s.hot.InvalidateHash(d.h, string(key))
 		}
 		if d.shed {
 			atomic.AddUint64(&s.st.PeerSheds, 1)
@@ -367,7 +368,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 		} else {
 			sc.rep = proto.AppendValue(sc.rep, skey, 0, body)
 			if backfill {
-				s.hot.Put(skey, 0, body)
+				s.hot.PutHash(d.h, skey, 0, body)
 			}
 		}
 		d.reply = span{off, len(sc.rep)}
@@ -384,7 +385,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 		if backfill {
 			// Hot-cache backfill stops under pressure: copying bytes into
 			// the mini-cache is work the strained node can skip.
-			s.hot.Put(string(key), d.flags, sc.rep[d.val.off:d.val.end])
+			s.hot.PutHash(d.h, string(key), d.flags, sc.rep[d.val.off:d.val.end])
 		}
 	}
 	// Neither: an authoritative miss from the owner.

@@ -46,6 +46,7 @@ import (
 	"pamakv/internal/bufpool"
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
+	"pamakv/internal/kv"
 	"pamakv/internal/membership"
 	"pamakv/internal/obs"
 	"pamakv/internal/overload"
@@ -121,9 +122,15 @@ type connScratch struct {
 	val []byte // engine value copy target (Get/GetWithCAS/GetStale)
 
 	// chunk is the part of the batch parsed but not yet served, and keys
-	// its commands' keys, handed to Store.Prefetch before it is served.
+	// the keys of its commands this node serves, handed to Store.Prefetch
+	// before it is served.
 	chunk []chunkEntry
 	keys  []string
+	// Cluster mode only (see routeChunk): the chunk's keys routed, one
+	// route per key in chunk order, and the hashes of its plain-get keys
+	// owned by a remote peer, handed to the hot cache's prefetch.
+	routes []keyRoute
+	hotHs  []uint64
 
 	// Cluster mode only (see peerbatch.go): the batch's commands awaiting a
 	// remote owner, the one exchange per owner that carries them, and the
@@ -139,6 +146,15 @@ type connScratch struct {
 type chunkEntry struct {
 	cmd *proto.Command // nil for a malformed request
 	msg string
+	rt  int // cluster mode: index in connScratch.routes of its first key's route
+}
+
+// keyRoute is where one key of a chunk is served: its kv.HashString hash,
+// which the hot cache takes, and the remote member that owns it ("" when
+// this node does).
+type keyRoute struct {
+	h     uint64
+	owner string
 }
 
 // rehouse moves out into a pooled buffer of capacity n or more and gives the
@@ -779,22 +795,11 @@ func parseAhead(p *proto.Parser, r *bufio.Reader, sc *connScratch, budget int) (
 	return n, quit, nil
 }
 
-// serveChunk prefetches the keys of sc.chunk, when it holds two or more (a
-// lone key has nothing to overlap with), then serves its requests into sc.out
-// in arrival order, each through serve as if it had arrived alone, counting
-// every command in its latency family.
+// serveChunk routes and prefetches the keys of sc.chunk (routeChunk), then
+// serves its requests into sc.out in arrival order, each through serve as if
+// it had arrived alone, counting every command in its latency family.
 func (s *Server) serveChunk(sc *connScratch, served *[numFams]uint64) {
-	keys := sc.keys[:0]
-	for _, e := range sc.chunk {
-		if e.cmd != nil {
-			keys = append(keys, e.cmd.Keys...)
-		}
-	}
-	if len(keys) >= 2 {
-		s.c.Prefetch(keys)
-	}
-	clear(keys) // they alias the parser's key buffer; do not pin it
-	sc.keys = keys[:0]
+	s.routeChunk(sc)
 	for _, e := range sc.chunk {
 		if e.cmd == nil {
 			atomic.AddUint64(&s.st.ClientErrors, 1)
@@ -802,9 +807,65 @@ func (s *Server) serveChunk(sc *connScratch, served *[numFams]uint64) {
 			continue
 		}
 		served[famOf(e.cmd.Name)]++
-		sc.out = s.serve(sc, sc.out, e.cmd)
+		var rt []keyRoute
+		if s.peers != nil {
+			rt = sc.routes[e.rt : e.rt+len(e.cmd.Keys)]
+		}
+		sc.out = s.serve(sc, sc.out, e.cmd, rt)
 	}
 	sc.chunk = sc.chunk[:0]
+}
+
+// routeChunk is the chunk router: in cluster mode it hashes every key of
+// sc.chunk once and resolves its owner from the hash, all against one view
+// of the membership, loaded once. It is the one place internal/server hashes
+// a key or asks the ring (TestOneRoutePerKey). It then prefetches what the
+// chunk's commands are about to read: the keys this node serves through
+// Store.Prefetch, and the remote keys of plain gets through the hot cache,
+// each when there are two or more (a lone key has nothing to overlap with).
+// Membership control keys are neither stored nor routed (serve answers them
+// first), so they are not prefetched.
+func (s *Server) routeChunk(sc *connScratch) {
+	keys, routes, hot := sc.keys[:0], sc.routes[:0], sc.hotHs[:0]
+	var ring *cluster.Ring
+	var self string
+	if s.peers != nil {
+		ring, self = s.peers.Ring(), s.peers.Self()
+	}
+	for i := range sc.chunk {
+		e := &sc.chunk[i]
+		switch {
+		case e.cmd == nil:
+		case ring == nil:
+			keys = append(keys, e.cmd.Keys...)
+		case len(e.cmd.Keys) > 0 && membership.IsControlKey(e.cmd.Keys[0]):
+			e.rt = len(routes)
+			routes = append(routes, make([]keyRoute, len(e.cmd.Keys))...)
+		default:
+			e.rt = len(routes)
+			toHot := e.cmd.Name == "get" && s.hot != nil
+			for _, k := range e.cmd.Keys {
+				r := keyRoute{h: kv.HashString(k)}
+				if owner := ring.OwnerHash(r.h); owner != "" && owner != self {
+					r.owner = owner
+					if toHot {
+						hot = append(hot, r.h)
+					}
+				} else {
+					keys = append(keys, k)
+				}
+				routes = append(routes, r)
+			}
+		}
+	}
+	if len(keys) >= 2 {
+		s.c.Prefetch(keys)
+	}
+	if len(hot) >= 2 {
+		s.hot.PrefetchHashes(hot)
+	}
+	clear(keys) // they alias the parser's key buffer; do not pin it
+	sc.keys, sc.routes, sc.hotHs = keys[:0], routes, hot[:0]
 }
 
 // flush writes out, a finished response batch, to the connection under the
@@ -928,7 +989,7 @@ func (s *Server) sloOf(key string) int {
 // and dispatches it, feeding the observed service time back to the limiter.
 // A shed request is answered SERVER_ERROR busy (shed) without touching the
 // engine.
-func (s *Server) serve(sc *connScratch, out []byte, cmd *proto.Command) []byte {
+func (s *Server) serve(sc *connScratch, out []byte, cmd *proto.Command, rt []keyRoute) []byte {
 	if len(cmd.Keys) > 0 && membership.IsControlKey(cmd.Keys[0]) {
 		// Membership control traffic bypasses admission control and peer
 		// routing entirely: view pushes and probes must land precisely
@@ -941,7 +1002,7 @@ func (s *Server) serve(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 		return s.doMembership(out, cmd)
 	}
 	if s.ctrl == nil || !admissible(cmd.Name) {
-		return s.dispatch(sc, out, cmd)
+		return s.dispatch(sc, out, cmd, rt)
 	}
 	op, sub, slo := s.classify(cmd)
 	ok, _, release := s.ctrl.AcquireSLO(op, sub, slo)
@@ -953,31 +1014,32 @@ func (s *Server) serve(sc *connScratch, out []byte, cmd *proto.Command) []byte {
 		return proto.AppendShed(out)
 	}
 	start := time.Now()
-	out = s.dispatch(sc, out, cmd)
+	out = s.dispatch(sc, out, cmd, rt)
 	release(time.Since(start))
 	return out
 }
 
-// dispatch routes one parsed command. cmd and everything it references obey
-// the proto.Parser ownership rules: keys and data alias per-connection
-// scratch, so whatever retains a key beyond this call copies it: the engine
-// when it inserts an item, the hot-cache fill before it stores one.
-func (s *Server) dispatch(sc *connScratch, out []byte, cmd *proto.Command) []byte {
-	if s.peers != nil {
+// dispatch serves one parsed command, its keys routed by rt (one route per
+// key; nil outside cluster mode). cmd and everything it references obey the
+// proto.Parser ownership rules: keys and data alias per-connection scratch,
+// so whatever retains a key beyond this call copies it: the engine when it
+// inserts an item, the hot-cache fill before it stores one.
+func (s *Server) dispatch(sc *connScratch, out []byte, cmd *proto.Command, rt []keyRoute) []byte {
+	if rt != nil {
 		switch cmd.Name {
 		case "set", "add", "replace", "append", "prepend", "cas", "delete", "touch", "incr", "decr":
 			// Single-owner writes: mutations of a key this node does
 			// not own are relayed to the owner, so one authoritative
 			// copy exists cluster-wide. (GETs route per key inside
 			// doGet — a multi-key get may span owners.)
-			if owner := s.peers.Owner(cmd.Keys[0]); owner != "" && owner != s.peers.Self() {
-				return s.deferWrite(sc, out, cmd, owner)
+			if rt[0].owner != "" {
+				return s.deferWrite(sc, out, cmd, rt[0])
 			}
 		}
 	}
 	switch cmd.Name {
 	case "get", "gets":
-		return s.doGet(sc, out, cmd)
+		return s.doGet(sc, out, cmd, rt)
 	case "set", "add", "replace", "cas", "append", "prepend":
 		return s.doSet(out, cmd)
 	case "incr", "decr":
@@ -1130,14 +1192,12 @@ func (s *Server) fetchBackend(key string) (size int, pen float64, body []byte, o
 	return 0, 0, nil, nil, err
 }
 
-func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command) []byte {
+func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command, rt []keyRoute) []byte {
 	withCAS := cmd.Name == "gets"
-	for _, key := range cmd.Keys {
-		if s.peers != nil {
-			if owner := s.peers.Owner(key); owner != "" && owner != s.peers.Self() {
-				out = s.deferGet(sc, out, key, owner, withCAS)
-				continue
-			}
+	for i, key := range cmd.Keys {
+		if rt != nil && rt[i].owner != "" {
+			out = s.deferGet(sc, out, key, rt[i], withCAS)
+			continue
 		}
 		// The engine copies the value into the connection's scratch
 		// buffer — the one allocation the old path paid per hit, now

@@ -29,7 +29,7 @@ type PolicyFactory func() cache.Policy
 type Group struct {
 	shards []*cache.Cache
 	mask   uint64
-	route  func(key string) int // nil: hash across all shards
+	route  func(key string, h uint64) int // nil: hash across all shards
 }
 
 // New builds a group of n shards (rounded up to a power of two, min 1),
@@ -69,9 +69,10 @@ func New(cfg cache.Config, n int, factory PolicyFactory) (*Group, error) {
 }
 
 // NewRouted groups engines built elsewhere behind route, which returns the
-// index in engines of the one serving a key (tenant.NewGroup: registry
-// prefix, then hash inside the tenant's range).
-func NewRouted(engines []*cache.Cache, route func(key string) int) *Group {
+// index in engines of the one serving a key, given the key and its
+// kv.HashString hash (tenant.NewGroup: registry prefix, then hash inside the
+// tenant's range).
+func NewRouted(engines []*cache.Cache, route func(key string, h uint64) int) *Group {
 	return &Group{shards: engines, route: route}
 }
 
@@ -98,23 +99,22 @@ func (g *Group) LoadSnapshotFile(path string) (loaded bool, err error) {
 	return cache.ReadSnapshotFile(path, g.shards[0].Geometry().MaxItemSize(), g.SetTTL)
 }
 
-// pick routes a key to its shard. The hash selector uses the high hash
-// bits so it stays independent of the bucket selector inside each shard's
-// index (which uses the low bits).
-func (g *Group) pick(key string) *cache.Cache {
+// pick routes a key hashed to h (kv.HashString) to its shard. The hash
+// selector uses the high hash bits so it stays independent of the bucket
+// selector inside each shard's index (which uses the low bits). Every keyed
+// method hashes its key once and hands the hash to the engine's hash-taking
+// form, so the engine does not hash it again.
+func (g *Group) pick(h uint64, key string) *cache.Cache {
 	if g.route != nil {
-		return g.shards[g.route(key)]
+		return g.shards[g.route(key, h)]
 	}
-	if g.mask == 0 {
-		return g.shards[0]
-	}
-	return g.shards[(kv.HashString(key)>>48)&g.mask]
+	return g.shards[(h>>48)&g.mask]
 }
 
 // Prefetch loads, ahead of serving them, the memory the keys' operations will
-// read (cache.Prefetch). Each key is hashed once, routed by the bits pick
-// uses (or by the group's route), and every shard gets all of its hashes in
-// one PrefetchHashes call per window of keys, so it takes its lock once.
+// read (cache.Prefetch). Each key is hashed once, routed as pick routes it,
+// and every shard gets all of its hashes in one PrefetchHashes call per
+// window of keys, so it takes its lock once.
 func (g *Group) Prefetch(keys []string) {
 	var hs, mine [cache.PrefetchWindow]uint64
 	var at [cache.PrefetchWindow]int
@@ -125,7 +125,7 @@ func (g *Group) Prefetch(keys []string) {
 			hs[i] = kv.HashString(k)
 			at[i] = int((hs[i] >> 48) & g.mask)
 			if g.route != nil {
-				at[i] = g.route(k)
+				at[i] = g.route(k, hs[i])
 			}
 		}
 		var done uint64 // bit i: key i handed to its shard
@@ -152,52 +152,62 @@ const _ uint64 = 1 << (cache.PrefetchWindow - 1)
 
 // Get routes to the owning shard.
 func (g *Group) Get(key string, sizeHint int, penHint float64, buf []byte) ([]byte, uint32, bool) {
-	return g.pick(key).Get(key, sizeHint, penHint, buf)
+	h := kv.HashString(key)
+	val, flags, _, hit := g.pick(h, key).LookupHash(h, key, sizeHint, penHint, buf)
+	return val, flags, hit
 }
 
 // GetWithCAS routes to the owning shard.
 func (g *Group) GetWithCAS(key string, buf []byte) ([]byte, uint32, uint64, bool) {
-	return g.pick(key).GetWithCAS(key, buf)
+	h := kv.HashString(key)
+	return g.pick(h, key).LookupHash(h, key, 0, 0, buf)
 }
 
 // CASOf routes to the owning shard.
 func (g *Group) CASOf(key string, flags uint32, value []byte) uint64 {
-	return g.pick(key).CASOf(key, flags, value)
+	h := kv.HashString(key)
+	return g.pick(h, key).CASOfHash(h, key, flags, value)
 }
 
 // Set routes to the owning shard.
 func (g *Group) Set(key string, size int, pen float64, flags uint32, value []byte) error {
-	return g.pick(key).Set(key, size, pen, flags, value)
+	return g.SetMode(key, cache.ModeSet, 0, size, pen, flags, 0, value)
 }
 
 // SetTTL routes to the owning shard.
 func (g *Group) SetTTL(key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
-	return g.pick(key).SetTTL(key, size, pen, flags, expireAt, value)
+	return g.SetMode(key, cache.ModeSet, 0, size, pen, flags, expireAt, value)
 }
 
 // SetMode routes to the owning shard.
 func (g *Group) SetMode(key string, mode cache.SetMode, cas uint64, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
-	return g.pick(key).SetMode(key, mode, cas, size, pen, flags, expireAt, value)
+	h := kv.HashString(key)
+	return g.pick(h, key).SetModeHash(h, key, mode, cas, size, pen, flags, expireAt, value)
 }
 
 // GetStale routes a degraded read to the owning shard.
 func (g *Group) GetStale(key string, buf []byte) ([]byte, uint32, bool) {
-	return g.pick(key).GetStale(key, buf)
+	h := kv.HashString(key)
+	return g.pick(h, key).GetStaleHash(h, key, buf)
 }
 
 // Delete routes to the owning shard.
-func (g *Group) Delete(key string) bool { return g.pick(key).Delete(key) }
+func (g *Group) Delete(key string) bool {
+	h := kv.HashString(key)
+	return g.pick(h, key).DeleteHash(h, key)
+}
 
 // Touch routes to the owning shard.
-func (g *Group) Touch(key string, expireAt int64) bool { return g.pick(key).Touch(key, expireAt) }
+func (g *Group) Touch(key string, expireAt int64) bool {
+	h := kv.HashString(key)
+	return g.pick(h, key).TouchHash(h, key, expireAt)
+}
 
 // Delta routes to the owning shard.
 func (g *Group) Delta(key string, delta uint64, decr bool) (uint64, error) {
-	return g.pick(key).Delta(key, delta, decr)
+	h := kv.HashString(key)
+	return g.pick(h, key).DeltaHash(h, key, delta, decr)
 }
-
-// Contains routes to the owning shard.
-func (g *Group) Contains(key string) bool { return g.pick(key).Contains(key) }
 
 // ScanKeys walks live resident items shard by shard (each shard snapshots
 // under its own engine lock and runs fn outside it — see cache.ScanKeys).

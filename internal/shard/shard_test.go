@@ -116,8 +116,11 @@ func TestOpsRouteConsistently(t *testing.T) {
 	if !g.Touch("n", 1<<40) {
 		t.Fatal("Touch failed")
 	}
-	if !g.Delete("n") || g.Contains("n") {
+	if !g.Delete("n") {
 		t.Fatal("Delete failed")
+	}
+	if _, _, hit := g.Get("n", 0, 0, nil); hit {
+		t.Fatal("a deleted key still hits")
 	}
 }
 

@@ -52,9 +52,9 @@ func NewGroup(reg *Registry, cfg cache.Config, shards int, factory shard.PolicyF
 		members[id] = Member{ID: id, Cfg: reg.Config(id), Engines: g.Engines()}
 		engines = append(engines, g.Engines()...)
 	}
-	route := func(key string) int {
+	route := func(key string, h uint64) int {
 		sp := spans[reg.Resolve(key)]
-		return sp.base + int((kv.HashString(key)>>48)&sp.mask)
+		return sp.base + int((h>>48)&sp.mask)
 	}
 	return shard.NewRouted(engines, route), members, nil
 }
