@@ -13,9 +13,7 @@ import (
 	"pamakv/internal/cache"
 	"pamakv/internal/core"
 	"pamakv/internal/kv"
-	"pamakv/internal/oracle"
 	"pamakv/internal/sim"
-	"pamakv/internal/trace"
 	"pamakv/internal/workload"
 )
 
@@ -283,119 +281,6 @@ func BenchmarkAblationBounds(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(1e3*res.Series.MeanAvgService(), "svc-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkExtensionMRCvsPAMA contrasts the LAMA-flavoured MRC allocator
-// (average miss times, related work §II) with PAMA's per-item penalties on
-// the APP workload — the paper's core argument that averages are not
-// representative when penalties span three decades.
-func BenchmarkExtensionMRCvsPAMA(b *testing.B) {
-	wl := workload.APP()
-	for _, kind := range []string{"mrc-hit", "mrc-time", "lama-hit", "lama-time", "pama"} {
-		b.Run(kind, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Spec{
-					Name: kind, Workload: wl, CacheBytes: 64 << 20,
-					Requests: 200_000, MetricsWindow: 50_000,
-					Policy: sim.PolicySpec{Kind: kind}, SampleSubClass: -1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Series.MeanHitRatio(), "hit-ratio")
-				b.ReportMetric(1e3*res.Series.MeanAvgService(), "svc-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkExtensionGDSF compares the slab-constrained PAMA against the
-// item-granularity GreedyDual-Size-Frequency engine, which optimizes the
-// same penalty-per-byte objective without slab mechanics — separating how
-// much of PAMA's win is penalty awareness versus slab-granularity cost.
-func BenchmarkExtensionGDSF(b *testing.B) {
-	wl := workload.APP()
-	for _, kind := range []string{"pre-pama", "pama", "gdsf"} {
-		b.Run(kind, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Spec{
-					Name: kind, Workload: wl, CacheBytes: 64 << 20,
-					Requests: 200_000, MetricsWindow: 50_000,
-					Policy: sim.PolicySpec{Kind: kind}, SampleSubClass: -1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Series.MeanHitRatio(), "hit-ratio")
-				b.ReportMetric(1e3*res.Series.MeanAvgService(), "svc-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkExtensionOracleBound relates the online policies to the offline
-// clairvoyant references (Belady and its cost-aware variant): how much of
-// the reachable service-time head-room does PAMA capture?
-func BenchmarkExtensionOracleBound(b *testing.B) {
-	wl := workload.ETC()
-	wl.Keys = 1 << 15
-	const capBytes, requests = 16 << 20, 150_000
-	collect := func() []trace.Request {
-		gen, err := workload.New(wl)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reqs, err := trace.Collect(&trace.Limit{S: gen, N: requests}, -1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return reqs
-	}
-	for _, v := range []struct {
-		name string
-		kind oracle.Variant
-	}{{"belady", oracle.Belady}, {"cost-belady", oracle.CostBelady}} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := oracle.Run(collect(), capBytes, wl.Penalty, 0.0005, v.kind)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.HitRatio, "hit-ratio")
-				b.ReportMetric(1e3*res.AvgService, "svc-ms")
-			}
-		})
-	}
-	for _, kind := range []string{"pama", "gdsf"} {
-		b.Run(kind, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Spec{
-					Name: kind, Workload: wl, CacheBytes: capBytes,
-					Requests: requests, MetricsWindow: 50_000,
-					Policy: sim.PolicySpec{Kind: kind}, SampleSubClass: -1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Series.MeanHitRatio(), "hit-ratio")
-				b.ReportMetric(1e3*res.Series.MeanAvgService(), "svc-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkPolicies runs the whole policy roster on one workload for a
-// throughput overview (allocation-decision overhead included).
-func BenchmarkPolicies(b *testing.B) {
-	for _, kind := range []string{"memcached", "psa", "pama", "pre-pama", "twemcache", "facebook-age", "mrc-hit", "mrc-time", "lama-hit", "lama-time", "gdsf"} {
-		b.Run(kind, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(ablationSpec(kind, nil)); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -7,6 +7,7 @@
 //
 //	pama-bench -fig 5              # ETC hit ratio + service time matrix
 //	pama-bench -fig 1              # penalty-vs-size scatter (model sample)
+//	pama-bench -fig baselines      # every policy kind on APP and ETC
 //	pama-bench -fig all -scale 0.1 # every figure at a tenth of the scale
 package main
 
@@ -25,7 +26,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1,3,4,5,6,7,8,9,10, 'holes' (memory-holes ablation), 'tenants' (multi-tenant arbitration vs static partitions), 'churn' (cold rebalance vs penalty-ordered warm handoff on a node add) or 'all'")
+	fig := flag.String("fig", "all", "figure to regenerate: 1,3,4,5,6,7,8,9,10, 'holes' (memory-holes ablation), 'tenants' (multi-tenant arbitration vs static partitions), 'churn' (cold rebalance vs penalty-ordered warm handoff on a node add), 'baselines' (every policy kind and the clairvoyant bounds on APP and ETC) or 'all'")
 	scale := flag.Float64("scale", 1.0, "request-count scale relative to the 1:100-scaled defaults")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation runs")
 	doPlot := flag.Bool("plot", false, "render ASCII charts instead of raw TSV series")
@@ -41,8 +42,9 @@ func run(fig string, scale float64, workers int, doPlot bool) error {
 	ids := []string{fig}
 	if fig == "all" {
 		// "tenants" is not a matrix figure (it compares N partitioned runs
-		// against one arbitrated run), so it rides alongside AllFigureIDs.
-		ids = append(append([]string{"1"}, sim.AllFigureIDs()...), "tenants", "churn")
+		// against one arbitrated run), so it rides alongside AllFigureIDs;
+		// the comparator table closes the run.
+		ids = append(append([]string{"1"}, sim.AllFigureIDs()...), "tenants", "churn", "baselines")
 	}
 	done := map[string]bool{}
 	for _, id := range ids {

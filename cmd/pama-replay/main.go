@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"pamakv/internal/cache"
 	"pamakv/internal/kv"
@@ -32,7 +33,7 @@ import (
 
 func main() {
 	tracePath := flag.String("trace", "", "trace file (binary, .csv, optionally .gz)")
-	policyKind := flag.String("policy", "pama", "policy: memcached, psa, pama, pre-pama, twemcache, facebook-age, mrc-hit, mrc-time, lama-hit, lama-time")
+	policyKind := flag.String("policy", "pama", "policy: "+strings.Join(sim.SlabKinds(), ", "))
 	cacheMiB := flag.Int64("cache", 256, "cache size in MiB")
 	window := flag.Uint64("window", 200_000, "GETs per reported window")
 	penaltySource := flag.String("penalty", "model", "penalty source: model or estimate")

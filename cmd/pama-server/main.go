@@ -121,7 +121,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:11211", "listen address")
 	fs.Int64Var(&o.cacheMiB, "cache", 256, "cache size in MiB")
-	fs.StringVar(&o.policyKind, "policy", "pama", "policy: memcached, psa, pama, pre-pama, twemcache, facebook-age, mrc-hit, mrc-time, lama-hit, lama-time, camp, size-aware")
+	fs.StringVar(&o.policyKind, "policy", "pama", "policy: "+strings.Join(sim.SlabKinds(), ", "))
 	fs.BoolVar(&o.readthrough, "readthrough", false, "serve GET misses from a simulated back end")
 	fs.Float64Var(&o.penaltyScale, "penalty-scale", 0.02, "fraction of the simulated penalty slept in real time (read-through mode)")
 	fs.IntVar(&o.shards, "shards", runtime.NumCPU(), "hash shards, per tenant with -tenants (rounded up to a power of two; defaults to the core count)")

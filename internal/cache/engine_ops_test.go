@@ -23,8 +23,7 @@ import (
 )
 
 // slabPolicies are the names `pama-server -policy` accepts.
-var slabPolicies = []string{"memcached", "psa", "pama", "pre-pama", "twemcache", "facebook-age",
-	"mrc-hit", "mrc-time", "lama-hit", "lama-time", "camp", "size-aware"}
+var slabPolicies = sim.SlabKinds()
 
 var opsGeometry = kv.Geometry{SlabSize: 4096, Base: 64, NumClasses: 5}
 
@@ -42,7 +41,7 @@ type opsEngine struct {
 
 func newOpsEngine(t testing.TB, kind string, accessBuffer int) *opsEngine {
 	t.Helper()
-	pol, err := sim.PolicySpec{Kind: kind, Seed: 7}.Build()
+	pol, err := sim.PolicySpec{Kind: kind}.Build()
 	if err != nil || pol == nil {
 		t.Fatalf("policy %q: %v", kind, err)
 	}

@@ -48,7 +48,7 @@ func TestEngineCountsEvictionsForEveryPolicy(t *testing.T) {
 	pens := []float64{0.0005, 0.005, 0.05, 0.5, 2}
 	for _, kind := range slabPolicies {
 		t.Run(kind, func(t *testing.T) {
-			pol, err := sim.PolicySpec{Kind: kind, Seed: 7, PSAPeriod: 200}.Build()
+			pol, err := sim.PolicySpec{Kind: kind, PSAPeriod: 200}.Build()
 			if err != nil {
 				t.Fatal(err)
 			}

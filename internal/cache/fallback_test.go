@@ -59,7 +59,7 @@ func TestEngineFallbackMatchesPolicyEviction(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			var twins [2]*cache.Cache
 			for i := range twins {
-				pol, err := sim.PolicySpec{Kind: kind, Seed: 7, PSAPeriod: 200}.Build()
+				pol, err := sim.PolicySpec{Kind: kind, PSAPeriod: 200}.Build()
 				if err != nil {
 					t.Fatal(err)
 				}

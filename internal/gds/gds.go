@@ -13,7 +13,7 @@
 // byte) but with per-item bookkeeping and no slab constraint, so it is the
 // natural upper-ish baseline for how much of PAMA's gap to penalty-blind
 // schemes is attributable to penalty awareness versus to slab mechanics.
-// BenchmarkExtensionGDSF compares them.
+// The baselines figure (results/fig_baselines.tsv) compares them.
 package gds
 
 import (

@@ -112,13 +112,12 @@ func singleClassCache(t *testing.T, slabs, slot int, pol cache.Policy) *cache.Ca
 }
 
 func TestCAMPShape(t *testing.T) {
-	for _, pol := range []cache.Policy{NewCAMP(), NewSizeAware()} {
-		if pol.SubclassBounds() != nil || pol.Segments() != 0 || pol.GhostSegments() != 0 {
-			t.Fatalf("%s: must run bare stacks", pol.Name())
-		}
+	pol := NewCAMP()
+	if pol.SubclassBounds() != nil || pol.Segments() != 0 || pol.GhostSegments() != 0 {
+		t.Fatal("camp must run bare stacks")
 	}
-	if NewCAMP().Name() != "camp" || NewSizeAware().Name() != "size-aware" {
-		t.Fatal("policy names drifted")
+	if pol.Name() != "camp" {
+		t.Fatal("policy name drifted")
 	}
 }
 
@@ -295,81 +294,5 @@ func TestCAMPMirrorAcrossRemovals(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSizeAwareMigratesFromLowUtilityClass: a cold large class should
-// donate before a small class, even when the small class was filled first.
-func TestSizeAwareMigratesFromLowUtilityClass(t *testing.T) {
-	pol := NewSizeAware()
-	c := newCache(t, 4, pol, 1<<30)
-	fill(c, "small", 64, 50) // class 0: one slab of 64 slots
-	fill(c, "big", 24, 400)  // class 3: three slabs of 8 slots
-	// Keep the small class warm.
-	for r := 0; r < 5; r++ {
-		for i := 0; i < 64; i++ {
-			c.Get(fmt.Sprintf("small%d", i), 0, 0, nil)
-		}
-	}
-	// Class 1 owns nothing and no slabs are free: MakeRoom must pick the
-	// cold large class (lowest frequency per byte) as donor.
-	if err := c.Set("mid", 100, 0.1, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().SlabMigrations != 1 {
-		t.Fatalf("migrations = %d, want 1", c.Stats().SlabMigrations)
-	}
-	if c.Slabs(3) != 2 || c.Slabs(0) != 1 || c.Slabs(1) != 1 {
-		t.Fatalf("wrong donor: slabs = %v", c.SnapshotSlabs())
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSizeAwareFrequencyOverridesSize: when the large class is hot enough,
-// its frequency-per-byte exceeds a cold small class and the small class
-// donates instead — size alone does not decide.
-func TestSizeAwareFrequencyOverridesSize(t *testing.T) {
-	pol := NewSizeAware()
-	c := newCache(t, 4, pol, 1<<30)
-	fill(c, "small", 128, 50) // class 0: two slabs, never touched again
-	fill(c, "big", 16, 400)   // class 3: two slabs
-	// Hammer the large items: tail frequency must clear the 1/slot gap
-	// against the cold small class ((f+1)/512 > 2/64 needs f > 15).
-	for r := 0; r < 25; r++ {
-		for i := 0; i < 16; i++ {
-			c.Get(fmt.Sprintf("big%d", i), 0, 0, nil)
-		}
-	}
-	if err := c.Set("mid", 100, 0.1, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().SlabMigrations != 1 {
-		t.Fatalf("migrations = %d, want 1", c.Stats().SlabMigrations)
-	}
-	if c.Slabs(0) != 1 || c.Slabs(3) != 2 {
-		t.Fatalf("hot large class should not donate: slabs = %v", c.SnapshotSlabs())
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSizeAwareEvictsInPlaceWithoutDonors: with a single class and no
-// spare slabs the policy must evict within the class, not stall.
-func TestSizeAwareEvictsInPlaceWithoutDonors(t *testing.T) {
-	pol := NewSizeAware()
-	c := singleClassCache(t, 1, 256, pol)
-	for i := 0; i < 20; i++ {
-		if err := c.Set(fmt.Sprintf("k%d", i), 100, 0.1, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("no in-place evictions")
-	}
-	if c.Stats().SlabMigrations != 0 {
-		t.Fatal("single class cannot migrate")
 	}
 }

@@ -6,6 +6,20 @@ import (
 	"pamakv/internal/mrc"
 )
 
+// MRCObjective selects what LAMA optimizes.
+type MRCObjective int
+
+const (
+	// ObjectiveMissRatio equalizes marginal hit gain (LAMA's hit-ratio
+	// target).
+	ObjectiveMissRatio MRCObjective = iota
+	// ObjectiveAvgTime weights marginal hits by the class's *average*
+	// miss time (LAMA's average-request-time target). This is exactly
+	// the formulation the paper critiques in §II: averages blur the
+	// three-decade per-item penalty spread that PAMA exploits.
+	ObjectiveAvgTime
+)
+
 // LAMA reproduces the locality-aware memory allocation of Hu et al.
 // (USENIX ATC 2015) that the paper discusses in §II: per-class miss ratio
 // curves drive a periodic re-solve of the whole allocation. Each class runs
@@ -19,7 +33,7 @@ import (
 // paper's critique — "average service time … may not be sufficiently
 // representative … PAMA uses actual miss penalties associated with each
 // slab" — is exactly the difference between this policy and core.PAMA, and
-// BenchmarkExtensionMRCvsPAMA measures it.
+// the baselines figure (results/fig_baselines.tsv) measures it.
 type LAMA struct {
 	c         *cache.Cache
 	objective MRCObjective

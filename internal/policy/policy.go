@@ -1,5 +1,5 @@
-// Package policy implements the baseline slab-allocation schemes the paper
-// compares PAMA against (§II, §IV):
+// Package policy implements the slab-allocation schemes PAMA is compared
+// against (paper §II, §IV; results/fig_baselines.tsv):
 //
 //   - Static: the original Memcached — slabs are granted while free memory
 //     lasts and never reassigned afterwards; replacement is per-class LRU.
@@ -7,14 +7,11 @@
 //     move a slab from the class with the lowest request density
 //     (requests per slab per window) to the class with the most misses in
 //     the window.
-//   - Twemcache: Twitter's aggressive random policy — on a miss without
-//     free space, a random other class surrenders one slab.
-//   - FacebookAge: Facebook's rebalancer (Nishtala et al.) — approximate a
-//     global LRU by equalizing per-class LRU-tail ages; when a class's tail
-//     is at least 20% younger than the average of the others, move a slab
-//     from the class with the oldest tail to the class with the youngest.
+//   - LAMA (lama.go): miss-ratio-curve allocation, by hit ratio or by
+//     average miss time.
+//   - CAMP (camp.go): cost-adaptive multi-queue eviction.
 //
-// All four run a single LRU stack per class (no penalty subclasses, no
+// Static and PSA run a single LRU stack per class (no penalty subclasses, no
 // segment tracking, no ghost regions) — exactly the machinery their original
 // systems had.
 package policy
@@ -130,90 +127,8 @@ func (p *PSA) OnMiss(class, _ int, _ *kv.Item, _ int) {
 	_ = c.MigrateSlab(donor, 0, dest) // refused: the allocation stays as it is
 }
 
-// Twemcache is Twitter's random-donor policy.
-type Twemcache struct {
-	base
-	state uint64
-}
-
-// NewTwemcache returns the policy with a deterministic seed.
-func NewTwemcache(seed uint64) *Twemcache {
-	return &Twemcache{state: seed ^ 0x7477656d}
-}
-
-// Name implements cache.Policy.
-func (*Twemcache) Name() string { return "twemcache" }
-
-// MakeRoom implements cache.Policy: take a slab from a random other class.
-func (t *Twemcache) MakeRoom(class, _ int) {
-	c := t.c
-	// Collect eligible donors; donors keep one slab so no class is
-	// starved into unservability.
-	var donors []int
-	for cl := 0; cl < c.NumClasses(); cl++ {
-		if cl != class && c.Slabs(cl) >= 2 {
-			donors = append(donors, cl)
-		}
-	}
-	if len(donors) == 0 {
-		return
-	}
-	t.state = kv.Mix64(t.state + 0x9e3779b97f4a7c15)
-	donor := donors[t.state%uint64(len(donors))]
-	_ = c.MigrateSlab(donor, 0, class) // refused: the allocation stays as it is
-}
-
-// FacebookAge is Facebook's LRU-age balancer.
-type FacebookAge struct{ base }
-
-// NewFacebookAge returns the policy.
-func NewFacebookAge() *FacebookAge { return &FacebookAge{} }
-
-// Name implements cache.Policy.
-func (*FacebookAge) Name() string { return "facebook-age" }
-
-// OnWindow implements cache.Policy: equalize LRU tail ages.
-func (f *FacebookAge) OnWindow() {
-	c := f.c
-	if c.FreeSlabs() > 0 {
-		return
-	}
-	now := c.Clock()
-	youngest, oldest := -1, -1
-	var youngAge, oldAge uint64
-	var sum uint64
-	n := 0
-	ages := make([]uint64, c.NumClasses())
-	for cl := 0; cl < c.NumClasses(); cl++ {
-		tail := c.SubTail(cl, 0)
-		if tail == nil || c.Slabs(cl) == 0 {
-			ages[cl] = 0
-			continue
-		}
-		age := now - tail.LastAccess
-		ages[cl] = age
-		sum += age
-		n++
-		if youngest < 0 || age < youngAge {
-			youngest, youngAge = cl, age
-		}
-		if oldest < 0 || age > oldAge {
-			oldest, oldAge = cl, age
-		}
-	}
-	if n < 2 || youngest == oldest {
-		return
-	}
-	avgOthers := float64(sum-youngAge) / float64(n-1)
-	if float64(youngAge) < 0.8*avgOthers && c.Slabs(oldest) >= 2 {
-		_ = c.MigrateSlab(oldest, 0, youngest) // refused: the allocation stays as it is
-	}
-}
-
 // Interface conformance checks.
 var (
 	_ cache.Policy = (*Static)(nil)
 	_ cache.Policy = (*PSA)(nil)
-	_ cache.Policy = (*Twemcache)(nil)
-	_ cache.Policy = (*FacebookAge)(nil)
 )

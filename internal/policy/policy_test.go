@@ -30,7 +30,7 @@ func fill(c *cache.Cache, prefix string, n, size int) {
 }
 
 func TestBaselineShapes(t *testing.T) {
-	for _, pol := range []cache.Policy{NewStatic(), NewPSA(10), NewTwemcache(1), NewFacebookAge()} {
+	for _, pol := range []cache.Policy{NewStatic(), NewPSA(10)} {
 		if pol.SubclassBounds() != nil || pol.Segments() != 0 || pol.GhostSegments() != 0 {
 			t.Fatalf("%s: baselines must run bare stacks", pol.Name())
 		}
@@ -105,99 +105,10 @@ func TestPSADefaultPeriod(t *testing.T) {
 	}
 }
 
-func TestTwemcacheGrabsRandomDonor(t *testing.T) {
-	tw := NewTwemcache(42)
-	c := newCache(t, 4, tw, 1<<30)
-	fill(c, "a", 128, 50) // class 0, two slabs: the only eligible donor
-	fill(c, "b", 32, 100) // class 1
-	fill(c, "c", 16, 200) // class 2
-	// Class 3 insert forces a steal; only class 0 can afford it.
-	if err := c.Set("big", 512, 0.1, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().SlabMigrations != 1 {
-		t.Fatalf("reassignments = %d, want 1", c.Stats().SlabMigrations)
-	}
-	if c.Slabs(3) != 1 {
-		t.Fatal("class 3 did not receive a slab")
-	}
-	if c.Slabs(0) != 1 || c.Slabs(1) != 1 || c.Slabs(2) != 1 {
-		t.Fatalf("donor accounting wrong: %v", c.SnapshotSlabs())
-	}
-}
-
-func TestTwemcacheSoleClassEvictsInPlace(t *testing.T) {
-	tw := NewTwemcache(1)
-	c := newCache(t, 1, tw, 1<<30)
-	fill(c, "a", 65, 50)
-	if c.Stats().SlabMigrations != 0 {
-		t.Fatal("no donor exists; should evict in place")
-	}
-	if c.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", c.Stats().Evictions)
-	}
-}
-
-func TestTwemcacheDeterministicSeed(t *testing.T) {
-	runOnce := func() []int {
-		tw := NewTwemcache(7)
-		c := newCache(t, 3, tw, 1<<30)
-		fill(c, "a", 64, 50)
-		fill(c, "b", 32, 100)
-		fill(c, "c", 16, 200)
-		for i := 0; i < 3; i++ {
-			c.Set(fmt.Sprintf("big%d", i), 512, 0.1, 0, nil)
-		}
-		return c.SnapshotSlabs()
-	}
-	a, b := runOnce(), runOnce()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestFacebookAgeRebalances(t *testing.T) {
-	fb := NewFacebookAge()
-	c := newCache(t, 3, fb, 50)
-	fill(c, "a", 128, 50) // class 0: two slabs (so it can donate and keep one)
-	fill(c, "b", 32, 100) // class 1
-	// Keep class 1's tail young (churn it), never touch class 0: class 1
-	// tail age stays near zero, class 0's grows -> move slab 0 -> 1.
-	for i := 0; i < 500; i++ {
-		c.Set(fmt.Sprintf("b%d", i%40), 100, 0.1, 0, nil)
-		c.Get(fmt.Sprintf("b%d", (i+20)%40), 0, 0, nil)
-	}
-	if c.Stats().SlabMigrations == 0 {
-		t.Fatal("age balancer never moved a slab")
-	}
-	if c.Slabs(1) <= 1 {
-		t.Fatalf("young class did not gain: class1=%d", c.Slabs(1))
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFacebookAgeIdleWithOneClass(t *testing.T) {
-	fb := NewFacebookAge()
-	c := newCache(t, 1, fb, 10)
-	fill(c, "a", 64, 50)
-	for i := 0; i < 100; i++ {
-		c.Get(fmt.Sprintf("a%d", i%64), 0, 0, nil)
-	}
-	if c.Stats().SlabMigrations != 0 {
-		t.Fatal("single-class cache cannot rebalance")
-	}
-}
-
 func TestNames(t *testing.T) {
 	want := map[string]cache.Policy{
-		"memcached":    NewStatic(),
-		"psa":          NewPSA(1),
-		"twemcache":    NewTwemcache(0),
-		"facebook-age": NewFacebookAge(),
+		"memcached": NewStatic(),
+		"psa":       NewPSA(1),
 	}
 	for name, pol := range want {
 		if pol.Name() != name {

@@ -29,13 +29,20 @@ import (
 	"pamakv/internal/workload"
 )
 
+// Roster is every policy kind PolicySpec.Build accepts, in the baselines
+// figure's row order: the paper's four schemes, LAMA's two objectives, CAMP,
+// and "gdsf", the item-granularity GreedyDual-Size-Frequency engine that
+// Run drives instead of a slab policy. It is the one place the list is
+// spelled out; each kind's claim is asserted by TestBaselinesShape.
+var Roster = append(append([]string(nil), FigurePolicies...), "lama-hit", "lama-time", "camp", "gdsf")
+
+// SlabKinds returns the roster's slab policies: every kind but "gdsf", the
+// ones a cache.Cache (and so pama-server) can run.
+func SlabKinds() []string { return Roster[:len(Roster)-1] }
+
 // PolicySpec names and parameterizes an allocation policy.
 type PolicySpec struct {
-	// Kind is one of "memcached", "psa", "pama", "pre-pama",
-	// "twemcache", "facebook-age", "mrc-hit", "mrc-time", "lama-hit",
-	// "lama-time", "camp", "size-aware" — or "gdsf", which selects the
-	// item-granularity GreedyDual-Size-Frequency engine instead of a
-	// slab policy.
+	// Kind is one of Roster; "" means "memcached".
 	Kind string
 	// PAMA configures pama/pre-pama. The zero value selects paper
 	// defaults; to run PAMA with a custom M (including M=0, Fig. 10),
@@ -43,14 +50,12 @@ type PolicySpec struct {
 	PAMA core.Config
 	// PSAPeriod is PSA's miss period (0 = default 1000).
 	PSAPeriod uint64
-	// Seed feeds randomized policies (twemcache).
-	Seed uint64
 }
 
 // Build constructs the policy.
 func (p PolicySpec) Build() (cache.Policy, error) {
 	switch p.Kind {
-	case "memcached", "static", "":
+	case "memcached", "":
 		return policy.NewStatic(), nil
 	case "psa":
 		return policy.NewPSA(p.PSAPeriod), nil
@@ -70,22 +75,12 @@ func (p PolicySpec) Build() (cache.Policy, error) {
 			cfg.M = 2
 		}
 		return core.New(cfg), nil
-	case "twemcache":
-		return policy.NewTwemcache(p.Seed), nil
-	case "facebook-age":
-		return policy.NewFacebookAge(), nil
-	case "mrc-hit":
-		return policy.NewMRC(policy.ObjectiveMissRatio), nil
-	case "mrc-time":
-		return policy.NewMRC(policy.ObjectiveAvgTime), nil
 	case "lama-hit":
 		return policy.NewLAMA(policy.ObjectiveMissRatio), nil
 	case "lama-time":
 		return policy.NewLAMA(policy.ObjectiveAvgTime), nil
 	case "camp":
 		return policy.NewCAMP(), nil
-	case "size-aware":
-		return policy.NewSizeAware(), nil
 	case "gdsf":
 		// GDSF is a whole engine, not a slab policy; Run special-cases
 		// it. Returning a sentinel keeps Build usable for validation.

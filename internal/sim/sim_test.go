@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,11 +32,24 @@ func tinySpec(kind string) Spec {
 }
 
 func TestPolicySpecBuild(t *testing.T) {
-	kinds := []string{"memcached", "static", "", "psa", "pama", "pre-pama", "twemcache", "facebook-age", "mrc-hit", "mrc-time", "lama-hit", "lama-time"}
-	for _, k := range kinds {
-		if _, err := (PolicySpec{Kind: k}).Build(); err != nil {
+	if _, err := (PolicySpec{}).Build(); err != nil {
+		t.Errorf("Build of the empty kind: %v", err)
+	}
+	for _, k := range Roster {
+		pol, err := (PolicySpec{Kind: k}).Build()
+		switch {
+		case err != nil:
 			t.Errorf("Build(%q): %v", k, err)
+		case k == "gdsf":
+			if pol != nil {
+				t.Errorf("Build(gdsf) = %s, want no slab policy", pol.Name())
+			}
+		case pol == nil || pol.Name() != k:
+			t.Errorf("Build(%q) = %v, want the policy named %q", k, pol, k)
 		}
+	}
+	if slices.Contains(SlabKinds(), "gdsf") || len(SlabKinds()) != len(Roster)-1 {
+		t.Errorf("SlabKinds() = %v, want the roster without gdsf", SlabKinds())
 	}
 	if _, err := (PolicySpec{Kind: "bogus"}).Build(); err == nil {
 		t.Error("unknown kind accepted")

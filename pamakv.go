@@ -9,11 +9,11 @@
 // penalty-seconds per window and reallocating slabs toward the classes
 // where a slab saves users the most time. The library also ships the
 // baseline policies the paper compares against (original Memcached's static
-// allocation, PSA, Twemcache's random reassignment, Facebook's LRU-age
-// balancer, and pre-PAMA), synthetic workload generators shaped after the
-// Facebook Memcached traces, a trace format with a GET-miss→SET penalty
-// estimator, a simulation harness that regenerates every figure in the
-// paper, and a Memcached-text-protocol server.
+// allocation, PSA and pre-PAMA) and two later ones (LAMA and CAMP),
+// synthetic workload generators shaped after the Facebook Memcached traces,
+// a trace format with a GET-miss→SET penalty estimator, a simulation harness
+// that regenerates every figure in the paper, and a Memcached-text-protocol
+// server.
 //
 // Quick start:
 //
@@ -122,18 +122,9 @@ func NewStatic() *policy.Static { return policy.NewStatic() }
 // (0 = 1000).
 func NewPSA(m uint64) *policy.PSA { return policy.NewPSA(m) }
 
-// NewTwemcache returns Twitter's random-reassignment policy.
-func NewTwemcache(seed uint64) *policy.Twemcache { return policy.NewTwemcache(seed) }
-
-// NewFacebookAge returns Facebook's LRU-age balancing policy.
-func NewFacebookAge() *policy.FacebookAge { return policy.NewFacebookAge() }
-
 // NewCAMP returns the cost-adaptive multi-queue eviction policy (rounded
 // cost/size ratio queues under a GreedyDual inflation clock).
 func NewCAMP() *policy.CAMP { return policy.NewCAMP() }
-
-// NewSizeAware returns the frequency-per-byte size-aware eviction baseline.
-func NewSizeAware() *policy.SizeAware { return policy.NewSizeAware() }
 
 // NewTableGeometry builds a geometry from an explicit strictly increasing
 // slot-size table, e.g. one solved from a size histogram (internal/geom's
@@ -142,19 +133,16 @@ func NewTableGeometry(slabSize int, slots []int) (Geometry, error) {
 	return kv.NewTableGeometry(slabSize, slots)
 }
 
-// MRCObjective selects what the MRC/LAMA allocators optimize.
+// MRCObjective selects what the LAMA allocator optimizes.
 type MRCObjective = policy.MRCObjective
 
-// MRC/LAMA objectives.
+// LAMA objectives.
 const (
 	// ObjectiveMissRatio targets hit ratio.
 	ObjectiveMissRatio = policy.ObjectiveMissRatio
 	// ObjectiveAvgTime weights classes by average miss time.
 	ObjectiveAvgTime = policy.ObjectiveAvgTime
 )
-
-// NewMRC returns the endpoint hill-climbing miss-ratio-curve allocator.
-func NewMRC(obj MRCObjective) *policy.MRC { return policy.NewMRC(obj) }
 
 // NewLAMA returns the full miss-ratio-curve allocator (LAMA-style shadow
 // stacks + waterfilling; related work §II).

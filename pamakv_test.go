@@ -36,8 +36,7 @@ func TestFacadePolicyConstructors(t *testing.T) {
 		NewPrePAMA(),
 		NewStatic(),
 		NewPSA(0),
-		NewTwemcache(1),
-		NewFacebookAge(),
+		NewCAMP(),
 	}
 	for _, p := range pols {
 		c, err := New(Config{CacheBytes: 4 << 20}, p)
@@ -162,7 +161,7 @@ func TestFacadeShardedAndAlternativeEngines(t *testing.T) {
 		t.Fatal("gdsf get missed")
 	}
 
-	for _, pol := range []Policy{NewMRC(ObjectiveMissRatio), NewLAMA(ObjectiveAvgTime)} {
+	for _, pol := range []Policy{NewLAMA(ObjectiveMissRatio), NewLAMA(ObjectiveAvgTime)} {
 		c, err := New(Config{CacheBytes: 4 << 20}, pol)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
