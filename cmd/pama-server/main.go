@@ -305,9 +305,9 @@ func run(o options) error {
 				}
 			}
 		}
-		// Every setting left out runs on its library default: the ring with
-		// DefaultVNodes, the peer pools' size, retries and timeouts, and the
-		// server's hot cache of forwarded reads (4 MiB, 1 s).
+		// Every setting left out runs on its library default: the peer
+		// pools' size, retries and timeouts, and the server's hot cache of
+		// forwarded reads (4 MiB, 1 s).
 		var err error
 		peers, err = cluster.New(cluster.Config{
 			Self:    self,

@@ -17,9 +17,8 @@
 // # Sharding
 //
 // With one address the client is a plain single-server client. With several
-// it builds the ring pama-server nodes build (cluster.NewRing with
-// cluster.DefaultVNodes) over the member list and routes every key, tenant
-// prefix included, to its owner — so a sharded client sends each key
+// it builds the ring pama-server nodes build (cluster.NewRing) over the
+// member list and routes every key, tenant prefix included, to its owner — so a sharded client sends each key
 // straight to the node that would otherwise have to forward it.
 //
 // # Hedged reads
@@ -179,7 +178,7 @@ func New(cfg Config) (*Client, error) {
 	c := &Client{cfg: cfg}
 	members := cfg.Addrs
 	if len(cfg.Addrs) > 1 {
-		c.ring = cluster.NewRing(cfg.Addrs, cluster.DefaultVNodes)
+		c.ring = cluster.NewRing(cfg.Addrs, 0)
 		// The ring normalizes (sorts, dedupes) the member list; peers must
 		// index the same view it routes over.
 		members = c.ring.Members()

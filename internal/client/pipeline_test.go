@@ -288,7 +288,7 @@ func scriptedServer(t *testing.T, reply func(cmd *proto.Command) []byte) string 
 // keysByOwner returns, for each member of a ring over addrs, n keys it owns.
 func keysByOwner(t *testing.T, addrs []string, n int) map[string][]string {
 	t.Helper()
-	ring := cluster.NewRing(addrs, cluster.DefaultVNodes)
+	ring := cluster.NewRing(addrs, 0)
 	out := make(map[string][]string)
 	for i := 0; len(out[addrs[0]]) < n || len(out[addrs[1]]) < n; i++ {
 		k := fmt.Sprintf("key%d", i)

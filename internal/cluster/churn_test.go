@@ -171,7 +171,7 @@ func TestSetMembersDuplicateAddresses(t *testing.T) {
 	if len(p.Snapshots()) != 1 {
 		t.Fatalf("want exactly one remote client, have %d", len(p.Snapshots()))
 	}
-	ring := NewRing([]string{"a:1", "b:2"}, DefaultVNodes)
+	ring := NewRing([]string{"a:1", "b:2"}, 0)
 	for _, k := range keys(200) {
 		if p.Owner(k) != ring.Owner(k) {
 			t.Fatalf("duplicated list routes %q differently from deduplicated ring", k)

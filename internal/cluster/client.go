@@ -42,9 +42,10 @@ type ClientOptions struct {
 	DialTimeout time.Duration
 	// OpTimeout bounds, per attempt, the write of an exchange's requests
 	// and then the wait for each of its replies; <= 0 means
-	// DefaultOpTimeout. A reply's deadline is re-armed only once a
-	// sixteenth of OpTimeout has passed since it was last armed, so each
-	// reply is bounded by between 15/16 and 1 × OpTimeout.
+	// DefaultOpTimeout. The deadlines are re-armed only once a sixteenth
+	// of OpTimeout has passed since they were last armed (see Deadline),
+	// so each write and each reply is bounded by between 15/16 and 1 ×
+	// OpTimeout.
 	OpTimeout time.Duration
 	// Retries is how many extra attempts an op gets after a transport
 	// failure (a fresh connection each time); < 0 means none, 0 means
@@ -78,9 +79,28 @@ type pconn struct {
 	c  net.Conn
 	w  *bufio.Writer
 	rr *proto.RespReader
-	// readBy is the read deadline last armed on c, on the monoNanos clock
-	// (0: none yet).
-	readBy int64
+	// The read and write deadlines last armed on c.
+	readBy, writeBy Deadline
+}
+
+// Deadline is one of a connection's deadlines, tracked on the monotonic
+// clock so that it is armed once per sixteenth of its span rather than on
+// every use: arming costs more than reading a buffered reply or writing a
+// small batch. Whenever Due is asked, the deadline is then between 15/16
+// and 1 × its span away. Something else setting the connection's deadline
+// (a drain's immediate one, say) stays in force until the next re-arm.
+type Deadline struct{ by int64 }
+
+// Due reports whether the deadline must be armed span from now — it never
+// was, or less than 15/16 of span is left of it — and if so records it as
+// armed.
+func (d *Deadline) Due(span time.Duration) bool {
+	now := monoNanos()
+	if d.by-now >= int64(span-span/16) {
+		return false
+	}
+	d.by = now + int64(span)
+	return true
 }
 
 // Client is a connection-pooled Memcached-text-protocol client for one peer.
@@ -217,7 +237,9 @@ func (c *Client) send(req []byte) (*pconn, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc.c.SetWriteDeadline(time.Now().Add(c.opts.OpTimeout))
+	if pc.writeBy.Due(c.opts.OpTimeout) {
+		pc.c.SetWriteDeadline(time.Now().Add(c.opts.OpTimeout))
+	}
 	if _, err := pc.w.Write(req); err != nil {
 		c.drop(pc)
 		return nil, err
@@ -233,17 +255,13 @@ func (c *Client) send(req []byte) (*pconn, error) {
 // returns the connection to the pool. The op deadline bounds each reply: the
 // peer serves a pipelined exchange serially (read-through fetches included),
 // so the deadline bounds one reply, as it does for a lone request, not the
-// sum of them. Arming it costs more than reading a reply that is already
-// buffered, so it is re-armed only when less than 15/16 of OpTimeout is left
-// of it. A transport failure closes the connection; got reports how many
-// replies fn saw before it. A parsed reply (even an error reply) is a
-// success.
+// sum of them (re-armed as Deadline says). A transport failure closes the
+// connection; got reports how many replies fn saw before it. A parsed reply
+// (even an error reply) is a success.
 func (c *Client) recv(pc *pconn, n int, fn func(i int, r *proto.Resp)) (got int, err error) {
-	rearm := int64(c.opts.OpTimeout - c.opts.OpTimeout/16)
 	for got < n {
-		if now := monoNanos(); pc.readBy-now < rearm {
+		if pc.readBy.Due(c.opts.OpTimeout) {
 			pc.c.SetReadDeadline(time.Now().Add(c.opts.OpTimeout))
-			pc.readBy = now + int64(c.opts.OpTimeout)
 		}
 		r, err := pc.rr.Next()
 		if err != nil {

@@ -341,6 +341,30 @@ func TestExchangeDeadlineBoundsEachReply(t *testing.T) {
 	}
 }
 
+// TestDeadlineDue: a deadline is due when it was never armed or less than
+// 15/16 of its span is left, and not otherwise.
+func TestDeadlineDue(t *testing.T) {
+	const span = time.Hour
+	var d Deadline
+	if !d.Due(span) {
+		t.Fatal("a deadline never armed is not due")
+	}
+	if d.Due(span) {
+		t.Fatal("a deadline armed just now is due again")
+	}
+	d.by -= int64(span/16) - int64(time.Minute) // a minute short of a sixteenth gone
+	if d.Due(span) {
+		t.Fatal("a deadline with more than 15/16 of its span left is due")
+	}
+	d.by -= int64(2 * time.Minute) // now a minute past it
+	if !d.Due(span) {
+		t.Fatal("a deadline with less than 15/16 of its span left is not due")
+	}
+	if d.Due(span) {
+		t.Fatal("re-arming did not push the deadline out")
+	}
+}
+
 // TestExchangeDeadlineRearmsPerReply: the read deadline is re-armed only
 // once a sixteenth of OpTimeout has passed since it was last armed, and that
 // still bounds each reply, not the exchange: replies 0.75 × OpTimeout apart

@@ -120,7 +120,7 @@ func TestHotCacheValueIsCopied(t *testing.T) {
 
 func TestPeersRoutingAndMembership(t *testing.T) {
 	members := []string{"a:1", "b:2", "c:3"}
-	p, err := New(Config{Self: "a:1", Members: members, VNodes: 64})
+	p, err := New(Config{Self: "a:1", Members: members})
 	if err != nil {
 		t.Fatal(err)
 	}

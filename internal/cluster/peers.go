@@ -16,8 +16,9 @@ type Config struct {
 	// Hash names the owner function. The ring is the only one: "" and
 	// "ring" select it, and New refuses anything else.
 	Hash string
-	// VNodes is the ring's virtual-node count per member; <= 0 means
-	// DefaultVNodes, which is what pama-server and a sharding client build.
+	// VNodes is ignored.
+	//
+	// Deprecated: the ring has no virtual nodes (see NewRing).
 	VNodes int
 	// Client tunes the per-peer connection pools.
 	Client ClientOptions
@@ -74,7 +75,7 @@ func New(cfg Config) (*Peers, error) {
 		hedge:   cfg.Hedge,
 		clients: make(map[string]*Client, len(members)),
 	}
-	p.ring.Store(NewRing(members, cfg.VNodes))
+	p.ring.Store(NewRing(members, 0))
 	for _, m := range members {
 		if m != cfg.Self {
 			p.clients[m] = NewClient(m, cfg.Client)
@@ -146,7 +147,7 @@ func (p *Peers) SetMembers(members []string) error {
 	if len(ms) == 0 {
 		return fmt.Errorf("cluster: empty member list")
 	}
-	ring := NewRing(ms, p.cfg.VNodes)
+	ring := NewRing(ms, 0)
 	keep := make(map[string]struct{}, len(ms))
 	for _, m := range ms {
 		keep[m] = struct{}{}

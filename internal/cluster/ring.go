@@ -1,33 +1,33 @@
 // Package cluster turns a set of pama-server processes into one cache tier.
 //
-// Ownership: every key has exactly one owning node, chosen by a
-// consistent-hash Ring over the member list. The owner is the only node that
-// fills the key from the backend; every other node forwards to the owner, so
-// one logical cache line exists per key cluster-wide (plus short-lived copies
-// in non-owner hot caches). This is the distributed analogue of the paper's
-// penalty pricing: a forwarded peer read costs ~100µs, a backend recompute
-// costs 1ms–5s, so the tier inserts a cheap level between "local RAM" and
-// "recompute".
+// Ownership: every key has exactly one owning node, chosen by a Ring over
+// the member list. The owner is the only node that fills the key from the
+// backend; every other node forwards to the owner, so one logical cache line
+// exists per key cluster-wide (plus short-lived copies in non-owner hot
+// caches). This is the distributed analogue of the paper's penalty pricing:
+// a forwarded peer read costs ~100µs, a backend recompute costs 1ms–5s, so
+// the tier inserts a cheap level between "local RAM" and "recompute".
 //
-// The ring places DefaultVNodes virtual nodes per member. A membership change
-// moves only the keys whose arc changed hands (~K/N of them), which is what
-// keeps a node kill from flushing the whole tier. The ring is a
-// deterministic function of the member list, so every node (and a sharding
+// The ring cuts the hash space into a fixed number of slots and gives each
+// slot to a member by rendezvous hashing. A membership change moves only the
+// slots the removed member held or the added one wins (~K/N keys), which is
+// what keeps a node kill from flushing the whole tier. The ring is a
+// deterministic function of the member set, so every node (and a sharding
 // client) computes identical ownership without coordination. It hashes the
 // whole key, tenant prefix included: tenants route inside the owner.
 package cluster
 
 import (
-	"math/bits"
 	"sort"
-	"strconv"
 
 	"pamakv/internal/kv"
 )
 
-// DefaultVNodes is the virtual-node count per member used when a Ring is
-// built with vnodes <= 0. 128 keeps the keys-per-node imbalance under ~10%
-// for small clusters (see TestRingBalance) while the ring stays a few KiB.
+// DefaultVNodes was the virtual-node count per member of the ring's earlier
+// form.
+//
+// Deprecated: the ring has no virtual nodes; NewRing ignores its vnodes
+// argument.
 const DefaultVNodes = 128
 
 // normalize sorts and dedupes a member list, dropping empty entries.
@@ -48,120 +48,66 @@ func normalize(members []string) []string {
 	return out
 }
 
-// point is one virtual node on the ring: a hash position and the member it
-// maps to.
-type point struct {
-	hash uint64
-	node int32
-}
+// slotBits sizes the slot table: 2^14 slots keep the keys-per-member
+// imbalance within a few percent at up to 8 members (TestRingBalance) in a
+// 32 KiB table.
+const slotBits = 14
 
-// Ring is a consistent-hash ring with virtual nodes. It is immutable and
-// safe for concurrent use; a membership change builds a new Ring.
+// Ring maps a key's hash to its owning member through a fixed table of
+// hash slots. It is immutable and safe for concurrent use; a membership
+// change builds a new Ring.
 type Ring struct {
 	members []string
-	points  []point // sorted by hash
-	// first is the successor table: bucket b covers the hashes whose top
-	// bits are b, and first[b] is the index of the first point at or after
-	// the bucket's start (len(points) past the last point).
-	first []uint32
-	shift uint // 64 - log2(len(first))
+	// slots[s] indexes members: the owner of every hash whose top slotBits
+	// bits are s. Nil for an empty ring.
+	slots *[1 << slotBits]uint16
 }
 
-// bucketsPerPoint sizes the successor table: at 4 buckets per point a
-// successor search is one load and a forward scan that rarely takes a
-// step, for 4 bytes a bucket.
-const bucketsPerPoint = 4
+// slotWeight is member hash hm's rendezvous weight for slot s: the s-th
+// output of a splitmix64 stream seeded by hm.
+func slotWeight(hm uint64, s int) uint64 { return kv.Mix64(hm + uint64(s)*0x9e3779b97f4a7c15) }
 
-// NewRing builds a ring over members with vnodes virtual nodes each
-// (DefaultVNodes when vnodes <= 0). The construction is deterministic:
-// equal member lists produce identical rings on every node.
+// NewRing builds the ring over members. Each slot goes to the member of
+// highest slotWeight (rendezvous hashing), so the table is a pure function
+// of the member set: removing a member moves only the slots it held, adding
+// one moves only the slots it wins. vnodes is ignored; it remains for
+// callers of the ring's earlier form.
 func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
 	ms := normalize(members)
-	r := &Ring{members: ms, points: make([]point, 0, len(ms)*vnodes)}
-	for i, m := range ms {
-		// Each vnode hashes "member#k"; the strong mixer in HashString
-		// spreads the positions even though the inputs share a prefix.
-		for k := 0; k < vnodes; k++ {
-			h := kv.HashString(m + "#" + strconv.Itoa(k))
-			r.points = append(r.points, point{hash: h, node: int32(i)})
-		}
+	r := &Ring{members: ms}
+	if len(ms) == 0 {
+		return r
 	}
-	sort.Slice(r.points, func(a, b int) bool {
-		if r.points[a].hash != r.points[b].hash {
-			return r.points[a].hash < r.points[b].hash
-		}
-		// Hash ties (vanishingly rare) break by member index so the ring
-		// is still a pure function of the member list.
-		return r.points[a].node < r.points[b].node
-	})
-	if len(r.points) > 0 {
-		lg := uint(bits.Len(uint(len(r.points)*bucketsPerPoint - 1)))
-		r.shift = 64 - lg
-		r.first = make([]uint32, 1<<lg)
-		i := 0
-		for b := range r.first {
-			start := uint64(b) << r.shift
-			for i < len(r.points) && r.points[i].hash < start {
-				i++
+	hm := make([]uint64, len(ms))
+	for i, m := range ms {
+		hm[i] = kv.HashString(m)
+	}
+	r.slots = new([1 << slotBits]uint16)
+	for s := range r.slots {
+		// A weight tie (vanishingly rare) goes to the first member in
+		// sorted order, so the table still depends on the set alone.
+		best, bestW := 0, slotWeight(hm[0], s)
+		for i := 1; i < len(hm); i++ {
+			if w := slotWeight(hm[i], s); w > bestW {
+				best, bestW = i, w
 			}
-			r.first[b] = uint32(i)
 		}
+		r.slots[s] = uint16(best)
 	}
 	return r
 }
 
-// successor returns the index of the first point at or after h, wrapping to
-// 0 past the last point. Every point before first[h's bucket] lies below
-// the bucket's start, hence below h; the scan stops at the bucket's end at
-// the latest.
-func (r *Ring) successor(h uint64) int {
-	i := int(r.first[h>>r.shift])
-	for i < len(r.points) && r.points[i].hash < h {
-		i++
-	}
-	if i == len(r.points) {
-		i = 0 // wrap: the ring is circular
-	}
-	return i
-}
-
-// ringProbes is the probe count of multi-probe consistent hashing: each key
-// hashes to several candidate positions and the one closest to its clockwise
-// successor wins. Min-of-k distance sampling discounts members that happen
-// to own long arcs, cutting the keys-per-node imbalance from ~1/sqrt(vnodes)
-// (>10% at 128 vnodes) to well under 10% — without growing the ring.
-const ringProbes = 8
-
-// Owner returns the member owning key: among ringProbes probe positions
-// derived from the key's hash, the vnode with the smallest clockwise
-// distance to its probe wins. Removing a member deletes only its vnodes, so
-// a key moves only if its winning vnode belonged to the removed member —
-// distances to surviving vnodes only shrink or stay equal (minimal
-// disruption, checked by TestRingMinimalDisruption).
+// Owner returns the member owning key.
 func (r *Ring) Owner(key string) string { return r.OwnerHash(kv.HashString(key)) }
 
 // OwnerHash is Owner for a key already hashed with kv.HashString: a server
 // routing a pipelined chunk hashes each key once and resolves its owner from
-// the hash.
+// the hash with one table load.
 func (r *Ring) OwnerHash(h uint64) string {
-	if len(r.points) == 0 {
+	if r.slots == nil {
 		return ""
 	}
-	var best int32
-	bestDist := ^uint64(0)
-	for p := 0; p < ringProbes; p++ {
-		// Splitmix64 probe sequence: deterministic per key.
-		ph := kv.Mix64(h + uint64(p)*0x9e3779b97f4a7c15)
-		i := r.successor(ph)
-		// Clockwise distance; uint64 wraparound handles the wrapped case.
-		if d := r.points[i].hash - ph; d < bestDist {
-			bestDist, best = d, r.points[i].node
-		}
-	}
-	return r.members[best]
+	return r.members[r.slots[h>>(64-slotBits)]]
 }
 
 // Members returns the ring's member list.

@@ -589,7 +589,7 @@ func TestHandoffAddLosesToFresherValue(t *testing.T) {
 
 	// Find keys that will route to the peer under the 2-member view, and
 	// pre-write one at the peer (simulating a post-cutover write).
-	probe := cluster.NewRing([]string{self, peer.addr()}, cluster.DefaultVNodes)
+	probe := cluster.NewRing([]string{self, peer.addr()}, 0)
 	var fresh string
 	for i := 0; fresh == "" && i < 1000; i++ {
 		k := fmt.Sprintf("f%03d", i)

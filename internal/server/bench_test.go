@@ -200,7 +200,7 @@ func BenchmarkServerSetFill(b *testing.B) {
 // trips a batch cost (one per forwarded command before the two-phase batch).
 func BenchmarkClusterForwardPipelined(b *testing.B) {
 	const depth, nkeys, nbatches = 16, 1 << 14, 1024
-	nodes := startCluster(b, 2, cluster.Config{VNodes: 64}, nil)
+	nodes := startCluster(b, 2, cluster.Config{}, nil)
 	conn, err := net.Dial("tcp", nodes[0].addr)
 	if err != nil {
 		b.Fatal(err)

@@ -41,7 +41,7 @@ type churnNode struct {
 func startChurnNode(t *testing.T, ln net.Listener, members []string, mcfg membership.Config) *churnNode {
 	t.Helper()
 	addr := ln.Addr().String()
-	p, err := cluster.New(cluster.Config{Self: addr, Members: members, VNodes: 64})
+	p, err := cluster.New(cluster.Config{Self: addr, Members: members})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func getValue(t *testing.T, cl *client, key string) (string, bool) {
 // nodes land on (and only on) each key's owner; every node serves every
 // key; CAS round-trips through the relay.
 func TestClusterForwardingSingleOwner(t *testing.T) {
-	nodes := startCluster(t, 3, cluster.Config{VNodes: 64}, nil)
+	nodes := startCluster(t, 3, cluster.Config{}, nil)
 	clients := make([]*client, len(nodes))
 	for i, n := range nodes {
 		clients[i] = dial(t, n.addr)
@@ -229,7 +229,7 @@ func TestClusterForwardingSingleOwner(t *testing.T) {
 // a remote key is served locally from the hot-item mini-cache, and a write
 // through the same node invalidates the copy.
 func TestClusterHotCacheAbsorbsRepeatReads(t *testing.T) {
-	nodes := startCluster(t, 2, cluster.Config{VNodes: 64}, nil)
+	nodes := startCluster(t, 2, cluster.Config{}, nil)
 	key := keyOwnedBy(t, nodes, 1, "hot")
 	cl := dial(t, nodes[0].addr) // non-owner
 
@@ -265,7 +265,7 @@ func TestClusterHotCacheAbsorbsRepeatReads(t *testing.T) {
 func TestClusterNodeFailureReroutes(t *testing.T) {
 	// Hot cache off: the assertion "a dead owner's keys now miss" must
 	// not be masked by a surviving replica in a mini-cache.
-	nodes := startCluster(t, 3, cluster.Config{VNodes: 64}, func(i int, o *Options) {
+	nodes := startCluster(t, 3, cluster.Config{}, func(i int, o *Options) {
 		o.HotCacheBytes = -1
 	})
 	clA, clB := dial(t, nodes[0].addr), dial(t, nodes[1].addr)
@@ -368,7 +368,7 @@ func TestClusterSingleflightCollapsesPeerReads(t *testing.T) {
 	// The owner's backend sleeps 250ms per fetch (real-time scale 1.0),
 	// holding the flight open long enough for every racer to coalesce.
 	slow := backend.NewRealTime(penalty.Uniform(0.25), nil, 1.0)
-	nodes := startCluster(t, 2, cluster.Config{VNodes: 64}, func(i int, o *Options) {
+	nodes := startCluster(t, 2, cluster.Config{}, func(i int, o *Options) {
 		if i == 1 {
 			o.Backend = slow
 		}
@@ -439,7 +439,6 @@ func TestClusterFallbackToLocalBackend(t *testing.T) {
 	p, err := cluster.New(cluster.Config{
 		Self:    ln.Addr().String(),
 		Members: []string{ln.Addr().String(), deadAddr},
-		VNodes:  64,
 		Client:  cluster.ClientOptions{Retries: -1, DialTimeout: 200 * time.Millisecond},
 	})
 	if err != nil {
@@ -466,9 +465,10 @@ func TestClusterFallbackToLocalBackend(t *testing.T) {
 }
 
 // TestClusterAdminExposure: /metrics carries the per-peer labelled series
-// and /statsz the cluster document.
+// and /statsz the cluster document. The set is forwarded; the get that
+// follows hits the copy the set left in the hot cache.
 func TestClusterAdminExposure(t *testing.T) {
-	nodes := startCluster(t, 2, cluster.Config{VNodes: 64}, nil)
+	nodes := startCluster(t, 2, cluster.Config{}, nil)
 	key := keyOwnedBy(t, nodes, 1, "adm")
 	cl := dial(t, nodes[0].addr)
 	cl.send(t, "set "+key+" 0 0 1\r\nz\r\n")
@@ -477,8 +477,8 @@ func TestClusterAdminExposure(t *testing.T) {
 	}
 	getValue(t, cl, key)
 	cl.send(t, "stats\r\n")
-	if stats := readUntil(t, cl, "END\r\n"); !strings.Contains(stats, "STAT peer_exchanges 2\r\n") ||
-		!strings.Contains(stats, "STAT peer_exchanged_commands 2\r\n") {
+	if stats := readUntil(t, cl, "END\r\n"); !strings.Contains(stats, "STAT peer_exchanges 1\r\n") ||
+		!strings.Contains(stats, "STAT peer_exchanged_commands 1\r\n") || !strings.Contains(stats, "STAT hot_hits 1\r\n") {
 		t.Errorf("stats missing the exchange counters: %q", stats)
 	}
 
@@ -489,8 +489,8 @@ func TestClusterAdminExposure(t *testing.T) {
 	for _, want := range []string{
 		"pamakv_cluster_forwards_total",
 		"pamakv_cluster_peer_hits_total",
-		"pamakv_cluster_exchanges_total 2",
-		"pamakv_cluster_exchanged_commands_total 2",
+		"pamakv_cluster_exchanges_total 1",
+		"pamakv_cluster_exchanged_commands_total 1",
 		`pamakv_peer_requests_total{peer="` + nodes[1].addr + `"}`,
 		`pamakv_peer_breaker_open{peer="` + nodes[1].addr + `"} 0`,
 		`pamakv_peer_request_seconds_count{peer="` + nodes[1].addr + `"}`,
@@ -509,8 +509,8 @@ func TestClusterAdminExposure(t *testing.T) {
 		`"self": "` + nodes[0].addr + `"`,
 		`"` + nodes[1].addr + `"`,
 		`"hot_cache"`,
-		`"PeerExchanges": 2`,
-		`"PeerExchangedCmds": 2`,
+		`"PeerExchanges": 1`,
+		`"PeerExchangedCmds": 1`,
 	} {
 		if !strings.Contains(sbody, want) {
 			t.Errorf("/statsz missing %q", want)

@@ -119,7 +119,7 @@ func nodeExposition(t *testing.T) exposition {
 	}
 	startChurnNode(t, lns[1], addrs, membership.Config{ProbeInterval: -1})
 
-	p, err := cluster.New(cluster.Config{Self: addrs[0], Members: addrs, VNodes: 64})
+	p, err := cluster.New(cluster.Config{Self: addrs[0], Members: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func nodeExposition(t *testing.T) exposition {
 		"bogus\r\n",
 		"set "+spare[3]+" 0 0 20000\r\n"+strings.Repeat("v", 20000)+"\r\n", // no class holds it
 	)
-	for _, k := range remote { // forwarded; the second read is a hot-cache hit
+	for _, k := range remote { // the set is forwarded and leaves a hot copy, which both reads hit; the gets is forwarded
 		cmds = append(cmds, setCmd(k, "remote-value"), "get "+k+"\r\n", "get "+k+"\r\n", "gets "+k+"\r\n")
 	}
 	answerEach(t, cl, cmds)

@@ -126,6 +126,35 @@ func TestIdleTimeout(t *testing.T) {
 	}
 }
 
+// TestIdleDeadlineRearmsPerSixteenth: the idle deadline is re-armed only
+// once a sixteenth of ReadTimeout has passed since it was last armed, and
+// still bounds each wait: requests 0.75 × ReadTimeout apart are served, and
+// silence closes the connection within ReadTimeout of the last one, no
+// sooner than 15/16 of it.
+func TestIdleDeadlineRearmsPerSixteenth(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	srv, addr := startServer(t, Options{ReadTimeout: timeout})
+	cl := dial(t, addr)
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			time.Sleep(timeout * 3 / 4)
+		}
+		cl.send(t, "version\r\n")
+		cl.line(t)
+	}
+	last := time.Now()
+	cl.conn.SetReadDeadline(time.Now().Add(5 * timeout))
+	if _, err := cl.r.ReadByte(); err != io.EOF {
+		t.Fatalf("idle connection read -> %v, want EOF", err)
+	}
+	if took := time.Since(last); took < timeout*15/16-10*time.Millisecond || took > timeout+150*time.Millisecond {
+		t.Fatalf("idle connection closed %v after its last request, want between 15/16 and 1 × %v", took, timeout)
+	}
+	if st := srv.Stats(); st.IdleTimeouts != 1 {
+		t.Fatalf("IdleTimeouts = %d, want 1", st.IdleTimeouts)
+	}
+}
+
 // TestMaxConnsBackpressure verifies the accept loop holds excess
 // connections in the kernel backlog until a slot frees.
 func TestMaxConnsBackpressure(t *testing.T) {
@@ -188,6 +217,30 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if st := srv.Stats(); st.ForcedCloses != 0 {
 		t.Fatalf("ForcedCloses = %d, want 0 (drain should have sufficed)", st.ForcedCloses)
+	}
+}
+
+// TestDrainWakesIdleUnderReadTimeout: an idle handler whose read deadline
+// is a minute away, armed too recently to be re-armed, is still woken by
+// Shutdown's immediate deadline and exits without being forced.
+func TestDrainWakesIdleUnderReadTimeout(t *testing.T) {
+	srv, addr := startServer(t, Options{ReadTimeout: time.Minute, DrainTimeout: 5 * time.Second})
+	cl := dial(t, addr)
+	for i := 0; i < 2; i++ {
+		cl.send(t, "version\r\n")
+		cl.line(t)
+	}
+	start := time.Now()
+	srv.Shutdown()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Shutdown took %v with one idle connection", took)
+	}
+	cl.conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := cl.r.ReadByte(); err != io.EOF {
+		t.Fatalf("idle connection read after Shutdown -> %v, want EOF", err)
+	}
+	if st := srv.Stats(); st.ForcedCloses != 0 {
+		t.Fatalf("ForcedCloses = %d, want 0", st.ForcedCloses)
 	}
 }
 

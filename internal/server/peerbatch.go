@@ -60,6 +60,9 @@ type deferredCmd struct {
 
 	// Filled from the owner's reply: the bytes this node's client is owed
 	// (in connScratch.rep), and for a GET hit where the value lies in them.
+	// A plain set with exptime 0 fills val and flags when it is queued —
+	// its value, inside the exchange's rendered requests — and sets hit,
+	// which the reply keeps only if it is STORED.
 	reply, val span
 	flags      uint32
 	hit, shed  bool
@@ -120,14 +123,18 @@ func (sc *connScratch) push(e int, d deferredCmd) {
 
 // deferWrite queues a mutating command for the key's owning peer, to be
 // relayed verbatim and answered with the owner's reply. The local hot-cache
-// copy (if any) is dropped now and again when the reply is spliced, so this
-// node never serves a value it knows changed.
+// copy (if any) is dropped now, so the batch's later GETs of the key go to
+// the owner. When the reply is spliced, a plain set the owner STORED leaves
+// its value there and anything else drops the key again, so this node never
+// serves a value it knows changed.
 func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, r keyRoute) []byte {
 	atomic.AddUint64(&s.st.PeerForwards, 1)
+	e, out := s.exchangeFor(sc, out, r.owner, len(cmd.Keys[0])+len(cmd.Data))
+	// Not before exchangeFor: completing a full exchange may backfill the
+	// key's pre-write value from a GET queued earlier in the batch.
 	if s.hot != nil {
 		s.hot.InvalidateHash(r.h, cmd.Keys[0])
 	}
-	e, out := s.exchangeFor(sc, out, r.owner, len(cmd.Keys[0])+len(cmd.Data))
 	if e < 0 {
 		atomic.AddUint64(&s.st.PeerErrors, 1)
 		if cmd.NoReply {
@@ -144,7 +151,12 @@ func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, r k
 	koff := len(ex.req) + len(cmd.Name) + 1 // every write renders as "<verb> <key>..."
 	ex.req = proto.AppendCommand(ex.req, &fwd)
 	ex.write = true
-	sc.push(e, deferredCmd{pos: len(out), key: span{koff, koff + len(cmd.Keys[0])}, h: r.h, kind: deferWrite, noreply: cmd.NoReply})
+	d := deferredCmd{pos: len(out), key: span{koff, koff + len(cmd.Keys[0])}, h: r.h, kind: deferWrite, noreply: cmd.NoReply}
+	if cmd.Name == "set" && cmd.Exptime == 0 {
+		end := len(ex.req) - 2 // the data block ends the request, before its CRLF
+		d.val, d.flags, d.hit = span{end - len(cmd.Data), end}, cmd.Flags, true
+	}
+	sc.push(e, d)
 	return out
 }
 
@@ -240,6 +252,7 @@ func (sc *connScratch) record(ex *peerExchange, d *deferredCmd, r *proto.Resp) {
 	d.shed = r.IsShed()
 	switch {
 	case d.kind == deferWrite:
+		d.hit = d.hit && r.Status == proto.StatusStored
 		// The owner's reply relays verbatim, a shed included: the client
 		// sees the same signal a local shed would send.
 		if !d.noreply {
@@ -312,14 +325,28 @@ func (s *Server) flightGet(sc *connScratch, d *deferredCmd) {
 }
 
 // settle applies d's side effects — counters, hot-cache invalidation and
-// backfill — and leaves in d.reply the bytes of sc.rep its client is owed
+// fills — and leaves in d.reply the bytes of sc.rep its client is owed
 // (none for a miss or a noreply write). When its exchange failed at transport
 // level (breaker open, or an error after the peer client's retries and
 // hedging) that is the degraded outcome.
 func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 	ex := &sc.exchanges[d.ex]
 	key := ex.req[d.key.off:d.key.end]
+	// Hot-cache fills stop under pressure: copying bytes into the
+	// mini-cache is work the strained node can skip.
+	fill := s.hot != nil && s.overloadTier() < overload.TierStrained
 	if d.kind == deferWrite {
+		switch {
+		case fill && ex.err == nil && d.hit:
+			// The owner stored exactly these bytes: keep them, so the
+			// next read of the key need not cross the hop.
+			s.hot.PutHash(d.h, string(key), d.flags, ex.req[d.val.off:d.val.end])
+		case s.hot != nil:
+			// Again, now that the owner has answered: a GET on another
+			// connection may have read the old value from the owner and
+			// backfilled it after the invalidation at queue time.
+			s.hot.InvalidateHash(d.h, string(key))
+		}
 		if ex.err != nil {
 			// A write must not silently apply to a non-authoritative copy.
 			atomic.AddUint64(&s.st.PeerErrors, 1)
@@ -332,18 +359,12 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 			}
 			return
 		}
-		if s.hot != nil {
-			// Again, now that the owner has applied the write: a GET on
-			// another connection may have read the old value from the
-			// owner and backfilled it after the invalidation at queue time.
-			s.hot.InvalidateHash(d.h, string(key))
-		}
 		if d.shed {
 			atomic.AddUint64(&s.st.PeerSheds, 1)
 		}
 		return
 	}
-	backfill := d.kind == deferGet && s.hot != nil && s.overloadTier() < overload.TierStrained
+	backfill := d.kind == deferGet && fill
 	if ex.err != nil {
 		atomic.AddUint64(&s.st.PeerErrors, 1)
 		d.reply = span{}
@@ -383,8 +404,6 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 	case d.hit:
 		atomic.AddUint64(&s.st.PeerHits, 1)
 		if backfill {
-			// Hot-cache backfill stops under pressure: copying bytes into
-			// the mini-cache is work the strained node can skip.
 			s.hot.PutHash(d.h, string(key), d.flags, sc.rep[d.val.off:d.val.end])
 		}
 	}

@@ -77,7 +77,7 @@ func answerBatch(t *testing.T, cl *client, cmds []string) string {
 // commands sent one per round trip — and does so in fewer exchanges than
 // forwards.
 func TestBatchAnswersLikeRoundTrips(t *testing.T) {
-	nodes := startCluster(t, 2, cluster.Config{VNodes: 64}, nil)
+	nodes := startCluster(t, 2, cluster.Config{}, nil)
 	l1, l2 := keyOwnedBy(t, nodes, 0, "la"), keyOwnedBy(t, nodes, 0, "lb")
 	r1, r2 := keyOwnedBy(t, nodes, 1, "ra"), keyOwnedBy(t, nodes, 1, "rb")
 	r3, rn := keyOwnedBy(t, nodes, 1, "rc"), keyOwnedBy(t, nodes, 1, "rn")
@@ -165,7 +165,7 @@ func setCmd(key, val string) string {
 // batch goes on — between two commands, and between two keys of one get —
 // answering exactly as one command per round trip does.
 func TestBatchSplitsFullExchange(t *testing.T) {
-	nodes := startClusterOn(t, 2, cluster.Config{VNodes: 64}, nil, newLargeValueEngine)
+	nodes := startClusterOn(t, 2, cluster.Config{}, nil, newLargeValueEngine)
 	l1 := keyOwnedBy(t, nodes, 0, "l")
 	r1, r2, r3 := keyOwnedBy(t, nodes, 1, "ra"), keyOwnedBy(t, nodes, 1, "rb"), keyOwnedBy(t, nodes, 1, "rc")
 	ka, kb, kc := keyOwnedBy(t, nodes, 1, "ka"), keyOwnedBy(t, nodes, 1, "kb"), keyOwnedBy(t, nodes, 1, "kc")
@@ -310,7 +310,6 @@ func startWithFakeOwners(t *testing.T, opts Options, serves ...func(conn net.Con
 	p, err := cluster.New(cluster.Config{
 		Self:    members[0],
 		Members: members,
-		VNodes:  64,
 		Client:  cluster.ClientOptions{Retries: -1, DialTimeout: 200 * time.Millisecond},
 	})
 	if err != nil {
@@ -450,7 +449,7 @@ func TestBatchRelaysShedVerbatim(t *testing.T) {
 // 16-deep batch of remote commands must not wait in admission on slots its
 // own queued commands hold — every command is served, none shed.
 func TestBatchAllRemoteUnderLimitOne(t *testing.T) {
-	nodes := startCluster(t, 2, cluster.Config{VNodes: 64}, func(i int, o *Options) {
+	nodes := startCluster(t, 2, cluster.Config{}, func(i int, o *Options) {
 		if i == 0 {
 			o.Overload = &overload.Config{
 				MaxInflight:   1,
@@ -484,8 +483,9 @@ func TestBatchAllRemoteUnderLimitOne(t *testing.T) {
 // TestForwardedWriteInvalidatesHotCacheAfterReply: a GET on another
 // connection reads the old value from the owner while a forwarded write is
 // in flight and backfills the hot cache after the write's queue-time
-// invalidation. The write must invalidate again once the owner has
-// answered, or this node serves a value it knows it changed for a TTL.
+// invalidation. Once the owner has acknowledged the write, a GET through
+// this node returns the written value: the racing copy of the old one does
+// not outlive the write.
 func TestForwardedWriteInvalidatesHotCacheAfterReply(t *testing.T) {
 	gotGet, gotSet := make(chan struct{}), make(chan struct{})
 	answerGet, answerSet := make(chan struct{}), make(chan struct{})
@@ -531,11 +531,131 @@ func TestForwardedWriteInvalidatesHotCacheAfterReply(t *testing.T) {
 	if got := writer.line(t); got != "STORED" {
 		t.Fatalf("set -> %q", got)
 	}
-	if val, ok := getValue(t, writer, key); !ok || val != "new" {
-		t.Fatalf("get after the write was acknowledged = (%q, %v), want \"new\" from the owner", val, ok)
+	for _, cl := range []*client{writer, reader} {
+		if val, ok := getValue(t, cl, key); !ok || val != "new" {
+			t.Fatalf("get after the write was acknowledged = (%q, %v), want \"new\": the pre-write copy outlived the write", val, ok)
+		}
 	}
-	if st := nodes[0].srv.Stats(); st.HotHits != 0 {
-		t.Errorf("HotHits = %d: the pre-write copy outlived the write", st.HotHits)
+}
+
+// TestBatchGetAfterForwardedWriteSeesWrite: in one batch, a GET of a remote
+// key, a SET that fills the key's exchange, a SET of the key and a GET of
+// it. The full exchange completes when the key's SET is queued, and its GET
+// backfills the pre-write value; the trailing GET must still read the
+// write, not that copy.
+func TestBatchGetAfterForwardedWriteSeesWrite(t *testing.T) {
+	nodes := startClusterOn(t, 2, cluster.Config{}, nil, newLargeValueEngine)
+	key, big := keyOwnedBy(t, nodes, 1, "k"), keyOwnedBy(t, nodes, 1, "big")
+	owner := dial(t, nodes[1].addr)
+	owner.send(t, setCmd(key, "v1"))
+	if got := owner.line(t); got != "STORED" {
+		t.Fatalf("set at the owner -> %q", got)
+	}
+	get := "get " + key + "\r\n"
+	// big's request leaves its exchange one byte short of full.
+	pad := strings.Repeat("b", 20_000)
+	bigVal := strings.Repeat("b", maxExchangeBytes-1-len(get)-len(setCmd(big, pad))+len(pad))
+	cl := dial(t, nodes[0].addr)
+	got := answerBatch(t, cl, []string{get, setCmd(big, bigVal), setCmd(key, "v2"), get})
+	want := "VALUE " + key + " 0 2\r\nv1\r\nEND\r\nSTORED\r\nSTORED\r\nVALUE " + key + " 0 2\r\nv2\r\nEND\r\n"
+	if got != want {
+		t.Fatalf("batch answered %q, want %q", got, want)
+	}
+}
+
+// TestForwardedWriteKeepsOnlyStoredSets: the hot cache keeps the value of a
+// forwarded plain set (exptime 0) its owner STORED. Every other write, every
+// other reply, a failed exchange and a strained node drop the key's copy
+// instead: the next GET reads the owner.
+func TestForwardedWriteKeepsOnlyStoredSets(t *testing.T) {
+	const (
+		old   = "old"   // the owner's value before the write
+		after = "owner" // its value once the write is in, whatever it wrote
+	)
+	shed := "SERVER_ERROR " + proto.ShedMsg
+	strained := &overload.Config{MaxInflight: 1, MinLimit: 1, InitialLimit: 1,
+		Target: time.Second, SojournCutoff: 10 * time.Second, TierHold: time.Hour}
+	for _, tc := range []struct {
+		name, write string
+		reply       string // the owner's reply; "" drops the connection instead
+		answer      string // what the client is told, when not the reply
+		want        string // the next GET's answer: VALUE line and data
+		overload    *overload.Config
+	}{
+		{name: "set", write: "set %s 7 0 3\r\nnew\r\n", reply: "STORED", want: "7 3\r\nnew"},
+		{name: "set noreply", write: "set %s 7 0 3 noreply\r\nnew\r\n", reply: "STORED", want: "7 3\r\nnew"},
+		{name: "set with expiry", write: "set %s 0 100 3\r\nnew\r\n", reply: "STORED"},
+		{name: "set not stored", write: "set %s 0 0 3\r\nnew\r\n", reply: "NOT_STORED"},
+		{name: "set shed", write: "set %s 0 0 3\r\nnew\r\n", reply: shed},
+		{name: "set error", write: "set %s 0 0 3\r\nnew\r\n", reply: "SERVER_ERROR out of memory"},
+		{name: "set exchange fails", write: "set %s 0 0 3\r\nnew\r\n", answer: "SERVER_ERROR peer PEER unavailable"},
+		{name: "set strained", write: "set %s 0 0 3\r\nnew\r\n", reply: "STORED", overload: strained},
+		{name: "add", write: "add %s 0 0 3\r\nnew\r\n", reply: "STORED"},
+		{name: "replace", write: "replace %s 0 0 3\r\nnew\r\n", reply: "STORED"},
+		{name: "cas", write: "cas %s 0 0 3 1\r\nnew\r\n", reply: "STORED"},
+		{name: "append", write: "append %s 0 0 1\r\nx\r\n", reply: "STORED"},
+		{name: "prepend", write: "prepend %s 0 0 1\r\nx\r\n", reply: "STORED"},
+		{name: "incr", write: "incr %s 1\r\n", reply: "6"},
+		{name: "decr", write: "decr %s 1\r\n", reply: "4"},
+		{name: "touch", write: "touch %s 100\r\n", reply: "TOUCHED"},
+		{name: "delete", write: "delete %s\r\n", reply: "DELETED"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cur atomic.Value // the owner's value of every key
+			cur.Store(old)
+			nodes := startWithFakeOwners(t, Options{HotCacheTTL: time.Minute, Overload: tc.overload}, func(conn net.Conn) {
+				r := proto.NewParser(bufio.NewReader(conn))
+				for {
+					cmd, err := r.ReadCommand()
+					if err != nil {
+						return
+					}
+					var out []byte
+					if cmd.Name == "get" {
+						out = proto.AppendEnd(proto.AppendValue(out, cmd.Keys[0], 0, []byte(cur.Load().(string))))
+					} else {
+						cur.Store(after)
+						if tc.reply == "" {
+							return
+						}
+						out = proto.AppendLine(out, tc.reply)
+					}
+					if _, err := conn.Write(out); err != nil {
+						return
+					}
+				}
+			})
+			key := keyOwnedBy(t, nodes, 1, "k")
+			cl := dial(t, nodes[0].addr)
+			for i := 0; i < 2; i++ { // a miss that backfills, then a hot hit
+				if val, ok := getValue(t, cl, key); !ok || val != old {
+					t.Fatalf("get before the write = (%q, %v), want %q", val, ok, old)
+				}
+			}
+			if hits := nodes[0].srv.Stats().HotHits; tc.overload == nil && hits != 1 {
+				t.Fatalf("HotHits = %d before the write, want 1: no copy to drop", hits)
+			}
+			answer := tc.answer
+			switch {
+			case strings.Contains(tc.write, "noreply"):
+			case answer == "":
+				answer = tc.reply + "\r\n"
+			default:
+				answer = strings.Replace(answer, "PEER", nodes[1].addr, 1) + "\r\n"
+			}
+			cl.send(t, fmt.Sprintf(tc.write, key)+"version\r\n")
+			if got := readUntil(t, cl, versionLine); got != answer {
+				t.Fatalf("write answered %q, want %q", got, answer)
+			}
+			want := tc.want
+			if want == "" {
+				want = fmt.Sprintf("0 %d\r\n%s", len(after), after)
+			}
+			cl.send(t, "get "+key+"\r\n")
+			if got, want := readUntil(t, cl, "END\r\n"), "VALUE "+key+" "+want+"\r\n"; got != want {
+				t.Fatalf("get after the write answered %q, want %q", got, want)
+			}
+		})
 	}
 }
 
@@ -549,7 +669,7 @@ func TestForwardedGetAllocations(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const depth = 16
-	nodes := startCluster(t, 2, cluster.Config{VNodes: 64}, func(i int, o *Options) {
+	nodes := startCluster(t, 2, cluster.Config{}, func(i int, o *Options) {
 		o.HotCacheBytes = -1
 	})
 	cl := dial(t, nodes[0].addr)

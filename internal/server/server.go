@@ -138,6 +138,10 @@ type connScratch struct {
 	deferred  []deferredCmd
 	exchanges []peerExchange
 	rep       []byte
+
+	// The connection's read and write deadlines, armed once per sixteenth
+	// of ReadTimeout and WriteTimeout.
+	readBy, writeBy cluster.Deadline
 }
 
 // chunkEntry is one request of a chunk: a parsed command, valid until the
@@ -232,7 +236,9 @@ type Options struct {
 
 	// ReadTimeout is the idle deadline: the longest the server waits for
 	// the next request (or the rest of a partially sent one) before
-	// closing the connection. 0 waits forever.
+	// closing the connection. 0 waits forever. Like WriteTimeout it is
+	// re-armed once per sixteenth of itself (cluster.Deadline), so the
+	// wait allowed is between 15/16 and 1 × ReadTimeout.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds flushing one response batch to a slow reader.
 	// 0 waits forever.
@@ -688,20 +694,21 @@ func (s *Server) handle(conn net.Conn) {
 	sc := &connScratch{out: rehouse(nil, initialScratch)}
 	defer func() { out := sc.out; bufpool.Put(&out) }() // the connection's last buffer goes back too
 	for {
-		// Block for the next request under the idle deadline.
-		if s.opts.ReadTimeout > 0 {
+		// Block for the next request under the idle deadline. Left as it
+		// is, an immediate deadline set by Shutdown wakes the read.
+		if s.opts.ReadTimeout > 0 && sc.readBy.Due(s.opts.ReadTimeout) {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 		}
 		p.BeginChunk()
 		cmd, err := p.ReadCommand()
 		if err != nil {
 			p.ReleaseChunk()
-			if fatal := s.readError(conn, err); fatal {
+			if fatal := s.readError(conn, sc, err); fatal {
 				return
 			}
 			// Recoverable protocol error: reply and keep serving.
 			sc.out = proto.AppendLine(sc.out[:0], "CLIENT_ERROR "+clientMsg(err))
-			if !s.flush(conn, sc.out) {
+			if !s.flush(conn, sc) {
 				return
 			}
 			continue
@@ -739,7 +746,7 @@ func (s *Server) handle(conn net.Conn) {
 		if len(sc.deferred) > 0 {
 			s.completeDeferred(sc)
 		}
-		if !s.flush(conn, sc.out) {
+		if !s.flush(conn, sc) {
 			return
 		}
 		sc.capScratch()
@@ -753,11 +760,11 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		if batchErr != nil {
-			if fatal := s.readError(conn, batchErr); fatal {
+			if fatal := s.readError(conn, sc, batchErr); fatal {
 				return
 			}
 			sc.out = proto.AppendLine(sc.out[:0], "CLIENT_ERROR "+clientMsg(batchErr))
-			if !s.flush(conn, sc.out) {
+			if !s.flush(conn, sc) {
 				return
 			}
 		}
@@ -868,16 +875,16 @@ func (s *Server) routeChunk(sc *connScratch) {
 	sc.keys, sc.routes, sc.hotHs = keys[:0], routes, hot[:0]
 }
 
-// flush writes out, a finished response batch, to the connection under the
-// write deadline, reporting whether the connection is still usable.
-func (s *Server) flush(conn net.Conn, out []byte) bool {
-	if len(out) == 0 {
+// flush writes sc.out, a finished response batch, to the connection under
+// the write deadline, reporting whether the connection is still usable.
+func (s *Server) flush(conn net.Conn, sc *connScratch) bool {
+	if len(sc.out) == 0 {
 		return true
 	}
-	if s.opts.WriteTimeout > 0 {
+	if s.opts.WriteTimeout > 0 && sc.writeBy.Due(s.opts.WriteTimeout) {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 	}
-	if _, err := conn.Write(out); err != nil {
+	if _, err := conn.Write(sc.out); err != nil {
 		atomic.AddUint64(&s.st.IOErrors, 1)
 		return false
 	}
@@ -887,7 +894,7 @@ func (s *Server) flush(conn net.Conn, out []byte) bool {
 // readError classifies a ReadCommand failure, updates counters, and reports
 // whether the connection must close. A false return means the error was a
 // recoverable client mistake: the caller replies CLIENT_ERROR and continues.
-func (s *Server) readError(conn net.Conn, err error) (fatal bool) {
+func (s *Server) readError(conn net.Conn, sc *connScratch, err error) (fatal bool) {
 	var ce *proto.ClientError
 	switch {
 	case s.draining():
@@ -904,7 +911,8 @@ func (s *Server) readError(conn net.Conn, err error) (fatal bool) {
 		// Framing is unrecoverable; tell the client whose fault it
 		// was, then close.
 		atomic.AddUint64(&s.st.ClientErrors, 1)
-		s.flush(conn, []byte("CLIENT_ERROR line too long\r\n"))
+		sc.out = proto.AppendLine(sc.out[:0], "CLIENT_ERROR line too long")
+		s.flush(conn, sc)
 		return true
 	case errors.As(err, &ce):
 		atomic.AddUint64(&s.st.ClientErrors, 1)

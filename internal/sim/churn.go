@@ -114,8 +114,8 @@ func RunChurn(spec ChurnSpec) (*ChurnRun, error) {
 	for i, a := range addrs {
 		addrIdx[a] = i
 	}
-	oldRing := cluster.NewRing(addrs[:spec.Nodes], 64)
-	newRing := cluster.NewRing(addrs, 64)
+	oldRing := cluster.NewRing(addrs[:spec.Nodes], 0)
+	newRing := cluster.NewRing(addrs, 0)
 
 	engines := make([]*cache.Cache, len(addrs))
 	for i := range engines {

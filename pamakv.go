@@ -272,9 +272,6 @@ type (
 	SingleflightGroup = singleflight.Group
 )
 
-// DefaultVNodes is the ring's virtual-node count per member.
-const DefaultVNodes = cluster.DefaultVNodes
-
 // NewClusterPeers validates cfg and builds a node's routing table.
 func NewClusterPeers(cfg ClusterConfig) (*ClusterPeers, error) { return cluster.New(cfg) }
 
