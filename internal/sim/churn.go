@@ -22,7 +22,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
@@ -83,7 +82,6 @@ type ChurnRun struct {
 	PostPenalty float64
 	// TransferredKeys is the total streamed by the handoff.
 	TransferredKeys int
-	Elapsed         time.Duration
 }
 
 // ChurnFigureResult is the churn figure: one run per discipline over the
@@ -146,7 +144,6 @@ func RunChurn(spec ChurnSpec) (*ChurnRun, error) {
 	totalSteps := eventStep + uint64(spec.PostWindows)*spec.WindowLen
 	eventWindow := spec.WarmupWindows
 
-	start := time.Now()
 	var winHits, winGets uint64
 	var winPen float64
 	window := 0
@@ -188,29 +185,18 @@ func RunChurn(spec ChurnSpec) (*ChurnRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := kv.KeyString(r.Key)
-		size := int(r.Size)
-		eng := engines[addrIdx[ring.Owner(key)]]
-		switch r.Op {
-		case kv.Get:
-			pen := model.Of(kv.HashString(key), size)
-			_, _, hit := eng.Get(key, size, pen, nil)
+		rc := record(r, model)
+		get, hit, err := serve(engines[addrIdx[ring.Owner(kv.KeyString(r.Key))]], &rc)
+		if err != nil {
+			return nil, err
+		}
+		if get {
 			winGets++
 			if hit {
 				winHits++
 			} else {
-				winPen += pen
-				if err := eng.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
-					return nil, err
-				}
+				winPen += rc.pen
 			}
-		case kv.Set:
-			pen := model.Of(kv.HashString(key), size)
-			if err := eng.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
-				return nil, err
-			}
-		case kv.Delete:
-			eng.Delete(key)
 		}
 
 		if (step+1)%spec.WindowLen != 0 {
@@ -244,7 +230,6 @@ func RunChurn(spec ChurnSpec) (*ChurnRun, error) {
 			n++
 		}
 	}
-	run.Elapsed = time.Since(start)
 
 	for i, eng := range engines {
 		if err := eng.CheckInvariants(); err != nil {

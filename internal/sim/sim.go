@@ -4,18 +4,20 @@
 // slab allocation series, and service-time histograms.
 //
 // A Spec fully describes one experiment run (workload, cache size, policy,
-// optional cold burst, repeats); Run executes it; RunMatrix executes a set
-// of Specs on a bounded worker pool — experiment matrices are embarrassingly
-// parallel, and this is where the repository spends its cores.
+// optional cold burst, repeats); RunMatrix executes a set of Specs on a
+// bounded worker pool, generating each distinct request stream once for
+// every arm that replays it; Run is RunMatrix of one Spec. Experiment
+// matrices are embarrassingly parallel, and this is where the repository
+// spends its cores.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"io"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
-	"time"
 
 	"pamakv/internal/cache"
 	"pamakv/internal/core"
@@ -224,43 +226,151 @@ type Result struct {
 	Items      int
 	// SlotSizes is the slot table the run used.
 	SlotSizes []int
-	Elapsed   time.Duration
 }
 
-// Run executes one experiment.
+// Run executes one experiment: RunMatrix of the one spec.
 func Run(spec Spec) (*Result, error) {
-	spec = spec.withDefaults()
+	res, err := RunMatrix([]Spec{spec}, 1)
+	return res[0], err
+}
+
+// rec is one request of a replayed stream, keyed and priced once when the
+// stream is generated; every arm that replays the stream reads it.
+type rec struct {
+	id   uint64
+	pen  float64
+	size uint32
+	op   kv.Op
+}
+
+// record prices r under model.
+func record(r trace.Request, model penalty.Model) rec {
+	return rec{id: r.Key, pen: model.Of(kv.HashString(kv.KeyString(r.Key)), int(r.Size)), size: r.Size, op: r.Op}
+}
+
+// serve applies one request to c; it is the simulator's only request
+// switch. A GET that misses is refilled with a SET: the GET-miss → backend
+// fetch → SET refill pattern penalties are estimated from. It reports
+// whether r was a GET and whether it hit; a store the engine refuses for
+// capacity is not an error.
+func serve(c engine, r *rec) (get, hit bool, err error) {
+	key := kv.KeyString(r.id)
+	size := int(r.size)
+	switch r.op {
+	case kv.Get:
+		get = true
+		if _, _, hit = c.Get(key, size, r.pen, nil); !hit {
+			err = c.Set(key, size, r.pen, 0, nil)
+		}
+	case kv.Set:
+		err = c.Set(key, size, r.pen, 0, nil)
+	case kv.Delete:
+		c.Delete(key)
+	}
+	if ignorableSet(err) {
+		err = nil
+	}
+	return get, hit, err
+}
+
+// ignorableSet reports whether a store error is an expected capacity
+// refusal (the engine wraps both with detail) rather than a bug.
+func ignorableSet(err error) bool {
+	return errors.Is(err, cache.ErrNoSpace) || errors.Is(err, cache.ErrTooLarge)
+}
+
+// stream is the request sequence a group of arms replays: one repeat's
+// records, and the cold burst spliced into the first repeat before
+// recs[at].
+type stream struct {
+	recs, burst []rec
+	at          int
+}
+
+// sameStream reports whether a and b replay the same requests: the same
+// workload and length, and the same spliced burst. Repeats is not part of
+// it: each arm replays the records as many times as its spec says.
+func sameStream(a, b Spec) bool {
+	if a.Requests != b.Requests || !reflect.DeepEqual(a.Workload, b.Workload) || (a.Burst == nil) != (b.Burst == nil) {
+		return false
+	}
+	return a.Burst == nil || a.Burst.At == b.Burst.At && slices.Equal(a.Burst.Classes, b.Burst.Classes) &&
+		a.Burst.totalBytes(a.CacheBytes) == b.Burst.totalBytes(b.CacheBytes)
+}
+
+// totalBytes is the burst's byte total in a cache of cacheBytes.
+func (b *BurstSpec) totalBytes(cacheBytes int64) int64 {
+	return int64(b.FracOfCache * float64(cacheBytes))
+}
+
+// generate materializes spec's stream. It is stored whole rather than
+// streamed to the arms in chunks, so that an arm's engine lives only while
+// that arm replays (DESIGN.md §4).
+func generate(spec Spec) (*stream, error) {
+	gen, err := workload.New(spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	model := spec.Workload.Penalty
+	s := &stream{recs: make([]rec, spec.Requests)}
+	for i := range s.recs {
+		r, err := gen.Next()
+		if err != nil {
+			return nil, err
+		}
+		s.recs[i] = record(r, model)
+	}
+	// A burst past the end of the stream never fires.
+	if b := spec.Burst; b != nil && b.At <= spec.Requests {
+		for _, r := range workload.MakeBurst(workload.BurstConfig{
+			TotalBytes: b.totalBytes(spec.CacheBytes),
+			Classes:    b.Classes,
+			BaseSize:   spec.Workload.BaseSize,
+			Seed:       spec.Workload.Seed,
+		}) {
+			s.burst = append(s.burst, record(r, model))
+		}
+		s.at = int(b.At)
+	}
+	return s, nil
+}
+
+// newEngine builds the engine spec's policy runs on.
+func newEngine(spec Spec) (engine, error) {
 	pol, err := spec.Policy.Build()
 	if err != nil {
 		return nil, err
 	}
-	var c engine
 	if spec.Policy.Kind == "gdsf" {
 		g, err := gds.New(spec.CacheBytes, false)
 		if err != nil {
 			return nil, err
 		}
-		c = gdsfEngine{g}
-	} else {
-		eng, err := cache.New(cache.Config{
-			Geometry:   spec.Geometry,
-			CacheBytes: spec.CacheBytes,
-			WindowLen:  spec.EngineWindow,
-			Tracker:    spec.Tracker,
-		}, pol)
-		if err != nil {
-			return nil, err
-		}
-		c = eng
+		return gdsfEngine{g}, nil
 	}
+	eng, err := cache.New(cache.Config{
+		Geometry:   spec.Geometry,
+		CacheBytes: spec.CacheBytes,
+		WindowLen:  spec.EngineWindow,
+		Tracker:    spec.Tracker,
+	}, pol)
+	if err != nil {
+		return nil, err
+	}
+	return eng, nil
+}
 
+// replay runs one arm: spec's engine over s, Repeats times.
+func replay(spec Spec, s *stream) (*Result, error) {
+	c, err := newEngine(spec)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Spec: spec}
 	res.Series.Name = spec.Name
 	res.SlabSeries.Name = spec.Name
 	svcHist := obs.NewHist(0.0001, 6)
-	start := time.Now()
 
-	model := spec.Workload.Penalty
 	var win metrics.Window
 	var gets uint64
 	snapshot := func() {
@@ -280,43 +390,24 @@ func Run(spec Spec) (*Result, error) {
 	}
 
 	for rep := 0; rep < spec.Repeats; rep++ {
-		gen, err := workload.New(spec.Workload)
-		if err != nil {
-			return nil, err
+		parts := [][]rec{s.recs}
+		if rep == 0 && s.burst != nil {
+			parts = [][]rec{s.recs[:s.at], s.burst, s.recs[s.at:]}
 		}
-		var stream trace.Stream = &trace.Limit{S: gen, N: spec.Requests}
-		if spec.Burst != nil && rep == 0 {
-			b := workload.MakeBurst(workload.BurstConfig{
-				TotalBytes: int64(spec.Burst.FracOfCache * float64(spec.CacheBytes)),
-				Classes:    spec.Burst.Classes,
-				BaseSize:   spec.Workload.BaseSize,
-				Seed:       spec.Workload.Seed,
-			})
-			stream = &trace.Burst{S: stream, At: spec.Burst.At, Inject: &trace.SliceStream{Reqs: b}}
-		}
-		for {
-			r, err := stream.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			key := kv.KeyString(r.Key)
-			size := int(r.Size)
-			switch r.Op {
-			case kv.Get:
-				pen := model.Of(kv.HashString(key), size)
-				_, _, hit := c.Get(key, size, pen, nil)
+		for _, part := range parts {
+			for i := range part {
+				r := &part[i]
+				get, hit, err := serve(c, r)
+				if err != nil {
+					return nil, err
+				}
+				if !get {
+					continue
+				}
 				svc := spec.HitTime
 				if !hit {
-					svc = pen
-					res.MissPenalty += pen
-					// GET-miss → backend fetch → SET refill,
-					// the pattern penalties are estimated from.
-					if err := c.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
-						return nil, err
-					}
+					svc = r.pen
+					res.MissPenalty += r.pen
 				}
 				win.Add(hit, svc)
 				svcHist.Observe(svc)
@@ -324,13 +415,6 @@ func Run(spec Spec) (*Result, error) {
 				if gets%spec.MetricsWindow == 0 {
 					snapshot()
 				}
-			case kv.Set:
-				pen := model.Of(kv.HashString(key), size)
-				if err := c.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
-					return nil, err
-				}
-			case kv.Delete:
-				c.Delete(key)
 			}
 		}
 	}
@@ -349,38 +433,53 @@ func Run(spec Spec) (*Result, error) {
 	}
 	res.Stats = c.Stats()
 	res.ServiceHist = svcHist.Snapshot()
-	res.Elapsed = time.Since(start)
 	if err := c.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("sim: post-run invariant violation: %w", err)
 	}
 	return res, nil
 }
 
-// ignorableSet reports whether a store error is an expected capacity
-// refusal (the engine wraps both with detail) rather than a bug.
-func ignorableSet(err error) bool {
-	return errors.Is(err, cache.ErrNoSpace) || errors.Is(err, cache.ErrTooLarge)
-}
-
-// RunMatrix executes specs concurrently on up to workers goroutines
-// (workers <= 0 selects GOMAXPROCS) and returns results in spec order.
-// Individual failures surface as nil results plus a joined error.
+// RunMatrix executes specs on up to workers goroutines (workers <= 0
+// selects GOMAXPROCS) and returns results in spec order. Specs that replay
+// the same requests (sameStream) form a group whose stream is generated
+// once, and the group's arms run next to each other. Individual failures
+// surface as nil results plus a joined error.
 func RunMatrix(specs []Spec, workers int) ([]*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	specs = slices.Clone(specs)
+	for i := range specs {
+		specs[i] = specs[i].withDefaults()
+	}
 	results := make([]*Result, len(specs))
 	errs := make([]error, len(specs))
+	grouped := make([]bool, len(specs))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		if grouped[i] {
+			continue
+		}
+		sem <- struct{}{}
+		s, err := generate(specs[i])
+		<-sem
+		for j := i; j < len(specs); j++ {
+			if grouped[j] || !sameStream(specs[i], specs[j]) {
+				continue
+			}
+			grouped[j] = true
+			if err != nil {
+				errs[j] = err
+				continue
+			}
+			wg.Add(1)
 			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = Run(specs[i])
-		}(i)
+			go func(j int) {
+				defer func() { <-sem; wg.Done() }()
+				results[j], errs[j] = replay(specs[j], s)
+			}(j)
+		}
 	}
 	wg.Wait()
 	var err error

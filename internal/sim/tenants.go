@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"pamakv/internal/cache"
 	"pamakv/internal/kv"
+	"pamakv/internal/penalty"
 	"pamakv/internal/tenant"
 	"pamakv/internal/workload"
 )
@@ -80,7 +80,6 @@ type MultiResult struct {
 	// TotalSlabs is the combined budget, verified conserved across
 	// arbitration.
 	TotalSlabs int
-	Elapsed    time.Duration
 }
 
 // HitRatio returns t's GET hit ratio.
@@ -136,13 +135,9 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 	type member struct {
 		eng   *cache.Cache
 		gen   *workload.Generator
-		model interface {
-			Of(keyHash uint64, size int) float64
-		}
+		model penalty.Model
 		cum   float64 // cumulative normalized share
 		res   TenantResult
-		spec  TenantSpec
-		start int
 	}
 	members := make([]*member, len(spec.Tenants))
 	arbMembers := make([]tenant.Member, len(spec.Tenants))
@@ -184,8 +179,6 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 			model: t.Workload.Penalty,
 			cum:   cum,
 			res:   TenantResult{Name: t.Tenant.Name, SlabsStart: eng.TotalSlabsBudget()},
-			spec:  t,
-			start: eng.TotalSlabsBudget(),
 		}
 		totalSlabs += eng.TotalSlabsBudget()
 		arbMembers[i] = tenant.Member{ID: i, Cfg: t.Tenant, Engines: []*cache.Cache{eng}}
@@ -201,7 +194,6 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 	}
 
 	res := &MultiResult{Spec: spec, TotalSlabs: totalSlabs}
-	start := time.Now()
 	for step := uint64(0); step < spec.Requests; step++ {
 		// Deterministic tenant draw by cumulative share.
 		u := float64(kv.Mix64(spec.Seed^(step*0x9e3779b97f4a7c15+1))) / float64(1<<63) / 2
@@ -216,34 +208,23 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := kv.KeyString(r.Key)
-		size := int(r.Size)
-		switch r.Op {
-		case kv.Get:
-			pen := m.model.Of(kv.HashString(key), size)
-			_, _, hit := m.eng.Get(key, size, pen, nil)
+		rc := record(r, m.model)
+		get, hit, err := serve(m.eng, &rc)
+		if err != nil {
+			return nil, err
+		}
+		if get {
 			m.res.Gets++
 			if hit {
 				m.res.Hits++
 			} else {
-				m.res.MissPenalty += pen
-				if err := m.eng.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
-					return nil, err
-				}
+				m.res.MissPenalty += rc.pen
 			}
-		case kv.Set:
-			pen := m.model.Of(kv.HashString(key), size)
-			if err := m.eng.Set(key, size, pen, 0, nil); err != nil && !ignorableSet(err) {
-				return nil, err
-			}
-		case kv.Delete:
-			m.eng.Delete(key)
 		}
 		if arb != nil && spec.ArbitrateEvery > 0 && (step+1)%spec.ArbitrateEvery == 0 {
 			arb.Step()
 		}
 	}
-	res.Elapsed = time.Since(start)
 
 	endSlabs := 0
 	for i, m := range members {

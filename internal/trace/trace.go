@@ -1,8 +1,7 @@
 // Package trace defines the request-trace representation used throughout
 // the repository: the in-memory Request record, a compact binary on-disk
-// format with a CSV twin, stream transforms (concatenation, repetition,
-// burst injection), and the GET-miss→SET penalty estimator the paper applies
-// to the Facebook traces.
+// format with a CSV twin, a length limit, and the GET-miss→SET penalty
+// estimator the paper applies to the Facebook traces.
 package trace
 
 import (

@@ -144,79 +144,11 @@ func TestCollectLimit(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := randomRequests(1, 3)
-	b := randomRequests(2, 2)
-	c := &Concat{Streams: []Stream{&SliceStream{Reqs: a}, &SliceStream{}, &SliceStream{Reqs: b}}}
-	got, err := Collect(c, -1)
-	if err != nil || len(got) != 5 {
-		t.Fatalf("Concat yielded %d, err=%v", len(got), err)
-	}
-	if got[3] != b[0] {
-		t.Fatal("Concat order wrong")
-	}
-}
-
 func TestLimit(t *testing.T) {
 	l := &Limit{S: &SliceStream{Reqs: randomRequests(1, 10)}, N: 4}
 	got, err := Collect(l, -1)
 	if err != nil || len(got) != 4 {
 		t.Fatalf("Limit yielded %d, err=%v", len(got), err)
-	}
-}
-
-func TestBurstInjectsAtPosition(t *testing.T) {
-	base := make([]Request, 6)
-	for i := range base {
-		base[i] = Request{Op: kv.Get, Key: uint64(i)}
-	}
-	inject := []Request{{Op: kv.Set, Key: 100}, {Op: kv.Set, Key: 101}}
-	b := &Burst{S: &SliceStream{Reqs: base}, At: 3, Inject: &SliceStream{Reqs: inject}}
-	got, err := Collect(b, -1)
-	if err != nil || len(got) != 8 {
-		t.Fatalf("Burst yielded %d, err=%v", len(got), err)
-	}
-	wantKeys := []uint64{0, 1, 2, 100, 101, 3, 4, 5}
-	for i, k := range wantKeys {
-		if got[i].Key != k {
-			t.Fatalf("position %d: key %d, want %d (seq %v)", i, got[i].Key, k, got)
-		}
-	}
-}
-
-func TestBurstAtZero(t *testing.T) {
-	b := &Burst{
-		S:      &SliceStream{Reqs: []Request{{Key: 1}}},
-		At:     0,
-		Inject: &SliceStream{Reqs: []Request{{Key: 9}}},
-	}
-	got, _ := Collect(b, -1)
-	if len(got) != 2 || got[0].Key != 9 || got[1].Key != 1 {
-		t.Fatalf("burst at 0: %v", got)
-	}
-}
-
-func TestBurstBeyondEnd(t *testing.T) {
-	b := &Burst{
-		S:      &SliceStream{Reqs: []Request{{Key: 1}}},
-		At:     100,
-		Inject: &SliceStream{Reqs: []Request{{Key: 9}}},
-	}
-	got, _ := Collect(b, -1)
-	if len(got) != 1 {
-		t.Fatalf("burst past end should never fire, got %v", got)
-	}
-}
-
-func TestTee(t *testing.T) {
-	var seen []uint64
-	tee := &Tee{
-		S:  &SliceStream{Reqs: []Request{{Key: 1}, {Key: 2}}},
-		Fn: func(r Request) { seen = append(seen, r.Key) },
-	}
-	Collect(tee, -1)
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Fatalf("Tee saw %v", seen)
 	}
 }
 

@@ -1,28 +1,6 @@
 package trace
 
-import (
-	"errors"
-	"io"
-)
-
-// Concat chains streams end to end.
-type Concat struct {
-	Streams []Stream
-	i       int
-}
-
-// Next implements Stream.
-func (c *Concat) Next() (Request, error) {
-	for c.i < len(c.Streams) {
-		r, err := c.Streams[c.i].Next()
-		if errors.Is(err, io.EOF) {
-			c.i++
-			continue
-		}
-		return r, err
-	}
-	return Request{}, io.EOF
-}
+import "io"
 
 // Limit truncates a stream after N requests.
 type Limit struct {
@@ -39,59 +17,6 @@ func (l *Limit) Next() (Request, error) {
 	r, err := l.S.Next()
 	if err == nil {
 		l.n++
-	}
-	return r, err
-}
-
-// Burst injects a contiguous run of requests after At requests of the
-// underlying stream have been delivered, implementing the paper's §IV-C
-// cold-item flood (a bursty stream of SETs for never-before-seen keys).
-type Burst struct {
-	S Stream
-	// At is the position (in underlying requests) where the burst starts.
-	At uint64
-	// Inject supplies the burst requests; nil ends the burst.
-	Inject Stream
-
-	delivered uint64
-	bursting  bool
-	done      bool
-}
-
-// Next implements Stream.
-func (b *Burst) Next() (Request, error) {
-	if !b.done && !b.bursting && b.delivered == b.At {
-		b.bursting = true
-	}
-	if b.bursting {
-		r, err := b.Inject.Next()
-		if err == nil {
-			return r, nil
-		}
-		if !errors.Is(err, io.EOF) {
-			return Request{}, err
-		}
-		b.bursting, b.done = false, true
-	}
-	r, err := b.S.Next()
-	if err == nil {
-		b.delivered++
-	}
-	return r, err
-}
-
-// Tee copies every request delivered from S to the callback (metrics taps,
-// trace capture during simulation).
-type Tee struct {
-	S  Stream
-	Fn func(Request)
-}
-
-// Next implements Stream.
-func (t *Tee) Next() (Request, error) {
-	r, err := t.S.Next()
-	if err == nil && t.Fn != nil {
-		t.Fn(r)
 	}
 	return r, err
 }
