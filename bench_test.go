@@ -1,12 +1,11 @@
 // Benchmarks regenerating every figure of the paper's evaluation at reduced
 // scale (one testing.B bench per figure — run a single iteration of each to
-// smoke the full experiment pipeline), plus engine micro-benchmarks and the
-// ablations DESIGN.md calls out. The full-scale figures come from
-// cmd/pama-bench; EXPERIMENTS.md records their outputs against the paper.
+// smoke the full experiment pipeline), plus engine micro-benchmarks. The
+// full-scale figures come from cmd/pama-bench; EXPERIMENTS.md records their
+// outputs against the paper.
 package pamakv
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
@@ -169,118 +168,6 @@ func BenchmarkEngineMixed(b *testing.B) {
 				} else {
 					c.Set(key, int(r.Size), 0.01, 0, nil)
 				}
-			}
-		})
-	}
-}
-
-// ---- Ablations (DESIGN.md §4) ----
-
-func ablationSpec(kind string, mutate func(*sim.Spec)) sim.Spec {
-	wl := workload.ETC()
-	wl.Keys = 1 << 15
-	s := sim.Spec{
-		Name:           kind,
-		Workload:       wl,
-		CacheBytes:     32 << 20,
-		Requests:       150_000,
-		MetricsWindow:  50_000,
-		Policy:         sim.PolicySpec{Kind: kind},
-		SampleSubClass: -1,
-	}
-	if mutate != nil {
-		mutate(&s)
-	}
-	return s
-}
-
-// BenchmarkAblationTracker compares PAMA under exact vs Bloom segment
-// tracking: same workload, identical decisions wanted, different costs.
-func BenchmarkAblationTracker(b *testing.B) {
-	for _, tk := range []struct {
-		name string
-		kind cache.TrackerKind
-	}{{"exact", cache.TrackerExact}, {"bloom", cache.TrackerBloom}} {
-		b.Run(tk.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(ablationSpec("pama", func(s *sim.Spec) { s.Tracker = tk.kind }))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Series.MeanHitRatio(), "hit-ratio")
-				b.ReportMetric(1e3*res.Series.MeanAvgService(), "svc-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSubclasses varies how many penalty subclasses divide
-// each class (paper fixes five; this probes the knob).
-func BenchmarkAblationSubclasses(b *testing.B) {
-	bounds := map[string][]float64{
-		"1": {5.0},
-		"3": {0.01, 0.5, 5.0},
-		"5": {0.001, 0.01, 0.1, 1.0, 5.0},
-		"8": {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 5.0},
-	}
-	for _, name := range []string{"1", "3", "5", "8"} {
-		bs := bounds[name]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(ablationSpec("pama", func(s *sim.Spec) {
-					s.Policy.PAMA = core.Config{M: 2, PenaltyAware: true, Bounds: bs}
-				}))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(1e3*res.Series.MeanAvgService(), "svc-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationWindow varies the value-window length (accesses between
-// rollovers of the segment-value accumulators).
-func BenchmarkAblationWindow(b *testing.B) {
-	for _, w := range []uint64{5_000, 25_000, 100_000} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(ablationSpec("pama", func(s *sim.Spec) { s.EngineWindow = w }))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(1e3*res.Series.MeanAvgService(), "svc-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBounds compares the paper's fixed decade subclass edges
-// against workload-calibrated quantile edges (core.CalibrateBounds).
-func BenchmarkAblationBounds(b *testing.B) {
-	wl := workload.ETC()
-	wl.Keys = 1 << 15
-	calibrated, err := core.CalibrateBounds(wl, 20_000, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, cfg := range []struct {
-		name   string
-		bounds []float64
-	}{
-		{"paper-decades", nil}, // nil -> penalty.SubclassBounds
-		{"quantile", calibrated},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(ablationSpec("pama", func(s *sim.Spec) {
-					s.Workload = wl
-					s.Policy.PAMA = core.Config{M: 2, PenaltyAware: true, Bounds: cfg.bounds}
-				}))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(1e3*res.Series.MeanAvgService(), "svc-ms")
 			}
 		})
 	}

@@ -8,6 +8,7 @@
 //	pama-bench -fig 5              # ETC hit ratio + service time matrix
 //	pama-bench -fig 1              # penalty-vs-size scatter (model sample)
 //	pama-bench -fig baselines      # every policy kind on APP and ETC
+//	pama-bench -fig ablations      # PAMA's design choices on ETC
 //	pama-bench -fig all -scale 0.1 # every figure at a tenth of the scale
 package main
 
@@ -26,7 +27,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1,3,4,5,6,7,8,9,10, 'holes' (memory-holes ablation), 'tenants' (multi-tenant arbitration vs static partitions), 'churn' (cold rebalance vs penalty-ordered warm handoff on a node add), 'baselines' (every policy kind and the clairvoyant bounds on APP and ETC) or 'all'")
+	fig := flag.String("fig", "all", "figure to regenerate: 1,3,4,5,6,7,8,9,10, 'holes' (memory-holes ablation), 'ablations' (PAMA's design choices on ETC), 'tenants' (multi-tenant arbitration vs static partitions), 'churn' (cold rebalance vs penalty-ordered warm handoff on a node add), 'baselines' (every policy kind and the clairvoyant bounds on APP and ETC) or 'all'")
 	scale := flag.Float64("scale", 1.0, "request-count scale relative to the 1:100-scaled defaults")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation runs")
 	doPlot := flag.Bool("plot", false, "render ASCII charts instead of raw TSV series")

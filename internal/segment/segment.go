@@ -16,7 +16,8 @@
 //     a removal filter, rebuilt from a stack scan at every window rollover —
 //     O(1) per access with bounded staleness and false-positive error.
 //
-// The engine can run either; BenchmarkAblationTracker compares them.
+// The engine can run either; the ablations figure (TestAblationsShape)
+// compares them.
 package segment
 
 import (

@@ -6,7 +6,10 @@ import (
 	"slices"
 	"strings"
 
+	"pamakv/internal/cache"
+	"pamakv/internal/core"
 	"pamakv/internal/oracle"
+	"pamakv/internal/penalty"
 	"pamakv/internal/trace"
 	"pamakv/internal/workload"
 )
@@ -15,34 +18,73 @@ import (
 // ETC stream (package oracle); they are replays, not PolicySpec kinds.
 var oracleKinds = []string{"belady", "cost-belady"}
 
+// etcTableSpec is one arm on the ETC stream that the baselines and the
+// ablations figures both replay: a 32 Ki-key space at 16 MiB, 600 k
+// requests in 200 k-GET metrics windows, the counts scaled.
+func etcTableSpec(kind string, scale float64) Spec {
+	wl := workload.ETC()
+	wl.Keys = 1 << 15
+	s := baseSpec(wl, 16<<20, scaled(600_000, scale), kind)
+	s.MetricsWindow = scaled(200_000, scale)
+	return s
+}
+
 // figureBaselines runs every Roster kind over two streams, APP at 64 MiB and
-// ETC with a 32 Ki-key space at 16 MiB. Request counts and the 200 k-GET
-// metrics window scale; at scale 0.25 they are the 200 k and 150 k requests
-// in 50 k-GET windows.
+// the ETC table stream, in the same metrics windows. At scale 0.25 they are
+// the 200 k and 150 k requests in 50 k-GET windows.
 func figureBaselines(scale float64) *Figure {
-	etc := workload.ETC()
-	etc.Keys = 1 << 15
 	f := &Figure{
 		ID:        "baselines",
 		Title:     "Every policy kind on APP (64 MiB) and ETC (16 MiB), plus clairvoyant bounds on ETC",
 		GroupSize: len(Roster),
 		Render:    RenderBaselines,
 	}
-	for _, st := range []struct {
-		name       string
-		wl         workload.Config
-		cacheBytes int64
-		requests   uint64
+	for _, kind := range Roster {
+		s := etcTableSpec(kind, scale)
+		s.Name = "app/" + kind
+		s.Workload, s.CacheBytes, s.Requests = workload.APP(), 64<<20, scaled(800_000, scale)
+		f.Specs = append(f.Specs, s)
+	}
+	for _, kind := range Roster {
+		s := etcTableSpec(kind, scale)
+		s.Name = "etc/" + kind
+		f.Specs = append(f.Specs, s)
+	}
+	return f
+}
+
+// figureAblations replays the ETC table stream under PAMA with one design
+// choice changed per arm: the paper's Bloom segment tracking against the
+// exact tracker, 1, 3 and 8 penalty subclasses against the paper's five
+// decade edges, and the engine's value window at a fifth and four times its
+// default (half the metrics window, 100 k accesses at scale 1). Its pama row
+// is the baselines figure's etc/pama run. TestAblationsShape gates it.
+func figureAblations(scale float64) *Figure {
+	f := &Figure{
+		ID:     "ablations",
+		Title:  "PAMA design choices on ETC (16 MiB): segment tracking, subclass count, value window",
+		Render: WriteSummary,
+	}
+	pama := etcTableSpec("pama", scale)
+	win := pama.MetricsWindow / 2
+	for _, arm := range []struct {
+		name    string
+		tracker cache.TrackerKind
+		bounds  []float64
+		window  uint64
 	}{
-		{"app", workload.APP(), 64 << 20, 800_000},
-		{"etc", etc, 16 << 20, 600_000},
+		{"pama", cache.TrackerExact, penalty.SubclassBounds, win},
+		{"bloom", cache.TrackerBloom, penalty.SubclassBounds, win},
+		{"sub1", cache.TrackerExact, []float64{penalty.Cap}, win},
+		{"sub3", cache.TrackerExact, []float64{0.01, 0.5, penalty.Cap}, win},
+		{"sub8", cache.TrackerExact, []float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, penalty.Cap}, win},
+		{"window/5", cache.TrackerExact, penalty.SubclassBounds, win / 5},
+		{"window*4", cache.TrackerExact, penalty.SubclassBounds, win * 4},
 	} {
-		for _, kind := range Roster {
-			s := baseSpec(st.wl, st.cacheBytes, scaled(st.requests, scale), kind)
-			s.Name = st.name + "/" + kind
-			s.MetricsWindow = scaled(200_000, scale)
-			f.Specs = append(f.Specs, s)
-		}
+		s := pama
+		s.Name, s.Tracker, s.EngineWindow = arm.name, arm.tracker, arm.window
+		s.Policy.PAMA = core.Config{M: 2, PenaltyAware: true, Bounds: arm.bounds}
+		f.Specs = append(f.Specs, s)
 	}
 	return f
 }

@@ -34,6 +34,13 @@ func TestBaselinesShape(t *testing.T) {
 // TestBaselinesCommittedFigure reads the committed scale-1 table back and
 // asserts the same claims of it.
 func TestBaselinesCommittedFigure(t *testing.T) {
+	checkBaselines(t, committedBaselines(t))
+}
+
+// committedBaselines parses results/fig_baselines.tsv into rows carrying
+// hit ratio and mean service time.
+func committedBaselines(t *testing.T) []baselineRow {
+	t.Helper()
 	data, err := os.ReadFile("../../results/fig_baselines.tsv")
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +59,7 @@ func TestBaselinesCommittedFigure(t *testing.T) {
 		}
 		rows = append(rows, r)
 	}
-	checkBaselines(t, rows)
+	return rows
 }
 
 // checkBaselines asserts the figure's six claims on mean service time.

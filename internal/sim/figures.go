@@ -105,15 +105,20 @@ func FigureByID(id string, scale float64) (*Figure, error) {
 		return figureHoles(scale)
 	case "baselines":
 		return figureBaselines(scale), nil
+	case "ablations":
+		return figureAblations(scale), nil
 	default:
-		return nil, fmt.Errorf("sim: unknown figure %q (have 3,4,5,6,7,8,9,10,holes,baselines)", id)
+		return nil, fmt.Errorf("sim: unknown figure %q (have 3,4,5,6,7,8,9,10,holes,ablations,baselines)", id)
 	}
 }
 
 // AllFigureIDs lists the figures FigureByID accepts, in paper order plus
-// the repository's own ablation. FigureByID also accepts "baselines", the
-// comparator table, which pama-bench -fig all runs last.
-func AllFigureIDs() []string { return []string{"3", "4", "5", "6", "7", "8", "9", "10", "holes"} }
+// the repository's memory-holes figure and the design-choice ablations.
+// FigureByID also accepts "baselines", the comparator table, which
+// pama-bench -fig all runs last.
+func AllFigureIDs() []string {
+	return []string{"3", "4", "5", "6", "7", "8", "9", "10", "holes", "ablations"}
+}
 
 func baseSpec(wl workload.Config, cacheBytes int64, reqs uint64, kind string) Spec {
 	return Spec{
