@@ -1,6 +1,7 @@
 // Command pama-bench regenerates the paper's figures: it runs the scaled
 // experiment matrix for a figure and prints the series as TSV (one row per
-// window), plus a per-run summary. See DESIGN.md §4 for the figure index and
+// window), plus a per-run summary. Every figure but Fig 1 comes from
+// sim.FigureByID, whose table is the figure index (DESIGN.md §4); see
 // EXPERIMENTS.md for recorded outputs.
 //
 // Usage:
@@ -9,6 +10,8 @@
 //	pama-bench -fig 1              # penalty-vs-size scatter (model sample)
 //	pama-bench -fig baselines      # every policy kind on APP and ETC
 //	pama-bench -fig ablations      # PAMA's design choices on ETC
+//	pama-bench -fig tenants        # arbitrated tenants vs static partitions
+//	pama-bench -fig churn          # cold vs warm rebalance on a node add
 //	pama-bench -fig all -scale 0.1 # every figure at a tenth of the scale
 package main
 
@@ -17,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"pamakv/internal/kv"
@@ -27,10 +31,11 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1,3,4,5,6,7,8,9,10, 'holes' (memory-holes ablation), 'ablations' (PAMA's design choices on ETC), 'tenants' (multi-tenant arbitration vs static partitions), 'churn' (cold rebalance vs penalty-ordered warm handoff on a node add), 'baselines' (every policy kind and the clairvoyant bounds on APP and ETC) or 'all'")
+	fig := flag.String("fig", "all", "figure to regenerate: 1 (penalty-model sample), "+
+		strings.Join(sim.AllFigureIDs(), ", ")+" or 'all' (6 and 8 are 5 and 7's service-time panels)")
 	scale := flag.Float64("scale", 1.0, "request-count scale relative to the 1:100-scaled defaults")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation runs")
-	doPlot := flag.Bool("plot", false, "render ASCII charts instead of raw TSV series")
+	doPlot := flag.Bool("plot", false, "render ASCII charts instead of raw TSV series (figures without series print their tables)")
 	flag.Parse()
 
 	if err := run(*fig, *scale, *workers, *doPlot); err != nil {
@@ -42,97 +47,37 @@ func main() {
 func run(fig string, scale float64, workers int, doPlot bool) error {
 	ids := []string{fig}
 	if fig == "all" {
-		// "tenants" is not a matrix figure (it compares N partitioned runs
-		// against one arbitrated run), so it rides alongside AllFigureIDs;
-		// the comparator table closes the run.
-		ids = append(append([]string{"1"}, sim.AllFigureIDs()...), "tenants", "churn", "baselines")
+		ids = append([]string{"1"}, sim.AllFigureIDs()...)
 	}
-	done := map[string]bool{}
 	for _, id := range ids {
-		if done[id] {
+		if id == "1" {
+			figure1(doPlot)
 			continue
 		}
-		done[id] = true
-		switch id {
-		case "1":
-			figure1(doPlot)
-		case "tenants":
-			if err := figureTenants(scale); err != nil {
-				return err
-			}
-		case "churn":
-			if err := figureChurn(scale); err != nil {
-				return err
-			}
-		case "6":
-			id = "5" // figs 5 and 6 come from the same runs
-			if done[id] {
-				continue
-			}
-			done[id] = true
-			fallthrough
-		default:
-			if id == "8" {
-				id = "7"
-				if done[id] {
-					continue
-				}
-				done[id] = true
-			}
-			f, err := sim.FigureByID(id, scale)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("## Figure %s: %s (%d runs, scale %.2f)\n", f.ID, f.Title, len(f.Specs), scale)
-			start := time.Now()
-			res, err := sim.RunMatrix(f.Specs, workers)
-			if err != nil {
-				return err
-			}
-			if doPlot {
-				if err := renderPlots(f, res); err != nil {
-					return err
-				}
-			} else if err := f.Render(os.Stdout, res); err != nil {
-				return err
-			}
-			fmt.Printf("# figure %s wall time: %s\n\n", f.ID, time.Since(start).Round(time.Millisecond))
+		f, err := sim.FigureByID(id, scale)
+		if err != nil {
+			return err
 		}
+		runs := ""
+		if len(f.Specs) > 0 {
+			runs = fmt.Sprintf("%d runs, ", len(f.Specs))
+		}
+		fmt.Printf("## Figure %s: %s (%sscale %.2f)\n", f.ID, f.Title, runs, scale)
+		start := time.Now()
+		res, err := sim.RunMatrix(f.Specs, workers)
+		if err != nil {
+			return err
+		}
+		if doPlot && len(f.Specs) > 0 {
+			err = renderPlots(f, res)
+		} else {
+			err = f.Render(os.Stdout, res)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Printf("# figure %s wall time: %s\n\n", f.ID, time.Since(start).Round(time.Millisecond))
 	}
-	return nil
-}
-
-// figureTenants runs the multi-tenant comparison: three statically
-// partitioned caches against one arbitrated cache at ArbitratedFrac of
-// their combined memory, rendered as the fig_tenants TSV.
-func figureTenants(scale float64) error {
-	fmt.Printf("## Figure tenants: penalty-aware arbitration vs static partitions (scale %.2f)\n", scale)
-	start := time.Now()
-	r, err := sim.RunTenantsFigure(scale)
-	if err != nil {
-		return err
-	}
-	if err := sim.RenderTenants(os.Stdout, r); err != nil {
-		return err
-	}
-	fmt.Printf("# figure tenants wall time: %s\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// figureChurn runs the membership churn comparison: one node added to a
-// live 3-node ring under cold rebalance, key-ordered warm handoff, and
-// penalty-ordered warm handoff, rendered as the fig_churn TSV.
-func figureChurn(scale float64) error {
-	fmt.Printf("## Figure churn: cold rebalance vs penalty-ordered warm handoff (scale %.2f)\n", scale)
-	start := time.Now()
-	r, err := sim.RunChurnFigure(scale)
-	if err != nil {
-		return err
-	}
-	if err := sim.RenderChurn(os.Stdout, r); err != nil {
-		return err
-	}
-	fmt.Printf("# figure churn wall time: %s\n\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

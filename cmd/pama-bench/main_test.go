@@ -28,3 +28,16 @@ func TestRunUnknownFigure(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFiguresWithoutSpecs runs the two figures whose Render computes
+// their data; -plot prints their tables as they are.
+func TestRunFiguresWithoutSpecs(t *testing.T) {
+	for _, id := range []string{"tenants", "churn"} {
+		if err := run(id, 0.0005, 1, false); err != nil {
+			t.Fatalf("-fig %s: %v", id, err)
+		}
+	}
+	if err := run("tenants", 0.0005, 1, true); err != nil {
+		t.Fatalf("-fig tenants -plot: %v", err)
+	}
+}

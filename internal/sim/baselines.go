@@ -32,7 +32,7 @@ func etcTableSpec(kind string, scale float64) Spec {
 // figureBaselines runs every Roster kind over two streams, APP at 64 MiB and
 // the ETC table stream, in the same metrics windows. At scale 0.25 they are
 // the 200 k and 150 k requests in 50 k-GET windows.
-func figureBaselines(scale float64) *Figure {
+func figureBaselines(scale float64) (*Figure, error) {
 	f := &Figure{
 		ID:        "baselines",
 		Title:     "Every policy kind on APP (64 MiB) and ETC (16 MiB), plus clairvoyant bounds on ETC",
@@ -50,7 +50,7 @@ func figureBaselines(scale float64) *Figure {
 		s.Name = "etc/" + kind
 		f.Specs = append(f.Specs, s)
 	}
-	return f
+	return f, nil
 }
 
 // figureAblations replays the ETC table stream under PAMA with one design
@@ -59,7 +59,7 @@ func figureBaselines(scale float64) *Figure {
 // decade edges, and the engine's value window at a fifth and four times its
 // default (half the metrics window, 100 k accesses at scale 1). Its pama row
 // is the baselines figure's etc/pama run. TestAblationsShape gates it.
-func figureAblations(scale float64) *Figure {
+func figureAblations(scale float64) (*Figure, error) {
 	f := &Figure{
 		ID:     "ablations",
 		Title:  "PAMA design choices on ETC (16 MiB): segment tracking, subclass count, value window",
@@ -86,7 +86,7 @@ func figureAblations(scale float64) *Figure {
 		s.Policy.PAMA = core.Config{M: 2, PenaltyAware: true, Bounds: arm.bounds}
 		f.Specs = append(f.Specs, s)
 	}
-	return f
+	return f, nil
 }
 
 // baselineRow is one line of the baselines figure. Service times are in

@@ -25,6 +25,7 @@ import (
 
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
+	"pamakv/internal/core"
 	"pamakv/internal/kv"
 	"pamakv/internal/membership"
 	"pamakv/internal/workload"
@@ -117,15 +118,11 @@ func RunChurn(spec ChurnSpec) (*ChurnRun, error) {
 
 	engines := make([]*cache.Cache, len(addrs))
 	for i := range engines {
-		pol, err := (PolicySpec{Kind: "pama"}).Build()
-		if err != nil {
-			return nil, err
-		}
 		eng, err := cache.New(cache.Config{
 			Geometry:   kv.DefaultGeometry(),
 			CacheBytes: spec.BytesPerNode,
-			WindowLen:  50_000,
-		}, pol)
+			WindowLen:  nodeEngineWindow,
+		}, core.New(core.DefaultConfig()))
 		if err != nil {
 			return nil, err
 		}
@@ -307,6 +304,22 @@ func ChurnSpecFor(mode string, scale float64) ChurnSpec {
 		PostWindows:   post,
 		RatePerWindow: 2_000,
 	}
+}
+
+// figureChurn is the churn figure. It has no Specs: its Render runs
+// RunChurnFigure, whose clusters are not single-engine replays.
+func figureChurn(scale float64) (*Figure, error) {
+	return &Figure{
+		ID:    "churn",
+		Title: "cold rebalance vs penalty-ordered warm handoff",
+		Render: func(w io.Writer, _ []*Result) error {
+			r, err := RunChurnFigure(scale)
+			if err != nil {
+				return err
+			}
+			return RenderChurn(w, r)
+		},
+	}, nil
 }
 
 // RunChurnFigure executes the churn figure: the three disciplines in

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"pamakv/internal/geom"
@@ -55,11 +56,12 @@ func scaled(n uint64, scale float64) uint64 {
 
 // Figure is a set of runs plus instructions for rendering them.
 type Figure struct {
-	// ID is the paper figure number ("3", "5", ...).
+	// ID is the paper figure number ("3", "5", ...) or the figure's name.
 	ID string
 	// Title describes the figure.
 	Title string
-	// Specs are the runs, executed with RunMatrix.
+	// Specs are the runs, executed with RunMatrix. A figure without Specs
+	// computes its data in Render, which then ignores its results.
 	Specs []Spec
 	// GroupSize is how many consecutive results form one sub-plot (one
 	// cache size, one workload); 0 means all results together.
@@ -85,39 +87,49 @@ func (f *Figure) Groups(res []*Result) [][]*Result {
 	return out
 }
 
-// FigureByID builds the experiment set for one paper figure at the given
-// request-count scale (1.0 = the 1:100-scaled defaults above).
-func FigureByID(id string, scale float64) (*Figure, error) {
-	switch id {
-	case "3":
-		return figure3(scale), nil
-	case "4":
-		return figure4(scale), nil
-	case "5", "6":
-		return figure56(scale), nil
-	case "7", "8":
-		return figure78(scale), nil
-	case "9":
-		return figure9(scale), nil
-	case "10":
-		return figure10(scale), nil
-	case "holes":
-		return figureHoles(scale)
-	case "baselines":
-		return figureBaselines(scale), nil
-	case "ablations":
-		return figureAblations(scale), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown figure %q (have 3,4,5,6,7,8,9,10,holes,ablations,baselines)", id)
-	}
+// figureTable is the one list of figures, in pama-bench -fig all order: the
+// paper's figures, the memory-holes and design-choice ablations, the
+// multi-tenant and churn figures, and the comparator table. Each entry
+// names the ids it answers to, its own first (Figs 6 and 8 are the second
+// panels of the runs behind 5 and 7), and builds the figure at a
+// request-count scale.
+var figureTable = []struct {
+	ids   []string
+	build func(scale float64) (*Figure, error)
+}{
+	{[]string{"3"}, figure3},
+	{[]string{"4"}, figure4},
+	{[]string{"5", "6"}, figure56},
+	{[]string{"7", "8"}, figure78},
+	{[]string{"9"}, figure9},
+	{[]string{"10"}, figure10},
+	{[]string{"holes"}, figureHoles},
+	{[]string{"ablations"}, figureAblations},
+	{[]string{"tenants"}, figureTenants},
+	{[]string{"churn"}, figureChurn},
+	{[]string{"baselines"}, figureBaselines},
 }
 
-// AllFigureIDs lists the figures FigureByID accepts, in paper order plus
-// the repository's memory-holes figure and the design-choice ablations.
-// FigureByID also accepts "baselines", the comparator table, which
-// pama-bench -fig all runs last.
+// FigureByID builds the figure that answers to id at the given
+// request-count scale (1.0 = the 1:100-scaled defaults above).
+func FigureByID(id string, scale float64) (*Figure, error) {
+	var all []string
+	for _, e := range figureTable {
+		if slices.Contains(e.ids, id) {
+			return e.build(scale)
+		}
+		all = append(all, e.ids...)
+	}
+	return nil, fmt.Errorf("sim: unknown figure %q (have %s)", id, strings.Join(all, ","))
+}
+
+// AllFigureIDs returns one id per figure, in table order.
 func AllFigureIDs() []string {
-	return []string{"3", "4", "5", "6", "7", "8", "9", "10", "holes", "ablations"}
+	ids := make([]string, len(figureTable))
+	for i, e := range figureTable {
+		ids[i] = e.ids[0]
+	}
+	return ids
 }
 
 func baseSpec(wl workload.Config, cacheBytes int64, reqs uint64, kind string) Spec {
@@ -132,7 +144,7 @@ func baseSpec(wl workload.Config, cacheBytes int64, reqs uint64, kind string) Sp
 	}
 }
 
-func figure3(scale float64) *Figure {
+func figure3(scale float64) (*Figure, error) {
 	reqs := scaled(etcRequests, scale)
 	f := &Figure{
 		ID:    "3",
@@ -152,10 +164,10 @@ func figure3(scale float64) *Figure {
 		}
 		return nil
 	}
-	return f
+	return f, nil
 }
 
-func figure4(scale float64) *Figure {
+func figure4(scale float64) (*Figure, error) {
 	reqs := scaled(etcRequests, scale)
 	f := &Figure{
 		ID:    "4",
@@ -182,10 +194,10 @@ func figure4(scale float64) *Figure {
 		}
 		return nil
 	}
-	return f
+	return f, nil
 }
 
-func figure56(scale float64) *Figure {
+func figure56(scale float64) (*Figure, error) {
 	reqs := scaled(etcRequests, scale)
 	f := &Figure{
 		ID:        "5",
@@ -200,13 +212,11 @@ func figure56(scale float64) *Figure {
 			f.Specs = append(f.Specs, s)
 		}
 	}
-	f.Render = func(w io.Writer, res []*Result) error {
-		return renderGrouped(w, res, len(FigurePolicies))
-	}
-	return f
+	f.Render = f.renderGrouped
+	return f, nil
 }
 
-func figure78(scale float64) *Figure {
+func figure78(scale float64) (*Figure, error) {
 	reqs := scaled(appRequests, scale)
 	f := &Figure{
 		ID:        "7",
@@ -222,13 +232,11 @@ func figure78(scale float64) *Figure {
 			f.Specs = append(f.Specs, s)
 		}
 	}
-	f.Render = func(w io.Writer, res []*Result) error {
-		return renderGrouped(w, res, len(FigurePolicies))
-	}
-	return f
+	f.Render = f.renderGrouped
+	return f, nil
 }
 
-func figure9(scale float64) *Figure {
+func figure9(scale float64) (*Figure, error) {
 	reqs := scaled(etcRequests, scale)
 	f := &Figure{
 		ID:    "9",
@@ -250,19 +258,17 @@ func figure9(scale float64) *Figure {
 		sb.Burst = burst
 		f.Specs = append(f.Specs, sb)
 	}
-	f.Render = func(w io.Writer, res []*Result) error {
-		return renderGrouped(w, res, len(res))
-	}
-	return f
+	f.Render = f.renderGrouped
+	return f, nil
 }
 
-func figure10(scale float64) *Figure {
+func figure10(scale float64) (*Figure, error) {
+	ms := []int{0, 2, 4, 8}
 	f := &Figure{
 		ID:        "10",
 		Title:     "Sensitivity to reference-segment count m (ETC small cache, APP small cache)",
-		GroupSize: 4,
+		GroupSize: len(ms),
 	}
-	ms := []int{0, 2, 4, 8}
 	etcReqs := scaled(etcRequests, scale)
 	for _, m := range ms {
 		s := baseSpec(etcWorkload(), etcCacheSmall, etcReqs, "pama")
@@ -279,10 +285,8 @@ func figure10(scale float64) *Figure {
 		s.Policy.PAMA.PenaltyAware = true
 		f.Specs = append(f.Specs, s)
 	}
-	f.Render = func(w io.Writer, res []*Result) error {
-		return renderGrouped(w, res, len(ms))
-	}
-	return f
+	f.Render = f.renderGrouped
+	return f, nil
 }
 
 // holesLearnSamples is how many leading requests of the trace the
@@ -381,21 +385,17 @@ func RenderHoles(w io.Writer, res []*Result) error {
 	return nil
 }
 
-// renderGrouped prints results in groups of groupSize series side by side,
+// renderGrouped prints each of f's sub-plot groups as series side by side,
 // followed by a summary block.
-func renderGrouped(w io.Writer, res []*Result, groupSize int) error {
-	for i := 0; i < len(res); i += groupSize {
-		end := i + groupSize
-		if end > len(res) {
-			end = len(res)
-		}
-		group := make([]*metrics.Series, 0, groupSize)
-		for _, r := range res[i:end] {
+func (f *Figure) renderGrouped(w io.Writer, res []*Result) error {
+	for _, group := range f.Groups(res) {
+		series := make([]*metrics.Series, 0, len(group))
+		for _, r := range group {
 			if r != nil {
-				group = append(group, &r.Series)
+				series = append(series, &r.Series)
 			}
 		}
-		if err := metrics.WriteTSV(w, group); err != nil {
+		if err := metrics.WriteTSV(w, series); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

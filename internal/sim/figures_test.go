@@ -8,18 +8,32 @@ import (
 	"pamakv/internal/kv"
 )
 
+// TestFigureByIDKnown builds every entry of the figure table under each id
+// it answers to. A figure without Specs must compute its data in Render.
 func TestFigureByIDKnown(t *testing.T) {
-	for _, id := range AllFigureIDs() {
-		f, err := FigureByID(id, 0.01)
-		if err != nil {
-			t.Fatalf("figure %s: %v", id, err)
+	var ids []string
+	for _, e := range figureTable {
+		for _, id := range e.ids {
+			f, err := FigureByID(id, 0.01)
+			if err != nil {
+				t.Fatalf("figure %s: %v", id, err)
+			}
+			if f.ID != e.ids[0] || f.Render == nil || f.Title == "" {
+				t.Fatalf("figure %s incomplete: %+v", id, f)
+			}
 		}
-		if len(f.Specs) == 0 || f.Render == nil || f.Title == "" {
-			t.Fatalf("figure %s incomplete: %+v", id, f)
-		}
+		ids = append(ids, e.ids[0])
 	}
-	if _, err := FigureByID("99", 1); err == nil {
+	want := []string{"3", "4", "5", "7", "9", "10", "holes", "ablations", "tenants", "churn", "baselines"}
+	if !slices.Equal(ids, want) || !slices.Equal(AllFigureIDs(), want) {
+		t.Fatalf("figure ids %v, AllFigureIDs %v, want %v", ids, AllFigureIDs(), want)
+	}
+	_, err := FigureByID("99", 1)
+	if err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+	if !strings.Contains(err.Error(), "3,4,5,6,7,8,9,10,holes,ablations,tenants,churn,baselines") {
+		t.Fatalf("unknown-figure error does not list the table: %v", err)
 	}
 }
 

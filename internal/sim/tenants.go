@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"pamakv/internal/cache"
+	"pamakv/internal/core"
 	"pamakv/internal/kv"
 	"pamakv/internal/penalty"
 	"pamakv/internal/tenant"
@@ -41,19 +42,17 @@ type MultiSpec struct {
 	CacheBytes int64
 	// Requests is the combined stream length.
 	Requests uint64
-	// EngineWindow is each engine's value window in accesses.
-	EngineWindow uint64
-	// HitTime is the GET-hit service time in seconds.
-	HitTime float64
-	// Policy selects every tenant's allocation scheme (slab policies
-	// only; gdsf has no slab budget to arbitrate).
-	Policy PolicySpec
 	// ArbitrateEvery runs one synchronous arbiter step every this many
 	// requests; 0 disables arbitration (static partitions).
 	ArbitrateEvery uint64
 	// Seed drives the tenant-interleaving draw.
 	Seed uint64
 }
+
+// nodeEngineWindow is the value window, in accesses, of every engine the
+// multi-tenant and churn simulations build: one per tenant, one per node.
+// Those engines all run PAMA at the paper's defaults.
+const nodeEngineWindow = 50_000
 
 // TenantResult is one tenant's outcome.
 type TenantResult struct {
@@ -102,12 +101,6 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 	if spec.Requests == 0 {
 		spec.Requests = 1_000_000
 	}
-	if spec.EngineWindow == 0 {
-		spec.EngineWindow = 50_000
-	}
-	if spec.HitTime == 0 {
-		spec.HitTime = 0.0005
-	}
 
 	// Split the budget: reserves off the top, remainder by weight.
 	geomt := kv.DefaultGeometry()
@@ -152,19 +145,12 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 		if bytes < slabSize {
 			bytes = slabSize
 		}
-		pol, err := spec.Policy.Build()
-		if err != nil {
-			return nil, err
-		}
-		if pol == nil {
-			return nil, fmt.Errorf("sim: policy %q cannot run multi-tenant", spec.Policy.Kind)
-		}
 		eng, err := cache.New(cache.Config{
 			Geometry:   geomt,
 			CacheBytes: bytes,
-			WindowLen:  spec.EngineWindow,
+			WindowLen:  nodeEngineWindow,
 			Tenant:     int32(i),
-		}, pol)
+		}, core.New(core.DefaultConfig()))
 		if err != nil {
 			return nil, fmt.Errorf("sim: tenant %s: %w", t.Tenant.Name, err)
 		}
@@ -268,8 +254,9 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 // arbitrated cache at 80% of that budget.
 type TenantsFigureResult struct {
 	// Partitions holds one single-tenant run per tenant, each in an
-	// equal static partition (the siloed-memcached-pools baseline).
-	Partitions []*MultiResult
+	// equal static partition (the siloed-memcached-pools baseline),
+	// named after its tenant.
+	Partitions []*Result
 	// Arbitrated is the combined run at ArbitratedFrac of the budget.
 	Arbitrated *MultiResult
 	// PartitionBytes is the per-tenant partition size; TotalBytes the
@@ -320,8 +307,25 @@ func TenantsMix() []TenantSpec {
 	}
 }
 
+// figureTenants is the tenants figure. It has no Specs: its Render runs
+// RunTenantsFigure, whose arbitrated run is not a single-engine replay.
+func figureTenants(scale float64) (*Figure, error) {
+	return &Figure{
+		ID:    "tenants",
+		Title: "penalty-aware arbitration vs static partitions",
+		Render: func(w io.Writer, _ []*Result) error {
+			r, err := RunTenantsFigure(scale)
+			if err != nil {
+				return err
+			}
+			return RenderTenants(w, r)
+		},
+	}, nil
+}
+
 // RunTenantsFigure executes the tenants figure at the given request scale:
-// N single-tenant partition runs (in parallel) plus one arbitrated run.
+// the N single-tenant partitions, replayed by RunMatrix as ordinary Specs,
+// next to the one arbitrated RunMulti.
 func RunTenantsFigure(scale float64) (*TenantsFigureResult, error) {
 	mix := TenantsMix()
 	reqs := scaled(4_000_000, scale)
@@ -330,7 +334,6 @@ func RunTenantsFigure(scale float64) (*TenantsFigureResult, error) {
 	arbBytes := int64(float64(total) * ArbitratedFrac)
 
 	out := &TenantsFigureResult{
-		Partitions:      make([]*MultiResult, len(mix)),
 		PartitionBytes:  partBytes,
 		TotalBytes:      total,
 		ArbitratedBytes: arbBytes,
@@ -340,48 +343,42 @@ func RunTenantsFigure(scale float64) (*TenantsFigureResult, error) {
 	for _, t := range mix {
 		shares += t.Share
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(mix)+1)
+	parts := make([]Spec, len(mix))
 	for i, t := range mix {
-		wg.Add(1)
-		go func(i int, t TenantSpec) {
-			defer wg.Done()
-			solo := t
-			solo.Share = 1
-			out.Partitions[i], errs[i] = RunMulti(MultiSpec{
-				Name:       "partition/" + t.Tenant.Name,
-				Tenants:    []TenantSpec{solo},
-				CacheBytes: partBytes,
-				Requests:   uint64(float64(reqs) * t.Share / shares),
-				Policy:     PolicySpec{Kind: "pama"},
-				Seed:       100 + uint64(i),
-			})
-		}(i, t)
+		parts[i] = Spec{
+			Name:           t.Tenant.Name,
+			Workload:       t.Workload,
+			CacheBytes:     partBytes,
+			Requests:       uint64(float64(reqs) * t.Share / shares),
+			EngineWindow:   nodeEngineWindow,
+			Policy:         PolicySpec{Kind: "pama"},
+			SampleSubClass: -1,
+		}
 	}
-	wg.Add(1)
+	var arbErr error
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		out.Arbitrated, errs[len(mix)] = RunMulti(MultiSpec{
+		defer close(done)
+		out.Arbitrated, arbErr = RunMulti(MultiSpec{
 			Name:           "arbitrated",
 			Tenants:        mix,
 			CacheBytes:     arbBytes,
 			Requests:       reqs,
-			Policy:         PolicySpec{Kind: "pama"},
 			ArbitrateEvery: 10_000,
 			Seed:           42,
 		})
 	}()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	out.Partitions, err = RunMatrix(parts, 0)
+	<-done
+	if err = errors.Join(err, arbErr); err != nil {
+		return nil, err
 	}
 
 	var gets, hits uint64
 	for _, p := range out.Partitions {
-		gets += p.Gets
-		hits += p.Hits
+		gets += p.Stats.Gets
+		hits += p.Stats.Hits
 	}
 	if gets > 0 {
 		out.PartitionHit = float64(hits) / float64(gets)
@@ -401,11 +398,13 @@ func RenderTenants(w io.Writer, r *TenantsFigureResult) error {
 			t.SlabsStart, t.SlabsEnd, t.SlabsIn, t.SlabsOut)
 		return err
 	}
+	// A partition's budget never moves: it starts and ends at its bytes.
+	slabs := int(r.PartitionBytes / int64(kv.DefaultGeometry().SlabSize))
 	for _, p := range r.Partitions {
-		for _, t := range p.Tenants {
-			if err := row(t, "partitioned", float64(r.PartitionBytes)/(1<<20)); err != nil {
-				return err
-			}
+		t := TenantResult{Name: p.Spec.Name, Gets: p.Stats.Gets, Hits: p.Stats.Hits,
+			MissPenalty: p.MissPenalty, Items: p.Items, SlabsStart: slabs, SlabsEnd: slabs}
+		if err := row(t, "partitioned", float64(r.PartitionBytes)/(1<<20)); err != nil {
+			return err
 		}
 	}
 	for _, t := range r.Arbitrated.Tenants {

@@ -65,7 +65,6 @@ func TestRunMultiStatic(t *testing.T) {
 		Tenants:    mix,
 		CacheBytes: 48 << 20,
 		Requests:   200_000,
-		Policy:     PolicySpec{Kind: "pama"},
 		Seed:       7,
 	})
 	if err != nil {
@@ -101,7 +100,6 @@ func TestRunMultiReserveRespected(t *testing.T) {
 		},
 		CacheBytes:     16 << 20,
 		Requests:       300_000,
-		Policy:         PolicySpec{Kind: "pama"},
 		ArbitrateEvery: 2_000,
 		Seed:           9,
 	}
