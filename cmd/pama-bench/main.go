@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -38,20 +39,22 @@ func main() {
 	doPlot := flag.Bool("plot", false, "render ASCII charts instead of raw TSV series (figures without series print their tables)")
 	flag.Parse()
 
-	if err := run(*fig, *scale, *workers, *doPlot); err != nil {
+	if err := run(os.Stdout, *fig, *scale, *workers, *doPlot); err != nil {
 		fmt.Fprintln(os.Stderr, "pama-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, scale float64, workers int, doPlot bool) error {
+// run writes the figures fig names to w, running at most workers simulations
+// at once.
+func run(w io.Writer, fig string, scale float64, workers int, doPlot bool) error {
 	ids := []string{fig}
 	if fig == "all" {
 		ids = append([]string{"1"}, sim.AllFigureIDs()...)
 	}
 	for _, id := range ids {
 		if id == "1" {
-			figure1(doPlot)
+			figure1(w, doPlot)
 			continue
 		}
 		f, err := sim.FigureByID(id, scale)
@@ -62,33 +65,34 @@ func run(fig string, scale float64, workers int, doPlot bool) error {
 		if len(f.Specs) > 0 {
 			runs = fmt.Sprintf("%d runs, ", len(f.Specs))
 		}
-		fmt.Printf("## Figure %s: %s (%sscale %.2f)\n", f.ID, f.Title, runs, scale)
+		fmt.Fprintf(w, "## Figure %s: %s (%sscale %.2f)\n", f.ID, f.Title, runs, scale)
 		start := time.Now()
+		f.Workers = workers
 		res, err := sim.RunMatrix(f.Specs, workers)
 		if err != nil {
 			return err
 		}
 		if doPlot && len(f.Specs) > 0 {
-			err = renderPlots(f, res)
+			err = renderPlots(w, f, res)
 		} else {
-			err = f.Render(os.Stdout, res)
+			err = f.Render(w, res)
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Printf("# figure %s wall time: %s\n\n", f.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "# figure %s wall time: %s\n\n", f.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
 
 // figure1 samples the penalty model over APP-distributed sizes and prints a
 // (size, penalty) scatter — the reproduction of paper Fig. 1.
-func figure1(doPlot bool) {
+func figure1(w io.Writer, doPlot bool) {
 	cfg := workload.APP()
-	fmt.Println("## Figure 1: miss penalty vs item size (APP penalty model sample)")
+	fmt.Fprintln(w, "## Figure 1: miss penalty vs item size (APP penalty model sample)")
 	var xs, ys []float64
 	if !doPlot {
-		fmt.Println("size_bytes\tpenalty_s")
+		fmt.Fprintln(w, "size_bytes\tpenalty_s")
 	}
 	for i := uint64(0); i < 20_000; i++ {
 		h := kv.Mix64(i * 0x9e3779b97f4a7c15)
@@ -98,18 +102,18 @@ func figure1(doPlot bool) {
 			xs = append(xs, float64(size))
 			ys = append(ys, pen)
 		} else {
-			fmt.Printf("%d\t%.4f\n", size, pen)
+			fmt.Fprintf(w, "%d\t%.4f\n", size, pen)
 		}
 	}
 	if doPlot {
-		plot.Scatter(os.Stdout, "miss penalty (s) vs item size (bytes), log-log", xs, ys)
+		plot.Scatter(w, "miss penalty (s) vs item size (bytes), log-log", xs, ys)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // renderPlots draws each sub-plot group as two ASCII charts (hit ratio and
 // service time), then the summary table.
-func renderPlots(f *sim.Figure, res []*sim.Result) error {
+func renderPlots(w io.Writer, f *sim.Figure, res []*sim.Result) error {
 	for gi, group := range f.Groups(res) {
 		var series []*metrics.Series
 		for _, r := range group {
@@ -118,12 +122,12 @@ func renderPlots(f *sim.Figure, res []*sim.Result) error {
 			}
 		}
 		title := fmt.Sprintf("Fig %s group %d", f.ID, gi+1)
-		if err := plot.Series(os.Stdout, title+" — hit ratio", plot.ColHitRatio, series); err != nil {
+		if err := plot.Series(w, title+" — hit ratio", plot.ColHitRatio, series); err != nil {
 			return err
 		}
-		if err := plot.Series(os.Stdout, title+" — avg service time (s)", plot.ColAvgService, series); err != nil {
+		if err := plot.Series(w, title+" — avg service time (s)", plot.ColAvgService, series); err != nil {
 			return err
 		}
 	}
-	return sim.WriteSummary(os.Stdout, res)
+	return sim.WriteSummary(w, res)
 }

@@ -16,7 +16,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,12 +151,15 @@ type Policy interface {
 	// when the class still owns no slab.
 	MakeRoom(class, sub int)
 	// OnHit reports a GET hit and the bottom segment it landed in
-	// (-1 when above the tracked region or tracking is off).
+	// (-1 when above the tracked region or tracking is off). An item handed
+	// to a hook is the engine's: with StoreValues its Key aliases its value
+	// slot, so a policy that keeps a key past the hook copies it.
 	OnHit(it *kv.Item, seg int)
 	// OnMiss reports a GET miss. class/sub locate the would-be home of
-	// the item (-1 when unknown); ghost is the ghost entry when the key
-	// was recently evicted, with ghostSeg its ghost-region segment.
-	OnMiss(class, sub int, ghost *kv.Item, ghostSeg int)
+	// the item (-1 when unknown). When the key was recently evicted,
+	// ghostSeg is its ghost's segment and ghostPen the penalty it was
+	// evicted with; otherwise ghostSeg is -1.
+	OnMiss(class, sub int, ghostPen float64, ghostSeg int)
 	// OnInsert reports a completed SET.
 	OnInsert(it *kv.Item)
 	// OnEvict reports an eviction (not an explicit delete).
@@ -196,9 +198,7 @@ type BatchRecorder interface {
 type subclass struct {
 	list  lru.List
 	tr    segment.Tracker
-	ghost lru.List       // oldest first: gtr's segment 0 receives evictions
-	gtr   *segment.Exact // ghost segments, in each ghost's Seq
-	gcap  int
+	ghost ghostRegion // its records live in Cache.ghosts (ghost.go)
 }
 
 type class struct {
@@ -221,7 +221,7 @@ type Cache struct {
 	policy Policy
 	slabs  *slab.Manager
 	index  *hashtable.Table
-	gindex *hashtable.Table
+	ghosts ghostTable
 
 	classes []class
 	bounds  []float64
@@ -292,12 +292,15 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 		policy: pol,
 		slabs:  mgr,
 		index:  hashtable.New(1 << 12),
-		gindex: hashtable.New(1 << 10),
 		bounds: pol.SubclassBounds(),
 	}
 	nsub := len(c.bounds)
 	if nsub == 0 {
 		nsub = 1
+	}
+	if gseg := pol.GhostSegments(); gseg > 0 && (cfg.Geometry.NumClasses*nsub > 1<<16 || gseg >= 1<<16) {
+		return nil, fmt.Errorf("cache: %d classes × %d subclasses with %d ghost segments overflow a ghost's 16-bit tags",
+			cfg.Geometry.NumClasses, nsub, gseg)
 	}
 	c.classes = buildClasses(c.geom, nsub, pol.Segments(), pol.GhostSegments(), cfg.Tracker)
 	c.resetAttribution(nsub)
@@ -331,8 +334,7 @@ func buildClasses(g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind) []cl
 				}
 			}
 			if gseg > 0 {
-				s.gcap = gseg * cl.spc
-				s.gtr = segment.NewExact(&s.ghost, cl.spc, gseg)
+				s.ghost = newRegion(cl.spc, gseg)
 			}
 		}
 	}
@@ -408,13 +410,13 @@ func (c *Cache) LookupHash(h uint64, key string, sizeHint int, penHint float64, 
 	if it != nil {
 		c.reapLocked(it) // lazy expiry: the read that finds a dead item reaps it
 	}
-	var g *kv.Item
-	gseg := -1
+	gseg, gpen := -1, 0.0
 	clHint, subHint := -1, -1
-	if g = c.gindex.Get(h, key); g != nil {
+	if i := c.ghosts.find(h); i != 0 {
+		g := &c.ghosts.recs[i]
 		c.stats.GhostHits++
-		clHint, subHint = int(g.Class), int(g.Sub)
-		gseg = int(g.Seq)
+		clHint, subHint = c.subOf(g.owner)
+		gseg, gpen = int(g.seg), g.pen
 	} else if sizeHint > 0 {
 		clHint = c.geom.ClassFor(sizeHint)
 		subHint = c.subclassFor(penHint)
@@ -426,7 +428,7 @@ func (c *Cache) LookupHash(h uint64, key string, sizeHint int, penHint float64, 
 			c.subMiss[clHint][subHint]++
 		}
 	}
-	c.policy.OnMiss(clHint, subHint, g, gseg)
+	c.policy.OnMiss(clHint, subHint, gpen, gseg)
 	return buf, 0, 0, false
 }
 
@@ -457,9 +459,10 @@ func (c *Cache) reapLocked(it *kv.Item) {
 // use SetTTL for expiring items.
 //
 // The callee copies what it retains; the caller may reuse key and value when
-// the call returns. With StoreValues the engine copies the key when, and only
-// when, the store inserts a new item; a metadata-only engine keeps the key
-// string it is handed (simulators own their keys).
+// the call returns. With StoreValues the engine copies the key into the
+// item's value slot, ahead of the value, and charges the item at least their
+// combined length; a metadata-only engine keeps the key string it is handed
+// (simulators own their keys).
 func (c *Cache) Set(key string, size int, pen float64, flags uint32, value []byte) error {
 	return c.SetTTL(key, size, pen, flags, 0, value)
 }
@@ -487,11 +490,12 @@ func (c *Cache) setLocked(h uint64, key string, size int, pen float64, flags uin
 }
 
 // storeLocked is setLocked without the access it counts: rewriteLocked
-// re-stores a value that outgrew its slot through it. A value longer than size is charged
-// its length, so it always fits its slot.
+// re-stores a value that outgrew its slot through it. With StoreValues an item
+// is charged at least its key and value lengths, which share its slot, so they
+// always fit it.
 func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	if c.cfg.StoreValues {
-		size = max(size, len(value))
+		size = max(size, len(key)+len(value))
 	}
 	cl := c.geom.ClassFor(size)
 	if cl < 0 {
@@ -519,9 +523,7 @@ func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags u
 			c.release(it)
 		} else {
 			// A refill supersedes any ghost memory or stale copy of the key.
-			if g := c.gindex.Get(h, key); g != nil {
-				c.dropGhost(g)
-			}
+			c.dropGhost(h)
 			c.dropStaleLocked(h, key)
 		}
 		if err := c.takeSlotLocked(cl, sub); err != nil {
@@ -532,9 +534,9 @@ func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags u
 		it.Tenant = c.cfg.Tenant
 		it.Class = int32(cl)
 		if c.cfg.StoreValues {
-			// The one copy of a request's key: the caller may reuse its bytes.
-			it.Key = strings.Clone(key)
-			c.storeValue(it, cl, value)
+			// The key goes into the slot ahead of the value: the caller may
+			// reuse its bytes.
+			c.storeValue(it, cl, key, value)
 		}
 		c.index.Insert(it)
 	}
@@ -591,9 +593,7 @@ func (c *Cache) DeleteHash(h uint64, key string) bool {
 	defer c.mu.Unlock()
 	c.tick()
 	c.stats.Deletes++
-	if g := c.gindex.Get(h, key); g != nil {
-		c.dropGhost(g)
-	}
+	c.dropGhost(h)
 	it := c.liveLocked(h, key)
 	c.dropStaleLocked(h, key) // after the lookup: reaping an expired item leaves a stale copy
 	if it == nil {
@@ -618,11 +618,10 @@ func (c *Cache) Flush() {
 				c.unlinkResident(it)
 				c.release(it)
 			}
-			for g := s.ghost.Front(); g != nil; g = s.ghost.Front() {
-				c.dropGhost(g)
-			}
+			s.ghost.reset()
 		}
 	}
+	c.ghosts.reset()
 	c.flushStaleLocked()
 }
 
@@ -814,7 +813,7 @@ func (c *Cache) CheckInvariants() error {
 	if err := c.slabs.CheckInvariants(); err != nil {
 		return err
 	}
-	for _, idx := range []*hashtable.Table{c.index, c.gindex, c.staleIdx} {
+	for _, idx := range []*hashtable.Table{c.index, c.staleIdx} {
 		if idx == nil {
 			continue
 		}
@@ -822,7 +821,7 @@ func (c *Cache) CheckInvariants() error {
 			return err
 		}
 	}
-	total := 0
+	total, ghosts := 0, 0
 	for ci := range c.classes {
 		n := 0
 		var holes int64
@@ -833,9 +832,15 @@ func (c *Cache) CheckInvariants() error {
 				holes += int64(c.geom.SlotSize(ci) - int(it.Size))
 				return true
 			})
-			if err := s.checkTrackers(); err != nil {
-				return fmt.Errorf("cache: class %d subclass %d: %w", ci, si, err)
+			if ex, ok := s.tr.(*segment.Exact); ok {
+				if err := ex.Check(); err != nil {
+					return fmt.Errorf("cache: class %d subclass %d: stack: %w", ci, si, err)
+				}
 			}
+			if err := c.checkGhostsLocked(&s.ghost, c.ownerOf(ci, si)); err != nil {
+				return fmt.Errorf("cache: class %d subclass %d: ghost region: %w", ci, si, err)
+			}
+			ghosts += s.ghost.n
 		}
 		if n != c.slabs.Used(ci) {
 			return fmt.Errorf("cache: class %d lists hold %d items, slab accounting says %d",
@@ -861,18 +866,23 @@ func (c *Cache) CheckInvariants() error {
 		return fmt.Errorf("cache: evictions by subclass sum to %d, Stats.Evictions is %d",
 			evicts, c.stats.Evictions)
 	}
-	// setLocked and pushGhost rely on it: no key is resident and ghosted, or
-	// resident and stale-buffered, at once.
-	var err error
-	shadowed := func(e *kv.Item) bool {
-		if c.index.Get(e.Hash, e.Key) != nil {
-			err = fmt.Errorf("cache: %q is resident and also a ghost or stale entry", e.Key)
-		}
-		return err == nil
+	if ghosts != c.ghosts.n {
+		return fmt.Errorf("cache: ghost regions hold %d ghosts, the ghost index %d", ghosts, c.ghosts.n)
 	}
-	c.gindex.Range(shadowed)
+	// setLocked relies on it, as pushGhost does for ghosts: no key is
+	// resident and stale-buffered at once. A stale entry's key is its own
+	// copy, so it still hashes to the entry's hash.
+	var err error
 	if c.staleIdx != nil {
-		c.staleIdx.Range(shadowed)
+		c.staleIdx.Range(func(e *kv.Item) bool {
+			switch {
+			case kv.HashString(e.Key) != e.Hash:
+				err = fmt.Errorf("cache: stale entry %q does not hash to its hash %#x", e.Key, e.Hash)
+			case c.index.Get(e.Hash, e.Key) != nil:
+				err = fmt.Errorf("cache: %q is resident and also a stale entry", e.Key)
+			}
+			return err == nil
+		})
 	}
 	if err != nil {
 		return err
@@ -892,17 +902,16 @@ func (c *Cache) CheckInvariants() error {
 
 // ---- Internals ----
 
-// checkTrackers audits the exact trackers of a resident stack and its ghost
-// region against walks of their lists.
-func (s *subclass) checkTrackers() error {
-	if ex, ok := s.tr.(*segment.Exact); ok {
-		if err := ex.Check(); err != nil {
-			return fmt.Errorf("stack: %w", err)
-		}
+// checkGhostsLocked audits a ghost region (ghostTable.check) and the rule
+// setLocked and pushGhost rely on: no key is resident and ghosted at once. A
+// ghost has only its key's hash, so no resident may have it.
+func (c *Cache) checkGhostsLocked(r *ghostRegion, owner uint16) error {
+	if err := c.ghosts.check(r, owner); err != nil {
+		return err
 	}
-	if s.gtr != nil {
-		if err := s.gtr.Check(); err != nil {
-			return fmt.Errorf("ghost region: %w", err)
+	for i := r.newest; i != 0; i = c.ghosts.recs[i].older {
+		if it := c.index.Peek(c.ghosts.recs[i].hash); it != nil {
+			return fmt.Errorf("%q is resident and also a ghost", it.Key)
 		}
 	}
 	return nil
@@ -1032,33 +1041,30 @@ func (c *Cache) largestSub(class int) int {
 	return best
 }
 
-// pushGhost turns an evicted item into a ghost entry (key + penalty only;
-// its value slot goes back to the class), or releases it when ghost regions
-// are disabled.
+// pushGhost remembers an evicted item's hash and penalty in its subclass's
+// ghost region, when the policy keeps one, and releases the item.
 func (c *Cache) pushGhost(it *kv.Item) {
-	s := &c.classes[it.Class].subs[it.Sub]
-	if s.gcap == 0 {
-		c.release(it)
-		return
+	if s := &c.classes[it.Class].subs[it.Sub]; s.ghost.cap > 0 {
+		// It was resident until now, so its key has no ghost to replace.
+		c.ghosts.push(&s.ghost, c.ownerOf(int(it.Class), int(it.Sub)), it.Hash, it.Penalty)
 	}
-	it.Ghost = true
-	c.releaseValue(it)
-	// It was resident until now, so its key has no ghost entry to replace.
-	c.gindex.Insert(it)
-	s.ghost.PushBack(it)
-	s.gtr.InsertBottom(it)
-	for s.ghost.Len() > s.gcap {
-		c.dropGhost(s.ghost.Front())
+	c.release(it)
+}
+
+// dropGhost forgets the ghost of hash h, if there is one.
+func (c *Cache) dropGhost(h uint64) {
+	if i := c.ghosts.find(h); i != 0 {
+		cl, sub := c.subOf(c.ghosts.recs[i].owner)
+		c.ghosts.remove(&c.classes[cl].subs[sub].ghost, i)
 	}
 }
 
-// dropGhost removes a ghost entry entirely.
-func (c *Cache) dropGhost(g *kv.Item) {
-	s := &c.classes[g.Class].subs[g.Sub]
-	s.gtr.Remove(g)
-	s.ghost.Remove(g)
-	c.gindex.Remove(g)
-	c.releaseRaw(g)
+// ownerOf and subOf convert between (class, subclass) and a ghost's owner.
+func (c *Cache) ownerOf(cl, sub int) uint16 { return uint16(cl*len(c.classes[0].subs) + sub) }
+
+func (c *Cache) subOf(owner uint16) (cl, sub int) {
+	n := len(c.classes[0].subs)
+	return int(owner) / n, int(owner) % n
 }
 
 func (c *Cache) acquire() *kv.Item {
@@ -1077,8 +1083,8 @@ func (c *Cache) release(it *kv.Item) {
 	c.releaseRaw(it)
 }
 
-// releaseRaw pools an item that holds no slot: a ghost, or a stale-buffer
-// entry whose private copy is simply dropped.
+// releaseRaw pools an item that holds no slot: a stale-buffer entry, whose
+// private copies are simply dropped, or a released resident.
 func (c *Cache) releaseRaw(it *kv.Item) {
 	if len(c.pool) >= 8192 {
 		return

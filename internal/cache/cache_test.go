@@ -35,8 +35,8 @@ func (n *nullPolicy) MakeRoom(class, sub int) {
 	}
 }
 func (n *nullPolicy) OnHit(_ *kv.Item, seg int) { n.hits = append(n.hits, seg) }
-func (n *nullPolicy) OnMiss(_, _ int, ghost *kv.Item, gseg int) {
-	if ghost != nil {
+func (n *nullPolicy) OnMiss(_, _ int, _ float64, gseg int) {
+	if gseg >= 0 {
 		n.ghostSegs = append(n.ghostSegs, gseg)
 	}
 }

@@ -66,6 +66,11 @@ type Introspection struct {
 	// heap: slabs owned times the slab size.
 	FreeValueBuffers []int `json:"free_value_buffers" prom:"pamakv_free_value_buffers,sparse" help:"Free value slots stacked on the pages each size class owns." label:"class"`
 	ValueSlabBytes   int64 `json:"value_slab_bytes" prom:"pamakv_value_slab_bytes" help:"Slab pages mapped for values, outside the Go heap."`
+	// GhostEntries is the ghosts the ghost regions hold and GhostBytes the
+	// Go heap their records and index take (ghost.go), so the rest of the
+	// heap can be put down to the resident items and their index.
+	GhostEntries int   `json:"ghost_entries" prom:"pamakv_ghost_entries" help:"Evicted keys the ghost regions remember, by hash and penalty."`
+	GhostBytes   int64 `json:"ghost_bytes" prom:"pamakv_ghost_bytes" help:"Go heap held by ghost records and their index."`
 
 	// SubLens[class][sub] is each subclass LRU stack's resident depth
 	// (Fig. 4's per-subclass allocation, in items).
@@ -118,6 +123,8 @@ func (c *Cache) Introspect() Introspection {
 		SubMisses:        make([][]uint64, nc),
 		SlabMoves:        make([][]uint64, nc),
 		BytesHoles:       append([]int64(nil), c.holes...),
+		GhostEntries:     c.ghosts.n,
+		GhostBytes:       c.ghosts.bytes(),
 		Items:            c.index.Len(),
 		Stats:            c.stats,
 	}

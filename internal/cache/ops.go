@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"pamakv/internal/kv"
 )
@@ -138,8 +139,9 @@ func (c *Cache) TouchHash(h uint64, key string, expireAt int64) bool {
 // would land exactly at cutover time, when latency matters most. The
 // consequence: fn sees a point-in-time snapshot (a key may be gone by the
 // time fn sees it; the handoff re-reads at send time anyway) and fn may
-// call back into the engine. The key strings are the engine's interned
-// keys and may be retained.
+// call back into the engine. The key strings are copies and may be
+// retained: an engine that stores values keeps each key in its item's value
+// slot, which the next store may reuse.
 func (c *Cache) ScanKeys(fn func(key string, pen float64, size int, expireAt int64) bool) {
 	type entry struct {
 		key      string
@@ -151,7 +153,11 @@ func (c *Cache) ScanKeys(fn func(key string, pen float64, size int, expireAt int
 	snap := make([]entry, 0, 1024)
 	c.index.Range(func(it *kv.Item) bool {
 		if !c.expired(it) {
-			snap = append(snap, entry{it.Key, it.Penalty, int(it.Size), it.ExpireAt})
+			key := it.Key
+			if c.arena != nil {
+				key = strings.Clone(key)
+			}
+			snap = append(snap, entry{key, it.Penalty, int(it.Size), it.ExpireAt})
 		}
 		return true
 	})

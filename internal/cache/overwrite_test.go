@@ -198,7 +198,7 @@ func (m *owModel) store(key string, mode SetMode, tok uint64, size int, pen floa
 		}
 	}
 
-	size = max(size, len(value)) // a value longer than its size is charged its length
+	size = max(size, len(key)+len(value)) // key and value longer than size are charged their length
 	cl := c.geom.ClassFor(size)
 	sub := c.subclassFor(pen)
 	if m.exact {
@@ -434,7 +434,7 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 		case r < 11: // same class, the other penalty subclass
 			v := valueIn(id, cl)
 			m.store(key, ModeSet, 0, size(v), pens[0]+pens[1]-pen, ttl(), v)
-		case r < 12: // a size that under-states the value: it is charged the value's length
+		case r < 12: // a size that under-states the value: it is charged key and value's length
 			if cl == c.geom.NumClasses-1 {
 				continue
 			}
@@ -519,7 +519,7 @@ func TestCheckInvariantsCatchesResidentGhost(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	c.gindex.Insert(&kv.Item{Key: "k", Hash: kv.HashString("k"), Ghost: true})
+	c.ghosts.push(&c.classes[0].subs[0].ghost, c.ownerOf(0, 0), kv.HashString("k"), 0.01)
 	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "resident and also a ghost") {
 		t.Fatalf("CheckInvariants = %v, want the resident-and-ghost report", err)
 	}

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"strings"
+
 	"pamakv/internal/kv"
 )
 
@@ -30,11 +32,11 @@ func (c *Cache) pushStaleLocked(it *kv.Item) {
 		return
 	}
 	e := c.acquire()
-	e.Key = it.Key
 	e.Hash = it.Hash
 	e.Flags = it.Flags
-	// A private copy, charged to the stale budget: the dying item's slot goes
-	// back to its class.
+	// Private copies, charged to the stale budget: the dying item's slot,
+	// which holds its key too, goes back to its class.
+	e.Key = strings.Clone(it.Key)
 	e.Value = append([]byte(nil), it.Value...)
 	if old := c.staleIdx.Put(e); old != nil {
 		c.staleLst.Remove(old)

@@ -14,10 +14,12 @@ import (
 // class owns is one page of Geometry.SlabSize bytes mapped outside the Go heap
 // (pages_unix.go; a heap []byte where the platform has no mmap), faulted in as
 // it is written and carved into slots of the class's size when the class is
-// granted it. A resident item's Value is one slot: a slice of its page whose
-// capacity is exactly the slot size. The collector neither scans nor frees
-// value bytes, so its headroom no longer doubles the cache, and the value
-// memory of an engine is exactly the pages slab.Manager says its classes own.
+// granted it. A resident item owns one slot: its key at the head, its value
+// right after, and Key and Value alias those bytes (Value's capacity runs to
+// the slot's end). The collector neither scans nor frees them, so its
+// headroom no longer doubles the cache, an inserting store allocates nothing,
+// and the value memory of an engine is exactly the pages slab.Manager says its
+// classes own.
 //
 // Pages follow the slab accounting:
 //
@@ -26,16 +28,19 @@ import (
 //     pops a slot, a release pushes one, both O(1).
 //   - A slab leaving a class (MigrateSlab, DonateSlab) is a page leaving it.
 //     Once the donor's evictions have freed a slab's worth of slots, compact
-//     takes the page with the fewest residents, copies their values into free
-//     slots on the class's other pages and repoints their Value. Every reader
-//     copies a value under the engine lock, so nothing outside the engine
-//     still holds the old slot. The emptied page is re-carved by the receiving
-//     class, or, donated, unmapped.
+//     takes the page with the fewest residents, copies their keys and values
+//     into free slots on the class's other pages and repoints Key and Value.
+//     Every reader copies a value, and every holder of a key that outlives
+//     the lock (ScanKeys, the stale buffer, a policy's mirror) copies the key,
+//     under the engine lock, so nothing outside the engine still holds the
+//     old slot. The emptied page is re-carved by the receiving class, or,
+//     donated, unmapped.
 //
 // storeValue and releaseValue are the only places a slot changes hands;
 // besides them only compact and the in-place rewrites of setLocked and
-// rewriteLocked (within the slot) write Item.Value. The race detector cannot see these
-// pages, so its build poisons every slot a value leaves with 0xDB.
+// rewriteLocked (after the key, within the slot) write Item.Value. The race
+// detector cannot see these pages, so its build poisons every slot an item
+// leaves with 0xDB.
 
 // page is one slab of value memory and the slots its class carved from it.
 type page struct {
@@ -94,9 +99,18 @@ func (a *arena) unmapAll() {
 // slotRef names slot i of page p on a free stack.
 func slotRef(p *page, i int) uint64 { return uint64(p.id)<<32 | uint64(i) }
 
-// slotOf returns the page of class k that holds slot v, and v's index on it.
-func (k *class) slotOf(v []byte) (*page, int) {
-	a := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+// slotAt returns the address of the slot item it owns: its key's, which heads
+// the slot, or a key-less item's value's.
+func slotAt(it *kv.Item) uintptr {
+	if it.Key != "" {
+		return uintptr(unsafe.Pointer(unsafe.StringData(it.Key)))
+	}
+	return uintptr(unsafe.Pointer(unsafe.SliceData(it.Value)))
+}
+
+// slotOf returns the page of class k that holds the slot at address a, and
+// the slot's index on it.
+func (k *class) slotOf(a uintptr) (*page, int) {
 	lo, hi := 0, len(k.pages)
 	for hi-lo > 1 {
 		if mid := int(uint(lo+hi) >> 1); k.pages[mid].base <= a {
@@ -131,10 +145,11 @@ func (c *Cache) carve(cl int, p *page) {
 	}
 }
 
-// storeValue copies value into the slot on top of class cl's free stack and
-// hands the slot to it. The caller has already taken the slot in the slab
-// accounting, and value fits the slot.
-func (c *Cache) storeValue(it *kv.Item, cl int, value []byte) {
+// storeValue copies key and then value into the slot on top of class cl's
+// free stack, hands the slot to it and points its Key and Value at the copies.
+// The caller has already taken the slot in the slab accounting, and key and
+// value fit the slot together.
+func (c *Cache) storeValue(it *kv.Item, cl int, key string, value []byte) {
 	k := &c.classes[cl]
 	n := len(k.vfree) - 1
 	r := k.vfree[n]
@@ -142,30 +157,32 @@ func (c *Cache) storeValue(it *kv.Item, cl int, value []byte) {
 	p, i := c.arena.pages[r>>32], int(uint32(r))
 	p.owner[i] = it
 	p.used++
-	off := i * k.slot
-	it.Value = append(p.mem[off:off:off+k.slot], value...)
+	slot := p.mem[i*k.slot : (i+1)*k.slot : (i+1)*k.slot]
+	kn := copy(slot, key)
+	it.Key = unsafe.String(unsafe.SliceData(slot), kn)
+	it.Value = append(slot[kn:kn], value...)
 }
 
-// releaseValue detaches the item's value and pushes its slot onto the class's free
-// stack. The caller has already freed the slot in the slab accounting.
+// releaseValue detaches the item's key and value and pushes their slot onto
+// the class's free stack. The caller has already freed the slot in the slab
+// accounting.
 func (c *Cache) releaseValue(it *kv.Item) {
-	v := it.Value
-	if v == nil {
+	if it.Value == nil {
 		return
 	}
-	it.Value = nil
 	k := &c.classes[it.Class]
-	p, i := k.slotOf(v)
+	p, i := k.slotOf(slotAt(it))
+	it.Key, it.Value = "", nil
 	p.owner[i] = nil
 	p.used--
-	poison(v[:cap(v)])
+	poison(p.mem[i*k.slot : (i+1)*k.slot])
 	k.vfree = append(k.vfree, slotRef(p, i))
 }
 
 // compact empties the page of class cl holding the fewest residents and takes
-// it from the class: its free slots leave the stack and its residents' values
-// move into free slots on the class's other pages, which hold enough because
-// the caller freed a slab's worth of slots first. The caller has released the
+// it from the class: its free slots leave the stack and its residents' keys
+// and values move into free slots on the class's other pages, which hold
+// enough because the caller freed a slab's worth of slots first. The caller has released the
 // slab in the accounting and hands the page on. A tie goes to the lowest page
 // id, not the lowest address, so twin engines compact alike.
 func (c *Cache) compact(cl int) *page {
@@ -183,17 +200,16 @@ func (c *Cache) compact(cl int) *page {
 		if it == nil {
 			continue
 		}
-		old := it.Value
-		c.storeValue(it, cl, old)
+		c.storeValue(it, cl, it.Key, it.Value)
 		donor.owner[i] = nil
-		poison(old[:cap(old)])
+		poison(donor.mem[i*k.slot : (i+1)*k.slot])
 		c.stats.SlabRelocations++
 	}
 	donor.used = 0
 	return donor
 }
 
-// poison fills a slot a value has left, in the race build only.
+// poison fills a slot an item has left, in the race build only.
 func poison(slot []byte) {
 	if raceEnabled {
 		for i := range slot {
@@ -204,7 +220,8 @@ func poison(slot []byte) {
 
 // checkValuesLocked audits slot ownership: every class owns one page per slab
 // and stacks exactly its free slots, every slot is free or held by the one
-// resident its page names, and every resident's value is such a slot.
+// resident its page names, and every resident's key heads such a slot, its
+// value filling the rest.
 func (c *Cache) checkValuesLocked() error {
 	pages := 0
 	for ci := range c.classes {
@@ -272,15 +289,17 @@ func (c *Cache) checkValuesLocked() error {
 	var err error
 	c.index.Range(func(it *kv.Item) bool {
 		k := &c.classes[it.Class]
-		a := uintptr(unsafe.Pointer(unsafe.SliceData(it.Value)))
-		if len(k.pages) > 0 {
-			p, i := k.slotOf(it.Value)
-			if a >= p.base && i < len(p.owner) && a == p.base+uintptr(i*k.slot) &&
-				cap(it.Value) == k.slot && p.owner[i] == it {
+		a := slotAt(it)
+		if len(k.pages) > 0 && it.Value != nil {
+			p, i := k.slotOf(a)
+			kn := uintptr(len(it.Key))
+			v := uintptr(unsafe.Pointer(unsafe.SliceData(it.Value)))
+			if a >= p.base && i < len(p.owner) && a == p.base+uintptr(i*k.slot) && p.owner[i] == it &&
+				cap(it.Value) == k.slot-int(kn) && (cap(it.Value) == 0 || v == a+kn) {
 				return true
 			}
 		}
-		err = fmt.Errorf("cache: resident %q's value is not a slot of a page its class %d owns", it.Key, it.Class)
+		err = fmt.Errorf("cache: resident %q's key and value are not a slot of a page its class %d owns, key first", it.Key, it.Class)
 		return false
 	})
 	return err

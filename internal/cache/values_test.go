@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pamakv/internal/kv"
 )
@@ -48,9 +49,11 @@ func selfValueIntact(v []byte) bool {
 // shared by two items, or recycled while still referenced, shows up as a byte
 // mismatch; under -race, which cannot see the value pages, every slot a value
 // leaves is filled with 0xDB, so a reply that aliases a slot instead of
-// copying it fails here the moment the slot is let go. CheckInvariants adds
-// the structural check (slot ownership against the slab accounting). Rerun a
-// failure with PAMA_MODEL_SEED=<logged seed>.
+// copying it fails here the moment the slot is let go. Keys share their
+// item's slot, so every checkpoint also holds on to the keys ScanKeys
+// reported at the one before and finds them unchanged. CheckInvariants adds
+// the structural check (slot ownership against the slab accounting, each key
+// at the head of its slot). Rerun a failure with PAMA_MODEL_SEED=<logged seed>.
 func TestValueSlotsNeverAlias(t *testing.T) {
 	seed := modelSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -151,6 +154,9 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 		}
 	}
 	var sawStack bool
+	// scanned holds the keys ScanKeys reported at the last checkpoint, each
+	// with a copy made the moment it was reported.
+	var scanned [][2]string
 
 	const ops = 12000
 	for op := 0; op < ops; op++ {
@@ -231,6 +237,16 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("op %d: %v", op, err)
 			}
+			for _, kc := range scanned {
+				if kc[0] != kc[1] {
+					t.Fatalf("op %d: a key ScanKeys reported as %q reads %q", op, kc[1], kc[0])
+				}
+			}
+			scanned = scanned[:0]
+			c.ScanKeys(func(key string, _ float64, _ int, _ int64) bool {
+				scanned = append(scanned, [2]string{key, strings.Clone(key)})
+				return true
+			})
 			for _, n := range c.Introspect().FreeValueBuffers {
 				sawStack = sawStack || n > 0
 			}
@@ -271,7 +287,7 @@ func TestCheckInvariantsCatchesStackViolations(t *testing.T) {
 		return c
 	}
 	slotOfKey := func(c *Cache, key string) uint64 {
-		p, i := c.classes[0].slotOf(c.index.Get(kv.HashString(key), key).Value)
+		p, i := c.classes[0].slotOf(slotAt(c.index.Get(kv.HashString(key), key)))
 		return slotRef(p, i)
 	}
 	for name, tc := range map[string]struct {
@@ -357,8 +373,8 @@ func TestSlotStackFollowsSlabAccounting(t *testing.T) {
 // thins them so that every page holds residents, then forces a migration and
 // a donation. The page each one takes must be the donor class's page with the
 // fewest residents, emptied by moving those residents to its other pages:
-// afterwards every resident reads back intact and every class owns exactly
-// one page per slab.
+// afterwards every resident reads back intact, its key at the head of its
+// new slot, and every class owns exactly one page per slab.
 func TestCompactionKeepsValues(t *testing.T) {
 	const budget = 6
 	c, err := New(Config{Geometry: smallGeom(), CacheBytes: budget * 4096, StoreValues: true}, &nullPolicy{})
@@ -384,6 +400,21 @@ func TestCompactionKeepsValues(t *testing.T) {
 			if got, _, hit := c.Get(key, 0, 0, nil); !hit || !bytes.Equal(got, want) {
 				t.Fatalf("%s: %s reads %x (hit %v), stored %x", step, key, got, hit, want)
 			}
+			it := c.index.Get(kv.HashString(key), key)
+			if p, i := c.classes[it.Class].slotOf(slotAt(it)); unsafe.StringData(it.Key) != &p.mem[i*c.classes[it.Class].slot] {
+				t.Fatalf("%s: %s's key is not at the head of its slot", step, key)
+			}
+		}
+		scanned := 0
+		c.ScanKeys(func(key string, _ float64, _ int, _ int64) bool {
+			if _, ok := last[key]; !ok {
+				t.Fatalf("%s: ScanKeys reports %q, which was never stored or was deleted", step, key)
+			}
+			scanned++
+			return true
+		})
+		if scanned != len(last) {
+			t.Fatalf("%s: ScanKeys reports %d keys, %d are stored", step, scanned, len(last))
 		}
 		for cl := range c.classes {
 			if got, want := len(c.classes[cl].pages), c.Slabs(cl); got != want {
@@ -553,11 +584,12 @@ func TestDeltaKeepsItsSlot(t *testing.T) {
 	delta("n", 1, true, 9)
 	check("decr below a digit", "n", "9", 0, 20)
 
-	// A library caller's size below the value's length is raised to it.
+	// A library caller's size below the key and value lengths is raised to
+	// their sum: both sit in the slot.
 	if err := c.Set("s", 1, 0.01, 0, []byte("12345")); err != nil {
 		t.Fatal(err)
 	}
-	check("short size", "s", "12345", 0, 5)
+	check("short size", "s", "12345", 0, 6)
 
 	// Outgrown: a full 64-byte slot takes a digit more, into class 1.
 	if err := c.Set("m", 64, 0.01, 0, []byte("99")); err != nil {
@@ -571,4 +603,72 @@ func TestDeltaKeepsItsSlot(t *testing.T) {
 	}
 	delta("m", 900, false, 1000)
 	check("incr in the new slot", "m", "1000", 1, 66)
+}
+
+// TestRetainedKeysSurviveEvictions: a key ScanKeys reported and a stale-buffer
+// entry both outlive the item whose slot held the key, so both must be copies.
+// Every original item is evicted and its slot reused by other keys, with slab
+// migrations between classes; under -race each slot an item leaves is
+// poisoned first. The retained keys must still read as stored, and every stale
+// entry must still be found by its key and hold its value.
+func TestRetainedKeysSurviveEvictions(t *testing.T) {
+	pol := &nullPolicy{gseg: 1}
+	pol.makeRoom = func(class, _ int) {
+		for cl := 0; cl < pol.c.NumClasses(); cl++ {
+			if cl != class && pol.c.Slabs(cl) > 1 {
+				_ = pol.c.MigrateSlab(cl, 0, class)
+				return
+			}
+		}
+	}
+	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 4 * 4096, StoreValues: true, StaleBytes: 1 << 20}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) string { return "original-" + strconv.Itoa(i) }
+	for i := 0; i < 64; i++ {
+		if err := c.Set(key(i), 0, 0.01, 0, selfValue(uint64(i), 8+i%40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var retained []string
+	c.ScanKeys(func(k string, _ float64, _ int, _ int64) bool {
+		retained = append(retained, k)
+		return true
+	})
+	if len(retained) != 64 {
+		t.Fatalf("ScanKeys reported %d keys, want 64", len(retained))
+	}
+	// Other keys, first small then large values, evict every original and
+	// move slabs from class 0 to the larger classes.
+	for i := 0; i < 2000; i++ {
+		n := 16 + i%40
+		if i >= 1000 {
+			n = 150 + i%300
+		}
+		if err := c.Set("churn-"+strconv.Itoa(i), 0, 0.01, 0, bytes.Repeat([]byte{'x'}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.SlabMigrations == 0 {
+		t.Fatalf("the churn migrated no slab: %+v", st)
+	}
+	for _, k := range retained {
+		if !strings.HasPrefix(k, "original-") {
+			t.Fatalf("a retained key reads %q", k)
+		}
+		i, err := strconv.Atoi(strings.TrimPrefix(k, "original-"))
+		if err != nil || key(i) != k {
+			t.Fatalf("a retained key reads %q", k)
+		}
+		if c.Contains(k) {
+			t.Fatalf("%s is still resident", k)
+		}
+		if v, _, ok := c.GetStale(k, nil); !ok || !bytes.Equal(v, selfValue(uint64(i), 8+i%40)) {
+			t.Fatalf("stale read of %s = %x, %v; want its value", k, v, ok)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -138,9 +138,9 @@ func (p *PAMA) OnHit(it *kv.Item, seg int) {
 }
 
 // OnMiss implements cache.Policy: ghost-region hits accrue incoming value.
-func (p *PAMA) OnMiss(class, sub int, ghost *kv.Item, ghostSeg int) {
-	if ghost != nil && ghostSeg >= 0 && ghostSeg < p.nseg {
-		p.in[class][sub][ghostSeg] += p.weight(ghost.Penalty)
+func (p *PAMA) OnMiss(class, sub int, ghostPen float64, ghostSeg int) {
+	if ghostSeg >= 0 && ghostSeg < p.nseg {
+		p.in[class][sub][ghostSeg] += p.weight(ghostPen)
 	}
 }
 

@@ -77,10 +77,9 @@ func TestValueAccumulationAndWindow(t *testing.T) {
 
 func TestIncomingValueFromGhosts(t *testing.T) {
 	_, p := newPAMACache(t, 2, DefaultConfig())
-	g := &kv.Item{Class: 1, Sub: 2, Penalty: 1.0, Ghost: true}
-	p.OnMiss(1, 2, g, 0)
-	p.OnMiss(1, 2, g, 2)
-	p.OnMiss(1, 2, nil, -1) // plain miss: no incoming value
+	p.OnMiss(1, 2, 1.0, 0)
+	p.OnMiss(1, 2, 1.0, 2)
+	p.OnMiss(1, 2, 0, -1) // plain miss: no incoming value
 	if got, want := p.IncomingValue(1, 2), 0.5+0.125; got != want {
 		t.Fatalf("IncomingValue = %v, want %v", got, want)
 	}

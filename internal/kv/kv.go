@@ -42,9 +42,9 @@ func (o Op) String() string {
 }
 
 // Item is one cached object: key, logical size, last observed miss penalty,
-// and the intrusive hooks that place it in exactly one LRU stack. Ghost
-// entries (evicted items remembered for incoming-value estimation) reuse the
-// same struct with Ghost set and Value nil.
+// and the intrusive hooks that place it in exactly one LRU stack. An evicted
+// item is pooled for reuse; the engine remembers it in a ghost region by hash
+// and penalty only (package cache).
 //
 // The struct is exactly 128 bytes, so the allocator's 128-byte size class,
 // whose objects are 64-byte aligned, gives every item one adjacent pair of
@@ -54,7 +54,10 @@ func (o Op) String() string {
 // (TestItemLayout), not a benchmark.
 type Item struct {
 	// Key is the full key string. For simulator-generated workloads it is
-	// the 8-byte big-endian encoding of a numeric key id.
+	// the 8-byte big-endian encoding of a numeric key id. An engine that
+	// stores values keeps the key at the head of the item's value slot and
+	// Key aliases those bytes: they move with the value and are reused once
+	// the item leaves, so a holder that outlives the engine lock copies them.
 	Key string
 	// Hash caches the 64-bit hash of Key used by the index and the Bloom
 	// filters; it is computed once at insertion and must not change while
@@ -74,8 +77,6 @@ type Item struct {
 	// it to audit that a tenant's engine only ever holds that tenant's
 	// items.
 	Tenant int32
-	// Ghost marks an entry in a ghost region rather than a resident item.
-	Ghost bool
 	// ExpireAt is the unix-seconds expiry deadline; 0 means no expiry.
 	// Expiry is lazy: the engine reaps an expired item when a GET finds
 	// it, as Memcached does.
@@ -84,21 +85,21 @@ type Item struct {
 	LastAccess uint64
 
 	// Value holds the item bytes when the cache stores values; nil in
-	// metadata-only (simulation) mode. It is a slot of one of the engine's
-	// slab pages (package cache), not the item's: the engine may move it to
-	// another slot of the class under its lock, and detaches it before the
-	// item is pooled.
+	// metadata-only (simulation) mode. It is the rest of a slot of one of the
+	// engine's slab pages (package cache), after the key, not the item's: the
+	// engine may move key and value to another slot of the class under its
+	// lock, and detaches both before the item is pooled.
 	Value []byte
 	// Penalty is the most recently observed miss penalty for this key, in
 	// seconds. It selects the penalty subclass under PAMA and prices the
 	// segment an access lands in.
 	Penalty float64
 	// Seq is the item's segment tag, owned by segment.Exact on resident
-	// stacks and ghost regions alike: 0..nseg-1 inside the tracked bottom
-	// region, nseg above it. A policy may repurpose it as per-item scratch
-	// only when both its Segments() and GhostSegments() are 0 (policy.CAMP
-	// stores its insertion-time clock here). Package mrc's shadow items,
-	// which never enter an engine, carry its rank ring's sequence here.
+	// stacks: 0..nseg-1 inside the tracked bottom region, nseg above it. A
+	// policy may repurpose it as per-item scratch only when its Segments()
+	// is 0 (policy.CAMP stores its insertion-time clock here). Package mrc's
+	// shadow items, which never enter an engine, carry its rank ring's
+	// sequence here.
 	Seq uint64
 	// CAS is the compare-and-set token, changed on every store of the
 	// key (Memcached cas semantics).

@@ -1,5 +1,6 @@
 // Package lru implements the intrusive doubly-linked list used for every LRU
-// stack in the cache: resident subclass stacks and ghost regions alike.
+// stack of items: the cache's resident subclass stacks, its stale buffer and
+// the MRC shadow stacks.
 //
 // The list links live inside kv.Item (Prev/Next), so pushing, moving, and
 // removing are allocation-free pointer operations. Following the paper's
@@ -36,21 +37,6 @@ func (l *List) PushFront(it *kv.Item) {
 		l.tail = it
 	}
 	l.head = it
-	l.n++
-}
-
-// PushBack places it at the LRU position. The item must not be on any list.
-// Ghost regions use this to append entries older than the current contents
-// when rebuilding.
-func (l *List) PushBack(it *kv.Item) {
-	it.Next = nil
-	it.Prev = l.tail
-	if l.tail != nil {
-		l.tail.Next = it
-	} else {
-		l.head = it
-	}
-	l.tail = it
 	l.n++
 }
 

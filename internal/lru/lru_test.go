@@ -69,23 +69,12 @@ func TestPushFrontOrder(t *testing.T) {
 	checkInvariants(t, &l)
 }
 
-func TestPushBackOrder(t *testing.T) {
-	var l List
-	for _, k := range []string{"a", "b", "c"} {
-		l.PushBack(&kv.Item{Key: k})
-	}
-	if got := keys(&l); !equal(got, []string{"a", "b", "c"}) {
-		t.Fatalf("order = %v", got)
-	}
-	checkInvariants(t, &l)
-}
-
 func TestMoveToFront(t *testing.T) {
 	var l List
 	items := make([]*kv.Item, 3)
-	for i, k := range []string{"a", "b", "c"} {
-		items[i] = &kv.Item{Key: k}
-		l.PushBack(items[i])
+	for i, k := range []string{"c", "b", "a"} {
+		items[2-i] = &kv.Item{Key: k}
+		l.PushFront(items[2-i])
 	}
 	l.MoveToFront(items[2]) // c a b
 	l.MoveToFront(items[2]) // no-op when already front
@@ -102,9 +91,9 @@ func TestMoveToFront(t *testing.T) {
 func TestRemoveMiddleEnds(t *testing.T) {
 	var l List
 	items := make([]*kv.Item, 5)
-	for i := range items {
+	for i := len(items) - 1; i >= 0; i-- {
 		items[i] = &kv.Item{Key: string(rune('a' + i))}
-		l.PushBack(items[i])
+		l.PushFront(items[i])
 	}
 	l.Remove(items[2])
 	l.Remove(items[0])
@@ -184,14 +173,10 @@ func TestAgainstModel(t *testing.T) {
 		}
 		for op := 0; op < 300; op++ {
 			switch r := rng.Intn(5); {
-			case r == 0 || len(model) == 0:
+			case r <= 1 || len(model) == 0:
 				it := &kv.Item{Key: kv.KeyString(uint64(op))}
 				l.PushFront(it)
 				model = append([]*kv.Item{it}, model...)
-			case r == 1:
-				it := &kv.Item{Key: kv.KeyString(uint64(op))}
-				l.PushBack(it)
-				model = append(model, it)
 			case r == 2:
 				i := rng.Intn(len(model))
 				l.MoveToFront(model[i])

@@ -20,6 +20,8 @@
 package mrc
 
 import (
+	"strings"
+
 	"pamakv/internal/hashtable"
 	"pamakv/internal/kv"
 	"pamakv/internal/lru"
@@ -85,7 +87,7 @@ func (t *Tracker) Access(key string, hash uint64) {
 	}
 	t.Infinite++ // first touch within the shadow's memory
 	it := t.acquire()
-	it.Key = key
+	it.Key = strings.Clone(key) // the shadow outlives the caller's key
 	it.Hash = hash
 	t.idx.Put(it)
 	t.list.PushFront(it)

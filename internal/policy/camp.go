@@ -18,6 +18,7 @@ package policy
 
 import (
 	"math"
+	"strings"
 
 	"pamakv/internal/cache"
 	"pamakv/internal/kv"
@@ -139,11 +140,13 @@ func (p *CAMP) insert(it *kv.Item) {
 	}
 	r := p.ratio(it)
 	p.seq++
-	e := &campEntry{key: it.Key, class: int(it.Class), prio: p.l + r, seq: p.seq}
+	// The mirror outlives the engine lock: a value-storing engine's key
+	// aliases the item's slot, so the entry keeps a copy.
+	e := &campEntry{key: strings.Clone(it.Key), class: int(it.Class), prio: p.l + r, seq: p.seq}
 	// Seq is free when segment tracking is off; the insertion clock there
 	// makes mirror state visible to tests and debuggers.
 	it.Seq = e.seq
-	p.entries[it.Key] = e
+	p.entries[e.key] = e
 	p.queueFor(r).pushHead(e)
 }
 
@@ -196,7 +199,7 @@ func (p *CAMP) OnRemove(it *kv.Item) {
 }
 
 // OnMiss implements cache.Policy.
-func (*CAMP) OnMiss(int, int, *kv.Item, int) {}
+func (*CAMP) OnMiss(int, int, float64, int) {}
 
 // OnWindow implements cache.Policy.
 func (*CAMP) OnWindow() {}

@@ -100,9 +100,9 @@ func (l *LAMA) OnHit(it *kv.Item, _ int) {
 
 // OnMiss implements cache.Policy: misses contribute to the class's average
 // miss time (the time objective's weight).
-func (l *LAMA) OnMiss(class, _ int, ghost *kv.Item, _ int) {
-	if class >= 0 && ghost != nil {
-		l.sumPen[class] += ghost.Penalty
+func (l *LAMA) OnMiss(class, _ int, ghostPen float64, ghostSeg int) {
+	if class >= 0 && ghostSeg >= 0 {
+		l.sumPen[class] += ghostPen
 		l.nPen[class]++
 	}
 }

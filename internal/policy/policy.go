@@ -26,15 +26,15 @@ import (
 // base provides the no-frills defaults the baselines share.
 type base struct{ c *cache.Cache }
 
-func (b *base) SubclassBounds() []float64      { return nil }
-func (b *base) Segments() int                  { return 0 }
-func (b *base) GhostSegments() int             { return 0 }
-func (b *base) Attach(c *cache.Cache)          { b.c = c }
-func (b *base) OnHit(*kv.Item, int)            {}
-func (b *base) OnMiss(int, int, *kv.Item, int) {}
-func (b *base) OnInsert(*kv.Item)              {}
-func (b *base) OnEvict(*kv.Item)               {}
-func (b *base) OnWindow()                      {}
+func (b *base) SubclassBounds() []float64     { return nil }
+func (b *base) Segments() int                 { return 0 }
+func (b *base) GhostSegments() int            { return 0 }
+func (b *base) Attach(c *cache.Cache)         { b.c = c }
+func (b *base) OnHit(*kv.Item, int)           {}
+func (b *base) OnMiss(int, int, float64, int) {}
+func (b *base) OnInsert(*kv.Item)             {}
+func (b *base) OnEvict(*kv.Item)              {}
+func (b *base) OnWindow()                     {}
 
 // MakeRoom implements cache.Policy: nothing to do between reallocations —
 // the engine replaces within the class (and, like the original Memcached,
@@ -89,7 +89,7 @@ func (p *PSA) OnWindow() {
 // OnMiss implements cache.Policy: count misses and relocate every M of
 // them, from the lowest-density class to the class with the most misses in
 // the current window.
-func (p *PSA) OnMiss(class, _ int, _ *kv.Item, _ int) {
+func (p *PSA) OnMiss(class, _ int, _ float64, _ int) {
 	p.misses++
 	if p.misses < p.M {
 		return

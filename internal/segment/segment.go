@@ -11,7 +11,8 @@
 // Two implementations share the Tracker interface:
 //
 //   - Exact tags each item with its segment and keeps one boundary pointer
-//     per segment — O(nseg) per access, zero error. Ghost regions run it too.
+//     per segment — O(nseg) per access, zero error. The engine's ghost
+//     regions tag their hash-only records the same way (package cache).
 //   - Bloom implements the paper's scheme: one Bloom filter per segment plus
 //     a removal filter, rebuilt from a stack scan at every window rollover —
 //     O(1) per access with bounded staleness and false-positive error.
@@ -77,20 +78,6 @@ func (e *Exact) Insert(it *kv.Item) {
 	it.Seq = uint64(k)
 	if pos%e.segSize == e.segSize-1 {
 		e.top[k] = it
-	}
-}
-
-// InsertBottom registers an item just pushed onto the list's back (a ghost
-// FIFO, oldest first): each full segment's topmost item crosses upward.
-func (e *Exact) InsertBottom(it *kv.Item) {
-	k := 0
-	for ; k < e.nseg && e.top[k] != nil; k++ {
-		e.top[k].Seq = uint64(k + 1)
-		e.top[k] = e.top[k].Next
-	}
-	it.Seq = 0
-	if k < e.nseg && e.list.Len() == (k+1)*e.segSize {
-		e.top[k] = e.list.Front() // the push completed segment k
 	}
 }
 

@@ -146,32 +146,7 @@ func segOf(e *Exact, it *kv.Item) int {
 	return -1
 }
 
-// TestExactInsertBottom: a list kept oldest-first, as a ghost FIFO is. The
-// newest entry, at the back, is segment 0, and each push moves every older
-// entry up one position.
-func TestExactInsertBottom(t *testing.T) {
-	var l lru.List
-	e := NewExact(&l, 3, 2)
-	var items []*kv.Item
-	for i := 0; i < 8; i++ {
-		it := item(uint64(i))
-		items = append(items, it)
-		l.PushBack(it)
-		e.InsertBottom(it)
-		if err := e.Check(); err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
-	}
-	// Newest first: items[7..5] segment 0, items[4..2] segment 1, the rest above.
-	wants := []int{-1, -1, 1, 1, 1, 0, 0, 0}
-	for i, it := range items {
-		if got := segOf(e, it); got != wants[i] {
-			t.Fatalf("items[%d] in segment %d, want %d", i, got, wants[i])
-		}
-	}
-}
-
-// FuzzExact decodes bytes into Insert, InsertBottom, Touch and Remove over
+// FuzzExact decodes bytes into Insert, Touch and Remove over
 // one list and compares every item's segment with a walk of the list after
 // every operation. The first two bytes pick the shape, segSize 1 and nseg 1
 // included.
@@ -189,9 +164,9 @@ func FuzzExact(f *testing.F) {
 		var on []*kv.Item // items on the list, in no particular order
 		next := uint64(0)
 		for ops = ops[2:]; len(ops) >= 2; ops = ops[2:] {
-			op, arg := ops[0]%4, int(ops[1])
-			if op >= 2 && len(on) == 0 {
-				op -= 2 // nothing to touch or remove: insert instead
+			op, arg := ops[0]%3, int(ops[1])
+			if len(on) == 0 {
+				op = 0 // nothing to touch or remove: insert instead
 			}
 			switch op {
 			case 0:
@@ -201,12 +176,6 @@ func FuzzExact(f *testing.F) {
 				e.Insert(it)
 				on = append(on, it)
 			case 1:
-				it := item(next)
-				next++
-				l.PushBack(it)
-				e.InsertBottom(it)
-				on = append(on, it)
-			case 2:
 				it := on[arg%len(on)]
 				want := naiveSeg(indexOf(walk(&l), it), segSize, nseg)
 				if got := e.Touch(it); got != want {
@@ -215,7 +184,7 @@ func FuzzExact(f *testing.F) {
 				if l.Front() != it {
 					t.Fatal("Touch did not move the item to the front")
 				}
-			case 3:
+			case 2:
 				i := arg % len(on)
 				e.Remove(on[i])
 				l.Remove(on[i])

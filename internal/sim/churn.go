@@ -20,6 +20,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -309,30 +310,33 @@ func ChurnSpecFor(mode string, scale float64) ChurnSpec {
 // figureChurn is the churn figure. It has no Specs: its Render runs
 // RunChurnFigure, whose clusters are not single-engine replays.
 func figureChurn(scale float64) (*Figure, error) {
-	return &Figure{
-		ID:    "churn",
-		Title: "cold rebalance vs penalty-ordered warm handoff",
-		Render: func(w io.Writer, _ []*Result) error {
-			r, err := RunChurnFigure(scale)
-			if err != nil {
-				return err
-			}
-			return RenderChurn(w, r)
-		},
-	}, nil
+	f := &Figure{ID: "churn", Title: "cold rebalance vs penalty-ordered warm handoff"}
+	f.Render = func(w io.Writer, _ []*Result) error {
+		r, err := RunChurnFigure(scale, f.Workers)
+		if err != nil {
+			return err
+		}
+		return RenderChurn(w, r)
+	}
+	return f, nil
 }
 
-// RunChurnFigure executes the churn figure: the three disciplines in
-// parallel over the same stream.
-func RunChurnFigure(scale float64) (*ChurnFigureResult, error) {
+// RunChurnFigure executes the churn figure: the three disciplines over the
+// same stream, at most workers at once (0 means GOMAXPROCS).
+func RunChurnFigure(scale float64, workers int) (*ChurnFigureResult, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	modes := []string{ChurnCold, ChurnWarmUnordered, ChurnWarm}
 	out := &ChurnFigureResult{Runs: make([]*ChurnRun, len(modes))}
 	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
 	errs := make([]error, len(modes))
 	for i, mode := range modes {
 		wg.Add(1)
+		sem <- struct{}{}
 		go func(i int, mode string) {
-			defer wg.Done()
+			defer func() { <-sem; wg.Done() }()
 			out.Runs[i], errs[i] = RunChurn(ChurnSpecFor(mode, scale))
 		}(i, mode)
 	}

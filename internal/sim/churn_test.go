@@ -15,7 +15,7 @@ func TestChurnFigureGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn gate replays hundreds of thousands of requests")
 	}
-	r, err := RunChurnFigure(0.25)
+	r, err := RunChurnFigure(0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

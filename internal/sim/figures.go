@@ -63,6 +63,9 @@ type Figure struct {
 	// Specs are the runs, executed with RunMatrix. A figure without Specs
 	// computes its data in Render, which then ignores its results.
 	Specs []Spec
+	// Workers bounds the runs such a Render starts at once, as RunMatrix's
+	// workers bounds Specs (pama-bench -workers); 0 means GOMAXPROCS.
+	Workers int
 	// GroupSize is how many consecutive results form one sub-plot (one
 	// cache size, one workload); 0 means all results together.
 	GroupSize int

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 
 	"pamakv/internal/cache"
 	"pamakv/internal/core"
@@ -310,23 +311,25 @@ func TenantsMix() []TenantSpec {
 // figureTenants is the tenants figure. It has no Specs: its Render runs
 // RunTenantsFigure, whose arbitrated run is not a single-engine replay.
 func figureTenants(scale float64) (*Figure, error) {
-	return &Figure{
-		ID:    "tenants",
-		Title: "penalty-aware arbitration vs static partitions",
-		Render: func(w io.Writer, _ []*Result) error {
-			r, err := RunTenantsFigure(scale)
-			if err != nil {
-				return err
-			}
-			return RenderTenants(w, r)
-		},
-	}, nil
+	f := &Figure{ID: "tenants", Title: "penalty-aware arbitration vs static partitions"}
+	f.Render = func(w io.Writer, _ []*Result) error {
+		r, err := RunTenantsFigure(scale, f.Workers)
+		if err != nil {
+			return err
+		}
+		return RenderTenants(w, r)
+	}
+	return f, nil
 }
 
 // RunTenantsFigure executes the tenants figure at the given request scale:
 // the N single-tenant partitions, replayed by RunMatrix as ordinary Specs,
-// next to the one arbitrated RunMulti.
-func RunTenantsFigure(scale float64) (*TenantsFigureResult, error) {
+// next to the one arbitrated RunMulti, at most workers runs at once (0 means
+// GOMAXPROCS). One worker runs them one after another.
+func RunTenantsFigure(scale float64, workers int) (*TenantsFigureResult, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	mix := TenantsMix()
 	reqs := scaled(4_000_000, scale)
 	total := int64(96) << 20
@@ -356,9 +359,7 @@ func RunTenantsFigure(scale float64) (*TenantsFigureResult, error) {
 		}
 	}
 	var arbErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	arbitrate := func() {
 		out.Arbitrated, arbErr = RunMulti(MultiSpec{
 			Name:           "arbitrated",
 			Tenants:        mix,
@@ -367,10 +368,20 @@ func RunTenantsFigure(scale float64) (*TenantsFigureResult, error) {
 			ArbitrateEvery: 10_000,
 			Seed:           42,
 		})
-	}()
+	}
 	var err error
-	out.Partitions, err = RunMatrix(parts, 0)
-	<-done
+	if workers == 1 {
+		arbitrate()
+		out.Partitions, err = RunMatrix(parts, 1)
+	} else {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			arbitrate()
+		}()
+		out.Partitions, err = RunMatrix(parts, workers-1) // the arbitrated run holds one worker
+		<-done
+	}
 	if err = errors.Join(err, arbErr); err != nil {
 		return nil, err
 	}

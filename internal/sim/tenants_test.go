@@ -17,7 +17,7 @@ func TestTenantArbitrationGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-tenant gate runs millions of requests")
 	}
-	r, err := RunTenantsFigure(0.25)
+	r, err := RunTenantsFigure(0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
