@@ -16,6 +16,7 @@ import (
 	"pamakv/internal/core"
 	"pamakv/internal/kv"
 	"pamakv/internal/server"
+	"pamakv/internal/valuetable"
 )
 
 // TestEngineGetHitAllocs pins the metadata-mode GET-hit path at zero
@@ -111,6 +112,57 @@ func TestEngineSetEvictAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("evicting SET allocates %.1f objects per request, want 0", allocs)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineSetEvictStaleAllocs pins an evicting SET of an engine with a stale
+// table at zero allocations: the evicted item's key and value are copied into
+// the table entry its own eviction of the oldest freed, whose buffer fits
+// them, as every value is 100 bytes.
+func TestEngineSetEvictStaleAllocs(t *testing.T) {
+	stale := valuetable.New(256<<10, 0)
+	c, err := cache.New(cache.Config{
+		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
+		CacheBytes:  2 << 20,
+		StoreValues: true,
+		Stale:       stale,
+	}, core.New(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(strings.Repeat("s", 100))
+	keys := make([]string, 1<<16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%05d", i)
+	}
+	set := func(i int) {
+		k := keys[i%len(keys)]
+		if err := c.Set(k, len(k)+len(body)+56, 0.01, 0, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A pass over the keys fills the cache and then the table.
+	for i := range keys {
+		set(i)
+	}
+	before, staleBefore := c.Stats(), stale.Stats()
+	i := len(keys)
+	const runs = 5000
+	allocs := testing.AllocsPerRun(runs, func() {
+		set(i)
+		i++
+	})
+	if got := c.Stats().Evictions - before.Evictions; got < runs {
+		t.Fatalf("%d SETs evicted only %d items: the cache is not full", runs, got)
+	}
+	if got := stale.Stats().Evicts - staleBefore.Evicts; got < runs {
+		t.Fatalf("%d evictions pushed out only %d stale entries: the table is not full", runs, got)
+	}
+	if allocs != 0 {
+		t.Fatalf("evicting SET with a stale table allocates %.1f objects per request, want 0", allocs)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

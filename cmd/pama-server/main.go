@@ -7,7 +7,7 @@
 //
 //	pama-server -addr :11211 -cache 256 -policy pama
 //	pama-server -addr :11211 -readthrough -penalty-scale 0.05
-//	pama-server -readthrough -fault-err-rate 0.2 -fetch-retries 2 -serve-stale
+//	pama-server -readthrough -fault-err-rate 0.2 -fetch-retries 2 -stale-buffer 1
 //	pama-server -addr :11211 -admin-addr 127.0.0.1:11212   # /metrics, /statsz, pprof
 //
 // Cluster mode — three nodes sharing one key space by consistent hashing,
@@ -49,6 +49,7 @@ import (
 	"pamakv/internal/shard"
 	"pamakv/internal/sim"
 	"pamakv/internal/tenant"
+	"pamakv/internal/valuetable"
 	"pamakv/internal/workload"
 )
 
@@ -75,7 +76,6 @@ type options struct {
 	fetchTimeout time.Duration
 	fetchRetries int
 	fetchBackoff time.Duration
-	serveStale   bool
 	staleMiB     int64
 
 	overloadOn  bool
@@ -109,8 +109,6 @@ func validate(o options) error {
 		return fmt.Errorf("-membership-secret requires runtime membership (-membership or -join)")
 	case strings.ContainsAny(o.memSecret, " \t\r\n"):
 		return fmt.Errorf("-membership-secret must not contain whitespace (it rides the control-key wire format as one token)")
-	case o.serveStale && o.staleMiB < 1:
-		return fmt.Errorf("-stale-buffer %d is out of range: the serve-stale buffer needs at least 1 MiB", o.staleMiB)
 	}
 	return nil
 }
@@ -139,8 +137,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.fetchTimeout, "fetch-timeout", 0, "per-attempt backend fetch deadline in read-through mode (0 = none)")
 	fs.IntVar(&o.fetchRetries, "fetch-retries", 0, "extra attempts for a failed backend fetch")
 	fs.DurationVar(&o.fetchBackoff, "fetch-backoff", 2*time.Millisecond, "sleep before the first fetch retry; doubles per retry")
-	fs.BoolVar(&o.serveStale, "serve-stale", false, "serve recently evicted/expired values when the backend fails (read-through mode)")
-	fs.Int64Var(&o.staleMiB, "stale-buffer", 1, "serve-stale buffer budget in MiB")
+	fs.Int64Var(&o.staleMiB, "stale-buffer", 0, "serve recently evicted/expired values from a buffer of this many MiB, shared by every engine, when the backend fails (read-through mode; 0 = off)")
 
 	fs.BoolVar(&o.overloadOn, "overload", false, "penalty-aware admission control: adaptive concurrency limit, bounded queue, load shedding by penalty subclass")
 	fs.DurationVar(&o.targetP99, "target-p99", overload.DefaultTarget, "p99 service-latency target the adaptive concurrency limit steers toward (with -overload)")
@@ -191,8 +188,8 @@ func run(o options) error {
 		StoreValues: true,
 		WindowLen:   100_000,
 	}
-	if o.serveStale {
-		cfg.StaleBytes = o.staleMiB << 20
+	if o.staleMiB > 0 {
+		cfg.Stale = valuetable.New(o.staleMiB<<20, 0)
 	}
 	factory := func() cache.Policy {
 		p, _ := (sim.PolicySpec{Kind: o.policyKind}).Build()
@@ -276,8 +273,8 @@ func run(o options) error {
 				o.faultErrRate, o.faultSpikeRate, o.faultSpikeSleep, o.faultSeed)
 		}
 		opts.Backend = store
-	} else if o.serveStale || o.fetchRetries > 0 || o.fetchTimeout > 0 {
-		log.Printf("pama-server: -serve-stale/-fetch-* only apply with -readthrough")
+	} else if o.staleMiB > 0 || o.fetchRetries > 0 || o.fetchTimeout > 0 {
+		log.Printf("pama-server: -stale-buffer/-fetch-* only apply with -readthrough")
 	}
 	if o.overloadOn {
 		opts.Overload = &overload.Config{
@@ -299,11 +296,7 @@ func run(o options) error {
 			// admits it to the real ring moments after startup.
 			members = []string{self}
 		} else {
-			for _, m := range strings.Split(o.peers, ",") {
-				if m = strings.TrimSpace(m); m != "" {
-					members = append(members, m)
-				}
-			}
+			members = cluster.NormalizeMembers(strings.Split(o.peers, ","))
 		}
 		// Every setting left out runs on its library default: the peer
 		// pools' size, retries and timeouts, and the server's hot cache of

@@ -52,8 +52,8 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"secret without membership", func(o *options) { o.memSecret = "tok" }, "-membership-secret"},
 		{"secret on static peers", func(o *options) { o.peers = "a:1,b:2"; o.memSecret = "tok" }, "-membership-secret"},
 		{"secret with whitespace", func(o *options) { o.join = "a:1"; o.memSecret = "bad tok" }, "-membership-secret"},
-		{"serve-stale with a buffer", func(o *options) { o.serveStale = true; o.staleMiB = 1 }, ""},
-		{"serve-stale with no buffer", func(o *options) { o.serveStale = true; o.staleMiB = 0 }, "-stale-buffer"},
+		{"serve-stale with a buffer", func(o *options) { o.staleMiB = 1 }, ""},
+		{"serve-stale with no buffer", func(o *options) { o.staleMiB = 0 }, ""}, // 0 turns serve-stale off
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -132,10 +132,10 @@ func TestFlagNames(t *testing.T) {
 		"fetch-backoff", "fetch-retries", "fetch-timeout", "join",
 		"max-conns", "max-inflight", "max-pipeline", "membership", "membership-secret",
 		"overload", "peers", "penalty-scale", "policy", "probe-interval",
-		"read-timeout", "readthrough", "self", "serve-stale", "shards", "snapshot",
+		"read-timeout", "readthrough", "self", "shards", "snapshot",
 		"stale-buffer", "target-p99", "tenants", "write-timeout",
 	}
-	if len(want) != 33 || strings.Join(got, " ") != strings.Join(want, " ") {
+	if len(want) != 32 || strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flags:\n got %d %v\nwant %d %v", len(got), got, len(want), want)
 	}
 }
@@ -279,7 +279,7 @@ func TestRunServesTraffic(t *testing.T) {
 		{"readthrough", func(o *options) { o.readthrough, o.shards = true, 1 }, []string{""}, "", nil},
 		{"readthrough serving stale under faults", func(o *options) {
 			o.readthrough, o.shards = true, 1
-			o.serveStale, o.staleMiB, o.faultErrRate, o.faultSeed = true, 1, 0.2, 1
+			o.staleMiB, o.faultErrRate, o.faultSeed = 1, 0.2, 1
 		}, []string{""}, "", []string{"backend_failures", "stale_serves"}},
 		{"overload control", func(o *options) { o.overloadOn = true }, []string{""},
 			"SERVER_ERROR busy (shed)", []string{"overload_admitted"}},

@@ -22,7 +22,7 @@ func main() {
 	c, err := pamakv.New(pamakv.Config{
 		CacheBytes:  32 << 20,
 		StoreValues: true,
-		StaleBytes:  256 << 10, // retain evicted/expired bytes in a 256 KiB serve-stale buffer
+		Stale:       pamakv.NewStaleTable(256 << 10), // retain evicted/expired bytes in a 256 KiB serve-stale buffer
 	}, pamakv.NewPAMA(pamakv.DefaultPAMAConfig()))
 	if err != nil {
 		log.Fatal(err)

@@ -26,6 +26,7 @@ import (
 	"pamakv/internal/penalty"
 	"pamakv/internal/segment"
 	"pamakv/internal/slab"
+	"pamakv/internal/valuetable"
 )
 
 // Sentinel errors returned by Set.
@@ -67,11 +68,11 @@ type Config struct {
 	// Now supplies wall-clock unix seconds for TTL expiry; nil uses
 	// time.Now. Only consulted for items stored with a TTL.
 	Now func() int64
-	// StaleBytes > 0 retains the bytes of recently evicted or expired
-	// items in a side buffer of this many bytes (keys + values +
-	// overhead), so a read-through server can serve them as a degraded
-	// response when its backend fails (GetStale). Requires StoreValues.
-	StaleBytes int64
+	// Stale, when set, receives the bytes of recently evicted or expired
+	// items, so a read-through server can serve them as a degraded
+	// response when its backend fails (GetStale; stale.go). Every engine
+	// of a node shares the one table. Requires StoreValues.
+	Stale *valuetable.Table
 	// Tenant is the id stamped on every item this engine stores (0 =
 	// default tenant). Under multi-tenant serving each tenant owns its own
 	// engine(s); the tag lets audits prove isolation (see tenant.go).
@@ -252,11 +253,6 @@ type Cache struct {
 	// The "memory holes" a solved slot table (package geom) shrinks.
 	holes []int64
 
-	// Stale buffer (see stale.go); staleIdx nil when disabled.
-	staleIdx  *hashtable.Table
-	staleLst  lru.List
-	staleSize int64
-
 	// maint is the background maintainer and nowCache the coarse expiry
 	// clock in unix seconds it owns (clock.go), read lock-free by expired().
 	// 0 means no maintainer is running (a wall-clock read per check).
@@ -279,8 +275,8 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 	if cfg.WindowLen == 0 {
 		cfg.WindowLen = 100_000
 	}
-	if cfg.StaleBytes > 0 && !cfg.StoreValues {
-		return nil, errors.New("cache: StaleBytes requires StoreValues")
+	if cfg.Stale != nil && !cfg.StoreValues {
+		return nil, errors.New("cache: Stale requires StoreValues")
 	}
 	mgr, err := slab.NewManager(cfg.Geometry, cfg.CacheBytes)
 	if err != nil {
@@ -307,9 +303,6 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 	c.holes = make([]int64, c.geom.NumClasses)
 	if cfg.StoreValues {
 		c.arena = newArena(c.geom.SlabSize)
-	}
-	if cfg.StaleBytes > 0 {
-		c.staleIdx = hashtable.New(1 << 8)
 	}
 	pol.Attach(c)
 	return c, nil
@@ -400,7 +393,6 @@ func (c *Cache) LookupHash(h uint64, key string, sizeHint int, penHint float64, 
 			buf = append(buf, it.Value...)
 		}
 		seg := c.touchResident(it)
-		it.LastAccess = c.clock
 		c.winReqs[it.Class]++
 		c.subHits[it.Class][it.Sub]++
 		c.policy.OnHit(it, seg)
@@ -544,7 +536,6 @@ func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags u
 	it.Penalty = pen
 	it.Flags = flags
 	it.Sub = int32(sub)
-	it.LastAccess = c.clock
 	it.ExpireAt = expireAt
 	c.casCounter++
 	it.CAS = c.casCounter
@@ -813,13 +804,8 @@ func (c *Cache) CheckInvariants() error {
 	if err := c.slabs.CheckInvariants(); err != nil {
 		return err
 	}
-	for _, idx := range []*hashtable.Table{c.index, c.staleIdx} {
-		if idx == nil {
-			continue
-		}
-		if err := idx.CheckInvariants(); err != nil {
-			return err
-		}
+	if err := c.index.CheckInvariants(); err != nil {
+		return err
 	}
 	total, ghosts := 0, 0
 	for ci := range c.classes {
@@ -870,34 +856,17 @@ func (c *Cache) CheckInvariants() error {
 		return fmt.Errorf("cache: ghost regions hold %d ghosts, the ghost index %d", ghosts, c.ghosts.n)
 	}
 	// setLocked relies on it, as pushGhost does for ghosts: no key is
-	// resident and stale-buffered at once. A stale entry's key is its own
-	// copy, so it still hashes to the entry's hash.
+	// resident and in the stale table at once.
 	var err error
-	if c.staleIdx != nil {
-		c.staleIdx.Range(func(e *kv.Item) bool {
-			switch {
-			case kv.HashString(e.Key) != e.Hash:
-				err = fmt.Errorf("cache: stale entry %q does not hash to its hash %#x", e.Key, e.Hash)
-			case c.index.Get(e.Hash, e.Key) != nil:
-				err = fmt.Errorf("cache: %q is resident and also a stale entry", e.Key)
+	if c.cfg.Stale != nil {
+		c.index.Range(func(it *kv.Item) bool {
+			if c.cfg.Stale.Contains(it.Hash, it.Key) {
+				err = fmt.Errorf("cache: %q is resident and also a stale entry", it.Key)
 			}
 			return err == nil
 		})
 	}
-	if err != nil {
-		return err
-	}
-	if c.staleIdx != nil {
-		if c.staleLst.Len() != c.staleIdx.Len() {
-			return fmt.Errorf("cache: stale list holds %d entries, stale index holds %d",
-				c.staleLst.Len(), c.staleIdx.Len())
-		}
-		if c.staleSize < 0 || (c.staleLst.Len() == 0 && c.staleSize != 0) {
-			return fmt.Errorf("cache: stale byte accounting off (%d bytes, %d entries)",
-				c.staleSize, c.staleLst.Len())
-		}
-	}
-	return nil
+	return err
 }
 
 // ---- Internals ----
@@ -949,6 +918,15 @@ func (c *Cache) tick() {
 	if c.winTick >= c.cfg.WindowLen {
 		c.stats.WindowRollovers++
 		c.policy.OnWindow()
+		if c.ghosts.sparse() {
+			var rs []*ghostRegion
+			for ci := range c.classes {
+				for si := range c.classes[ci].subs {
+					rs = append(rs, &c.classes[ci].subs[si].ghost)
+				}
+			}
+			c.ghosts.shrink(rs)
+		}
 		for ci := range c.classes {
 			for si := range c.classes[ci].subs {
 				if tr := c.classes[ci].subs[si].tr; tr != nil {
@@ -1080,12 +1058,6 @@ func (c *Cache) acquire() *kv.Item {
 // the class's free stack.
 func (c *Cache) release(it *kv.Item) {
 	c.releaseValue(it)
-	c.releaseRaw(it)
-}
-
-// releaseRaw pools an item that holds no slot: a stale-buffer entry, whose
-// private copies are simply dropped, or a released resident.
-func (c *Cache) releaseRaw(it *kv.Item) {
 	if len(c.pool) >= 8192 {
 		return
 	}

@@ -20,6 +20,7 @@ import (
 	"pamakv/internal/cache"
 	"pamakv/internal/kv"
 	"pamakv/internal/sim"
+	"pamakv/internal/valuetable"
 )
 
 // slabPolicies are the names `pama-server -policy` accepts.
@@ -47,7 +48,7 @@ func newOpsEngine(t testing.TB, kind string, accessBuffer int) *opsEngine {
 	}
 	e := &opsEngine{now: 1_000_000}
 	e.Cache, err = cache.New(cache.Config{
-		Geometry: opsGeometry, CacheBytes: 12 * 4096, StoreValues: true, StaleBytes: 1 << 20,
+		Geometry: opsGeometry, CacheBytes: 12 * 4096, StoreValues: true, Stale: valuetable.New(1<<20, 0),
 		WindowLen: 300, AccessBuffer: accessBuffer, Now: func() int64 { return e.now },
 	}, pol)
 	if err != nil {
@@ -329,7 +330,7 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 	now := int64(1_000_000)
 	c, err := cache.New(cache.Config{
 		Geometry: kv.Geometry{SlabSize: 1024, Base: 64, NumClasses: 4}, CacheBytes: 4 * 1024,
-		StoreValues: true, StaleBytes: 1 << 20, WindowLen: 16, Now: func() int64 { return now },
+		StoreValues: true, Stale: valuetable.New(1<<20, 0), WindowLen: 16, Now: func() int64 { return now },
 	}, pol)
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,10 @@ import (
 
 // Ghost regions (paper §III) remember recently evicted keys by hash and
 // penalty only. A ghost is a ghostRec in one engine-owned slice: no key, no
-// kv.Item and no Go pointer, so the collector never scans the ghosts, and at
-// the table's high-water mark a ghost costs at most ghostBytesMax of heap,
-// its share of the index included (freed records are kept for reuse).
+// kv.Item and no Go pointer, so the collector never scans the ghosts, and a
+// ghost costs at most ghostBytesMax of heap, its share of the index
+// included: freed records are kept for reuse, and once a quarter or less of
+// them hold ghosts the engine shrinks the table at the next window rollover.
 //
 // Each subclass keeps its ghosts in a region, newest first, linked through
 // int32 record indices (0 is the nil record). A ghost's segment is its
@@ -178,6 +179,25 @@ func (t *ghostTable) unindex(i int32) {
 	}
 	*p = t.recs[i].chain
 	t.n--
+}
+
+// sparse reports whether a quarter or less of the table's records hold
+// ghosts, past the table's first allocation.
+func (t *ghostTable) sparse() bool { return cap(t.recs) > 64 && 4*t.n <= cap(t.recs) }
+
+// shrink rebuilds the table, whose regions are rs, in records and buckets
+// sized for the ghosts it holds. Each region's ghosts are pushed back oldest
+// to newest, which rebuilds their tags and edges exactly.
+func (t *ghostTable) shrink(rs []*ghostRegion) {
+	old, n := t.recs, t.n
+	*t = ghostTable{recs: make([]ghostRec, 1, max(64, n+n/8+1))}
+	for _, r := range rs {
+		i := r.oldest
+		r.reset()
+		for ; i != 0; i = old[i].newer {
+			t.push(r, old[i].owner, old[i].hash, old[i].pen)
+		}
+	}
 }
 
 // reset empties the region; the caller resets the table.

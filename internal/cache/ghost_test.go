@@ -72,8 +72,9 @@ func TestGhostTagsNewestFirst(t *testing.T) {
 	}
 }
 
-// FuzzGhostTags decodes bytes into pushes, removals from any position and
-// lookups over two regions of one table, and compares every ghost's segment
+// FuzzGhostTags decodes bytes into pushes, removals from any position,
+// lookups and shrinks over two regions of one table, and compares every
+// ghost's segment
 // with a walk of a slice model after every operation. The first two bytes
 // pick the first region's shape, slots per slab 1 and one segment included;
 // hashes come from a small space, so ghosts share buckets.
@@ -81,6 +82,7 @@ func FuzzGhostTags(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 1, 0})
 	f.Add([]byte{3, 2, 0, 1, 0, 2, 2, 3, 0, 4, 1, 1, 0, 5, 2, 9, 1, 0})
 	f.Add([]byte{1, 0, 0, 1, 0, 3, 0, 5, 0, 7, 1, 2, 2, 6, 0, 9, 1, 0, 1, 0})
+	f.Add([]byte{2, 1, 0, 1, 0, 2, 128, 3, 0, 4, 3, 0, 1, 1, 0, 6, 131, 0, 0, 8, 3, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) < 2 {
 			return
@@ -93,7 +95,7 @@ func FuzzGhostTags(f *testing.F) {
 		next := uint64(0)
 		for ops = ops[2:]; len(ops) >= 2; ops = ops[2:] {
 			m := ms[ops[0]>>7]
-			switch arg := int(ops[1]); ops[0] % 3 {
+			switch arg := int(ops[1]); ops[0] % 4 {
 			case 0: // push a hash no ghost has
 				next++
 				h := next<<8 | uint64(arg)%3 // three buckets' worth of low bits
@@ -116,6 +118,8 @@ func FuzzGhostTags(f *testing.F) {
 				if i := g.find(h); i != 0 && g.recs[i].hash != h {
 					t.Fatalf("find(%#x) returned ghost of %#x", h, g.recs[i].hash)
 				}
+			case 3: // rebuild the table, sparse or not
+				g.shrink([]*ghostRegion{&ms[0].r, &ms[1].r})
 			}
 			n := 0
 			for _, m := range ms {
@@ -166,6 +170,51 @@ func TestGhostBytes(t *testing.T) {
 	}
 	if per := float64(in.GhostBytes) / float64(in.GhostEntries); per > ghostBytesMax {
 		t.Fatalf("a ghost costs %.1f bytes of heap, want at most %d", per, ghostBytesMax)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGhostBytesAtLowWater: ghosts that fall to a quarter of the table's
+// records are repacked at the next window rollover, so a ghost still costs
+// at most ghostBytesMax once three quarters of them are gone.
+func TestGhostBytesAtLowWater(t *testing.T) {
+	c, err := New(Config{
+		Geometry:   kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 4},
+		CacheBytes: 8 << 16,
+		WindowLen:  1 << 17, // the fill and the removals stay inside one window
+	}, &nullPolicy{gseg: 3, bounds: []float64{0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 16
+	for i := 0; i < n; i++ {
+		if err := c.Set(kv.KeyString(uint64(i)), 40, float64(i%2), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := c.Introspect().GhostEntries
+	// A delete forgets the key's ghost: remove three quarters of them.
+	for i := 0; i < n && c.Introspect().GhostEntries > full/4; i++ {
+		c.Delete(kv.KeyString(uint64(i)))
+	}
+	rolled := c.Stats().WindowRollovers
+	if rolled != 0 {
+		t.Fatalf("%d windows closed before the removals were done", rolled)
+	}
+	if in := c.Introspect(); in.GhostBytes/int64(in.GhostEntries) <= ghostBytesMax {
+		t.Fatalf("before a window: %d ghosts in %d bytes, want the high-water records still held", in.GhostEntries, in.GhostBytes)
+	}
+	for c.Stats().WindowRollovers == rolled {
+		c.Get("never-stored", 0, 0, nil)
+	}
+	in := c.Introspect()
+	if in.GhostEntries == 0 || in.GhostEntries > full/4 {
+		t.Fatalf("%d ghosts after the window, want a quarter of %d", in.GhostEntries, full)
+	}
+	if per := float64(in.GhostBytes) / float64(in.GhostEntries); per > ghostBytesMax {
+		t.Fatalf("a ghost costs %.1f bytes of heap after the window, want at most %d", per, ghostBytesMax)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"pamakv/internal/valuetable"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -231,7 +232,7 @@ func oracleRound(t *testing.T, seed int64) {
 		Geometry:    smallGeom(),
 		CacheBytes:  4096,
 		StoreValues: true,
-		StaleBytes:  4096,
+		Stale:       valuetable.New(4096, 0),
 		WindowLen:   997,
 		Now:         func() int64 { return now },
 	}, &nullPolicy{})

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pamakv/internal/kv"
+	"pamakv/internal/valuetable"
 )
 
 func newOpsCache(t *testing.T) *Cache {
@@ -195,12 +196,12 @@ func TestTouch(t *testing.T) {
 // one with a buffer serves it.
 func TestGetStaleNeedsABuffer(t *testing.T) {
 	now := int64(1000)
-	for _, staleBytes := range []int64{0, 1 << 16} {
+	for _, stale := range []*valuetable.Table{nil, valuetable.New(1<<16, 0)} {
 		c, err := New(Config{
 			Geometry:    smallGeom(),
 			CacheBytes:  4 * 4096,
 			StoreValues: true,
-			StaleBytes:  staleBytes,
+			Stale:       stale,
 			WindowLen:   1 << 50,
 			Now:         func() int64 { return now },
 		}, &nullPolicy{})
@@ -210,8 +211,8 @@ func TestGetStaleNeedsABuffer(t *testing.T) {
 		c.SetTTL("k", 10, 0.01, 0, now+10, []byte("v"))
 		now += 20
 		val, _, ok := c.GetStale("k", nil)
-		if ok != (staleBytes > 0) || (ok && string(val) != "v") {
-			t.Errorf("StaleBytes %d: GetStale of an expired resident = %q, %v", staleBytes, val, ok)
+		if ok != (stale != nil) || (ok && string(val) != "v") {
+			t.Errorf("with a table %v: GetStale of an expired resident = %q, %v", stale != nil, val, ok)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"pamakv/internal/kv"
+	"pamakv/internal/valuetable"
 )
 
 // TestOverwriteInPlaceModel is the seeded model run for the store path's one
@@ -522,5 +523,26 @@ func TestCheckInvariantsCatchesResidentGhost(t *testing.T) {
 	c.ghosts.push(&c.classes[0].subs[0].ghost, c.ownerOf(0, 0), kv.HashString("k"), 0.01)
 	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "resident and also a ghost") {
 		t.Fatalf("CheckInvariants = %v, want the resident-and-ghost report", err)
+	}
+}
+
+// TestCheckInvariantsCatchesResidentStale: a store drops the key's stale copy
+// only when it inserts, so a key must never be resident and in the node's
+// stale table at once, and CheckInvariants has to notice when it is.
+func TestCheckInvariantsCatchesResidentStale(t *testing.T) {
+	stale := valuetable.New(1<<16, 0)
+	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 2 * 4096, StoreValues: true, Stale: stale}, &nullPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set("k", 40, 0.01, 0, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	stale.Put("k", 0, []byte("old"))
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "resident and also a stale entry") {
+		t.Fatalf("CheckInvariants = %v, want the resident-and-stale report", err)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"unsafe"
 
 	"pamakv/internal/kv"
+	"pamakv/internal/valuetable"
 )
 
 // selfValue builds a self-describing value of n >= 8 bytes: an 8-byte seed
@@ -79,7 +80,7 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 		Geometry:    smallGeom(), // 4 KiB slabs, slots 64/128/256/512
 		CacheBytes:  8 * 4096,
 		StoreValues: true,
-		StaleBytes:  8 << 10,
+		Stale:       valuetable.New(8<<10, 0),
 		WindowLen:   997,
 		Now:         now.Load,
 	}, pol)
@@ -621,7 +622,7 @@ func TestRetainedKeysSurviveEvictions(t *testing.T) {
 			}
 		}
 	}
-	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 4 * 4096, StoreValues: true, StaleBytes: 1 << 20}, pol)
+	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 4 * 4096, StoreValues: true, Stale: valuetable.New(1<<20, 0)}, pol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,6 +91,12 @@ type pconn struct {
 // (a drain's immediate one, say) stays in force until the next re-arm.
 type Deadline struct{ by int64 }
 
+// clockBase anchors monoNanos. time.Since of a time carrying a monotonic
+// reading reads only the monotonic clock, half the cost of time.Now.
+var clockBase = time.Now()
+
+func monoNanos() int64 { return int64(time.Since(clockBase)) }
+
 // Due reports whether the deadline must be armed span from now — it never
 // was, or less than 15/16 of span is left of it — and if so records it as
 // armed.

@@ -52,7 +52,7 @@ type Peers struct {
 // Members; clients for the remote members are created lazily-dialed (no
 // connection until first use).
 func New(cfg Config) (*Peers, error) {
-	members := normalize(cfg.Members)
+	members := NormalizeMembers(cfg.Members)
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: Self is required")
 	}
@@ -143,7 +143,7 @@ func (p *Peers) Degraded() bool { return p.degraded.Load() }
 // (see internal/membership). An empty list is refused: a node with no
 // members at all could not route anything.
 func (p *Peers) SetMembers(members []string) error {
-	ms := normalize(members)
+	ms := NormalizeMembers(members)
 	if len(ms) == 0 {
 		return fmt.Errorf("cluster: empty member list")
 	}

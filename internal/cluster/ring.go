@@ -19,6 +19,7 @@ package cluster
 
 import (
 	"sort"
+	"strings"
 
 	"pamakv/internal/kv"
 )
@@ -30,12 +31,14 @@ import (
 // argument.
 const DefaultVNodes = 128
 
-// normalize sorts and dedupes a member list, dropping empty entries.
-func normalize(members []string) []string {
+// NormalizeMembers trims, sorts and dedupes a member list, dropping empty
+// entries: the one form every node's view and ring is built from, so views
+// compare stably.
+func NormalizeMembers(members []string) []string {
 	out := make([]string, 0, len(members))
 	seen := make(map[string]struct{}, len(members))
 	for _, m := range members {
-		if m == "" {
+		if m = strings.TrimSpace(m); m == "" {
 			continue
 		}
 		if _, ok := seen[m]; ok {
@@ -73,7 +76,7 @@ func slotWeight(hm uint64, s int) uint64 { return kv.Mix64(hm + uint64(s)*0x9e37
 // one moves only the slots it wins. vnodes is ignored; it remains for
 // callers of the ring's earlier form.
 func NewRing(members []string, vnodes int) *Ring {
-	ms := normalize(members)
+	ms := NormalizeMembers(members)
 	r := &Ring{members: ms}
 	if len(ms) == 0 {
 		return r

@@ -46,11 +46,11 @@ func (o Op) String() string {
 // item is pooled for reuse; the engine remembers it in a ghost region by hash
 // and penalty only (package cache).
 //
-// The struct is exactly 128 bytes, so the allocator's 128-byte size class,
-// whose objects are 64-byte aligned, gives every item one adjacent pair of
-// cache lines instead of a span over three. The first line holds what an
-// index probe compares (Key, Hash) and what a hit tests next; the second holds
-// the value and the links. A field added here fails the root layout test
+// The struct is 120 bytes, so the allocator's 128-byte size class, whose
+// objects are 64-byte aligned, gives every item one adjacent pair of cache
+// lines instead of a span over three. The first line holds what an index
+// probe compares (Key, Hash) and what a hit tests next; the value and the
+// links follow. A field added here fails the root layout test
 // (TestItemLayout), not a benchmark.
 type Item struct {
 	// Key is the full key string. For simulator-generated workloads it is
@@ -81,8 +81,6 @@ type Item struct {
 	// Expiry is lazy: the engine reaps an expired item when a GET finds
 	// it, as Memcached does.
 	ExpireAt int64
-	// LastAccess is the cache access-clock value of the latest touch.
-	LastAccess uint64
 
 	// Value holds the item bytes when the cache stores values; nil in
 	// metadata-only (simulation) mode. It is the rest of a slot of one of the

@@ -1,6 +1,6 @@
 // Package lru implements the intrusive doubly-linked list used for every LRU
-// stack of items: the cache's resident subclass stacks, its stale buffer and
-// the MRC shadow stacks.
+// stack of items: the cache's resident subclass stacks and the MRC shadow
+// stacks.
 //
 // The list links live inside kv.Item (Prev/Next), so pushing, moving, and
 // removing are allocation-free pointer operations. Following the paper's
@@ -68,15 +68,6 @@ func (l *List) MoveToFront(it *kv.Item) {
 // PopBack removes and returns the LRU item, or nil when empty.
 func (l *List) PopBack() *kv.Item {
 	it := l.tail
-	if it != nil {
-		l.Remove(it)
-	}
-	return it
-}
-
-// PopFront removes and returns the MRU item, or nil when empty.
-func (l *List) PopFront() *kv.Item {
-	it := l.head
 	if it != nil {
 		l.Remove(it)
 	}

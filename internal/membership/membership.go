@@ -105,27 +105,7 @@ func ParseView(body []byte) (uint64, []string, error) {
 		return 0, nil, fmt.Errorf("membership: bad epoch in view %q: %w", s, err)
 	}
 	members := strings.Split(s[sp+1:], ",")
-	return epoch, normalize(members), nil
-}
-
-// normalize sorts and dedupes a member list, dropping empties (mirrors the
-// cluster package's selector normalization so views compare stably).
-func normalize(members []string) []string {
-	out := make([]string, 0, len(members))
-	seen := make(map[string]struct{}, len(members))
-	for _, m := range members {
-		m = strings.TrimSpace(m)
-		if m == "" {
-			continue
-		}
-		if _, ok := seen[m]; ok {
-			continue
-		}
-		seen[m] = struct{}{}
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
+	return epoch, cluster.NormalizeMembers(members), nil
 }
 
 // Health states of a remote member as seen by the local prober.
@@ -270,7 +250,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg:      cfg,
 		self:     cfg.Self,
 		epoch:    1,
-		members:  normalize(cfg.Peers.Members()),
+		members:  cluster.NormalizeMembers(cfg.Peers.Members()),
 		health:   make(map[string]*memberHealth),
 		tier:     cfg.Tier,
 		stopC:    make(chan struct{}),
@@ -384,7 +364,7 @@ func viewWins(epoch uint64, incoming, current []string) bool {
 // the losing one refused — the refused pusher then pulls the winner via
 // syncFrom, so both proposers converge. origin is only for logs.
 func (m *Manager) Apply(epoch uint64, members []string, origin string) error {
-	members = normalize(members)
+	members = cluster.NormalizeMembers(members)
 	if len(members) == 0 {
 		return errors.New("membership: refusing empty member list")
 	}
@@ -518,7 +498,7 @@ func (m *Manager) propose(members []string, why string) error {
 	if err := m.Apply(next, members, "local: "+why); err != nil {
 		return err
 	}
-	m.broadcast(next, normalize(members), targets)
+	m.broadcast(next, cluster.NormalizeMembers(members), targets)
 	return nil
 }
 

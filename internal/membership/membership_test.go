@@ -707,7 +707,7 @@ func TestBroadcastLoserAdoptsWinnerView(t *testing.T) {
 	// The peer already committed a conflicting epoch-2 view whose third
 	// member ("127.0.0.1:1") sorts — and therefore encodes — ahead of
 	// anything our proposal can contain, so the peer's view wins the tie.
-	winnerMembers := normalize([]string{self, peer.addr(), "127.0.0.1:1"})
+	winnerMembers := cluster.NormalizeMembers([]string{self, peer.addr(), "127.0.0.1:1"})
 	winnerBody := EncodeView(2, winnerMembers)
 	peer.mu.Lock()
 	peer.applyReply = "SERVER_ERROR membership: conflicting view at epoch 2 loses tie-break"

@@ -35,6 +35,7 @@ import (
 	"pamakv/internal/obs"
 	"pamakv/internal/overload"
 	"pamakv/internal/tenant"
+	"pamakv/internal/valuetable"
 )
 
 // introspector is optionally implemented by stores that expose the engine's
@@ -223,7 +224,7 @@ type BackendStatsz struct {
 type ClusterStatsz struct {
 	Self     string                         `json:"self"`
 	Members  []string                       `json:"members"`
-	HotCache *cluster.HotCacheStats         `json:"hot_cache,omitempty"`
+	HotCache *valuetable.Stats              `json:"hot_cache,omitempty"`
 	Peers    map[string]cluster.ClientStats `json:"peers"`
 }
 

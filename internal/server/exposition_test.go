@@ -37,6 +37,7 @@ import (
 	"pamakv/internal/overload"
 	"pamakv/internal/penalty"
 	"pamakv/internal/tenant"
+	"pamakv/internal/valuetable"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the exposition golden files under testdata/")
@@ -124,7 +125,7 @@ func nodeExposition(t *testing.T) exposition {
 		t.Fatal(err)
 	}
 	eng, err := cache.New(cache.Config{
-		Geometry: expositionGeometry, CacheBytes: 1 << 20, StoreValues: true, StaleBytes: 1 << 20,
+		Geometry: expositionGeometry, CacheBytes: 1 << 20, StoreValues: true, Stale: valuetable.New(1<<20, 0),
 		WindowLen: 1000,
 	}, core.New(core.DefaultConfig()))
 	if err != nil {

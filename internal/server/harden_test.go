@@ -17,6 +17,7 @@ import (
 	"pamakv/internal/kv"
 	"pamakv/internal/penalty"
 	"pamakv/internal/shard"
+	"pamakv/internal/valuetable"
 )
 
 // startServerCfg is startServer with full control over the cache config.
@@ -350,7 +351,7 @@ func TestBackendRetrySucceeds(t *testing.T) {
 func TestServeStale(t *testing.T) {
 	store := backend.New(penalty.Uniform(0.001), func(uint64) int { return 8 })
 	cfg := defaultCfg()
-	cfg.StaleBytes = 1 << 16
+	cfg.Stale = valuetable.New(1<<16, 0)
 	srv, addr := startServerCfg(t, cfg, Options{
 		Backend: store,
 	})
@@ -461,7 +462,7 @@ func TestFaultSuite(t *testing.T) {
 		Seed:       1,
 	})
 	cfg := defaultCfg()
-	cfg.StaleBytes = 1 << 18
+	cfg.Stale = valuetable.New(1<<18, 0)
 	srv, addr := startServerCfg(t, cfg, Options{
 		Backend:      store,
 		ReadTimeout:  5 * time.Second,

@@ -25,7 +25,7 @@
 // attached, and serves the value — the GET-miss → SET pattern the paper's
 // penalty estimation is built on, live on a socket. Backend fetches can be
 // bounded by a per-attempt timeout, retried with exponential backoff, and —
-// when the engine keeps a stale buffer (cache.Config.StaleBytes) — degraded
+// when the engine keeps a stale buffer (cache.Config.Stale) — degraded
 // to serve-stale instead of surfacing a miss when the backend stays down.
 package server
 
@@ -54,6 +54,7 @@ import (
 	"pamakv/internal/proto"
 	"pamakv/internal/singleflight"
 	"pamakv/internal/tenant"
+	"pamakv/internal/valuetable"
 )
 
 // Command families for latency attribution. Reads and writes have different
@@ -418,7 +419,7 @@ type Server struct {
 	// is the non-owner mini-cache of forwarded hits; mem is the runtime
 	// membership manager (nil with a static member list).
 	peers *cluster.Peers
-	hot   *cluster.HotCache
+	hot   *valuetable.Table
 	mem   *membership.Manager
 	// flight dedupes concurrent lone peer GETs of one key (the
 	// backend-fetch path dedupes inside backend.FetchSharedErr); get and
@@ -570,9 +571,9 @@ func (s *Server) Stats() Stats { return obs.Load(s.st) }
 
 // HotCacheStats snapshots the hot-item mini-cache; ok is false outside
 // cluster mode (or when the hot cache is disabled).
-func (s *Server) HotCacheStats() (st cluster.HotCacheStats, ok bool) {
+func (s *Server) HotCacheStats() (st valuetable.Stats, ok bool) {
 	if s.hot == nil {
-		return cluster.HotCacheStats{}, false
+		return valuetable.Stats{}, false
 	}
 	return s.hot.Stats(), true
 }

@@ -36,7 +36,7 @@ type Group struct {
 // splitting cfg.CacheBytes in whole slabs: every shard gets an equal count
 // and the first few one more when the count does not divide, so the group
 // holds every slab the budget pays for. Each shard must still hold at least
-// one slab.
+// one slab. Every shard gets cfg.Stale, the node's one stale table.
 func New(cfg cache.Config, n int, factory PolicyFactory) (*Group, error) {
 	if factory == nil {
 		return nil, errors.New("shard: nil policy factory")
@@ -50,7 +50,6 @@ func New(cfg cache.Config, n int, factory PolicyFactory) (*Group, error) {
 	}
 	slabSize := int64(cfg.Geometry.SlabSize)
 	slabs := cfg.CacheBytes / slabSize
-	perStale := cfg.StaleBytes / int64(shards)
 	g := &Group{mask: uint64(shards - 1)}
 	for i := 0; i < shards; i++ {
 		scfg := cfg
@@ -58,7 +57,6 @@ func New(cfg cache.Config, n int, factory PolicyFactory) (*Group, error) {
 		if int64(i) < slabs%int64(shards) {
 			scfg.CacheBytes += slabSize
 		}
-		scfg.StaleBytes = perStale
 		c, err := cache.New(scfg, factory())
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)

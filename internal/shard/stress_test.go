@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pamakv/internal/cache"
+	"pamakv/internal/valuetable"
 )
 
 // TestConcurrentMixedOps hammers a shard group from many goroutines with the
@@ -17,7 +18,7 @@ import (
 // group survives contention with coherent per-key values and invariants.
 func TestConcurrentMixedOps(t *testing.T) {
 	cfg := testCfg()
-	cfg.StaleBytes = 1 << 16
+	cfg.Stale = valuetable.New(1<<16, 0)
 	g, err := New(cfg, 4, pamaFactory)
 	if err != nil {
 		t.Fatal(err)

@@ -9,9 +9,10 @@ import (
 )
 
 // NewGroup builds the engines that serve reg's tenants out of one budget
-// (cfg.CacheBytes, cfg.StaleBytes) and groups them behind the tenant route:
-// a key's registry prefix picks its tenant's range of engines, its hash the
-// engine inside the range. The budget is split in whole slabs: every tenant
+// (cfg.CacheBytes) and groups them behind the tenant route: a key's registry
+// prefix picks its tenant's range of engines, its hash the engine inside the
+// range. Every engine gets cfg.Stale, the node's one stale table: it is a
+// best-effort degradation buffer, not tenant memory. The budget is split in whole slabs: every tenant
 // gets its reserve rounded up to slabs (at least one — an engine cannot run
 // on zero) plus a weight-proportional part of the rest, spread over shards
 // engines (rounded up to a power of two) or, when that would leave an engine
@@ -42,7 +43,6 @@ func NewGroup(reg *Registry, cfg cache.Config, shards int, factory shard.PolicyF
 		}
 		tcfg := cfg
 		tcfg.CacheBytes = shares[id] * slabSize
-		tcfg.StaleBytes = cfg.StaleBytes / int64(reg.Len())
 		tcfg.Tenant = int32(id)
 		g, err := shard.New(tcfg, n, factory)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"pamakv/internal/core"
 	"pamakv/internal/kv"
 	"pamakv/internal/shard"
+	"pamakv/internal/valuetable"
 )
 
 // newTestGroup builds the registry for cfgs (default appended) and its
@@ -270,5 +271,79 @@ func TestTenantSnapshots(t *testing.T) {
 	}
 	if st := arb.Stats(); st.Steps != 1 {
 		t.Fatalf("arbiter stats: %+v", st)
+	}
+}
+
+// TestOneStaleTablePerNode: engines built as pama-server builds them — eight
+// hash shards, or two tenants over eight shards each — share one 1 MiB stale
+// table, so a 200 KiB value that expires or is evicted is served stale
+// whichever engine held it.
+func TestOneStaleTablePerNode(t *testing.T) {
+	factory := func() cache.Policy { return core.New(core.DefaultConfig()) }
+	reg, err := NewRegistry([]Config{{Name: "a", ReservedBytes: 4 << 20}, {Name: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		prefix string
+		build  func(cache.Config) (*shard.Group, error)
+	}{
+		{"8 shards", "", func(cfg cache.Config) (*shard.Group, error) { return shard.New(cfg, 8, factory) }},
+		{"2 tenants", "a/", func(cfg cache.Config) (*shard.Group, error) {
+			g, _, err := NewGroup(reg, cfg, 8, factory)
+			return g, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := tc.build(cache.Config{
+				CacheBytes: 16 << 20, StoreValues: true, WindowLen: 100_000,
+				Stale: valuetable.New(1<<20, 0),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			big := []byte(strings.Repeat("v", 200<<10))
+			resident := func(key string) bool {
+				for _, e := range g.Engines() {
+					if e.Contains(key) {
+						return true
+					}
+				}
+				return false
+			}
+			served := func(key, how string) {
+				t.Helper()
+				if v, _, ok := g.GetStale(key, nil); !ok || len(v) != len(big) {
+					t.Fatalf("%s %s: GetStale = %d bytes, %v; want the %d-byte value", how, key, len(v), ok, len(big))
+				}
+			}
+
+			expired := tc.prefix + "expired"
+			if err := g.SetTTL(expired, len(big), 0.01, 0, 1, big); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, hit := g.Get(expired, 0, 0, nil); hit {
+				t.Fatal("expired value served fresh")
+			}
+			served(expired, "expired")
+
+			evicted := tc.prefix + "evicted"
+			if err := g.Set(evicted, len(big), 0.01, 0, big); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; resident(evicted); i++ {
+				if i == 1000 {
+					t.Fatal("1000 stores of its size never evicted the value")
+				}
+				if err := g.Set(fmt.Sprintf("%sfill%d", tc.prefix, i), len(big), 0.01, 0, big); err != nil {
+					t.Fatal(err)
+				}
+			}
+			served(evicted, "evicted")
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"pamakv/internal/sim"
 	"pamakv/internal/singleflight"
 	"pamakv/internal/trace"
+	"pamakv/internal/valuetable"
 	"pamakv/internal/workload"
 )
 
@@ -99,6 +100,10 @@ var (
 
 // New builds a cache engine bound to a policy.
 func New(cfg Config, pol Policy) (*Cache, error) { return cache.New(cfg, pol) }
+
+// NewStaleTable returns a serve-stale table of maxBytes (keys and values):
+// set it as Config.Stale of every engine of a node, which share it.
+func NewStaleTable(maxBytes int64) *valuetable.Table { return valuetable.New(maxBytes, 0) }
 
 // DefaultGeometry mirrors Memcached: 1 MiB slabs, 64 B base class, doubling
 // slots, 15 classes.
@@ -266,7 +271,7 @@ type (
 	HedgePolicy = cluster.HedgePolicy
 	// HotCacheStats snapshot a node's hot-item mini-cache of forwarded
 	// peer hits.
-	HotCacheStats = cluster.HotCacheStats
+	HotCacheStats = valuetable.Stats
 	// SingleflightGroup dedupes concurrent calls per key: one caller
 	// runs, the rest share its result.
 	SingleflightGroup = singleflight.Group
