@@ -299,11 +299,14 @@ func TestServedPipelinedGetHitAllocs(t *testing.T) {
 
 // servedBudget is the allocation budget of one served store: want, with
 // slack for the runtime's own background allocations. Under the race
-// detector the pooled parse buffers are randomly dropped, which the budget
-// has to absorb (the pre-slot-buffer guard sat at 2.5 everywhere).
+// detector sync.Pool drops a quarter of its Puts. A data block already in
+// the read buffer draws no pooled buffer, but a batch larger than the buffer
+// straddles it and evacuates its blocks into pooled ones: the evicting
+// gate's 73 KB batches read 0.42–0.47 allocations per store under -race,
+// the other gates 0.
 func servedBudget(want float64) float64 {
 	if raceEnabled {
-		return 2.5
+		return want + 0.6
 	}
 	return want + 0.1
 }
@@ -332,9 +335,9 @@ func servedBatchAllocs(t *testing.T, conn net.Conn, req []byte, depth int, reply
 }
 
 // TestServedPipelinedSetOverwriteAllocs gates the store path end to end:
-// overwrite SETs of resident keys ride pooled parse buffers, pass the parsed
-// key to the engine as it is and are overwritten in place, so nothing is
-// allocated per request.
+// overwrite SETs of resident keys are parsed in place in the read buffer,
+// pass the parsed key to the engine as it is and are overwritten in place,
+// so nothing is allocated per request.
 func TestServedPipelinedSetOverwriteAllocs(t *testing.T) {
 	const depth = 64
 	eng, conn := liveServer(t, 1<<24)

@@ -71,6 +71,12 @@ type Introspection struct {
 	// heap can be put down to the resident items and their index.
 	GhostEntries int   `json:"ghost_entries" prom:"pamakv_ghost_entries" help:"Evicted keys the ghost regions remember, by hash and penalty."`
 	GhostBytes   int64 `json:"ghost_bytes" prom:"pamakv_ghost_bytes" help:"Go heap held by ghost records and their index."`
+	// StaleBytes, StaleItems and StaleEvicts are the occupancy and
+	// evictions of the stale table (Config.Stale; zero without one). Every
+	// engine of a node shares the one table, so a merge keeps the first.
+	StaleBytes  int64  `json:"stale_bytes" prom:"pamakv_stale_buffer_bytes" help:"Bytes resident in the serve-stale buffer." merge:"keep"`
+	StaleItems  int    `json:"stale_items" prom:"pamakv_stale_buffer_items" help:"Entries resident in the serve-stale buffer." merge:"keep"`
+	StaleEvicts uint64 `json:"stale_evicts" prom:"pamakv_stale_buffer_evictions_total" help:"Serve-stale buffer entries evicted past its byte budget." merge:"keep"`
 
 	// SubLens[class][sub] is each subclass LRU stack's resident depth
 	// (Fig. 4's per-subclass allocation, in items).
@@ -133,6 +139,10 @@ func (c *Cache) Introspect() Introspection {
 	in.EvictedPenaltyBySub = append([]float64(nil), c.evictPen...)
 	if c.arena != nil {
 		in.ValueSlabBytes = int64(c.arena.mapped()) * int64(c.geom.SlabSize)
+	}
+	if t := c.cfg.Stale; t != nil {
+		st := t.Stats()
+		in.StaleBytes, in.StaleItems, in.StaleEvicts = st.Bytes, st.Items, st.Evicts
 	}
 	for ci := 0; ci < nc; ci++ {
 		in.SlotSizes[ci] = c.geom.SlotSize(ci)

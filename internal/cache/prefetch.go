@@ -6,12 +6,18 @@ import "pamakv/internal/kv"
 // the arrays that carry them live on the stack.
 const PrefetchWindow = 64
 
+// prefetchLines bounds the 64-byte lines PrefetchHashes loads of one key or
+// one value: enough for a small value's whole copy, while the copy of a
+// longer one is sequential and the processor's stream prefetcher takes over
+// after its first lines.
+const prefetchLines = 4
+
 // Prefetch loads the memory that serving keys is about to read: each key's
-// index probe run, the item its hash finds, the first bytes of that item's
-// key and value, and its LRU neighbours. A server calls it with the keys of
-// a pipelined burst it has parsed but not yet served, so the cache misses of
-// all of them overlap instead of being paid one command at a time (DESIGN.md
-// §10). It changes nothing a later operation can see: no clock tick, no LRU
+// index probe run, the item its hash finds, the lines of that item's key and
+// value (up to prefetchLines each), and its LRU neighbours. A server calls
+// it with the keys of a pipelined burst it has parsed but not yet served, so
+// the cache misses of all of them overlap instead of being paid one command
+// at a time (DESIGN.md §10). It changes nothing a later operation can see: no clock tick, no LRU
 // move, no counter but Prefetched and PrefetchResident.
 func (c *Cache) Prefetch(keys []string) {
 	var hs [PrefetchWindow]uint64
@@ -47,14 +53,11 @@ func (c *Cache) PrefetchHashes(hs []uint64) {
 			}
 		}
 		// 2. The items, and behind them the bytes a key compare and a
-		// value copy (or overwrite) read first.
+		// value copy (or overwrite) read: every line of the key and of
+		// the value, up to prefetchLines of each.
 		for _, it := range its[:n] {
-			if len(it.Key) > 0 {
-				sink += uint64(it.Key[0])
-			}
-			if len(it.Value) > 0 {
-				sink += uint64(it.Value[0])
-			}
+			sink += touchLines(it.Key)
+			sink += touchLines(it.Value)
 		}
 		// 3. The LRU neighbours a hit's move to the front, or an
 		// overwrite's unlink, writes.
@@ -70,4 +73,18 @@ func (c *Cache) PrefetchHashes(hs []uint64) {
 		c.stats.PrefetchResident += uint64(n)
 	}
 	c.prefetchSink += sink
+}
+
+// touchLines reads one byte of each 64-byte line b spans, its first
+// prefetchLines lines at most, and returns their sum.
+func touchLines[T string | []byte](b T) uint64 {
+	if len(b) == 0 {
+		return 0
+	}
+	var sum uint64
+	end := min(len(b), prefetchLines*64)
+	for off := 0; off < end; off += 64 {
+		sum += uint64(b[off])
+	}
+	return sum + uint64(b[end-1])
 }

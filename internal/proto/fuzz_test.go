@@ -81,6 +81,24 @@ var requestSeeds = []string{
 	"append k 0 0\r\n",
 }
 
+// straddleSeed is a pipelined stream whose fourteenth data block straddles
+// the harness's 4 096-byte readers: the in-place parser holds thirteen
+// stores and gets, and the straddling store's key, aliased into the buffer
+// when it must refill it, and the stores after it fill the whole refilled
+// buffer. The keys and blocks it evacuates are checked again when the chunk
+// ends.
+func straddleSeed() string {
+	var b strings.Builder
+	for i := 0; i < 13; i++ {
+		fmt.Fprintf(&b, "set k%d 0 0 250\r\n%s\r\nget k%d k%d\r\n", i, strings.Repeat(string(rune('a'+i)), 250), i, i+1)
+	}
+	fmt.Fprintf(&b, "set big 0 0 1000\r\n%s\r\nget big k0\r\n", strings.Repeat("z", 1000))
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&b, "set m%d 0 0 400\r\n%s\r\n", i, strings.Repeat(string(rune('A'+i)), 400))
+	}
+	return b.String()
+}
+
 // errKind buckets parser errors into the classes the differential harness
 // compares: the two parsers must fail the same way, not with the same prose.
 type errKind int
@@ -124,6 +142,7 @@ func FuzzParseRequest(f *testing.F) {
 	for i, s := range requestSeeds {
 		f.Add([]byte(s), uint64(i)*0x9e3779b97f4a7c15) // assorted cut patterns
 	}
+	f.Add([]byte(straddleSeed()), uint64(0)) // one chunk: the straddling block evacuates the rest
 	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
 		r1 := bufio.NewReaderSize(bytes.NewReader(data), 4096)
 		r2 := bufio.NewReaderSize(bytes.NewReader(data), 4096)

@@ -13,14 +13,13 @@ import (
 
 // Parser is the hot-path request parser: it tokenizes command lines in
 // place over the bufio.Reader's buffer, parses integer operands directly
-// from the byte tokens, copies keys into a reusable per-parser buffer, and
-// reads SET data blocks into pooled, slab-class-sized buffers. One Parser
-// serves one connection; it is not safe for concurrent use.
+// from the byte tokens, and hands out keys and SET data blocks as views into
+// that same buffer whenever the whole command is already buffered. One
+// Parser serves one connection; it is not safe for concurrent use.
 //
-// In steady state ReadCommand performs zero heap allocations for line
-// commands (get, delete, incr, ...) and one pooled buffer acquisition for
-// storage commands, returned to the pool automatically on the next
-// ReadCommand (or Close).
+// In steady state ReadCommand performs zero heap allocations and copies no
+// request bytes. A data block that straddles the reader's buffer, or is
+// larger than it, is read into a pooled, slab-class-sized buffer instead.
 //
 // Ownership rules — the price of zero-copy:
 //
@@ -28,13 +27,16 @@ import (
 //     verbs are canonical package-level constants) are valid only until the
 //     next ReadCommand or Close call; inside a chunk (BeginChunk), until
 //     ReleaseChunk or Close.
-//   - Keys alias the parser's internal key buffer. A caller that stores a
-//     key beyond the current request (cache insert, hot-cache fill) must
-//     clone it first (strings.Clone); passing one to a map lookup, hash, or
-//     comparison is safe.
-//   - Data aliases a pooled buffer. Callers must copy the bytes they keep;
-//     the buffer returns to the pool on the next ReadCommand (inside a
-//     chunk: on ReleaseChunk).
+//   - Keys and Data alias the reader's buffer until a read would refill it,
+//     and are evacuated before one: the parser copies the keys of every
+//     command still valid into its key buffer and their data blocks into
+//     pooled buffers, then reads. Either way they stay valid for the span
+//     above and no longer. A caller that stores a key or value beyond it
+//     (cache insert, hot-cache fill) copies it; passing one to a map lookup,
+//     hash, or comparison is safe.
+//   - The caller reads the bufio.Reader only through the Parser while any
+//     Command is valid: a read of its own could refill the buffer under
+//     them.
 //
 // The allocating reference parser (ReadCommand in reference_test.go) is the
 // executable spec; the fuzz harness drives both over identical streams and
@@ -51,10 +53,10 @@ type Parser struct {
 	keys []string // backing for the Commands' Keys, reused across chunks
 	toks [][]byte // token views into the current line, reused
 
-	// keybuf holds the key bytes of the current command (of every command
-	// of an open chunk); Keys are unsafe strings over it. Reset (not freed)
-	// per command or chunk, and dropped on release once it outgrows
-	// maxRetainedKeys.
+	// keybuf holds the copied key bytes of the current command (of every
+	// command of an open chunk): keys of a spilled line and evacuated keys;
+	// Keys are unsafe strings over it. Reset (not freed) per command or
+	// chunk, and dropped on release once it outgrows maxRetainedKeys.
 	keybuf []byte
 
 	// linebuf is the spill buffer for lines straddling the bufio buffer
@@ -63,9 +65,16 @@ type Parser struct {
 
 	// data holds the pooled buffers of the data blocks the parser owns: the
 	// current command's outside a chunk, every command's of an open chunk.
-	// held counts their data bytes.
+	// held counts the data bytes of those commands, pooled or aliased.
 	data []*[]byte
 	held int
+
+	// aliased lists the valid commands whose keys or data are views into
+	// r's buffer, by pointer: a chunk that outgrows cmds leaves its first
+	// commands in the old array. curAliased says the same of the command
+	// being parsed.
+	aliased    []*Command
+	curAliased bool
 }
 
 // maxRetainedKeys caps the key buffer a released parser keeps for the next
@@ -107,6 +116,8 @@ func (p *Parser) release() {
 		p.data[i] = nil
 	}
 	p.data = p.data[:0]
+	clear(p.aliased)
+	p.aliased = p.aliased[:0]
 	p.held = 0
 	p.n = 0
 	p.keys = p.keys[:0]
@@ -165,8 +176,12 @@ func (p *Parser) ReadCommand() (*Command, error) {
 	}
 	cmd := &p.cmds[p.n]
 	*cmd = Command{}
+	p.curAliased = false
 	if err := p.parse(cmd); err != nil {
 		return nil, err
+	}
+	if p.curAliased {
+		p.aliased = append(p.aliased, cmd)
 	}
 	if p.chunk {
 		p.n++
@@ -177,7 +192,7 @@ func (p *Parser) ReadCommand() (*Command, error) {
 // parse reads one command into cmd, appending its keys to p.keys.
 func (p *Parser) parse(cmd *Command) error {
 	k0 := len(p.keys)
-	line, err := p.readLine()
+	line, inBuf, err := p.readLine()
 	if err != nil {
 		return err
 	}
@@ -202,7 +217,7 @@ func (p *Parser) parse(cmd *Command) error {
 			}
 		}
 		for _, k := range args {
-			p.keys = append(p.keys, p.internKey(k))
+			p.keys = append(p.keys, p.key(k, inBuf))
 		}
 		cmd.Keys = p.keys[k0:]
 	case "set", "add", "replace", "append", "prepend", "cas":
@@ -220,7 +235,7 @@ func (p *Parser) parse(cmd *Command) error {
 		if err := checkKey(args[0]); err != nil {
 			return err
 		}
-		p.keys = append(p.keys, p.internKey(args[0]))
+		p.keys = append(p.keys, p.key(args[0], inBuf))
 		cmd.Keys = p.keys[k0:]
 		flags, ok := parseUintB(args[1], 32)
 		if !ok {
@@ -245,8 +260,9 @@ func (p *Parser) parse(cmd *Command) error {
 			cmd.CasID = id
 		}
 		cmd.NoReply = len(args) == want+1
-		// Past this point the line (and p.toks) is dead: readData refills
-		// the bufio buffer. Everything line-derived was extracted above.
+		// Past this point the line (and p.toks) may be dead: readData can
+		// refill the bufio buffer. Everything line-derived was extracted
+		// above, and the key is evacuated first if it aliases the line.
 		if err := p.readData(cmd, int(n)); err != nil {
 			return err
 		}
@@ -257,7 +273,7 @@ func (p *Parser) parse(cmd *Command) error {
 		if err := checkKey(args[0]); err != nil {
 			return err
 		}
-		p.keys = append(p.keys, p.internKey(args[0]))
+		p.keys = append(p.keys, p.key(args[0], inBuf))
 		cmd.Keys = p.keys[k0:]
 		cmd.NoReply = len(args) == 2
 	case "incr", "decr":
@@ -267,7 +283,7 @@ func (p *Parser) parse(cmd *Command) error {
 		if err := checkKey(args[0]); err != nil {
 			return err
 		}
-		p.keys = append(p.keys, p.internKey(args[0]))
+		p.keys = append(p.keys, p.key(args[0], inBuf))
 		cmd.Keys = p.keys[k0:]
 		d, ok := parseUintB(args[1], 64)
 		if !ok {
@@ -282,7 +298,7 @@ func (p *Parser) parse(cmd *Command) error {
 		if err := checkKey(args[0]); err != nil {
 			return err
 		}
-		p.keys = append(p.keys, p.internKey(args[0]))
+		p.keys = append(p.keys, p.key(args[0], inBuf))
 		cmd.Keys = p.keys[k0:]
 		exp, ok := parseIntB(args[1])
 		if !ok {
@@ -298,21 +314,44 @@ func (p *Parser) parse(cmd *Command) error {
 
 // internKey copies tok into the parser's key buffer and returns a string
 // view over the copy (valid until the next ReadCommand, or the end of the
-// chunk). The copy is mandatory even for line-only commands: the token
-// aliases the bufio buffer, which the next read overwrites. When the buffer
-// grows, the keys already returned keep the old array alive.
+// chunk). When the buffer grows, the keys already returned keep the old
+// array alive.
 func (p *Parser) internKey(tok []byte) string {
 	off := len(p.keybuf)
 	p.keybuf = append(p.keybuf, tok...)
 	return unsafe.String(unsafe.SliceData(p.keybuf[off:]), len(tok))
 }
 
-// readData consumes cmd's n-byte data block plus its CRLF terminator into a
-// pooled buffer owned by the parser.
+// key returns a key token as a string: a view over tok when tok is in the
+// reader's buffer (inBuf; evacuate copies it out before a refill), else a
+// copy in the key buffer.
+func (p *Parser) key(tok []byte, inBuf bool) string {
+	if !inBuf {
+		return p.internKey(tok)
+	}
+	p.curAliased = true
+	return unsafe.String(unsafe.SliceData(tok), len(tok))
+}
+
+// readData consumes cmd's n-byte data block plus its CRLF terminator. A
+// block already wholly buffered is a view into the reader's buffer; any
+// other is read into a pooled buffer the parser owns, after every alias
+// into the reader's buffer, cmd's key included, has been evacuated.
 func (p *Parser) readData(cmd *Command, n int) error {
+	p.held += n
+	if p.r.Buffered() >= n+2 {
+		buf, _ := p.r.Peek(n + 2)
+		p.r.Discard(n + 2)
+		if buf[n] != '\r' || buf[n+1] != '\n' {
+			return clientErrf("data block not terminated by CRLF")
+		}
+		cmd.Data = buf[:n:n]
+		p.curAliased = true
+		return nil
+	}
+	p.evacuate(cmd)
 	d := bufpool.Get(n + 2)
 	p.data = append(p.data, d)
-	p.held += n
 	buf := *d
 	if _, err := io.ReadFull(p.r, buf); err != nil {
 		return &ClientError{Msg: fmt.Sprintf("short data block: %v", err), Err: err}
@@ -324,14 +363,56 @@ func (p *Parser) readData(cmd *Command, n int) error {
 	return nil
 }
 
+// evacuate copies every key and data block that aliases the reader's
+// buffer out of it: those of the valid commands and of cur, the command
+// being parsed (nil before its line is read, when nothing of it aliases the
+// buffer yet). It runs before any read that can refill the buffer, which
+// would slide or overwrite the bytes they view.
+func (p *Parser) evacuate(cur *Command) {
+	if p.curAliased {
+		p.copyOut(cur)
+		p.curAliased = false
+	}
+	for _, c := range p.aliased {
+		p.copyOut(c)
+	}
+	clear(p.aliased)
+	p.aliased = p.aliased[:0]
+}
+
+// copyOut moves c's keys into the key buffer and its data block into a
+// pooled buffer the parser owns.
+func (p *Parser) copyOut(c *Command) {
+	for i, k := range c.Keys {
+		c.Keys[i] = p.internKey(unsafe.Slice(unsafe.StringData(k), len(k)))
+	}
+	if len(c.Data) > 0 {
+		d := bufpool.Get(len(c.Data))
+		copy(*d, c.Data)
+		p.data = append(p.data, d)
+		c.Data = *d
+	}
+}
+
 // readLine returns the next CRLF- (or LF-) terminated line without its
-// terminator. The fast path returns a view into the bufio buffer (valid
-// until the next read); lines straddling the buffer spill into a reusable
-// scratch buffer. Semantics mirror the reference readLine exactly.
-func (p *Parser) readLine() ([]byte, error) {
-	line, spill, err := readLineFrom(p.r, p.linebuf)
-	p.linebuf = spill
-	return line, err
+// terminator. A line already wholly buffered is a view into the reader's
+// buffer, read without a refill (inBuf). Otherwise the parser evacuates
+// first, since the read refills the buffer; the line it then reads is a view
+// into the buffer too, unless it straddles the buffer and spills into a
+// reusable scratch buffer. Semantics mirror the reference readLine exactly.
+func (p *Parser) readLine() (line []byte, inBuf bool, err error) {
+	buf, _ := p.r.Peek(p.r.Buffered())
+	if i := bytes.IndexByte(buf, '\n'); i >= 0 {
+		p.r.Discard(i + 1)
+		if i+1 > MaxLineLen+2 { // +2 allows the CRLF terminator itself
+			return nil, false, ErrLineTooLong
+		}
+		return trimCRLF(buf[:i+1]), true, nil
+	}
+	p.evacuate(nil)
+	line, p.linebuf, err = readLineFrom(p.r, p.linebuf)
+	spilled := len(line) > 0 && unsafe.SliceData(line) == unsafe.SliceData(p.linebuf)
+	return line, !spilled, err
 }
 
 // readLineFrom is the in-place line reader shared by Parser and RespReader:

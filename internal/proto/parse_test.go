@@ -252,14 +252,10 @@ func TestParserGetAllocs(t *testing.T) {
 	}
 }
 
-// TestParserSetAllocs gates the storage path: a warm parser reads SETs with
-// only pooled buffer traffic — no net heap growth per command. A stray GC can
-// empty the pool mid-run, so the gate tolerates a refill, not a per-command
-// allocation.
+// TestParserSetAllocs gates the storage path: a warm parser reads SETs
+// whose data blocks are already buffered as views into the reader's buffer,
+// with no allocation and no pool traffic, under the race detector too.
 func TestParserSetAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; the pooled-buffer gate cannot hold")
-	}
 	stream := []byte(strings.Repeat("set k 0 0 100\r\n"+strings.Repeat("v", 100)+"\r\n", 50))
 	src := bytes.NewReader(stream)
 	br := bufio.NewReaderSize(src, 1<<14)
@@ -277,8 +273,8 @@ func TestParserSetAllocs(t *testing.T) {
 			}
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("SETs allocate %.2f objects per 50-command run, want ~0 (pool refills only)", allocs)
+	if allocs > 0.5 {
+		t.Fatalf("SETs allocate %.2f objects per 50-command run, want 0", allocs)
 	}
 }
 
@@ -326,27 +322,55 @@ func TestParserChunkKeepsCommands(t *testing.T) {
 	}
 }
 
-// TestParserChunkReleasesBuffers: a chunk holds the pooled buffer of every
-// data block parsed in it, and ReleaseChunk and Close hand every one back
-// (bufpool.Put empties the buffer it takes, which is what is checked here).
-// Outside a chunk the parser holds one buffer at a time, as before.
+// TestParserChunkReleasesBuffers: a data block wholly in the reader's
+// buffer is a view into it and holds no pooled buffer. A block that
+// straddles the buffer, or outgrows it, is read into a pooled buffer, after
+// the chunk's earlier blocks are evacuated into pooled buffers of their own;
+// the chunk holds all of them until ReleaseChunk or Close hands every one
+// back (bufpool.Put empties the buffer it takes, which is what is checked
+// here). Outside a chunk the parser holds at most one buffer at a time.
 func TestParserChunkReleasesBuffers(t *testing.T) {
+	sizes := []int{10, 100, 1000, 3000, 5000, 1, 300}
 	var stream strings.Builder
-	for _, n := range []int{10, 100, 1000, 5000, 1, 300} {
-		fmt.Fprintf(&stream, "set k%d 0 0 %d\r\n%s\r\nget k%d\r\n", n, n, strings.Repeat("v", n), n)
+	for i, n := range sizes {
+		fmt.Fprintf(&stream, "set k%d 0 0 %d\r\n%s\r\nget k%d\r\n", n, n, strings.Repeat(string(rune('a'+i)), n), n)
+	}
+	// How many buffers the chunk holds after each set: none while the
+	// blocks sit in the 4 096-byte reader, then the three evacuated ones and
+	// the 3 000-byte block, which straddles it; the 5 000-byte one outgrows
+	// it; the last two are read into a refilled buffer and alias it again.
+	wantHeld := []int{0, 0, 0, 4, 5, 5, 5}
+	total := 0
+	for _, n := range sizes {
+		total += n
 	}
 	for _, end := range []string{"ReleaseChunk", "Close"} {
-		p := newTestParser(stream.String())
+		p := NewParser(bufio.NewReaderSize(strings.NewReader(stream.String()), 4096))
 		p.BeginChunk()
-		for i := 0; i < 12; i++ {
-			if _, err := p.ReadCommand(); err != nil {
-				t.Fatal(err)
+		var cmds []*Command
+		for i := range sizes {
+			for j := 0; j < 2; j++ {
+				cmd, err := p.ReadCommand()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cmds = append(cmds, cmd)
+			}
+			if len(p.data) != wantHeld[i] {
+				t.Fatalf("after the %d-byte block the chunk holds %d buffers, want %d", sizes[i], len(p.data), wantHeld[i])
 			}
 		}
-		held := append([]*[]byte(nil), p.data...)
-		if len(held) != 6 || p.ChunkData() != 10+100+1000+5000+1+300 {
-			t.Fatalf("chunk holds %d buffers, %d bytes; want 6 and %d", len(held), p.ChunkData(), 6411)
+		for i, n := range sizes {
+			set, get := cmds[2*i], cmds[2*i+1]
+			k := fmt.Sprintf("k%d", n)
+			if set.Keys[0] != k || get.Keys[0] != k || string(set.Data) != strings.Repeat(string(rune('a'+i)), n) {
+				t.Fatalf("command pair %d changed before the chunk was released: %q %q %q", i, set.Keys, get.Keys, set.Data)
+			}
 		}
+		if p.ChunkData() != total {
+			t.Fatalf("ChunkData = %d, want %d", p.ChunkData(), total)
+		}
+		held := append([]*[]byte(nil), p.data...)
 		if end == "Close" {
 			p.Close()
 		} else {
@@ -357,13 +381,13 @@ func TestParserChunkReleasesBuffers(t *testing.T) {
 				t.Fatalf("%s: buffer %d (%d bytes) was not given back to the pool", end, i, len(*b))
 			}
 		}
-		if len(p.data) != 0 || p.ChunkData() != 0 {
-			t.Fatalf("%s: parser still holds %d buffers, %d bytes", end, len(p.data), p.ChunkData())
+		if len(p.data) != 0 || p.ChunkData() != 0 || len(p.aliased) != 0 {
+			t.Fatalf("%s: parser still holds %d buffers, %d bytes, %d aliased commands", end, len(p.data), p.ChunkData(), len(p.aliased))
 		}
 	}
-	p := newTestParser(stream.String())
+	p := NewParser(bufio.NewReaderSize(strings.NewReader(stream.String()), 4096))
 	defer p.Close()
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 2*len(sizes); i++ {
 		if _, err := p.ReadCommand(); err != nil {
 			t.Fatal(err)
 		}

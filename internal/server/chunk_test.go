@@ -182,6 +182,58 @@ func TestPipelinedBurstsAnswerLikeOneAtATime(t *testing.T) {
 	}
 }
 
+// TestStraddlingBurstReadsBackExact: one pipelined burst many times the
+// connection's 64 KiB read buffer, so that the buffer's end cuts SET data
+// blocks in the middle of chunks. Before each refill the parser copies the
+// keys and blocks the chunk still aliases out of the buffer; every value must
+// read back byte for byte, within the burst and after it.
+func TestStraddlingBurstReadsBackExact(t *testing.T) {
+	g, err := shard.New(defaultCfg(), 2, func() cache.Policy { return core.New(core.DefaultConfig()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(g, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(srv.Shutdown)
+
+	rng := rand.New(rand.NewSource(50))
+	var burst, reads strings.Builder
+	var want, wantReads bytes.Buffer
+	for i := 0; i < 300; i++ {
+		k := fmt.Sprintf("straddle-%03d", i)
+		v := make([]byte, 500+rng.Intn(3500))
+		for j := range v {
+			v[j] = byte('!' + rng.Intn(94))
+		}
+		value := fmt.Sprintf("VALUE %s 0 %d\r\n%s\r\nEND\r\n", k, len(v), v)
+		fmt.Fprintf(&burst, "set %s 0 0 %d\r\n%s\r\nget %s\r\n", k, len(v), v, k)
+		want.WriteString("STORED\r\n" + value)
+		reads.WriteString("get " + k + "\r\n")
+		wantReads.WriteString(value)
+	}
+	if burst.Len() < 8<<16 {
+		t.Fatalf("the burst is %d bytes, want several read buffers", burst.Len())
+	}
+	burst.WriteString("quit\r\n")
+	reads.WriteString("quit\r\n")
+	for i, c := range []struct {
+		burst string
+		want  []byte
+	}{{burst.String(), want.Bytes()}, {reads.String(), wantReads.Bytes()}} {
+		if got := converse(t, ln.Addr().String(), c.burst); !bytes.Equal(got, c.want) {
+			j := 0
+			for j < len(got) && j < len(c.want) && got[j] == c.want[j] {
+				j++
+			}
+			t.Fatalf("burst %d: replies diverge at byte %d of %d:\n got  %.80q\n want %.80q", i, j, len(c.want), got[j:], c.want[j:])
+		}
+	}
+}
+
 // converse sends burst in one write on a new connection and returns every
 // byte the server answers until it closes the connection (the burst's quit).
 func converse(t *testing.T, addr, burst string) []byte {

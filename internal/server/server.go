@@ -199,9 +199,9 @@ var ErrFetchTimeout = errors.New("server: backend fetch timed out")
 
 // Store is the cache surface the server drives: satisfied by *cache.Cache
 // (one engine) and *shard.Group (engines behind one route: by hash, or by
-// tenant and then hash). The callee copies what it retains: the keys it is
-// handed alias parser scratch, the values pooled buffers, both reused when
-// the call returns.
+// tenant and then hash). The callee copies what it retains: the keys and
+// values it is handed alias the connection's read buffer (or parser-owned
+// copies), both reused when the call returns.
 //
 // Every data command is one call: the stores (set, add, replace, cas, append,
 // prepend, the read-through fill) are SetMode, incr/decr Delta, touch Touch,
@@ -687,9 +687,9 @@ func (s *Server) handle(conn net.Conn) {
 		maxBatch = DefaultMaxPipeline
 	}
 	// The parser and scratch are the connection's reusable hot-path state:
-	// commands tokenize in place, data blocks land in pooled buffers, and
-	// responses accumulate in one buffer reused across every batch of the
-	// connection's life (capacity-capped after each flush).
+	// commands parse in place, keys and data blocks are views into r's
+	// buffer, and responses accumulate in one buffer reused across every
+	// batch of the connection's life (capacity-capped after each flush).
 	p := proto.NewParser(r)
 	defer p.Close()
 	sc := &connScratch{out: rehouse(nil, initialScratch)}
@@ -1030,8 +1030,8 @@ func (s *Server) serve(sc *connScratch, out []byte, cmd *proto.Command, rt []key
 
 // dispatch serves one parsed command, its keys routed by rt (one route per
 // key; nil outside cluster mode). cmd and everything it references obey the
-// proto.Parser ownership rules: keys and data alias per-connection scratch,
-// so whatever retains a key beyond this call copies it: the engine when it
+// proto.Parser ownership rules: keys and data alias the connection's read
+// buffer, so whatever retains a key beyond this call copies it: the engine when it
 // inserts an item, the hot-cache fill before it stores one.
 func (s *Server) dispatch(sc *connScratch, out []byte, cmd *proto.Command, rt []keyRoute) []byte {
 	if rt != nil {
@@ -1249,7 +1249,7 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command, rt []key
 				// The fill is an add: a write that landed during the
 				// fetch was acknowledged and stays. Either way the
 				// reply is the fetched value, with a token only when
-				// the fill stored it. key aliases parser scratch; the
+				// the fill stored it. key aliases the read buffer; the
 				// engine copies it if the fill inserts an item.
 				val, flags, hit = body, 0, true
 				err := s.c.SetMode(key, cache.ModeAdd, 0, size+len(key)+itemOverhead, pen, 0, 0, body)
@@ -1307,13 +1307,11 @@ func (s *Server) doDelta(out []byte, cmd *proto.Command) []byte {
 }
 
 func (s *Server) doSet(out []byte, cmd *proto.Command) []byte {
-	// The parsed key aliases the connection's parser scratch and the data a
-	// pooled buffer; both go to the engine as they are: the callee copies what
-	// it keeps. A store that inserts an item pays one allocation, the engine's
-	// copy of the key; an overwrite of a resident key in its class and a
-	// refused add/replace/cas allocate nothing. The value lands in a slot
-	// buffer of its slab class: the item's own on an overwrite, else the one
-	// an evicted item just gave back (cache/values.go).
+	// The parsed key and data alias the connection's read buffer; both go to
+	// the engine as they are: the callee copies what it keeps. The value
+	// lands in a slot of its slab class, the key ahead of it: the item's own
+	// slot on an overwrite, else the one an evicted item just gave back
+	// (cache/values.go).
 	key := cmd.Keys[0]
 	pen := penalty.DefaultUnknown
 	if s.opts.Backend != nil {

@@ -277,7 +277,8 @@ func TestTenantSnapshots(t *testing.T) {
 // TestOneStaleTablePerNode: engines built as pama-server builds them — eight
 // hash shards, or two tenants over eight shards each — share one 1 MiB stale
 // table, so a 200 KiB value that expires or is evicted is served stale
-// whichever engine held it.
+// whichever engine held it. The group's introspection reports that table's
+// occupancy and evictions once, not once per engine.
 func TestOneStaleTablePerNode(t *testing.T) {
 	factory := func() cache.Policy { return core.New(core.DefaultConfig()) }
 	reg, err := NewRegistry([]Config{{Name: "a", ReservedBytes: 4 << 20}, {Name: "b"}})
@@ -296,9 +297,10 @@ func TestOneStaleTablePerNode(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			stale := valuetable.New(1<<20, 0)
 			g, err := tc.build(cache.Config{
 				CacheBytes: 16 << 20, StoreValues: true, WindowLen: 100_000,
-				Stale: valuetable.New(1<<20, 0),
+				Stale: stale,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -341,6 +343,11 @@ func TestOneStaleTablePerNode(t *testing.T) {
 				}
 			}
 			served(evicted, "evicted")
+			in, st := g.Introspect(), stale.Stats()
+			if in.StaleBytes != st.Bytes || in.StaleItems != st.Items || in.StaleEvicts != st.Evicts || st.Items < 2 {
+				t.Fatalf("introspection reports %d bytes, %d items, %d evictions; the table holds %d, %d (want both values) and evicted %d",
+					in.StaleBytes, in.StaleItems, in.StaleEvicts, st.Bytes, st.Items, st.Evicts)
+			}
 			if err := g.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
