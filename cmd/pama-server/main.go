@@ -305,7 +305,6 @@ func run(o options) error {
 		peers, err = cluster.New(cluster.Config{
 			Self:    self,
 			Members: members,
-			Hedge:   cluster.DefaultHedgePolicy(),
 		})
 		if err != nil {
 			return err

@@ -239,7 +239,7 @@ func (s *Store) Penalty(key string, size int) float64 {
 
 // PenaltyOf returns the penalty a Fetch of key would pay, deriving the
 // item's size from the sizer exactly as Fetch would — the cheap
-// estimate-without-fetching entry point the cluster hedging policy uses.
+// estimate-without-fetching entry point overload admission prices keys by.
 func (s *Store) PenaltyOf(key string) float64 {
 	h := kv.HashString(key)
 	size := 100

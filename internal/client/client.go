@@ -1,11 +1,11 @@
 // Package client is the first-class Go client for pamakv (and any other
 // Memcached-text-protocol server): a typed command/result API, optional
-// client-side sharding over the cluster tier's ring, a tenant key prefix,
-// and penalty-derived hedged reads.
+// client-side sharding over the cluster tier's ring, and a tenant key
+// prefix.
 //
 // The package owns no sockets. Every member is reached through one
 // cluster.Client — the same transport pama-server nodes use towards each
-// other — which dials, pools, deadlines, retries, circuit-breaks and hedges;
+// other — which dials, pools, deadlines, retries and circuit-breaks;
 // this package renders commands, routes them to their owner and turns replies
 // into results.
 //
@@ -20,14 +20,6 @@
 // it builds the ring pama-server nodes build (cluster.NewRing) over the
 // member list and routes every key, tenant prefix included, to its owner — so a sharded client sends each key
 // straight to the node that would otherwise have to forward it.
-//
-// # Hedged reads
-//
-// When Config.PenaltyOf is set, single-key Gets hedge the way the cluster
-// tier's peer reads do: a key whose recompute penalty is high gets a
-// duplicate request raced after a short delay (cluster.HedgePolicy), because
-// a slow read on an expensive key risks a backend recompute orders of
-// magnitude costlier than the duplicate. Cheap keys never hedge.
 //
 // # Pipelining
 //
@@ -124,13 +116,6 @@ type Config struct {
 	// answered part of a batch nothing is replayed: the unanswered
 	// operations carry the error and the caller decides.
 	Retries int
-	// Hedge maps a key's miss penalty to its hedge delay. The zero value
-	// never hedges; DefaultHedgePolicy hedges expensive keys early. Only
-	// consulted when PenaltyOf is set.
-	Hedge cluster.HedgePolicy
-	// PenaltyOf reports a key's backend miss penalty in seconds, enabling
-	// penalty-derived hedged Gets. Nil disables hedging.
-	PenaltyOf func(key string) float64
 	// Tenant namespaces every key as "tenant/key" before validation and
 	// routing, so the client lands in that tenant's partition on a server
 	// run with -tenants. Empty means keys pass through untouched (the
@@ -249,9 +234,9 @@ func transportErr(err error) error {
 // roundTrip runs one request as a one-reply exchange with p. handle sees the
 // reply while it is still valid (its views die when roundTrip returns) and
 // gives the operation's verdict.
-func roundTrip(p *cluster.Client, req []byte, hedge time.Duration, handle func(*proto.Resp) error) error {
+func roundTrip(p *cluster.Client, req []byte, handle func(*proto.Resp) error) error {
 	var verdict error
-	x := p.Start(req, 1, hedge)
+	x := p.Start(req, 1)
 	if err := x.Finish(func(_ int, r *proto.Resp) { verdict = handle(r) }); err != nil {
 		return transportErr(err)
 	}
@@ -265,14 +250,10 @@ func (c *Client) do(o op, keep func(*proto.Resp)) error {
 	if err := o.check(); err != nil {
 		return err
 	}
-	var hedge time.Duration
-	if (o.code == opGet || o.code == opGets) && c.cfg.PenaltyOf != nil {
-		hedge = c.cfg.Hedge.DelayFor(c.cfg.PenaltyOf(o.key))
-	}
 	req := bufpool.Get(0)
 	defer bufpool.Put(req)
 	*req = appendOp((*req)[:0], &o)
-	return roundTrip(c.peers[c.owner(o.key)], *req, hedge, func(r *proto.Resp) error {
+	return roundTrip(c.peers[c.owner(o.key)], *req, func(r *proto.Resp) error {
 		if err := replyErr(o.code, r); err != nil {
 			return err
 		}
@@ -284,8 +265,7 @@ func (c *Client) do(o op, keep func(*proto.Resp)) error {
 }
 
 // Get retrieves key. A present key returns its Item (Value owned by the
-// caller); an absent one returns ErrCacheMiss. When Config.PenaltyOf is
-// set, expensive keys hedge per Config.Hedge.
+// caller); an absent one returns ErrCacheMiss.
 func (c *Client) Get(key string) (Item, error) { return c.get(opGet, key) }
 
 // Gets is Get with the CAS token populated for a later CompareAndSwap.
@@ -361,7 +341,7 @@ func (c *Client) Touch(key string, exptime int64) error {
 // admin runs one unkeyed command against member p; keep, when non-nil, sees
 // a reply whose status is want.
 func admin(p *cluster.Client, cmd string, want proto.Status, keep func(*proto.Resp)) error {
-	return roundTrip(p, []byte(cmd), 0, func(r *proto.Resp) error {
+	return roundTrip(p, []byte(cmd), func(r *proto.Resp) error {
 		if r.Status != want {
 			return respErr(r)
 		}
@@ -413,20 +393,13 @@ func (c *Client) ServerStats() (map[string]map[string]string, error) {
 type Stats struct {
 	// Dials counts connections established.
 	Dials uint64 `json:"dials"`
-	// Hedges counts hedged duplicates fired; HedgeWins the subset that
-	// answered before the primary.
-	Hedges    uint64 `json:"hedges"`
-	HedgeWins uint64 `json:"hedge_wins"`
 }
 
 // Stats snapshots the client's counters.
 func (c *Client) Stats() Stats {
 	var s Stats
 	for _, p := range c.peers {
-		ps := p.Stats()
-		s.Dials += ps.Dials
-		s.Hedges += ps.Hedges
-		s.HedgeWins += ps.HedgeWins
+		s.Dials += p.Stats().Dials
 	}
 	return s
 }

@@ -181,7 +181,7 @@ func (p *Pipeline) Exec() ([]Result, error) {
 	}
 	for i := range p.owners {
 		if b := &p.owners[i]; len(b.idxs) > 0 {
-			b.x = p.c.peers[i].Start(b.req, len(b.idxs), 0)
+			b.x = p.c.peers[i].Start(b.req, len(b.idxs))
 		}
 	}
 	for i := range p.owners {
@@ -189,8 +189,8 @@ func (p *Pipeline) Exec() ([]Result, error) {
 		if len(b.idxs) == 0 {
 			continue
 		}
-		// An unhedged exchange shows replies from one attempt only, so the
-		// got replies seen before a failure stand and the rest take the error.
+		// An exchange shows replies from one attempt only, so the got
+		// replies seen before a failure stand and the rest take the error.
 		got := 0
 		err := b.x.Finish(func(k int, r *proto.Resp) {
 			p.record(int(b.idxs[k]), r)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,64 +186,6 @@ func TestPipelineShedMidBatch(t *testing.T) {
 	// transport failures.
 	if dials := c.Stats().Dials; dials != 1 {
 		t.Fatalf("sheds forced %d dials, want 1", dials)
-	}
-}
-
-// TestHedgedGetWinsOnStall stalls the first connection's reads and checks
-// an expensive key's hedged duplicate answers on a second connection well
-// before the stalled primary would.
-func TestHedgedGetWinsOnStall(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	var conns atomic.Int32
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			slow := conns.Add(1) == 1
-			go func(nc net.Conn, slow bool) {
-				defer nc.Close()
-				br := bufio.NewReader(nc)
-				for {
-					line, err := br.ReadString('\n')
-					if err != nil {
-						return
-					}
-					if strings.HasPrefix(line, "get ") {
-						if slow {
-							time.Sleep(500 * time.Millisecond)
-						}
-						if _, err := nc.Write([]byte("VALUE k 0 1\r\nv\r\nEND\r\n")); err != nil {
-							return
-						}
-					}
-				}
-			}(nc, slow)
-		}
-	}()
-
-	cfg := client.Config{
-		Addrs:     []string{ln.Addr().String()},
-		PenaltyOf: func(key string) float64 { return 2.0 }, // (1s,5s] subclass
-		Hedge:     cluster.DefaultHedgePolicy(),            // 3ms hedge there
-	}
-	c := newClient(t, cfg)
-	start := time.Now()
-	it, err := c.Get("k")
-	if err != nil || string(it.Value) != "v" {
-		t.Fatalf("hedged get: %q, %v", it.Value, err)
-	}
-	if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
-		t.Fatalf("hedge did not rescue the stalled primary (took %v)", elapsed)
-	}
-	s := c.Stats()
-	if s.Hedges == 0 || s.HedgeWins == 0 {
-		t.Fatalf("hedge counters: %+v", s)
 	}
 }
 

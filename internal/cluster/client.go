@@ -10,7 +10,6 @@ import (
 
 	"pamakv/internal/bufpool"
 	"pamakv/internal/obs"
-	"pamakv/internal/penalty"
 	"pamakv/internal/proto"
 )
 
@@ -337,29 +336,13 @@ type Exchange struct {
 	pc      *pconn
 	err     error
 	refused bool
-
-	// hedge > 0 races attempts in their own goroutines, which report on res.
-	hedge time.Duration
-	res   chan hedgeResult
-}
-
-// hedgeResult is one racing attempt's outcome: its replies, deep-copied
-// because the attempt's connection moves on once it returns.
-type hedgeResult struct {
-	replies []*proto.Resp
-	err     error
-	hedged  bool
 }
 
 // Start sends req — n requests rendered back to back (see
 // proto.AppendCommand), each owed exactly one reply — on one connection. It
-// consults the circuit breaker first. hedge > 0 arms a hedged duplicate: if
-// the first attempt has not answered in full within hedge of Start, a second
-// identical exchange races it on another connection and the first complete
-// set of replies wins. Only idempotent requests (GETs) may be hedged; the
-// loser is discarded when it lands. req must stay untouched until Finish
+// consults the circuit breaker first. req must stay untouched until Finish
 // returns.
-func (c *Client) Start(req []byte, n int, hedge time.Duration) Exchange {
+func (c *Client) Start(req []byte, n int) Exchange {
 	x := Exchange{c: c, req: req, n: n}
 	switch {
 	case c.closed.Load():
@@ -372,15 +355,6 @@ func (c *Client) Start(req []byte, n int, hedge time.Duration) Exchange {
 	}
 	atomic.AddUint64(&c.ctr.Requests, uint64(n))
 	x.start = time.Now()
-	if hedge > 0 {
-		// The losing attempt may still be writing req to its connection
-		// after the winner has returned, so the race owns a private copy.
-		x.req = append([]byte(nil), req...)
-		x.hedge = hedge
-		x.res = make(chan hedgeResult, 2) // one send per racer
-		go c.race(x.req, n, x.res, false)
-		return x
-	}
 	x.pc, x.err = c.send(req)
 	return x
 }
@@ -398,12 +372,7 @@ func (x *Exchange) Finish(fn func(i int, r *proto.Resp)) error {
 	if x.refused {
 		return x.err
 	}
-	var err error
-	if x.res != nil {
-		err = x.awaitRace(fn)
-	} else {
-		err = c.attempt(x.pc, x.err, x.req, x.n, fn)
-	}
+	err := c.attempt(x.pc, x.err, x.req, x.n, fn)
 	c.lat.Observe(time.Since(x.start).Seconds())
 	if err != nil {
 		atomic.AddUint64(&c.ctr.Errors, uint64(x.n))
@@ -414,63 +383,17 @@ func (x *Exchange) Finish(fn func(i int, r *proto.Resp)) error {
 	return nil
 }
 
-// race runs one full attempt (send, replies, retries) of a hedged exchange and
-// reports it on out. It takes the exchange's fields, not the Exchange: a
-// goroutine holding the Exchange would move every one, hedged or not, to the
-// heap.
-func (c *Client) race(req []byte, n int, out chan<- hedgeResult, hedged bool) {
-	res := hedgeResult{replies: make([]*proto.Resp, 0, n), hedged: hedged}
-	pc, err := c.send(req)
-	res.err = c.attempt(pc, err, req, n, func(_ int, r *proto.Resp) {
-		res.replies = append(res.replies, r.Clone())
-	})
-	out <- res
-}
-
-// awaitRace waits for the primary attempt, firing the duplicate once the
-// hedge delay has passed since Start. The first success wins; both failing
-// returns the last error.
-func (x *Exchange) awaitRace(fn func(i int, r *proto.Resp)) error {
-	t := time.NewTimer(x.hedge - time.Since(x.start))
-	defer t.Stop()
-	launched := 1
-	for {
-		select {
-		case r := <-x.res:
-			if r.err == nil {
-				if r.hedged {
-					atomic.AddUint64(&x.c.ctr.HedgeWins, 1)
-				}
-				for i, resp := range r.replies {
-					fn(i, resp)
-				}
-				return nil
-			}
-			launched--
-			if launched == 0 {
-				// Every launched attempt failed.
-				return r.err
-			}
-		case <-t.C:
-			if launched == 1 {
-				atomic.AddUint64(&x.c.ctr.Hedges, 1)
-				launched++
-				go x.c.race(x.req, x.n, x.res, true)
-			}
-		}
-	}
-}
-
 // Do sends one pre-rendered request (see proto.AppendCommand) and returns
 // the peer's response: the one-request exchange, for callers that keep the
 // reply.
 func (c *Client) Do(req []byte) (*proto.Response, error) {
-	return c.one(req, 0)
+	return c.one(req)
 }
 
 // Get retrieves one key (gets semantics — the CAS token rides along — when
-// withCAS), hedged after hedge when hedge > 0 (see Start).
-func (c *Client) Get(key string, withCAS bool, hedge time.Duration) (*proto.Response, error) {
+// withCAS). The last argument is ignored: it outlives hedged reads only
+// because the benchmark module still passes it.
+func (c *Client) Get(key string, withCAS bool, _ time.Duration) (*proto.Response, error) {
 	verb := "get "
 	if withCAS {
 		verb = "gets "
@@ -478,13 +401,13 @@ func (c *Client) Get(key string, withCAS bool, hedge time.Duration) (*proto.Resp
 	reqBuf := bufpool.Get(0)
 	defer bufpool.Put(reqBuf)
 	*reqBuf = append(append(append((*reqBuf)[:0], verb...), key...), '\r', '\n')
-	return c.one(*reqBuf, hedge)
+	return c.one(*reqBuf)
 }
 
 // one runs a one-request exchange and copies the reply out.
-func (c *Client) one(req []byte, hedge time.Duration) (*proto.Response, error) {
+func (c *Client) one(req []byte) (*proto.Response, error) {
 	var resp *proto.Response
-	x := c.Start(req, 1, hedge)
+	x := c.Start(req, 1)
 	err := x.Finish(func(_ int, r *proto.Resp) { resp = r.Response() })
 	return resp, err
 }
@@ -494,9 +417,8 @@ type ClientStats struct {
 	ClientCounters
 	// BreakerOpen reports whether the circuit is rejecting right now.
 	BreakerOpen bool `json:"breaker_open" prom:"pamakv_peer_breaker_open" help:"Whether the peer's circuit is rejecting right now."`
-	// Latency is the per-exchange round-trip histogram, Start to Finish
-	// (hedged exchanges observe the winning attempt's latency).
-	Latency obs.HistSnapshot `json:"latency" prom:"pamakv_peer_request_seconds" help:"Peer round-trip latency (hedged ops observe the winner)."`
+	// Latency is the per-exchange round-trip histogram, Start to Finish.
+	Latency obs.HistSnapshot `json:"latency" prom:"pamakv_peer_request_seconds" help:"Peer round-trip latency, one observation per exchange."`
 }
 
 // ClientCounters are one peer client's monotonic counters.
@@ -516,10 +438,6 @@ type ClientCounters struct {
 	FastFails uint64 `json:"fast_fails" prom:"pamakv_peer_fast_fails_total" help:"Ops rejected by the open breaker without touching the wire."`
 	// BreakerOpens counts how many times the circuit opened.
 	BreakerOpens uint64 `json:"breaker_opens" prom:"pamakv_peer_breaker_opens_total" help:"Times the peer's circuit opened."`
-	// Hedges counts hedged duplicates fired; HedgeWins the subset that
-	// answered before the primary.
-	Hedges    uint64 `json:"hedges" prom:"pamakv_peer_hedges_total" help:"Hedged duplicate reads fired."`
-	HedgeWins uint64 `json:"hedge_wins" prom:"pamakv_peer_hedge_wins_total" help:"Hedged duplicates that answered before the primary."`
 }
 
 // Stats snapshots the client's counters.
@@ -531,33 +449,13 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// HedgePolicy maps an item's penalty subclass to its hedge delay: how long
-// the first peer read may dangle before a duplicate is fired. The policy
-// encodes the paper's pricing inverted: a key that is cheap to recompute
-// (subclass 0–1, ≤10ms) never hedges — the backend is an acceptable fallback
-// and duplicate load buys little — while a 1s–5s recompute (subclass 4)
-// hedges after a few milliseconds, because a slow peer read is still two
-// orders of magnitude cheaper than the recompute it shields.
-type HedgePolicy struct {
-	// Delays[sub] is the hedge delay for penalty subclass sub
-	// (penalty.SubclassBounds); 0 disables hedging for that subclass.
-	Delays [5]time.Duration `json:"delays"`
-}
+// HedgePolicy is empty: peer reads are never hedged.
+//
+// Deprecated: the type outlives hedged reads only because the benchmark
+// module still sets Config.Hedge.
+type HedgePolicy struct{}
 
-// DefaultHedgePolicy returns the penalty-aware hedge schedule: never for
-// cheap keys, progressively earlier as the recompute penalty grows.
-func DefaultHedgePolicy() HedgePolicy {
-	return HedgePolicy{Delays: [5]time.Duration{
-		0,                     // (0,1ms]: recompute is as cheap as a peer read
-		0,                     // (1ms,10ms]
-		20 * time.Millisecond, // (10ms,100ms]
-		8 * time.Millisecond,  // (100ms,1s]
-		3 * time.Millisecond,  // (1s,5s]: hedge almost immediately
-	}}
-}
-
-// DelayFor returns the hedge delay for a key with the given miss penalty in
-// seconds.
-func (h HedgePolicy) DelayFor(pen float64) time.Duration {
-	return h.Delays[penalty.SubclassFor(pen, penalty.SubclassBounds)]
-}
+// DefaultHedgePolicy returns the empty HedgePolicy.
+//
+// Deprecated: see HedgePolicy.
+func DefaultHedgePolicy() HedgePolicy { return HedgePolicy{} }

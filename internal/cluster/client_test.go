@@ -25,9 +25,6 @@ type fakePeer struct {
 
 	// delay is slept before answering each request.
 	delay atomic.Int64 // nanoseconds
-	// firstConnDelay is slept, on top of delay, before each answer on the
-	// first connection accepted — one stalled socket beside healthy ones.
-	firstConnDelay atomic.Int64 // nanoseconds
 	// dropAll makes the peer close every connection on arrival.
 	dropAll atomic.Bool
 	// dropNext closes the connection (instead of answering) for the next
@@ -70,16 +67,16 @@ func (p *fakePeer) serve() {
 		if err != nil {
 			return
 		}
-		first := p.conns.Add(1) == 1
+		p.conns.Add(1)
 		if p.dropAll.Load() {
 			conn.Close()
 			continue
 		}
-		go p.handle(conn, first)
+		go p.handle(conn)
 	}
 }
 
-func (p *fakePeer) handle(conn net.Conn, first bool) {
+func (p *fakePeer) handle(conn net.Conn) {
 	defer conn.Close()
 	r := proto.NewParser(bufio.NewReader(conn))
 	defer r.Close()
@@ -91,9 +88,6 @@ func (p *fakePeer) handle(conn net.Conn, first bool) {
 		}
 		p.requests.Add(1)
 		if d := p.delay.Load(); d > 0 {
-			time.Sleep(time.Duration(d))
-		}
-		if d := p.firstConnDelay.Load(); first && d > 0 {
 			time.Sleep(time.Duration(d))
 		}
 		if p.dropAll.Load() {
@@ -260,7 +254,7 @@ func TestExchangePipelinesReplies(t *testing.T) {
 	req = proto.AppendCommand(req, &proto.Command{Name: "set", Keys: []string{"k"}, Data: []byte("bye")})
 	req = append(req, "gets k absent\r\ntouch k 1\r\n"...)
 	var got []string
-	x := c.Start(req, 4, 0)
+	x := c.Start(req, 4)
 	err := x.Finish(func(i int, r *proto.Resp) {
 		if i != len(got) {
 			t.Errorf("reply %d delivered at position %d", i, len(got))
@@ -297,7 +291,7 @@ func TestExchangeFailsWholeAfterPartialReplies(t *testing.T) {
 		req = proto.AppendCommand(req, &proto.Command{Name: "set", Keys: []string{k}, Data: []byte("v")})
 	}
 	peer.dropAfter.Store(1)
-	x := c.Start(req, 3, 0)
+	x := c.Start(req, 3)
 	seen := 0
 	if err := x.Finish(func(int, *proto.Resp) { seen++ }); err == nil {
 		t.Fatal("exchange cut after its first reply succeeded")
@@ -328,14 +322,14 @@ func TestExchangeDeadlineBoundsEachReply(t *testing.T) {
 	for i := 0; i < n; i++ {
 		req = append(req, "get k\r\n"...)
 	}
-	x := c.Start(req, n, 0)
+	x := c.Start(req, n)
 	seen := 0
 	if err := x.Finish(func(int, *proto.Resp) { seen++ }); err != nil || seen != n {
 		t.Fatalf("exchange saw %d of %d replies, err = %v", seen, n, err)
 	}
 	// One reply slower than the deadline still fails the exchange.
 	peer.delay.Store(int64(400 * time.Millisecond))
-	x = c.Start(req[:len("get k\r\n")], 1, 0)
+	x = c.Start(req[:len("get k\r\n")], 1)
 	if err := x.Finish(func(int, *proto.Resp) {}); err == nil {
 		t.Fatal("a reply slower than OpTimeout did not fail the exchange")
 	}
@@ -378,7 +372,7 @@ func TestExchangeDeadlineRearmsPerReply(t *testing.T) {
 	defer c.Close()
 	peer.delay.Store(int64(opTimeout * 3 / 4))
 	req := []byte("get k\r\nget k\r\n")
-	x := c.Start(req, 2, 0)
+	x := c.Start(req, 2)
 	seen := 0
 	if err := x.Finish(func(int, *proto.Resp) { seen++ }); err != nil || seen != 2 {
 		t.Fatalf("replies 0.75 × OpTimeout apart: saw %d of 2, err = %v", seen, err)
@@ -410,12 +404,12 @@ func TestExchangeDeadlineRearmsPerReply(t *testing.T) {
 	}()
 	mute := NewClient(silent.Addr().String(), ClientOptions{OpTimeout: opTimeout, Retries: -1})
 	defer mute.Close()
-	x = mute.Start([]byte("get k\r\n"), 1, 0)
+	x = mute.Start([]byte("get k\r\n"), 1)
 	if err := x.Finish(func(int, *proto.Resp) {}); err != nil {
 		t.Fatalf("first exchange with the answering-once peer: %v", err)
 	}
 	start := time.Now()
-	x = mute.Start([]byte("get k\r\n"), 1, 0)
+	x = mute.Start([]byte("get k\r\n"), 1)
 	done := make(chan error, 1)
 	go func() { done <- x.Finish(func(int, *proto.Resp) {}) }()
 	select {
@@ -429,31 +423,6 @@ func TestExchangeDeadlineRearmsPerReply(t *testing.T) {
 	}
 	if took < opTimeout*15/16-10*time.Millisecond || took > opTimeout+150*time.Millisecond {
 		t.Fatalf("silent peer failed the exchange after %v, want between 15/16 and 1 × %v", took, opTimeout)
-	}
-}
-
-// TestExchangeHedgedDeliversInOrder: a hedged multi-GET exchange against a
-// slow peer fires one duplicate and still delivers every reply, in order,
-// on the caller's goroutine.
-func TestExchangeHedgedDeliversInOrder(t *testing.T) {
-	peer := newFakePeer(t)
-	peer.set("a", []byte("1"))
-	peer.set("b", []byte("2"))
-	c := NewClient(peer.addr(), ClientOptions{})
-	defer c.Close()
-	peer.delay.Store(int64(30 * time.Millisecond))
-	req := []byte("get a\r\nget b\r\nget absent\r\n")
-	x := c.Start(req, 3, 5*time.Millisecond)
-	var got []string
-	if err := x.Finish(func(_ int, r *proto.Resp) { got = append(got, string(proto.AppendResp(nil, r, false))) }); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"VALUE a 0 1\r\n1\r\nEND\r\n", "VALUE b 0 1\r\n2\r\nEND\r\n", "END\r\n"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("replies = %q, want %q", got, want)
-	}
-	if h := c.Stats().Hedges; h != 1 {
-		t.Errorf("hedges = %d, want 1", h)
 	}
 }
 
@@ -524,82 +493,12 @@ func TestClientBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-func TestClientHedgedGetWins(t *testing.T) {
-	peer := newFakePeer(t)
-	peer.set("k", []byte("v"))
-	c := NewClient(peer.addr(), ClientOptions{})
-	defer c.Close()
-	// Make the peer slow: the hedge fires, and (both attempts being
-	// equally slow here) the op still completes with a hedge recorded.
-	peer.delay.Store(int64(60 * time.Millisecond))
-	start := time.Now()
-	resp, err := c.Get("k", false, 5*time.Millisecond)
-	if err != nil || len(resp.Values) != 1 {
-		t.Fatalf("hedged Get = (%+v, %v)", resp, err)
-	}
-	if e := time.Since(start); e > 500*time.Millisecond {
-		t.Errorf("hedged Get took %v", e)
-	}
-	if c.Stats().Hedges != 1 {
-		t.Errorf("hedges = %d, want 1", c.Stats().Hedges)
-	}
-	// Fast peer: no hedge fires.
-	peer.delay.Store(0)
-	if _, err := c.Get("k", false, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().Hedges != 1 {
-		t.Errorf("fast Get hedged: hedges = %d, want still 1", c.Stats().Hedges)
-	}
-}
-
-// TestClientHedgeWinsOnStalledPrimary: the primary's connection stalls, the
-// duplicate on a second connection answers, and the exchange returns long
-// before the primary would have.
-func TestClientHedgeWinsOnStalledPrimary(t *testing.T) {
-	peer := newFakePeer(t)
-	peer.set("k", []byte("v"))
-	c := NewClient(peer.addr(), ClientOptions{})
-	defer c.Close()
-	peer.firstConnDelay.Store(int64(500 * time.Millisecond))
-	start := time.Now()
-	resp, err := c.Get("k", false, 5*time.Millisecond)
-	if err != nil || len(resp.Values) != 1 {
-		t.Fatalf("hedged Get = (%+v, %v)", resp, err)
-	}
-	if e := time.Since(start); e > 400*time.Millisecond {
-		t.Errorf("hedge did not rescue the stalled primary (took %v)", e)
-	}
-	if st := c.Stats(); st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Errorf("hedges = %d, hedge wins = %d, want 1 and 1", st.Hedges, st.HedgeWins)
-	}
-}
-
 func TestClientClosed(t *testing.T) {
 	peer := newFakePeer(t)
 	c := NewClient(peer.addr(), ClientOptions{})
 	c.Close()
 	if _, err := c.Get("k", false, 0); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("closed Get = %v, want ErrClientClosed", err)
-	}
-}
-
-func TestHedgePolicyDelays(t *testing.T) {
-	h := DefaultHedgePolicy()
-	if d := h.DelayFor(0.0005); d != 0 {
-		t.Errorf("0.5ms penalty hedges after %v, want never", d)
-	}
-	if d := h.DelayFor(0.005); d != 0 {
-		t.Errorf("5ms penalty hedges after %v, want never", d)
-	}
-	d2 := h.DelayFor(0.05) // subclass 2
-	d3 := h.DelayFor(0.5)  // subclass 3
-	d4 := h.DelayFor(3.0)  // subclass 4
-	if d2 == 0 || d3 == 0 || d4 == 0 {
-		t.Fatalf("expensive subclasses must hedge: %v %v %v", d2, d3, d4)
-	}
-	if !(d4 < d3 && d3 < d2) {
-		t.Errorf("hedge delay must shrink as penalty grows: %v %v %v", d2, d3, d4)
 	}
 }
 

@@ -49,14 +49,14 @@ func TestStatsPublishLiveCounters(t *testing.T) {
 	h.Invalidate("d")
 	c := NewClient("127.0.0.1:1", ClientOptions{Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Minute}})
 	defer c.Close()
-	*c.ctr = ClientCounters{4, 5, 6, 7, 8, 9, 10, 11}
+	*c.ctr = ClientCounters{4, 5, 6, 7, 8, 9}
 	c.br.failure()
 	for _, tc := range []struct {
 		stats any
 		want  string
 	}{
 		{h.Stats(), `{"hits":1,"misses":2,"evicts":3,"bytes":0,"items":0}`},
-		{c.Stats(), `{"requests":4,"errors":5,"retries":6,"dials":7,"fast_fails":8,"breaker_opens":10,"hedges":10,"hedge_wins":11,"breaker_open":true,"latency":`},
+		{c.Stats(), `{"requests":4,"errors":5,"retries":6,"dials":7,"fast_fails":8,"breaker_opens":10,"breaker_open":true,"latency":`},
 	} {
 		b, err := json.Marshal(tc.stats)
 		if err != nil {

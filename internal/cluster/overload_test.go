@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -78,28 +77,23 @@ func TestClientDegradedHalvesRetries(t *testing.T) {
 	}
 }
 
-// TestPeersDegradedDisablesHedging: while the local node sheds, hedged peer
-// reads are provably off — HedgeDelay returns 0 for every penalty — and the
-// flag reaches every client, including ones created by a later SetMembers.
-func TestPeersDegradedDisablesHedging(t *testing.T) {
+// TestPeersDegradedReachesEveryClient: while the local node sheds, the
+// degraded flag reaches every peer client, including ones created by a later
+// SetMembers, and clearing it clears every one.
+func TestPeersDegradedReachesEveryClient(t *testing.T) {
 	members := []string{"127.0.0.1:11", "127.0.0.1:12", "127.0.0.1:13"}
-	p, err := New(Config{Self: members[0], Members: members, Hedge: DefaultHedgePolicy()})
+	p, err := New(Config{Self: members[0], Members: members})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	if d := p.HedgeDelay(4.0); d <= 0 {
-		t.Fatalf("healthy expensive-penalty hedge delay = %v, want > 0", d)
+	if p.Degraded() {
+		t.Fatal("a new routing table starts degraded")
 	}
 	p.SetDegraded(true)
 	if !p.Degraded() {
 		t.Fatal("Degraded() = false after SetDegraded(true)")
-	}
-	for _, pen := range []float64{0.0005, 0.05, 0.5, 4.0} {
-		if d := p.HedgeDelay(pen); d != 0 {
-			t.Fatalf("degraded HedgeDelay(%v) = %v, want 0 (hedging off)", pen, d)
-		}
 	}
 	for _, m := range members[1:] {
 		if c := p.ClientFor(m); c == nil || !c.Degraded() {
@@ -118,47 +112,12 @@ func TestPeersDegradedDisablesHedging(t *testing.T) {
 	}
 
 	p.SetDegraded(false)
-	if d := p.HedgeDelay(4.0); d <= 0 {
-		t.Fatalf("hedge delay after recovery = %v, want > 0", d)
+	if p.Degraded() {
+		t.Fatal("Degraded() = true after SetDegraded(false)")
 	}
-	if c := p.ClientFor(added); c.Degraded() {
-		t.Fatal("client still degraded after SetDegraded(false)")
-	}
-}
-
-// TestHedgedNoGoroutineLeak: the hedged result channel is buffered for both
-// attempts, so the losing attempt's send never blocks and its goroutine
-// always exits. Run enough hedged GETs with a slow peer (every primary loses
-// or ties with its hedge) and the goroutine count must return to baseline.
-func TestHedgedNoGoroutineLeak(t *testing.T) {
-	peer := newFakePeer(t)
-	peer.set("k", []byte("v"))
-	c := NewClient(peer.addr(), ClientOptions{})
-
-	peer.delay.Store(int64(30 * time.Millisecond))
-	before := runtime.NumGoroutine()
-	for i := 0; i < 16; i++ {
-		if _, err := c.Get("k", false, time.Millisecond); err != nil {
-			t.Fatal(err)
+	for _, m := range append(members[1:], added) {
+		if c := p.ClientFor(m); c.Degraded() {
+			t.Fatalf("client for %s still degraded after SetDegraded(false)", m)
 		}
-	}
-	if c.Stats().Hedges == 0 {
-		t.Fatal("no hedges fired; the leak path was never exercised")
-	}
-	// Closing the client shuts the pooled connections, and with them the
-	// fake peer's per-connection goroutines; what remains above baseline
-	// can only be leaked hedge attempts stuck sending their result.
-	c.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked after hedged gets: before=%d now=%d\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

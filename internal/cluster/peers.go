@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Config describes one node's view of the cluster.
@@ -22,9 +21,10 @@ type Config struct {
 	VNodes int
 	// Client tunes the per-peer connection pools.
 	Client ClientOptions
-	// Hedge maps penalty subclasses to hedge delays for peer GETs. The
-	// zero value disables hedging; use DefaultHedgePolicy for the
-	// penalty-aware schedule.
+	// Hedge is ignored: peer reads are never hedged.
+	//
+	// Deprecated: the field outlives hedged reads only because the
+	// benchmark module still sets it.
 	Hedge HedgePolicy
 }
 
@@ -32,13 +32,12 @@ type Config struct {
 // remote member. Safe for concurrent use; SetMembers may be called while
 // requests are in flight.
 type Peers struct {
-	self  string
-	cfg   Config
-	hedge HedgePolicy
+	self string
+	cfg  Config
 
-	// degraded is set while the local node is shedding load: hedging is
-	// disabled and every peer client halves its retry budget, so an
-	// overloaded node does not amplify its load onto the cluster.
+	// degraded is set while the local node is shedding load: every peer
+	// client halves its retry budget, so an overloaded node does not
+	// amplify its load onto the cluster.
 	degraded atomic.Bool
 
 	// ring is read without a lock on every key; SetMembers swaps it.
@@ -72,7 +71,6 @@ func New(cfg Config) (*Peers, error) {
 	p := &Peers{
 		self:    cfg.Self,
 		cfg:     cfg,
-		hedge:   cfg.Hedge,
 		clients: make(map[string]*Client, len(members)),
 	}
 	p.ring.Store(NewRing(members, 0))
@@ -105,18 +103,8 @@ func (p *Peers) ClientFor(addr string) *Client {
 // Members returns the current member list.
 func (p *Peers) Members() []string { return p.ring.Load().Members() }
 
-// HedgeDelay returns the hedge delay for a key with the given miss penalty,
-// or 0 (no hedge) while the node is degraded — a shedding node must not fire
-// duplicate reads at its peers.
-func (p *Peers) HedgeDelay(pen float64) time.Duration {
-	if p.degraded.Load() {
-		return 0
-	}
-	return p.hedge.DelayFor(pen)
-}
-
-// SetDegraded flips the cluster-facing degraded mode: hedging off, retry
-// budgets halved, on every current (and future) peer client. Driven by the
+// SetDegraded flips the cluster-facing degraded mode: retry budgets
+// halved, on every current (and future) peer client. Driven by the
 // overload controller's tier transitions.
 func (p *Peers) SetDegraded(d bool) {
 	p.degraded.Store(d)

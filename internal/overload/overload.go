@@ -22,8 +22,8 @@
 //   - A penalty-aware shed policy over pressure tiers: pressure (limit
 //     saturation, queue occupancy) maps to tiers 0–3 with hysteresis, and
 //     each tier widens the band of traffic shed outright — first nothing
-//     (tier 1 only degrades: serve-stale, no hedging, no hot-cache
-//     backfill), then cheap-penalty reads, then writes and everything but
+//     (tier 1 only degrades: serve-stale, halved peer retries, no
+//     hot-cache backfill), then cheap-penalty reads, then writes and everything but
 //     the expensive read subclasses.
 //
 // The controller is transport-agnostic: the server calls AcquireSLO before
@@ -46,8 +46,8 @@ const (
 	// TierNormal: below the limit, no degradation.
 	TierNormal = 0
 	// TierStrained: the limit is saturated. Degrade sideways — serve
-	// stale aggressively, stop hot-cache backfill, stop hedging — but
-	// shed nothing.
+	// stale aggressively, stop hot-cache backfill, halve peer retry
+	// budgets — but shed nothing.
 	TierStrained = 1
 	// TierShedding: the queue is filling. Cheap-penalty reads are shed
 	// instead of queued when over limit, their backend fetches are

@@ -3,6 +3,7 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -27,12 +28,13 @@ import (
 //     verbs are canonical package-level constants) are valid only until the
 //     next ReadCommand or Close call; inside a chunk (BeginChunk), until
 //     ReleaseChunk or Close.
-//   - Keys and Data alias the reader's buffer until a read would refill it,
-//     and are evacuated before one: the parser copies the keys of every
-//     command still valid into its key buffer and their data blocks into
-//     pooled buffers, then reads. Either way they stay valid for the span
-//     above and no longer. A caller that stores a key or value beyond it
-//     (cache insert, hot-cache fill) copies it; passing one to a map lookup,
+//   - Keys and Data alias the reader's buffer, and a read that refills it
+//     would slide or overwrite them, so no valid command ever sees one:
+//     inside a chunk that holds a command, ReadCommand returns
+//     ErrUnbuffered rather than read a command not wholly buffered, and
+//     the chunk is complete. They stay valid for the span above and no
+//     longer. A caller that stores a key or value beyond it (cache
+//     insert, hot-cache fill) copies it; passing one to a map lookup,
 //     hash, or comparison is safe.
 //   - The caller reads the bufio.Reader only through the Parser while any
 //     Command is valid: a read of its own could refill the buffer under
@@ -54,8 +56,9 @@ type Parser struct {
 	toks [][]byte // token views into the current line, reused
 
 	// keybuf holds the copied key bytes of the current command (of every
-	// command of an open chunk): keys of a spilled line and evacuated keys;
-	// Keys are unsafe strings over it. Reset (not freed) per command or
+	// command of an open chunk): keys of a spilled line, and the key of a
+	// command whose data block is read with a refill; Keys are unsafe
+	// strings over it. Reset (not freed) per command or
 	// chunk, and dropped on release once it outgrows maxRetainedKeys.
 	keybuf []byte
 
@@ -63,19 +66,25 @@ type Parser struct {
 	// (only reachable with readers smaller than MaxLineLen).
 	linebuf []byte
 
-	// data holds the pooled buffers of the data blocks the parser owns: the
-	// current command's outside a chunk, every command's of an open chunk.
-	// held counts the data bytes of those commands, pooled or aliased.
+	// data holds the pooled buffers of the data blocks the parser owns:
+	// the current command's outside a chunk, its first command's (and any
+	// failed parse's) inside one. held counts the data bytes of the
+	// commands parsed, pooled or aliased.
 	data []*[]byte
 	held int
 
-	// aliased lists the valid commands whose keys or data are views into
-	// r's buffer, by pointer: a chunk that outgrows cmds leaves its first
-	// commands in the old array. curAliased says the same of the command
-	// being parsed.
-	aliased    []*Command
-	curAliased bool
+	// next is a storage command whose line was parsed but whose data block
+	// was not wholly buffered when its chunk already held a command
+	// (hasNext): the next ReadCommand finishes it.
+	next    Command
+	hasNext bool
 }
+
+// ErrUnbuffered reports that the next command is not wholly in the
+// reader's buffer while the open chunk holds a command: reading it would
+// refill the buffer the chunk's commands view. The chunk is complete; the
+// next ReadCommand returns that command.
+var ErrUnbuffered = errors.New("proto: next command not wholly buffered")
 
 // maxRetainedKeys caps the key buffer a released parser keeps for the next
 // command or chunk.
@@ -104,6 +113,12 @@ func (p *Parser) ReleaseChunk() {
 	p.chunk = false
 }
 
+// Ready reports whether the parser has input in hand: bytes in the
+// reader's buffer, or a store whose line it has read and whose data block
+// the next ReadCommand reads. A server serves what it has parsed, and keeps
+// its batch open, only while the parser is ready.
+func (p *Parser) Ready() bool { return p.hasNext || p.r.Buffered() > 0 }
+
 // ChunkData returns the data-block bytes the parser holds: those of every
 // command of the open chunk.
 func (p *Parser) ChunkData() int { return p.held }
@@ -116,8 +131,6 @@ func (p *Parser) release() {
 		p.data[i] = nil
 	}
 	p.data = p.data[:0]
-	clear(p.aliased)
-	p.aliased = p.aliased[:0]
 	p.held = 0
 	p.n = 0
 	p.keys = p.keys[:0]
@@ -162,8 +175,10 @@ next:
 var noreplyToken = []byte("noreply")
 
 // ReadCommand parses the next command from the stream. io.EOF is returned
-// verbatim on a cleanly closed connection. See the Parser doc for the
-// lifetime of the returned Command.
+// verbatim on a cleanly closed connection, ErrUnbuffered inside a chunk
+// that holds a command when the next is not wholly buffered (its line, if
+// read, is not parsed again). See the Parser doc for the lifetime of the
+// returned Command.
 func (p *Parser) ReadCommand() (*Command, error) {
 	if !p.chunk {
 		p.release()
@@ -176,12 +191,14 @@ func (p *Parser) ReadCommand() (*Command, error) {
 	}
 	cmd := &p.cmds[p.n]
 	*cmd = Command{}
-	p.curAliased = false
-	if err := p.parse(cmd); err != nil {
-		return nil, err
+	var err error
+	if p.hasNext {
+		err = p.resume(cmd)
+	} else {
+		err = p.parse(cmd)
 	}
-	if p.curAliased {
-		p.aliased = append(p.aliased, cmd)
+	if err != nil {
+		return nil, err
 	}
 	if p.chunk {
 		p.n++
@@ -262,7 +279,7 @@ func (p *Parser) parse(cmd *Command) error {
 		cmd.NoReply = len(args) == want+1
 		// Past this point the line (and p.toks) may be dead: readData can
 		// refill the bufio buffer. Everything line-derived was extracted
-		// above, and the key is evacuated first if it aliases the line.
+		// above, and readData copies the key out first.
 		if err := p.readData(cmd, int(n)); err != nil {
 			return err
 		}
@@ -312,6 +329,16 @@ func (p *Parser) parse(cmd *Command) error {
 	return nil
 }
 
+// resume finishes p.next, the storage command whose data block its chunk
+// ended before. Its line is parsed, and its key still views the reader's
+// buffer, which no read has refilled since.
+func (p *Parser) resume(cmd *Command) error {
+	*cmd, p.next, p.hasNext = p.next, Command{}, false
+	p.keys = append(p.keys, cmd.Keys[0])
+	cmd.Keys = p.keys[len(p.keys)-1:]
+	return p.readData(cmd, cmd.Bytes)
+}
+
 // internKey copies tok into the parser's key buffer and returns a string
 // view over the copy (valid until the next ReadCommand, or the end of the
 // chunk). When the buffer grows, the keys already returned keep the old
@@ -323,21 +350,25 @@ func (p *Parser) internKey(tok []byte) string {
 }
 
 // key returns a key token as a string: a view over tok when tok is in the
-// reader's buffer (inBuf; evacuate copies it out before a refill), else a
-// copy in the key buffer.
+// reader's buffer (inBuf), else a copy in the key buffer.
 func (p *Parser) key(tok []byte, inBuf bool) string {
 	if !inBuf {
 		return p.internKey(tok)
 	}
-	p.curAliased = true
 	return unsafe.String(unsafe.SliceData(tok), len(tok))
 }
 
 // readData consumes cmd's n-byte data block plus its CRLF terminator. A
-// block already wholly buffered is a view into the reader's buffer; any
-// other is read into a pooled buffer the parser owns, after every alias
-// into the reader's buffer, cmd's key included, has been evacuated.
+// block already wholly buffered is a view into the reader's buffer. Any
+// other needs a refill: inside a chunk that holds a command the parser
+// keeps cmd in p.next unread and reports ErrUnbuffered; otherwise it copies
+// cmd's key out of the buffer and reads the block into a pooled buffer it
+// owns.
 func (p *Parser) readData(cmd *Command, n int) error {
+	if p.r.Buffered() < n+2 && p.chunk && p.n > 0 {
+		p.next, p.hasNext = *cmd, true
+		return ErrUnbuffered
+	}
 	p.held += n
 	if p.r.Buffered() >= n+2 {
 		buf, _ := p.r.Peek(n + 2)
@@ -346,10 +377,10 @@ func (p *Parser) readData(cmd *Command, n int) error {
 			return clientErrf("data block not terminated by CRLF")
 		}
 		cmd.Data = buf[:n:n]
-		p.curAliased = true
 		return nil
 	}
-	p.evacuate(cmd)
+	k := cmd.Keys[0]
+	cmd.Keys[0] = p.internKey(unsafe.Slice(unsafe.StringData(k), len(k)))
 	d := bufpool.Get(n + 2)
 	p.data = append(p.data, d)
 	buf := *d
@@ -363,43 +394,13 @@ func (p *Parser) readData(cmd *Command, n int) error {
 	return nil
 }
 
-// evacuate copies every key and data block that aliases the reader's
-// buffer out of it: those of the valid commands and of cur, the command
-// being parsed (nil before its line is read, when nothing of it aliases the
-// buffer yet). It runs before any read that can refill the buffer, which
-// would slide or overwrite the bytes they view.
-func (p *Parser) evacuate(cur *Command) {
-	if p.curAliased {
-		p.copyOut(cur)
-		p.curAliased = false
-	}
-	for _, c := range p.aliased {
-		p.copyOut(c)
-	}
-	clear(p.aliased)
-	p.aliased = p.aliased[:0]
-}
-
-// copyOut moves c's keys into the key buffer and its data block into a
-// pooled buffer the parser owns.
-func (p *Parser) copyOut(c *Command) {
-	for i, k := range c.Keys {
-		c.Keys[i] = p.internKey(unsafe.Slice(unsafe.StringData(k), len(k)))
-	}
-	if len(c.Data) > 0 {
-		d := bufpool.Get(len(c.Data))
-		copy(*d, c.Data)
-		p.data = append(p.data, d)
-		c.Data = *d
-	}
-}
-
 // readLine returns the next CRLF- (or LF-) terminated line without its
 // terminator. A line already wholly buffered is a view into the reader's
-// buffer, read without a refill (inBuf). Otherwise the parser evacuates
-// first, since the read refills the buffer; the line it then reads is a view
-// into the buffer too, unless it straddles the buffer and spills into a
-// reusable scratch buffer. Semantics mirror the reference readLine exactly.
+// buffer, read without a refill (inBuf). Any other needs a refill, which
+// inside a chunk that holds a command is ErrUnbuffered; the line a refill
+// reads is a view into the buffer too, unless it straddles the buffer and
+// spills into a reusable scratch buffer. Semantics mirror the reference
+// readLine exactly.
 func (p *Parser) readLine() (line []byte, inBuf bool, err error) {
 	buf, _ := p.r.Peek(p.r.Buffered())
 	if i := bytes.IndexByte(buf, '\n'); i >= 0 {
@@ -409,7 +410,9 @@ func (p *Parser) readLine() (line []byte, inBuf bool, err error) {
 		}
 		return trimCRLF(buf[:i+1]), true, nil
 	}
-	p.evacuate(nil)
+	if p.chunk && p.n > 0 {
+		return nil, false, ErrUnbuffered
+	}
 	line, p.linebuf, err = readLineFrom(p.r, p.linebuf)
 	spilled := len(line) > 0 && unsafe.SliceData(line) == unsafe.SliceData(p.linebuf)
 	return line, !spilled, err

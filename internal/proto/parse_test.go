@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func newTestParser(input string) *Parser {
@@ -293,7 +294,7 @@ func TestParserChunkKeepsCommands(t *testing.T) {
 		}
 		want = append(want, k)
 	}
-	p := newTestParser(stream.String())
+	p := NewParser(bufio.NewReaderSize(strings.NewReader(stream.String()), 1<<20)) // the whole stream buffered
 	defer p.Close()
 	p.BeginChunk()
 	var cmds []*Command
@@ -322,67 +323,135 @@ func TestParserChunkKeepsCommands(t *testing.T) {
 	}
 }
 
+// readChunk opens a chunk and reads until ReadCommand stops before a
+// command not wholly buffered (ErrUnbuffered), reaches EOF, or has max
+// commands. It reports whether the stream ended.
+func readChunk(t *testing.T, p *Parser, max int) (cmds []*Command, eof bool) {
+	t.Helper()
+	p.BeginChunk()
+	for len(cmds) < max {
+		cmd, err := p.ReadCommand()
+		switch {
+		case err == ErrUnbuffered:
+			return cmds, false
+		case err == io.EOF:
+			return cmds, true
+		case err != nil:
+			t.Fatal(err)
+		}
+		cmds = append(cmds, cmd)
+	}
+	return cmds, false
+}
+
+// TestParserChunkStopsBeforePartial: inside a chunk that holds a command,
+// ReadCommand stops before a command not wholly in the reader's buffer — a
+// data block or a line that straddles it — instead of refilling the buffer
+// under the chunk's commands. Once the chunk is released, the next read
+// returns that command whole, even though, as the new chunk's first, it
+// must refill.
+func TestParserChunkStopsBeforePartial(t *testing.T) {
+	block := strings.Repeat("b", 1000)
+	var stream strings.Builder
+	for i := 0; i < 5; i++ { // 1 019 bytes each: the fifth's block straddles 4 096
+		fmt.Fprintf(&stream, "set k%d 0 0 %d\r\n%s\r\n", i, len(block), block)
+	}
+	for stream.Len()%4096 < 4090 { // fill to just short of the next 4 096
+		stream.WriteString("get a\r\n")
+	}
+	stream.WriteString("get straddling\r\nget last\r\n")
+	p := NewParser(bufio.NewReaderSize(strings.NewReader(stream.String()), 4096))
+	defer p.Close()
+
+	cmds, _ := readChunk(t, p, 1<<10)
+	if len(cmds) != 4 || len(p.data) != 0 || p.ChunkData() != 4*len(block) {
+		t.Fatalf("first chunk: %d commands, %d pooled buffers, %d data bytes; want 4, 0, %d",
+			len(cmds), len(p.data), p.ChunkData(), 4*len(block))
+	}
+	for i, c := range cmds {
+		if c.Keys[0] != fmt.Sprintf("k%d", i) || string(c.Data) != block {
+			t.Fatalf("command %d of the stopped chunk: %q, %d data bytes", i, c.Keys, len(c.Data))
+		}
+	}
+	p.ReleaseChunk()
+
+	cmds, _ = readChunk(t, p, 1<<10)
+	if len(cmds) < 2 || cmds[0].Name != "set" || cmds[0].Keys[0] != "k4" || string(cmds[0].Data) != block {
+		t.Fatalf("second chunk opened with %d commands, first %+v", len(cmds), cmds[0])
+	}
+	for _, c := range cmds[1:] {
+		if c.Name != "get" || c.Keys[0] != "a" {
+			t.Fatalf("second chunk: %s %q, want get a", c.Name, c.Keys)
+		}
+	}
+	p.ReleaseChunk()
+
+	if cmds, _ = readChunk(t, p, 1<<10); len(cmds) != 2 || cmds[0].Keys[0] != "straddling" || cmds[1].Keys[0] != "last" {
+		t.Fatalf("third chunk: %d commands", len(cmds))
+	}
+	p.ReleaseChunk()
+	if _, err := p.ReadCommand(); err != io.EOF {
+		t.Fatalf("after the stream: %v, want EOF", err)
+	}
+}
+
 // TestParserChunkReleasesBuffers: a data block wholly in the reader's
 // buffer is a view into it and holds no pooled buffer. A block that
-// straddles the buffer, or outgrows it, is read into a pooled buffer, after
-// the chunk's earlier blocks are evacuated into pooled buffers of their own;
-// the chunk holds all of them until ReleaseChunk or Close hands every one
-// back (bufpool.Put empties the buffer it takes, which is what is checked
-// here). Outside a chunk the parser holds at most one buffer at a time.
+// straddles the buffer, or outgrows it, needs a refill, so it opens a chunk
+// of its own and is read into a pooled buffer: a chunk holds at most that
+// one, as its first command's, until ReleaseChunk or Close hands it back
+// (bufpool.Put empties the buffer it takes, which is what is checked here).
+// Outside a chunk the parser holds at most one buffer at a time.
 func TestParserChunkReleasesBuffers(t *testing.T) {
 	sizes := []int{10, 100, 1000, 3000, 5000, 1, 300}
 	var stream strings.Builder
 	for i, n := range sizes {
 		fmt.Fprintf(&stream, "set k%d 0 0 %d\r\n%s\r\nget k%d\r\n", n, n, strings.Repeat(string(rune('a'+i)), n), n)
 	}
-	// How many buffers the chunk holds after each set: none while the
-	// blocks sit in the 4 096-byte reader, then the three evacuated ones and
-	// the 3 000-byte block, which straddles it; the 5 000-byte one outgrows
-	// it; the last two are read into a refilled buffer and alias it again.
-	wantHeld := []int{0, 0, 0, 4, 5, 5, 5}
-	total := 0
-	for _, n := range sizes {
-		total += n
+	value := map[string]string{}
+	for i, n := range sizes {
+		value[fmt.Sprintf("k%d", n)] = strings.Repeat(string(rune('a'+i)), n)
 	}
 	for _, end := range []string{"ReleaseChunk", "Close"} {
 		p := NewParser(bufio.NewReaderSize(strings.NewReader(stream.String()), 4096))
-		p.BeginChunk()
-		var cmds []*Command
-		for i := range sizes {
-			for j := 0; j < 2; j++ {
-				cmd, err := p.ReadCommand()
-				if err != nil {
-					t.Fatal(err)
+		// The 3 000-byte block straddles the 4 096-byte reader and the
+		// 5 000-byte one outgrows it: two chunks start with a pooled block.
+		var pooled []int
+		for chunk, eof := 0, false; !eof; chunk++ {
+			var cmds []*Command
+			cmds, eof = readChunk(t, p, 1<<10)
+			for _, c := range cmds {
+				if c.Name == "set" && string(c.Data) != value[c.Keys[0]] {
+					t.Fatalf("chunk %d: set %q holds %d bytes before the chunk was released", chunk, c.Keys, len(c.Data))
 				}
-				cmds = append(cmds, cmd)
 			}
-			if len(p.data) != wantHeld[i] {
-				t.Fatalf("after the %d-byte block the chunk holds %d buffers, want %d", sizes[i], len(p.data), wantHeld[i])
+			if len(p.data) > 1 || len(p.data) == 1 && unsafe.SliceData(*p.data[0]) != unsafe.SliceData(cmds[0].Data) {
+				t.Fatalf("chunk %d holds %d pooled buffers, want at most its first block's", chunk, len(p.data))
+			}
+			held := append([]*[]byte(nil), p.data...)
+			if len(held) > 0 {
+				pooled = append(pooled, len(cmds[0].Data))
+			}
+			last := end == "Close" && len(pooled) == 2
+			if last {
+				p.Close()
+			} else {
+				p.ReleaseChunk()
+			}
+			for i, b := range held {
+				if len(*b) != 0 {
+					t.Fatalf("%s: buffer %d (%d bytes) was not given back to the pool", end, i, len(*b))
+				}
+			}
+			if len(p.data) != 0 || p.ChunkData() != 0 {
+				t.Fatalf("%s: parser still holds %d buffers, %d bytes", end, len(p.data), p.ChunkData())
+			}
+			if last {
+				break
 			}
 		}
-		for i, n := range sizes {
-			set, get := cmds[2*i], cmds[2*i+1]
-			k := fmt.Sprintf("k%d", n)
-			if set.Keys[0] != k || get.Keys[0] != k || string(set.Data) != strings.Repeat(string(rune('a'+i)), n) {
-				t.Fatalf("command pair %d changed before the chunk was released: %q %q %q", i, set.Keys, get.Keys, set.Data)
-			}
-		}
-		if p.ChunkData() != total {
-			t.Fatalf("ChunkData = %d, want %d", p.ChunkData(), total)
-		}
-		held := append([]*[]byte(nil), p.data...)
-		if end == "Close" {
-			p.Close()
-		} else {
-			p.ReleaseChunk()
-		}
-		for i, b := range held {
-			if len(*b) != 0 {
-				t.Fatalf("%s: buffer %d (%d bytes) was not given back to the pool", end, i, len(*b))
-			}
-		}
-		if len(p.data) != 0 || p.ChunkData() != 0 || len(p.aliased) != 0 {
-			t.Fatalf("%s: parser still holds %d buffers, %d bytes, %d aliased commands", end, len(p.data), p.ChunkData(), len(p.aliased))
+		if len(pooled) != 2 || pooled[0] != 3000 || pooled[1] != 5000 {
+			t.Fatalf("%s: chunks opened with pooled blocks of %v bytes, want [3000 5000]", end, pooled)
 		}
 	}
 	p := NewParser(bufio.NewReaderSize(strings.NewReader(stream.String()), 4096))

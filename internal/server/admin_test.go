@@ -503,9 +503,8 @@ func TestStatszFieldNames(t *testing.T) {
 		"cluster.peers.*.requests": "number", "cluster.peers.*.errors": "number",
 		"cluster.peers.*.retries": "number", "cluster.peers.*.dials": "number",
 		"cluster.peers.*.fast_fails": "number", "cluster.peers.*.breaker_opens": "number",
-		"cluster.peers.*.breaker_open": "bool", "cluster.peers.*.hedges": "number",
-		"cluster.peers.*.hedge_wins": "number",
-		"membership.epoch":           "number", "membership.draining": "bool", "membership.members.0.addr": "string",
+		"cluster.peers.*.breaker_open": "bool",
+		"membership.epoch":             "number", "membership.draining": "bool", "membership.members.0.addr": "string",
 		"membership.members.0.state": "string",
 		"membership.handoff.active":  "bool", "membership.handoff.keys_sent": "number",
 		"membership.handoff.runs": "number", "membership.handoff.errors": "number",

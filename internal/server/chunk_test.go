@@ -42,7 +42,7 @@ func TestParseAheadStopsAt64KiB(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.chunk = append(sc.chunk, chunkEntry{cmd: cmd})
-	n, quit, err := parseAhead(p, r, sc, DefaultMaxPipeline-1)
+	n, quit, err := parseAhead(p, sc, DefaultMaxPipeline-1)
 	// Six blocks hold 60 KiB, under the cap: the seventh is parsed, then the
 	// chunk is full.
 	if err != nil || quit || n != 6 || len(sc.chunk) != 7 || p.ChunkData() != 7*len(val) {
@@ -58,7 +58,7 @@ func TestParseAheadStopsAt64KiB(t *testing.T) {
 	p.ReleaseChunk()
 
 	p.BeginChunk()
-	n, quit, err = parseAhead(p, r, sc, DefaultMaxPipeline-7)
+	n, quit, err = parseAhead(p, sc, DefaultMaxPipeline-7)
 	if err != nil || !quit || n != 5 || len(sc.chunk) != 6 {
 		t.Fatalf("second chunk: %d commands, %d entries, quit %v, err %v; want 5, 6, quit", n, len(sc.chunk), quit, err)
 	}
@@ -79,7 +79,7 @@ func TestParseAheadStopsAt64KiB(t *testing.T) {
 	if _, err := p.ReadCommand(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _, _ := parseAhead(p, r, sc, 3); n != 3 {
+	if n, _, _ := parseAhead(p, sc, 3); n != 3 {
 		t.Fatalf("budget 3 parsed %d commands", n)
 	}
 }
@@ -184,9 +184,9 @@ func TestPipelinedBurstsAnswerLikeOneAtATime(t *testing.T) {
 
 // TestStraddlingBurstReadsBackExact: one pipelined burst many times the
 // connection's 64 KiB read buffer, so that the buffer's end cuts SET data
-// blocks in the middle of chunks. Before each refill the parser copies the
-// keys and blocks the chunk still aliases out of the buffer; every value must
-// read back byte for byte, within the burst and after it.
+// blocks in the middle of chunks. A chunk ends before each such block, which
+// opens the next; every value must read back byte for byte, within the burst
+// and after it.
 func TestStraddlingBurstReadsBackExact(t *testing.T) {
 	g, err := shard.New(defaultCfg(), 2, func() cache.Policy { return core.New(core.DefaultConfig()) })
 	if err != nil {
@@ -231,6 +231,24 @@ func TestStraddlingBurstReadsBackExact(t *testing.T) {
 			}
 			t.Fatalf("burst %d: replies diverge at byte %d of %d:\n got  %.80q\n want %.80q", i, j, len(c.want), got[j:], c.want[j:])
 		}
+	}
+}
+
+// TestBatchFlushesOnceAcrossPartialBlock: a chunk that ends before a SET
+// whose data block has not arrived — its line the last byte buffered — does
+// not end the batch: the batch waits for the block and answers both
+// commands in one flush.
+func TestBatchFlushesOnceAcrossPartialBlock(t *testing.T) {
+	srv, addr := startServer(t, Options{})
+	cl := dial(t, addr)
+	cl.send(t, "get absent\r\nset k 0 0 5\r\n")
+	time.Sleep(50 * time.Millisecond)
+	cl.send(t, "hello\r\n")
+	if got := readUntil(t, cl, "STORED\r\n"); got != "END\r\n" {
+		t.Fatalf("replies %q", got)
+	}
+	if st := srv.Stats(); st.Batches != 1 || st.BatchedCmds != 2 {
+		t.Fatalf("%d batches of %d commands, want 1 of 2", st.Batches, st.BatchedCmds)
 	}
 }
 

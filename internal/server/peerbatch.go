@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"sync/atomic"
-	"time"
 
 	"pamakv/internal/bufpool"
 	"pamakv/internal/cluster"
@@ -74,10 +73,6 @@ type peerExchange struct {
 	cl    *cluster.Client
 	req   []byte // the pending requests, rendered back to back
 	cmds  []int  // their indexes in connScratch.deferred, in request order
-	// hedge is the smallest hedge delay among the exchange's keys (0 =
-	// none asked for one); an exchange carrying a write is never hedged.
-	hedge time.Duration
-	write bool
 	x     cluster.Exchange
 	err   error
 }
@@ -150,7 +145,6 @@ func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, r k
 	ex := &sc.exchanges[e]
 	koff := len(ex.req) + len(cmd.Name) + 1 // every write renders as "<verb> <key>..."
 	ex.req = proto.AppendCommand(ex.req, &fwd)
-	ex.write = true
 	d := deferredCmd{pos: len(out), key: span{koff, koff + len(cmd.Keys[0])}, h: r.h, kind: deferWrite, noreply: cmd.NoReply}
 	if cmd.Name == "set" && cmd.Exptime == 0 {
 		end := len(ex.req) - 2 // the data block ends the request, before its CRLF
@@ -178,11 +172,6 @@ func (s *Server) deferGet(sc *connScratch, out []byte, key string, r keyRoute, w
 	}
 	atomic.AddUint64(&s.st.PeerForwards, 1)
 	ex := &sc.exchanges[e]
-	if s.opts.Backend != nil {
-		if d := s.peers.HedgeDelay(s.opts.Backend.PenaltyOf(key)); d > 0 && (ex.hedge == 0 || d < ex.hedge) {
-			ex.hedge = d
-		}
-	}
 	verb, kind := "get ", uint8(deferGet)
 	if withCAS {
 		verb, kind = "gets ", deferGets
@@ -196,21 +185,19 @@ func (s *Server) deferGet(sc *connScratch, out []byte, key string, r keyRoute, w
 // completeDeferred runs the exchanges queued so far and fills sc.out's holes
 // with their replies, in place.
 func (s *Server) completeDeferred(sc *connScratch) {
-	if d := &sc.deferred[0]; len(sc.deferred) == 1 && d.kind != deferWrite {
-		s.flightGet(sc, d)
-	} else {
-		// Every owner's requests are on the wire before any reply is
-		// awaited, so the owners serve this batch concurrently.
-		for i := range sc.exchanges {
-			ex := &sc.exchanges[i]
-			ex.x = s.startExchange(ex)
-		}
-		for i := range sc.exchanges {
-			ex := &sc.exchanges[i]
-			ex.err = ex.x.Finish(func(j int, r *proto.Resp) {
-				sc.record(ex, &sc.deferred[ex.cmds[j]], r)
-			})
-		}
+	// Every owner's requests are on the wire before any reply is awaited,
+	// so the owners serve this batch concurrently.
+	for i := range sc.exchanges {
+		ex := &sc.exchanges[i]
+		atomic.AddUint64(&s.st.PeerExchanges, 1)
+		atomic.AddUint64(&s.st.PeerExchangedCmds, uint64(len(ex.cmds)))
+		ex.x = ex.cl.Start(ex.req, len(ex.cmds))
+	}
+	for i := range sc.exchanges {
+		ex := &sc.exchanges[i]
+		ex.err = ex.x.Finish(func(j int, r *proto.Resp) {
+			sc.record(ex, &sc.deferred[ex.cmds[j]], r)
+		})
 	}
 	// Settle the commands in request order, then open the holes back to
 	// front: each stretch of inline output moves once, to its final place.
@@ -232,17 +219,6 @@ func (s *Server) completeDeferred(sc *connScratch) {
 		copy(sc.out[w:], sc.rep[d.reply.off:d.reply.end])
 	}
 	sc.deferred, sc.exchanges, sc.rep = sc.deferred[:0], sc.exchanges[:0], sc.rep[:0]
-}
-
-// startExchange puts one owner's pending requests on the wire.
-func (s *Server) startExchange(ex *peerExchange) cluster.Exchange {
-	atomic.AddUint64(&s.st.PeerExchanges, 1)
-	atomic.AddUint64(&s.st.PeerExchangedCmds, uint64(len(ex.cmds)))
-	hedge := ex.hedge
-	if ex.write {
-		hedge = 0
-	}
-	return ex.cl.Start(ex.req, len(ex.cmds), hedge)
 }
 
 // record keeps what d needs of the owner's reply r, which dies with the
@@ -281,54 +257,11 @@ func (sc *connScratch) recordValue(d *deferredCmd, v *proto.RValue) {
 	d.flags, d.hit = v.Flags, true
 }
 
-// peerValue is one peer GET outcome shared across a singleflight.
-type peerValue struct {
-	val   []byte
-	flags uint32
-	cas   uint64
-	hit   bool
-	// shed marks a deliberate overload refusal from the owner — served as
-	// a miss, never retried against the local backend.
-	shed bool
-}
-
-// flightGet completes a batch whose only deferred command is one GET key
-// through the singleflight: N connections racing the same remote miss put
-// one request on the wire. Only a lone GET may wait on another connection's
-// flight — a batch with more to exchange would stall its other commands
-// (and, across connections, could wait in a cycle).
-func (s *Server) flightGet(sc *connScratch, d *deferredCmd) {
-	ex := &sc.exchanges[d.ex]
-	key := ex.req[d.key.off:d.key.end]
-	v, err, _ := s.flight[d.kind].Do(string(key), func() (any, error) {
-		var pv peerValue
-		x := s.startExchange(ex)
-		err := x.Finish(func(_ int, r *proto.Resp) {
-			pv.shed = r.IsShed()
-			for i := range r.Values {
-				if rv := &r.Values[i]; bytes.Equal(rv.Key, key) {
-					pv = peerValue{val: bytes.Clone(rv.Data), flags: rv.Flags, cas: rv.CAS, hit: true}
-					break
-				}
-			}
-		})
-		return pv, err
-	})
-	if ex.err = err; err != nil {
-		return
-	}
-	pv := v.(peerValue)
-	d.shed = pv.shed
-	if pv.hit {
-		sc.recordValue(d, &proto.RValue{Key: key, Flags: pv.flags, CAS: pv.cas, Data: pv.val})
-	}
-}
-
 // settle applies d's side effects — counters, hot-cache invalidation and
 // fills — and leaves in d.reply the bytes of sc.rep its client is owed
 // (none for a miss or a noreply write). When its exchange failed at transport
-// level (breaker open, or an error after the peer client's retries and
-// hedging) that is the degraded outcome.
+// level (breaker open, or an error after the peer client's retries) that is
+// the degraded outcome.
 func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 	ex := &sc.exchanges[d.ex]
 	key := ex.req[d.key.off:d.key.end]

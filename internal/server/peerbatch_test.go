@@ -659,54 +659,57 @@ func TestForwardedWriteKeepsOnlyStoredSets(t *testing.T) {
 	}
 }
 
-// TestForwardedGetAllocations pins the relay side of a forwarded GET in a
-// pipelined batch at (amortized) zero allocations: replies are parsed in
-// place and rendered straight into connection scratch. The hot cache is
-// off, so every GET takes the hop. The count covers both in-process nodes
-// and the client loop.
+// TestForwardedGetAllocations pins the relay side of a forwarded GET at
+// (amortized) zero allocations, alone and in a pipelined batch: replies are
+// parsed in place and rendered straight into connection scratch. The hot
+// cache is off, so every GET takes the hop. The count covers both
+// in-process nodes and the client loop.
 func TestForwardedGetAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const depth = 16
 	nodes := startCluster(t, 2, cluster.Config{}, func(i int, o *Options) {
 		o.HotCacheBytes = -1
 	})
-	cl := dial(t, nodes[0].addr)
-	var req []byte
-	for i := 0; i < depth; i++ {
-		key := keyOwnedBy(t, nodes, 1, "alloc"+string(rune('a'+i)))
-		cl.send(t, "set "+key+" 0 0 3\r\nabc\r\n")
-		if got := cl.line(t); got != "STORED" {
-			t.Fatalf("set -> %q", got)
-		}
-		verb := "get "
-		if i%4 == 3 {
-			verb = "gets "
-		}
-		req = append(req, verb+key+"\r\n"...)
-	}
-	batch := func() {
-		if _, err := cl.conn.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		for ends := 0; ends < depth; {
-			line, err := cl.r.ReadSlice('\n')
-			if err != nil {
-				t.Fatal(err)
+	for _, depth := range []int{1, 16} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			cl := dial(t, nodes[0].addr)
+			var req []byte
+			for i := 0; i < depth; i++ {
+				key := keyOwnedBy(t, nodes, 1, "alloc"+string(rune('a'+i)))
+				cl.send(t, "set "+key+" 0 0 3\r\nabc\r\n")
+				if got := cl.line(t); got != "STORED" {
+					t.Fatalf("set -> %q", got)
+				}
+				verb := "get "
+				if i%4 == 3 {
+					verb = "gets "
+				}
+				req = append(req, verb+key+"\r\n"...)
 			}
-			if bytes.HasPrefix(line, []byte("END")) {
-				ends++
+			batch := func() {
+				if _, err := cl.conn.Write(req); err != nil {
+					t.Fatal(err)
+				}
+				for ends := 0; ends < depth; {
+					line, err := cl.r.ReadSlice('\n')
+					if err != nil {
+						t.Fatal(err)
+					}
+					if bytes.HasPrefix(line, []byte("END")) {
+						ends++
+					}
+				}
 			}
-		}
-	}
-	before := nodes[0].srv.Stats()
-	allocs := testing.AllocsPerRun(200, batch)
-	after := nodes[0].srv.Stats()
-	if hits := after.PeerHits - before.PeerHits; hits != 201*depth {
-		t.Fatalf("PeerHits = %d over 201 batches of %d forwarded GETs", hits, depth)
-	}
-	if perGet := allocs / depth; perGet > 0.1 {
-		t.Fatalf("a forwarded GET allocates %.2f objects (%.1f per %d-deep batch), want 0", perGet, allocs, depth)
+			before := nodes[0].srv.Stats()
+			allocs := testing.AllocsPerRun(200, batch)
+			after := nodes[0].srv.Stats()
+			if hits := after.PeerHits - before.PeerHits; hits != uint64(201*depth) {
+				t.Fatalf("PeerHits = %d over 201 batches of %d forwarded GETs", hits, depth)
+			}
+			if perGet := allocs / float64(depth); perGet > 0.1 {
+				t.Fatalf("a forwarded GET allocates %.2f objects (%.1f per %d-deep batch), want 0", perGet, allocs, depth)
+			}
+		})
 	}
 }

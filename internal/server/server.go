@@ -52,7 +52,6 @@ import (
 	"pamakv/internal/overload"
 	"pamakv/internal/penalty"
 	"pamakv/internal/proto"
-	"pamakv/internal/singleflight"
 	"pamakv/internal/tenant"
 	"pamakv/internal/valuetable"
 )
@@ -284,10 +283,9 @@ type Options struct {
 	Tenants *tenant.Registry
 
 	// Cluster enables the peer tier: keys this node does not own are
-	// forwarded to their owning peer (GETs with penalty-aware hedging,
-	// writes verbatim), and only the owner fills from the backend. The
-	// server does not take ownership of the Peers — the caller closes it
-	// after Shutdown.
+	// forwarded to their owning peer, and only the owner fills from the
+	// backend. The server does not take ownership of the Peers — the
+	// caller closes it after Shutdown.
 	Cluster *cluster.Peers
 	// HotCacheBytes bounds the non-owner mini-cache of forwarded GET
 	// hits (cluster mode only); 0 means cluster.DefaultHotCacheBytes,
@@ -378,7 +376,7 @@ type PeerStats struct {
 	PeerForwards uint64 `prom:"pamakv_cluster_forwards_total" help:"Requests relayed to an owning peer." stat:"peer_forwards"`
 	PeerHits     uint64 `prom:"pamakv_cluster_peer_hits_total" help:"Forwarded GETs the owner answered with a value." stat:"peer_hits"`
 	// PeerErrors counts forwards that failed at transport level (after
-	// the peer client's retries and hedging); PeerFallbacks the subset
+	// the peer client's retries); PeerFallbacks the subset
 	// of failed GET forwards that degraded to a local backend fetch.
 	PeerErrors    uint64 `prom:"pamakv_cluster_peer_errors_total" help:"Forwards failed at transport level." stat:"peer_errors"`
 	PeerFallbacks uint64 `prom:"pamakv_cluster_fallbacks_total" help:"Failed GET forwards degraded to a local backend fetch." stat:"peer_fallbacks"`
@@ -421,10 +419,6 @@ type Server struct {
 	peers *cluster.Peers
 	hot   *valuetable.Table
 	mem   *membership.Manager
-	// flight dedupes concurrent lone peer GETs of one key (the
-	// backend-fetch path dedupes inside backend.FetchSharedErr); get and
-	// gets fly separately — their replies differ in shape.
-	flight [2]singleflight.Group
 
 	// ctrl is the overload admission controller (nil when disabled). Its
 	// tier transitions also drive the peers' degraded mode.
@@ -469,8 +463,8 @@ func New(c Store, opts Options) *Server {
 		inner := cfg.OnTierChange
 		cfg.OnTierChange = func(tier int) {
 			// Leaving TierNormal flips the cluster into degraded mode:
-			// no hedging, halved retry budgets — a shedding node must
-			// not amplify its load onto peers.
+			// halved retry budgets — a shedding node must not amplify
+			// its load onto peers.
 			if s.peers != nil {
 				s.peers.SetDegraded(tier >= overload.TierStrained)
 			}
@@ -733,11 +727,11 @@ func (s *Server) handle(conn net.Conn) {
 		var batchErr error
 		for {
 			var n int
-			n, quit, batchErr = parseAhead(p, r, sc, maxBatch-batch)
+			n, quit, batchErr = parseAhead(p, sc, maxBatch-batch)
 			batch += n
 			s.serveChunk(sc, &served)
 			p.ReleaseChunk()
-			if quit || batchErr != nil || batch >= maxBatch || r.Buffered() == 0 {
+			if quit || batchErr != nil || batch >= maxBatch || !p.Ready() {
 				break
 			}
 			p.BeginChunk()
@@ -769,25 +763,31 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		}
-		if s.draining() && r.Buffered() == 0 {
+		if s.draining() && !p.Ready() {
 			return
 		}
 	}
 }
 
 // parseAhead appends to sc.chunk the requests the client has already sent:
-// while the read buffer holds more, up to budget commands, until a quit, and
+// while the parser is ready (proto.Parser.Ready), up to budget commands,
+// until a quit,
 // until the chunk holds maxRetainedScratch bytes of data blocks (a chunk's
-// buffers stay out of the pool until it is served). A malformed request
-// becomes an entry of its own; any other read error ends the parse and is
-// returned. It reports how many commands it parsed and whether the chunk
-// ends in a quit.
-func parseAhead(p *proto.Parser, r *bufio.Reader, sc *connScratch, budget int) (n int, quit bool, err error) {
+// buffers stay out of the pool until it is served), and before a command
+// not wholly buffered, unless it is the chunk's first: reading it would
+// refill the buffer the chunk's keys and blocks are views into. The next
+// chunk starts with that command. A malformed request becomes an entry of
+// its own; any other read error ends the parse and is returned. It reports
+// how many commands it parsed and whether the chunk ends in a quit.
+func parseAhead(p *proto.Parser, sc *connScratch, budget int) (n int, quit bool, err error) {
 	if k := len(sc.chunk); k > 0 && sc.chunk[k-1].cmd != nil {
 		quit = sc.chunk[k-1].cmd.Name == "quit"
 	}
-	for !quit && n < budget && r.Buffered() > 0 && p.ChunkData() < maxRetainedScratch {
+	for !quit && n < budget && p.Ready() && p.ChunkData() < maxRetainedScratch {
 		cmd, rerr := p.ReadCommand()
+		if rerr == proto.ErrUnbuffered {
+			break
+		}
 		if rerr != nil {
 			var ce *proto.ClientError
 			if errors.As(rerr, &ce) && !errors.Is(rerr, os.ErrDeadlineExceeded) {

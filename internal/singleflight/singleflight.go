@@ -1,8 +1,9 @@
 // Package singleflight suppresses duplicate concurrent work: when N callers
 // ask for the same key while one call is already in flight, the late callers
 // wait for the leader's result instead of repeating the work. This is the
-// thundering-herd guard on both miss-fill paths — N concurrent GET misses of
-// one key cost one backend fetch (or one peer forward), not N.
+// thundering-herd guard on the backend miss-fill path (backend.FetchSharedErr):
+// N concurrent GET misses of one key cost one backend fetch, not N — on the
+// owner too, when the misses arrive as forwarded reads from its peers.
 //
 // The design follows the well-known golang.org/x/sync/singleflight shape,
 // reimplemented here so the repository stays dependency-free. Results are

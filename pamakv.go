@@ -254,35 +254,30 @@ func NewRealTimeBackend(model PenaltyModel, sizer func(keyHash uint64) int, scal
 var ErrBackendUnavailable = backend.ErrUnavailable
 
 // Cluster tier: consistent-hash peer routing, pooled peer clients with
-// circuit breaking and penalty-aware hedged reads, and miss deduplication.
+// circuit breaking, and miss deduplication.
 type (
 	// ClusterPeers is one node's routing table: owner selection plus a
 	// pooled client per remote member (ServerOptions.Cluster).
 	ClusterPeers = cluster.Peers
 	// ClusterConfig describes a node's view of the cluster (self, member
-	// list, client tuning, hedge policy).
+	// list, client tuning).
 	ClusterConfig = cluster.Config
 	// ClusterClientOptions tune one peer's connection pool, timeouts,
 	// retries, and circuit breaker.
 	ClusterClientOptions = cluster.ClientOptions
 	// ClusterClientStats snapshot one peer client's counters.
 	ClusterClientStats = cluster.ClientStats
-	// HedgePolicy maps penalty subclasses to hedge delays for peer GETs.
-	HedgePolicy = cluster.HedgePolicy
 	// HotCacheStats snapshot a node's hot-item mini-cache of forwarded
 	// peer hits.
 	HotCacheStats = valuetable.Stats
 	// SingleflightGroup dedupes concurrent calls per key: one caller
-	// runs, the rest share its result.
+	// runs, the rest share its result. A backend's misses of one key go
+	// through one, so N concurrent misses cost one fetch.
 	SingleflightGroup = singleflight.Group
 )
 
 // NewClusterPeers validates cfg and builds a node's routing table.
 func NewClusterPeers(cfg ClusterConfig) (*ClusterPeers, error) { return cluster.New(cfg) }
-
-// DefaultHedgePolicy returns the penalty-aware hedge schedule: cheap keys
-// never hedge; expensive keys hedge after a few milliseconds.
-func DefaultHedgePolicy() HedgePolicy { return cluster.DefaultHedgePolicy() }
 
 // Overload control: penalty-aware admission, adaptive concurrency limiting,
 // and load shedding (ServerOptions.Overload).
