@@ -302,9 +302,8 @@ func TestServedPipelinedGetHitAllocs(t *testing.T) {
 // race detector too, where sync.Pool drops a quarter of its Puts: a data
 // block already in the read buffer draws no pooled buffer, and a batch
 // larger than the buffer draws one only for each block that straddles it,
-// since a chunk ends before such a block rather than evacuate its own. The
-// evicting gate's 73 KB batches read 0.00 allocations per store under
-// -race.
+// since a chunk ends before such a block. The evicting gate's 73 KB batches
+// read 0.00 allocations per store under -race.
 func servedBudget(want float64) float64 { return want + 0.1 }
 
 // servedBatchAllocs sends req, a pipelined batch of depth stores that each

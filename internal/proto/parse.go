@@ -37,8 +37,9 @@ import (
 //     insert, hot-cache fill) copies it; passing one to a map lookup,
 //     hash, or comparison is safe.
 //   - The caller reads the bufio.Reader only through the Parser while any
-//     Command is valid: a read of its own could refill the buffer under
-//     them.
+//     Command is valid, or while Ready reports a held store (its key, all
+//     that is kept of its line, views the buffer until the store is
+//     finished): a read of its own could refill the buffer under them.
 //
 // The allocating reference parser (ReadCommand in reference_test.go) is the
 // executable spec; the fuzz harness drives both over identical streams and
@@ -75,15 +76,17 @@ type Parser struct {
 
 	// next is a storage command whose line was parsed but whose data block
 	// was not wholly buffered when its chunk already held a command
-	// (hasNext): the next ReadCommand finishes it.
+	// (hasNext): the first ReadCommand after ReleaseChunk or BeginChunk
+	// finishes it.
 	next    Command
 	hasNext bool
 }
 
 // ErrUnbuffered reports that the next command is not wholly in the
 // reader's buffer while the open chunk holds a command: reading it would
-// refill the buffer the chunk's commands view. The chunk is complete; the
-// next ReadCommand returns that command.
+// refill the buffer the chunk's commands view. The chunk is complete: a
+// further ReadCommand inside it returns ErrUnbuffered again, and the first
+// after ReleaseChunk or BeginChunk returns that command.
 var ErrUnbuffered = errors.New("proto: next command not wholly buffered")
 
 // maxRetainedKeys caps the key buffer a released parser keeps for the next

@@ -280,8 +280,10 @@ func TestParserSetAllocs(t *testing.T) {
 }
 
 // TestParserChunkKeepsCommands: inside a chunk every command parsed so far
-// keeps its keys, data and fields while later ones are parsed — here across
-// growth of the key buffer (hundreds of keys) and of the command array.
+// keeps its keys, data and fields while later ones are parsed — here keys
+// and data blocks viewing one fully buffered stream while the command array
+// grows. Keys copied into a growing key buffer are covered by the tests of
+// spilled lines and straddling blocks.
 func TestParserChunkKeepsCommands(t *testing.T) {
 	var stream strings.Builder
 	var want []string

@@ -252,6 +252,40 @@ func TestBatchFlushesOnceAcrossPartialBlock(t *testing.T) {
 	}
 }
 
+// TestSplitBatchPrefetchesLoneChunks: a batch cut into two one-key chunks
+// where the read buffer ends — a SET whose data block arrives late — still
+// prefetches both keys, as the same burst arriving whole does, while a
+// lone-key batch prefetches nothing.
+func TestSplitBatchPrefetchesLoneChunks(t *testing.T) {
+	g, err := shard.New(defaultCfg(), 2, func() cache.Policy { return core.New(core.DefaultConfig()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &prefetchRecorder{Store: g}
+	srv := New(rec, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(srv.Shutdown)
+	cl := dial(t, ln.Addr().String())
+
+	cl.send(t, "get alone\r\n")
+	readUntil(t, cl, "END\r\n")
+	cl.send(t, "get absent\r\nset k 0 0 5\r\n")
+	time.Sleep(50 * time.Millisecond)
+	cl.send(t, "hello\r\n")
+	if got := readUntil(t, cl, "STORED\r\n"); got != "END\r\n" {
+		t.Fatalf("replies %q", got)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if got := strings.Join(rec.keys, " "); got != "absent k" {
+		t.Fatalf("prefetched %q, want %q", got, "absent k")
+	}
+}
+
 // converse sends burst in one write on a new connection and returns every
 // byte the server answers until it closes the connection (the burst's quit).
 func converse(t *testing.T, addr, burst string) []byte {

@@ -285,14 +285,10 @@ var (
 )
 
 // volatileValue reports whether a sample measures time, the Go runtime or
-// the process, and so is pinned by name and labels only. The prefetched-key
-// count is one too: a chunk ends before a store whose data block straddles
-// the read buffer, and whether that store's key is prefetched depends on
-// how much of the burst the kernel hands the refill (a lone key is not).
+// the process, and so is pinned by name and labels only.
 func volatileValue(name string) bool {
 	return strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_sum") ||
-		strings.HasPrefix(name, "pamakv_go_") || strings.HasPrefix(name, "pamakv_process_") ||
-		name == "pamakv_prefetch_keys_total"
+		strings.HasPrefix(name, "pamakv_go_") || strings.HasPrefix(name, "pamakv_process_")
 }
 
 // maskMetrics reduces a /metrics body to what must not change: every HELP

@@ -725,13 +725,14 @@ func (s *Server) handle(conn net.Conn) {
 		// arrival order.
 		var quit bool
 		var batchErr error
-		for {
+		for first := true; ; first = false {
 			var n int
 			n, quit, batchErr = parseAhead(p, sc, maxBatch-batch)
 			batch += n
-			s.serveChunk(sc, &served)
+			more := !quit && batchErr == nil && batch < maxBatch && p.Ready()
+			s.serveChunk(sc, &served, !first || more)
 			p.ReleaseChunk()
-			if quit || batchErr != nil || batch >= maxBatch || !p.Ready() {
+			if !more {
 				break
 			}
 			p.BeginChunk()
@@ -803,11 +804,12 @@ func parseAhead(p *proto.Parser, sc *connScratch, budget int) (n int, quit bool,
 	return n, quit, nil
 }
 
-// serveChunk routes and prefetches the keys of sc.chunk (routeChunk), then
-// serves its requests into sc.out in arrival order, each through serve as if
-// it had arrived alone, counting every command in its latency family.
-func (s *Server) serveChunk(sc *connScratch, served *[numFams]uint64) {
-	s.routeChunk(sc)
+// serveChunk routes and prefetches the keys of sc.chunk (routeChunk; split
+// reports that its batch spans more chunks than this one), then serves its
+// requests into sc.out in arrival order, each through serve as if it had
+// arrived alone, counting every command in its latency family.
+func (s *Server) serveChunk(sc *connScratch, served *[numFams]uint64, split bool) {
+	s.routeChunk(sc, split)
 	for _, e := range sc.chunk {
 		if e.cmd == nil {
 			atomic.AddUint64(&s.st.ClientErrors, 1)
@@ -830,10 +832,14 @@ func (s *Server) serveChunk(sc *connScratch, served *[numFams]uint64) {
 // a key or asks the ring (TestOneRoutePerKey). It then prefetches what the
 // chunk's commands are about to read: the keys this node serves through
 // Store.Prefetch, and the remote keys of plain gets through the hot cache,
-// each when there are two or more (a lone key has nothing to overlap with).
-// Membership control keys are neither stored nor routed (serve answers them
-// first), so they are not prefetched.
-func (s *Server) routeChunk(sc *connScratch) {
+// each when there are two or more (a lone key has nothing to overlap with),
+// or any when its batch spans more chunks (split): parseAhead also ends a
+// chunk where the read buffer ends, and a key that split leaves alone is
+// still part of a burst, prefetched whatever size of refill the kernel
+// handed over. Membership control keys are
+// neither stored nor routed (serve answers them first), so they are not
+// prefetched.
+func (s *Server) routeChunk(sc *connScratch, split bool) {
 	keys, routes, hot := sc.keys[:0], sc.routes[:0], sc.hotHs[:0]
 	var ring *cluster.Ring
 	var self string
@@ -866,10 +872,14 @@ func (s *Server) routeChunk(sc *connScratch) {
 			}
 		}
 	}
-	if len(keys) >= 2 {
+	least := 2
+	if split {
+		least = 1
+	}
+	if len(keys) >= least {
 		s.c.Prefetch(keys)
 	}
-	if len(hot) >= 2 {
+	if len(hot) >= least {
 		s.hot.PrefetchHashes(hot)
 	}
 	clear(keys) // they alias the parser's key buffer; do not pin it
