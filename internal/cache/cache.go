@@ -16,6 +16,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,7 +59,7 @@ type Config struct {
 	CacheBytes int64
 	// StoreValues keeps item bodies, in slab pages mapped outside the Go
 	// heap (values.go); off, the engine is a metadata-only simulator costing
-	// a few bytes per item and mapping nothing.
+	// its records and keys and mapping nothing.
 	StoreValues bool
 	// WindowLen is the value/statistics window in cache accesses
 	// (paper: windows are counted in accesses, not wall-clock).
@@ -73,9 +74,9 @@ type Config struct {
 	// response when its backend fails (GetStale; stale.go). Every engine
 	// of a node shares the one table. Requires StoreValues.
 	Stale *valuetable.Table
-	// Tenant is the id stamped on every item this engine stores (0 =
+	// Tenant is the id of the tenant whose items this engine stores (0 =
 	// default tenant). Under multi-tenant serving each tenant owns its own
-	// engine(s); the tag lets audits prove isolation (see tenant.go).
+	// engine(s); the tag lets audits prove isolation (tenant.CheckIsolation).
 	Tenant int32
 	// AccessBuffer is ignored: every GET hit applies its maintenance under
 	// the engine lock (DESIGN.md §15).
@@ -153,8 +154,9 @@ type Policy interface {
 	MakeRoom(class, sub int)
 	// OnHit reports a GET hit and the bottom segment it landed in
 	// (-1 when above the tracked region or tracking is off). An item handed
-	// to a hook is the engine's: with StoreValues its Key aliases its value
-	// slot, so a policy that keeps a key past the hook copies it.
+	// to a hook is the engine's record, valid under the engine lock: its Key
+	// aliases the engine's bytes, so a policy that keeps a key past the hook
+	// copies it.
 	OnHit(it *kv.Item, seg int)
 	// OnMiss reports a GET miss. class/sub locate the would-be home of
 	// the item (-1 when unknown). When the key was recently evicted,
@@ -221,6 +223,10 @@ type Cache struct {
 	geom   kv.Geometry
 	policy Policy
 	slabs  *slab.Manager
+	// recs holds the resident items' records; the index, the LRU stacks and
+	// the value pages name them by id. A metadata-only engine keeps each
+	// key there too (kv.Records.HoldKey).
+	recs   kv.Records
 	index  *hashtable.Table
 	ghosts ghostTable
 
@@ -244,7 +250,6 @@ type Cache struct {
 	moves    [][]uint64
 	evicts   []uint64
 	evictPen []float64
-	pool     []*kv.Item
 	// casCounter issues unique CAS tokens; incremented per store.
 	casCounter uint64
 
@@ -287,18 +292,22 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 		geom:   cfg.Geometry,
 		policy: pol,
 		slabs:  mgr,
-		index:  hashtable.New(1 << 12),
 		bounds: pol.SubclassBounds(),
 	}
 	nsub := len(c.bounds)
 	if nsub == 0 {
 		nsub = 1
 	}
+	if cfg.Geometry.NumClasses > math.MaxUint8+1 || nsub > math.MaxUint8+1 {
+		return nil, fmt.Errorf("cache: %d classes × %d subclasses overflow a record's 8-bit class and subclass",
+			cfg.Geometry.NumClasses, nsub)
+	}
 	if gseg := pol.GhostSegments(); gseg > 0 && (cfg.Geometry.NumClasses*nsub > 1<<16 || gseg >= 1<<16) {
 		return nil, fmt.Errorf("cache: %d classes × %d subclasses with %d ghost segments overflow a ghost's 16-bit tags",
 			cfg.Geometry.NumClasses, nsub, gseg)
 	}
-	c.classes = buildClasses(c.geom, nsub, pol.Segments(), pol.GhostSegments(), cfg.Tracker)
+	c.index = hashtable.New(&c.recs, 1<<12)
+	c.classes = buildClasses(&c.recs, c.geom, nsub, pol.Segments(), pol.GhostSegments(), cfg.Tracker)
 	c.resetAttribution(nsub)
 	c.holes = make([]int64, c.geom.NumClasses)
 	if cfg.StoreValues {
@@ -309,7 +318,7 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 }
 
 // buildClasses constructs the per-class subclass stacks for a geometry.
-func buildClasses(g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind) []class {
+func buildClasses(recs *kv.Records, g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind) []class {
 	classes := make([]class, g.NumClasses)
 	for ci := range classes {
 		cl := &classes[ci]
@@ -318,6 +327,7 @@ func buildClasses(g kv.Geometry, nsub, nseg, gseg int, tracker TrackerKind) []cl
 		cl.subs = make([]subclass, nsub)
 		for si := range cl.subs {
 			s := &cl.subs[si]
+			s.list = lru.New(recs)
 			if nseg > 0 {
 				switch tracker {
 				case TrackerBloom:
@@ -386,13 +396,13 @@ func (c *Cache) LookupHash(h uint64, key string, sizeHint int, penHint float64, 
 	defer c.mu.Unlock()
 	c.tick()
 	c.stats.Gets++
-	it := c.index.Get(h, key)
+	id, it := c.find(h, key)
 	if it != nil && !c.expired(it) {
 		c.stats.Hits++
 		if c.cfg.StoreValues {
-			buf = append(buf, it.Value...)
+			buf = append(buf, it.Value()...)
 		}
-		seg := c.touchResident(it)
+		seg := c.touchResident(id, it)
 		c.winReqs[it.Class]++
 		c.subHits[it.Class][it.Sub]++
 		c.policy.OnHit(it, seg)
@@ -400,7 +410,7 @@ func (c *Cache) LookupHash(h uint64, key string, sizeHint int, penHint float64, 
 	}
 	c.stats.Misses++
 	if it != nil {
-		c.reapLocked(it) // lazy expiry: the read that finds a dead item reaps it
+		c.reapLocked(id, it) // lazy expiry: the read that finds a dead item reaps it
 	}
 	gseg, gpen := -1, 0.0
 	clHint, subHint := -1, -1
@@ -424,25 +434,33 @@ func (c *Cache) LookupHash(h uint64, key string, sizeHint int, penHint float64, 
 	return buf, 0, 0, false
 }
 
-// liveLocked returns the resident, unexpired item holding key, or nil. An
-// expired find is reaped on the way, as in Memcached: into the stale buffer,
-// no ghost entry — the value is dead, not a victim of space pressure. Every
-// keyed operation finds its item here, so all agree on what is present.
-// Caller holds c.mu.
-func (c *Cache) liveLocked(h uint64, key string) *kv.Item {
-	it := c.index.Get(h, key)
-	if it != nil && c.expired(it) {
-		c.reapLocked(it)
-		return nil
+// find returns the resident item holding key and its id, or (0, nil).
+func (c *Cache) find(h uint64, key string) (uint32, *kv.Item) {
+	if id := c.index.Get(h, key); id != 0 {
+		return id, c.recs.At(id)
 	}
-	return it
+	return 0, nil
+}
+
+// liveLocked returns the resident, unexpired item holding key and its id, or
+// (0, nil). An expired find is reaped on the way, as in Memcached: into the
+// stale buffer, no ghost entry — the value is dead, not a victim of space
+// pressure. Every keyed operation finds its item here, so all agree on what
+// is present. Caller holds c.mu.
+func (c *Cache) liveLocked(h uint64, key string) (uint32, *kv.Item) {
+	id, it := c.find(h, key)
+	if it != nil && c.expired(it) {
+		c.reapLocked(id, it)
+		return 0, nil
+	}
+	return id, it
 }
 
 // reapLocked removes it, a resident found expired. Caller holds c.mu.
-func (c *Cache) reapLocked(it *kv.Item) {
+func (c *Cache) reapLocked(id uint32, it *kv.Item) {
 	c.pushStaleLocked(it)
-	c.unlinkResident(it)
-	c.release(it)
+	c.unlinkResident(id, it)
+	c.release(id, it)
 	c.stats.Expired++
 }
 
@@ -454,7 +472,8 @@ func (c *Cache) reapLocked(it *kv.Item) {
 // the call returns. With StoreValues the engine copies the key into the
 // item's value slot, ahead of the value, and charges the item at least their
 // combined length; a metadata-only engine keeps the key string it is handed
-// (simulators own their keys).
+// (simulators own their keys). A key longer than kv.MaxKeyLen is refused with
+// ErrTooLarge.
 func (c *Cache) Set(key string, size int, pen float64, flags uint32, value []byte) error {
 	return c.SetTTL(key, size, pen, flags, 0, value)
 }
@@ -490,29 +509,29 @@ func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags u
 		size = max(size, len(key)+len(value))
 	}
 	cl := c.geom.ClassFor(size)
-	if cl < 0 {
+	if cl < 0 || len(key) > kv.MaxKeyLen {
 		c.stats.TooLarge++
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, size)
+		return fmt.Errorf("%w: %d bytes, key %d", ErrTooLarge, size, len(key))
 	}
 	sub := c.subclassFor(pen)
-	it := c.index.Get(h, key)
+	id, it := c.find(h, key)
 	if it != nil && int(it.Class) == cl {
 		s := &c.classes[cl].subs[it.Sub]
 		if s.tr != nil {
-			s.tr.Remove(it)
+			s.tr.Remove(id)
 		}
-		s.list.Remove(it)
+		s.list.Remove(id)
 		c.holes[cl] -= int64(c.classes[cl].slot - int(it.Size))
 		c.polOnRemove(it)
 		c.stats.Overwrites++
 		if c.cfg.StoreValues {
-			it.Value = append(it.Value[:0], value...)
+			it.VLen = uint32(copy(it.Mem(c.classes[cl].slot)[it.KLen:], value))
 		}
 	} else {
 		if it != nil {
 			// The old incarnation lives in another class: free it.
-			c.unlinkResident(it)
-			c.release(it)
+			c.unlinkResident(id, it)
+			c.release(id, it)
 		} else {
 			// A refill supersedes any ghost memory or stale copy of the key.
 			c.dropGhost(h)
@@ -521,29 +540,30 @@ func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags u
 		if err := c.takeSlotLocked(cl, sub); err != nil {
 			return err
 		}
-		it = c.acquire()
-		it.Key, it.Hash = key, h
-		it.Tenant = c.cfg.Tenant
-		it.Class = int32(cl)
+		id, it = c.recs.New()
+		it.Hash = h
+		it.Class = uint8(cl)
 		if c.cfg.StoreValues {
 			// The key goes into the slot ahead of the value: the caller may
 			// reuse its bytes.
-			c.storeValue(it, cl, key, value)
+			c.storeValue(id, it, cl, key, value)
+		} else {
+			c.recs.HoldKey(id, key)
 		}
-		c.index.Insert(it)
+		c.index.Insert(id)
 	}
 	it.Size = int32(size)
 	it.Penalty = pen
 	it.Flags = flags
-	it.Sub = int32(sub)
-	it.ExpireAt = expireAt
+	it.Sub = uint8(sub)
+	it.ExpireAt = kv.Deadline(expireAt)
 	c.casCounter++
 	it.CAS = c.casCounter
 	c.holes[cl] += int64(c.classes[cl].slot - size)
 	s := &c.classes[cl].subs[sub]
-	s.list.PushFront(it)
+	s.list.PushFront(id)
 	if s.tr != nil {
-		s.tr.Insert(it)
+		s.tr.Insert(id)
 	}
 	c.policy.OnInsert(it)
 	return nil
@@ -585,13 +605,13 @@ func (c *Cache) DeleteHash(h uint64, key string) bool {
 	c.tick()
 	c.stats.Deletes++
 	c.dropGhost(h)
-	it := c.liveLocked(h, key)
+	id, it := c.liveLocked(h, key)
 	c.dropStaleLocked(h, key) // after the lookup: reaping an expired item leaves a stale copy
 	if it == nil {
 		return false
 	}
-	c.unlinkResident(it)
-	c.release(it)
+	c.unlinkResident(id, it)
+	c.release(id, it)
 	return true
 }
 
@@ -605,9 +625,10 @@ func (c *Cache) Flush() {
 		cl := &c.classes[ci]
 		for si := range cl.subs {
 			s := &cl.subs[si]
-			for it := s.list.Front(); it != nil; it = s.list.Front() {
-				c.unlinkResident(it)
-				c.release(it)
+			for id := s.list.Front(); id != 0; id = s.list.Front() {
+				it := c.recs.At(id)
+				c.unlinkResident(id, it)
+				c.release(id, it)
 			}
 			s.ghost.reset()
 		}
@@ -621,7 +642,7 @@ func (c *Cache) Flush() {
 func (c *Cache) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.index.Get(kv.HashString(key), key) != nil
+	return c.index.Get(kv.HashString(key), key) != 0
 }
 
 // ---- Policy-facing primitives ----
@@ -630,18 +651,18 @@ func (c *Cache) Contains(key string) bool {
 // EvictBottom evicts the LRU item of (class, sub) into its ghost region,
 // reporting success.
 func (c *Cache) EvictBottom(class, sub int) bool {
-	return c.evictBottomLocked(class, sub) != nil
+	return c.evictBottomLocked(class, sub)
 }
 
 // EvictKey evicts the resident item holding key with full eviction
 // bookkeeping (stale push, stats, OnEvict, ghost entry), reporting whether
 // an item was evicted.
 func (c *Cache) EvictKey(key string) bool {
-	it := c.index.Get(kv.HashString(key), key)
+	id, it := c.find(kv.HashString(key), key)
 	if it == nil {
 		return false
 	}
-	c.evictResidentLocked(it, &c.classes[it.Class].subs[it.Sub])
+	c.evictResidentLocked(id, it, &c.classes[it.Class].subs[it.Sub])
 	return true
 }
 
@@ -649,7 +670,7 @@ func (c *Cache) EvictKey(key string) bool {
 // hooks hold it; audits run at a quiescent point). The callback must not
 // mutate engine state and must not retain items.
 func (c *Cache) RangeItems(fn func(it *kv.Item) bool) {
-	c.index.Range(fn)
+	c.index.Range(func(_ uint32, it *kv.Item) bool { return fn(it) })
 }
 
 // MigrateSlab drains a slab out of (fromClass, fromSub) (drainSlabLocked),
@@ -681,7 +702,7 @@ func (c *Cache) MigrateSlab(fromClass, fromSub, toClass int) error {
 // drained here.
 func (c *Cache) drainSlabLocked(cl, sub int) error {
 	for spc := c.classes[cl].spc; c.slabs.FreeSlots(cl) < spc; {
-		if c.evictBottomLocked(cl, sub) == nil {
+		if !c.evictBottomLocked(cl, sub) {
 			if sub = c.largestSub(cl); sub < 0 {
 				return fmt.Errorf("cache: class %d cannot free a slab", cl)
 			}
@@ -729,9 +750,6 @@ func (c *Cache) UsedSlots(cl int) int { return c.slabs.Used(cl) }
 // SubLen returns the resident population of (class, sub).
 func (c *Cache) SubLen(class, sub int) int { return c.classes[class].subs[sub].list.Len() }
 
-// SubTail returns the LRU item of (class, sub), or nil (read-only peek).
-func (c *Cache) SubTail(class, sub int) *kv.Item { return c.classes[class].subs[sub].list.Back() }
-
 // Clock returns the access clock.
 func (c *Cache) Clock() uint64 { return c.clock }
 
@@ -743,6 +761,10 @@ func (c *Cache) WindowMisses(cl int) uint64 { return c.winMiss[cl] }
 
 // Geometry returns the class geometry.
 func (c *Cache) Geometry() kv.Geometry { return c.geom }
+
+// Tenant returns the id of the tenant whose items the engine stores
+// (Config.Tenant).
+func (c *Cache) Tenant() int32 { return c.cfg.Tenant }
 
 // PolicyName returns the attached policy's name.
 func (c *Cache) PolicyName() string { return c.policy.Name() }
@@ -814,7 +836,7 @@ func (c *Cache) CheckInvariants() error {
 		for si := range c.classes[ci].subs {
 			s := &c.classes[ci].subs[si]
 			n += s.list.Len()
-			s.list.AscendFromBack(func(it *kv.Item) bool {
+			s.list.AscendFromBack(func(_ uint32, it *kv.Item) bool {
 				holes += int64(c.geom.SlotSize(ci) - int(it.Size))
 				return true
 			})
@@ -841,8 +863,9 @@ func (c *Cache) CheckInvariants() error {
 	if err := c.checkValuesLocked(); err != nil {
 		return err
 	}
-	if total != c.index.Len() {
-		return fmt.Errorf("cache: lists hold %d items, index holds %d", total, c.index.Len())
+	if total != c.index.Len() || total != c.recs.Len() {
+		return fmt.Errorf("cache: lists hold %d items, index holds %d, %d records are in use",
+			total, c.index.Len(), c.recs.Len())
 	}
 	var evicts uint64
 	for _, n := range c.evicts {
@@ -859,9 +882,9 @@ func (c *Cache) CheckInvariants() error {
 	// resident and in the stale table at once.
 	var err error
 	if c.cfg.Stale != nil {
-		c.index.Range(func(it *kv.Item) bool {
-			if c.cfg.Stale.Contains(it.Hash, it.Key) {
-				err = fmt.Errorf("cache: %q is resident and also a stale entry", it.Key)
+		c.index.Range(func(_ uint32, it *kv.Item) bool {
+			if c.cfg.Stale.Contains(it.Hash, it.Key()) {
+				err = fmt.Errorf("cache: %q is resident and also a stale entry", it.Key())
 			}
 			return err == nil
 		})
@@ -879,8 +902,8 @@ func (c *Cache) checkGhostsLocked(r *ghostRegion, owner uint16) error {
 		return err
 	}
 	for i := r.newest; i != 0; i = c.ghosts.recs[i].older {
-		if it := c.index.Peek(c.ghosts.recs[i].hash); it != nil {
-			return fmt.Errorf("%q is resident and also a ghost", it.Key)
+		if id := c.index.Peek(c.ghosts.recs[i].hash); id != 0 {
+			return fmt.Errorf("%q is resident and also a ghost", c.recs.At(id).Key())
 		}
 	}
 	return nil
@@ -896,13 +919,14 @@ func (c *Cache) expired(it *kv.Item) bool {
 	if it.ExpireAt == 0 {
 		return false
 	}
+	at := int64(it.ExpireAt)
 	if now := c.cfg.Now; now != nil {
-		return it.ExpireAt <= now()
+		return at <= now()
 	}
 	if cached := c.nowCache.Load(); cached != 0 {
-		return it.ExpireAt <= cached
+		return at <= cached
 	}
-	return it.ExpireAt <= time.Now().Unix()
+	return at <= time.Now().Unix()
 }
 
 func (c *Cache) subclassFor(pen float64) int {
@@ -942,25 +966,25 @@ func (c *Cache) tick() {
 
 // touchResident moves a hit item to its stack's MRU end and returns the
 // tracked segment it was found in (-1 when untracked).
-func (c *Cache) touchResident(it *kv.Item) int {
+func (c *Cache) touchResident(id uint32, it *kv.Item) int {
 	s := &c.classes[it.Class].subs[it.Sub]
 	if s.tr != nil {
-		return s.tr.Touch(it)
+		return s.tr.Touch(id)
 	}
-	s.list.MoveToFront(it)
+	s.list.MoveToFront(id)
 	return -1
 }
 
 // unlinkResident detaches a resident item from list, tracker, index, and
 // slot accounting, without ghost bookkeeping, and notifies a RemovalObserver
 // policy.
-func (c *Cache) unlinkResident(it *kv.Item) {
+func (c *Cache) unlinkResident(id uint32, it *kv.Item) {
 	s := &c.classes[it.Class].subs[it.Sub]
 	if s.tr != nil {
-		s.tr.Remove(it)
+		s.tr.Remove(id)
 	}
-	s.list.Remove(it)
-	c.index.Remove(it)
+	s.list.Remove(id)
+	c.index.Remove(id)
 	_ = c.slabs.FreeSlot(int(it.Class))
 	c.holes[it.Class] -= int64(c.classes[it.Class].slot - int(it.Size))
 	c.polOnRemove(it)
@@ -972,33 +996,35 @@ func (c *Cache) polOnRemove(it *kv.Item) {
 	}
 }
 
-func (c *Cache) evictBottomLocked(class, sub int) *kv.Item {
+// evictBottomLocked evicts the LRU item of (class, sub), reporting whether
+// the stack held one.
+func (c *Cache) evictBottomLocked(class, sub int) bool {
 	s := &c.classes[class].subs[sub]
-	it := s.list.Back()
-	if it == nil {
-		return nil
+	id := s.list.Back()
+	if id == 0 {
+		return false
 	}
-	c.evictResidentLocked(it, s)
-	return it
+	c.evictResidentLocked(id, c.recs.At(id), s)
+	return true
 }
 
 // evictResidentLocked performs full eviction bookkeeping for a resident:
 // stale push, unlink, stats, policy notification, ghost entry. It is the one
 // place an item is evicted, so its counts hold for every policy.
-func (c *Cache) evictResidentLocked(it *kv.Item, s *subclass) {
+func (c *Cache) evictResidentLocked(id uint32, it *kv.Item, s *subclass) {
 	c.pushStaleLocked(it)
 	if s.tr != nil {
-		s.tr.Remove(it)
+		s.tr.Remove(id)
 	}
-	s.list.Remove(it)
-	c.index.Remove(it)
+	s.list.Remove(id)
+	c.index.Remove(id)
 	_ = c.slabs.FreeSlot(int(it.Class))
 	c.holes[it.Class] -= int64(c.geom.SlotSize(int(it.Class)) - int(it.Size))
 	c.stats.Evictions++
 	c.evicts[it.Sub]++
 	c.evictPen[it.Sub] += it.Penalty
 	c.policy.OnEvict(it)
-	c.pushGhost(it)
+	c.pushGhost(id, it)
 }
 
 func (c *Cache) evictOneInClassLocked(class int) bool {
@@ -1006,7 +1032,7 @@ func (c *Cache) evictOneInClassLocked(class int) bool {
 	if sub < 0 {
 		return false
 	}
-	return c.evictBottomLocked(class, sub) != nil
+	return c.evictBottomLocked(class, sub)
 }
 
 func (c *Cache) largestSub(class int) int {
@@ -1021,12 +1047,12 @@ func (c *Cache) largestSub(class int) int {
 
 // pushGhost remembers an evicted item's hash and penalty in its subclass's
 // ghost region, when the policy keeps one, and releases the item.
-func (c *Cache) pushGhost(it *kv.Item) {
+func (c *Cache) pushGhost(id uint32, it *kv.Item) {
 	if s := &c.classes[it.Class].subs[it.Sub]; s.ghost.cap > 0 {
 		// It was resident until now, so its key has no ghost to replace.
 		c.ghosts.push(&s.ghost, c.ownerOf(int(it.Class), int(it.Sub)), it.Hash, it.Penalty)
 	}
-	c.release(it)
+	c.release(id, it)
 }
 
 // dropGhost forgets the ghost of hash h, if there is one.
@@ -1045,22 +1071,9 @@ func (c *Cache) subOf(owner uint16) (cl, sub int) {
 	return int(owner) / n, int(owner) % n
 }
 
-func (c *Cache) acquire() *kv.Item {
-	if n := len(c.pool); n > 0 {
-		it := c.pool[n-1]
-		c.pool = c.pool[:n-1]
-		return it
-	}
-	return &kv.Item{}
-}
-
-// release returns a detached resident item to the pool and its value slot to
-// the class's free stack.
-func (c *Cache) release(it *kv.Item) {
+// release returns a detached resident's value slot to its class's free stack
+// and its record to the store.
+func (c *Cache) release(id uint32, it *kv.Item) {
 	c.releaseValue(it)
-	if len(c.pool) >= 8192 {
-		return
-	}
-	it.Reset()
-	c.pool = append(c.pool, it)
+	c.recs.Free(id)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +46,13 @@ func (n *nullPolicy) OnEvict(*kv.Item)  { n.evicts++ }
 func (n *nullPolicy) OnWindow()         { n.windows++ }
 
 // smallGeom: 4 KiB slabs, classes 64/128/256/512 B.
+// record returns key's resident record, or nil, touching no engine state.
+// Callers hold c.mu or run at a quiescent point.
+func (c *Cache) record(key string) *kv.Item {
+	_, it := c.find(kv.HashString(key), key)
+	return it
+}
+
 func smallGeom() kv.Geometry { return kv.Geometry{SlabSize: 4096, Base: 64, NumClasses: 4} }
 
 func newTestCache(t *testing.T, slabs int, pol Policy) *Cache {
@@ -76,6 +84,21 @@ func TestNewDefaults(t *testing.T) {
 func TestNewRejectsTinyCache(t *testing.T) {
 	if _, err := New(Config{Geometry: smallGeom(), CacheBytes: 100}, &nullPolicy{}); err == nil {
 		t.Fatal("cache smaller than one slab accepted")
+	}
+	// A record's class and subclass are 8 bits.
+	slots := make([]int, 257)
+	for i := range slots {
+		slots[i] = 64 + 8*i
+	}
+	g, err := kv.NewTableGeometry(1<<20, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Geometry: g, CacheBytes: 1 << 20}, &nullPolicy{}); err == nil {
+		t.Fatal("257 classes accepted")
+	}
+	if _, err := New(Config{Geometry: smallGeom(), CacheBytes: 4096}, &nullPolicy{bounds: make([]float64, 257)}); err == nil {
+		t.Fatal("257 subclasses accepted")
 	}
 }
 
@@ -127,6 +150,15 @@ func TestSetTooLarge(t *testing.T) {
 	}
 	if c.Stats().TooLarge != 1 {
 		t.Fatal("TooLarge not counted")
+	}
+	// A record's key length is 16 bits: a longer key is refused whatever
+	// its size.
+	long := strings.Repeat("k", kv.MaxKeyLen+1)
+	if err := c.Set(long, 100, 0.1, 0, nil); !errors.Is(err, ErrTooLarge) || c.Contains(long) {
+		t.Fatalf("a %d-byte key: err = %v, want ErrTooLarge and nothing stored", len(long), err)
+	}
+	if err := c.Set(long[1:], 100, 0.1, 0, nil); err != nil || !c.Contains(long[1:]) {
+		t.Fatalf("a %d-byte key: err = %v, want it stored", kv.MaxKeyLen, err)
 	}
 }
 

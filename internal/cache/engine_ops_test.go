@@ -12,9 +12,11 @@ package cache_test
 // read path; the second run shows the field changes nothing.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pamakv/internal/cache"
@@ -302,7 +304,9 @@ var fuzzKeys = func() []string {
 // four-slab engine — small enough that a few dozen bytes reach eviction, ghost
 // hits, expiry and slab migration — under PAMA and PSA, with prefetches of the
 // keys in between. Nothing may panic, and the accounting, segment tags and
-// boundaries included, must hold after every operation.
+// boundaries included, must hold after every operation. Every value is its
+// key's tag byte repeated (or digits, after a Delta), so a record id reused,
+// or a slot compacted, under the wrong key reads back another key's bytes.
 func FuzzEngineOps(f *testing.F) {
 	// Fill a class to twice its capacity, then read every key back as gets:
 	// the sequence that killed the server.
@@ -340,7 +344,7 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 		key := fuzzKeys[ops[1]%16]
 		arg := int(ops[2])
 		size := 1 + arg*2 // up to 511: every class
-		val := make([]byte, size)
+		val := bytes.Repeat([]byte{fuzzTag(key)}, size)
 		pen := pens[arg%len(pens)]
 		var ttl int64
 		if arg%5 == 0 {
@@ -383,5 +387,16 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("%s after op %d: %v", kind, ops[0]%16, err)
 		}
+		seen := map[uint32]bool{}
+		cache.RangeRecords(c, func(id uint32, key string, value []byte) {
+			tag := fuzzTag(key)
+			if seen[id] || slices.ContainsFunc(value, func(b byte) bool { return b != tag && (b < '0' || b > '9') }) {
+				t.Fatalf("%s after op %d: record %d holds %q with value %q", kind, ops[0]%16, id, key, value)
+			}
+			seen[id] = true
+		})
 	}
 }
+
+// fuzzTag is the byte every value FuzzEngineOps stores under key repeats.
+func fuzzTag(key string) byte { return byte('A' + slices.Index(fuzzKeys, key)) }

@@ -66,6 +66,9 @@ type Introspection struct {
 	// heap: slabs owned times the slab size.
 	FreeValueBuffers []int `json:"free_value_buffers" prom:"pamakv_free_value_buffers,sparse" help:"Free value slots stacked on the pages each size class owns." label:"class"`
 	ValueSlabBytes   int64 `json:"value_slab_bytes" prom:"pamakv_value_slab_bytes" help:"Slab pages mapped for values, outside the Go heap."`
+	// RecordBytes is the Go heap the items' records take: the chunks of
+	// kv.ChunkLen 64-byte records the engine has allocated, in use or free.
+	RecordBytes int64 `json:"record_bytes" prom:"pamakv_record_bytes" help:"Go heap held by the chunks of 64-byte item records."`
 	// GhostEntries is the ghosts the ghost regions hold and GhostBytes the
 	// Go heap their records and index take (ghost.go), so the rest of the
 	// heap can be put down to the resident items and their index.
@@ -131,6 +134,7 @@ func (c *Cache) Introspect() Introspection {
 		BytesHoles:       append([]int64(nil), c.holes...),
 		GhostEntries:     c.ghosts.n,
 		GhostBytes:       c.ghosts.bytes(),
+		RecordBytes:      c.recs.Bytes(),
 		Items:            c.index.Len(),
 		Stats:            c.stats,
 	}

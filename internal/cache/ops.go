@@ -64,7 +64,7 @@ func (c *Cache) SetModeHash(h uint64, key string, mode SetMode, cas uint64, size
 	if mode == ModeSet {
 		return c.setLocked(h, key, size, pen, flags, expireAt, value)
 	}
-	it := c.liveLocked(h, key)
+	_, it := c.liveLocked(h, key)
 	switch {
 	case mode == ModeAdd && it != nil:
 		return errKeyExists
@@ -79,7 +79,7 @@ func (c *Cache) SetModeHash(h uint64, key string, mode SetMode, cas uint64, size
 		if mode == ModeAppend {
 			head, tail = nil, value
 		}
-		inPlace, err := c.rewriteLocked(it, key, head, it.Value, tail)
+		inPlace, err := c.rewriteLocked(it, key, head, it.Value(), tail)
 		if inPlace {
 			c.stats.Overwrites++
 		}
@@ -100,8 +100,8 @@ func (c *Cache) CASOf(key string, flags uint32, value []byte) uint64 {
 func (c *Cache) CASOfHash(h uint64, key string, flags uint32, value []byte) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it := c.index.Get(h, key)
-	if it == nil || c.expired(it) || it.Flags != flags || !bytes.Equal(it.Value, value) {
+	_, it := c.find(h, key)
+	if it == nil || c.expired(it) || it.Flags != flags || !bytes.Equal(it.Value(), value) {
 		return 0
 	}
 	return it.CAS
@@ -118,11 +118,11 @@ func (c *Cache) TouchHash(h uint64, key string, expireAt int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick()
-	it := c.liveLocked(h, key)
+	_, it := c.liveLocked(h, key)
 	if it == nil {
 		return false
 	}
-	it.ExpireAt = expireAt
+	it.ExpireAt = kv.Deadline(expireAt)
 	return true
 }
 
@@ -151,13 +151,13 @@ func (c *Cache) ScanKeys(fn func(key string, pen float64, size int, expireAt int
 	}
 	c.mu.Lock()
 	snap := make([]entry, 0, 1024)
-	c.index.Range(func(it *kv.Item) bool {
+	c.index.Range(func(_ uint32, it *kv.Item) bool {
 		if !c.expired(it) {
-			key := it.Key
+			key := it.Key()
 			if c.arena != nil {
 				key = strings.Clone(key)
 			}
-			snap = append(snap, entry{key, it.Penalty, int(it.Size), it.ExpireAt})
+			snap = append(snap, entry{key, it.Penalty, int(it.Size), int64(it.ExpireAt)})
 		}
 		return true
 	})
@@ -182,11 +182,11 @@ func (c *Cache) DeltaHash(h uint64, key string, delta uint64, decr bool) (uint64
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick()
-	it := c.liveLocked(h, key)
+	_, it := c.liveLocked(h, key)
 	if it == nil {
 		return 0, ErrNotStored
 	}
-	cur, ok := parseUintValue(it.Value)
+	cur, ok := parseUintValue(it.Value())
 	if !ok {
 		return 0, ErrNotNumeric
 	}
@@ -214,18 +214,18 @@ func (c *Cache) DeltaHash(h uint64, key string, delta uint64, decr bool) (uint64
 // class. Either way the item gets a new CAS token. Caller holds c.mu.
 func (c *Cache) rewriteLocked(it *kv.Item, key string, head, mid, tail []byte) (inPlace bool, err error) {
 	n := len(head) + len(mid) + len(tail)
-	size := int(it.Size) + n - len(it.Value)
+	size := int(it.Size) + n - int(it.VLen)
 	if size > c.classes[it.Class].slot {
 		// Built apart: the store frees the old slot before it copies.
 		v := append(append(append(make([]byte, 0, n), head...), mid...), tail...)
-		return false, c.storeLocked(it.Hash, key, size, it.Penalty, it.Flags, it.ExpireAt, v)
+		return false, c.storeLocked(it.Hash, key, size, it.Penalty, it.Flags, int64(it.ExpireAt), v)
 	}
 	if c.cfg.StoreValues {
-		v := it.Value[:n]
+		v := it.Mem(c.classes[it.Class].slot)[it.KLen:][:n]
 		copy(v[len(head):], mid) // a shift within the slot when mid is the value
 		copy(v, head)
 		copy(v[len(head)+len(mid):], tail)
-		it.Value = v
+		it.VLen = uint32(n)
 	}
 	c.holes[it.Class] -= int64(size - int(it.Size))
 	it.Size = int32(size)

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"pamakv/internal/kv"
 	"pamakv/internal/valuetable"
 )
 
@@ -258,8 +257,8 @@ func TestConcatKeepsFlagsAndExpiry(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		it := c.index.Get(kv.HashString("k"), "k")
-		if it == nil || string(it.Value) != want || it.Flags != 7 || it.ExpireAt != now+2 || int(it.Class) != class {
+		it := c.record("k")
+		if it == nil || string(it.Value()) != want || it.Flags != 7 || int64(it.ExpireAt) != now+2 || int(it.Class) != class {
 			t.Fatalf("%s: k = %+v, want %q with flags 7, expiry %d, in class %d", step, it, want, now+2, class)
 		}
 		if it.CAS == token {

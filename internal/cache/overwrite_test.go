@@ -104,7 +104,7 @@ func (m *owModel) forget(key string) {
 func (m *owModel) peek(key string) (it *kv.Item, cas uint64) {
 	m.c.mu.Lock()
 	defer m.c.mu.Unlock()
-	if it = m.c.index.Get(kv.HashString(key), key); it != nil {
+	if it = m.c.record(key); it != nil {
 		return it, it.CAS
 	}
 	return nil, 0
@@ -135,10 +135,10 @@ func (m *owModel) verify() {
 		for si := range c.classes[ci].subs {
 			want := m.stacks[ci][si]
 			i := len(want)
-			c.classes[ci].subs[si].list.AscendFromBack(func(it *kv.Item) bool {
+			c.classes[ci].subs[si].list.AscendFromBack(func(_ uint32, it *kv.Item) bool {
 				i--
-				if i < 0 || want[i] != it.Key {
-					m.fatalf("stack (%d,%d): engine holds %q at %d from the top, model %v", ci, si, it.Key, i, want)
+				if i < 0 || want[i] != it.Key() {
+					m.fatalf("stack (%d,%d): engine holds %q at %d from the top, model %v", ci, si, it.Key(), i, want)
 				}
 				return true
 			})

@@ -13,8 +13,8 @@ const PrefetchWindow = 64
 const prefetchLines = 4
 
 // Prefetch loads the memory that serving keys is about to read: each key's
-// index probe run, the item its hash finds, the lines of that item's key and
-// value (up to prefetchLines each), and its LRU neighbours. A server calls
+// index probe run, the record its hash finds, the lines of that item's key and
+// value (up to prefetchLines each), and its LRU neighbours' records. A server calls
 // it with the keys of a pipelined burst it has parsed but not yet served, so
 // the cache misses of all of them overlap instead of being paid one command
 // at a time (DESIGN.md §10). It changes nothing a later operation can see: no clock tick, no LRU
@@ -44,29 +44,29 @@ func (c *Cache) PrefetchHashes(hs []uint64) {
 	for len(hs) > 0 {
 		w := hs[:min(len(hs), len(its))]
 		hs = hs[len(w):]
-		// 1. The slots: each key's probe run, and the item its hash finds.
+		// 1. The slots: each key's probe run, and the record its hash finds.
 		n := 0
 		for _, h := range w {
-			if it := c.index.Peek(h); it != nil {
-				its[n] = it
+			if id := c.index.Peek(h); id != 0 {
+				its[n] = c.recs.At(id)
 				n++
 			}
 		}
-		// 2. The items, and behind them the bytes a key compare and a
+		// 2. The records, and behind them the bytes a key compare and a
 		// value copy (or overwrite) read: every line of the key and of
 		// the value, up to prefetchLines of each.
 		for _, it := range its[:n] {
-			sink += touchLines(it.Key)
-			sink += touchLines(it.Value)
+			sink += touchLines(it.Key())
+			sink += touchLines(it.Value())
 		}
 		// 3. The LRU neighbours a hit's move to the front, or an
 		// overwrite's unlink, writes.
 		for _, it := range its[:n] {
-			if p := it.Prev; p != nil && p.Next == it {
-				sink++
+			if p := it.Prev; p != 0 {
+				sink += uint64(c.recs.At(p).Next)
 			}
-			if nx := it.Next; nx != nil && nx.Prev == it {
-				sink++
+			if nx := it.Next; nx != 0 {
+				sink += uint64(c.recs.At(nx).Prev)
 			}
 		}
 		c.stats.Prefetched += uint64(len(w))

@@ -136,15 +136,20 @@ func twinDiff(a, b *opsEngine) string {
 	return ""
 }
 
-// stackOf lists the items of one stack from LRU to MRU, every field but the
-// links, values included.
-func stackOf(e *opsEngine, class, sub int) []kv.Item {
-	var out []kv.Item
-	for it := e.SubTail(class, sub); it != nil; it = it.Prev {
-		c := *it
-		c.Prev, c.Next = nil, nil
-		c.Value = append([]byte(nil), it.Value...)
-		out = append(out, c)
+// stackEntry is one item of a stack as two engines can agree on it: its
+// record but for the links and the slot's address, its key and its value.
+type stackEntry struct {
+	rec        kv.Item
+	key, value string
+}
+
+// stackOf lists the items of one stack from LRU to MRU.
+func stackOf(e *opsEngine, class, sub int) []stackEntry {
+	var out []stackEntry
+	for _, it := range cache.StackOf(e.Cache, class, sub) {
+		rec := *it
+		rec.Prev, rec.Next, rec.Slot = 0, 0, 0
+		out = append(out, stackEntry{rec, it.Key(), string(it.Value())})
 	}
 	return out
 }

@@ -62,10 +62,10 @@ func WriteSnapshot(w io.Writer, engines []*Cache) error {
 		return err
 	}
 	write := func(it *kv.Item) error {
-		if err := writeU64(uint64(len(it.Key))); err != nil {
+		if err := writeU64(uint64(it.KLen)); err != nil {
 			return err
 		}
-		if _, err := bw.WriteString(it.Key); err != nil {
+		if _, err := bw.WriteString(it.Key()); err != nil {
 			return err
 		}
 		if err := writeU64(uint64(it.Size)); err != nil {
@@ -80,10 +80,10 @@ func WriteSnapshot(w io.Writer, engines []*Cache) error {
 		if err := writeU64(binaryFloat(it.Penalty)); err != nil {
 			return err
 		}
-		if err := writeU64(uint64(len(it.Value))); err != nil {
+		if err := writeU64(uint64(it.VLen)); err != nil {
 			return err
 		}
-		_, err := bw.Write(it.Value)
+		_, err := bw.Write(it.Value())
 		return err
 	}
 	// LRU-first within each stack; stacks are interleaved class by class,
@@ -92,7 +92,7 @@ func WriteSnapshot(w io.Writer, engines []*Cache) error {
 		for ci := range c.classes {
 			for si := range c.classes[ci].subs {
 				var err error
-				c.classes[ci].subs[si].list.AscendFromBack(func(it *kv.Item) bool {
+				c.classes[ci].subs[si].list.AscendFromBack(func(_ uint32, it *kv.Item) bool {
 					err = write(it)
 					return err == nil
 				})

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"pamakv/internal/kv"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -195,17 +193,23 @@ func TestLoadSnapshotGoldenBytes(t *testing.T) {
 	if err := dst.LoadSnapshot(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []kv.Item{
-		{Key: "alpha", Size: 21, Flags: 7, Penalty: 0.02, Value: []byte("first-value")},
-		{Key: "beta", Size: 200, ExpireAt: 4102444800, Penalty: 8.5, Value: []byte("second")},
-		{Key: "gamma", Size: 70, Flags: 1, Penalty: 0.5, Value: []byte("third")},
+	for _, want := range []struct {
+		key           string
+		size          int32
+		flags, expire uint32
+		pen           float64
+		value         string
+	}{
+		{key: "alpha", size: 21, flags: 7, pen: 0.02, value: "first-value"},
+		{key: "beta", size: 200, expire: 4102444800, pen: 8.5, value: "second"},
+		{key: "gamma", size: 70, flags: 1, pen: 0.5, value: "third"},
 	} {
 		dst.mu.Lock()
-		it := dst.index.Get(kv.HashString(want.Key), want.Key)
+		it := dst.record(want.key)
 		dst.mu.Unlock()
-		if it == nil || it.Size != want.Size || it.Flags != want.Flags || it.ExpireAt != want.ExpireAt ||
-			it.Penalty != want.Penalty || !bytes.Equal(it.Value, want.Value) {
-			t.Fatalf("%s restored as %+v, want %+v", want.Key, it, want)
+		if it == nil || it.Size != want.size || it.Flags != want.flags || it.ExpireAt != want.expire ||
+			it.Penalty != want.pen || string(it.Value()) != want.value {
+			t.Fatalf("%s restored as %+v, want %+v", want.key, it, want)
 		}
 	}
 	if err := dst.CheckInvariants(); err != nil {

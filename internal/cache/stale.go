@@ -19,8 +19,8 @@ import (
 // pushStaleLocked copies a dying item's key, flags and value into the
 // table. No-op without a table or when the item carries no bytes.
 func (c *Cache) pushStaleLocked(it *kv.Item) {
-	if c.cfg.Stale != nil && len(it.Value) > 0 {
-		c.cfg.Stale.PutHash(it.Hash, it.Key, it.Flags, it.Value)
+	if c.cfg.Stale != nil && it.VLen > 0 {
+		c.cfg.Stale.PutHash(it.Hash, it.Key(), it.Flags, it.Value())
 	}
 }
 
@@ -50,8 +50,8 @@ func (c *Cache) GetStaleHash(h uint64, key string, buf []byte) (val []byte, flag
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if it := c.index.Get(h, key); it != nil {
-		val, flags, ok = append(buf, it.Value...), it.Flags, true
+	if _, it := c.find(h, key); it != nil {
+		val, flags, ok = append(buf, it.Value()...), it.Flags, true
 	} else {
 		val, flags, ok = c.cfg.Stale.GetHash(h, key, buf)
 	}

@@ -15,11 +15,11 @@ import (
 // (pages_unix.go; a heap []byte where the platform has no mmap), faulted in as
 // it is written and carved into slots of the class's size when the class is
 // granted it. A resident item owns one slot: its key at the head, its value
-// right after, and Key and Value alias those bytes (Value's capacity runs to
-// the slot's end). The collector neither scans nor frees them, so its
-// headroom no longer doubles the cache, an inserting store allocates nothing,
-// and the value memory of an engine is exactly the pages slab.Manager says its
-// classes own.
+// right after; the item's record holds the slot's address (kv.Item.Slot) and
+// the two lengths, and Key and Value alias those bytes. The collector neither
+// scans nor frees them, so its headroom no longer doubles the cache, an
+// inserting store allocates nothing, and the value memory of an engine is
+// exactly the pages slab.Manager says its classes own.
 //
 // Pages follow the slab accounting:
 //
@@ -29,7 +29,7 @@ import (
 //   - A slab leaving a class (MigrateSlab, DonateSlab) is a page leaving it.
 //     Once the donor's evictions have freed a slab's worth of slots, compact
 //     takes the page with the fewest residents, copies their keys and values
-//     into free slots on the class's other pages and repoints Key and Value.
+//     into free slots on the class's other pages and repoints their records.
 //     Every reader copies a value, and every holder of a key that outlives
 //     the lock (ScanKeys, the stale buffer, a policy's mirror) copies the key,
 //     under the engine lock, so nothing outside the engine still holds the
@@ -38,17 +38,17 @@ import (
 //
 // storeValue and releaseValue are the only places a slot changes hands;
 // besides them only compact and the in-place rewrites of setLocked and
-// rewriteLocked (after the key, within the slot) write Item.Value. The race
+// rewriteLocked (after the key, within the slot) write a value. The race
 // detector cannot see these pages, so its build poisons every slot an item
 // leaves with 0xDB.
 
 // page is one slab of value memory and the slots its class carved from it.
 type page struct {
 	mem   []byte
-	base  uintptr    // the address of mem, by which a class orders its pages
-	owner []*kv.Item // the resident in each slot; nil while the slot is free
-	used  int        // slots with an owner
-	id    uint32     // index in arena.pages: the high half of a slot ref
+	base  uintptr  // the address of mem, by which a class orders its pages
+	owner []uint32 // the resident's record id in each slot; 0 while the slot is free
+	used  int      // slots with an owner
+	id    uint32   // index in arena.pages: the high half of a slot ref
 }
 
 // arena maps an engine's pages and unmaps them. It is an object of its own so
@@ -99,15 +99,6 @@ func (a *arena) unmapAll() {
 // slotRef names slot i of page p on a free stack.
 func slotRef(p *page, i int) uint64 { return uint64(p.id)<<32 | uint64(i) }
 
-// slotAt returns the address of the slot item it owns: its key's, which heads
-// the slot, or a key-less item's value's.
-func slotAt(it *kv.Item) uintptr {
-	if it.Key != "" {
-		return uintptr(unsafe.Pointer(unsafe.StringData(it.Key)))
-	}
-	return uintptr(unsafe.Pointer(unsafe.SliceData(it.Value)))
-}
-
 // slotOf returns the page of class k that holds the slot at address a, and
 // the slot's index on it.
 func (k *class) slotOf(a uintptr) (*page, int) {
@@ -135,7 +126,7 @@ func (c *Cache) grantPage(cl int) {
 func (c *Cache) carve(cl int, p *page) {
 	k := &c.classes[cl]
 	if cap(p.owner) < k.spc {
-		p.owner = make([]*kv.Item, k.spc)
+		p.owner = make([]uint32, k.spc)
 	}
 	p.owner = p.owner[:k.spc]
 	at, _ := slices.BinarySearchFunc(k.pages, p.base, func(q *page, b uintptr) int { return cmp.Compare(q.base, b) })
@@ -146,34 +137,35 @@ func (c *Cache) carve(cl int, p *page) {
 }
 
 // storeValue copies key and then value into the slot on top of class cl's
-// free stack, hands the slot to it and points its Key and Value at the copies.
+// free stack, hands the slot to item id and points its record at the copies.
 // The caller has already taken the slot in the slab accounting, and key and
 // value fit the slot together.
-func (c *Cache) storeValue(it *kv.Item, cl int, key string, value []byte) {
+func (c *Cache) storeValue(id uint32, it *kv.Item, cl int, key string, value []byte) {
 	k := &c.classes[cl]
 	n := len(k.vfree) - 1
 	r := k.vfree[n]
 	k.vfree = k.vfree[:n]
 	p, i := c.arena.pages[r>>32], int(uint32(r))
-	p.owner[i] = it
+	p.owner[i] = id
 	p.used++
-	slot := p.mem[i*k.slot : (i+1)*k.slot : (i+1)*k.slot]
+	slot := p.mem[i*k.slot : (i+1)*k.slot]
 	kn := copy(slot, key)
-	it.Key = unsafe.String(unsafe.SliceData(slot), kn)
-	it.Value = append(slot[kn:kn], value...)
+	it.Slot = uintptr(unsafe.Pointer(unsafe.SliceData(slot)))
+	it.KLen = uint16(kn)
+	it.VLen = uint32(copy(slot[kn:], value))
 }
 
 // releaseValue detaches the item's key and value and pushes their slot onto
 // the class's free stack. The caller has already freed the slot in the slab
 // accounting.
 func (c *Cache) releaseValue(it *kv.Item) {
-	if it.Value == nil {
+	if c.arena == nil {
 		return
 	}
 	k := &c.classes[it.Class]
-	p, i := k.slotOf(slotAt(it))
-	it.Key, it.Value = "", nil
-	p.owner[i] = nil
+	p, i := k.slotOf(it.Slot)
+	it.Slot, it.KLen, it.VLen = 0, 0, 0
+	p.owner[i] = 0
 	p.used--
 	poison(p.mem[i*k.slot : (i+1)*k.slot])
 	k.vfree = append(k.vfree, slotRef(p, i))
@@ -196,12 +188,13 @@ func (c *Cache) compact(cl int) *page {
 	donor := k.pages[at]
 	k.pages = slices.Delete(k.pages, at, at+1)
 	k.vfree = slices.DeleteFunc(k.vfree, func(r uint64) bool { return uint32(r>>32) == donor.id })
-	for i, it := range donor.owner {
-		if it == nil {
+	for i, id := range donor.owner {
+		if id == 0 {
 			continue
 		}
-		c.storeValue(it, cl, it.Key, it.Value)
-		donor.owner[i] = nil
+		it := c.recs.At(id)
+		c.storeValue(id, it, cl, it.Key(), it.Value())
+		donor.owner[i] = 0
 		poison(donor.mem[i*k.slot : (i+1)*k.slot])
 		c.stats.SlabRelocations++
 	}
@@ -221,7 +214,7 @@ func poison(slot []byte) {
 // checkValuesLocked audits slot ownership: every class owns one page per slab
 // and stacks exactly its free slots, every slot is free or held by the one
 // resident its page names, and every resident's key heads such a slot, its
-// value filling the rest.
+// value after it, within the slot.
 func (c *Cache) checkValuesLocked() error {
 	pages := 0
 	for ci := range c.classes {
@@ -246,12 +239,12 @@ func (c *Cache) checkValuesLocked() error {
 				return fmt.Errorf("cache: class %d page %d is not a mapped page carved for the class, in address order", ci, j)
 			}
 			used := 0
-			for i, it := range p.owner {
-				if it == nil {
+			for i, id := range p.owner {
+				if id == 0 {
 					continue
 				}
 				used++
-				if int(it.Class) != ci || c.index.Get(it.Hash, it.Key) != it {
+				if it := c.recs.At(id); int(it.Class) != ci || c.index.Get(it.Hash, it.Key()) != id {
 					return fmt.Errorf("cache: class %d page %d slot %d is held by an item that is not one of the class's residents", ci, j, i)
 				}
 			}
@@ -274,8 +267,8 @@ func (c *Cache) checkValuesLocked() error {
 				return fmt.Errorf("cache: class %d stacks one value slot twice", ci)
 			}
 			stacked[r] = true
-			if it := c.arena.pages[id].owner[i]; it != nil {
-				return fmt.Errorf("cache: resident %q holds a value slot that is also on class %d's free stack", it.Key, ci)
+			if o := c.arena.pages[id].owner[i]; o != 0 {
+				return fmt.Errorf("cache: resident %q holds a value slot that is also on class %d's free stack", c.recs.At(o).Key(), ci)
 			}
 		}
 		pages += len(k.pages)
@@ -287,19 +280,17 @@ func (c *Cache) checkValuesLocked() error {
 		return fmt.Errorf("cache: classes own %d value pages, %d are mapped", pages, c.arena.mapped())
 	}
 	var err error
-	c.index.Range(func(it *kv.Item) bool {
+	c.index.Range(func(id uint32, it *kv.Item) bool {
 		k := &c.classes[it.Class]
-		a := slotAt(it)
-		if len(k.pages) > 0 && it.Value != nil {
+		a := it.Slot
+		if len(k.pages) > 0 {
 			p, i := k.slotOf(a)
-			kn := uintptr(len(it.Key))
-			v := uintptr(unsafe.Pointer(unsafe.SliceData(it.Value)))
-			if a >= p.base && i < len(p.owner) && a == p.base+uintptr(i*k.slot) && p.owner[i] == it &&
-				cap(it.Value) == k.slot-int(kn) && (cap(it.Value) == 0 || v == a+kn) {
+			if a >= p.base && i < len(p.owner) && a == p.base+uintptr(i*k.slot) && p.owner[i] == id &&
+				int(it.KLen)+int(it.VLen) <= k.slot {
 				return true
 			}
 		}
-		err = fmt.Errorf("cache: resident %q's key and value are not a slot of a page its class %d owns, key first", it.Key, it.Class)
+		err = fmt.Errorf("cache: resident %q's key and value are not a slot of a page its class %d owns, key first", it.Key(), it.Class)
 		return false
 	})
 	return err

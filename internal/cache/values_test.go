@@ -288,7 +288,7 @@ func TestCheckInvariantsCatchesStackViolations(t *testing.T) {
 		return c
 	}
 	slotOfKey := func(c *Cache, key string) uint64 {
-		p, i := c.classes[0].slotOf(slotAt(c.index.Get(kv.HashString(key), key)))
+		p, i := c.classes[0].slotOf(c.record(key).Slot)
 		return slotRef(p, i)
 	}
 	for name, tc := range map[string]struct {
@@ -306,9 +306,11 @@ func TestCheckInvariantsCatchesStackViolations(t *testing.T) {
 		"stacked while resident": {func(c *Cache) {
 			c.classes[0].vfree[0] = slotOfKey(c, "k1")
 		}, "also on class 0's free stack"},
-		"wrong capacity": {func(c *Cache) {
-			it := c.index.Get(kv.HashString("k1"), "k1")
-			it.Value = it.Value[:len(it.Value):60]
+		"past the slot's end": {func(c *Cache) {
+			c.record("k1").VLen = 63
+		}, "not a slot of a page its class 0 owns"},
+		"off the slot's head": {func(c *Cache) {
+			c.record("k1").Slot++
 		}, "not a slot of a page its class 0 owns"},
 		"page without a slab": {func(c *Cache) {
 			c.classes[1].pages = append(c.classes[1].pages, c.classes[0].pages[0])
@@ -401,8 +403,8 @@ func TestCompactionKeepsValues(t *testing.T) {
 			if got, _, hit := c.Get(key, 0, 0, nil); !hit || !bytes.Equal(got, want) {
 				t.Fatalf("%s: %s reads %x (hit %v), stored %x", step, key, got, hit, want)
 			}
-			it := c.index.Get(kv.HashString(key), key)
-			if p, i := c.classes[it.Class].slotOf(slotAt(it)); unsafe.StringData(it.Key) != &p.mem[i*c.classes[it.Class].slot] {
+			it := c.record(key)
+			if p, i := c.classes[it.Class].slotOf(it.Slot); unsafe.StringData(it.Key()) != &p.mem[i*c.classes[it.Class].slot] {
 				t.Fatalf("%s: %s's key is not at the head of its slot", step, key)
 			}
 		}
@@ -564,8 +566,8 @@ func TestDeltaKeepsItsSlot(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		it := c.index.Get(kv.HashString(key), key)
-		if it == nil || string(it.Value) != want || int(it.Class) != class || int(it.Size) != size {
+		it := c.record(key)
+		if it == nil || string(it.Value()) != want || int(it.Class) != class || int(it.Size) != size {
 			t.Fatalf("%s: %s = %+v, want %q in class %d of size %d", step, key, it, want, class, size)
 		}
 	}

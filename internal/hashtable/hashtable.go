@@ -1,14 +1,16 @@
 // Package hashtable implements the open-addressed hash index that maps keys
-// to cached items: one power-of-two array of (hash, item) slots probed
-// linearly, doubled whenever an insert would push the load past 1/2.
+// to cached items: one power-of-two array of (hash, item id) slots probed
+// linearly, doubled whenever an insert would push the load past 1/2. Ids name
+// records of one kv.Records store, so the array holds no pointer and the
+// collector never scans it.
 //
-// A probe compares the hash stored in the slot before it dereferences the
-// item, so a miss touches no item and a hit touches only the item it returns:
-// on a large heap each rejected item would otherwise cost a dependent cache
-// miss. Deletion shifts the rest of the probe run back over the hole
-// (backward-shift deletion), so there are no tombstones and churn at a
-// constant Len never rehashes. Lookups, deletes and inserts that do not grow
-// the table never allocate.
+// A probe compares the hash stored in the slot before it reads the item's
+// record, so a miss touches no record and a hit touches only the record it
+// returns and its key: on a large heap each rejected record would otherwise
+// cost a dependent cache miss. Deletion shifts the rest of the probe run back
+// over the hole (backward-shift deletion), so there are no tombstones and
+// churn at a constant Len never rehashes. Lookups, deletes and inserts that do
+// not grow the table never allocate.
 package hashtable
 
 import (
@@ -17,90 +19,92 @@ import (
 	"pamakv/internal/kv"
 )
 
-// slot is one entry of the table; it == nil marks an empty slot.
+// slot is one entry of the table; id == 0 marks an empty slot.
 type slot struct {
 	hash uint64
-	it   *kv.Item
+	id   uint32
 }
 
-// Table is an open-addressed index over kv.Items. The zero value is
-// unusable; call New.
+// Table is an open-addressed index over the records of one kv.Records store.
+// The zero value is unusable; call New.
 type Table struct {
+	recs  *kv.Records
 	slots []slot
 	mask  uint64
 	n     int
 }
 
-// New returns a table pre-sized for capHint items.
-func New(capHint int) *Table {
+// New returns a table over the records of recs, pre-sized for capHint items.
+func New(recs *kv.Records, capHint int) *Table {
 	s := 16
 	for s < 2*capHint {
 		s <<= 1
 	}
-	return &Table{slots: make([]slot, s), mask: uint64(s - 1)}
+	return &Table{recs: recs, slots: make([]slot, s), mask: uint64(s - 1)}
 }
 
 // Len returns the number of stored items.
 func (t *Table) Len() int { return t.n }
 
-// Get returns the item with the given hash and key, or nil.
-func (t *Table) Get(hash uint64, key string) *kv.Item {
+// Get returns the id of the item with the given hash and key, or 0.
+func (t *Table) Get(hash uint64, key string) uint32 {
 	if i, ok := t.find(hash, key); ok {
-		return t.slots[i].it
+		return t.slots[i].id
 	}
-	return nil
+	return 0
 }
 
 // Peek returns the first item of hash's probe run whose stored hash equals
-// hash, or nil, without comparing keys: it reads the slot array only. The
+// hash, or 0, without comparing keys: it reads the slot array only. The
 // item may hold another key of the same hash; a prefetch wants the memory a
 // Get of hash is about to touch, not an answer.
-func (t *Table) Peek(hash uint64) *kv.Item {
+func (t *Table) Peek(hash uint64) uint32 {
 	for i := hash & t.mask; ; i = (i + 1) & t.mask {
-		if s := &t.slots[i]; s.it == nil || s.hash == hash {
-			return s.it
+		if s := &t.slots[i]; s.id == 0 || s.hash == hash {
+			return s.id
 		}
 	}
 }
 
-// Put inserts it, replacing and returning any existing item with the same
-// key (nil if none). it.Hash must already be set.
-func (t *Table) Put(it *kv.Item) *kv.Item {
-	if i, ok := t.find(it.Hash, it.Key); ok {
-		old := t.slots[i].it
-		t.slots[i].it = it
+// Put inserts item id, replacing and returning any existing item with the
+// same key (0 if none). Its record's Hash must already be set.
+func (t *Table) Put(id uint32) uint32 {
+	it := t.recs.At(id)
+	if i, ok := t.find(it.Hash, it.Key()); ok {
+		old := t.slots[i].id
+		t.slots[i].id = id
 		return old
 	}
-	t.Insert(it)
-	return nil
+	t.Insert(id)
+	return 0
 }
 
-// Insert adds it, whose key the caller has just probed absent (Get returned
-// nil): Put without the probe that looks for an item to replace.
-func (t *Table) Insert(it *kv.Item) {
+// Insert adds item id, whose key the caller has just probed absent (Get
+// returned 0): Put without the probe that looks for an item to replace.
+func (t *Table) Insert(id uint32) {
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
 	}
-	t.place(slot{it.Hash, it})
+	t.place(slot{t.recs.At(id).Hash, id})
 	t.n++
 }
 
-// Delete removes and returns the item with the given key, or nil.
-func (t *Table) Delete(hash uint64, key string) *kv.Item {
+// Delete removes and returns the item with the given key, or 0.
+func (t *Table) Delete(hash uint64, key string) uint32 {
 	i, ok := t.find(hash, key)
 	if !ok {
-		return nil
+		return 0
 	}
-	it := t.slots[i].it
+	id := t.slots[i].id
 	t.removeAt(i)
-	return it
+	return id
 }
 
-// Remove unlinks it, an item the caller holds by pointer: Delete comparing
-// pointers instead of hashes and keys. It reports whether it was stored.
-func (t *Table) Remove(it *kv.Item) bool {
-	for i := it.Hash & t.mask; t.slots[i].it != nil; i = (i + 1) & t.mask {
-		if t.slots[i].it == it {
+// Remove unlinks item id, which the caller holds by id: Delete comparing ids
+// instead of keys. It reports whether the item was stored.
+func (t *Table) Remove(id uint32) bool {
+	for i := t.recs.At(id).Hash & t.mask; t.slots[i].id != 0; i = (i + 1) & t.mask {
+		if t.slots[i].id == id {
 			t.removeAt(i)
 			return true
 		}
@@ -110,9 +114,9 @@ func (t *Table) Remove(it *kv.Item) bool {
 
 // Range calls fn for every stored item until fn returns false. The table
 // must not be mutated during the walk.
-func (t *Table) Range(fn func(*kv.Item) bool) {
+func (t *Table) Range(fn func(id uint32, it *kv.Item) bool) {
 	for _, s := range t.slots {
-		if s.it != nil && !fn(s.it) {
+		if s.id != 0 && !fn(s.id, t.recs.At(s.id)) {
 			return
 		}
 	}
@@ -124,17 +128,17 @@ func (t *Table) Range(fn func(*kv.Item) bool) {
 func (t *Table) CheckInvariants() error {
 	n := 0
 	for i, s := range t.slots {
-		if s.it == nil {
+		if s.id == 0 {
 			continue
 		}
 		n++
-		if s.hash != s.it.Hash {
-			return fmt.Errorf("hashtable: slot %d holds hash %#x for %q, whose hash is %#x", i, s.hash, s.it.Key, s.it.Hash)
+		if it := t.recs.At(s.id); s.hash != it.Hash {
+			return fmt.Errorf("hashtable: slot %d holds hash %#x for %q, whose hash is %#x", i, s.hash, it.Key(), it.Hash)
 		}
 		for j := s.hash & t.mask; j != uint64(i); j = (j + 1) & t.mask {
-			if t.slots[j].it == nil {
+			if t.slots[j].id == 0 {
 				return fmt.Errorf("hashtable: %q in slot %d is cut off from its home slot %d by empty slot %d",
-					s.it.Key, i, s.hash&t.mask, j)
+					t.recs.At(s.id).Key(), i, s.hash&t.mask, j)
 			}
 		}
 	}
@@ -148,14 +152,14 @@ func (t *Table) CheckInvariants() error {
 }
 
 // find returns the slot holding key, comparing stored hashes first so only
-// an item whose hash matches is dereferenced.
+// a record whose hash matches is read.
 func (t *Table) find(hash uint64, key string) (uint64, bool) {
 	for i := hash & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
-		if s.it == nil {
+		if s.id == 0 {
 			return 0, false
 		}
-		if s.hash == hash && s.it.Key == key {
+		if s.hash == hash && t.recs.At(s.id).Key() == key {
 			return i, true
 		}
 	}
@@ -164,7 +168,7 @@ func (t *Table) find(hash uint64, key string) (uint64, bool) {
 // place stores s in the first empty slot of its probe run.
 func (t *Table) place(s slot) {
 	i := s.hash & t.mask
-	for t.slots[i].it != nil {
+	for t.slots[i].id != 0 {
 		i = (i + 1) & t.mask
 	}
 	t.slots[i] = s
@@ -174,7 +178,7 @@ func (t *Table) place(s slot) {
 // whose home slot is not after the hole moves back into it, leaving a new
 // hole where it was, until the run ends.
 func (t *Table) removeAt(i uint64) {
-	for j := (i + 1) & t.mask; t.slots[j].it != nil; j = (j + 1) & t.mask {
+	for j := (i + 1) & t.mask; t.slots[j].id != 0; j = (j + 1) & t.mask {
 		// The member at j may fill hole i when it is at least as far from its
 		// home as from the hole, i.e. its home is not in (i, j].
 		if (j-t.slots[j].hash)&t.mask >= (j-i)&t.mask {
@@ -191,7 +195,7 @@ func (t *Table) grow() {
 	t.slots = make([]slot, 2*len(old))
 	t.mask = uint64(len(t.slots) - 1)
 	for _, s := range old {
-		if s.it != nil {
+		if s.id != 0 {
 			t.place(s)
 		}
 	}

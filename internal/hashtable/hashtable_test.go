@@ -10,17 +10,27 @@ import (
 	"pamakv/internal/kv"
 )
 
-func item(key string) *kv.Item {
-	return &kv.Item{Key: key, Hash: kv.HashString(key)}
-}
+// newTable returns New(capHint) over a fresh record store.
+func newTable(capHint int) *Table { return New(new(kv.Records), capHint) }
+
+// item makes a record in tb's store keyed key and returns its id.
+func item(tb *Table, key string) uint32 { return forced(tb, key, kv.HashString(key)) }
 
 // tinyHash keeps 3 bits of a key's hash and sets every bit above them, so
 // any table sees at most 8 home slots, all at its end: runs collide, and
 // once they outgrow the last slots they wrap to slot 0.
 func tinyHash(key string) uint64 { return ^(kv.HashString(key) & 7) }
 
-// forced returns an item whose hash is h, whatever its key.
-func forced(key string, h uint64) *kv.Item { return &kv.Item{Key: key, Hash: h} }
+// forced makes a record in tb's store whose hash is h, whatever its key.
+func forced(tb *Table, key string, h uint64) uint32 {
+	id, it := tb.recs.New()
+	tb.recs.HoldKey(id, key)
+	it.Hash = h
+	return id
+}
+
+// keyOf returns item id's key.
+func keyOf(tb *Table, id uint32) string { return tb.recs.At(id).Key() }
 
 func check(t *testing.T, tb *Table) {
 	t.Helper()
@@ -29,10 +39,10 @@ func check(t *testing.T, tb *Table) {
 	}
 }
 
-// slotOf returns the slot index holding it, or -1.
-func slotOf(tb *Table, it *kv.Item) int {
+// slotOf returns the slot index holding id, or -1.
+func slotOf(tb *Table, id uint32) int {
 	for i, s := range tb.slots {
-		if s.it == it {
+		if s.id == id {
 			return i
 		}
 	}
@@ -40,36 +50,37 @@ func slotOf(tb *Table, it *kv.Item) int {
 }
 
 func TestGetMissing(t *testing.T) {
-	tb := New(4)
-	if tb.Get(kv.HashString("nope"), "nope") != nil {
-		t.Fatal("Get on empty table should return nil")
+	tb := newTable(4)
+	if tb.Get(kv.HashString("nope"), "nope") != 0 {
+		t.Fatal("Get on empty table should return 0")
 	}
 }
 
 func TestPutGetDelete(t *testing.T) {
-	tb := New(4)
-	a := item("a")
-	if tb.Put(a) != nil {
+	tb := newTable(4)
+	a := item(tb, "a")
+	h := kv.HashString("a")
+	if tb.Put(a) != 0 {
 		t.Fatal("first Put should not replace")
 	}
-	if got := tb.Get(a.Hash, "a"); got != a {
+	if got := tb.Get(h, "a"); got != a {
 		t.Fatal("Get did not return stored item")
 	}
-	if got := tb.Delete(a.Hash, "a"); got != a {
+	if got := tb.Delete(h, "a"); got != a {
 		t.Fatal("Delete did not return stored item")
 	}
-	if tb.Get(a.Hash, "a") != nil || tb.Len() != 0 {
+	if tb.Get(h, "a") != 0 || tb.Len() != 0 {
 		t.Fatal("item still present after Delete")
 	}
-	if tb.Delete(a.Hash, "a") != nil {
-		t.Fatal("second Delete should return nil")
+	if tb.Delete(h, "a") != 0 {
+		t.Fatal("second Delete should return 0")
 	}
 	check(t, tb)
 }
 
 func TestPutReplaces(t *testing.T) {
-	tb := New(4)
-	a1, a2 := item("a"), item("a")
+	tb := newTable(4)
+	a1, a2 := item(tb, "a"), item(tb, "a")
 	tb.Put(a1)
 	if got := tb.Put(a2); got != a1 {
 		t.Fatal("Put should return replaced item")
@@ -77,17 +88,17 @@ func TestPutReplaces(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tb.Len())
 	}
-	if got := tb.Get(a2.Hash, "a"); got != a2 {
+	if got := tb.Get(kv.HashString("a"), "a"); got != a2 {
 		t.Fatal("Get should return the replacement")
 	}
 	check(t, tb)
 }
 
 func TestGrowthPreservesItems(t *testing.T) {
-	tb := New(4)
+	tb := newTable(4)
 	const n = 5000
 	for i := 0; i < n; i++ {
-		tb.Put(item(fmt.Sprintf("key-%d", i)))
+		tb.Put(item(tb, fmt.Sprintf("key-%d", i)))
 	}
 	if tb.Len() != n {
 		t.Fatalf("Len = %d, want %d", tb.Len(), n)
@@ -98,7 +109,7 @@ func TestGrowthPreservesItems(t *testing.T) {
 	check(t, tb)
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if got := tb.Get(kv.HashString(k), k); got == nil || got.Key != k {
+		if got := tb.Get(kv.HashString(k), k); got == 0 || keyOf(tb, got) != k {
 			t.Fatalf("lost key %q after growth", k)
 		}
 	}
@@ -107,9 +118,9 @@ func TestGrowthPreservesItems(t *testing.T) {
 func TestCollidingHashesDistinctKeys(t *testing.T) {
 	// Two different keys with identical hashes: the table must distinguish
 	// them by key comparison.
-	tb := New(4)
-	a := forced("a", 12345)
-	b := forced("b", 12345)
+	tb := newTable(4)
+	a := forced(tb, "a", 12345)
+	b := forced(tb, "b", 12345)
 	tb.Put(a)
 	tb.Put(b)
 	if tb.Get(12345, "a") != a || tb.Get(12345, "b") != b {
@@ -127,16 +138,17 @@ func TestCollidingHashesDistinctKeys(t *testing.T) {
 // TestInsertGrows: Insert of keys probed absent is Put without the replace
 // probe — the table still grows while it inserts and loses nothing.
 func TestInsertGrows(t *testing.T) {
-	tb := New(4)
+	tb := newTable(4)
 	start := len(tb.slots)
 	const n = 3000
-	items := make([]*kv.Item, n)
-	for i := range items {
-		items[i] = item(fmt.Sprintf("key-%d", i))
-		if tb.Get(items[i].Hash, items[i].Key) != nil {
+	ids := make([]uint32, n)
+	for i := range ids {
+		k := fmt.Sprintf("key-%d", i)
+		ids[i] = item(tb, k)
+		if tb.Get(kv.HashString(k), k) != 0 {
 			t.Fatalf("key %d present before its insert", i)
 		}
-		tb.Insert(items[i])
+		tb.Insert(ids[i])
 		if tb.Len() != i+1 {
 			t.Fatalf("Len = %d after %d inserts", tb.Len(), i+1)
 		}
@@ -145,9 +157,9 @@ func TestInsertGrows(t *testing.T) {
 		t.Fatalf("table did not grow: %d slots for %d items", len(tb.slots), n)
 	}
 	check(t, tb)
-	for _, it := range items {
-		if tb.Get(it.Hash, it.Key) != it {
-			t.Fatalf("lost %q across growth", it.Key)
+	for _, id := range ids {
+		if it := tb.recs.At(id); tb.Get(it.Hash, it.Key()) != id {
+			t.Fatalf("lost %q across growth", it.Key())
 		}
 	}
 }
@@ -167,46 +179,47 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// TestRemoveByPointer removes every member of one probe run by pointer, in
-// every order: the run starts at the last slot of a 16-slot table and wraps
-// to slot 0, so its first, middle and last members sit on both sides of the
-// wrap. Then an item whose home lies after the hole stays put, and an item
-// that is not stored is not found.
-func TestRemoveByPointer(t *testing.T) {
+// TestRemoveByID removes every member of one probe run by id, in every
+// order: the run starts at the last slot of a 16-slot table and wraps to slot
+// 0, so its first, middle and last members sit on both sides of the wrap.
+// Then an item whose home lies after the hole stays put, and an item that is
+// not stored is not found.
+func TestRemoveByID(t *testing.T) {
 	for _, order := range permutations(4) {
-		tb := New(4)
+		tb := newTable(4)
 		if len(tb.slots) != 16 {
 			t.Fatalf("New(4) has %d slots, the test assumes 16", len(tb.slots))
 		}
 		// Homes 14, 14, 15, 0 fill slots 14, 15, 0, 1: one run across the wrap.
-		run := []*kv.Item{forced("a", 14), forced("b", 14), forced("c", 15), forced("d", 0)}
-		other := forced("other", 5)
+		run := []uint32{forced(tb, "a", 14), forced(tb, "b", 14), forced(tb, "c", 15), forced(tb, "d", 0)}
+		other := forced(tb, "other", 5)
 		tb.Insert(other)
-		for _, it := range run {
-			tb.Insert(it)
+		for _, id := range run {
+			tb.Insert(id)
 		}
 		for i, want := range []int{14, 15, 0, 1} {
 			if got := slotOf(tb, run[i]); got != want {
-				t.Fatalf("%q in slot %d, want %d", run[i].Key, got, want)
+				t.Fatalf("%q in slot %d, want %d", keyOf(tb, run[i]), got, want)
 			}
 		}
 		check(t, tb)
-		left := map[*kv.Item]bool{run[0]: true, run[1]: true, run[2]: true, run[3]: true}
+		left := map[uint32]bool{run[0]: true, run[1]: true, run[2]: true, run[3]: true}
 		for _, i := range order {
 			if !tb.Remove(run[i]) {
-				t.Fatalf("order %v: Remove(%q) found nothing", order, run[i].Key)
+				t.Fatalf("order %v: Remove(%q) found nothing", order, keyOf(tb, run[i]))
 			}
 			delete(left, run[i])
 			check(t, tb)
 			if tb.Remove(run[i]) {
-				t.Fatalf("order %v: second Remove(%q) succeeded", order, run[i].Key)
+				t.Fatalf("order %v: second Remove(%q) succeeded", order, keyOf(tb, run[i]))
 			}
-			for _, it := range run {
-				if got := tb.Get(it.Hash, it.Key); (got == it) != left[it] {
-					t.Fatalf("order %v after removing %q: Get(%q) = %v, stored %v", order, run[i].Key, it.Key, got != nil, left[it])
+			for _, id := range run {
+				it := tb.recs.At(id)
+				if got := tb.Get(it.Hash, it.Key()); (got == id) != left[id] {
+					t.Fatalf("order %v after removing %q: Get(%q) = %v, stored %v", order, keyOf(tb, run[i]), it.Key(), got != 0, left[id])
 				}
 			}
-			if tb.Len() != len(left)+1 || tb.Get(other.Hash, "other") != other || slotOf(tb, other) != 5 {
+			if tb.Len() != len(left)+1 || tb.Get(5, "other") != other || slotOf(tb, other) != 5 {
 				t.Fatalf("order %v: Len = %d with %d of the run left", order, tb.Len(), len(left))
 			}
 		}
@@ -215,26 +228,26 @@ func TestRemoveByPointer(t *testing.T) {
 	// Homes 14, 14, 0, 0 fill slots 14, 15, 0, 1. Removing the item in slot
 	// 15 leaves a hole before slot 0, the home of the two items after it:
 	// moving either into slot 15 would put it before its home, out of reach.
-	tb := New(4)
-	a, b, e, f := forced("a", 14), forced("b", 14), forced("e", 0), forced("f", 0)
-	for _, it := range []*kv.Item{a, b, e, f} {
-		tb.Insert(it)
+	tb := newTable(4)
+	a, b, e, f := forced(tb, "a", 14), forced(tb, "b", 14), forced(tb, "e", 0), forced(tb, "f", 0)
+	for _, id := range []uint32{a, b, e, f} {
+		tb.Insert(id)
 	}
 	if !tb.Remove(b) {
 		t.Fatal("Remove(b) found nothing")
 	}
 	check(t, tb)
-	if slotOf(tb, a) != 14 || slotOf(tb, e) != 0 || slotOf(tb, f) != 1 || tb.slots[15].it != nil {
+	if slotOf(tb, a) != 14 || slotOf(tb, e) != 0 || slotOf(tb, f) != 1 || tb.slots[15].id != 0 {
 		t.Fatalf("a, e, f in slots %d, %d, %d; want 14, 0, 1 with 15 empty",
 			slotOf(tb, a), slotOf(tb, e), slotOf(tb, f))
 	}
 
 	// An equal key is not the same item.
-	tb = New(4)
-	a1, a2 := item("a"), item("a")
+	tb = newTable(4)
+	a1, a2 := item(tb, "a"), item(tb, "a")
 	tb.Insert(a1)
-	if tb.Remove(a2) || tb.Get(a1.Hash, "a") != a1 || tb.Len() != 1 {
-		t.Fatal("Remove matched an item by key, not by pointer")
+	if tb.Remove(a2) || tb.Get(kv.HashString("a"), "a") != a1 || tb.Len() != 1 {
+		t.Fatal("Remove matched an item by key, not by id")
 	}
 }
 
@@ -242,13 +255,13 @@ func TestRemoveByPointer(t *testing.T) {
 // matches, comparing no key. Homes 14, 14, 15, 14 fill slots 14, 15, 0, 1 of
 // a 16-slot table: one run across the wrap, with hash 14 on both sides of it.
 func TestPeek(t *testing.T) {
-	tb := New(4)
+	tb := newTable(4)
 	if len(tb.slots) != 16 {
 		t.Fatalf("New(4) has %d slots, the test assumes 16", len(tb.slots))
 	}
-	a, b, c, d := forced("a", 14), forced("b", 30), forced("c", 15), forced("d", 14)
-	for _, it := range []*kv.Item{a, b, c, d} {
-		tb.Insert(it)
+	a, b, c, d := forced(tb, "a", 14), forced(tb, "b", 30), forced(tb, "c", 15), forced(tb, "d", 14)
+	for _, id := range []uint32{a, b, c, d} {
+		tb.Insert(id)
 	}
 	check(t, tb)
 	if got := slotOf(tb, d); got != 1 {
@@ -256,15 +269,15 @@ func TestPeek(t *testing.T) {
 	}
 	cases := []struct {
 		hash uint64
-		want *kv.Item
+		want uint32
 		why  string
 	}{
 		{14, a, "two items share hash 14: the first of the run, whatever its key"},
 		{30, b, "home 14, found past an item of another hash"},
 		{15, c, "found across the wrap from its home's neighbour"},
-		{46, nil, "home 14, the run holds no item of this hash: nil at the empty slot 2"},
-		{0, nil, "home 0 is inside the run; no item hashes to 0"},
-		{5, nil, "empty home slot"},
+		{46, 0, "home 14, the run holds no item of this hash: 0 at the empty slot 2"},
+		{0, 0, "home 0 is inside the run; no item hashes to 0"},
+		{5, 0, "empty home slot"},
 	}
 	for _, tc := range cases {
 		if got := tb.Peek(tc.hash); got != tc.want {
@@ -278,9 +291,9 @@ func TestPeek(t *testing.T) {
 		t.Fatalf("after removing a, Peek(14) = %v, want d", got)
 	}
 	// Peek agrees with Get for every key of a spread-out table.
-	tb = New(4)
+	tb = newTable(4)
 	for i := 0; i < 500; i++ {
-		tb.Insert(item(fmt.Sprintf("key-%d", i)))
+		tb.Insert(item(tb, fmt.Sprintf("key-%d", i)))
 	}
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key-%d", i)
@@ -292,16 +305,19 @@ func TestPeek(t *testing.T) {
 }
 
 func TestRangeVisitsAll(t *testing.T) {
-	tb := New(4)
+	tb := newTable(4)
 	want := map[string]bool{}
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%d", i)
 		want[k] = true
-		tb.Put(item(k))
+		tb.Put(item(tb, k))
 	}
 	got := map[string]bool{}
-	tb.Range(func(it *kv.Item) bool {
-		got[it.Key] = true
+	tb.Range(func(id uint32, it *kv.Item) bool {
+		if tb.recs.At(id) != it {
+			t.Fatalf("Range paired id %d with another record", id)
+		}
+		got[it.Key()] = true
 		return true
 	})
 	if len(got) != len(want) {
@@ -310,12 +326,12 @@ func TestRangeVisitsAll(t *testing.T) {
 }
 
 func TestRangeEarlyStop(t *testing.T) {
-	tb := New(4)
+	tb := newTable(4)
 	for i := 0; i < 10; i++ {
-		tb.Put(item(fmt.Sprintf("k%d", i)))
+		tb.Put(item(tb, fmt.Sprintf("k%d", i)))
 	}
 	count := 0
-	tb.Range(func(*kv.Item) bool {
+	tb.Range(func(uint32, *kv.Item) bool {
 		count++
 		return count < 3
 	})
@@ -332,18 +348,18 @@ func TestAgainstMapModel(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
-				tb := New(4)
-				model := map[string]*kv.Item{}
+				tb := newTable(4)
+				model := map[string]uint32{}
 				for op := 0; op < 1000; op++ {
 					k := fmt.Sprintf("k%d", rng.Intn(200))
 					h := hash(k)
 					switch rng.Intn(5) {
 					case 0:
-						it := forced(k, h)
-						if old := tb.Put(it); old != model[k] {
+						id := forced(tb, k, h)
+						if old := tb.Put(id); old != model[k] {
 							return false
 						}
-						model[k] = it
+						model[k] = id
 					case 1:
 						if tb.Get(h, k) != model[k] {
 							return false
@@ -354,13 +370,13 @@ func TestAgainstMapModel(t *testing.T) {
 						}
 						delete(model, k)
 					case 3: // Insert after a probe that found nothing
-						if tb.Get(h, k) == nil {
-							model[k] = forced(k, h)
+						if tb.Get(h, k) == 0 {
+							model[k] = forced(tb, k, h)
 							tb.Insert(model[k])
 						}
-					case 4: // Remove by pointer
-						if it := model[k]; it != nil {
-							if !tb.Remove(it) {
+					case 4: // Remove by id
+						if id := model[k]; id != 0 {
+							if !tb.Remove(id) {
 								return false
 							}
 							delete(model, k)
@@ -383,9 +399,9 @@ func TestAgainstMapModel(t *testing.T) {
 // expects a report.
 func TestCheckInvariantsCatches(t *testing.T) {
 	build := func() *Table {
-		tb := New(4)
-		for _, it := range []*kv.Item{forced("a", 14), forced("b", 14), forced("c", 15)} {
-			tb.Insert(it)
+		tb := newTable(4)
+		for _, id := range []uint32{forced(tb, "a", 14), forced(tb, "b", 14), forced(tb, "c", 15)} {
+			tb.Insert(id)
 		}
 		return tb
 	}
@@ -394,9 +410,9 @@ func TestCheckInvariantsCatches(t *testing.T) {
 		"cut off": func(tb *Table) { tb.slots[15] = slot{}; tb.n-- },
 		"hash":    func(tb *Table) { tb.slots[0].hash = 3 },
 		"load": func(tb *Table) {
-			*tb = Table{slots: make([]slot, 4), mask: 3, n: 3}
-			for i, it := range []*kv.Item{forced("x", 0), forced("y", 1), forced("z", 2)} {
-				tb.slots[i] = slot{it.Hash, it}
+			*tb = Table{recs: tb.recs, slots: make([]slot, 4), mask: 3, n: 3}
+			for i, id := range []uint32{forced(tb, "x", 0), forced(tb, "y", 1), forced(tb, "z", 2)} {
+				tb.slots[i] = slot{uint64(i), id}
 			}
 		},
 	} {
@@ -413,22 +429,22 @@ func TestCheckInvariantsCatches(t *testing.T) {
 // 10 k neither grow the table (no tombstones accumulate) nor allocate.
 func TestChurnAtConstantLenAllocs(t *testing.T) {
 	const live, pool, pairs = 10_000, 20_000, 1_000_000
-	items := make([]*kv.Item, pool)
-	for i := range items {
-		items[i] = item(kv.KeyString(uint64(i)))
+	tb := newTable(4)
+	ids := make([]uint32, pool)
+	for i := range ids {
+		ids[i] = item(tb, kv.KeyString(uint64(i)))
 	}
-	tb := New(4)
-	for _, it := range items[:live] {
-		tb.Insert(it)
+	for _, id := range ids[:live] {
+		tb.Insert(id)
 	}
 	slots := len(tb.slots)
-	next := 0 // items[next : next+live) (mod pool) are stored
+	next := 0 // ids[next : next+live) (mod pool) are stored
 	allocs := testing.AllocsPerRun(1, func() {
 		for k := 0; k < pairs; k++ {
-			if !tb.Remove(items[next]) {
+			if !tb.Remove(ids[next]) {
 				t.Fatalf("pair %d: Remove found nothing", k)
 			}
-			tb.Insert(items[(next+live)%pool])
+			tb.Insert(ids[(next+live)%pool])
 			next = (next + 1) % pool
 		}
 	})
@@ -444,6 +460,7 @@ func TestChurnAtConstantLenAllocs(t *testing.T) {
 // FuzzTable decodes byte pairs into Put/Insert/Get/Delete/Remove over at most
 // 64 keys hashed by tinyHash, so runs collide and wrap, and compares every
 // answer with a map model, checking the invariants after each operation.
+// Records leaving the table go back to the store, so ids are reused.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 3, 2, 4, 1, 2, 3})
 	var fill []byte
@@ -455,51 +472,56 @@ func FuzzTable(f *testing.F) {
 	}
 	f.Add(fill)
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tb := New(4)
-		model := map[string]*kv.Item{}
+		tb := newTable(4)
+		model := map[string]uint32{}
 		for p := 0; p+1 < len(ops); p += 2 {
 			k := fmt.Sprintf("k%d", ops[p+1]%64)
 			h := tinyHash(k)
 			switch ops[p] % 5 {
 			case 0:
-				it := forced(k, h)
-				if old := tb.Put(it); old != model[k] {
-					t.Fatalf("op %d: Put(%q) replaced %p, model %p", p/2, k, old, model[k])
+				id := forced(tb, k, h)
+				if old := tb.Put(id); old != model[k] {
+					t.Fatalf("op %d: Put(%q) replaced %d, model %d", p/2, k, old, model[k])
+				} else if old != 0 {
+					tb.recs.Free(old)
 				}
-				model[k] = it
+				model[k] = id
 			case 1:
-				if model[k] == nil {
-					model[k] = forced(k, h)
+				if model[k] == 0 {
+					model[k] = forced(tb, k, h)
 					tb.Insert(model[k])
 				}
 			case 2:
 				if got := tb.Get(h, k); got != model[k] {
-					t.Fatalf("op %d: Get(%q) = %p, model %p", p/2, k, got, model[k])
+					t.Fatalf("op %d: Get(%q) = %d, model %d", p/2, k, got, model[k])
 				}
 			case 3:
 				if got := tb.Delete(h, k); got != model[k] {
-					t.Fatalf("op %d: Delete(%q) = %p, model %p", p/2, k, got, model[k])
+					t.Fatalf("op %d: Delete(%q) = %d, model %d", p/2, k, got, model[k])
+				} else if got != 0 {
+					tb.recs.Free(got)
 				}
 				delete(model, k)
 			case 4:
-				it := model[k]
-				if it == nil {
-					it = forced(k, h) // never stored: Remove must not find it
+				id := model[k]
+				if id == 0 {
+					id = forced(tb, k, h) // never stored: Remove must not find it
 				}
-				if got := tb.Remove(it); got != (model[k] != nil) {
-					t.Fatalf("op %d: Remove(%q) = %v, model holds it: %v", p/2, k, got, model[k] != nil)
+				if got := tb.Remove(id); got != (model[k] != 0) {
+					t.Fatalf("op %d: Remove(%q) = %v, model holds it: %v", p/2, k, got, model[k] != 0)
 				}
+				tb.recs.Free(id)
 				delete(model, k)
 			}
-			if tb.Len() != len(model) {
-				t.Fatalf("op %d: Len %d, model %d", p/2, tb.Len(), len(model))
+			if tb.Len() != len(model) || tb.recs.Len() != len(model) {
+				t.Fatalf("op %d: Len %d, %d records, model %d", p/2, tb.Len(), tb.recs.Len(), len(model))
 			}
 			check(t, tb)
 			// Peek of a key no other stored key shares its hash with is
 			// Get; with colliders it is one of the stored items of that hash.
 			others := 0
-			for key, it := range model {
-				if it.Hash == h && key != k {
+			for key, id := range model {
+				if tb.recs.At(id).Hash == h && key != k {
 					others++
 				}
 			}
@@ -507,14 +529,14 @@ func FuzzTable(f *testing.F) {
 			if others == 0 && got != tb.Get(h, k) {
 				t.Fatalf("op %d: Peek(%#x) = %v, Get(%q) = %v", p/2, h, got, k, tb.Get(h, k))
 			}
-			if others > 0 && (got == nil || got.Hash != h || model[got.Key] != got) {
+			if others > 0 && (got == 0 || tb.recs.At(got).Hash != h || model[keyOf(tb, got)] != got) {
 				t.Fatalf("op %d: Peek(%#x) = %v, not one of the model's items of that hash", p/2, h, got)
 			}
 		}
 		seen := 0
-		tb.Range(func(it *kv.Item) bool {
-			if model[it.Key] != it {
-				t.Fatalf("Range visited %q, not the model's item", it.Key)
+		tb.Range(func(id uint32, it *kv.Item) bool {
+			if model[it.Key()] != id {
+				t.Fatalf("Range visited %q, not the model's item", it.Key())
 			}
 			seen++
 			return true
@@ -526,41 +548,41 @@ func FuzzTable(f *testing.F) {
 }
 
 func BenchmarkTableGet(b *testing.B) {
-	tb := New(1 << 16)
+	tb := New(new(kv.Records), 1<<16)
 	keys := make([]string, 1<<16)
 	hashes := make([]uint64, 1<<16)
 	for i := range keys {
 		keys[i] = kv.KeyString(uint64(i))
 		hashes[i] = kv.HashString(keys[i])
-		tb.Put(&kv.Item{Key: keys[i], Hash: hashes[i]})
+		tb.Put(item(tb, keys[i]))
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		j := i & (1<<16 - 1)
-		if tb.Get(hashes[j], keys[j]) == nil {
+		if tb.Get(hashes[j], keys[j]) == 0 {
 			b.Fatal("miss")
 		}
 	}
 }
 
 // scatteredSink keeps the filler allocations of the scattered benchmarks
-// alive, so the items stay spread over the heap.
+// alive, so the keys stay spread over the heap.
 var scatteredSink [][]byte
 
-// benchScattered stores 100 k items, each allocated between filler heap
-// allocations of 200–1 000 B as a server's items are, then looks up either
+// benchScattered stores 100 k items, each key allocated between filler heap
+// allocations of 200–1 000 B as a server's values are, then looks up either
 // those keys (hit) or 100 k absent ones (miss) in a random permutation. The
-// probe keys and hashes sit in arrays read in order, so only the table and
-// the items it returns are touched at random.
+// probe keys and hashes sit in arrays read in order, so only the table, the
+// records it returns and their keys are touched at random.
 func benchScattered(b *testing.B, hit bool) {
 	const n = 100_000
 	rng := rand.New(rand.NewSource(1))
-	tb := New(4)
+	tb := newTable(4)
 	scatteredSink = make([][]byte, n)
 	for i := 0; i < n; i++ {
 		scatteredSink[i] = make([]byte, 200+rng.Intn(801))
-		tb.Insert(item(kv.KeyString(uint64(i))))
+		tb.Insert(item(tb, kv.KeyString(uint64(i))))
 	}
 	base := 0
 	if !hit {
@@ -582,7 +604,7 @@ func benchScattered(b *testing.B, hit bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := i % n
-		if (tb.Get(hashes[p], keys[p]) != nil) != hit {
+		if (tb.Get(hashes[p], keys[p]) != 0) != hit {
 			b.Fatalf("lookup %d: hit = %v", p, !hit)
 		}
 	}

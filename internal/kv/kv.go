@@ -2,12 +2,13 @@
 // engine and its substrates, together with the slab-class size geometry used
 // by Memcached-style allocators.
 //
-// Items carry the intrusive links of the LRU lists (package lru), and the
-// hash index (package hashtable) stores *Item in its own slot array, so a
-// resident item costs exactly one allocation and every list operation is
-// pointer surgery, never a container allocation. The fields are exported
-// because the sibling internal packages splice them directly; outside code
-// never sees a *kv.Item.
+// An Item is a 64-byte record without Go pointers, kept in the chunks of a
+// Records store and named by a uint32 id (item.go): the LRU links (package
+// lru), the hash index (package hashtable) and the value pages (package
+// cache) hold ids, so no resident item is an object of its own for the
+// collector to allocate, scan or free. The fields are exported because the
+// sibling internal packages splice them directly; outside code never sees a
+// *kv.Item.
 package kv
 
 import (
@@ -40,75 +41,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
 }
-
-// Item is one cached object: key, logical size, last observed miss penalty,
-// and the intrusive hooks that place it in exactly one LRU stack. An evicted
-// item is pooled for reuse; the engine remembers it in a ghost region by hash
-// and penalty only (package cache).
-//
-// The struct is 120 bytes, so the allocator's 128-byte size class, whose
-// objects are 64-byte aligned, gives every item one adjacent pair of cache
-// lines instead of a span over three. The first line holds what an index
-// probe compares (Key, Hash) and what a hit tests next; the value and the
-// links follow. A field added here fails the root layout test
-// (TestItemLayout), not a benchmark.
-type Item struct {
-	// Key is the full key string. For simulator-generated workloads it is
-	// the 8-byte big-endian encoding of a numeric key id. An engine that
-	// stores values keeps the key at the head of the item's value slot and
-	// Key aliases those bytes: they move with the value and are reused once
-	// the item leaves, so a holder that outlives the engine lock copies them.
-	Key string
-	// Hash caches the 64-bit hash of Key used by the index and the Bloom
-	// filters; it is computed once at insertion and must not change while
-	// the item is indexed (the index keeps a copy in the item's slot and
-	// finds the slot again from it).
-	Hash uint64
-	// Size is the item's footprint in bytes charged against its slot: key
-	// length + value length + per-item metadata overhead. A slot is never
-	// larger than a slab, and Geometry.Validate caps a slab at 32 bits.
-	Size int32
-	// Class and Sub locate the LRU stack holding the item.
-	Class, Sub int32
-	// Flags carries opaque client flags (Memcached protocol compatibility).
-	Flags uint32
-	// Tenant is the id of the tenant that owns the item (0 = default
-	// tenant). Stamped by the engine from its Config; package tenant uses
-	// it to audit that a tenant's engine only ever holds that tenant's
-	// items.
-	Tenant int32
-	// ExpireAt is the unix-seconds expiry deadline; 0 means no expiry.
-	// Expiry is lazy: the engine reaps an expired item when a GET finds
-	// it, as Memcached does.
-	ExpireAt int64
-
-	// Value holds the item bytes when the cache stores values; nil in
-	// metadata-only (simulation) mode. It is the rest of a slot of one of the
-	// engine's slab pages (package cache), after the key, not the item's: the
-	// engine may move key and value to another slot of the class under its
-	// lock, and detaches both before the item is pooled.
-	Value []byte
-	// Penalty is the most recently observed miss penalty for this key, in
-	// seconds. It selects the penalty subclass under PAMA and prices the
-	// segment an access lands in.
-	Penalty float64
-	// Seq is the item's segment tag, owned by segment.Exact on resident
-	// stacks: 0..nseg-1 inside the tracked bottom region, nseg above it. A
-	// policy may repurpose it as per-item scratch only when its Segments()
-	// is 0 (policy.CAMP stores its insertion-time clock here). Package mrc's
-	// shadow items, which never enter an engine, carry its rank ring's
-	// sequence here.
-	Seq uint64
-	// CAS is the compare-and-set token, changed on every store of the
-	// key (Memcached cas semantics).
-	CAS uint64
-
-	// Prev and Next are the intrusive LRU links (owned by package lru).
-	Prev, Next *Item
-}
-
-// Reset clears an item for reuse from a free pool.
-func (it *Item) Reset() { *it = Item{} }
 
 // Geometry describes the slab-class layout. In the default (power-of-two)
 // law, class i holds items of size at most Base << i; when Slots is set it

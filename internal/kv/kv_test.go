@@ -236,12 +236,12 @@ func TestOpString(t *testing.T) {
 }
 
 func TestItemReset(t *testing.T) {
-	it := &Item{Key: "k", Size: 10, Penalty: 0.5, Value: []byte("abcd"), Class: 3}
+	var recs Records
+	id, it := recs.New()
+	recs.HoldKey(id, "k")
+	it.Size, it.Penalty, it.Class = 10, 0.5, 3
 	it.Reset()
-	if it.Key != "" || it.Size != 0 || it.Penalty != 0 || it.Class != 0 {
+	if it.Key() != "" || it.Size != 0 || it.Penalty != 0 || it.Class != 0 || it.Slot != 0 {
 		t.Fatalf("Reset left state behind: %+v", it)
-	}
-	if it.Value != nil {
-		t.Fatalf("Reset kept a value buffer (cap %d); buffers belong to the engine's slot stacks", cap(it.Value))
 	}
 }

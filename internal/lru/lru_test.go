@@ -8,10 +8,23 @@ import (
 	"pamakv/internal/kv"
 )
 
+// newList returns an empty list over a fresh store.
+func newList() *List {
+	l := New(new(kv.Records))
+	return &l
+}
+
+// item makes a record keyed k in l's store and returns its id.
+func item(l *List, k string) uint32 {
+	id, _ := l.recs.New()
+	l.recs.HoldKey(id, k)
+	return id
+}
+
 func keys(l *List) []string {
 	var out []string
-	for it := l.Front(); it != nil; it = it.Next {
-		out = append(out, it.Key)
+	for id := l.Front(); id != 0; id = l.recs.At(id).Next {
+		out = append(out, l.recs.At(id).Key())
 	}
 	return out
 }
@@ -32,12 +45,12 @@ func equal(a, b []string) bool {
 func checkInvariants(t *testing.T, l *List) {
 	t.Helper()
 	n := 0
-	var prev *kv.Item
-	for it := l.Front(); it != nil; it = it.Next {
-		if it.Prev != prev {
+	var prev uint32
+	for id := l.Front(); id != 0; id = l.recs.At(id).Next {
+		if l.recs.At(id).Prev != prev {
 			t.Fatalf("broken Prev link at position %d", n)
 		}
-		prev = it
+		prev = id
 		n++
 	}
 	if prev != l.Back() {
@@ -49,72 +62,72 @@ func checkInvariants(t *testing.T, l *List) {
 }
 
 func TestEmptyList(t *testing.T) {
-	var l List
-	if l.Len() != 0 || l.Front() != nil || l.Back() != nil {
-		t.Fatal("zero List not empty")
+	l := newList()
+	if l.Len() != 0 || l.Front() != 0 || l.Back() != 0 {
+		t.Fatal("new List not empty")
 	}
-	if l.PopBack() != nil {
-		t.Fatal("pop on empty list should return nil")
+	if l.PopBack() != 0 {
+		t.Fatal("pop on empty list should return 0")
 	}
 }
 
 func TestPushFrontOrder(t *testing.T) {
-	var l List
+	l := newList()
 	for _, k := range []string{"a", "b", "c"} {
-		l.PushFront(&kv.Item{Key: k})
+		l.PushFront(item(l, k))
 	}
-	if got := keys(&l); !equal(got, []string{"c", "b", "a"}) {
+	if got := keys(l); !equal(got, []string{"c", "b", "a"}) {
 		t.Fatalf("order = %v", got)
 	}
-	checkInvariants(t, &l)
+	checkInvariants(t, l)
 }
 
 func TestMoveToFront(t *testing.T) {
-	var l List
-	items := make([]*kv.Item, 3)
+	l := newList()
+	ids := make([]uint32, 3)
 	for i, k := range []string{"c", "b", "a"} {
-		items[2-i] = &kv.Item{Key: k}
-		l.PushFront(items[2-i])
+		ids[2-i] = item(l, k)
+		l.PushFront(ids[2-i])
 	}
-	l.MoveToFront(items[2]) // c a b
-	l.MoveToFront(items[2]) // no-op when already front
-	if got := keys(&l); !equal(got, []string{"c", "a", "b"}) {
+	l.MoveToFront(ids[2]) // c a b
+	l.MoveToFront(ids[2]) // no-op when already front
+	if got := keys(l); !equal(got, []string{"c", "a", "b"}) {
 		t.Fatalf("order = %v", got)
 	}
-	l.MoveToFront(items[1]) // b c a
-	if got := keys(&l); !equal(got, []string{"b", "c", "a"}) {
+	l.MoveToFront(ids[1]) // b c a
+	if got := keys(l); !equal(got, []string{"b", "c", "a"}) {
 		t.Fatalf("order = %v", got)
 	}
-	checkInvariants(t, &l)
+	checkInvariants(t, l)
 }
 
 func TestRemoveMiddleEnds(t *testing.T) {
-	var l List
-	items := make([]*kv.Item, 5)
-	for i := len(items) - 1; i >= 0; i-- {
-		items[i] = &kv.Item{Key: string(rune('a' + i))}
-		l.PushFront(items[i])
+	l := newList()
+	ids := make([]uint32, 5)
+	for i := len(ids) - 1; i >= 0; i-- {
+		ids[i] = item(l, string(rune('a'+i)))
+		l.PushFront(ids[i])
 	}
-	l.Remove(items[2])
-	l.Remove(items[0])
-	l.Remove(items[4])
-	if got := keys(&l); !equal(got, []string{"b", "d"}) {
+	l.Remove(ids[2])
+	l.Remove(ids[0])
+	l.Remove(ids[4])
+	if got := keys(l); !equal(got, []string{"b", "d"}) {
 		t.Fatalf("order = %v", got)
 	}
-	if items[2].Prev != nil || items[2].Next != nil {
+	if it := l.recs.At(ids[2]); it.Prev != 0 || it.Next != 0 {
 		t.Fatal("removed item retains links")
 	}
-	checkInvariants(t, &l)
+	checkInvariants(t, l)
 }
 
 func TestPopBackDrains(t *testing.T) {
-	var l List
+	l := newList()
 	for i := 0; i < 4; i++ {
-		l.PushFront(&kv.Item{Key: string(rune('a' + i))})
+		l.PushFront(item(l, string(rune('a'+i))))
 	}
 	var got []string
-	for it := l.PopBack(); it != nil; it = l.PopBack() {
-		got = append(got, it.Key)
+	for id := l.PopBack(); id != 0; id = l.PopBack() {
+		got = append(got, l.recs.At(id).Key())
 	}
 	if !equal(got, []string{"a", "b", "c", "d"}) {
 		t.Fatalf("pop order = %v", got)
@@ -125,13 +138,16 @@ func TestPopBackDrains(t *testing.T) {
 }
 
 func TestAscendFromBackStops(t *testing.T) {
-	var l List
+	l := newList()
 	for i := 0; i < 5; i++ {
-		l.PushFront(&kv.Item{Key: string(rune('a' + i))})
+		l.PushFront(item(l, string(rune('a'+i))))
 	}
 	var visited []string
-	l.AscendFromBack(func(it *kv.Item) bool {
-		visited = append(visited, it.Key)
+	l.AscendFromBack(func(id uint32, it *kv.Item) bool {
+		if l.recs.At(id) != it {
+			t.Fatalf("AscendFromBack paired id %d with another record", id)
+		}
+		visited = append(visited, it.Key())
 		return len(visited) < 2
 	})
 	if !equal(visited, []string{"a", "b"}) {
@@ -139,71 +155,49 @@ func TestAscendFromBackStops(t *testing.T) {
 	}
 }
 
-func TestCollectFromBack(t *testing.T) {
-	var l List
-	for i := 0; i < 5; i++ {
-		l.PushFront(&kv.Item{Key: string(rune('a' + i))})
-	}
-	got := l.CollectFromBack(3)
-	if len(got) != 3 || got[0].Key != "a" || got[1].Key != "b" || got[2].Key != "c" {
-		t.Fatalf("CollectFromBack = %v", got)
-	}
-	if len(l.CollectFromBack(99)) != 5 {
-		t.Fatal("CollectFromBack should clamp to Len")
-	}
-	if l.CollectFromBack(0) != nil || l.CollectFromBack(-1) != nil {
-		t.Fatal("CollectFromBack(<=0) should be nil")
-	}
-}
-
 // TestAgainstModel drives the list with random operations mirrored in a plain
-// slice model and checks the orders agree throughout.
+// slice model and checks the orders agree throughout. Removed records go back
+// to the store, so their ids are reused as the lists of an engine reuse them.
 func TestAgainstModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var l List
-		var model []*kv.Item // front..back
-		find := func(it *kv.Item) int {
-			for i, m := range model {
-				if m == it {
-					return i
-				}
-			}
-			return -1
-		}
+		l := newList()
+		var model []uint32 // front..back
 		for op := 0; op < 300; op++ {
 			switch r := rng.Intn(5); {
 			case r <= 1 || len(model) == 0:
-				it := &kv.Item{Key: kv.KeyString(uint64(op))}
-				l.PushFront(it)
-				model = append([]*kv.Item{it}, model...)
+				id := item(l, kv.KeyString(uint64(op)))
+				l.PushFront(id)
+				model = append([]uint32{id}, model...)
 			case r == 2:
 				i := rng.Intn(len(model))
 				l.MoveToFront(model[i])
-				it := model[i]
+				id := model[i]
 				model = append(model[:i], model[i+1:]...)
-				model = append([]*kv.Item{it}, model...)
+				model = append([]uint32{id}, model...)
 			case r == 3:
 				i := rng.Intn(len(model))
 				l.Remove(model[i])
+				l.recs.Free(model[i])
 				model = append(model[:i], model[i+1:]...)
 			case r == 4:
-				it := l.PopBack()
-				if it == nil {
+				id := l.PopBack()
+				if id == 0 {
 					return len(model) == 0
 				}
-				if find(it) != len(model)-1 {
+				if id != model[len(model)-1] {
 					return false
 				}
+				l.recs.Free(id)
 				model = model[:len(model)-1]
 			}
-			if l.Len() != len(model) {
+			if l.Len() != len(model) || l.recs.Len() != len(model) {
 				return false
 			}
 		}
 		i := 0
-		for it := l.Front(); it != nil; it = it.Next {
-			if i >= len(model) || model[i] != it {
+		for id := l.Front(); id != 0; id = l.recs.At(id).Next {
+			if i >= len(model) || model[i] != id {
 				return false
 			}
 			i++

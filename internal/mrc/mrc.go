@@ -28,10 +28,12 @@ import (
 	"pamakv/internal/rank"
 )
 
-// Tracker records reuse distances for one class.
+// Tracker records reuse distances for one class. Its shadow items are
+// records of its own store, each holding a copy of its key.
 type Tracker struct {
 	spc     int // slots (items) per slab-sized bucket
 	maxKeys int // shadow depth in items
+	recs    kv.Records
 	list    lru.List
 	ring    *rank.Ring
 	idx     *hashtable.Table
@@ -40,7 +42,6 @@ type Tracker struct {
 	// depth, plus first-touches (cold misses) — unconvertible by any
 	// allocation the tracker can see.
 	Infinite uint64
-	pool     []*kv.Item
 }
 
 // NewTracker builds a tracker with buckets of spc items covering depth
@@ -52,13 +53,15 @@ func NewTracker(spc, depth int) *Tracker {
 	if depth < 1 {
 		depth = 1
 	}
-	return &Tracker{
+	t := &Tracker{
 		spc:     spc,
 		maxKeys: spc * depth,
 		ring:    rank.New(256),
-		idx:     hashtable.New(1 << 8),
 		hist:    make([]uint64, depth),
 	}
+	t.list = lru.New(&t.recs)
+	t.idx = hashtable.New(&t.recs, 1<<8)
+	return t
 }
 
 // Depth returns the shadow depth in slabs.
@@ -70,7 +73,8 @@ func (t *Tracker) Len() int { return t.list.Len() }
 // Access records one request for key: its stack distance is histogrammed
 // and the key is promoted to the shadow's MRU end.
 func (t *Tracker) Access(key string, hash uint64) {
-	if it := t.idx.Get(hash, key); it != nil {
+	if id := t.idx.Get(hash, key); id != 0 {
+		it := t.recs.At(id)
 		// Distance from the top: number of items above it in the
 		// stack = live items younger than it.
 		dist := t.list.Len() - 1 - t.ring.Rank(it)
@@ -81,29 +85,29 @@ func (t *Tracker) Access(key string, hash uint64) {
 			t.Infinite++
 		}
 		t.ring.Remove(it)
-		t.list.MoveToFront(it)
+		t.list.MoveToFront(id)
 		t.reinsert(it)
 		return
 	}
 	t.Infinite++ // first touch within the shadow's memory
-	it := t.acquire()
-	it.Key = strings.Clone(key) // the shadow outlives the caller's key
+	id, it := t.recs.New()
+	t.recs.HoldKey(id, strings.Clone(key)) // the shadow outlives the caller's key
 	it.Hash = hash
-	t.idx.Put(it)
-	t.list.PushFront(it)
+	t.idx.Insert(id)
+	t.list.PushFront(id)
 	t.reinsert(it)
 	for t.list.Len() > t.maxKeys {
 		old := t.list.PopBack()
-		t.ring.Remove(old)
-		t.idx.Delete(old.Hash, old.Key)
-		t.release(old)
+		t.ring.Remove(t.recs.At(old))
+		t.idx.Remove(old)
+		t.recs.Free(old)
 	}
 }
 
 func (t *Tracker) reinsert(it *kv.Item) {
 	if t.ring.Full() {
 		t.ring.Reset()
-		t.list.AscendFromBack(func(x *kv.Item) bool {
+		t.list.AscendFromBack(func(_ uint32, x *kv.Item) bool {
 			t.ring.Insert(x)
 			return true
 		})
@@ -133,23 +137,6 @@ func (t *Tracker) ResetWindow() {
 		t.hist[i] = 0
 	}
 	t.Infinite = 0
-}
-
-func (t *Tracker) acquire() *kv.Item {
-	if n := len(t.pool); n > 0 {
-		it := t.pool[n-1]
-		t.pool = t.pool[:n-1]
-		return it
-	}
-	return &kv.Item{}
-}
-
-func (t *Tracker) release(it *kv.Item) {
-	if len(t.pool) >= 4096 {
-		return
-	}
-	it.Reset()
-	t.pool = append(t.pool, it)
 }
 
 // Waterfill distributes total slabs across classes to maximize

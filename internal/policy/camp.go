@@ -135,17 +135,14 @@ func (p *CAMP) queueFor(r float64) *campQueue {
 }
 
 func (p *CAMP) insert(it *kv.Item) {
-	if old := p.entries[it.Key]; old != nil {
+	if old := p.entries[it.Key()]; old != nil {
 		p.drop(old)
 	}
 	r := p.ratio(it)
 	p.seq++
 	// The mirror outlives the engine lock: a value-storing engine's key
 	// aliases the item's slot, so the entry keeps a copy.
-	e := &campEntry{key: strings.Clone(it.Key), class: int(it.Class), prio: p.l + r, seq: p.seq}
-	// Seq is free when segment tracking is off; the insertion clock there
-	// makes mirror state visible to tests and debuggers.
-	it.Seq = e.seq
+	e := &campEntry{key: strings.Clone(it.Key()), class: int(it.Class), prio: p.l + r, seq: p.seq}
 	p.entries[e.key] = e
 	p.queueFor(r).pushHead(e)
 }
@@ -165,7 +162,7 @@ func (p *CAMP) OnInsert(it *kv.Item) { p.insert(it) }
 // OnHit implements cache.Policy: the touched item is re-queued at its
 // queue's head with a freshly inflated priority.
 func (p *CAMP) OnHit(it *kv.Item, _ int) {
-	e := p.entries[it.Key]
+	e := p.entries[it.Key()]
 	if e == nil {
 		return
 	}
@@ -182,7 +179,7 @@ func (p *CAMP) OnHit(it *kv.Item, _ int) {
 // OnEvict implements cache.Policy: raise the inflation clock to the evicted
 // priority (the GreedyDual aging step) and drop the mirror entry.
 func (p *CAMP) OnEvict(it *kv.Item) {
-	if e := p.entries[it.Key]; e != nil {
+	if e := p.entries[it.Key()]; e != nil {
 		if e.prio > p.l {
 			p.l = e.prio
 		}
@@ -193,7 +190,7 @@ func (p *CAMP) OnEvict(it *kv.Item) {
 // OnRemove implements cache.RemovalObserver: non-eviction removals leave
 // the clock alone.
 func (p *CAMP) OnRemove(it *kv.Item) {
-	if e := p.entries[it.Key]; e != nil {
+	if e := p.entries[it.Key()]; e != nil {
 		p.drop(e)
 	}
 }

@@ -95,7 +95,7 @@ func (l *LAMA) Attach(c *cache.Cache) {
 
 // OnHit implements cache.Policy.
 func (l *LAMA) OnHit(it *kv.Item, _ int) {
-	l.trackers[it.Class].Access(it.Key, it.Hash)
+	l.trackers[it.Class].Access(it.Key(), it.Hash)
 }
 
 // OnMiss implements cache.Policy: misses contribute to the class's average
@@ -110,7 +110,7 @@ func (l *LAMA) OnMiss(class, _ int, ghostPen float64, ghostSeg int) {
 // OnInsert implements cache.Policy: a miss refill (or explicit SET) is an
 // access at the key's reuse distance.
 func (l *LAMA) OnInsert(it *kv.Item) {
-	l.trackers[it.Class].Access(it.Key, it.Hash)
+	l.trackers[it.Class].Access(it.Key(), it.Hash)
 	l.sumPen[it.Class] += it.Penalty
 	l.nPen[it.Class]++
 }

@@ -4,7 +4,7 @@
 //
 // Package mrc's shadow stacks use it to measure each re-access's exact
 // stack distance. They are the whole budget deep, where a segment tracker's
-// boundary pointers (package segment) would cost O(depth) per access.
+// boundary ids (package segment) would cost O(depth) per access.
 //
 // Implementation: every insertion at the MRU end is assigned a monotonically
 // increasing sequence number; stack order equals sequence order because a
@@ -21,8 +21,8 @@ import "pamakv/internal/kv"
 type Ring struct {
 	bits []int32 // Fenwick tree, 1-based over [1..cap]
 	cap  int     // capacity of the sequence window, power of two
-	base uint64  // sequence number mapped to tree index 1
-	next uint64  // next sequence number to assign
+	base uint32  // sequence number mapped to tree index 1
+	next uint32  // next sequence number to assign
 	live int
 }
 
@@ -41,7 +41,7 @@ func (r *Ring) Len() int { return r.live }
 
 // Full reports whether the next Insert would overflow the sequence window.
 // The owner must compact (Reset + re-Insert in bottom-to-top order) first.
-func (r *Ring) Full() bool { return r.next-r.base >= uint64(r.cap) }
+func (r *Ring) Full() bool { return int(r.next-r.base) >= r.cap }
 
 // Reset clears the ring and, when the live population has outgrown half the
 // window, doubles the window so compactions stay amortized O(1) per access.
@@ -65,32 +65,31 @@ func (r *Ring) Reset() {
 // marks it live. Callers must check Full first; inserting into a full ring
 // panics, as it would silently corrupt ranks.
 func (r *Ring) Insert(it *kv.Item) {
-	idx := r.next - r.base
-	if idx >= uint64(r.cap) {
+	idx := int(r.next - r.base)
+	if idx >= r.cap {
 		panic("rank: Insert into full Ring; compact first")
 	}
 	it.Seq = r.next
 	r.next++
 	r.live++
-	r.add(int(idx)+1, 1)
+	r.add(idx+1, 1)
 }
 
 // Remove marks it dead. The item must have been Inserted and not Removed
 // since.
 func (r *Ring) Remove(it *kv.Item) {
-	idx := it.Seq - r.base
-	if idx >= uint64(r.cap) {
+	idx := int(it.Seq - r.base)
+	if idx >= r.cap {
 		panic("rank: Remove of item outside window")
 	}
 	r.live--
-	r.add(int(idx)+1, -1)
+	r.add(idx+1, -1)
 }
 
 // Rank returns the 0-based position of it counted from the bottom of the
 // stack: 0 means it is the LRU item.
 func (r *Ring) Rank(it *kv.Item) int {
-	idx := it.Seq - r.base
-	return r.sum(int(idx)) // live items strictly older (deeper) than it
+	return r.sum(int(it.Seq - r.base)) // live items strictly older (deeper) than it
 }
 
 // add applies delta at 1-based tree position i.

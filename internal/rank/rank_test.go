@@ -102,10 +102,11 @@ func TestAgainstListModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r := New(4)
-		var l lru.List
+		recs := new(kv.Records)
+		l := lru.New(recs)
 		compact := func() {
 			r.Reset()
-			l.AscendFromBack(func(it *kv.Item) bool {
+			l.AscendFromBack(func(_ uint32, it *kv.Item) bool {
 				r.Insert(it)
 				return true
 			})
@@ -116,36 +117,38 @@ func TestAgainstListModel(t *testing.T) {
 				if r.Full() {
 					compact()
 				}
-				it := &kv.Item{}
-				l.PushFront(it)
+				id, it := recs.New()
+				l.PushFront(id)
 				r.Insert(it)
 			case c == 2: // access a random item
 				pick := rng.Intn(l.Len())
-				var it *kv.Item
+				var id uint32
 				i := 0
-				l.AscendFromBack(func(x *kv.Item) bool {
+				l.AscendFromBack(func(x uint32, _ *kv.Item) bool {
 					if i == pick {
-						it = x
+						id = x
 						return false
 					}
 					i++
 					return true
 				})
+				it := recs.At(id)
 				r.Remove(it)
-				l.MoveToFront(it)
+				l.MoveToFront(id)
 				if r.Full() {
 					compact() // re-inserts it along with everything else
 				} else {
 					r.Insert(it)
 				}
 			case c == 3: // evict bottom
-				it := l.PopBack()
-				r.Remove(it)
+				id := l.PopBack()
+				r.Remove(recs.At(id))
+				recs.Free(id)
 			}
 			// Verify every position.
 			pos := 0
 			ok := true
-			l.AscendFromBack(func(it *kv.Item) bool {
+			l.AscendFromBack(func(_ uint32, it *kv.Item) bool {
 				if r.Rank(it) != pos {
 					ok = false
 					return false
@@ -167,23 +170,25 @@ func TestAgainstListModel(t *testing.T) {
 func BenchmarkRingAccess(b *testing.B) {
 	const n = 8192
 	r := New(n)
-	var l lru.List
-	items := make([]*kv.Item, n)
-	for i := range items {
-		items[i] = &kv.Item{}
-		l.PushFront(items[i])
-		r.Insert(items[i])
+	recs := new(kv.Records)
+	l := lru.New(recs)
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i], _ = recs.New()
+		l.PushFront(ids[i])
+		r.Insert(recs.At(ids[i]))
 	}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := items[rng.Intn(n)]
+		id := ids[rng.Intn(n)]
+		it := recs.At(id)
 		_ = r.Rank(it)
 		r.Remove(it)
-		l.MoveToFront(it)
+		l.MoveToFront(id)
 		if r.Full() {
 			r.Reset()
-			l.AscendFromBack(func(x *kv.Item) bool { r.Insert(x); return true })
+			l.AscendFromBack(func(_ uint32, x *kv.Item) bool { r.Insert(x); return true })
 		} else {
 			r.Insert(it)
 		}

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pamakv/internal/kv"
@@ -16,7 +17,7 @@ type stack struct {
 }
 
 func newStack(mk func(*lru.List, int, int) Tracker, segSize, nseg int) *stack {
-	s := &stack{}
+	s := &stack{list: lru.New(new(kv.Records))}
 	s.tr = mk(&s.list, segSize, nseg)
 	return s
 }
@@ -24,31 +25,38 @@ func newStack(mk func(*lru.List, int, int) Tracker, segSize, nseg int) *stack {
 func exactMk(l *lru.List, s, n int) Tracker { return NewExact(l, s, n) }
 func bloomMk(l *lru.List, s, n int) Tracker { return NewBloom(l, s, n) }
 
-func (s *stack) insert(it *kv.Item) {
-	s.list.PushFront(it)
-	s.tr.Insert(it)
+func (s *stack) insert(id uint32) {
+	s.list.PushFront(id)
+	s.tr.Insert(id)
 }
 
-func (s *stack) evictBottom() *kv.Item {
-	it := s.list.Back()
-	if it == nil {
-		return nil
+func (s *stack) evictBottom() uint32 {
+	id := s.list.Back()
+	if id == 0 {
+		return 0
 	}
-	s.tr.Remove(it)
-	s.list.Remove(it)
-	return it
+	s.tr.Remove(id)
+	s.list.Remove(id)
+	return id
 }
 
-func item(id uint64) *kv.Item {
-	k := kv.KeyString(id)
-	return &kv.Item{Key: k, Hash: kv.HashString(k)}
+// item makes a record of l's store keyed by n and returns its id.
+func item(l *lru.List, n uint64) uint32 {
+	k := kv.KeyString(n)
+	id, it := l.Records().New()
+	l.Records().HoldKey(id, k)
+	it.Hash = kv.HashString(k)
+	return id
 }
+
+// item is the package item over the stack's list.
+func (s *stack) item(n uint64) uint32 { return item(&s.list, n) }
 
 func TestExactSegmentsOnFreshStack(t *testing.T) {
 	s := newStack(exactMk, 4, 2) // bottom 8 items tracked in 2 segments of 4
-	items := make([]*kv.Item, 12)
+	items := make([]uint32, 12)
 	for i := range items {
-		items[i] = item(uint64(i))
+		items[i] = s.item(uint64(i))
 		s.insert(items[i])
 	}
 	// items[0] is the bottom. Positions 0..3 -> seg 0, 4..7 -> seg 1, rest -1.
@@ -62,7 +70,7 @@ func TestExactSegmentsOnFreshStack(t *testing.T) {
 
 func TestExactTouchMovesToFront(t *testing.T) {
 	s := newStack(exactMk, 2, 2)
-	a, b, c := item(1), item(2), item(3)
+	a, b, c := s.item(1), s.item(2), s.item(3)
 	s.insert(a)
 	s.insert(b)
 	s.insert(c)
@@ -80,9 +88,9 @@ func TestExactTouchMovesToFront(t *testing.T) {
 
 func TestExactRemoveShifts(t *testing.T) {
 	s := newStack(exactMk, 1, 3)
-	items := make([]*kv.Item, 5)
+	items := make([]uint32, 5)
 	for i := range items {
-		items[i] = item(uint64(i))
+		items[i] = s.item(uint64(i))
 		s.insert(items[i])
 	}
 	if got := s.evictBottom(); got != items[0] {
@@ -99,11 +107,11 @@ func TestExactRemoveShifts(t *testing.T) {
 // list.
 func TestExactCompactionKeepsOrder(t *testing.T) {
 	s := newStack(exactMk, 8, 2)
-	var items []*kv.Item
+	var items []uint32
 	for i := 0; i < 200; i++ {
-		it := item(uint64(i))
-		items = append(items, it)
-		s.insert(it)
+		id := s.item(uint64(i))
+		items = append(items, id)
+		s.insert(id)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 3000; i++ {
@@ -112,18 +120,18 @@ func TestExactCompactionKeepsOrder(t *testing.T) {
 	if err := s.tr.(*Exact).Check(); err != nil {
 		t.Fatal(err)
 	}
-	for pos, it := range walk(&s.list) {
-		if got, want := segOf(s.tr.(*Exact), it), naiveSeg(pos, 8, 2); got != want {
+	for pos, id := range walk(&s.list) {
+		if got, want := segOf(s.tr.(*Exact), id), naiveSeg(pos, 8, 2); got != want {
 			t.Fatalf("item at %d from the bottom in segment %d, want %d", pos, got, want)
 		}
 	}
 }
 
 // walk returns the list bottom first.
-func walk(l *lru.List) []*kv.Item {
-	var out []*kv.Item
-	l.AscendFromBack(func(it *kv.Item) bool {
-		out = append(out, it)
+func walk(l *lru.List) []uint32 {
+	var out []uint32
+	l.AscendFromBack(func(id uint32, _ *kv.Item) bool {
+		out = append(out, id)
 		return true
 	})
 	return out
@@ -139,8 +147,8 @@ func naiveSeg(pos, segSize, nseg int) int {
 }
 
 // segOf reads an item's tag as Touch would report it.
-func segOf(e *Exact, it *kv.Item) int {
-	if k := int(it.Seq); k < e.nseg {
+func segOf(e *Exact, id uint32) int {
+	if k := int(e.recs.At(id).Seq); k < e.nseg {
 		return k
 	}
 	return -1
@@ -149,7 +157,7 @@ func segOf(e *Exact, it *kv.Item) int {
 // FuzzExact decodes bytes into Insert, Touch and Remove over
 // one list and compares every item's segment with a walk of the list after
 // every operation. The first two bytes pick the shape, segSize 1 and nseg 1
-// included.
+// included. A removed record goes back to the store, so ids are reused.
 func FuzzExact(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 3, 0})
 	f.Add([]byte{3, 2, 0, 1, 0, 1, 1, 2, 1, 3, 2, 5, 3, 0, 3, 7, 2, 2, 0, 9})
@@ -159,9 +167,9 @@ func FuzzExact(f *testing.F) {
 			return
 		}
 		segSize, nseg := 1+int(ops[0]%4), 1+int(ops[1]%4)
-		var l lru.List
+		l := lru.New(new(kv.Records))
 		e := NewExact(&l, segSize, nseg)
-		var on []*kv.Item // items on the list, in no particular order
+		var on []uint32 // items on the list, in no particular order
 		next := uint64(0)
 		for ops = ops[2:]; len(ops) >= 2; ops = ops[2:] {
 			op, arg := ops[0]%3, int(ops[1])
@@ -170,28 +178,29 @@ func FuzzExact(f *testing.F) {
 			}
 			switch op {
 			case 0:
-				it := item(next)
+				id := item(&l, next)
 				next++
-				l.PushFront(it)
-				e.Insert(it)
-				on = append(on, it)
+				l.PushFront(id)
+				e.Insert(id)
+				on = append(on, id)
 			case 1:
-				it := on[arg%len(on)]
-				want := naiveSeg(indexOf(walk(&l), it), segSize, nseg)
-				if got := e.Touch(it); got != want {
+				id := on[arg%len(on)]
+				want := naiveSeg(slices.Index(walk(&l), id), segSize, nseg)
+				if got := e.Touch(id); got != want {
 					t.Fatalf("Touch reported segment %d, a walk says %d", got, want)
 				}
-				if l.Front() != it {
+				if l.Front() != id {
 					t.Fatal("Touch did not move the item to the front")
 				}
 			case 2:
 				i := arg % len(on)
 				e.Remove(on[i])
 				l.Remove(on[i])
+				l.Records().Free(on[i])
 				on = append(on[:i], on[i+1:]...)
 			}
-			for pos, it := range walk(&l) {
-				if got, want := segOf(e, it), naiveSeg(pos, segSize, nseg); got != want {
+			for pos, id := range walk(&l) {
+				if got, want := segOf(e, id), naiveSeg(pos, segSize, nseg); got != want {
 					t.Fatalf("item at %d from the bottom in segment %d, a walk says %d", pos, got, want)
 				}
 			}
@@ -202,18 +211,9 @@ func FuzzExact(f *testing.F) {
 	})
 }
 
-func indexOf(items []*kv.Item, it *kv.Item) int {
-	for i, x := range items {
-		if x == it {
-			return i
-		}
-	}
-	return -1
-}
-
 func TestBloomFreshSnapshotEmpty(t *testing.T) {
 	s := newStack(bloomMk, 4, 2)
-	it := item(1)
+	it := s.item(1)
 	s.insert(it)
 	// No rollover yet: nothing is attributed.
 	if got := s.tr.Touch(it); got != -1 {
@@ -226,9 +226,9 @@ func TestBloomFreshSnapshotEmpty(t *testing.T) {
 
 func TestBloomAfterRollover(t *testing.T) {
 	s := newStack(bloomMk, 4, 2)
-	items := make([]*kv.Item, 12)
+	items := make([]uint32, 12)
 	for i := range items {
-		items[i] = item(uint64(i))
+		items[i] = s.item(uint64(i))
 		s.insert(items[i])
 	}
 	s.tr.Rollover()
@@ -249,9 +249,9 @@ func TestBloomAfterRollover(t *testing.T) {
 
 func TestBloomRemovalSuppressesReaccess(t *testing.T) {
 	s := newStack(bloomMk, 4, 1)
-	items := make([]*kv.Item, 4)
+	items := make([]uint32, 4)
 	for i := range items {
-		items[i] = item(uint64(i))
+		items[i] = s.item(uint64(i))
 		s.insert(items[i])
 	}
 	s.tr.Rollover()
@@ -267,7 +267,7 @@ func TestBloomRemovalSuppressesReaccess(t *testing.T) {
 
 func TestBloomEvictionMarksRemoval(t *testing.T) {
 	s := newStack(bloomMk, 2, 1)
-	a, b := item(1), item(2)
+	a, b := s.item(1), s.item(2)
 	s.insert(a)
 	s.insert(b)
 	s.tr.Rollover()
@@ -277,7 +277,8 @@ func TestBloomEvictionMarksRemoval(t *testing.T) {
 	}
 	// Re-inserting a fresh item with the same key: stale filter entry must
 	// not attribute it (removal filter suppresses).
-	a2 := item(1)
+	s.list.Records().Free(ev)
+	a2 := s.item(1)
 	s.insert(a2)
 	if got := s.tr.Touch(a2); got != -1 {
 		t.Fatalf("stale attribution after eviction: %d", got)
@@ -291,9 +292,9 @@ func TestBloomAgreesWithExactMostly(t *testing.T) {
 	const segSize, nseg, n = 16, 3, 400
 	se := newStack(exactMk, segSize, nseg)
 	sb := newStack(bloomMk, segSize, nseg)
-	var ei, bi []*kv.Item
+	var ei, bi []uint32
 	for i := 0; i < n; i++ {
-		e, b := item(uint64(i)), item(uint64(i))
+		e, b := se.item(uint64(i)), sb.item(uint64(i))
 		se.insert(e)
 		sb.insert(b)
 		ei = append(ei, e)

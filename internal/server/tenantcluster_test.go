@@ -8,6 +8,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,13 +92,14 @@ func auditTenantCluster(t *testing.T, nodes []*tenantNode) map[string]int {
 		for _, m := range n.members {
 			for _, e := range m.Engines {
 				e.RangeItems(func(it *kv.Item) bool {
-					if id := n.reg.Resolve(it.Key); id != m.ID {
-						t.Errorf("node %d: %q filed under tenant %s, not %s", i, it.Key, m.Cfg.Name, n.reg.Config(id).Name)
+					key := strings.Clone(it.Key())
+					if id := n.reg.Resolve(key); id != m.ID {
+						t.Errorf("node %d: %q filed under tenant %s, not %s", i, key, m.Cfg.Name, n.reg.Config(id).Name)
 					}
-					if o := n.peers.Owner(it.Key); o != n.addr {
-						t.Errorf("node %d holds %q, owned by %s", i, it.Key, o)
+					if o := n.peers.Owner(key); o != n.addr {
+						t.Errorf("node %d holds %q, owned by %s", i, key, o)
 					}
-					held[it.Key]++
+					held[key]++
 					return true
 				})
 			}

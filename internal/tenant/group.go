@@ -92,21 +92,21 @@ func splitBudget(reg *Registry, total, slabSize int64) ([]int64, error) {
 	return shares, nil
 }
 
-// CheckIsolation audits that each tenant's engines hold only items stamped
-// with that tenant's id (engine-level invariants are the group's
-// CheckInvariants). Like them it is for a quiescent point: it walks the
-// engines' indexes without their locks.
+// CheckIsolation audits that each tenant's engines hold only that tenant's
+// items: an engine holding any item is configured with its tenant's id
+// (engine-level invariants are the group's CheckInvariants). Like them it is
+// for a quiescent point: it walks the engines' indexes without their locks.
 func CheckIsolation(members []Member) error {
 	for _, m := range members {
 		for _, e := range m.Engines {
+			if int(e.Tenant()) == m.ID {
+				continue
+			}
 			var stray error
 			e.RangeItems(func(it *kv.Item) bool {
-				if int(it.Tenant) != m.ID {
-					stray = fmt.Errorf("tenant %s: engine holds item %q of tenant %d",
-						m.Cfg.Name, it.Key, it.Tenant)
-					return false
-				}
-				return true
+				stray = fmt.Errorf("tenant %s: engine holds item %q of tenant %d",
+					m.Cfg.Name, it.Key(), e.Tenant())
+				return false
 			})
 			if stray != nil {
 				return stray

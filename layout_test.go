@@ -1,30 +1,51 @@
 package pamakv
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
 	"pamakv/internal/kv"
 )
 
-// TestItemLayout pins kv.Item at two cache lines: 120 bytes, which the
-// allocator's 128-byte size class places 64-byte aligned, so an item is one
-// adjacent pair of lines and an index hit's compare of Key and Hash touches
-// the first. A field added to the struct fails here, by name, rather than as
-// a third line on every hit.
+// TestItemLayout is the record gate: kv.Item is exactly one 64-byte cache
+// line with no Go pointer in it, and the records a kv.Records store hands out
+// are 64-byte aligned, so a record is one line and a chunk of them is memory
+// the collector never scans. A field that grows the record, or one that holds
+// a pointer (a string, a slice, ...), fails here by name rather than as a
+// second line on every hit or a heap the collector walks.
 func TestItemLayout(t *testing.T) {
-	if got := unsafe.Sizeof(kv.Item{}); got != 120 {
-		t.Fatalf("kv.Item is %d bytes, want 120 (in the 128-byte class: two cache lines)", got)
+	if got := unsafe.Sizeof(kv.Item{}); got != 64 {
+		t.Fatalf("kv.Item is %d bytes, want 64 (one cache line)", got)
 	}
-	var it kv.Item
-	if end := unsafe.Offsetof(it.Hash) + unsafe.Sizeof(it.Hash); end > 64 {
-		t.Errorf("Key and Hash end at byte %d, past the first cache line", end)
+	for _, f := range pointerFields(reflect.TypeOf(kv.Item{}), "kv.Item") {
+		t.Errorf("%s holds a Go pointer: a record must be pointer-free", f)
 	}
-	items := make([]*kv.Item, 1024)
-	for i := range items {
-		items[i] = new(kv.Item)
-		if p := uintptr(unsafe.Pointer(items[i])); p%64 != 0 {
-			t.Fatalf("item %d allocated at %#x, not 64-byte aligned", i, p)
+	var recs kv.Records
+	for i := 0; i < 3*kv.ChunkLen; i++ {
+		id, it := recs.New()
+		if p := uintptr(unsafe.Pointer(it)); p%64 != 0 {
+			t.Fatalf("record %d at %#x, not 64-byte aligned", id, p)
 		}
 	}
+}
+
+// pointerFields names every part of t, a field at path, that holds a Go
+// pointer the collector would follow.
+func pointerFields(t reflect.Type, path string) []string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.UnsafePointer:
+		return []string{path + " (" + t.Kind().String() + ")"}
+	case reflect.Array:
+		return pointerFields(t.Elem(), path+"[]")
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			out = append(out, pointerFields(f.Type, path+"."+f.Name)...)
+		}
+		return out
+	}
+	return nil
 }

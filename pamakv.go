@@ -84,7 +84,7 @@ type (
 // Tracker kinds.
 const (
 	// TrackerExact computes segment attribution exactly (a segment tag on
-	// every item, one boundary pointer per segment).
+	// every item, one boundary id per segment).
 	TrackerExact = cache.TrackerExact
 	// TrackerBloom uses the paper's per-segment Bloom filters.
 	TrackerBloom = cache.TrackerBloom
