@@ -902,7 +902,7 @@ func (c *Cache) checkGhostsLocked(r *ghostRegion, owner uint16) error {
 		return err
 	}
 	for i := r.newest; i != 0; i = c.ghosts.recs[i].older {
-		if id := c.index.Peek(c.ghosts.recs[i].hash); id != 0 {
+		if id := c.index.FindHash(c.ghosts.recs[i].hash); id != 0 {
 			return fmt.Errorf("%q is resident and also a ghost", c.recs.At(id).Key())
 		}
 	}

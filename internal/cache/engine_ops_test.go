@@ -285,20 +285,34 @@ func TestGetAndGetsAreAccountedAlike(t *testing.T) {
 	}
 }
 
-// fuzzKeys are the sixteen keys FuzzEngineOps draws from: the first names
-// "k<n>" whose hashes' low 13 bits read 8188–8191, so they share the last
-// four home slots of every index the engine sizes (512 to 8192 slots). Their
-// probe runs collide and wrap to slot 0, which is what the indexes'
-// CheckInvariants needs to see; sixteen spread keys form no runs.
+// fuzzKeys are the sixteen keys FuzzEngineOps draws from, names "k<n>" whose
+// hashes' low 13 bits read 8188–8191, so they share the last four home slots
+// of every index the engine sizes (512 to 8192 slots). Their probe runs
+// collide and wrap to slot 0, which is what the indexes' CheckInvariants
+// needs to see; sixteen spread keys form no runs. The first twelve are the
+// first such names; the last four are tagTwins.
 var fuzzKeys = func() []string {
 	var keys []string
-	for n := 0; len(keys) < 16; n++ {
+	for n := 0; len(keys) < 12; n++ {
 		if k := fmt.Sprintf("k%d", n); kv.HashString(k)&8191 >= 8188 {
 			keys = append(keys, k)
 		}
 	}
-	return keys
+	for i := 0; i < len(tagTwins); i += 2 {
+		a, b := kv.HashString(tagTwins[i]), kv.HashString(tagTwins[i+1])
+		if uint32(a) != uint32(b) || a == b || a&8191 < 8188 {
+			panic("tagTwins " + tagTwins[i] + ", " + tagTwins[i+1] + " do not share a tag")
+		}
+	}
+	return append(keys, tagTwins...)
 }()
+
+// tagTwins are two pairs of keys whose hashes share their low 32 bits, the
+// index slot's tag, and differ above them (found by a birthday search over
+// "k<n>"): each pair shares a home and a tag in every index, so an index
+// that trusts a tag match, or a ghost audit that does, answers for the other
+// key.
+var tagTwins = []string{"k1403108", "k1689735", "k105042", "k2653568"}
 
 // FuzzEngineOps decodes a byte string into operations over sixteen keys on a
 // four-slab engine — small enough that a few dozen bytes reach eviction, ghost
@@ -322,6 +336,15 @@ func FuzzEngineOps(f *testing.F) {
 	// Grow one key through every class by appends and prepends, past the
 	// largest.
 	f.Add([]byte{2, 3, 20, 14, 3, 40, 15, 3, 90, 14, 3, 150, 15, 3, 250, 14, 3, 255})
+	// Tag twins (keys 12–15): store, read and delete one of each pair
+	// beside the other, evict both pairs into ghosts by filling the class,
+	// then store one twin back while the other stays a ghost and read it.
+	twins := []byte{2, 12, 201, 2, 13, 201, 0, 12, 0, 0, 13, 0, 8, 12, 0, 0, 13, 0, 2, 14, 201, 2, 15, 201}
+	for k := byte(0); k < 12; k++ {
+		twins = append(twins, 2, k, 201)
+	}
+	twins = append(twins, 2, 12, 201, 0, 13, 0, 2, 15, 201, 13, 12, 0, 0, 14, 0, 8, 15, 0, 0, 14, 0)
+	f.Add(twins)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, kind := range []string{"pama", "psa"} {
 			runFuzzOps(t, kind, ops)

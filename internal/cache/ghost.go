@@ -64,14 +64,20 @@ func newRegion(spc, nseg int) ghostRegion {
 
 // find returns the ghost of hash h, or 0.
 func (t *ghostTable) find(h uint64) int32 {
-	if t.n == 0 {
-		return 0
-	}
-	i := t.buckets[h&uint64(len(t.buckets)-1)]
+	i := t.bucket(h)
 	for i != 0 && t.recs[i].hash != h {
 		i = t.recs[i].chain
 	}
 	return i
+}
+
+// bucket returns the first record of hash h's bucket, or 0: the load a find
+// of h starts with.
+func (t *ghostTable) bucket(h uint64) int32 {
+	if t.n == 0 {
+		return 0
+	}
+	return t.buckets[h&uint64(len(t.buckets)-1)]
 }
 
 // push makes (h, pen) the newest ghost of region r, owned by subclass owner,

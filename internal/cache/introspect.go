@@ -69,6 +69,9 @@ type Introspection struct {
 	// RecordBytes is the Go heap the items' records take: the chunks of
 	// kv.ChunkLen 64-byte records the engine has allocated, in use or free.
 	RecordBytes int64 `json:"record_bytes" prom:"pamakv_record_bytes" help:"Go heap held by the chunks of 64-byte item records."`
+	// IndexBytes is the Go heap the key index takes: its 8-byte slots, a
+	// power of two at least twice the residents.
+	IndexBytes int64 `json:"index_bytes" prom:"pamakv_index_bytes" help:"Go heap held by the key index's 8-byte slots."`
 	// GhostEntries is the ghosts the ghost regions hold and GhostBytes the
 	// Go heap their records and index take (ghost.go), so the rest of the
 	// heap can be put down to the resident items and their index.
@@ -135,6 +138,7 @@ func (c *Cache) Introspect() Introspection {
 		GhostEntries:     c.ghosts.n,
 		GhostBytes:       c.ghosts.bytes(),
 		RecordBytes:      c.recs.Bytes(),
+		IndexBytes:       c.index.Bytes(),
 		Items:            c.index.Len(),
 		Stats:            c.stats,
 	}

@@ -14,11 +14,13 @@ const prefetchLines = 4
 
 // Prefetch loads the memory that serving keys is about to read: each key's
 // index probe run, the record its hash finds, the lines of that item's key and
-// value (up to prefetchLines each), and its LRU neighbours' records. A server calls
-// it with the keys of a pipelined burst it has parsed but not yet served, so
-// the cache misses of all of them overlap instead of being paid one command
-// at a time (DESIGN.md §10). It changes nothing a later operation can see: no clock tick, no LRU
-// move, no counter but Prefetched and PrefetchResident.
+// value (up to prefetchLines each), and its LRU neighbours' records; for a
+// key not resident, its ghost bucket and the first ghost record there. A
+// server calls it with the keys of a pipelined burst it has parsed but not
+// yet served, so the cache misses of all of them overlap instead of being
+// paid one command at a time (DESIGN.md §10). It changes nothing a later
+// operation can see: no clock tick, no LRU move, no counter but Prefetched
+// and PrefetchResident.
 func (c *Cache) Prefetch(keys []string) {
 	var hs [PrefetchWindow]uint64
 	for len(keys) > 0 {
@@ -38,26 +40,38 @@ func (c *Cache) Prefetch(keys []string) {
 // many misses in flight at once.
 func (c *Cache) PrefetchHashes(hs []uint64) {
 	var its [PrefetchWindow]*kv.Item
+	var gs [PrefetchWindow]int32
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sink uint64
 	for len(hs) > 0 {
 		w := hs[:min(len(hs), len(its))]
 		hs = hs[len(w):]
-		// 1. The slots: each key's probe run, and the record its hash finds.
-		n := 0
+		// 1. The slots: each key's probe run, and the record its hash
+		// finds; for a key found absent, its ghost bucket, which a miss's
+		// ghost lookup and a store's ghost drop read.
+		n, m := 0, 0
 		for _, h := range w {
 			if id := c.index.Peek(h); id != 0 {
 				its[n] = c.recs.At(id)
 				n++
+			} else {
+				gs[m] = c.ghosts.bucket(h)
+				m++
 			}
 		}
 		// 2. The records, and behind them the bytes a key compare and a
 		// value copy (or overwrite) read: every line of the key and of
-		// the value, up to prefetchLines of each.
+		// the value, up to prefetchLines of each. The first ghost record
+		// each bucket names.
 		for _, it := range its[:n] {
 			sink += touchLines(it.Key())
 			sink += touchLines(it.Value())
+		}
+		for _, g := range gs[:m] {
+			if g != 0 {
+				sink += c.ghosts.recs[g].hash
+			}
 		}
 		// 3. The LRU neighbours a hit's move to the front, or an
 		// overwrite's unlink, writes.

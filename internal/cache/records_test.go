@@ -77,6 +77,43 @@ func TestNoPerItemHeapObject(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
+// TestRecordsGivenBackOnFlush: a flush frees every record, and the store
+// gives its chunks back with the last one, so record_bytes falls from 120 k
+// residents' chunks to 0 and the next store takes one chunk afresh.
+func TestRecordsGivenBackOnFlush(t *testing.T) {
+	const residents = 120_000
+	c, err := New(Config{CacheBytes: 32 << 20, StoreValues: true}, &nullPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := make([]byte, 0, 16)
+	for i := 0; i < residents; i++ {
+		key = strconv.AppendInt(append(key[:0], "key-"...), int64(i), 10)
+		if err := c.Set(string(key), 40, 0.01, 0, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := c.Introspect().RecordBytes, int64(residents/kv.ChunkLen+1)*kv.ChunkLen*64; got != want {
+		t.Fatalf("record_bytes = %d at %d residents, want %d", got, residents, want)
+	}
+	c.Flush()
+	if in := c.Introspect(); in.RecordBytes != 0 || in.Items != 0 {
+		t.Fatalf("after Flush: %d items in %d record bytes, want none in 0", in.Items, in.RecordBytes)
+	}
+	if err := c.Set("again", 40, 0.01, 0, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Introspect().RecordBytes; got != kv.ChunkLen*64 {
+		t.Fatalf("record_bytes = %d after one store, want one chunk", got)
+	}
+	if v, _, hit := c.Get("again", 0, 0, nil); !hit || string(v) != "v" {
+		t.Fatalf("Get(again) = %q, %v", v, hit)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecordReuseAfterFree: a record freed by a delete, an eviction or an
 // expiry is the next one a store takes, under the new key only — the index,
 // the stacks and the value pages name it by the same id — in a value-storing

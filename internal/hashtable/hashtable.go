@@ -1,28 +1,32 @@
 // Package hashtable implements the open-addressed hash index that maps keys
-// to cached items: one power-of-two array of (hash, item id) slots probed
-// linearly, doubled whenever an insert would push the load past 1/2. Ids name
-// records of one kv.Records store, so the array holds no pointer and the
-// collector never scans it.
+// to cached items: one power-of-two array of 8-byte (tag, item id) slots
+// probed linearly, doubled whenever an insert would push the load past 1/2.
+// The tag is the hash's low 32 bits; ids name records of one kv.Records
+// store, so the array holds no pointer and the collector never scans it.
 //
-// A probe compares the hash stored in the slot before it reads the item's
-// record, so a miss touches no record and a hit touches only the record it
-// returns and its key: on a large heap each rejected record would otherwise
-// cost a dependent cache miss. Deletion shifts the rest of the probe run back
-// over the hole (backward-shift deletion), so there are no tombstones and
-// churn at a constant Len never rehashes. Lookups, deletes and inserts that do
-// not grow the table never allocate.
+// A slot's home is its tag masked to the table, which is the hash masked to
+// it, so placing, shifting and growing never read a record. A probe compares
+// the tag stored in the slot before it reads the item's record, so a miss
+// touches a record only for a key sharing its tag (one in 2^32 per slot) and
+// a hit touches only the record it returns and its key: on a large heap each
+// rejected record would otherwise cost a dependent cache miss. Deletion
+// shifts the rest of the probe run back over the hole (backward-shift
+// deletion), so there are no tombstones and churn at a constant Len never
+// rehashes. Lookups, deletes and inserts that do not grow the table never
+// allocate.
 package hashtable
 
 import (
 	"fmt"
+	"unsafe"
 
 	"pamakv/internal/kv"
 )
 
 // slot is one entry of the table; id == 0 marks an empty slot.
 type slot struct {
-	hash uint64
-	id   uint32
+	tag uint32 // the item's hash, its low 32 bits
+	id  uint32
 }
 
 // Table is an open-addressed index over the records of one kv.Records store.
@@ -54,16 +58,30 @@ func (t *Table) Get(hash uint64, key string) uint32 {
 	return 0
 }
 
-// Peek returns the first item of hash's probe run whose stored hash equals
-// hash, or 0, without comparing keys: it reads the slot array only. The
-// item may hold another key of the same hash; a prefetch wants the memory a
-// Get of hash is about to touch, not an answer.
+// Peek returns the first item of hash's probe run whose tag matches hash's,
+// or 0, without comparing keys: it reads the slot array only. The item may
+// hold another key whose hash shares the low 32 bits; a prefetch wants the
+// memory a Get of hash is about to touch, not an answer.
 func (t *Table) Peek(hash uint64) uint32 {
-	for i := hash & t.mask; ; i = (i + 1) & t.mask {
-		if s := &t.slots[i]; s.id == 0 || s.hash == hash {
+	tag := uint32(hash)
+	for i := uint64(tag) & t.mask; ; i = (i + 1) & t.mask {
+		if s := &t.slots[i]; s.id == 0 || s.tag == tag {
 			return s.id
 		}
 	}
+}
+
+// FindHash returns an item whose record's Hash is exactly hash, or 0: Peek
+// that reads the record of every tag match, for a caller that holds a hash
+// without its key (the engine's audit of its ghosts).
+func (t *Table) FindHash(hash uint64) uint32 {
+	tag := uint32(hash)
+	for i := uint64(tag) & t.mask; t.slots[i].id != 0; i = (i + 1) & t.mask {
+		if s := &t.slots[i]; s.tag == tag && t.recs.At(s.id).Hash == hash {
+			return s.id
+		}
+	}
+	return 0
 }
 
 // Put inserts item id, replacing and returning any existing item with the
@@ -85,7 +103,7 @@ func (t *Table) Insert(id uint32) {
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
 	}
-	t.place(slot{t.recs.At(id).Hash, id})
+	t.place(slot{uint32(t.recs.At(id).Hash), id})
 	t.n++
 }
 
@@ -112,6 +130,9 @@ func (t *Table) Remove(id uint32) bool {
 	return false
 }
 
+// Bytes returns the heap the slot array takes.
+func (t *Table) Bytes() int64 { return int64(len(t.slots)) * int64(unsafe.Sizeof(slot{})) }
+
 // Range calls fn for every stored item until fn returns false. The table
 // must not be mutated during the walk.
 func (t *Table) Range(fn func(id uint32, it *kv.Item) bool) {
@@ -123,8 +144,9 @@ func (t *Table) Range(fn func(id uint32, it *kv.Item) bool) {
 }
 
 // CheckInvariants reports the first broken structural rule: the occupied
-// slots number Len, every item is reachable from its home slot without
-// crossing an empty slot, and the load is at most 1/2.
+// slots number Len, each slot's tag is its record's hash's low 32 bits, every
+// item is reachable from its home slot without crossing an empty slot, and
+// the load is at most 1/2.
 func (t *Table) CheckInvariants() error {
 	n := 0
 	for i, s := range t.slots {
@@ -132,13 +154,14 @@ func (t *Table) CheckInvariants() error {
 			continue
 		}
 		n++
-		if it := t.recs.At(s.id); s.hash != it.Hash {
-			return fmt.Errorf("hashtable: slot %d holds hash %#x for %q, whose hash is %#x", i, s.hash, it.Key(), it.Hash)
+		if it := t.recs.At(s.id); s.tag != uint32(it.Hash) {
+			return fmt.Errorf("hashtable: slot %d holds tag %#x for %q, whose hash is %#x", i, s.tag, it.Key(), it.Hash)
 		}
-		for j := s.hash & t.mask; j != uint64(i); j = (j + 1) & t.mask {
+		home := uint64(s.tag) & t.mask
+		for j := home; j != uint64(i); j = (j + 1) & t.mask {
 			if t.slots[j].id == 0 {
 				return fmt.Errorf("hashtable: %q in slot %d is cut off from its home slot %d by empty slot %d",
-					t.recs.At(s.id).Key(), i, s.hash&t.mask, j)
+					t.recs.At(s.id).Key(), i, home, j)
 			}
 		}
 	}
@@ -151,15 +174,16 @@ func (t *Table) CheckInvariants() error {
 	return nil
 }
 
-// find returns the slot holding key, comparing stored hashes first so only
-// a record whose hash matches is read.
+// find returns the slot holding key, comparing stored tags first so only a
+// record whose tag matches is read.
 func (t *Table) find(hash uint64, key string) (uint64, bool) {
-	for i := hash & t.mask; ; i = (i + 1) & t.mask {
+	tag := uint32(hash)
+	for i := uint64(tag) & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		if s.id == 0 {
 			return 0, false
 		}
-		if s.hash == hash && t.recs.At(s.id).Key() == key {
+		if s.tag == tag && t.recs.At(s.id).Key() == key {
 			return i, true
 		}
 	}
@@ -167,7 +191,7 @@ func (t *Table) find(hash uint64, key string) (uint64, bool) {
 
 // place stores s in the first empty slot of its probe run.
 func (t *Table) place(s slot) {
-	i := s.hash & t.mask
+	i := uint64(s.tag) & t.mask
 	for t.slots[i].id != 0 {
 		i = (i + 1) & t.mask
 	}
@@ -181,7 +205,7 @@ func (t *Table) removeAt(i uint64) {
 	for j := (i + 1) & t.mask; t.slots[j].id != 0; j = (j + 1) & t.mask {
 		// The member at j may fill hole i when it is at least as far from its
 		// home as from the hole, i.e. its home is not in (i, j].
-		if (j-t.slots[j].hash)&t.mask >= (j-i)&t.mask {
+		if (j-uint64(t.slots[j].tag))&t.mask >= (j-i)&t.mask {
 			t.slots[i] = t.slots[j]
 			i = j
 		}

@@ -21,6 +21,12 @@ func item(tb *Table, key string) uint32 { return forced(tb, key, kv.HashString(k
 // once they outgrow the last slots they wrap to slot 0.
 func tinyHash(key string) uint64 { return ^(kv.HashString(key) & 7) }
 
+// tagHash is tinyHash with one bit of the key's own hash above the low 32
+// bits, the slot's tag: the keys of one tag split between two full hashes,
+// so a probe that trusts a tag match, or a full-hash match, answers for
+// another key.
+func tagHash(key string) uint64 { return tinyHash(key) ^ (kv.HashString(key)>>63)<<32 }
+
 // forced makes a record in tb's store whose hash is h, whatever its key.
 func forced(tb *Table, key string, h uint64) uint32 {
 	id, it := tb.recs.New()
@@ -133,6 +139,72 @@ func TestCollidingHashesDistinctKeys(t *testing.T) {
 		t.Fatal("deleting one collider removed the other")
 	}
 	check(t, tb)
+}
+
+// TestTagCollisions: keys whose hashes share the low 32 bits, the slot's tag,
+// and differ above them share a home and a tag in every table. Get, Put,
+// Delete and Remove must find each key's own item and miss the keys of the
+// same tag that are not stored; Peek may answer any item of the tag, FindHash
+// only the item of the exact hash. The table grows while the keys go in.
+func TestTagCollisions(t *testing.T) {
+	const n = 10
+	hashOf := func(k int) uint64 { return uint64(k+1)<<32 | 0x85f23ffc }
+	keyName := func(k int) string { return string(rune('a' + k)) }
+	tb := newTable(4)
+	ids := map[int]uint32{} // the stored keys' items
+	put := func(k int) {
+		t.Helper()
+		id := forced(tb, keyName(k), hashOf(k))
+		if old := tb.Put(id); old != ids[k] {
+			t.Fatalf("Put(%q) replaced %d, want %d", keyName(k), old, ids[k])
+		}
+		ids[k] = id
+	}
+	agree := func(step string) {
+		t.Helper()
+		check(t, tb)
+		for k := 0; k <= n; k++ { // key n is never stored
+			h, want := hashOf(k), ids[k]
+			if got := tb.Get(h, keyName(k)); got != want {
+				t.Fatalf("%s: Get(%q) = %d, want %d", step, keyName(k), got, want)
+			}
+			if got := tb.FindHash(h); got != want {
+				t.Fatalf("%s: FindHash(%#x) = %d, want %d", step, h, got, want)
+			}
+			// Every stored item has the tag, so Peek finds one whenever one
+			// is stored; the high half of its hash names its key.
+			if got := tb.Peek(h); (got == 0) != (tb.Len() == 0) || got != 0 && ids[int(tb.recs.At(got).Hash>>32)-1] != got {
+				t.Fatalf("%s: Peek(%#x) = %d, not a stored item of its tag", step, h, got)
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		put(k)
+	}
+	agree("put")
+	put(0) // a second item of key a replaces the first
+	agree("replace")
+	if got := tb.Delete(hashOf(1), keyName(1)); got != ids[1] {
+		t.Fatalf("Delete(b) = %d, want %d", got, ids[1])
+	}
+	delete(ids, 1)
+	if tb.Delete(hashOf(n), keyName(n)) != 0 {
+		t.Fatal("Delete of a key never stored found an item of its tag")
+	}
+	agree("delete")
+	if !tb.Remove(ids[4]) || tb.Remove(ids[4]) {
+		t.Fatal("Remove(e) did not remove it exactly once")
+	}
+	delete(ids, 4)
+	if stray := forced(tb, keyName(5), hashOf(5)); tb.Remove(stray) {
+		t.Fatal("Remove of an unstored item matched a stored item of its tag and key")
+	}
+	agree("remove")
+	for k := range ids {
+		tb.Remove(ids[k])
+		delete(ids, k)
+		agree("drain")
+	}
 }
 
 // TestInsertGrows: Insert of keys probed absent is Put without the replace
@@ -342,9 +414,10 @@ func TestRangeEarlyStop(t *testing.T) {
 
 // TestAgainstMapModel mirrors random operations in a builtin map and checks
 // full agreement, including Len and the table's invariants: once with the
-// full hash, once with tinyHash so every operation collides.
+// full hash, once with tinyHash so every operation collides, and once with
+// tagHash so colliding keys also share tags under different hashes.
 func TestAgainstMapModel(t *testing.T) {
-	for name, hash := range map[string]func(string) uint64{"full": kv.HashString, "3-bit": tinyHash} {
+	for name, hash := range map[string]func(string) uint64{"full": kv.HashString, "3-bit": tinyHash, "tag": tagHash} {
 		t.Run(name, func(t *testing.T) {
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
@@ -408,11 +481,11 @@ func TestCheckInvariantsCatches(t *testing.T) {
 	for name, breakIt := range map[string]func(tb *Table){
 		"count":   func(tb *Table) { tb.n++ },
 		"cut off": func(tb *Table) { tb.slots[15] = slot{}; tb.n-- },
-		"hash":    func(tb *Table) { tb.slots[0].hash = 3 },
+		"tag":     func(tb *Table) { tb.slots[0].tag = 3 },
 		"load": func(tb *Table) {
 			*tb = Table{recs: tb.recs, slots: make([]slot, 4), mask: 3, n: 3}
 			for i, id := range []uint32{forced(tb, "x", 0), forced(tb, "y", 1), forced(tb, "z", 2)} {
-				tb.slots[i] = slot{uint64(i), id}
+				tb.slots[i] = slot{uint32(i), id}
 			}
 		},
 	} {
@@ -458,9 +531,10 @@ func TestChurnAtConstantLenAllocs(t *testing.T) {
 }
 
 // FuzzTable decodes byte pairs into Put/Insert/Get/Delete/Remove over at most
-// 64 keys hashed by tinyHash, so runs collide and wrap, and compares every
-// answer with a map model, checking the invariants after each operation.
-// Records leaving the table go back to the store, so ids are reused.
+// 64 keys hashed by tagHash, so runs collide and wrap and keys of one tag
+// differ above it, and compares every answer with a map model, checking the
+// invariants after each operation. Records leaving the table go back to the
+// store, so ids are reused.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 3, 2, 4, 1, 2, 3})
 	var fill []byte
@@ -471,12 +545,29 @@ func FuzzTable(f *testing.F) {
 		fill = append(fill, 4, k, 2, k+1)
 	}
 	f.Add(fill)
+	// Pairs of keys of one tag and two hashes: store both, read both, drop
+	// one by key and the other by id, then store the first again.
+	byTag := map[uint32][]byte{}
+	for k := byte(0); k < 64; k++ {
+		tag := uint32(tagHash(fmt.Sprintf("k%d", k)))
+		byTag[tag] = append(byTag[tag], k)
+	}
+	for tag := uint32(0); tag < 8; tag++ {
+		ks := byTag[^tag]
+		for i := 0; i+1 < len(ks); i++ {
+			a, b := ks[i], ks[i+1]
+			if tagHash(fmt.Sprintf("k%d", a)) != tagHash(fmt.Sprintf("k%d", b)) {
+				f.Add([]byte{0, a, 1, b, 2, a, 2, b, 3, a, 2, b, 4, b, 2, a, 0, a, 2, a, 2, b})
+				break
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tb := newTable(4)
 		model := map[string]uint32{}
 		for p := 0; p+1 < len(ops); p += 2 {
 			k := fmt.Sprintf("k%d", ops[p+1]%64)
-			h := tinyHash(k)
+			h := tagHash(k)
 			switch ops[p] % 5 {
 			case 0:
 				id := forced(tb, k, h)
@@ -517,20 +608,28 @@ func FuzzTable(f *testing.F) {
 				t.Fatalf("op %d: Len %d, %d records, model %d", p/2, tb.Len(), tb.recs.Len(), len(model))
 			}
 			check(t, tb)
-			// Peek of a key no other stored key shares its hash with is
-			// Get; with colliders it is one of the stored items of that hash.
-			others := 0
+			// Peek of a key no other stored key shares its tag with is Get;
+			// with colliders it is one of the stored items of that tag.
+			// FindHash answers an item of the exact hash whenever one is
+			// stored.
+			others, exact := 0, 0
 			for key, id := range model {
-				if tb.recs.At(id).Hash == h && key != k {
+				if hk := tb.recs.At(id).Hash; uint32(hk) == uint32(h) && key != k {
 					others++
+				}
+				if tb.recs.At(id).Hash == h {
+					exact++
 				}
 			}
 			got := tb.Peek(h)
 			if others == 0 && got != tb.Get(h, k) {
 				t.Fatalf("op %d: Peek(%#x) = %v, Get(%q) = %v", p/2, h, got, k, tb.Get(h, k))
 			}
-			if others > 0 && (got == 0 || tb.recs.At(got).Hash != h || model[keyOf(tb, got)] != got) {
-				t.Fatalf("op %d: Peek(%#x) = %v, not one of the model's items of that hash", p/2, h, got)
+			if others > 0 && (got == 0 || uint32(tb.recs.At(got).Hash) != uint32(h) || model[keyOf(tb, got)] != got) {
+				t.Fatalf("op %d: Peek(%#x) = %v, not one of the model's items of that tag", p/2, h, got)
+			}
+			if got := tb.FindHash(h); (got != 0) != (exact > 0) || got != 0 && (tb.recs.At(got).Hash != h || model[keyOf(tb, got)] != got) {
+				t.Fatalf("op %d: FindHash(%#x) = %v with %d stored items of that hash", p/2, h, got, exact)
 			}
 		}
 		seen := 0

@@ -20,8 +20,8 @@ import (
 type Item struct {
 	// Hash caches the 64-bit hash of the key used by the index and the Bloom
 	// filters; it is computed once at insertion and must not change while
-	// the item is indexed (the index keeps a copy in the item's slot and
-	// finds the slot again from it).
+	// the item is indexed (the index keeps its low 32 bits in the item's
+	// slot and finds the slot again from them).
 	Hash uint64
 	// CAS is the compare-and-set token, changed on every store of the key
 	// (Memcached cas semantics).
@@ -112,8 +112,9 @@ const ChunkLen = 1 << chunkShift
 
 // Records is a store of items addressed by uint32 ids. Records live in
 // fixed-size chunks allocated on the Go heap as they are needed and kept for
-// reuse: a chunk has no pointer, so the collector never walks it, and the
-// store's records are one heap object per ChunkLen of them, not one per item.
+// reuse until the store is empty: a chunk has no pointer, so the collector
+// never walks it, and the store's records are one heap object per ChunkLen
+// of them, not one per item.
 // Id 0 is never handed out; it is every link's nil. The zero value is an
 // empty store ready to use.
 type Records struct {
@@ -156,8 +157,13 @@ func (r *Records) New() (uint32, *Item) {
 }
 
 // Free returns record id to the store, zeroed, and lets go of a key HoldKey
-// gave it.
+// gave it. Freeing the last live record gives back every chunk and held
+// key, as a flush does: the store is the zero value again.
 func (r *Records) Free(id uint32) {
+	if r.live == 1 {
+		*r = Records{}
+		return
+	}
 	it := r.At(id)
 	it.Reset()
 	it.Next, r.free = r.free, id

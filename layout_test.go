@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"pamakv/internal/hashtable"
 	"pamakv/internal/kv"
 )
 
@@ -27,6 +28,25 @@ func TestItemLayout(t *testing.T) {
 		if p := uintptr(unsafe.Pointer(it)); p%64 != 0 {
 			t.Fatalf("record %d at %#x, not 64-byte aligned", id, p)
 		}
+	}
+}
+
+// TestIndexSlotLayout is the index gate: a hashtable slot is 8 bytes, a
+// 32-bit hash tag and a record id, with no Go pointer in it, so the index
+// costs 16–32 bytes a resident at its load of 1/4–1/2 and the collector never
+// scans it. A slot that grows back to a 64-bit hash, or that holds a pointer,
+// fails here by name.
+func TestIndexSlotLayout(t *testing.T) {
+	f, ok := reflect.TypeOf(hashtable.Table{}).FieldByName("slots")
+	if !ok || f.Type.Kind() != reflect.Slice {
+		t.Fatalf("hashtable.Table has no slots slice")
+	}
+	slot := f.Type.Elem()
+	if got := slot.Size(); got != 8 {
+		t.Fatalf("the index slot %v is %d bytes, want 8", slot, got)
+	}
+	for _, name := range pointerFields(slot, "hashtable.slot") {
+		t.Errorf("%s holds a Go pointer: an index slot must be pointer-free", name)
 	}
 }
 
