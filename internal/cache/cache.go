@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,8 +59,10 @@ type Config struct {
 	// CacheBytes is the memory budget (must hold >= 1 slab).
 	CacheBytes int64
 	// StoreValues keeps item bodies, in slab pages mapped outside the Go
-	// heap (values.go); off, the engine is a metadata-only simulator costing
-	// its records and keys and mapping nothing.
+	// heap (values.go), each item's record, key and value in its slot; off,
+	// the engine is a metadata-only simulator costing its records and keys
+	// and mapping nothing. A value-storing geometry's slots are multiples of
+	// 8 bytes, the smallest one at least a record's 64.
 	StoreValues bool
 	// WindowLen is the value/statistics window in cache accesses
 	// (paper: windows are counted in accesses, not wall-clock).
@@ -208,10 +211,10 @@ type class struct {
 	spc  int // slots per slab
 	slot int // slot size in bytes
 	subs []subclass
-	// pages are the value pages the class owns, in address order, and vfree
-	// the free slots on them, as page id<<32 | slot index (values.go).
+	// pages are the value pages the class owns and vfree the ids of the free
+	// slots on them (values.go).
 	pages []*page
-	vfree []uint64
+	vfree []uint32
 }
 
 // Cache is the engine. All methods are safe for concurrent use; the engine
@@ -223,9 +226,10 @@ type Cache struct {
 	geom   kv.Geometry
 	policy Policy
 	slabs  *slab.Manager
-	// recs holds the resident items' records; the index, the LRU stacks and
-	// the value pages name them by id. A metadata-only engine keeps each
-	// key there too (kv.Records.HoldKey).
+	// recs names the resident items' records by id for the index, the LRU
+	// stacks and the trackers: the value pages' slots with StoreValues
+	// (values.go), else chunks that hold each key as well
+	// (kv.Records.HoldKey).
 	recs   kv.Records
 	index  *hashtable.Table
 	ghosts ghostTable
@@ -306,6 +310,11 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d classes × %d subclasses with %d ghost segments overflow a ghost's 16-bit tags",
 			cfg.Geometry.NumClasses, nsub, gseg)
 	}
+	if cfg.StoreValues {
+		if err := c.mapRecords(); err != nil {
+			return nil, err
+		}
+	}
 	c.index = hashtable.New(&c.recs, 1<<12)
 	c.classes = buildClasses(&c.recs, c.geom, nsub, pol.Segments(), pol.GhostSegments(), cfg.Tracker)
 	c.resetAttribution(nsub)
@@ -315,6 +324,25 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 	}
 	pol.Attach(c)
 	return c, nil
+}
+
+// mapRecords checks that the geometry can head each slot with an item's
+// record and splits a record id between page and slot: the low bits index the
+// most slots a page holds, class 0's, and the high ones must name every slab
+// of the budget.
+func (c *Cache) mapRecords() error {
+	for cl := range c.geom.NumClasses {
+		if s := c.geom.SlotSize(cl); s < itemHeader || s%8 != 0 {
+			return fmt.Errorf("cache: a %d-byte slot of class %d cannot hold an item's %d-byte record, 8-byte aligned",
+				s, cl, itemHeader)
+		}
+	}
+	b := uint(bits.Len(uint(c.geom.SlotsPerSlab(0) - 1)))
+	if uint64(c.slabs.TotalSlabs()) >= 1<<(32-b) {
+		return fmt.Errorf("cache: %d slabs of %d slots overflow a 32-bit record id", c.slabs.TotalSlabs(), c.geom.SlotsPerSlab(0))
+	}
+	c.recs.SetPageBits(b)
+	return nil
 }
 
 // buildClasses constructs the per-class subclass stacks for a geometry.
@@ -502,11 +530,11 @@ func (c *Cache) setLocked(h uint64, key string, size int, pen float64, flags uin
 
 // storeLocked is setLocked without the access it counts: rewriteLocked
 // re-stores a value that outgrew its slot through it. With StoreValues an item
-// is charged at least its key and value lengths, which share its slot, so they
+// is charged at least its record, key and value, which share its slot, so they
 // always fit it.
 func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags uint32, expireAt int64, value []byte) error {
 	if c.cfg.StoreValues {
-		size = max(size, len(key)+len(value))
+		size = max(size, itemHeader+len(key)+len(value))
 	}
 	cl := c.geom.ClassFor(size)
 	if cl < 0 || len(key) > kv.MaxKeyLen {
@@ -525,7 +553,7 @@ func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags u
 		c.polOnRemove(it)
 		c.stats.Overwrites++
 		if c.cfg.StoreValues {
-			it.VLen = uint32(copy(it.Mem(c.classes[cl].slot)[it.KLen:], value))
+			it.VLen = uint32(copy(it.Mem(c.classes[cl].slot - itemHeader)[it.KLen:], value))
 		}
 	} else {
 		if it != nil {
@@ -540,16 +568,16 @@ func (c *Cache) storeLocked(h uint64, key string, size int, pen float64, flags u
 		if err := c.takeSlotLocked(cl, sub); err != nil {
 			return err
 		}
-		id, it = c.recs.New()
-		it.Hash = h
-		it.Class = uint8(cl)
-		if c.cfg.StoreValues {
+		if c.arena != nil {
 			// The key goes into the slot ahead of the value: the caller may
 			// reuse its bytes.
-			c.storeValue(id, it, cl, key, value)
+			id, it = c.storeValue(cl, key, value)
 		} else {
+			id, it = c.recs.New()
 			c.recs.HoldKey(id, key)
 		}
+		it.Hash = h
+		it.Class = uint8(cl)
 		c.index.Insert(id)
 	}
 	it.Size = int32(size)
@@ -863,7 +891,7 @@ func (c *Cache) CheckInvariants() error {
 	if err := c.checkValuesLocked(); err != nil {
 		return err
 	}
-	if total != c.index.Len() || total != c.recs.Len() {
+	if total != c.index.Len() || c.arena == nil && total != c.recs.Len() {
 		return fmt.Errorf("cache: lists hold %d items, index holds %d, %d records are in use",
 			total, c.index.Len(), c.recs.Len())
 	}
@@ -1071,9 +1099,12 @@ func (c *Cache) subOf(owner uint16) (cl, sub int) {
 	return int(owner) / n, int(owner) % n
 }
 
-// release returns a detached resident's value slot to its class's free stack
-// and its record to the store.
+// release returns a detached resident's slot to its class's free stack, or
+// its record to the store in a metadata-only engine.
 func (c *Cache) release(id uint32, it *kv.Item) {
-	c.releaseValue(it)
+	if c.arena != nil {
+		c.releaseSlot(id, it)
+		return
+	}
 	c.recs.Free(id)
 }

@@ -55,6 +55,11 @@ func (c *Cache) record(key string) *kv.Item {
 
 func smallGeom() kv.Geometry { return kv.Geometry{SlabSize: 4096, Base: 64, NumClasses: 4} }
 
+// valueGeom is smallGeom one class up, 128 to 1024 bytes: a value-storing
+// engine heads every slot with a 64-byte record, so smallGeom's class 0 holds
+// no item there.
+func valueGeom() kv.Geometry { return kv.Geometry{SlabSize: 4096, Base: 128, NumClasses: 4} }
+
 func newTestCache(t *testing.T, slabs int, pol Policy) *Cache {
 	t.Helper()
 	c, err := New(Config{

@@ -28,7 +28,9 @@ import (
 // slabPolicies are the names `pama-server -policy` accepts.
 var slabPolicies = sim.SlabKinds()
 
-var opsGeometry = kv.Geometry{SlabSize: 4096, Base: 64, NumClasses: 5}
+// opsGeometry's slots run from 128 to 2048 bytes, each a 64-byte record ahead
+// of a key and value, 64 down to 4 of them a slab.
+var opsGeometry = kv.Geometry{SlabSize: 8192, Base: 128, NumClasses: 5}
 
 // opsEngine is a 12-slab engine of the named policy on a clock the test owns,
 // filled to several times its capacity with a fixed mix of sizes and
@@ -50,13 +52,13 @@ func newOpsEngine(t testing.TB, kind string, accessBuffer int) *opsEngine {
 	}
 	e := &opsEngine{now: 1_000_000}
 	e.Cache, err = cache.New(cache.Config{
-		Geometry: opsGeometry, CacheBytes: 12 * 4096, StoreValues: true, Stale: valuetable.New(1<<20, 0),
+		Geometry: opsGeometry, CacheBytes: 12 * 8192, StoreValues: true, Stale: valuetable.New(1<<20, 0),
 		WindowLen: 300, AccessBuffer: accessBuffer, Now: func() int64 { return e.now },
 	}, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := []int{40, 100, 200, 400, 900}
+	sizes := []int{40, 120, 300, 600, 1200} // charged 64 more: one size a class
 	pens := []float64{0.0005, 0.005, 0.05, 0.5, 2}
 	var filled []string
 	for i := 0; i < 1200; i++ {
@@ -345,6 +347,24 @@ func FuzzEngineOps(f *testing.F) {
 	}
 	twins = append(twins, 2, 12, 201, 0, 13, 0, 2, 15, 201, 13, 12, 0, 0, 14, 0, 8, 15, 0, 0, 14, 0)
 	f.Add(twins)
+	// A forced migration that compacts: all sixteen keys fill the four
+	// slabs of class 1, reads leave one key a page at the bottom of the LRU
+	// stack, and key 0 stored into empty class 2 makes PAMA drain those keys
+	// and move the three residents left on the page it takes.
+	migrate := []byte{}
+	for k := byte(0); k < 16; k++ {
+		migrate = append(migrate, 2, k, 50)
+	}
+	for k := byte(0); k < 16; k++ {
+		if k%4 != 0 {
+			migrate = append(migrate, 0, k, 0)
+		}
+	}
+	migrate = append(migrate, 2, 0, 201)
+	for k := byte(0); k < 16; k++ {
+		migrate = append(migrate, 0, k, 0)
+	}
+	f.Add(migrate)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, kind := range []string{"pama", "psa"} {
 			runFuzzOps(t, kind, ops)
@@ -356,7 +376,7 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 	pol, _ := sim.PolicySpec{Kind: kind}.Build()
 	now := int64(1_000_000)
 	c, err := cache.New(cache.Config{
-		Geometry: kv.Geometry{SlabSize: 1024, Base: 64, NumClasses: 4}, CacheBytes: 4 * 1024,
+		Geometry: kv.Geometry{SlabSize: 1024, Base: 128, NumClasses: 4}, CacheBytes: 4 * 1024,
 		StoreValues: true, Stale: valuetable.New(1<<20, 0), WindowLen: 16, Now: func() int64 { return now },
 	}, pol)
 	if err != nil {
@@ -366,7 +386,7 @@ func runFuzzOps(t *testing.T, kind string, ops []byte) {
 	for ; len(ops) >= 3; ops = ops[3:] {
 		key := fuzzKeys[ops[1]%16]
 		arg := int(ops[2])
-		size := 1 + arg*2 // up to 511: every class
+		size := 1 + arg*2 // up to 511, charged 64 more and the key: every class
 		val := bytes.Repeat([]byte{fuzzTag(key)}, size)
 		pen := pens[arg%len(pens)]
 		var ttl int64

@@ -66,9 +66,10 @@ type Introspection struct {
 	// heap: slabs owned times the slab size.
 	FreeValueBuffers []int `json:"free_value_buffers" prom:"pamakv_free_value_buffers,sparse" help:"Free value slots stacked on the pages each size class owns." label:"class"`
 	ValueSlabBytes   int64 `json:"value_slab_bytes" prom:"pamakv_value_slab_bytes" help:"Slab pages mapped for values, outside the Go heap."`
-	// RecordBytes is the Go heap the items' records take: the chunks of
-	// kv.ChunkLen 64-byte records the engine has allocated, in use or free.
-	RecordBytes int64 `json:"record_bytes" prom:"pamakv_record_bytes" help:"Go heap held by the chunks of 64-byte item records."`
+	// RecordBytes is the record memory outside the value pages: a
+	// metadata-only engine's chunks of kv.ChunkLen 64-byte records, in use or
+	// free. It is 0 when values are stored, each record heading its slot.
+	RecordBytes int64 `json:"record_bytes" prom:"pamakv_record_bytes" help:"Go heap held by the chunks of 64-byte item records outside the value pages."`
 	// IndexBytes is the Go heap the key index takes: its 8-byte slots, a
 	// power of two at least twice the residents.
 	IndexBytes int64 `json:"index_bytes" prom:"pamakv_index_bytes" help:"Go heap held by the key index's 8-byte slots."`

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"pamakv/internal/kv"
 	"pamakv/internal/valuetable"
 	"strconv"
 	"testing"
@@ -224,13 +225,14 @@ func oracleRound(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	now := int64(1_000_000)
 
-	// One 4 KiB slab of 64-byte slots: capacity 64, against ~96 keys, so
-	// the run lives under constant eviction pressure.
+	// One 8 KiB slab of 128-byte slots, each a record, a key and a value of
+	// at most 20 digits: capacity 64, against ~96 keys, so the run lives
+	// under constant eviction pressure.
 	const capacity = 64
 	const itemSize = 32
 	c, err := New(Config{
-		Geometry:    smallGeom(),
-		CacheBytes:  4096,
+		Geometry:    kv.Geometry{SlabSize: 8192, Base: 64, NumClasses: 4},
+		CacheBytes:  8192,
 		StoreValues: true,
 		Stale:       valuetable.New(4096, 0),
 		WindowLen:   997,

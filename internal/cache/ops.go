@@ -221,7 +221,7 @@ func (c *Cache) rewriteLocked(it *kv.Item, key string, head, mid, tail []byte) (
 		return false, c.storeLocked(it.Hash, key, size, it.Penalty, it.Flags, int64(it.ExpireAt), v)
 	}
 	if c.cfg.StoreValues {
-		v := it.Mem(c.classes[it.Class].slot)[it.KLen:][:n]
+		v := it.Mem(c.classes[it.Class].slot - itemHeader)[it.KLen:][:n]
 		copy(v[len(head):], mid) // a shift within the slot when mid is the value
 		copy(v, head)
 		copy(v[len(head)+len(mid):], tail)

@@ -272,25 +272,26 @@ func TestConcatKeepsFlagsAndExpiry(t *testing.T) {
 			t.Fatalf("concat %q: %v", v, err)
 		}
 	}
-	if err := c.SetTTL("k", 20, 0.01, 7, now+2, []byte("bar")); err != nil {
+	// Charged 84 bytes, record included: class 1's 128-byte slot.
+	if err := c.SetTTL("k", 84, 0.01, 7, now+2, []byte("bar")); err != nil {
 		t.Fatal(err)
 	}
-	check("set", "bar", 0)
+	check("set", "bar", 1)
 	concat(ModeAppend, "baz")
-	check("append in place", "barbaz", 0)
+	check("append in place", "barbaz", 1)
 	concat(ModePrepend, "foo")
-	check("prepend in place", "foobarbaz", 0)
-	tail := strings.Repeat("t", 50) // 20+6+50 bytes outgrow the 64-byte slot
+	check("prepend in place", "foobarbaz", 1)
+	tail := strings.Repeat("t", 50) // 84+6+50 bytes outgrow the 128-byte slot
 	concat(ModeAppend, tail)
-	check("append into class 1", "foobarbaz"+tail, 1)
-	if used := c.UsedSlots(0); used != 0 {
-		t.Fatalf("class 0 still holds %d slots", used)
+	check("append into class 2", "foobarbaz"+tail, 2)
+	if used := c.UsedSlots(1); used != 0 {
+		t.Fatalf("class 1 still holds %d slots", used)
 	}
 	if st := c.Stats(); st.Sets != 4 || st.Overwrites != 2 || st.Gets != 0 {
 		t.Fatalf("a set and three concats (two in place) counted %+v", st)
 	}
 	concat(ModePrepend, "<")
-	check("prepend in class 1", "<foobarbaz"+tail, 1)
+	check("prepend in class 2", "<foobarbaz"+tail, 2)
 
 	now += 3 // past the deadline the set gave
 	if _, _, hit := c.Get("k", 0, 0, nil); hit {

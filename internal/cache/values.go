@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -10,45 +9,54 @@ import (
 	"pamakv/internal/kv"
 )
 
-// Value memory. When StoreValues is on, values live in real slabs: each slab a
+// Item memory. When StoreValues is on, items live in real slabs: each slab a
 // class owns is one page of Geometry.SlabSize bytes mapped outside the Go heap
 // (pages_unix.go; a heap []byte where the platform has no mmap), faulted in as
 // it is written and carved into slots of the class's size when the class is
-// granted it. A resident item owns one slot: its key at the head, its value
-// right after; the item's record holds the slot's address (kv.Item.Slot) and
-// the two lengths, and Key and Value alias those bytes. The collector neither
-// scans nor frees them, so its headroom no longer doubles the cache, an
-// inserting store allocates nothing, and the value memory of an engine is
+// granted it. A resident item owns one slot, as a Memcached item owns its
+// chunk: its 64-byte record (kv.Item) at the head, its key after the record
+// and its value after the key. The record's id names the slot, the page's id
+// in its high bits and the slot's index in the low ones (kv.Records.MapPage),
+// and the record's Slot points just past the record, so Key and Value alias
+// the bytes that follow it. The collector neither scans nor frees any of it,
+// an inserting store allocates nothing, and the item memory of an engine is
 // exactly the pages slab.Manager says its classes own.
 //
 // Pages follow the slab accounting:
 //
-//   - A class granted a slab (growth) maps a page and stacks its slots on
+//   - A class granted a slab (growth) maps a page and stacks its slots' ids on
 //     class.vfree, so len(vfree) is always slabs.FreeSlots(class): a store
-//     pops a slot, a release pushes one, both O(1).
+//     pops a slot, a release pushes one, both O(1). A slot on the stack is
+//     free; every other slot of the class's pages holds a resident.
 //   - A slab leaving a class (MigrateSlab, DonateSlab) is a page leaving it.
 //     Once the donor's evictions have freed a slab's worth of slots, compact
-//     takes the page with the fewest residents, copies their keys and values
-//     into free slots on the class's other pages and repoints their records.
-//     Every reader copies a value, and every holder of a key that outlives
-//     the lock (ScanKeys, the stale buffer, a policy's mirror) copies the key,
-//     under the engine lock, so nothing outside the engine still holds the
-//     old slot. The emptied page is re-carved by the receiving class, or,
-//     donated, unmapped.
+//     takes the page with the fewest residents and copies each resident,
+//     record, key and value, into a free slot on the class's other pages,
+//     which names it by a new id. It repoints every holder of the old one: the
+//     index slot (found by the record's hash), the LRU neighbours or the
+//     list's ends, and an exact tracker's segment boundary. Nothing else holds
+//     an id across the engine lock. Every reader copies a value, and every
+//     holder of a key that outlives the lock (ScanKeys, the stale buffer, a
+//     policy's mirror) copies the key, under the engine lock, so nothing
+//     outside the engine still holds the old slot. The emptied page is
+//     re-carved by the receiving class, or, donated, unmapped.
 //
-// storeValue and releaseValue are the only places a slot changes hands;
-// besides them only compact and the in-place rewrites of setLocked and
-// rewriteLocked (after the key, within the slot) write a value. The race
+// takeSlot and releaseSlot are the only places a slot changes hands; besides
+// them only compact and the in-place rewrites of storeLocked and
+// rewriteLocked (after the key, within the slot) write an item. The race
 // detector cannot see these pages, so its build poisons every slot an item
-// leaves with 0xDB.
+// leaves with 0xDB, record and all: whether a slot is free is read from the
+// free stack, never from the bytes in it.
 
-// page is one slab of value memory and the slots its class carved from it.
+// itemHeader is the record at the head of a value-storing engine's slot: the
+// least any item is charged.
+const itemHeader = int(unsafe.Sizeof(kv.Item{}))
+
+// page is one slab of item memory.
 type page struct {
-	mem   []byte
-	base  uintptr  // the address of mem, by which a class orders its pages
-	owner []uint32 // the resident's record id in each slot; 0 while the slot is free
-	used  int      // slots with an owner
-	id    uint32   // index in arena.pages: the high half of a slot ref
+	mem  []byte
+	used int    // slots holding a resident
+	id   uint32 // index in arena.pages, and the page bits of its slots' ids
 }
 
 // arena maps an engine's pages and unmaps them. It is an object of its own so
@@ -56,22 +64,21 @@ type page struct {
 // something nothing in the engine points back at.
 type arena struct {
 	size  int
-	pages []*page  // by id; nil where a page was unmapped
+	pages []*page  // by id; nil at 0, which no page has, and where a page was unmapped
 	spare []uint32 // ids of unmapped pages, reused first
 }
 
 func newArena(size int) *arena {
-	a := &arena{size: size}
+	a := &arena{size: size, pages: []*page{nil}}
 	runtime.SetFinalizer(a, (*arena).unmapAll)
 	return a
 }
 
 // mapped returns the number of pages mapped.
-func (a *arena) mapped() int { return len(a.pages) - len(a.spare) }
+func (a *arena) mapped() int { return len(a.pages) - 1 - len(a.spare) }
 
 func (a *arena) mapPage() *page {
 	p := &page{mem: mapPage(a.size)}
-	p.base = uintptr(unsafe.Pointer(unsafe.SliceData(p.mem)))
 	if n := len(a.spare); n > 0 {
 		p.id, a.spare = a.spare[n-1], a.spare[:n-1]
 		a.pages[p.id] = p
@@ -96,23 +103,8 @@ func (a *arena) unmapAll() {
 	}
 }
 
-// slotRef names slot i of page p on a free stack.
-func slotRef(p *page, i int) uint64 { return uint64(p.id)<<32 | uint64(i) }
-
-// slotOf returns the page of class k that holds the slot at address a, and
-// the slot's index on it.
-func (k *class) slotOf(a uintptr) (*page, int) {
-	lo, hi := 0, len(k.pages)
-	for hi-lo > 1 {
-		if mid := int(uint(lo+hi) >> 1); k.pages[mid].base <= a {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	p := k.pages[lo]
-	return p, int(a-p.base) / k.slot
-}
+// slotMem returns the n bytes of the slot whose record is it.
+func slotMem(it *kv.Item, n int) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(it)), n) }
 
 // grantPage maps a page for the slab class cl was just granted and carves it.
 func (c *Cache) grantPage(cl int) {
@@ -121,62 +113,63 @@ func (c *Cache) grantPage(cl int) {
 	}
 }
 
-// carve gives page p, holding no value, to class cl: its slots, cut at the
-// class's slot size, go onto the free stack lowest address on top.
+// carve gives page p, holding no item, to class cl: its records are its
+// slots, cut at the class's slot size, and go onto the free stack lowest
+// address on top.
 func (c *Cache) carve(cl int, p *page) {
 	k := &c.classes[cl]
-	if cap(p.owner) < k.spc {
-		p.owner = make([]uint32, k.spc)
-	}
-	p.owner = p.owner[:k.spc]
-	at, _ := slices.BinarySearchFunc(k.pages, p.base, func(q *page, b uintptr) int { return cmp.Compare(q.base, b) })
-	k.pages = slices.Insert(k.pages, at, p)
+	c.recs.MapPage(p.id, uintptr(unsafe.Pointer(unsafe.SliceData(p.mem))), k.slot)
+	k.pages = append(k.pages, p)
 	for i := k.spc - 1; i >= 0; i-- {
-		k.vfree = append(k.vfree, slotRef(p, i))
+		k.vfree = append(k.vfree, c.recs.ID(p.id, i))
 	}
 }
 
-// storeValue copies key and then value into the slot on top of class cl's
-// free stack, hands the slot to item id and points its record at the copies.
-// The caller has already taken the slot in the slab accounting, and key and
-// value fit the slot together.
-func (c *Cache) storeValue(id uint32, it *kv.Item, cl int, key string, value []byte) {
+// takeSlot hands out the slot on top of class cl's free stack: its id and
+// its record, which holds whatever the slot held last. The caller has already
+// taken the slot in the slab accounting.
+func (c *Cache) takeSlot(cl int) (uint32, *kv.Item) {
 	k := &c.classes[cl]
 	n := len(k.vfree) - 1
-	r := k.vfree[n]
+	id := k.vfree[n]
 	k.vfree = k.vfree[:n]
-	p, i := c.arena.pages[r>>32], int(uint32(r))
-	p.owner[i] = id
-	p.used++
-	slot := p.mem[i*k.slot : (i+1)*k.slot]
-	kn := copy(slot, key)
-	it.Slot = uintptr(unsafe.Pointer(unsafe.SliceData(slot)))
-	it.KLen = uint16(kn)
-	it.VLen = uint32(copy(slot[kn:], value))
+	pid, _ := c.recs.PageOf(id)
+	c.arena.pages[pid].used++
+	return id, c.recs.At(id)
 }
 
-// releaseValue detaches the item's key and value and pushes their slot onto
-// the class's free stack. The caller has already freed the slot in the slab
-// accounting.
-func (c *Cache) releaseValue(it *kv.Item) {
-	if c.arena == nil {
-		return
-	}
+// storeValue takes a slot of class cl for a new item: its record is zeroed,
+// key and then value are copied after it, and the record points at them. The
+// record, key and value fit the slot together.
+func (c *Cache) storeValue(cl int, key string, value []byte) (uint32, *kv.Item) {
+	id, it := c.takeSlot(cl)
+	*it = kv.Item{}
+	room := slotMem(it, c.classes[cl].slot)[itemHeader:]
+	kn := copy(room, key)
+	it.Slot = uintptr(unsafe.Pointer(it)) + uintptr(itemHeader)
+	it.KLen = uint16(kn)
+	it.VLen = uint32(copy(room[kn:], value))
+	return id, it
+}
+
+// releaseSlot pushes the slot of item id, detached, onto its class's free
+// stack. The caller has already freed the slot in the slab accounting.
+func (c *Cache) releaseSlot(id uint32, it *kv.Item) {
 	k := &c.classes[it.Class]
-	p, i := k.slotOf(it.Slot)
-	it.Slot, it.KLen, it.VLen = 0, 0, 0
-	p.owner[i] = 0
-	p.used--
-	poison(p.mem[i*k.slot : (i+1)*k.slot])
-	k.vfree = append(k.vfree, slotRef(p, i))
+	pid, _ := c.recs.PageOf(id)
+	c.arena.pages[pid].used--
+	poison(slotMem(it, k.slot))
+	k.vfree = append(k.vfree, id)
 }
 
 // compact empties the page of class cl holding the fewest residents and takes
-// it from the class: its free slots leave the stack and its residents' keys
-// and values move into free slots on the class's other pages, which hold
-// enough because the caller freed a slab's worth of slots first. The caller has released the
-// slab in the accounting and hands the page on. A tie goes to the lowest page
-// id, not the lowest address, so twin engines compact alike.
+// it from the class: its free slots leave the stack and its residents move,
+// record, key and value, into free slots on the class's other pages, which
+// hold enough because the caller freed a slab's worth of slots first. Each
+// moved item's old id is repointed to its new one wherever the engine holds
+// it. The caller has released the slab in the accounting and hands the page
+// on. A tie goes to the lowest page id, not the lowest address, so twin
+// engines compact alike.
 func (c *Cache) compact(cl int) *page {
 	k := &c.classes[cl]
 	at := 0
@@ -187,15 +180,30 @@ func (c *Cache) compact(cl int) *page {
 	}
 	donor := k.pages[at]
 	k.pages = slices.Delete(k.pages, at, at+1)
-	k.vfree = slices.DeleteFunc(k.vfree, func(r uint64) bool { return uint32(r>>32) == donor.id })
-	for i, id := range donor.owner {
-		if id == 0 {
+	free := make([]bool, k.spc)
+	k.vfree = slices.DeleteFunc(k.vfree, func(id uint32) bool {
+		pid, i := c.recs.PageOf(id)
+		if pid == donor.id {
+			free[i] = true
+		}
+		return pid == donor.id
+	})
+	for i, f := range free {
+		if f {
 			continue
 		}
-		it := c.recs.At(id)
-		c.storeValue(id, it, cl, it.Key(), it.Value())
-		donor.owner[i] = 0
-		poison(donor.mem[i*k.slot : (i+1)*k.slot])
+		old := c.recs.ID(donor.id, i)
+		src := c.recs.At(old)
+		id, it := c.takeSlot(cl)
+		copy(slotMem(it, k.slot), slotMem(src, itemHeader+int(src.KLen)+int(src.VLen)))
+		it.Slot = uintptr(unsafe.Pointer(it)) + uintptr(itemHeader)
+		c.index.Repoint(it.Hash, old, id)
+		s := &k.subs[it.Sub]
+		s.list.Repoint(id)
+		if s.tr != nil {
+			s.tr.Repoint(old, id)
+		}
+		poison(slotMem(src, k.slot))
 		c.stats.SlabRelocations++
 	}
 	donor.used = 0
@@ -212,19 +220,23 @@ func poison(slot []byte) {
 }
 
 // checkValuesLocked audits slot ownership: every class owns one page per slab
-// and stacks exactly its free slots, every slot is free or held by the one
-// resident its page names, and every resident's key heads such a slot, its
-// value after it, within the slot.
+// and stacks exactly its free slots, each once; every slot of its pages not
+// on the stack holds one of the class's residents, indexed by the slot's id,
+// its key and value after its record within the slot; and those are all the
+// residents.
 func (c *Cache) checkValuesLocked() error {
-	pages := 0
-	for ci := range c.classes {
-		k := &c.classes[ci]
-		if c.arena == nil {
-			if len(k.pages) != 0 || len(k.vfree) != 0 {
+	if c.arena == nil {
+		for ci := range c.classes {
+			if k := &c.classes[ci]; len(k.pages) != 0 || len(k.vfree) != 0 {
 				return fmt.Errorf("cache: class %d holds value pages in a metadata-only engine", ci)
 			}
-			continue
 		}
+		return nil
+	}
+	pages, held := 0, 0
+	stacked := map[uint32]bool{}
+	for ci := range c.classes {
+		k := &c.classes[ci]
 		if len(k.pages) != c.slabs.Slabs(ci) {
 			return fmt.Errorf("cache: class %d owns %d value pages, slab accounting says %d slabs",
 				ci, len(k.pages), c.slabs.Slabs(ci))
@@ -233,19 +245,52 @@ func (c *Cache) checkValuesLocked() error {
 			return fmt.Errorf("cache: class %d stacks %d value slots, slab accounting has %d free",
 				ci, len(k.vfree), c.slabs.FreeSlots(ci))
 		}
-		held := 0
+		for _, id := range k.vfree {
+			if !c.ownsSlot(ci, id) {
+				return fmt.Errorf("cache: class %d stacks a slot outside its pages", ci)
+			}
+			if stacked[id] {
+				return fmt.Errorf("cache: class %d stacks one value slot twice", ci)
+			}
+			stacked[id] = true
+		}
+	}
+	// A free slot's bytes are not a record: the residents are read through
+	// the index before any slot is.
+	var err error
+	c.index.Range(func(id uint32, it *kv.Item) bool {
+		switch {
+		case stacked[id]:
+			err = fmt.Errorf("cache: resident %q holds a slot that is also on class %d's free stack", it.Key(), it.Class)
+		case !c.ownsSlot(int(it.Class), id):
+			err = fmt.Errorf("cache: resident %q is not in a slot of a page its class %d owns", it.Key(), it.Class)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	for ci := range c.classes {
+		k := &c.classes[ci]
 		for j, p := range k.pages {
-			if c.arena.pages[p.id] != p || len(p.owner) != k.spc || (j > 0 && k.pages[j-1].base >= p.base) {
-				return fmt.Errorf("cache: class %d page %d is not a mapped page carved for the class, in address order", ci, j)
+			if p.id == 0 || c.arena.pages[p.id] != p || c.recs.At(c.recs.ID(p.id, 0)) != (*kv.Item)(unsafe.Pointer(&p.mem[0])) ||
+				k.spc > 1 && c.recs.At(c.recs.ID(p.id, 1)) != (*kv.Item)(unsafe.Pointer(&p.mem[k.slot])) {
+				return fmt.Errorf("cache: class %d page %d is not a mapped page carved for the class", ci, j)
 			}
 			used := 0
-			for i, id := range p.owner {
-				if id == 0 {
+			for i := range k.spc {
+				id := c.recs.ID(p.id, i)
+				if stacked[id] {
 					continue
 				}
 				used++
-				if it := c.recs.At(id); int(it.Class) != ci || c.index.Get(it.Hash, it.Key()) != id {
-					return fmt.Errorf("cache: class %d page %d slot %d is held by an item that is not one of the class's residents", ci, j, i)
+				it := c.recs.At(id)
+				if int(it.Class) != ci || itemHeader+int(it.KLen)+int(it.VLen) > k.slot ||
+					it.Slot != uintptr(unsafe.Pointer(it))+uintptr(itemHeader) {
+					return fmt.Errorf("cache: class %d page %d slot %d is off the free stack but holds no resident of the class, key and value after its record", ci, j, i)
+				}
+				if c.index.Get(it.Hash, it.Key()) != id {
+					return fmt.Errorf("cache: class %d page %d slot %d holds %q, which the index does not name by the slot", ci, j, i, it.Key())
 				}
 			}
 			if used != p.used {
@@ -253,45 +298,20 @@ func (c *Cache) checkValuesLocked() error {
 			}
 			held += used
 		}
-		if held+len(k.vfree) != len(k.pages)*k.spc {
-			return fmt.Errorf("cache: class %d has %d slots held and %d stacked of %d: a slot is lost",
-				ci, held, len(k.vfree), len(k.pages)*k.spc)
-		}
-		stacked := make(map[uint64]bool, len(k.vfree))
-		for _, r := range k.vfree {
-			id, i := r>>32, int(uint32(r))
-			if id >= uint64(len(c.arena.pages)) || !slices.Contains(k.pages, c.arena.pages[id]) || i >= k.spc {
-				return fmt.Errorf("cache: class %d stacks a slot outside its pages", ci)
-			}
-			if stacked[r] {
-				return fmt.Errorf("cache: class %d stacks one value slot twice", ci)
-			}
-			stacked[r] = true
-			if o := c.arena.pages[id].owner[i]; o != 0 {
-				return fmt.Errorf("cache: resident %q holds a value slot that is also on class %d's free stack", c.recs.At(o).Key(), ci)
-			}
-		}
 		pages += len(k.pages)
-	}
-	if c.arena == nil {
-		return nil
 	}
 	if pages != c.arena.mapped() {
 		return fmt.Errorf("cache: classes own %d value pages, %d are mapped", pages, c.arena.mapped())
 	}
-	var err error
-	c.index.Range(func(id uint32, it *kv.Item) bool {
-		k := &c.classes[it.Class]
-		a := it.Slot
-		if len(k.pages) > 0 {
-			p, i := k.slotOf(a)
-			if a >= p.base && i < len(p.owner) && a == p.base+uintptr(i*k.slot) && p.owner[i] == id &&
-				int(it.KLen)+int(it.VLen) <= k.slot {
-				return true
-			}
-		}
-		err = fmt.Errorf("cache: resident %q's key and value are not a slot of a page its class %d owns, key first", it.Key(), it.Class)
-		return false
-	})
-	return err
+	if held != c.index.Len() {
+		return fmt.Errorf("cache: %d slots hold residents, the index holds %d", held, c.index.Len())
+	}
+	return nil
+}
+
+// ownsSlot reports whether id names a slot of a page class cl owns.
+func (c *Cache) ownsSlot(cl int, id uint32) bool {
+	pid, i := c.recs.PageOf(id)
+	return int(pid) < len(c.arena.pages) && i < c.classes[cl].spc && c.arena.pages[pid] != nil &&
+		slices.Contains(c.classes[cl].pages, c.arena.pages[pid])
 }

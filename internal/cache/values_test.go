@@ -77,7 +77,7 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 		}
 	}
 	c, err := New(Config{
-		Geometry:    smallGeom(), // 4 KiB slabs, slots 64/128/256/512
+		Geometry:    valueGeom(), // 4 KiB slabs, slots 128/256/512/1024
 		CacheBytes:  8 * 4096,
 		StoreValues: true,
 		Stale:       valuetable.New(8<<10, 0),
@@ -131,7 +131,7 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 	// eviction and expiry (the stale buffer may still serve them) and is
 	// dropped only by delete.
 	last := map[string][]byte{}
-	const overhead = 8
+	const overhead = itemHeader + 8
 	store := func(op int, key string, v []byte, expireAt int64) {
 		t.Helper()
 		err := c.SetTTL(key, len(v)+overhead, 0.01, 0, expireAt, v)
@@ -166,9 +166,9 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 		}
 		// The size mix drifts from small to large values and back, so
 		// demand (and slabs) move across all four classes.
-		maxLen := 40 + (500-overhead-40)*(op%3000)/3000
+		maxLen := 40 + (1000-overhead-40)*(op%3000)/3000
 		if (op/3000)%2 == 1 {
-			maxLen = 540 - overhead - maxLen
+			maxLen = 1040 - overhead - maxLen
 		}
 		switch r := rng.Intn(20); {
 		case r < 9: // set or replace, sometimes with a TTL
@@ -221,7 +221,7 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				combined = append(piece, cur...)
 			}
-			if len(combined)+overhead > 512 {
+			if len(combined)+overhead > 1024 {
 				combined = combined[:16]
 			}
 			err := c.SetMode(key, ModeCAS, cas, len(combined)+overhead, 0.01, 0, 0, combined)
@@ -269,7 +269,7 @@ func TestValueSlotsNeverAlias(t *testing.T) {
 // the invariant names and expects each to be reported.
 func TestCheckInvariantsCatchesStackViolations(t *testing.T) {
 	fill := func() *Cache {
-		c, err := New(Config{Geometry: smallGeom(), CacheBytes: 2 * 4096, StoreValues: true}, &nullPolicy{})
+		c, err := New(Config{Geometry: valueGeom(), CacheBytes: 2 * 4096, StoreValues: true}, &nullPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,14 +282,10 @@ func TestCheckInvariantsCatchesStackViolations(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := c.Introspect().FreeValueBuffers[0], 4096/64-7; got != want {
-			t.Fatalf("class 0 stacks %d slots with 7 of its page's %d held, want %d", got, 4096/64, want)
+		if got, want := c.Introspect().FreeValueBuffers[0], 4096/128-7; got != want {
+			t.Fatalf("class 0 stacks %d slots with 7 of its page's %d held, want %d", got, 4096/128, want)
 		}
 		return c
-	}
-	slotOfKey := func(c *Cache, key string) uint64 {
-		p, i := c.classes[0].slotOf(c.record(key).Slot)
-		return slotRef(p, i)
 	}
 	for name, tc := range map[string]struct {
 		corrupt func(c *Cache)
@@ -304,14 +300,14 @@ func TestCheckInvariantsCatchesStackViolations(t *testing.T) {
 			k.vfree[1] = k.vfree[0]
 		}, "stacks one value slot twice"},
 		"stacked while resident": {func(c *Cache) {
-			c.classes[0].vfree[0] = slotOfKey(c, "k1")
+			c.classes[0].vfree[0] = c.index.Get(kv.HashString("k1"), "k1")
 		}, "also on class 0's free stack"},
 		"past the slot's end": {func(c *Cache) {
-			c.record("k1").VLen = 63
-		}, "not a slot of a page its class 0 owns"},
+			c.record("k1").VLen = uint32(128 - itemHeader - 1)
+		}, "holds no resident of the class, key and value after its record"},
 		"off the slot's head": {func(c *Cache) {
 			c.record("k1").Slot++
-		}, "not a slot of a page its class 0 owns"},
+		}, "holds no resident of the class, key and value after its record"},
 		"page without a slab": {func(c *Cache) {
 			c.classes[1].pages = append(c.classes[1].pages, c.classes[0].pages[0])
 		}, "slab accounting says 0 slabs"},
@@ -328,11 +324,11 @@ func TestCheckInvariantsCatchesStackViolations(t *testing.T) {
 // exactly its free slots, a slab leaving it takes one page's worth, and the
 // receiving class stacks the whole page at its own slot size.
 func TestSlotStackFollowsSlabAccounting(t *testing.T) {
-	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 2 * 4096, StoreValues: true}, &nullPolicy{})
+	c, err := New(Config{Geometry: valueGeom(), CacheBytes: 2 * 4096, StoreValues: true}, &nullPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const spc = 4096 / 64
+	const spc = 4096 / 128
 	for i := 0; i < 2*spc; i++ { // both slabs go to class 0, full
 		if err := c.Set("k"+strconv.Itoa(i), 60, 0.01, 0, []byte("value"+strconv.Itoa(i))); err != nil {
 			t.Fatal(err)
@@ -357,9 +353,9 @@ func TestSlotStackFollowsSlabAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := stacked(); got[0] != free-spc || got[2] != 4096/256 {
+	if got := stacked(); got[0] != free-spc || got[2] != 4096/512 {
 		t.Fatalf("after a slab left class 0 the stacks hold %v, want %d in class 0 and %d in class 2",
-			got, free-spc, 4096/256)
+			got, free-spc, 4096/512)
 	}
 	for i := 0; i < 2*spc; i++ {
 		key := "k" + strconv.Itoa(i)
@@ -380,7 +376,7 @@ func TestSlotStackFollowsSlabAccounting(t *testing.T) {
 // new slot, and every class owns exactly one page per slab.
 func TestCompactionKeepsValues(t *testing.T) {
 	const budget = 6
-	c, err := New(Config{Geometry: smallGeom(), CacheBytes: budget * 4096, StoreValues: true}, &nullPolicy{})
+	c, err := New(Config{Geometry: valueGeom(), CacheBytes: budget * 4096, StoreValues: true}, &nullPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,9 +399,12 @@ func TestCompactionKeepsValues(t *testing.T) {
 			if got, _, hit := c.Get(key, 0, 0, nil); !hit || !bytes.Equal(got, want) {
 				t.Fatalf("%s: %s reads %x (hit %v), stored %x", step, key, got, hit, want)
 			}
+			id := c.index.Get(kv.HashString(key), key)
 			it := c.record(key)
-			if p, i := c.classes[it.Class].slotOf(it.Slot); unsafe.StringData(it.Key()) != &p.mem[i*c.classes[it.Class].slot] {
-				t.Fatalf("%s: %s's key is not at the head of its slot", step, key)
+			pid, i := c.recs.PageOf(id)
+			if p := c.arena.pages[pid]; unsafe.Pointer(it) != unsafe.Pointer(&p.mem[i*c.classes[it.Class].slot]) ||
+				unsafe.StringData(it.Key()) != &p.mem[i*c.classes[it.Class].slot+itemHeader] {
+				t.Fatalf("%s: %s's record is not at the head of its slot, its key right after it", step, key)
 			}
 		}
 		scanned := 0
@@ -439,24 +438,24 @@ func TestCompactionKeepsValues(t *testing.T) {
 		return best
 	}
 
-	// Three pages of class 1 (32 slots each), three of class 2 (16 each).
+	// Three pages of class 0 (32 slots each), three of class 1 (16 each).
 	for i := 0; i < 96; i++ {
-		set("a"+strconv.Itoa(i), 100)
+		set("a"+strconv.Itoa(i), 40)
 	}
 	for i := 0; i < 48; i++ {
-		set("b"+strconv.Itoa(i), 200)
+		set("b"+strconv.Itoa(i), 150)
 	}
-	// Every third class-1 value goes: a slab's worth of free slots, spread
+	// Every third class-0 value goes: a slab's worth of free slots, spread
 	// over all three pages, so the migration evicts nothing and must move.
 	for i := 0; i < 96; i += 3 {
 		del("a" + strconv.Itoa(i))
 	}
 	audit("filled")
 
-	donor := fewest(1)
+	donor := fewest(0)
 	moved := donor.used
 	c.mu.Lock()
-	err = c.MigrateSlab(1, 0, 2)
+	err = c.MigrateSlab(0, 0, 1)
 	c.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -465,15 +464,15 @@ func TestCompactionKeepsValues(t *testing.T) {
 		t.Fatalf("migration evicted %d and moved %d values, want 0 and the donor page's %d",
 			st.Evictions, st.SlabRelocations, moved)
 	}
-	if !slices.Contains(c.classes[2].pages, donor) || slices.Contains(c.classes[1].pages, donor) {
-		t.Fatal("the page class 2 received is not the class-1 page compaction emptied")
+	if !slices.Contains(c.classes[1].pages, donor) || slices.Contains(c.classes[0].pages, donor) {
+		t.Fatal("the page class 1 received is not the class-0 page compaction emptied")
 	}
 	audit("migrated")
 
-	// Fill class 2's new page, then thin all four of its pages evenly: the
+	// Fill class 1's new page, then thin all four of its pages evenly: the
 	// donation's page holds residents that must move too.
 	for i := 48; i < 64; i++ {
-		set("b"+strconv.Itoa(i), 200)
+		set("b"+strconv.Itoa(i), 150)
 	}
 	for i := 0; i < 64; i += 4 {
 		del("b" + strconv.Itoa(i))
@@ -482,7 +481,7 @@ func TestCompactionKeepsValues(t *testing.T) {
 	if c.FreeSlabs() != 0 {
 		t.Fatalf("%d free slabs: the donation would not need a page", c.FreeSlabs())
 	}
-	donor = fewest(2)
+	donor = fewest(1)
 	moved, before := donor.used, c.Stats().SlabRelocations
 	if err := c.DonateSlab(); err != nil {
 		t.Fatal(err)
@@ -497,6 +496,34 @@ func TestCompactionKeepsValues(t *testing.T) {
 		t.Fatalf("value_slab_bytes = %d, want %d", got, (budget-1)*4096)
 	}
 	audit("donated")
+}
+
+// TestSlotsHoldTheRecord: a value-storing engine heads every slot with its
+// item's 64-byte record, so New refuses a geometry whose smallest slot is
+// shorter or whose slots are not 8-byte multiples; a metadata-only engine
+// takes either, and the default geometry passes.
+func TestSlotsHoldTheRecord(t *testing.T) {
+	for _, g := range []kv.Geometry{
+		{SlabSize: 4096, Base: 32, NumClasses: 4},
+		{SlabSize: 4096, NumClasses: 3, Slots: []int{64, 100, 200}},
+	} {
+		if _, err := New(Config{Geometry: g, CacheBytes: 4 * 4096, StoreValues: true}, &nullPolicy{}); err == nil {
+			t.Errorf("a value-storing engine took slots %d..%d", g.SlotSize(0), g.MaxItemSize())
+		}
+		if _, err := New(Config{Geometry: g, CacheBytes: 4 * 4096}, &nullPolicy{}); err != nil {
+			t.Errorf("a metadata-only engine refused slots %d..%d: %v", g.SlotSize(0), g.MaxItemSize(), err)
+		}
+	}
+	c, err := New(Config{CacheBytes: 4 << 20, StoreValues: true}, &nullPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set("k", 0, 0.01, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if it := c.record("k"); it == nil || it.Class != 1 || int(it.Size) != itemHeader+1 {
+		t.Fatalf("k = %+v, want class 1 (128 bytes) of size %d: a record and a 1-byte key", it, itemHeader+1)
+	}
 }
 
 // TestValuePagesUnmappedWithEngine builds and drops 10 000 value-storing
@@ -557,7 +584,7 @@ func TestValuePagesUnmappedWithEngine(t *testing.T) {
 // holes) moved by the change in length, and digits that outgrow the slot are
 // stored afresh in the next class, leaving no slot behind.
 func TestDeltaKeepsItsSlot(t *testing.T) {
-	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 4 * 4096, StoreValues: true}, &nullPolicy{})
+	c, err := New(Config{Geometry: valueGeom(), CacheBytes: 4 * 4096, StoreValues: true}, &nullPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,34 +605,34 @@ func TestDeltaKeepsItsSlot(t *testing.T) {
 		}
 	}
 	// In place: "9" → "10" → "9", the size following the digits.
-	if err := c.Set("n", 20, 0.01, 0, []byte("9")); err != nil {
+	if err := c.Set("n", 84, 0.01, 0, []byte("9")); err != nil {
 		t.Fatal(err)
 	}
-	check("set", "n", "9", 0, 20)
+	check("set", "n", "9", 0, 84)
 	delta("n", 1, false, 10)
-	check("incr past a digit", "n", "10", 0, 21)
+	check("incr past a digit", "n", "10", 0, 85)
 	delta("n", 1, true, 9)
-	check("decr below a digit", "n", "9", 0, 20)
+	check("decr below a digit", "n", "9", 0, 84)
 
-	// A library caller's size below the key and value lengths is raised to
-	// their sum: both sit in the slot.
+	// A library caller's size below the record, key and value is raised to
+	// their sum: all three sit in the slot.
 	if err := c.Set("s", 1, 0.01, 0, []byte("12345")); err != nil {
 		t.Fatal(err)
 	}
-	check("short size", "s", "12345", 0, 6)
+	check("short size", "s", "12345", 0, itemHeader+6)
 
-	// Outgrown: a full 64-byte slot takes a digit more, into class 1.
-	if err := c.Set("m", 64, 0.01, 0, []byte("99")); err != nil {
+	// Outgrown: a full 128-byte slot takes a digit more, into class 1.
+	if err := c.Set("m", 128, 0.01, 0, []byte("99")); err != nil {
 		t.Fatal(err)
 	}
-	check("set at the slot size", "m", "99", 0, 64)
+	check("set at the slot size", "m", "99", 0, 128)
 	delta("m", 1, false, 100)
-	check("incr past the slot", "m", "100", 1, 65)
+	check("incr past the slot", "m", "100", 1, 129)
 	if used := c.UsedSlots(0); used != 2 {
 		t.Fatalf("class 0 holds %d slots, want the 2 of n and s", used)
 	}
 	delta("m", 900, false, 1000)
-	check("incr in the new slot", "m", "1000", 1, 66)
+	check("incr in the new slot", "m", "1000", 1, 130)
 }
 
 // TestRetainedKeysSurviveEvictions: a key ScanKeys reported and a stale-buffer
@@ -624,7 +651,7 @@ func TestRetainedKeysSurviveEvictions(t *testing.T) {
 			}
 		}
 	}
-	c, err := New(Config{Geometry: smallGeom(), CacheBytes: 4 * 4096, StoreValues: true, Stale: valuetable.New(1<<20, 0)}, pol)
+	c, err := New(Config{Geometry: valueGeom(), CacheBytes: 4 * 4096, StoreValues: true, Stale: valuetable.New(1<<20, 0)}, pol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Package hashtable implements the open-addressed hash index that maps keys
 // to cached items: one power-of-two array of 8-byte (tag, item id) slots
-// probed linearly, doubled whenever an insert would push the load past 1/2.
+// probed linearly, doubled whenever an insert would push the load past 1/2
+// and dropped back to its first size when its last item leaves.
 // The tag is the hash's low 32 bits; ids name records of one kv.Records
 // store, so the array holds no pointer and the collector never scans it.
 //
@@ -12,8 +13,8 @@
 // rejected record would otherwise cost a dependent cache miss. Deletion
 // shifts the rest of the probe run back over the hole (backward-shift
 // deletion), so there are no tombstones and churn at a constant Len never
-// rehashes. Lookups, deletes and inserts that do not grow the table never
-// allocate.
+// rehashes. Lookups, and the inserts and deletes that neither grow the table
+// nor empty it, never allocate.
 package hashtable
 
 import (
@@ -36,6 +37,7 @@ type Table struct {
 	slots []slot
 	mask  uint64
 	n     int
+	start int // the slot count New chose, which an emptied table drops back to
 }
 
 // New returns a table over the records of recs, pre-sized for capHint items.
@@ -44,7 +46,7 @@ func New(recs *kv.Records, capHint int) *Table {
 	for s < 2*capHint {
 		s <<= 1
 	}
-	return &Table{recs: recs, slots: make([]slot, s), mask: uint64(s - 1)}
+	return &Table{recs: recs, slots: make([]slot, s), mask: uint64(s - 1), start: s}
 }
 
 // Len returns the number of stored items.
@@ -130,6 +132,17 @@ func (t *Table) Remove(id uint32) bool {
 	return false
 }
 
+// Repoint tells the table that item old, of the given hash, now lives at id
+// new: its record was copied there (a value-storing engine's compaction).
+func (t *Table) Repoint(hash uint64, old, new uint32) {
+	for i := hash & t.mask; t.slots[i].id != 0; i = (i + 1) & t.mask {
+		if t.slots[i].id == old {
+			t.slots[i].id = new
+			return
+		}
+	}
+}
+
 // Bytes returns the heap the slot array takes.
 func (t *Table) Bytes() int64 { return int64(len(t.slots)) * int64(unsafe.Sizeof(slot{})) }
 
@@ -211,7 +224,10 @@ func (t *Table) removeAt(i uint64) {
 		}
 	}
 	t.slots[i] = slot{}
-	t.n--
+	if t.n--; t.n == 0 && len(t.slots) > t.start {
+		// Emptied (a flush): give back what growing took.
+		t.slots, t.mask = make([]slot, t.start), uint64(t.start-1)
+	}
 }
 
 func (t *Table) grow() {

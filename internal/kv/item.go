@@ -1,22 +1,24 @@
 package kv
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"unsafe"
 )
 
 // Item is one cached object's record: 64 bytes, one cache line, and no Go
-// pointer, so the chunks of records an engine keeps (Records) are memory the
-// collector never scans. The first words are what an index probe and a hit
-// read (Hash, CAS, Penalty, the key's address); the links, sizes and tags
-// follow. A field added here fails the root layout test (TestItemLayout), not
-// a benchmark.
+// pointer, so the memory records sit in (Records) is memory the collector
+// never scans. The first words are what an index probe and a hit read (Hash,
+// CAS, Penalty, the key's address); the links, sizes and tags follow. A field
+// added here fails the root layout test (TestItemLayout), not a benchmark.
 //
-// An item is named by its uint32 id in its Records store for its whole life:
-// the LRU links, the hash index and the value pages hold ids. A *Item handed
-// to a policy hook is a pointer into a chunk, valid while the engine lock is
-// held.
+// An item is named by its uint32 id in its Records store: the LRU links, the
+// segment boundaries and the hash index hold ids. In a value-storing engine
+// the record heads the item's slab slot, key and value after it, and the id
+// names the slot; only compaction moves it, and repoints every holder of the
+// id as it does. A *Item handed to a policy hook is valid while the engine
+// lock is held.
 type Item struct {
 	// Hash caches the 64-bit hash of the key used by the index and the Bloom
 	// filters; it is computed once at insertion and must not change while
@@ -30,11 +32,11 @@ type Item struct {
 	// seconds. It selects the penalty subclass under PAMA and prices the
 	// segment an access lands in.
 	Penalty float64
-	// Slot is the address of the key's bytes; the value's follow them. An
-	// engine that stores values points it at a slot of one of its value
-	// pages (package cache), which compaction rewrites; elsewhere it is the
-	// data of a key string its Records store holds (HoldKey). The collector
-	// does not follow a uintptr: whatever owns the bytes keeps them.
+	// Slot is the address of the key's bytes; the value's follow them. In an
+	// engine that stores values they follow the record in its slab slot
+	// (package cache), so Slot points just past the record; elsewhere it is
+	// the data of a key string its Records store holds (HoldKey). The
+	// collector does not follow a uintptr: whatever owns the bytes keeps them.
 	Slot uintptr
 	// Prev and Next are the ids of the item's LRU neighbours (package lru),
 	// 0 at either end. A free record chains the free list through Next.
@@ -82,8 +84,8 @@ func (it *Item) Value() []byte {
 	return unsafe.Slice((*byte)(unsafe.Add(it.slot(), it.KLen)), it.VLen)
 }
 
-// Mem returns the n bytes at Slot: a value-storing engine's whole slot, key
-// first.
+// Mem returns the n bytes at Slot: the room a value-storing engine's slot
+// has after the record, key first.
 func (it *Item) Mem(n int) []byte { return unsafe.Slice((*byte)(it.slot()), n) }
 
 // slot reads Slot as the pointer it holds.
@@ -110,31 +112,54 @@ const chunkShift = 10
 // ChunkLen is the number of records in one chunk.
 const ChunkLen = 1 << chunkShift
 
-// Records is a store of items addressed by uint32 ids. Records live in
-// fixed-size chunks allocated on the Go heap as they are needed and kept for
-// reuse until the store is empty: a chunk has no pointer, so the collector
-// never walks it, and the store's records are one heap object per ChunkLen
-// of them, not one per item.
+// Records is a store of items addressed by uint32 ids. An id names a page of
+// records and a record on it: its high bits pick an entry of the page table,
+// and the record sits at that page's base plus the id's low bits times the
+// page's stride. A store's records live in one of two places:
+//
+//   - Chunks on the Go heap (New, Free, HoldKey), for the engines that keep
+//     no values and the shadows of package mrc: ChunkLen 64-byte records a
+//     chunk, allocated as they are needed and kept for reuse until the store
+//     is empty. A chunk has no pointer, so the collector never walks it, and
+//     the records are one heap object per ChunkLen of them, not one per item.
+//   - The slots of pages their owner maps outside the heap (MapPage): a
+//     value-storing engine heads each slot of its value pages with the record
+//     of the item it holds, so the id of a record is the name of its slot.
+//
 // Id 0 is never handed out; it is every link's nil. The zero value is an
-// empty store ready to use.
+// empty chunk store ready to use.
 type Records struct {
+	pages []recPage // by page id: a chunk's index, or the id MapPage was given
+	shift uint      // the id bits that index a record on its page
+	// The chunk store: chunks by page id, the lowest id never handed out
+	// (once the first is), the last record freed (the others chain through
+	// Next) and the records in use.
 	chunks []*[ChunkLen]Item
-	next   uint32 // the lowest id never handed out, once the first is
-	free   uint32 // the last record freed; the others chain through Next
+	next   uint32
+	free   uint32
 	live   int
 	// keys holds the strings HoldKey points records at, by id.
 	keys []string
 }
 
-// At returns the record of id. The offset is added to the chunk's address
-// rather than indexed: an index makes the compiler nil-check the chunk by
-// loading its first line, and the chunks' first lines, all page-aligned,
-// crowd the same cache sets.
-func (r *Records) At(id uint32) *Item {
-	return (*Item)(unsafe.Add(unsafe.Pointer(r.chunks[id>>chunkShift]), uintptr(id&(ChunkLen-1))*unsafe.Sizeof(Item{})))
+// recPage is an entry of the page table.
+type recPage struct {
+	base   uintptr // the address of the page's first record
+	stride uintptr // the bytes from one record to the next
 }
 
-// New hands out a zeroed record and its id, the last one freed first.
+// At returns the record of id. The address is computed from the page's base
+// rather than indexed: an index makes the compiler nil-check the page by
+// loading its first line, and the pages' first lines, all page-aligned, crowd
+// the same cache sets.
+func (r *Records) At(id uint32) *Item {
+	p := r.pages[id>>r.shift]
+	a := p.base + uintptr(id&(1<<r.shift-1))*p.stride
+	return *(**Item)(unsafe.Pointer(&a))
+}
+
+// New hands out a zeroed record of the chunk store and its id, the last one
+// freed first.
 func (r *Records) New() (uint32, *Item) {
 	r.live++
 	if id := r.free; id != 0 {
@@ -143,7 +168,7 @@ func (r *Records) New() (uint32, *Item) {
 		return id, it
 	}
 	if r.next == 0 {
-		r.next = 1
+		r.next, r.shift = 1, chunkShift
 	}
 	if r.next == math.MaxUint32 {
 		panic("kv: records exhausted the uint32 id space")
@@ -151,14 +176,16 @@ func (r *Records) New() (uint32, *Item) {
 	id := r.next
 	r.next++
 	if int(id>>chunkShift) == len(r.chunks) {
-		r.chunks = append(r.chunks, new([ChunkLen]Item))
+		ch := new([ChunkLen]Item)
+		r.chunks = append(r.chunks, ch)
+		r.pages = append(r.pages, recPage{uintptr(unsafe.Pointer(ch)), unsafe.Sizeof(Item{})})
 	}
 	return id, r.At(id)
 }
 
-// Free returns record id to the store, zeroed, and lets go of a key HoldKey
-// gave it. Freeing the last live record gives back every chunk and held
-// key, as a flush does: the store is the zero value again.
+// Free returns record id to the chunk store, zeroed, and lets go of a key
+// HoldKey gave it. Freeing the last live record gives back every chunk and
+// held key, as a flush does: the store is the zero value again.
 func (r *Records) Free(id uint32) {
 	if r.live == 1 {
 		*r = Records{}
@@ -185,10 +212,38 @@ func (r *Records) HoldKey(id uint32, key string) {
 	it.KLen = uint16(len(key))
 }
 
-// Len returns the number of records handed out and not freed.
+// Len returns the number of records of the chunk store handed out and not
+// freed.
 func (r *Records) Len() int { return r.live }
 
 // Bytes returns the heap the store's chunks take.
 func (r *Records) Bytes() int64 {
 	return int64(len(r.chunks)) * ChunkLen * int64(unsafe.Sizeof(Item{}))
+}
+
+// SetPageBits makes an empty store one of mapped pages whose ids index a
+// record with their low bits: a page holds at most 1<<bits records, and page
+// ids run below 1<<(32-bits).
+func (r *Records) SetPageBits(bits uint) { r.shift = bits }
+
+// MapPage makes page pid, which must not be 0, hold records of stride bytes
+// from base: ID(pid, i) names the one at base + i*stride. The caller owns the
+// memory and keeps it mapped while any of those ids is in use; it maps the
+// page again when it cuts the page into records of another size.
+func (r *Records) MapPage(pid uint32, base uintptr, stride int) {
+	if pid == 0 || uint64(pid) >= 1<<(32-r.shift) {
+		panic(fmt.Sprintf("kv: page id %d outside the %d bits an id has for it", pid, 32-r.shift))
+	}
+	if n := int(pid) + 1; n > len(r.pages) {
+		r.pages = slices.Grow(r.pages, n-len(r.pages))[:n]
+	}
+	r.pages[pid] = recPage{base, uintptr(stride)}
+}
+
+// ID returns the id of record i of page pid.
+func (r *Records) ID(pid uint32, i int) uint32 { return pid<<r.shift | uint32(i) }
+
+// PageOf returns the page and the index on it of record id.
+func (r *Records) PageOf(id uint32) (pid uint32, i int) {
+	return id >> r.shift, int(id & (1<<r.shift - 1))
 }

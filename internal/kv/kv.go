@@ -2,10 +2,11 @@
 // engine and its substrates, together with the slab-class size geometry used
 // by Memcached-style allocators.
 //
-// An Item is a 64-byte record without Go pointers, kept in the chunks of a
-// Records store and named by a uint32 id (item.go): the LRU links (package
-// lru), the hash index (package hashtable) and the value pages (package
-// cache) hold ids, so no resident item is an object of its own for the
+// An Item is a 64-byte record without Go pointers, named by a uint32 id of a
+// Records store (item.go): in the chunks of the store, or at the head of its
+// slab slot in an engine that stores values. The LRU links (package lru), the
+// segment boundaries (package segment) and the hash index (package
+// hashtable) hold ids, so no resident item is an object of its own for the
 // collector to allocate, scan or free. The fields are exported because the
 // sibling internal packages splice them directly; outside code never sees a
 // *kv.Item.

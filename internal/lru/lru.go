@@ -84,6 +84,23 @@ func (l *List) PopBack() uint32 {
 	return id
 }
 
+// Repoint relinks an item of the list whose record, links included, was just
+// copied to id (a value-storing engine's compaction): its neighbours' links,
+// or the list's ends, take id.
+func (l *List) Repoint(id uint32) {
+	it := l.recs.At(id)
+	if it.Prev != 0 {
+		l.recs.At(it.Prev).Next = id
+	} else {
+		l.head = id
+	}
+	if it.Next != 0 {
+		l.recs.At(it.Next).Prev = id
+	} else {
+		l.tail = id
+	}
+}
+
 // AscendFromBack calls fn for each item from the LRU end toward the MRU end
 // until fn returns false or the list is exhausted. fn must not mutate the
 // list.

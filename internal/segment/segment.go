@@ -46,6 +46,9 @@ type Tracker interface {
 	// (0 = candidate, 1..nseg-1 = reference, -1 = above the region) and
 	// moves the item to the list's MRU end.
 	Touch(id uint32) int
+	// Repoint tells the tracker that its item old now lives at id new, its
+	// record copied there and already repointed on the list.
+	Repoint(old, new uint32)
 	// Rollover marks a value-window boundary (Bloom rebuilds snapshots).
 	Rollover()
 	// Segments returns the number of tracked segments.
@@ -108,6 +111,13 @@ func (e *Exact) Touch(id uint32) int {
 	e.list.MoveToFront(id)
 	e.Insert(id)
 	return k
+}
+
+// Repoint implements Tracker: if old was its segment's boundary, new is.
+func (e *Exact) Repoint(old, new uint32) {
+	if k := int(e.recs.At(new).Seq); k < e.nseg && e.top[k] == old {
+		e.top[k] = new
+	}
 }
 
 // Rollover implements Tracker (no-op: Exact is always current).
@@ -185,6 +195,9 @@ func (b *Bloom) Touch(id uint32) int {
 	b.list.MoveToFront(id)
 	return seg
 }
+
+// Repoint implements Tracker: the filters hold hashes, not ids.
+func (b *Bloom) Repoint(uint32, uint32) {}
 
 // Rollover implements Tracker: rebuild the per-segment snapshots from the
 // current stack bottom.

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"pamakv/internal/backend"
 	"pamakv/internal/bufpool"
@@ -87,9 +88,9 @@ func famOf(name string) uint8 {
 	}
 }
 
-// itemOverhead approximates per-item metadata charged to the slab slot, as
-// Memcached charges its item header.
-const itemOverhead = 56
+// itemOverhead is the per-item metadata charged to the slab slot: the item's
+// record, which heads its slot as Memcached's item header heads its chunk.
+const itemOverhead = int(unsafe.Sizeof(kv.Item{}))
 
 // Defaults for the hardening knobs (chosen, not magic: a 64-deep batch
 // bounds response buffering at ~64 MiB worst case; 5 s is the common

@@ -35,9 +35,12 @@ type seeded struct {
 	value    []byte
 }
 
-// seedGroup fills g with items of every class and five penalty levels, some
-// with a TTL, spread over the two tenants' prefixes and the default tenant's
-// bare keys, then reads a few back so stack order is not insertion order.
+// seedGroup fills g with items of every class that holds one (class 0's
+// 64-byte slot is a record alone) and five penalty levels, some with a TTL,
+// spread over the two tenants' prefixes and the default tenant's bare keys,
+// then reads a few back so stack order is not insertion order. An item's size
+// is the one stored, or its record, key and value's when larger: what the
+// engine charges.
 func seedGroup(t *testing.T, g *shard.Group) map[string]seeded {
 	t.Helper()
 	sizes := []int{40, 100, 200, 400}
@@ -55,6 +58,7 @@ func seedGroup(t *testing.T, g *shard.Group) map[string]seeded {
 		if err := g.SetTTL(key, it.size, it.pen, it.flags, it.expireAt, it.value); err != nil {
 			t.Fatal(err)
 		}
+		it.size = max(it.size, 64+len(key)+len(it.value))
 		want[key] = it
 	}
 	for i := 0; i < 160; i += 9 {

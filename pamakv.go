@@ -133,7 +133,9 @@ func NewCAMP() *policy.CAMP { return policy.NewCAMP() }
 
 // NewTableGeometry builds a geometry from an explicit strictly increasing
 // slot-size table, e.g. one solved from a size histogram (internal/geom's
-// Histogram.Solve, which -fig holes uses).
+// Histogram.Solve, which -fig holes uses). An engine that stores values
+// takes it only with slots in multiples of 8 bytes, the smallest at least
+// 64: each slot begins with its item's record.
 func NewTableGeometry(slabSize int, slots []int) (Geometry, error) {
 	return kv.NewTableGeometry(slabSize, slots)
 }
