@@ -6,7 +6,9 @@
 package pamakv
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"pamakv/internal/cache"
@@ -115,6 +117,67 @@ func BenchmarkEngineGetHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Get(keys[i&(n-1)], 0, 0, nil)
+	}
+}
+
+// BenchmarkEngineServedGetHit measures a GET hit as a server serves it, in
+// the shape of the benchmark's get_hot workload: two value-storing PAMA
+// engines of 32 MiB each hold 5 000 9-byte keys apiece with 100-byte values,
+// and uniform random bursts of 32 keys are each prefetched (PrefetchHashes,
+// once per engine) and then looked up one by one (LookupHash), the value
+// copied out. BenchmarkEngineGetHit above is metadata-only and walks its keys
+// in order; this one pays for resolving record ids in the value pages and for
+// the cache misses of a random walk over them. One op is one GET.
+func BenchmarkEngineServedGetHit(b *testing.B) {
+	const engines, perEngine, burst = 2, 5000, 32
+	var cs [engines]*cache.Cache
+	for e := range cs {
+		c, err := cache.New(cache.Config{CacheBytes: 32 << 20, StoreValues: true, WindowLen: 100_000},
+			core.New(core.DefaultConfig()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs[e] = c
+	}
+	keys := make([]string, engines*perEngine)
+	hashes := make([]uint64, len(keys))
+	value := make([]byte, 100)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%08d", i)
+		hashes[i] = kv.HashString(keys[i])
+		if err := cs[i%engines].Set(keys[i], 0, 0.01, 0, value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	order := make([]int32, 1<<16)
+	rng := rand.New(rand.NewSource(1))
+	for i := range order {
+		order[i] = int32(rng.Intn(len(keys)))
+	}
+	var hs [engines][]uint64
+	buf := make([]byte, 0, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done, at := 0, 0; done < b.N; done += burst {
+		picks := order[at : at+min(burst, b.N-done)]
+		if at += burst; at+burst > len(order) {
+			at = 0
+		}
+		for e := range hs {
+			hs[e] = hs[e][:0]
+		}
+		for _, k := range picks {
+			hs[k%engines] = append(hs[k%engines], hashes[k])
+		}
+		for e, c := range cs {
+			c.PrefetchHashes(hs[e])
+		}
+		for _, k := range picks {
+			var hit bool
+			if buf, _, _, hit = cs[k%engines].LookupHash(hashes[k], keys[k], 0, 0, buf[:0]); !hit {
+				b.Fatalf("%s missed", keys[k])
+			}
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,10 +58,11 @@ type Config struct {
 	// CacheBytes is the memory budget (must hold >= 1 slab).
 	CacheBytes int64
 	// StoreValues keeps item bodies, in slab pages mapped outside the Go
-	// heap (values.go), each item's record, key and value in its slot; off,
-	// the engine is a metadata-only simulator costing its records and keys
-	// and mapping nothing. A value-storing geometry's slots are multiples of
-	// 8 bytes, the smallest one at least a record's 64.
+	// heap (values.go), each item's record, key and value charged to its
+	// slot; off, the engine is a metadata-only simulator costing its records
+	// and keys and mapping nothing. A value-storing geometry's slots are
+	// multiples of 8 bytes, the smallest one at least a record's 64, and its
+	// slabs hold at most 1<<14 of them (mapRecords).
 	StoreValues bool
 	// WindowLen is the value/statistics window in cache accesses
 	// (paper: windows are counted in accesses, not wall-clock).
@@ -326,10 +326,10 @@ func New(cfg Config, pol Policy) (*Cache, error) {
 	return c, nil
 }
 
-// mapRecords checks that the geometry can head each slot with an item's
-// record and splits a record id between page and slot: the low bits index the
-// most slots a page holds, class 0's, and the high ones must name every slab
-// of the budget.
+// mapRecords checks that the geometry fits a value-storing engine: a slot is
+// charged for its item's record and the slot's room starts on a word, a
+// page's slots, class 0's the most, are indexed by a record id's kv.PageBits
+// low bits, and its high ones must name every slab of the budget.
 func (c *Cache) mapRecords() error {
 	for cl := range c.geom.NumClasses {
 		if s := c.geom.SlotSize(cl); s < itemHeader || s%8 != 0 {
@@ -337,11 +337,12 @@ func (c *Cache) mapRecords() error {
 				s, cl, itemHeader)
 		}
 	}
-	b := uint(bits.Len(uint(c.geom.SlotsPerSlab(0) - 1)))
-	if uint64(c.slabs.TotalSlabs()) >= 1<<(32-b) {
-		return fmt.Errorf("cache: %d slabs of %d slots overflow a 32-bit record id", c.slabs.TotalSlabs(), c.geom.SlotsPerSlab(0))
+	if n := c.geom.SlotsPerSlab(0); n > 1<<kv.PageBits {
+		return fmt.Errorf("cache: %d slots of class 0 in a slab overflow the %d bits a record id has for them", n, kv.PageBits)
 	}
-	c.recs.SetPageBits(b)
+	if n := c.slabs.TotalSlabs(); n >= 1<<(32-kv.PageBits) {
+		return fmt.Errorf("cache: %d slabs overflow the %d bits a record id has for them", n, 32-kv.PageBits)
+	}
 	return nil
 }
 

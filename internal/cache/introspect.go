@@ -68,7 +68,8 @@ type Introspection struct {
 	ValueSlabBytes   int64 `json:"value_slab_bytes" prom:"pamakv_value_slab_bytes" help:"Slab pages mapped for values, outside the Go heap."`
 	// RecordBytes is the record memory outside the value pages: a
 	// metadata-only engine's chunks of kv.ChunkLen 64-byte records, in use or
-	// free. It is 0 when values are stored, each record heading its slot.
+	// free. It is 0 when values are stored, the records packed at the head
+	// of their slab.
 	RecordBytes int64 `json:"record_bytes" prom:"pamakv_record_bytes" help:"Go heap held by the chunks of 64-byte item records outside the value pages."`
 	// IndexBytes is the Go heap the key index takes: its 8-byte slots, a
 	// power of two at least twice the residents.

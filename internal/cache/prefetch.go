@@ -60,22 +60,23 @@ func (c *Cache) PrefetchHashes(hs []uint64) {
 				m++
 			}
 		}
-		// 2. The records, and behind them the bytes a key compare and a
-		// value copy (or overwrite) read: every line of the key and of
-		// the value, up to prefetchLines of each. The first ghost record
-		// each bucket names.
+		// 2. The records, and the first ghost record each bucket names.
 		for _, it := range its[:n] {
-			sink += touchLines(it.Key())
-			sink += touchLines(it.Value())
+			sink += uint64(it.KLen)
 		}
 		for _, g := range gs[:m] {
 			if g != 0 {
 				sink += c.ghosts.recs[g].hash
 			}
 		}
-		// 3. The LRU neighbours a hit's move to the front, or an
-		// overwrite's unlink, writes.
+		// 3. What the records name: the bytes a key compare and a value
+		// copy (or overwrite) read, every line of the key and of the
+		// value up to prefetchLines of each, which a value-storing engine
+		// keeps apart from the record (values.go), and the LRU neighbours
+		// a hit's move to the front, or an overwrite's unlink, writes.
 		for _, it := range its[:n] {
+			sink += touchLines(it.Key())
+			sink += touchLines(it.Value())
 			if p := it.Prev; p != 0 {
 				sink += uint64(c.recs.At(p).Next)
 			}

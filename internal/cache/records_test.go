@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pamakv/internal/kv"
 )
@@ -80,6 +82,88 @@ func TestNoPerItemHeapObject(t *testing.T) {
 		t.Fatalf("record_bytes = %d, want 0: a value-storing engine's records are in its slots", got)
 	}
 	runtime.KeepAlive(c)
+}
+
+// TestRecordAddressing pins how an id finds its record: ID(p, i) is page p's
+// base plus 64·i, whatever holds the page. A chunk store hands out
+// kv.ChunkLen records a page id and goes on to the next id's page past them,
+// keeping the key HoldKey gave each. A value engine packs every page's
+// records at its head, whatever the class cut it, and puts slot i's key at
+// base + spc·64 + i·(slot−64), in the data area after the record block.
+// New refuses a value geometry whose class 0 has more slots in a slab than
+// an id's kv.PageBits low bits index, or more slabs than its high bits name;
+// the default geometry, 16 384 slots of 64 bytes a slab, is the largest page
+// that fits.
+func TestRecordAddressing(t *testing.T) {
+	var recs kv.Records
+	held := map[uint32]string{}
+	for n := 1; n < 3*kv.ChunkLen; n++ {
+		id, it := recs.New()
+		if want := kv.ID(uint32(n/kv.ChunkLen), n%kv.ChunkLen); id != want {
+			t.Fatalf("record %d of the chunk store has id %#x, want %#x", n, id, want)
+		}
+		pid, i := kv.PageOf(id)
+		if got, base := uintptr(unsafe.Pointer(it)), uintptr(unsafe.Pointer(recs.At(kv.ID(pid, 0)))); got != base+uintptr(64*i) {
+			t.Fatalf("record %#x at %#x, want its chunk's base %#x + 64·%d", id, got, base, i)
+		}
+		held[id] = "key-" + strconv.Itoa(n)
+		recs.HoldKey(id, held[id])
+	}
+	for id, key := range held {
+		if got := recs.At(id).Key(); got != key {
+			t.Fatalf("record %#x holds key %q, want %q", id, got, key)
+		}
+	}
+
+	c, err := New(Config{Geometry: valueGeom(), CacheBytes: 6 * 4096, StoreValues: true}, &nullPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{20, 100, 300, 700, 30, 150} { // classes 0-3 of 128-1024 bytes
+		key := "k" + strconv.Itoa(i)
+		if err := c.Set(key, 0, 0.01, 0, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := 0
+	for ci := range c.classes {
+		k := &c.classes[ci]
+		for _, p := range k.pages {
+			for i := range k.spc {
+				id := kv.ID(p.id, i)
+				if it := c.recs.At(id); unsafe.Pointer(it) != unsafe.Pointer(&p.mem[64*i]) {
+					t.Fatalf("class %d: record %d of page %d is not 64·%d bytes into the page", ci, i, p.id, i)
+				} else if slices.Contains(k.vfree, id) {
+					continue
+				} else if room := k.spc*64 + i*(k.slot-64); unsafe.StringData(it.Key()) != &p.mem[room] {
+					t.Fatalf("class %d: %s of slot %d is not at byte %d, its room past the %d records", ci, it.Key(), i, room, k.spc)
+				}
+				keys++
+			}
+		}
+	}
+	if keys != 6 {
+		t.Fatalf("found %d residents in the pages, want 6", keys)
+	}
+
+	for _, tc := range []struct {
+		slab, budget int64
+		ok           bool
+	}{
+		{1 << 20, 64 << 20, true},        // the default: 16 384 slots of class 0
+		{2 << 20, 64 << 20, false},       // 32 768 slots of class 0
+		{4096, (1<<18 - 1) * 4096, true}, // the most slabs an id names
+		{4096, 1 << 18 * 4096, false},    // one more
+	} {
+		g := kv.Geometry{SlabSize: int(tc.slab), Base: 64, NumClasses: 4}
+		_, err := New(Config{Geometry: g, CacheBytes: tc.budget, StoreValues: true}, &nullPolicy{})
+		if (err == nil) != tc.ok {
+			t.Errorf("%d slabs of %d bytes from 64-byte slots: New = %v, want ok %v", tc.budget/tc.slab, tc.slab, err, tc.ok)
+		}
+		if _, err := New(Config{Geometry: g, CacheBytes: tc.budget}, &nullPolicy{}); err != nil {
+			t.Errorf("%d slabs of %d bytes: a metadata-only engine refused them: %v", tc.budget/tc.slab, tc.slab, err)
+		}
+	}
 }
 
 // TestRecordsGivenBackOnFlush: a flush frees every record of a metadata-only
@@ -286,7 +370,7 @@ func TestRecordCompactionRewritesSlot(t *testing.T) {
 		// stack holds whole segments, so it is the top one's boundary.
 		var front string
 		c.index.Range(func(id uint32, it *kv.Item) bool {
-			if pid, _ := c.recs.PageOf(id); pid == donor.id {
+			if pid, _ := kv.PageOf(id); pid == donor.id {
 				front = strings.Clone(it.Key())
 			}
 			return front == ""
@@ -304,7 +388,7 @@ func TestRecordCompactionRewritesSlot(t *testing.T) {
 		now, moved := places(), 0
 		for key, p := range was {
 			q, ok := now[key]
-			switch pid, _ := c.recs.PageOf(p.id); {
+			switch pid, _ := kv.PageOf(p.id); {
 			case !ok:
 				t.Fatalf("%s: %s is gone", step, key)
 			case pid != donor.id && q.id != p.id:

@@ -14,13 +14,17 @@ import (
 // (pages_unix.go; a heap []byte where the platform has no mmap), faulted in as
 // it is written and carved into slots of the class's size when the class is
 // granted it. A resident item owns one slot, as a Memcached item owns its
-// chunk: its 64-byte record (kv.Item) at the head, its key after the record
-// and its value after the key. The record's id names the slot, the page's id
-// in its high bits and the slot's index in the low ones (kv.Records.MapPage),
-// and the record's Slot points just past the record, so Key and Value alias
-// the bytes that follow it. The collector neither scans nor frees any of it,
-// an inserting store allocates nothing, and the item memory of an engine is
-// exactly the pages slab.Manager says its classes own.
+// chunk, and the slot is charged for the item's 64-byte record (kv.Item), its
+// key and its value. A page of spc slots packs their records at its head,
+// slot i's at base + 64·i, and cuts the rest into a data area of spc rooms
+// of slot−64 bytes, slot i's at base + spc·64 + i·(slot−64), key first and
+// value after it. The record's id names the slot, the page's id in its high
+// bits and the slot's index in the low ones (kv.ID), so resolving an id is
+// one shift, one load and one add whatever the class (kv.Records.At); the
+// record's Slot points at its room, so Key and Value alias the bytes there.
+// The collector neither scans nor frees any of it, an inserting store
+// allocates nothing, and the item memory of an engine is exactly the pages
+// slab.Manager says its classes own.
 //
 // Pages follow the slab accounting:
 //
@@ -30,9 +34,9 @@ import (
 //     free; every other slot of the class's pages holds a resident.
 //   - A slab leaving a class (MigrateSlab, DonateSlab) is a page leaving it.
 //     Once the donor's evictions have freed a slab's worth of slots, compact
-//     takes the page with the fewest residents and copies each resident,
-//     record, key and value, into a free slot on the class's other pages,
-//     which names it by a new id. It repoints every holder of the old one: the
+//     takes the page with the fewest residents and copies each resident's
+//     record, and its key and value, into a free slot on the class's other
+//     pages, which names it by a new id. It repoints every holder of the old one: the
 //     index slot (found by the record's hash), the LRU neighbours or the
 //     list's ends, and an exact tracker's segment boundary. Nothing else holds
 //     an id across the engine lock. Every reader copies a value, and every
@@ -45,10 +49,10 @@ import (
 // them only compact and the in-place rewrites of storeLocked and
 // rewriteLocked (after the key, within the slot) write an item. The race
 // detector cannot see these pages, so its build poisons every slot an item
-// leaves with 0xDB, record and all: whether a slot is free is read from the
+// leaves with 0xDB, record and room: whether a slot is free is read from the
 // free stack, never from the bytes in it.
 
-// itemHeader is the record at the head of a value-storing engine's slot: the
+// itemHeader is the record a value-storing engine's slot is charged for: the
 // least any item is charged.
 const itemHeader = int(unsafe.Sizeof(kv.Item{}))
 
@@ -103,25 +107,35 @@ func (a *arena) unmapAll() {
 	}
 }
 
-// slotMem returns the n bytes of the slot whose record is it.
-func slotMem(it *kv.Item, n int) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(it)), n) }
+// recMem returns the bytes of record it.
+func recMem(it *kv.Item) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(it)), itemHeader) }
 
-// grantPage maps a page for the slab class cl was just granted and carves it.
+// room returns the address of the room for key and value of slot id of class
+// k, whose record is it: past the page's block of spc records, slot−64 bytes
+// a slot.
+func (k *class) room(id uint32, it *kv.Item) uintptr {
+	_, i := kv.PageOf(id)
+	base := uintptr(unsafe.Pointer(it)) - uintptr(i*itemHeader)
+	return base + uintptr(k.spc*itemHeader+i*(k.slot-itemHeader))
+}
+
+// grantPage maps a page for the slab class cl was just granted, makes its
+// head the records of its ids and carves it.
 func (c *Cache) grantPage(cl int) {
 	if c.arena != nil {
-		c.carve(cl, c.arena.mapPage())
+		p := c.arena.mapPage()
+		c.recs.MapPage(p.id, uintptr(unsafe.Pointer(unsafe.SliceData(p.mem))))
+		c.carve(cl, p)
 	}
 }
 
-// carve gives page p, holding no item, to class cl: its records are its
-// slots, cut at the class's slot size, and go onto the free stack lowest
-// address on top.
+// carve gives page p, holding no item, to class cl: its spc slots go onto the
+// free stack lowest address on top.
 func (c *Cache) carve(cl int, p *page) {
 	k := &c.classes[cl]
-	c.recs.MapPage(p.id, uintptr(unsafe.Pointer(unsafe.SliceData(p.mem))), k.slot)
 	k.pages = append(k.pages, p)
 	for i := k.spc - 1; i >= 0; i-- {
-		k.vfree = append(k.vfree, c.recs.ID(p.id, i))
+		k.vfree = append(k.vfree, kv.ID(p.id, i))
 	}
 }
 
@@ -133,20 +147,20 @@ func (c *Cache) takeSlot(cl int) (uint32, *kv.Item) {
 	n := len(k.vfree) - 1
 	id := k.vfree[n]
 	k.vfree = k.vfree[:n]
-	pid, _ := c.recs.PageOf(id)
+	pid, _ := kv.PageOf(id)
 	c.arena.pages[pid].used++
 	return id, c.recs.At(id)
 }
 
-// storeValue takes a slot of class cl for a new item: its record is zeroed,
-// key and then value are copied after it, and the record points at them. The
+// storeValue takes a slot of class cl for a new item: its record is zeroed and
+// pointed at the slot's room, and key and then value are copied there. The
 // record, key and value fit the slot together.
 func (c *Cache) storeValue(cl int, key string, value []byte) (uint32, *kv.Item) {
+	k := &c.classes[cl]
 	id, it := c.takeSlot(cl)
-	*it = kv.Item{}
-	room := slotMem(it, c.classes[cl].slot)[itemHeader:]
+	*it = kv.Item{Slot: k.room(id, it)}
+	room := it.Mem(k.slot - itemHeader)
 	kn := copy(room, key)
-	it.Slot = uintptr(unsafe.Pointer(it)) + uintptr(itemHeader)
 	it.KLen = uint16(kn)
 	it.VLen = uint32(copy(room[kn:], value))
 	return id, it
@@ -156,15 +170,16 @@ func (c *Cache) storeValue(cl int, key string, value []byte) (uint32, *kv.Item) 
 // stack. The caller has already freed the slot in the slab accounting.
 func (c *Cache) releaseSlot(id uint32, it *kv.Item) {
 	k := &c.classes[it.Class]
-	pid, _ := c.recs.PageOf(id)
+	pid, _ := kv.PageOf(id)
 	c.arena.pages[pid].used--
-	poison(slotMem(it, k.slot))
+	poison(it.Mem(k.slot - itemHeader))
+	poison(recMem(it))
 	k.vfree = append(k.vfree, id)
 }
 
 // compact empties the page of class cl holding the fewest residents and takes
-// it from the class: its free slots leave the stack and its residents move,
-// record, key and value, into free slots on the class's other pages, which
+// it from the class: its free slots leave the stack and its residents'
+// records, keys and values move into free slots on the class's other pages, which
 // hold enough because the caller freed a slab's worth of slots first. Each
 // moved item's old id is repointed to its new one wherever the engine holds
 // it. The caller has released the slab in the accounting and hands the page
@@ -182,7 +197,7 @@ func (c *Cache) compact(cl int) *page {
 	k.pages = slices.Delete(k.pages, at, at+1)
 	free := make([]bool, k.spc)
 	k.vfree = slices.DeleteFunc(k.vfree, func(id uint32) bool {
-		pid, i := c.recs.PageOf(id)
+		pid, i := kv.PageOf(id)
 		if pid == donor.id {
 			free[i] = true
 		}
@@ -192,18 +207,21 @@ func (c *Cache) compact(cl int) *page {
 		if f {
 			continue
 		}
-		old := c.recs.ID(donor.id, i)
+		old := kv.ID(donor.id, i)
 		src := c.recs.At(old)
 		id, it := c.takeSlot(cl)
-		copy(slotMem(it, k.slot), slotMem(src, itemHeader+int(src.KLen)+int(src.VLen)))
-		it.Slot = uintptr(unsafe.Pointer(it)) + uintptr(itemHeader)
+		*it = *src
+		it.Slot = k.room(id, it)
+		n := int(src.KLen) + int(src.VLen)
+		copy(it.Mem(n), src.Mem(n))
 		c.index.Repoint(it.Hash, old, id)
 		s := &k.subs[it.Sub]
 		s.list.Repoint(id)
 		if s.tr != nil {
 			s.tr.Repoint(old, id)
 		}
-		poison(slotMem(src, k.slot))
+		poison(src.Mem(k.slot - itemHeader))
+		poison(recMem(src))
 		c.stats.SlabRelocations++
 	}
 	donor.used = 0
@@ -222,8 +240,8 @@ func poison(slot []byte) {
 // checkValuesLocked audits slot ownership: every class owns one page per slab
 // and stacks exactly its free slots, each once; every slot of its pages not
 // on the stack holds one of the class's residents, indexed by the slot's id,
-// its key and value after its record within the slot; and those are all the
-// residents.
+// its record at the page's head and its key and value in the slot's room; and
+// those are all the residents.
 func (c *Cache) checkValuesLocked() error {
 	if c.arena == nil {
 		for ci := range c.classes {
@@ -273,21 +291,20 @@ func (c *Cache) checkValuesLocked() error {
 	for ci := range c.classes {
 		k := &c.classes[ci]
 		for j, p := range k.pages {
-			if p.id == 0 || c.arena.pages[p.id] != p || c.recs.At(c.recs.ID(p.id, 0)) != (*kv.Item)(unsafe.Pointer(&p.mem[0])) ||
-				k.spc > 1 && c.recs.At(c.recs.ID(p.id, 1)) != (*kv.Item)(unsafe.Pointer(&p.mem[k.slot])) {
+			if p.id == 0 || c.arena.pages[p.id] != p || c.recs.At(kv.ID(p.id, 0)) != (*kv.Item)(unsafe.Pointer(&p.mem[0])) ||
+				k.spc > 1 && c.recs.At(kv.ID(p.id, 1)) != (*kv.Item)(unsafe.Pointer(&p.mem[itemHeader])) {
 				return fmt.Errorf("cache: class %d page %d is not a mapped page carved for the class", ci, j)
 			}
 			used := 0
 			for i := range k.spc {
-				id := c.recs.ID(p.id, i)
+				id := kv.ID(p.id, i)
 				if stacked[id] {
 					continue
 				}
 				used++
 				it := c.recs.At(id)
-				if int(it.Class) != ci || itemHeader+int(it.KLen)+int(it.VLen) > k.slot ||
-					it.Slot != uintptr(unsafe.Pointer(it))+uintptr(itemHeader) {
-					return fmt.Errorf("cache: class %d page %d slot %d is off the free stack but holds no resident of the class, key and value after its record", ci, j, i)
+				if int(it.Class) != ci || itemHeader+int(it.KLen)+int(it.VLen) > k.slot || it.Slot != k.room(id, it) {
+					return fmt.Errorf("cache: class %d page %d slot %d is off the free stack but holds no resident of the class, key and value in its room", ci, j, i)
 				}
 				if c.index.Get(it.Hash, it.Key()) != id {
 					return fmt.Errorf("cache: class %d page %d slot %d holds %q, which the index does not name by the slot", ci, j, i, it.Key())
@@ -311,7 +328,7 @@ func (c *Cache) checkValuesLocked() error {
 
 // ownsSlot reports whether id names a slot of a page class cl owns.
 func (c *Cache) ownsSlot(cl int, id uint32) bool {
-	pid, i := c.recs.PageOf(id)
+	pid, i := kv.PageOf(id)
 	return int(pid) < len(c.arena.pages) && i < c.classes[cl].spc && c.arena.pages[pid] != nil &&
 		slices.Contains(c.classes[cl].pages, c.arena.pages[pid])
 }

@@ -54,7 +54,7 @@ func selfValueIntact(v []byte) bool {
 // item's slot, so every checkpoint also holds on to the keys ScanKeys
 // reported at the one before and finds them unchanged. CheckInvariants adds
 // the structural check (slot ownership against the slab accounting, each key
-// at the head of its slot). Rerun a failure with PAMA_MODEL_SEED=<logged seed>.
+// at the head of its slot's room). Rerun a failure with PAMA_MODEL_SEED=<logged seed>.
 func TestValueSlotsNeverAlias(t *testing.T) {
 	seed := modelSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -304,10 +304,10 @@ func TestCheckInvariantsCatchesStackViolations(t *testing.T) {
 		}, "also on class 0's free stack"},
 		"past the slot's end": {func(c *Cache) {
 			c.record("k1").VLen = uint32(128 - itemHeader - 1)
-		}, "holds no resident of the class, key and value after its record"},
-		"off the slot's head": {func(c *Cache) {
+		}, "holds no resident of the class, key and value in its room"},
+		"off the slot's room": {func(c *Cache) {
 			c.record("k1").Slot++
-		}, "holds no resident of the class, key and value after its record"},
+		}, "holds no resident of the class, key and value in its room"},
 		"page without a slab": {func(c *Cache) {
 			c.classes[1].pages = append(c.classes[1].pages, c.classes[0].pages[0])
 		}, "slab accounting says 0 slabs"},
@@ -372,8 +372,9 @@ func TestSlotStackFollowsSlabAccounting(t *testing.T) {
 // thins them so that every page holds residents, then forces a migration and
 // a donation. The page each one takes must be the donor class's page with the
 // fewest residents, emptied by moving those residents to its other pages:
-// afterwards every resident reads back intact, its key at the head of its
-// new slot, and every class owns exactly one page per slab.
+// afterwards every resident reads back intact, its record in its new page's
+// record block and its key at the head of its new slot's room, and every
+// class owns exactly one page per slab.
 func TestCompactionKeepsValues(t *testing.T) {
 	const budget = 6
 	c, err := New(Config{Geometry: valueGeom(), CacheBytes: budget * 4096, StoreValues: true}, &nullPolicy{})
@@ -401,10 +402,11 @@ func TestCompactionKeepsValues(t *testing.T) {
 			}
 			id := c.index.Get(kv.HashString(key), key)
 			it := c.record(key)
-			pid, i := c.recs.PageOf(id)
-			if p := c.arena.pages[pid]; unsafe.Pointer(it) != unsafe.Pointer(&p.mem[i*c.classes[it.Class].slot]) ||
-				unsafe.StringData(it.Key()) != &p.mem[i*c.classes[it.Class].slot+itemHeader] {
-				t.Fatalf("%s: %s's record is not at the head of its slot, its key right after it", step, key)
+			pid, i := kv.PageOf(id)
+			k := &c.classes[it.Class]
+			if p := c.arena.pages[pid]; unsafe.Pointer(it) != unsafe.Pointer(&p.mem[i*itemHeader]) ||
+				unsafe.StringData(it.Key()) != &p.mem[k.spc*itemHeader+i*(k.slot-itemHeader)] {
+				t.Fatalf("%s: %s's record is not record %d of its page's head, its key not in slot %d's room", step, key, i, i)
 			}
 		}
 		scanned := 0

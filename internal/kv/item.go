@@ -15,10 +15,11 @@ import (
 //
 // An item is named by its uint32 id in its Records store: the LRU links, the
 // segment boundaries and the hash index hold ids. In a value-storing engine
-// the record heads the item's slab slot, key and value after it, and the id
-// names the slot; only compaction moves it, and repoints every holder of the
-// id as it does. A *Item handed to a policy hook is valid while the engine
-// lock is held.
+// the record sits in the record block at the head of the item's slab, key and
+// value in the slot's share of the slab's data area, and the id names the
+// slot; only compaction moves it, and repoints every holder of the id as it
+// does. A *Item handed to a policy hook is valid while the engine lock is
+// held.
 type Item struct {
 	// Hash caches the 64-bit hash of the key used by the index and the Bloom
 	// filters; it is computed once at insertion and must not change while
@@ -33,10 +34,10 @@ type Item struct {
 	// segment an access lands in.
 	Penalty float64
 	// Slot is the address of the key's bytes; the value's follow them. In an
-	// engine that stores values they follow the record in its slab slot
-	// (package cache), so Slot points just past the record; elsewhere it is
-	// the data of a key string its Records store holds (HoldKey). The
-	// collector does not follow a uintptr: whatever owns the bytes keeps them.
+	// engine that stores values they are the slot's room in its slab's data
+	// area (package cache); elsewhere Slot is the data of a key string its
+	// Records store holds (HoldKey). The collector does not follow a uintptr:
+	// whatever owns the bytes keeps them.
 	Slot uintptr
 	// Prev and Next are the ids of the item's LRU neighbours (package lru),
 	// 0 at either end. A free record chains the free list through Next.
@@ -85,7 +86,7 @@ func (it *Item) Value() []byte {
 }
 
 // Mem returns the n bytes at Slot: the room a value-storing engine's slot
-// has after the record, key first.
+// has for key and value, key first.
 func (it *Item) Mem(n int) []byte { return unsafe.Slice((*byte)(it.slot()), n) }
 
 // slot reads Slot as the pointer it holds.
@@ -104,6 +105,20 @@ func Deadline(unix int64) uint32 {
 	return uint32(unix)
 }
 
+// PageBits is the number of an id's low bits that index a record on its
+// page; the high 32-PageBits bits name the page. A page holds at most
+// 1<<PageBits records.
+const PageBits = 14
+
+// pageMask picks the record's index out of an id.
+const pageMask = 1<<PageBits - 1
+
+// ID returns the id of record i of page pid.
+func ID(pid uint32, i int) uint32 { return pid<<PageBits | uint32(i) }
+
+// PageOf returns the page and the index on it of record id.
+func PageOf(id uint32) (pid uint32, i int) { return id >> PageBits, int(id & pageMask) }
+
 // chunkShift sets a chunk at 1<<chunkShift records, 64 KiB: a multiple of the
 // heap's 8 KiB pages, so the allocator gives every chunk a page-aligned span
 // of its own and every record one whole cache line.
@@ -113,24 +128,24 @@ const chunkShift = 10
 const ChunkLen = 1 << chunkShift
 
 // Records is a store of items addressed by uint32 ids. An id names a page of
-// records and a record on it: its high bits pick an entry of the page table,
-// and the record sits at that page's base plus the id's low bits times the
-// page's stride. A store's records live in one of two places:
+// records and a record on it (ID): the page table holds each page's base, and
+// every page packs its records at its head, 64 bytes apart, so record i sits
+// at the base plus 64·i. A store's records live in one of two places:
 //
 //   - Chunks on the Go heap (New, Free, HoldKey), for the engines that keep
-//     no values and the shadows of package mrc: ChunkLen 64-byte records a
-//     chunk, allocated as they are needed and kept for reuse until the store
-//     is empty. A chunk has no pointer, so the collector never walks it, and
-//     the records are one heap object per ChunkLen of them, not one per item.
-//   - The slots of pages their owner maps outside the heap (MapPage): a
-//     value-storing engine heads each slot of its value pages with the record
-//     of the item it holds, so the id of a record is the name of its slot.
+//     no values and the shadows of package mrc: ChunkLen records a chunk,
+//     each chunk one page id, allocated as they are needed and kept for reuse
+//     until the store is empty. A chunk has no pointer, so the collector never
+//     walks it, and the records are one heap object per ChunkLen of them, not
+//     one per item.
+//   - Pages their owner maps outside the heap (MapPage): a value-storing
+//     engine packs the records of a slab's slots at the slab's head, so the id
+//     of a record is the name of its slot.
 //
 // Id 0 is never handed out; it is every link's nil. The zero value is an
 // empty chunk store ready to use.
 type Records struct {
-	pages []recPage // by page id: a chunk's index, or the id MapPage was given
-	shift uint      // the id bits that index a record on its page
+	pages []uintptr // by page id: the address of the page's first record
 	// The chunk store: chunks by page id, the lowest id never handed out
 	// (once the first is), the last record freed (the others chain through
 	// Next) and the records in use.
@@ -138,23 +153,17 @@ type Records struct {
 	next   uint32
 	free   uint32
 	live   int
-	// keys holds the strings HoldKey points records at, by id.
+	// keys holds the strings HoldKey points records at, by chunk slot
+	// (keyAt).
 	keys []string
 }
 
-// recPage is an entry of the page table.
-type recPage struct {
-	base   uintptr // the address of the page's first record
-	stride uintptr // the bytes from one record to the next
-}
-
-// At returns the record of id. The address is computed from the page's base
-// rather than indexed: an index makes the compiler nil-check the page by
-// loading its first line, and the pages' first lines, all page-aligned, crowd
-// the same cache sets.
+// At returns the record of id: one shift, one load and one add. The address
+// is computed from the page's base rather than indexed: an index makes the
+// compiler nil-check the page by loading its first line, and the pages' first
+// lines, all page-aligned, crowd the same cache sets.
 func (r *Records) At(id uint32) *Item {
-	p := r.pages[id>>r.shift]
-	a := p.base + uintptr(id&(1<<r.shift-1))*p.stride
+	a := r.pages[id>>PageBits] + uintptr(id&pageMask)*unsafe.Sizeof(Item{})
 	return *(**Item)(unsafe.Pointer(&a))
 }
 
@@ -168,20 +177,27 @@ func (r *Records) New() (uint32, *Item) {
 		return id, it
 	}
 	if r.next == 0 {
-		r.next, r.shift = 1, chunkShift
+		r.next = 1
 	}
-	if r.next == math.MaxUint32 {
+	if r.next&pageMask == ChunkLen { // the chunk is full: on to the next page
+		r.next = ID(r.next>>PageBits+1, 0)
+	}
+	if r.next == 0 {
 		panic("kv: records exhausted the uint32 id space")
 	}
 	id := r.next
 	r.next++
-	if int(id>>chunkShift) == len(r.chunks) {
+	if int(id>>PageBits) == len(r.chunks) {
 		ch := new([ChunkLen]Item)
 		r.chunks = append(r.chunks, ch)
-		r.pages = append(r.pages, recPage{uintptr(unsafe.Pointer(ch)), unsafe.Sizeof(Item{})})
+		r.pages = append(r.pages, uintptr(unsafe.Pointer(ch)))
 	}
 	return id, r.At(id)
 }
+
+// keyAt returns the index in keys of chunk record id: the chunks' records
+// counted without the page bits a chunk leaves unused.
+func keyAt(id uint32) int { return int(id>>PageBits<<chunkShift | id&(ChunkLen-1)) }
 
 // Free returns record id to the chunk store, zeroed, and lets go of a key
 // HoldKey gave it. Freeing the last live record gives back every chunk and
@@ -195,18 +211,19 @@ func (r *Records) Free(id uint32) {
 	it.Reset()
 	it.Next, r.free = r.free, id
 	r.live--
-	if int(id) < len(r.keys) {
-		r.keys[id] = ""
+	if k := keyAt(id); k < len(r.keys) {
+		r.keys[k] = ""
 	}
 }
 
 // HoldKey points record id at key and keeps key alive until the record is
 // freed: the key store of an engine, or a shadow, that keeps no values.
 func (r *Records) HoldKey(id uint32, key string) {
-	if n := int(id) + 1; n > len(r.keys) {
+	k := keyAt(id)
+	if n := k + 1; n > len(r.keys) {
 		r.keys = slices.Grow(r.keys, n-len(r.keys))[:n]
 	}
-	r.keys[id] = key
+	r.keys[k] = key
 	it := r.At(id)
 	it.Slot = uintptr(unsafe.Pointer(unsafe.StringData(key)))
 	it.KLen = uint16(len(key))
@@ -221,29 +238,15 @@ func (r *Records) Bytes() int64 {
 	return int64(len(r.chunks)) * ChunkLen * int64(unsafe.Sizeof(Item{}))
 }
 
-// SetPageBits makes an empty store one of mapped pages whose ids index a
-// record with their low bits: a page holds at most 1<<bits records, and page
-// ids run below 1<<(32-bits).
-func (r *Records) SetPageBits(bits uint) { r.shift = bits }
-
-// MapPage makes page pid, which must not be 0, hold records of stride bytes
-// from base: ID(pid, i) names the one at base + i*stride. The caller owns the
-// memory and keeps it mapped while any of those ids is in use; it maps the
-// page again when it cuts the page into records of another size.
-func (r *Records) MapPage(pid uint32, base uintptr, stride int) {
-	if pid == 0 || uint64(pid) >= 1<<(32-r.shift) {
-		panic(fmt.Sprintf("kv: page id %d outside the %d bits an id has for it", pid, 32-r.shift))
+// MapPage makes page pid, which must not be 0, hold the records packed from
+// base: ID(pid, i) names the one at base + 64·i. The caller owns the memory
+// and keeps it mapped while any of those ids is in use.
+func (r *Records) MapPage(pid uint32, base uintptr) {
+	if pid == 0 || uint64(pid) >= 1<<(32-PageBits) {
+		panic(fmt.Sprintf("kv: page id %d outside the %d bits an id has for it", pid, 32-PageBits))
 	}
 	if n := int(pid) + 1; n > len(r.pages) {
 		r.pages = slices.Grow(r.pages, n-len(r.pages))[:n]
 	}
-	r.pages[pid] = recPage{base, uintptr(stride)}
-}
-
-// ID returns the id of record i of page pid.
-func (r *Records) ID(pid uint32, i int) uint32 { return pid<<r.shift | uint32(i) }
-
-// PageOf returns the page and the index on it of record id.
-func (r *Records) PageOf(id uint32) (pid uint32, i int) {
-	return id >> r.shift, int(id & (1<<r.shift - 1))
+	r.pages[pid] = base
 }

@@ -3,8 +3,8 @@
 // by Memcached-style allocators.
 //
 // An Item is a 64-byte record without Go pointers, named by a uint32 id of a
-// Records store (item.go): in the chunks of the store, or at the head of its
-// slab slot in an engine that stores values. The LRU links (package lru), the
+// Records store (item.go): in the chunks of the store, or in the record block
+// at the head of its slab in an engine that stores values. The LRU links (package lru), the
 // segment boundaries (package segment) and the hash index (package
 // hashtable) hold ids, so no resident item is an object of its own for the
 // collector to allocate, scan or free. The fields are exported because the
