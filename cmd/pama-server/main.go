@@ -41,7 +41,6 @@ import (
 	"pamakv/internal/backend"
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
-	"pamakv/internal/hugepage"
 	"pamakv/internal/membership"
 	"pamakv/internal/overload"
 	"pamakv/internal/penalty"
@@ -170,13 +169,6 @@ func main() {
 func run(o options) error {
 	if err := validate(o); err != nil {
 		return err
-	}
-	// The heap on huge pages, re-advised each second: every extension the
-	// runtime maps is a new mapping without the advice (DESIGN.md §10).
-	if stop, err := hugepage.Start(time.Second); err != nil {
-		log.Printf("pama-server: heap stays on base pages: %v", err)
-	} else {
-		defer stop()
 	}
 	if pol, err := (sim.PolicySpec{Kind: o.policyKind}).Build(); err != nil {
 		return err // validate the kind before building per-shard copies

@@ -3,14 +3,21 @@ package cache
 import (
 	"fmt"
 	"unsafe"
+
+	"pamakv/internal/kv"
 )
 
 // Ghost regions (paper §III) remember recently evicted keys by hash and
-// penalty only. A ghost is a ghostRec in one engine-owned slice: no key, no
-// kv.Item and no Go pointer, so the collector never scans the ghosts, and a
-// ghost costs at most ghostBytesMax of heap, its share of the index
-// included: freed records are kept for reuse, and once a quarter or less of
-// them hold ghosts the engine shrinks the table at the next window rollover.
+// penalty only. A ghost is a ghostRec in one engine-owned table of records
+// mapped outside the Go heap (kv.Mapped), as its buckets are: no key, no
+// kv.Item and no Go pointer, so the collector neither scans the ghosts nor
+// counts them towards its goal. A ghost costs at most ghostBytesMax, its
+// share of the buckets included: freed records are kept for reuse, and once
+// a quarter or less of them hold ghosts the engine shrinks the table at the
+// next window rollover. Growing or shrinking either array maps the new one,
+// copies or rehashes into it and unmaps the old one, so no garbage is left
+// behind; a table dropped with its engine is unmapped by its mappings'
+// finalizers.
 //
 // Each subclass keeps its ghosts in a region, newest first, linked through
 // int32 record indices (0 is the nil record). A ghost's segment is its
@@ -36,7 +43,7 @@ type ghostRec struct {
 	owner        uint16 // the region's subclass, class*subclasses + sub
 }
 
-// ghostBytesMax bounds a ghost's heap cost at the table's high-water mark:
+// ghostBytesMax bounds a ghost's memory at the table's high-water mark:
 // its record, up to an eighth of a record of slice headroom, and up to two
 // buckets.
 const ghostBytesMax = 48
@@ -52,10 +59,13 @@ type ghostRegion struct {
 
 // ghostTable holds every ghost of an engine and finds them by hash.
 type ghostTable struct {
-	recs    []ghostRec // recs[0] is the nil record
-	buckets []int32
-	free    int32 // head of the free records, chained through chain
+	recs    []ghostRec // recMem's records in use; recs[0] is the nil record
+	buckets []int32    // bucketMem's buckets
+	free    int32      // head of the free records, chained through chain
 	n       int
+
+	recMem    *kv.Mapped[ghostRec]
+	bucketMem *kv.Mapped[int32]
 }
 
 func newRegion(spc, nseg int) ghostRegion {
@@ -137,36 +147,49 @@ func (t *ghostTable) remove(r *ghostRegion, i int32) {
 	t.free = i
 }
 
-// alloc returns a free record, growing the slice by an eighth at a time so
-// its headroom stays within ghostBytesMax.
+// alloc returns a free record, growing the records by an eighth at a time so
+// their headroom stays within ghostBytesMax.
 func (t *ghostTable) alloc() int32 {
 	if i := t.free; i != 0 {
 		t.free = t.recs[i].chain
 		return i
 	}
 	if len(t.recs) == 0 {
-		t.recs = make([]ghostRec, 1, 64) // the nil record
+		t.mapRecs(64)
 	}
-	if n := len(t.recs); n == cap(t.recs) {
-		t.recs = append(make([]ghostRec, 0, n+n/8), t.recs...)
+	n := len(t.recs)
+	if n == cap(t.recs) {
+		t.mapRecs(n + n/8)
 	}
-	t.recs = append(t.recs, ghostRec{})
-	return int32(len(t.recs) - 1)
+	t.recs = t.recs[:n+1]
+	t.recs[n] = ghostRec{} // reset leaves old ghosts past len
+	return int32(n)
+}
+
+// mapRecs moves the records in use, at least the nil record, to a mapping of
+// c records and unmaps the old one.
+func (t *ghostTable) mapRecs(c int) {
+	m := kv.Map[ghostRec](c)
+	n := copy(m.S(), t.recs)
+	t.recMem.Unmap()
+	t.recMem, t.recs = m, m.S()[:max(n, 1)]
 }
 
 // index links record i into its bucket, doubling the buckets first when
 // there would be more ghosts than buckets.
 func (t *ghostTable) index(i int32) {
 	if t.n == len(t.buckets) {
-		old := t.buckets
-		t.buckets = make([]int32, max(16, 2*len(old)))
-		for _, j := range old {
+		old := t.bucketMem
+		t.bucketMem = kv.Map[int32](max(16, 2*len(t.buckets)))
+		t.buckets = t.bucketMem.S()
+		for _, j := range old.S() {
 			for j != 0 {
 				next := t.recs[j].chain
 				t.link(j)
 				j = next
 			}
 		}
+		old.Unmap()
 	}
 	t.link(i)
 	t.n++
@@ -195,15 +218,18 @@ func (t *ghostTable) sparse() bool { return cap(t.recs) > 64 && 4*t.n <= cap(t.r
 // sized for the ghosts it holds. Each region's ghosts are pushed back oldest
 // to newest, which rebuilds their tags and edges exactly.
 func (t *ghostTable) shrink(rs []*ghostRegion) {
-	old, n := t.recs, t.n
-	*t = ghostTable{recs: make([]ghostRec, 1, max(64, n+n/8+1))}
+	old, n := *t, t.n
+	*t = ghostTable{}
+	t.mapRecs(max(64, n+n/8+1))
 	for _, r := range rs {
 		i := r.oldest
 		r.reset()
-		for ; i != 0; i = old[i].newer {
-			t.push(r, old[i].owner, old[i].hash, old[i].pen)
+		for ; i != 0; i = old.recs[i].newer {
+			t.push(r, old.recs[i].owner, old.recs[i].hash, old.recs[i].pen)
 		}
 	}
+	old.recMem.Unmap()
+	old.bucketMem.Unmap()
 }
 
 // reset empties the region; the caller resets the table.
@@ -221,7 +247,7 @@ func (t *ghostTable) reset() {
 	t.free, t.n = 0, 0
 }
 
-// bytes returns the heap the table holds: records and buckets.
+// bytes returns the memory the table maps: records and buckets.
 func (t *ghostTable) bytes() int64 {
 	return int64(cap(t.recs))*int64(unsafe.Sizeof(ghostRec{})) + int64(cap(t.buckets))*4
 }

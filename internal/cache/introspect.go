@@ -70,15 +70,16 @@ type Introspection struct {
 	// metadata-only engine's chunks of kv.ChunkLen 64-byte records, in use or
 	// free. It is 0 when values are stored, the records packed at the head
 	// of their slab.
-	RecordBytes int64 `json:"record_bytes" prom:"pamakv_record_bytes" help:"Go heap held by the chunks of 64-byte item records outside the value pages."`
-	// IndexBytes is the Go heap the key index takes: its 8-byte slots, a
-	// power of two at least twice the residents.
-	IndexBytes int64 `json:"index_bytes" prom:"pamakv_index_bytes" help:"Go heap held by the key index's 8-byte slots."`
+	RecordBytes int64 `json:"record_bytes" prom:"pamakv_record_bytes" help:"Go heap held by a metadata-only engine's chunks of 64-byte item records (0 when values are stored: records sit in the mapped value pages)."`
+	// IndexBytes is the memory the key index maps outside the Go heap: its
+	// 8-byte slots, a power of two at least twice the residents.
+	IndexBytes int64 `json:"index_bytes" prom:"pamakv_index_bytes" help:"Memory mapped outside the Go heap for the key index's 8-byte slots."`
 	// GhostEntries is the ghosts the ghost regions hold and GhostBytes the
-	// Go heap their records and index take (ghost.go), so the rest of the
-	// heap can be put down to the resident items and their index.
+	// memory their records and buckets map outside the Go heap (ghost.go).
+	// With the value pages and the index they are all of an engine's memory
+	// that grows with its items.
 	GhostEntries int   `json:"ghost_entries" prom:"pamakv_ghost_entries" help:"Evicted keys the ghost regions remember, by hash and penalty."`
-	GhostBytes   int64 `json:"ghost_bytes" prom:"pamakv_ghost_bytes" help:"Go heap held by ghost records and their index."`
+	GhostBytes   int64 `json:"ghost_bytes" prom:"pamakv_ghost_bytes" help:"Memory mapped outside the Go heap for ghost records and their buckets."`
 	// StaleBytes, StaleItems and StaleEvicts are the occupancy and
 	// evictions of the stale table (Config.Stale; zero without one). Every
 	// engine of a node shares the one table, so a merge keeps the first.

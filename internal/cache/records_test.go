@@ -36,12 +36,12 @@ func holdsPointers(t reflect.Type) bool {
 // TestNoPerItemHeapObject fills a value-storing engine with 120 k residents
 // and weighs the heap the fill left behind. Records, keys and values all sit
 // in the value pages outside the heap, each item in its slot, and the index
-// slots are ids, so the live objects grow by under 1 % of the residents where
-// one object per item would double them, and the heap in use grows by the
-// index alone: its 8-byte slot at a load of 1/4 to 1/2, 16–32 bytes a
-// resident, under a 40-byte gate that a 64-byte record on the heap breaks.
-// The index slot holds no pointer, so the collector scans none of it either,
-// and no record memory is left outside the pages (record_bytes 0).
+// is mapped outside the heap too, so the live objects grow by under 1 % of
+// the residents where one object per item would double them, and the heap
+// in use grows by at most 2 bytes a resident: the index on the heap (16–32
+// bytes a resident) or a 64-byte record there breaks the gate. The index
+// slot holds no pointer either, and no record memory is left outside the
+// pages (record_bytes 0).
 func TestNoPerItemHeapObject(t *testing.T) {
 	const residents = 120_000
 	c, err := New(Config{CacheBytes: 32 << 20, StoreValues: true}, &nullPolicy{})
@@ -74,12 +74,47 @@ func TestNoPerItemHeapObject(t *testing.T) {
 	if grew >= residents/100 {
 		t.Fatalf("%d residents left %d more heap objects, want under %d (1 %%)", residents, grew, residents/100)
 	}
-	if heap > 40*residents {
-		t.Fatalf("%d residents grew the heap in use by %d bytes, %.1f each; want at most 40 each",
+	if heap > 2*residents {
+		t.Fatalf("%d residents grew the heap in use by %d bytes, %.1f each; want at most 2 each",
 			residents, heap, float64(heap)/residents)
 	}
 	if got := c.Introspect().RecordBytes; got != 0 {
 		t.Fatalf("record_bytes = %d, want 0: a value-storing engine's records are in its slots", got)
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestGhostsAndIndexOffHeap fills a value-storing engine's ghost regions: 131
+// k residents grow its index to 2 MiB and 70 k more stores leave 65 k ghosts
+// in 2 MiB of records and buckets. Both tables are mapped outside the Go
+// heap, so while index_bytes + ghost_bytes exceed 4 MiB the heap in use grows
+// by under 1 MiB; either table on the heap breaks the gate.
+func TestGhostsAndIndexOffHeap(t *testing.T) {
+	c, err := New(Config{CacheBytes: 16 << 20, StoreValues: true}, &nullPolicy{gseg: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	key := make([]byte, 0, 16)
+	for i := 0; i < 16*8192+70_000; i++ { // 16 slabs of 128-byte slots, then evictions
+		key = strconv.AppendInt(append(key[:0], "key-"...), int64(i), 10)
+		if err := c.Set(string(key), 100, 0.01, 0, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	in := c.Introspect()
+	heap := int64(after.HeapInuse) - int64(before.HeapInuse)
+	t.Logf("%d residents, %d ghosts: index_bytes %d, ghost_bytes %d, %d more heap bytes in use",
+		in.Items, in.GhostEntries, in.IndexBytes, in.GhostBytes, heap)
+	if in.IndexBytes+in.GhostBytes <= 4<<20 {
+		t.Fatalf("index_bytes %d + ghost_bytes %d, want over 4 MiB", in.IndexBytes, in.GhostBytes)
+	}
+	if heap >= 1<<20 {
+		t.Fatalf("the heap in use grew by %d bytes, want under 1 MiB: the index or the ghosts are on the heap", heap)
 	}
 	runtime.KeepAlive(c)
 }
@@ -131,11 +166,11 @@ func TestRecordAddressing(t *testing.T) {
 		for _, p := range k.pages {
 			for i := range k.spc {
 				id := kv.ID(p.id, i)
-				if it := c.recs.At(id); unsafe.Pointer(it) != unsafe.Pointer(&p.mem[64*i]) {
+				if it := c.recs.At(id); unsafe.Pointer(it) != unsafe.Pointer(&p.mem.S()[64*i]) {
 					t.Fatalf("class %d: record %d of page %d is not 64·%d bytes into the page", ci, i, p.id, i)
 				} else if slices.Contains(k.vfree, id) {
 					continue
-				} else if room := k.spc*64 + i*(k.slot-64); unsafe.StringData(it.Key()) != &p.mem[room] {
+				} else if room := k.spc*64 + i*(k.slot-64); unsafe.StringData(it.Key()) != &p.mem.S()[room] {
 					t.Fatalf("class %d: %s of slot %d is not at byte %d, its room past the %d records", ci, it.Key(), i, room, k.spc)
 				}
 				keys++

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"unsafe"
 
@@ -11,7 +10,7 @@ import (
 
 // Item memory. When StoreValues is on, items live in real slabs: each slab a
 // class owns is one page of Geometry.SlabSize bytes mapped outside the Go heap
-// (pages_unix.go; a heap []byte where the platform has no mmap), faulted in as
+// (kv.Mapped; a heap []byte where the platform has no mmap), faulted in as
 // it is written and carved into slots of the class's size when the class is
 // granted it. A resident item owns one slot, as a Memcached item owns its
 // chunk, and the slot is charged for the item's 64-byte record (kv.Item), its
@@ -58,31 +57,26 @@ const itemHeader = int(unsafe.Sizeof(kv.Item{}))
 
 // page is one slab of item memory.
 type page struct {
-	mem  []byte
+	mem  *kv.Mapped[byte]
 	used int    // slots holding a resident
 	id   uint32 // index in arena.pages, and the page bits of its slots' ids
 }
 
-// arena maps an engine's pages and unmaps them. It is an object of its own so
-// that the finalizer returning the pages of an unreachable engine sits on
-// something nothing in the engine points back at.
+// arena maps an engine's pages and unmaps them. A page dropped with its
+// engine is unmapped by its mapping's finalizer.
 type arena struct {
 	size  int
 	pages []*page  // by id; nil at 0, which no page has, and where a page was unmapped
 	spare []uint32 // ids of unmapped pages, reused first
 }
 
-func newArena(size int) *arena {
-	a := &arena{size: size, pages: []*page{nil}}
-	runtime.SetFinalizer(a, (*arena).unmapAll)
-	return a
-}
+func newArena(size int) *arena { return &arena{size: size, pages: []*page{nil}} }
 
 // mapped returns the number of pages mapped.
 func (a *arena) mapped() int { return len(a.pages) - 1 - len(a.spare) }
 
 func (a *arena) mapPage() *page {
-	p := &page{mem: mapPage(a.size)}
+	p := &page{mem: kv.Map[byte](a.size)}
 	if n := len(a.spare); n > 0 {
 		p.id, a.spare = a.spare[n-1], a.spare[:n-1]
 		a.pages[p.id] = p
@@ -94,17 +88,9 @@ func (a *arena) mapPage() *page {
 }
 
 func (a *arena) unmap(p *page) {
-	unmapPage(p.mem)
+	p.mem.Unmap()
 	a.pages[p.id] = nil
 	a.spare = append(a.spare, p.id)
-}
-
-func (a *arena) unmapAll() {
-	for _, p := range a.pages {
-		if p != nil {
-			unmapPage(p.mem)
-		}
-	}
 }
 
 // recMem returns the bytes of record it.
@@ -124,7 +110,7 @@ func (k *class) room(id uint32, it *kv.Item) uintptr {
 func (c *Cache) grantPage(cl int) {
 	if c.arena != nil {
 		p := c.arena.mapPage()
-		c.recs.MapPage(p.id, uintptr(unsafe.Pointer(unsafe.SliceData(p.mem))))
+		c.recs.MapPage(p.id, uintptr(unsafe.Pointer(unsafe.SliceData(p.mem.S()))))
 		c.carve(cl, p)
 	}
 }
@@ -291,8 +277,8 @@ func (c *Cache) checkValuesLocked() error {
 	for ci := range c.classes {
 		k := &c.classes[ci]
 		for j, p := range k.pages {
-			if p.id == 0 || c.arena.pages[p.id] != p || c.recs.At(kv.ID(p.id, 0)) != (*kv.Item)(unsafe.Pointer(&p.mem[0])) ||
-				k.spc > 1 && c.recs.At(kv.ID(p.id, 1)) != (*kv.Item)(unsafe.Pointer(&p.mem[itemHeader])) {
+			if p.id == 0 || c.arena.pages[p.id] != p || c.recs.At(kv.ID(p.id, 0)) != (*kv.Item)(unsafe.Pointer(&p.mem.S()[0])) ||
+				k.spc > 1 && c.recs.At(kv.ID(p.id, 1)) != (*kv.Item)(unsafe.Pointer(&p.mem.S()[itemHeader])) {
 				return fmt.Errorf("cache: class %d page %d is not a mapped page carved for the class", ci, j)
 			}
 			used := 0

@@ -18,6 +18,7 @@ import (
 	"unsafe"
 
 	"pamakv/internal/kv"
+	"pamakv/internal/mrc"
 	"pamakv/internal/valuetable"
 )
 
@@ -404,8 +405,8 @@ func TestCompactionKeepsValues(t *testing.T) {
 			it := c.record(key)
 			pid, i := kv.PageOf(id)
 			k := &c.classes[it.Class]
-			if p := c.arena.pages[pid]; unsafe.Pointer(it) != unsafe.Pointer(&p.mem[i*itemHeader]) ||
-				unsafe.StringData(it.Key()) != &p.mem[k.spc*itemHeader+i*(k.slot-itemHeader)] {
+			if p := c.arena.pages[pid]; unsafe.Pointer(it) != unsafe.Pointer(&p.mem.S()[i*itemHeader]) ||
+				unsafe.StringData(it.Key()) != &p.mem.S()[k.spc*itemHeader+i*(k.slot-itemHeader)] {
 				t.Fatalf("%s: %s's record is not record %d of its page's head, its key not in slot %d's room", step, key, i, i)
 			}
 		}
@@ -528,11 +529,18 @@ func TestSlotsHoldTheRecord(t *testing.T) {
 	}
 }
 
-// TestValuePagesUnmappedWithEngine builds and drops 10 000 value-storing
-// engines of two 1 MiB pages each: once the collector has run their
-// finalizers, their pages are unmapped, so neither the process's mappings
-// nor its address space (20 GiB, were the pages leaked) grow with the engines
-// it has dropped.
+// TestValuePagesUnmappedWithEngine builds and drops 500 rounds of a
+// value-storing engine, a metadata-only engine and an internal/mrc tracker.
+// Each engine has grown its index past its first size (4 200 residents) and
+// holds 3 000 ghosts, and the tracker has grown its own index; the value
+// engine holds two 1 MiB pages. Once the collector has run their mappings'
+// finalizers everything is unmapped, so neither the process's mappings nor
+// its usable address space grow with what it has dropped. Left mapped, the
+// indexes alone would take 188 MiB of address space, the ghosts 110 MiB and
+// the pages 1 GiB, against a 64 MiB bound. The kernel merges adjacent
+// anonymous mappings, so the count of mappings may not show a leak, and a
+// new thread's C-library arena reserves 64 MiB, so the whole address space
+// (VmSize) grows without one.
 func TestValuePagesUnmappedWithEngine(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("reads /proc/self/maps")
@@ -544,15 +552,22 @@ func TestValuePagesUnmappedWithEngine(t *testing.T) {
 		}
 		return string(b)
 	}
-	vmSizeKiB := func() int {
-		for _, line := range strings.Split(proc("status"), "\n") {
-			if f := strings.Fields(line); len(f) == 3 && f[0] == "VmSize:" {
-				n, _ := strconv.Atoi(f[1])
-				return n
+	// usableKiB sums the mappings the process can read or write: what a
+	// leaked mapping adds to, while the reservations that the runtime and
+	// the C library grow in 64 MiB steps (---p) do not count.
+	usableKiB := func() int {
+		n := 0
+		for _, line := range strings.Split(proc("maps"), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 2 || f[1] == "---p" {
+				continue
 			}
+			lo, hi, _ := strings.Cut(f[0], "-")
+			a, _ := strconv.ParseUint(lo, 16, 64)
+			b, _ := strconv.ParseUint(hi, 16, 64)
+			n += int((b - a) >> 10)
 		}
-		t.Fatal("no VmSize in /proc/self/status")
-		return 0
+		return n
 	}
 	settle := func() {
 		for i := 0; i < 5; i++ {
@@ -560,21 +575,47 @@ func TestValuePagesUnmappedWithEngine(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	settle()
-	lines, size := strings.Count(proc("maps"), "\n"), vmSizeKiB()
-	for i := 0; i < 10_000; i++ {
-		c, err := New(Config{CacheBytes: 2 << 20, StoreValues: true}, &nullPolicy{})
-		if err != nil {
-			t.Fatal(err)
+	const residents, ghosts = 4200, 3000
+	keys := make([]string, residents+kv.DefaultGeometry().SlotsPerSlab(4)+ghosts)
+	for i := range keys {
+		keys[i] = "k" + strconv.Itoa(i)
+	}
+	// fill grows c's index with residents of class 1 and, in the page of
+	// class 4, evicts ghosts of them.
+	fill := func(c *Cache) {
+		for i, k := range keys {
+			size := 100 // class 1, 128-byte slots
+			if i >= residents {
+				size = 1000 // class 4, 1 KiB slots
+			}
+			if err := c.Set(k, size, 0.01, 0, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
 		}
-		// One page in each of two classes.
-		if c.Set("a", 60, 0.01, 0, []byte("a")) != nil || c.Set("b", 200, 0.01, 0, []byte("b")) != nil {
-			t.Fatal("set failed")
+		if in := c.Introspect(); in.IndexBytes < 128<<10 || in.GhostEntries < ghosts {
+			t.Fatalf("index_bytes %d and %d ghosts, want a grown index and %d ghosts", in.IndexBytes, in.GhostEntries, ghosts)
 		}
 	}
 	settle()
-	if grown := vmSizeKiB() - size; grown > 1<<20 {
-		t.Errorf("the address space grew by %d MiB: dropped engines' pages are still mapped", grown>>10)
+	lines, size := strings.Count(proc("maps"), "\n"), usableKiB()
+	for i := 0; i < 500; i++ {
+		for _, values := range []bool{true, false} {
+			c, err := New(Config{CacheBytes: 2 << 20, StoreValues: values}, &nullPolicy{gseg: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(c)
+		}
+		tr := mrc.NewTracker(64, residents/64+1)
+		for _, k := range keys[:residents] {
+			tr.Access(k, kv.HashString(k))
+		}
+	}
+	settle()
+	grown := usableKiB() - size
+	t.Logf("usable address space grew by %d KiB", grown)
+	if grown > 64<<10 {
+		t.Errorf("the usable address space grew by %d MiB: dropped engines' pages, indexes or ghosts are still mapped", grown>>10)
 	}
 	if got := strings.Count(proc("maps"), "\n"); got > lines+64 {
 		t.Errorf("/proc/self/maps grew from %d to %d lines", lines, got)

@@ -3,7 +3,8 @@
 // probed linearly, doubled whenever an insert would push the load past 1/2
 // and dropped back to its first size when its last item leaves.
 // The tag is the hash's low 32 bits; ids name records of one kv.Records
-// store, so the array holds no pointer and the collector never scans it.
+// store, so the array holds no pointer, and it is mapped outside the Go heap
+// (kv.Mapped): the collector neither scans it nor counts it towards its goal.
 //
 // A slot's home is its tag masked to the table, which is the hash masked to
 // it, so placing, shifting and growing never read a record. A probe compares
@@ -14,7 +15,9 @@
 // shifts the rest of the probe run back over the hole (backward-shift
 // deletion), so there are no tombstones and churn at a constant Len never
 // rehashes. Lookups, and the inserts and deletes that neither grow the table
-// nor empty it, never allocate.
+// nor empty it, never allocate: growing maps the doubled array and unmaps the
+// old one, and so does emptying, back to the first size. A table dropped with
+// its owner is unmapped by its mapping's finalizer.
 package hashtable
 
 import (
@@ -34,7 +37,8 @@ type slot struct {
 // The zero value is unusable; call New.
 type Table struct {
 	recs  *kv.Records
-	slots []slot
+	mem   *kv.Mapped[slot]
+	slots []slot // mem's slots
 	mask  uint64
 	n     int
 	start int // the slot count New chose, which an emptied table drops back to
@@ -46,7 +50,17 @@ func New(recs *kv.Records, capHint int) *Table {
 	for s < 2*capHint {
 		s <<= 1
 	}
-	return &Table{recs: recs, slots: make([]slot, s), mask: uint64(s - 1), start: s}
+	t := &Table{recs: recs, start: s}
+	t.remap(s)
+	return t
+}
+
+// remap maps n empty slots in place of the table's, returning the old ones,
+// which stay mapped until the caller unmaps them.
+func (t *Table) remap(n int) (old *kv.Mapped[slot]) {
+	old, t.mem = t.mem, kv.Map[slot](n)
+	t.slots, t.mask = t.mem.S(), uint64(n-1)
+	return old
 }
 
 // Len returns the number of stored items.
@@ -143,7 +157,7 @@ func (t *Table) Repoint(hash uint64, old, new uint32) {
 	}
 }
 
-// Bytes returns the heap the slot array takes.
+// Bytes returns the memory the slot array maps.
 func (t *Table) Bytes() int64 { return int64(len(t.slots)) * int64(unsafe.Sizeof(slot{})) }
 
 // Range calls fn for every stored item until fn returns false. The table
@@ -226,17 +240,16 @@ func (t *Table) removeAt(i uint64) {
 	t.slots[i] = slot{}
 	if t.n--; t.n == 0 && len(t.slots) > t.start {
 		// Emptied (a flush): give back what growing took.
-		t.slots, t.mask = make([]slot, t.start), uint64(t.start-1)
+		t.remap(t.start).Unmap()
 	}
 }
 
 func (t *Table) grow() {
-	old := t.slots
-	t.slots = make([]slot, 2*len(old))
-	t.mask = uint64(len(t.slots) - 1)
-	for _, s := range old {
+	old := t.remap(2 * len(t.slots))
+	for _, s := range old.S() {
 		if s.id != 0 {
 			t.place(s)
 		}
 	}
+	old.Unmap()
 }

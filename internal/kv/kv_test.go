@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDefaultGeometryValid(t *testing.T) {
@@ -243,5 +244,39 @@ func TestItemReset(t *testing.T) {
 	it.Reset()
 	if it.Key() != "" || it.Size != 0 || it.Penalty != 0 || it.Class != 0 || it.Slot != 0 {
 		t.Fatalf("Reset left state behind: %+v", it)
+	}
+}
+
+// TestMapped: a mapping holds n zeroed, writable values, aligned for T;
+// Unmap gives it back once, after which it holds nothing, and a nil Mapped
+// holds nothing either.
+func TestMapped(t *testing.T) {
+	type rec struct {
+		a uint64
+		b uint32
+	}
+	m := Map[rec](1000)
+	s := m.S()
+	if len(s) != 1000 || uintptr(unsafe.Pointer(&s[0]))%unsafe.Alignof(rec{}) != 0 {
+		t.Fatalf("Map(1000) gave %d values at %p", len(s), &s[0])
+	}
+	for i := range s {
+		if s[i] != (rec{}) {
+			t.Fatalf("value %d = %+v, want zero", i, s[i])
+		}
+		s[i] = rec{uint64(i), uint32(i)}
+	}
+	if s[999].a != 999 {
+		t.Fatal("write lost")
+	}
+	m.Unmap()
+	m.Unmap()
+	if m.S() != nil {
+		t.Fatal("an unmapped Mapped still holds values")
+	}
+	var none *Mapped[rec]
+	none.Unmap()
+	if none.S() != nil {
+		t.Fatal("a nil Mapped holds values")
 	}
 }

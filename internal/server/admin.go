@@ -22,14 +22,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"pamakv/internal/cache"
 	"pamakv/internal/cluster"
-	"pamakv/internal/hugepage"
 	"pamakv/internal/membership"
 	"pamakv/internal/metrics"
 	"pamakv/internal/obs"
@@ -230,12 +231,12 @@ type ClusterStatsz struct {
 
 // RuntimeStatsz is the Go-runtime section of /statsz: whether the collector
 // is at work on the serving path is answerable from two polls of these, and
-// whether the heap is on huge pages from one.
+// how much of the process sits on huge pages from one.
 type RuntimeStatsz struct {
 	GCCycles          uint64  `json:"gc_cycles" prom:"pamakv_go_gc_cycles_total" help:"Completed Go garbage-collection cycles."`
 	GCPauseSeconds    float64 `json:"gc_pause_seconds_total" prom:"pamakv_go_gc_pause_seconds_total" help:"Cumulative stop-the-world GC pause time."`
 	HeapAllocBytes    uint64  `json:"heap_alloc_bytes" prom:"pamakv_go_heap_alloc_bytes" help:"Bytes of live and not-yet-swept Go heap objects."`
-	HeapInuseBytes    uint64  `json:"heap_inuse_bytes" prom:"pamakv_go_heap_inuse_bytes" help:"Bytes in in-use Go heap spans (value pages live outside the heap: introspection's value_slab_bytes)."`
+	HeapInuseBytes    uint64  `json:"heap_inuse_bytes" prom:"pamakv_go_heap_inuse_bytes" help:"Bytes in in-use Go heap spans (value pages, the index and the ghosts are mapped outside the heap: value_slab_bytes, index_bytes, ghost_bytes)."`
 	AnonHugePageBytes uint64  `json:"anon_hugepage_bytes" prom:"pamakv_process_anon_hugepage_bytes" help:"Anonymous memory of the process mapped by transparent huge pages (0 off Linux)."`
 }
 
@@ -247,8 +248,26 @@ func readRuntime() RuntimeStatsz {
 		GCPauseSeconds:    float64(ms.PauseTotalNs) / 1e9,
 		HeapAllocBytes:    ms.HeapAlloc,
 		HeapInuseBytes:    ms.HeapInuse,
-		AnonHugePageBytes: hugepage.AnonBytes(),
+		AnonHugePageBytes: anonHugePageBytes(),
 	}
+}
+
+// anonHugePageBytes returns the process's anonymous memory mapped by huge
+// pages (AnonHugePages in /proc/self/smaps_rollup), or 0 when it cannot be
+// read.
+func anonHugePageBytes() uint64 {
+	b, err := os.ReadFile("/proc/self/smaps_rollup")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		// AnonHugePages:    178176 kB
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "AnonHugePages:" {
+			kb, _ := strconv.ParseUint(f[1], 10, 64)
+			return kb << 10
+		}
+	}
+	return 0
 }
 
 // Statsz is the /statsz document: everything the in-band `stats` command
