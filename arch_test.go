@@ -7,10 +7,12 @@ import (
 	"io/fs"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"pamakv/internal/cache"
+	"pamakv/internal/proto"
 )
 
 // eachSourceFile parses every non-test Go file of the root module
@@ -68,6 +70,81 @@ func TestOneWireClient(t *testing.T) {
 			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "net" && strings.HasPrefix(sel.Sel.Name, "Dial") {
 				t.Errorf("%s: net.%s — connections to a server are cluster.Client's job (internal/cluster/client.go)",
 					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
+// TestOneProtocolVocabulary keeps the protocol's words in internal/proto:
+// outside it, a file that handles protocol messages — one that imports the
+// codec or the transport — names a request by its proto.Verb and a reply by
+// its proto.Status, and renders requests with proto.AppendCommand. It must
+// not compare or switch on a verb or status word spelled as a string literal,
+// nor spell a request's verb at the head of a literal ("get ", "version\r\n").
+// pama-iperf's baseline drivers speak the memc-txt and redis protocols by
+// hand on purpose, and the examples are self-contained demos.
+func TestOneProtocolVocabulary(t *testing.T) {
+	words := make(map[string]bool)
+	var verbs []string
+	for v := proto.VerbGet; v <= proto.VerbQuit; v++ {
+		words[v.String()] = true
+		verbs = append(verbs, v.String())
+	}
+	for st := proto.StatusEnd; st <= proto.StatusNumber; st++ {
+		words[st.String()] = true
+	}
+	speaks := func(f *ast.File) bool {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"pamakv/internal/proto"` || imp.Path.Value == `"pamakv/internal/cluster"` {
+				return true
+			}
+		}
+		return false
+	}
+	word := func(e ast.Expr) (string, bool) {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		w, err := strconv.Unquote(lit.Value)
+		return w, err == nil && words[w]
+	}
+	eachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+		if strings.HasPrefix(path, "internal/proto/") || path == "cmd/pama-iperf/drivers.go" ||
+			strings.HasPrefix(path, "examples/") || !speaks(f) {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if n.Op != token.EQL && n.Op != token.NEQ {
+					break
+				}
+				for _, e := range []ast.Expr{n.X, n.Y} {
+					if w, ok := word(e); ok {
+						t.Errorf("%s: compares with %q — use its proto.Verb or proto.Status", fset.Position(n.Pos()), w)
+					}
+				}
+			case *ast.CaseClause:
+				for _, e := range n.List {
+					if w, ok := word(e); ok {
+						t.Errorf("%s: switches on %q — use its proto.Verb or proto.Status", fset.Position(e.Pos()), w)
+					}
+				}
+			case *ast.BasicLit:
+				if n.Kind != token.STRING {
+					break
+				}
+				lit, err := strconv.Unquote(n.Value)
+				if err != nil {
+					break
+				}
+				for _, v := range verbs {
+					if strings.HasPrefix(lit, v+" ") || strings.HasPrefix(lit, v+"\r\n") {
+						t.Errorf("%s: renders %q by hand — use proto.AppendCommand", fset.Position(n.Pos()), lit)
+					}
+				}
 			}
 			return true
 		})

@@ -471,14 +471,14 @@ func sheddingServer(t *testing.T, n int) string {
 						return
 					}
 					out = out[:0]
-					switch cmd.Name {
-					case "get":
+					switch cmd.Verb {
+					case proto.VerbGet:
 						if gets++; gets%n == 0 {
 							out = proto.AppendShed(out)
 						} else {
 							out = proto.AppendEnd(proto.AppendValue(out, cmd.Keys[0], 0, []byte("v")))
 						}
-					case "set":
+					case proto.VerbSet:
 						out = proto.AppendLine(out, "STORED")
 					default:
 						out = proto.AppendLine(out, "ERROR")

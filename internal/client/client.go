@@ -252,9 +252,9 @@ func (c *Client) do(o op, keep func(*proto.Resp)) error {
 	}
 	req := bufpool.Get(0)
 	defer bufpool.Put(req)
-	*req = appendOp((*req)[:0], &o)
+	*req = o.render((*req)[:0])
 	return roundTrip(c.peers[c.owner(o.key)], *req, func(r *proto.Resp) error {
-		if err := replyErr(o.code, r); err != nil {
+		if err := replyErr(o.verb, r); err != nil {
 			return err
 		}
 		if keep != nil {
@@ -266,14 +266,14 @@ func (c *Client) do(o op, keep func(*proto.Resp)) error {
 
 // Get retrieves key. A present key returns its Item (Value owned by the
 // caller); an absent one returns ErrCacheMiss.
-func (c *Client) Get(key string) (Item, error) { return c.get(opGet, key) }
+func (c *Client) Get(key string) (Item, error) { return c.get(proto.VerbGet, key) }
 
 // Gets is Get with the CAS token populated for a later CompareAndSwap.
-func (c *Client) Gets(key string) (Item, error) { return c.get(opGets, key) }
+func (c *Client) Gets(key string) (Item, error) { return c.get(proto.VerbGets, key) }
 
-func (c *Client) get(code opcode, key string) (Item, error) {
+func (c *Client) get(verb proto.Verb, key string) (Item, error) {
 	var it Item
-	err := c.do(op{code: code, key: key}, func(r *proto.Resp) {
+	err := c.do(op{verb: verb, key: key}, func(r *proto.Resp) {
 		v := r.Values[0]
 		it = Item{Key: c.qual(key), Value: append([]byte(nil), v.Data...), Flags: v.Flags, CAS: v.CAS}
 	})
@@ -284,64 +284,68 @@ func (c *Client) get(code opcode, key string) (Item, error) {
 // semantics: 0 never expires, <= 30 days is relative seconds, larger is an
 // absolute unix time.
 func (c *Client) Set(key string, flags uint32, exptime int64, value []byte) error {
-	return c.do(op{code: opSet, key: key, flags: flags, exptime: exptime, value: value}, nil)
+	return c.do(op{verb: proto.VerbSet, key: key, flags: flags, exptime: exptime, value: value}, nil)
 }
 
 // Add stores value only if key is absent; ErrNotStored otherwise.
 func (c *Client) Add(key string, flags uint32, exptime int64, value []byte) error {
-	return c.do(op{code: opAdd, key: key, flags: flags, exptime: exptime, value: value}, nil)
+	return c.do(op{verb: proto.VerbAdd, key: key, flags: flags, exptime: exptime, value: value}, nil)
 }
 
 // Replace stores value only if key is present; ErrNotStored otherwise.
 func (c *Client) Replace(key string, flags uint32, exptime int64, value []byte) error {
-	return c.do(op{code: opReplace, key: key, flags: flags, exptime: exptime, value: value}, nil)
+	return c.do(op{verb: proto.VerbReplace, key: key, flags: flags, exptime: exptime, value: value}, nil)
 }
 
 // Append concatenates value after the present value; ErrNotStored if absent.
 func (c *Client) Append(key string, value []byte) error {
-	return c.do(op{code: opAppend, key: key, value: value}, nil)
+	return c.do(op{verb: proto.VerbAppend, key: key, value: value}, nil)
 }
 
 // Prepend concatenates value before the present value; ErrNotStored if
 // absent.
 func (c *Client) Prepend(key string, value []byte) error {
-	return c.do(op{code: opPrepend, key: key, value: value}, nil)
+	return c.do(op{verb: proto.VerbPrepend, key: key, value: value}, nil)
 }
 
 // CompareAndSwap stores value only if the item's CAS token still equals cas
 // (from a prior Gets). ErrCASConflict means a racing writer got there first;
 // ErrCacheMiss means the item vanished.
 func (c *Client) CompareAndSwap(key string, flags uint32, exptime int64, value []byte, cas uint64) error {
-	return c.do(op{code: opCAS, key: key, flags: flags, exptime: exptime, value: value, num: cas}, nil)
+	return c.do(op{verb: proto.VerbCAS, key: key, flags: flags, exptime: exptime, value: value, num: cas}, nil)
 }
 
 // Delete removes key; ErrCacheMiss if it was absent.
 func (c *Client) Delete(key string) error {
-	return c.do(op{code: opDelete, key: key}, nil)
+	return c.do(op{verb: proto.VerbDelete, key: key}, nil)
 }
 
 // Incr atomically adds delta to the numeric value at key, returning the new
 // value; ErrCacheMiss if absent. The value wraps at 2^64.
-func (c *Client) Incr(key string, delta uint64) (uint64, error) { return c.delta(opIncr, key, delta) }
+func (c *Client) Incr(key string, delta uint64) (uint64, error) {
+	return c.delta(proto.VerbIncr, key, delta)
+}
 
 // Decr atomically subtracts delta, clamping at zero; ErrCacheMiss if absent.
-func (c *Client) Decr(key string, delta uint64) (uint64, error) { return c.delta(opDecr, key, delta) }
+func (c *Client) Decr(key string, delta uint64) (uint64, error) {
+	return c.delta(proto.VerbDecr, key, delta)
+}
 
-func (c *Client) delta(code opcode, key string, delta uint64) (uint64, error) {
+func (c *Client) delta(verb proto.Verb, key string, delta uint64) (uint64, error) {
 	var out uint64
-	err := c.do(op{code: code, key: key, num: delta}, func(r *proto.Resp) { out = r.Number })
+	err := c.do(op{verb: verb, key: key, num: delta}, func(r *proto.Resp) { out = r.Number })
 	return out, err
 }
 
 // Touch rearms key's expiry without reading it; ErrCacheMiss if absent.
 func (c *Client) Touch(key string, exptime int64) error {
-	return c.do(op{code: opTouch, key: key, exptime: exptime}, nil)
+	return c.do(op{verb: proto.VerbTouch, key: key, exptime: exptime}, nil)
 }
 
 // admin runs one unkeyed command against member p; keep, when non-nil, sees
 // a reply whose status is want.
-func admin(p *cluster.Client, cmd string, want proto.Status, keep func(*proto.Resp)) error {
-	return roundTrip(p, []byte(cmd), func(r *proto.Resp) error {
+func admin(p *cluster.Client, verb proto.Verb, want proto.Status, keep func(*proto.Resp)) error {
+	return roundTrip(p, proto.AppendCommand(nil, &proto.Command{Verb: verb}), func(r *proto.Resp) error {
 		if r.Status != want {
 			return respErr(r)
 		}
@@ -356,7 +360,7 @@ func admin(p *cluster.Client, cmd string, want proto.Status, keep func(*proto.Re
 // the broadcast.
 func (c *Client) FlushAll() error {
 	for _, p := range c.peers {
-		if err := admin(p, "flush_all\r\n", proto.StatusOK, nil); err != nil {
+		if err := admin(p, proto.VerbFlushAll, proto.StatusOK, nil); err != nil {
 			return err
 		}
 	}
@@ -366,7 +370,7 @@ func (c *Client) FlushAll() error {
 // Version returns the first member's version string.
 func (c *Client) Version() (string, error) {
 	var v string
-	err := admin(c.peers[0], "version\r\n", proto.StatusVersion, func(r *proto.Resp) { v = string(r.Msg) })
+	err := admin(c.peers[0], proto.VerbVersion, proto.StatusVersion, func(r *proto.Resp) { v = string(r.Msg) })
 	return v, err
 }
 
@@ -375,7 +379,7 @@ func (c *Client) ServerStats() (map[string]map[string]string, error) {
 	out := make(map[string]map[string]string, len(c.peers))
 	for _, p := range c.peers {
 		m := make(map[string]string)
-		err := admin(p, "stats\r\n", proto.StatusEnd, func(r *proto.Resp) {
+		err := admin(p, proto.VerbStats, proto.StatusEnd, func(r *proto.Resp) {
 			for _, st := range r.Stats {
 				m[string(st[0])] = string(st[1])
 			}

@@ -74,57 +74,57 @@ func (c *Client) Pipeline() *Pipeline {
 
 // Get queues a retrieval; the Result carries Value+Flags on a hit,
 // ErrCacheMiss on a miss.
-func (p *Pipeline) Get(key string) { p.push(op{code: opGet, key: key}) }
+func (p *Pipeline) Get(key string) { p.push(op{verb: proto.VerbGet, key: key}) }
 
 // Gets queues a retrieval with the CAS token.
-func (p *Pipeline) Gets(key string) { p.push(op{code: opGets, key: key}) }
+func (p *Pipeline) Gets(key string) { p.push(op{verb: proto.VerbGets, key: key}) }
 
 // Set queues an unconditional store. value must stay untouched until Exec.
 func (p *Pipeline) Set(key string, flags uint32, exptime int64, value []byte) {
-	p.push(op{code: opSet, key: key, flags: flags, exptime: exptime, value: value})
+	p.push(op{verb: proto.VerbSet, key: key, flags: flags, exptime: exptime, value: value})
 }
 
 // Add queues a store-if-absent.
 func (p *Pipeline) Add(key string, flags uint32, exptime int64, value []byte) {
-	p.push(op{code: opAdd, key: key, flags: flags, exptime: exptime, value: value})
+	p.push(op{verb: proto.VerbAdd, key: key, flags: flags, exptime: exptime, value: value})
 }
 
 // Replace queues a store-if-present.
 func (p *Pipeline) Replace(key string, flags uint32, exptime int64, value []byte) {
-	p.push(op{code: opReplace, key: key, flags: flags, exptime: exptime, value: value})
+	p.push(op{verb: proto.VerbReplace, key: key, flags: flags, exptime: exptime, value: value})
 }
 
 // Append queues a right-concatenation onto a present value.
 func (p *Pipeline) Append(key string, value []byte) {
-	p.push(op{code: opAppend, key: key, value: value})
+	p.push(op{verb: proto.VerbAppend, key: key, value: value})
 }
 
 // Prepend queues a left-concatenation onto a present value.
 func (p *Pipeline) Prepend(key string, value []byte) {
-	p.push(op{code: opPrepend, key: key, value: value})
+	p.push(op{verb: proto.VerbPrepend, key: key, value: value})
 }
 
 // CAS queues a compare-and-swap against the token from a prior Gets.
 func (p *Pipeline) CAS(key string, flags uint32, exptime int64, value []byte, cas uint64) {
-	p.push(op{code: opCAS, key: key, flags: flags, exptime: exptime, value: value, num: cas})
+	p.push(op{verb: proto.VerbCAS, key: key, flags: flags, exptime: exptime, value: value, num: cas})
 }
 
 // Delete queues a removal.
-func (p *Pipeline) Delete(key string) { p.push(op{code: opDelete, key: key}) }
+func (p *Pipeline) Delete(key string) { p.push(op{verb: proto.VerbDelete, key: key}) }
 
 // Incr queues an atomic add; the Result carries the new value in Number.
 func (p *Pipeline) Incr(key string, delta uint64) {
-	p.push(op{code: opIncr, key: key, num: delta})
+	p.push(op{verb: proto.VerbIncr, key: key, num: delta})
 }
 
 // Decr queues an atomic subtract (clamped at zero).
 func (p *Pipeline) Decr(key string, delta uint64) {
-	p.push(op{code: opDecr, key: key, num: delta})
+	p.push(op{verb: proto.VerbDecr, key: key, num: delta})
 }
 
 // Touch queues an expiry rearm.
 func (p *Pipeline) Touch(key string, exptime int64) {
-	p.push(op{code: opTouch, key: key, exptime: exptime})
+	p.push(op{verb: proto.VerbTouch, key: key, exptime: exptime})
 }
 
 // Len returns the number of queued operations.
@@ -177,7 +177,7 @@ func (p *Pipeline) Exec() ([]Result, error) {
 		}
 		b := &p.owners[p.c.owner(o.key)]
 		b.idxs = append(b.idxs, int32(i))
-		b.req = appendOp(b.req, o)
+		b.req = o.render(b.req)
 	}
 	for i := range p.owners {
 		if b := &p.owners[i]; len(b.idxs) > 0 {
@@ -226,12 +226,12 @@ func (p *Pipeline) Exec() ([]Result, error) {
 // same connection).
 func (p *Pipeline) record(i int, r *proto.Resp) {
 	m := &p.meta[i]
-	code := p.ops[i].code
-	if m.err = replyErr(code, r); m.err != nil {
+	verb := p.ops[i].verb
+	if m.err = replyErr(verb, r); m.err != nil {
 		return
 	}
-	switch code {
-	case opGet, opGets:
+	switch verb {
+	case proto.VerbGet, proto.VerbGets:
 		v := r.Values[0]
 		m.valOff = len(p.arena)
 		p.arena = append(p.arena, v.Data...)
@@ -239,7 +239,7 @@ func (p *Pipeline) record(i int, r *proto.Resp) {
 		m.hasVal = true
 		m.flags = v.Flags
 		m.cas = v.CAS
-	case opIncr, opDecr:
+	case proto.VerbIncr, proto.VerbDecr:
 		m.number = r.Number
 	}
 }

@@ -142,9 +142,9 @@ func shedEvery(t *testing.T, n int) string {
 	var ops atomic.Int32
 	return scriptedServer(t, func(cmd *proto.Command) []byte {
 		switch {
-		case cmd.Name == "get":
+		case cmd.Verb == proto.VerbGet:
 			return proto.AppendEnd(nil)
-		case cmd.Name != "set":
+		case cmd.Verb != proto.VerbSet:
 			return proto.AppendLine(nil, "ERROR")
 		case int(ops.Add(1))%n == 0:
 			return proto.AppendShed(nil)

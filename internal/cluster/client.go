@@ -90,17 +90,11 @@ type pconn struct {
 // (a drain's immediate one, say) stays in force until the next re-arm.
 type Deadline struct{ by int64 }
 
-// clockBase anchors monoNanos. time.Since of a time carrying a monotonic
-// reading reads only the monotonic clock, half the cost of time.Now.
-var clockBase = time.Now()
-
-func monoNanos() int64 { return int64(time.Since(clockBase)) }
-
 // Due reports whether the deadline must be armed span from now — it never
 // was, or less than 15/16 of span is left of it — and if so records it as
 // armed.
 func (d *Deadline) Due(span time.Duration) bool {
-	now := monoNanos()
+	now := obs.MonoNanos()
 	if d.by-now >= int64(span-span/16) {
 		return false
 	}
@@ -384,32 +378,27 @@ func (x *Exchange) Finish(fn func(i int, r *proto.Resp)) error {
 }
 
 // Do sends one pre-rendered request (see proto.AppendCommand) and returns
-// the peer's response: the one-request exchange, for callers that keep the
-// reply.
+// the peer's response, copied out: the one-request exchange, for callers
+// that keep the reply.
 func (c *Client) Do(req []byte) (*proto.Response, error) {
-	return c.one(req)
+	var resp *proto.Response
+	x := c.Start(req, 1)
+	err := x.Finish(func(_ int, r *proto.Resp) { resp = r.Response() })
+	return resp, err
 }
 
 // Get retrieves one key (gets semantics — the CAS token rides along — when
 // withCAS). The last argument is ignored: it outlives hedged reads only
 // because the benchmark module still passes it.
 func (c *Client) Get(key string, withCAS bool, _ time.Duration) (*proto.Response, error) {
-	verb := "get "
+	cmd := proto.Command{Verb: proto.VerbGet, Keys: []string{key}}
 	if withCAS {
-		verb = "gets "
+		cmd.Verb = proto.VerbGets
 	}
 	reqBuf := bufpool.Get(0)
 	defer bufpool.Put(reqBuf)
-	*reqBuf = append(append(append((*reqBuf)[:0], verb...), key...), '\r', '\n')
-	return c.one(*reqBuf)
-}
-
-// one runs a one-request exchange and copies the reply out.
-func (c *Client) one(req []byte) (*proto.Response, error) {
-	var resp *proto.Response
-	x := c.Start(req, 1)
-	err := x.Finish(func(_ int, r *proto.Resp) { resp = r.Response() })
-	return resp, err
+	*reqBuf = proto.AppendCommand((*reqBuf)[:0], &cmd)
+	return c.Do(*reqBuf)
 }
 
 // ClientStats is a point-in-time snapshot of one peer client.

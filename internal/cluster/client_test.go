@@ -110,12 +110,12 @@ func (p *fakePeer) handle(conn net.Conn) {
 			}
 			continue
 		}
-		switch cmd.Name {
-		case "get", "gets":
+		switch cmd.Verb {
+		case proto.VerbGet, proto.VerbGets:
 			p.mu.Lock()
 			for _, k := range cmd.Keys {
 				if v, ok := p.data[k]; ok {
-					if cmd.Name == "gets" {
+					if cmd.Verb == proto.VerbGets {
 						out = proto.AppendValueCAS(out, k, 0, v, 7)
 					} else {
 						out = proto.AppendValue(out, k, 0, v)
@@ -124,10 +124,10 @@ func (p *fakePeer) handle(conn net.Conn) {
 			}
 			p.mu.Unlock()
 			out = proto.AppendEnd(out)
-		case "set":
+		case proto.VerbSet:
 			p.set(strings.Clone(cmd.Keys[0]), bytes.Clone(cmd.Data))
 			out = proto.AppendLine(out, "STORED")
-		case "delete":
+		case proto.VerbDelete:
 			p.mu.Lock()
 			delete(p.data, cmd.Keys[0])
 			p.mu.Unlock()
@@ -164,7 +164,7 @@ func TestClientGetAndPoolReuse(t *testing.T) {
 	}
 	// A miss is a successful round trip with no VALUE blocks.
 	resp, err := c.Get("absent", false, 0)
-	if err != nil || len(resp.Values) != 0 || resp.Status != "END" {
+	if err != nil || len(resp.Values) != 0 || resp.Status != proto.StatusEnd {
 		t.Fatalf("miss = (%+v, %v), want clean END", resp, err)
 	}
 }
@@ -230,14 +230,14 @@ func TestClientDoSetDelete(t *testing.T) {
 	c := NewClient(peer.addr(), ClientOptions{})
 	defer c.Close()
 	req := proto.AppendCommand(nil, &proto.Command{
-		Name: "set", Keys: []string{"k"}, Data: []byte("zzz"),
+		Verb: proto.VerbSet, Keys: []string{"k"}, Data: []byte("zzz"),
 	})
 	resp, err := c.Do(req)
-	if err != nil || resp.Status != "STORED" {
+	if err != nil || resp.Status != proto.StatusStored {
 		t.Fatalf("set = (%+v, %v)", resp, err)
 	}
-	resp, err = c.Do(proto.AppendCommand(nil, &proto.Command{Name: "delete", Keys: []string{"k"}}))
-	if err != nil || resp.Status != "DELETED" {
+	resp, err = c.Do(proto.AppendCommand(nil, &proto.Command{Verb: proto.VerbDelete, Keys: []string{"k"}}))
+	if err != nil || resp.Status != proto.StatusDeleted {
 		t.Fatalf("delete = (%+v, %v)", resp, err)
 	}
 }
@@ -251,7 +251,7 @@ func TestExchangePipelinesReplies(t *testing.T) {
 	c := NewClient(peer.addr(), ClientOptions{})
 	defer c.Close()
 	req := []byte("get k\r\n")
-	req = proto.AppendCommand(req, &proto.Command{Name: "set", Keys: []string{"k"}, Data: []byte("bye")})
+	req = proto.AppendCommand(req, &proto.Command{Verb: proto.VerbSet, Keys: []string{"k"}, Data: []byte("bye")})
 	req = append(req, "gets k absent\r\ntouch k 1\r\n"...)
 	var got []string
 	x := c.Start(req, 4)
@@ -288,7 +288,7 @@ func TestExchangeFailsWholeAfterPartialReplies(t *testing.T) {
 	defer c.Close()
 	var req []byte
 	for _, k := range []string{"a", "b", "c"} {
-		req = proto.AppendCommand(req, &proto.Command{Name: "set", Keys: []string{k}, Data: []byte("v")})
+		req = proto.AppendCommand(req, &proto.Command{Verb: proto.VerbSet, Keys: []string{k}, Data: []byte("v")})
 	}
 	peer.dropAfter.Store(1)
 	x := c.Start(req, 3)

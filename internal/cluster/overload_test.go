@@ -26,7 +26,7 @@ func TestShedReplyNotBreakerFailure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: shed reply surfaced as transport error: %v", i, err)
 		}
-		if resp.Status != "SERVER_ERROR" || resp.Message != proto.ShedMsg {
+		if resp.Status != proto.StatusServerError || resp.Message != proto.ShedMsg {
 			t.Fatalf("op %d: response %q %q is not the shed reply", i, resp.Status, resp.Message)
 		}
 	}

@@ -208,7 +208,7 @@ func (m *Manager) streamPass(ho *handoff, src Source, tier func() int, plan []Ha
 			continue // target departed in a yet-newer view
 		}
 		req = proto.AppendCommand(req[:0], &proto.Command{
-			Name: "add", Keys: []string{hk.Key}, Flags: flags,
+			Verb: proto.VerbAdd, Keys: []string{hk.Key}, Flags: flags,
 			Exptime: hk.ExpireAt, Data: val,
 		})
 		resp, err := cl.Do(req)
@@ -216,7 +216,7 @@ func (m *Manager) streamPass(ho *handoff, src Source, tier func() int, plan []Ha
 			atomic.AddUint64(&m.ctr.Handoff.Errors, 1)
 			continue
 		}
-		if resp.Status != "STORED" && resp.Status != "NOT_STORED" {
+		if resp.Status != proto.StatusStored && resp.Status != proto.StatusNotStored {
 			// The target answered but the add did not take — shed under
 			// overload, refused. It never became authoritative for this
 			// key, so keep the local copy and count the miss (Do returns

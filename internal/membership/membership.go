@@ -440,7 +440,7 @@ func (m *Manager) Join(addr string) error {
 		m.mu.Unlock()
 		if resp, err := m.send(addr, renderControlSet(KeyApply, m.wrapAuth(body))); err != nil {
 			m.logf("membership: view re-push to %s failed: %v", addr, err)
-		} else if resp.Status != "STORED" {
+		} else if resp.Status != proto.StatusStored {
 			m.logf("membership: %s refused view re-push at epoch %d: %s %s",
 				addr, epoch, resp.Status, resp.Message)
 		}
@@ -521,7 +521,7 @@ func (m *Manager) broadcast(epoch uint64, members []string, targets map[string]s
 				m.logf("membership: push epoch %d to %s failed: %v", epoch, addr, err)
 				return
 			}
-			if resp.Status != "STORED" {
+			if resp.Status != proto.StatusStored {
 				m.logf("membership: %s refused epoch %d: %s %s", addr, epoch, resp.Status, resp.Message)
 				m.syncFrom(addr)
 			}
@@ -533,7 +533,7 @@ func (m *Manager) broadcast(epoch uint64, members []string, targets map[string]s
 // renderControlSet renders "set <key> 0 0 <len>\r\n<body>\r\n".
 func renderControlSet(key string, body []byte) []byte {
 	return proto.AppendCommand(nil, &proto.Command{
-		Name: "set", Keys: []string{key}, Data: body,
+		Verb: proto.VerbSet, Keys: []string{key}, Data: body,
 	})
 }
 
@@ -592,7 +592,7 @@ func dialDo(addr string, req []byte, timeout time.Duration) (*proto.Response, er
 // one — strictly newer, or winning the equal-epoch tie-break (the
 // convergence half of a refused concurrent proposal).
 func (m *Manager) syncFrom(addr string) {
-	resp, err := m.send(addr, []byte("get "+KeyView+"\r\n"))
+	resp, err := m.send(addr, proto.AppendCommand(nil, &proto.Command{Verb: proto.VerbGet, Keys: []string{KeyView}}))
 	if err != nil || len(resp.Values) == 0 {
 		return
 	}
@@ -621,7 +621,7 @@ func (m *Manager) JoinCluster(seed string, timeout time.Duration) error {
 		switch {
 		case err != nil:
 			lastErr = err
-		case resp.Status != "STORED":
+		case resp.Status != proto.StatusStored:
 			lastErr = fmt.Errorf("membership: seed %s: %s %s", seed, resp.Status, resp.Message)
 		default:
 			// Admitted. The seed broadcast the view before replying, but
@@ -671,11 +671,11 @@ func (m *Manager) probe(addr string) error {
 	if m.cfg.Probe != nil {
 		return m.cfg.Probe(addr)
 	}
-	resp, err := dialDo(addr, []byte("version\r\n"), m.cfg.ProbeTimeout)
+	resp, err := dialDo(addr, proto.AppendCommand(nil, &proto.Command{Verb: proto.VerbVersion}), m.cfg.ProbeTimeout)
 	if err != nil {
 		return err
 	}
-	if resp.Status != "VERSION" {
+	if resp.Status != proto.StatusVersion {
 		return fmt.Errorf("membership: probe of %s: unexpected %s", addr, resp.Status)
 	}
 	return nil

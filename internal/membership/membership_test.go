@@ -93,10 +93,10 @@ func (n *fakeNode) handle(conn net.Conn) {
 			return
 		}
 		var out []byte
-		switch cmd.Name {
-		case "version":
+		switch cmd.Verb {
+		case proto.VerbVersion:
 			out = proto.AppendLine(out, "VERSION test")
-		case "set", "add":
+		case proto.VerbSet, proto.VerbAdd:
 			n.mu.Lock()
 			if cmd.Keys[0] == KeyApply {
 				n.applies = append(n.applies, append([]byte(nil), cmd.Data...))
@@ -114,7 +114,7 @@ func (n *fakeNode) handle(conn net.Conn) {
 				out = proto.AppendLine(out, reply)
 				break
 			}
-			if _, exists := n.data[cmd.Keys[0]]; exists && cmd.Name == "add" {
+			if _, exists := n.data[cmd.Keys[0]]; exists && cmd.Verb == proto.VerbAdd {
 				n.mu.Unlock()
 				out = proto.AppendLine(out, "NOT_STORED")
 				break
@@ -122,7 +122,7 @@ func (n *fakeNode) handle(conn net.Conn) {
 			n.data[strings.Clone(cmd.Keys[0])] = append([]byte(nil), cmd.Data...)
 			n.mu.Unlock()
 			out = proto.AppendLine(out, "STORED")
-		case "get", "gets":
+		case proto.VerbGet, proto.VerbGets:
 			n.mu.Lock()
 			for _, k := range cmd.Keys {
 				if v, ok := n.data[k]; ok {
@@ -131,7 +131,7 @@ func (n *fakeNode) handle(conn net.Conn) {
 			}
 			n.mu.Unlock()
 			out = proto.AppendEnd(out)
-		case "delete":
+		case proto.VerbDelete:
 			n.mu.Lock()
 			delete(n.data, cmd.Keys[0])
 			n.mu.Unlock()

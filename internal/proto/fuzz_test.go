@@ -135,7 +135,9 @@ func classifyErr(err error) errKind {
 // The in-place parser runs in chunks, as the server drives it: bit i of cuts
 // ends a chunk after step i, and so does a command not wholly buffered. Before each chunk is released, every command
 // parsed in it is compared again, so a command that the rest of its chunk
-// overwrote (keys, data, fields) fails here.
+// overwrote (keys, data, fields) fails here. Every accepted command is also
+// rendered back with AppendCommand, and the reference parser must read the
+// same command from the rendering.
 func FuzzParseRequest(f *testing.F) {
 	for i, s := range requestSeeds {
 		f.Add([]byte(s), uint64(i)*0x9e3779b97f4a7c15) // assorted cut patterns
@@ -186,10 +188,20 @@ func FuzzParseRequest(f *testing.F) {
 			if msg := commandDiff(c1, c2); msg != "" {
 				t.Fatalf("step %d: %s", i, msg)
 			}
+			// The renderer inverts the spec: what the parsers accepted,
+			// rendered back, reads as the same command.
+			wire := AppendCommand(nil, c1)
+			c3, err := ReadCommand(bufio.NewReader(bytes.NewReader(wire)))
+			if err != nil {
+				t.Fatalf("step %d: re-render %q does not parse: %v", i, wire, err)
+			}
+			if msg := commandDiff(c1, c3); msg != "" {
+				t.Fatalf("step %d: re-render %q: %s", i, wire, msg)
+			}
 			refs, chunk = append(refs, c1), append(chunk, c2)
 			// Shared invariants, checked once (the parsers already agree).
-			if c1.Name == "" {
-				t.Fatal("parsed command with empty name")
+			if c1.Verb >= numVerbs {
+				t.Fatalf("parsed command with unknown verb %v", c1.Verb)
 			}
 			for _, k := range c1.Keys {
 				if len(k) == 0 || len(k) > MaxKeyLen {
@@ -210,7 +222,7 @@ func FuzzParseRequest(f *testing.F) {
 // commandDiff describes how the in-place parser's c2 differs from the
 // reference parser's c1, field for field, or returns "".
 func commandDiff(c1, c2 *Command) string {
-	if c1.Name != c2.Name || c1.Flags != c2.Flags || c1.Exptime != c2.Exptime ||
+	if c1.Verb != c2.Verb || c1.Flags != c2.Flags || c1.Exptime != c2.Exptime ||
 		c1.Bytes != c2.Bytes || c1.CasID != c2.CasID || c1.Delta != c2.Delta ||
 		c1.NoReply != c2.NoReply {
 		return fmt.Sprintf("commands disagree:\nreference %+v\nin-place  %+v", c1, c2)
@@ -315,8 +327,8 @@ func FuzzClientReadResponse(f *testing.F) {
 			case errOther:
 				t.Fatalf("step %d: unexpected error class: %v", i, err1)
 			}
-			if ref.Status != got.Status.String() {
-				t.Fatalf("step %d: status %q vs %q", i, ref.Status, got.Status)
+			if ref.Status != got.Status {
+				t.Fatalf("step %d: status %v vs %v", i, ref.Status, got.Status)
 			}
 			if ref.Message != string(got.Msg) {
 				t.Fatalf("step %d: message %q vs %q", i, ref.Message, got.Msg)
@@ -365,8 +377,8 @@ func FuzzParseResponse(f *testing.F) {
 					t.Fatalf("unexpected error class: %v", err)
 				}
 			}
-			if resp.Status == "" {
-				t.Fatal("parsed response with empty status")
+			if int(resp.Status) >= len(statusNames) {
+				t.Fatalf("parsed response with unknown status %v", resp.Status)
 			}
 			for _, v := range resp.Values {
 				if len(v.Data) > MaxDataLen {

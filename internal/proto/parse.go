@@ -24,10 +24,9 @@ import (
 //
 // Ownership rules — the price of zero-copy:
 //
-//   - The returned *Command and everything it references (Name excepted —
-//     verbs are canonical package-level constants) are valid only until the
-//     next ReadCommand or Close call; inside a chunk (BeginChunk), until
-//     ReleaseChunk or Close.
+//   - The returned *Command and everything it references are valid only
+//     until the next ReadCommand or Close call; inside a chunk (BeginChunk),
+//     until ReleaseChunk or Close.
 //   - Keys and Data alias the reader's buffer, and a read that refills it
 //     would slide or overwrite them, so no valid command ever sees one:
 //     inside a chunk that holds a command, ReadCommand returns
@@ -144,37 +143,6 @@ func (p *Parser) release() {
 	}
 }
 
-// Canonical verbs: matching a wire token against this vocabulary both
-// validates it and yields an interned name, so cmd.Name never materializes
-// a string from the wire bytes.
-var verbs = [...]string{
-	"get", "gets", "set", "add", "replace", "append", "prepend", "cas",
-	"delete", "incr", "decr", "touch",
-	"stats", "flush_all", "version", "quit",
-}
-
-// internVerb matches tok case-insensitively (ASCII) against the verb
-// vocabulary.
-func internVerb(tok []byte) (string, bool) {
-next:
-	for _, v := range verbs {
-		if len(tok) != len(v) {
-			continue
-		}
-		for i := 0; i < len(v); i++ {
-			c := tok[i]
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if c != v[i] {
-				continue next
-			}
-		}
-		return v, true
-	}
-	return "", false
-}
-
 var noreplyToken = []byte("noreply")
 
 // ReadCommand parses the next command from the stream. io.EOF is returned
@@ -220,14 +188,14 @@ func (p *Parser) parse(cmd *Command) error {
 	if len(p.toks) == 0 {
 		return clientErrf("empty command")
 	}
-	name, known := internVerb(p.toks[0])
+	verb, known := parseVerb(p.toks[0])
 	if !known {
 		return clientErrf("unknown command %q", p.toks[0])
 	}
-	cmd.Name = name
+	cmd.Verb = verb
 	args := p.toks[1:]
-	switch name {
-	case "get", "gets":
+	switch verb {
+	case VerbGet, VerbGets:
 		if len(args) == 0 {
 			return clientErrf("get requires at least one key")
 		}
@@ -240,17 +208,17 @@ func (p *Parser) parse(cmd *Command) error {
 			p.keys = append(p.keys, p.key(k, inBuf))
 		}
 		cmd.Keys = p.keys[k0:]
-	case "set", "add", "replace", "append", "prepend", "cas":
+	case VerbSet, VerbAdd, VerbReplace, VerbAppend, VerbPrepend, VerbCAS:
 		want := 4
-		if name == "cas" {
+		if verb == VerbCAS {
 			want = 5
 		}
 		if len(args) != want && !(len(args) == want+1 && bytes.Equal(args[want], noreplyToken)) {
 			extra := ""
-			if name == "cas" {
+			if verb == VerbCAS {
 				extra = " <cas>"
 			}
-			return clientErrf("%s requires <key> <flags> <exptime> <bytes>%s [noreply]", name, extra)
+			return clientErrf("%s requires <key> <flags> <exptime> <bytes>%s [noreply]", verb, extra)
 		}
 		if err := checkKey(args[0]); err != nil {
 			return err
@@ -272,7 +240,7 @@ func (p *Parser) parse(cmd *Command) error {
 			return clientErrf("bad bytes %q", args[3])
 		}
 		cmd.Bytes = int(n)
-		if name == "cas" {
+		if verb == VerbCAS {
 			id, ok := parseUintB(args[4], 64)
 			if !ok {
 				return clientErrf("bad cas token %q", args[4])
@@ -286,7 +254,7 @@ func (p *Parser) parse(cmd *Command) error {
 		if err := p.readData(cmd, int(n)); err != nil {
 			return err
 		}
-	case "delete":
+	case VerbDelete:
 		if len(args) != 1 && !(len(args) == 2 && bytes.Equal(args[1], noreplyToken)) {
 			return clientErrf("delete requires <key> [noreply]")
 		}
@@ -296,9 +264,9 @@ func (p *Parser) parse(cmd *Command) error {
 		p.keys = append(p.keys, p.key(args[0], inBuf))
 		cmd.Keys = p.keys[k0:]
 		cmd.NoReply = len(args) == 2
-	case "incr", "decr":
+	case VerbIncr, VerbDecr:
 		if len(args) != 2 && !(len(args) == 3 && bytes.Equal(args[2], noreplyToken)) {
-			return clientErrf("%s requires <key> <delta> [noreply]", name)
+			return clientErrf("%s requires <key> <delta> [noreply]", verb)
 		}
 		if err := checkKey(args[0]); err != nil {
 			return err
@@ -311,7 +279,7 @@ func (p *Parser) parse(cmd *Command) error {
 		}
 		cmd.Delta = d
 		cmd.NoReply = len(args) == 3
-	case "touch":
+	case VerbTouch:
 		if len(args) != 2 && !(len(args) == 3 && bytes.Equal(args[2], noreplyToken)) {
 			return clientErrf("touch requires <key> <exptime> [noreply]")
 		}

@@ -32,53 +32,53 @@ func TestParserPipelinedSequence(t *testing.T) {
 
 	steps := []func(c *Command){
 		func(c *Command) {
-			if c.Name != "get" || len(c.Keys) != 1 || c.Keys[0] != "a" {
+			if c.Verb != VerbGet || len(c.Keys) != 1 || c.Keys[0] != "a" {
 				t.Fatalf("get: %+v", c)
 			}
 		},
 		func(c *Command) {
-			if c.Name != "gets" || len(c.Keys) != 3 || c.Keys[0] != "a" || c.Keys[1] != "b" || c.Keys[2] != "c" {
+			if c.Verb != VerbGets || len(c.Keys) != 3 || c.Keys[0] != "a" || c.Keys[1] != "b" || c.Keys[2] != "c" {
 				t.Fatalf("gets: %+v", c)
 			}
 		},
 		func(c *Command) {
-			if c.Name != "set" || c.Keys[0] != "k" || c.Flags != 7 || c.Exptime != 30 ||
+			if c.Verb != VerbSet || c.Keys[0] != "k" || c.Flags != 7 || c.Exptime != 30 ||
 				c.Bytes != 5 || string(c.Data) != "hello" || c.NoReply {
 				t.Fatalf("set: %+v", c)
 			}
 		},
 		func(c *Command) {
-			if c.Name != "cas" || c.CasID != 42 || string(c.Data) != "hi" || !c.NoReply {
+			if c.Verb != VerbCAS || c.CasID != 42 || string(c.Data) != "hi" || !c.NoReply {
 				t.Fatalf("cas: %+v", c)
 			}
 		},
 		func(c *Command) {
-			if c.Name != "delete" || c.Keys[0] != "k" || !c.NoReply {
+			if c.Verb != VerbDelete || c.Keys[0] != "k" || !c.NoReply {
 				t.Fatalf("delete: %+v", c)
 			}
 		},
 		func(c *Command) {
-			if c.Name != "incr" || c.Delta != 18446744073709551615 {
+			if c.Verb != VerbIncr || c.Delta != 18446744073709551615 {
 				t.Fatalf("incr: %+v", c)
 			}
 		},
 		func(c *Command) {
-			if c.Name != "decr" || c.Delta != 2 {
+			if c.Verb != VerbDecr || c.Delta != 2 {
 				t.Fatalf("decr: %+v", c)
 			}
 		},
 		func(c *Command) {
-			if c.Name != "touch" || c.Exptime != -1 {
+			if c.Verb != VerbTouch || c.Exptime != -1 {
 				t.Fatalf("touch: %+v", c)
 			}
 		},
 		func(c *Command) {
-			if c.Name != "version" {
+			if c.Verb != VerbVersion {
 				t.Fatalf("version: %+v", c)
 			}
 		},
 		func(c *Command) {
-			if c.Name != "quit" {
+			if c.Verb != VerbQuit {
 				t.Fatalf("quit: %+v", c)
 			}
 		},
@@ -101,19 +101,19 @@ func TestParserPipelinedSequence(t *testing.T) {
 func TestParserTokenizing(t *testing.T) {
 	cases := []struct {
 		in      string
-		name    string
+		verb    Verb
 		keys    []string
 		wantErr bool
 	}{
-		{in: "get   a   b\r\n", name: "get", keys: []string{"a", "b"}},
-		{in: "  get a\r\n", name: "get", keys: []string{"a"}},
-		{in: "GET a\r\n", name: "get", keys: []string{"a"}},
-		{in: "GeT a\r\n", name: "get", keys: []string{"a"}},
-		{in: "get a\n", name: "get", keys: []string{"a"}},
-		{in: "get a\r\r\n", name: "get", keys: []string{"a"}}, // trailing CRs trimmed
-		{in: "get\ta\r\n", wantErr: true},                     // tab is not a separator
-		{in: "get a\tb\r\n", wantErr: true},                   // tab inside a key
-		{in: "get " + strings.Repeat("k", MaxKeyLen) + "\r\n", name: "get",
+		{in: "get   a   b\r\n", verb: VerbGet, keys: []string{"a", "b"}},
+		{in: "  get a\r\n", verb: VerbGet, keys: []string{"a"}},
+		{in: "GET a\r\n", verb: VerbGet, keys: []string{"a"}},
+		{in: "GeT a\r\n", verb: VerbGet, keys: []string{"a"}},
+		{in: "get a\n", verb: VerbGet, keys: []string{"a"}},
+		{in: "get a\r\r\n", verb: VerbGet, keys: []string{"a"}}, // trailing CRs trimmed
+		{in: "get\ta\r\n", wantErr: true},                       // tab is not a separator
+		{in: "get a\tb\r\n", wantErr: true},                     // tab inside a key
+		{in: "get " + strings.Repeat("k", MaxKeyLen) + "\r\n", verb: VerbGet,
 			keys: []string{strings.Repeat("k", MaxKeyLen)}},
 		{in: "get " + strings.Repeat("k", MaxKeyLen+1) + "\r\n", wantErr: true},
 		{in: "\r\n", wantErr: true},
@@ -133,7 +133,7 @@ func TestParserTokenizing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", tc.in, err)
 		}
-		if cmd.Name != tc.name || len(cmd.Keys) != len(tc.keys) {
+		if cmd.Verb != tc.verb || len(cmd.Keys) != len(tc.keys) {
 			t.Fatalf("%q: got %+v", tc.in, cmd)
 		}
 		for i := range tc.keys {
@@ -161,7 +161,7 @@ func TestParserCommandLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Name != "get" || c2.Keys[0] != "other" {
+	if c2.Verb != VerbGet || c2.Keys[0] != "other" {
 		t.Fatalf("second command: %+v", c2)
 	}
 	if c2.Data != nil || c2.Bytes != 0 || c2.Flags != 0 || c2.NoReply {
@@ -313,10 +313,10 @@ func TestParserChunkKeepsCommands(t *testing.T) {
 		switch {
 		case c.Keys[0] != k:
 			t.Fatalf("command %d: key %q, want %q", i, c.Keys[0], k)
-		case i%3 == 0 && (c.Name != "set" || string(c.Data) != k || c.Flags != uint32(i)):
-			t.Fatalf("command %d: %s flags %d data %q", i, c.Name, c.Flags, c.Data)
-		case i%3 != 0 && (c.Name != "get" || len(c.Keys) != 2 || c.Keys[1] != k):
-			t.Fatalf("command %d: %s %q", i, c.Name, c.Keys)
+		case i%3 == 0 && (c.Verb != VerbSet || string(c.Data) != k || c.Flags != uint32(i)):
+			t.Fatalf("command %d: %s flags %d data %q", i, c.Verb, c.Flags, c.Data)
+		case i%3 != 0 && (c.Verb != VerbGet || len(c.Keys) != 2 || c.Keys[1] != k):
+			t.Fatalf("command %d: %s %q", i, c.Verb, c.Keys)
 		}
 		held += len(c.Data)
 	}
@@ -378,12 +378,12 @@ func TestParserChunkStopsBeforePartial(t *testing.T) {
 	p.ReleaseChunk()
 
 	cmds, _ = readChunk(t, p, 1<<10)
-	if len(cmds) < 2 || cmds[0].Name != "set" || cmds[0].Keys[0] != "k4" || string(cmds[0].Data) != block {
+	if len(cmds) < 2 || cmds[0].Verb != VerbSet || cmds[0].Keys[0] != "k4" || string(cmds[0].Data) != block {
 		t.Fatalf("second chunk opened with %d commands, first %+v", len(cmds), cmds[0])
 	}
 	for _, c := range cmds[1:] {
-		if c.Name != "get" || c.Keys[0] != "a" {
-			t.Fatalf("second chunk: %s %q, want get a", c.Name, c.Keys)
+		if c.Verb != VerbGet || c.Keys[0] != "a" {
+			t.Fatalf("second chunk: %s %q, want get a", c.Verb, c.Keys)
 		}
 	}
 	p.ReleaseChunk()
@@ -423,7 +423,7 @@ func TestParserChunkReleasesBuffers(t *testing.T) {
 			var cmds []*Command
 			cmds, eof = readChunk(t, p, 1<<10)
 			for _, c := range cmds {
-				if c.Name == "set" && string(c.Data) != value[c.Keys[0]] {
+				if c.Verb == VerbSet && string(c.Data) != value[c.Keys[0]] {
 					t.Fatalf("chunk %d: set %q holds %d bytes before the chunk was released", chunk, c.Keys, len(c.Data))
 				}
 			}

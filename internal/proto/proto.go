@@ -32,12 +32,12 @@ var ErrLineTooLong = errors.New("proto: line exceeds maximum length")
 
 // Command is one parsed client request.
 type Command struct {
-	// Name is the lower-case verb: get, gets, set, delete, stats,
-	// flush_all, version, quit.
-	Name string
-	// Keys are the operand keys (get may carry several).
+	// Verb is the command word.
+	Verb Verb
+	// Keys are the operand keys (get and gets may carry several).
 	Keys []string
-	// Flags, Exptime, and Bytes carry set's storage parameters.
+	// Flags, Exptime, and Bytes carry a storage command's parameters
+	// (Exptime also touch's).
 	Flags   uint32
 	Exptime int64
 	Bytes   int
@@ -45,9 +45,9 @@ type Command struct {
 	CasID uint64
 	// Delta carries incr/decr's operand.
 	Delta uint64
-	// NoReply suppresses the response (set/delete).
+	// NoReply suppresses the response (keyed verbs other than reads).
 	NoReply bool
-	// Data is set's value block.
+	// Data is a storage command's data block.
 	Data []byte
 }
 
@@ -138,7 +138,7 @@ func AppendValueCAS(dst []byte, key string, flags uint32, data []byte, cas uint6
 }
 
 // AppendEnd terminates a get or stats response.
-func AppendEnd(dst []byte) []byte { return append(dst, "END\r\n"...) }
+func AppendEnd(dst []byte) []byte { return AppendStatus(dst, StatusEnd) }
 
 // AppendNumberLine renders an incr/decr result line without allocating.
 func AppendNumberLine(dst []byte, n uint64) []byte {

@@ -18,7 +18,7 @@ func TestParseGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd.Name != "get" || len(cmd.Keys) != 2 || cmd.Keys[0] != "foo" || cmd.Keys[1] != "bar" {
+	if cmd.Verb != VerbGet || len(cmd.Keys) != 2 || cmd.Keys[0] != "foo" || cmd.Keys[1] != "bar" {
 		t.Fatalf("cmd = %+v", cmd)
 	}
 }
@@ -34,7 +34,7 @@ func TestParseSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd.Name != "set" || cmd.Keys[0] != "k" || cmd.Flags != 42 || cmd.Bytes != 5 {
+	if cmd.Verb != VerbSet || cmd.Keys[0] != "k" || cmd.Flags != 42 || cmd.Bytes != 5 {
 		t.Fatalf("cmd = %+v", cmd)
 	}
 	if string(cmd.Data) != "hello" || cmd.NoReply {
@@ -69,7 +69,7 @@ func TestParseDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd.Name != "delete" || cmd.Keys[0] != "k" || !cmd.NoReply {
+	if cmd.Verb != VerbDelete || cmd.Keys[0] != "k" || !cmd.NoReply {
 		t.Fatalf("cmd = %+v", cmd)
 	}
 }
@@ -80,8 +80,8 @@ func TestParseBareCommands(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if cmd.Name != name {
-			t.Fatalf("parsed %q, want %q", cmd.Name, name)
+		if cmd.Verb.String() != name {
+			t.Fatalf("parsed %v, want %q", cmd.Verb, name)
 		}
 	}
 }
@@ -123,14 +123,13 @@ func TestParseEOF(t *testing.T) {
 
 func TestParseSequence(t *testing.T) {
 	r := bufio.NewReader(strings.NewReader("set a 0 0 1\r\nx\r\nget a\r\nquit\r\n"))
-	names := []string{"set", "get", "quit"}
-	for _, want := range names {
+	for _, want := range []Verb{VerbSet, VerbGet, VerbQuit} {
 		cmd, err := ReadCommand(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cmd.Name != want {
-			t.Fatalf("got %q, want %q", cmd.Name, want)
+		if cmd.Verb != want {
+			t.Fatalf("got %v, want %v", cmd.Verb, want)
 		}
 	}
 	if _, err := ReadCommand(r); !errors.Is(err, io.EOF) {
@@ -143,7 +142,7 @@ func TestParseCAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd.Name != "cas" || cmd.CasID != 12345 || string(cmd.Data) != "abc" || cmd.Flags != 7 {
+	if cmd.Verb != VerbCAS || cmd.CasID != 12345 || string(cmd.Data) != "abc" || cmd.Flags != 7 {
 		t.Fatalf("cmd = %+v", cmd)
 	}
 	cmd, err = parse(t, "cas k 0 0 1 5 noreply\r\nx\r\n")
@@ -160,11 +159,11 @@ func TestParseCAS(t *testing.T) {
 
 func TestParseIncrDecr(t *testing.T) {
 	cmd, err := parse(t, "incr counter 5\r\n")
-	if err != nil || cmd.Name != "incr" || cmd.Delta != 5 || cmd.Keys[0] != "counter" {
+	if err != nil || cmd.Verb != VerbIncr || cmd.Delta != 5 || cmd.Keys[0] != "counter" {
 		t.Fatalf("incr: %+v %v", cmd, err)
 	}
 	cmd, err = parse(t, "decr counter 3 noreply\r\n")
-	if err != nil || cmd.Name != "decr" || !cmd.NoReply {
+	if err != nil || cmd.Verb != VerbDecr || !cmd.NoReply {
 		t.Fatalf("decr: %+v %v", cmd, err)
 	}
 	if _, err := parse(t, "incr counter\r\n"); err == nil {
@@ -177,7 +176,7 @@ func TestParseIncrDecr(t *testing.T) {
 
 func TestParseTouch(t *testing.T) {
 	cmd, err := parse(t, "touch k 300\r\n")
-	if err != nil || cmd.Name != "touch" || cmd.Exptime != 300 {
+	if err != nil || cmd.Verb != VerbTouch || cmd.Exptime != 300 {
 		t.Fatalf("touch: %+v %v", cmd, err)
 	}
 	if _, err := parse(t, "touch k\r\n"); err == nil {
@@ -258,7 +257,7 @@ func TestReadResponseValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != "END" || len(resp.Values) != 2 {
+	if resp.Status != StatusEnd || len(resp.Values) != 2 {
 		t.Fatalf("resp = %+v", resp)
 	}
 	a, b := resp.Values[0], resp.Values[1]
@@ -271,19 +270,19 @@ func TestReadResponseValues(t *testing.T) {
 }
 
 func TestReadResponseStatuses(t *testing.T) {
-	cases := map[string]string{
-		"STORED\r\n":             "STORED",
-		"NOT_STORED\r\n":         "NOT_STORED",
-		"EXISTS\r\n":             "EXISTS",
-		"NOT_FOUND\r\n":          "NOT_FOUND",
-		"DELETED\r\n":            "DELETED",
-		"TOUCHED\r\n":            "TOUCHED",
-		"OK\r\n":                 "OK",
-		"ERROR\r\n":              "ERROR",
-		"END\r\n":                "END",
-		"17\r\n":                 "NUMBER",
-		"SERVER_ERROR oops\r\n":  "SERVER_ERROR",
-		"VERSION pamakv/1.0\r\n": "VERSION",
+	cases := map[string]Status{
+		"STORED\r\n":             StatusStored,
+		"NOT_STORED\r\n":         StatusNotStored,
+		"EXISTS\r\n":             StatusExists,
+		"NOT_FOUND\r\n":          StatusNotFound,
+		"DELETED\r\n":            StatusDeleted,
+		"TOUCHED\r\n":            StatusTouched,
+		"OK\r\n":                 StatusOK,
+		"ERROR\r\n":              StatusError,
+		"END\r\n":                StatusEnd,
+		"17\r\n":                 StatusNumber,
+		"SERVER_ERROR oops\r\n":  StatusServerError,
+		"VERSION pamakv/1.0\r\n": StatusVersion,
 	}
 	for in, want := range cases {
 		resp, err := ReadResponse(bufio.NewReader(strings.NewReader(in)))
@@ -291,7 +290,7 @@ func TestReadResponseStatuses(t *testing.T) {
 			t.Fatalf("%q: %v", in, err)
 		}
 		if resp.Status != want {
-			t.Fatalf("%q -> status %q, want %q", in, resp.Status, want)
+			t.Fatalf("%q -> status %v, want %v", in, resp.Status, want)
 		}
 	}
 	resp, _ := ReadResponse(bufio.NewReader(strings.NewReader("17\r\n")))

@@ -32,9 +32,10 @@ func ReadCommand(r *bufio.Reader) (*Command, error) {
 	if len(fields) == 0 {
 		return nil, clientErrf("empty command")
 	}
-	cmd := &Command{Name: strings.ToLower(fields[0])}
+	name := strings.ToLower(fields[0])
+	cmd := &Command{Verb: refVerbs[name]}
 	args := fields[1:]
-	switch cmd.Name {
+	switch name {
 	case "get", "gets":
 		if len(args) == 0 {
 			return nil, clientErrf("get requires at least one key")
@@ -49,12 +50,12 @@ func ReadCommand(r *bufio.Reader) (*Command, error) {
 		// Storage commands share the grammar; cas carries one extra
 		// token operand before the optional noreply.
 		want := 4
-		if cmd.Name == "cas" {
+		if name == "cas" {
 			want = 5
 		}
 		if len(args) != want && !(len(args) == want+1 && args[want] == "noreply") {
 			return nil, clientErrf("%s requires <key> <flags> <exptime> <bytes>%s [noreply]",
-				cmd.Name, map[bool]string{true: " <cas>", false: ""}[cmd.Name == "cas"])
+				name, map[bool]string{true: " <cas>", false: ""}[name == "cas"])
 		}
 		if err := checkKey(args[0]); err != nil {
 			return nil, err
@@ -75,7 +76,7 @@ func ReadCommand(r *bufio.Reader) (*Command, error) {
 			return nil, clientErrf("bad bytes %q", args[3])
 		}
 		cmd.Bytes = n
-		if cmd.Name == "cas" {
+		if name == "cas" {
 			id, err := strconv.ParseUint(args[4], 10, 64)
 			if err != nil {
 				return nil, clientErrf("bad cas token %q", args[4])
@@ -99,7 +100,7 @@ func ReadCommand(r *bufio.Reader) (*Command, error) {
 		cmd.NoReply = len(args) == 2
 	case "incr", "decr":
 		if len(args) != 2 && !(len(args) == 3 && args[2] == "noreply") {
-			return nil, clientErrf("%s requires <key> <delta> [noreply]", cmd.Name)
+			return nil, clientErrf("%s requires <key> <delta> [noreply]", name)
 		}
 		if err := checkKey(args[0]); err != nil {
 			return nil, err
@@ -128,9 +129,28 @@ func ReadCommand(r *bufio.Reader) (*Command, error) {
 	case "stats", "flush_all", "version", "quit":
 		// No operands used.
 	default:
-		return nil, clientErrf("unknown command %q", cmd.Name)
+		return nil, clientErrf("unknown command %q", name)
 	}
 	return cmd, nil
+}
+
+// refVerbs spells the verbs out again, independently of the package's own
+// table, so the spec does not inherit a mistake in it.
+var refVerbs = map[string]Verb{
+	"get": VerbGet, "gets": VerbGets, "set": VerbSet, "add": VerbAdd,
+	"replace": VerbReplace, "append": VerbAppend, "prepend": VerbPrepend,
+	"cas": VerbCAS, "delete": VerbDelete, "incr": VerbIncr, "decr": VerbDecr,
+	"touch": VerbTouch, "stats": VerbStats, "flush_all": VerbFlushAll,
+	"version": VerbVersion, "quit": VerbQuit,
+}
+
+// refStatuses spells the status words out again, as refVerbs does the verbs.
+var refStatuses = map[string]Status{
+	"END": StatusEnd, "STORED": StatusStored, "NOT_STORED": StatusNotStored,
+	"EXISTS": StatusExists, "NOT_FOUND": StatusNotFound, "DELETED": StatusDeleted,
+	"TOUCHED": StatusTouched, "OK": StatusOK, "ERROR": StatusError,
+	"CLIENT_ERROR": StatusClientError, "SERVER_ERROR": StatusServerError,
+	"VERSION": StatusVersion,
 }
 
 // readData consumes an n-byte data block plus its CRLF terminator.
@@ -228,19 +248,16 @@ func ReadResponse(r *bufio.Reader) (*Response, error) {
 				return nil, clientErrf("STAT line needs a name and a value")
 			}
 			resp.Stats = append(resp.Stats, [2]string{fields[1], strings.Join(fields[2:], " ")})
-		case "END":
-			resp.Status = "END"
-			return resp, nil
-		case "STORED", "NOT_STORED", "EXISTS", "NOT_FOUND", "DELETED", "TOUCHED", "OK", "ERROR":
-			resp.Status = fields[0]
+		case "END", "STORED", "NOT_STORED", "EXISTS", "NOT_FOUND", "DELETED", "TOUCHED", "OK", "ERROR":
+			resp.Status = refStatuses[fields[0]]
 			return resp, nil
 		case "CLIENT_ERROR", "SERVER_ERROR", "VERSION":
-			resp.Status = fields[0]
+			resp.Status = refStatuses[fields[0]]
 			resp.Message = strings.Join(fields[1:], " ")
 			return resp, nil
 		default:
 			if n, err := strconv.ParseUint(fields[0], 10, 64); err == nil && len(fields) == 1 {
-				resp.Status = "NUMBER"
+				resp.Status = StatusNumber
 				resp.Number = n
 				return resp, nil
 			}

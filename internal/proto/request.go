@@ -12,15 +12,15 @@ import "strconv"
 // data-block bytes (the Bytes field is ignored — the block length is
 // len(Data)).
 func AppendCommand(dst []byte, cmd *Command) []byte {
-	dst = append(dst, cmd.Name...)
-	switch cmd.Name {
-	case "get", "gets":
+	dst = append(dst, verbNames[cmd.Verb]...)
+	switch cmd.Verb {
+	case VerbGet, VerbGets:
 		for _, k := range cmd.Keys {
 			dst = append(dst, ' ')
 			dst = append(dst, k...)
 		}
 		return append(dst, '\r', '\n')
-	case "set", "add", "replace", "append", "prepend", "cas":
+	case VerbSet, VerbAdd, VerbReplace, VerbAppend, VerbPrepend, VerbCAS:
 		dst = append(dst, ' ')
 		dst = append(dst, cmd.Keys[0]...)
 		dst = append(dst, ' ')
@@ -29,7 +29,7 @@ func AppendCommand(dst []byte, cmd *Command) []byte {
 		dst = strconv.AppendInt(dst, cmd.Exptime, 10)
 		dst = append(dst, ' ')
 		dst = strconv.AppendInt(dst, int64(len(cmd.Data)), 10)
-		if cmd.Name == "cas" {
+		if cmd.Verb == VerbCAS {
 			dst = append(dst, ' ')
 			dst = strconv.AppendUint(dst, cmd.CasID, 10)
 		}
@@ -37,19 +37,19 @@ func AppendCommand(dst []byte, cmd *Command) []byte {
 		dst = append(dst, '\r', '\n')
 		dst = append(dst, cmd.Data...)
 		return append(dst, '\r', '\n')
-	case "delete":
+	case VerbDelete:
 		dst = append(dst, ' ')
 		dst = append(dst, cmd.Keys[0]...)
 		dst = appendNoReply(dst, cmd.NoReply)
 		return append(dst, '\r', '\n')
-	case "touch":
+	case VerbTouch:
 		dst = append(dst, ' ')
 		dst = append(dst, cmd.Keys[0]...)
 		dst = append(dst, ' ')
 		dst = strconv.AppendInt(dst, cmd.Exptime, 10)
 		dst = appendNoReply(dst, cmd.NoReply)
 		return append(dst, '\r', '\n')
-	case "incr", "decr":
+	case VerbIncr, VerbDecr:
 		dst = append(dst, ' ')
 		dst = append(dst, cmd.Keys[0]...)
 		dst = append(dst, ' ')
@@ -106,11 +106,8 @@ func AppendResp(dst []byte, r *Resp, withCAS bool) []byte {
 	case StatusNumber:
 		return AppendNumberLine(dst, r.Number)
 	case StatusClientError, StatusServerError, StatusVersion:
-		dst = append(dst, r.Status.String()...)
-		dst = append(dst, ' ')
-		dst = append(dst, r.Msg...)
-		return append(dst, '\r', '\n')
+		return AppendStatusMsg(dst, r.Status, r.Msg)
 	default:
-		return AppendLine(dst, r.Status.String())
+		return AppendStatus(dst, r.Status)
 	}
 }

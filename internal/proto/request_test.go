@@ -7,35 +7,48 @@ import (
 	"testing"
 )
 
-// TestAppendCommandRoundTrip checks that AppendCommand is the inverse of
-// ReadCommand over the full command set.
+// TestAppendCommandRoundTrip checks that AppendCommand is the inverse of both
+// parsers over every verb. The cases are built by ranging over the verbs, so
+// a verb that the renderer, the reference parser or the in-place parser does
+// not know fails here.
 func TestAppendCommandRoundTrip(t *testing.T) {
-	cmds := []*Command{
-		{Name: "get", Keys: []string{"a"}},
-		{Name: "get", Keys: []string{"a", "b", "longer-key"}},
-		{Name: "gets", Keys: []string{"x"}},
-		{Name: "set", Keys: []string{"k"}, Flags: 7, Exptime: 60, Data: []byte("hello")},
-		{Name: "set", Keys: []string{"k"}, Flags: 0, Exptime: 0, Data: []byte{}, NoReply: true},
-		{Name: "add", Keys: []string{"k"}, Flags: 1, Exptime: 2, Data: []byte("v")},
-		{Name: "replace", Keys: []string{"k"}, Data: []byte("vv")},
-		{Name: "append", Keys: []string{"k"}, Data: []byte("tail")},
-		{Name: "prepend", Keys: []string{"k"}, Data: []byte("head"), NoReply: true},
-		{Name: "cas", Keys: []string{"k"}, Flags: 3, Exptime: 9, CasID: 12345, Data: []byte("w")},
-		{Name: "delete", Keys: []string{"k"}},
-		{Name: "delete", Keys: []string{"k"}, NoReply: true},
-		{Name: "touch", Keys: []string{"k"}, Exptime: 30},
-		{Name: "incr", Keys: []string{"n"}, Delta: 5},
-		{Name: "decr", Keys: []string{"n"}, Delta: 1, NoReply: true},
-		{Name: "stats"},
-		{Name: "flush_all"},
-		{Name: "version"},
-		{Name: "quit"},
+	var cmds []*Command
+	for v := Verb(0); v < numVerbs; v++ {
+		switch {
+		case v.Reads():
+			cmds = append(cmds,
+				&Command{Verb: v, Keys: []string{"a"}},
+				&Command{Verb: v, Keys: []string{"a", "b", "longer-key"}})
+		case v.Stores():
+			cmds = append(cmds,
+				&Command{Verb: v, Keys: []string{"k"}, Flags: 7, Exptime: 60, Data: []byte("hello")},
+				&Command{Verb: v, Keys: []string{"k"}, Flags: 1, Exptime: -1, Data: []byte{}, NoReply: true})
+		case v.Keyed():
+			for _, noreply := range []bool{false, true} {
+				cmds = append(cmds, &Command{Verb: v, Keys: []string{"k"}, NoReply: noreply})
+			}
+		default:
+			cmds = append(cmds, &Command{Verb: v})
+		}
+	}
+	for _, c := range cmds {
+		switch c.Verb {
+		case VerbCAS:
+			c.CasID = 12345
+		case VerbTouch:
+			c.Exptime = 30
+		case VerbIncr, VerbDecr:
+			c.Delta = 5
+		}
 	}
 	for _, want := range cmds {
 		wire := AppendCommand(nil, want)
+		if !bytes.HasPrefix(wire, []byte(want.Verb.String())) {
+			t.Errorf("%v renders as %q", want.Verb, wire)
+		}
 		got, err := ReadCommand(bufio.NewReader(bytes.NewReader(wire)))
 		if err != nil {
-			t.Fatalf("%s: re-parse of %q: %v", want.Name, wire, err)
+			t.Fatalf("%v: re-parse of %q: %v", want.Verb, wire, err)
 		}
 		// ReadCommand records the declared block length; mirror it before
 		// comparing.
@@ -44,8 +57,17 @@ func TestAppendCommandRoundTrip(t *testing.T) {
 			got.Data = want.Data // []byte{} vs nil for empty blocks
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: round trip = %+v, want %+v (wire %q)", want.Name, got, want, wire)
+			t.Errorf("%v: round trip = %+v, want %+v (wire %q)", want.Verb, got, want, wire)
 		}
+		p := NewParser(bufio.NewReader(bytes.NewReader(wire)))
+		fast, err := p.ReadCommand()
+		if err != nil {
+			t.Fatalf("%v: in-place parse of %q: %v", want.Verb, wire, err)
+		}
+		if msg := commandDiff(want, fast); msg != "" {
+			t.Errorf("%v: in-place round trip of %q: %s", want.Verb, wire, msg)
+		}
+		p.Close()
 	}
 }
 

@@ -16,14 +16,12 @@ type Value struct {
 // Response is one complete server reply, as a client sees it: the final
 // status line plus any VALUE blocks and STAT lines that preceded it.
 type Response struct {
-	// Status is the terminating line's verb: "END", "STORED",
-	// "NOT_STORED", "EXISTS", "NOT_FOUND", "DELETED", "TOUCHED", "OK",
-	// "ERROR", "CLIENT_ERROR", "SERVER_ERROR", "VERSION", or "NUMBER"
-	// for a bare incr/decr result.
-	Status string
+	// Status is the terminating line's word, or StatusNumber for a bare
+	// incr/decr result.
+	Status Status
 	// Message carries the remainder of an error or VERSION line.
 	Message string
-	// Number is the parsed result when Status == "NUMBER".
+	// Number is the parsed result when Status == StatusNumber.
 	Number uint64
 	// Values collects the VALUE blocks of a get/gets reply.
 	Values []Value

@@ -60,63 +60,6 @@ type rvalMeta struct {
 // statMeta records one STAT line's arena intervals.
 type statMeta struct{ name, value span }
 
-// Status identifies a response's terminal line.
-type Status uint8
-
-// Terminal statuses, in the reference parser's vocabulary. StatusNumber
-// stands for a bare incr/decr result line.
-const (
-	StatusEnd Status = iota
-	StatusStored
-	StatusNotStored
-	StatusExists
-	StatusNotFound
-	StatusDeleted
-	StatusTouched
-	StatusOK
-	StatusError
-	StatusClientError
-	StatusServerError
-	StatusVersion
-	StatusNumber
-)
-
-var statusNames = [...]string{
-	StatusEnd:         "END",
-	StatusStored:      "STORED",
-	StatusNotStored:   "NOT_STORED",
-	StatusExists:      "EXISTS",
-	StatusNotFound:    "NOT_FOUND",
-	StatusDeleted:     "DELETED",
-	StatusTouched:     "TOUCHED",
-	StatusOK:          "OK",
-	StatusError:       "ERROR",
-	StatusClientError: "CLIENT_ERROR",
-	StatusServerError: "SERVER_ERROR",
-	StatusVersion:     "VERSION",
-	StatusNumber:      "NUMBER",
-}
-
-// String returns the status's wire word ("END", "STORED", ... or "NUMBER"
-// for a bare numeric line), matching Response.Status exactly.
-func (s Status) String() string {
-	if int(s) < len(statusNames) {
-		return statusNames[s]
-	}
-	return fmt.Sprintf("Status(%d)", uint8(s))
-}
-
-// wireStatus matches a terminal-line token against the status vocabulary.
-// StatusNumber is excluded: numeric lines are recognized by parsing.
-func wireStatus(tok []byte) (Status, bool) {
-	for st := StatusEnd; st < StatusNumber; st++ {
-		if string(tok) == statusNames[st] {
-			return st, true
-		}
-	}
-	return 0, false
-}
-
 // RValue is one VALUE block of a response, as views into the reader's arena.
 type RValue struct {
 	Key   []byte
@@ -150,7 +93,7 @@ func (r *Resp) IsShed() bool {
 // Response converts r to the allocating reference representation, for
 // callers that keep a reply (control traffic, tests) rather than relay it.
 func (r *Resp) Response() *Response {
-	out := &Response{Status: r.Status.String(), Message: string(r.Msg), Number: r.Number}
+	out := &Response{Status: r.Status, Message: string(r.Msg), Number: r.Number}
 	for _, v := range r.Values {
 		out.Values = append(out.Values, Value{Key: string(v.Key), Flags: v.Flags, CAS: v.CAS, Data: bytes.Clone(v.Data)})
 	}

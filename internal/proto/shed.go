@@ -11,5 +11,5 @@ const ShedMsg = "busy (shed)"
 
 // AppendShed renders the shed rejection line.
 func AppendShed(dst []byte) []byte {
-	return append(dst, "SERVER_ERROR "+ShedMsg+"\r\n"...)
+	return AppendStatusMsg(dst, StatusServerError, ShedMsg)
 }

@@ -46,7 +46,7 @@ func benchServer(tb testing.TB, n int) (*Server, []string) {
 // not add to it. AllocsPerRun's warm-up call grows the scratch once.
 func TestServedGetAllocations(t *testing.T) {
 	srv, keys := benchServer(t, 4)
-	cmd := &proto.Command{Name: "get", Keys: keys[:1]}
+	cmd := &proto.Command{Verb: proto.VerbGet, Keys: keys[:1]}
 	sc := &connScratch{out: make([]byte, 0, 4096)}
 	allocs := testing.AllocsPerRun(5000, func() {
 		sc.out = srv.dispatch(sc, sc.out[:0], cmd, nil)

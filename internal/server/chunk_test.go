@@ -65,7 +65,7 @@ func TestParseAheadStopsAt64KiB(t *testing.T) {
 	if e := sc.chunk[3]; e.cmd != nil || !strings.Contains(e.msg, "unknown command") {
 		t.Fatalf("malformed line parsed as %+v", e)
 	}
-	if last := sc.chunk[5].cmd; last.Name != "quit" || r.Buffered() == 0 {
+	if last := sc.chunk[5].cmd; last.Verb != proto.VerbQuit || r.Buffered() == 0 {
 		t.Fatalf("parse went past the quit: last %+v, %d bytes left", last, r.Buffered())
 	}
 	sc.chunk = sc.chunk[:0]

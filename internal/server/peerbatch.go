@@ -37,13 +37,6 @@ import (
 // what a peer connection's socket buffers take without the owner reading.
 const maxExchangeBytes = 32 << 10
 
-// Kinds of deferred command.
-const (
-	deferGet = iota
-	deferGets
-	deferWrite
-)
-
 // span is a half-open byte interval of a buffer that may still grow.
 type span struct{ off, end int }
 
@@ -54,7 +47,7 @@ type deferredCmd struct {
 	pos     int    // hole: offset in connScratch.out where the reply belongs
 	key     span   // the key, inside the exchange's rendered requests
 	h       uint64 // its hash (keyRoute.h), which the hot cache takes
-	kind    uint8
+	verb    proto.Verb
 	noreply bool
 
 	// Filled from the owner's reply: the bytes this node's client is owed
@@ -136,17 +129,17 @@ func (s *Server) deferWrite(sc *connScratch, out []byte, cmd *proto.Command, r k
 			return out
 		}
 		atomic.AddUint64(&s.st.ServerErrors, 1)
-		return proto.AppendLine(out, "SERVER_ERROR no client for peer "+r.owner)
+		return proto.AppendStatusMsg(out, proto.StatusServerError, "no client for peer "+r.owner)
 	}
 	// Forward without noreply so the owner's outcome is observable here,
 	// then honor the client's noreply on the relay side.
 	fwd := *cmd
 	fwd.NoReply = false
 	ex := &sc.exchanges[e]
-	koff := len(ex.req) + len(cmd.Name) + 1 // every write renders as "<verb> <key>..."
+	koff := len(ex.req) + len(cmd.Verb.String()) + 1 // every write renders as "<verb> <key>..."
 	ex.req = proto.AppendCommand(ex.req, &fwd)
-	d := deferredCmd{pos: len(out), key: span{koff, koff + len(cmd.Keys[0])}, h: r.h, kind: deferWrite, noreply: cmd.NoReply}
-	if cmd.Name == "set" && cmd.Exptime == 0 {
+	d := deferredCmd{pos: len(out), key: span{koff, koff + len(cmd.Keys[0])}, h: r.h, verb: cmd.Verb, noreply: cmd.NoReply}
+	if cmd.Verb == proto.VerbSet && cmd.Exptime == 0 {
 		end := len(ex.req) - 2 // the data block ends the request, before its CRLF
 		d.val, d.flags, d.hit = span{end - len(cmd.Data), end}, cmd.Flags, true
 	}
@@ -172,13 +165,14 @@ func (s *Server) deferGet(sc *connScratch, out []byte, key string, r keyRoute, w
 	}
 	atomic.AddUint64(&s.st.PeerForwards, 1)
 	ex := &sc.exchanges[e]
-	verb, kind := "get ", uint8(deferGet)
+	verb := proto.VerbGet
 	if withCAS {
-		verb, kind = "gets ", deferGets
+		verb = proto.VerbGets
 	}
-	koff := len(ex.req) + len(verb)
-	ex.req = append(append(append(ex.req, verb...), key...), '\r', '\n')
-	sc.push(e, deferredCmd{pos: len(out), key: span{koff, koff + len(key)}, h: r.h, kind: kind})
+	keys := [1]string{key}
+	koff := len(ex.req) + len(verb.String()) + 1
+	ex.req = proto.AppendCommand(ex.req, &proto.Command{Verb: verb, Keys: keys[:]})
+	sc.push(e, deferredCmd{pos: len(out), key: span{koff, koff + len(key)}, h: r.h, verb: verb})
 	return out
 }
 
@@ -227,7 +221,7 @@ func (s *Server) completeDeferred(sc *connScratch) {
 func (sc *connScratch) record(ex *peerExchange, d *deferredCmd, r *proto.Resp) {
 	d.shed = r.IsShed()
 	switch {
-	case d.kind == deferWrite:
+	case !d.verb.Reads():
 		d.hit = d.hit && r.Status == proto.StatusStored
 		// The owner's reply relays verbatim, a shed included: the client
 		// sees the same signal a local shed would send.
@@ -250,7 +244,7 @@ func (sc *connScratch) record(ex *peerExchange, d *deferredCmd, r *proto.Resp) {
 // recordValue renders a GET hit's VALUE block into sc.rep.
 func (sc *connScratch) recordValue(d *deferredCmd, v *proto.RValue) {
 	off := len(sc.rep)
-	sc.rep = proto.AppendRValue(sc.rep, v, d.kind == deferGets)
+	sc.rep = proto.AppendRValue(sc.rep, v, d.verb == proto.VerbGets)
 	end := len(sc.rep)
 	d.reply = span{off, end}
 	d.val = span{end - 2 - len(v.Data), end - 2}
@@ -268,7 +262,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 	// Hot-cache fills stop under pressure: copying bytes into the
 	// mini-cache is work the strained node can skip.
 	fill := s.hot != nil && s.overloadTier() < overload.TierStrained
-	if d.kind == deferWrite {
+	if !d.verb.Reads() {
 		switch {
 		case fill && ex.err == nil && d.hit:
 			// The owner stored exactly these bytes: keep them, so the
@@ -287,7 +281,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 			if !d.noreply {
 				atomic.AddUint64(&s.st.ServerErrors, 1)
 				off := len(sc.rep)
-				sc.rep = proto.AppendLine(sc.rep, "SERVER_ERROR peer "+ex.owner+" unavailable")
+				sc.rep = proto.AppendStatusMsg(sc.rep, proto.StatusServerError, "peer "+ex.owner+" unavailable")
 				d.reply = span{off, len(sc.rep)}
 			}
 			return
@@ -297,7 +291,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 		}
 		return
 	}
-	backfill := d.kind == deferGet && fill
+	backfill := d.verb == proto.VerbGet && fill
 	if ex.err != nil {
 		atomic.AddUint64(&s.st.PeerErrors, 1)
 		d.reply = span{}
@@ -317,7 +311,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 		defer bufpool.Put(owned) // the reply and the hot cache copy body
 		atomic.AddUint64(&s.st.PeerFallbacks, 1)
 		off := len(sc.rep)
-		if d.kind == deferGets {
+		if d.verb == proto.VerbGets {
 			sc.rep = proto.AppendValueCAS(sc.rep, skey, 0, body, 0)
 		} else {
 			sc.rep = proto.AppendValue(sc.rep, skey, 0, body)

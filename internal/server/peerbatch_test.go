@@ -233,7 +233,7 @@ func TestBatchLargeValuesDoNotStall(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if cmd.Name == "get" {
+			if cmd.Verb == proto.VerbGet {
 				out = proto.AppendEnd(proto.AppendValue(out, cmd.Keys[0], 0, []byte(val)))
 			} else {
 				out = proto.AppendLine(out, "STORED")
@@ -499,7 +499,7 @@ func TestForwardedWriteInvalidatesHotCacheAfterReply(t *testing.T) {
 			}
 			var out []byte
 			switch {
-			case cmd.Name == "set":
+			case cmd.Verb == proto.VerbSet:
 				close(gotSet)
 				<-answerSet
 				out = proto.AppendLine(out, "STORED")
@@ -611,7 +611,7 @@ func TestForwardedWriteKeepsOnlyStoredSets(t *testing.T) {
 						return
 					}
 					var out []byte
-					if cmd.Name == "get" {
+					if cmd.Verb == proto.VerbGet {
 						out = proto.AppendEnd(proto.AppendValue(out, cmd.Keys[0], 0, []byte(cur.Load().(string))))
 					} else {
 						cur.Store(after)

@@ -72,16 +72,16 @@ const (
 // famNames label the families in Latencies() and /metrics.
 var famNames = [numFams]string{"get", "set", "delete", "delta", "other"}
 
-// famOf maps a protocol command to its latency family.
-func famOf(name string) uint8 {
-	switch name {
-	case "get", "gets":
+// famOf maps a protocol verb to its latency family.
+func famOf(v proto.Verb) uint8 {
+	switch {
+	case v.Reads():
 		return famGet
-	case "set", "add", "replace", "append", "prepend", "cas":
+	case v.Stores():
 		return famSet
-	case "delete":
+	case v == proto.VerbDelete:
 		return famDelete
-	case "incr", "decr":
+	case v == proto.VerbIncr || v == proto.VerbDecr:
 		return famDelta
 	default:
 		return famOther
@@ -703,7 +703,7 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			// Recoverable protocol error: reply and keep serving.
-			sc.out = proto.AppendLine(sc.out[:0], "CLIENT_ERROR "+clientMsg(err))
+			sc.out = proto.AppendStatusMsg(sc.out[:0], proto.StatusClientError, clientMsg(err))
 			if !s.flush(conn, sc) {
 				return
 			}
@@ -760,7 +760,7 @@ func (s *Server) handle(conn net.Conn) {
 			if fatal := s.readError(conn, sc, batchErr); fatal {
 				return
 			}
-			sc.out = proto.AppendLine(sc.out[:0], "CLIENT_ERROR "+clientMsg(batchErr))
+			sc.out = proto.AppendStatusMsg(sc.out[:0], proto.StatusClientError, clientMsg(batchErr))
 			if !s.flush(conn, sc) {
 				return
 			}
@@ -783,7 +783,7 @@ func (s *Server) handle(conn net.Conn) {
 // how many commands it parsed and whether the chunk ends in a quit.
 func parseAhead(p *proto.Parser, sc *connScratch, budget int) (n int, quit bool, err error) {
 	if k := len(sc.chunk); k > 0 && sc.chunk[k-1].cmd != nil {
-		quit = sc.chunk[k-1].cmd.Name == "quit"
+		quit = sc.chunk[k-1].cmd.Verb == proto.VerbQuit
 	}
 	for !quit && n < budget && p.Ready() && p.ChunkData() < maxRetainedScratch {
 		cmd, rerr := p.ReadCommand()
@@ -800,7 +800,7 @@ func parseAhead(p *proto.Parser, sc *connScratch, budget int) (n int, quit bool,
 		}
 		sc.chunk = append(sc.chunk, chunkEntry{cmd: cmd})
 		n++
-		quit = cmd.Name == "quit"
+		quit = cmd.Verb == proto.VerbQuit
 	}
 	return n, quit, nil
 }
@@ -814,10 +814,10 @@ func (s *Server) serveChunk(sc *connScratch, served *[numFams]uint64, split bool
 	for _, e := range sc.chunk {
 		if e.cmd == nil {
 			atomic.AddUint64(&s.st.ClientErrors, 1)
-			sc.out = proto.AppendLine(append(sc.out, "CLIENT_ERROR "...), e.msg)
+			sc.out = proto.AppendStatusMsg(sc.out, proto.StatusClientError, e.msg)
 			continue
 		}
-		served[famOf(e.cmd.Name)]++
+		served[famOf(e.cmd.Verb)]++
 		var rt []keyRoute
 		if s.peers != nil {
 			rt = sc.routes[e.rt : e.rt+len(e.cmd.Keys)]
@@ -858,7 +858,7 @@ func (s *Server) routeChunk(sc *connScratch, split bool) {
 			routes = append(routes, make([]keyRoute, len(e.cmd.Keys))...)
 		default:
 			e.rt = len(routes)
-			toHot := e.cmd.Name == "get" && s.hot != nil
+			toHot := e.cmd.Verb == proto.VerbGet && s.hot != nil
 			for _, k := range e.cmd.Keys {
 				r := keyRoute{h: kv.HashString(k)}
 				if owner := ring.OwnerHash(r.h); owner != "" && owner != self {
@@ -923,7 +923,7 @@ func (s *Server) readError(conn net.Conn, sc *connScratch, err error) (fatal boo
 		// Framing is unrecoverable; tell the client whose fault it
 		// was, then close.
 		atomic.AddUint64(&s.st.ClientErrors, 1)
-		sc.out = proto.AppendLine(sc.out[:0], "CLIENT_ERROR line too long")
+		sc.out = proto.AppendStatusMsg(sc.out[:0], proto.StatusClientError, "line too long")
 		s.flush(conn, sc)
 		return true
 	case errors.As(err, &ce):
@@ -947,17 +947,6 @@ func clientMsg(err error) string {
 	return err.Error()
 }
 
-// admissible reports whether a command is subject to admission control.
-// Administrative commands (stats, version, flush_all, quit) always pass — an
-// operator must be able to observe a server precisely when it is overloaded.
-func admissible(name string) bool {
-	switch name {
-	case "get", "gets", "set", "add", "replace", "append", "prepend", "cas", "incr", "decr", "delete", "touch":
-		return true
-	}
-	return false
-}
-
 // classify maps a parsed command to the shed policy's (op, penalty subclass,
 // tenant SLO class): reads vs writes, and the key's backend miss penalty
 // bucketed into the paper's subclasses. A multi-key get takes its most
@@ -967,7 +956,7 @@ func admissible(name string) bool {
 // every key serves at SLO class 0 (no demotion).
 func (s *Server) classify(cmd *proto.Command) (overload.Op, int, int) {
 	op := overload.OpWrite
-	if cmd.Name == "get" || cmd.Name == "gets" {
+	if cmd.Verb.Reads() {
 		op = overload.OpRead
 	}
 	pen := penalty.DefaultUnknown
@@ -1021,7 +1010,10 @@ func (s *Server) serve(sc *connScratch, out []byte, cmd *proto.Command, rt []key
 		// -membership-secret). See the membership package's trust model.
 		return s.doMembership(out, cmd)
 	}
-	if s.ctrl == nil || !admissible(cmd.Name) {
+	// Only keyed commands are subject to admission control. Administrative
+	// ones (stats, version, flush_all, quit) always pass — an operator must
+	// be able to observe a server precisely when it is overloaded.
+	if s.ctrl == nil || !cmd.Verb.Keyed() {
 		return s.dispatch(sc, out, cmd, rt)
 	}
 	op, sub, slo := s.classify(cmd)
@@ -1045,55 +1037,48 @@ func (s *Server) serve(sc *connScratch, out []byte, cmd *proto.Command, rt []key
 // buffer, so whatever retains a key beyond this call copies it: the engine when it
 // inserts an item, the hot-cache fill before it stores one.
 func (s *Server) dispatch(sc *connScratch, out []byte, cmd *proto.Command, rt []keyRoute) []byte {
-	if rt != nil {
-		switch cmd.Name {
-		case "set", "add", "replace", "append", "prepend", "cas", "delete", "touch", "incr", "decr":
-			// Single-owner writes: mutations of a key this node does
-			// not own are relayed to the owner, so one authoritative
-			// copy exists cluster-wide. (GETs route per key inside
-			// doGet — a multi-key get may span owners.)
-			if rt[0].owner != "" {
-				return s.deferWrite(sc, out, cmd, rt[0])
-			}
-		}
+	v := cmd.Verb
+	if rt != nil && v.Keyed() && !v.Reads() && rt[0].owner != "" {
+		// Single-owner writes: mutations of a key this node does not own
+		// are relayed to the owner, so one authoritative copy exists
+		// cluster-wide. (GETs route per key inside doGet — a multi-key get
+		// may span owners.)
+		return s.deferWrite(sc, out, cmd, rt[0])
 	}
-	switch cmd.Name {
-	case "get", "gets":
+	switch {
+	case v.Reads():
 		return s.doGet(sc, out, cmd, rt)
-	case "set", "add", "replace", "cas", "append", "prepend":
+	case v.Stores():
 		return s.doSet(out, cmd)
-	case "incr", "decr":
+	case v == proto.VerbIncr || v == proto.VerbDecr:
 		return s.doDelta(out, cmd)
-	case "touch":
+	case v == proto.VerbTouch:
 		ok := s.c.Touch(cmd.Keys[0], expireAt(cmd.Exptime))
 		if cmd.NoReply {
 			return out
 		}
 		if ok {
-			return proto.AppendLine(out, "TOUCHED")
+			return proto.AppendStatus(out, proto.StatusTouched)
 		}
-		return proto.AppendLine(out, "NOT_FOUND")
-	case "delete":
+		return proto.AppendStatus(out, proto.StatusNotFound)
+	case v == proto.VerbDelete:
 		ok := s.c.Delete(cmd.Keys[0])
 		if cmd.NoReply {
 			return out
 		}
 		if ok {
-			return proto.AppendLine(out, "DELETED")
+			return proto.AppendStatus(out, proto.StatusDeleted)
 		}
-		return proto.AppendLine(out, "NOT_FOUND")
-	case "stats":
+		return proto.AppendStatus(out, proto.StatusNotFound)
+	case v == proto.VerbStats:
 		return s.doStats(out)
-	case "flush_all":
+	case v == proto.VerbFlushAll:
 		s.c.Flush()
-		return proto.AppendLine(out, "OK")
-	case "version":
-		return proto.AppendLine(out, "VERSION pamakv/1.0")
-	case "quit":
+		return proto.AppendStatus(out, proto.StatusOK)
+	case v == proto.VerbVersion:
+		return proto.AppendStatusMsg(out, proto.StatusVersion, "pamakv/1.0")
+	default: // quit: the connection closes once the batch is flushed
 		return out
-	default:
-		atomic.AddUint64(&s.st.ClientErrors, 1)
-		return proto.AppendLine(out, "ERROR")
 	}
 }
 
@@ -1103,19 +1088,22 @@ func (s *Server) dispatch(sc *connScratch, out []byte, cmd *proto.Command, rt []
 // refuse them — a static cluster (or a standalone server) must not store
 // control traffic as data.
 func (s *Server) doMembership(out []byte, cmd *proto.Command) []byte {
-	reply := func(line string) []byte {
-		if cmd.NoReply {
+	reply := func(st proto.Status, msg string) []byte {
+		switch {
+		case cmd.NoReply:
 			return out
+		case msg == "":
+			return proto.AppendStatus(out, st)
 		}
-		return proto.AppendLine(out, line)
+		return proto.AppendStatusMsg(out, st, msg)
 	}
 	m := s.mem
 	if m == nil {
 		atomic.AddUint64(&s.st.ServerErrors, 1)
-		return reply("SERVER_ERROR membership not enabled")
+		return reply(proto.StatusServerError, "membership not enabled")
 	}
 	switch {
-	case cmd.Name == "set" && cmd.Keys[0] == membership.KeyApply:
+	case cmd.Verb == proto.VerbSet && cmd.Keys[0] == membership.KeyApply:
 		body, err := m.Authorize(cmd.Data)
 		var epoch uint64
 		var members []string
@@ -1126,25 +1114,25 @@ func (s *Server) doMembership(out []byte, cmd *proto.Command) []byte {
 			err = m.Apply(epoch, members, "peer push")
 		}
 		if err != nil {
-			return reply("SERVER_ERROR " + err.Error())
+			return reply(proto.StatusServerError, err.Error())
 		}
-		return reply("STORED")
-	case cmd.Name == "set" && cmd.Keys[0] == membership.KeyJoin:
+		return reply(proto.StatusStored, "")
+	case cmd.Verb == proto.VerbSet && cmd.Keys[0] == membership.KeyJoin:
 		body, err := m.Authorize(cmd.Data)
 		if err == nil {
 			err = m.Join(strings.TrimSpace(string(body)))
 		}
 		if err != nil {
-			return reply("SERVER_ERROR " + err.Error())
+			return reply(proto.StatusServerError, err.Error())
 		}
-		return reply("STORED")
-	case (cmd.Name == "get" || cmd.Name == "gets") && cmd.Keys[0] == membership.KeyView:
+		return reply(proto.StatusStored, "")
+	case cmd.Verb.Reads() && cmd.Keys[0] == membership.KeyView:
 		epoch, members := m.View()
 		out = proto.AppendValue(out, membership.KeyView, 0, membership.EncodeView(epoch, members))
-		return proto.AppendLine(out, "END")
+		return proto.AppendEnd(out)
 	default:
 		atomic.AddUint64(&s.st.ClientErrors, 1)
-		return reply("CLIENT_ERROR unknown membership control key")
+		return reply(proto.StatusClientError, "unknown membership control key")
 	}
 }
 
@@ -1213,7 +1201,7 @@ func (s *Server) fetchBackend(key string) (size int, pen float64, body []byte, o
 }
 
 func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command, rt []keyRoute) []byte {
-	withCAS := cmd.Name == "gets"
+	withCAS := cmd.Verb == proto.VerbGets
 	for i, key := range cmd.Keys {
 		if rt != nil && rt[i].owner != "" {
 			out = s.deferGet(sc, out, key, rt[i], withCAS)
@@ -1238,11 +1226,7 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command, rt []key
 				// Tier 1+: prefer a resident stale copy to paying a
 				// backend fetch at all — freshness is the first thing
 				// traded away under pressure.
-				if sval, sflags, ok := s.c.GetStale(key, sc.val[:0]); ok {
-					atomic.AddUint64(&s.st.StaleServes, 1)
-					val, flags, cas, hit = sval, sflags, 0, true
-					sc.val = sval[:0]
-				}
+				val, flags, cas, hit = s.staleCopy(sc, key)
 			}
 			if !hit && tier >= overload.TierShedding && s.ctrl.ShedFetchSLO(s.subclassOf(key), s.sloOf(key)) {
 				// Tier 2+: a cheap-penalty miss is not worth a backend
@@ -1273,13 +1257,8 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command, rt []key
 				}
 			default:
 				// Backend down: degrade to the engine's retained
-				// stale copy, if any. The reply carries no CAS
-				// token (a stale value must not win a cas race).
-				if sval, sflags, ok := s.c.GetStale(key, sc.val[:0]); ok {
-					atomic.AddUint64(&s.st.StaleServes, 1)
-					val, flags, cas, hit = sval, sflags, 0, true
-					sc.val = sval[:0]
-				}
+				// stale copy, if any.
+				val, flags, cas, hit = s.staleCopy(sc, key)
 			}
 		}
 		if hit {
@@ -1299,22 +1278,44 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command, rt []key
 	return proto.AppendEnd(out)
 }
 
+// staleCopy reads the engine's stale copy of key, for a GET miss the back
+// end will not or could not fill, into the connection's value scratch. A
+// stale copy carries CAS 0: a stale value must not win a cas race.
+func (s *Server) staleCopy(sc *connScratch, key string) (val []byte, flags uint32, cas uint64, ok bool) {
+	val, flags, ok = s.c.GetStale(key, sc.val[:0])
+	if ok {
+		atomic.AddUint64(&s.st.StaleServes, 1)
+		sc.val = val[:0]
+	}
+	return val, flags, 0, ok
+}
+
 func (s *Server) doDelta(out []byte, cmd *proto.Command) []byte {
-	next, err := s.c.Delta(cmd.Keys[0], cmd.Delta, cmd.Name == "decr")
+	next, err := s.c.Delta(cmd.Keys[0], cmd.Delta, cmd.Verb == proto.VerbDecr)
 	if cmd.NoReply {
 		return out
 	}
 	switch {
 	case errors.Is(err, cache.ErrNotStored):
-		return proto.AppendLine(out, "NOT_FOUND")
+		return proto.AppendStatus(out, proto.StatusNotFound)
 	case errors.Is(err, cache.ErrNotNumeric):
 		atomic.AddUint64(&s.st.ClientErrors, 1)
-		return proto.AppendLine(out, "CLIENT_ERROR cannot increment or decrement non-numeric value")
+		return proto.AppendStatusMsg(out, proto.StatusClientError, "cannot increment or decrement non-numeric value")
 	case err != nil:
 		atomic.AddUint64(&s.st.ServerErrors, 1)
-		return proto.AppendLine(out, fmt.Sprintf("SERVER_ERROR %v", err))
+		return proto.AppendStatusMsg(out, proto.StatusServerError, err.Error())
 	}
 	return proto.AppendNumberLine(out, next)
+}
+
+// setModes maps each storage verb to the engine's store mode.
+var setModes = [...]cache.SetMode{
+	proto.VerbSet:     cache.ModeSet,
+	proto.VerbAdd:     cache.ModeAdd,
+	proto.VerbReplace: cache.ModeReplace,
+	proto.VerbAppend:  cache.ModeAppend,
+	proto.VerbPrepend: cache.ModePrepend,
+	proto.VerbCAS:     cache.ModeCAS,
 }
 
 func (s *Server) doSet(out []byte, cmd *proto.Command) []byte {
@@ -1329,35 +1330,22 @@ func (s *Server) doSet(out []byte, cmd *proto.Command) []byte {
 		pen = s.opts.Backend.Penalty(key, len(cmd.Data))
 	}
 	size := len(key) + len(cmd.Data) + itemOverhead
-	mode := cache.ModeSet
-	switch cmd.Name {
-	case "add":
-		mode = cache.ModeAdd
-	case "replace":
-		mode = cache.ModeReplace
-	case "cas":
-		mode = cache.ModeCAS
-	case "append":
-		mode = cache.ModeAppend
-	case "prepend":
-		mode = cache.ModePrepend
-	}
-	err := s.c.SetMode(key, mode, cmd.CasID, size, pen, cmd.Flags, expireAt(cmd.Exptime), cmd.Data)
+	err := s.c.SetMode(key, setModes[cmd.Verb], cmd.CasID, size, pen, cmd.Flags, expireAt(cmd.Exptime), cmd.Data)
 	if cmd.NoReply {
 		return out
 	}
 	switch {
 	case err == nil:
-		return proto.AppendLine(out, "STORED")
+		return proto.AppendStatus(out, proto.StatusStored)
 	case errors.Is(err, cache.ErrCASMismatch):
-		return proto.AppendLine(out, "EXISTS")
-	case errors.Is(err, cache.ErrNotStored) && cmd.Name == "cas":
-		return proto.AppendLine(out, "NOT_FOUND")
+		return proto.AppendStatus(out, proto.StatusExists)
+	case errors.Is(err, cache.ErrNotStored) && cmd.Verb == proto.VerbCAS:
+		return proto.AppendStatus(out, proto.StatusNotFound)
 	case errors.Is(err, cache.ErrNotStored):
-		return proto.AppendLine(out, "NOT_STORED")
+		return proto.AppendStatus(out, proto.StatusNotStored)
 	default:
 		atomic.AddUint64(&s.st.ServerErrors, 1)
-		return proto.AppendLine(out, fmt.Sprintf("SERVER_ERROR %v", err))
+		return proto.AppendStatusMsg(out, proto.StatusServerError, err.Error())
 	}
 }
 

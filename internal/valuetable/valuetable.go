@@ -62,12 +62,6 @@ type slot struct {
 // minIndexSlots is the index's starting length.
 const minIndexSlots = 64
 
-// clockBase anchors monoNanos. time.Since of a time carrying a monotonic
-// reading reads only the monotonic clock, half the cost of time.Now.
-var clockBase = time.Now()
-
-func monoNanos() int64 { return int64(time.Since(clockBase)) }
-
 // entry is one cached value with its expiry deadline. buf holds the key
 // and then the value; a later Put into the slot reuses it.
 type entry struct {
@@ -90,7 +84,7 @@ func New(maxBytes int64, ttl time.Duration) *Table {
 	return &Table{
 		maxBytes: maxBytes,
 		ttl:      ttl,
-		now:      monoNanos,
+		now:      obs.MonoNanos,
 		index:    make([]slot, minIndexSlots),
 		head:     noSlot,
 		tail:     noSlot,
