@@ -268,11 +268,16 @@ func run(o options) error {
 	} else if o.staleMiB > 0 || o.fetchRetries > 0 || o.fetchTimeout > 0 {
 		log.Printf("pama-server: -stale-buffer/-fetch-* only apply with -readthrough")
 	}
+	// The controller comes first: the peers, the membership manager and
+	// the server each read its tier (nil, overload control off, reads
+	// normal).
+	var ctrl *overload.Controller
 	if o.overloadOn {
-		opts.Overload = &overload.Config{
+		ctrl = overload.New(overload.Config{
 			MaxInflight: o.maxInflight,
 			Target:      o.targetP99,
-		}
+		})
+		opts.Overload = ctrl
 		log.Printf("pama-server: overload control on (target p99 %v, max inflight %d)", o.targetP99, o.maxInflight)
 	}
 	var peers *cluster.Peers
@@ -297,6 +302,7 @@ func run(o options) error {
 		peers, err = cluster.New(cluster.Config{
 			Self:    self,
 			Members: members,
+			Tier:    ctrl.Tier,
 		})
 		if err != nil {
 			return err
@@ -308,6 +314,8 @@ func run(o options) error {
 			mgr, err = membership.New(membership.Config{
 				Self:          self,
 				Peers:         peers,
+				Source:        g,
+				Tier:          ctrl.Tier,
 				ProbeInterval: o.probeInterval,
 				Secret:        o.memSecret,
 				Logger:        log.New(os.Stderr, "pama-server: ", log.LstdFlags),

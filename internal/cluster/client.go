@@ -10,6 +10,7 @@ import (
 
 	"pamakv/internal/bufpool"
 	"pamakv/internal/obs"
+	"pamakv/internal/overload"
 	"pamakv/internal/proto"
 )
 
@@ -112,9 +113,10 @@ type Client struct {
 	br   *breaker
 
 	closed atomic.Bool
-	// degraded halves the retry budget while the local node is shedding:
-	// an overloaded node must not amplify load onto its peers.
-	degraded atomic.Bool
+	// tier reads the local node's pressure tier (nil: always normal); the
+	// retry budget halves from TierStrained up, so an overloaded node does
+	// not amplify load onto its peers. Set by Peers before first use.
+	tier func() int
 
 	// live tracks every open connection, pooled or in flight, so Close
 	// can tear all of them down immediately when the member is removed —
@@ -274,18 +276,10 @@ func (c *Client) recv(pc *pconn, n int, fn func(i int, r *proto.Resp)) (got int,
 	return got, nil
 }
 
-// SetDegraded flips load-amplification avoidance: while degraded, the
-// retry budget halves. The server sets this when its overload controller
-// leaves TierNormal.
-func (c *Client) SetDegraded(d bool) { c.degraded.Store(d) }
-
-// Degraded reports whether the client is in degraded (shedding) mode.
-func (c *Client) Degraded() bool { return c.degraded.Load() }
-
 // retryBudget is the transport-retry allowance for one op: the configured
-// Retries, halved while degraded.
+// Retries, halved while the local node is strained or worse.
 func (c *Client) retryBudget() int {
-	if c.degraded.Load() {
+	if c.tier != nil && c.tier() >= overload.TierStrained {
 		return c.opts.Retries / 2
 	}
 	return c.opts.Retries

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pamakv/internal/overload"
 	"pamakv/internal/proto"
 )
 
@@ -48,76 +50,82 @@ func TestShedReplyNotBreakerFailure(t *testing.T) {
 	}
 }
 
-// TestClientDegradedHalvesRetries: degraded mode must cut the transport
-// retry budget in half so an overloaded node does not amplify its own load
-// onto struggling peers.
+// fakeTier is an overload tier source for Config.Tier: normal until set.
+type fakeTier struct{ tier atomic.Int32 }
+
+func (f *fakeTier) Tier() int { return int(f.tier.Load()) }
+
+// TestClientDegradedHalvesRetries: while the local tier is strained or worse
+// the transport retry budget halves, so an overloaded node does not amplify
+// its own load onto struggling peers; calm restores it.
 func TestClientDegradedHalvesRetries(t *testing.T) {
 	peer := newFakePeer(t)
 	peer.dropAll.Store(true)
-	c := NewClient(peer.addr(), ClientOptions{Retries: 2, DialTimeout: 200 * time.Millisecond})
-	defer c.Close()
+	var src fakeTier
+	self := "127.0.0.1:1"
+	p, err := New(Config{
+		Self: self, Members: []string{self, peer.addr()},
+		Client: ClientOptions{Retries: 2, DialTimeout: 200 * time.Millisecond},
+		Tier:   src.Tier,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	c := p.ClientFor(peer.addr())
 
 	retriesAfter := func() uint64 {
 		c.Do([]byte("get k\r\n")) // fails after the retry budget
 		return c.Stats().Retries
 	}
 	if got := retriesAfter(); got != 2 {
-		t.Fatalf("healthy op used %d retries, want the full budget of 2", got)
+		t.Fatalf("calm op used %d retries, want the full budget of 2", got)
 	}
-	c.SetDegraded(true)
-	if !c.Degraded() {
-		t.Fatal("Degraded() = false after SetDegraded(true)")
-	}
+	src.tier.Store(overload.TierStrained)
 	if got := retriesAfter() - 2; got != 1 {
-		t.Fatalf("degraded op used %d retries, want the halved budget of 1", got)
+		t.Fatalf("strained op used %d retries, want the halved budget of 1", got)
 	}
-	c.SetDegraded(false)
+	src.tier.Store(overload.TierNormal)
 	if got := retriesAfter() - 3; got != 2 {
-		t.Fatalf("recovered op used %d retries, want 2 again", got)
+		t.Fatalf("calm op used %d retries, want 2 again", got)
 	}
 }
 
-// TestPeersDegradedReachesEveryClient: while the local node sheds, the
-// degraded flag reaches every peer client, including ones created by a later
-// SetMembers, and clearing it clears every one.
+// TestPeersDegradedReachesEveryClient: every peer client reads the one tier
+// source, including a client created by a SetMembers while strained, and
+// calm restores every budget.
 func TestPeersDegradedReachesEveryClient(t *testing.T) {
 	members := []string{"127.0.0.1:11", "127.0.0.1:12", "127.0.0.1:13"}
-	p, err := New(Config{Self: members[0], Members: members})
+	var src fakeTier
+	p, err := New(Config{Self: members[0], Members: members, Client: ClientOptions{Retries: 2}, Tier: src.Tier})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	if p.Degraded() {
-		t.Fatal("a new routing table starts degraded")
-	}
-	p.SetDegraded(true)
-	if !p.Degraded() {
-		t.Fatal("Degraded() = false after SetDegraded(true)")
-	}
-	for _, m := range members[1:] {
-		if c := p.ClientFor(m); c == nil || !c.Degraded() {
-			t.Fatalf("client for %s did not inherit degraded mode", m)
+	budgets := func(want int, ms []string) {
+		t.Helper()
+		for _, m := range ms {
+			c := p.ClientFor(m)
+			if c == nil {
+				t.Fatalf("no client for %s", m)
+			}
+			if got := c.retryBudget(); got != want {
+				t.Fatalf("client for %s at tier %d: retry budget %d, want %d", m, src.Tier(), got, want)
+			}
 		}
 	}
+	budgets(2, members[1:])
+	src.tier.Store(overload.TierStrained)
+	budgets(1, members[1:])
 
-	// A membership change mid-shed: the replacement client must inherit
-	// the degraded flag, not reset it.
+	// A membership change mid-shed: the new client reads the same tier.
 	added := "127.0.0.1:14"
 	if err := p.SetMembers(append(members, added)); err != nil {
 		t.Fatal(err)
 	}
-	if c := p.ClientFor(added); c == nil || !c.Degraded() {
-		t.Fatal("client added during shedding did not inherit degraded mode")
-	}
+	budgets(1, append(members[1:], added))
 
-	p.SetDegraded(false)
-	if p.Degraded() {
-		t.Fatal("Degraded() = true after SetDegraded(false)")
-	}
-	for _, m := range append(members[1:], added) {
-		if c := p.ClientFor(m); c.Degraded() {
-			t.Fatalf("client for %s still degraded after SetDegraded(false)", m)
-		}
-	}
+	src.tier.Store(overload.TierNormal)
+	budgets(2, append(members[1:], added))
 }

@@ -21,6 +21,11 @@ type Config struct {
 	VNodes int
 	// Client tunes the per-peer connection pools.
 	Client ClientOptions
+	// Tier returns the local node's overload pressure tier (overload.Tier*);
+	// nil means always normal. From TierStrained up every peer client
+	// halves its retry budget, so an overloaded node does not amplify its
+	// load onto the cluster.
+	Tier func() int
 	// Hedge is ignored: peer reads are never hedged.
 	//
 	// Deprecated: the field outlives hedged reads only because the
@@ -34,11 +39,6 @@ type Config struct {
 type Peers struct {
 	self string
 	cfg  Config
-
-	// degraded is set while the local node is shedding load: every peer
-	// client halves its retry budget, so an overloaded node does not
-	// amplify its load onto the cluster.
-	degraded atomic.Bool
 
 	// ring is read without a lock on every key; SetMembers swaps it.
 	ring atomic.Pointer[Ring]
@@ -76,7 +76,7 @@ func New(cfg Config) (*Peers, error) {
 	p.ring.Store(NewRing(members, 0))
 	for _, m := range members {
 		if m != cfg.Self {
-			p.clients[m] = NewClient(m, cfg.Client)
+			p.clients[m] = p.newClient(m)
 		}
 	}
 	return p, nil
@@ -103,20 +103,13 @@ func (p *Peers) ClientFor(addr string) *Client {
 // Members returns the current member list.
 func (p *Peers) Members() []string { return p.ring.Load().Members() }
 
-// SetDegraded flips the cluster-facing degraded mode: retry budgets
-// halved, on every current (and future) peer client. Driven by the
-// overload controller's tier transitions.
-func (p *Peers) SetDegraded(d bool) {
-	p.degraded.Store(d)
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for _, c := range p.clients {
-		c.SetDegraded(d)
-	}
+// newClient builds the pooled client for a remote member; its retry budget
+// follows the local tier (Config.Tier).
+func (p *Peers) newClient(addr string) *Client {
+	c := NewClient(addr, p.cfg.Client)
+	c.tier = p.cfg.Tier
+	return c
 }
-
-// Degraded reports whether cluster-facing degraded mode is on.
-func (p *Peers) Degraded() bool { return p.degraded.Load() }
 
 // SetMembers rebuilds the routing table for a new member list. The
 // ring is swapped atomically: keys whose arc changed hands route to
@@ -151,9 +144,7 @@ func (p *Peers) SetMembers(members []string) error {
 	for _, m := range ms {
 		if m != p.self {
 			if _, ok := p.clients[m]; !ok {
-				nc := NewClient(m, p.cfg.Client)
-				nc.SetDegraded(p.degraded.Load())
-				p.clients[m] = nc
+				p.clients[m] = p.newClient(m)
 			}
 		}
 	}

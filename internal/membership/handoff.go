@@ -93,14 +93,15 @@ func (h *handoff) abortOnce() {
 }
 
 // startHandoffLocked aborts any in-flight handoff and, when a source is
-// bound and warm handoff is enabled, launches a new run for the view just
-// applied. Caller holds m.mu (which also serializes the abort/close pair).
+// configured and warm handoff is enabled, launches a new run for the view
+// just applied. Caller holds m.mu (which also serializes the abort/close
+// pair).
 func (m *Manager) startHandoffLocked(epoch uint64) {
 	if m.ho != nil {
 		m.ho.abortOnce()
 		m.ho = nil
 	}
-	if m.src == nil || m.cfg.HandoffRate < 0 || m.stopped {
+	if m.cfg.Source == nil || m.cfg.HandoffRate < 0 || m.stopped {
 		return
 	}
 	ho := &handoff{epoch: epoch, abort: make(chan struct{})}
@@ -125,9 +126,7 @@ func tierOf(fn func() int) int {
 // target keeps refusing cannot spin it.
 func (m *Manager) runHandoff(ho *handoff) {
 	defer m.wg.Done()
-	m.mu.Lock()
-	src, tier := m.src, m.tier
-	m.mu.Unlock()
+	src, tier := m.cfg.Source, m.cfg.Tier
 	peers := m.cfg.Peers
 	start := time.Now()
 	route := func(key string) (string, bool) {

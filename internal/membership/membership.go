@@ -159,6 +159,9 @@ type Config struct {
 	// against).
 	HandoffRate int
 
+	// Source is the engine the warm handoff scans and streams from; nil
+	// makes every membership change a cold rebalance.
+	Source Source
 	// Tier returns the local overload pressure tier (overload.Tier*);
 	// nil means always normal. Handoff yields under pressure: it slows
 	// at strained and pauses at critical.
@@ -220,9 +223,6 @@ type Manager struct {
 	lastEvict time.Time
 	ho        *handoff
 
-	src  Source
-	tier func() int
-
 	stopC   chan struct{}
 	stopped bool
 	wg      sync.WaitGroup
@@ -252,7 +252,6 @@ func New(cfg Config) (*Manager, error) {
 		epoch:    1,
 		members:  cluster.NormalizeMembers(cfg.Peers.Members()),
 		health:   make(map[string]*memberHealth),
-		tier:     cfg.Tier,
 		stopC:    make(chan struct{}),
 		ctr:      new(counters),
 		probeLat: obs.NewHist(1e-6, 7),
@@ -260,21 +259,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.syncHealthLocked()
 	return m, nil
-}
-
-// BindSource attaches the engine the warm handoff scans and streams from.
-// Without a source every membership change is a cold rebalance.
-func (m *Manager) BindSource(src Source) {
-	m.mu.Lock()
-	m.src = src
-	m.mu.Unlock()
-}
-
-// BindTier attaches the overload tier probe handoff pacing consults.
-func (m *Manager) BindTier(fn func() int) {
-	m.mu.Lock()
-	m.tier = fn
-	m.mu.Unlock()
 }
 
 // Start launches the health-probe loop (no-op when probing is disabled).

@@ -529,8 +529,7 @@ func TestHandoffStreamsWarmAndYieldsAuthority(t *testing.T) {
 	peer := newFakeNode(t)
 	self := "127.0.0.1:7141"
 	src := newFakeSource()
-	m, p := newManager(t, self, []string{self}, Config{})
-	m.BindSource(src)
+	m, p := newManager(t, self, []string{self}, Config{Source: src})
 
 	// Seed residents, then bring the peer in: its arc's keys must move.
 	var moved, kept []string
@@ -584,8 +583,7 @@ func TestHandoffAddLosesToFresherValue(t *testing.T) {
 	peer := newFakeNode(t)
 	self := "127.0.0.1:7143"
 	src := newFakeSource()
-	m, p := newManager(t, self, []string{self}, Config{})
-	m.BindSource(src)
+	m, p := newManager(t, self, []string{self}, Config{Source: src})
 
 	// Find keys that will route to the peer under the 2-member view, and
 	// pre-write one at the peer (simulating a post-cutover write).
@@ -631,9 +629,9 @@ func TestHandoffPausesAtCriticalAndAborts(t *testing.T) {
 	self := "127.0.0.1:7145"
 	src := newFakeSource()
 	m, _ := newManager(t, self, []string{self}, Config{
-		Tier: func() int { return overload.TierCritical },
+		Source: src,
+		Tier:   func() int { return overload.TierCritical },
 	})
-	m.BindSource(src)
 	for i := 0; i < 32; i++ {
 		src.set(fmt.Sprintf("p%02d", i), []byte("v"), 1.0)
 	}
@@ -764,8 +762,7 @@ func TestHandoffKeepsCopyWhenTargetRefuses(t *testing.T) {
 	peer.mu.Unlock()
 	self := "127.0.0.1:7173"
 	src := newFakeSource()
-	m, p := newManager(t, self, []string{self}, Config{})
-	m.BindSource(src)
+	m, p := newManager(t, self, []string{self}, Config{Source: src})
 
 	for i := 0; i < 64; i++ {
 		src.set(fmt.Sprintf("r%02d", i), []byte("v"), float64(i))

@@ -159,10 +159,6 @@ type Config struct {
 	// TierHold is the hysteresis window: a tier decays one level only
 	// after this long without renewed pressure at that tier.
 	TierHold time.Duration
-	// OnTierChange, when set, is called (outside the controller's lock)
-	// whenever the effective tier changes. The server uses it to flip
-	// cluster degradation.
-	OnTierChange func(tier int)
 	// Now stubs time for tests; nil means time.Now.
 	Now func() time.Time
 }
@@ -286,8 +282,6 @@ type Controller struct {
 	tier       int
 	tierSince  time.Time
 	tierAtomic atomic.Int32
-	// lastNotified is the tier OnTierChange last saw.
-	lastNotified int
 
 	// peakInflight is the high-water mark of admitted concurrency — the
 	// storm test's proof that the ceiling held.
@@ -398,13 +392,11 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 	if tier >= TierCritical && (op == OpWrite || eff < criticalSub) {
 		c.shed(ReasonPolicy, sub, slo)
 		c.mu.Unlock()
-		c.notifyTier()
 		return false, ReasonPolicy, nil
 	}
 	if c.inflight < c.limit && len(c.queue) == 0 {
 		c.admit(now)
 		c.mu.Unlock()
-		c.notifyTier()
 		return true, ReasonNone, c.releaseFunc(sub)
 	}
 	// Over limit (or behind queued work). At TierShedding and above,
@@ -415,7 +407,6 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 	if tier >= TierShedding && op == OpRead && eff <= cheapSub {
 		c.shed(ReasonPolicy, sub, slo)
 		c.mu.Unlock()
-		c.notifyTier()
 		return false, ReasonPolicy, nil
 	}
 	// Queue — unless the queue is full of equal-or-better work, in which
@@ -425,14 +416,12 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 		if c.cfg.QueueLimit == 0 {
 			c.shed(ReasonQueueFull, sub, slo)
 			c.mu.Unlock()
-			c.notifyTier()
 			return false, ReasonQueueFull, nil
 		}
 		lo := c.queue.lowest()
 		if c.queue[lo].pri >= pri {
 			c.shed(ReasonQueueFull, sub, slo)
 			c.mu.Unlock()
-			c.notifyTier()
 			return false, ReasonQueueFull, nil
 		}
 		// Displace the lowest-priority waiter in favor of this one.
@@ -454,7 +443,6 @@ func (c *Controller) AcquireSLO(op Op, sub, slo int) (admit bool, reason Reason,
 	atomic.AddUint64(&c.ctr.QueuedTotal, 1)
 	c.recomputeTierLocked(now)
 	c.mu.Unlock()
-	c.notifyTier()
 
 	t := time.NewTimer(c.cfg.SojournCutoff)
 	defer t.Stop()
@@ -582,7 +570,6 @@ func (c *Controller) release(latency time.Duration) {
 	}
 	c.recomputeTierLocked(now)
 	c.mu.Unlock()
-	c.notifyTier()
 }
 
 // adjustLocked is one AIMD step: compare the window's latency quantile with
@@ -652,26 +639,16 @@ func (c *Controller) recomputeTierLocked(now time.Time) {
 	c.tierAtomic.Store(int32(c.tier))
 }
 
-// notifyTier invokes OnTierChange outside the lock when the published tier
-// moved since the last notification.
-func (c *Controller) notifyTier() {
-	if c.cfg.OnTierChange == nil {
-		return
+// Tier returns the current pressure tier (lock-free). It is the one place
+// the tier is read: the server, its peer clients and the membership handoff
+// each compare it where they act. A nil Controller (overload control off)
+// is always at TierNormal.
+func (c *Controller) Tier() int {
+	if c == nil {
+		return TierNormal
 	}
-	t := int(c.tierAtomic.Load())
-	c.mu.Lock()
-	changed := c.lastNotified != t
-	if changed {
-		c.lastNotified = t
-	}
-	c.mu.Unlock()
-	if changed {
-		c.cfg.OnTierChange(t)
-	}
+	return int(c.tierAtomic.Load())
 }
-
-// Tier returns the current pressure tier (lock-free).
-func (c *Controller) Tier() int { return int(c.tierAtomic.Load()) }
 
 // Limit returns the current adaptive concurrency limit.
 func (c *Controller) Limit() int {

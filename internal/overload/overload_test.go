@@ -239,6 +239,12 @@ func TestTierEscalationAndPolicySheds(t *testing.T) {
 	if c.Tier() != TierNormal {
 		t.Fatalf("tier = %d at rest, want normal", c.Tier())
 	}
+	// Overload control off: consumers handed a nil controller's Tier read
+	// normal.
+	var off *Controller
+	if tier := off.Tier; tier() != TierNormal {
+		t.Fatalf("nil controller's tier = %d, want normal", tier())
+	}
 	// Saturate the limit: tier 1.
 	_, _, rel1 := c.AcquireSLO(OpRead, 4, 0)
 	_, _, rel2 := c.AcquireSLO(OpRead, 4, 0)
@@ -430,28 +436,6 @@ func TestCloseShedsWaiters(t *testing.T) {
 	}
 }
 
-func TestOnTierChangeFires(t *testing.T) {
-	var mu sync.Mutex
-	var seen []int
-	c := New(Config{
-		MaxInflight: 1, InitialLimit: 1, MinLimit: 1,
-		QueueLimit: 4, SojournCutoff: time.Hour, TierHold: time.Hour,
-		OnTierChange: func(tier int) {
-			mu.Lock()
-			seen = append(seen, tier)
-			mu.Unlock()
-		},
-	})
-	_, _, rel := c.AcquireSLO(OpRead, 4, 0) // saturates → tier 1
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(seen) > 0 && seen[len(seen)-1] == TierStrained
-	})
-	rel(time.Millisecond)
-	c.Close()
-}
-
 func TestPriorityOrdering(t *testing.T) {
 	// Reads rank by subclass; writes sit between sub-1 and sub-2 reads.
 	if !(priorityFor(OpRead, 0) < priorityFor(OpRead, 1) &&
@@ -501,4 +485,21 @@ func TestConcurrentChurnRaceClean(t *testing.T) {
 	if st.PeakInflight > 8 {
 		t.Fatalf("peak inflight %d exceeded ceiling 8", st.PeakInflight)
 	}
+}
+
+// BenchmarkAcquireRelease is the controller's cost on every data command of
+// a server with overload control on: one admission and its release, from
+// every P at once, on a controller whose limit never binds (tier normal).
+func BenchmarkAcquireRelease(b *testing.B) {
+	c := New(Config{MaxInflight: 1 << 20})
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			ok, _, release := c.AcquireSLO(OpRead, 2, 0)
+			if !ok {
+				b.Error("a calm controller shed")
+				return
+			}
+			release(time.Microsecond)
+		}
+	})
 }

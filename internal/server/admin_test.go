@@ -456,7 +456,7 @@ func TestStatszFieldNames(t *testing.T) {
 
 	// A read-through server under admission control.
 	store := backend.New(penalty.Uniform(0.001), func(uint64) int { return 10 })
-	srv, addr := startServer(t, Options{Backend: store, Overload: &overload.Config{MaxInflight: 8}})
+	srv, addr := startServer(t, Options{Backend: store, Overload: overload.New(overload.Config{MaxInflight: 8})})
 	cl := dial(t, addr)
 	cl.send(t, "set k 0 0 1\r\nx\r\nget k\r\nget fill\r\n")
 	readUntil(t, cl, "END\r\nVALUE fill 0 10\r\n")

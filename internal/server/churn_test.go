@@ -37,7 +37,7 @@ type churnNode struct {
 }
 
 // startChurnNode boots one server on ln with a membership manager.
-// mcfg.Self and mcfg.Peers are filled in here.
+// mcfg.Self, mcfg.Peers and mcfg.Source are filled in here.
 func startChurnNode(t *testing.T, ln net.Listener, members []string, mcfg membership.Config) *churnNode {
 	t.Helper()
 	addr := ln.Addr().String()
@@ -56,6 +56,7 @@ func startChurnNode(t *testing.T, ln net.Listener, members []string, mcfg member
 	}
 	mcfg.Self = addr
 	mcfg.Peers = p
+	mcfg.Source = c
 	mgr, err := membership.New(mcfg)
 	if err != nil {
 		t.Fatal(err)

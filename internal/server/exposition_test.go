@@ -120,7 +120,11 @@ func nodeExposition(t *testing.T) exposition {
 	}
 	startChurnNode(t, lns[1], addrs, membership.Config{ProbeInterval: -1})
 
-	p, err := cluster.New(cluster.Config{Self: addrs[0], Members: addrs})
+	// Four slots, no queue, no adaptation: with the slots held, every
+	// request is shed at once for the same reason.
+	ctrl := overload.New(overload.Config{MaxInflight: 4, MinLimit: 4, InitialLimit: 4, QueueLimit: -1,
+		AdjustEvery: time.Hour, TierHold: time.Hour})
+	p, err := cluster.New(cluster.Config{Self: addrs[0], Members: addrs, Tier: ctrl.Tier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func nodeExposition(t *testing.T) exposition {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := membership.New(membership.Config{Self: addrs[0], Peers: p, ProbeInterval: -1})
+	mgr, err := membership.New(membership.Config{Self: addrs[0], Peers: p, Source: eng, Tier: ctrl.Tier, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +143,7 @@ func nodeExposition(t *testing.T) exposition {
 	// keys the ring hands this node does not change a subclass.
 	store := backend.New(penalty.Model{Base: 0.0004, Slope: 1, Min: 0.0001, Max: penalty.Cap},
 		func(uint64) int { return 200 })
-	srv := New(eng, Options{
-		Backend: store, Cluster: p, Membership: mgr,
-		// Four slots, no queue, no adaptation: with the slots held, every
-		// request is shed at once for the same reason.
-		Overload: &overload.Config{MaxInflight: 4, MinLimit: 4, InitialLimit: 4, QueueLimit: -1,
-			AdjustEvery: time.Hour, TierHold: time.Hour},
-	})
+	srv := New(eng, Options{Backend: store, Cluster: p, Membership: mgr, Overload: ctrl})
 	go srv.Serve(lns[0])
 	mgr.Start()
 	t.Cleanup(func() { mgr.Stop(); srv.Shutdown(); p.Close() })

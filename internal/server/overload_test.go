@@ -18,6 +18,7 @@ import (
 	"pamakv/internal/overload"
 	"pamakv/internal/penalty"
 	"pamakv/internal/proto"
+	"pamakv/internal/valuetable"
 )
 
 // readOneGetResponse consumes one GET response from r: VALUE blocks up to
@@ -126,7 +127,7 @@ func TestOverloadStorm(t *testing.T) {
 
 	srv, addr := startServer(t, Options{
 		Backend: store,
-		Overload: &overload.Config{
+		Overload: overload.New(overload.Config{
 			MaxInflight:   maxInflight,
 			InitialLimit:  maxInflight,
 			MinLimit:      4,
@@ -134,7 +135,7 @@ func TestOverloadStorm(t *testing.T) {
 			QueueLimit:    16,
 			SojournCutoff: 250 * time.Millisecond,
 			TierHold:      200 * time.Millisecond,
-		},
+		}),
 	})
 
 	// getExpensive runs sequential GETs for distinct expensive keys on
@@ -303,13 +304,13 @@ func TestOverloadDrainMidBurst(t *testing.T) {
 	srv, addr := startServer(t, Options{
 		Backend:      store,
 		DrainTimeout: 10 * time.Second,
-		Overload: &overload.Config{
+		Overload: overload.New(overload.Config{
 			MaxInflight:   4,
 			InitialLimit:  4,
 			Target:        time.Second,
 			QueueLimit:    8,
 			SojournCutoff: 5 * time.Second,
-		},
+		}),
 	})
 
 	const conns, perConn = 6, 10
@@ -366,62 +367,83 @@ func TestOverloadDrainMidBurst(t *testing.T) {
 		answered.Load(), cleanEOF.Load(), srv.Stats().ForcedCloses)
 }
 
-// TestOverloadTierDrivesClusterDegraded: the server's tier transitions must
-// flip the cluster into degraded mode (peer retries halved) the moment
-// pressure appears, and back once it subsides.
+// TestOverloadTierDrivesClusterDegraded: the peer clients read the server's
+// controller, so peer retries halve the moment pressure appears and come
+// back once it subsides.
 func TestOverloadTierDrivesClusterDegraded(t *testing.T) {
 	store := backend.NewRealTime(penalty.Uniform(0.3), func(uint64) int { return 8 }, 1.0)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	var addrs [2]string // this node's cluster address, and a member nobody serves
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
 	}
-	self := ln.Addr().String()
-	ln.Close()
+	self, dead := addrs[0], addrs[1]
+	ctrl := overload.New(overload.Config{
+		MaxInflight:   1,
+		MinLimit:      1,
+		InitialLimit:  1,
+		Target:        time.Second,
+		QueueLimit:    4,
+		SojournCutoff: 5 * time.Second,
+		TierHold:      50 * time.Millisecond,
+	})
 	peers, err := cluster.New(cluster.Config{
 		Self:    self,
-		Members: []string{self},
+		Members: addrs[:],
+		Client:  cluster.ClientOptions{Retries: 2, Breaker: cluster.BreakerConfig{Threshold: 100}},
+		Tier:    ctrl.Tier,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer peers.Close()
+	_, addr := startServer(t, Options{Backend: store, Cluster: peers, Overload: ctrl})
 
-	_, addr := startServer(t, Options{
-		Backend: store,
-		Cluster: peers,
-		Overload: &overload.Config{
-			MaxInflight:   1,
-			MinLimit:      1,
-			InitialLimit:  1,
-			Target:        time.Second,
-			QueueLimit:    4,
-			SojournCutoff: 5 * time.Second,
-			TierHold:      50 * time.Millisecond,
-		},
-	})
-	if peers.Degraded() {
-		t.Fatal("degraded before any pressure")
+	// Every exchange with the dead member fails at dial and spends its
+	// whole retry budget.
+	dc := peers.ClientFor(dead)
+	retries := func() uint64 {
+		before := dc.Stats().Retries
+		dc.Do([]byte("get k\r\n"))
+		return dc.Stats().Retries - before
+	}
+	if got := retries(); got != 2 {
+		t.Fatalf("calm exchange used %d retries, want 2", got)
+	}
+	// The requests below are served here, not forwarded.
+	local := func(prefix string) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("%s%d", prefix, i); peers.Owner(k) == self {
+				return k
+			}
+		}
 	}
 
 	// One slow fetch occupies the single slot; a second request finds the
-	// server saturated, which is tier strained — the cluster tier must
-	// turn degraded.
+	// server saturated, which is tier strained — peer retries must halve.
 	slow := dial(t, addr)
-	slow.send(t, "get tier:slow\r\n") // ~300ms fetch
+	slow.send(t, "get "+local("tier:slow")+"\r\n") // ~300ms fetch
 	time.Sleep(20 * time.Millisecond)
 	queued := dial(t, addr)
-	queued.send(t, "get tier:queued\r\n")
+	queued.send(t, "get "+local("tier:queued")+"\r\n")
 	deadline := time.Now().Add(2 * time.Second)
-	for !peers.Degraded() {
+	for ctrl.Tier() < overload.TierStrained {
 		if time.Now().After(deadline) {
-			t.Fatal("pressure did not degrade the cluster tier")
+			t.Fatal("pressure did not raise the tier")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	if got := retries(); got != 1 {
+		t.Fatalf("strained exchange used %d retries, want the halved 1", got)
+	}
 
 	// Both responses complete; with the pressure gone and the hold
-	// elapsed, calm traffic must walk the tier back down and clear the
-	// degraded mode.
+	// elapsed, calm traffic must walk the tier back down and restore the
+	// retry budget.
 	for _, cl := range []*client{slow, queued} {
 		if kind, err := readOneGetResponse(t, cl.r); err != nil || kind != "hit" {
 			t.Fatalf("pressured get = %q, %v", kind, err)
@@ -429,14 +451,120 @@ func TestOverloadTierDrivesClusterDegraded(t *testing.T) {
 	}
 	probe := dial(t, addr)
 	deadline = time.Now().Add(5 * time.Second)
-	for peers.Degraded() {
+	for ctrl.Tier() != overload.TierNormal {
 		if time.Now().After(deadline) {
-			t.Fatal("cluster still degraded after pressure subsided")
+			t.Fatal("tier still raised after pressure subsided")
 		}
 		time.Sleep(20 * time.Millisecond)
-		probe.send(t, "get tier:probe\r\n")
+		probe.send(t, "get "+local("tier:probe")+"\r\n")
 		if _, err := readOneGetResponse(t, probe.r); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if got := retries(); got != 2 {
+		t.Fatalf("calm exchange after pressure used %d retries, want 2", got)
+	}
+}
+
+// holdTier raises ctrl, a two-slot controller with a four-deep queue and an
+// hour's TierHold, to TierStrained (both slots taken) or TierShedding (one
+// request queued behind them), then frees every slot: the tier stays, and
+// the server's requests are admitted at once.
+func holdTier(t *testing.T, ctrl *overload.Controller, tier int) {
+	t.Helper()
+	var release []func(time.Duration)
+	for i := 0; i < 2; i++ {
+		ok, _, rel := ctrl.AcquireSLO(overload.OpRead, 4, 0)
+		if !ok {
+			t.Fatal("could not take an admission slot")
+		}
+		release = append(release, rel)
+	}
+	queued := make(chan func(time.Duration), 1)
+	if tier == overload.TierShedding {
+		go func() {
+			_, _, rel := ctrl.AcquireSLO(overload.OpRead, 4, 0)
+			queued <- rel
+		}()
+		for ctrl.Tier() < overload.TierShedding {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, rel := range release {
+		rel(time.Millisecond)
+	}
+	if tier == overload.TierShedding {
+		rel := <-queued
+		if rel == nil {
+			t.Fatal("the queued request was shed")
+		}
+		rel(time.Millisecond)
+	}
+	if got := ctrl.Tier(); got != tier {
+		t.Fatalf("tier = %d, want %d", got, tier)
+	}
+}
+
+// TestOverloadTierDegradesMisses: the server reads the controller's tier on
+// a miss, with DESIGN.md's thresholds. At strained a miss with a stale copy
+// serves it without asking the healthy back end; at shedding a cheap miss is
+// not fetched at all, and an expensive one's fetch gets half the retries.
+func TestOverloadTierDegradesMisses(t *testing.T) {
+	start := func(t *testing.T, pen float64) (*Server, *backend.Store, *client, *overload.Controller) {
+		store := backend.New(penalty.Uniform(pen), func(uint64) int { return 8 })
+		ctrl := overload.New(overload.Config{MaxInflight: 2, MinLimit: 2, InitialLimit: 2, QueueLimit: 4,
+			AdjustEvery: time.Hour, SojournCutoff: time.Minute, TierHold: time.Hour})
+		cfg := defaultCfg()
+		cfg.Stale = valuetable.New(1<<16, 0)
+		srv, addr := startServerCfg(t, cfg, Options{Backend: store, FetchRetries: 4, Overload: ctrl})
+		return srv, store, dial(t, addr), ctrl
+	}
+	get := func(t *testing.T, cl *client, key, want string) {
+		t.Helper()
+		cl.send(t, "get "+key+"\r\n")
+		var got []string
+		for line := ""; line != "END"; {
+			line = cl.line(t)
+			got = append(got, line)
+		}
+		if g := strings.Join(got, "|"); g != want {
+			t.Fatalf("get %s = %q, want %q", key, g, want)
+		}
+	}
+
+	t.Run("strained serves stale first", func(t *testing.T) {
+		srv, store, cl, ctrl := start(t, 0.001)
+		cl.send(t, "set relic 7 -1 5\r\nbones\r\n") // expired on arrival: the next get reaps it to the stale buffer
+		if got := cl.line(t); got != "STORED" {
+			t.Fatalf("set -> %q", got)
+		}
+		holdTier(t, ctrl, overload.TierStrained)
+		get(t, cl, "relic", "VALUE relic 7 5|bones|END")
+		if st := srv.Stats(); st.StaleServes != 1 || store.Fetches() != 0 {
+			t.Fatalf("StaleServes = %d, fetches = %d, want 1 and 0", st.StaleServes, store.Fetches())
+		}
+	})
+
+	t.Run("shedding sheds cheap fetches", func(t *testing.T) {
+		srv, store, cl, ctrl := start(t, 0.001)
+		holdTier(t, ctrl, overload.TierShedding)
+		get(t, cl, "cheap", "END")
+		if st := srv.Stats(); st.FetchSheds != 1 || store.Fetches() != 0 {
+			t.Fatalf("FetchSheds = %d, fetches = %d, want 1 and 0", st.FetchSheds, store.Fetches())
+		}
+	})
+
+	t.Run("shedding halves fetch retries", func(t *testing.T) {
+		srv, store, cl, ctrl := start(t, 1)
+		store.SetFaults(&backend.Faults{ErrRate: 1})
+		get(t, cl, "calm", "END")
+		if got := srv.Stats().BackendRetries; got != 4 {
+			t.Fatalf("calm failing fetch retried %d times, want 4", got)
+		}
+		holdTier(t, ctrl, overload.TierShedding)
+		get(t, cl, "dear", "END")
+		if got := srv.Stats().BackendRetries - 4; got != 2 {
+			t.Fatalf("shedding failing fetch retried %d times, want the halved 2", got)
+		}
+	})
 }

@@ -261,7 +261,7 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 	key := ex.req[d.key.off:d.key.end]
 	// Hot-cache fills stop under pressure: copying bytes into the
 	// mini-cache is work the strained node can skip.
-	fill := s.hot != nil && s.overloadTier() < overload.TierStrained
+	fill := s.hot != nil && s.ctrl.Tier() < overload.TierStrained
 	if !d.verb.Reads() {
 		switch {
 		case fill && ex.err == nil && d.hit:

@@ -266,13 +266,15 @@ type Options struct {
 	// retry; 0 retries immediately.
 	FetchBackoff time.Duration
 
-	// Overload enables penalty-aware admission control: each data command
-	// passes through an overload.Controller before dispatch, and under
-	// pressure the server degrades in tiers (aggressive serve-stale, no
-	// hot-cache backfill, suppressed cheap fetches, shed cheap reads and
-	// writes) instead of queueing without bound. Nil disables admission
-	// control entirely.
-	Overload *overload.Config
+	// Overload is the penalty-aware admission controller: each data
+	// command passes through it before dispatch, and under pressure the
+	// server degrades in tiers (aggressive serve-stale, no hot-cache
+	// backfill, suppressed cheap fetches, shed cheap reads and writes)
+	// instead of queueing without bound. The peers and the membership
+	// manager read the same controller's tier (cluster.Config.Tier,
+	// membership.Config.Tier). The server closes it on Shutdown. Nil
+	// disables admission control entirely.
+	Overload *overload.Controller
 
 	// Tenants is the tenant registry for multi-tenant serving. When set,
 	// each key's namespace prefix resolves its tenant, the tenant's SLO
@@ -298,9 +300,8 @@ type Options struct {
 
 	// Membership is the runtime membership manager (cluster mode only;
 	// nil keeps the member list static). The server intercepts the
-	// manager's control keys ahead of admission control and routing,
-	// binds the engine as the warm-handoff source, and feeds the
-	// overload tier into handoff pacing. The caller owns the manager's
+	// manager's control keys ahead of admission control and routing. The
+	// caller builds it with the engine as its handoff Source and owns its
 	// lifecycle (Start/Stop).
 	Membership *membership.Manager
 }
@@ -421,8 +422,7 @@ type Server struct {
 	hot   *valuetable.Table
 	mem   *membership.Manager
 
-	// ctrl is the overload admission controller (nil when disabled). Its
-	// tier transitions also drive the peers' degraded mode.
+	// ctrl is the overload admission controller (nil when disabled).
 	ctrl *overload.Controller
 
 	// lat holds one request-latency histogram per command family, measured
@@ -436,7 +436,7 @@ type Server struct {
 // group), which should have been built with StoreValues: true; without it
 // GETs return empty bodies.
 func New(c Store, opts Options) *Server {
-	s := &Server{c: c, opts: opts, conns: make(map[net.Conn]struct{}), doneC: make(chan struct{}), st: new(Stats)}
+	s := &Server{c: c, opts: opts, conns: make(map[net.Conn]struct{}), doneC: make(chan struct{}), st: new(Stats), ctrl: opts.Overload}
 	if opts.MaxConns > 0 {
 		s.sem = make(chan struct{}, opts.MaxConns)
 	}
@@ -451,29 +451,6 @@ func New(c Store, opts Options) *Server {
 	}
 	if opts.Membership != nil && s.peers != nil {
 		s.mem = opts.Membership
-		// The engine is the warm-handoff source when it can be scanned
-		// (single engines and shard groups can; without it, membership
-		// changes degrade to cold rebalances).
-		if src, ok := c.(membership.Source); ok {
-			s.mem.BindSource(src)
-		}
-		s.mem.BindTier(s.overloadTier)
-	}
-	if opts.Overload != nil {
-		cfg := *opts.Overload
-		inner := cfg.OnTierChange
-		cfg.OnTierChange = func(tier int) {
-			// Leaving TierNormal flips the cluster into degraded mode:
-			// halved retry budgets — a shedding node must not amplify
-			// its load onto peers.
-			if s.peers != nil {
-				s.peers.SetDegraded(tier >= overload.TierStrained)
-			}
-			if inner != nil {
-				inner(tier)
-			}
-		}
-		s.ctrl = overload.New(cfg)
 	}
 	return s
 }
@@ -481,15 +458,6 @@ func New(c Store, opts Options) *Server {
 // Overload returns the admission controller, or nil when overload control is
 // disabled.
 func (s *Server) Overload() *overload.Controller { return s.ctrl }
-
-// overloadTier is the current pressure tier (TierNormal when overload
-// control is off).
-func (s *Server) overloadTier() int {
-	if s.ctrl == nil {
-		return overload.TierNormal
-	}
-	return s.ctrl.Tier()
-}
 
 // ListenAndServe listens on addr and serves until Shutdown.
 func (s *Server) ListenAndServe(addr string) error {
@@ -1179,7 +1147,7 @@ func (s *Server) fetchOnce(key string) (size int, pen float64, body []byte, owne
 func (s *Server) fetchBackend(key string) (size int, pen float64, body []byte, owned *[]byte, err error) {
 	backoff := s.opts.FetchBackoff
 	retries := s.opts.FetchRetries
-	if s.overloadTier() >= overload.TierShedding {
+	if s.ctrl.Tier() >= overload.TierShedding {
 		retries /= 2
 	}
 	for attempt := 0; ; attempt++ {
@@ -1221,7 +1189,7 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command, rt []key
 		}
 		sc.val = val[:0]
 		if !hit && s.opts.Backend != nil {
-			tier := s.overloadTier()
+			tier := s.ctrl.Tier()
 			if tier >= overload.TierStrained {
 				// Tier 1+: prefer a resident stale copy to paying a
 				// backend fetch at all — freshness is the first thing

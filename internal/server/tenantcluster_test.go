@@ -61,7 +61,7 @@ func startTenantNode(t *testing.T, ln net.Listener, members []string) *tenantNod
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := membership.New(membership.Config{Self: addr, Peers: p, ProbeInterval: -1, HandoffRate: 200_000})
+	mgr, err := membership.New(membership.Config{Self: addr, Peers: p, Source: g, ProbeInterval: -1, HandoffRate: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}

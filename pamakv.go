@@ -262,7 +262,7 @@ type (
 	// pooled client per remote member (ServerOptions.Cluster).
 	ClusterPeers = cluster.Peers
 	// ClusterConfig describes a node's view of the cluster (self, member
-	// list, client tuning).
+	// list, client tuning, the local overload tier).
 	ClusterConfig = cluster.Config
 	// ClusterClientOptions tune one peer's connection pool, timeouts,
 	// retries, and circuit breaker.
@@ -284,13 +284,15 @@ func NewClusterPeers(cfg ClusterConfig) (*ClusterPeers, error) { return cluster.
 // Overload control: penalty-aware admission, adaptive concurrency limiting,
 // and load shedding (ServerOptions.Overload).
 type (
-	// OverloadConfig tunes the admission controller: hard in-flight
-	// ceiling, adaptive AIMD limit vs. a latency target, bounded pending
-	// queue with a sojourn cutoff, and the penalty subclasses shed first
-	// under pressure.
+	// OverloadConfig tunes the admission controller NewOverloadController
+	// builds: hard in-flight ceiling, adaptive AIMD limit vs. a latency
+	// target, bounded pending queue with a sojourn cutoff, and the penalty
+	// subclasses shed first under pressure.
 	OverloadConfig = overload.Config
-	// OverloadController is the admission controller a server runs when
-	// ServerOptions.Overload is set (Server.Overload exposes it).
+	// OverloadController is the admission controller. Build it before
+	// the server and hand it over as ServerOptions.Overload, which the
+	// server closes on Shutdown; give its Tier to ClusterConfig.Tier so
+	// the peer clients read the same pressure tier.
 	OverloadController = overload.Controller
 	// OverloadStats snapshot the controller: current limit, occupancy,
 	// pressure tier, and shed counts by reason and penalty subclass.
@@ -306,8 +308,8 @@ const (
 	TierCritical = overload.TierCritical
 )
 
-// NewOverloadController builds a standalone admission controller (servers
-// build their own from ServerOptions.Overload).
+// NewOverloadController builds an admission controller (for
+// ServerOptions.Overload).
 func NewOverloadController(cfg OverloadConfig) *OverloadController { return overload.New(cfg) }
 
 // HashKey returns the 64-bit hash the engine uses for key — the argument
