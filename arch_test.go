@@ -217,6 +217,74 @@ func TestOneKeyRouter(t *testing.T) {
 	})
 }
 
+// TestOneKeyedIndex keeps the module at one keyed index and one link list:
+// a table of keyed entries is records of a kv.Records store on an lru.List,
+// found through a hashtable.Table, as the engines, the mrc shadows and the
+// value table are. Outside internal/hashtable no non-test file steps a linear
+// probe round a power-of-two table ((i + 1) & mask), and outside internal/lru
+// none declares a struct with a pair of list links of its own (prev and
+// next, or older and newer). The exceptions, by file and type, with why each
+// stays.
+func TestOneKeyedIndex(t *testing.T) {
+	linkOwners := map[string]string{
+		"internal/kv/item.go Item": "the record's Prev and Next are the links internal/lru threads",
+		"internal/cache/ghost.go ghostRec": "a ghost is 32 bytes of mapped memory on chained buckets; " +
+			"a kv.Item and an index slot would break ghostBytesMax (48 B)",
+		"internal/policy/camp.go campEntry": "CAMP's per-ratio queues are a simulator comparator's heap " +
+			"entries, never an engine's items",
+	}
+	isProbeStep := func(e *ast.BinaryExpr) bool {
+		p, ok := e.X.(*ast.ParenExpr)
+		if e.Op != token.AND || !ok {
+			return false
+		}
+		sum, ok := p.X.(*ast.BinaryExpr)
+		if !ok || sum.Op != token.ADD {
+			return false
+		}
+		one, ok := sum.Y.(*ast.BasicLit)
+		return ok && one.Value == "1"
+	}
+	linked := make(map[string]bool)
+	eachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+		dir := path[:strings.LastIndex(path, "/")+1]
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if dir != "internal/hashtable/" && isProbeStep(n) {
+					t.Errorf("%s: a linear probe — find keyed entries through a hashtable.Table", fset.Position(n.Pos()))
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || dir == "internal/lru/" {
+					break
+				}
+				fields := make(map[string]bool)
+				for _, fld := range st.Fields.List {
+					for _, name := range fld.Names {
+						fields[strings.ToLower(name.Name)] = true
+					}
+				}
+				if !(fields["prev"] && fields["next"] || fields["older"] && fields["newer"]) {
+					break
+				}
+				if owner := path + " " + n.Name.Name; linkOwners[owner] != "" {
+					linked[owner] = true
+				} else {
+					t.Errorf("%s: %s links a list of its own — link kv.Records records on an lru.List",
+						fset.Position(n.Pos()), n.Name.Name)
+				}
+			}
+			return true
+		})
+	})
+	for owner := range linkOwners {
+		if !linked[owner] {
+			t.Errorf("%s no longer links a list of its own: drop its exception", owner)
+		}
+	}
+}
+
 // TestOneRoutePerKey keeps internal/server at one route per key: outside
 // tests it hashes a key and resolves its owner only in the chunk router
 // (Server.routeChunk), which does both once per key against one view of the

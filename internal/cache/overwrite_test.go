@@ -541,7 +541,7 @@ func TestCheckInvariantsCatchesResidentStale(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	stale.Put("k", 0, []byte("old"))
+	stale.PutHash(kv.HashString("k"), "k", 0, []byte("old"))
 	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "resident and also a stale entry") {
 		t.Fatalf("CheckInvariants = %v, want the resident-and-stale report", err)
 	}

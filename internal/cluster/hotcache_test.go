@@ -16,16 +16,16 @@ import (
 
 func TestHotCacheBasic(t *testing.T) {
 	h := NewHotCache(1<<20, time.Minute)
-	if _, _, ok := h.Get("k", nil); ok {
+	if _, _, ok := h.GetHash(kv.HashString("k"), "k", nil); ok {
 		t.Fatal("empty cache hit")
 	}
-	h.Put("k", 7, []byte("value"))
-	v, flags, ok := h.Get("k", nil)
+	h.PutHash(kv.HashString("k"), "k", 7, []byte("value"))
+	v, flags, ok := h.GetHash(kv.HashString("k"), "k", nil)
 	if !ok || string(v) != "value" || flags != 7 {
 		t.Fatalf("Get = (%q, %d, %v)", v, flags, ok)
 	}
-	h.Invalidate("k")
-	if _, _, ok := h.Get("k", nil); ok {
+	h.InvalidateHash(kv.HashString("k"), "k")
+	if _, _, ok := h.GetHash(kv.HashString("k"), "k", nil); ok {
 		t.Fatal("hit after Invalidate")
 	}
 	st := h.Stats()
@@ -41,12 +41,12 @@ func TestHotCacheBasic(t *testing.T) {
 func TestStatsPublishLiveCounters(t *testing.T) {
 	h := NewHotCache(4, time.Minute)
 	for _, k := range []string{"a", "b", "c", "d"} {
-		h.Put(k, 0, []byte("123")) // each Put evicts the one before
+		h.PutHash(kv.HashString(k), k, 0, []byte("123")) // each Put evicts the one before
 	}
-	h.Get("d", nil)
-	h.Get("a", nil)
-	h.Get("b", nil)
-	h.Invalidate("d")
+	h.GetHash(kv.HashString("d"), "d", nil)
+	h.GetHash(kv.HashString("a"), "a", nil)
+	h.GetHash(kv.HashString("b"), "b", nil)
+	h.InvalidateHash(kv.HashString("d"), "d")
 	c := NewClient("127.0.0.1:1", ClientOptions{Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Minute}})
 	defer c.Close()
 	*c.ctr = ClientCounters{4, 5, 6, 7, 8, 9}
@@ -73,7 +73,8 @@ func TestHotCacheEvictsLRUUnderBudget(t *testing.T) {
 	h := NewHotCache(420, time.Minute)
 	val := make([]byte, 100)
 	for i := 0; i < 8; i++ {
-		h.Put(fmt.Sprintf("k%d", i), 0, val)
+		k := fmt.Sprintf("k%d", i)
+		h.PutHash(kv.HashString(k), k, 0, val)
 	}
 	st := h.Stats()
 	if st.Bytes > 420 {
@@ -83,15 +84,15 @@ func TestHotCacheEvictsLRUUnderBudget(t *testing.T) {
 		t.Fatal("no evictions despite 2x overcommit")
 	}
 	// The most recent entry survives; the oldest is gone.
-	if _, _, ok := h.Get("k7", nil); !ok {
+	if _, _, ok := h.GetHash(kv.HashString("k7"), "k7", nil); !ok {
 		t.Error("most recent entry evicted")
 	}
-	if _, _, ok := h.Get("k0", nil); ok {
+	if _, _, ok := h.GetHash(kv.HashString("k0"), "k0", nil); ok {
 		t.Error("oldest entry survived 2x overcommit")
 	}
 	// Oversized values are refused outright.
-	h.Put("huge", 0, make([]byte, 1024))
-	if _, _, ok := h.Get("huge", nil); ok {
+	h.PutHash(kv.HashString("huge"), "huge", 0, make([]byte, 1024))
+	if _, _, ok := h.GetHash(kv.HashString("huge"), "huge", nil); ok {
 		t.Error("value above the whole budget was cached")
 	}
 }
@@ -99,9 +100,9 @@ func TestHotCacheEvictsLRUUnderBudget(t *testing.T) {
 func TestHotCacheValueIsCopied(t *testing.T) {
 	h := NewHotCache(1<<20, time.Minute)
 	buf := []byte("abc")
-	h.Put("k", 0, buf)
+	h.PutHash(kv.HashString("k"), "k", 0, buf)
 	buf[0] = 'X'
-	if v, _, _ := h.Get("k", nil); string(v) != "abc" {
+	if v, _, _ := h.GetHash(kv.HashString("k"), "k", nil); string(v) != "abc" {
 		t.Fatalf("cached value aliased the caller's buffer: %q", v)
 	}
 }
@@ -226,9 +227,9 @@ func TestPeersSnapshots(t *testing.T) {
 // supersedes the copy this node holds, so the next Get must go to the owner.
 func TestHotCacheRefusedPutDropsStaleCopy(t *testing.T) {
 	h := NewHotCache(64, time.Minute)
-	h.Put("k", 0, []byte("old"))
-	h.Put("k", 0, make([]byte, 100))
-	if v, _, ok := h.Get("k", nil); ok {
+	h.PutHash(kv.HashString("k"), "k", 0, []byte("old"))
+	h.PutHash(kv.HashString("k"), "k", 0, make([]byte, 100))
+	if v, _, ok := h.GetHash(kv.HashString("k"), "k", nil); ok {
 		t.Fatalf("served %q after a refused Put of a newer value", v)
 	}
 	if st := h.Stats(); st.Items != 0 || st.Bytes != 0 {
@@ -243,14 +244,14 @@ func TestHotCacheAllocs(t *testing.T) {
 	ks := keys(64)
 	val := make([]byte, 100)
 	for _, k := range ks {
-		h.Put(k, 0, val)
+		h.PutHash(kv.HashString(k), k, 0, val)
 	}
 	dst := make([]byte, 0, 128)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		k := ks[i%len(ks)]
-		h.Put(k, 1, val)
-		dst, _, _ = h.Get(k, dst[:0])
+		h.PutHash(kv.HashString(k), k, 1, val)
+		dst, _, _ = h.GetHash(kv.HashString(k), k, dst[:0])
 		i++
 	})
 	if allocs != 0 {
@@ -283,10 +284,10 @@ func TestHotCacheConcurrent(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				k := "k" + strconv.Itoa(rng.Intn(nkeys))
 				if rng.Intn(10) == 0 {
-					h.Invalidate(k)
+					h.InvalidateHash(kv.HashString(k), k)
 					continue
 				}
-				h.Put(k, 0, value(k, rng.Intn(1000)))
+				h.PutHash(kv.HashString(k), k, 0, value(k, rng.Intn(1000)))
 			}
 		}(w)
 		go func(w int) {
@@ -303,7 +304,7 @@ func TestHotCacheConcurrent(t *testing.T) {
 					h.PrefetchHashes(hs[:])
 				}
 				var ok bool
-				if dst, _, ok = h.Get(k, dst[:0]); !ok {
+				if dst, _, ok = h.GetHash(kv.HashString(k), k, dst[:0]); !ok {
 					continue
 				}
 				head, _, found := strings.Cut(string(dst), ";")

@@ -204,13 +204,14 @@ func BenchmarkHotCacheGet(b *testing.B) {
 	ks := keys(1024)
 	val := make([]byte, 100)
 	for _, k := range ks {
-		h.Put(k, 0, val)
+		h.PutHash(kv.HashString(k), k, 0, val)
 	}
 	var dst []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, _, _ = h.Get(ks[i&1023], dst[:0])
+		k := ks[i&1023]
+		dst, _, _ = h.GetHash(kv.HashString(k), k, dst[:0])
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package hashtable implements the open-addressed hash index that maps keys
-// to cached items: one power-of-two array of 8-byte (tag, item id) slots
+// to cached items, and to the records of the mrc shadows and the value tables
+// (package valuetable): one power-of-two array of 8-byte (tag, item id) slots
 // probed linearly, doubled whenever an insert would push the load past 1/2
 // and dropped back to its first size when its last item leaves.
 // The tag is the hash's low 32 bits; ids name records of one kv.Records

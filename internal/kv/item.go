@@ -27,7 +27,8 @@ type Item struct {
 	// slot and finds the slot again from them).
 	Hash uint64
 	// CAS is the compare-and-set token, changed on every store of the key
-	// (Memcached cas semantics).
+	// (Memcached cas semantics). A value table's record holds its expiry
+	// deadline here (package valuetable).
 	CAS uint64
 	// Penalty is the most recently observed miss penalty for this key, in
 	// seconds. It selects the penalty subclass under PAMA and prices the
@@ -133,11 +134,12 @@ const ChunkLen = 1 << chunkShift
 // at the base plus 64·i. A store's records live in one of two places:
 //
 //   - Chunks on the Go heap (New, Free, HoldKey), for the engines that keep
-//     no values and the shadows of package mrc: ChunkLen records a chunk,
-//     each chunk one page id, allocated as they are needed and kept for reuse
-//     until the store is empty. A chunk has no pointer, so the collector never
-//     walks it, and the records are one heap object per ChunkLen of them, not
-//     one per item.
+//     no values, the shadows of package mrc and the value tables of package
+//     valuetable, whose records name buffers of their own: ChunkLen records a
+//     chunk, each chunk one page id, allocated as they are needed and kept
+//     for reuse until the store is empty. A chunk has no pointer, so the
+//     collector never walks it, and the records are one heap object per
+//     ChunkLen of them, not one per item.
 //   - Pages their owner maps outside the heap (MapPage): a value-storing
 //     engine packs the records of a slab's slots at the slab's head, so the id
 //     of a record is the name of its slot.

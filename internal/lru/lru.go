@@ -1,6 +1,6 @@
 // Package lru implements the intrusive doubly-linked list used for every LRU
-// stack of items: the cache's resident subclass stacks and the MRC shadow
-// stacks.
+// stack of items: the cache's resident subclass stacks, the MRC shadow stacks
+// and the value tables' entries (package valuetable).
 //
 // The list links live inside the kv.Item records (Prev/Next, as record ids
 // of one kv.Records store), so pushing, moving, and removing are
@@ -66,13 +66,23 @@ func (l *List) Remove(id uint32) {
 	l.n--
 }
 
-// MoveToFront moves an on-list item to the MRU position.
+// MoveToFront moves an on-list item to the MRU position: Remove and
+// PushFront spliced into one pass over the item and its neighbours.
 func (l *List) MoveToFront(id uint32) {
 	if l.head == id {
 		return
 	}
-	l.Remove(id)
-	l.PushFront(id)
+	it := l.recs.At(id)
+	prev, next := it.Prev, it.Next // prev != 0: the item is not the head
+	l.recs.At(prev).Next = next
+	if next != 0 {
+		l.recs.At(next).Prev = prev
+	} else {
+		l.tail = prev
+	}
+	l.recs.At(l.head).Prev = id
+	it.Prev, it.Next = 0, l.head
+	l.head = id
 }
 
 // PopBack removes and returns the LRU item, or 0 when empty.
