@@ -312,3 +312,30 @@ func TestOneRoutePerKey(t *testing.T) {
 		}
 	})
 }
+
+// TestOneExpiryClock keeps the module at one expiry clock: the engines and
+// the value table check TTLs on the process's coarse clock (obs.Unix,
+// obs.Now), which one goroutine refreshes. Outside tests no file of
+// internal/cache or internal/valuetable starts a goroutine or reads a clock
+// of its own (time.Now, time.Since, obs.MonoNanos), called or passed on.
+func TestOneExpiryClock(t *testing.T) {
+	banned := map[string]bool{"time.Now": true, "time.Since": true, "obs.MonoNanos": true}
+	eachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/cache/") && !strings.HasPrefix(path, "internal/valuetable/") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: a goroutine — engines and tables keep no background work of their own",
+					fset.Position(n.Pos()))
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && banned[x.Name+"."+n.Sel.Name] {
+					t.Errorf("%s: %s.%s — read the process's coarse clock (obs.Unix, obs.Now)",
+						fset.Position(n.Pos()), x.Name, n.Sel.Name)
+				}
+			}
+			return true
+		})
+	})
+}

@@ -224,10 +224,6 @@ func run(o options) error {
 			return err
 		}
 	}
-	// The background maintainers keep every engine's coarse expiry clock
-	// fresh, so a GET of an item with a TTL reads no wall clock.
-	g.StartMaintainers(0)
-	defer g.StopMaintainers()
 	if o.snapshot != "" {
 		loaded, err := g.LoadSnapshotFile(o.snapshot)
 		if err != nil {

@@ -18,12 +18,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"pamakv/internal/hashtable"
 	"pamakv/internal/kv"
 	"pamakv/internal/lru"
+	"pamakv/internal/obs"
 	"pamakv/internal/penalty"
 	"pamakv/internal/segment"
 	"pamakv/internal/slab"
@@ -69,8 +68,9 @@ type Config struct {
 	WindowLen uint64
 	// Tracker selects exact or Bloom segment tracking.
 	Tracker TrackerKind
-	// Now supplies wall-clock unix seconds for TTL expiry; nil uses
-	// time.Now. Only consulted for items stored with a TTL.
+	// Now supplies wall-clock unix seconds for TTL expiry; nil uses the
+	// process's coarse clock, obs.Unix. Only consulted for items stored
+	// with a TTL.
 	Now func() int64
 	// Stale, when set, receives the bytes of recently evicted or expired
 	// items, so a read-through server can serve them as a degraded
@@ -261,12 +261,6 @@ type Cache struct {
 	// occupied by resident items but unused (slot size − item size, summed).
 	// The "memory holes" a solved slot table (package geom) shrinks.
 	holes []int64
-
-	// maint is the background maintainer and nowCache the coarse expiry
-	// clock in unix seconds it owns (clock.go), read lock-free by expired().
-	// 0 means no maintainer is running (a wall-clock read per check).
-	maint    maintainer
-	nowCache atomic.Int64
 
 	// prefetchSink accumulates what Prefetch loads, so the compiler keeps
 	// the loads; nothing reads it.
@@ -939,11 +933,9 @@ func (c *Cache) checkGhostsLocked(r *ghostRegion, owner uint16) error {
 }
 
 // expired reports whether it carries a TTL that has passed. An injected
-// Config.Now always wins (test clocks); otherwise the coarse cached second
-// (refreshed by the maintainer) keeps the wall-clock read off the per-item
-// path; an engine without a maintainer reads the wall clock per TTL'd item.
-// Staleness is bounded by the maintainer's interval — well under the
-// protocol's one-second TTL granularity.
+// Config.Now wins (test clocks); otherwise the process's coarse clock
+// (obs.Unix) keeps the wall-clock read off the per-item path. It is at most
+// a tick (10 ms) stale, well under the protocol's one-second granularity.
 func (c *Cache) expired(it *kv.Item) bool {
 	if it.ExpireAt == 0 {
 		return false
@@ -952,10 +944,7 @@ func (c *Cache) expired(it *kv.Item) bool {
 	if now := c.cfg.Now; now != nil {
 		return at <= now()
 	}
-	if cached := c.nowCache.Load(); cached != 0 {
-		return at <= cached
-	}
-	return at <= time.Now().Unix()
+	return at <= obs.Unix()
 }
 
 func (c *Cache) subclassFor(pen float64) int {

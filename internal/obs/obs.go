@@ -2,7 +2,8 @@
 // observability surface: log-scale latency histograms that hot paths update
 // without allocating, snapshot types that merge across shards and subtract
 // into deltas for windowed reporting, and the tag-driven rendering of the
-// stats structs whose live counter sets the hot paths bump (expose.go).
+// stats structs whose live counter sets the hot paths bump (expose.go), and
+// the process's one coarse expiry clock (Now, Unix).
 //
 // One histogram serves the live server, the load generators and the offline
 // simulator (decade buckets subdivided 8x over [min, min*10^decades)), so
@@ -18,6 +19,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -30,6 +32,54 @@ var clockBase = time.Now()
 // started, for deadlines and expiries that are only compared with each
 // other.
 func MonoNanos() int64 { return int64(time.Since(clockBase)) }
+
+// clockTick is how often the coarse clock is refreshed. The deadlines it
+// serves are whole seconds (memcached TTLs) or a second (the hot cache), so
+// a reading up to a tick old is far inside their granularity.
+const clockTick = 10 * time.Millisecond
+
+// coarseClock is the process's one expiry clock: the first read stores a
+// reading and starts the one goroutine that stores a fresh one every tick,
+// for the life of the process, so every later read is an atomic load.
+type coarseClock struct {
+	once sync.Once
+	tick time.Duration
+	mono atomic.Int64 // MonoNanos at the last tick
+	unix atomic.Int64 // wall clock at the last tick, in unix seconds
+}
+
+var clock = coarseClock{tick: clockTick}
+
+func (c *coarseClock) start() {
+	c.once.Do(func() {
+		c.store()
+		go c.run()
+	})
+}
+
+func (c *coarseClock) run() {
+	for range time.Tick(c.tick) {
+		c.store()
+	}
+}
+
+func (c *coarseClock) store() {
+	now := time.Now()
+	c.mono.Store(int64(now.Sub(clockBase)))
+	c.unix.Store(now.Unix())
+}
+
+func (c *coarseClock) now() int64  { c.start(); return c.mono.Load() }
+func (c *coarseClock) wall() int64 { c.start(); return c.unix.Load() }
+
+// Now reads the coarse monotonic clock: MonoNanos as of the last tick, at
+// most a tick behind it. Hot-cache deadlines are set and checked on it.
+func Now() int64 { return clock.now() }
+
+// Unix reads the coarse wall clock in unix seconds, at most a tick behind
+// time.Now. Item expiry (kv.Item.ExpireAt, which snapshots persist) is set
+// and checked on it.
+func Unix() int64 { return clock.wall() }
 
 // Hist is a concurrency-safe logarithmic histogram over positive values:
 // decade buckets subdivided 8x. Observe performs no allocation.
@@ -252,12 +302,6 @@ func (p *PromWriter) Value(name, labels string, v float64) {
 		return
 	}
 	p.printf("%s{%s} %s\n", name, labels, formatFloat(v))
-}
-
-// Counter writes an unlabeled counter with its header.
-func (p *PromWriter) Counter(name, help string, v uint64) {
-	p.Header(name, help, "counter")
-	p.Value(name, "", float64(v))
 }
 
 // Gauge writes an unlabeled gauge with its header.

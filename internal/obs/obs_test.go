@@ -349,7 +349,8 @@ func TestConcurrentWriters(t *testing.T) {
 func TestPromWriterFormat(t *testing.T) {
 	var sb strings.Builder
 	p := NewPromWriter(&sb)
-	p.Counter("pamakv_gets_total", "GET requests served.", 42)
+	p.Header("pamakv_gets_total", "GET requests served.", "counter")
+	p.Value("pamakv_gets_total", "", 42)
 	p.Gauge("pamakv_items", "Resident items.", 7)
 	h := NewHist(0.001, 1)
 	h.Observe(0.002)

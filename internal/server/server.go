@@ -1318,8 +1318,9 @@ func (s *Server) doSet(out []byte, cmd *proto.Command) []byte {
 }
 
 // expireAt converts Memcached exptime semantics to a unix deadline: 0 means
-// never; values up to 30 days are relative seconds; larger values are
-// absolute unix times; negative means already expired.
+// never; values up to 30 days are seconds from now on obs.Unix, the clock
+// the engines check expiry on; larger values are absolute unix times;
+// negative means already expired.
 func expireAt(exptime int64) int64 {
 	const thirtyDays = 60 * 60 * 24 * 30
 	switch {
@@ -1328,7 +1329,7 @@ func expireAt(exptime int64) int64 {
 	case exptime < 0:
 		return 1 // epoch+1: expired on arrival
 	case exptime <= thirtyDays:
-		return time.Now().Unix() + exptime
+		return obs.Unix() + exptime
 	default:
 		return exptime
 	}

@@ -97,20 +97,24 @@ func (g *Group) LoadSnapshotFile(path string) (loaded bool, err error) {
 	return cache.ReadSnapshotFile(path, g.shards[0].Geometry().MaxItemSize(), g.SetTTL)
 }
 
-// pick routes a key hashed to h (kv.HashString) to its shard. The hash
-// selector uses the high hash bits so it stays independent of the bucket
-// selector inside each shard's index (which uses the low bits). Every keyed
-// method hashes its key once and hands the hash to the engine's hash-taking
-// form, so the engine does not hash it again.
-func (g *Group) pick(h uint64, key string) *cache.Cache {
+// shardOf is the group's one key→shard rule: the index of the shard serving
+// a key hashed to h (kv.HashString). The hash selector uses the high hash
+// bits so it stays independent of the bucket selector inside each shard's
+// index (which uses the low bits).
+func (g *Group) shardOf(h uint64, key string) int {
 	if g.route != nil {
-		return g.shards[g.route(key, h)]
+		return g.route(key, h)
 	}
-	return g.shards[(h>>48)&g.mask]
+	return int((h >> 48) & g.mask)
 }
 
+// pick returns the shard serving a key hashed to h. Every keyed method
+// hashes its key once and hands the hash to the engine's hash-taking form,
+// so the engine does not hash it again.
+func (g *Group) pick(h uint64, key string) *cache.Cache { return g.shards[g.shardOf(h, key)] }
+
 // Prefetch loads, ahead of serving them, the memory the keys' operations will
-// read (cache.Prefetch). Each key is hashed once, routed as pick routes it,
+// read (cache.Prefetch). Each key is hashed once, routed by shardOf,
 // and every shard gets all of its hashes in one PrefetchHashes call per
 // window of keys, so it takes its lock once.
 func (g *Group) Prefetch(keys []string) {
@@ -121,10 +125,7 @@ func (g *Group) Prefetch(keys []string) {
 		keys = keys[len(w):]
 		for i, k := range w {
 			hs[i] = kv.HashString(k)
-			at[i] = int((hs[i] >> 48) & g.mask)
-			if g.route != nil {
-				at[i] = g.route(k, hs[i])
-			}
+			at[i] = g.shardOf(hs[i], k)
 		}
 		var done uint64 // bit i: key i handed to its shard
 		for i := range w {
@@ -280,20 +281,13 @@ func (g *Group) SnapshotSlabs() []int {
 // PolicyName returns the shards' policy name (identical across shards).
 func (g *Group) PolicyName() string { return g.shards[0].PolicyName() }
 
-// StartMaintainers launches every shard's background maintainer, which keeps
-// its coarse expiry clock fresh; pair with StopMaintainers.
-func (g *Group) StartMaintainers(interval time.Duration) {
-	for _, s := range g.shards {
-		s.StartMaintainer(interval)
-	}
-}
+// StartMaintainers does nothing: engines keep no clock of their own, they
+// read the process's one coarse clock (obs.Unix). It and StopMaintainers stay
+// only because the benchmark module's in-process stack calls them.
+func (g *Group) StartMaintainers(time.Duration) {}
 
-// StopMaintainers stops every shard's maintainer.
-func (g *Group) StopMaintainers() {
-	for _, s := range g.shards {
-		s.StopMaintainer()
-	}
-}
+// StopMaintainers does nothing; see StartMaintainers.
+func (g *Group) StopMaintainers() {}
 
 // CheckInvariants validates every shard.
 func (g *Group) CheckInvariants() error {

@@ -56,13 +56,3 @@ func (g *Group) Do(key string, fn func() (any, error)) (v any, err error, shared
 	c.wg.Done()
 	return c.val, c.err, shared
 }
-
-// Forget drops the in-flight call for key, so the next Do starts fresh
-// instead of joining it. Waiters already joined still receive the old
-// result. Use after learning a result would be poisoned (e.g. the flight
-// outlived a membership change).
-func (g *Group) Forget(key string) {
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-}

@@ -104,32 +104,3 @@ func TestDoSharesErrors(t *testing.T) {
 		t.Fatalf("waiter error = %v, want boom", err)
 	}
 }
-
-func TestForgetStartsFreshFlight(t *testing.T) {
-	var g Group
-	var calls atomic.Int32
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		g.Do("k", func() (any, error) {
-			calls.Add(1)
-			close(started)
-			<-release
-			return 1, nil
-		})
-	}()
-	<-started
-	g.Forget("k")
-	// A fresh Do must not join the forgotten flight.
-	v, _, _ := g.Do("k", func() (any, error) {
-		calls.Add(1)
-		return 2, nil
-	})
-	close(release)
-	if v.(int) != 2 {
-		t.Fatalf("post-Forget Do returned %v, want 2", v)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("fn ran %d times, want 2", n)
-	}
-}

@@ -159,30 +159,8 @@ func (r *Registry) Resolve(key string) int {
 	return r.defaultID
 }
 
-// ResolveBytes is Resolve for byte-slice keys; it does not allocate.
-func (r *Registry) ResolveBytes(key []byte) int {
-	for i := 1; i < len(key); i++ {
-		if key[i] == Separator {
-			if id, ok := r.byName[string(key[:i])]; ok {
-				return id
-			}
-			break
-		}
-	}
-	return r.defaultID
-}
-
 // SLOOf returns the SLO class of the tenant owning key.
 func (r *Registry) SLOOf(key string) int { return r.cfgs[r.Resolve(key)].SLOClass }
-
-// Split separates a key into its tenant prefix and remainder; ok is false
-// when the key carries no prefix.
-func Split(key string) (prefix, rest string, ok bool) {
-	if i := strings.IndexByte(key, Separator); i > 0 {
-		return key[:i], key[i+1:], true
-	}
-	return "", key, false
-}
 
 // ParseSpecs parses the -tenants flag syntax: a comma-separated list of
 // name[:reservedMiB[:weight[:sloClass]]] entries, e.g.

@@ -82,13 +82,10 @@ func TestResolve(t *testing.T) {
 		if got := r.Resolve(c.key); got != c.want {
 			t.Errorf("Resolve(%q) = %d, want %d", c.key, got, c.want)
 		}
-		if got := r.ResolveBytes([]byte(c.key)); got != c.want {
-			t.Errorf("ResolveBytes(%q) = %d, want %d", c.key, got, c.want)
-		}
 	}
 }
 
-func TestSLOOfAndSplit(t *testing.T) {
+func TestSLOOf(t *testing.T) {
 	r, err := NewRegistry([]Config{{Name: "prem", SLOClass: 0}, {Name: "bulk", SLOClass: 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -101,15 +98,6 @@ func TestSLOOfAndSplit(t *testing.T) {
 	}
 	if got := r.SLOOf("nobody/k"); got != DefaultSLOClass {
 		t.Fatalf("SLOOf(nobody/k) = %d, want default class %d", got, DefaultSLOClass)
-	}
-	if p, rest, ok := Split("a/b/c"); !ok || p != "a" || rest != "b/c" {
-		t.Fatalf("Split(a/b/c) = %q %q %v", p, rest, ok)
-	}
-	if _, rest, ok := Split("plain"); ok || rest != "plain" {
-		t.Fatalf("Split(plain) = ok=%v rest=%q", ok, rest)
-	}
-	if _, _, ok := Split("/x"); ok {
-		t.Fatal("Split(/x) claimed a prefix")
 	}
 }
 

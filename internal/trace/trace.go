@@ -160,36 +160,8 @@ func (t *Reader) Next() (Request, error) {
 
 // ---- CSV format: op,key,size,time ----
 
-// WriteCSV renders a stream as CSV with a header row.
-func WriteCSV(w io.Writer, s Stream) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"op", "key", "size", "time_us"}); err != nil {
-		return err
-	}
-	for {
-		r, err := s.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		rec := []string{
-			r.Op.String(),
-			strconv.FormatUint(r.Key, 10),
-			strconv.FormatUint(uint64(r.Size), 10),
-			strconv.FormatUint(r.Time, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// CSVReader streams requests from CSV produced by WriteCSV; it implements
-// Stream.
+// CSVReader streams requests from CSV written by a CreateFile sink; it
+// implements Stream.
 type CSVReader struct {
 	r      *csv.Reader
 	header bool

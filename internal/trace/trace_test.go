@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,11 +104,25 @@ func TestReaderRejectsBadOp(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	reqs := randomRequests(7, 50)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, &SliceStream{Reqs: reqs}); err != nil {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	write, closer, err := CreateFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(NewCSVReader(&buf), -1)
+	for _, r := range reqs {
+		if err := write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := closer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, closer, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	got, err := Collect(s, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@ import (
 type Table struct {
 	maxBytes int64
 	ttl      time.Duration // 0: entries never expire
-	// now reads the clock deadlines are set on, in nanoseconds; stubbed
-	// by tests.
+	// now reads the clock deadlines are set on, in nanoseconds: the
+	// process's coarse clock, obs.Now, stubbed by tests.
 	now func() int64
 
 	mu    sync.Mutex
@@ -59,7 +59,7 @@ const slack = 64
 // New builds a table holding at most maxBytes of keys and values, whose
 // entries expire ttl after their Put; a ttl of 0 means never.
 func New(maxBytes int64, ttl time.Duration) *Table {
-	t := &Table{maxBytes: maxBytes, ttl: ttl, now: obs.MonoNanos, ctr: new(Counters)}
+	t := &Table{maxBytes: maxBytes, ttl: ttl, now: obs.Now, ctr: new(Counters)}
 	t.list = lru.New(&t.recs)
 	t.index = hashtable.New(&t.recs, 0)
 	// One record is never an entry, so the store never empties and gives its
