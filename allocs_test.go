@@ -12,9 +12,11 @@ import (
 	"strings"
 	"testing"
 
+	"pamakv/internal/backend"
 	"pamakv/internal/cache"
 	"pamakv/internal/core"
 	"pamakv/internal/kv"
+	"pamakv/internal/penalty"
 	"pamakv/internal/server"
 	"pamakv/internal/valuetable"
 )
@@ -216,10 +218,10 @@ func TestEngineSetOverwriteAllocs(t *testing.T) {
 }
 
 // liveServer boots a value-storing engine of cacheBytes behind a real TCP
-// listener and returns the engine and a connected client socket. Options{} disables
-// read/write deadlines so the measurement sees only the serving path, not
-// timer churn.
-func liveServer(t *testing.T, cacheBytes int64) (*cache.Cache, net.Conn) {
+// listener, served with opts, and returns the engine and a connected client
+// socket. The tests' options set no read/write deadlines, so the measurement
+// sees only the serving path, not timer churn.
+func liveServer(t *testing.T, cacheBytes int64, opts server.Options) (*cache.Cache, net.Conn) {
 	t.Helper()
 	c, err := cache.New(cache.Config{
 		Geometry:    kv.Geometry{SlabSize: 1 << 16, Base: 64, NumClasses: 8},
@@ -230,7 +232,7 @@ func liveServer(t *testing.T, cacheBytes int64) (*cache.Cache, net.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(c, server.Options{})
+	srv := server.New(c, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +255,7 @@ func liveServer(t *testing.T, cacheBytes int64) (*cache.Cache, net.Conn) {
 // is the server's budget.
 func TestServedPipelinedGetHitAllocs(t *testing.T) {
 	const depth = 64
-	_, conn := liveServer(t, 1<<24)
+	_, conn := liveServer(t, 1<<24, server.Options{})
 	body := strings.Repeat("v", 100)
 
 	// Preload over the wire so the whole path under test is the public one.
@@ -335,7 +337,7 @@ func servedBatchAllocs(t *testing.T, conn net.Conn, req []byte, depth int, reply
 // so nothing is allocated per request.
 func TestServedPipelinedSetOverwriteAllocs(t *testing.T) {
 	const depth = 64
-	eng, conn := liveServer(t, 1<<24)
+	eng, conn := liveServer(t, 1<<24, server.Options{})
 	body := strings.Repeat("w", 100)
 	var req []byte
 	for i := 0; i < depth; i++ {
@@ -355,7 +357,7 @@ func TestServedPipelinedSetOverwriteAllocs(t *testing.T) {
 // and only when it inserts an item.
 func TestServedPipelinedAddResidentAllocs(t *testing.T) {
 	const depth = 64
-	eng, conn := liveServer(t, 1<<24)
+	eng, conn := liveServer(t, 1<<24, server.Options{})
 	var fill, req []byte
 	for i := 0; i < depth; i++ {
 		fill = append(fill, fmt.Sprintf("set key%03d 0 0 1\r\nx\r\n", i)...)
@@ -381,7 +383,7 @@ func TestServedPipelinedAddResidentAllocs(t *testing.T) {
 func TestServedPipelinedSetEvictAllocs(t *testing.T) {
 	const depth = 64
 	const nkeys = 1 << 13 // ~9 MiB of items against a 1 MiB cache
-	eng, conn := liveServer(t, 1<<20)
+	eng, conn := liveServer(t, 1<<20, server.Options{})
 
 	batches := make([][]byte, nkeys/depth)
 	for b := range batches {
@@ -419,5 +421,55 @@ func TestServedPipelinedSetEvictAllocs(t *testing.T) {
 	perOp := allocs / depth
 	if perOp > servedBudget(0) {
 		t.Fatalf("pipelined evicting SET allocates %.2f objects per request end to end, want 0", perOp)
+	}
+}
+
+// TestServedReadThroughMissAllocs gates a served read-through miss end to
+// end: pipelined GETs of keys evicted long ago, each fetched through the
+// backend's per-key flight, filled in place in the reply and copied from
+// there into the slot its evicted predecessor gave back. The flight's call
+// record is the one allocation left per miss: the flight shares no boxed
+// result and no pooled body.
+func TestServedReadThroughMissAllocs(t *testing.T) {
+	const depth = 64
+	const nkeys = 1 << 14 // ~3 MiB of items against a 1 MiB cache
+	be := backend.New(penalty.Uniform(0.001), func(uint64) int { return 100 })
+	eng, conn := liveServer(t, 1<<20, server.Options{Backend: be})
+
+	batches := make([][]byte, nkeys/depth)
+	for b := range batches {
+		for j := 0; j < depth; j++ {
+			batches[b] = append(batches[b], fmt.Sprintf("get key%05d\r\n", b*depth+j)...)
+		}
+	}
+	reply := len("VALUE key00000 0 100\r\n") + 100 + len("\r\nEND\r\n")
+	resp := make([]byte, depth*reply)
+	var next int
+	send := func() {
+		if _, err := conn.Write(batches[next%len(batches)]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, resp); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	// Two passes over the key space fill the cache and settle the free
+	// stacks, ghost regions and connection scratch.
+	for next < 2*len(batches) {
+		send()
+	}
+	misses, fetches := eng.Stats().Misses, be.Fetches()
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, send)
+	if !strings.HasSuffix(string(resp), "\r\nEND\r\n") {
+		t.Fatalf("reply tail %q", resp[len(resp)-16:])
+	}
+	if got, fetched := eng.Stats().Misses-misses, be.Fetches()-fetches; got < runs*depth || fetched < runs*depth {
+		t.Fatalf("%d GETs missed %d times and fetched %d: the keys are not evicted", runs*depth, got, fetched)
+	}
+	perOp := allocs / depth
+	if perOp > servedBudget(1) {
+		t.Fatalf("pipelined read-through miss allocates %.2f objects per request end to end, want 1", perOp)
 	}
 }

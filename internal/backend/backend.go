@@ -8,6 +8,14 @@
 // (the simulator adds it to service time), and real-time mode additionally
 // sleeps for a scaled-down fraction of it (the live network server uses
 // this, so a demo actually feels the penalty difference).
+//
+// A served miss costs one fetch and one copy. FetchShared's per-key flight
+// shares the fetch's outcome — size, penalty or failure — and no bytes;
+// each caller writes the value where it is going with FillInto (the server:
+// straight into its reply, which the engine's fill then copies into a slot).
+// A value is cheap to write: its first 8 bytes are the key's mixed hash, so
+// distinct keys get distinct values, and the rest is a window of one
+// process-wide 64 KiB pad at an offset taken from that hash.
 package backend
 
 import (
@@ -16,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pamakv/internal/bufpool"
 	"pamakv/internal/kv"
 	"pamakv/internal/obs"
 	"pamakv/internal/penalty"
@@ -81,9 +88,9 @@ type Store struct {
 	// measure simulated time, not wall time.
 	fetchLat *obs.Hist
 
-	// flight dedupes concurrent FetchSharedErr calls per key; sfShared
-	// counts the calls answered by another caller's in-flight fetch.
-	flight   singleflight.Group
+	// flight dedupes concurrent FetchShared calls per key; sfShared counts
+	// the calls answered by another caller's in-flight fetch.
+	flight   singleflight.Group[outcome]
 	sfShared atomic.Uint64
 }
 
@@ -163,59 +170,37 @@ func (s *Store) FetchErr(key string, fill bool) (size int, pen float64, value []
 	return size, pen, value, nil
 }
 
-// sharedResult carries one fetch's outcome across a singleflight.
-type sharedResult struct {
+// outcome is what one fetch's flight shares: the value's size and penalty.
+// The bytes are not shared; every caller fills its own (FillInto).
+type outcome struct {
 	size int
 	pen  float64
-	body *[]byte // a bufpool buffer; nil when the leader did not fill
 }
 
-// FetchSharedErr is FetchErr behind a per-key singleflight: while a fetch
-// for key is in flight, concurrent callers wait for its result instead of
+// FetchShared is FetchErr behind a per-key singleflight: while a fetch for
+// key is in flight, concurrent callers wait for its outcome instead of
 // hitting the back end again, so N simultaneous misses of one key cost one
 // backend call (and share one failure). This is the serving path's
 // thundering-herd guard — a retry storm on a hot missing key amplifies into
-// exactly one upstream fetch chain. The fill flag of the first (leading)
-// caller decides whether the shared result carries a value body; the
-// serving path always fills, so mixed callers are not a concern there.
-// Sequential calls (no overlap) each fetch: deduplication is concurrency
-// control, not caching.
-//
-// The body is synthesized into a bufpool buffer. A caller nobody joined gets
-// that buffer back as owned and may bufpool.Put it once it has copied the
-// bytes out (the serving path: into the engine and the response). A shared
-// flight returns owned nil: the waiters hold one slice, immutable, the
-// collector's.
-func (s *Store) FetchSharedErr(key string, fill bool) (size int, pen float64, value []byte, owned *[]byte, err error) {
-	v, err, shared := s.flight.Do(key, func() (any, error) {
+// exactly one upstream fetch chain. Each caller then writes the value with
+// FillInto where it is going. Sequential calls (no overlap) each fetch:
+// deduplication is concurrency control, not caching.
+func (s *Store) FetchShared(key string) (size int, pen float64, err error) {
+	o, err, shared := s.flight.Do(key, func() (outcome, error) {
 		size, pen, _, err := s.FetchErr(key, false)
-		if err != nil {
-			return nil, err
-		}
-		r := sharedResult{size: size, pen: pen}
-		if fill {
-			r.body = bufpool.Get(max(size, 0))
-			synthesizeInto(*r.body, kv.HashString(key))
-		}
-		return r, nil
+		return outcome{size, pen}, err
 	})
 	if shared {
 		s.sfShared.Add(1)
 	}
-	if err != nil {
-		return 0, 0, nil, nil, err
-	}
-	r := v.(sharedResult)
-	if r.body == nil {
-		return r.size, r.pen, nil, nil, nil
-	}
-	if !shared {
-		owned = r.body
-	}
-	return r.size, r.pen, *r.body, owned, nil
+	return o.size, o.pen, err
 }
 
-// SharedFetches returns how many FetchSharedErr calls coalesced with at
+// FillInto writes the first len(dst) bytes of key's value into dst: the
+// bytes a fetch of key with fill returns, when dst is as long as its size.
+func (s *Store) FillInto(dst []byte, key string) { synthesizeInto(dst, kv.HashString(key)) }
+
+// SharedFetches returns how many FetchShared calls coalesced with at
 // least one concurrent caller onto a single backend fetch (the flight
 // leader included, so 64 concurrent misses of one key count 64 here and 1
 // in Fetches).
@@ -278,17 +263,24 @@ func Synthesize(keyHash uint64, size int) []byte {
 	return v
 }
 
-// synthesizeInto fills v with the body Synthesize(keyHash, len(v)) returns.
-func synthesizeInto(v []byte, keyHash uint64) {
-	x := keyHash
-	i := 0
-	for ; i+8 <= len(v); i += 8 {
-		x = kv.Mix64(x)
-		binary.LittleEndian.PutUint64(v[i:], x)
+// pad is the filler every simulated value is a window of past its first 8
+// bytes. Its word w is kv.Mix64(w+1), so every process has the same pad.
+var pad = func() (p [64 << 10]byte) {
+	for w := 0; w < len(p)/8; w++ {
+		binary.LittleEndian.PutUint64(p[8*w:], kv.Mix64(uint64(w)+1))
 	}
-	if i < len(v) {
-		var tail [8]byte
-		binary.LittleEndian.PutUint64(tail[:], kv.Mix64(x))
-		copy(v[i:], tail[:])
+	return p
+}()
+
+// synthesizeInto fills v with the body Synthesize(keyHash, len(v)) returns:
+// x = kv.Mix64(keyHash) little-endian, then pad from offset x>>48 on,
+// wrapping to its start.
+func synthesizeInto(v []byte, keyHash uint64) {
+	x := kv.Mix64(keyHash)
+	var head [8]byte
+	binary.LittleEndian.PutUint64(head[:], x)
+	n := copy(v, head[:])
+	for off := int(x >> 48); n < len(v); off = 0 {
+		n += copy(v[n:], pad[off:])
 	}
 }

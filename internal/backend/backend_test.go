@@ -86,25 +86,30 @@ func TestSynthesizeShapes(t *testing.T) {
 	}
 }
 
-// TestSynthesizeMatchesByteLoop pins the word-at-a-time generator byte for
-// byte against the loop it replaced: bodies are part of the wire contract
-// (the benchmark byte-checks read-through replies).
+// TestSynthesizeMatchesByteLoop pins the copying generator byte for byte
+// against a byte loop of its definition: byte i < 8 is byte i of
+// x = kv.Mix64(keyHash), and byte i >= 8 is byte (x>>48 + i-8) mod 64 KiB of
+// the pad, whose word w is kv.Mix64(w+1). Bodies are part of the wire
+// contract: every process must synthesize the same bytes for a key.
 func TestSynthesizeMatchesByteLoop(t *testing.T) {
+	const padLen = 64 << 10
 	byteLoop := func(keyHash uint64, size int) []byte {
 		v := make([]byte, size)
-		x := keyHash
-		for i := 0; i < size; i += 8 {
-			x = kv.Mix64(x)
-			for j := 0; j < 8 && i+j < size; j++ {
-				v[i+j] = byte(x >> (8 * uint(j)))
+		x := kv.Mix64(keyHash)
+		for i := range v {
+			if i < 8 {
+				v[i] = byte(x >> (8 * uint(i)))
+				continue
 			}
+			j := (int(x>>48) + i - 8) % padLen
+			v[i] = byte(kv.Mix64(uint64(j/8)+1) >> (8 * uint(j%8)))
 		}
 		return v
 	}
 	for _, h := range []uint64{0, 1, 0xdeadbeefcafef00d} {
-		for size := 0; size <= 40; size++ {
+		for _, size := range []int{0, 1, 7, 8, 9, 40, 4 << 10, padLen + 100, 3*padLen + 9} {
 			if got, want := Synthesize(h, size), byteLoop(h, size); !bytes.Equal(got, want) {
-				t.Fatalf("hash %#x size %d: got %x, want %x", h, size, got, want)
+				t.Fatalf("hash %#x size %d: bodies differ", h, size)
 			}
 		}
 	}

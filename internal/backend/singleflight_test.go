@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"pamakv/internal/bufpool"
 	"pamakv/internal/kv"
 	"pamakv/internal/penalty"
 )
@@ -23,7 +22,6 @@ func TestFetchSharedCollapsesConcurrentMisses(t *testing.T) {
 	var ready, wg sync.WaitGroup
 	start := make(chan struct{})
 	values := make([][]byte, callers)
-	owned := make([]*[]byte, callers)
 	errs := make([]error, callers)
 	ready.Add(callers)
 	wg.Add(callers)
@@ -32,7 +30,10 @@ func TestFetchSharedCollapsesConcurrentMisses(t *testing.T) {
 			defer wg.Done()
 			ready.Done()
 			<-start
-			_, _, values[i], owned[i], errs[i] = s.FetchSharedErr("hot-key", true)
+			var size int
+			size, _, errs[i] = s.FetchShared("hot-key")
+			values[i] = make([]byte, size)
+			s.FillInto(values[i], "hot-key")
 		}(i)
 	}
 	ready.Wait()
@@ -49,11 +50,8 @@ func TestFetchSharedCollapsesConcurrentMisses(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if !bytes.Equal(values[i], values[0]) {
-			t.Fatalf("caller %d received a different value", i)
-		}
-		if owned[i] != nil {
-			t.Fatalf("caller %d was handed ownership of a body %d callers share", i, callers)
+		if len(values[i]) != 64 || !bytes.Equal(values[i], values[0]) {
+			t.Fatalf("caller %d filled a different value", i)
 		}
 	}
 }
@@ -64,17 +62,15 @@ func TestFetchSharedSequentialFetchesEachTime(t *testing.T) {
 	s := New(penalty.Uniform(0.01), nil)
 	want := Synthesize(kv.HashString("k"), 100)
 	for i := 0; i < 3; i++ {
-		// An unshared fetch owns its pooled body: handing it back must not
-		// disturb what the next fetch of the key returns.
-		_, _, body, owned, err := s.FetchSharedErr("k", true)
+		size, pen, err := s.FetchShared("k")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if owned == nil || !bytes.Equal(body, want) || !bytes.Equal(*owned, want) {
-			t.Fatalf("fetch %d: owned %v, body %x", i, owned != nil, body)
+		body := make([]byte, size)
+		s.FillInto(body, "k")
+		if size != 100 || pen != 0.01 || !bytes.Equal(body, want) {
+			t.Fatalf("fetch %d: size %d, penalty %v, body %x", i, size, pen, body)
 		}
-		clear(body)
-		bufpool.Put(owned)
 	}
 	if got := s.Fetches(); got != 3 {
 		t.Fatalf("3 sequential fetches cost %d backend calls, want 3", got)
@@ -101,7 +97,7 @@ func TestFetchSharedSharesFailures(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, _, _, _, errs[i] = s.FetchSharedErr("k", true)
+			_, _, errs[i] = s.FetchShared("k")
 		}(i)
 	}
 	close(start)

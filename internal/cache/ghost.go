@@ -14,10 +14,11 @@ import (
 // counts them towards its goal. A ghost costs at most ghostBytesMax, its
 // share of the buckets included: freed records are kept for reuse, and once
 // a quarter or less of them hold ghosts the engine shrinks the table at the
-// next window rollover. Growing or shrinking either array maps the new one,
-// copies or rehashes into it and unmaps the old one, so no garbage is left
-// behind; a table dropped with its engine is unmapped by its mappings'
-// finalizers.
+// next window rollover. The records grow in place (kv.Mapped.Grow), so a
+// growth faults in only the new eighth; doubling the buckets or shrinking
+// maps new arrays, rehashes into them and unmaps the old ones, so no garbage
+// is left behind; a table dropped with its engine is unmapped by its
+// mappings' finalizers.
 //
 // Each subclass keeps its ghosts in a region, newest first, linked through
 // int32 record indices (0 is the nil record). A ghost's segment is its
@@ -166,13 +167,15 @@ func (t *ghostTable) alloc() int32 {
 	return int32(n)
 }
 
-// mapRecs moves the records in use, at least the nil record, to a mapping of
-// c records and unmaps the old one.
+// mapRecs grows the records to c, in place (kv.Mapped.Grow), keeping the
+// ones in use and at least the nil record.
 func (t *ghostTable) mapRecs(c int) {
-	m := kv.Map[ghostRec](c)
-	n := copy(m.S(), t.recs)
-	t.recMem.Unmap()
-	t.recMem, t.recs = m, m.S()[:max(n, 1)]
+	if t.recMem == nil {
+		t.recMem = kv.Map[ghostRec](c)
+	} else {
+		t.recMem.Grow(c)
+	}
+	t.recs = t.recMem.S()[:max(len(t.recs), 1)]
 }
 
 // index links record i into its bucket, doubling the buckets first when

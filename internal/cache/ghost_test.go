@@ -72,6 +72,39 @@ func TestGhostTagsNewestFirst(t *testing.T) {
 	}
 }
 
+// TestGhostTableGrowsInPlace: the records grow by an eighth at a time in one
+// mapping (kv.Mapped.Grow), which keeps every ghost, its tag, penalty and
+// links, from 64 records to past 10 000, and one Unmap gives it back.
+func TestGhostTableGrowsInPlace(t *testing.T) {
+	var g ghostTable
+	m := &ghostModel{r: newRegion(100, 120), owner: 3}
+	g.push(&m.r, m.owner, 1, 1)
+	m.hashes = []uint64{1}
+	mem, grown := g.recMem, 0
+	for h := uint64(2); h <= 11_000; h++ {
+		c := cap(g.recs)
+		g.push(&m.r, m.owner, h, float64(h))
+		m.hashes = append([]uint64{h}, m.hashes...)
+		if cap(g.recs) != c {
+			grown++
+			m.checkAgainst(t, &g)
+		}
+	}
+	if g.recMem != mem || grown < 20 {
+		t.Fatalf("%d growths to %d records moved the records to another mapping: %v", grown, cap(g.recs), g.recMem != mem)
+	}
+	for _, h := range m.hashes {
+		if i := g.find(h); i == 0 || g.recs[i].pen != float64(h) {
+			t.Fatalf("ghost %d lost its penalty or its record", h)
+		}
+	}
+	g.recMem.Unmap()
+	if g.recMem.S() != nil {
+		t.Fatal("the grown records are still mapped")
+	}
+	g.bucketMem.Unmap()
+}
+
 // FuzzGhostTags decodes bytes into pushes, removals from any position,
 // lookups and shrinks over two regions of one table, and compares every
 // ghost's segment

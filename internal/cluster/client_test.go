@@ -115,11 +115,8 @@ func (p *fakePeer) handle(conn net.Conn) {
 			p.mu.Lock()
 			for _, k := range cmd.Keys {
 				if v, ok := p.data[k]; ok {
-					if cmd.Verb == proto.VerbGets {
-						out = proto.AppendValueCAS(out, k, 0, v, 7)
-					} else {
-						out = proto.AppendValue(out, k, 0, v)
-					}
+					out = proto.AppendValueHeader(out, k, 0, len(v), cmd.Verb == proto.VerbGets, 7)
+					out = append(append(out, v...), '\r', '\n')
 				}
 			}
 			p.mu.Unlock()

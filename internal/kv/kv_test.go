@@ -2,8 +2,13 @@ package kv
 
 import (
 	"math"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 )
 
@@ -278,5 +283,92 @@ func TestMapped(t *testing.T) {
 	none.Unmap()
 	if none.S() != nil {
 		t.Fatal("a nil Mapped holds values")
+	}
+}
+
+// TestMappedGrow: a grown mapping keeps its values, and the ones past them
+// read zero. On 64-bit Linux, where mremap grows it, its whole range is
+// mapped after each growth, and it is unmapped exactly once: Unmap gives the
+// range back, and a mapping made after that survives a second Unmap and the
+// collector. A grown mapping that is dropped is unmapped by its finalizer.
+// (A 32-bit process reuses a freed range too soon for /proc to tell.)
+func TestMappedGrow(t *testing.T) {
+	// inMaps reports whether one line of /proc/self/maps covers s's bytes.
+	inMaps := func(s []uint64) bool {
+		lo := uint64(uintptr(unsafe.Pointer(unsafe.SliceData(s))))
+		hi := lo + uint64(len(s))*8
+		b, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			r, _, _ := strings.Cut(line, " ")
+			a, z, _ := strings.Cut(r, "-")
+			x, _ := strconv.ParseUint(a, 16, 64)
+			y, _ := strconv.ParseUint(z, 16, 64)
+			if x <= lo && hi <= y {
+				return true
+			}
+		}
+		return false
+	}
+	linux := runtime.GOOS == "linux" && unsafe.Sizeof(uintptr(0)) == 8
+	m := Map[uint64](512)
+	n := 0
+	for _, size := range []int{512, 600, 1 << 16, 1 << 20} {
+		if size > len(m.S()) {
+			m.Grow(size)
+		}
+		s := m.S()
+		if len(s) != size {
+			t.Fatalf("grown to %d values, holds %d", size, len(s))
+		}
+		for i := range s {
+			if want := uint64(0); i < n {
+				want = uint64(i) + 1
+				if s[i] != want {
+					t.Fatalf("growth to %d: value %d = %d, want %d", size, i, s[i], want)
+				}
+			} else if s[i] != 0 {
+				t.Fatalf("growth to %d: new value %d = %d, want 0", size, i, s[i])
+			}
+			s[i] = uint64(i) + 1
+		}
+		n = size
+		if linux && !inMaps(s) {
+			t.Fatalf("the mapping grown to %d values is not mapped", size)
+		}
+	}
+	old := m.S()
+	m.Unmap()
+	if !linux {
+		return
+	}
+	if inMaps(old) {
+		t.Fatal("Unmap left the grown mapping mapped")
+	}
+	next := Map[uint64](len(old))
+	s := next.S()
+	for i := range s {
+		s[i] = 7
+	}
+	m.Unmap()
+	runtime.GC()
+	runtime.GC()
+	if !inMaps(s) || s[0] != 7 || s[len(s)-1] != 7 {
+		t.Fatal("a mapping made after Unmap was unmapped again")
+	}
+	next.Unmap()
+
+	dropped := Map[uint64](16)
+	dropped.Grow(1 << 18)
+	s = dropped.S()
+	dropped = nil
+	for i := 0; i < 50 && inMaps(s); i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if inMaps(s) {
+		t.Fatal("a dropped grown mapping is still mapped")
 	}
 }

@@ -1,4 +1,4 @@
-//go:build unix
+//go:build unix && !(linux && (amd64 || arm64))
 
 package kv
 
@@ -23,3 +23,7 @@ func mapBytes(n int) []byte {
 // unmapBytes unmaps b, a whole slice mapBytes returned (syscall.Munmap finds
 // the mapping by its first and last bytes).
 func unmapBytes(b []byte) { _ = syscall.Munmap(b) }
+
+// remapBytes cannot resize a mapping: syscall.Munmap would refuse one that
+// mremap moved (mapped_linux.go).
+func remapBytes([]byte, int) []byte { return nil }

@@ -110,30 +110,23 @@ func checkKey[T ~string | ~[]byte](k T) error {
 
 // AppendValue renders one VALUE block of a get response.
 func AppendValue(dst []byte, key string, flags uint32, data []byte) []byte {
-	dst = append(dst, "VALUE "...)
-	dst = append(dst, key...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, uint64(flags), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(len(data)), 10)
-	dst = append(dst, '\r', '\n')
-	dst = append(dst, data...)
-	return append(dst, '\r', '\n')
+	return append(append(AppendValueHeader(dst, key, flags, len(data), false, 0), data...), '\r', '\n')
 }
 
-// AppendValueCAS renders one VALUE block of a gets response, with the CAS
-// token.
-func AppendValueCAS(dst []byte, key string, flags uint32, data []byte, cas uint64) []byte {
+// AppendValueHeader renders the header line of a VALUE block whose n-byte
+// body, then CRLF, the caller writes after it; a gets block (withCAS)
+// carries cas. Every VALUE block is rendered through it.
+func AppendValueHeader[K string | []byte](dst []byte, key K, flags uint32, n int, withCAS bool, cas uint64) []byte {
 	dst = append(dst, "VALUE "...)
 	dst = append(dst, key...)
 	dst = append(dst, ' ')
 	dst = strconv.AppendUint(dst, uint64(flags), 10)
 	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(len(data)), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, cas, 10)
-	dst = append(dst, '\r', '\n')
-	dst = append(dst, data...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	if withCAS {
+		dst = append(dst, ' ')
+		dst = strconv.AppendUint(dst, cas, 10)
+	}
 	return append(dst, '\r', '\n')
 }
 

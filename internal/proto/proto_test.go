@@ -226,9 +226,12 @@ func TestParserRobustCorpus(t *testing.T) {
 }
 
 func TestAppendValueCAS(t *testing.T) {
-	out := AppendValueCAS(nil, "k", 7, []byte("ab"), 42)
-	if string(out) != "VALUE k 7 2 42\r\nab\r\n" {
+	out := AppendValueHeader(nil, "k", 7, 2, true, 42)
+	if string(out) != "VALUE k 7 2 42\r\n" {
 		t.Fatalf("got %q", out)
+	}
+	if out := AppendValueHeader(nil, []byte("k"), 7, 2, false, 42); string(out) != "VALUE k 7 2\r\n" {
+		t.Fatalf("get header %q", out)
 	}
 }
 

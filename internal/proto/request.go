@@ -73,19 +73,7 @@ func appendNoReply(dst []byte, noreply bool) []byte {
 // whether the block carries its CAS token (a gets relay keeps it; a get relay
 // must not add one).
 func AppendRValue(dst []byte, v *RValue, withCAS bool) []byte {
-	dst = append(dst, "VALUE "...)
-	dst = append(dst, v.Key...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, uint64(v.Flags), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(len(v.Data)), 10)
-	if withCAS {
-		dst = append(dst, ' ')
-		dst = strconv.AppendUint(dst, v.CAS, 10)
-	}
-	dst = append(dst, '\r', '\n')
-	dst = append(dst, v.Data...)
-	return append(dst, '\r', '\n')
+	return append(append(AppendValueHeader(dst, v.Key, v.Flags, len(v.Data), withCAS, v.CAS), v.Data...), '\r', '\n')
 }
 
 // AppendResp renders r back to its wire form, appending to dst — what a

@@ -9,10 +9,8 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -127,22 +125,14 @@ func getValue(t *testing.T, cl *client, key string) (string, bool) {
 	if l == "END" {
 		return "", false
 	}
-	fields := strings.Fields(l) // VALUE key flags len
-	if len(fields) != 4 || fields[0] != "VALUE" || fields[1] != key {
+	if fields := strings.Fields(l); len(fields) != 4 || fields[0] != "VALUE" || fields[1] != key {
 		t.Fatalf("get %s -> %q", key, l)
 	}
-	n, err := strconv.Atoi(fields[3])
-	if err != nil {
-		t.Fatalf("get %s header length %q", key, fields[3])
-	}
-	buf := make([]byte, n+2) // body + CRLF
-	if _, err := io.ReadFull(cl.r, buf); err != nil {
-		t.Fatalf("get %s body: %v", key, err)
-	}
+	val := cl.body(t, l)
 	if got := cl.line(t); got != "END" {
 		t.Fatalf("get %s end -> %q", key, got)
 	}
-	return string(buf[:n]), true
+	return val, true
 }
 
 // TestClusterForwardingSingleOwner: writes and reads through arbitrary
@@ -449,7 +439,7 @@ func TestClusterFallbackToLocalBackend(t *testing.T) {
 	key := keyOwnedBy(t, nodes, 1, "fb")
 	cl := dial(t, nodes[0].addr)
 	val, ok := getValue(t, cl, key)
-	if !ok || len(val) != 100 {
+	if !ok || val != string(backend.Synthesize(kv.HashString(key), 100)) {
 		t.Fatalf("degraded get = (%d bytes, %v), want the 100-byte backend value", len(val), ok)
 	}
 	st := srv.Stats()

@@ -204,10 +204,11 @@ func TestGracefulDrain(t *testing.T) {
 	}()
 	// Despite the shutdown racing it, the response must arrive complete.
 	cl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if got := cl.line(t); !strings.HasPrefix(got, "VALUE slowkey") {
+	got := cl.line(t)
+	if !strings.HasPrefix(got, "VALUE slowkey") {
 		t.Fatalf("drained response -> %q", got)
 	}
-	cl.line(t) // body
+	cl.body(t, got)
 	if got := cl.line(t); got != "END" {
 		t.Fatalf("drained end -> %q", got)
 	}
@@ -332,13 +333,10 @@ func TestBackendRetrySucceeds(t *testing.T) {
 	})
 	cl := dial(t, addr)
 	for i := 0; i < 10; i++ {
-		cl.send(t, fmt.Sprintf("get retry%d\r\n", i))
-		got := cl.line(t)
-		if !strings.HasPrefix(got, "VALUE") {
-			t.Fatalf("get retry%d -> %q (retries should have carried it)", i, got)
+		// getValue reads each body by its byte count.
+		if val, ok := getValue(t, cl, fmt.Sprintf("retry%d", i)); !ok || len(val) != 8 {
+			t.Fatalf("get retry%d -> (%q, %v) (retries should have carried it)", i, val, ok)
 		}
-		cl.line(t) // body
-		cl.line(t) // END
 	}
 	if st := srv.Stats(); st.BackendRetries == 0 {
 		t.Fatal("no retries recorded under 50% error rate")
@@ -366,10 +364,11 @@ func TestServeStale(t *testing.T) {
 
 	// Healthy backend: the expired item is reaped, the fetch refills.
 	cl.send(t, "get ghosted\r\n")
-	if got := cl.line(t); !strings.HasPrefix(got, "VALUE ghosted") {
+	got := cl.line(t)
+	if !strings.HasPrefix(got, "VALUE ghosted") {
 		t.Fatalf("refill get -> %q", got)
 	}
-	cl.line(t)
+	cl.body(t, got)
 	cl.line(t)
 
 	// Now expire it again and kill the backend outright.
@@ -779,8 +778,8 @@ func TestServerStressShardBacked(t *testing.T) {
 // TestLargeRepliesRecycleBuffers drives the reply path's pooled buffers from
 // several connections at once: read-through GETs of values from 100 B to
 // 300 KiB against a cache a fraction of their total, so response buffers
-// grow out of the pool and go back to it after the flush, and unshared
-// backend bodies go back once rendered. Every reply must carry exactly its
+// grow out of the pool and go back to it after the flush, and misses are
+// filled in place in them. Every reply must carry exactly its
 // key's bytes — a buffer handed back while something still read it, or two
 // users of one buffer, shows up as a wrong body (and under -race as a race).
 func TestLargeRepliesRecycleBuffers(t *testing.T) {

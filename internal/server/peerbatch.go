@@ -2,9 +2,9 @@ package server
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 
-	"pamakv/internal/bufpool"
 	"pamakv/internal/cluster"
 	"pamakv/internal/overload"
 	"pamakv/internal/proto"
@@ -302,23 +302,22 @@ func (s *Server) settle(sc *connScratch, d *deferredCmd) {
 		// is correct, only the single-owner fill discipline is bent, and
 		// the owner still never learns a wrong copy). The reply carries CAS
 		// 0 for gets — a degraded token must not win a cas race against the
-		// owner's copy.
+		// owner's copy. The value is filled in place in the reply, which
+		// the hot cache copies.
 		skey := string(key)
-		_, _, body, owned, ferr := s.fetchBackend(skey)
+		size, _, ferr := s.fetchBackend(skey)
 		if ferr != nil {
 			return
 		}
-		defer bufpool.Put(owned) // the reply and the hot cache copy body
 		atomic.AddUint64(&s.st.PeerFallbacks, 1)
 		off := len(sc.rep)
-		if d.verb == proto.VerbGets {
-			sc.rep = proto.AppendValueCAS(sc.rep, skey, 0, body, 0)
-		} else {
-			sc.rep = proto.AppendValue(sc.rep, skey, 0, body)
-			if backfill {
-				s.hot.PutHash(d.h, skey, 0, body)
-			}
+		sc.rep = proto.AppendValueHeader(slices.Grow(sc.rep, len(key)+size+valueFraming), skey, 0, size, d.verb == proto.VerbGets, 0)
+		val := sc.rep[len(sc.rep) : len(sc.rep)+size]
+		s.opts.Backend.FillInto(val, skey)
+		if backfill {
+			s.hot.PutHash(d.h, skey, 0, val)
 		}
+		sc.rep = append(sc.rep[:len(sc.rep)+size], '\r', '\n')
 		d.reply = span{off, len(sc.rep)}
 		return
 	}

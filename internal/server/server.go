@@ -1110,50 +1110,47 @@ func (s *Server) doMembership(out []byte, cmd *proto.Command) []byte {
 // backend call. On timeout the fetch goroutine is abandoned (it completes
 // and its result is discarded); the backend simulates a database, so there
 // is no external resource to cancel.
-func (s *Server) fetchOnce(key string) (size int, pen float64, body []byte, owned *[]byte, err error) {
+func (s *Server) fetchOnce(key string) (size int, pen float64, err error) {
 	b := s.opts.Backend
 	if s.opts.FetchTimeout <= 0 {
-		return b.FetchSharedErr(key, true)
+		return b.FetchShared(key)
 	}
 	type result struct {
-		size  int
-		pen   float64
-		body  []byte
-		owned *[]byte
-		err   error
+		size int
+		pen  float64
+		err  error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		var r result
-		r.size, r.pen, r.body, r.owned, r.err = b.FetchSharedErr(key, true)
-		ch <- r
+		size, pen, err := b.FetchShared(key)
+		ch <- result{size, pen, err}
 	}()
 	t := time.NewTimer(s.opts.FetchTimeout)
 	defer t.Stop()
 	select {
 	case r := <-ch:
-		return r.size, r.pen, r.body, r.owned, r.err
+		return r.size, r.pen, r.err
 	case <-t.C:
 		atomic.AddUint64(&s.st.BackendTimeouts, 1)
-		return 0, 0, nil, nil, ErrFetchTimeout
+		return 0, 0, ErrFetchTimeout
 	}
 }
 
 // fetchBackend runs a bounded retry-with-backoff chain of fetch attempts.
 // While the overload tier is shedding, the retry budget halves: retries
-// amplify backend load exactly when there is least capacity to spare. A
-// non-nil owned is the pooled buffer body lives in, this caller's alone: it
-// goes back with bufpool.Put once body has been copied where it is going.
-func (s *Server) fetchBackend(key string) (size int, pen float64, body []byte, owned *[]byte, err error) {
+// amplify backend load exactly when there is least capacity to spare. It
+// returns the fetch's outcome; the caller fills the value where it goes
+// (backend.Store.FillInto).
+func (s *Server) fetchBackend(key string) (size int, pen float64, err error) {
 	backoff := s.opts.FetchBackoff
 	retries := s.opts.FetchRetries
 	if s.ctrl.Tier() >= overload.TierShedding {
 		retries /= 2
 	}
 	for attempt := 0; ; attempt++ {
-		size, pen, body, owned, err = s.fetchOnce(key)
+		size, pen, err = s.fetchOnce(key)
 		if err == nil {
-			return size, pen, body, owned, nil
+			return size, pen, nil
 		}
 		if attempt >= retries || s.draining() {
 			break
@@ -1165,7 +1162,16 @@ func (s *Server) fetchBackend(key string) (size int, pen float64, body []byte, o
 		}
 	}
 	atomic.AddUint64(&s.st.BackendFailures, 1)
-	return 0, 0, nil, nil, err
+	return 0, 0, err
+}
+
+// reserve returns out with room for n more bytes, rehoused when it has not:
+// amortized, like append.
+func reserve(out []byte, n int) []byte {
+	if cap(out)-len(out) < n {
+		out = rehouse(out, max(len(out)+n, 2*cap(out)))
+	}
+	return out
 }
 
 func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command, rt []keyRoute) []byte {
@@ -1202,48 +1208,58 @@ func (s *Server) doGet(sc *connScratch, out []byte, cmd *proto.Command, rt []key
 				atomic.AddUint64(&s.st.FetchSheds, 1)
 				continue
 			}
-		}
-		var fetched *[]byte
-		if !hit && s.opts.Backend != nil {
-			size, pen, body, owned, ferr := s.fetchBackend(key)
-			fetched = owned
-			switch {
-			case ferr == nil:
-				// The fill is an add: a write that landed during the
-				// fetch was acknowledged and stays. Either way the
-				// reply is the fetched value, with a token only when
-				// the fill stored it. key aliases the read buffer; the
-				// engine copies it if the fill inserts an item.
-				val, flags, hit = body, 0, true
-				err := s.c.SetMode(key, cache.ModeAdd, 0, size+len(key)+itemOverhead, pen, 0, 0, body)
-				switch {
-				case err == nil && withCAS:
-					cas = s.c.CASOf(key, 0, body)
-				case err != nil && !errors.Is(err, cache.ErrNotStored):
-					// e.g. an item larger than any class: served this once.
-					atomic.AddUint64(&s.st.ServerErrors, 1)
+			if !hit {
+				size, pen, err := s.fetchBackend(key)
+				if err == nil {
+					out = s.fillMiss(out, key, size, pen, withCAS)
+					continue
 				}
-			default:
 				// Backend down: degrade to the engine's retained
 				// stale copy, if any.
 				val, flags, cas, hit = s.staleCopy(sc, key)
 			}
 		}
 		if hit {
-			if need := len(key) + len(val) + valueFraming; cap(out)-len(out) < need {
-				out = rehouse(out, max(len(out)+need, 2*cap(out))) // amortized, like append
-			}
-			if withCAS {
-				out = proto.AppendValueCAS(out, key, flags, val, cas)
-			} else {
-				out = proto.AppendValue(out, key, flags, val)
-			}
-		}
-		if fetched != nil {
-			bufpool.Put(fetched) // the engine and the reply hold their own copies
+			out = proto.AppendValueHeader(reserve(out, len(key)+len(val)+valueFraming), key, flags, len(val), withCAS, cas)
+			out = append(append(out, val...), '\r', '\n')
 		}
 	}
 	return proto.AppendEnd(out)
+}
+
+// fillMiss answers a fetched miss of key with one copy of its value: the
+// backend fills the value in place in the reply, and the fill, an add,
+// copies it from there into a slot. A write that landed during the fetch
+// was acknowledged and stays; either way the reply is the fetched value,
+// with a token only when the fill stored it. key aliases the read buffer;
+// the engine copies it if the fill inserts an item. A gets header carries
+// the token the fill assigns, so its value is filled past the header's
+// room and moved behind the header once the token is known: one more copy.
+func (s *Server) fillMiss(out []byte, key string, size int, pen float64, withCAS bool) []byte {
+	out = reserve(out, len(key)+size+valueFraming)
+	at := len(out) + len(key) + valueFraming // past the longest header
+	if !withCAS {
+		out = proto.AppendValueHeader(out, key, 0, size, false, 0)
+		at = len(out)
+	}
+	val := out[at : at+size]
+	s.opts.Backend.FillInto(val, key)
+	err := s.c.SetMode(key, cache.ModeAdd, 0, size+len(key)+itemOverhead, pen, 0, 0, val)
+	if err != nil && !errors.Is(err, cache.ErrNotStored) {
+		// e.g. an item larger than any class: served this once.
+		atomic.AddUint64(&s.st.ServerErrors, 1)
+	}
+	if withCAS {
+		var cas uint64
+		if err == nil {
+			cas = s.c.CASOf(key, 0, val)
+		}
+		out = proto.AppendValueHeader(out, key, 0, size, true, cas)
+		out = append(out, val...) // moves val down: the copy over itself is a memmove
+	} else {
+		out = out[:at+size]
+	}
+	return append(out, '\r', '\n')
 }
 
 // staleCopy reads the engine's stale copy of key, for a GET miss the back

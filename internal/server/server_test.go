@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -73,6 +75,26 @@ func (c *client) line(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return strings.TrimRight(l, "\r\n")
+}
+
+// body reads the body of the VALUE block whose header line was header, and
+// its CRLF, by the header's byte count: a read-through body is binary and
+// may hold any byte, a newline included.
+func (c *client) body(t *testing.T, header string) string {
+	t.Helper()
+	f := strings.Fields(header) // VALUE key flags len [cas]
+	if len(f) < 4 || f[0] != "VALUE" {
+		t.Fatalf("value header %q", header)
+	}
+	n, err := strconv.Atoi(f[3])
+	if err != nil {
+		t.Fatalf("value header %q: %v", header, err)
+	}
+	buf := make([]byte, n+2)
+	if _, err := io.ReadFull(c.r, buf); err != nil || string(buf[n:]) != "\r\n" {
+		t.Fatalf("body of %q: %q, %v", header, buf, err)
+	}
+	return string(buf[:n])
 }
 
 func TestSetGetDelete(t *testing.T) {
@@ -264,10 +286,11 @@ func TestReadThroughBackend(t *testing.T) {
 	srv, addr := startServer(t, Options{Backend: store})
 	cl := dial(t, addr)
 	cl.send(t, "get warmme\r\n")
-	if got := cl.line(t); !strings.HasPrefix(got, "VALUE warmme 0 10") {
+	got := cl.line(t)
+	if !strings.HasPrefix(got, "VALUE warmme 0 10") {
 		t.Fatalf("read-through get -> %q", got)
 	}
-	cl.line(t) // body
+	cl.body(t, got)
 	if got := cl.line(t); got != "END" {
 		t.Fatalf("end -> %q", got)
 	}
@@ -276,8 +299,7 @@ func TestReadThroughBackend(t *testing.T) {
 	}
 	// Second get: served from cache, no new fetch.
 	cl.send(t, "get warmme\r\n")
-	cl.line(t)
-	cl.line(t)
+	cl.body(t, cl.line(t))
 	cl.line(t)
 	if store.Fetches() != 1 {
 		t.Fatalf("fetches after cached get = %d, want 1", store.Fetches())
@@ -292,13 +314,72 @@ func TestReadThroughBackend(t *testing.T) {
 	if _, err := fmt.Sscanf(header, "VALUE k %d %d %d", &flags, &n, &cas); err != nil || cas == 0 {
 		t.Fatalf("read-through gets -> %q", header)
 	}
-	cl.line(t) // body
+	cl.body(t, header)
 	cl.line(t) // END
 	if st := srv.c.Stats(); st.Gets-before.Gets != 1 || st.Hits != before.Hits || st.Misses-before.Misses != 1 {
 		t.Fatalf("one gets miss counted Gets +%d, Hits +%d, Misses +%d; want 1/0/1",
 			st.Gets-before.Gets, st.Hits-before.Hits, st.Misses-before.Misses)
 	}
 	cl.send(t, fmt.Sprintf("cas k 0 0 1 %d\r\nx\r\n", cas))
+	if got := cl.line(t); got != "STORED" {
+		t.Fatalf("cas with the fill's token -> %q", got)
+	}
+}
+
+// TestReadThroughFillsReplyInPlace: a fetched miss is filled in place in
+// the reply, for get and gets, small and past the connection's retained
+// scratch (64 KiB), several in one pipelined batch. Every body is the
+// backend's value, a gets miss carries the token its fill stored, and the
+// repeat is a hit of the same bytes.
+func TestReadThroughFillsReplyInPlace(t *testing.T) {
+	sizes := map[uint64]int{}
+	for _, k := range []string{"gs", "gm", "gl", "gxl", "cs", "cm", "cl", "cxl"} {
+		sizes[kv.HashString(k)] = map[byte]int{'s': 10, 'm': 3000, 'l': 100 << 10, 'x': 300 << 10}[k[1]]
+	}
+	store := backend.New(penalty.Uniform(0.001), func(h uint64) int { return sizes[h] })
+	_, addr := startServerCfg(t, cache.Config{CacheBytes: 16 << 20, StoreValues: true, WindowLen: 10_000}, Options{Backend: store})
+	cl := dial(t, addr)
+	read := func(keys []string, withCAS bool) (cas []uint64) {
+		fields := 4 // VALUE key flags len [cas]
+		if withCAS {
+			fields = 5
+		}
+		for _, k := range keys {
+			header := cl.line(t)
+			f := strings.Fields(header)
+			n := sizes[kv.HashString(k)]
+			if len(f) != fields || f[1] != k || f[3] != strconv.Itoa(n) {
+				t.Fatalf("header %q for %s", header, k)
+			}
+			if cl.body(t, header) != string(backend.Synthesize(kv.HashString(k), n)) {
+				t.Fatalf("%s came back with another body", k)
+			}
+			if withCAS {
+				c, _ := strconv.ParseUint(f[4], 10, 64)
+				cas = append(cas, c)
+			}
+		}
+		if got := cl.line(t); got != "END" {
+			t.Fatalf("end -> %q", got)
+		}
+		return cas
+	}
+	gets, casKeys := []string{"gs", "gm", "gl", "gxl"}, []string{"cs", "cm", "cl", "cxl"}
+	for round := 0; round < 2; round++ {
+		cl.send(t, "get gs gm gl gxl\r\ngets cs cm cl cxl\r\n")
+		read(gets, false)
+		for i, c := range read(casKeys, true) {
+			if c == 0 {
+				t.Fatalf("round %d: gets %s carried no token", round, casKeys[i])
+			}
+		}
+		if got := store.Fetches(); got != 8 {
+			t.Fatalf("round %d: %d fetches, want 8", round, got)
+		}
+	}
+	cl.send(t, "gets cl\r\n")
+	cas := read([]string{"cl"}, true)
+	cl.send(t, fmt.Sprintf("cas cl 0 0 1 %d\r\nx\r\n", cas[0]))
 	if got := cl.line(t); got != "STORED" {
 		t.Fatalf("cas with the fill's token -> %q", got)
 	}
@@ -326,10 +407,11 @@ func TestReadThroughFillKeepsConcurrentWrite(t *testing.T) {
 		t.Fatalf("set during the fetch -> %q", got)
 	}
 	unblock()
-	if got := reader.line(t); got != "VALUE k 0 10 0" {
+	got := reader.line(t)
+	if got != "VALUE k 0 10 0" {
 		t.Errorf("gets overlapping a set -> %q, want the fetched value without a token", got)
 	}
-	reader.line(t) // body
+	reader.body(t, got)
 	if got := reader.line(t); got != "END" {
 		t.Fatalf("end -> %q", got)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestDoSequentialRunsEachCall(t *testing.T) {
-	var g Group
+	var g Group[any]
 	var calls atomic.Int32
 	for i := 0; i < 3; i++ {
 		v, err, shared := g.Do("k", func() (any, error) {
@@ -26,7 +26,7 @@ func TestDoSequentialRunsEachCall(t *testing.T) {
 }
 
 func TestDoCollapsesConcurrentCalls(t *testing.T) {
-	var g Group
+	var g Group[any]
 	var calls atomic.Int32
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -81,7 +81,7 @@ func TestDoCollapsesConcurrentCalls(t *testing.T) {
 }
 
 func TestDoSharesErrors(t *testing.T) {
-	var g Group
+	var g Group[any]
 	boom := errors.New("boom")
 	started := make(chan struct{})
 	release := make(chan struct{})

@@ -48,6 +48,30 @@ func items(m Member) int {
 	return n
 }
 
+// TestPrefetchFollowsTheRoute: shard.Group.Prefetch hands each key to the
+// engine the keyed methods route it to. Under a tenant route (two tenants and
+// the default, two engines each) every engine's prefetch finds exactly the
+// keys it holds: a prefetch that routed by hash bits alone would probe the
+// first engine for every key.
+func TestPrefetchFollowsTheRoute(t *testing.T) {
+	_, g, _ := newTestGroup(t, []Config{{Name: "a"}, {Name: "b"}}, 12<<20, 2)
+	var keys []string
+	for i := 0; i < 100; i++ {
+		keys = append(keys, fmt.Sprintf("a/k%d", i), fmt.Sprintf("b/k%d", i), fmt.Sprintf("k%d", i))
+	}
+	for _, key := range keys {
+		if err := g.Set(key, 100, 0.01, 0, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Prefetch(keys)
+	for i, e := range g.Engines() {
+		if got, want := e.Stats().PrefetchResident, uint64(e.Items()); got != want || want == 0 {
+			t.Errorf("engine %d: prefetch found %d resident keys, it holds %d", i, got, want)
+		}
+	}
+}
+
 // TestRouteTable: a key lands in its tenant's range of engines, on the
 // engine its hash picks inside the range, for every shape of range.
 func TestRouteTable(t *testing.T) {

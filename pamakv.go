@@ -275,7 +275,7 @@ type (
 	// SingleflightGroup dedupes concurrent calls per key: one caller
 	// runs, the rest share its result. A backend's misses of one key go
 	// through one, so N concurrent misses cost one fetch.
-	SingleflightGroup = singleflight.Group
+	SingleflightGroup = singleflight.Group[any]
 )
 
 // NewClusterPeers validates cfg and builds a node's routing table.
